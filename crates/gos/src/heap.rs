@@ -232,6 +232,17 @@ impl ThreadSpace {
         }
     }
 
+    /// Would an access to `obj` be a plain cache hit — a valid, non-stale cache
+    /// copy with no live trap — and so touch nothing outside this arena? Home
+    /// hits are excluded: the home payload is shared with fetching and flushing
+    /// threads. Read-only; the runtime classifies an access with it before
+    /// making it.
+    #[inline]
+    pub fn is_private_hit(&self, obj: ObjectId) -> bool {
+        let w = self.word(obj);
+        w_state(w) == ST_VALID && !self.word_is_stale(w) && !self.word_is_armed(w)
+    }
+
     // ------------------------------------------------------------------ arming
 
     /// Arm false-invalid traps on `objs` for the *current* interval (footprint

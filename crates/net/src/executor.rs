@@ -3,11 +3,19 @@
 //! Replaces free-running OS-thread execution with *single-token* cooperative
 //! scheduling: every simulated entity (application threads, the master daemon)
 //! is a **task** carried by a parked OS thread, and at most one task executes
-//! at any instant. At each yield point the scheduler hands the token to the
-//! runnable task with the smallest virtual clock (plus an optional seeded
-//! jitter), so a given `(seed, jitter)` pair fixes the entire interleaving —
-//! a run is a pure function of its inputs and replays bit-identically:
-//! journal, TCM and `MasterOutput` alike.
+//! at any instant. At each scheduling point the token goes to the runnable
+//! task with the smallest `(key, priority, task)`, the key being the task's
+//! virtual clock (plus an optional seeded jitter), so a given `(seed, jitter)`
+//! pair fixes the entire interleaving — a run is a pure function of its
+//! inputs and replays bit-identically: journal, TCM and `MasterOutput` alike.
+//!
+//! The executor orders whatever scheduling points its tasks pass; *which*
+//! actions pass one is the caller's schedule contract (`JThread::yield_now`,
+//! DESIGN.md §15: only actions another task can observe do). A scheduling
+//! point at which the running task would be picked again costs one lock and
+//! nothing else — no heap push/pop, no park, no wake-up — so only a pick that
+//! moves the token to another carrier ([`DetExecutor::handoffs`]) pays for an
+//! OS hand-off.
 //!
 //! Serialization is also what closes the LRC fetch-vs-flush race (DESIGN.md
 //! §14): with one task running at a time, the write-notice distribution at
@@ -19,7 +27,7 @@
 //!
 //! ```text
 //! NotStarted --register_current--> Runnable --pick--> Running
-//!     Running --yield_now--> Runnable
+//!     Running --yield_now--> Runnable   (or stays Running: it would be picked again)
 //!     Running --block_internal/block_external--> Blocked --unblock--> Runnable
 //!     Running --finish--> Finished
 //! ```
@@ -104,6 +112,10 @@ struct ExecState {
     heap: BinaryHeap<Reverse<(u64, u8, usize, u64)>>,
     registered: usize,
     running: Option<usize>,
+    /// The task most recently handed the token — `handoffs` counts the
+    /// dispatches that changed it.
+    last_dispatched: Option<usize>,
+    handoffs: u64,
     runnable: usize,
     blocked_internal: usize,
     finished: usize,
@@ -126,9 +138,10 @@ pub struct DetExecutor {
 
 impl DetExecutor {
     /// Free-running executor over `n_tasks` tasks. `jitter_ns == 0` gives pure
-    /// min-clock order (ties broken by task id); a nonzero jitter perturbs
-    /// each scheduling key by `hash(seed, task, yield#) % jitter_ns`, so
-    /// `seed` selects one reproducible interleaving out of many.
+    /// min-clock order (ties broken by priority, then task id); a nonzero
+    /// jitter perturbs each scheduling key by
+    /// `hash(seed, task, scheduling-point #) % jitter_ns`, so `seed` selects
+    /// one reproducible interleaving out of many.
     pub fn new(n_tasks: usize, seed: u64, jitter_ns: u64) -> Arc<Self> {
         Self::with_budget(n_tasks, seed, jitter_ns, u64::MAX)
     }
@@ -160,6 +173,8 @@ impl DetExecutor {
                 heap: BinaryHeap::new(),
                 registered: 0,
                 running: None,
+                last_dispatched: None,
+                handoffs: 0,
                 runnable: 0,
                 blocked_internal: 0,
                 finished: 0,
@@ -250,6 +265,10 @@ impl DetExecutor {
             slot.run_token = true;
             g.running = Some(task);
             g.runnable -= 1;
+            if g.last_dispatched != Some(task) {
+                g.last_dispatched = Some(task);
+                g.handoffs += 1;
+            }
             if let Some(t) = &slot.carrier {
                 t.unpark();
             }
@@ -318,25 +337,70 @@ impl DetExecutor {
         self.wait_for_token(task);
     }
 
-    /// Cooperative scheduling point: report the task's virtual clock, hand the
-    /// token back, and park until re-picked. Called only by the running task.
+    /// Would `task`, re-keyed at its current clock, still be picked ahead of
+    /// every runnable task? Then re-queueing it and dispatching would hand the
+    /// token straight back, so the caller may keep it. Stale heap tops are
+    /// discarded on the way, exactly as [`dispatch`](Self::dispatch) would.
+    /// Always false under a finite budget: manual mode counts every scheduling
+    /// point as a dispatch.
+    fn keeps_token(&self, g: &mut ExecState, task: usize) -> bool {
+        if g.budget != u64::MAX {
+            return false;
+        }
+        let slot = &g.tasks[task];
+        let mine = (
+            self.key(task, slot.yields, slot.clock_ns),
+            slot.priority,
+            task,
+        );
+        while let Some(&Reverse((key, priority, other, generation))) = g.heap.peek() {
+            let o = &g.tasks[other];
+            if o.state == TaskState::Runnable && o.generation == generation {
+                return mine < (key, priority, other);
+            }
+            g.heap.pop();
+        }
+        true
+    }
+
+    /// The running `task` passed a scheduling point: keep the token if it
+    /// would win the next pick anyway, otherwise queue it and dispatch.
+    /// Returns whether the caller must now park for the token.
+    fn reschedule(&self, g: &mut ExecState, task: usize) -> bool {
+        if self.keeps_token(g, task) {
+            return false;
+        }
+        g.tasks[task].state = TaskState::Runnable;
+        g.running = None;
+        g.runnable += 1;
+        self.push_runnable(g, task);
+        self.dispatch(g);
+        true
+    }
+
+    /// Cooperative scheduling point: report the task's virtual clock and let
+    /// the scheduler pick the runnable task with the smallest key — parking
+    /// until re-picked if that is another task, returning at once (one lock, no
+    /// heap traffic, no wake-up) if it is still this one. A no-op unless
+    /// `task` is the running task, so non-task threads (adopted handles, unit
+    /// tests) may call it freely.
     pub fn yield_now(&self, task: usize, now_ns: u64) {
         {
             let mut g = self.state.lock();
+            if g.running != Some(task) {
+                return;
+            }
             if g.poisoned {
                 drop(g);
                 panic!("{POISON_MSG}");
             }
-            debug_assert_eq!(g.running, Some(task));
             let slot = &mut g.tasks[task];
             slot.clock_ns = slot.clock_ns.max(now_ns);
             slot.yields += 1;
-            slot.state = TaskState::Runnable;
             slot.pending_wake = false;
-            g.running = None;
-            g.runnable += 1;
-            self.push_runnable(&mut g, task);
-            self.dispatch(&mut g);
+            if !self.reschedule(&mut g, task) {
+                return;
+            }
         }
         self.wait_for_token(task);
     }
@@ -369,18 +433,17 @@ impl DetExecutor {
                 // A wakeup raced the block (sent from a non-task thread while
                 // this task was running): degrade to a plain yield.
                 slot.pending_wake = false;
-                slot.state = TaskState::Runnable;
-                g.running = None;
-                g.runnable += 1;
-                self.push_runnable(&mut g, task);
+                if !self.reschedule(&mut g, task) {
+                    return;
+                }
             } else {
                 slot.state = TaskState::Blocked(kind);
                 g.running = None;
                 if kind == Block::Internal {
                     g.blocked_internal += 1;
                 }
+                self.dispatch(&mut g);
             }
-            self.dispatch(&mut g);
         }
         self.wait_for_token(task);
     }
@@ -469,6 +532,15 @@ impl DetExecutor {
             .map(|t| t.clock_ns)
             .min()
             .unwrap_or(0)
+    }
+
+    /// Dispatches that moved the token to a different task than the previous
+    /// dispatch did — the OS-level hand-offs (a park and an unpark each). A
+    /// scheduling point that keeps the token, or re-picks the same task, is not
+    /// one. A pure function of the schedule, hence of `(seed, jitter)` and the
+    /// tasks' inputs.
+    pub fn handoffs(&self) -> u64 {
+        self.state.lock().handoffs
     }
 
     // ------------------------------------------------------------ manual mode
@@ -614,15 +686,23 @@ mod tests {
         let exec = DetExecutor::new_paused(2, 0, 0);
         let count = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
-        for t in 0..2 {
+        for t in 0..2u64 {
             let exec = Arc::clone(&exec);
             let count = Arc::clone(&count);
             handles.push(std::thread::spawn(move || {
+                let t = t as usize;
                 exec.register_current(t);
+                // Task 0 crawls and task 1 leaps, so from its second step on
+                // task 0 stays ahead of task 1 across its own yields: free-run
+                // would let it keep the token, a tick must still count each
+                // scheduling point as one dispatch.
+                let pace = if t == 0 { 1 } else { 1_000 };
                 for i in 0..3u64 {
                     count.fetch_add(1, Ordering::SeqCst);
-                    exec.yield_now(t, (i + 1) * 10);
+                    exec.yield_now(t, (i + 1) * pace);
                 }
+                // The resume that runs the task to its end is a dispatch too.
+                count.fetch_add(1, Ordering::SeqCst);
                 exec.finish(t);
             }));
         }
@@ -631,12 +711,15 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(count.load(Ordering::SeqCst), 0);
-        exec.tick(1);
-        assert_eq!(count.load(Ordering::SeqCst), 1);
+        // `tick(n)` grants exactly `n` dispatches, one resume each.
+        for granted in 1..=3 {
+            exec.tick(1);
+            assert_eq!(count.load(Ordering::SeqCst), granted);
+        }
         exec.tick(2);
-        assert_eq!(count.load(Ordering::SeqCst), 3);
+        assert_eq!(count.load(Ordering::SeqCst), 5);
         let unfinished = exec.run_until_idle();
-        assert_eq!(count.load(Ordering::SeqCst), 6);
+        assert_eq!(count.load(Ordering::SeqCst), 8);
         assert_eq!(unfinished, 0);
         for h in handles {
             h.join().unwrap();
@@ -742,5 +825,175 @@ mod tests {
         });
         t.join().unwrap(); // would hang forever without pending_wake
         assert!(!exec.is_poisoned());
+    }
+
+    // ------------------------------------------------------------ schedule model
+
+    /// One step of a scripted task, taken each time it is resumed.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// Advance the clock by the task's pace and yield.
+        Yield,
+        /// Wake self while running, then block: the pending wake degrades the
+        /// block to a yield.
+        WakeThenBlock,
+        /// Fast-forward every task's scheduling clock to this far past the
+        /// task's own clock (re-keying the runnable ones, which leaves their
+        /// old heap entries stale), then yield.
+        FastForward(u64),
+    }
+
+    fn decode(code: u32) -> Step {
+        match code {
+            0 | 1 => Step::WakeThenBlock,
+            2 | 3 => Step::FastForward(u64::from(code) * 17),
+            _ => Step::Yield,
+        }
+    }
+
+    /// Run the scripts on a real executor; the log is the order tasks resumed in.
+    fn run_scripted(
+        seed: u64,
+        jitter: u64,
+        paces: &[u64],
+        priorities: &[u8],
+        scripts: &[Vec<Step>],
+    ) -> (Vec<usize>, u64) {
+        let n = scripts.len();
+        let exec = DetExecutor::new(n, seed, jitter);
+        for (t, &p) in priorities.iter().enumerate().take(n) {
+            exec.set_priority(t, p);
+        }
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut handles = Vec::new();
+        for t in 0..n {
+            let exec = Arc::clone(&exec);
+            let log = Arc::clone(&log);
+            let pace = paces[t];
+            let script = scripts[t].clone();
+            handles.push(std::thread::spawn(move || {
+                exec.register_current(t);
+                let mut clock = 0u64;
+                for step in script {
+                    log.lock().push(t);
+                    if let Step::FastForward(ahead) = step {
+                        exec.fast_forward_to(clock + ahead);
+                    }
+                    clock += pace;
+                    if matches!(step, Step::WakeThenBlock) {
+                        exec.unblock(t);
+                        exec.block_external(t, clock);
+                    } else {
+                        exec.yield_now(t, clock);
+                    }
+                }
+                exec.finish(t);
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        let order = log.lock().clone();
+        (order, exec.handoffs())
+    }
+
+    /// The schedule contract as a pure function: repeatedly resume the
+    /// unfinished task with the least `(key, priority, task)`.
+    fn model_order(
+        exec: &DetExecutor,
+        paces: &[u64],
+        priorities: &[u8],
+        scripts: &[Vec<Step>],
+    ) -> Vec<usize> {
+        struct Model {
+            own_clock: u64,
+            sched_clock: u64,
+            yields: u64,
+            next_step: usize,
+        }
+        let n = scripts.len();
+        let mut tasks: Vec<Model> = (0..n)
+            .map(|_| Model {
+                own_clock: 0,
+                sched_clock: 0,
+                yields: 0,
+                next_step: 0,
+            })
+            .collect();
+        let mut order = Vec::new();
+        loop {
+            let pick = (0..n)
+                .filter(|&t| tasks[t].next_step < scripts[t].len())
+                .min_by_key(|&t| {
+                    (
+                        exec.key(t, tasks[t].yields, tasks[t].sched_clock),
+                        priorities[t],
+                        t,
+                    )
+                });
+            let Some(t) = pick else { return order };
+            order.push(t);
+            let step = scripts[t][tasks[t].next_step];
+            if let Step::FastForward(ahead) = step {
+                let ns = tasks[t].own_clock + ahead;
+                for (o, m) in tasks.iter_mut().enumerate() {
+                    // A task past its script's end may already have finished; its
+                    // clock no longer matters either way.
+                    if m.next_step < scripts[o].len() {
+                        m.sched_clock = m.sched_clock.max(ns);
+                    }
+                }
+            }
+            let m = &mut tasks[t];
+            m.own_clock += paces[t];
+            m.sched_clock = m.sched_clock.max(m.own_clock);
+            m.yields += 1;
+            m.next_step += 1;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// For random paces, priorities, seeds and jitter the order in which a
+        /// real executor resumes tasks is the pure merge by `(key, priority,
+        /// task)` — whether a scheduling point kept the token or handed it
+        /// over, with stale heap tops left by `fast_forward_to` and with blocks
+        /// degraded to yields by a pending wake. Hand-offs replay too.
+        #[test]
+        fn pick_order_is_the_pure_merge(
+            n in 2usize..6,
+            seed in 0u64..u64::MAX,
+            jitter in proptest::prop::sample::select(vec![0u64, 0, 7, 1_000]),
+            paces in proptest::prop::collection::vec(0u64..40, 6),
+            priorities in proptest::prop::collection::vec(0u8..3, 6),
+            codes in proptest::prop::collection::vec(proptest::prop::collection::vec(0u32..16, 1..12), 6),
+        ) {
+            let scripts: Vec<Vec<Step>> = codes[..n]
+                .iter()
+                .map(|c| c.iter().copied().map(decode).collect())
+                .collect();
+            let (order, handoffs) = run_scripted(seed, jitter, &paces, &priorities, &scripts);
+            let exec = DetExecutor::new(n, seed, jitter);
+            proptest::prop_assert_eq!(&order, &model_order(&exec, &paces, &priorities, &scripts));
+            let (again, handoffs_again) = run_scripted(seed, jitter, &paces, &priorities, &scripts);
+            proptest::prop_assert_eq!(&order, &again);
+            proptest::prop_assert_eq!(handoffs, handoffs_again);
+        }
+    }
+
+    #[test]
+    fn keeping_the_token_is_not_a_handoff() {
+        // One crawling task and one leaping task: after the first alternation
+        // the crawler runs all its remaining steps without giving the token up.
+        let (order, handoffs) = run_scripted(
+            0,
+            0,
+            &[1, 1_000],
+            &[1, 1],
+            &[vec![Step::Yield; 6], vec![Step::Yield; 2]],
+        );
+        assert_eq!(order, vec![0, 1, 0, 0, 0, 0, 0, 1]);
+        assert_eq!(handoffs, 4, "0 -> 1 -> 0 -> 1, however many steps each ran");
     }
 }

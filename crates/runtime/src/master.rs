@@ -139,14 +139,18 @@ pub struct ClassRoundState {
     pub converged: bool,
 }
 
-/// One row of the per-round convergence timeline: coverage plus the rate
-/// trajectory of every registered class at the moment round `round` closed.
-/// The report exposes the full vector as [`MasterOutput::timeline`], turning
-/// "did the controller converge, and how fast" into data instead of archaeology
-/// over `rate_changes`.
+/// One row of the convergence timeline: coverage plus the rate trajectory of
+/// every registered class at the moment round `round` closed. The timeline is
+/// change-point encoded: a row is recorded only when it differs from the
+/// previous row in anything but `round`, so a row describes every round from
+/// `round` up to (excluding) the next row's — a run that converges and stays
+/// converged costs a handful of rows, not one per round. The report exposes
+/// the vector as [`MasterOutput::timeline`], turning "did the controller
+/// converge, and how fast" into data instead of archaeology over
+/// `rate_changes`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoundTimeline {
-    /// The closed round's id.
+    /// The first closed round this row describes.
     pub round: u64,
     /// Fraction of expected (thread, interval) OALs that arrived.
     pub coverage: f64,
@@ -224,7 +228,8 @@ pub struct MasterOutput {
     pub converged_classes: u64,
     /// The master epoch at the end of the run (0 = never crashed).
     pub final_epoch: u64,
-    /// Per-round convergence timeline (rate trajectory + coverage per round).
+    /// Convergence timeline (rate trajectory + coverage), change-point
+    /// encoded: see [`RoundTimeline`].
     pub timeline: Vec<RoundTimeline>,
     /// The `ProfilerConfig::tcm_top_k` hottest correlated pairs `(i, j, weight)`,
     /// hottest first — the streaming view the placement engine consumes. Empty
@@ -243,7 +248,14 @@ pub struct MasterOutput {
     pub budget_degrades: u64,
     /// Per closed round, the measured profiling cost as a fraction of the
     /// charged application compute since the previous close (the budget loop's
-    /// input; recorded whether or not a budget is configured).
+    /// input; recorded whether or not a budget is configured). The compute
+    /// term sums the *other* tasks' clock cells as the master finds them at
+    /// round close, and a parked thread's clock stands at its next *visible*
+    /// action (DESIGN.md §15): private work it ran ahead on is already charged
+    /// (and, under full-trace logging, already counted in the entry term).
+    /// A pure function of the run's inputs — but of the schedule contract too,
+    /// which makes this the one report field a change to the private/visible
+    /// classification may move.
     pub round_cost_fraction: Vec<f64>,
     /// Drift re-activations applied: converged classes the controller
     /// un-converged after a post-convergence `E_ABS` spike
@@ -642,7 +654,8 @@ pub struct ProfilerCheckpoint {
     pub placement_telemetry: PlacementTelemetry,
     /// The recorded OAL stream, when `ProfilerConfig::record_oals` was set.
     pub oal_log: Vec<Oal>,
-    /// Convergence timeline rows accumulated so far.
+    /// Convergence timeline rows accumulated so far (change-point encoded, so
+    /// replayed rounds extend it exactly as live ones do).
     pub timeline: Vec<RoundTimeline>,
 }
 
@@ -1139,7 +1152,9 @@ impl Daemon {
     /// fabric's per-byte rate, plus OAL log appends at the GOS cost model's
     /// append rate. Every input is a virtual counter read while the master holds
     /// the cooperative token, so the fraction is deterministic and free of
-    /// host-time noise.
+    /// host-time noise. The worker clocks read here are cross-task reads: each
+    /// stands where its (parked) thread's next visible action begins, private
+    /// actions before it included — see [`MasterOutput::round_cost_fraction`].
     fn profiling_cost_fraction(&mut self) -> f64 {
         let compute: u64 = (0..self.shared.n_threads)
             .map(|t| self.shared.board.read(ThreadId(t as u32)))
@@ -1524,12 +1539,21 @@ impl Daemon {
                 }
             })
             .collect();
-        self.timeline.push(RoundTimeline {
-            round: closed.round,
-            coverage: closed.coverage,
-            deadline_hit: closed.deadline_hit,
-            classes,
+        // Change-point encoded: a round that looks like the previous row adds
+        // nothing (a row stands for every round up to the next row).
+        let unchanged = self.timeline.last().is_some_and(|prev| {
+            prev.coverage == closed.coverage
+                && prev.deadline_hit == closed.deadline_hit
+                && prev.classes == classes
         });
+        if !unchanged {
+            self.timeline.push(RoundTimeline {
+                round: closed.round,
+                coverage: closed.coverage,
+                deadline_hit: closed.deadline_hit,
+                classes,
+            });
+        }
 
         self.update_stragglers(closed.round);
 

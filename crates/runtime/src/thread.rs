@@ -56,6 +56,14 @@ pub struct JThread {
     /// sampled objects so their trap chains resume. Stays equal to the table
     /// (no walks, no cost) in runs that never change rates.
     rate_generation: u64,
+    /// A private action ran since the last scheduling point: its yield is
+    /// owed, and paid (with the then-current clock) before this thread's next
+    /// visible action. See [`JThread::yield_now`].
+    owed_yield: bool,
+    /// The last action was an access and no scheduling point has passed since:
+    /// the next `compute` call joins that access's step instead of taking a
+    /// yield of its own.
+    compute_rides: bool,
 }
 
 impl JThread {
@@ -87,19 +95,44 @@ impl JThread {
             pending_oals: VecDeque::new(),
             slow_gate,
             rate_generation,
+            owed_yield: false,
+            compute_rides: false,
         }
     }
 
     /// Cooperative scheduling point: when this thread runs as a task of the
     /// deterministic executor, report the simulated clock and let the scheduler
     /// hand the token to the task with the earliest virtual time. A no-op on
-    /// non-task threads (adopted handles, unit tests). Object accesses, compute
-    /// charges and interval boundaries yield implicitly; call this from driver
-    /// loops with long access-free stretches.
+    /// non-task threads (adopted handles, unit tests).
+    ///
+    /// The schedule contract (DESIGN.md §15): an action is *private* when no
+    /// other task can observe it — an access that hits a valid, un-armed cache
+    /// copy in this thread's own arena, and the one `compute` call that
+    /// directly follows an access (the work on the datum just touched: the two
+    /// form a step). A private action only *owes* its yield; every other
+    /// action is *visible*, pays the owed yield first (so it is preceded by a
+    /// scheduling point carrying the clock the thread has reached) and yields
+    /// again after itself. Visible actions therefore interleave across threads
+    /// in virtual-time order exactly as if every action yielded, while runs of
+    /// private steps pass without a hand-off. A `compute` call that follows no
+    /// access — the second and later calls of a compute-only stretch — keeps
+    /// its scheduling point: a stretch that advances the clock without touching
+    /// an object reports it call by call, as it always has.
+    /// Calling this from a driver loop is itself a visible action.
     pub fn yield_now(&mut self) {
-        let t = self.thread.index();
-        if self.shared.exec.task_is_live(t) {
-            self.shared.exec.yield_now(t, self.clock.now());
+        self.owed_yield = false;
+        self.compute_rides = false;
+        self.shared
+            .exec
+            .yield_now(self.thread.index(), self.clock.now());
+    }
+
+    /// Pay the yield a private action left owed, if any: the scheduling point
+    /// that must precede a visible action.
+    #[inline]
+    fn pay_owed_yield(&mut self) {
+        if self.owed_yield {
+            self.yield_now();
         }
     }
 
@@ -118,7 +151,11 @@ impl JThread {
         &self.clock
     }
 
-    /// The GOS.
+    /// The GOS. Driver code that reads shared structures through it directly
+    /// (object reference lists, say) bypasses the access path and with it the
+    /// schedule contract of [`JThread::yield_now`]: such reads must be ordered
+    /// against their writers by a barrier or lock, as every bundled workload's
+    /// are.
     pub fn gos(&self) -> &Gos {
         &self.shared.gos
     }
@@ -133,7 +170,8 @@ impl JThread {
         &self.space
     }
 
-    /// Cluster-shared state.
+    /// Cluster-shared state. The caveat on [`JThread::gos`] applies: direct
+    /// reads of mutable shared state must be barrier- or lock-ordered.
     pub fn shared(&self) -> &Arc<ClusterShared> {
         &self.shared
     }
@@ -168,8 +206,36 @@ impl JThread {
         }
     }
 
-    /// Read access: run `f` over the object's payload (a yield point).
+    /// An access to `obj` is private (see [`JThread::yield_now`]) when it will
+    /// hit a usable cache copy with no trap armed: it touches this thread's
+    /// arena only. Home hits are visible (fetches read and diff flushes write
+    /// the home payload), as are first touches, faults and armed traps (they
+    /// reach the fabric, the gap table or the OAL).
+    #[inline]
+    fn begin_access(&mut self, obj: ObjectId) -> bool {
+        let private = self.space.is_private_hit(obj);
+        if !private {
+            self.pay_owed_yield();
+        }
+        private
+    }
+
+    /// Close an access opened as `private`: owe the yield, or take it. Either
+    /// way the next `compute` call may join the step.
+    #[inline]
+    fn end_action(&mut self, private: bool) {
+        if private {
+            self.owed_yield = true;
+        } else {
+            self.yield_now();
+        }
+        self.compute_rides = true;
+    }
+
+    /// Read access: run `f` over the object's payload. A scheduling point
+    /// unless the access is private, in which case the yield is owed.
     pub fn read<R>(&mut self, obj: ObjectId, f: impl FnOnce(&[f64]) -> R) -> R {
+        let private = self.begin_access(obj);
         let t0 = self.clock.now();
         let (r, out) = self
             .shared
@@ -177,12 +243,14 @@ impl JThread {
             .read(&mut self.space, self.node, obj, &self.clock, f);
         self.post_access(&out);
         self.charge_slow(t0);
-        self.yield_now();
+        self.end_action(private);
         r
     }
 
-    /// Write access: run `f` over the mutable payload (a yield point).
+    /// Write access: run `f` over the mutable payload. A scheduling point
+    /// unless the access is private, in which case the yield is owed.
     pub fn write<R>(&mut self, obj: ObjectId, f: impl FnOnce(&mut [f64]) -> R) -> R {
+        let private = self.begin_access(obj);
         let t0 = self.clock.now();
         let (r, out) = self
             .shared
@@ -190,22 +258,31 @@ impl JThread {
             .write(&mut self.space, self.node, obj, &self.clock, f);
         self.post_access(&out);
         self.charge_slow(t0);
-        self.yield_now();
+        self.end_action(private);
         r
     }
 
-    /// Charge `units` of application compute to the simulated clock (a yield
-    /// point).
+    /// Charge `units` of application compute to the simulated clock. Private
+    /// (the yield is owed) when it directly follows an access; a scheduling
+    /// point otherwise, so a compute-only stretch reports its clock call by
+    /// call.
     pub fn compute(&mut self, units: u64) {
         let t0 = self.clock.now();
         self.clock
             .spend(units * self.shared.gos.costs().compute_unit_ns);
         self.charge_slow(t0);
-        self.yield_now();
+        if self.compute_rides {
+            self.compute_rides = false;
+            self.owed_yield = true;
+        } else {
+            self.yield_now();
+        }
     }
 
-    /// Allocate a zeroed scalar at this thread's node.
-    pub fn alloc_scalar(&self, class: ClassId) -> Arc<ObjectCore> {
+    /// Allocate a zeroed scalar at this thread's node (a visible action: it
+    /// draws from the global object table and the class's sequence numbers).
+    pub fn alloc_scalar(&mut self, class: ClassId) -> Arc<ObjectCore> {
+        self.pay_owed_yield();
         let core = self
             .shared
             .gos
@@ -214,8 +291,10 @@ impl JThread {
         core
     }
 
-    /// Allocate a zeroed array at this thread's node.
-    pub fn alloc_array(&self, class: ClassId, len_elems: u32) -> Arc<ObjectCore> {
+    /// Allocate a zeroed array at this thread's node (a visible action, like
+    /// [`JThread::alloc_scalar`]).
+    pub fn alloc_array(&mut self, class: ClassId, len_elems: u32) -> Arc<ObjectCore> {
+        self.pay_owed_yield();
         let core = self
             .shared
             .gos
@@ -224,8 +303,10 @@ impl JThread {
         core
     }
 
-    /// Add a reference edge in the object graph.
-    pub fn add_ref(&self, from: ObjectId, to: ObjectId) {
+    /// Add a reference edge in the object graph (a visible action: the edge
+    /// list is shared).
+    pub fn add_ref(&mut self, from: ObjectId, to: ObjectId) {
+        self.pay_owed_yield();
         self.shared.gos.object(from).add_ref(to);
     }
 
@@ -519,6 +600,7 @@ impl JThread {
     /// Barriers are also the safe points where dynamic-balancer migration directives
     /// are honoured.
     pub fn barrier(&mut self) {
+        self.pay_owed_yield();
         self.close_and_ship_oal();
         self.shared
             .gos
@@ -557,9 +639,8 @@ impl JThread {
         let Some(rebalance) = self.shared.rebalance else {
             return;
         };
-        let directive = self.shared.directives.read()[self.thread.index()];
+        let directive = self.shared.directives.write()[self.thread.index()].take();
         if let Some(d) = directive {
-            self.shared.directives.write()[self.thread.index()] = None;
             let current_epoch = self.shared.master_epoch.load(Ordering::Acquire);
             if d.epoch != current_epoch {
                 // The plan predates a master restore: like a stale OAL batch, it
@@ -599,6 +680,7 @@ impl JThread {
 
     /// Acquire a distributed lock (interval boundary).
     pub fn lock(&mut self, lock: LockId) {
+        self.pay_owed_yield();
         self.close_and_ship_oal();
         self.shared
             .gos
@@ -610,6 +692,7 @@ impl JThread {
 
     /// Release a distributed lock (interval boundary).
     pub fn unlock(&mut self, lock: LockId) {
+        self.pay_owed_yield();
         self.close_and_ship_oal();
         self.shared
             .gos
@@ -665,6 +748,7 @@ impl JThread {
         with_prefetch: bool,
         migrate_homes: bool,
     ) -> MigrationReport {
+        self.pay_owed_yield();
         let src = self.node;
         let t0 = self.clock.now();
         let ctx_bytes = self.stack.context_bytes();
@@ -717,8 +801,6 @@ impl JThread {
 
         self.node = dest;
         self.shared.placement.write()[self.thread.index()] = dest;
-        // Keep the daemon's view fresh even if it doesn't read placement directly.
-        self.shared.done.load(Ordering::Relaxed);
         self.shared.emit_event(
             &self.clock,
             EventKind::ThreadMigrated {
@@ -747,8 +829,14 @@ impl Drop for JThread {
     /// Flush deferred OAL batches one last time (whatever is still stuck behind an
     /// unhealed partition is surfaced as lost), then park the access arena back in
     /// the cluster so post-run inspection (and a later re-adoption of the same
-    /// thread id) sees the thread's heap state.
+    /// thread id) sees the thread's heap state. The flush is a visible action,
+    /// so an owed yield is paid first — when the task is live and not
+    /// unwinding: a scheduling point on a poisoned executor panics, and `drop`
+    /// must not.
     fn drop(&mut self) {
+        if !std::thread::panicking() && self.shared.exec.task_is_live(self.thread.index()) {
+            self.pay_owed_yield();
+        }
         self.flush_deferred_oals();
         for (_, _, env) in std::mem::take(&mut self.deferred_oals) {
             let interval = env.oal.interval;

@@ -187,15 +187,21 @@ pub fn run_on(cluster: &mut Cluster, cfg: PhaseShiftConfig) -> RunReport {
 /// of closed rounds at or after `flip_round` on which at least one class was
 /// not converged. Zero means the controller never reacted to the flip (the
 /// frozen-forever baseline); with drift detection it is the un-converge +
-/// re-refinement window the bench reports.
+/// re-refinement window the bench reports. The timeline is change-point
+/// encoded, so each un-converged row counts for the rounds it spans: from its
+/// own round up to the next row's (the run's last closed round for the final
+/// row).
 pub fn reconvergence_lag(report: &RunReport, flip_round: usize) -> u64 {
     let Some(master) = &report.master else { return 0 };
-    master
-        .timeline
-        .iter()
-        .filter(|row| row.round >= flip_round as u64)
-        .filter(|row| row.classes.iter().any(|c| c.class_name == "Cell" && !c.converged))
-        .count() as u64
+    let rows = &master.timeline;
+    rows.iter()
+        .enumerate()
+        .filter(|(_, row)| row.classes.iter().any(|c| c.class_name == "Cell" && !c.converged))
+        .map(|(i, row)| {
+            let end = rows.get(i + 1).map_or(master.rounds, |next| next.round);
+            end.saturating_sub(row.round.max(flip_round as u64))
+        })
+        .sum()
 }
 
 #[cfg(test)]

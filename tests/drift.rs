@@ -109,6 +109,30 @@ fn phase_flip_unfreezes_and_reconverges_the_cell_class() {
     // Timeline lag agrees and the class ends converged at a finer-than-initial rate.
     let timeline_lag = phase_shift::reconvergence_lag(&report, cfg.flip_round);
     assert!(timeline_lag >= 1, "timeline must show un-converged post-flip rounds");
+    // The timeline is change-point encoded (no row repeats its predecessor), and
+    // the lag is what a round-by-round lookup of the covering row counts.
+    assert!(
+        master.timeline.windows(2).all(|w| {
+            (w[0].coverage, w[0].deadline_hit, &w[0].classes)
+                != (w[1].coverage, w[1].deadline_hit, &w[1].classes)
+        }),
+        "adjacent timeline rows must differ"
+    );
+    assert!(
+        master.timeline.len() < master.rounds as usize,
+        "converged rounds add no rows"
+    );
+    let per_round_lag = (cfg.flip_round as u64..master.rounds)
+        .filter(|&r| {
+            let row = master.timeline.iter().rev().find(|row| row.round <= r);
+            row.is_some_and(|row| {
+                row.classes
+                    .iter()
+                    .any(|c| c.class_name == "Cell" && !c.converged)
+            })
+        })
+        .count() as u64;
+    assert_eq!(timeline_lag, per_round_lag);
     let cell = final_cell_state(&report);
     assert!(cell.converged, "Cell must re-converge before the run ends");
     assert_ne!(

@@ -62,6 +62,9 @@ for seed in 1 7 42 1337 31337 99999; do
   JESSY_CHAOS_SEED=$seed cargo test -p jessy --test drift -q phase_flip_inside
 done
 
+echo "==> benchmark smoke (benchmark/run.sh --quick: five workloads, small presets, results checked)"
+benchmark/run.sh --quick > /dev/null
+
 echo "==> scale soak smoke (10k cooperative threads, time-compressed)"
 cargo test -p jessy-runtime --test soak -q -- --ignored
 
