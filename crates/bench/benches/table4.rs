@@ -66,7 +66,9 @@ fn footprints(kind: WorkloadKind, scale: Scale, rate: SamplingRate) -> HashMap<S
                 out.lock().push(jt.profiler().average_footprint());
             });
         }
-        WorkloadKind::Lu => unreachable!("Table IV covers the paper's three workloads"),
+        WorkloadKind::Lu | WorkloadKind::PhaseShift | WorkloadKind::Sessions => {
+            unreachable!("Table IV covers the paper's three workloads")
+        }
     }
 
     // Average over threads, translate class ids to names.

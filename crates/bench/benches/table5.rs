@@ -80,7 +80,9 @@ fn run1(kind: WorkloadKind, scale: Scale, config: ProfilerConfig, resolve: bool)
                 }
             });
         }
-        WorkloadKind::Lu => unreachable!("Table V covers the paper's three workloads"),
+        WorkloadKind::Lu | WorkloadKind::PhaseShift | WorkloadKind::Sessions => {
+            unreachable!("Table V covers the paper's three workloads")
+        }
     }
     cluster.report()
 }

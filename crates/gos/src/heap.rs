@@ -232,15 +232,25 @@ impl ThreadSpace {
         }
     }
 
-    /// Would an access to `obj` be a plain cache hit — a valid, non-stale cache
-    /// copy with no live trap — and so touch nothing outside this arena? Home
-    /// hits are excluded: the home payload is shared with fetching and flushing
-    /// threads. Read-only; the runtime classifies an access with it before
-    /// making it.
+    /// Would an access to `obj` touch nothing another thread can observe? True
+    /// for a plain cache hit — a valid, non-stale cache copy with no live trap
+    /// touches this arena only — and for a hit on a quiet (un-armed, already
+    /// touched) home-resident entry when `still_local()` says the object is
+    /// still local to this thread: the home payload of an object nobody else
+    /// holds an entry for or can reach is as private as a copy. Any other
+    /// home hit is excluded (the home payload is shared with fetching and
+    /// flushing threads), as is everything that enters the service routine.
+    /// `still_local` is consulted for quiet home entries only, so cache hits,
+    /// faults and armed traps never pay for the lookup. Read-only; the runtime
+    /// classifies an access with it before making it.
     #[inline]
-    pub fn is_private_hit(&self, obj: ObjectId) -> bool {
+    pub fn is_private_hit(&self, obj: ObjectId, still_local: impl FnOnce() -> bool) -> bool {
         let w = self.word(obj);
-        w_state(w) == ST_VALID && !self.word_is_stale(w) && !self.word_is_armed(w)
+        match w_state(w) {
+            ST_VALID => !self.word_is_stale(w) && !self.word_is_armed(w),
+            ST_HOME => !self.word_is_armed(w) && still_local(),
+            _ => false,
+        }
     }
 
     // ------------------------------------------------------------------ arming

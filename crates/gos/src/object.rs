@@ -13,9 +13,9 @@
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU64, Ordering};
 
-use jessy_net::NodeId;
+use jessy_net::{NodeId, ThreadId};
 
 use crate::class::ClassId;
 
@@ -107,7 +107,22 @@ pub struct ObjectCore {
     version: AtomicU64,
     home_data: Mutex<Vec<f64>>,
     refs: Mutex<Vec<ObjectId>>,
+    /// The thread this object is still *local* to — it allocated the object
+    /// mid-run and nothing has made it reachable by anyone else — or
+    /// [`NOT_LOCAL`]. Set once, right after allocation
+    /// ([`ObjectCore::set_local_to`]); cleared for good
+    /// ([`ObjectCore::publish`]) by a reference edge to it, by any other
+    /// thread's arena gaining an entry, and by home migration. While it
+    /// stands, the owner's home hits touch nothing another task can observe,
+    /// so the runtime schedules them like cache hits (DESIGN.md §15). Stores
+    /// are `Release` and the load `Acquire`; the payload it speaks for sits
+    /// behind `home_data`'s own lock, and under the executor every store and
+    /// load is already ordered by the run token's hand-off.
+    local_to: AtomicU32,
 }
+
+/// `local_to` value of an object that is (or may be) shared.
+const NOT_LOCAL: u32 = u32::MAX;
 
 impl ObjectCore {
     /// Create a home copy with a zeroed payload.
@@ -134,7 +149,32 @@ impl ObjectCore {
             version: AtomicU64::new(0),
             home_data: Mutex::new(vec![0.0; len_words as usize]),
             refs: Mutex::new(Vec::new()),
+            local_to: AtomicU32::new(NOT_LOCAL),
         }
+    }
+
+    /// Mark a freshly allocated object as local to `thread`, its allocator.
+    /// Call at most once, before the id can have reached any other thread;
+    /// objects allocated before the run (setup code hands their ids to every
+    /// thread) are never local.
+    #[inline]
+    pub fn set_local_to(&self, thread: ThreadId) {
+        debug_assert_ne!(thread.0, NOT_LOCAL);
+        self.local_to.store(thread.0, Ordering::Release);
+    }
+
+    /// Is the object still local to `thread` (allocated by it, never shared)?
+    #[inline]
+    pub fn is_local_to(&self, thread: ThreadId) -> bool {
+        self.local_to.load(Ordering::Acquire) == thread.0
+    }
+
+    /// The object became reachable by other threads — it is the target of a
+    /// reference edge, another thread's arena gained an entry for it, or its
+    /// home moved: it stops being local, for good.
+    #[inline]
+    pub fn publish(&self) {
+        self.local_to.store(NOT_LOCAL, Ordering::Release);
     }
 
     /// The object's outgoing reference fields — the connectivity graph that sticky-set
@@ -145,12 +185,14 @@ impl ObjectCore {
         self.refs.lock().clone()
     }
 
-    /// Append an outgoing reference.
+    /// Append an outgoing reference. Low level: the target is not published
+    /// ([`ObjectCore::publish`]) — mid-run code goes through `Gos::add_ref`.
     pub fn add_ref(&self, target: ObjectId) {
         self.refs.lock().push(target);
     }
 
-    /// Replace the outgoing reference list.
+    /// Replace the outgoing reference list. Low level, like
+    /// [`ObjectCore::add_ref`]: mid-run code goes through `Gos::set_refs`.
     pub fn set_refs(&self, targets: Vec<ObjectId>) {
         *self.refs.lock() = targets;
     }
@@ -266,6 +308,16 @@ mod tests {
         assert_eq!(o.refs(), vec![ObjectId(1), ObjectId(2)]);
         o.set_refs(vec![ObjectId(9)]);
         assert_eq!(o.refs(), vec![ObjectId(9)]);
+    }
+
+    #[test]
+    fn local_ownership_is_cleared_for_good() {
+        let o = core();
+        assert!(!o.is_local_to(ThreadId(0)), "objects start shared");
+        o.set_local_to(ThreadId(3));
+        assert!(o.is_local_to(ThreadId(3)) && !o.is_local_to(ThreadId(0)));
+        o.publish();
+        assert!(!o.is_local_to(ThreadId(3)));
     }
 
     #[test]

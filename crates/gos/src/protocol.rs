@@ -43,7 +43,7 @@ use std::sync::{Arc, OnceLock};
 
 use jessy_net::{
     ClockHandle, DetExecutor, Fabric, FaultPlan, LatencyModel, MsgClass, NetError, NetworkStats,
-    NodeId,
+    NodeId, ThreadId,
 };
 
 use crate::class::{ClassId, ClassRegistry};
@@ -221,6 +221,18 @@ impl std::ops::Deref for CoreRef<'_> {
             CoreRef::Shared(c) => c,
         }
     }
+}
+
+/// Create `space`'s entry for `core` — every way an arena gains an entry
+/// (first touch, connectivity prefetch, migration prefetch) comes through
+/// here, so this is where an object stops being local to *another* thread
+/// (its allocator's own arena regaining an entry, after a migration, shares
+/// nothing).
+fn insert_entry(space: &mut ThreadSpace, core: &ObjectCore, at_home: bool) {
+    if !core.is_local_to(space.thread()) {
+        core.publish();
+    }
+    space.insert(core.id, at_home);
 }
 
 /// The Global Object Space.
@@ -454,6 +466,37 @@ impl Gos {
         self.objects.read()[id.index()].clone()
     }
 
+    /// Is `obj` still local to `thread` — allocated by it mid-run and never
+    /// published, touched by another thread or re-homed
+    /// ([`ObjectCore::is_local_to`])? The runtime asks before every hit on a
+    /// quiet home-resident entry, so this reads the frozen prefix directly and,
+    /// past it, the locked table without cloning the `Arc`.
+    #[inline]
+    pub fn is_local_to(&self, obj: ObjectId, thread: ThreadId) -> bool {
+        if let Some(frozen) = self.frozen.get() {
+            if let Some(core) = frozen.get(obj.index()) {
+                return core.is_local_to(thread);
+            }
+        }
+        self.objects.read()[obj.index()].is_local_to(thread)
+    }
+
+    /// Append the reference edge `from → to`. The edge makes `to` reachable by
+    /// whoever can reach `from`, so `to` stops being thread-local.
+    pub fn add_ref(&self, from: ObjectId, to: ObjectId) {
+        self.core(to).publish();
+        self.core(from).add_ref(to);
+    }
+
+    /// Replace `from`'s reference list with `targets`, publishing every target
+    /// like [`Gos::add_ref`].
+    pub fn set_refs(&self, from: ObjectId, targets: Vec<ObjectId>) {
+        for &to in &targets {
+            self.core(to).publish();
+        }
+        self.core(from).set_refs(targets);
+    }
+
     /// Number of objects ever allocated.
     pub fn n_objects(&self) -> usize {
         self.objects.read().len()
@@ -563,7 +606,7 @@ impl Gos {
         if st == ST_ABSENT {
             outcome.first_touch = true;
             let at_home = core.home() == node;
-            space.insert(obj, at_home);
+            insert_entry(space, &core, at_home);
             if at_home {
                 // First touch of a home-resident object enters the service routine
                 // once (entry initialization + the logging opportunity).
@@ -701,7 +744,7 @@ impl Gos {
                 }
                 match space.effective_state(obj) {
                     ST_HOME | ST_VALID => continue, // already holds usable data
-                    ST_ABSENT => space.insert(obj, false),
+                    ST_ABSENT => insert_entry(space, &core, false),
                     _ => {}
                 }
                 core.with_home_data(|d| {
@@ -1006,6 +1049,7 @@ impl Gos {
     ///
     /// The home payload transfer is accounted (`ObjData` old-home → new-home) and a
     /// write notice is posted so every cached copy revalidates against the new home.
+    /// A re-homed object is no longer local to its allocator ([`ObjectCore::publish`]).
     /// Threads holding a stale home-resident view are repaired when they next apply
     /// notices. Returns `false` if the home was already `dest`.
     pub fn migrate_home(&self, obj: ObjectId, dest: NodeId, clock: &ClockHandle) -> bool {
@@ -1023,6 +1067,7 @@ impl Gos {
             clock,
         );
         core.set_home(dest);
+        core.publish();
         let v = core.bump_version();
         self.notices.post([WriteNotice { obj, version: v }]);
         self.counters.home_migrations.fetch_add(1, Ordering::Relaxed);
@@ -1062,7 +1107,7 @@ impl Gos {
             }
             match space.effective_state(obj) {
                 ST_VALID => continue, // usable copy already present
-                ST_ABSENT => space.insert(obj, false),
+                ST_ABSENT => insert_entry(space, &core, false),
                 _ => {}
             }
             core.with_home_data(|d| {

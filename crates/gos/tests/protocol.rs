@@ -531,6 +531,102 @@ fn connectivity_prefetch_skips_cross_home_neighbours() {
     assert!(out.real_fault, "cross-home neighbour still faults normally");
 }
 
+/// The privacy classification the runtime makes before an access by
+/// `space`'s thread.
+fn private_hit(g: &Gos, space: &ThreadSpace, obj: jessy_gos::ObjectId) -> bool {
+    space.is_private_hit(obj, || g.is_local_to(obj, space.thread()))
+}
+
+#[test]
+fn thread_local_home_hits_are_private_until_the_object_is_shared() {
+    let (g, c, mut s) = gos(2);
+    let class = g.classes().register_scalar("Scratch", 2);
+    // Five objects thread 0 allocates for itself at its own node, and one the
+    // setup code allocated (never local).
+    let local: Vec<_> = (0..5)
+        .map(|_| {
+            let core = g.alloc_scalar(NodeId(0), class, &c[0], None);
+            core.set_local_to(ThreadId(0));
+            core.id
+        })
+        .collect();
+    let preset = g.alloc_scalar(NodeId(0), class, &c[0], None).id;
+    let sink = g.alloc_scalar(NodeId(0), class, &c[0], None).id;
+
+    // Untouched: the first touch enters the service routine, never private.
+    assert!(!private_hit(&g, &s[0], local[0]));
+    for &obj in local.iter().chain([&preset]) {
+        g.write(&mut s[0], NodeId(0), obj, &c[0], |d| d[0] = 1.0);
+    }
+    assert!(local.iter().all(|&o| private_hit(&g, &s[0], o)));
+    assert!(!private_hit(&g, &s[0], preset), "setup-allocated: shared from birth");
+    assert!(!g.is_local_to(local[0], ThreadId(1)), "local to its allocator only");
+
+    // An armed trap makes the hit visible whatever the ownership.
+    s[0].arm_traps([local[0]]);
+    assert!(!private_hit(&g, &s[0], local[0]));
+    g.read(&mut s[0], NodeId(0), local[0], &c[0], |_| {});
+    assert!(private_hit(&g, &s[0], local[0]), "trap cancelled, quiet again");
+
+    // Each way of sharing revokes it, for good.
+    g.read(&mut s[1], NodeId(1), local[0], &c[1], |_| {}); // another thread's first touch
+    g.prefetch_into(&mut s[1], NodeId(1), [local[1]], &c[1]);
+    g.add_ref(sink, local[2]);
+    g.set_refs(sink, vec![local[3]]);
+    assert!(g.migrate_home(local[4], NodeId(1), &c[0]));
+    for &obj in &local {
+        assert!(!private_hit(&g, &s[0], obj), "{obj} is shared now");
+        assert!(!g.is_local_to(obj, ThreadId(0)));
+    }
+    // Thread 1's cache copy of it is private the way cache copies always were.
+    assert!(private_hit(&g, &s[1], local[0]));
+}
+
+#[test]
+fn locality_is_consulted_for_quiet_home_entries_only() {
+    let (g, c, mut s) = gos(2);
+    let class = g.classes().register_scalar("X", 1);
+    let cached = g.alloc_scalar(NodeId(0), class, &c[0], None).id;
+    let armed = g.alloc_scalar(NodeId(1), class, &c[0], None).id;
+    let absent = g.alloc_scalar(NodeId(1), class, &c[0], None).id;
+    g.read(&mut s[1], NodeId(1), cached, &c[1], |_| {}); // valid cache copy
+    g.read(&mut s[1], NodeId(1), armed, &c[1], |_| {}); // home entry…
+    s[1].arm_traps([armed]); // …with a live trap
+    let never = || -> bool { panic!("the ownership lookup must not run here") };
+    assert!(s[1].is_private_hit(cached, never));
+    assert!(!s[1].is_private_hit(armed, never));
+    assert!(!s[1].is_private_hit(absent, never));
+}
+
+#[test]
+fn connectivity_prefetch_shares_what_it_installs() {
+    // An edge written behind the GOS's back (`ObjectCore::add_ref` publishes
+    // nothing) still cannot leak a private payload: the prefetching thread's
+    // arena gains an entry, and that revokes the ownership.
+    let g = Gos::new(GosConfig {
+        n_nodes: 2,
+        n_threads: 2,
+        latency: LatencyModel::free(),
+        costs: CostModel::free(),
+        prefetch_depth: 1,
+        consistency: jessy_gos::protocol::ConsistencyModel::GlobalHlrc,
+        faults: None,
+    });
+    let board = ClockBoard::new(2);
+    let c0 = board.handle(ThreadId(0));
+    let c1 = board.handle(ThreadId(1));
+    let mut s1 = ThreadSpace::new(ThreadId(1));
+    let class = g.classes().register_scalar("Node", 1);
+    let head = g.alloc_scalar(NodeId(0), class, &c0, None);
+    let tail = g.alloc_scalar(NodeId(0), class, &c0, None);
+    tail.set_local_to(ThreadId(0));
+    head.add_ref(tail.id);
+    assert!(g.is_local_to(tail.id, ThreadId(0)));
+    g.read(&mut s1, NodeId(1), head.id, &c1, |_| {});
+    assert_eq!(g.proto_counters().objects_prefetched, 1);
+    assert!(!g.is_local_to(tail.id, ThreadId(0)));
+}
+
 #[test]
 #[should_panic(expected = "zero-length")]
 fn zero_length_arrays_are_rejected() {

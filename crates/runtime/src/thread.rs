@@ -56,9 +56,9 @@ pub struct JThread {
     /// sampled objects so their trap chains resume. Stays equal to the table
     /// (no walks, no cost) in runs that never change rates.
     rate_generation: u64,
-    /// A private action ran since the last scheduling point: its yield is
-    /// owed, and paid (with the then-current clock) before this thread's next
-    /// visible action. See [`JThread::yield_now`].
+    /// An action ran since the last scheduling point: its yield is owed, and
+    /// paid (with the then-current clock) before this thread's next visible
+    /// action. See [`JThread::yield_now`].
     owed_yield: bool,
     /// The last action was an access and no scheduling point has passed since:
     /// the next `compute` call joins that access's step instead of taking a
@@ -105,19 +105,22 @@ impl JThread {
     /// hand the token to the task with the earliest virtual time. A no-op on
     /// non-task threads (adopted handles, unit tests).
     ///
-    /// The schedule contract (DESIGN.md §15): an action is *private* when no
-    /// other task can observe it — an access that hits a valid, un-armed cache
-    /// copy in this thread's own arena, and the one `compute` call that
-    /// directly follows an access (the work on the datum just touched: the two
-    /// form a step). A private action only *owes* its yield; every other
-    /// action is *visible*, pays the owed yield first (so it is preceded by a
-    /// scheduling point carrying the clock the thread has reached) and yields
-    /// again after itself. Visible actions therefore interleave across threads
-    /// in virtual-time order exactly as if every action yielded, while runs of
-    /// private steps pass without a hand-off. A `compute` call that follows no
-    /// access — the second and later calls of a compute-only stretch — keeps
-    /// its scheduling point: a stretch that advances the clock without touching
-    /// an object reports it call by call, as it always has.
+    /// The schedule contract (DESIGN.md §15): an action is *visible* when
+    /// another task could observe it, and every visible action is *preceded*
+    /// by a scheduling point carrying the clock the thread has reached; no
+    /// scheduling point follows an action. Accesses and the `compute` call
+    /// directly after one only *owe* their yield; the next visible action pays
+    /// it first. *Private* actions — an access that hits a valid, un-armed
+    /// cache copy in this thread's own arena or the quiet home entry of an
+    /// object still local to this thread ([`JThread::alloc_scalar`]), and the
+    /// one `compute` call that directly follows an access (the work on the
+    /// datum just touched: the two form a step) — pay nothing and leave the
+    /// yield owed. Visible actions therefore interleave across threads in
+    /// virtual-time order exactly as if every action yielded, while private
+    /// work passes without a hand-off. A `compute` call that follows no access
+    /// — the second and later calls of a compute-only stretch — keeps its
+    /// scheduling point: a stretch that advances the clock without touching an
+    /// object reports it call by call, as it always has.
     /// Calling this from a driver loop is itself a visible action.
     pub fn yield_now(&mut self) {
         self.owed_yield = false;
@@ -127,8 +130,8 @@ impl JThread {
             .yield_now(self.thread.index(), self.clock.now());
     }
 
-    /// Pay the yield a private action left owed, if any: the scheduling point
-    /// that must precede a visible action.
+    /// Pay the owed yield, if any: the scheduling point that must precede a
+    /// visible action.
     #[inline]
     fn pay_owed_yield(&mut self) {
         if self.owed_yield {
@@ -155,7 +158,9 @@ impl JThread {
     /// (object reference lists, say) bypasses the access path and with it the
     /// schedule contract of [`JThread::yield_now`]: such reads must be ordered
     /// against their writers by a barrier or lock, as every bundled workload's
-    /// are.
+    /// are. Reference lists are *written* through [`JThread::add_ref`] and
+    /// [`JThread::set_refs`], which take the scheduling point and publish the
+    /// targets.
     pub fn gos(&self) -> &Gos {
         &self.shared.gos
     }
@@ -206,36 +211,36 @@ impl JThread {
         }
     }
 
-    /// An access to `obj` is private (see [`JThread::yield_now`]) when it will
-    /// hit a usable cache copy with no trap armed: it touches this thread's
-    /// arena only. Home hits are visible (fetches read and diff flushes write
-    /// the home payload), as are first touches, faults and armed traps (they
-    /// reach the fabric, the gap table or the OAL).
+    /// Open an access to `obj`: pay the owed yield first unless the access is
+    /// private (see [`JThread::yield_now`]) — a hit on a usable cache copy with
+    /// no trap armed touches this thread's arena only, and a hit on the quiet
+    /// home entry of an object this thread allocated and nobody else can reach
+    /// touches a payload no other task reads or writes. Every other home hit
+    /// is visible (fetches read and diff flushes write the home payload), as
+    /// are first touches, faults and armed traps (they reach the fabric, the
+    /// gap table or the OAL).
     #[inline]
-    fn begin_access(&mut self, obj: ObjectId) -> bool {
-        let private = self.space.is_private_hit(obj);
+    fn begin_access(&mut self, obj: ObjectId) {
+        let private = self
+            .space
+            .is_private_hit(obj, || self.shared.gos.is_local_to(obj, self.thread));
         if !private {
             self.pay_owed_yield();
         }
-        private
     }
 
-    /// Close an access opened as `private`: owe the yield, or take it. Either
-    /// way the next `compute` call may join the step.
+    /// Close an access: its yield is owed to the next visible action, and the
+    /// next `compute` call may join the step.
     #[inline]
-    fn end_action(&mut self, private: bool) {
-        if private {
-            self.owed_yield = true;
-        } else {
-            self.yield_now();
-        }
+    fn end_action(&mut self) {
+        self.owed_yield = true;
         self.compute_rides = true;
     }
 
-    /// Read access: run `f` over the object's payload. A scheduling point
-    /// unless the access is private, in which case the yield is owed.
+    /// Read access: run `f` over the object's payload. Preceded by a
+    /// scheduling point unless the access is private; its own yield is owed.
     pub fn read<R>(&mut self, obj: ObjectId, f: impl FnOnce(&[f64]) -> R) -> R {
-        let private = self.begin_access(obj);
+        self.begin_access(obj);
         let t0 = self.clock.now();
         let (r, out) = self
             .shared
@@ -243,14 +248,14 @@ impl JThread {
             .read(&mut self.space, self.node, obj, &self.clock, f);
         self.post_access(&out);
         self.charge_slow(t0);
-        self.end_action(private);
+        self.end_action();
         r
     }
 
-    /// Write access: run `f` over the mutable payload. A scheduling point
-    /// unless the access is private, in which case the yield is owed.
+    /// Write access: run `f` over the mutable payload. Preceded by a
+    /// scheduling point unless the access is private; its own yield is owed.
     pub fn write<R>(&mut self, obj: ObjectId, f: impl FnOnce(&mut [f64]) -> R) -> R {
-        let private = self.begin_access(obj);
+        self.begin_access(obj);
         let t0 = self.clock.now();
         let (r, out) = self
             .shared
@@ -258,7 +263,7 @@ impl JThread {
             .write(&mut self.space, self.node, obj, &self.clock, f);
         self.post_access(&out);
         self.charge_slow(t0);
-        self.end_action(private);
+        self.end_action();
         r
     }
 
@@ -281,33 +286,53 @@ impl JThread {
 
     /// Allocate a zeroed scalar at this thread's node (a visible action: it
     /// draws from the global object table and the class's sequence numbers).
+    /// The object starts *local* to this thread: until it is published
+    /// ([`JThread::add_ref`] / [`JThread::set_refs`] target), touched by
+    /// another thread or re-homed, hits on its home entry are private. Handing
+    /// its id to another thread by any other route is a race on the first
+    /// share: still replayed bit for bit, but ordered by where this thread's
+    /// lookahead stood, not by virtual time.
     pub fn alloc_scalar(&mut self, class: ClassId) -> Arc<ObjectCore> {
         self.pay_owed_yield();
         let core = self
             .shared
             .gos
             .alloc_scalar(self.node, class, &self.clock, None);
-        self.shared.prof.tag_new_object(&core);
-        core
+        self.adopt_new_object(core)
     }
 
-    /// Allocate a zeroed array at this thread's node (a visible action, like
-    /// [`JThread::alloc_scalar`]).
+    /// Allocate a zeroed array at this thread's node (a visible action, and
+    /// local to this thread, like [`JThread::alloc_scalar`]).
     pub fn alloc_array(&mut self, class: ClassId, len_elems: u32) -> Arc<ObjectCore> {
         self.pay_owed_yield();
         let core = self
             .shared
             .gos
             .alloc_array(self.node, class, len_elems, &self.clock, None);
+        self.adopt_new_object(core)
+    }
+
+    /// Sampling tag and local ownership of an object this thread just
+    /// allocated.
+    fn adopt_new_object(&self, core: Arc<ObjectCore>) -> Arc<ObjectCore> {
         self.shared.prof.tag_new_object(&core);
+        core.set_local_to(self.thread);
         core
     }
 
     /// Add a reference edge in the object graph (a visible action: the edge
-    /// list is shared).
+    /// list is shared, and the edge publishes `to` — it stops being local to
+    /// its allocator).
     pub fn add_ref(&mut self, from: ObjectId, to: ObjectId) {
         self.pay_owed_yield();
-        self.shared.gos.object(from).add_ref(to);
+        self.shared.gos.add_ref(from, to);
+    }
+
+    /// Replace `from`'s reference list (a visible action that publishes every
+    /// target, like [`JThread::add_ref`]).
+    pub fn set_refs(&mut self, from: ObjectId, targets: Vec<ObjectId>) {
+        self.pay_owed_yield();
+        self.shared.gos.set_refs(from, targets);
     }
 
     // ------------------------------------------------------------------ sync points

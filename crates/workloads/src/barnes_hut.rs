@@ -276,7 +276,7 @@ fn materialize(
                 d[6] = centre[2];
                 d[7] = half;
             });
-            cell.set_refs(child_ids);
+            jt.set_refs(cell.id, child_ids);
             (cell.id, mass, com)
         }
     }
@@ -307,7 +307,7 @@ pub fn build_tree(jt: &mut JThread, _cfg: &BhConfig, h: &BhHandles) -> usize {
     let mut cells = 0;
     if let Some(root) = &root {
         let (root_id, _, _) = materialize(jt, root, &snapshot, h, [0.0; 3], half, &mut cells);
-        jt.gos().object(h.space).set_refs(vec![root_id]);
+        jt.set_refs(h.space, vec![root_id]);
         jt.write(h.space, |d| d[0] += 1.0); // bump tree generation
     }
     cells

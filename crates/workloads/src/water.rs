@@ -343,15 +343,15 @@ pub fn thread_body(jt: &mut JThread, cfg: &WaterConfig, h: &WaterHandles) {
                             d[1 + count] = m as f64;
                             d[0] = count as f64 + 1.0;
                         });
-                        let gos = jt.gos();
-                        let refs: Vec<ObjectId> = gos
+                        let refs: Vec<ObjectId> = jt
+                            .gos()
                             .object(h.boxes[b])
                             .refs()
                             .into_iter()
                             .filter(|&r| r != h.molecules[m])
                             .collect();
-                        gos.object(h.boxes[b]).set_refs(refs);
-                        gos.object(h.boxes[nb]).add_ref(h.molecules[m]);
+                        jt.set_refs(h.boxes[b], refs);
+                        jt.add_ref(h.boxes[nb], h.molecules[m]);
                     }
                     jt.unlock(h.box_locks[second]);
                     jt.unlock(h.box_locks[first]);

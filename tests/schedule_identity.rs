@@ -15,11 +15,23 @@
 //!
 //! To re-record after an intentional schedule change:
 //! `SCHEDULE_IDENTITY_PRINT=1 cargo test --release --test schedule_identity -- --nocapture`.
+//!
+//! Since the contract was tightened (a scheduling point precedes every visible
+//! action and none follows; hits on thread-local objects are private) the file
+//! also holds a differential oracle that needs no recorded constant — the same
+//! program with an explicit scheduling point after every access and compute
+//! call — hand-off budgets that replay exactly, the ways an object stops being
+//! thread-local, and a deliberately racy first share.
+
+use std::sync::{Arc, OnceLock};
 
 use jessy::net::{CrashWindow, PartitionWindow, SlowWindow};
 use jessy::prelude::*;
 use jessy::runtime::RebalanceConfig;
 use jessy::workloads::{phase_shift, sessions};
+use parking_lot::Mutex;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use serde_json::Value;
 
 const NODES: usize = 4;
@@ -423,33 +435,76 @@ fn jittered_schedules_replay_byte_for_byte() {
 
 // ------------------------------------------------------------------ hand-offs
 
-/// Barnes-Hut small on 8 nodes / 8 threads: `(executor hand-offs, accesses)`.
-fn bh_handoffs() -> (u64, u64) {
+/// `(executor hand-offs, accesses)` of one run on a `nodes`/`threads` cluster
+/// profiled at `NX(4)`.
+fn handoffs_of(
+    nodes: usize,
+    threads: usize,
+    run: impl Fn(&mut Cluster) -> RunReport,
+) -> (u64, u64) {
     let mut cluster = Cluster::builder()
-        .nodes(8)
-        .threads(8)
+        .nodes(nodes)
+        .threads(threads)
         .profiler(ProfilerConfig::tracking_at(SamplingRate::NX(4)))
         .build();
-    let report = WorkloadKind::BarnesHut.run_on(&mut cluster, WorkloadPreset::Small);
+    let report = run(&mut cluster);
     (cluster.shared().exec.handoffs(), report.proto.accesses)
+}
+
+/// A run changes the token's carrier at most `budget` times per access, and
+/// exactly as often when repeated: hand-offs are a pure function of the
+/// schedule.
+fn assert_handoff_budget(
+    what: &str,
+    nodes: usize,
+    threads: usize,
+    budget: f64,
+    run: impl Fn(&mut Cluster) -> RunReport,
+) {
+    let (handoffs, accesses) = handoffs_of(nodes, threads, &run);
+    let per_access = handoffs as f64 / accesses as f64;
+    assert!(
+        per_access <= budget,
+        "{what}: {handoffs} hand-offs over {accesses} accesses = {per_access:.3} per access \
+         (budget {budget})"
+    );
+    assert_eq!(
+        (handoffs, accesses),
+        handoffs_of(nodes, threads, &run),
+        "{what}: hand-offs must replay exactly"
+    );
 }
 
 /// The point of lookahead, as a count that replays exactly: most Barnes-Hut
 /// accesses hit the thread's own cache copies, so the run token changes
-/// carrier on a minority of them (every access handed off before: > 1.0).
+/// carrier on a minority of them (every access handed off before PR 16:
+/// > 1.0; 0.153 while a yield still followed every visible action).
 #[test]
 fn private_accesses_do_not_hand_the_token_off() {
-    let (handoffs, accesses) = bh_handoffs();
-    let per_access = handoffs as f64 / accesses as f64;
-    assert!(
-        per_access < 0.35,
-        "{handoffs} hand-offs over {accesses} accesses = {per_access:.3} per access"
-    );
-    assert_eq!(
-        (handoffs, accesses),
-        bh_handoffs(),
-        "hand-offs are a pure function of the schedule"
-    );
+    assert_handoff_budget("bh small 8/8", 8, 8, 0.15, |c| {
+        WorkloadKind::BarnesHut.run_on(c, WorkloadPreset::Small)
+    });
+}
+
+/// Sessions writes its per-session scratch object on every op: a home hit on
+/// an object only its allocator can reach, private since thread-local objects
+/// are (1.295 hand-offs per access before). What remains is the shared
+/// catalogue items, one visible access per op.
+#[test]
+fn thread_local_scratch_objects_do_not_hand_the_token_off() {
+    assert_handoff_budget("sessions small 8/64", 8, 64, 0.60, |c| {
+        sessions::run_on(c, sessions::SessionsConfig::small())
+    });
+}
+
+/// SOR's rows are allocated by the setup code, so every home hit stays visible
+/// — but each is preceded by one scheduling point and followed by none (1.298
+/// hand-offs per access while a yield also followed).
+#[test]
+fn a_visible_access_costs_one_scheduling_point() {
+    assert_handoff_budget("sor small 8/8", 8, 8, 1.05, |c| {
+        WorkloadKind::Sor.run_on(c, WorkloadPreset::Small)
+    });
 }
 
 /// A compute-only stretch keeps its per-call scheduling points: two threads
@@ -471,4 +526,388 @@ fn compute_only_stretches_still_yield_per_call() {
         "{handoffs} hand-offs over {} lockstep compute calls",
         2 * CALLS
     );
+}
+
+// ------------------------------------------------------------------ thread-local objects
+
+/// Two threads on two nodes, each looping `write` + `compute(5)` over one
+/// object of its own: allocated in the body (thread-local) or by the setup
+/// code (shared from birth). Returns the executor's hand-offs.
+fn own_object_loop_handoffs(allocate_in_body: bool) -> u64 {
+    const ROUNDS: usize = 100;
+    let mut cluster = Cluster::builder().nodes(2).threads(2).build();
+    let (class, preset) = cluster.init(|ctx| {
+        let class = ctx.register_scalar_class("Own", 2);
+        let preset: Vec<ObjectId> = (0..2)
+            .map(|n| ctx.alloc_scalar_at(NodeId(n), class).id)
+            .collect();
+        (class, preset)
+    });
+    cluster.run(move |jt| {
+        let obj = if allocate_in_body {
+            jt.alloc_scalar(class).id
+        } else {
+            preset[jt.thread_id().index()]
+        };
+        for _ in 0..ROUNDS {
+            jt.write(obj, |d| d[0] += 1.0);
+            jt.compute(5);
+        }
+        assert_eq!(jt.read(obj, |d| d[0]), ROUNDS as f64);
+    });
+    cluster.shared().exec.handoffs()
+}
+
+/// Objects a thread allocated and never published need no coordination: the
+/// two loops run back to back (404 hand-offs while home hits were visible
+/// and yields followed them). The same loop over setup-allocated objects still
+/// meets the other thread once per round.
+#[test]
+fn loops_over_thread_local_objects_run_back_to_back() {
+    let local = own_object_loop_handoffs(true);
+    assert!(local < 10, "{local} hand-offs over thread-local objects");
+    let preset = own_object_loop_handoffs(false);
+    assert!(
+        (190..=215).contains(&preset),
+        "{preset} hand-offs over setup-allocated objects"
+    );
+}
+
+/// The classification `JThread` makes before an access.
+fn is_private(jt: &JThread, obj: ObjectId) -> bool {
+    jt.space()
+        .is_private_hit(obj, || jt.gos().is_local_to(obj, jt.thread_id()))
+}
+
+/// An object stops being private once it is the target of a reference edge,
+/// once another thread touches it and once its home moves; objects the setup
+/// code allocated never are.
+#[test]
+fn sharing_revokes_privacy() {
+    let cluster = Cluster::builder().nodes(2).threads(2).build();
+    let (class, root) = cluster.init(|ctx| {
+        let class = ctx.register_scalar_class("Node", 2);
+        (class, ctx.alloc_scalar_at(NodeId(0), class).id)
+    });
+    let mut owner = cluster.adopt_thread(ThreadId(0));
+    let mut other = cluster.adopt_thread(ThreadId(1));
+    let objs: Vec<ObjectId> = (0..5).map(|_| owner.alloc_scalar(class).id).collect();
+    assert!(!is_private(&owner, objs[0]), "the first touch is visible");
+    for &obj in objs.iter().chain([&root]) {
+        owner.write(obj, |d| d[0] = 1.0);
+    }
+    assert!(objs.iter().all(|&o| is_private(&owner, o)));
+    assert!(!is_private(&owner, root));
+
+    owner.add_ref(root, objs[0]);
+    owner.set_refs(objs[0], vec![objs[1]]);
+    other.read(objs[2], |_| {});
+    assert!(owner
+        .gos()
+        .migrate_home(objs[3], NodeId(1), owner.clock()));
+    for &obj in &objs[..4] {
+        assert!(!is_private(&owner, obj), "{obj} was shared");
+    }
+    assert!(is_private(&owner, objs[4]), "the untouched one is still local");
+    assert!(is_private(&other, objs[2]), "a cache copy is private as ever");
+}
+
+/// The owner's own migration shares nothing: its entry becomes a cache copy on
+/// the new node (private as any cache hit), its writes reach the home as
+/// diffs, and back on the home node the entry is home-resident and private
+/// again.
+#[test]
+fn a_local_object_follows_its_migrating_owner() {
+    let mut cluster = Cluster::builder()
+        .nodes(2)
+        .threads(2)
+        .profiler(ProfilerConfig::tracking_at(SamplingRate::NX(1)))
+        .build();
+    let class = cluster.init(|ctx| ctx.register_scalar_class("Scratch", 2));
+    let allocated = Arc::new(OnceLock::new());
+    let out = Arc::clone(&allocated);
+    cluster.run(move |jt| {
+        if jt.thread_id().0 != 0 {
+            jt.barrier();
+            jt.barrier();
+            return;
+        }
+        let obj = jt.alloc_scalar(class).id;
+        out.set(obj).expect("set once");
+        let bump = |jt: &mut JThread| {
+            for _ in 0..10 {
+                jt.write(obj, |d| d[0] += 1.0);
+                jt.compute(5);
+            }
+        };
+        bump(jt);
+        assert_eq!(jt.space().access_state(obj), Some(AccessState::Home));
+        assert!(is_private(jt, obj));
+
+        jt.migrate_to(NodeId(1), false);
+        assert!(!is_private(jt, obj), "first touch from the new node faults");
+        bump(jt);
+        assert_eq!(jt.space().access_state(obj), Some(AccessState::Valid));
+        assert!(is_private(jt, obj), "a cache hit now");
+        assert!(jt.gos().is_local_to(obj, jt.thread_id()), "nobody else came");
+        jt.barrier(); // the diff goes home
+        assert_eq!(jt.read(obj, |d| d[0]), 20.0);
+
+        jt.migrate_to(NodeId(0), false);
+        bump(jt);
+        assert_eq!(jt.space().access_state(obj), Some(AccessState::Home));
+        assert!(is_private(jt, obj));
+        jt.barrier();
+    });
+    let obj = *allocated.get().expect("thread 0 ran");
+    assert_eq!(cluster.shared().gos.object(obj).snapshot_home()[0], 30.0);
+}
+
+// ------------------------------------------------------------------ differential oracle
+
+/// A `JThread` that, when `per_access` is set, takes an explicit scheduling
+/// point after every access and every `compute` call — the schedule in force
+/// before any lookahead, which yielded after exactly those and nothing else.
+struct Driver<'a> {
+    jt: &'a mut JThread,
+    per_access: bool,
+}
+
+impl Driver<'_> {
+    fn step(&mut self) {
+        if self.per_access {
+            self.jt.yield_now();
+        }
+    }
+
+    fn read<R>(&mut self, obj: ObjectId, f: impl FnOnce(&[f64]) -> R) -> R {
+        let r = self.jt.read(obj, f);
+        self.step();
+        r
+    }
+
+    fn write<R>(&mut self, obj: ObjectId, f: impl FnOnce(&mut [f64]) -> R) -> R {
+        let r = self.jt.write(obj, f);
+        self.step();
+        r
+    }
+
+    fn compute(&mut self, units: u64) {
+        self.jt.compute(units);
+        self.step();
+    }
+}
+
+/// What the threads of a differential program read, as `(thread, value)` in
+/// each thread's program order: payload values reach neither the journal nor
+/// the report, and they are where a reordered home write would show.
+type Observed = Arc<Mutex<Vec<(usize, f64)>>>;
+
+fn observe(seen: &Observed, thread: usize, value: f64) {
+    seen.lock().push((thread, value));
+}
+
+/// Build privately, publish, share: every thread allocates an object, fills it
+/// with a dozen writes, hangs it off its own pre-allocated root and enters a
+/// barrier; then reads its neighbour's object while the owners keep writing
+/// theirs under one lock. The last phase is the one a wrongly private home
+/// write would break: every owner keeps writing its — by now published —
+/// object at its own pace while a thread that never touched it fetches it,
+/// unsynchronized, so the value fetched is the count of writes that precede
+/// the fetch in virtual time.
+fn build_publish_share(cluster: &mut Cluster, per_access: bool, seen: &Observed) -> RunReport {
+    let (class, roots, lock) = cluster.init(|ctx| {
+        let class = ctx.register_scalar_class("Node", 8);
+        let roots: Vec<ObjectId> = (0..THREADS)
+            .map(|t| ctx.alloc_scalar_at(NodeId((t * NODES / THREADS) as u16), class).id)
+            .collect();
+        (class, roots, ctx.register_lock())
+    });
+    let seen = Arc::clone(seen);
+    cluster.run(move |jt| {
+        let t = jt.thread_id().index();
+        let mut d = Driver { jt, per_access };
+        let mine = d.jt.alloc_scalar(class).id;
+        for k in 0..12 {
+            d.write(mine, |p| p[k % 8] += 1.0 + t as f64);
+            d.compute(20 + 7 * t as u64);
+        }
+        d.jt.add_ref(roots[t], mine);
+        d.jt.barrier();
+
+        let object_of = |d: &Driver<'_>, owner: usize| {
+            d.jt.gos().object(roots[owner % THREADS]).refs()[0]
+        };
+        let theirs = object_of(&d, t + 1);
+        for _ in 0..4 {
+            observe(&seen, t, d.read(theirs, |p| p[0]));
+            d.compute(30);
+        }
+        d.jt.barrier();
+
+        for _ in 0..3 {
+            d.jt.lock(lock);
+            d.write(mine, |p| p[1] += 1.0);
+            d.compute(15);
+            d.jt.unlock(lock);
+            observe(&seen, t, d.read(theirs, |p| p[1]));
+            d.compute(25 + 3 * t as u64);
+        }
+        d.jt.barrier();
+
+        for _ in 0..10 {
+            d.write(mine, |p| p[2] += 1.0);
+            d.compute(10 + 5 * t as u64);
+        }
+        let slower = object_of(&d, t + 2);
+        observe(&seen, t, d.read(slower, |p| p[2]));
+        d.jt.barrier();
+    });
+    cluster.report()
+}
+
+/// `sessions::thread_body`, driven through a [`Driver`].
+fn sessions_copy(cluster: &mut Cluster, per_access: bool, seen: &Observed) -> RunReport {
+    let cfg = sessions::SessionsConfig::small();
+    let h = Arc::new(cluster.init(|ctx| sessions::setup(ctx, &cfg, NODES)));
+    let seen = Arc::clone(seen);
+    cluster.run(move |jt| {
+        let t = jt.thread_id().index() as u64;
+        let mut d = Driver { jt, per_access };
+        d.jt.push_frame(h.method);
+        d.jt.set_local_ref(0, h.catalog);
+        for session in 0..cfg.sessions_per_thread {
+            d.jt.yield_now();
+            let scratch = d.jt.alloc_scalar(h.session_class).id;
+            d.jt.set_local_ref(1, scratch);
+            let mut rng = SmallRng::seed_from_u64(cfg.seed ^ (t << 32) ^ session as u64);
+            for op in 0..cfg.ops_per_session {
+                let item = h.items[sessions::zipf_draw(&h.cdf, rng.gen_range(0.0..1.0))];
+                if op % 4 == 3 {
+                    d.write(item, |p| p[0] += 1.0);
+                } else {
+                    observe(&seen, t as usize, d.read(item, |p| p[0]));
+                }
+                d.write(scratch, |p| p[1] += 1.0);
+                d.compute(32);
+            }
+            d.jt.barrier();
+        }
+        d.jt.pop_frame();
+    });
+    cluster.report()
+}
+
+type Program = fn(&mut Cluster, bool, &Observed) -> RunReport;
+
+/// One traced, adaptively profiled run of `program`: `(canonical journal,
+/// canonical report, values read per thread)`.
+fn traced(program: Program, per_access: bool) -> (String, String, Vec<(usize, f64)>) {
+    let sink = JournalSink::shared();
+    let mut cluster = Cluster::builder()
+        .nodes(NODES)
+        .threads(THREADS)
+        .profiler(adaptive(ProfilerConfig::tracking_at(SamplingRate::NX(1))))
+        .trace(sink.clone())
+        .build();
+    let seen = Observed::default();
+    let report = program(&mut cluster, per_access, &seen);
+    let mut values = seen.lock().clone();
+    // Stable: each thread's values stay in its program order.
+    values.sort_by_key(|&(thread, _)| thread);
+    (
+        to_json_lines(&sink.sorted_events()),
+        canonical_report(&report),
+        values,
+    )
+}
+
+/// The contract without a recorded constant: dropping every scheduling point
+/// the owed-yield rule and thread-local objects drop changes neither the
+/// journal, nor the report, nor a single value read, of a program that first
+/// shares its objects through `add_ref` and synchronization — races on
+/// objects already shared included.
+#[test]
+fn explicit_per_access_yields_change_nothing() {
+    let programs: [(&str, Program); 2] = [
+        ("build-publish-share", build_publish_share),
+        ("sessions copy", sessions_copy),
+    ];
+    for (name, program) in programs {
+        let lookahead = traced(program, false);
+        let per_access = traced(program, true);
+        assert!(!lookahead.0.is_empty(), "{name}: the run journaled nothing");
+        assert!(!lookahead.2.is_empty(), "{name}: the run observed nothing");
+        assert_eq!(lookahead.0, per_access.0, "{name}: journals differ");
+        assert_eq!(lookahead.1, per_access.1, "{name}: reports differ");
+        assert_eq!(lookahead.2, per_access.2, "{name}: values read differ");
+    }
+}
+
+// ------------------------------------------------------------------ a racy first share
+
+/// Thread 0 allocates an object and keeps writing it; thread 1 learns its id
+/// through a host-side cell — no reference edge, no lock, no barrier — and
+/// reads it. That is a data race at the moment of first sharing: how many of
+/// the owner's writes the first read sees depends on how far the owner ran
+/// ahead, not on virtual time. Returns `(journal, report, values read)`.
+fn racy_first_share() -> (String, String, Vec<f64>) {
+    let sink = JournalSink::shared();
+    let mut cluster = Cluster::builder()
+        .nodes(2)
+        .threads(2)
+        .profiler(ProfilerConfig::tracking_at(SamplingRate::NX(1)))
+        .trace(sink.clone())
+        .build();
+    let (class, shared) = cluster.init(|ctx| {
+        let class = ctx.register_scalar_class("Racy", 2);
+        (class, ctx.alloc_scalar_at(NodeId(0), class).id)
+    });
+    let leaked = Arc::new(OnceLock::new());
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let seen_out = Arc::clone(&seen);
+    cluster.run(move |jt| {
+        if jt.thread_id().0 == 0 {
+            let obj = jt.alloc_scalar(class).id;
+            jt.write(obj, |d| d[0] = 1.0);
+            leaked.set(obj).expect("set once");
+            for k in 1..=200 {
+                jt.write(obj, |d| d[0] += 1.0);
+                jt.compute(10);
+                if k % 50 == 0 {
+                    // A visible action: the owner's lookahead ends here.
+                    jt.read(shared, |_| {});
+                }
+            }
+        } else {
+            for _ in 0..60 {
+                if let Some(&obj) = leaked.get() {
+                    let v = jt.read(obj, |d| d[0]);
+                    seen_out.lock().push(v);
+                }
+                jt.compute(40);
+            }
+        }
+        jt.barrier();
+    });
+    let report = cluster.report();
+    let values = seen.lock().clone();
+    (
+        to_json_lines(&sink.sorted_events()),
+        canonical_report(&report),
+        values,
+    )
+}
+
+/// A program that races on the first share is outside what HLRC defines, and
+/// outside the equivalence with the per-access schedule — but it is still a
+/// pure function of its inputs.
+#[test]
+fn a_racy_first_share_replays_byte_for_byte() {
+    let a = racy_first_share();
+    let b = racy_first_share();
+    assert!(!a.2.is_empty(), "the neighbour never saw the object");
+    assert_eq!(a.2, b.2, "values read must replay");
+    assert_eq!(a.0, b.0, "journal must replay");
+    assert_eq!(a.1, b.1, "report must replay");
 }

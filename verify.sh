@@ -6,6 +6,9 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo check --workspace --all-targets (every bench, test and example target compiles)"
+cargo check --workspace --all-targets
+
 echo "==> cargo test -q"
 cargo test -q
 
