@@ -1,15 +1,19 @@
 //! X4 — object-access fast-path throughput (the mutator hot loop).
 //!
 //! Measures steady-state accesses/sec through the single-writer arena
-//! (`Gos` + `ThreadSpace`: packed entry word, frozen object table, side
+//! (`Gos` + `ThreadSpace`: packed entry word, append-only object table, side
 //! slabs) against the retained seed layout (`gos::heap::reference`:
 //! per-access `RwLock` read + `Arc` clone + `Mutex` lock, plus a
-//! `ClassInfo` clone per access). Three scenarios per object count:
+//! `ClassInfo` clone per access). Four scenarios per object count:
 //!
 //! - `home_hit`   — objects homed at the accessing node (HOME state).
 //! - `cache_hit`  — remote objects already faulted in (VALID state).
 //! - `armed_trap` — the profiler rhythm: arm every object's false-invalid
 //!   trap, then access (trap fires, logs, disarms), once per pass.
+//! - `late_alloc_hit` — home and cache hits, half and half, on objects
+//!   allocated after the set-up batch, where a running cluster's mid-run
+//!   allocations (Barnes-Hut's tree cells) land: the lookup must cost what
+//!   it costs for set-up objects.
 //!
 //! Modes:
 //! - default (`cargo bench --bench access_path`): full sweep
@@ -130,13 +134,17 @@ struct Engines {
     home: Vec<ObjectId>,
     /// Remote objects pre-faulted into thread 0's cache on both engines.
     cached: Vec<ObjectId>,
+    /// Objects allocated after the set-up batch, alternately homed at the
+    /// accessing node and remote (pre-faulted like `cached`).
+    late: Vec<ObjectId>,
 }
 
 /// Build both engines with identical populations: `m` objects homed at the
 /// accessing node 0 and `m` homed at node 1, the latter pre-faulted into
-/// thread 0's cache so their steady state is VALID. `sink` optionally installs
-/// a trace sink on the arena engine (the tracing-overhead lane).
-fn build(m: usize, sink: Option<Arc<dyn TraceSink>>) -> Engines {
+/// thread 0's cache so their steady state is VALID, then `late` more,
+/// alternating between the two nodes. `sink` optionally installs a trace sink
+/// on the arena engine (the tracing-overhead lane).
+fn build(m: usize, late: usize, sink: Option<Arc<dyn TraceSink>>) -> Engines {
     let mut gos = Gos::new(GosConfig {
         n_nodes: 2,
         n_threads: 1,
@@ -157,24 +165,21 @@ fn build(m: usize, sink: Option<Arc<dyn TraceSink>>) -> Engines {
     assert_eq!(class, class_r);
 
     let mut space = ThreadSpace::new(ThreadId(0));
-    let mut home = Vec::with_capacity(m);
-    let mut cached = Vec::with_capacity(m);
-    for i in 0..2 * m {
-        let node = NodeId((i / m) as u16);
+    let alloc = |i: usize, node: NodeId| {
         let init = [mix(i as u64) as f64, 0.0];
         let id = gos.alloc_scalar(node, class, &clock, Some(&init)).id;
         let id_r = seed.alloc_scalar(node, class_r, Some(&init)).id;
         assert_eq!(id, id_r);
-        if i < m {
-            home.push(id);
-        } else {
-            cached.push(id);
-        }
-    }
-    gos.freeze_object_table();
+        id
+    };
+    let home: Vec<ObjectId> = (0..m).map(|i| alloc(i, NodeId(0))).collect();
+    let cached: Vec<ObjectId> = (m..2 * m).map(|i| alloc(i, NodeId(1))).collect();
+    // The set-up batch ends here: what follows is a mid-run allocation.
+    let late: Vec<ObjectId> =
+        (2 * m..2 * m + late).map(|i| alloc(i, NodeId((i % 2) as u16))).collect();
 
     // Fault everything in once so timed passes only see hits.
-    for &o in home.iter().chain(&cached) {
+    for &o in home.iter().chain(&cached).chain(&late) {
         gos.read(&mut space, NodeId(0), o, &clock, |_| {});
         seed.read(ThreadId(0), NodeId(0), o, |_| {});
     }
@@ -185,6 +190,7 @@ fn build(m: usize, sink: Option<Arc<dyn TraceSink>>) -> Engines {
         clock_board,
         home,
         cached,
+        late,
     }
 }
 
@@ -198,11 +204,13 @@ fn measure(scenario: &'static str, m: usize, passes: usize) -> Cell {
         clock_board,
         home,
         cached,
-    } = build(m, None);
+        late,
+    } = build(m, if scenario == "late_alloc_hit" { m } else { 0 }, None);
     let clock = clock_board.handle(ThreadId(0));
     let objs: &[ObjectId] = match scenario {
         "home_hit" | "armed_trap" => &home,
         "cache_hit" => &cached,
+        "late_alloc_hit" => &late,
         _ => unreachable!(),
     };
     let order = shuffled(objs.len());
@@ -269,8 +277,8 @@ fn measure(scenario: &'static str, m: usize, passes: usize) -> Cell {
 /// installed. The hit lane has no emission site, so the only possible cost is
 /// the sink presence itself; the gate requires it stays ≤ `required_max`.
 fn measure_trace_overhead(m: usize, passes: usize) -> TraceOverhead {
-    let mut off = build(m, None);
-    let mut on = build(m, Some(Arc::new(NullSink)));
+    let mut off = build(m, 0, None);
+    let mut on = build(m, 0, Some(Arc::new(NullSink)));
     let order = shuffled(m);
     let sweep = |e: &mut Engines, timed: bool| -> u128 {
         let clock = e.clock_board.handle(ThreadId(0));
@@ -332,7 +340,7 @@ fn main() {
     ]);
     let mut cells = Vec::new();
     for &(m, passes) in &sizes {
-        for scenario in ["home_hit", "cache_hit", "armed_trap"] {
+        for scenario in ["home_hit", "cache_hit", "armed_trap", "late_alloc_hit"] {
             let c = measure(scenario, m, passes);
             let per = |ns: u128| ns as f64 / (c.m * c.passes) as f64;
             table.row(&[
@@ -375,7 +383,7 @@ fn main() {
     let accept_m = sizes.first().unwrap().0;
     let unarmed_min = cells
         .iter()
-        .filter(|c| c.m == accept_m && c.scenario != "armed_trap")
+        .filter(|c| c.m == accept_m && matches!(c.scenario, "home_hit" | "cache_hit"))
         .map(Cell::speedup)
         .fold(f64::INFINITY, f64::min);
     let doc = Report {

@@ -126,7 +126,7 @@ impl HomeAwareAnalyzer {
         let mut recommendations = Vec::new();
 
         for (&obj, stat) in &self.objects {
-            let home = gos.object(obj).home();
+            let home = gos.object_ref(obj).home();
             // Pair decomposition.
             for a in 0..stat.threads.len() {
                 for b in (a + 1)..stat.threads.len() {
@@ -303,7 +303,7 @@ mod tests {
         let report = an.build(&gos, &placement);
         let rec = report.recommendations[0];
         assert!(gos.migrate_home(rec.obj, rec.to, &clock));
-        assert_eq!(gos.object(obj).home(), NodeId(0));
+        assert_eq!(gos.object_ref(obj).home(), NodeId(0));
         // Re-analyzing against the new home: nothing left to recommend.
         let report = an.build(&gos, &placement);
         assert!(report.recommendations.is_empty());

@@ -74,7 +74,7 @@ pub fn resolve_sticky_set(
             if !visited.insert(obj) {
                 continue;
             }
-            let core = gos.object(obj);
+            let core = gos.object_ref(obj);
             res.selected.push(obj);
             res.total_bytes += core.payload_bytes() as u64;
 
@@ -104,13 +104,15 @@ pub fn resolve_sticky_set(
                 }
             }
 
-            for child in core.refs() {
-                clock.spend(edge_cost);
-                res.edges_visited += 1;
-                if !visited.contains(&child) {
-                    queue.push_back(child);
+            core.with_refs(|children| {
+                for &child in children {
+                    clock.spend(edge_cost);
+                    res.edges_visited += 1;
+                    if !visited.contains(&child) {
+                        queue.push_back(child);
+                    }
                 }
-            }
+            });
         }
     }
     res.budget_met = budget_met(budget, &res.collected);
@@ -162,7 +164,7 @@ mod tests {
             let core = f.gos.alloc_scalar(NodeId(0), f.class, &f.clock, None);
             core.set_sampled(f.gaps.decide_sampled(f.class, core.elem_seq0, 1));
             if let Some(&prev) = ids.last() {
-                f.gos.object(prev).add_ref(core.id);
+                f.gos.object_ref(prev).add_ref(core.id);
             }
             ids.push(core.id);
         }
@@ -189,7 +191,7 @@ mod tests {
         // the walk must abort after ~2 unsampled objects and move to root B.
         let bad = chain(&f, 30);
         for &id in &bad {
-            f.gos.object(id).set_sampled(false);
+            f.gos.object_ref(id).set_sampled(false);
         }
         let good = chain(&f, 10); // all sampled
         let budget = HashMap::from([(f.class, 40u64)]);
@@ -220,7 +222,7 @@ mod tests {
         let ids = chain(&f, 20);
         let sampled: Vec<bool> = ids
             .iter()
-            .map(|id| f.gos.object(*id).is_sampled())
+            .map(|id| f.gos.object_ref(*id).is_sampled())
             .collect();
         assert!(sampled.iter().any(|s| !*s), "need unsampled objects in the chain");
         let budget = HashMap::from([(f.class, u64::MAX)]); // walk everything

@@ -104,6 +104,13 @@ impl ClassRegistry {
         self.slots.read()[class.index()].info.clone()
     }
 
+    /// The class's `(is_array, unit_words)`, without cloning the descriptor and
+    /// its name: what every allocation asks.
+    pub fn shape(&self, class: ClassId) -> (bool, u32) {
+        let info = &self.slots.read()[class.index()].info;
+        (info.is_array, info.unit_words)
+    }
+
     /// Find a class by name.
     pub fn by_name(&self, name: &str) -> Option<ClassId> {
         self.slots
@@ -170,6 +177,7 @@ mod tests {
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.info(body).unit_bytes(), 64);
         assert!(reg.info(darr).is_array);
+        assert_eq!((reg.shape(body), reg.shape(darr)), ((false, 8), (true, 1)));
         assert_eq!(reg.by_name("double[]"), Some(darr));
         assert_eq!(reg.by_name("nope"), None);
     }

@@ -185,6 +185,16 @@ impl ObjectCore {
         self.refs.lock().clone()
     }
 
+    /// Run `f` over the outgoing reference fields without copying them — what
+    /// graph traversals use. `f` runs under this object's reference lock: it
+    /// must not touch the same object's references ([`ObjectCore::refs`],
+    /// [`ObjectCore::add_ref`], [`ObjectCore::set_refs`] or a nested
+    /// `with_refs`), or it deadlocks.
+    #[inline]
+    pub fn with_refs<R>(&self, f: impl FnOnce(&[ObjectId]) -> R) -> R {
+        f(&self.refs.lock())
+    }
+
     /// Append an outgoing reference. Low level: the target is not published
     /// ([`ObjectCore::publish`]) — mid-run code goes through `Gos::add_ref`.
     pub fn add_ref(&self, target: ObjectId) {
@@ -308,6 +318,7 @@ mod tests {
         assert_eq!(o.refs(), vec![ObjectId(1), ObjectId(2)]);
         o.set_refs(vec![ObjectId(9)]);
         assert_eq!(o.refs(), vec![ObjectId(9)]);
+        assert_eq!(o.with_refs(|r| r.to_vec()), o.refs());
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! thread migration changes it.
 
 use jessy_obs::{EventKind, TraceSink};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -204,22 +204,108 @@ struct Counters {
     objects_prefetched: AtomicU64,
 }
 
-/// Borrowed or shared handle to an [`ObjectCore`]: the frozen prefix of the object
-/// table hands out plain references (no refcount traffic on the access path); the
-/// post-freeze overflow region falls back to an `Arc` clone under the table lock.
-enum CoreRef<'a> {
-    Frozen(&'a ObjectCore),
-    Shared(Arc<ObjectCore>),
+/// Slots in the object table's first chunk; chunk `k` holds `CHUNK0_SLOTS << k`.
+const CHUNK0_SLOTS: usize = 32;
+/// Chunks of 32, 64, 128 … slots: 28 of them cover every `u32` id.
+const N_CHUNKS: usize = 28;
+
+/// Chunk and offset of `id` in the object table: chunk `k` starts at index
+/// `CHUNK0_SLOTS * (2^k - 1)`, so `index + CHUNK0_SLOTS` has its top bit at
+/// `k + log2(CHUNK0_SLOTS)` and the offset in the bits below it.
+#[inline]
+fn locate(id: ObjectId) -> (usize, usize) {
+    let j = id.0 as u64 + CHUNK0_SLOTS as u64;
+    let top = j.ilog2();
+    ((top - CHUNK0_SLOTS.ilog2()) as usize, (j ^ (1 << top)) as usize)
 }
 
-impl std::ops::Deref for CoreRef<'_> {
-    type Target = ObjectCore;
-    #[inline]
-    fn deref(&self) -> &ObjectCore {
-        match self {
-            CoreRef::Frozen(c) => c,
-            CoreRef::Shared(c) => c,
+type Slot = OnceLock<Arc<ObjectCore>>;
+
+/// The global object table: append-only, write-once slots in geometrically
+/// growing chunks that never move, so a lookup — for objects allocated during
+/// set-up and mid-run alike — is two plain loads (chunk pointer, slot) and
+/// returns a borrow that lives as long as the table. Readers take no lock and
+/// touch no reference count.
+///
+/// Publication order: an allocation, holding the `index` lock, takes the next
+/// dense id, creates the slot's chunk if the id is its first (one allocation
+/// for the whole chunk), writes the slot and only then publishes the new
+/// length and the id's entry in its class's list. A slot is a `OnceLock`,
+/// whose `set` releases and whose `get` acquires, so whoever obtains an id —
+/// from the allocator's return value or through any chain of synchronization
+/// from it — finds the slot written; and every id below a length, or in a
+/// class list, read from `index` resolves.
+struct ObjectTable {
+    chunks: [OnceLock<Box<[Slot]>>; N_CHUNKS],
+    /// What has been allocated. Its lock is the one allocation lock: it
+    /// serializes allocations, which makes ids dense and in allocation order.
+    index: Mutex<TableIndex>,
+}
+
+#[derive(Default)]
+struct TableIndex {
+    /// Number of slots written.
+    len: usize,
+    /// Ids per class, ascending (resampling walks).
+    by_class: Vec<Vec<ObjectId>>,
+}
+
+impl ObjectTable {
+    fn new() -> Self {
+        ObjectTable {
+            chunks: [const { OnceLock::new() }; N_CHUNKS],
+            index: Mutex::default(),
         }
+    }
+
+    fn len(&self) -> usize {
+        self.index.lock().len
+    }
+
+    /// The ids of `class`'s objects allocated so far, ascending.
+    fn ids_of_class(&self, class: ClassId) -> Vec<ObjectId> {
+        self.index.lock().by_class.get(class.index()).cloned().unwrap_or_default()
+    }
+
+    /// The object `id` names, or `None` for an id never allocated.
+    #[inline]
+    fn get(&self, id: ObjectId) -> Option<&Arc<ObjectCore>> {
+        let (chunk, offset) = locate(id);
+        self.chunks[chunk].get()?.get(offset)?.get()
+    }
+
+    /// Append the object of `class` that `make` builds for the next id.
+    fn push(
+        &self,
+        class: ClassId,
+        make: impl FnOnce(ObjectId) -> Arc<ObjectCore>,
+    ) -> &Arc<ObjectCore> {
+        let mut index = self.index.lock();
+        let id = ObjectId(u32::try_from(index.len).unwrap_or_else(|_| {
+            panic!("object table full: all {} u32 object ids are in use", index.len)
+        }));
+        let (chunk, offset) = locate(id);
+        let slots = self.chunks[chunk]
+            .get_or_init(|| (0..CHUNK0_SLOTS << chunk).map(|_| Slot::new()).collect());
+        // The slot is empty: only this path writes slots, one per id, under the lock.
+        let core = slots[offset].get_or_init(|| make(id));
+        index.len += 1;
+        if index.by_class.len() <= class.index() {
+            index.by_class.resize_with(class.index() + 1, Vec::new);
+        }
+        index.by_class[class.index()].push(id);
+        core
+    }
+
+    /// Every object allocated so far, in id order.
+    fn iter(&self) -> impl Iterator<Item = &Arc<ObjectCore>> {
+        let len = self.len();
+        self.chunks
+            .iter()
+            .map_while(|c| c.get())
+            .flat_map(|slots| slots.iter())
+            .take(len)
+            .map(|slot| slot.get().expect("slots below the published length are written"))
     }
 }
 
@@ -240,14 +326,7 @@ pub struct Gos {
     config: GosConfig,
     classes: ClassRegistry,
     fabric: Fabric,
-    objects: RwLock<Vec<Arc<ObjectCore>>>,
-    /// Immutable snapshot of the object table taken when the cluster starts running
-    /// ([`Gos::freeze_object_table`]): the access path indexes it without taking the
-    /// `objects` lock or cloning an `Arc`. Objects allocated after the freeze (e.g.
-    /// Barnes-Hut tree cells built mid-run) live past the snapshot length and take
-    /// the slow lookup.
-    frozen: OnceLock<Box<[Arc<ObjectCore>]>>,
-    by_class: RwLock<Vec<Vec<ObjectId>>>,
+    objects: ObjectTable,
     notices: NoticeBoard,
     lock_boards: RwLock<Vec<Arc<NoticeBoard>>>,
     locks: LockTable,
@@ -284,9 +363,7 @@ impl Gos {
         Ok(Gos {
             classes: ClassRegistry::new(),
             fabric,
-            objects: RwLock::new(Vec::new()),
-            frozen: OnceLock::new(),
-            by_class: RwLock::new(Vec::new()),
+            objects: ObjectTable::new(),
             notices: NoticeBoard::new(config.n_threads),
             lock_boards: RwLock::new(Vec::new()),
             locks: LockTable::new(),
@@ -375,10 +452,10 @@ impl Gos {
         clock: &ClockHandle,
         init: Option<&[f64]>,
     ) -> Arc<ObjectCore> {
-        let info = self.classes.info(class);
-        assert!(!info.is_array, "use alloc_array for array classes");
+        let (is_array, unit_words) = self.classes.shape(class);
+        assert!(!is_array, "use alloc_array for array classes");
         let seq = self.classes.draw_seq(class, 1);
-        self.alloc_inner(node, class, info.unit_words, info.unit_words, seq, false, clock, init)
+        self.alloc_inner(node, class, unit_words, unit_words, seq, false, clock, init)
     }
 
     /// Allocate an array of `len_elems` elements of `class` homed at `node`. Draws
@@ -392,11 +469,11 @@ impl Gos {
         init: Option<&[f64]>,
     ) -> Arc<ObjectCore> {
         assert!(len_elems > 0, "zero-length arrays not supported");
-        let info = self.classes.info(class);
-        assert!(info.is_array, "use alloc_scalar for scalar classes");
+        let (is_array, unit_words) = self.classes.shape(class);
+        assert!(is_array, "use alloc_scalar for scalar classes");
         let seq0 = self.classes.draw_seq(class, len_elems as u64);
-        let words = info.unit_words * len_elems;
-        self.alloc_inner(node, class, words, info.unit_words, seq0, true, clock, init)
+        let words = unit_words * len_elems;
+        self.alloc_inner(node, class, words, unit_words, seq0, true, clock, init)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -413,72 +490,53 @@ impl Gos {
     ) -> Arc<ObjectCore> {
         self.assert_node(node);
         clock.spend(self.config.costs.alloc_ns);
-        let mut objects = self.objects.write();
-        let id = ObjectId(objects.len() as u32);
-        let core = Arc::new(ObjectCore::new(
-            id, class, node, len_words, unit_words, seq0, is_array, false,
-        ));
-        if let Some(init) = init {
-            core.with_home_data(|d| {
-                assert_eq!(init.len(), d.len(), "init length mismatch for {id}");
-                d.copy_from_slice(init);
-            });
-        }
-        objects.push(Arc::clone(&core));
-        drop(objects);
-        let mut by_class = self.by_class.write();
-        if by_class.len() <= class.index() {
-            by_class.resize_with(class.index() + 1, Vec::new);
-        }
-        by_class[class.index()].push(id);
-        core
+        let core = self.objects.push(class, |id| {
+            let core = ObjectCore::new(id, class, node, len_words, unit_words, seq0, is_array, false);
+            if let Some(init) = init {
+                core.with_home_data(|d| {
+                    assert_eq!(init.len(), d.len(), "init length mismatch for {id}");
+                    d.copy_from_slice(init);
+                });
+            }
+            Arc::new(core)
+        });
+        Arc::clone(core)
     }
 
-    /// Freeze the current object table for lock-free access-path lookup. Called once
-    /// when the cluster starts running (registration and setup allocation happen
-    /// before threads start); idempotent, and later allocations still work — they
-    /// land past the frozen prefix and are resolved through the locked table.
-    pub fn freeze_object_table(&self) {
-        let snap: Box<[Arc<ObjectCore>]> =
-            self.objects.read().iter().cloned().collect::<Vec<_>>().into_boxed_slice();
-        let _ = self.frozen.set(snap);
-    }
+    /// Does nothing: the object table needs no freeze step — every lookup, for
+    /// set-up and mid-run objects alike, is already lock-free. Kept only because
+    /// the pinned benchmark (`benchmark/src/probes.rs`) still calls it; ROADMAP
+    /// item 1 (iv) removes the call and this method together.
+    pub fn freeze_object_table(&self) {}
 
-    /// Access-path object lookup: a plain indexed read in the frozen prefix, the
-    /// locked table (plus `Arc` clone) past it.
+    /// Look up an object by id, borrowing the table's handle: no lock, no
+    /// reference-count traffic — the lookup for access paths and traversals.
+    /// Panics on an id never allocated.
     #[inline]
-    fn core(&self, id: ObjectId) -> CoreRef<'_> {
-        if let Some(frozen) = self.frozen.get() {
-            if let Some(core) = frozen.get(id.index()) {
-                return CoreRef::Frozen(core);
-            }
-        }
-        CoreRef::Shared(self.objects.read()[id.index()].clone())
+    pub fn object_ref(&self, id: ObjectId) -> &Arc<ObjectCore> {
+        self.objects
+            .get(id)
+            .unwrap_or_else(|| panic!("{id} out of range ({} objects)", self.n_objects()))
     }
 
-    /// Look up an object by id.
+    /// [`Gos::object_ref`] down to the object itself.
+    #[inline]
+    fn core(&self, id: ObjectId) -> &ObjectCore {
+        self.object_ref(id)
+    }
+
+    /// Look up an object by id, for callers that keep the handle.
     pub fn object(&self, id: ObjectId) -> Arc<ObjectCore> {
-        if let Some(frozen) = self.frozen.get() {
-            if let Some(core) = frozen.get(id.index()) {
-                return Arc::clone(core);
-            }
-        }
-        self.objects.read()[id.index()].clone()
+        Arc::clone(self.object_ref(id))
     }
 
     /// Is `obj` still local to `thread` — allocated by it mid-run and never
     /// published, touched by another thread or re-homed
     /// ([`ObjectCore::is_local_to`])? The runtime asks before every hit on a
-    /// quiet home-resident entry, so this reads the frozen prefix directly and,
-    /// past it, the locked table without cloning the `Arc`.
+    /// quiet home-resident entry.
     #[inline]
     pub fn is_local_to(&self, obj: ObjectId, thread: ThreadId) -> bool {
-        if let Some(frozen) = self.frozen.get() {
-            if let Some(core) = frozen.get(obj.index()) {
-                return core.is_local_to(thread);
-            }
-        }
-        self.objects.read()[obj.index()].is_local_to(thread)
+        self.core(obj).is_local_to(thread)
     }
 
     /// Append the reference edge `from → to`. The edge makes `to` reachable by
@@ -499,7 +557,7 @@ impl Gos {
 
     /// Number of objects ever allocated.
     pub fn n_objects(&self) -> usize {
-        self.objects.read().len()
+        self.objects.len()
     }
 
     /// Re-arm false-invalid traps in `space` for every resident object whose
@@ -510,32 +568,22 @@ impl Gos {
     /// again on a read-only path. The walk cost is charged to `clock` like the
     /// coordinator's own resampling walk. Returns the number of traps armed.
     pub fn rearm_sampled(&self, space: &mut ThreadSpace, clock: &ClockHandle) -> usize {
-        let objects = self.objects.read();
-        let (visited, armed) = space.arm_matching(|obj| {
-            objects.get(obj.index()).is_some_and(|c| c.is_sampled())
-        });
+        let (visited, armed) =
+            space.arm_matching(|obj| self.objects.get(obj).is_some_and(|c| c.is_sampled()));
         clock.spend(self.costs().resample_ns_per_obj * visited as u64);
         armed
     }
 
     /// Visit every object of `class` (resampling walks after a rate change).
     pub fn for_each_object_of_class(&self, class: ClassId, mut f: impl FnMut(&Arc<ObjectCore>)) {
-        let ids: Vec<ObjectId> = match self.by_class.read().get(class.index()) {
-            Some(v) => v.clone(),
-            None => return,
-        };
-        let objects = self.objects.read();
-        for id in ids {
-            f(&objects[id.index()]);
+        for id in self.objects.ids_of_class(class) {
+            f(self.object_ref(id));
         }
     }
 
-    /// Visit every object.
-    pub fn for_each_object(&self, mut f: impl FnMut(&Arc<ObjectCore>)) {
-        let objects = self.objects.read();
-        for core in objects.iter() {
-            f(core);
-        }
+    /// Visit every object, in id order.
+    pub fn for_each_object(&self, f: impl FnMut(&Arc<ObjectCore>)) {
+        self.objects.iter().for_each(f);
     }
 
     // ------------------------------------------------------------------ access path
@@ -606,7 +654,7 @@ impl Gos {
         if st == ST_ABSENT {
             outcome.first_touch = true;
             let at_home = core.home() == node;
-            insert_entry(space, &core, at_home);
+            insert_entry(space, core, at_home);
             if at_home {
                 // First touch of a home-resident object enters the service routine
                 // once (entry initialization + the logging opportunity).
@@ -696,7 +744,7 @@ impl Gos {
             if self.config.prefetch_depth > 0 {
                 // Connectivity prefetch: same-home objects within `prefetch_depth`
                 // reference hops ride along on the reply.
-                self.connectivity_prefetch(space, node, &core, clock);
+                self.connectivity_prefetch(space, node, core, clock);
             }
             st = ST_VALID;
         }
@@ -744,7 +792,7 @@ impl Gos {
                 }
                 match space.effective_state(obj) {
                     ST_HOME | ST_VALID => continue, // already holds usable data
-                    ST_ABSENT => insert_entry(space, &core, false),
+                    ST_ABSENT => insert_entry(space, core, false),
                     _ => {}
                 }
                 core.with_home_data(|d| {
@@ -753,7 +801,7 @@ impl Gos {
                 });
                 bytes += core.payload_bytes() + OBJ_HEADER_BYTES;
                 moved += 1;
-                next.extend(core.refs());
+                core.with_refs(|refs| next.extend_from_slice(refs));
             }
             frontier = next;
             if frontier.is_empty() {
@@ -1107,7 +1155,7 @@ impl Gos {
             }
             match space.effective_state(obj) {
                 ST_VALID => continue, // usable copy already present
-                ST_ABSENT => insert_entry(space, &core, false),
+                ST_ABSENT => insert_entry(space, core, false),
                 _ => {}
             }
             core.with_home_data(|d| {
@@ -1157,5 +1205,87 @@ impl std::fmt::Debug for Gos {
             .field("objects", &self.n_objects())
             .field("classes", &self.classes.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Index of chunk `k`'s first slot: the sizes of the chunks before it.
+    fn chunk_start(k: usize) -> u64 {
+        CHUNK0_SLOTS as u64 * ((1u64 << k) - 1)
+    }
+
+    /// `locate(id)` is in bounds, inverts to `id`, and `id + 1` lands in the
+    /// next slot of the same chunk or the first of the next one.
+    fn check_located(id: u32) -> Result<(), String> {
+        let (chunk, offset) = locate(ObjectId(id));
+        prop_assert!(chunk < N_CHUNKS, "chunk {chunk} of {id}");
+        prop_assert!(offset < CHUNK0_SLOTS << chunk, "offset {offset} of {id}");
+        prop_assert_eq!(chunk_start(chunk) + offset as u64, id as u64);
+        if let Some(next) = id.checked_add(1) {
+            let wraps = offset + 1 == CHUNK0_SLOTS << chunk;
+            let expect = if wraps { (chunk + 1, 0) } else { (chunk, offset + 1) };
+            prop_assert_eq!(locate(ObjectId(next)), expect);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn chunk_boundaries_sit_where_the_sizes_say() {
+        for (id, at) in [(0, (0, 0)), (31, (0, 31)), (32, (1, 0)), (95, (1, 63)), (96, (2, 0))] {
+            assert_eq!(locate(ObjectId(id)), at, "id {id}");
+        }
+        assert_eq!(locate(ObjectId(u32::MAX)), (N_CHUNKS - 1, 31));
+        assert!(chunk_start(N_CHUNKS) > u32::MAX as u64, "the chunks cover every u32 id");
+        for k in 0..N_CHUNKS {
+            let first = chunk_start(k);
+            let last = (chunk_start(k + 1) - 1).min(u32::MAX as u64);
+            for id in [first, last] {
+                check_located(id as u32).unwrap_or_else(|e| panic!("chunk {k}: {e}"));
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn locate_is_a_dense_in_bounds_bijection(
+            anywhere in 0u32..u32::MAX,
+            chunk in 0usize..N_CHUNKS + 1,
+            back in 0u64..4,
+        ) {
+            check_located(anywhere)?;
+            // ... and a slot or two either side of a chunk boundary.
+            let near = (chunk_start(chunk) + 1).saturating_sub(back).min(u32::MAX as u64);
+            check_located(near as u32)?;
+        }
+    }
+
+    #[test]
+    fn the_table_grows_a_chunk_at_a_time_and_never_moves_a_slot() {
+        let table = ObjectTable::new();
+        let push = |class: u16| {
+            table.push(ClassId(class), |id| {
+                Arc::new(ObjectCore::new(id, ClassId(class), NodeId(0), 1, 1, 0, false, false))
+            })
+        };
+        assert!(table.get(ObjectId(0)).is_none() && table.iter().next().is_none());
+        let first: *const ObjectCore = Arc::as_ptr(push(0));
+        for i in 1..200u32 {
+            assert_eq!(push((i % 2) as u16).id, ObjectId(i), "ids are dense");
+        }
+        assert_eq!(table.len(), 200);
+        assert_eq!(Arc::as_ptr(table.get(ObjectId(0)).unwrap()), first);
+        let ids: Vec<u32> = table.iter().map(|c| c.id.0).collect();
+        assert_eq!(ids, (0..200).collect::<Vec<_>>());
+        let odd: Vec<ObjectId> = (0..200).filter(|i| i % 2 == 1).map(ObjectId).collect();
+        assert_eq!(table.ids_of_class(ClassId(1)), odd);
+        assert!(table.ids_of_class(ClassId(2)).is_empty());
+        // 200 objects fill chunks 0–1 and part of chunk 2; the rest of chunk 2
+        // is allocated but unwritten, chunk 3 does not exist yet.
+        assert!(table.get(ObjectId(200)).is_none() && table.get(ObjectId(224)).is_none());
+        assert!(table.chunks[2].get().is_some() && table.chunks[3].get().is_none());
     }
 }

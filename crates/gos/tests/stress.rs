@@ -4,9 +4,10 @@
 //! Each spawned OS thread owns its logical thread's `ThreadSpace` outright — the
 //! single-writer discipline the runtime enforces via `ClusterShared::spaces`.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use jessy_gos::{CostModel, Gos, GosConfig, ThreadSpace};
+use jessy_gos::{CostModel, Gos, GosConfig, ObjectCore, ObjectId, ThreadSpace};
 use jessy_net::{ClockBoard, LatencyModel, NodeId, ThreadId};
 
 fn cluster(n_nodes: usize, n_threads: usize) -> (Arc<Gos>, Arc<ClockBoard>) {
@@ -223,5 +224,61 @@ fn interleaved_prefetch_and_invalidation() {
     for &o in &objs {
         let (v, _) = g.read(&mut s1, NodeId(1), o, &c1, |d| d[0]);
         assert_eq!(v, 7.0, "stale value survived prefetch/invalidate race on {o}");
+    }
+}
+
+#[test]
+fn concurrent_allocation_and_lookup_share_one_append_only_table() {
+    // Free-threaded (no executor, no run token): eight OS threads allocate and
+    // look up at once, across several chunk boundaries of the object table.
+    const THREADS: u32 = 8;
+    const PER_THREAD: usize = 600;
+    let (g, board) = cluster(2, THREADS as usize);
+    let class = g.classes().register_scalar("X", 1);
+    let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
+    // The id some thread allocated last: a second route, besides the
+    // allocator's return value, by which an id reaches a reader.
+    let latest = Arc::new(AtomicU32::new(u32::MAX));
+
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (g, start, latest) = (Arc::clone(&g), Arc::clone(&start), Arc::clone(&latest));
+            let clock = board.handle(ThreadId(t));
+            std::thread::spawn(move || {
+                start.wait();
+                let mut mine = Vec::with_capacity(PER_THREAD);
+                for _ in 0..PER_THREAD {
+                    let core = g.alloc_scalar(NodeId((t % 2) as u16), class, &clock, None);
+                    // The returned id resolves at once, to the same object.
+                    assert!(Arc::ptr_eq(&core, g.object_ref(core.id)));
+                    assert!(Arc::ptr_eq(&core, &g.object(core.id)));
+                    let seen = latest.swap(core.id.0, Ordering::AcqRel);
+                    if seen != u32::MAX {
+                        assert_eq!(g.object_ref(ObjectId(seen)).id, ObjectId(seen));
+                        assert!(g.n_objects() > seen as usize);
+                    }
+                    mine.push(core);
+                }
+                mine
+            })
+        })
+        .collect();
+    let mut all: Vec<Arc<ObjectCore>> =
+        handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
+
+    let total = THREADS as usize * PER_THREAD;
+    assert_eq!(g.n_objects(), total);
+    all.sort_by_key(|c| c.id);
+    let ids: Vec<u32> = all.iter().map(|c| c.id.0).collect();
+    assert_eq!(ids, (0..total as u32).collect::<Vec<_>>(), "ids are dense and unique");
+    let mut visited = 0;
+    g.for_each_object(|core| {
+        assert!(Arc::ptr_eq(core, &all[visited]), "in id order, each exactly once");
+        visited += 1;
+    });
+    assert_eq!(visited, total);
+    for past_the_end in [total as u32, u32::MAX] {
+        let lookup = std::panic::AssertUnwindSafe(|| g.object_ref(ObjectId(past_the_end)).id);
+        assert!(std::panic::catch_unwind(lookup).is_err(), "o{past_the_end} must not resolve");
     }
 }

@@ -588,7 +588,7 @@ impl InitCtx<'_> {
 
     /// Add a reference edge `from → to` in the object graph.
     pub fn add_ref(&self, from: ObjectId, to: ObjectId) {
-        self.shared.gos.object(from).add_ref(to);
+        self.shared.gos.object_ref(from).add_ref(to);
     }
 
     /// Direct access to the GOS (advanced setup).
@@ -649,10 +649,6 @@ impl Cluster {
         F: Fn(&mut JThread) + Send + Sync + 'static,
     {
         let mailbox = self.mailbox.take().ok_or(RuntimeError::AlreadyRun)?;
-        // Registration and setup allocation are done: snapshot the object table so
-        // the access path resolves objects with a plain indexed read (mid-run
-        // allocations still work — they land past the frozen prefix).
-        self.shared.gos.freeze_object_table();
         self.shared.board.reset();
         self.shared.done.store(false, Ordering::Release);
 

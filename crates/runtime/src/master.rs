@@ -1323,7 +1323,7 @@ impl Daemon {
                     if leaving.contains(&rec.to) {
                         continue;
                     }
-                    let bytes = self.shared.gos.object(rec.obj).payload_bytes() as u64;
+                    let bytes = self.shared.gos.object_ref(rec.obj).payload_bytes() as u64;
                     if self.shared.gos.migrate_home(rec.obj, rec.to, &clock) {
                         repaired += 1;
                         repaired_bytes += bytes;

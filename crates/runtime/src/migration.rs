@@ -55,7 +55,7 @@ pub fn count_would_fault(
 ) -> usize {
     objs.into_iter()
         .filter(|&obj| {
-            if gos.object(obj).home() == node {
+            if gos.object_ref(obj).home() == node {
                 return false;
             }
             !matches!(

@@ -317,21 +317,21 @@ pub fn build_tree(jt: &mut JThread, _cfg: &BhConfig, h: &BhHandles) -> usize {
 pub fn force_on(jt: &mut JThread, h: &BhHandles, own: ObjectId, pos: [f64; 3], theta: f64) -> [f64; 3] {
     const EPS2: f64 = 1e-4;
     let mut force = [0.0f64; 3];
-    let roots = jt.gos().object(h.space).refs();
-    let mut stack: Vec<ObjectId> = roots;
+    // Depth-first: at most 7 siblings wait per level, so 64 covers 9 levels.
+    let mut stack: Vec<ObjectId> = Vec::with_capacity(64);
+    jt.gos().object_ref(h.space).with_refs(|roots| stack.extend_from_slice(roots));
     while let Some(id) = stack.pop() {
         if id == own {
             continue;
         }
-        let core = jt.gos().object(id);
-        let is_cell = core.class == h.cell_class;
+        let is_cell = jt.gos().object_ref(id).class == h.cell_class;
         let (mass, p, half) = jt.read(id, |d| (d[0], [d[1], d[2], d[3]], if is_cell { d[7] } else { 0.0 }));
         let dx = [p[0] - pos[0], p[1] - pos[1], p[2] - pos[2]];
         let d2 = dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2] + EPS2;
         let dist = d2.sqrt();
         if is_cell && (2.0 * half) / dist >= theta {
             // Too close to approximate: descend.
-            stack.extend(core.refs());
+            jt.gos().object_ref(id).with_refs(|children| stack.extend_from_slice(children));
             continue;
         }
         if mass == 0.0 {

@@ -227,7 +227,7 @@ mod tests {
         }
         // Touched cells are shared by exactly the two threads of their pair.
         assert!(covered.iter().all(|&c| c == 0 || c == 2), "pair windows are disjoint");
-        assert!(covered.iter().any(|&c| c == 2));
+        assert!(covered.contains(&2));
     }
 
     #[test]

@@ -192,12 +192,11 @@ pub fn setup(ctx: &mut InitCtx<'_>, cfg: &WaterConfig, n_threads: usize, n_nodes
     // Initial membership.
     for (i, p) in positions.iter().enumerate() {
         let b = box_of(cfg, p);
-        let gos = ctx.gos();
-        gos.object(boxes[b]).add_ref(molecules[i]);
-        let obj = boxes[b];
+        let home_box = ctx.gos().object_ref(boxes[b]);
+        home_box.add_ref(molecules[i]);
         let mol = i as f64;
         // Write membership directly into the home copy during init.
-        gos.object(obj).with_home_data(|d| {
+        home_box.with_home_data(|d| {
             let count = d[0] as usize;
             assert!(count < BOX_CAPACITY, "box overflow at init");
             d[1 + count] = mol;
@@ -343,13 +342,10 @@ pub fn thread_body(jt: &mut JThread, cfg: &WaterConfig, h: &WaterHandles) {
                             d[1 + count] = m as f64;
                             d[0] = count as f64 + 1.0;
                         });
-                        let refs: Vec<ObjectId> = jt
-                            .gos()
-                            .object(h.boxes[b])
-                            .refs()
-                            .into_iter()
-                            .filter(|&r| r != h.molecules[m])
-                            .collect();
+                        let refs: Vec<ObjectId> =
+                            jt.gos().object_ref(h.boxes[b]).with_refs(|refs| {
+                                refs.iter().copied().filter(|&r| r != h.molecules[m]).collect()
+                            });
                         jt.set_refs(h.boxes[b], refs);
                         jt.add_ref(h.boxes[nb], h.molecules[m]);
                     }

@@ -1,0 +1,170 @@
+//! The access hit path allocates nothing — for objects allocated mid-run too.
+//!
+//! Barnes-Hut rebuilds its tree every round, so most of what its force phase
+//! visits was allocated after the run started. A visit is `Gos::object_ref`
+//! (class test), `JThread::read` (a cache hit, or a quiet home hit on an
+//! object the thread allocated itself) and `ObjectCore::with_refs` (the
+//! descent): none of them may reach the allocator, whenever the object was
+//! allocated.
+//!
+//! That the lookups still find the *same* objects needs no test of its own:
+//! a Barnes-Hut `small` run's forces, journal and report are pinned by the
+//! digests in `tests/schedule_identity.rs` and by `tests/determinism.rs`,
+//! which pass unchanged over the append-only object table.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::{Arc, OnceLock};
+
+use jessy::prelude::*;
+
+thread_local! {
+    /// Heap allocations (including growing reallocations) made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting each thread's allocations.
+struct Counting;
+
+fn count_one() {
+    // `try_with`: a thread's last frees may run after its locals are gone.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a `const`-initialized
+// thread-local `Cell` with no destructor, so touching it neither allocates
+// nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's `layout` obligations pass through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator, with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// One `force_on`-style descent from `root`: class test through the borrowed
+/// lookup, payload read through the access path, children through `with_refs`.
+/// Returns the nodes visited.
+fn descend(jt: &mut JThread, root: ObjectId, cell_class: ClassId, stack: &mut Vec<ObjectId>) -> usize {
+    let mut visited = 0;
+    stack.push(root);
+    while let Some(id) = stack.pop() {
+        visited += 1;
+        let is_cell = jt.gos().object_ref(id).class == cell_class;
+        let mass = jt.read(id, |d| d[0]);
+        assert_eq!(mass, if is_cell { 2.0 } else { 1.0 });
+        if is_cell {
+            jt.gos().object_ref(id).with_refs(|children| stack.extend_from_slice(children));
+        }
+    }
+    visited
+}
+
+#[test]
+fn hits_and_descents_over_mid_run_objects_allocate_nothing() {
+    const FANOUT: usize = 8;
+    const OWN: usize = 64;
+    const READS: usize = 10_000;
+
+    let mut cluster = Cluster::builder()
+        .nodes(2)
+        .threads(2)
+        .profiler(ProfilerConfig::tracking_at(SamplingRate::NX(1)))
+        .build();
+    const SETUP: usize = 40;
+    let (cell_class, leaf_class) = cluster.init(|ctx| {
+        let classes = (ctx.register_scalar_class("Cell", 8), ctx.register_scalar_class("Leaf", 8));
+        // A set-up batch, so that everything the run allocates lands after it.
+        for _ in 0..SETUP {
+            ctx.alloc_scalar_at(NodeId(0), classes.1);
+        }
+        classes
+    });
+    let tree_root = Arc::new(OnceLock::new());
+
+    cluster.run(move |jt| {
+        if jt.thread_id().0 == 1 {
+            // The builder, on node 1: a root cell over FANOUT cells over
+            // FANOUT leaves each, all allocated now that the run is under way.
+            let mut cells = Vec::new();
+            for _ in 0..FANOUT {
+                let leaves: Vec<ObjectId> = (0..FANOUT)
+                    .map(|_| {
+                        let leaf = jt.alloc_scalar(leaf_class).id;
+                        jt.write(leaf, |d| d[0] = 1.0);
+                        leaf
+                    })
+                    .collect();
+                let cell = jt.alloc_scalar(cell_class).id;
+                jt.write(cell, |d| d[0] = 2.0);
+                jt.set_refs(cell, leaves);
+                cells.push(cell);
+            }
+            let root = jt.alloc_scalar(cell_class).id;
+            jt.write(root, |d| d[0] = 2.0);
+            jt.set_refs(root, cells);
+            tree_root.set(root).expect("built once");
+            jt.barrier();
+            jt.barrier();
+            return;
+        }
+
+        // The reader, on node 0: objects of its own (quiet home hits) and,
+        // once the barrier has ordered it after the builder, cache copies of
+        // the tree.
+        let own: Vec<ObjectId> = (0..OWN).map(|_| jt.alloc_scalar(leaf_class).id).collect();
+        jt.barrier();
+        let root = *tree_root.get().expect("the barrier orders the build first");
+        assert!(root.index() >= SETUP && own[0].index() >= SETUP, "allocated mid-run");
+
+        // Warm-up: first touches, faults and this interval's traps fire here.
+        let mut stack = Vec::with_capacity(2 * FANOUT);
+        for _ in 0..2 {
+            for &obj in &own {
+                jt.write(obj, |d| d[0] = 1.0);
+            }
+            assert_eq!(descend(jt, root, cell_class, &mut stack), 1 + FANOUT + FANOUT * FANOUT);
+        }
+        assert_eq!(jt.space().access_state(own[0]), Some(AccessState::Home));
+        assert_eq!(jt.space().access_state(root), Some(AccessState::Valid));
+
+        let faults_before = jt.gos().proto_counters();
+        let allocations_before = allocations();
+        let mut reads = 0;
+        while reads < READS {
+            for &obj in &own {
+                assert_eq!(jt.read(obj, |d| d[0]), 1.0);
+            }
+            reads += own.len() + descend(jt, root, cell_class, &mut stack);
+        }
+        let allocated = allocations() - allocations_before;
+        let faults_after = jt.gos().proto_counters();
+
+        assert_eq!(allocated, 0, "{reads} hits over mid-run objects reached the allocator");
+        assert_eq!(
+            (faults_after.real_faults, faults_after.false_invalid_faults),
+            (faults_before.real_faults, faults_before.false_invalid_faults),
+            "the measured reads were all hits"
+        );
+        jt.barrier();
+    });
+}

@@ -177,8 +177,6 @@ proptest! {
             r.object(id_r).set_sampled(sampled == 1);
             objs.push(id_n);
         }
-        // The cluster freezes the table before threads run; exercise that path too.
-        g.freeze_object_table();
 
         let mut m = Mimic::new(n_threads, n_nodes);
 

@@ -15,8 +15,8 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> tcm_reduce smoke (exactness incl. N=1024 tree lane + sketch-at-dense identity)"
 JESSY_SCALE=small cargo bench -p jessy-bench --bench tcm_reduce
