@@ -107,22 +107,29 @@ pub struct ObjectCore {
     version: AtomicU64,
     home_data: Mutex<Vec<f64>>,
     refs: Mutex<Vec<ObjectId>>,
-    /// The thread this object is still *local* to — it allocated the object
-    /// mid-run and nothing has made it reachable by anyone else — or
-    /// [`NOT_LOCAL`]. Set once, right after allocation
-    /// ([`ObjectCore::set_local_to`]); cleared for good
-    /// ([`ObjectCore::publish`]) by a reference edge to it, by any other
-    /// thread's arena gaining an entry, and by home migration. While it
-    /// stands, the owner's home hits touch nothing another task can observe,
-    /// so the runtime schedules them like cache hits (DESIGN.md §15). Stores
-    /// are `Release` and the load `Acquire`; the payload it speaks for sits
-    /// behind `home_data`'s own lock, and under the executor every store and
-    /// load is already ordered by the run token's hand-off.
+    /// Who holds an arena entry for the object: nobody yet ([`UNCLAIMED`], how
+    /// every object starts, whoever allocated it), exactly one thread (its
+    /// id), or — for good — possibly several ([`SHARED`]). The first thread
+    /// whose arena gains an entry claims the object and its re-arrival after
+    /// a migration changes nothing; any other thread's arrival shares it
+    /// ([`ObjectCore::arrive`]), as do a reference edge to it and home
+    /// migration, from any state ([`ObjectCore::publish`]). While one thread
+    /// holds the only entry, nobody else has a copy, receives the object's
+    /// notices or has fetched it, so the holder's home hits touch nothing
+    /// another task can observe and the runtime schedules them like cache
+    /// hits (DESIGN.md §15). The claim is a compare-exchange — `Gos` may be
+    /// driven free-threaded, and two racing first touchers must not both
+    /// own; it is `AcqRel`, the stores `Release` and the loads `Acquire`. The
+    /// payload the word speaks for sits behind `home_data`'s own lock, and
+    /// under the executor every store and load is already ordered by the run
+    /// token's hand-off.
     local_to: AtomicU32,
 }
 
-/// `local_to` value of an object that is (or may be) shared.
-const NOT_LOCAL: u32 = u32::MAX;
+/// `local_to` value of an object more than one thread holds, or may hold.
+const SHARED: u32 = u32::MAX;
+/// `local_to` value of an object no thread has touched yet.
+const UNCLAIMED: u32 = u32::MAX - 1;
 
 impl ObjectCore {
     /// Create a home copy with a zeroed payload.
@@ -149,32 +156,40 @@ impl ObjectCore {
             version: AtomicU64::new(0),
             home_data: Mutex::new(vec![0.0; len_words as usize]),
             refs: Mutex::new(Vec::new()),
-            local_to: AtomicU32::new(NOT_LOCAL),
+            local_to: AtomicU32::new(UNCLAIMED),
         }
     }
 
-    /// Mark a freshly allocated object as local to `thread`, its allocator.
-    /// Call at most once, before the id can have reached any other thread;
-    /// objects allocated before the run (setup code hands their ids to every
-    /// thread) are never local.
+    /// `thread`'s arena gained an entry for the object. The first arriver
+    /// claims it; the owner arriving again (its arena was dropped by its own
+    /// migration) changes nothing; anybody else's arrival shares it for good.
     #[inline]
-    pub fn set_local_to(&self, thread: ThreadId) {
-        debug_assert_ne!(thread.0, NOT_LOCAL);
-        self.local_to.store(thread.0, Ordering::Release);
+    pub fn arrive(&self, thread: ThreadId) {
+        debug_assert!(thread.0 < UNCLAIMED);
+        let claim = self.local_to.compare_exchange(
+            UNCLAIMED,
+            thread.0,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
+        if claim.is_err_and(|holder| holder != thread.0) {
+            self.publish();
+        }
     }
 
-    /// Is the object still local to `thread` (allocated by it, never shared)?
+    /// Does `thread` hold the only arena entry for the object?
     #[inline]
     pub fn is_local_to(&self, thread: ThreadId) -> bool {
         self.local_to.load(Ordering::Acquire) == thread.0
     }
 
-    /// The object became reachable by other threads — it is the target of a
-    /// reference edge, another thread's arena gained an entry for it, or its
-    /// home moved: it stops being local, for good.
+    /// The object became reachable by threads that hold no entry for it — it
+    /// is the target of a reference edge or its home moved — or a second
+    /// thread's arena gained an entry: it is shared, for good, whatever state
+    /// it was in.
     #[inline]
     pub fn publish(&self) {
-        self.local_to.store(NOT_LOCAL, Ordering::Release);
+        self.local_to.store(SHARED, Ordering::Release);
     }
 
     /// The object's outgoing reference fields — the connectivity graph that sticky-set
@@ -278,6 +293,7 @@ impl ObjectCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn core() -> ObjectCore {
         ObjectCore::new(ObjectId(7), ClassId(1), NodeId(2), 4, 4, 100, false, true)
@@ -321,14 +337,78 @@ mod tests {
         assert_eq!(o.with_refs(|r| r.to_vec()), o.refs());
     }
 
+    /// Which of threads 0..4 the object is local to.
+    fn holders(o: &ObjectCore) -> Vec<u32> {
+        (0..4).filter(|&t| o.is_local_to(ThreadId(t))).collect()
+    }
+
     #[test]
-    fn local_ownership_is_cleared_for_good() {
+    fn the_first_arriver_owns_until_a_second_thread_arrives() {
         let o = core();
-        assert!(!o.is_local_to(ThreadId(0)), "objects start shared");
-        o.set_local_to(ThreadId(3));
-        assert!(o.is_local_to(ThreadId(3)) && !o.is_local_to(ThreadId(0)));
-        o.publish();
-        assert!(!o.is_local_to(ThreadId(3)));
+        assert!(holders(&o).is_empty(), "objects start unclaimed");
+        o.arrive(ThreadId(3));
+        assert_eq!(holders(&o), [3]);
+        o.arrive(ThreadId(3));
+        assert_eq!(holders(&o), [3], "the owner's re-arrival changes nothing");
+        o.arrive(ThreadId(1));
+        assert!(holders(&o).is_empty(), "the second arriver does not take over");
+        o.arrive(ThreadId(3));
+        o.arrive(ThreadId(2));
+        assert!(holders(&o).is_empty(), "shared for good");
+    }
+
+    #[test]
+    fn publish_shares_from_every_state() {
+        let unclaimed = core();
+        unclaimed.publish();
+        unclaimed.arrive(ThreadId(2));
+        assert!(holders(&unclaimed).is_empty(), "published before anyone arrived");
+
+        let owned = core();
+        owned.arrive(ThreadId(0));
+        owned.publish();
+        assert!(holders(&owned).is_empty());
+        owned.arrive(ThreadId(0));
+        assert!(holders(&owned).is_empty(), "the former owner does not reclaim");
+
+        let shared = core();
+        shared.arrive(ThreadId(0));
+        shared.arrive(ThreadId(1));
+        shared.publish();
+        assert!(holders(&shared).is_empty());
+    }
+
+    proptest! {
+        /// Any sequence of arrivals (ops 0–3: that thread) and publications
+        /// (op 4), checked after every step against the three-state machine.
+        #[test]
+        fn ownership_follows_the_three_state_machine(
+            ops in prop::collection::vec(0u32..5, 0..24),
+        ) {
+            let o = core();
+            let mut first_arriver = None;
+            let mut shared = false;
+            let mut ever_owned = Vec::new();
+            for op in ops {
+                if op == 4 {
+                    o.publish();
+                    shared = true;
+                } else {
+                    o.arrive(ThreadId(op));
+                    shared |= first_arriver.is_some_and(|first| first != op);
+                    first_arriver.get_or_insert(op);
+                }
+                let now = holders(&o);
+                if shared {
+                    prop_assert!(now.is_empty(), "shared, yet local to {now:?}");
+                } else {
+                    prop_assert_eq!(&now, &Vec::from_iter(first_arriver));
+                }
+                ever_owned.extend(now);
+                ever_owned.dedup();
+                prop_assert!(ever_owned.len() <= 1, "owned in turn by {ever_owned:?}");
+            }
+        }
     }
 
     #[test]

@@ -311,13 +311,11 @@ impl ObjectTable {
 
 /// Create `space`'s entry for `core` — every way an arena gains an entry
 /// (first touch, connectivity prefetch, migration prefetch) comes through
-/// here, so this is where an object stops being local to *another* thread
-/// (its allocator's own arena regaining an entry, after a migration, shares
-/// nothing).
+/// here, so this is the one place an object is claimed by the first thread
+/// to hold an entry for it and shared by the second
+/// ([`ObjectCore::arrive`]).
 fn insert_entry(space: &mut ThreadSpace, core: &ObjectCore, at_home: bool) {
-    if !core.is_local_to(space.thread()) {
-        core.publish();
-    }
+    core.arrive(space.thread());
     space.insert(core.id, at_home);
 }
 
@@ -530,8 +528,9 @@ impl Gos {
         Arc::clone(self.object_ref(id))
     }
 
-    /// Is `obj` still local to `thread` — allocated by it mid-run and never
-    /// published, touched by another thread or re-homed
+    /// Does `thread` hold the only arena entry for `obj` — it touched the
+    /// object first, and since then no other thread has touched or prefetched
+    /// it and it has not been published or re-homed
     /// ([`ObjectCore::is_local_to`])? The runtime asks before every hit on a
     /// quiet home-resident entry.
     #[inline]
@@ -540,7 +539,7 @@ impl Gos {
     }
 
     /// Append the reference edge `from → to`. The edge makes `to` reachable by
-    /// whoever can reach `from`, so `to` stops being thread-local.
+    /// whoever can reach `from`, so `to` is shared from here on, held or not.
     pub fn add_ref(&self, from: ObjectId, to: ObjectId) {
         self.core(to).publish();
         self.core(from).add_ref(to);
@@ -1097,7 +1096,7 @@ impl Gos {
     ///
     /// The home payload transfer is accounted (`ObjData` old-home → new-home) and a
     /// write notice is posted so every cached copy revalidates against the new home.
-    /// A re-homed object is no longer local to its allocator ([`ObjectCore::publish`]).
+    /// A re-homed object is shared, whoever held it ([`ObjectCore::publish`]).
     /// Threads holding a stale home-resident view are repaired when they next apply
     /// notices. Returns `false` if the home was already `dest`.
     pub fn migrate_home(&self, obj: ObjectId, dest: NodeId, clock: &ClockHandle) -> bool {

@@ -541,26 +541,23 @@ fn private_hit(g: &Gos, space: &ThreadSpace, obj: jessy_gos::ObjectId) -> bool {
 fn thread_local_home_hits_are_private_until_the_object_is_shared() {
     let (g, c, mut s) = gos(2);
     let class = g.classes().register_scalar("Scratch", 2);
-    // Five objects thread 0 allocates for itself at its own node, and one the
-    // setup code allocated (never local).
+    // Five objects homed at thread 0's node that thread 0 touches first, and
+    // one homed at thread 1's node that thread 0 also reaches first.
     let local: Vec<_> = (0..5)
-        .map(|_| {
-            let core = g.alloc_scalar(NodeId(0), class, &c[0], None);
-            core.set_local_to(ThreadId(0));
-            core.id
-        })
+        .map(|_| g.alloc_scalar(NodeId(0), class, &c[0], None).id)
         .collect();
-    let preset = g.alloc_scalar(NodeId(0), class, &c[0], None).id;
+    let remote = g.alloc_scalar(NodeId(1), class, &c[0], None).id;
     let sink = g.alloc_scalar(NodeId(0), class, &c[0], None).id;
 
-    // Untouched: the first touch enters the service routine, never private.
+    // Untouched: nobody owns it, and the first touch enters the service
+    // routine, never private.
+    assert!(!g.is_local_to(local[0], ThreadId(0)), "objects start unclaimed");
     assert!(!private_hit(&g, &s[0], local[0]));
-    for &obj in local.iter().chain([&preset]) {
+    for &obj in local.iter().chain([&remote]) {
         g.write(&mut s[0], NodeId(0), obj, &c[0], |d| d[0] = 1.0);
     }
     assert!(local.iter().all(|&o| private_hit(&g, &s[0], o)));
-    assert!(!private_hit(&g, &s[0], preset), "setup-allocated: shared from birth");
-    assert!(!g.is_local_to(local[0], ThreadId(1)), "local to its allocator only");
+    assert!(!g.is_local_to(local[0], ThreadId(1)), "local to its first toucher only");
 
     // An armed trap makes the hit visible whatever the ownership.
     s[0].arm_traps([local[0]]);
@@ -580,6 +577,13 @@ fn thread_local_home_hits_are_private_until_the_object_is_shared() {
     }
     // Thread 1's cache copy of it is private the way cache copies always were.
     assert!(private_hit(&g, &s[1], local[0]));
+
+    // Arriving first from another node claims too, and the home-node thread,
+    // arriving second, shares: its home hits are visible from the start.
+    assert!(g.is_local_to(remote, ThreadId(0)));
+    g.write(&mut s[1], NodeId(1), remote, &c[1], |d| d[0] = 2.0);
+    assert!(!g.is_local_to(remote, ThreadId(0)) && !g.is_local_to(remote, ThreadId(1)));
+    assert!(!private_hit(&g, &s[1], remote));
 }
 
 #[test]
@@ -615,11 +619,12 @@ fn connectivity_prefetch_shares_what_it_installs() {
     let board = ClockBoard::new(2);
     let c0 = board.handle(ThreadId(0));
     let c1 = board.handle(ThreadId(1));
+    let mut s0 = ThreadSpace::new(ThreadId(0));
     let mut s1 = ThreadSpace::new(ThreadId(1));
     let class = g.classes().register_scalar("Node", 1);
     let head = g.alloc_scalar(NodeId(0), class, &c0, None);
     let tail = g.alloc_scalar(NodeId(0), class, &c0, None);
-    tail.set_local_to(ThreadId(0));
+    g.write(&mut s0, NodeId(0), tail.id, &c0, |d| d[0] = 1.0);
     head.add_ref(tail.id);
     assert!(g.is_local_to(tail.id, ThreadId(0)));
     g.read(&mut s1, NodeId(1), head.id, &c1, |_| {});

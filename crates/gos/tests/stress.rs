@@ -282,3 +282,60 @@ fn concurrent_allocation_and_lookup_share_one_append_only_table() {
         assert!(std::panic::catch_unwind(lookup).is_err(), "o{past_the_end} must not resolve");
     }
 }
+
+#[test]
+fn racing_first_touches_never_leave_an_object_with_two_owners() {
+    // Free-threaded again: eight OS threads first-touch the same 224 set-up
+    // objects at once, each starting at a different one, plus 32 objects only
+    // one of them ever touches.
+    const THREADS: u32 = 8;
+    const CONTENDED: usize = 224;
+    const TOTAL: usize = 256;
+    let (g, board) = cluster(2, THREADS as usize);
+    let class = g.classes().register_scalar("X", 1);
+    let c0 = board.handle(ThreadId(0));
+    let objs: Arc<Vec<ObjectId>> = Arc::new(
+        (0..TOTAL)
+            .map(|i| g.alloc_scalar(NodeId((i % 2) as u16), class, &c0, None).id)
+            .collect(),
+    );
+    // Per object: how many threads saw themselves as its owner after arriving.
+    let claims: Arc<Vec<AtomicU32>> = Arc::new((0..TOTAL).map(|_| AtomicU32::new(0)).collect());
+    let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
+
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (g, objs, claims, start) =
+                (Arc::clone(&g), Arc::clone(&objs), Arc::clone(&claims), Arc::clone(&start));
+            let clock = board.handle(ThreadId(t));
+            std::thread::spawn(move || {
+                let node = NodeId((t % 2) as u16);
+                let mut space = ThreadSpace::new(ThreadId(t));
+                let contended = (0..CONTENDED).map(|k| (k + t as usize * 28) % CONTENDED);
+                let sole = (CONTENDED..TOTAL).filter(|i| i % THREADS as usize == t as usize);
+                start.wait();
+                for i in contended.chain(sole) {
+                    g.read(&mut space, node, objs[i], &clock, |_| {});
+                    if g.is_local_to(objs[i], ThreadId(t)) {
+                        claims[i].fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+
+    for (i, &obj) in objs.iter().enumerate() {
+        let owners: Vec<u32> = (0..THREADS).filter(|&t| g.is_local_to(obj, ThreadId(t))).collect();
+        let claimed = claims[i].load(Ordering::Relaxed);
+        assert!(claimed <= 1, "{obj}: {claimed} threads believed they owned it");
+        if i < CONTENDED {
+            assert!(owners.is_empty(), "{obj}: all eight arrived, still local to {owners:?}");
+        } else {
+            assert_eq!(owners, [(i % THREADS as usize) as u32], "{obj}: one thread arrived");
+            assert_eq!(claimed, 1);
+        }
+    }
+}

@@ -112,7 +112,8 @@ impl JThread {
     /// directly after one only *owe* their yield; the next visible action pays
     /// it first. *Private* actions — an access that hits a valid, un-armed
     /// cache copy in this thread's own arena or the quiet home entry of an
-    /// object still local to this thread ([`JThread::alloc_scalar`]), and the
+    /// object only this thread holds an entry for (it touched the object
+    /// first and nobody has since: `ObjectCore::arrive`), and the
     /// one `compute` call that directly follows an access (the work on the
     /// datum just touched: the two form a step) — pay nothing and leave the
     /// yield owed. Visible actions therefore interleave across threads in
@@ -214,11 +215,12 @@ impl JThread {
     /// Open an access to `obj`: pay the owed yield first unless the access is
     /// private (see [`JThread::yield_now`]) — a hit on a usable cache copy with
     /// no trap armed touches this thread's arena only, and a hit on the quiet
-    /// home entry of an object this thread allocated and nobody else can reach
-    /// touches a payload no other task reads or writes. Every other home hit
+    /// home entry of an object nobody else holds an entry for touches a
+    /// payload no other task has fetched or flushes into. Every other home hit
     /// is visible (fetches read and diff flushes write the home payload), as
-    /// are first touches, faults and armed traps (they reach the fabric, the
-    /// gap table or the OAL).
+    /// are first touches — one of which is how a second holder arrives —
+    /// faults and armed traps (they reach the fabric, the gap table or the
+    /// OAL).
     #[inline]
     fn begin_access(&mut self, obj: ObjectId) {
         let private = self
@@ -286,12 +288,14 @@ impl JThread {
 
     /// Allocate a zeroed scalar at this thread's node (a visible action: it
     /// draws from the global object table and the class's sequence numbers).
-    /// The object starts *local* to this thread: until it is published
-    /// ([`JThread::add_ref`] / [`JThread::set_refs`] target), touched by
-    /// another thread or re-homed, hits on its home entry are private. Handing
-    /// its id to another thread by any other route is a race on the first
-    /// share: still replayed bit for bit, but ordered by where this thread's
-    /// lookahead stood, not by virtual time.
+    /// The object starts *unclaimed*, like every object: allocating marks
+    /// nothing. This thread's first touch (visible) claims it, and from then
+    /// until it is published ([`JThread::add_ref`] / [`JThread::set_refs`]
+    /// target), touched by another thread or re-homed, hits on its home entry
+    /// are private. Handing its id to another thread by any other route, with
+    /// no lock or barrier before that thread's first touch, is a race on the
+    /// first share: still replayed bit for bit, but ordered by where this
+    /// thread's lookahead stood, not by virtual time.
     pub fn alloc_scalar(&mut self, class: ClassId) -> Arc<ObjectCore> {
         self.pay_owed_yield();
         let core = self
@@ -301,8 +305,8 @@ impl JThread {
         self.adopt_new_object(core)
     }
 
-    /// Allocate a zeroed array at this thread's node (a visible action, and
-    /// local to this thread, like [`JThread::alloc_scalar`]).
+    /// Allocate a zeroed array at this thread's node (a visible action;
+    /// unclaimed until first touched, like [`JThread::alloc_scalar`]).
     pub fn alloc_array(&mut self, class: ClassId, len_elems: u32) -> Arc<ObjectCore> {
         self.pay_owed_yield();
         let core = self
@@ -312,17 +316,15 @@ impl JThread {
         self.adopt_new_object(core)
     }
 
-    /// Sampling tag and local ownership of an object this thread just
-    /// allocated.
+    /// Sampling tag of an object this thread just allocated.
     fn adopt_new_object(&self, core: Arc<ObjectCore>) -> Arc<ObjectCore> {
         self.shared.prof.tag_new_object(&core);
-        core.set_local_to(self.thread);
         core
     }
 
     /// Add a reference edge in the object graph (a visible action: the edge
-    /// list is shared, and the edge publishes `to` — it stops being local to
-    /// its allocator).
+    /// list is shared, and the edge publishes `to` — it is shared from here
+    /// on, whoever held it).
     pub fn add_ref(&mut self, from: ObjectId, to: ObjectId) {
         self.pay_owed_yield();
         self.shared.gos.add_ref(from, to);

@@ -535,6 +535,14 @@ fn cmd_run(opts: &Options) {
     }
     println!("simulated execution : {:>12.2} ms", report.sim_exec_ms());
     println!("wall clock          : {:>12.2} ms", report.wall_ns as f64 / 1e6);
+    // What the simulator paid, not the simulated system: text summary only —
+    // `RunReport` must not move with how the executor reaches a schedule.
+    let handoffs = cluster.shared().exec.handoffs();
+    println!(
+        "executor hand-offs  : {:>12} ({:.3} per access)",
+        handoffs,
+        handoffs as f64 / report.proto.accesses.max(1) as f64
+    );
     println!("accesses            : {:>12}", report.proto.accesses);
     println!("object faults       : {:>12}", report.proto.real_faults);
     println!("correlation faults  : {:>12}", report.proto.false_invalid_faults);

@@ -17,11 +17,12 @@
 //! `SCHEDULE_IDENTITY_PRINT=1 cargo test --release --test schedule_identity -- --nocapture`.
 //!
 //! Since the contract was tightened (a scheduling point precedes every visible
-//! action and none follows; hits on thread-local objects are private) the file
-//! also holds a differential oracle that needs no recorded constant — the same
-//! program with an explicit scheduling point after every access and compute
-//! call — hand-off budgets that replay exactly, the ways an object stops being
-//! thread-local, and a deliberately racy first share.
+//! action and none follows; home hits on an object only this thread holds an
+//! entry for are private) the file also holds a differential oracle that needs
+//! no recorded constant — the same program with an explicit scheduling point
+//! after every access and compute call — hand-off budgets that replay exactly
+//! for all six workloads, the ways an object stops being private to its first
+//! toucher, and two deliberately racy first shares.
 
 use std::sync::{Arc, OnceLock};
 
@@ -497,13 +498,34 @@ fn thread_local_scratch_objects_do_not_hand_the_token_off() {
     });
 }
 
-/// SOR's rows are allocated by the setup code, so every home hit stays visible
-/// — but each is preceded by one scheduling point and followed by none (1.298
-/// hand-offs per access while a yield also followed).
+/// A visible access is preceded by one scheduling point and followed by none
+/// (SOR: 1.298 hand-offs per access while a yield also followed, 1.004 while
+/// every home hit on a set-up object was visible). SOR's interior rows are
+/// only ever touched by the thread that sweeps them, so quiet hits on them are
+/// private; what still hands off is the first access to each row per interval
+/// (its trap is armed), the boundary rows two threads touch, and the barriers.
 #[test]
 fn a_visible_access_costs_one_scheduling_point() {
-    assert_handoff_budget("sor small 8/8", 8, 8, 1.05, |c| {
+    assert_handoff_budget("sor small 8/8", 8, 8, 0.50, |c| {
         WorkloadKind::Sor.run_on(c, WorkloadPreset::Small)
+    });
+}
+
+/// The other three workloads, so a schedule-cost regression on any of the six
+/// shows as a count, not as wall-clock. Water-Spatial is compute-only
+/// stretches between molecule reads, LU a handful of block accesses between
+/// barriers (3.2 hand-offs per access, nearly all of them barrier wake-ups),
+/// `phase_shift` cells that a pair of threads sweeps together.
+#[test]
+fn the_remaining_workloads_keep_their_handoff_budgets() {
+    assert_handoff_budget("water small 8/8", 8, 8, 0.75, |c| {
+        WorkloadKind::WaterSpatial.run_on(c, WorkloadPreset::Small)
+    });
+    assert_handoff_budget("lu small 8/8", 8, 8, 3.3, |c| {
+        WorkloadKind::Lu.run_on(c, WorkloadPreset::Small)
+    });
+    assert_handoff_budget("phase_shift small 8/8", 8, 8, 0.33, |c| {
+        phase_shift::run_on(c, phase_shift::PhaseShiftConfig::small())
     });
 }
 
@@ -528,11 +550,11 @@ fn compute_only_stretches_still_yield_per_call() {
     );
 }
 
-// ------------------------------------------------------------------ thread-local objects
+// ------------------------------------------------------------------ sole-holder objects
 
 /// Two threads on two nodes, each looping `write` + `compute(5)` over one
-/// object of its own: allocated in the body (thread-local) or by the setup
-/// code (shared from birth). Returns the executor's hand-offs.
+/// object of its own that nobody else touches: allocated in the body or by
+/// the setup code. Returns the executor's hand-offs.
 fn own_object_loop_handoffs(allocate_in_body: bool) -> u64 {
     const ROUNDS: usize = 100;
     let mut cluster = Cluster::builder().nodes(2).threads(2).build();
@@ -558,19 +580,16 @@ fn own_object_loop_handoffs(allocate_in_body: bool) -> u64 {
     cluster.shared().exec.handoffs()
 }
 
-/// Objects a thread allocated and never published need no coordination: the
-/// two loops run back to back (404 hand-offs while home hits were visible
-/// and yields followed them). The same loop over setup-allocated objects still
-/// meets the other thread once per round.
+/// Objects only one thread holds an entry for need no coordination, whoever
+/// allocated them: the two loops run back to back (404 hand-offs while home
+/// hits were visible and yields followed them; 204 over setup-allocated
+/// objects while those counted as shared from birth).
 #[test]
 fn loops_over_thread_local_objects_run_back_to_back() {
-    let local = own_object_loop_handoffs(true);
-    assert!(local < 10, "{local} hand-offs over thread-local objects");
-    let preset = own_object_loop_handoffs(false);
-    assert!(
-        (190..=215).contains(&preset),
-        "{preset} hand-offs over setup-allocated objects"
-    );
+    for (allocate_in_body, what) in [(true, "allocated mid-run"), (false, "setup-allocated")] {
+        let handoffs = own_object_loop_handoffs(allocate_in_body);
+        assert!(handoffs < 10, "{handoffs} hand-offs over {what} objects");
+    }
 }
 
 /// The classification `JThread` makes before an access.
@@ -579,37 +598,71 @@ fn is_private(jt: &JThread, obj: ObjectId) -> bool {
         .is_private_hit(obj, || jt.gos().is_local_to(obj, jt.thread_id()))
 }
 
-/// An object stops being private once it is the target of a reference edge,
-/// once another thread touches it and once its home moves; objects the setup
-/// code allocated never are.
+/// An object — here allocated by the setup code, which plays no part — is
+/// private to the first thread that touches it, and stops being so once a
+/// second thread touches it, once it is prefetched into another arena, once it
+/// is the target of a reference edge and once its home moves. Arriving first
+/// from another node claims too, so the home-node thread arriving second ends
+/// up sharing; the owner's own migration away and back gives nothing up.
 #[test]
 fn sharing_revokes_privacy() {
-    let cluster = Cluster::builder().nodes(2).threads(2).build();
-    let (class, root) = cluster.init(|ctx| {
+    let cluster = Cluster::builder()
+        .nodes(2)
+        .threads(2)
+        .prefetch_depth(1)
+        .build();
+    let (class, objs, remote) = cluster.init(|ctx| {
         let class = ctx.register_scalar_class("Node", 2);
-        (class, ctx.alloc_scalar_at(NodeId(0), class).id)
+        let objs: Vec<ObjectId> = (0..6)
+            .map(|_| ctx.alloc_scalar_at(NodeId(0), class).id)
+            .collect();
+        // A set-up edge: whoever fetches `objs[0]` gets `objs[1]` on the reply.
+        ctx.add_ref(objs[0], objs[1]);
+        (class, objs, ctx.alloc_scalar_at(NodeId(1), class).id)
     });
     let mut owner = cluster.adopt_thread(ThreadId(0));
     let mut other = cluster.adopt_thread(ThreadId(1));
-    let objs: Vec<ObjectId> = (0..5).map(|_| owner.alloc_scalar(class).id).collect();
+    let fresh = owner.alloc_scalar(class).id;
+    let is_local_to = |jt: &JThread, obj| jt.gos().is_local_to(obj, jt.thread_id());
+
     assert!(!is_private(&owner, objs[0]), "the first touch is visible");
-    for &obj in objs.iter().chain([&root]) {
+    assert!(!is_local_to(&owner, objs[0]) && !is_local_to(&owner, fresh));
+    for &obj in objs.iter().chain([&fresh, &remote]) {
         owner.write(obj, |d| d[0] = 1.0);
     }
-    assert!(objs.iter().all(|&o| is_private(&owner, o)));
-    assert!(!is_private(&owner, root));
+    assert!(objs.iter().chain([&fresh]).all(|&o| is_private(&owner, o)));
+    assert!(is_local_to(&owner, remote), "claimed from the other node");
 
-    owner.add_ref(root, objs[0]);
-    owner.set_refs(objs[0], vec![objs[1]]);
-    other.read(objs[2], |_| {});
+    other.read(objs[0], |_| {});
+    assert_eq!(other.space().access_state(objs[1]), Some(AccessState::Valid));
+    owner.add_ref(fresh, objs[2]);
+    owner.set_refs(fresh, vec![objs[3]]);
     assert!(owner
         .gos()
-        .migrate_home(objs[3], NodeId(1), owner.clock()));
-    for &obj in &objs[..4] {
+        .migrate_home(objs[4], NodeId(1), owner.clock()));
+    for &obj in &objs[..5] {
         assert!(!is_private(&owner, obj), "{obj} was shared");
     }
-    assert!(is_private(&owner, objs[4]), "the untouched one is still local");
-    assert!(is_private(&other, objs[2]), "a cache copy is private as ever");
+    assert!(is_private(&owner, objs[5]) && is_private(&owner, fresh));
+    assert!(
+        is_private(&other, objs[0]) && is_private(&other, objs[1]),
+        "cache copies are private as ever"
+    );
+
+    other.write(remote, |d| d[0] = 2.0);
+    assert!(!is_local_to(&owner, remote) && !is_local_to(&other, remote));
+    assert!(!is_private(&other, remote), "its home hits are visible from the start");
+
+    owner.migrate_to(NodeId(1), false);
+    assert!(!is_private(&owner, objs[5]), "first touch from the new node faults");
+    owner.write(objs[5], |d| d[0] += 1.0);
+    assert_eq!(owner.space().access_state(objs[5]), Some(AccessState::Valid));
+    assert!(is_local_to(&owner, objs[5]), "nobody else came");
+    owner.migrate_to(NodeId(0), false);
+    owner.write(objs[5], |d| d[0] += 1.0);
+    assert_eq!(owner.space().access_state(objs[5]), Some(AccessState::Home));
+    assert!(is_private(&owner, objs[5]));
+    assert_eq!(owner.read(objs[5], |d| d[0]), 3.0);
 }
 
 /// The owner's own migration shares nothing: its entry becomes a cache copy on
@@ -707,6 +760,35 @@ fn observe(seen: &Observed, thread: usize, value: f64) {
     seen.lock().push((thread, value));
 }
 
+/// The two middle phases the sharing programs have in common, each closed by
+/// a barrier: read the neighbour's object `theirs` a few times; then keep
+/// writing `mine` under `lock`, reading `theirs` outside it. `before_barrier`
+/// runs at the end of the first.
+fn share_under_sync(
+    d: &mut Driver<'_>,
+    seen: &Observed,
+    (mine, theirs, lock): (ObjectId, ObjectId, LockId),
+    before_barrier: impl FnOnce(&mut Driver<'_>),
+) {
+    let t = d.jt.thread_id().index();
+    for _ in 0..4 {
+        observe(seen, t, d.read(theirs, |p| p[0]));
+        d.compute(30);
+    }
+    before_barrier(d);
+    d.jt.barrier();
+
+    for _ in 0..3 {
+        d.jt.lock(lock);
+        d.write(mine, |p| p[1] += 1.0);
+        d.compute(15);
+        d.jt.unlock(lock);
+        observe(seen, t, d.read(theirs, |p| p[1]));
+        d.compute(25 + 3 * t as u64);
+    }
+    d.jt.barrier();
+}
+
 /// Build privately, publish, share: every thread allocates an object, fills it
 /// with a dozen writes, hangs it off its own pre-allocated root and enters a
 /// barrier; then reads its neighbour's object while the owners keep writing
@@ -739,21 +821,7 @@ fn build_publish_share(cluster: &mut Cluster, per_access: bool, seen: &Observed)
             d.jt.gos().object(roots[owner % THREADS]).refs()[0]
         };
         let theirs = object_of(&d, t + 1);
-        for _ in 0..4 {
-            observe(&seen, t, d.read(theirs, |p| p[0]));
-            d.compute(30);
-        }
-        d.jt.barrier();
-
-        for _ in 0..3 {
-            d.jt.lock(lock);
-            d.write(mine, |p| p[1] += 1.0);
-            d.compute(15);
-            d.jt.unlock(lock);
-            observe(&seen, t, d.read(theirs, |p| p[1]));
-            d.compute(25 + 3 * t as u64);
-        }
-        d.jt.barrier();
+        share_under_sync(&mut d, &seen, (mine, theirs, lock), |_| {});
 
         for _ in 0..10 {
             d.write(mine, |p| p[2] += 1.0);
@@ -761,6 +829,74 @@ fn build_publish_share(cluster: &mut Cluster, per_access: bool, seen: &Observed)
         }
         let slower = object_of(&d, t + 2);
         observe(&seen, t, d.read(slower, |p| p[2]));
+        d.jt.barrier();
+    });
+    cluster.report()
+}
+
+/// Claim by first touch, then share — on objects the setup code allocated,
+/// nothing published, nothing allocated mid-run. Every thread first-touches a
+/// block of three objects homed at its node and fills it with a dozen rounds
+/// of writes (thread 0 also reaches `stray`, homed two nodes away, before
+/// anyone there does); after a barrier it reads its neighbour's first object —
+/// the second toucher — and `stray`'s home-node thread arrives at `stray`; then
+/// the owners keep writing that first object under one lock while the
+/// neighbour re-reads it. The last phase is again the one a wrongly private
+/// home write would break: every owner writes its first object — two threads
+/// hold it by now — and an object still its own at its own pace, and the
+/// neighbour, whose copy the previous phase invalidated, re-fetches it
+/// unsynchronized, so the value fetched is the count of writes that precede
+/// the fetch in virtual time; thread 0 does the same to `stray`.
+fn claim_share(cluster: &mut Cluster, per_access: bool, seen: &Observed) -> RunReport {
+    const STRAY_HOME_THREAD: usize = 5;
+    let (blocks, stray, lock) = cluster.init(|ctx| {
+        let class = ctx.register_scalar_class("Row", 8);
+        let node_of = |t: usize| NodeId((t * NODES / THREADS) as u16);
+        let blocks: Vec<Vec<ObjectId>> = (0..THREADS)
+            .map(|t| {
+                (0..3)
+                    .map(|_| ctx.alloc_scalar_at(node_of(t), class).id)
+                    .collect()
+            })
+            .collect();
+        let stray = ctx.alloc_scalar_at(node_of(STRAY_HOME_THREAD), class).id;
+        (blocks, stray, ctx.register_lock())
+    });
+    let seen = Arc::clone(seen);
+    cluster.run(move |jt| {
+        let t = jt.thread_id().index();
+        let mut d = Driver { jt, per_access };
+        let (mine, inner) = (blocks[t][0], blocks[t][1]);
+        let theirs = blocks[(t + 1) % THREADS][0];
+        for k in 0..12 {
+            for &obj in &blocks[t] {
+                d.write(obj, |p| p[k % 8] += 1.0 + t as f64);
+                d.compute(20 + 7 * t as u64);
+            }
+        }
+        if t == 0 {
+            d.write(stray, |p| p[0] = 1.0);
+        }
+        d.jt.barrier();
+
+        share_under_sync(&mut d, &seen, (mine, theirs, lock), |d| {
+            if t == STRAY_HOME_THREAD {
+                observe(&seen, t, d.write(stray, |p| std::mem::replace(&mut p[0], 2.0)));
+            }
+        });
+
+        for _ in 0..10 {
+            d.write(mine, |p| p[2] += 1.0);
+            d.write(inner, |p| p[2] += 1.0);
+            if t == STRAY_HOME_THREAD {
+                d.write(stray, |p| p[2] += 1.0);
+            }
+            d.compute(10 + 5 * t as u64);
+        }
+        observe(&seen, t, d.read(theirs, |p| p[2]));
+        if t == 0 {
+            observe(&seen, t, d.read(stray, |p| p[2]));
+        }
         d.jt.barrier();
     });
     cluster.report()
@@ -823,14 +959,18 @@ fn traced(program: Program, per_access: bool) -> (String, String, Vec<(usize, f6
 }
 
 /// The contract without a recorded constant: dropping every scheduling point
-/// the owed-yield rule and thread-local objects drop changes neither the
-/// journal, nor the report, nor a single value read, of a program that first
-/// shares its objects through `add_ref` and synchronization — races on
-/// objects already shared included.
+/// the owed-yield rule and sole-holder objects drop changes neither the
+/// journal, nor the report, nor a single value read, of a program whose
+/// objects gain their second holder through `add_ref` or after
+/// synchronization — races on objects already shared included.
+/// Mutation-checked: with `ObjectCore::arrive` not sharing on a second
+/// thread's arrival, claim–share fails on the values read (the last phase's
+/// re-fetches see all ten writes instead of those that precede them).
 #[test]
 fn explicit_per_access_yields_change_nothing() {
-    let programs: [(&str, Program); 2] = [
+    let programs: [(&str, Program); 3] = [
         ("build-publish-share", build_publish_share),
+        ("claim-share", claim_share),
         ("sessions copy", sessions_copy),
     ];
     for (name, program) in programs {
@@ -844,14 +984,15 @@ fn explicit_per_access_yields_change_nothing() {
     }
 }
 
-// ------------------------------------------------------------------ a racy first share
+// ------------------------------------------------------------------ racy first shares
 
-/// Thread 0 allocates an object and keeps writing it; thread 1 learns its id
-/// through a host-side cell — no reference edge, no lock, no barrier — and
-/// reads it. That is a data race at the moment of first sharing: how many of
+/// Thread 0 first-touches an object — one it allocates, or one the setup code
+/// allocated — and keeps writing it; thread 1 learns its id through a
+/// host-side cell — no reference edge, no lock, no barrier — and reads it.
+/// That is a data race at the moment the second thread arrives: how many of
 /// the owner's writes the first read sees depends on how far the owner ran
 /// ahead, not on virtual time. Returns `(journal, report, values read)`.
-fn racy_first_share() -> (String, String, Vec<f64>) {
+fn racy_first_share(allocate_in_body: bool) -> (String, String, Vec<f64>) {
     let sink = JournalSink::shared();
     let mut cluster = Cluster::builder()
         .nodes(2)
@@ -859,7 +1000,7 @@ fn racy_first_share() -> (String, String, Vec<f64>) {
         .profiler(ProfilerConfig::tracking_at(SamplingRate::NX(1)))
         .trace(sink.clone())
         .build();
-    let (class, shared) = cluster.init(|ctx| {
+    let (class, preset) = cluster.init(|ctx| {
         let class = ctx.register_scalar_class("Racy", 2);
         (class, ctx.alloc_scalar_at(NodeId(0), class).id)
     });
@@ -868,7 +1009,11 @@ fn racy_first_share() -> (String, String, Vec<f64>) {
     let seen_out = Arc::clone(&seen);
     cluster.run(move |jt| {
         if jt.thread_id().0 == 0 {
-            let obj = jt.alloc_scalar(class).id;
+            let obj = if allocate_in_body {
+                jt.alloc_scalar(class).id
+            } else {
+                preset
+            };
             jt.write(obj, |d| d[0] = 1.0);
             leaked.set(obj).expect("set once");
             for k in 1..=200 {
@@ -876,7 +1021,7 @@ fn racy_first_share() -> (String, String, Vec<f64>) {
                 jt.compute(10);
                 if k % 50 == 0 {
                     // A visible action: the owner's lookahead ends here.
-                    jt.read(shared, |_| {});
+                    jt.yield_now();
                 }
             }
         } else {
@@ -899,15 +1044,26 @@ fn racy_first_share() -> (String, String, Vec<f64>) {
     )
 }
 
+fn assert_replays(run: impl Fn() -> (String, String, Vec<f64>)) {
+    let a = run();
+    let b = run();
+    assert!(!a.2.is_empty(), "the neighbour never saw the object");
+    assert_eq!(a.2, b.2, "values read must replay");
+    assert_eq!(a.0, b.0, "journal must replay");
+    assert_eq!(a.1, b.1, "report must replay");
+}
+
 /// A program that races on the first share is outside what HLRC defines, and
 /// outside the equivalence with the per-access schedule — but it is still a
 /// pure function of its inputs.
 #[test]
 fn a_racy_first_share_replays_byte_for_byte() {
-    let a = racy_first_share();
-    let b = racy_first_share();
-    assert!(!a.2.is_empty(), "the neighbour never saw the object");
-    assert_eq!(a.2, b.2, "values read must replay");
-    assert_eq!(a.0, b.0, "journal must replay");
-    assert_eq!(a.1, b.1, "report must replay");
+    assert_replays(|| racy_first_share(true));
+}
+
+/// The same race on an object the setup code allocated: both threads had its
+/// id all along, the owner merely got there first.
+#[test]
+fn a_racy_first_touch_of_a_setup_object_replays_byte_for_byte() {
+    assert_replays(|| racy_first_share(false));
 }
