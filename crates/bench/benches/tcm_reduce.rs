@@ -5,12 +5,11 @@
 //! per-object `Vec<ThreadId>` + dense N×N maps rebuilt every round) against the
 //! bitset/triangular pipeline (`TcmBuilder`: per-object thread bitsets, packed
 //! upper-triangular accrual, sparse per-class maps, capacity retained across
-//! rounds), plus the sharded reducer for context. Every variant must be
-//! bit-identical to the scalar reference.
+//! rounds). Every variant must be bit-identical to the scalar reference.
 //!
 //! Three lanes:
 //! - **X3** — the seed comparison: scalar reference vs bitset/triangular
-//!   builder vs sharded reducer at N∈{16,64,256}, every variant bit-identical.
+//!   builder at N∈{16,64,256}, bit-identical.
 //! - **X3b** — production scale: master-side round-close cost of the flat
 //!   coordinator (all per-thread OALs ingested and closed at the master) vs the
 //!   fabric aggregation tree (master merges ≤fanout subtree partials and folds
@@ -34,7 +33,7 @@ use std::time::Instant;
 
 use jessy_bench::TextTable;
 use serde::Serialize;
-use jessy_core::distributed::{ShardedTcmReducer, TreeTcmReducer};
+use jessy_core::distributed::TreeTcmReducer;
 use jessy_core::oal::{Oal, OalEntry};
 use jessy_core::tcm::reference::ScalarTcmBuilder;
 use jessy_core::{SketchTcm, TcmBuilder};
@@ -172,7 +171,6 @@ fn synth_hotpairs(n: usize, m: usize) -> Vec<Oal> {
 struct Report {
     bench: &'static str,
     mode: &'static str,
-    shards: usize,
     results: Vec<CellReport>,
     tree: Vec<TreeCellReport>,
     sketch: Vec<SketchCellReport>,
@@ -191,7 +189,6 @@ struct CellReport {
     scalar_close_ns: u64,
     bitset_ingest_ns: u64,
     bitset_close_ns: u64,
-    sharded_close_ns: u64,
     close_speedup: f64,
     bitset_close_mobj_per_s: f64,
     scalar_close_mobj_per_s: f64,
@@ -270,7 +267,6 @@ struct Cell {
     scalar_close_ns: u128,
     bitset_ingest_ns: u128,
     bitset_close_ns: u128,
-    sharded_close_ns: u128,
     identical: bool,
 }
 
@@ -316,7 +312,7 @@ fn steady_state<B>(
     (ingest_ns, close_ns)
 }
 
-fn measure(n: usize, m: usize, rounds: usize, shards: usize) -> Cell {
+fn measure(n: usize, m: usize, rounds: usize) -> Cell {
     let mut oals = synth(n, m);
     let entries = oals.iter().map(|o| o.entries.len()).sum::<usize>();
 
@@ -342,25 +338,12 @@ fn measure(n: usize, m: usize, rounds: usize, shards: usize) -> Cell {
         },
     );
 
-    let mut sharded = ShardedTcmReducer::new(shards, n);
-    let (_, sharded_close_ns) = steady_state(
-        &mut oals,
-        rounds,
-        &mut sharded,
-        |b, o| b.ingest(o),
-        |b| {
-            std::hint::black_box(b.close_round());
-        },
-    );
-
-    // Bit-identity of the cumulative maps: scalar reference vs bitset vs sharded.
-    let reduced = sharded.reduce();
+    // Bit-identity of the cumulative maps: scalar reference vs bitset.
     let mut identical = true;
     for i in 0..n as u32 {
         for j in 0..n as u32 {
             let (a, b) = (ThreadId(i), ThreadId(j));
             identical &= scalar.tcm().at(a, b).to_bits() == bitset.tcm().at(a, b).to_bits();
-            identical &= bitset.tcm().at(a, b).to_bits() == reduced.at(a, b).to_bits();
         }
     }
 
@@ -373,7 +356,6 @@ fn measure(n: usize, m: usize, rounds: usize, shards: usize) -> Cell {
         scalar_close_ns,
         bitset_ingest_ns,
         bitset_close_ns,
-        sharded_close_ns,
         identical,
     }
 }
@@ -572,7 +554,6 @@ fn main() {
         }
         s
     };
-    let shards = 4;
 
     let mut table = TextTable::new(&[
         "threads",
@@ -580,21 +561,19 @@ fn main() {
         "entries/round",
         "scalar close (ms)",
         "bitset close (ms)",
-        "4-shard close (ms)",
         "close speedup",
         "bitset Mobj/s",
         "identical",
     ]);
     let mut cells = Vec::new();
     for (n, m, rounds) in sweep {
-        let c = measure(n, m, rounds, shards);
+        let c = measure(n, m, rounds);
         table.row(&[
             c.n.to_string(),
             c.m.to_string(),
             c.entries.to_string(),
             format!("{:.2}", c.scalar_close_ns as f64 / 1e6 / c.rounds as f64),
             format!("{:.2}", c.bitset_close_ns as f64 / 1e6 / c.rounds as f64),
-            format!("{:.2}", c.sharded_close_ns as f64 / 1e6 / c.rounds as f64),
             format!("{:.2}x", c.close_speedup()),
             format!("{:.2}", c.close_mobj_s(c.bitset_close_ns)),
             c.identical.to_string(),
@@ -734,7 +713,6 @@ fn main() {
     let doc = Report {
         bench: "tcm_reduce",
         mode: "full",
-        shards,
         results: cells
             .iter()
             .map(|c| CellReport {
@@ -746,7 +724,6 @@ fn main() {
                 scalar_close_ns: c.scalar_close_ns as u64,
                 bitset_ingest_ns: c.bitset_ingest_ns as u64,
                 bitset_close_ns: c.bitset_close_ns as u64,
-                sharded_close_ns: c.sharded_close_ns as u64,
                 close_speedup: c.close_speedup(),
                 bitset_close_mobj_per_s: c.close_mobj_s(c.bitset_close_ns),
                 scalar_close_mobj_per_s: c.close_mobj_s(c.scalar_close_ns),

@@ -184,11 +184,6 @@ pub struct ProfilerConfig {
     /// still fold into the TCM but skip rate adaptation (a lossy round would look
     /// artificially different from its predecessor and trigger spurious refinement).
     pub min_round_coverage: f64,
-    /// Number of shards the master's TCM reducer spreads round closes over (Section
-    /// V's distributed deduction). `1` (the default) keeps the centralized serial
-    /// reducer; any value yields bit-identical maps, larger values let big rounds
-    /// close on parallel OS threads.
-    pub tcm_shards: usize,
     /// Snapshot the coordinator's profiling state (`ProfilerCheckpoint`) every this
     /// many closed TCM rounds, so a crashed master restarts from the snapshot and
     /// replays only post-checkpoint OALs. `None` disables checkpointing: a master
@@ -270,7 +265,6 @@ impl ProfilerConfig {
             tolerance_t: 2.0,
             round_deadline_intervals: None,
             min_round_coverage: 0.0,
-            tcm_shards: 1,
             checkpoint_every_rounds: None,
             quarantine_after_crashes: None,
             tcm_tree_fanout: 0,
@@ -360,13 +354,6 @@ impl ProfilerConfig {
                     "the per-round decay factor must lie in (0, 1]",
                 );
             }
-        }
-        if self.tcm_shards == 0 {
-            return err(
-                "tcm_shards",
-                self.tcm_shards.to_string(),
-                "the reducer needs at least one shard",
-            );
         }
         if self.checkpoint_every_rounds == Some(0) {
             return err(
@@ -562,7 +549,6 @@ mod tests {
             ),
             (ProfilerConfig { tcm_decay: Some(0.0), ..base }, "tcm_decay"),
             (ProfilerConfig { tcm_decay: Some(1.5), ..base }, "tcm_decay"),
-            (ProfilerConfig { tcm_shards: 0, ..base }, "tcm_shards"),
             (
                 ProfilerConfig { checkpoint_every_rounds: Some(0), ..base },
                 "checkpoint_every_rounds",

@@ -55,12 +55,9 @@ pub use config::{
     ConfigError, FootprintConfig, FootprintMode, ProfilerConfig, ShedPolicy, StackSamplingConfig,
     TcmBackend,
 };
-pub use distributed::{
-    merge_round_summaries, tree_parent, ShardedTcmReducer, SplitScratch, TcmPartial,
-    TreeEdge, TreeRoundStats, TreeTcmReducer,
-};
+pub use distributed::{tree_parent, TcmPartial, TreeEdge, TreeRoundStats, TreeTcmReducer};
 pub use homeaware::{HomeAwareAnalyzer, HomeAwareReport, HomeMigrationRec};
-pub use oal::{Oal, OalEntry, OalRef};
+pub use oal::{Oal, OalEntry};
 pub use pcct::{Pcct, PcctSampler};
 pub use profiler::{ProfilerShared, ProfilerStats, ThreadProfiler};
 pub use sampling::{GapTable, SamplingRate};

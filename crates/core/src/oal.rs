@@ -82,44 +82,6 @@ impl Oal {
                 .collect(),
         }
     }
-
-    /// Borrow this OAL as a zero-copy view.
-    pub fn as_view(&self) -> OalRef<'_> {
-        OalRef {
-            thread: self.thread,
-            interval: self.interval,
-            entries: &self.entries,
-        }
-    }
-}
-
-/// A borrowed view of an OAL (or a per-shard slice of one): same context, entries
-/// backed by someone else's buffer. Lets the sharded reducer split an OAL into shard
-/// slices without allocating an owned [`Oal`] per slice.
-#[derive(Debug, Clone, Copy)]
-pub struct OalRef<'a> {
-    /// The logging thread.
-    pub thread: ThreadId,
-    /// The thread's interval counter value.
-    pub interval: u64,
-    /// Logged accesses.
-    pub entries: &'a [OalEntry],
-}
-
-impl OalRef<'_> {
-    /// Serialized size on the wire (same accounting as [`Oal::wire_bytes`]).
-    pub fn wire_bytes(&self) -> usize {
-        OAL_CONTEXT_BYTES + self.entries.len() * OAL_ENTRY_BYTES
-    }
-
-    /// Materialize an owned [`Oal`] (clones the entries).
-    pub fn to_owned(&self) -> Oal {
-        Oal {
-            thread: self.thread,
-            interval: self.interval,
-            entries: self.entries.to_vec(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use jessy_gos::{ClassId, ObjectId};
 use jessy_net::ThreadId;
 
-use crate::oal::{Oal, OalEntry, OalRef};
+use crate::oal::Oal;
 
 /// Cells of the packed strict upper triangle for `n` threads.
 #[inline]
@@ -348,8 +348,7 @@ impl SparseTcm {
         self.merge_with(other, &mut scratch);
     }
 
-    /// [`SparseTcm::merge`] against a reusable scratch (mirroring
-    /// [`SplitScratch`](crate::distributed::SplitScratch)): the sorted union is
+    /// [`SparseTcm::merge`] against a reusable scratch: the sorted union is
     /// built in `scratch` and swapped in, so the displaced cell vector becomes the
     /// next merge's buffer and steady-state tree aggregation never allocates.
     pub fn merge_with(&mut self, other: &SparseTcm, scratch: &mut MergeScratch) {
@@ -747,7 +746,6 @@ pub struct TcmBuilder {
     /// Bitset words per object: `⌈n_threads/64⌉`.
     words: usize,
     tcm: Tcm,
-    per_class: HashMap<ClassId, Tcm>,
     // Round-local object index; all columns retain capacity across rounds.
     slots: HashMap<ObjectId, u32>,
     obj_class: Vec<ClassId>,
@@ -756,7 +754,6 @@ pub struct TcmBuilder {
     // Per-class round scratch, reused across rounds.
     class_slots: HashMap<ClassId, usize>,
     class_scratch: Vec<ClassScratch>,
-    intervals_ingested: u64,
     rounds_closed: u64,
     decay: f64,
 }
@@ -768,14 +765,12 @@ impl TcmBuilder {
             n_threads,
             words: n_threads.div_ceil(64).max(1),
             tcm: Tcm::new(n_threads),
-            per_class: HashMap::new(),
             slots: HashMap::new(),
             obj_class: Vec::new(),
             obj_bytes: Vec::new(),
             obj_bits: Vec::new(),
             class_slots: HashMap::new(),
             class_scratch: Vec::new(),
-            intervals_ingested: 0,
             rounds_closed: 0,
             decay: 1.0,
         }
@@ -792,21 +787,10 @@ impl TcmBuilder {
 
     /// Ingest one OAL: the `O(M·N)` reorganization step.
     pub fn ingest(&mut self, oal: &Oal) {
-        self.ingest_entries(oal.thread, &oal.entries);
-    }
-
-    /// Ingest a borrowed OAL slice (what sharded reducers receive from the split
-    /// scratch) without constructing an owned [`Oal`].
-    pub fn ingest_view(&mut self, oal: OalRef<'_>) {
-        self.ingest_entries(oal.thread, oal.entries);
-    }
-
-    fn ingest_entries(&mut self, thread: ThreadId, entries: &[OalEntry]) {
-        self.intervals_ingested += 1;
-        let t = thread.index();
+        let t = oal.thread.index();
         debug_assert!(t < self.n_threads);
         let (tw, tbit) = (t / 64, 1u64 << (t % 64));
-        for e in entries {
+        for e in &oal.entries {
             let slot = match self.slots.entry(e.obj) {
                 std::collections::hash_map::Entry::Occupied(o) => *o.get(),
                 std::collections::hash_map::Entry::Vacant(v) => {
@@ -824,20 +808,12 @@ impl TcmBuilder {
     }
 
     /// Fold the round's per-object bitsets into the map: the `O(M·N²)` accrual step,
-    /// now `O(M · pairs)` over set bits via trailing-zeros word iteration.
+    /// now `O(M · pairs)` over set bits via trailing-zeros word iteration. The
+    /// cumulative map is aged by the decay factor first, then gains the round's map.
     ///
     /// Returns the round's own (non-cumulative) maps — the "successive correlation
     /// matrices" the adaptive controller compares — plus the object count.
     pub fn close_round(&mut self) -> RoundSummary {
-        let summary = self.close_round_detached();
-        self.fold_round(&summary);
-        summary
-    }
-
-    /// Compute this round's maps and reset the round-local index **without** folding
-    /// into the cumulative map. Shards use this to produce partial maps that a driver
-    /// merges in shard-index order; pair it with [`TcmBuilder::fold_round`].
-    pub fn close_round_detached(&mut self) -> RoundSummary {
         let n = self.n_threads;
         let words = self.words;
         let m = self.obj_class.len();
@@ -912,6 +888,11 @@ impl TcmBuilder {
                 per_class.insert(class, sparse);
             }
         }
+        if self.decay < 1.0 {
+            self.tcm.scale(self.decay);
+        }
+        self.tcm.merge(&round_tcm);
+        self.rounds_closed += 1;
         RoundSummary {
             objects: m,
             tcm: round_tcm,
@@ -919,54 +900,20 @@ impl TcmBuilder {
         }
     }
 
-    /// Fold a round's maps into the cumulative state (decay, merge, round counter).
-    /// [`TcmBuilder::close_round`] = [`TcmBuilder::close_round_detached`] + this.
-    pub fn fold_round(&mut self, summary: &RoundSummary) {
-        if self.decay < 1.0 {
-            self.tcm.scale(self.decay);
-            for map in self.per_class.values_mut() {
-                map.scale(self.decay);
-            }
-        }
-        self.tcm.merge(&summary.tcm);
-        for (class, sparse) in &summary.per_class {
-            self.per_class
-                .entry(*class)
-                .or_insert_with(|| Tcm::new(self.n_threads))
-                .merge_sparse(sparse);
-        }
-        self.rounds_closed += 1;
-    }
-
     /// The accumulated global map.
     pub fn tcm(&self) -> &Tcm {
         &self.tcm
-    }
-
-    /// The accumulated per-class maps.
-    pub fn per_class(&self) -> &HashMap<ClassId, Tcm> {
-        &self.per_class
-    }
-
-    /// Intervals ingested so far.
-    pub fn intervals_ingested(&self) -> u64 {
-        self.intervals_ingested
     }
 
     /// Rounds closed so far.
     pub fn rounds_closed(&self) -> u64 {
         self.rounds_closed
     }
-
-    /// Objects pending in the current (unclosed) round.
-    pub fn pending_objects(&self) -> usize {
-        self.obj_class.len()
-    }
 }
 
 pub mod reference {
     //! The seed's scalar TCM reduction, retained as the exactness oracle for the
-    //! bitset/triangular/parallel pipeline and as the baseline of the `tcm_reduce`
+    //! bitset/triangular pipeline and as the baseline of the `tcm_reduce`
     //! bench: dense N×N matrices, a `Vec<ThreadId>` with a linear-scan dedup per
     //! object, a fresh `HashMap` + dense per-class maps every round.
     //!
@@ -1219,7 +1166,6 @@ mod tests {
         b.ingest(&oal(0, vec![entry(7, 100), entry(8, 50)]));
         b.ingest(&oal(1, vec![entry(7, 100)]));
         b.ingest(&oal(2, vec![entry(9, 64)]));
-        assert_eq!(b.pending_objects(), 3);
         let summary = b.close_round();
         assert_eq!(summary.objects, 3);
         assert_eq!(
@@ -1263,7 +1209,6 @@ mod tests {
         }
         assert_eq!(b.tcm().at(ThreadId(0), ThreadId(1)), 30.0);
         assert_eq!(b.rounds_closed(), 3);
-        assert_eq!(b.intervals_ingested(), 6);
     }
 
     #[test]
@@ -1338,13 +1283,15 @@ mod tests {
         b.ingest(&oal(1, vec![c1, c2]));
         let summary = b.close_round();
         assert_eq!(b.tcm().at(ThreadId(0), ThreadId(1)), 30.0);
-        assert_eq!(b.per_class()[&ClassId(1)].at(ThreadId(0), ThreadId(1)), 10.0);
-        assert_eq!(b.per_class()[&ClassId(2)].at(ThreadId(0), ThreadId(1)), 20.0);
         // The round's sparse maps carry only the touched pair.
         assert_eq!(summary.per_class[&ClassId(1)].len(), 1);
         assert_eq!(
             summary.per_class[&ClassId(1)].at(ThreadId(0), ThreadId(1)),
             10.0
+        );
+        assert_eq!(
+            summary.per_class[&ClassId(2)].at(ThreadId(0), ThreadId(1)),
+            20.0
         );
     }
 

@@ -255,14 +255,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Shard the master's TCM reducer `k` ways (default 1 = centralized serial). Any
-    /// value produces bit-identical maps; values > 1 let large rounds close on
-    /// parallel OS threads.
-    pub fn tcm_shards(mut self, k: usize) -> Self {
-        self.profiler.tcm_shards = k.max(1);
-        self
-    }
-
     /// Aggregate TCM partials up a k-ary fabric tree instead of shipping raw
     /// per-thread OALs to a flat coordinator (0 = flat, the default; values >= 2
     /// enable per-node pre-reduction; 1 is rejected by validation). Dense-backend

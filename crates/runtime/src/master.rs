@@ -71,11 +71,11 @@ use jessy_core::sampling::ClassGapState;
 use jessy_core::tcm::RoundSummary;
 use jessy_core::{
     BudgetCheckpoint, BudgetOutcome, BudgetedController, DegradeStep, DriftConfig,
-    HomeAwareAnalyzer, Oal, ProfilerConfig, RateCause, RoundOutcome, ShardedTcmReducer, SketchTcm,
-    SketchedTopKView, SparseTcm, Tcm, TcmBackend, TopKPairs, TreeTcmReducer,
+    HomeAwareAnalyzer, Oal, ProfilerConfig, RateCause, RoundOutcome, SketchTcm, SketchedTopKView,
+    SparseTcm, Tcm, TcmBackend, TcmBuilder, TopKPairs, TreeTcmReducer,
 };
 use jessy_gos::ClassId;
-use jessy_net::{Mailbox, MasterCrashWindow, MsgClass, NodeId, ThreadId};
+use jessy_net::{ClockHandle, Mailbox, MasterCrashWindow, MsgClass, NodeId, ThreadId};
 use jessy_obs::EventKind;
 
 use crate::cluster::ClusterShared;
@@ -702,7 +702,7 @@ impl MasterDaemon {
 struct Daemon {
     shared: Arc<ClusterShared>,
     config: ProfilerConfig,
-    builder: ShardedTcmReducer,
+    builder: TcmBuilder,
     /// Tree-mode reduction pipeline (`ProfilerConfig::tcm_tree_fanout >= 2`):
     /// replaces the flat `builder` for round reduction; the scheduler, epoch
     /// fencing, deadline and quarantine machinery are untouched.
@@ -766,8 +766,6 @@ struct Daemon {
     /// TCM accumulated before the last restore; the live `builder` only holds rounds
     /// closed since. `effective_tcm()` merges the two — exact for integer-valued f64.
     base_tcm: Option<Tcm>,
-    /// Rounds closed before the last restore (offsets `builder.rounds_closed()`).
-    rounds_base: u64,
     /// Latest snapshot, if checkpointing is on and one was taken.
     latest_checkpoint: Option<ProfilerCheckpoint>,
     /// Accepted OALs since the latest checkpoint (the durable WAL a restore replays).
@@ -829,41 +827,6 @@ impl Daemon {
         }
     }
 
-    fn fresh_reducer(&self) -> ShardedTcmReducer {
-        let mut b = ShardedTcmReducer::new(self.config.tcm_shards.max(1), self.shared.n_threads);
-        if let Some(decay) = self.config.tcm_decay {
-            b.set_decay(decay);
-        }
-        b
-    }
-
-    fn fresh_tree(&self) -> Option<TreeTcmReducer> {
-        let fanout = self.config.tcm_tree_fanout;
-        if fanout < 2 {
-            return None;
-        }
-        let mut t =
-            TreeTcmReducer::new(self.shared.n_threads, self.shared.n_nodes.max(1), fanout);
-        if let Some(decay) = self.config.tcm_decay {
-            t.set_decay(decay);
-        }
-        Some(t)
-    }
-
-    fn fresh_sketch(&self) -> Option<SketchTcm> {
-        match self.config.tcm_backend {
-            TcmBackend::Sketch { width, depth } if self.config.tcm_tree_fanout >= 2 => Some(
-                SketchTcm::new(self.shared.n_threads, width as usize, depth as usize),
-            ),
-            _ => None,
-        }
-    }
-
-    fn fresh_topk(&self) -> Option<TopKPairs> {
-        (self.config.tcm_top_k > 0)
-            .then(|| TopKPairs::new(self.shared.n_threads, self.config.tcm_top_k))
-    }
-
     fn fresh_controller(&self) -> Option<BudgetedController> {
         build_controller(&self.config)
     }
@@ -892,7 +855,7 @@ impl Daemon {
         } else if let Some(tree) = &self.tree {
             tree.tcm().clone()
         } else {
-            self.builder.reduce()
+            self.builder.tcm().clone()
         };
         if let Some(base) = &self.base_tcm {
             t.merge(base);
@@ -952,7 +915,6 @@ impl Daemon {
         match self.latest_checkpoint.clone() {
             Some(cp) => {
                 self.rounds = cp.rounds;
-                self.rounds_base = cp.rounds;
                 self.base_tcm = Some(cp.tcm);
                 self.scheduler = RoundScheduler::from_checkpoint(&cp.scheduler);
                 self.controller = self.fresh_controller();
@@ -984,7 +946,6 @@ impl Daemon {
                 // restarted master has no record to re-broadcast; the controller
                 // re-baselines against the rates currently in force.
                 self.rounds = 0;
-                self.rounds_base = 0;
                 self.base_tcm = None;
                 let quarantine = self.scheduler.quarantine_table();
                 self.scheduler = RoundScheduler::new(
@@ -1013,13 +974,12 @@ impl Daemon {
             // from what the replayed rounds re-accumulate.
             ha.clear();
         }
-        self.builder = self.fresh_reducer();
-        // Tree-mode state restarts from the checkpoint base: the replay log
-        // re-closes post-checkpoint rounds, refilling the tree/sketch/top-k in
-        // the same deterministic order the pre-crash master saw.
-        self.tree = self.fresh_tree();
-        self.sketch = self.fresh_sketch();
-        self.topk = self.fresh_topk();
+        // Reducer state restarts from the checkpoint base: the replay log
+        // re-closes post-checkpoint rounds, refilling the builder or the
+        // tree/sketch/top-k in the same deterministic order the pre-crash
+        // master saw.
+        (self.builder, self.tree, self.sketch, self.topk) =
+            fresh_reducers(&self.config, &self.shared);
         // The summary-only switch lives in worker-visible profiler state: re-sync
         // it to the restored ladder position (replay re-derives later rungs).
         if self.config.overhead_budget.is_some() {
@@ -1062,16 +1022,36 @@ impl Daemon {
         }
     }
 
+    /// The one place OALs become a [`RoundSummary`]: reduce one round's OALs (a
+    /// scheduler round, or the late fold at the end of the run) into the live
+    /// reducer — flat builder or tree — then age the restored base. The reducer
+    /// decays its own cumulative per close; the base must age in lockstep or the
+    /// merged map would over-weight pre-crash history.
+    fn reduce_round(&mut self, round: u64, oals: &[Oal]) -> RoundSummary {
+        let summary = if self.tree.is_some() {
+            self.close_round_tree(round, oals)
+        } else {
+            for oal in oals {
+                self.builder.ingest(oal);
+            }
+            self.builder.close_round()
+        };
+        if let (Some(decay), Some(base)) = (self.config.tcm_decay, self.base_tcm.as_mut()) {
+            base.scale(decay);
+        }
+        summary
+    }
+
     /// Tree-mode reduction of one round's OALs: leaf pre-reduction at each
     /// thread's node, owner shuffle, k-ary partial merge, then the backend fold
     /// (dense cumulative, or sketch + top-k). Accounts every real fabric hop as
     /// `MsgClass::TcmPartial` traffic and journals it. Returns the same
     /// `RoundSummary` a flat reducer would have produced, so the controller,
     /// timeline and coverage bookkeeping downstream run unchanged.
-    fn close_round_tree(&mut self, closed: &ClosedRound) -> RoundSummary {
+    fn close_round_tree(&mut self, round: u64, oals: &[Oal]) -> RoundSummary {
         let (stats, root) = {
             let tree = self.tree.as_mut().expect("tree mode");
-            for oal in &closed.oals {
+            for oal in oals {
                 let node = self.shared.node_of(oal.thread).0 as usize;
                 tree.ingest(node, oal);
             }
@@ -1100,7 +1080,7 @@ impl Daemon {
             self.shared.emit_event(
                 &clock,
                 EventKind::TcmPartialShipped {
-                    round: closed.round,
+                    round,
                     from: e.from,
                     to: e.to,
                     cells: e.cells,
@@ -1351,20 +1331,7 @@ impl Daemon {
                 ha.ingest(oal, &placement);
             }
         }
-        let summary = if self.tree.is_some() {
-            self.close_round_tree(&closed)
-        } else {
-            for oal in &closed.oals {
-                self.builder.ingest(oal);
-            }
-            let (_stats, summary) = self.builder.close_round();
-            summary
-        };
-        // The reducer decays its own cumulative per close; the restored base must
-        // age in lockstep or the merged map would over-weight pre-crash history.
-        if let (Some(decay), Some(base)) = (self.config.tcm_decay, self.base_tcm.as_mut()) {
-            base.scale(decay);
-        }
+        let summary = self.reduce_round(closed.round, &closed.oals);
         self.build_ns += t0.elapsed().as_nanos() as u64;
         self.rounds += 1;
         self.objects_organized += summary.objects as u64;
@@ -1395,22 +1362,7 @@ impl Daemon {
             match outcome {
                 BudgetOutcome::Adapted(RoundOutcome::Applied(changes)) => {
                     for ch in changes {
-                        // Broadcast the change notice to every worker node (accounted)
-                        // and run the resampling walk.
-                        for n in 0..self.shared.n_nodes {
-                            self.shared.gos.fabric().account_async(
-                                NodeId::MASTER,
-                                NodeId(n as u16),
-                                MsgClass::RateChange,
-                                16,
-                            );
-                        }
-                        let visited = apply_rate_change(
-                            &self.shared.gos,
-                            self.shared.prof.gaps(),
-                            ch.class,
-                            &clock,
-                        );
+                        let visited = broadcast_rate_change(&self.shared, ch.class, &clock);
                         let class_name = self.shared.gos.classes().info(ch.class).name;
                         let new_rate = ch.new_state.rate.label();
                         let drift = ch.cause == RateCause::Drift;
@@ -1475,23 +1427,9 @@ impl Daemon {
                     match &step {
                         DegradeStep::CoarsenRate { class, .. } => {
                             // The controller already coarsened the gap table;
-                            // broadcast the change notice and run the
-                            // resampling walk exactly as an accuracy-driven
-                            // rate change would.
-                            for n in 0..self.shared.n_nodes {
-                                self.shared.gos.fabric().account_async(
-                                    NodeId::MASTER,
-                                    NodeId(n as u16),
-                                    MsgClass::RateChange,
-                                    16,
-                                );
-                            }
-                            apply_rate_change(
-                                &self.shared.gos,
-                                self.shared.prof.gaps(),
-                                *class,
-                                &clock,
-                            );
+                            // the workers hear of it exactly as they would of an
+                            // accuracy-driven rate change.
+                            broadcast_rate_change(&self.shared, *class, &clock);
                         }
                         DegradeStep::SummaryOnly => self.shared.prof.set_summary_only(true),
                         DegradeStep::MergeRounds { .. } | DegradeStep::Exhausted => {}
@@ -1604,26 +1542,60 @@ impl Daemon {
         let late = self.scheduler.take_late();
         if !late.is_empty() {
             let t0 = Instant::now();
-            let summary = if self.tree.is_some() {
-                // The late fold rides the same tree pipeline (and pays the same
-                // partial-TCM fabric bytes) as a regular round.
-                self.close_round_tree(&ClosedRound {
-                    round: self.rounds,
-                    oals: late,
-                    coverage: 0.0,
-                    deadline_hit: false,
-                })
-            } else {
-                for oal in &late {
-                    self.builder.ingest(oal);
-                }
-                let (_stats, summary) = self.builder.close_round();
-                summary
-            };
+            // The late fold is one more round to the reducer: in tree mode it
+            // rides the same pipeline (and pays the same partial-TCM fabric
+            // bytes) as a regular round.
+            let summary = self.reduce_round(self.rounds, &late);
             self.build_ns += t0.elapsed().as_nanos() as u64;
             self.objects_organized += summary.objects as u64;
         }
     }
+}
+
+/// Empty reducer state for the config, built at daemon startup and again at every
+/// crash-restore: the flat builder, and in tree mode (`tcm_tree_fanout >= 2`) the
+/// tree that replaces it, the count-min backend (`TcmBackend::Sketch`, tree mode
+/// only) and the streaming top-k view (`tcm_top_k > 0`).
+fn fresh_reducers(
+    config: &ProfilerConfig,
+    shared: &ClusterShared,
+) -> (TcmBuilder, Option<TreeTcmReducer>, Option<SketchTcm>, Option<TopKPairs>) {
+    let n = shared.n_threads;
+    let fanout = config.tcm_tree_fanout;
+    let mut builder = TcmBuilder::new(n);
+    let mut tree = (fanout >= 2).then(|| TreeTcmReducer::new(n, shared.n_nodes.max(1), fanout));
+    if let Some(decay) = config.tcm_decay {
+        builder.set_decay(decay);
+        if let Some(t) = &mut tree {
+            t.set_decay(decay);
+        }
+    }
+    let sketch = match config.tcm_backend {
+        TcmBackend::Sketch { width, depth } if fanout >= 2 => {
+            Some(SketchTcm::new(n, width as usize, depth as usize))
+        }
+        _ => None,
+    };
+    let topk = (config.tcm_top_k > 0).then(|| TopKPairs::new(n, config.tcm_top_k));
+    (builder, tree, sketch, topk)
+}
+
+/// Tell every worker node a class's rate changed — a 16-byte accounted notice
+/// each — and run the resampling walk; returns the objects it visited.
+fn broadcast_rate_change(
+    shared: &ClusterShared,
+    class: ClassId,
+    clock: &ClockHandle,
+) -> usize {
+    for n in 0..shared.n_nodes {
+        shared.gos.fabric().account_async(
+            NodeId::MASTER,
+            NodeId(n as u16),
+            MsgClass::RateChange,
+            16,
+        );
+    }
+    apply_rate_change(&shared.gos, shared.prof.gaps(), class, clock)
 }
 
 /// Build the (budgeted) adaptive controller the config asks for, wiring the
@@ -1651,10 +1623,7 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
     let master_clock = shared.master_clock();
     shared.exec.register_current(master_task);
     let config = *shared.prof.config();
-    let mut builder = ShardedTcmReducer::new(config.tcm_shards.max(1), shared.n_threads);
-    if let Some(decay) = config.tcm_decay {
-        builder.set_decay(decay);
-    }
+    let (builder, tree, sketch, topk) = fresh_reducers(&config, &shared);
     let mut scheduler = RoundScheduler::new(
         shared.n_threads,
         (config.intervals_per_round as u64).max(1),
@@ -1701,9 +1670,9 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
     let mut daemon = Daemon {
         config,
         builder,
-        tree: None,
-        sketch: None,
-        topk: None,
+        tree,
+        sketch,
+        topk,
         reduce: ReduceTelemetry::default(),
         controller: build_controller(&config),
         straggler_base: scheduler.quarantine_table(),
@@ -1735,7 +1704,6 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
         announced_converged: HashSet::new(),
         epoch: 0,
         base_tcm: None,
-        rounds_base: 0,
         latest_checkpoint: None,
         replay_log: Vec::new(),
         keep_replay_log: !master_crashes.is_empty(),
@@ -1748,9 +1716,6 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
         quarantined_nodes,
         shared: Arc::clone(&shared),
     };
-    daemon.tree = daemon.fresh_tree();
-    daemon.sketch = daemon.fresh_sketch();
-    daemon.topk = daemon.fresh_topk();
 
     loop {
         let batch = mailbox.drain();

@@ -565,12 +565,20 @@ fn home_local_workload(cluster: &mut Cluster, barriers: usize) {
 }
 
 fn partitioned_cluster(heal_ns: Option<u64>) -> Cluster {
+    partitioned_cluster_with(chaos_profiler(), heal_ns, Vec::new())
+}
+
+fn partitioned_cluster_with(
+    profiler: ProfilerConfig,
+    heal_ns: Option<u64>,
+    master_crashes: Vec<MasterCrashWindow>,
+) -> Cluster {
     Cluster::builder()
         .nodes(2)
         .threads(4)
         .latency(LatencyModel::fast_ethernet())
         .costs(CostModel::free())
-        .profiler(chaos_profiler())
+        .profiler(profiler)
         .faults(FaultPlan {
             seed: chaos_seed(),
             partitions: vec![PartitionWindow {
@@ -578,6 +586,7 @@ fn partitioned_cluster(heal_ns: Option<u64>) -> Cluster {
                 from_ns: 1_000,
                 heal_ns,
             }],
+            master_crashes,
             ..FaultPlan::default()
         })
         .build()
@@ -621,6 +630,36 @@ fn healed_partition_converges_and_deferred_oals_arrive() {
         "flushed backlog lands as late arrivals for already-closed rounds"
     );
     assert!(master.tcm.total() > 0.0);
+}
+
+/// The late fold at the end of the run is one more reducer round, so under decay
+/// it must age a restored checkpoint base exactly as every scheduler round does:
+/// a partition makes OALs arrive late, a master crash mid-run leaves part of the
+/// cumulative TCM in the restored base, and the recovered map must still equal
+/// the uninterrupted run's bit for bit (decay 0.5 keeps every product exact).
+#[test]
+fn late_fold_after_restore_ages_the_restored_base() {
+    let run = |master_crashes: Vec<MasterCrashWindow>| {
+        let mut config = chaos_profiler();
+        config.initial_rate = SamplingRate::Full;
+        config.adaptive_threshold = None;
+        config.tcm_decay = Some(0.5);
+        config.checkpoint_every_rounds = Some(3);
+        let mut cluster = partitioned_cluster_with(config, Some(2_000_000), master_crashes);
+        home_local_workload(&mut cluster, 40);
+        cluster.master_output().expect("master ran").clone()
+    };
+    let base = run(Vec::new());
+    let crashed = run(vec![MasterCrashWindow {
+        from_interval: 20,
+        until_interval: 24,
+    }]);
+
+    assert_eq!(crashed.restores, 1);
+    assert!(crashed.late_oals > 0, "the partition must leave a late fold to do");
+    assert_eq!(crashed.late_oals, base.late_oals);
+    assert!(base.tcm.total() > 0.0);
+    assert_eq!(crashed.tcm, base.tcm, "recovered TCM must be bit-identical");
 }
 
 /// An unhealed partition degrades gracefully: every round still closes (deadline

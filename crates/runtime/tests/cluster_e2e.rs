@@ -35,42 +35,6 @@ fn paired_cluster(n_pairs: usize, rate: SamplingRate) -> (Cluster, Vec<ObjectId>
 }
 
 #[test]
-fn sharded_master_reducer_is_bit_identical_to_serial() {
-    // The same deterministic workload under 1 (serial) and 4 (parallel-capable)
-    // master reducer shards must produce the exact same cumulative TCM.
-    let run = |shards: usize| {
-        let cluster = Cluster::builder()
-            .nodes(2)
-            .threads(6)
-            .latency(LatencyModel::free())
-            .costs(CostModel::free())
-            .profiler(ProfilerConfig::tracking_at(SamplingRate::Full))
-            .tcm_shards(shards)
-            .build();
-        let objs = cluster.init(|ctx| {
-            let class = ctx.register_scalar_class("Shared", 4);
-            (0..3)
-                .map(|k| ctx.alloc_scalar_at(NodeId((k % 2) as u16), class).id)
-                .collect::<Vec<_>>()
-        });
-        let mut cluster = cluster;
-        let objs = Arc::new(objs);
-        cluster.run(move |jt| {
-            let obj = objs[jt.thread_id().index() / 2];
-            for _ in 0..4 {
-                jt.write(obj, |d| d[0] += 1.0);
-                jt.barrier();
-            }
-        });
-        cluster.master_output().expect("master ran").tcm.clone()
-    };
-    let serial = run(1);
-    let sharded = run(4);
-    assert_eq!(serial.raw(), sharded.raw());
-    assert!(serial.total() > 0.0, "workload must correlate");
-}
-
-#[test]
 fn tcm_recovers_pairwise_sharing_structure() {
     let n_pairs = 3;
     let (mut cluster, objs) = paired_cluster(n_pairs, SamplingRate::Full);

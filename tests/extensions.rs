@@ -1,11 +1,10 @@
 //! Integration tests for the extensions built on the paper's Section V agenda:
-//! connectivity prefetching, the dynamic balancer, home-effect analysis, the
-//! distributed TCM reduction, and PCCT profiling — all driven together.
+//! connectivity prefetching, the dynamic balancer, home-effect analysis and
+//! PCCT profiling — all driven together.
 
 use std::sync::Arc;
 
-use jessy::core::distributed::ShardedTcmReducer;
-use jessy::core::{HomeAwareAnalyzer, Pcct, TcmBuilder};
+use jessy::core::{HomeAwareAnalyzer, Pcct};
 use jessy::prelude::*;
 use jessy::workloads::{barnes_hut, lu, sor};
 
@@ -55,33 +54,6 @@ fn connectivity_prefetch_reduces_faults_without_changing_results() {
     for (a, b) in pos_plain.iter().zip(&pos_pre) {
         assert_eq!(a, b, "prefetching altered the computation");
     }
-}
-
-#[test]
-fn sharded_reduction_matches_the_master_on_a_real_oal_stream() {
-    let mut config = ProfilerConfig::tracking_at(SamplingRate::Full);
-    config.record_oals = true;
-    let mut cluster = fast_cluster(2, 4, config);
-    let cfg = sor::SorConfig::small();
-    let handles = Arc::new(cluster.init(|ctx| sor::setup(ctx, &cfg, 4, 2)));
-    cluster.run(move |jt| sor::thread_body(jt, &cfg, &handles));
-    let master = cluster.master_output().unwrap();
-
-    // Rebuild centrally (single round — grouping differs from the master's
-    // per-interval rounds, so compare against the same single-round rebuild).
-    let mut central = TcmBuilder::new(4);
-    for oal in &master.oal_log {
-        central.ingest(oal);
-    }
-    central.close_round();
-
-    let mut sharded = ShardedTcmReducer::new(8, 4);
-    for oal in &master.oal_log {
-        sharded.ingest(oal);
-    }
-    sharded.close_round();
-    assert_eq!(sharded.reduce().raw(), central.tcm().raw());
-    assert!(central.tcm().total() > 0.0);
 }
 
 #[test]

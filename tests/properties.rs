@@ -395,138 +395,26 @@ proptest! {
     }
 }
 
-// ---------------------------------------------------------------- distributed TCM
+// ---------------------------------------------------------------- TCM reduction
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    #[test]
-    fn sharded_reduction_is_exact_for_any_stream(
-        accesses in prop::collection::vec((0u32..8, 0u32..64, 1u64..500), 1..120),
-        n_shards in 1usize..9,
-    ) {
-        use jessy::core::distributed::ShardedTcmReducer;
-        let oals: Vec<jessy::core::Oal> = accesses
-            .iter()
-            .map(|(t, o, b)| jessy::core::Oal {
-                thread: ThreadId(*t),
-                interval: 0,
-                entries: vec![jessy::core::OalEntry {
-                    obj: ObjectId(*o),
-                    class: ClassId(0),
-                    bytes: *b,
-                }],
-            })
-            .collect();
-        let mut central = TcmBuilder::new(8);
-        for o in &oals {
-            central.ingest(o);
-        }
-        central.close_round();
-        let mut sharded = ShardedTcmReducer::new(n_shards, 8);
-        for o in &oals {
-            sharded.ingest(o);
-        }
-        sharded.close_round();
-        let reduced = sharded.reduce();
-        prop_assert_eq!(reduced.raw(), central.tcm().raw());
-    }
-
-    /// Chaos variant: the same *degraded* OAL stream — shuffled out of order,
-    /// partially dropped, with duplicated batches — fed to the centralized builder
-    /// and the sharded reducer must still produce bit-identical maps, with round
-    /// closes interleaved mid-stream. All perturbations derive from a seeded hash,
-    /// so every failure replays exactly.
-    #[test]
-    fn sharded_reduction_survives_shuffled_dropped_duplicated_streams(
-        raw in prop::collection::vec(
-            (0u32..8, 0u64..6, prop::collection::vec((0u32..40, 1u64..500), 0..6)),
-            1..80,
-        ),
-        n_shards in 1usize..9,
-        seed in 0u64..1_000_000_000,
-        drop_mod in 2u64..8,
-        dup_mod in 2u64..8,
-    ) {
-        use jessy::core::distributed::ShardedTcmReducer;
-        fn mix(mut x: u64) -> u64 {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^ (x >> 31)
-        }
-        // Base stream, then seeded chaos: drop ~1/drop_mod, duplicate ~1/dup_mod.
-        let mut stream: Vec<jessy::core::Oal> = Vec::new();
-        for (k, (t, i, es)) in raw.iter().enumerate() {
-            let oal = jessy::core::Oal {
-                thread: ThreadId(*t),
-                interval: *i,
-                entries: es
-                    .iter()
-                    .map(|&(o, b)| jessy::core::OalEntry {
-                        obj: ObjectId(o),
-                        class: ClassId(0),
-                        bytes: b,
-                    })
-                    .collect(),
-            };
-            let h = mix(seed ^ k as u64);
-            if h.is_multiple_of(drop_mod) {
-                continue;
-            }
-            if h % dup_mod == 1 {
-                stream.push(oal.clone());
-            }
-            stream.push(oal);
-        }
-        // Seeded Fisher–Yates shuffle: arrival order is adversarial but replayable.
-        for i in (1..stream.len()).rev() {
-            let j = (mix(seed.wrapping_add(i as u64)) % (i as u64 + 1)) as usize;
-            stream.swap(i, j);
-        }
-        let mut central = TcmBuilder::new(8);
-        let mut sharded = ShardedTcmReducer::new(n_shards, 8);
-        for (k, o) in stream.iter().enumerate() {
-            central.ingest(o);
-            sharded.ingest(o);
-            if k % 7 == 6 {
-                central.close_round();
-                sharded.close_round();
-            }
-        }
-        central.close_round();
-        sharded.close_round();
-        let reduced = sharded.reduce();
-        prop_assert_eq!(reduced.raw(), central.tcm().raw());
-    }
-
     /// The optimized pipeline (thread bitsets, packed-triangular maps, sparse
-    /// per-class maps, scoped-thread shard closes) must be **bit-identical** to the
-    /// retained scalar reference — the seed's `Vec<ThreadId>` + dense-matrix
-    /// implementation — over arbitrary OAL streams: multi-class, multi-interval
-    /// (duplicate thread/object loggings), closed over multiple rounds. OAL bytes
-    /// are integer-valued f64 with per-cell sums far below 2⁵³, so f64 accrual is
-    /// exact and no ordering choice may perturb a single bit. Also closes shards in
-    /// a seeded shuffled order (adversarial completion order) and merges by shard
-    /// index, which must reproduce the serial round map exactly.
+    /// per-class maps) must be **bit-identical** to the retained scalar reference
+    /// — the seed's `Vec<ThreadId>` + dense-matrix implementation — over arbitrary
+    /// OAL streams: multi-class, multi-interval (duplicate thread/object
+    /// loggings), closed over multiple rounds. OAL bytes are integer-valued f64
+    /// with per-cell sums far below 2⁵³, so f64 accrual is exact and no ordering
+    /// choice may perturb a single bit.
     #[test]
-    fn bitset_triangular_parallel_reduction_matches_scalar_reference(
+    fn bitset_triangular_reduction_matches_scalar_reference(
         raw in prop::collection::vec(
             (0u32..8, 0u64..4, prop::collection::vec((0u32..48, 0u32..3, 1u64..100_000), 0..6)),
             2..80,
         ),
-        n_shards in 2usize..9,
-        seed in 0u64..1_000_000_000,
     ) {
-        use jessy::core::distributed::{merge_round_summaries, ShardedTcmReducer};
         use jessy::core::tcm::reference::ScalarTcmBuilder;
-        use jessy::core::RoundSummary;
-        fn mix(mut x: u64) -> u64 {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^ (x >> 31)
-        }
         let t = ThreadId;
         let oals: Vec<jessy::core::Oal> = raw
             .iter()
@@ -545,35 +433,28 @@ proptest! {
             .collect();
 
         let mut scalar = ScalarTcmBuilder::new(8);
-        let mut serial = TcmBuilder::new(8);
-        let mut parallel = ShardedTcmReducer::new(n_shards, 8);
-        parallel.set_parallel_threshold(0); // force scoped threads even on tiny rounds
+        let mut bitset = TcmBuilder::new(8);
         let half = oals.len() / 2;
         for chunk in [&oals[..half], &oals[half..]] {
             for o in chunk {
                 scalar.ingest(o);
-                serial.ingest(o);
-                parallel.ingest(o);
+                bitset.ingest(o);
             }
             let rs = scalar.close_round();
-            let ss = serial.close_round();
-            let (_, ps) = parallel.close_round();
-            // Serial bitset pipeline == parallel shard pipeline, bit for bit.
-            prop_assert_eq!(ss.tcm.raw(), ps.tcm.raw());
-            prop_assert_eq!(&ss.per_class, &ps.per_class);
-            // Both == the scalar reference at every pair.
-            prop_assert_eq!(rs.per_class.len(), ss.per_class.len());
+            let bs = bitset.close_round();
+            prop_assert_eq!(rs.objects, bs.objects);
+            prop_assert_eq!(rs.per_class.len(), bs.per_class.len());
             for i in 0..8u32 {
                 for j in 0..8u32 {
                     prop_assert_eq!(
-                        ss.tcm.at(t(i), t(j)).to_bits(),
+                        bs.tcm.at(t(i), t(j)).to_bits(),
                         rs.tcm.at(t(i), t(j)).to_bits(),
                         "round map pair ({}, {})", i, j
                     );
                 }
             }
             for (class, dense) in &rs.per_class {
-                let sparse = &ss.per_class[class];
+                let sparse = &bs.per_class[class];
                 for i in 0..8u32 {
                     for j in 0..8u32 {
                         prop_assert_eq!(
@@ -586,41 +467,14 @@ proptest! {
             }
         }
         // Cumulative maps agree too.
-        let reduced = parallel.reduce();
-        prop_assert_eq!(serial.tcm().raw(), reduced.raw());
         for i in 0..8u32 {
             for j in 0..8u32 {
                 prop_assert_eq!(
-                    serial.tcm().at(t(i), t(j)).to_bits(),
+                    bitset.tcm().at(t(i), t(j)).to_bits(),
                     scalar.tcm().at(t(i), t(j)).to_bits()
                 );
             }
         }
-
-        // Shuffled shard-close order (arbitrary completion order) + index-order
-        // merge reproduces the serial round summary exactly.
-        let mut serial2 = TcmBuilder::new(8);
-        let mut r2 = ShardedTcmReducer::new(n_shards, 8);
-        for o in &oals {
-            serial2.ingest(o);
-            r2.ingest(o);
-        }
-        let expect = serial2.close_round();
-        let mut shards = r2.into_shards();
-        let mut order: Vec<usize> = (0..shards.len()).collect();
-        for i in (1..order.len()).rev() {
-            let j = (mix(seed ^ i as u64) % (i as u64 + 1)) as usize;
-            order.swap(i, j);
-        }
-        let mut by_shard: Vec<Option<RoundSummary>> = (0..shards.len()).map(|_| None).collect();
-        for &s in &order {
-            by_shard[s] = Some(shards[s].close_round());
-        }
-        let summaries: Vec<RoundSummary> = by_shard.into_iter().map(|s| s.unwrap()).collect();
-        let merged = merge_round_summaries(8, &summaries);
-        prop_assert_eq!(merged.objects, expect.objects);
-        prop_assert_eq!(merged.tcm.raw(), expect.tcm.raw());
-        prop_assert_eq!(&merged.per_class, &expect.per_class);
     }
 
     // ------------------------------------------------------------ LU numerics

@@ -67,6 +67,9 @@ done
 
 echo "==> benchmark smoke (benchmark/run.sh --quick: five workloads, small presets, results checked)"
 benchmark/run.sh --quick > /dev/null
+# run.sh builds without --locked: a dependency edge dropped from a path crate
+# would silently rewrite the benchmark's lockfile. Make that loud.
+git diff --exit-code -- benchmark/Cargo.lock
 
 echo "==> scale soak smoke (10k cooperative threads, time-compressed)"
 cargo test -p jessy-runtime --test soak -q -- --ignored
