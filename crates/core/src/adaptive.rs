@@ -357,15 +357,10 @@ impl AdaptiveController {
 /// of the class re-derives its sampled tag from its sequence number under the new gap.
 /// Returns the number of objects visited; their cost is charged to `clock`.
 pub fn apply_rate_change(gos: &Gos, gaps: &GapTable, class: ClassId, clock: &ClockHandle) -> usize {
+    let state = gaps.state(class);
     let mut visited = 0usize;
     gos.for_each_object_of_class(class, |core| {
-        let len_elems = if core.is_array {
-            let unit_words = gaps.state(class).unit_bytes as u32 / 8;
-            core.len_words / unit_words.max(1)
-        } else {
-            1
-        };
-        core.set_sampled(gaps.decide_sampled(class, core.elem_seq0, len_elems));
+        core.set_sampled(state.sampled_elems(core.elem_seq0, core.len_elems()) > 0);
         visited += 1;
     });
     clock.spend(gos.costs().resample_ns_per_obj * visited as u64);

@@ -18,6 +18,26 @@
 //!
 //! Shared, cross-thread state (the gap table the coordinator retunes, global counters)
 //! lives in [`ProfilerShared`].
+//!
+//! ## The sampling view
+//!
+//! The gap table has one writer — the coordinator's controller — and its
+//! readers only ever need it *as of their last ordered point*, so each
+//! [`ThreadProfiler`] keeps its own copy of the per-class states together with
+//! the [`GapTable::generation`] it was taken at, and
+//! [`ThreadProfiler::on_access`] decides "sampled?" and the scaled size from
+//! that copy alone: it takes no lock and reads neither the live table nor the
+//! object's sampled tag. The copy is brought up to the live table at exactly
+//! two kinds of place: [`ThreadProfiler::open_interval`], and
+//! [`ThreadProfiler::sync_view`], which the runtime calls before every
+//! *visible* access (DESIGN.md §15) — one generation load and compare; the
+//! copy itself is `#[cold]` and out of line. So an access that was visible
+//! before the view existed reads exactly the rates it read then, and a trap
+//! the runtime lets run without a scheduling point reads them as of its
+//! thread's last visible access or interval open — a function of the thread's
+//! own ordered actions, not of where another task stood. An explicit
+//! `JThread::yield_now` is deliberately *not* a refresh point: it is not an
+//! action every schedule of a program shares.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -31,7 +51,7 @@ use jessy_stack::JavaStack;
 
 use crate::config::{FootprintMode, ProfilerConfig};
 use crate::oal::{Oal, OalEntry};
-use crate::sampling::GapTable;
+use crate::sampling::{ClassGapState, GapTable};
 use crate::stack_sampling::{StackInvariant, StackSampler};
 use crate::sticky::footprint::{FootprintSnapshot, FootprintTracker};
 use crate::sticky::resolution::{resolve_sticky_set, Resolution};
@@ -132,13 +152,51 @@ impl ProfilerShared {
 
     /// Tag a freshly allocated object's sampled bit from its sequence number(s).
     pub fn tag_new_object(&self, core: &ObjectCore) {
-        let len_elems = if core.is_array {
-            let unit_words = (self.gaps.state(core.class).unit_bytes / 8).max(1) as u32;
-            core.len_words / unit_words
-        } else {
-            1
-        };
-        core.set_sampled(self.gaps.decide_sampled(core.class, core.elem_seq0, len_elems));
+        core.set_sampled(
+            self.gaps
+                .decide_sampled(core.class, core.elem_seq0, core.len_elems()),
+        );
+    }
+}
+
+/// A thread's sampling view: its own copy of the gap table's per-class states,
+/// as of the generation it was copied at. Everything
+/// [`ThreadProfiler::on_access`] knows about rates comes from here (module
+/// docs).
+#[derive(Debug, Default)]
+struct SamplingView {
+    /// Indexed by class, like the table's.
+    states: Vec<Option<ClassGapState>>,
+    /// [`GapTable::generation`] the states were copied at.
+    generation: u64,
+}
+
+impl SamplingView {
+    /// Catch up with `gaps` if a rate changed since the copy: one generation
+    /// load and compare, the copy itself out of line.
+    #[inline]
+    fn sync(&mut self, gaps: &GapTable) {
+        if gaps.generation() != self.generation {
+            self.refresh(gaps);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn refresh(&mut self, gaps: &GapTable) {
+        self.generation = gaps.snapshot_into(&mut self.states);
+    }
+
+    /// `class`'s state. A class registered after the copy (registering bumps
+    /// no generation) is fetched by one refresh; `None` only for a class never
+    /// registered for sampling, whose objects are not sampled.
+    #[inline]
+    fn state(&mut self, gaps: &GapTable, class: ClassId) -> Option<ClassGapState> {
+        if let Some(Some(state)) = self.states.get(class.index()) {
+            return Some(*state);
+        }
+        self.refresh(gaps);
+        self.states.get(class.index()).copied().flatten()
     }
 }
 
@@ -153,6 +211,7 @@ pub struct ThreadProfiler {
     footprint: Option<FootprintTracker>,
     stack_sampler: Option<StackSampler>,
     last_footprint: FootprintSnapshot,
+    view: SamplingView,
 }
 
 impl ThreadProfiler {
@@ -160,6 +219,8 @@ impl ThreadProfiler {
     pub fn new(shared: Arc<ProfilerShared>, thread: ThreadId) -> Self {
         let footprint = shared.config.footprint.map(FootprintTracker::new);
         let stack_sampler = shared.config.stack.map(StackSampler::new);
+        let mut view = SamplingView::default();
+        view.refresh(&shared.gaps);
         ThreadProfiler {
             shared,
             thread,
@@ -169,6 +230,7 @@ impl ThreadProfiler {
             footprint,
             stack_sampler,
             last_footprint: FootprintSnapshot::default(),
+            view,
         }
     }
 
@@ -187,11 +249,24 @@ impl ThreadProfiler {
         self.interval
     }
 
+    /// Bring the sampling view up to the live gap table if a rate changed since
+    /// it was copied. The runtime calls this before each *visible* access, and
+    /// [`ThreadProfiler::open_interval`] calls it — the two kinds of place a
+    /// rate change may reach a thread (module docs). Never call it from an
+    /// explicit yield.
+    #[inline]
+    pub fn sync_view(&mut self) {
+        self.view.sync(&self.shared.gaps);
+    }
+
     /// Hook called after every GOS access with its [`AccessOutcome`], passing the
     /// accessing thread's own arena. Per-interval trap re-arming (Section II.A) is
     /// fused in here: logging an object also stamps its entry with the *next*
     /// interval's epoch, so [`ThreadProfiler::open_interval`] never walks an
-    /// accessed set.
+    /// accessed set. Whether the object is sampled, and its scaled size, are
+    /// decided from the sampling view alone — not from the live gap table nor
+    /// from `out.sampled`, both of which the coordinator rewrites — so the hook
+    /// reads nothing another task writes.
     pub fn on_access(
         &mut self,
         gos: &Gos,
@@ -217,13 +292,16 @@ impl ThreadProfiler {
             return;
         }
 
-        if !out.loggable() || !out.sampled {
+        if !out.loggable() {
             return;
         }
         let scaled = self
-            .shared
-            .gaps
-            .scaled_bytes(out.class, out.elem_seq0, out.len_elems);
+            .view
+            .state(&self.shared.gaps, out.class)
+            .map_or(0, |state| state.scaled_bytes(out.elem_seq0, out.len_elems));
+        if scaled == 0 {
+            return; // not sampled
+        }
 
         if self.logged_this_interval.insert(out.obj) {
             if config.track_correlation || self.footprint.is_some() {
@@ -322,9 +400,11 @@ impl ThreadProfiler {
     /// Open the next interval (called right *after* the acquire part of a sync
     /// operation): advance the arena's interval epoch, which makes every trap armed
     /// during the previous interval (by [`ThreadProfiler::on_access`]) go live.
-    /// O(1) — no accessed-set walk.
+    /// O(1) — no accessed-set walk. An interval open is also one of the two
+    /// places a rate change reaches this thread ([`ThreadProfiler::sync_view`]).
     pub fn open_interval(&mut self, space: &mut ThreadSpace) {
         space.begin_interval();
+        self.sync_view();
     }
 
     /// Stack invariants discovered so far (topmost first).
@@ -453,6 +533,64 @@ mod tests {
         assert_eq!(oal.interval, 1);
         assert_eq!(oal.entries.len(), 1);
         assert_eq!(shared.stats().snapshot().oal_entries, 2);
+    }
+
+    #[test]
+    fn a_class_registered_after_the_view_was_taken_is_picked_up() {
+        let (gos, mut space, clock) = gos1();
+        let shared = ProfilerShared::new(ProfilerConfig::tracking_at(SamplingRate::NX(1)));
+        // The profiler copies the (empty) table; registering bumps no generation.
+        let mut prof = ThreadProfiler::new(Arc::clone(&shared), ThreadId(0));
+        let class = gos.classes().register_scalar("Late", 8);
+        shared.register_class(class, 64);
+        assert_eq!(shared.gaps().generation(), 0);
+        let core = gos.alloc_scalar(NodeId(0), class, &clock, None); // seq 0: sampled
+        shared.tag_new_object(&core);
+
+        let (_, out) = gos.read(&mut space, NodeId(0), core.id, &clock, |_| {});
+        prof.on_access(&gos, &mut space, &out, &clock);
+        let oal = prof.close_interval().expect("tracking is on");
+        assert_eq!(oal.entries.len(), 1, "the first touch is logged, not a panic");
+        assert_eq!(oal.entries[0].bytes, 64 * 67);
+
+        // A class nobody registered for sampling is not sampled.
+        let stray = gos.classes().register_scalar("Stray", 1);
+        let core = gos.alloc_scalar(NodeId(0), stray, &clock, None);
+        let (_, out) = gos.read(&mut space, NodeId(0), core.id, &clock, |_| {});
+        prof.on_access(&gos, &mut space, &out, &clock);
+        assert!(prof.close_interval().unwrap().entries.is_empty());
+    }
+
+    #[test]
+    fn rate_changes_reach_on_access_through_the_view_only() {
+        let (gos, mut space, clock) = gos1();
+        let shared = ProfilerShared::new(ProfilerConfig::tracking_at(SamplingRate::NX(1)));
+        let class = gos.classes().register_scalar("Body", 8);
+        shared.register_class(class, 64); // gap 67
+        let mut prof = ThreadProfiler::new(Arc::clone(&shared), ThreadId(0));
+        let node = NodeId(0);
+        let core = gos.alloc_scalar(node, class, &clock, None); // seq 0: sampled at any gap
+        shared.tag_new_object(&core);
+        let logged_bytes = |prof: &mut ThreadProfiler, space: &mut ThreadSpace| {
+            let (_, out) = gos.read(space, node, core.id, &clock, |_| {});
+            assert!(out.loggable());
+            prof.on_access(&gos, space, &out, &clock);
+            prof.close_interval().unwrap().entries[0].bytes
+        };
+        assert_eq!(logged_bytes(&mut prof, &mut space), 64 * 67);
+
+        // The coordinator steps the class: gap 31. The armed trap of the next
+        // interval still logs by the view…
+        shared.gaps().step_up(class);
+        space.begin_interval();
+        assert_eq!(logged_bytes(&mut prof, &mut space), 64 * 67);
+        // …until one of the two refresh points brings the view up to date.
+        prof.open_interval(&mut space);
+        assert_eq!(logged_bytes(&mut prof, &mut space), 64 * 31);
+        shared.gaps().step_up(class);
+        space.begin_interval();
+        prof.sync_view();
+        assert_eq!(logged_bytes(&mut prof, &mut space), 64 * 17);
     }
 
     #[test]

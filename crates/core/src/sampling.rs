@@ -136,6 +136,25 @@ pub struct ClassGapState {
     pub real_gap: u64,
 }
 
+impl ClassGapState {
+    /// Logically sampled element count of an object whose elements carry the
+    /// sequence numbers `seq0 .. seq0 + len_elems` (scalars: `len_elems == 1`,
+    /// so 0 or 1). Zero means the object is not sampled. The one place the
+    /// sampling arithmetic lives: [`GapTable`] and every thread's copy of it
+    /// both decide through here.
+    #[inline]
+    pub fn sampled_elems(&self, seq0: u64, len_elems: u32) -> u64 {
+        multiples_in(seq0, len_elems as u64, self.real_gap)
+    }
+
+    /// The gap-scaled (Horvitz–Thompson) contribution used when accruing the
+    /// TCM: sampled elements × unit size × gap.
+    #[inline]
+    pub fn scaled_bytes(&self, seq0: u64, len_elems: u32) -> u64 {
+        self.sampled_elems(seq0, len_elems) * self.unit_bytes as u64 * self.real_gap
+    }
+}
+
 /// The shared table of per-class sampling gaps. Threads consult it on every
 /// allocation; the adaptive controller updates it on rate changes.
 ///
@@ -157,9 +176,11 @@ pub struct ClassGapState {
 pub struct GapTable {
     page_size: u32,
     states: RwLock<Vec<Option<ClassGapState>>>,
-    /// Bumped on every rate mutation. Threads compare it at interval opens to
-    /// notice coordinator rate changes and re-arm traps for objects that
-    /// regained the sampled tag (their armed chain died while unsampled).
+    /// Bumped on every rate mutation. Threads compare it before each visible
+    /// access and at interval opens to bring their copy of the table up to
+    /// date ([`GapTable::snapshot_into`]), and at interval opens to re-arm
+    /// traps for objects that regained the sampled tag (their armed chain
+    /// died while unsampled).
     generation: AtomicU64,
 }
 
@@ -178,6 +199,16 @@ impl GapTable {
     /// trap arming against the headers the resampling walk retagged.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
+    }
+
+    /// Copy every class's state into `view` (a thread's sampling view) and
+    /// return the generation the copy is at least as new as: the generation
+    /// is read first, so a rate change racing the copy makes the next
+    /// comparison fail and the copy repeat, never go stale.
+    pub fn snapshot_into(&self, view: &mut Vec<Option<ClassGapState>>) -> u64 {
+        let generation = self.generation();
+        view.clone_from(&self.states.read());
+        generation
     }
 
     /// The page size `SP`.
@@ -254,24 +285,23 @@ impl GapTable {
     /// sampled under the class's current gap?
     #[inline]
     pub fn decide_sampled(&self, class: ClassId, seq0: u64, len_elems: u32) -> bool {
-        multiples_in(seq0, len_elems as u64, self.gap(class)) > 0
+        self.state(class).sampled_elems(seq0, len_elems) > 0
     }
 
     /// Logically sampled element count of an array (scalars: 0 or 1).
     pub fn sampled_elems(&self, class: ClassId, seq0: u64, len_elems: u32) -> u64 {
-        multiples_in(seq0, len_elems as u64, self.gap(class))
+        self.state(class).sampled_elems(seq0, len_elems)
     }
 
     /// The amortized logged size of Section II.B.3: sampled elements × unit size.
     pub fn amortized_bytes(&self, class: ClassId, seq0: u64, len_elems: u32) -> u64 {
         let st = self.state(class);
-        multiples_in(seq0, len_elems as u64, st.real_gap) * st.unit_bytes as u64
+        st.sampled_elems(seq0, len_elems) * st.unit_bytes as u64
     }
 
     /// The gap-scaled (Horvitz–Thompson) contribution used when accruing the TCM.
     pub fn scaled_bytes(&self, class: ClassId, seq0: u64, len_elems: u32) -> u64 {
-        let st = self.state(class);
-        multiples_in(seq0, len_elems as u64, st.real_gap) * st.unit_bytes as u64 * st.real_gap
+        self.state(class).scaled_bytes(seq0, len_elems)
     }
 
     /// All registered classes.

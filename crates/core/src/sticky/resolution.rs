@@ -82,13 +82,7 @@ pub fn resolve_sticky_set(
             let run = unsampled_run.entry(class).or_insert(0);
             if core.is_sampled() {
                 *run = 0;
-                let len_elems = if core.is_array {
-                    let unit_words = (gaps.state(class).unit_bytes / 8).max(1) as u32;
-                    core.len_words / unit_words
-                } else {
-                    1
-                };
-                let scaled = gaps.scaled_bytes(class, core.elem_seq0, len_elems);
+                let scaled = gaps.scaled_bytes(class, core.elem_seq0, core.len_elems());
                 *res.collected.entry(class).or_insert(0) += scaled;
                 if budget_met(budget, &res.collected) {
                     res.budget_met = true;

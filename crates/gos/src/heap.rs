@@ -233,22 +233,25 @@ impl ThreadSpace {
     }
 
     /// Would an access to `obj` touch nothing another thread can observe? True
-    /// for a plain cache hit — a valid, non-stale cache copy with no live trap
-    /// touches this arena only — and for a hit on a quiet (un-armed, already
-    /// touched) home-resident entry when `still_local()` says the object is
-    /// still local to this thread: the home payload of an object nobody else
-    /// holds an entry for or can reach is as private as a copy. Any other
-    /// home hit is excluded (the home payload is shared with fetching and
-    /// flushing threads), as is everything that enters the service routine.
-    /// `still_local` is consulted for quiet home entries only, so cache hits,
-    /// faults and armed traps never pay for the lookup. Read-only; the runtime
+    /// for a hit on a valid, non-stale cache copy — it touches this arena only
+    /// — and for a hit on an already touched home-resident entry when
+    /// `still_local()` says the object is still local to this thread: the
+    /// home payload of an object nobody else holds an entry for or can reach
+    /// is as private as a copy. A live armed trap changes neither answer: the
+    /// trap's service routine and the profiler hook behind it work on this
+    /// arena, the thread's own OAL buffer and its own sampling view
+    /// (`jessy_core::ThreadProfiler`), none of which another task reads or
+    /// writes. Any other home hit is excluded (the home payload is shared
+    /// with fetching and flushing threads), as are stale copies, real faults
+    /// and first touches. `still_local` is consulted for home entries only, so
+    /// cache hits and faults never pay for the lookup. Read-only; the runtime
     /// classifies an access with it before making it.
     #[inline]
     pub fn is_private_hit(&self, obj: ObjectId, still_local: impl FnOnce() -> bool) -> bool {
         let w = self.word(obj);
         match w_state(w) {
-            ST_VALID => !self.word_is_stale(w) && !self.word_is_armed(w),
-            ST_HOME => !self.word_is_armed(w) && still_local(),
+            ST_VALID => !self.word_is_stale(w),
+            ST_HOME => still_local(),
             _ => false,
         }
     }

@@ -532,7 +532,7 @@ impl Gos {
     /// object first, and since then no other thread has touched or prefetched
     /// it and it has not been published or re-homed
     /// ([`ObjectCore::is_local_to`])? The runtime asks before every hit on a
-    /// quiet home-resident entry.
+    /// home-resident entry, trap armed or not.
     #[inline]
     pub fn is_local_to(&self, obj: ObjectId, thread: ThreadId) -> bool {
         self.core(obj).is_local_to(thread)

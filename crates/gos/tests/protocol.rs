@@ -559,11 +559,13 @@ fn thread_local_home_hits_are_private_until_the_object_is_shared() {
     assert!(local.iter().all(|&o| private_hit(&g, &s[0], o)));
     assert!(!g.is_local_to(local[0], ThreadId(1)), "local to its first toucher only");
 
-    // An armed trap makes the hit visible whatever the ownership.
+    // A live armed trap on an entry only this thread holds changes nothing:
+    // the trap works on this arena and the thread's own profiler state.
     s[0].arm_traps([local[0]]);
-    assert!(!private_hit(&g, &s[0], local[0]));
-    g.read(&mut s[0], NodeId(0), local[0], &c[0], |_| {});
-    assert!(private_hit(&g, &s[0], local[0]), "trap cancelled, quiet again");
+    assert!(private_hit(&g, &s[0], local[0]));
+    let (_, out) = g.read(&mut s[0], NodeId(0), local[0], &c[0], |_| {});
+    assert!(out.false_invalid, "the trap still fires");
+    assert!(private_hit(&g, &s[0], local[0]));
 
     // Each way of sharing revokes it, for good.
     g.read(&mut s[1], NodeId(1), local[0], &c[1], |_| {}); // another thread's first touch
@@ -575,8 +577,18 @@ fn thread_local_home_hits_are_private_until_the_object_is_shared() {
         assert!(!private_hit(&g, &s[0], obj), "{obj} is shared now");
         assert!(!g.is_local_to(obj, ThreadId(0)));
     }
-    // Thread 1's cache copy of it is private the way cache copies always were.
+    // A trap on a home entry two threads hold is as visible as any hit on it.
+    s[0].arm_traps([local[0]]);
+    assert!(!private_hit(&g, &s[0], local[0]));
+    // Thread 1's cache copy of it is private the way cache copies always
+    // were, trap armed or not — until an acquired notice makes it stale.
     assert!(private_hit(&g, &s[1], local[0]));
+    s[1].arm_traps([local[0]]);
+    assert!(private_hit(&g, &s[1], local[0]));
+    g.write(&mut s[0], NodeId(0), local[0], &c[0], |d| d[0] = 3.0);
+    g.flush_thread(&mut s[0], NodeId(0), &c[0]);
+    g.apply_notices(&mut s[1], NodeId(1), &c[1]);
+    assert!(!private_hit(&g, &s[1], local[0]), "armed, but stale: a fetch");
 
     // Arriving first from another node claims too, and the home-node thread,
     // arriving second, shares: its home hits are visible from the start.
@@ -587,19 +599,32 @@ fn thread_local_home_hits_are_private_until_the_object_is_shared() {
 }
 
 #[test]
-fn locality_is_consulted_for_quiet_home_entries_only() {
+fn locality_is_consulted_for_home_entries_only() {
     let (g, c, mut s) = gos(2);
     let class = g.classes().register_scalar("X", 1);
     let cached = g.alloc_scalar(NodeId(0), class, &c[0], None).id;
-    let armed = g.alloc_scalar(NodeId(1), class, &c[0], None).id;
+    let stale = g.alloc_scalar(NodeId(0), class, &c[0], None).id;
+    let home = g.alloc_scalar(NodeId(1), class, &c[0], None).id;
     let absent = g.alloc_scalar(NodeId(1), class, &c[0], None).id;
-    g.read(&mut s[1], NodeId(1), cached, &c[1], |_| {}); // valid cache copy
-    g.read(&mut s[1], NodeId(1), armed, &c[1], |_| {}); // home entry…
-    s[1].arm_traps([armed]); // …with a live trap
+    for obj in [cached, stale, home] {
+        g.read(&mut s[1], NodeId(1), obj, &c[1], |_| {});
+    }
+    g.write(&mut s[0], NodeId(0), stale, &c[0], |d| d[0] = 1.0);
+    g.flush_thread(&mut s[0], NodeId(0), &c[0]);
+    g.apply_notices(&mut s[1], NodeId(1), &c[1]);
+    // Cache copies, faults and first touches are classified from the arena
+    // alone, armed or not; a home entry, armed or not, by who holds the object.
     let never = || -> bool { panic!("the ownership lookup must not run here") };
-    assert!(s[1].is_private_hit(cached, never));
-    assert!(!s[1].is_private_hit(armed, never));
-    assert!(!s[1].is_private_hit(absent, never));
+    for armed in [false, true] {
+        if armed {
+            s[1].arm_traps([cached, stale, home]);
+        }
+        assert!(s[1].is_private_hit(cached, never));
+        assert!(!s[1].is_private_hit(stale, never));
+        assert!(!s[1].is_private_hit(absent, never));
+        assert!(s[1].is_private_hit(home, || true));
+        assert!(!s[1].is_private_hit(home, || false));
+    }
 }
 
 #[test]

@@ -110,19 +110,25 @@ impl JThread {
     /// by a scheduling point carrying the clock the thread has reached; no
     /// scheduling point follows an action. Accesses and the `compute` call
     /// directly after one only *owe* their yield; the next visible action pays
-    /// it first. *Private* actions — an access that hits a valid, un-armed
-    /// cache copy in this thread's own arena or the quiet home entry of an
-    /// object only this thread holds an entry for (it touched the object
-    /// first and nobody has since: `ObjectCore::arrive`), and the
-    /// one `compute` call that directly follows an access (the work on the
-    /// datum just touched: the two form a step) — pay nothing and leave the
-    /// yield owed. Visible actions therefore interleave across threads in
-    /// virtual-time order exactly as if every action yielded, while private
-    /// work passes without a hand-off. A `compute` call that follows no access
+    /// it first. *Private* actions — an access that hits a valid cache copy
+    /// in this thread's own arena or the home entry of an object only this
+    /// thread holds an entry for (it touched the object first and nobody has
+    /// since: `ObjectCore::arrive`), a live armed trap on either included,
+    /// and the one `compute` call that directly follows an access (the work
+    /// on the datum just touched: the two form a step) — pay nothing and
+    /// leave the yield owed. Visible actions therefore interleave across
+    /// threads in virtual-time order exactly as if every action yielded, while
+    /// private work passes without a hand-off. A `compute` call that follows no access
     /// — the second and later calls of a compute-only stretch — keeps its
     /// scheduling point: a stretch that advances the clock without touching an
     /// object reports it call by call, as it always has.
-    /// Calling this from a driver loop is itself a visible action.
+    /// Calling this from a driver loop is itself a visible action — but not
+    /// one at which a rate change reaches this thread: the profiler's
+    /// sampling view is refreshed before visible *accesses* and at interval
+    /// opens, which every schedule of a program shares, and never here. An
+    /// explicit yield exists in one schedule and not in another; rates picked
+    /// up at it would make a private trap that follows log differently in
+    /// the two.
     pub fn yield_now(&mut self) {
         self.owed_yield = false;
         self.compute_rides = false;
@@ -213,14 +219,18 @@ impl JThread {
     }
 
     /// Open an access to `obj`: pay the owed yield first unless the access is
-    /// private (see [`JThread::yield_now`]) — a hit on a usable cache copy with
-    /// no trap armed touches this thread's arena only, and a hit on the quiet
-    /// home entry of an object nobody else holds an entry for touches a
-    /// payload no other task has fetched or flushes into. Every other home hit
-    /// is visible (fetches read and diff flushes write the home payload), as
-    /// are first touches — one of which is how a second holder arrives —
-    /// faults and armed traps (they reach the fabric, the gap table or the
-    /// OAL).
+    /// private (see [`JThread::yield_now`]) — a hit on a usable cache copy
+    /// touches this thread's arena only, and a hit on the home entry of an
+    /// object nobody else holds an entry for touches a payload no other task
+    /// has fetched or flushes into. A live armed trap on either is private
+    /// too: it logs from the profiler's sampling view, this thread's own
+    /// copy of the class rates. Every other home hit is visible (fetches
+    /// read and diff flushes write the home payload), as are first touches —
+    /// one of which is how a second holder arrives — and faults (they reach
+    /// the fabric). A visible access is also where a rate change reaches
+    /// this thread: the view is brought up to the live gap table right after
+    /// the scheduling point (one generation load and compare when nothing
+    /// changed).
     #[inline]
     fn begin_access(&mut self, obj: ObjectId) {
         let private = self
@@ -228,6 +238,7 @@ impl JThread {
             .is_private_hit(obj, || self.shared.gos.is_local_to(obj, self.thread));
         if !private {
             self.pay_owed_yield();
+            self.profiler.sync_view();
         }
     }
 

@@ -41,6 +41,11 @@ SESS_DIR=$(mktemp -d)
 ./target/release/jessy-cli run -w sessions --scale small --nodes 4 --threads 8 --rate 1x \
   --adaptive 0.1 --drift-threshold 0.3 --journal "$SESS_DIR/sessions.jsonl" > /dev/null
 test -s "$SESS_DIR/sessions.jsonl"
+# The one CLI lane with the adaptive controller on: rate changes reach threads
+# mid-run, and the journal must not depend on where their lookahead stood.
+./target/release/jessy-cli run -w sessions --scale small --nodes 4 --threads 8 --rate 1x \
+  --adaptive 0.1 --drift-threshold 0.3 --journal "$SESS_DIR/again.jsonl" > /dev/null
+cmp "$SESS_DIR/sessions.jsonl" "$SESS_DIR/again.jsonl"
 rm -rf "$SESS_DIR"
 
 echo "==> observability smoke (multi-thread journal bit-identity + trace export)"
@@ -55,6 +60,14 @@ cmp "$OBS_DIR/a.jsonl" "$OBS_DIR/b.jsonl"   # multi-thread journals must be bit-
   --trace "$OBS_DIR/trace.json" > /dev/null
 grep -q '"traceEvents"' "$OBS_DIR/trace.json"
 rm -rf "$OBS_DIR"
+
+echo "==> schedule-cost gate (paper-scale SOR: executor hand-offs per access, a count that replays exactly)"
+# 3 189 hand-offs over 122 760 accesses; 0.338 per access while armed traps
+# were visible. A pure function of the schedule, so gated as a count, not as
+# wall-clock.
+./target/release/jessy-cli run -w sor --scale paper --nodes 8 --threads 8 --rate 4x \
+  | awk '/^executor hand-offs/ { seen = 1; gsub(/[()]/, ""); print; if ($5 + 0 > 0.03) exit 1 }
+         END { if (!seen) exit 1 }'
 
 echo "==> chaos seed matrix (fault determinism must not depend on one seed)"
 # The suite includes the partition schedules (heal + permanent), the slow-node
