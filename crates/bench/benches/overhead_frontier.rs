@@ -56,16 +56,14 @@ fn frontier_run_at(rate: SamplingRate, budget: Option<f64>, barriers: usize) -> 
     config.adaptive_threshold = Some(0.5);
     config.intervals_per_round = 1;
     config.round_deadline_intervals = Some(3);
-    let mut builder = Cluster::builder()
+    config.overhead_budget = budget;
+    let mut cluster = Cluster::builder()
         .nodes(NODES)
         .threads(THREADS)
         .latency(LatencyModel::fast_ethernet())
         .costs(CostModel::pentium4_2ghz())
-        .profiler(config);
-    if let Some(b) = budget {
-        builder = builder.overhead_budget(b);
-    }
-    let mut cluster = builder.build();
+        .profiler(config)
+        .build();
     let objs = cluster.init(|ctx| {
         let class = ctx.register_scalar_class("S", 8);
         (0..40)
@@ -164,14 +162,14 @@ fn spike_run(policy: ShedPolicy, burst: usize) -> (RunReport, MasterOutput) {
     let mut config = ProfilerConfig::tracking_at(SamplingRate::NX(1));
     config.intervals_per_round = 1;
     config.round_deadline_intervals = Some(3);
+    config.oal_mailbox_capacity = Some(4);
+    config.shed_policy = policy;
     let mut cluster = Cluster::builder()
         .nodes(NODES)
         .threads(THREADS)
         .latency(LatencyModel::free())
         .costs(CostModel::free())
         .profiler(config)
-        .oal_mailbox_capacity(4)
-        .shed_policy(policy)
         .build();
     let (objs, locks) = cluster.init(|ctx| {
         let class = ctx.register_scalar_class("S", 8);
@@ -240,7 +238,8 @@ fn slow_run(detect: bool, iters: usize, until_ns: u64) -> (RunReport, MasterOutp
     let mut config = ProfilerConfig::tracking_at(SamplingRate::NX(1));
     config.intervals_per_round = 1;
     config.round_deadline_intervals = Some(4);
-    let mut builder = Cluster::builder()
+    config.straggler_lag_intervals = detect.then_some(1.2);
+    let mut cluster = Cluster::builder()
         .nodes(NODES)
         .threads(THREADS)
         .latency(LatencyModel::free())
@@ -254,11 +253,8 @@ fn slow_run(detect: bool, iters: usize, until_ns: u64) -> (RunReport, MasterOutp
                 factor: 8.0,
             }],
             ..FaultPlan::default()
-        });
-    if detect {
-        builder = builder.straggler_lag(1.2);
-    }
-    let mut cluster = builder.build();
+        })
+        .build();
     let (objs, locks) = cluster.init(|ctx| {
         let class = ctx.register_scalar_class("S", 8);
         let objs = (0..THREADS)

@@ -36,7 +36,7 @@ use serde::Serialize;
 use jessy_core::distributed::TreeTcmReducer;
 use jessy_core::oal::{Oal, OalEntry};
 use jessy_core::tcm::reference::ScalarTcmBuilder;
-use jessy_core::{SketchTcm, TcmBuilder};
+use jessy_core::{SketchTcm, Tcm, TcmBuilder};
 use jessy_gos::{ClassId, ObjectId};
 use jessy_net::ThreadId;
 
@@ -415,6 +415,8 @@ fn measure_tree(n: usize, m: usize, rounds: usize, nodes: usize, fanout: usize) 
     );
 
     let mut tree = TreeTcmReducer::new(n, nodes, fanout);
+    // The master's dense cumulative map (what `Reducer` folds tree roots into).
+    let mut tree_cum = Tcm::new(n);
     let ingest_all = |tree: &mut TreeTcmReducer, oals: &[Oal]| {
         for o in oals {
             tree.ingest(o.thread.index() / tpn, o);
@@ -424,7 +426,7 @@ fn measure_tree(n: usize, m: usize, rounds: usize, nodes: usize, fanout: usize) 
     ingest_all(&mut tree, &oals);
     let (_, parts) = tree.close_round_subtrees();
     let warm_root = tree.merge_subtrees(parts);
-    tree.fold_partial(&warm_root);
+    tree_cum.merge_sparse(&warm_root.pairs);
 
     let mut tree_master_ns = 0u128;
     let (mut ingress_bytes, mut partial_bytes, mut shuffle_bytes, mut master_partials) =
@@ -443,7 +445,7 @@ fn measure_tree(n: usize, m: usize, rounds: usize, nodes: usize, fanout: usize) 
         master_partials = stats.master_partials;
         let t0 = Instant::now();
         let root = tree.merge_subtrees(parts);
-        tree.fold_partial(&root);
+        tree_cum.merge_sparse(&root.pairs);
         tree_master_ns += t0.elapsed().as_nanos();
         std::hint::black_box(root.objects);
     }
@@ -454,7 +456,7 @@ fn measure_tree(n: usize, m: usize, rounds: usize, nodes: usize, fanout: usize) 
         .tcm()
         .raw()
         .iter()
-        .zip(tree.tcm().raw())
+        .zip(tree_cum.raw())
         .all(|(a, b)| a.to_bits() == b.to_bits());
 
     TreeCell {

@@ -205,8 +205,9 @@ pub struct ProfilerConfig {
     /// round stream, which only the tree path produces.
     pub tcm_backend: TcmBackend,
     /// Size of the streaming top-correlated-pairs view maintained at the master
-    /// and exported through `MasterOutput::top_pairs` (0 disables). Under the
-    /// sketch backend this head is the exact state; the tail lives in the sketch.
+    /// and exported through `MasterOutput::top_pairs` (0 disables), on the flat
+    /// and the tree coordinator alike. Under the sketch backend this head is the
+    /// exact state; the tail lives in the sketch.
     pub tcm_top_k: usize,
     /// SLO on the profiler's own cost, as a fraction of charged compute time
     /// (e.g. `Some(0.02)` = "profiling may consume at most 2% of the work it

@@ -13,10 +13,9 @@ use std::collections::{BTreeMap, HashMap};
 use serde::{Deserialize, Serialize};
 
 use jessy_gos::{ClassId, ObjectId};
-use jessy_net::ThreadId;
 
-use crate::oal::{Oal, OalEntry};
-use crate::tcm::{MergeScratch, RoundSummary, SparseTcm, Tcm};
+use crate::oal::Oal;
+use crate::tcm::{for_each_sharer_pair, MergeScratch, RecordArena, SparseTcm};
 
 /// The owner node of an object among `n_shards`.
 #[inline]
@@ -142,10 +141,6 @@ pub struct TreeEdge {
 /// Statistics of one tree-aggregated round (the `master.reduce.*` counters).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TreeRoundStats {
-    /// Distinct objects reduced this round (summed over owners).
-    pub objects: usize,
-    /// The largest single leaf's object count (the pre-reduction critical path).
-    pub max_leaf_objects: usize,
     /// Object records that crossed nodes in the owner shuffle.
     pub shuffle_records: u64,
     /// Modeled wire bytes of the owner shuffle.
@@ -183,164 +178,44 @@ fn combine_sorted(mut pushed: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
     out
 }
 
-/// A round-local arena of per-object records (the leaf and owner state of the
-/// tree pipeline). Mirrors `TcmBuilder`'s layout — slot map plus parallel
-/// columns — with the object id kept for shuffle routing; every column retains
-/// capacity across rounds.
-#[derive(Debug)]
-struct RecordArena {
-    words: usize,
-    slots: HashMap<ObjectId, u32>,
-    obj_id: Vec<ObjectId>,
-    obj_class: Vec<ClassId>,
-    obj_bytes: Vec<f64>,
-    obj_bits: Vec<u64>,
-}
-
-impl RecordArena {
-    fn new(words: usize) -> Self {
-        RecordArena {
-            words,
-            slots: HashMap::new(),
-            obj_id: Vec::new(),
-            obj_class: Vec::new(),
-            obj_bytes: Vec::new(),
-            obj_bits: Vec::new(),
-        }
+/// The owner's pair walk: every record with ≥ 2 sharers pushes its pairs onto
+/// sparse global + per-class cell lists, sorted and combined at the end —
+/// exact, since weights are integer-valued f64.
+fn accrue_owner(arena: &RecordArena, n_threads: usize) -> TcmPartial {
+    let mut pairs: Vec<(u32, f64)> = Vec::new();
+    let mut class_cells: HashMap<ClassId, Vec<(u32, f64)>> = HashMap::new();
+    for (class, bytes, bits) in arena.shared_records() {
+        let class_buf = class_cells.entry(class).or_default();
+        for_each_sharer_pair(bits, n_threads, |idx| {
+            pairs.push((idx as u32, bytes));
+            class_buf.push((idx as u32, bytes));
+        });
     }
-
-    fn len(&self) -> usize {
-        self.obj_id.len()
-    }
-
-    fn clear(&mut self) {
-        self.slots.clear();
-        self.obj_id.clear();
-        self.obj_class.clear();
-        self.obj_bytes.clear();
-        self.obj_bits.clear();
-    }
-
-    fn slot_for(&mut self, obj: ObjectId, class: ClassId) -> usize {
-        let words = self.words;
-        *self.slots.entry(obj).or_insert_with(|| {
-            let s = self.obj_id.len() as u32;
-            self.obj_id.push(obj);
-            self.obj_class.push(class);
-            self.obj_bytes.push(0.0);
-            self.obj_bits.resize(self.obj_bits.len() + words, 0);
-            s
-        }) as usize
-    }
-
-    /// Leaf ingestion: dedup one thread's interval entries into the records.
-    fn ingest_entries(&mut self, thread: ThreadId, entries: &[OalEntry]) {
-        let t = thread.index();
-        let (tw, tbit) = (t / 64, 1u64 << (t % 64));
-        for e in entries {
-            let slot = self.slot_for(e.obj, e.class);
-            self.obj_bytes[slot] = self.obj_bytes[slot].max(e.bytes as f64);
-            self.obj_bits[slot * self.words + tw] |= tbit;
-        }
-    }
-
-    /// Owner-side merge of one shuffled record: union the (disjoint) sharer
-    /// bitsets, keep the max byte weight. The class is a property of the object
-    /// (every leaf reports the same one), so first-writer wins deterministically
-    /// — leaves shuffle in ascending node order.
-    fn merge_record(&mut self, obj: ObjectId, class: ClassId, bytes: f64, bits: &[u64]) {
-        let slot = self.slot_for(obj, class);
-        self.obj_bytes[slot] = self.obj_bytes[slot].max(bytes);
-        let dst = &mut self.obj_bits[slot * self.words..(slot + 1) * self.words];
-        for (d, s) in dst.iter_mut().zip(bits) {
-            *d |= s;
-        }
-    }
-
-    /// The owner's pair walk: every record with ≥ 2 sharers accrues its pairs
-    /// into sparse global + per-class cell lists (sorted and combined at the
-    /// end — exact, since weights are integer-valued f64).
-    fn accrue(&self, n_threads: usize) -> TcmPartial {
-        let words = self.words;
-        let mut pairs: Vec<(u32, f64)> = Vec::new();
-        let mut class_slots: HashMap<ClassId, usize> = HashMap::new();
-        let mut class_cells: Vec<(ClassId, Vec<(u32, f64)>)> = Vec::new();
-        let mut last_class: Option<(ClassId, usize)> = None;
-        for slot in 0..self.len() {
-            let bits = &self.obj_bits[slot * words..(slot + 1) * words];
-            let pop: u32 = bits.iter().map(|w| w.count_ones()).sum();
-            if pop < 2 {
-                continue;
-            }
-            let bytes = self.obj_bytes[slot];
-            let class = self.obj_class[slot];
-            let ci = match last_class {
-                Some((c, i)) if c == class => i,
-                _ => {
-                    let i = *class_slots.entry(class).or_insert_with(|| {
-                        class_cells.push((class, Vec::new()));
-                        class_cells.len() - 1
-                    });
-                    last_class = Some((class, i));
-                    i
-                }
-            };
-            let class_buf = &mut class_cells[ci].1;
-            for wi in 0..words {
-                let mut wa = bits[wi];
-                while wa != 0 {
-                    let a = wi * 64 + wa.trailing_zeros() as usize;
-                    wa &= wa - 1;
-                    let row_base =
-                        (a * (2 * n_threads - a - 1) / 2).wrapping_sub(a + 1);
-                    let mut wj = wi;
-                    let mut wb = wa;
-                    loop {
-                        while wb != 0 {
-                            let b = wj * 64 + wb.trailing_zeros() as usize;
-                            wb &= wb - 1;
-                            let idx = row_base.wrapping_add(b) as u32;
-                            pairs.push((idx, bytes));
-                            class_buf.push((idx, bytes));
-                        }
-                        wj += 1;
-                        if wj == words {
-                            break;
-                        }
-                        wb = bits[wj];
-                    }
-                }
-            }
-        }
-        let per_class = class_cells
-            .into_iter()
-            .map(|(c, buf)| (c, SparseTcm::from_sorted_cells(n_threads, combine_sorted(buf))))
-            .collect();
-        TcmPartial {
-            objects: self.len(),
-            pairs: SparseTcm::from_sorted_cells(n_threads, combine_sorted(pairs)),
-            per_class,
-        }
+    let per_class = class_cells
+        .into_iter()
+        .map(|(c, buf)| (c, SparseTcm::from_sorted_cells(n_threads, combine_sorted(buf))))
+        .collect();
+    TcmPartial {
+        objects: arena.len(),
+        pairs: SparseTcm::from_sorted_cells(n_threads, combine_sorted(pairs)),
+        per_class,
     }
 }
 
 /// The distributed TCM reduction pipeline: per-node leaf arenas, an
-/// object-owner shuffle, and a k-ary aggregation tree of sparse partials, with
-/// the cumulative (dense-backend) map folded at the root.
+/// object-owner shuffle, and a k-ary aggregation tree of sparse partials. One
+/// round in, one root [`TcmPartial`] out; the cumulative state the root folds
+/// into (dense map or sketch) belongs to the [`Reducer`](crate::Reducer).
 ///
-/// Bit-identical to a flat [`TcmBuilder`](crate::TcmBuilder) fed the same OAL
-/// stream — including under per-round decay — for any node placement, fanout
-/// and merge order (see the comment above for why; the unit test
+/// The root is bit-identical to what a flat [`TcmBuilder`](crate::TcmBuilder)
+/// accrues for the same OAL stream, for any node placement, fanout and merge
+/// order (see the comment above for why; the unit test
 /// `tree_reduction_is_bit_identical_to_flat_builder` checks it).
 #[derive(Debug)]
 pub struct TreeTcmReducer {
     n_threads: usize,
     n_nodes: usize,
     fanout: usize,
-    words: usize,
-    decay: f64,
-    rounds_closed: u64,
-    tcm: Tcm,
     leaves: Vec<RecordArena>,
     owners: Vec<RecordArena>,
     scratch: MergeScratch,
@@ -354,78 +229,47 @@ impl TreeTcmReducer {
     pub fn new(n_threads: usize, n_nodes: usize, fanout: usize) -> Self {
         assert!(fanout >= 2, "a unary aggregation chain reduces nothing");
         assert!(n_nodes > 0);
-        let words = n_threads.div_ceil(64).max(1);
         TreeTcmReducer {
             n_threads,
             n_nodes,
             fanout,
-            words,
-            decay: 1.0,
-            rounds_closed: 0,
-            tcm: Tcm::new(n_threads),
-            leaves: (0..n_nodes).map(|_| RecordArena::new(words)).collect(),
-            owners: (0..n_nodes).map(|_| RecordArena::new(words)).collect(),
+            leaves: (0..n_nodes).map(|_| RecordArena::new(n_threads)).collect(),
+            owners: (0..n_nodes).map(|_| RecordArena::new(n_threads)).collect(),
             scratch: MergeScratch::new(),
         }
     }
 
-    /// Number of leaf nodes.
-    pub fn n_nodes(&self) -> usize {
-        self.n_nodes
-    }
-
-    /// Aggregation-tree fanout.
-    pub fn fanout(&self) -> usize {
-        self.fanout
-    }
-
-    /// Decay factor applied to the cumulative map at every fold.
-    pub fn set_decay(&mut self, decay: f64) {
-        assert!((0.0..=1.0).contains(&decay), "decay must be in [0, 1]");
-        self.decay = decay;
-    }
-
     /// Ingest one OAL at its node's leaf arena (the node-local pre-reduction).
     pub fn ingest(&mut self, node: usize, oal: &Oal) {
-        self.leaves[node].ingest_entries(oal.thread, &oal.entries);
+        self.leaves[node].ingest(oal);
     }
 
     /// Run the distributed phases of a round close — leaf pre-reduction, owner
     /// shuffle, pair accrual, and every tree merge *below* the master — and
     /// return the ≤ `fanout` subtree partials the master must fold, plus the
-    /// round's fabric/work statistics. Pair with [`TreeTcmReducer::fold_subtrees`]
-    /// (or [`TreeTcmReducer::merge_subtrees`] for sketch-backend callers).
+    /// round's fabric/work statistics. Pair with [`TreeTcmReducer::merge_subtrees`].
     pub fn close_round_subtrees(&mut self) -> (TreeRoundStats, Vec<TcmPartial>) {
         let mut stats = TreeRoundStats::default();
         // Leaf → owner shuffle. Leaves drain in ascending node order and their
         // records in first-touch order, so owner insertion order — and with it
         // every downstream iteration — is deterministic.
         let mut shuffle: BTreeMap<(u16, u16), (u64, u64)> = BTreeMap::new();
-        for leaf in 0..self.n_nodes {
-            stats.max_leaf_objects = stats.max_leaf_objects.max(self.leaves[leaf].len());
-            let (leaves, owners) = (&mut self.leaves, &mut self.owners);
-            let arena = &leaves[leaf];
-            for slot in 0..arena.len() {
-                let obj = arena.obj_id[slot];
+        for (leaf, arena) in self.leaves.iter_mut().enumerate() {
+            for (obj, class, bytes, bits) in arena.records() {
+                let record_bytes = record_wire_bytes(bits.len());
                 let owner = shard_of(obj, self.n_nodes);
-                let bits = &arena.obj_bits[slot * self.words..(slot + 1) * self.words];
-                owners[owner].merge_record(
-                    obj,
-                    arena.obj_class[slot],
-                    arena.obj_bytes[slot],
-                    bits,
-                );
+                self.owners[owner].merge_record(obj, class, bytes, bits);
                 if owner != leaf {
-                    stats.shuffle_records += 1;
-                    stats.shuffle_bytes += record_wire_bytes(self.words);
                     let e = shuffle.entry((leaf as u16, owner as u16)).or_insert((0, 0));
-                    e.0 += record_wire_bytes(self.words);
+                    e.0 += record_bytes;
                     e.1 += 1;
                 }
             }
-            self.leaves[leaf].clear();
+            arena.clear();
         }
         for ((from, to), (bytes, records)) in shuffle {
+            stats.shuffle_records += records;
+            stats.shuffle_bytes += bytes;
             stats.edges.push(TreeEdge {
                 from,
                 to,
@@ -436,10 +280,8 @@ impl TreeTcmReducer {
         // Owner pair walks → per-node partials.
         let mut partials: Vec<Option<TcmPartial>> = Vec::with_capacity(self.n_nodes);
         for owner in 0..self.n_nodes {
-            let partial = self.owners[owner].accrue(self.n_threads);
-            stats.objects += partial.objects;
+            partials.push(Some(accrue_owner(&self.owners[owner], self.n_threads)));
             self.owners[owner].clear();
-            partials.push(Some(partial));
         }
         // Tree merge below the master: parents deepest-first (a child's id
         // always exceeds its parent's), children ascending.
@@ -503,55 +345,20 @@ impl TreeTcmReducer {
         }
         root
     }
-
-    /// Fold a round's root partial into the cumulative dense map, in lockstep
-    /// with `TcmBuilder::close_round`: decay first, then sparse-merge.
-    pub fn fold_partial(&mut self, root: &TcmPartial) {
-        if self.decay < 1.0 {
-            self.tcm.scale(self.decay);
-        }
-        self.tcm.merge_sparse(&root.pairs);
-        self.rounds_closed += 1;
-    }
-
-    /// Master-side completion of a round: merge the subtree partials, fold the
-    /// root into the cumulative map, and expand the round summary a flat
-    /// builder would have produced (dense round map included — callers at
-    /// production N that want to stay sparse use [`TreeTcmReducer::merge_subtrees`]
-    /// + [`TreeTcmReducer::fold_partial`] directly).
-    pub fn fold_subtrees(&mut self, subtrees: Vec<TcmPartial>) -> RoundSummary {
-        let root = self.merge_subtrees(subtrees);
-        self.fold_partial(&root);
-        RoundSummary {
-            objects: root.objects,
-            tcm: root.pairs.to_dense(),
-            per_class: root.per_class,
-        }
-    }
-
-    /// Close a round end to end (every phase on the calling thread) and return
-    /// the statistics plus the flat-equivalent round summary.
-    pub fn close_round(&mut self) -> (TreeRoundStats, RoundSummary) {
-        let (stats, subtrees) = self.close_round_subtrees();
-        let summary = self.fold_subtrees(subtrees);
-        (stats, summary)
-    }
-
-    /// The cumulative global map.
-    pub fn tcm(&self) -> &Tcm {
-        &self.tcm
-    }
-
-    /// Rounds folded so far.
-    pub fn rounds_closed(&self) -> u64 {
-        self.rounds_closed
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tcm::TcmBuilder;
+    use crate::oal::OalEntry;
+    use crate::tcm::{Tcm, TcmBuilder};
+    use jessy_net::ThreadId;
+
+    /// Close a round end to end: the statistics and the root partial.
+    fn close_round(tree: &mut TreeTcmReducer) -> (TreeRoundStats, TcmPartial) {
+        let (stats, subtrees) = tree.close_round_subtrees();
+        (stats, tree.merge_subtrees(subtrees))
+    }
 
     fn oal(thread: u32, objs: &[(u32, u64)]) -> Oal {
         Oal {
@@ -636,8 +443,9 @@ mod tests {
     }
 
     /// The tentpole property: for arbitrary OAL streams, node placements,
-    /// fanouts and decay factors, the tree pipeline's cumulative and per-round
-    /// state is bit-identical to a flat `TcmBuilder` fed the same stream.
+    /// fanouts and decay factors, the tree pipeline's per-round root — and the
+    /// cumulative map it folds into, aged as the `Reducer` ages it — is
+    /// bit-identical to a flat `TcmBuilder` fed the same stream.
     #[test]
     fn tree_reduction_is_bit_identical_to_flat_builder() {
         let n_threads = 23; // not a multiple of 64: exercises partial bitset words
@@ -653,7 +461,7 @@ mod tests {
             let mut flat = TcmBuilder::new(n_threads);
             flat.set_decay(decay);
             let mut tree = TreeTcmReducer::new(n_threads, n_nodes, fanout);
-            tree.set_decay(decay);
+            let mut cum = Tcm::new(n_threads);
             let mut s = seed.wrapping_mul(0x5851_F42D_4C95_7F2D);
             for round in 0..4u64 {
                 let oals = random_round(seed ^ round, n_threads, 40);
@@ -664,17 +472,18 @@ mod tests {
                     tree.ingest(node, o);
                 }
                 let flat_summary = flat.close_round();
-                let (stats, tree_summary) = tree.close_round();
+                let (stats, root) = close_round(&mut tree);
+                cum.scale(decay);
+                cum.merge_sparse(&root.pairs);
                 let label = format!(
                     "seed {seed} round {round} nodes {n_nodes} fanout {fanout} decay {decay}"
                 );
-                assert_eq!(tree_summary.objects, flat_summary.objects, "{label}");
-                assert_eq!(tree_summary.tcm.raw(), flat_summary.tcm.raw(), "{label}");
-                assert_eq!(tree_summary.per_class, flat_summary.per_class, "{label}");
-                assert_eq!(tree.tcm().raw(), flat.tcm().raw(), "{label}");
+                assert_eq!(root.objects, flat_summary.objects, "{label}");
+                assert_eq!(root.pairs.to_dense().raw(), flat_summary.tcm.raw(), "{label}");
+                assert_eq!(root.per_class, flat_summary.per_class, "{label}");
+                assert_eq!(cum.raw(), flat.tcm().raw(), "{label}");
                 assert_eq!(stats.master_partials, fanout.min(n_nodes) as u64, "{label}");
             }
-            assert_eq!(tree.rounds_closed(), 4);
         }
     }
 
@@ -686,7 +495,7 @@ mod tests {
         for o in workload() {
             tree.ingest(0, &o);
         }
-        let (stats, _) = tree.close_round();
+        let (stats, _) = close_round(&mut tree);
         assert_eq!(stats.shuffle_bytes, 0);
         assert_eq!(stats.partial_bytes, 0);
         assert_eq!(stats.master_partials, 1);
@@ -699,7 +508,7 @@ mod tests {
         for o in workload() {
             tree.ingest(o.thread.index() % 5, &o);
         }
-        let (stats, _) = tree.close_round();
+        let (stats, _) = close_round(&mut tree);
         assert!(stats.shuffle_records > 0);
         assert!(stats.shuffle_bytes >= stats.shuffle_records * 24);
         assert!(stats.partial_bytes > 0);
@@ -716,25 +525,24 @@ mod tests {
     fn partial_merge_through_scratch_is_allocation_stable() {
         let mut tree = TreeTcmReducer::new(6, 3, 2);
         let mut acc = TcmPartial::empty(6);
+        let mut cum = Tcm::new(6);
         let mut scratch = MergeScratch::new();
         for round in 0..6u64 {
             for o in random_round(round, 6, 16) {
                 tree.ingest(o.thread.index() % 3, &o);
             }
-            let (_, subtrees) = tree.close_round_subtrees();
-            let root = tree.merge_subtrees(subtrees);
+            let (_, root) = close_round(&mut tree);
             acc.merge(&root, &mut scratch);
-            tree.fold_partial(&root);
+            cum.merge_sparse(&root.pairs);
         }
         // The accumulated partial equals the cumulative map (decay = 1.0).
-        assert_eq!(acc.pairs.to_dense().raw(), tree.tcm().raw());
+        assert_eq!(acc.pairs.to_dense().raw(), cum.raw());
         // Steady state: once the union shape stabilizes, further merges reuse
         // the scratch (and the accumulator's own buffer) without allocating.
         for o in random_round(99, 6, 16) {
             tree.ingest(o.thread.index() % 3, &o);
         }
-        let (_, subtrees) = tree.close_round_subtrees();
-        let root = tree.merge_subtrees(subtrees);
+        let (_, root) = close_round(&mut tree);
         acc.merge(&root, &mut scratch);
         let cap = scratch.capacity();
         assert!(cap > 0);

@@ -12,7 +12,9 @@
 //! * **Correlation tracking** ([`oal`], [`tcm`], [`accuracy`]) — per-thread,
 //!   per-interval Object Access Lists fed to a central analyzer that reorganizes them
 //!   per object and accrues the Thread Correlation Map; the two distance metrics
-//!   (`E_ABS`, `E_EUC`) of Section II.B.2.
+//!   (`E_ABS`, `E_EUC`) of Section II.B.2. [`reducer`] is the coordinator's one
+//!   reduce step over whichever machinery (flat, [`distributed`] tree, sketch,
+//!   top-k) the configuration selects.
 //! * **The adaptive rate controller** ([`adaptive`]) — stepwise rate refinement driven
 //!   by *relative* accuracy between successive rounds, with resampling walks after
 //!   each change.
@@ -40,6 +42,7 @@ pub mod homeaware;
 pub mod oal;
 pub mod pcct;
 pub mod profiler;
+pub mod reducer;
 pub mod sampling;
 pub mod stack_sampling;
 pub mod sticky;
@@ -60,6 +63,7 @@ pub use homeaware::{HomeAwareAnalyzer, HomeAwareReport, HomeMigrationRec};
 pub use oal::{Oal, OalEntry};
 pub use pcct::{Pcct, PcctSampler};
 pub use profiler::{ProfilerShared, ProfilerStats, ThreadProfiler};
+pub use reducer::{ReducedRound, Reducer};
 pub use sampling::{GapTable, SamplingRate};
 pub use stack_sampling::StackSampler;
 pub use tcm::{MergeScratch, RoundSummary, SketchTcm, SparseTcm, Tcm, TcmBuilder, TopKPairs};

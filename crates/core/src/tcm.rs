@@ -735,22 +735,152 @@ impl ClassScratch {
     }
 }
 
+/// Visit every unordered pair `(a, b)`, `a < b`, of the set bits of a sharer
+/// bitset as its packed-triangle cell — the `O(pairs)` trailing-zeros walk both
+/// accrual sinks (the flat builder's dense round map, the tree owners' pushed
+/// cell lists) are driven by.
+#[inline]
+pub(crate) fn for_each_sharer_pair(bits: &[u64], n: usize, mut sink: impl FnMut(usize)) {
+    let words = bits.len();
+    for wi in 0..words {
+        let mut wa = bits[wi];
+        while wa != 0 {
+            let a = wi * 64 + wa.trailing_zeros() as usize;
+            wa &= wa - 1;
+            // Row `a` of the packed triangle starts at a·(2n−a−1)/2 and holds
+            // columns a+1..n, so cell (a, b) sits at start + b−a−1.
+            let row_base = (a * (2 * n - a - 1) / 2).wrapping_sub(a + 1);
+            let mut wj = wi;
+            let mut wb = wa; // bits above `a` in the same word
+            loop {
+                while wb != 0 {
+                    let b = wj * 64 + wb.trailing_zeros() as usize;
+                    wb &= wb - 1;
+                    sink(row_base.wrapping_add(b));
+                }
+                wj += 1;
+                if wj == words {
+                    break;
+                }
+                wb = bits[wj];
+            }
+        }
+    }
+}
+
+/// One round-pending object: who it is, its class, and the largest size any
+/// sharer logged for it.
+#[derive(Debug)]
+struct Record {
+    obj: ObjectId,
+    class: ClassId,
+    bytes: f64,
+}
+
+/// A round-local arena of per-object records — a slot map, a [`Record`] column
+/// and a parallel sharer-bitset column — shared by the flat [`TcmBuilder`] and
+/// the leaves and owners of the tree pipeline
+/// ([`TreeTcmReducer`](crate::TreeTcmReducer)). Records are iterated in
+/// first-touch order, so per-cell f64 accrual order is deterministic for a given
+/// ingestion order; every column retains its capacity across rounds, so
+/// steady-state ingestion is allocation-free.
+#[derive(Debug)]
+pub(crate) struct RecordArena {
+    /// Bitset words per record: `⌈n_threads/64⌉`.
+    words: usize,
+    slots: HashMap<ObjectId, u32>,
+    records: Vec<Record>,
+    bits: Vec<u64>,
+}
+
+impl RecordArena {
+    pub(crate) fn new(n_threads: usize) -> Self {
+        RecordArena {
+            words: n_threads.div_ceil(64).max(1),
+            slots: HashMap::new(),
+            records: Vec::new(),
+            bits: Vec::new(),
+        }
+    }
+
+    /// Distinct objects recorded this round.
+    pub(crate) fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Reset for the next round, keeping every buffer's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.records.clear();
+        self.bits.clear();
+    }
+
+    /// The slot of `obj`, appended (no sharers, zero bytes) on first touch.
+    fn slot_for(&mut self, obj: ObjectId, class: ClassId) -> usize {
+        match self.slots.entry(obj) {
+            std::collections::hash_map::Entry::Occupied(o) => *o.get() as usize,
+            std::collections::hash_map::Entry::Vacant(v) => {
+                let s = self.records.len();
+                v.insert(s as u32);
+                self.records.push(Record { obj, class, bytes: 0.0 });
+                self.bits.resize(self.bits.len() + self.words, 0);
+                s
+            }
+        }
+    }
+
+    /// Dedup one OAL into the records: the `O(M·N)` reorganization step.
+    pub(crate) fn ingest(&mut self, oal: &Oal) {
+        let t = oal.thread.index();
+        let (tw, tbit) = (t / 64, 1u64 << (t % 64));
+        for e in &oal.entries {
+            let slot = self.slot_for(e.obj, e.class);
+            let rec = &mut self.records[slot];
+            rec.bytes = rec.bytes.max(e.bytes as f64);
+            self.bits[slot * self.words + tw] |= tbit;
+        }
+    }
+
+    /// Merge one record of another arena: union the sharer bitsets, keep the max
+    /// byte weight. The class is a property of the object (every reporter names
+    /// the same one), so first-writer wins deterministically.
+    pub(crate) fn merge_record(&mut self, obj: ObjectId, class: ClassId, bytes: f64, bits: &[u64]) {
+        let slot = self.slot_for(obj, class);
+        let rec = &mut self.records[slot];
+        rec.bytes = rec.bytes.max(bytes);
+        let dst = &mut self.bits[slot * self.words..(slot + 1) * self.words];
+        for (d, s) in dst.iter_mut().zip(bits) {
+            *d |= s;
+        }
+    }
+
+    /// Every record as `(object, class, bytes, sharer bitset)`, first-touch order.
+    pub(crate) fn records(&self) -> impl Iterator<Item = (ObjectId, ClassId, f64, &[u64])> + '_ {
+        self.records
+            .iter()
+            .zip(self.bits.chunks_exact(self.words))
+            .map(|(r, bits)| (r.obj, r.class, r.bytes, bits))
+    }
+
+    /// The records that accrue pairs — those with at least two sharers — as
+    /// `(class, bytes, sharer bitset)`, first-touch order.
+    pub(crate) fn shared_records(&self) -> impl Iterator<Item = (ClassId, f64, &[u64])> + '_ {
+        self.records().filter_map(|(_, class, bytes, bits)| {
+            let pop: u32 = bits.iter().map(|w| w.count_ones()).sum();
+            (pop >= 2).then_some((class, bytes, bits))
+        })
+    }
+}
+
 /// Builds a [`Tcm`] (and per-class sub-maps) from a stream of OALs.
 ///
-/// Round-pending objects live in a flat arena — a slot map plus parallel `class` /
-/// `bytes` / thread-bitset columns — iterated in first-touch order at round close, so
-/// per-cell f64 accrual order is deterministic for a given ingestion order.
+/// Round-pending objects live in a [`RecordArena`]; the round close walks each
+/// shared record's pairs into a **dense** round map (the measured-fastest close
+/// for the flat coordinator — ROADMAP item 5 (a)) and per-class scratches.
 #[derive(Debug)]
 pub struct TcmBuilder {
-    n_threads: usize,
-    /// Bitset words per object: `⌈n_threads/64⌉`.
-    words: usize,
     tcm: Tcm,
-    // Round-local object index; all columns retain capacity across rounds.
-    slots: HashMap<ObjectId, u32>,
-    obj_class: Vec<ClassId>,
-    obj_bytes: Vec<f64>,
-    obj_bits: Vec<u64>,
+    arena: RecordArena,
     // Per-class round scratch, reused across rounds.
     class_slots: HashMap<ClassId, usize>,
     class_scratch: Vec<ClassScratch>,
@@ -762,13 +892,8 @@ impl TcmBuilder {
     /// Builder for `n_threads` threads.
     pub fn new(n_threads: usize) -> Self {
         TcmBuilder {
-            n_threads,
-            words: n_threads.div_ceil(64).max(1),
             tcm: Tcm::new(n_threads),
-            slots: HashMap::new(),
-            obj_class: Vec::new(),
-            obj_bytes: Vec::new(),
-            obj_bits: Vec::new(),
+            arena: RecordArena::new(n_threads),
             class_slots: HashMap::new(),
             class_scratch: Vec::new(),
             rounds_closed: 0,
@@ -787,99 +912,51 @@ impl TcmBuilder {
 
     /// Ingest one OAL: the `O(M·N)` reorganization step.
     pub fn ingest(&mut self, oal: &Oal) {
-        let t = oal.thread.index();
-        debug_assert!(t < self.n_threads);
-        let (tw, tbit) = (t / 64, 1u64 << (t % 64));
-        for e in &oal.entries {
-            let slot = match self.slots.entry(e.obj) {
-                std::collections::hash_map::Entry::Occupied(o) => *o.get(),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    let s = self.obj_class.len() as u32;
-                    v.insert(s);
-                    self.obj_class.push(e.class);
-                    self.obj_bytes.push(0.0);
-                    self.obj_bits.resize(self.obj_bits.len() + self.words, 0);
-                    s
-                }
-            } as usize;
-            self.obj_bytes[slot] = self.obj_bytes[slot].max(e.bytes as f64);
-            self.obj_bits[slot * self.words + tw] |= tbit;
-        }
+        debug_assert!(oal.thread.index() < self.tcm.n());
+        self.arena.ingest(oal);
     }
 
     /// Fold the round's per-object bitsets into the map: the `O(M·N²)` accrual step,
-    /// now `O(M · pairs)` over set bits via trailing-zeros word iteration. The
+    /// now `O(M · pairs)` over set bits via [`for_each_sharer_pair`]. The
     /// cumulative map is aged by the decay factor first, then gains the round's map.
     ///
     /// Returns the round's own (non-cumulative) maps — the "successive correlation
     /// matrices" the adaptive controller compares — plus the object count.
     pub fn close_round(&mut self) -> RoundSummary {
-        let n = self.n_threads;
-        let words = self.words;
-        let m = self.obj_class.len();
+        let summary = self.accrue_round();
+        self.fold_round(&summary.tcm);
+        summary
+    }
+
+    /// The accrual half of [`TcmBuilder::close_round`]: the round's own maps, with
+    /// the arena reset and the cumulative map not yet touched — so a caller can
+    /// still read the pre-round cumulative (the top-k view's admission weight).
+    pub(crate) fn accrue_round(&mut self) -> RoundSummary {
+        let n = self.tcm.n();
+        let objects = self.arena.len();
         let mut round_tcm = Tcm::new(n);
-        {
-            let rt = round_tcm.data_mut();
-            let obj_class = &self.obj_class;
-            let obj_bytes = &self.obj_bytes;
-            let obj_bits = &self.obj_bits;
-            let class_slots = &mut self.class_slots;
-            let class_scratch = &mut self.class_scratch;
-            let mut last_class: Option<(ClassId, usize)> = None;
-            for slot in 0..m {
-                let bits = &obj_bits[slot * words..(slot + 1) * words];
-                let pop: u32 = bits.iter().map(|w| w.count_ones()).sum();
-                if pop < 2 {
-                    continue;
+        let rt = round_tcm.data_mut();
+        let mut last_class: Option<(ClassId, usize)> = None;
+        for (class, bytes, bits) in self.arena.shared_records() {
+            let cs_idx = match last_class {
+                Some((c, i)) if c == class => i,
+                _ => {
+                    let class_scratch = &mut self.class_scratch;
+                    let i = *self.class_slots.entry(class).or_insert_with(|| {
+                        class_scratch.push(ClassScratch::new(n));
+                        class_scratch.len() - 1
+                    });
+                    last_class = Some((class, i));
+                    i
                 }
-                let bytes = obj_bytes[slot];
-                let class = obj_class[slot];
-                let cs_idx = match last_class {
-                    Some((c, i)) if c == class => i,
-                    _ => {
-                        let i = *class_slots.entry(class).or_insert_with(|| {
-                            class_scratch.push(ClassScratch::new(n));
-                            class_scratch.len() - 1
-                        });
-                        last_class = Some((class, i));
-                        i
-                    }
-                };
-                let scratch = &mut class_scratch[cs_idx];
-                // Walk ordered pairs (a, b), a < b, of the set bits.
-                for wi in 0..words {
-                    let mut wa = bits[wi];
-                    while wa != 0 {
-                        let a = wi * 64 + wa.trailing_zeros() as usize;
-                        wa &= wa - 1;
-                        // Row `a` of the packed triangle starts at a·(2n−a−1)/2 and
-                        // holds columns a+1..n, so cell (a, b) sits at start + b−a−1.
-                        let row_base = (a * (2 * n - a - 1) / 2).wrapping_sub(a + 1);
-                        let mut wj = wi;
-                        let mut wb = wa; // bits above `a` in the same word
-                        loop {
-                            while wb != 0 {
-                                let b = wj * 64 + wb.trailing_zeros() as usize;
-                                wb &= wb - 1;
-                                let idx = row_base.wrapping_add(b);
-                                rt[idx] += bytes;
-                                scratch.accrue(idx as u32, bytes);
-                            }
-                            wj += 1;
-                            if wj == words {
-                                break;
-                            }
-                            wb = bits[wj];
-                        }
-                    }
-                }
-            }
+            };
+            let scratch = &mut self.class_scratch[cs_idx];
+            for_each_sharer_pair(bits, n, |idx| {
+                rt[idx] += bytes;
+                scratch.accrue(idx as u32, bytes);
+            });
         }
-        // Reset the round-local index, keeping every buffer's capacity.
-        self.slots.clear();
-        self.obj_class.clear();
-        self.obj_bytes.clear();
-        self.obj_bits.clear();
+        self.arena.clear();
         // Drain per-class scratches into sorted sparse maps.
         let mut per_class = HashMap::with_capacity(self.class_slots.len());
         for (&class, &idx) in &self.class_slots {
@@ -888,16 +965,21 @@ impl TcmBuilder {
                 per_class.insert(class, sparse);
             }
         }
-        if self.decay < 1.0 {
-            self.tcm.scale(self.decay);
-        }
-        self.tcm.merge(&round_tcm);
-        self.rounds_closed += 1;
         RoundSummary {
-            objects: m,
+            objects,
             tcm: round_tcm,
             per_class,
         }
+    }
+
+    /// The fold half of [`TcmBuilder::close_round`]: age the cumulative map, then
+    /// add the round's.
+    pub(crate) fn fold_round(&mut self, round: &Tcm) {
+        if self.decay < 1.0 {
+            self.tcm.scale(self.decay);
+        }
+        self.tcm.merge(round);
+        self.rounds_closed += 1;
     }
 
     /// The accumulated global map.
@@ -1245,6 +1327,28 @@ mod tests {
     }
 
     #[test]
+    fn sharer_pair_walk_visits_each_pair_once_at_its_packed_cell() {
+        // 3 words; sharers sit at both edges of every word boundary.
+        let n = 150usize;
+        let sharers = [0usize, 1, 62, 63, 64, 65, 127, 128, 149];
+        let mut bits = vec![0u64; n.div_ceil(64)];
+        for &t in &sharers {
+            bits[t / 64] |= 1 << (t % 64);
+        }
+        let mut got = Vec::new();
+        for_each_sharer_pair(&bits, n, |idx| got.push(idx));
+        let mut expect = Vec::new();
+        for (ai, &a) in sharers.iter().enumerate() {
+            for &b in &sharers[ai + 1..] {
+                expect.push(tri_index(n, a, b));
+            }
+        }
+        assert_eq!(got, expect, "row-major, each pair exactly once");
+        // Fewer than two sharers: nothing to visit.
+        for_each_sharer_pair(&[1 << 7, 0, 0], n, |_| panic!("a lone sharer has no pair"));
+    }
+
+    #[test]
     fn wide_bitsets_cross_word_boundaries() {
         // 130 threads = 3 words; sharers straddle all of them.
         let mut b = TcmBuilder::new(130);
@@ -1323,15 +1427,15 @@ mod tests {
             b.ingest(&oal(t, (0..100).map(|o| entry(o, 8)).collect()));
         }
         b.close_round();
-        let bits_cap = b.obj_bits.capacity();
-        let class_cap = b.obj_class.capacity();
-        assert!(bits_cap >= 100 && class_cap >= 100);
+        let bits_cap = b.arena.bits.capacity();
+        let records_cap = b.arena.records.capacity();
+        assert!(bits_cap >= 100 && records_cap >= 100);
         for t in 0..4u32 {
             b.ingest(&oal(t, (0..100).map(|o| entry(o, 8)).collect()));
         }
         b.close_round();
-        assert_eq!(b.obj_bits.capacity(), bits_cap, "bitset arena reused");
-        assert_eq!(b.obj_class.capacity(), class_cap, "class column reused");
+        assert_eq!(b.arena.bits.capacity(), bits_cap, "bitset column reused");
+        assert_eq!(b.arena.records.capacity(), records_cap, "record column reused");
     }
 
     #[test]

@@ -249,68 +249,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Profiler configuration (default: everything off).
+    /// Profiler configuration (default: everything off) — the one way to set a
+    /// profiler option: every knob is a field of [`ProfilerConfig`].
     pub fn profiler(mut self, p: ProfilerConfig) -> Self {
         self.profiler = p;
-        self
-    }
-
-    /// Aggregate TCM partials up a k-ary fabric tree instead of shipping raw
-    /// per-thread OALs to a flat coordinator (0 = flat, the default; values >= 2
-    /// enable per-node pre-reduction; 1 is rejected by validation). Dense-backend
-    /// tree runs are bit-identical to flat runs' maps.
-    pub fn tcm_tree_fanout(mut self, fanout: usize) -> Self {
-        self.profiler.tcm_tree_fanout = fanout;
-        self
-    }
-
-    /// Backend for the master's cumulative pair state (`TcmBackend::Sketch`
-    /// requires tree mode; see `ProfilerConfig::tcm_backend`).
-    pub fn tcm_backend(mut self, backend: jessy_core::TcmBackend) -> Self {
-        self.profiler.tcm_backend = backend;
-        self
-    }
-
-    /// Maintain a streaming view of the `k` hottest correlated pairs, exported
-    /// as `MasterOutput::top_pairs` (0 disables, the default).
-    pub fn tcm_top_k(mut self, k: usize) -> Self {
-        self.profiler.tcm_top_k = k;
-        self
-    }
-
-    /// Bound the profiler's own cost to this fraction of charged compute
-    /// (e.g. `0.02` = 2%): over-budget rounds walk the degradation ladder
-    /// (coarsen rates → merge rounds → summary-only OALs) instead of refining.
-    /// Requires an adaptive profiler configuration (`adaptive_threshold`).
-    pub fn overhead_budget(mut self, fraction: f64) -> Self {
-        self.profiler.overhead_budget = Some(fraction);
-        self
-    }
-
-    /// Bound the master's OAL mailbox to `cap` queued batches; senders that find
-    /// it full queue per-thread (same bound) and shed per the configured
-    /// [`ShedPolicy`](jessy_core::ShedPolicy). Pair with
-    /// `round_deadline_intervals` so rounds missing shed batches still close.
-    pub fn oal_mailbox_capacity(mut self, cap: usize) -> Self {
-        self.profiler.oal_mailbox_capacity = Some(cap);
-        self
-    }
-
-    /// What threads do with pending OAL batches under mailbox backpressure
-    /// (default: drop the oldest). Ignored without a mailbox capacity.
-    pub fn shed_policy(mut self, policy: jessy_core::ShedPolicy) -> Self {
-        self.profiler.shed_policy = policy;
-        self
-    }
-
-    /// Demote a node to straggler when the EWMA of its per-round progress
-    /// deficit (intervals advanced behind the fastest-progressing node between
-    /// round closes) exceeds this threshold: its unreported intervals are
-    /// prorated out of round coverage (a soft quarantine) until the EWMA
-    /// recovers below half the threshold. Gray-failure tolerance: a merely-slow
-    /// node degrades accuracy measurably but never wedges a round.
-    pub fn straggler_lag(mut self, intervals: f64) -> Self {
-        self.profiler.straggler_lag_intervals = Some(intervals);
         self
     }
 

@@ -38,7 +38,7 @@ pub use dynamic::{
 };
 pub use error::RuntimeError;
 pub use master::{
-    AppliedRateChange, ClassRoundState, ClosedRound, EpochOal, Ingest, MasterOutput,
+    AppliedRateChange, ClassRoundState, ClosedRound, EpochOal, Ingest, MasterLedger, MasterOutput,
     ProfilerCheckpoint, RoundScheduler, RoundTimeline, SchedulerCheckpoint, SkippedRateChange,
 };
 pub use metrics::{DeterministicReport, RunReport};

@@ -68,11 +68,10 @@ use serde::{Deserialize, Serialize};
 
 use jessy_core::adaptive::apply_rate_change;
 use jessy_core::sampling::ClassGapState;
-use jessy_core::tcm::RoundSummary;
 use jessy_core::{
     BudgetCheckpoint, BudgetOutcome, BudgetedController, DegradeStep, DriftConfig,
-    HomeAwareAnalyzer, Oal, ProfilerConfig, RateCause, RoundOutcome, SketchTcm, SketchedTopKView,
-    SparseTcm, Tcm, TcmBackend, TcmBuilder, TopKPairs, TreeTcmReducer,
+    HomeAwareAnalyzer, Oal, ProfilerConfig, RateCause, ReducedRound, Reducer, RoundOutcome, Tcm,
+    TreeRoundStats,
 };
 use jessy_gos::ClassId;
 use jessy_net::{ClockHandle, Mailbox, MasterCrashWindow, MsgClass, NodeId, ThreadId};
@@ -605,6 +604,55 @@ impl RoundScheduler {
     }
 }
 
+/// The coordinator's round-by-round record: every counter, history and decision
+/// list that describes the rounds closed so far and must therefore survive a
+/// master crash together with them. The daemon holds one; a
+/// [`ProfilerCheckpoint`] carries a clone; a restore reinstates it (or starts a
+/// new one), so a replayed round extends it exactly as the live round did and
+/// nothing is double-counted. This is the one place a recoverable field is listed.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct MasterLedger {
+    /// Rounds closed so far.
+    pub rounds: u64,
+    /// OALs ingested (non-duplicate) so far.
+    pub oals: u64,
+    /// Σ per-round distinct objects organized.
+    pub objects_organized: u64,
+    /// Per-round coverage history.
+    pub round_coverage: Vec<f64>,
+    /// Per-round profiling-cost history (the budget loop's input): profiling
+    /// cost / charged compute since the previous close.
+    pub round_cost_fraction: Vec<f64>,
+    /// Applied rate changes so far.
+    pub rate_changes: Vec<AppliedRateChange>,
+    /// Coverage-skipped rounds so far.
+    pub skipped: Vec<SkippedRateChange>,
+    /// Planned migrations, if the balancer already ran.
+    pub planned_migrations: Vec<PlannedMigration>,
+    /// Whether the one-shot balancer already ran.
+    pub rebalanced: bool,
+    /// Round each thread last received a move directive in (continuous mode's
+    /// cooldown state: a thread inside its cooldown window is pinned).
+    pub last_moved_round: Vec<Option<u64>>,
+    /// Placement-engine counters accumulated so far (continuous mode).
+    pub placement: PlacementTelemetry,
+    /// The recorded OAL stream, when `ProfilerConfig::record_oals` was set.
+    pub oal_log: Vec<Oal>,
+    /// Convergence timeline rows accumulated so far (change-point encoded).
+    pub timeline: Vec<RoundTimeline>,
+}
+
+impl MasterLedger {
+    /// The ledger of a coordinator of `n_threads` threads that has closed no
+    /// round yet (`Default` alone lacks the per-thread cooldown slots).
+    pub fn new(n_threads: usize) -> Self {
+        MasterLedger {
+            last_moved_round: vec![None; n_threads],
+            ..MasterLedger::default()
+        }
+    }
+}
+
 /// Serializable snapshot of the coordinator's complete profiling state, taken every
 /// `ProfilerConfig::checkpoint_every_rounds` closed rounds. All map-like state is
 /// stored sorted, so equal coordinator states serialize to identical JSON and the
@@ -618,9 +666,7 @@ impl RoundScheduler {
 pub struct ProfilerCheckpoint {
     /// Master epoch at snapshot time.
     pub epoch: u64,
-    /// Rounds closed so far.
-    pub rounds: u64,
-    /// The accumulated TCM over those rounds.
+    /// The accumulated TCM over the ledger's rounds.
     pub tcm: Tcm,
     /// Round-assembly state (watermarks, open buckets, dedup set, late buffer).
     pub scheduler: SchedulerCheckpoint,
@@ -629,34 +675,9 @@ pub struct ProfilerCheckpoint {
     pub controller: Option<BudgetCheckpoint>,
     /// Per-class sampling-rate table, sorted by class id.
     pub rates: Vec<(ClassId, ClassGapState)>,
-    /// OALs ingested (non-duplicate) so far.
-    pub oals: u64,
-    /// Σ per-round distinct objects organized.
-    pub objects_organized: u64,
-    /// Per-round coverage history.
-    pub round_coverage: Vec<f64>,
-    /// Per-round profiling-cost history (the budget loop's input).
-    pub round_cost_fraction: Vec<f64>,
-    /// Applied rate changes so far.
-    pub rate_changes: Vec<AppliedRateChange>,
-    /// Coverage-skipped rounds so far.
-    pub skipped: Vec<SkippedRateChange>,
-    /// Planned migrations, if the balancer already ran.
-    pub planned_migrations: Vec<PlannedMigration>,
-    /// Whether the balancer already ran.
-    pub rebalanced: bool,
-    /// Round each thread last received a move directive in (continuous mode's
-    /// cooldown state): replay re-derives post-checkpoint epochs from this base
-    /// exactly as it re-closes rounds.
-    pub last_moved_round: Vec<Option<u64>>,
-    /// Placement-engine counters accumulated so far; restored with the rounds
-    /// they describe so replayed planning epochs don't double-count.
-    pub placement_telemetry: PlacementTelemetry,
-    /// The recorded OAL stream, when `ProfilerConfig::record_oals` was set.
-    pub oal_log: Vec<Oal>,
-    /// Convergence timeline rows accumulated so far (change-point encoded, so
-    /// replayed rounds extend it exactly as live ones do).
-    pub timeline: Vec<RoundTimeline>,
+    /// The round-by-round record, restored with the rounds it describes so
+    /// replayed rounds and planning epochs don't double-count.
+    pub ledger: MasterLedger,
 }
 
 pub(crate) struct MasterDaemon {
@@ -702,27 +723,16 @@ impl MasterDaemon {
 struct Daemon {
     shared: Arc<ClusterShared>,
     config: ProfilerConfig,
-    builder: TcmBuilder,
-    /// Tree-mode reduction pipeline (`ProfilerConfig::tcm_tree_fanout >= 2`):
-    /// replaces the flat `builder` for round reduction; the scheduler, epoch
-    /// fencing, deadline and quarantine machinery are untouched.
-    tree: Option<TreeTcmReducer>,
-    /// Count-min backend for the merged partial stream (`TcmBackend::Sketch`,
-    /// tree mode only). When set, no dense cumulative map is maintained.
-    sketch: Option<SketchTcm>,
-    /// Streaming top-k correlated-pairs view (`ProfilerConfig::tcm_top_k > 0`).
-    topk: Option<TopKPairs>,
+    /// The live reduce step (flat or tree, dense or sketch, with or without the
+    /// top-k head): rounds closed since the last restore.
+    reducer: Reducer,
     /// `master.reduce.*` counters (tree mode only).
     reduce: ReduceTelemetry,
     controller: Option<BudgetedController>,
     scheduler: RoundScheduler,
-    oals: u64,
-    rounds: u64,
-    objects_organized: u64,
+    /// Everything recoverable that the closed rounds produced.
+    ledger: MasterLedger,
     build_ns: u64,
-    round_coverage: Vec<f64>,
-    /// Per closed round, profiling cost / charged compute since the last close.
-    round_cost_fraction: Vec<f64>,
     /// (Σ thread clocks, profiling wire bytes, OAL entries) at the previous
     /// round close — the cost fraction is the delta between closes. All three
     /// are virtual-time/virtual-count reads taken while the master holds the
@@ -742,28 +752,16 @@ struct Daemon {
     straggler_demoted: Vec<bool>,
     /// Demotion events performed (`MasterOutput::stragglers`).
     stragglers: u64,
-    rate_changes: Vec<AppliedRateChange>,
-    skipped: Vec<SkippedRateChange>,
-    planned_migrations: Vec<PlannedMigration>,
-    rebalanced: bool,
-    /// Round each thread last received a move directive in (continuous-mode
-    /// hysteresis: a thread inside its cooldown window is pinned).
-    last_moved_round: Vec<Option<u64>>,
-    /// Accumulated placement-engine counters (continuous mode).
-    placement: PlacementTelemetry,
     /// Per-object accessor statistics for home repair (Section V's home effect):
     /// maintained only in continuous rebalancing mode with `migrate_homes` on.
     homeaware: Option<HomeAwareAnalyzer>,
-    oal_log: Vec<Oal>,
-    record_oals: bool,
-    timeline: Vec<RoundTimeline>,
     /// Classes whose convergence was already journaled (an event fires once per
     /// class, even when replay re-closes the round that froze it).
     announced_converged: HashSet<ClassId>,
     // ---------------------------------------------------------- crash-stop recovery
     /// Current master epoch (bumped and broadcast on every restore).
     epoch: u64,
-    /// TCM accumulated before the last restore; the live `builder` only holds rounds
+    /// TCM accumulated before the last restore; the live `reducer` only holds rounds
     /// closed since. `effective_tcm()` merges the two — exact for integer-valued f64.
     base_tcm: Option<Tcm>,
     /// Latest snapshot, if checkpointing is on and one was taken.
@@ -771,7 +769,6 @@ struct Daemon {
     /// Accepted OALs since the latest checkpoint (the durable WAL a restore replays).
     /// Only maintained when the fault plan schedules master crashes.
     replay_log: Vec<Oal>,
-    keep_replay_log: bool,
     /// Master crash windows, sorted by `until_interval`; `next_crash` indexes the
     /// first window whose restart has not fired yet.
     master_crashes: Vec<MasterCrashWindow>,
@@ -803,60 +800,40 @@ impl Daemon {
         }
         self.max_interval_seen = self.max_interval_seen.max(oal.interval + 1);
         let stale = epoch < self.epoch;
-        if self.record_oals {
-            self.oal_log.push(oal.clone());
+        // The replay log is the WAL of a master that can crash; without crash
+        // windows in the fault plan nothing would ever read it.
+        let keep_replay_log = !self.master_crashes.is_empty();
+        if self.config.record_oals {
+            self.ledger.oal_log.push(oal.clone());
         }
-        if self.keep_replay_log {
+        if keep_replay_log {
             self.replay_log.push(oal.clone());
         }
         match self.scheduler.ingest_epoch(oal, stale) {
             Ingest::Duplicate | Ingest::Fenced => {
                 // Drop silently; a lossy network retransmitting is not new data.
-                if self.record_oals {
-                    self.oal_log.pop();
+                if self.config.record_oals {
+                    self.ledger.oal_log.pop();
                 }
-                if self.keep_replay_log {
+                if keep_replay_log {
                     self.replay_log.pop();
                 }
                 return;
             }
-            Ingest::Accepted | Ingest::Late => self.oals += 1,
+            Ingest::Accepted | Ingest::Late => self.ledger.oals += 1,
         }
         for closed in self.scheduler.ready_rounds() {
             self.close_round(closed);
         }
     }
 
-    fn fresh_controller(&self) -> Option<BudgetedController> {
-        build_controller(&self.config)
-    }
-
     /// The cumulative TCM: rounds closed since the last restore plus the restored
     /// base. Integer-valued f64 sums below 2^53 are exact and association-free, so
-    /// this equals the uninterrupted cumulative bit for bit. In tree mode the
-    /// tree's cumulative is bit-identical to the flat reducer's (property-tested
-    /// in jessy-core); under the sketch backend no dense cumulative exists, so
-    /// this expands the sketch's point estimates — an overestimate-only
-    /// approximation, which is why the sketch backend is gated to tree mode and
-    /// aimed at production N where the dense map is unaffordable anyway.
+    /// this equals the uninterrupted cumulative bit for bit, on the flat and the
+    /// tree path alike; under the sketch backend it is the expansion
+    /// [`Reducer::cumulative`] documents.
     fn effective_tcm(&self) -> Tcm {
-        let mut t = if let Some(sk) = &self.sketch {
-            let n = self.shared.n_threads;
-            let mut pairs = Vec::new();
-            for i in 0..n as u32 {
-                for j in (i + 1)..n as u32 {
-                    let v = sk.at(ThreadId(i), ThreadId(j));
-                    if v > 0.0 {
-                        pairs.push((ThreadId(i), ThreadId(j), v));
-                    }
-                }
-            }
-            SparseTcm::from_pairs(n, &pairs).to_dense()
-        } else if let Some(tree) = &self.tree {
-            tree.tcm().clone()
-        } else {
-            self.builder.tcm().clone()
-        };
+        let mut t = self.reducer.cumulative();
         if let Some(base) = &self.base_tcm {
             t.merge(base);
         }
@@ -873,29 +850,17 @@ impl Daemon {
         rates.sort_unstable_by_key(|(c, _)| *c);
         self.latest_checkpoint = Some(ProfilerCheckpoint {
             epoch: self.epoch,
-            rounds: self.rounds,
             tcm: self.effective_tcm(),
             scheduler: self.scheduler.checkpoint(),
             controller: self.controller.as_ref().map(|c| c.checkpoint()),
             rates,
-            oals: self.oals,
-            objects_organized: self.objects_organized,
-            round_coverage: self.round_coverage.clone(),
-            round_cost_fraction: self.round_cost_fraction.clone(),
-            rate_changes: self.rate_changes.clone(),
-            skipped: self.skipped.clone(),
-            planned_migrations: self.planned_migrations.clone(),
-            rebalanced: self.rebalanced,
-            last_moved_round: self.last_moved_round.clone(),
-            placement_telemetry: self.placement.clone(),
-            oal_log: self.oal_log.clone(),
-            timeline: self.timeline.clone(),
+            ledger: self.ledger.clone(),
         });
         self.replay_log.clear();
         self.shared.emit_event(
             &self.shared.master_clock(),
             EventKind::CheckpointTaken {
-                round: self.rounds,
+                round: self.ledger.rounds,
                 epoch: self.epoch,
             },
         );
@@ -912,12 +877,11 @@ impl Daemon {
         self.restores += 1;
         let replay = std::mem::take(&mut self.replay_log);
 
+        self.controller = build_controller(&self.config);
         match self.latest_checkpoint.clone() {
             Some(cp) => {
-                self.rounds = cp.rounds;
                 self.base_tcm = Some(cp.tcm);
                 self.scheduler = RoundScheduler::from_checkpoint(&cp.scheduler);
-                self.controller = self.fresh_controller();
                 if let (Some(ctl), Some(ccp)) = (self.controller.as_mut(), cp.controller.as_ref()) {
                     ctl.restore(ccp);
                 }
@@ -927,46 +891,18 @@ impl Daemon {
                 for (class, st) in &cp.rates {
                     gaps.set_rate(*class, st.rate);
                 }
-                self.oals = cp.oals;
-                self.objects_organized = cp.objects_organized;
-                self.round_coverage = cp.round_coverage;
-                self.round_cost_fraction = cp.round_cost_fraction;
-                self.rate_changes = cp.rate_changes;
-                self.skipped = cp.skipped;
-                self.planned_migrations = cp.planned_migrations;
-                self.rebalanced = cp.rebalanced;
-                self.last_moved_round = cp.last_moved_round;
-                self.placement = cp.placement_telemetry;
-                self.oal_log = cp.oal_log;
-                self.timeline = cp.timeline;
+                self.ledger = cp.ledger;
             }
             None => {
                 // Cold restart: no snapshot, so the replay log spans the full run.
                 // Worker rate tables are left untouched — without a snapshot the
                 // restarted master has no record to re-broadcast; the controller
                 // re-baselines against the rates currently in force.
-                self.rounds = 0;
                 self.base_tcm = None;
                 let quarantine = self.scheduler.quarantine_table();
-                self.scheduler = RoundScheduler::new(
-                    self.shared.n_threads,
-                    (self.config.intervals_per_round as u64).max(1),
-                    self.config.round_deadline_intervals,
-                );
+                self.scheduler = fresh_scheduler(&self.config, self.shared.n_threads);
                 self.scheduler.set_quarantine(quarantine);
-                self.controller = self.fresh_controller();
-                self.oals = 0;
-                self.objects_organized = 0;
-                self.round_coverage.clear();
-                self.round_cost_fraction.clear();
-                self.rate_changes.clear();
-                self.skipped.clear();
-                self.planned_migrations.clear();
-                self.rebalanced = false;
-                self.last_moved_round = vec![None; self.shared.n_threads];
-                self.placement = PlacementTelemetry::default();
-                self.oal_log.clear();
-                self.timeline.clear();
+                self.ledger = MasterLedger::new(self.shared.n_threads);
             }
         }
         if let Some(ha) = &mut self.homeaware {
@@ -975,11 +911,9 @@ impl Daemon {
             ha.clear();
         }
         // Reducer state restarts from the checkpoint base: the replay log
-        // re-closes post-checkpoint rounds, refilling the builder or the
-        // tree/sketch/top-k in the same deterministic order the pre-crash
-        // master saw.
-        (self.builder, self.tree, self.sketch, self.topk) =
-            fresh_reducers(&self.config, &self.shared);
+        // re-closes post-checkpoint rounds, refilling it in the same
+        // deterministic order the pre-crash master saw.
+        self.reducer = Reducer::new(&self.config, self.shared.n_threads, self.shared.n_nodes);
         // The summary-only switch lives in worker-visible profiler state: re-sync
         // it to the restored ladder position (replay re-derives later rungs).
         if self.config.overhead_budget.is_some() {
@@ -1022,43 +956,26 @@ impl Daemon {
         }
     }
 
-    /// The one place OALs become a [`RoundSummary`]: reduce one round's OALs (a
-    /// scheduler round, or the late fold at the end of the run) into the live
-    /// reducer — flat builder or tree — then age the restored base. The reducer
-    /// decays its own cumulative per close; the base must age in lockstep or the
-    /// merged map would over-weight pre-crash history.
-    fn reduce_round(&mut self, round: u64, oals: &[Oal]) -> RoundSummary {
-        let summary = if self.tree.is_some() {
-            self.close_round_tree(round, oals)
-        } else {
-            for oal in oals {
-                self.builder.ingest(oal);
-            }
-            self.builder.close_round()
-        };
+    /// The one place OALs reach the reducer: reduce one round's OALs (a scheduler
+    /// round, or the late fold at the end of the run), pay for what the tree moved,
+    /// then age the restored base. The reducer decays its own cumulative per
+    /// close; the base must age in lockstep or the merged map would over-weight
+    /// pre-crash history.
+    fn reduce_round(&mut self, round: u64, oals: &[Oal]) -> ReducedRound {
+        let shared = &self.shared;
+        let reduced = self.reducer.reduce(oals, |t| shared.node_of(t).0 as usize);
+        if let Some(stats) = &reduced.tree {
+            self.charge_tree_round(round, stats);
+        }
         if let (Some(decay), Some(base)) = (self.config.tcm_decay, self.base_tcm.as_mut()) {
             base.scale(decay);
         }
-        summary
+        reduced
     }
 
-    /// Tree-mode reduction of one round's OALs: leaf pre-reduction at each
-    /// thread's node, owner shuffle, k-ary partial merge, then the backend fold
-    /// (dense cumulative, or sketch + top-k). Accounts every real fabric hop as
-    /// `MsgClass::TcmPartial` traffic and journals it. Returns the same
-    /// `RoundSummary` a flat reducer would have produced, so the controller,
-    /// timeline and coverage bookkeeping downstream run unchanged.
-    fn close_round_tree(&mut self, round: u64, oals: &[Oal]) -> RoundSummary {
-        let (stats, root) = {
-            let tree = self.tree.as_mut().expect("tree mode");
-            for oal in oals {
-                let node = self.shared.node_of(oal.thread).0 as usize;
-                tree.ingest(node, oal);
-            }
-            let (stats, subtrees) = tree.close_round_subtrees();
-            let root = tree.merge_subtrees(subtrees);
-            (stats, root)
-        };
+    /// Account one tree-reduced round: fold its counters into `master.reduce.*`,
+    /// charge every real fabric hop as `MsgClass::TcmPartial` traffic and journal it.
+    fn charge_tree_round(&mut self, round: u64, stats: &TreeRoundStats) {
         self.reduce.tree_rounds += 1;
         self.reduce.shuffle_records += stats.shuffle_records;
         self.reduce.shuffle_bytes += stats.shuffle_bytes;
@@ -1087,42 +1004,6 @@ impl Daemon {
                     bytes: e.bytes,
                 },
             );
-        }
-        let decay = self.config.tcm_decay.unwrap_or(1.0);
-        if let Some(sk) = self.sketch.as_mut() {
-            if decay < 1.0 {
-                sk.scale(decay);
-            }
-            if let Some(tk) = self.topk.as_mut() {
-                if decay < 1.0 {
-                    tk.scale(decay);
-                }
-                let sk_ref: &SketchTcm = sk;
-                tk.observe_round(&root.pairs, |idx| sk_ref.estimate(idx));
-            }
-            sk.fold_round(&root.pairs);
-            RoundSummary {
-                objects: root.objects,
-                tcm: root.pairs.to_dense(),
-                per_class: root.per_class,
-            }
-        } else {
-            if let Some(tk) = self.topk.as_mut() {
-                if decay < 1.0 {
-                    tk.scale(decay);
-                }
-                let cum = self.tree.as_ref().expect("tree mode").tcm().raw();
-                // Pre-fold cumulative, aged exactly as `fold_partial` is about
-                // to age it (`x * decay` matches `Tcm::scale` bit for bit).
-                tk.observe_round(&root.pairs, |idx| cum[idx as usize] * decay);
-            }
-            let tree = self.tree.as_mut().expect("tree mode");
-            tree.fold_partial(&root);
-            RoundSummary {
-                objects: root.objects,
-                tcm: root.pairs.to_dense(),
-                per_class: root.per_class,
-            }
         }
     }
 
@@ -1245,31 +1126,29 @@ impl Daemon {
     /// maintains, refine the live placement under the cost/budget/cooldown filter,
     /// post epoch-stamped directives and fold the outcome into the telemetry.
     ///
-    /// Under the sketch backend the plan is drawn from [`SketchedTopKView`] — the
-    /// top-k head names the pairs, the sketch prices them — so planning stays
-    /// O(k + sketch) and never expands the O(N²) dense map `effective_tcm()` would
-    /// materialize. That is the production-scale path (N=1024 in the bench).
+    /// When the reducer keeps a head-and-sketch view ([`Reducer::planning_view`])
+    /// the plan is drawn from it, so planning stays O(k + sketch) and never
+    /// expands the O(N²) dense map `effective_tcm()` would materialize. That is
+    /// the production-scale path (N=1024 in the bench).
     fn plan_placement_epoch(&mut self, cfg: &RebalanceConfig, round: u64) {
-        let mut last_moved = std::mem::take(&mut self.last_moved_round);
-        let plan = match (&self.sketch, &self.topk) {
-            (Some(sk), Some(tk)) => {
-                let view = SketchedTopKView::new(sk, tk);
-                plan_epoch(&self.shared, &view, cfg, round, &mut last_moved)
+        let plan = match self.reducer.planning_view() {
+            Some(view) => {
+                plan_epoch(&self.shared, &view, cfg, round, &mut self.ledger.last_moved_round)
             }
-            _ => {
+            None => {
                 let tcm = self.effective_tcm();
-                plan_epoch(&self.shared, &tcm, cfg, round, &mut last_moved)
+                plan_epoch(&self.shared, &tcm, cfg, round, &mut self.ledger.last_moved_round)
             }
         };
-        self.last_moved_round = last_moved;
-        self.placement.plans += 1;
-        self.placement.directives += plan.issued.len() as u64;
-        self.placement.planned_bytes += plan.planned_bytes;
-        self.placement.vetoed_gain += plan.vetoed_gain;
-        self.placement.vetoed_cooldown += plan.vetoed_cooldown;
-        self.placement.vetoed_cost += plan.vetoed_cost;
-        self.placement.vetoed_budget += plan.vetoed_budget;
-        self.placement.intra_trajectory.push(IntraSample {
+        let telemetry = &mut self.ledger.placement;
+        telemetry.plans += 1;
+        telemetry.directives += plan.issued.len() as u64;
+        telemetry.planned_bytes += plan.planned_bytes;
+        telemetry.vetoed_gain += plan.vetoed_gain;
+        telemetry.vetoed_cooldown += plan.vetoed_cooldown;
+        telemetry.vetoed_cost += plan.vetoed_cost;
+        telemetry.vetoed_budget += plan.vetoed_budget;
+        telemetry.intra_trajectory.push(IntraSample {
             round,
             before: plan.intra_before,
             after: plan.intra_after,
@@ -1314,11 +1193,11 @@ impl Daemon {
                     // against the post-repair placement and homes.
                     ha.clear();
                 }
-                self.placement.homes_repaired += repaired;
-                self.placement.repaired_bytes += repaired_bytes;
+                self.ledger.placement.homes_repaired += repaired;
+                self.ledger.placement.repaired_bytes += repaired_bytes;
             }
         }
-        self.planned_migrations.extend(plan.issued);
+        self.ledger.planned_migrations.extend(plan.issued);
     }
 
     fn close_round(&mut self, closed: ClosedRound) {
@@ -1333,11 +1212,11 @@ impl Daemon {
         }
         let summary = self.reduce_round(closed.round, &closed.oals);
         self.build_ns += t0.elapsed().as_nanos() as u64;
-        self.rounds += 1;
-        self.objects_organized += summary.objects as u64;
-        self.round_coverage.push(closed.coverage);
+        self.ledger.rounds += 1;
+        self.ledger.objects_organized += summary.objects as u64;
+        self.ledger.round_coverage.push(closed.coverage);
         let cost_fraction = self.profiling_cost_fraction();
-        self.round_cost_fraction.push(cost_fraction);
+        self.ledger.round_cost_fraction.push(cost_fraction);
         self.shared.emit_event(
             &self.shared.master_clock(),
             EventKind::RoundClosed {
@@ -1391,11 +1270,10 @@ impl Daemon {
                                 relative_distance: ch.relative_distance,
                             },
                         );
-                        self.rate_changes.push(AppliedRateChange {
-                            // == rounds closed including this one, both modes
-                            // (the flat builder and the tree count from the
-                            // last restore; `rounds` already includes it).
-                            round: self.rounds,
+                        self.ledger.rate_changes.push(AppliedRateChange {
+                            // Rounds closed including this one (a restored
+                            // ledger keeps counting where the snapshot stood).
+                            round: self.ledger.rounds,
                             class_name,
                             new_rate,
                             relative_distance: ch.relative_distance,
@@ -1413,7 +1291,7 @@ impl Daemon {
                             min_coverage: self.config.min_round_coverage,
                         },
                     );
-                    self.skipped.push(SkippedRateChange {
+                    self.ledger.skipped.push(SkippedRateChange {
                         round: closed.round,
                         coverage,
                     });
@@ -1479,13 +1357,13 @@ impl Daemon {
             .collect();
         // Change-point encoded: a round that looks like the previous row adds
         // nothing (a row stands for every round up to the next row).
-        let unchanged = self.timeline.last().is_some_and(|prev| {
+        let unchanged = self.ledger.timeline.last().is_some_and(|prev| {
             prev.coverage == closed.coverage
                 && prev.deadline_hit == closed.deadline_hit
                 && prev.classes == classes
         });
         if !unchanged {
-            self.timeline.push(RoundTimeline {
+            self.ledger.timeline.push(RoundTimeline {
                 round: closed.round,
                 coverage: closed.coverage,
                 deadline_hit: closed.deadline_hit,
@@ -1501,21 +1379,21 @@ impl Daemon {
         if let Some(cfg) = self.shared.rebalance {
             if let Some(every) = cfg.every_rounds {
                 let every = every.max(1);
-                if self.rounds >= cfg.after_rounds
-                    && (self.rounds - cfg.after_rounds).is_multiple_of(every)
+                if self.ledger.rounds >= cfg.after_rounds
+                    && (self.ledger.rounds - cfg.after_rounds).is_multiple_of(every)
                 {
                     self.plan_placement_epoch(&cfg, closed.round);
                 }
-            } else if !self.rebalanced && self.rounds >= cfg.after_rounds {
-                self.rebalanced = true;
+            } else if !self.ledger.rebalanced && self.ledger.rounds >= cfg.after_rounds {
+                self.ledger.rebalanced = true;
                 let tcm = self.effective_tcm();
-                self.planned_migrations = plan_and_post(&self.shared, &tcm, &cfg);
+                self.ledger.planned_migrations = plan_and_post(&self.shared, &tcm, &cfg);
             }
         }
 
         // Periodic snapshot for crash recovery.
         if let Some(every) = self.config.checkpoint_every_rounds {
-            if every > 0 && self.rounds.is_multiple_of(every) {
+            if every > 0 && self.ledger.rounds.is_multiple_of(every) {
                 self.take_checkpoint();
             }
         }
@@ -1545,39 +1423,21 @@ impl Daemon {
             // The late fold is one more round to the reducer: in tree mode it
             // rides the same pipeline (and pays the same partial-TCM fabric
             // bytes) as a regular round.
-            let summary = self.reduce_round(self.rounds, &late);
+            let summary = self.reduce_round(self.ledger.rounds, &late);
             self.build_ns += t0.elapsed().as_nanos() as u64;
-            self.objects_organized += summary.objects as u64;
+            self.ledger.objects_organized += summary.objects as u64;
         }
     }
 }
 
-/// Empty reducer state for the config, built at daemon startup and again at every
-/// crash-restore: the flat builder, and in tree mode (`tcm_tree_fanout >= 2`) the
-/// tree that replaces it, the count-min backend (`TcmBackend::Sketch`, tree mode
-/// only) and the streaming top-k view (`tcm_top_k > 0`).
-fn fresh_reducers(
-    config: &ProfilerConfig,
-    shared: &ClusterShared,
-) -> (TcmBuilder, Option<TreeTcmReducer>, Option<SketchTcm>, Option<TopKPairs>) {
-    let n = shared.n_threads;
-    let fanout = config.tcm_tree_fanout;
-    let mut builder = TcmBuilder::new(n);
-    let mut tree = (fanout >= 2).then(|| TreeTcmReducer::new(n, shared.n_nodes.max(1), fanout));
-    if let Some(decay) = config.tcm_decay {
-        builder.set_decay(decay);
-        if let Some(t) = &mut tree {
-            t.set_decay(decay);
-        }
-    }
-    let sketch = match config.tcm_backend {
-        TcmBackend::Sketch { width, depth } if fanout >= 2 => {
-            Some(SketchTcm::new(n, width as usize, depth as usize))
-        }
-        _ => None,
-    };
-    let topk = (config.tcm_top_k > 0).then(|| TopKPairs::new(n, config.tcm_top_k));
-    (builder, tree, sketch, topk)
+/// An empty round scheduler for the config, built at daemon startup and again
+/// at a cold restart.
+fn fresh_scheduler(config: &ProfilerConfig, n_threads: usize) -> RoundScheduler {
+    RoundScheduler::new(
+        n_threads,
+        (config.intervals_per_round as u64).max(1),
+        config.round_deadline_intervals,
+    )
 }
 
 /// Tell every worker node a class's rate changed — a 16-byte accounted notice
@@ -1600,7 +1460,7 @@ fn broadcast_rate_change(
 
 /// Build the (budgeted) adaptive controller the config asks for, wiring the
 /// coverage floor and the optional drift watcher. Shared by daemon startup and
-/// crash-restore (`fresh_controller`) so both paths configure identically.
+/// crash-restore so both paths configure identically.
 fn build_controller(config: &ProfilerConfig) -> Option<BudgetedController> {
     config.adaptive_threshold.map(|t| {
         let mut ctl = BudgetedController::new(t, config.overhead_budget)
@@ -1623,12 +1483,7 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
     let master_clock = shared.master_clock();
     shared.exec.register_current(master_task);
     let config = *shared.prof.config();
-    let (builder, tree, sketch, topk) = fresh_reducers(&config, &shared);
-    let mut scheduler = RoundScheduler::new(
-        shared.n_threads,
-        (config.intervals_per_round as u64).max(1),
-        config.round_deadline_intervals,
-    );
+    let mut scheduler = fresh_scheduler(&config, shared.n_threads);
 
     // Crash-stop plan pieces, derived purely from the fault plan and the *initial*
     // placement (quarantine is a deterministic agreement, not extra protocol).
@@ -1669,44 +1524,27 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
 
     let mut daemon = Daemon {
         config,
-        builder,
-        tree,
-        sketch,
-        topk,
+        reducer: Reducer::new(&config, shared.n_threads, shared.n_nodes),
         reduce: ReduceTelemetry::default(),
         controller: build_controller(&config),
         straggler_base: scheduler.quarantine_table(),
         scheduler,
-        oals: 0,
-        rounds: 0,
-        objects_organized: 0,
+        ledger: MasterLedger::new(shared.n_threads),
         build_ns: 0,
-        round_coverage: Vec::new(),
-        round_cost_fraction: Vec::new(),
         cost_base: (0, 0, 0),
         lag_ewma: vec![0.0; shared.n_nodes],
         prev_node_min: vec![0; shared.n_nodes],
         straggler_demoted: vec![false; shared.n_nodes],
         stragglers: 0,
-        rate_changes: Vec::new(),
-        skipped: Vec::new(),
-        planned_migrations: Vec::new(),
-        rebalanced: false,
-        last_moved_round: vec![None; shared.n_threads],
-        placement: PlacementTelemetry::default(),
         homeaware: shared
             .rebalance
             .filter(|c| c.every_rounds.is_some() && c.migrate_homes)
             .map(|_| HomeAwareAnalyzer::new(shared.n_nodes, shared.n_threads)),
-        oal_log: Vec::new(),
-        record_oals: config.record_oals,
-        timeline: Vec::new(),
         announced_converged: HashSet::new(),
         epoch: 0,
         base_tcm: None,
         latest_checkpoint: None,
         replay_log: Vec::new(),
-        keep_replay_log: !master_crashes.is_empty(),
         master_crashes,
         next_crash: 0,
         max_interval_seen: 0,
@@ -1738,21 +1576,24 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
     }
     daemon.finish();
 
+    let tcm = daemon.effective_tcm();
+    let controller = daemon.controller.as_ref();
+    let ledger = daemon.ledger;
     MasterOutput {
-        tcm: daemon.effective_tcm(),
-        oals_ingested: daemon.oals,
-        rounds: daemon.rounds,
-        objects_organized: daemon.objects_organized,
+        tcm,
+        oals_ingested: ledger.oals,
+        rounds: ledger.rounds,
+        objects_organized: ledger.objects_organized,
         tcm_build_real_ns: daemon.build_ns,
-        rate_changes: daemon.rate_changes,
-        skipped_rate_changes: daemon.skipped,
-        round_coverage: daemon.round_coverage,
+        rate_changes: ledger.rate_changes,
+        skipped_rate_changes: ledger.skipped,
+        round_coverage: ledger.round_coverage,
         deadline_rounds: daemon.scheduler.deadline_rounds(),
         late_oals: daemon.scheduler.late_count(),
         duplicate_oals: daemon.scheduler.duplicate_count(),
-        planned_migrations: daemon.planned_migrations,
+        planned_migrations: ledger.planned_migrations,
         placement: {
-            let mut p = daemon.placement;
+            let mut p = ledger.placement;
             p.fenced_directives = shared.fenced_directives.load(Ordering::Relaxed);
             let log = shared.migration_log.lock();
             p.applied_migrations = log.len() as u64;
@@ -1763,38 +1604,27 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
             p.homes_migrated = log.iter().map(|m| m.homes_migrated as u64).sum();
             p
         },
-        oal_log: daemon.oal_log,
+        oal_log: ledger.oal_log,
         checkpoints_taken: daemon.checkpoints_taken,
         restores: daemon.restores,
         replayed_oals: daemon.replayed_oals,
         fenced_oals: daemon.scheduler.fenced_count(),
         quarantined_nodes: daemon.quarantined_nodes,
-        converged_classes: daemon
-            .controller
-            .as_ref()
-            .map(|c| c.converged_count() as u64)
-            .unwrap_or(0),
+        converged_classes: controller.map_or(0, |c| c.converged_count() as u64),
         final_epoch: daemon.epoch,
-        timeline: daemon.timeline,
+        timeline: ledger.timeline,
         top_pairs: daemon
-            .topk
-            .as_ref()
-            .map(|tk| tk.top().into_iter().map(|(i, j, v)| (i.0, j.0, v)).collect())
-            .unwrap_or_default(),
+            .reducer
+            .top_pairs()
+            .into_iter()
+            .map(|(i, j, v)| (i.0, j.0, v))
+            .collect(),
         reduce: daemon.reduce,
         stragglers: daemon.stragglers,
-        budget_over_rounds: daemon
-            .controller
-            .as_ref()
-            .map(|c| c.over_rounds())
-            .unwrap_or(0),
-        budget_degrades: daemon.controller.as_ref().map(|c| c.degrades()).unwrap_or(0),
-        round_cost_fraction: daemon.round_cost_fraction,
-        drift_reactivations: daemon
-            .controller
-            .as_ref()
-            .map(|c| c.reactivations())
-            .unwrap_or(0),
+        budget_over_rounds: controller.map_or(0, |c| c.over_rounds()),
+        budget_degrades: controller.map_or(0, |c| c.degrades()),
+        round_cost_fraction: ledger.round_cost_fraction,
+        drift_reactivations: controller.map_or(0, |c| c.reactivations()),
     }
 }
 

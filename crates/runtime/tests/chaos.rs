@@ -708,13 +708,13 @@ fn slow_node_under_seeded_drops_demotes_and_completes() {
     let mut config = ProfilerConfig::tracking_at(SamplingRate::NX(1));
     config.intervals_per_round = 1;
     config.round_deadline_intervals = Some(4);
+    config.straggler_lag_intervals = Some(1.2);
     let mut cluster = Cluster::builder()
         .nodes(2)
         .threads(4)
         .latency(LatencyModel::free())
         .costs(CostModel::pentium4_2ghz())
         .profiler(config)
-        .straggler_lag(1.2)
         .faults(FaultPlan {
             seed: chaos_seed(),
             oal_drop: 0.05,

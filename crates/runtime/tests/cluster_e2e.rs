@@ -458,9 +458,11 @@ fn tree_aggregated_reduction_is_bit_identical_to_flat_end_to_end() {
             .threads(6)
             .latency(LatencyModel::free())
             .costs(CostModel::free())
-            .profiler(ProfilerConfig::tracking_at(SamplingRate::Full))
-            .tcm_tree_fanout(fanout)
-            .tcm_top_k(top_k)
+            .profiler(ProfilerConfig {
+                tcm_tree_fanout: fanout,
+                tcm_top_k: top_k,
+                ..ProfilerConfig::tracking_at(SamplingRate::Full)
+            })
             .build();
         let objs = cluster.init(|ctx| {
             let class = ctx.register_scalar_class("Shared", 4);
@@ -481,6 +483,12 @@ fn tree_aggregated_reduction_is_bit_identical_to_flat_end_to_end() {
     };
     let flat = run(0, 0);
     let tree = run(2, 4);
+    // The top-k head is a view of the reducer, not of the tree: the flat
+    // coordinator feeds it from the same pre-round weights.
+    let flat_topk = run(0, 4);
+    assert_eq!(flat_topk.top_pairs, tree.top_pairs, "one head, either coordinator");
+    assert_eq!(flat_topk.tcm.raw(), flat.tcm.raw());
+    assert_eq!(flat_topk.reduce, flat.reduce);
     assert_eq!(flat.tcm.raw(), tree.tcm.raw(), "tree reduction must be exact");
     assert_eq!(flat.rounds, tree.rounds);
     assert_eq!(flat.round_coverage, tree.round_coverage);
@@ -515,10 +523,12 @@ fn sketch_backend_at_generous_width_matches_dense_exactly() {
             .threads(4)
             .latency(LatencyModel::free())
             .costs(CostModel::free())
-            .profiler(ProfilerConfig::tracking_at(SamplingRate::Full))
-            .tcm_tree_fanout(2)
-            .tcm_backend(backend)
-            .tcm_top_k(2)
+            .profiler(ProfilerConfig {
+                tcm_tree_fanout: 2,
+                tcm_backend: backend,
+                tcm_top_k: 2,
+                ..ProfilerConfig::tracking_at(SamplingRate::Full)
+            })
             .build();
         let objs = cluster.init(|ctx| {
             let class = ctx.register_scalar_class("Shared", 4);

@@ -33,21 +33,21 @@ fn adaptive_profiler() -> ProfilerConfig {
 fn harmless_overload_knobs_reproduce_the_plain_run_bit_for_bit() {
     let run = |with_knobs: bool| {
         let sink = JournalSink::shared();
-        let mut builder = Cluster::builder()
+        let mut profiler = adaptive_profiler();
+        if with_knobs {
+            profiler.overhead_budget = Some(1.0);
+            profiler.oal_mailbox_capacity = Some(1_000_000);
+            profiler.shed_policy = ShedPolicy::MergeBatches;
+            profiler.straggler_lag_intervals = Some(1_000_000.0);
+        }
+        let mut cluster = Cluster::builder()
             .nodes(2)
             .threads(4)
             .latency(LatencyModel::fast_ethernet())
             .costs(CostModel::pentium4_2ghz())
-            .profiler(adaptive_profiler())
-            .trace(sink.clone());
-        if with_knobs {
-            builder = builder
-                .overhead_budget(1.0)
-                .oal_mailbox_capacity(1_000_000)
-                .shed_policy(ShedPolicy::MergeBatches)
-                .straggler_lag(1_000_000.0);
-        }
-        let mut cluster = builder.build();
+            .profiler(profiler)
+            .trace(sink.clone())
+            .build();
         let objs = cluster.init(|ctx| {
             let class = ctx.register_scalar_class("Body", 8);
             (0..100)
@@ -104,14 +104,14 @@ fn burst_run(policy: ShedPolicy) -> (Arc<JournalSink>, RunReport, MasterOutput) 
     let mut profiler = ProfilerConfig::tracking_at(SamplingRate::NX(1));
     profiler.intervals_per_round = 1;
     profiler.round_deadline_intervals = Some(3);
+    profiler.oal_mailbox_capacity = Some(4);
+    profiler.shed_policy = policy;
     let mut cluster = Cluster::builder()
         .nodes(2)
         .threads(4)
         .latency(LatencyModel::free())
         .costs(CostModel::free())
         .profiler(profiler)
-        .oal_mailbox_capacity(4)
-        .shed_policy(policy)
         .trace(sink.clone())
         .build();
     let (objs, locks) = cluster.init(|ctx| {
@@ -238,13 +238,13 @@ fn over_budget_run_degrades_until_within_budget() {
     profiler.adaptive_threshold = Some(0.5);
     profiler.intervals_per_round = 1;
     profiler.round_deadline_intervals = Some(3);
+    profiler.overhead_budget = Some(0.02);
     let mut cluster = Cluster::builder()
         .nodes(2)
         .threads(4)
         .latency(LatencyModel::fast_ethernet())
         .costs(CostModel::pentium4_2ghz())
         .profiler(profiler)
-        .overhead_budget(0.02)
         .trace(sink.clone())
         .build();
     let objs = cluster.init(|ctx| {
@@ -312,15 +312,15 @@ fn load_spike_sheds_attributably_and_recovers_within_budget() {
     profiler.adaptive_threshold = Some(0.5);
     profiler.intervals_per_round = 1;
     profiler.round_deadline_intervals = Some(3);
+    profiler.overhead_budget = Some(0.05);
+    profiler.oal_mailbox_capacity = Some(4);
+    profiler.shed_policy = ShedPolicy::MergeBatches;
     let mut cluster = Cluster::builder()
         .nodes(2)
         .threads(4)
         .latency(LatencyModel::fast_ethernet())
         .costs(CostModel::pentium4_2ghz())
         .profiler(profiler)
-        .overhead_budget(0.05)
-        .oal_mailbox_capacity(4)
-        .shed_policy(ShedPolicy::MergeBatches)
         .trace(sink.clone())
         .build();
     let (objs, locks) = cluster.init(|ctx| {
@@ -382,13 +382,13 @@ fn slow_node_is_demoted_then_restored_without_wedging() {
     let mut profiler = ProfilerConfig::tracking_at(SamplingRate::NX(1));
     profiler.intervals_per_round = 1;
     profiler.round_deadline_intervals = Some(4);
+    profiler.straggler_lag_intervals = Some(1.2);
     let mut cluster = Cluster::builder()
         .nodes(2)
         .threads(4)
         .latency(LatencyModel::free())
         .costs(CostModel::pentium4_2ghz())
         .profiler(profiler)
-        .straggler_lag(1.2)
         .faults(FaultPlan {
             slow: vec![SlowWindow {
                 node: NodeId(1),

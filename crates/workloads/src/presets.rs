@@ -207,8 +207,10 @@ mod tests {
                 .threads(4)
                 .latency(LatencyModel::free())
                 .costs(CostModel::free())
-                .profiler(ProfilerConfig::tracking_at(SamplingRate::Full))
-                .tcm_tree_fanout(fanout)
+                .profiler(ProfilerConfig {
+                    tcm_tree_fanout: fanout,
+                    ..ProfilerConfig::tracking_at(SamplingRate::Full)
+                })
                 .build();
             WorkloadKind::Sor.run_on(&mut cluster, WorkloadPreset::Small)
         };

@@ -11,6 +11,10 @@
 //! a Barnes-Hut `small` run's forces, journal and report are pinned by the
 //! digests in `tests/schedule_identity.rs` and by `tests/determinism.rs`,
 //! which pass unchanged over the append-only object table.
+//!
+//! The same allocator also records the largest single request, for the one
+//! round-close promise that is about size, not count: a tree + sketch reducer
+//! exists to avoid the dense N×N triangle, so no round of it may ask for one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,23 +25,26 @@ use jessy::prelude::*;
 thread_local! {
     /// Heap allocations (including growing reallocations) made by this thread.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// The largest single request (bytes) this thread has made.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting each thread's allocations.
 struct Counting;
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // `try_with`: a thread's last frees may run after its locals are gone.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|m| m.set(m.get().max(bytes)));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a `const`-initialized
-// thread-local `Cell` with no destructor, so touching it neither allocates
+// upholds the `GlobalAlloc` contract; the counters are `const`-initialized
+// thread-local `Cell`s with no destructor, so touching them neither allocates
 // nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller's `layout` obligations pass through unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -48,7 +55,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: as for `dealloc`; `new_size` is the caller's obligation.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -167,4 +174,53 @@ fn hits_and_descents_over_mid_run_objects_allocate_nothing() {
         );
         jt.barrier();
     });
+}
+
+/// `Vec`'s `vec![0.0; n]` goes through `alloc_zeroed`, whose default forwards
+/// to `alloc` above — so a dense `Tcm::new(N)` shows up in `LARGEST`.
+#[test]
+fn a_tree_sketch_top_k_round_never_asks_for_the_dense_triangle() {
+    use jessy::core::{Oal, OalEntry, Reducer, TcmBackend};
+
+    const N: usize = 2048;
+    const NODES: usize = 4;
+    let triangle_bytes = N * (N - 1) / 2 * std::mem::size_of::<f64>(); // 16.8 MB
+    let config = ProfilerConfig {
+        tcm_tree_fanout: 2,
+        tcm_backend: TcmBackend::default_sketch(),
+        tcm_top_k: 16,
+        ..ProfilerConfig::default()
+    };
+    // Neighbouring threads share an object; every eighth object is shared by
+    // a whole block of 64, so the round has a head worth tracking.
+    let oals: Vec<Oal> = (0..N as u32)
+        .map(|t| Oal {
+            thread: ThreadId(t),
+            interval: 0,
+            entries: [t / 2, N as u32 + t / 64]
+                .into_iter()
+                .map(|obj| OalEntry { obj: ObjectId(obj), class: ClassId(0), bytes: 64 })
+                .collect(),
+        })
+        .collect();
+
+    LARGEST.with(|m| m.set(0));
+    let mut reducer = Reducer::new(&config, N, NODES);
+    for _ in 0..3 {
+        let round = reducer.reduce(&oals, |t| t.index() * NODES / N);
+        assert!(round.tree.is_some_and(|stats| stats.partial_bytes > 0));
+        assert_eq!(round.objects, N / 2 + N / 64);
+    }
+    assert_eq!(reducer.top_pairs().len(), 16);
+    let largest = LARGEST.with(Cell::get);
+    assert!(
+        largest < triangle_bytes / 4,
+        "building and closing tree + sketch rounds asked for {largest} B at once; \
+         the dense triangle it exists to avoid is {triangle_bytes} B"
+    );
+
+    // The control: the flat coordinator's dense close does ask for it.
+    LARGEST.with(|m| m.set(0));
+    Reducer::new(&ProfilerConfig::default(), N, NODES).reduce(&oals, |_| 0);
+    assert!(LARGEST.with(Cell::get) >= triangle_bytes);
 }

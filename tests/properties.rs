@@ -571,7 +571,7 @@ proptest! {
         use jessy::core::BudgetedController;
         use jessy::core::TcmBuilder;
         use jessy::runtime::{
-            AppliedRateChange, PlannedMigration, ProfilerCheckpoint, RoundScheduler,
+            AppliedRateChange, MasterLedger, PlannedMigration, ProfilerCheckpoint, RoundScheduler,
             SkippedRateChange,
         };
 
@@ -618,65 +618,67 @@ proptest! {
             (0..3u16).map(|c| (ClassId(c), gaps.state(ClassId(c)))).collect();
         let cp = ProfilerCheckpoint {
             epoch,
-            rounds: sched.next_round(),
             tcm: builder.tcm().clone(),
             scheduler: sched.checkpoint(),
             controller: Some(ctl.checkpoint()),
             rates,
-            oals: oals.len() as u64,
-            objects_organized: raw.len() as u64 * 2,
-            round_coverage: coverage,
-            round_cost_fraction: vec![threshold / 2.0, 0.0],
-            rate_changes: vec![AppliedRateChange {
-                round: epoch,
-                class_name: "Body".to_string(),
-                new_rate: "4X".to_string(),
-                relative_distance: threshold * 1.5,
-                resampled_objects: raw.len(),
-                drift: epoch % 2 == 1,
-            }],
-            skipped: vec![SkippedRateChange { round: epoch + 1, coverage: threshold }],
-            planned_migrations: vec![PlannedMigration {
-                thread: ThreadId(1),
-                from: NodeId(0),
-                to: NodeId(1),
-                gain_bytes: threshold * 1e6,
-                sticky_cost_bytes: threshold * 1e3,
-            }],
-            rebalanced: epoch % 2 == 0,
-            last_moved_round: vec![None, Some(epoch), None, Some(epoch + 2), None, None],
-            placement_telemetry: jessy::runtime::PlacementTelemetry {
-                plans: epoch + 1,
-                directives: 2,
-                planned_bytes: threshold * 1e3,
-                vetoed_gain: 1,
-                vetoed_cooldown: epoch % 3,
-                vetoed_cost: 0,
-                vetoed_budget: 1,
-                fenced_directives: 0,
-                applied_migrations: 1,
-                migrated_bytes: 4096,
-                homes_migrated: 3,
-                homes_repaired: 2,
-                repaired_bytes: 512,
-                intra_trajectory: vec![jessy::runtime::IntraSample {
+            ledger: MasterLedger {
+                rounds: sched.next_round(),
+                oals: oals.len() as u64,
+                objects_organized: raw.len() as u64 * 2,
+                round_coverage: coverage,
+                round_cost_fraction: vec![threshold / 2.0, 0.0],
+                rate_changes: vec![AppliedRateChange {
                     round: epoch,
-                    before: threshold / 2.0,
-                    after: threshold,
+                    class_name: "Body".to_string(),
+                    new_rate: "4X".to_string(),
+                    relative_distance: threshold * 1.5,
+                    resampled_objects: raw.len(),
+                    drift: epoch % 2 == 1,
+                }],
+                skipped: vec![SkippedRateChange { round: epoch + 1, coverage: threshold }],
+                planned_migrations: vec![PlannedMigration {
+                    thread: ThreadId(1),
+                    from: NodeId(0),
+                    to: NodeId(1),
+                    gain_bytes: threshold * 1e6,
+                    sticky_cost_bytes: threshold * 1e3,
+                }],
+                rebalanced: epoch % 2 == 0,
+                last_moved_round: vec![None, Some(epoch), None, Some(epoch + 2), None, None],
+                placement: jessy::runtime::PlacementTelemetry {
+                    plans: epoch + 1,
+                    directives: 2,
+                    planned_bytes: threshold * 1e3,
+                    vetoed_gain: 1,
+                    vetoed_cooldown: epoch % 3,
+                    vetoed_cost: 0,
+                    vetoed_budget: 1,
+                    fenced_directives: 0,
+                    applied_migrations: 1,
+                    migrated_bytes: 4096,
+                    homes_migrated: 3,
+                    homes_repaired: 2,
+                    repaired_bytes: 512,
+                    intra_trajectory: vec![jessy::runtime::IntraSample {
+                        round: epoch,
+                        before: threshold / 2.0,
+                        after: threshold,
+                    }],
+                },
+                oal_log: oals,
+                timeline: vec![jessy::runtime::RoundTimeline {
+                    round: epoch,
+                    coverage: threshold,
+                    deadline_hit: epoch % 2 == 1,
+                    classes: vec![jessy::runtime::ClassRoundState {
+                        class_name: "Body".to_string(),
+                        rate: "4X".to_string(),
+                        relative_distance: threshold,
+                        converged: false,
+                    }],
                 }],
             },
-            oal_log: oals,
-            timeline: vec![jessy::runtime::RoundTimeline {
-                round: epoch,
-                coverage: threshold,
-                deadline_hit: epoch % 2 == 1,
-                classes: vec![jessy::runtime::ClassRoundState {
-                    class_name: "Body".to_string(),
-                    rate: "4X".to_string(),
-                    relative_distance: threshold,
-                    converged: false,
-                }],
-            }],
         };
 
         // Serialize → deserialize is the identity, f64 bits included.

@@ -61,6 +61,15 @@ cmp "$OBS_DIR/a.jsonl" "$OBS_DIR/b.jsonl"   # multi-thread journals must be bit-
 grep -q '"traceEvents"' "$OBS_DIR/trace.json"
 rm -rf "$OBS_DIR"
 
+echo "==> flat top-k smoke (--top-k feeds the head on the flat coordinator too: same pairs as under the tree)"
+top_pairs() {
+  ./target/release/jessy-cli run -w sor --scale small --nodes 2 --threads 4 --rate 4x --top-k 4 "$@" \
+    | awk '/^hottest correlated pairs:/ { on = 1; next } on && /^$/ { exit } on'
+}
+FLAT_PAIRS=$(top_pairs)
+test -n "$FLAT_PAIRS"
+test "$FLAT_PAIRS" = "$(top_pairs --tcm-fanout 2)"
+
 echo "==> schedule-cost gate (paper-scale SOR: executor hand-offs per access, a count that replays exactly)"
 # 3 189 hand-offs over 122 760 accesses; 0.338 per access while armed traps
 # were visible. A pure function of the schedule, so gated as a count, not as
