@@ -37,8 +37,13 @@ impl std::error::Error for ConfigError {}
 /// Configuration of the stack-sampling subsystem (Section III.B).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StackSamplingConfig {
-    /// Timer gap between samples, in simulated nanoseconds (the paper evaluates
-    /// 4 ms and 16 ms).
+    /// The *finest* timer gap between samples, in simulated nanoseconds, and the
+    /// cadence after any change to the stack: the sampler doubles its gap while
+    /// samples learn nothing, up to
+    /// `max(gap_ns, `[`crate::stack_sampling::BACKOFF_CEILING_NS`]`)`, and returns to
+    /// `gap_ns` on the first sample that does. The paper evaluates 4 ms and 16 ms,
+    /// which are at or above that ceiling and therefore never back off; neither does
+    /// `0` ("every opportunity").
     pub gap_ns: u64,
     /// Lazy frame extraction (capture raw on first visit, extract on second) versus
     /// immediate extraction — the two columns of Table V.

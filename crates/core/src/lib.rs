@@ -23,7 +23,8 @@
 //!   deterministic degradation ladder (coarsen rates → merge rounds → summary OALs).
 //! * **Stack sampling** ([`stack_sampling`]) — the Fig. 8 algorithm with all four
 //!   optimizations (timer activation, two-phase scan over visited flags, lazy raw
-//!   extraction, comparison by probing) to mine **stack-invariant references**.
+//!   extraction, comparison by probing) to mine **stack-invariant references**; the
+//!   timer backs off while samples learn nothing.
 //! * **Sticky sets** ([`sticky`]) — footprinting by repeated sampling within an
 //!   interval, and resolution over the object graph from stack invariants using
 //!   sampled objects as landmarks.

@@ -368,6 +368,20 @@ impl ThreadProfiler {
         }
     }
 
+    /// Forced stack sample that restarts the sampler's cadence
+    /// ([`StackSampler::refresh`]): taken right before a migration resolves the sticky
+    /// set, so a backed-off timer never hands it stale roots. No-op without a sampler.
+    pub fn refresh_stack_sample(
+        &mut self,
+        gos: &Gos,
+        stack: &mut JavaStack,
+        clock: &ClockHandle,
+    ) {
+        if let Some(s) = &mut self.stack_sampler {
+            s.refresh(stack, clock, gos.costs());
+        }
+    }
+
     /// Close the current interval (called right *before* the release part of a sync
     /// operation): emits the interval's OAL (if correlation tracking is on) and folds
     /// the footprint snapshot (if footprinting is on).

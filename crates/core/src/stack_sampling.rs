@@ -8,7 +8,7 @@
 //! All four of the paper's optimizations are implemented:
 //!
 //! 1. **Timer-based sampling** — [`StackSampler::maybe_sample`] only fires when the
-//!    simulated clock passed the configured gap; execution is otherwise overhead-free.
+//!    simulated clock passed the current gap; execution is otherwise overhead-free.
 //! 2. **Two-phase scanning** — the top-down phase walks from the top frame to the
 //!    first frame whose `visited` flag is set (only that one is compared; everything
 //!    below is known untouched since its last sample, because any return through it
@@ -24,6 +24,36 @@
 //!
 //! A slot is reported as **invariant** once it has survived at least one comparison,
 //! i.e. it held the same reference in two samples separated by the timer gap.
+//!
+//! # Adaptive cadence
+//!
+//! The sampler's only product is the invariant set, so a sample that leaves that set
+//! and the per-frame records exactly as it found them was pure cost. The timer
+//! therefore backs off while the stack's invariants hold (Mertz & Nunes: lower the
+//! rate while the kept samples stay representative, restore it when behaviour
+//! changes): the *current gap* starts at [`StackSamplingConfig::gap_ns`], doubles
+//! after every sample that **learned nothing**, up to
+//! `max(gap_ns, `[`BACKOFF_CEILING_NS`]`)`, and drops back to `gap_ns` after one that
+//! did. A sample learned something iff it
+//!
+//! * captured a frame (bottom-up phase, or the re-capture arm),
+//! * converted a raw sample on the frame's second visit (its references become
+//!   reportable),
+//! * dropped at least one slot by probing, or
+//! * discarded at least one record of a popped frame.
+//!
+//! All four are facts `sample` already computes, so the change is detected on the trap
+//! that fires anyway (OJXPerf's constraint), never by a new per-store check: there is
+//! no "stack dirty" flag because a real JVM has no write barrier on local-variable
+//! stores, and charging nothing for one would cheat the cost model.
+//!
+//! The ceiling is the **finest gap the paper's Table V evaluates** (4 ms), so every
+//! configuration the paper measures (4 ms, 16 ms) has `gap_ns ≥` ceiling and keeps its
+//! fixed cadence exactly; `gap_ns = 0` ("every opportunity") never backs off either,
+//! because doubling zero is zero. Only gaps finer than anything the paper ran — the
+//! 1 µs corner the migration benchmark uses — are stretched. So that back-off can never
+//! hand a migration staler roots than the fixed timer did, the migration path takes
+//! one forced sample ([`StackSampler::refresh`]) right before it resolves.
 
 use std::collections::HashMap;
 
@@ -34,6 +64,10 @@ use jessy_net::{ClockHandle, SimNanos};
 use jessy_stack::{JavaStack, Slot};
 
 use crate::config::StackSamplingConfig;
+
+/// Coarsest gap the back-off stretches to: 4 ms, the finest gap Table V evaluates, so
+/// no configuration the paper measures ever backs off (see the module docs).
+pub const BACKOFF_CEILING_NS: u64 = 4_000_000;
 
 /// One surviving (slot, reference) of a frame's sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,12 +120,18 @@ pub struct StackSamplerStats {
     pub slots_probed: u64,
     /// Samples discarded because their frame was popped before a second visit.
     pub discarded_samples: u64,
+    /// Times a backed-off timer dropped back to `gap_ns` (a sample learned something,
+    /// or a migration forced one).
+    pub gap_resets: u64,
 }
 
 /// Per-thread stack sampler (Fig. 8's `SAMPLE-STACK`).
 #[derive(Debug)]
 pub struct StackSampler {
     config: StackSamplingConfig,
+    /// Current timer gap: `config.gap_ns` after any change, doubling while samples
+    /// learn nothing.
+    gap_ns: u64,
     last_sample: Option<SimNanos>,
     samples: HashMap<u64, FrameRecord>,
     stats: StackSamplerStats,
@@ -102,6 +142,7 @@ impl StackSampler {
     pub fn new(config: StackSamplingConfig) -> Self {
         StackSampler {
             config,
+            gap_ns: config.gap_ns,
             last_sample: None,
             samples: HashMap::new(),
             stats: StackSamplerStats::default(),
@@ -118,8 +159,9 @@ impl StackSampler {
         self.stats
     }
 
-    /// Timer check: samples the stack iff `gap_ns` simulated nanoseconds elapsed since
-    /// the previous sample. Returns whether a sample was taken.
+    /// Timer check: samples the stack iff the current gap elapsed since the previous
+    /// sample, then doubles the gap (up to the ceiling) if that sample learned nothing
+    /// and restores `gap_ns` if it did. Returns whether a sample was taken.
     pub fn maybe_sample(
         &mut self,
         stack: &mut JavaStack,
@@ -128,33 +170,52 @@ impl StackSampler {
     ) -> bool {
         let now = clock.now();
         match self.last_sample {
-            Some(last) if now.saturating_sub(last) < self.config.gap_ns => false,
+            Some(last) if now.saturating_sub(last) < self.gap_ns => false,
             _ => {
                 self.last_sample = Some(now);
-                self.sample(stack, clock, costs);
+                if self.sample(stack, clock, costs) {
+                    self.reset_gap();
+                } else {
+                    let ceiling = self.config.gap_ns.max(BACKOFF_CEILING_NS);
+                    self.gap_ns = self.gap_ns.saturating_mul(2).min(ceiling);
+                }
                 true
             }
         }
     }
 
-    /// Unconditionally take one sample (Fig. 8).
-    pub fn sample(&mut self, stack: &mut JavaStack, clock: &ClockHandle, costs: &CostModel) {
+    /// Forced sample that also restarts the cadence: what a migration takes right
+    /// before resolving the sticky set, so its roots are never staler than the fixed
+    /// timer's would have been.
+    pub fn refresh(&mut self, stack: &mut JavaStack, clock: &ClockHandle, costs: &CostModel) {
+        self.last_sample = Some(clock.now());
+        self.sample(stack, clock, costs);
+        self.reset_gap();
+    }
+
+    fn reset_gap(&mut self) {
+        if self.gap_ns != self.config.gap_ns {
+            self.gap_ns = self.config.gap_ns;
+            self.stats.gap_resets += 1;
+        }
+    }
+
+    /// Unconditionally take one sample (Fig. 8). Returns whether it **learned**
+    /// anything — captured a frame, converted a raw sample, dropped a slot or
+    /// discarded a record (module docs) — which is what drives the cadence.
+    pub fn sample(
+        &mut self,
+        stack: &mut JavaStack,
+        clock: &ClockHandle,
+        costs: &CostModel,
+    ) -> bool {
         self.stats.samples += 1;
         clock.spend(costs.stack_sample_entry_ns);
         let depth = stack.depth();
-        if depth == 0 {
-            self.gc(stack);
-            return;
-        }
+        let mut learned = false;
 
         // --- Top-down phase: find the first visited frame from the top.
-        let mut first_visited: Option<usize> = None;
-        for i in (0..depth).rev() {
-            if stack.frame(i).visited() {
-                first_visited = Some(i);
-                break;
-            }
-        }
+        let first_visited = (0..depth).rev().find(|&i| stack.frame(i).visited());
 
         // --- Process the first visited frame: convert raw sample, compare by probing.
         if let Some(fv) = first_visited {
@@ -171,22 +232,26 @@ impl StackSampler {
                     self.stats.extractions += 1;
                     self.stats.slots_extracted += slots.len() as u64;
                     record.state = SampleState::Extracted(extracted);
+                    learned = true;
                 }
                 // COMPARE-BY-PROBING: old sample probes the new frame; drop mismatches.
                 if let SampleState::Extracted(refs) = &mut record.state {
                     let frame = stack.frame(fv);
                     clock.spend(costs.frame_probe_slot_ns * refs.len() as u64);
                     self.stats.slots_probed += refs.len() as u64;
+                    let probed = refs.len();
                     refs.retain(|r| {
                         r.slot < frame.n_slots()
                             && frame.slot(r.slot).as_ref_obj() == Some(r.obj)
                     });
+                    learned |= refs.len() < probed;
                     record.comparisons += 1;
                     record.depth = fv;
                 }
             } else {
                 // Visited flag without a sample (sampler attached mid-run): re-capture.
                 self.capture(stack, fv, clock, costs);
+                learned = true;
             }
         }
 
@@ -196,7 +261,7 @@ impl StackSampler {
             self.capture(stack, i, clock, costs);
         }
 
-        self.gc(stack);
+        learned | (start < depth) | self.gc(stack)
     }
 
     fn capture(&mut self, stack: &mut JavaStack, i: usize, clock: &ClockHandle, costs: &CostModel) {
@@ -232,13 +297,15 @@ impl StackSampler {
     }
 
     /// Discard samples of popped frames ("if it is not visited for the second time, it
-    /// will be discarded on the next stack sampling").
-    fn gc(&mut self, stack: &JavaStack) {
+    /// will be discarded on the next stack sampling"). Returns whether any went.
+    fn gc(&mut self, stack: &JavaStack) -> bool {
         let live: std::collections::HashSet<u64> =
             stack.frames().map(|f| f.incarnation()).collect();
         let before = self.samples.len();
         self.samples.retain(|inc, _| live.contains(inc));
-        self.stats.discarded_samples += (before - self.samples.len()) as u64;
+        let discarded = before - self.samples.len();
+        self.stats.discarded_samples += discarded as u64;
+        discarded > 0
     }
 
     /// The invariant references discovered so far, ordered **topmost-first** (the
@@ -453,6 +520,135 @@ mod tests {
         clock.spend(1);
         assert!(s.maybe_sample(&mut stack, &clock, &costs));
         assert_eq!(s.stats().samples, 2);
+    }
+
+    /// Advance the clock to 1 ns short of `gap` after the last sample (must not
+    /// fire), then the last nanosecond (must fire).
+    fn fires_exactly_after(
+        s: &mut StackSampler,
+        stack: &mut JavaStack,
+        clock: &ClockHandle,
+        gap: u64,
+    ) {
+        let costs = CostModel::free();
+        clock.spend(gap - 1);
+        assert!(!s.maybe_sample(stack, clock, &costs), "fired before {gap} ns");
+        clock.spend(1);
+        assert!(s.maybe_sample(stack, clock, &costs), "did not fire at {gap} ns");
+    }
+
+    /// A sampler at a 1 us gap over a one-frame stack, sampled until it learns
+    /// nothing (capture, conversion, one clean comparison) and backed off `doublings`
+    /// further times.
+    fn backed_off(doublings: u32) -> (JavaStack, ClockHandle, StackSampler) {
+        let (mut stack, clock, _) = setup();
+        let mut s = StackSampler::new(StackSamplingConfig {
+            gap_ns: 1_000,
+            lazy_extraction: true,
+        });
+        stack.push_raw(MethodId(0), 2);
+        stack.set_local(0, Slot::Ref(ObjectId(1)));
+        stack.set_local(1, Slot::Ref(ObjectId(2)));
+        assert!(s.maybe_sample(&mut stack, &clock, &CostModel::free()));
+        fires_exactly_after(&mut s, &mut stack, &clock, 1_000); // conversion: still learning
+        for k in 0..=doublings {
+            fires_exactly_after(&mut s, &mut stack, &clock, 1_000 << k);
+        }
+        assert_eq!(s.gap_ns, 2_000 << doublings);
+        (stack, clock, s)
+    }
+
+    #[test]
+    fn unchanging_stack_backs_off_geometrically_to_the_ceiling() {
+        let (mut stack, clock, mut s) = backed_off(0);
+        let mut gap = 2_000;
+        while gap < BACKOFF_CEILING_NS {
+            fires_exactly_after(&mut s, &mut stack, &clock, gap);
+            gap = (2 * gap).min(BACKOFF_CEILING_NS);
+        }
+        for _ in 0..3 {
+            fires_exactly_after(&mut s, &mut stack, &clock, BACKOFF_CEILING_NS);
+        }
+        assert_eq!(s.stats().gap_resets, 0);
+        assert_eq!(s.invariants().len(), 2, "backing off forgets nothing");
+    }
+
+    #[test]
+    fn every_kind_of_learning_resets_the_gap_on_the_sample_that_sees_it() {
+        type Change = fn(&mut JavaStack);
+        let changes: [(&str, Change); 2] = [
+            ("push", |st| {
+                st.push_raw(MethodId(1), 1);
+            }),
+            ("slot overwritten", |st| st.set_local(1, Slot::Ref(ObjectId(99)))),
+        ];
+        for (what, change) in changes {
+            let (mut stack, clock, mut s) = backed_off(3);
+            change(&mut stack);
+            fires_exactly_after(&mut s, &mut stack, &clock, 16_000);
+            assert_eq!(s.gap_ns, 1_000, "{what}");
+            assert_eq!(s.stats().gap_resets, 1, "{what}");
+            fires_exactly_after(&mut s, &mut stack, &clock, 1_000);
+        }
+
+        // A discard alone (the popped frame's record goes, nothing is captured), then
+        // the raw -> extracted conversion of a frame on its second visit.
+        let (mut stack, clock, mut s) = backed_off(3);
+        stack.push_raw(MethodId(1), 1);
+        fires_exactly_after(&mut s, &mut stack, &clock, 16_000); // captured raw
+        fires_exactly_after(&mut s, &mut stack, &clock, 1_000); // converted
+        assert_eq!(s.gap_ns, 1_000, "conversion");
+        fires_exactly_after(&mut s, &mut stack, &clock, 1_000); // learned nothing
+        fires_exactly_after(&mut s, &mut stack, &clock, 2_000);
+        assert_eq!(s.gap_ns, 4_000);
+        stack.pop();
+        let discarded = s.stats().discarded_samples;
+        fires_exactly_after(&mut s, &mut stack, &clock, 4_000);
+        assert_eq!(s.stats().discarded_samples, discarded + 1);
+        assert_eq!(s.stats().raw_captures, 2, "nothing new captured");
+        assert_eq!(s.gap_ns, 1_000, "discard");
+    }
+
+    #[test]
+    fn refresh_samples_now_and_restarts_the_cadence() {
+        let (mut stack, clock, mut s) = backed_off(5);
+        stack.set_local(0, Slot::Ref(ObjectId(50)));
+        let samples = s.stats().samples;
+        s.refresh(&mut stack, &clock, &CostModel::free());
+        assert_eq!(s.stats().samples, samples + 1);
+        assert_eq!(s.stats().gap_resets, 1);
+        let objs: Vec<ObjectId> = s.invariants().iter().map(|i| i.obj).collect();
+        assert_eq!(objs, vec![ObjectId(2)], "the stale root is gone before resolution");
+        fires_exactly_after(&mut s, &mut stack, &clock, 1_000);
+    }
+
+    /// What keeps Table V and every `gap_ns: 0` user as they are: at or above the
+    /// ceiling, and at zero, the cadence is the fixed timer's.
+    #[test]
+    fn paper_gaps_and_gap_zero_sample_at_fixed_cadence() {
+        for gap_ns in [0, BACKOFF_CEILING_NS, 16_000_000] {
+            let (mut stack, clock, _) = setup();
+            let costs = CostModel::free();
+            let mut s = StackSampler::new(StackSamplingConfig {
+                gap_ns,
+                lazy_extraction: true,
+            });
+            stack.push_raw(MethodId(0), 1);
+            stack.set_local(0, Slot::Ref(ObjectId(1)));
+            let (mut fixed, mut last) = (0u64, None::<u64>);
+            for tick in 0..400u64 {
+                clock.spend(250_000 + 1_000 * (tick % 7));
+                let now = clock.now();
+                if last.is_none_or(|l| now - l >= gap_ns) {
+                    last = Some(now);
+                    fixed += 1;
+                }
+                s.maybe_sample(&mut stack, &clock, &costs);
+            }
+            assert_eq!(s.stats().samples, fixed, "gap {gap_ns}");
+            assert_eq!(s.stats().gap_resets, 0, "gap {gap_ns}");
+            assert_eq!(s.gap_ns, gap_ns);
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! All round-local buffers (object index, bitset arena, class scratch) retain their
 //! capacity across rounds, so steady-state ingestion is allocation-free.
 //!
-//! The [`reference`] module retains the seed's scalar implementation as the
+//! The [`mod@reference`] module retains the seed's scalar implementation as the
 //! bit-exactness oracle for tests and the baseline for the `tcm_reduce` bench.
 
 use serde::{Deserialize, Serialize};
@@ -874,7 +874,7 @@ impl RecordArena {
 
 /// Builds a [`Tcm`] (and per-class sub-maps) from a stream of OALs.
 ///
-/// Round-pending objects live in a [`RecordArena`]; the round close walks each
+/// Round-pending objects live in a `RecordArena`; the round close walks each
 /// shared record's pairs into a **dense** round map (the measured-fastest close
 /// for the flat coordinator — ROADMAP item 5 (a)) and per-class scratches.
 #[derive(Debug)]
@@ -917,7 +917,7 @@ impl TcmBuilder {
     }
 
     /// Fold the round's per-object bitsets into the map: the `O(M·N²)` accrual step,
-    /// now `O(M · pairs)` over set bits via [`for_each_sharer_pair`]. The
+    /// now `O(M · pairs)` over set bits via `for_each_sharer_pair`. The
     /// cumulative map is aged by the decay factor first, then gains the round's map.
     ///
     /// Returns the round's own (non-cumulative) maps — the "successive correlation

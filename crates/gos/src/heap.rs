@@ -11,7 +11,7 @@
 //! [`ObjectId`], that only the owning thread ever touches (the GOS takes it by
 //! `&mut`, so the compiler enforces the invariant). The fast path is one bounds
 //! check plus bit tests on one word — no `RwLock`, no `Arc` clone, no per-entry
-//! `Mutex` (the seed layout, retained in [`reference`], paid all three per access).
+//! `Mutex` (the seed layout, retained in [`mod@reference`], paid all three per access).
 //!
 //! ## Packed entry word
 //!

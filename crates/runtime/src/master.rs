@@ -22,7 +22,8 @@
 //!   it just can't steer the controller retroactively).
 //!
 //! Each closed round carries its **coverage** — the fraction of expected
-//! (thread, interval) OALs that actually arrived — and the [`AdaptiveController`]
+//! (thread, interval) OALs that actually arrived — and the
+//! [`AdaptiveController`](jessy_core::AdaptiveController)
 //! only acts on rounds above the configured coverage floor, degrading gracefully to
 //! fixed-rate profiling instead of thrashing rates on loss-shaped phantoms.
 //!

@@ -799,6 +799,10 @@ impl JThread {
         // reads the sampled landmarks, not the caches, but the profiler state is tied
         // to the pre-migration interval).
         let resolved = if (with_prefetch || migrate_homes) && src != dest {
+            // One forced stack sample first: the sampler backs off while the stack's
+            // invariants hold, and the roots must be as fresh as a fixed timer's.
+            self.profiler
+                .refresh_stack_sample(&self.shared.gos, &mut self.stack, &self.clock);
             Some(self.profiler.resolve_sticky_for_space(
                 &self.shared.gos,
                 &self.space,

@@ -205,3 +205,63 @@ fn migration_cost_model_matches_ground_truth_end_to_end() {
         "every non-prefetched chain object faults, every prefetched one hits"
     );
 }
+
+#[test]
+fn the_profiler_pays_for_itself_on_execution_time() {
+    // The benchmark's `water_migrate` lane at the `small` preset: everything the
+    // sticky-set profiler has, on, feeding continuous rebalancing with home
+    // migration, against the same scattered placement with nothing on. The run
+    // that profiles and migrates must finish first in simulated time.
+    let scattered = || {
+        Cluster::builder()
+            .nodes(4)
+            .threads(8)
+            .placement((0..8).map(|t| NodeId(t % 4)).collect())
+    };
+    let mut profiler = ProfilerConfig::tracking_at(SamplingRate::NX(1));
+    profiler.footprint = Some(FootprintConfig {
+        mode: FootprintMode::Nonstop,
+        min_gap: 1,
+    });
+    profiler.stack = Some(StackSamplingConfig {
+        gap_ns: 1000,
+        lazy_extraction: true,
+    });
+    // 42 is the seed `benchmark/run.sh --quick` runs this lane at, and the one
+    // where the fixed-cadence sampler lost (103.9 % of the unprofiled run).
+    for seed in [7, 42, 101] {
+        let cfg = water::WaterConfig {
+            seed,
+            ..water::WaterConfig::small()
+        };
+        let mut migrated = scattered()
+            .profiler(profiler)
+            .rebalance(jessy::runtime::RebalanceConfig {
+                after_rounds: 1,
+                every_rounds: Some(2),
+                cooldown_rounds: 64,
+                with_prefetch: true,
+                min_gain_bytes: 64.0,
+                gain_horizon_rounds: 64.0,
+                migration_budget_bytes: None,
+                migrate_homes: true,
+            })
+            .build();
+        let mut unprofiled = scattered().profiler(ProfilerConfig::disabled()).build();
+        let on = water::run_on(&mut migrated, cfg);
+        let off = water::run_on(&mut unprofiled, cfg);
+
+        let log = migrated.shared().migration_log.lock();
+        assert!(log.len() >= 2, "seed {seed}: {} thread moves", log.len());
+        assert!(
+            log.iter().any(|m| m.homes_migrated > 0),
+            "seed {seed}: no home moved"
+        );
+        assert!(
+            on.sim_exec_ns < off.sim_exec_ns,
+            "seed {seed}: profiled + migrated {} ns, unprofiled scattered {} ns",
+            on.sim_exec_ns,
+            off.sim_exec_ns
+        );
+    }
+}

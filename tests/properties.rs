@@ -374,7 +374,7 @@ proptest! {
                     let slot = k % 3;
                     stack.set_local(slot, Slot::Ref(ObjectId(refs[k % refs.len()])));
                 }
-                _ => sampler.sample(&mut stack, &clock, &costs),
+                _ => { sampler.sample(&mut stack, &clock, &costs); }
             }
         }
 
@@ -391,6 +391,106 @@ proptest! {
                 }
             }
             stack.pop();
+        }
+    }
+}
+
+// Random {push, pop, set_local, advance} scripts against the timer-gated sampler,
+// checked against a model that knows, per live frame, which references it has held
+// untouched since its first sample and whether it has been compared since. Whatever
+// the back-off skipped, one `refresh` makes the report sound (every invariant sits
+// in the live stack at its (depth, slot)) and complete (an untouched reference of a
+// compared frame is reported). The back-off only ever skips samples, and at the
+// paper's gaps and at zero it skips none.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn backed_off_sampler_is_sound_and_complete_after_refresh(
+        gap_ns in prop::sample::select(vec![0u64, 1_000, 4_000_000, 16_000_000]),
+        lazy in 0u8..2,
+        ops in prop::collection::vec((0u8..8, 0u32..6, 1u64..3_000_000), 1..120),
+    ) {
+        #[derive(Default)]
+        struct FrameModel {
+            /// Per slot: the reference held ever since the frame's first sample.
+            held: Option<[Option<ObjectId>; 3]>,
+            compared: bool,
+        }
+        fn on_sample(model: &mut [FrameModel], stack: &JavaStack) {
+            if let Some(fv) = model.iter_mut().rev().find(|f| f.held.is_some()) {
+                fv.compared = true;
+            }
+            for (d, f) in model.iter_mut().enumerate() {
+                f.held.get_or_insert_with(|| {
+                    std::array::from_fn(|slot| stack.frame(d).slot(slot).as_ref_obj())
+                });
+            }
+        }
+
+        let board = ClockBoard::new(1);
+        let clock = board.handle(ThreadId(0));
+        let costs = CostModel::pentium4_2ghz();
+        let mut stack = JavaStack::new();
+        let mut sampler = StackSampler::new(StackSamplingConfig { gap_ns, lazy_extraction: lazy == 1 });
+        stack.push_raw(MethodId(0), 3);
+        let mut model = vec![FrameModel::default()];
+        let (mut fixed, mut last) = (0u64, None::<u64>);
+
+        for &(op, obj, dt) in &ops {
+            match op {
+                0 => {
+                    stack.push_raw(MethodId(1), 3);
+                    model.push(FrameModel::default());
+                }
+                1 => if stack.depth() > 1 {
+                    stack.pop();
+                    model.pop();
+                },
+                2..=4 => {
+                    let slot = (op - 2) as usize;
+                    stack.set_local(slot, Slot::Ref(ObjectId(obj)));
+                    if let Some(held) = &mut model.last_mut().unwrap().held {
+                        if held[slot] != Some(ObjectId(obj)) {
+                            held[slot] = None;
+                        }
+                    }
+                }
+                _ => { clock.spend(dt); }
+            }
+            // The fixed timer, on the same clock and the same opportunities.
+            let now = clock.now();
+            if last.is_none_or(|l| now - l >= gap_ns) {
+                last = Some(now);
+                fixed += 1;
+            }
+            if sampler.maybe_sample(&mut stack, &clock, &costs) {
+                on_sample(&mut model, &stack);
+            }
+        }
+        let taken = sampler.stats().samples;
+        prop_assert!(taken <= fixed, "backing off took {} samples, the fixed timer {}", taken, fixed);
+        if gap_ns != 1_000 {
+            prop_assert_eq!(taken, fixed, "gap {} must keep the fixed cadence", gap_ns);
+            prop_assert_eq!(sampler.stats().gap_resets, 0);
+        }
+
+        sampler.refresh(&mut stack, &clock, &costs);
+        on_sample(&mut model, &stack);
+        let reported = sampler.invariants();
+        for inv in &reported {
+            prop_assert!(inv.depth < stack.depth(), "invariant in a popped frame: {:?}", inv);
+            prop_assert_eq!(stack.frame(inv.depth).slot(inv.slot).as_ref_obj(), Some(inv.obj),
+                "stale invariant at depth {} slot {}", inv.depth, inv.slot);
+        }
+        for (depth, frame) in model.iter().enumerate().filter(|(_, f)| f.compared) {
+            for (slot, held) in frame.held.unwrap().iter().enumerate() {
+                if let Some(obj) = *held {
+                    prop_assert!(
+                        reported.iter().any(|i| (i.depth, i.slot, i.obj) == (depth, slot, obj)),
+                        "untouched reference {:?} at depth {} slot {} not reported", obj, depth, slot);
+                }
+            }
         }
     }
 }

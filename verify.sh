@@ -18,6 +18,9 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps with warnings denied (intra-doc links resolve)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> tcm_reduce smoke (exactness incl. N=1024 tree lane + sketch-at-dense identity)"
 JESSY_SCALE=small cargo bench -p jessy-bench --bench tcm_reduce
 
@@ -92,6 +95,13 @@ benchmark/run.sh --quick > /dev/null
 # run.sh builds without --locked: a dependency edge dropped from a path crate
 # would silently rewrite the benchmark's lockfile. Make that loud.
 git diff --exit-code -- benchmark/Cargo.lock
+
+echo "==> profiler-pays-for-itself gate (water_migrate sim_vs_off_pct < 100 in the smoke's results: simulated, so it replays exactly)"
+# 92.87 at the smoke's seed; 103.94 while the stack sampler fired on a fixed timer.
+awk '/"water_migrate": \{/ { lane = 1 }
+     lane && /"sim_vs_off_pct"/ { metric = 1; next }
+     metric && /"value"/ { seen = 1; sub(/,/, ""); print "water_migrate sim_vs_off_pct", $2; bad = ($2 + 0 >= 100); exit }
+     END { if (!seen || bad) exit 1 }' benchmark/out/results.json
 
 echo "==> scale soak smoke (10k cooperative threads, time-compressed)"
 cargo test -p jessy-runtime --test soak -q -- --ignored
