@@ -45,17 +45,15 @@
 //!
 //! The executor holds no clock of its own: tasks report their simulated
 //! nanoseconds (their `ClockBoard` cell) at every scheduling point, and the
-//! scheduler orders by those reports. Manual mode (`new_paused`) adds
-//! [`DetExecutor::tick`], [`DetExecutor::run_until_idle`] and
-//! [`DetExecutor::fast_forward_to`] for step-by-step driving from a
-//! controlling (non-task) thread.
+//! scheduler orders by those reports. It has one mode, free-run: tasks drive
+//! it, and nothing outside the task set steps or re-keys it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::thread::Thread;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 /// Panic payload of every task killed by executor poisoning (cooperative
 /// deadlock, or explicit [`DetExecutor::poison`]). Carriers classify panics by
@@ -93,8 +91,6 @@ struct TaskSlot {
     priority: u8,
     /// Scheduling points passed — feeds the jitter hash.
     yields: u64,
-    /// Invalidates stale heap entries (bumped on every re-key).
-    generation: u64,
     /// Carrier thread handle, for unpark.
     carrier: Option<Thread>,
     /// Token: set by the dispatcher, consumed by the carrier.
@@ -106,10 +102,10 @@ struct TaskSlot {
 #[derive(Debug)]
 struct ExecState {
     tasks: Vec<TaskSlot>,
-    /// Lazy min-heap of `(key, priority, task, generation)`; entries whose
-    /// generation is stale or whose task is no longer runnable are skipped on
-    /// pop.
-    heap: BinaryHeap<Reverse<(u64, u8, usize, u64)>>,
+    /// Lazy min-heap of `(key, priority, task)`. A runnable task has exactly
+    /// one entry; an entry whose task is no longer runnable (it finished while
+    /// queued) is skipped on pop.
+    heap: BinaryHeap<Reverse<(u64, u8, usize)>>,
     registered: usize,
     running: Option<usize>,
     /// The task most recently handed the token — `handoffs` counts the
@@ -118,9 +114,6 @@ struct ExecState {
     handoffs: u64,
     runnable: usize,
     blocked_internal: usize,
-    finished: usize,
-    /// Remaining dispatches before pausing; `u64::MAX` = free-run.
-    budget: u64,
     started: bool,
     poisoned: bool,
 }
@@ -131,9 +124,6 @@ pub struct DetExecutor {
     seed: u64,
     jitter_ns: u64,
     state: Mutex<ExecState>,
-    /// Signaled whenever the executor goes idle (nothing running, nothing
-    /// dispatchable under the current budget) — manual mode waits here.
-    idle: Condvar,
 }
 
 impl DetExecutor {
@@ -143,23 +133,12 @@ impl DetExecutor {
     /// `hash(seed, task, scheduling-point #) % jitter_ns`, so `seed` selects
     /// one reproducible interleaving out of many.
     pub fn new(n_tasks: usize, seed: u64, jitter_ns: u64) -> Arc<Self> {
-        Self::with_budget(n_tasks, seed, jitter_ns, u64::MAX)
-    }
-
-    /// Paused executor: tasks register and park, but nothing runs until
-    /// [`tick`](Self::tick) or [`run_until_idle`](Self::run_until_idle).
-    pub fn new_paused(n_tasks: usize, seed: u64, jitter_ns: u64) -> Arc<Self> {
-        Self::with_budget(n_tasks, seed, jitter_ns, 0)
-    }
-
-    fn with_budget(n_tasks: usize, seed: u64, jitter_ns: u64, budget: u64) -> Arc<Self> {
         let tasks = (0..n_tasks)
             .map(|_| TaskSlot {
                 state: TaskState::NotStarted,
                 clock_ns: 0,
                 priority: 1,
                 yields: 0,
-                generation: 0,
                 carrier: None,
                 run_token: false,
                 pending_wake: false,
@@ -177,12 +156,9 @@ impl DetExecutor {
                 handoffs: 0,
                 runnable: 0,
                 blocked_internal: 0,
-                finished: 0,
-                budget,
                 started: false,
                 poisoned: false,
             }),
-            idle: Condvar::new(),
         })
     }
 
@@ -211,19 +187,13 @@ impl DetExecutor {
     }
 
     fn push_runnable(&self, g: &mut ExecState, task: usize) {
-        let slot = &mut g.tasks[task];
+        let slot = &g.tasks[task];
         debug_assert_eq!(slot.state, TaskState::Runnable);
-        slot.generation += 1;
-        let entry = (
-            self.key(task, slot.yields, slot.clock_ns),
-            slot.priority,
-            task,
-            slot.generation,
-        );
+        let entry = (self.key(task, slot.yields, slot.clock_ns), slot.priority, task);
         g.heap.push(Reverse(entry));
     }
 
-    /// Hand the token to the best runnable task, or detect deadlock/idle.
+    /// Hand the token to the best runnable task, or detect deadlock.
     /// Caller must hold the state lock and have `running == None`.
     fn dispatch(&self, g: &mut ExecState) {
         debug_assert!(g.running.is_none());
@@ -241,25 +211,16 @@ impl DetExecutor {
                 if g.blocked_internal > 0 {
                     g.poisoned = true;
                     self.wake_everything(g);
-                } else {
-                    self.idle.notify_all();
                 }
                 return;
             }
-            if g.budget == 0 {
-                self.idle.notify_all();
-                return;
-            }
-            let Some(Reverse((_, _, task, generation))) = g.heap.pop() else {
+            let Some(Reverse((_, _, task))) = g.heap.pop() else {
                 debug_assert!(false, "runnable count positive but heap empty");
                 return;
             };
             let slot = &mut g.tasks[task];
-            if slot.state != TaskState::Runnable || slot.generation != generation {
-                continue; // stale entry (re-keyed by fast_forward_to)
-            }
-            if g.budget != u64::MAX {
-                g.budget -= 1;
+            if slot.state != TaskState::Runnable {
+                continue; // stale entry: the task finished while queued
             }
             slot.state = TaskState::Running;
             slot.run_token = true;
@@ -282,7 +243,6 @@ impl DetExecutor {
                 t.unpark();
             }
         }
-        self.idle.notify_all();
     }
 
     /// Park the calling carrier until its task holds the token (or the
@@ -341,21 +301,15 @@ impl DetExecutor {
     /// every runnable task? Then re-queueing it and dispatching would hand the
     /// token straight back, so the caller may keep it. Stale heap tops are
     /// discarded on the way, exactly as [`dispatch`](Self::dispatch) would.
-    /// Always false under a finite budget: manual mode counts every scheduling
-    /// point as a dispatch.
     fn keeps_token(&self, g: &mut ExecState, task: usize) -> bool {
-        if g.budget != u64::MAX {
-            return false;
-        }
         let slot = &g.tasks[task];
         let mine = (
             self.key(task, slot.yields, slot.clock_ns),
             slot.priority,
             task,
         );
-        while let Some(&Reverse((key, priority, other, generation))) = g.heap.peek() {
-            let o = &g.tasks[other];
-            if o.state == TaskState::Runnable && o.generation == generation {
+        while let Some(&Reverse((key, priority, other))) = g.heap.peek() {
+            if g.tasks[other].state == TaskState::Runnable {
                 return mine < (key, priority, other);
             }
             g.heap.pop();
@@ -488,7 +442,6 @@ impl DetExecutor {
         }
         g.tasks[task].state = TaskState::Finished;
         g.tasks[task].run_token = false;
-        g.finished += 1;
         match prior {
             TaskState::Running => g.running = None,
             TaskState::Runnable => g.runnable -= 1,
@@ -522,18 +475,6 @@ impl DetExecutor {
         self.wake_everything(&mut g);
     }
 
-    /// Earliest virtual clock over all unfinished tasks (0 if none) — the
-    /// front of virtual time.
-    pub fn time_front(&self) -> u64 {
-        let g = self.state.lock();
-        g.tasks
-            .iter()
-            .filter(|t| t.state != TaskState::Finished)
-            .map(|t| t.clock_ns)
-            .min()
-            .unwrap_or(0)
-    }
-
     /// Dispatches that moved the token to a different task than the previous
     /// dispatch did — the OS-level hand-offs (a park and an unpark each). A
     /// scheduling point that keeps the token, or re-picks the same task, is not
@@ -541,71 +482,6 @@ impl DetExecutor {
     /// tasks' inputs.
     pub fn handoffs(&self) -> u64 {
         self.state.lock().handoffs
-    }
-
-    // ------------------------------------------------------------ manual mode
-
-    /// Is the executor idle: nothing running and nothing dispatchable under
-    /// the current budget?
-    fn is_idle(g: &ExecState) -> bool {
-        g.running.is_none() && (g.runnable == 0 || g.budget == 0 || !g.started)
-    }
-
-    /// Grant `steps` dispatches and block the calling (non-task) thread until
-    /// the executor is idle again. Waits for all tasks to register first.
-    /// Returns the number of unfinished tasks. Manual mode only (created via
-    /// [`new_paused`](Self::new_paused)).
-    pub fn tick(&self, steps: u64) -> usize {
-        let mut g = self.state.lock();
-        while !g.started {
-            self.idle.wait(&mut g);
-        }
-        g.budget = g.budget.saturating_add(steps);
-        if g.running.is_none() && g.started {
-            self.dispatch(&mut g);
-        }
-        while !Self::is_idle(&g) {
-            self.idle.wait(&mut g);
-        }
-        g.budget = 0;
-        g.tasks.len() - g.finished
-    }
-
-    /// Run until no task is runnable (all blocked or finished), then pause
-    /// again. Waits for all tasks to register first. Returns the number of
-    /// unfinished tasks.
-    pub fn run_until_idle(&self) -> usize {
-        let mut g = self.state.lock();
-        while !g.started {
-            self.idle.wait(&mut g);
-        }
-        g.budget = u64::MAX;
-        if g.running.is_none() && g.started {
-            self.dispatch(&mut g);
-        }
-        while !(g.running.is_none() && g.runnable == 0) {
-            self.idle.wait(&mut g);
-        }
-        g.budget = 0;
-        g.tasks.len() - g.finished
-    }
-
-    /// Raise every unfinished task's virtual clock to at least `ns` (re-keying
-    /// runnable tasks), compressing dead virtual time. The tasks' own clocks
-    /// (e.g. a `ClockBoard`) must be raised by the caller; this adjusts only
-    /// the scheduling view.
-    pub fn fast_forward_to(&self, ns: u64) {
-        let mut g = self.state.lock();
-        let n = g.tasks.len();
-        for task in 0..n {
-            if g.tasks[task].state == TaskState::Finished {
-                continue;
-            }
-            g.tasks[task].clock_ns = g.tasks[task].clock_ns.max(ns);
-            if g.tasks[task].state == TaskState::Runnable {
-                self.push_runnable(&mut g, task);
-            }
-        }
     }
 }
 
@@ -679,81 +555,6 @@ mod tests {
         assert_eq!(a, b, "same seed must replay the same interleaving");
         let c = run_logged(4, 8, 1_000, 6, &[10, 10, 10, 10]);
         assert_ne!(a, c, "different seed should pick a different interleaving");
-    }
-
-    #[test]
-    fn paused_tick_and_run_until_idle() {
-        let exec = DetExecutor::new_paused(2, 0, 0);
-        let count = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for t in 0..2u64 {
-            let exec = Arc::clone(&exec);
-            let count = Arc::clone(&count);
-            handles.push(std::thread::spawn(move || {
-                let t = t as usize;
-                exec.register_current(t);
-                // Task 0 crawls and task 1 leaps, so from its second step on
-                // task 0 stays ahead of task 1 across its own yields: free-run
-                // would let it keep the token, a tick must still count each
-                // scheduling point as one dispatch.
-                let pace = if t == 0 { 1 } else { 1_000 };
-                for i in 0..3u64 {
-                    count.fetch_add(1, Ordering::SeqCst);
-                    exec.yield_now(t, (i + 1) * pace);
-                }
-                // The resume that runs the task to its end is a dispatch too.
-                count.fetch_add(1, Ordering::SeqCst);
-                exec.finish(t);
-            }));
-        }
-        // Paused: nothing runs until ticked.
-        while exec.state.lock().registered < 2 {
-            std::thread::yield_now();
-        }
-        assert_eq!(count.load(Ordering::SeqCst), 0);
-        // `tick(n)` grants exactly `n` dispatches, one resume each.
-        for granted in 1..=3 {
-            exec.tick(1);
-            assert_eq!(count.load(Ordering::SeqCst), granted);
-        }
-        exec.tick(2);
-        assert_eq!(count.load(Ordering::SeqCst), 5);
-        let unfinished = exec.run_until_idle();
-        assert_eq!(count.load(Ordering::SeqCst), 8);
-        assert_eq!(unfinished, 0);
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn fast_forward_reorders_scheduling() {
-        let exec = DetExecutor::new_paused(2, 0, 0);
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let mut handles = Vec::new();
-        for t in 0..2usize {
-            let exec = Arc::clone(&exec);
-            let log = Arc::clone(&log);
-            handles.push(std::thread::spawn(move || {
-                exec.register_current(t);
-                log.lock().push(t);
-                // Task 0 reports a far-future clock, task 1 stays early.
-                exec.yield_now(t, if t == 0 { 1_000_000 } else { 5 });
-                log.lock().push(t);
-                exec.finish(t);
-            }));
-        }
-        exec.tick(2); // both run their first leg
-        assert_eq!(log.lock().clone(), vec![0, 1]);
-        // Fast-forward past task 0's clock: both now tie at 1_000_000 and the
-        // tie breaks by id, so 0 runs before 1 despite its later clock.
-        exec.fast_forward_to(1_000_000);
-        assert!(exec.time_front() >= 1_000_000);
-        exec.run_until_idle();
-        assert_eq!(log.lock().clone(), vec![0, 1, 0, 1]);
-        for h in handles {
-            h.join().unwrap();
-        }
     }
 
     #[test]
@@ -837,16 +638,11 @@ mod tests {
         /// Wake self while running, then block: the pending wake degrades the
         /// block to a yield.
         WakeThenBlock,
-        /// Fast-forward every task's scheduling clock to this far past the
-        /// task's own clock (re-keying the runnable ones, which leaves their
-        /// old heap entries stale), then yield.
-        FastForward(u64),
     }
 
     fn decode(code: u32) -> Step {
         match code {
             0 | 1 => Step::WakeThenBlock,
-            2 | 3 => Step::FastForward(u64::from(code) * 17),
             _ => Step::Yield,
         }
     }
@@ -876,9 +672,6 @@ mod tests {
                 let mut clock = 0u64;
                 for step in script {
                     log.lock().push(t);
-                    if let Step::FastForward(ahead) = step {
-                        exec.fast_forward_to(clock + ahead);
-                    }
                     clock += pace;
                     if matches!(step, Step::WakeThenBlock) {
                         exec.unblock(t);
@@ -906,16 +699,14 @@ mod tests {
         scripts: &[Vec<Step>],
     ) -> Vec<usize> {
         struct Model {
-            own_clock: u64,
-            sched_clock: u64,
+            clock: u64,
             yields: u64,
             next_step: usize,
         }
         let n = scripts.len();
         let mut tasks: Vec<Model> = (0..n)
             .map(|_| Model {
-                own_clock: 0,
-                sched_clock: 0,
+                clock: 0,
                 yields: 0,
                 next_step: 0,
             })
@@ -926,27 +717,15 @@ mod tests {
                 .filter(|&t| tasks[t].next_step < scripts[t].len())
                 .min_by_key(|&t| {
                     (
-                        exec.key(t, tasks[t].yields, tasks[t].sched_clock),
+                        exec.key(t, tasks[t].yields, tasks[t].clock),
                         priorities[t],
                         t,
                     )
                 });
             let Some(t) = pick else { return order };
             order.push(t);
-            let step = scripts[t][tasks[t].next_step];
-            if let Step::FastForward(ahead) = step {
-                let ns = tasks[t].own_clock + ahead;
-                for (o, m) in tasks.iter_mut().enumerate() {
-                    // A task past its script's end may already have finished; its
-                    // clock no longer matters either way.
-                    if m.next_step < scripts[o].len() {
-                        m.sched_clock = m.sched_clock.max(ns);
-                    }
-                }
-            }
             let m = &mut tasks[t];
-            m.own_clock += paces[t];
-            m.sched_clock = m.sched_clock.max(m.own_clock);
+            m.clock += paces[t];
             m.yields += 1;
             m.next_step += 1;
         }
@@ -958,8 +737,8 @@ mod tests {
         /// For random paces, priorities, seeds and jitter the order in which a
         /// real executor resumes tasks is the pure merge by `(key, priority,
         /// task)` — whether a scheduling point kept the token or handed it
-        /// over, with stale heap tops left by `fast_forward_to` and with blocks
-        /// degraded to yields by a pending wake. Hand-offs replay too.
+        /// over, and with blocks degraded to yields by a pending wake.
+        /// Hand-offs replay too.
         #[test]
         fn pick_order_is_the_pure_merge(
             n in 2usize..6,

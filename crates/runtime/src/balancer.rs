@@ -17,6 +17,12 @@
 //!    — sticky-set footprint bytes as the cost, a per-epoch migration-byte budget,
 //!    and a cooldown mask for hysteresis — recording every veto attributably.
 //!
+//! [`LoadBalancer::plan`] runs both stages from scratch and serves static planning
+//! (the placement bench's headless lane, the examples). The live engine
+//! (`dynamic::plan_epoch`, for one epoch or many) runs stage 2 alone from the
+//! placement the threads actually hold; the exact, sequential gain `refine` records
+//! per move is the only migration gain the runtime computes.
+//!
 //! Capacity is `⌈N/K⌉` threads per node throughout (overloading a node "causes adverse
 //! slowdown, shadowing the locality benefit", Section II).
 
@@ -24,6 +30,8 @@ use serde::{Deserialize, Serialize};
 
 use jessy_core::CorrelationView;
 use jessy_net::{NodeId, ThreadId};
+
+use crate::dynamic::PlannedMigration;
 
 /// A planned placement and its quality.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -50,29 +58,16 @@ pub struct MoveFilter<'a> {
     pub in_cooldown: Option<&'a [bool]>,
 }
 
-/// One move the refinement pass applied.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RefinedMove {
-    /// The thread to move.
-    pub thread: ThreadId,
-    /// Where it was.
-    pub from: NodeId,
-    /// Where it goes.
-    pub to: NodeId,
-    /// Marginal intra-node correlation mass the move adds.
-    pub gain: f64,
-    /// The one-time cost charged against the budget.
-    pub cost_bytes: f64,
-}
-
 /// What a refinement pass did: the final placement, the applied moves, and an
 /// attributable count of every veto.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RefineOutcome {
     /// Thread → node assignment after refinement.
     pub placement: Vec<NodeId>,
-    /// Moves applied, in application order.
-    pub moves: Vec<RefinedMove>,
+    /// Moves applied, in application order. Each `gain_bytes` is the exact
+    /// marginal intra-node mass of that leg given the legs before it, so a
+    /// swap's two legs sum to the swap's effect.
+    pub moves: Vec<PlannedMigration>,
     /// Passes stopped because the best remaining gain fell below `min_gain`.
     pub vetoed_gain: u64,
     /// Moves skipped because the thread was in its cooldown window.
@@ -256,12 +251,12 @@ impl LoadBalancer {
                 conn[v as usize * n_nodes + from.index()] -= w;
                 conn[v as usize * n_nodes + d] += w;
             }
-            out.moves.push(RefinedMove {
+            out.moves.push(PlannedMigration {
                 thread: ThreadId(t as u32),
                 from,
                 to: NodeId(d as u16),
-                gain,
-                cost_bytes: cost,
+                gain_bytes: gain,
+                sticky_cost_bytes: cost,
             });
         };
 
@@ -438,40 +433,6 @@ impl LoadBalancer {
             intra / total
         }
     }
-
-    /// Marginal change in intra-node correlation if `thread` moved to `dest` — the
-    /// *gain* side of the migration-profitability test (the *cost* side is the
-    /// sticky-set footprint).
-    pub fn migration_gain(
-        &self,
-        view: &dyn CorrelationView,
-        placement: &[NodeId],
-        thread: ThreadId,
-        dest: NodeId,
-    ) -> f64 {
-        assert_eq!(placement.len(), view.n());
-        let src = placement[thread.index()];
-        if src == dest {
-            return 0.0;
-        }
-        let mut gain = 0.0;
-        view.for_each_pair(&mut |i, j, w| {
-            let other = if i == thread {
-                j
-            } else if j == thread {
-                i
-            } else {
-                return;
-            };
-            let node = placement[other.index()];
-            if node == dest {
-                gain += w;
-            } else if node == src {
-                gain -= w;
-            }
-        });
-        gain
-    }
 }
 
 #[cfg(test)]
@@ -509,25 +470,6 @@ mod tests {
         let plan = LoadBalancer::new().plan(&t, 2);
         let on0 = plan.placement.iter().filter(|n| n.0 == 0).count();
         assert_eq!(on0, 2);
-    }
-
-    #[test]
-    fn migration_gain_matches_intra_delta() {
-        let tcm = clique_tcm();
-        let lb = LoadBalancer::new();
-        // Bad placement: split both cliques.
-        let placement = vec![NodeId(0), NodeId(1), NodeId(0), NodeId(1)];
-        let before = lb.intra_fraction(&tcm, &placement);
-        let gain = lb.migration_gain(&tcm, &placement, ThreadId(1), NodeId(0));
-        assert!(gain > 0.0, "reuniting clique A is profitable");
-        let mut after_placement = placement.clone();
-        after_placement[1] = NodeId(0);
-        let after = lb.intra_fraction(&tcm, &after_placement);
-        assert!(after > before);
-        // The absolute gain equals the intra-mass delta.
-        let total: f64 = 100.0 + 100.0 + 1.0;
-        assert!(((after - before) * total - gain).abs() < 1e-9);
-        assert_eq!(lb.migration_gain(&tcm, &placement, ThreadId(1), NodeId(1)), 0.0);
     }
 
     #[test]
@@ -634,7 +576,7 @@ mod tests {
         assert_eq!(out.placement[2], out.placement[3]);
         assert!(!out.moves.is_empty());
         // Applied gains are the exact intra-mass deltas, so they sum to the total.
-        let gain_sum: f64 = out.moves.iter().map(|m| m.gain).sum();
+        let gain_sum: f64 = out.moves.iter().map(|m| m.gain_bytes).sum();
         let total = 201.0;
         assert!(((after - before) * total - gain_sum).abs() < 1e-6);
     }

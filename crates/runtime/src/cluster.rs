@@ -278,9 +278,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Enable the dynamic load balancer: after the configured number of TCM rounds the
-    /// master plans a placement from the recovered correlation map and issues
-    /// per-thread migration directives, honoured at the threads' next barriers.
+    /// Enable the dynamic load balancer: after `r.after_rounds` TCM rounds the master
+    /// runs a planning epoch — it refines the live placement against the correlation
+    /// map and issues per-thread migration directives, honoured at the threads' next
+    /// barriers — once, or every `r.every_rounds` rounds from then on.
     /// Requires a profiler configuration with correlation tracking on.
     pub fn rebalance(mut self, r: RebalanceConfig) -> Self {
         self.rebalance = Some(r);

@@ -2,18 +2,21 @@
 //!
 //! Section V: *"Our future work is to formulate an advanced load balancing policy that
 //! utilizes the correlation maps and sticky sets gathered…"*. This module is that
-//! policy, built from the pieces the paper provides, in two modes:
+//! policy, built from the pieces the paper provides, as one engine: a **planning
+//! epoch** ([`plan_epoch`]) refines the *live* placement with KL-style boundary moves
+//! ([`crate::LoadBalancer::refine`]) over whatever correlation view the reducer
+//! maintains, and posts a directive per surviving move. Every move is priced by the
+//! paper's profitability test (`gain × horizon ≥ sticky-set bytes`, a swap priced as
+//! one unit), [`RebalanceConfig::migration_budget_bytes`] caps the sticky-set bytes
+//! an epoch may put on the fabric, and hysteresis
+//! ([`RebalanceConfig::cooldown_rounds`]) keeps a recently moved thread pinned so
+//! plans can't bounce it back ("threads … thrash between nodes", the paper's
+//! warning). With [`RebalanceConfig::migrate_homes`] the master follows each epoch
+//! with home repair.
 //!
-//! * **One-shot** (`every_rounds: None`, the original behavior): after
-//!   [`RebalanceConfig::after_rounds`] rounds the master plans a balanced placement
-//!   with the [`crate::LoadBalancer`] and posts directives once.
-//! * **Continuous** (`every_rounds: Some(k)`): the master re-plans every `k` rounds
-//!   from whatever correlation view the reducer maintains ([`plan_epoch`]), refining
-//!   the *live* placement with KL-style boundary moves. Hysteresis
-//!   ([`RebalanceConfig::cooldown_rounds`]) keeps a recently moved thread pinned so
-//!   plans can't bounce it back ("threads … thrash between nodes", the paper's
-//!   warning), and [`RebalanceConfig::migration_budget_bytes`] caps the sticky-set
-//!   bytes any one epoch may put on the fabric.
+//! [`RebalanceConfig::every_rounds`] only sets how often the engine runs: `None` is a
+//! single epoch once [`RebalanceConfig::after_rounds`] rounds have closed, `Some(k)`
+//! an epoch every `k` closes from then on.
 //!
 //! Every directive is **epoch-stamped** with the master epoch current at plan time
 //! and fenced at the honouring barrier, exactly like OAL batches: a directive planned
@@ -32,7 +35,7 @@ use jessy_core::CorrelationView;
 /// Configuration of the dynamic balancer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RebalanceConfig {
-    /// Plan once this many TCM rounds have closed.
+    /// Plan the first epoch once this many TCM rounds have closed (at least one).
     pub after_rounds: u64,
     /// Prefetch each migrant's resolved sticky set along with its context.
     pub with_prefetch: bool,
@@ -43,19 +46,20 @@ pub struct RebalanceConfig {
     /// its one-time sticky-set cost: migrate iff
     /// `gain × horizon ≥ sticky-footprint bytes` (the paper's profitability test).
     pub gain_horizon_rounds: f64,
-    /// Re-plan every this many rounds after `after_rounds` (continuous mode).
-    /// `None` keeps the original one-shot behavior.
+    /// Re-plan every this many rounds after `after_rounds`. `None` runs a single
+    /// planning epoch, at `after_rounds`.
     pub every_rounds: Option<u64>,
     /// A thread that migrated within this many rounds is ineligible to move again
-    /// (hysteresis; continuous mode only).
+    /// (hysteresis). Applies to every epoch, the single one included.
     pub cooldown_rounds: u64,
-    /// Sticky-set bytes one planning epoch may commit to the fabric (continuous
-    /// mode only). `None` is unlimited.
+    /// Sticky-set bytes one planning epoch may commit to the fabric. Applies to
+    /// every epoch, the single one included. `None` is unlimited.
     pub migration_budget_bytes: Option<f64>,
     /// Relocate the homes of a migrant's resolved sticky-set objects to its
     /// destination. Cache copies live in thread-local heaps, so collocating
     /// correlated threads only pays off once their shared objects are *homed* where
     /// they run — this is what converts a placement gain into home-local accesses.
+    /// It also turns on the master's home repair after every planning epoch.
     pub migrate_homes: bool,
 }
 
@@ -85,7 +89,7 @@ pub struct Directive {
     pub epoch: u64,
 }
 
-/// One directive the planner issued.
+/// One move the planner applied and posted as a directive.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PlannedMigration {
     /// The thread to move.
@@ -94,9 +98,10 @@ pub struct PlannedMigration {
     pub from: NodeId,
     /// Where it should go.
     pub to: NodeId,
-    /// The correlation gain that justified it.
+    /// Marginal intra-node correlation mass (bytes/round) the move adds, exact
+    /// given the moves applied before it in the same epoch.
     pub gain_bytes: f64,
-    /// The sticky-set cost it was weighed against.
+    /// The sticky-set cost it was weighed against and charged to the budget.
     pub sticky_cost_bytes: f64,
 }
 
@@ -112,6 +117,7 @@ pub struct IntraSample {
 }
 
 /// Placement-engine counters surfaced in `MasterOutput` and the CLI summary.
+/// [`plan_epoch`] folds each epoch in; the master adds the barrier-side counts.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PlacementTelemetry {
     /// Planning epochs closed.
@@ -145,79 +151,19 @@ pub struct PlacementTelemetry {
     pub intra_trajectory: Vec<IntraSample>,
 }
 
-/// What one continuous planning epoch decided.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EpochPlan {
-    /// Directives posted this epoch.
-    pub issued: Vec<PlannedMigration>,
-    /// Sticky-set bytes the issued directives committed to.
-    pub planned_bytes: f64,
-    /// `min_gain_bytes` stops recorded.
-    pub vetoed_gain: u64,
-    /// Cooldown vetoes recorded.
-    pub vetoed_cooldown: u64,
-    /// Profitability vetoes recorded.
-    pub vetoed_cost: u64,
-    /// Budget vetoes recorded.
-    pub vetoed_budget: u64,
-    /// Intra-node fraction of the live placement before the plan.
-    pub intra_before: f64,
-    /// Intra-node fraction the plan targets.
-    pub intra_after: f64,
-}
-
-/// Plan against the current placement and post directives. Returns what was issued.
-/// Called by the master daemon once `after_rounds` rounds have closed (one-shot mode).
-pub fn plan_and_post(
-    shared: &ClusterShared,
-    view: &dyn CorrelationView,
-    config: &RebalanceConfig,
-) -> Vec<PlannedMigration> {
-    let lb = LoadBalancer::new();
-    let current = shared.placement.read().clone();
-    let plan = lb.plan(view, shared.n_nodes);
-    let epoch = shared.master_epoch.load(Ordering::Acquire);
-    let mut issued = Vec::new();
-    let mut directives = shared.directives.write();
-    for t in 0..shared.n_threads {
-        let thread = ThreadId(t as u32);
-        let dest = plan.placement[t];
-        if dest == current[t] {
-            continue;
-        }
-        let gain = lb.migration_gain(view, &current, thread, dest);
-        if gain < config.min_gain_bytes {
-            continue;
-        }
-        // The paper's profitability test: the one-time sticky-set transfer must be
-        // amortized by the per-round correlation gain within the horizon.
-        let sticky_cost = shared.footprints.read()[t];
-        if gain * config.gain_horizon_rounds < sticky_cost {
-            continue;
-        }
-        directives[t] = Some(Directive { dest, epoch });
-        issued.push(PlannedMigration {
-            thread,
-            from: current[t],
-            to: dest,
-            gain_bytes: gain,
-            sticky_cost_bytes: sticky_cost,
-        });
-    }
-    issued
-}
-
-/// Close one continuous planning epoch: refine the *live* placement under the
+/// Close one planning epoch: refine the *live* placement under the
 /// sticky-cost/budget/cooldown filter, post epoch-stamped directives for the
-/// surviving moves, and record when each mover last moved (for the cooldown mask
-/// of the next epoch).
+/// surviving moves, record when each mover last moved (for the cooldown mask of
+/// the next epoch) and fold the epoch into `telemetry`. Returns the posted moves.
+/// The only function that posts a [`Directive`].
 pub fn plan_epoch(
     shared: &ClusterShared,
     view: &dyn CorrelationView,
     config: &RebalanceConfig,
     round: u64,
     last_moved_round: &mut [Option<u64>],
-) -> EpochPlan {
+    telemetry: &mut PlacementTelemetry,
+) -> Vec<PlannedMigration> {
     let lb = LoadBalancer::new();
     let current = shared.placement.read().clone();
     let costs = shared.footprints.read().clone();
@@ -232,34 +178,28 @@ pub fn plan_epoch(
         budget_bytes: config.migration_budget_bytes,
         in_cooldown: Some(&cooldown),
     };
-    let intra_before = lb.intra_fraction(view, &current);
+    let before = lb.intra_fraction(view, &current);
     let outcome = lb.refine(view, shared.n_nodes, &current, &filter);
-    let intra_after = lb.intra_fraction(view, &outcome.placement);
 
     let epoch = shared.master_epoch.load(Ordering::Acquire);
-    let mut issued = Vec::with_capacity(outcome.moves.len());
     let mut directives = shared.directives.write();
     for m in &outcome.moves {
         directives[m.thread.index()] = Some(Directive { dest: m.to, epoch });
         last_moved_round[m.thread.index()] = Some(round);
-        issued.push(PlannedMigration {
-            thread: m.thread,
-            from: m.from,
-            to: m.to,
-            gain_bytes: m.gain,
-            sticky_cost_bytes: m.cost_bytes,
-        });
     }
-    EpochPlan {
-        issued,
-        planned_bytes: outcome.spent_bytes,
-        vetoed_gain: outcome.vetoed_gain,
-        vetoed_cooldown: outcome.vetoed_cooldown,
-        vetoed_cost: outcome.vetoed_cost,
-        vetoed_budget: outcome.vetoed_budget,
-        intra_before,
-        intra_after,
-    }
+    telemetry.plans += 1;
+    telemetry.directives += outcome.moves.len() as u64;
+    telemetry.planned_bytes += outcome.spent_bytes;
+    telemetry.vetoed_gain += outcome.vetoed_gain;
+    telemetry.vetoed_cooldown += outcome.vetoed_cooldown;
+    telemetry.vetoed_cost += outcome.vetoed_cost;
+    telemetry.vetoed_budget += outcome.vetoed_budget;
+    telemetry.intra_trajectory.push(IntraSample {
+        round,
+        before,
+        after: lb.intra_fraction(view, &outcome.placement),
+    });
+    outcome.moves
 }
 
 #[cfg(test)]
@@ -268,94 +208,74 @@ mod tests {
     use crate::cluster::Cluster;
     use jessy_core::{ProfilerConfig, Tcm};
 
-    #[test]
-    fn plan_and_post_respects_min_gain() {
-        let cluster = Cluster::builder()
+    /// A 2-node cluster with one thread per placement entry, profiler off.
+    fn cluster_at(placement: &[u16]) -> Cluster {
+        Cluster::builder()
             .nodes(2)
-            .threads(4)
-            .placement(vec![NodeId(0), NodeId(1), NodeId(0), NodeId(1)])
+            .threads(placement.len())
+            .placement(placement.iter().map(|&n| NodeId(n)).collect())
             .profiler(ProfilerConfig::disabled())
-            .build();
-        let shared = cluster.shared();
-
-        // Threads 0&1 correlate strongly; 2&3 weakly.
-        let mut tcm = Tcm::new(4);
-        tcm.add_pair(ThreadId(0), ThreadId(1), 1000.0);
-        tcm.add_pair(ThreadId(2), ThreadId(3), 0.5);
-
-        let strict = RebalanceConfig {
-            after_rounds: 1,
-            with_prefetch: false,
-            min_gain_bytes: 10.0,
-            gain_horizon_rounds: 1e18,
-            ..RebalanceConfig::default()
-        };
-        let issued = plan_and_post(shared, &tcm, &strict);
-        // Reuniting 0&1 clears the bar; reuniting 2&3 (gain 0.5) does not.
-        assert!(!issued.is_empty());
-        assert!(issued.iter().all(|m| m.gain_bytes >= 10.0));
-        let directives = shared.directives.read();
-        let posted = directives.iter().filter(|d| d.is_some()).count();
-        assert_eq!(posted, issued.len());
-        // Healthy-run directives carry the live epoch (0: no restore happened).
-        assert!(directives.iter().flatten().all(|d| d.epoch == 0));
-    }
-
-    #[test]
-    fn sticky_cost_vetoes_marginal_migrations() {
-        let cluster = Cluster::builder()
-            .nodes(2)
-            .threads(4)
-            .placement(vec![NodeId(0), NodeId(1), NodeId(0), NodeId(1)])
-            .profiler(ProfilerConfig::disabled())
-            .build();
-        let shared = cluster.shared();
-        let mut tcm = Tcm::new(4);
-        tcm.add_pair(ThreadId(0), ThreadId(1), 100.0);
-
-        // Every thread carries a huge sticky footprint: the one-time transfer cannot
-        // be amortized within the horizon.
-        *shared.footprints.write() = vec![1e9; 4];
-        let cfg = RebalanceConfig {
-            after_rounds: 1,
-            with_prefetch: false,
-            min_gain_bytes: 1.0,
-            gain_horizon_rounds: 2.0, // gain 100 × 2 « 1e9
-            ..RebalanceConfig::default()
-        };
-        assert!(plan_and_post(shared, &tcm, &cfg).is_empty());
-
-        // With light footprints the same plan goes through.
-        *shared.footprints.write() = vec![50.0; 4];
-        shared.directives.write().iter_mut().for_each(|d| *d = None);
-        let issued = plan_and_post(shared, &tcm, &cfg);
-        assert!(!issued.is_empty());
-        assert!(issued.iter().all(|m| m.sticky_cost_bytes == 50.0));
+            .build()
     }
 
     #[test]
     fn no_directives_for_an_already_good_placement() {
-        let cluster = Cluster::builder()
-            .nodes(2)
-            .threads(4)
-            .placement(vec![NodeId(0), NodeId(0), NodeId(1), NodeId(1)])
-            .profiler(ProfilerConfig::disabled())
-            .build();
+        let cluster = cluster_at(&[0, 0, 1, 1]);
         let mut tcm = Tcm::new(4);
         tcm.add_pair(ThreadId(0), ThreadId(1), 100.0);
         tcm.add_pair(ThreadId(2), ThreadId(3), 100.0);
-        let issued = plan_and_post(cluster.shared(), &tcm, &RebalanceConfig::default());
+        let mut telemetry = PlacementTelemetry::default();
+        let issued = plan_epoch(
+            cluster.shared(),
+            &tcm,
+            &RebalanceConfig::default(),
+            4,
+            &mut [None; 4],
+            &mut telemetry,
+        );
         assert!(issued.is_empty(), "{issued:?}");
+        assert!(cluster.shared().directives.read().iter().all(Option::is_none));
+        assert_eq!((telemetry.plans, telemetry.directives), (1, 0));
+        let epoch = IntraSample { round: 4, before: 1.0, after: 1.0 };
+        assert_eq!(telemetry.intra_trajectory, vec![epoch]);
+    }
+
+    #[test]
+    fn a_vetoed_half_of_a_swap_keeps_the_other_half_home() {
+        // Both cliques split over two exactly-full nodes. Reuniting {2,3} by moving
+        // thread 2 is unaffordable, and thread 1's leg alone would overload node 0:
+        // the engine must repair with a swap whose legs are both cheap (0 <-> 3).
+        let cluster = cluster_at(&[0, 1, 0, 1]);
+        let shared = cluster.shared();
+        let mut tcm = Tcm::new(4);
+        tcm.add_pair(ThreadId(0), ThreadId(1), 100.0);
+        tcm.add_pair(ThreadId(2), ThreadId(3), 100.0);
+        *shared.footprints.write() = vec![0.0, 10.0, 1e9, 0.0];
+        let cfg = RebalanceConfig {
+            gain_horizon_rounds: 1.0,
+            ..RebalanceConfig::default()
+        };
+        let mut telemetry = PlacementTelemetry::default();
+        let issued = plan_epoch(shared, &tcm, &cfg, 1, &mut [None; 4], &mut telemetry);
+        let movers: Vec<(ThreadId, NodeId)> = issued.iter().map(|m| (m.thread, m.to)).collect();
+        assert_eq!(movers, vec![(ThreadId(0), NodeId(1)), (ThreadId(3), NodeId(0))]);
+        assert_eq!(shared.directives.read()[2], None, "thread 2 stays home");
+        let mut after = shared.placement.read().clone();
+        for m in &issued {
+            after[m.thread.index()] = m.to;
+        }
+        for node in 0..2u16 {
+            assert_eq!(after.iter().filter(|n| n.0 == node).count(), 2, "{after:?}");
+        }
+        // The swap's legs sum to its exact effect: both cliques reunited.
+        let gain: f64 = issued.iter().map(|m| m.gain_bytes).sum();
+        assert_eq!(gain, 200.0);
+        assert_eq!(telemetry.planned_bytes, 0.0);
     }
 
     #[test]
     fn plan_epoch_refines_the_live_placement_and_stamps_cooldowns() {
-        let cluster = Cluster::builder()
-            .nodes(2)
-            .threads(4)
-            .placement(vec![NodeId(0), NodeId(1), NodeId(1), NodeId(0)])
-            .profiler(ProfilerConfig::disabled())
-            .build();
+        let cluster = cluster_at(&[0, 1, 1, 0]);
         let shared = cluster.shared();
         let mut tcm = Tcm::new(4);
         tcm.add_pair(ThreadId(0), ThreadId(1), 100.0);
@@ -367,10 +287,12 @@ mod tests {
             ..RebalanceConfig::default()
         };
         let mut last_moved = vec![None; 4];
-        let plan = plan_epoch(shared, &tcm, &cfg, 5, &mut last_moved);
-        assert!(!plan.issued.is_empty(), "a split-clique placement must improve");
-        assert!(plan.intra_after > plan.intra_before);
-        for m in &plan.issued {
+        let mut telemetry = PlacementTelemetry::default();
+        let issued = plan_epoch(shared, &tcm, &cfg, 5, &mut last_moved, &mut telemetry);
+        assert!(!issued.is_empty(), "a split-clique placement must improve");
+        let first = telemetry.intra_trajectory[0];
+        assert!(first.after > first.before);
+        for m in &issued {
             assert_eq!(last_moved[m.thread.index()], Some(5), "cooldown stamped");
             let d = shared.directives.read()[m.thread.index()];
             assert_eq!(d, Some(Directive { dest: m.to, epoch: 0 }));
@@ -380,18 +302,19 @@ mod tests {
         // would move a just-migrated thread again: the cooldown must veto it.
         {
             let mut placement = shared.placement.write();
-            for m in &plan.issued {
+            for m in &issued {
                 placement[m.thread.index()] = m.to;
             }
         }
         shared.directives.write().iter_mut().for_each(|d| *d = None);
-        assert_eq!(plan.issued.len(), 2, "the repair is one pairwise exchange");
-        let (mover, other) = (plan.issued[0].thread, plan.issued[1].thread);
+        assert_eq!(issued.len(), 2, "the repair is one pairwise exchange");
+        let (mover, other) = (issued[0].thread, issued[1].thread);
         let mut flipped = Tcm::new(4);
         flipped.add_pair(mover, other, 100.0);
-        let again = plan_epoch(shared, &flipped, &cfg, 6, &mut last_moved);
-        assert!(again.issued.is_empty(), "{:?}", again.issued);
-        assert!(again.vetoed_cooldown > 0, "the bounce is attributed to hysteresis");
+        let again = plan_epoch(shared, &flipped, &cfg, 6, &mut last_moved, &mut telemetry);
+        assert!(again.is_empty(), "{again:?}");
+        assert!(telemetry.vetoed_cooldown > 0, "the bounce is attributed to hysteresis");
+        assert_eq!((telemetry.plans, telemetry.directives), (2, 2));
     }
 
     #[test]
@@ -399,14 +322,7 @@ mod tests {
         // Four cliques, every one split across the two (exactly full) nodes: fixing
         // each takes one pairwise exchange of 2 × 60 = 120 bytes. A 150-byte budget
         // admits the first exchange and must veto the rest.
-        let cluster = Cluster::builder()
-            .nodes(2)
-            .threads(8)
-            .placement(
-                [0u16, 1, 1, 0, 0, 1, 1, 0].iter().map(|&n| NodeId(n)).collect::<Vec<_>>(),
-            )
-            .profiler(ProfilerConfig::disabled())
-            .build();
+        let cluster = cluster_at(&[0, 1, 1, 0, 0, 1, 1, 0]);
         let shared = cluster.shared();
         let mut tcm = Tcm::new(8);
         tcm.add_pair(ThreadId(0), ThreadId(1), 100.0);
@@ -422,11 +338,12 @@ mod tests {
             gain_horizon_rounds: 10.0,
             ..RebalanceConfig::default()
         };
-        let mut last_moved = vec![None; 8];
-        let plan = plan_epoch(shared, &tcm, &cfg, 3, &mut last_moved);
-        assert_eq!(plan.issued.len(), 2, "one exchange = two directives: {:?}", plan.issued);
-        assert!(plan.vetoed_budget > 0);
-        assert!(plan.planned_bytes <= 150.0);
-        assert!(plan.intra_after > plan.intra_before);
+        let mut telemetry = PlacementTelemetry::default();
+        let issued = plan_epoch(shared, &tcm, &cfg, 3, &mut [None; 8], &mut telemetry);
+        assert_eq!(issued.len(), 2, "one exchange = two directives: {issued:?}");
+        assert!(telemetry.vetoed_budget > 0);
+        assert!(telemetry.planned_bytes <= 150.0);
+        let epoch = telemetry.intra_trajectory[0];
+        assert!(epoch.after > epoch.before);
     }
 }

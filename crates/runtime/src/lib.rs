@@ -31,7 +31,7 @@ pub mod metrics;
 pub mod migration;
 pub mod thread;
 
-pub use balancer::{LoadBalancer, MoveFilter, PlacementPlan, RefineOutcome, RefinedMove};
+pub use balancer::{LoadBalancer, MoveFilter, PlacementPlan, RefineOutcome};
 pub use cluster::{Cluster, ClusterBuilder, InitCtx};
 pub use dynamic::{
     Directive, IntraSample, PlacementTelemetry, PlannedMigration, RebalanceConfig,

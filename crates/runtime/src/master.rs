@@ -70,7 +70,7 @@ use serde::{Deserialize, Serialize};
 use jessy_core::adaptive::apply_rate_change;
 use jessy_core::sampling::ClassGapState;
 use jessy_core::{
-    BudgetCheckpoint, BudgetOutcome, BudgetedController, DegradeStep, DriftConfig,
+    BudgetCheckpoint, BudgetOutcome, BudgetedController, CorrelationView, DegradeStep, DriftConfig,
     HomeAwareAnalyzer, Oal, ProfilerConfig, RateCause, ReducedRound, Reducer, RoundOutcome, Tcm,
     TreeRoundStats,
 };
@@ -79,9 +79,7 @@ use jessy_net::{ClockHandle, Mailbox, MasterCrashWindow, MsgClass, NodeId, Threa
 use jessy_obs::EventKind;
 
 use crate::cluster::ClusterShared;
-use crate::dynamic::{
-    plan_and_post, plan_epoch, IntraSample, PlacementTelemetry, PlannedMigration, RebalanceConfig,
-};
+use crate::dynamic::{plan_epoch, PlacementTelemetry, PlannedMigration, RebalanceConfig};
 use crate::error::RuntimeError;
 
 /// An OAL batch stamped with the sender's view of the master epoch (learned at
@@ -628,14 +626,12 @@ pub struct MasterLedger {
     pub rate_changes: Vec<AppliedRateChange>,
     /// Coverage-skipped rounds so far.
     pub skipped: Vec<SkippedRateChange>,
-    /// Planned migrations, if the balancer already ran.
+    /// Migrations posted by the planning epochs so far.
     pub planned_migrations: Vec<PlannedMigration>,
-    /// Whether the one-shot balancer already ran.
-    pub rebalanced: bool,
-    /// Round each thread last received a move directive in (continuous mode's
-    /// cooldown state: a thread inside its cooldown window is pinned).
+    /// Round each thread last received a move directive in (the cooldown state:
+    /// a thread inside its cooldown window is pinned).
     pub last_moved_round: Vec<Option<u64>>,
-    /// Placement-engine counters accumulated so far (continuous mode).
+    /// Placement-engine counters accumulated so far.
     pub placement: PlacementTelemetry,
     /// The recorded OAL stream, when `ProfilerConfig::record_oals` was set.
     pub oal_log: Vec<Oal>,
@@ -754,7 +750,7 @@ struct Daemon {
     /// Demotion events performed (`MasterOutput::stragglers`).
     stragglers: u64,
     /// Per-object accessor statistics for home repair (Section V's home effect):
-    /// maintained only in continuous rebalancing mode with `migrate_homes` on.
+    /// maintained only when rebalancing with `migrate_homes` on.
     homeaware: Option<HomeAwareAnalyzer>,
     /// Classes whose convergence was already journaled (an event fires once per
     /// class, even when replay re-closes the round that froze it).
@@ -1123,45 +1119,31 @@ impl Daemon {
         }
     }
 
-    /// One continuous planning epoch: pick the planning view the reducer already
-    /// maintains, refine the live placement under the cost/budget/cooldown filter,
-    /// post epoch-stamped directives and fold the outcome into the telemetry.
+    /// One planning epoch: pick the planning view the reducer already maintains,
+    /// refine the live placement under the cost/budget/cooldown filter, post
+    /// epoch-stamped directives and fold the outcome into the telemetry; then,
+    /// with `migrate_homes`, repair homes.
     ///
     /// When the reducer keeps a head-and-sketch view ([`Reducer::planning_view`])
     /// the plan is drawn from it, so planning stays O(k + sketch) and never
     /// expands the O(N²) dense map `effective_tcm()` would materialize. That is
     /// the production-scale path (N=1024 in the bench).
     fn plan_placement_epoch(&mut self, cfg: &RebalanceConfig, round: u64) {
-        let plan = match self.reducer.planning_view() {
-            Some(view) => {
-                plan_epoch(&self.shared, &view, cfg, round, &mut self.ledger.last_moved_round)
-            }
-            None => {
-                let tcm = self.effective_tcm();
-                plan_epoch(&self.shared, &tcm, cfg, round, &mut self.ledger.last_moved_round)
-            }
+        let view: Box<dyn CorrelationView + '_> = match self.reducer.planning_view() {
+            Some(view) => Box::new(view),
+            None => Box::new(self.effective_tcm()),
         };
-        let telemetry = &mut self.ledger.placement;
-        telemetry.plans += 1;
-        telemetry.directives += plan.issued.len() as u64;
-        telemetry.planned_bytes += plan.planned_bytes;
-        telemetry.vetoed_gain += plan.vetoed_gain;
-        telemetry.vetoed_cooldown += plan.vetoed_cooldown;
-        telemetry.vetoed_cost += plan.vetoed_cost;
-        telemetry.vetoed_budget += plan.vetoed_budget;
-        telemetry.intra_trajectory.push(IntraSample {
-            round,
-            before: plan.intra_before,
-            after: plan.intra_after,
-        });
+        let (moved, telemetry) = (&mut self.ledger.last_moved_round, &mut self.ledger.placement);
+        let issued = plan_epoch(&self.shared, &*view, cfg, round, moved, telemetry);
+        let intra = *telemetry.intra_trajectory.last().expect("plan_epoch records every epoch");
         self.shared.emit_event(
             &self.shared.master_clock(),
             EventKind::PlacementPlanned {
                 round,
                 epoch: self.epoch,
-                directives: plan.issued.len() as u64,
-                intra_before: plan.intra_before,
-                intra_after: plan.intra_after,
+                directives: issued.len() as u64,
+                intra_before: intra.before,
+                intra_after: intra.after,
             },
         );
         // Home repair (the paper's Section V "home effect"): collocation only
@@ -1170,35 +1152,33 @@ impl Daemon {
         // each object whose dominant accessor node strictly beats its current
         // home onto that node. Nodes a mover is leaving this epoch are skipped —
         // their evidence describes a placement that is about to change.
-        if cfg.migrate_homes {
-            if let Some(ha) = &mut self.homeaware {
-                let placement = self.shared.placement.read().clone();
-                let report = ha.build(&self.shared.gos, &placement);
-                let leaving: std::collections::HashSet<NodeId> =
-                    plan.issued.iter().map(|m| m.from).collect();
-                let clock = self.shared.master_clock();
-                let mut repaired = 0u64;
-                let mut repaired_bytes = 0u64;
-                for rec in &report.recommendations {
-                    if leaving.contains(&rec.to) {
-                        continue;
-                    }
-                    let bytes = self.shared.gos.object_ref(rec.obj).payload_bytes() as u64;
-                    if self.shared.gos.migrate_home(rec.obj, rec.to, &clock) {
-                        repaired += 1;
-                        repaired_bytes += bytes;
-                    }
+        if let Some(ha) = &mut self.homeaware {
+            let placement = self.shared.placement.read().clone();
+            let report = ha.build(&self.shared.gos, &placement);
+            let leaving: std::collections::HashSet<NodeId> =
+                issued.iter().map(|m| m.from).collect();
+            let clock = self.shared.master_clock();
+            let mut repaired = 0u64;
+            let mut repaired_bytes = 0u64;
+            for rec in &report.recommendations {
+                if leaving.contains(&rec.to) {
+                    continue;
                 }
-                if repaired > 0 || !plan.issued.is_empty() {
-                    // The world changed: dominance evidence must be re-earned
-                    // against the post-repair placement and homes.
-                    ha.clear();
+                let bytes = self.shared.gos.object_ref(rec.obj).payload_bytes() as u64;
+                if self.shared.gos.migrate_home(rec.obj, rec.to, &clock) {
+                    repaired += 1;
+                    repaired_bytes += bytes;
                 }
-                self.ledger.placement.homes_repaired += repaired;
-                self.ledger.placement.repaired_bytes += repaired_bytes;
             }
+            if repaired > 0 || !issued.is_empty() {
+                // The world changed: dominance evidence must be re-earned
+                // against the post-repair placement and homes.
+                ha.clear();
+            }
+            self.ledger.placement.homes_repaired += repaired;
+            self.ledger.placement.repaired_bytes += repaired_bytes;
         }
-        self.ledger.planned_migrations.extend(plan.issued);
+        self.ledger.planned_migrations.extend(issued);
     }
 
     fn close_round(&mut self, closed: ClosedRound) {
@@ -1374,21 +1354,21 @@ impl Daemon {
 
         self.update_stragglers(closed.round);
 
-        // Dynamic balancing (Section V's policy, built on the profiles): one-shot
-        // once enough rounds have closed, or — in continuous mode — a planning
-        // epoch every `every_rounds` closes.
+        // Dynamic balancing (Section V's policy, built on the profiles): a
+        // planning epoch once `after_rounds` rounds have closed, then — with
+        // `every_rounds` — one every `k` closes. `rounds` is restored with the
+        // ledger, so a replayed close re-derives exactly the epochs it did live.
         if let Some(cfg) = self.shared.rebalance {
-            if let Some(every) = cfg.every_rounds {
-                let every = every.max(1);
-                if self.ledger.rounds >= cfg.after_rounds
-                    && (self.ledger.rounds - cfg.after_rounds).is_multiple_of(every)
-                {
-                    self.plan_placement_epoch(&cfg, closed.round);
+            let rounds = self.ledger.rounds;
+            let due = match cfg.every_rounds {
+                Some(every) => {
+                    rounds >= cfg.after_rounds
+                        && (rounds - cfg.after_rounds).is_multiple_of(every.max(1))
                 }
-            } else if !self.ledger.rebalanced && self.ledger.rounds >= cfg.after_rounds {
-                self.ledger.rebalanced = true;
-                let tcm = self.effective_tcm();
-                self.ledger.planned_migrations = plan_and_post(&self.shared, &tcm, &cfg);
+                None => rounds == cfg.after_rounds.max(1),
+            };
+            if due {
+                self.plan_placement_epoch(&cfg, closed.round);
             }
         }
 
@@ -1539,7 +1519,7 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
         stragglers: 0,
         homeaware: shared
             .rebalance
-            .filter(|c| c.every_rounds.is_some() && c.migrate_homes)
+            .filter(|c| c.migrate_homes)
             .map(|_| HomeAwareAnalyzer::new(shared.n_nodes, shared.n_threads)),
         announced_converged: HashSet::new(),
         epoch: 0,

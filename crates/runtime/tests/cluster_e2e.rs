@@ -6,8 +6,9 @@ use std::sync::Arc;
 use jessy_core::{ProfilerConfig, SamplingRate};
 use jessy_gos::{CostModel, ObjectId};
 use jessy_net::{LatencyModel, NodeId, ThreadId};
+use jessy_obs::{EventKind, JournalSink};
 use jessy_runtime::migration::count_would_fault;
-use jessy_runtime::{Cluster, LoadBalancer};
+use jessy_runtime::{Cluster, LoadBalancer, MoveFilter, RebalanceConfig};
 
 /// Shared fixture: `n_pairs` pairs of threads; pair k shares its own object.
 /// Odd threads also touch a private object, so the TCM must show exactly the pair
@@ -269,7 +270,9 @@ fn balancer_fixes_a_bad_placement_found_by_profiling() {
     assert_eq!(plan.intra_fraction, 1.0, "plan reunites the sharers");
     assert_eq!(plan.placement[0], plan.placement[2]);
     assert_eq!(plan.placement[1], plan.placement[3]);
-    assert!(lb.migration_gain(&tcm, &current, ThreadId(2), NodeId(0)) > 0.0);
+    // The live engine's repair of `current` reaches the same quality.
+    let repaired = lb.refine(&tcm, 2, &current, &MoveFilter::default());
+    assert_eq!(lb.intra_fraction(&tcm, &repaired.placement), 1.0);
 }
 
 #[test]
@@ -293,44 +296,65 @@ fn run_report_is_coherent() {
     assert!(report.master.is_some());
 }
 
+/// A balancer-on run of 4 threads on 2 nodes: thread `t` reads object
+/// `group_of(t)` (homed on node 0 or 1) between barriers, 10 times. Footprinting
+/// is off, so `footprints`, written before the run, price every move.
+fn balancing_run(
+    placement: [u16; 4],
+    group_of: fn(usize) -> usize,
+    footprints: [f64; 4],
+    rebalance: RebalanceConfig,
+) -> (Cluster, Arc<JournalSink>) {
+    let mut config = ProfilerConfig::tracking_at(SamplingRate::Full);
+    config.intervals_per_round = 1;
+    let sink = JournalSink::shared();
+    let mut cluster = Cluster::builder()
+        .nodes(2)
+        .threads(4)
+        .placement(placement.iter().map(|&n| NodeId(n)).collect())
+        .latency(LatencyModel::free())
+        .costs(CostModel::free())
+        .profiler(config)
+        .rebalance(rebalance)
+        .trace(sink.clone())
+        .build();
+    *cluster.shared().footprints.write() = footprints.to_vec();
+    let objs = cluster.init(|ctx| {
+        let class = ctx.register_scalar_class("S", 8);
+        vec![
+            ctx.alloc_scalar_at(NodeId(0), class).id,
+            ctx.alloc_scalar_at(NodeId(1), class).id,
+        ]
+    });
+    let objs = Arc::new(objs);
+    cluster.run(move |jt| {
+        let group = group_of(jt.thread_id().index());
+        for _ in 0..10 {
+            jt.read(objs[group], |_| {});
+            jt.barrier();
+        }
+    });
+    (cluster, sink)
+}
+
+/// One planning epoch after `after_rounds` rounds, every move affordable.
+fn one_shot(after_rounds: u64) -> RebalanceConfig {
+    RebalanceConfig {
+        after_rounds,
+        with_prefetch: false,
+        min_gain_bytes: 1.0,
+        gain_horizon_rounds: 1e18,
+        every_rounds: None,
+        ..Default::default()
+    }
+}
+
 #[test]
 fn dynamic_balancer_fixes_placement_mid_run() {
     // Threads 0&2 and 1&3 share heavily but start split across nodes. With dynamic
     // rebalancing on, the master plans from the live TCM and the threads migrate at a
     // barrier; by the end the sharers are collocated.
-    let mut config = ProfilerConfig::tracking_at(SamplingRate::Full);
-    config.intervals_per_round = 1;
-    let mut cluster = Cluster::builder()
-        .nodes(2)
-        .threads(4)
-        .placement(vec![NodeId(0), NodeId(0), NodeId(1), NodeId(1)])
-        .latency(LatencyModel::free())
-        .costs(CostModel::free())
-        .profiler(config)
-        .rebalance(jessy_runtime::RebalanceConfig {
-            after_rounds: 3,
-            with_prefetch: false,
-            min_gain_bytes: 1.0,
-            gain_horizon_rounds: 1e18,
-            ..Default::default()
-        })
-        .build();
-    let objs = cluster.init(|ctx| {
-        let class = ctx.register_scalar_class("S", 8);
-        vec![
-            ctx.alloc_scalar_at(NodeId(0), class).id, // shared by threads 0 & 2
-            ctx.alloc_scalar_at(NodeId(1), class).id, // shared by threads 1 & 3
-        ]
-    });
-    let objs = Arc::new(objs);
-    cluster.run(move |jt| {
-        let group = jt.thread_id().index() % 2;
-        for _ in 0..20 {
-            jt.read(objs[group], |_| {});
-            jt.barrier();
-        }
-    });
-
+    let (cluster, _) = balancing_run([0, 0, 1, 1], |t| t % 2, [0.0; 4], one_shot(3));
     let master = cluster.master_output().unwrap();
     assert!(
         !master.planned_migrations.is_empty(),
@@ -348,44 +372,68 @@ fn dynamic_balancer_fixes_placement_mid_run() {
 
 #[test]
 fn dynamic_balancer_leaves_good_placements_alone() {
-    let mut config = ProfilerConfig::tracking_at(SamplingRate::Full);
-    config.intervals_per_round = 1;
-    let mut cluster = Cluster::builder()
-        .nodes(2)
-        .threads(4)
-        .placement(vec![NodeId(0), NodeId(0), NodeId(1), NodeId(1)])
-        .latency(LatencyModel::free())
-        .costs(CostModel::free())
-        .profiler(config)
-        .rebalance(jessy_runtime::RebalanceConfig {
-            after_rounds: 3,
-            with_prefetch: false,
-            min_gain_bytes: 1.0,
-            gain_horizon_rounds: 1e18,
-            ..Default::default()
-        })
-        .build();
-    let objs = cluster.init(|ctx| {
-        let class = ctx.register_scalar_class("S", 8);
-        vec![
-            ctx.alloc_scalar_at(NodeId(0), class).id, // shared by threads 0 & 1 (same node)
-            ctx.alloc_scalar_at(NodeId(1), class).id, // shared by threads 2 & 3 (same node)
-        ]
-    });
-    let objs = Arc::new(objs);
-    cluster.run(move |jt| {
-        let group = jt.thread_id().index() / 2;
-        for _ in 0..10 {
-            jt.read(objs[group], |_| {});
-            jt.barrier();
-        }
-    });
+    // Sharers 0&1 on node 0, 2&3 on node 1: already optimal.
+    let (cluster, _) = balancing_run([0, 0, 1, 1], |t| t / 2, [0.0; 4], one_shot(3));
     let master = cluster.master_output().unwrap();
     assert!(
         master.planned_migrations.is_empty(),
         "no thrashing on an already-optimal placement: {:?}",
         master.planned_migrations
     );
+    assert!(cluster.shared().migration_log.lock().is_empty());
+}
+
+#[test]
+fn one_shot_rebalance_never_overloads_a_node() {
+    // Cliques {0,1} and {2,3}, both split over two exactly-full nodes. Thread 2's
+    // sticky set is unaffordable, and thread 1's leg alone would put three threads
+    // on node 0: the single epoch must repair with the cheap swap 0 <-> 3, not post
+    // half of a swap.
+    let rebalance = RebalanceConfig {
+        gain_horizon_rounds: 1.0,
+        ..one_shot(3)
+    };
+    let (cluster, _) = balancing_run([0, 1, 0, 1], |t| t / 2, [0.0, 10.0, 1e9, 0.0], rebalance);
+    let placement = cluster.shared().placement.read().clone();
+    for node in 0..2u16 {
+        let load = placement.iter().filter(|n| n.0 == node).count();
+        assert!(load <= 2, "node {node} holds {load} > ⌈4/2⌉ threads: {placement:?}");
+    }
+    assert_eq!(placement[2], NodeId(0), "thread 2 must not have moved");
+    assert_eq!(placement[0], placement[1], "clique {{0,1}} reunited: {placement:?}");
+    assert_eq!(placement[2], placement[3], "clique {{2,3}} reunited: {placement:?}");
+}
+
+#[test]
+fn one_shot_rebalance_is_one_epoch_of_the_engine() {
+    for after_rounds in [0, 1, 3] {
+        let (cluster, sink) =
+            balancing_run([0, 0, 1, 1], |t| t % 2, [8.0; 4], one_shot(after_rounds));
+        let p = &cluster.master_output().unwrap().placement;
+        assert_eq!(p.plans, 1, "after_rounds {after_rounds}: {p:?}");
+        assert!(p.directives > 0 && p.applied_migrations > 0, "{p:?}");
+        let mut closes: Vec<(u64, u64)> = sink
+            .sorted_events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::RoundClosed { round, .. } => Some((e.seq, round)),
+                _ => None,
+            })
+            .collect();
+        closes.sort_unstable();
+        let due = closes[after_rounds.max(1) as usize - 1].1;
+        assert_eq!(p.intra_trajectory[0].round, due, "after_rounds {after_rounds}");
+    }
+
+    // The epoch's budget binds the single epoch too.
+    let rebalance = RebalanceConfig {
+        migration_budget_bytes: Some(0.0),
+        ..one_shot(3)
+    };
+    let (cluster, _) = balancing_run([0, 0, 1, 1], |t| t % 2, [8.0; 4], rebalance);
+    let p = &cluster.master_output().unwrap().placement;
+    assert_eq!((p.plans, p.directives), (1, 0), "{p:?}");
+    assert!(p.vetoed_budget > 0, "{p:?}");
     assert!(cluster.shared().migration_log.lock().is_empty());
 }
 

@@ -4,15 +4,17 @@
 //! across nodes) with the full profiler on — correlation tracking, sticky-set
 //! footprinting and stack sampling. One thread migrates mid-run with sticky-set
 //! prefetch so its induced faults are hidden. After the run the recovered TCM feeds
-//! the load balancer, which plans a placement reuniting the galaxies, and each
-//! candidate migration is weighed: correlation gain vs sticky-set (prefetch) cost —
-//! exactly the cost model Section III argues for.
+//! the load balancer, which plans a placement reuniting the galaxies; the live
+//! engine's repair of the scattered placement lists each move with its exact
+//! correlation gain — the side of Section III's cost model that the sticky-set
+//! (prefetch) cost is weighed against.
 //!
 //! ```text
 //! cargo run --release --example migration_planner
 //! ```
 
 use jessy::prelude::*;
+use jessy::runtime::MoveFilter;
 use jessy::workloads::barnes_hut::{self, BhConfig};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -108,19 +110,18 @@ fn main() {
     println!("  intra-node correlation, planned placement   : {:>6.1} %", plan.intra_fraction * 100.0);
     println!("  plan: {:?}", plan.placement);
 
-    println!("\n== per-thread migration ledger (gain vs sticky cost) ==");
-    for t in 0..n_threads {
-        let thread = ThreadId(t as u32);
-        let dest = plan.placement[t];
-        if dest == placement[t] {
-            continue;
-        }
-        let gain = lb.migration_gain(&tcm, &placement, thread, dest);
+    println!("\n== the engine's repair of the scattered placement (exact gain per move) ==");
+    let repair = lb.refine(&tcm, 4, &placement, &MoveFilter::default());
+    for m in &repair.moves {
         println!(
-            "  t{t}: {} -> {}   correlation gain {:>12.0} bytes/round",
-            placement[t], dest, gain
+            "  {}: {} -> {}   correlation gain {:>12.0} bytes/round",
+            m.thread, m.from, m.to, m.gain_bytes
         );
     }
+    println!(
+        "  intra-node correlation, repaired placement  : {:>6.1} %",
+        lb.intra_fraction(&tcm, &repair.placement) * 100.0
+    );
     println!("\n(the sticky-set footprint of each thread prices the move; the profiled");
     println!(" migration above shows the prefetch hiding exactly those induced faults)");
 }

@@ -728,7 +728,7 @@ fn main() -> ExitCode {
             eprintln!("       [--drift-threshold D (un-freeze converged classes on drift; needs --adaptive)]");
             eprintln!("       [--flip-round R (phase_shift: when the sharing graph flips)]");
             eprintln!("       [--zipf-s S] [--session-len OPS (sessions: skew and session length)]");
-            eprintln!("       [--rebalance ROUNDS (plan placement after this many TCM rounds; needs >= 2 nodes)]");
+            eprintln!("       [--rebalance ROUNDS (one placement epoch after this many TCM rounds; needs >= 2 nodes)]");
             eprintln!("       [--rebalance-every K (keep re-planning every K rounds)]");
             eprintln!("       [--cooldown-rounds C] [--migration-budget-bytes B (per-epoch cap)]");
             eprintln!("       [--prefetch-depth D] [--json]");

@@ -744,7 +744,6 @@ proptest! {
                     gain_bytes: threshold * 1e6,
                     sticky_cost_bytes: threshold * 1e3,
                 }],
-                rebalanced: epoch % 2 == 0,
                 last_moved_round: vec![None, Some(epoch), None, Some(epoch + 2), None, None],
                 placement: jessy::runtime::PlacementTelemetry {
                     plans: epoch + 1,

@@ -64,6 +64,15 @@ cmp "$OBS_DIR/a.jsonl" "$OBS_DIR/b.jsonl"   # multi-thread journals must be bit-
 grep -q '"traceEvents"' "$OBS_DIR/trace.json"
 rm -rf "$OBS_DIR"
 
+echo "==> one-shot rebalance smoke (--rebalance alone is one epoch of the placement engine; journal replays)"
+ONE_DIR=$(mktemp -d)
+for run in a b; do
+  ./target/release/jessy-cli run -w bh --scale small --nodes 4 --threads 8 --rate 4x --rebalance 2 \
+    --journal "$ONE_DIR/$run.jsonl" | grep -E '^placement engine +: +1 plans,'
+done
+cmp "$ONE_DIR/a.jsonl" "$ONE_DIR/b.jsonl"
+rm -rf "$ONE_DIR"
+
 echo "==> flat top-k smoke (--top-k feeds the head on the flat coordinator too: same pairs as under the tree)"
 top_pairs() {
   ./target/release/jessy-cli run -w sor --scale small --nodes 2 --threads 4 --rate 4x --top-k 4 "$@" \
