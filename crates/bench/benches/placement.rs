@@ -377,16 +377,16 @@ fn main() {
         .sum();
     assert!(migrated_runs > 0, "the migrated lanes must actually migrate");
     // Execution time, the metric a reader assumes: Water's migrated lane finishes
-    // ahead of scattered. Six short smoke rounds do not amortise the moves, and
-    // SOR / Barnes-Hut still pay more for their one-time home relocation than the
-    // run has left to earn back (EXPERIMENTS.md X9), so those only print.
+    // well ahead of scattered (82.6 %). Six short smoke rounds do not amortise the
+    // moves, and SOR / Barnes-Hut still finish behind scattered (EXPERIMENTS.md
+    // X9), so those only print.
     if !smoke {
         let water = summaries
             .iter()
             .find(|s| s.workload == Kind::Water.label())
             .expect("the Water lanes ran");
         assert!(
-            water.exec_vs_scattered_pct < 100.0,
+            water.exec_vs_scattered_pct < 85.0,
             "Water migrated must beat scattered on execution time: {:.1}%",
             water.exec_vs_scattered_pct
         );

@@ -13,7 +13,7 @@
 //! node) and a **stranded** part (homed at neither — the tricky case). It also derives
 //! per-object **home-migration recommendations**: objects whose accessors
 //! predominantly sit on some other node, which is exactly what the GOS's
-//! `migrate_home` fixes.
+//! `relocate_homes` fixes.
 
 use std::collections::HashMap;
 
@@ -302,7 +302,7 @@ mod tests {
         }
         let report = an.build(&gos, &placement);
         let rec = report.recommendations[0];
-        assert!(gos.migrate_home(rec.obj, rec.to, &clock));
+        assert_eq!(gos.relocate_homes([(rec.obj, rec.to)], &clock).0, 1);
         assert_eq!(gos.object_ref(obj).home(), NodeId(0));
         // Re-analyzing against the new home: nothing left to recommend.
         let report = an.build(&gos, &placement);

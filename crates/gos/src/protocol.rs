@@ -1090,46 +1090,67 @@ impl Gos {
 
     // ------------------------------------------------------------------ home migration
 
-    /// Relocate `obj`'s home to `dest` (the object home-migration optimization the
-    /// paper's evaluation runs with; see also its Section II: "Relocating home of one
-    /// object for locality of one thread may sacrifice locality of other threads").
+    /// Relocate each `(obj, dest)` home in order (the object home-migration
+    /// optimization the paper's evaluation runs with; see also its Section II:
+    /// "Relocating home of one object for locality of one thread may sacrifice
+    /// locality of other threads"). Objects already homed at their destination are
+    /// skipped.
     ///
-    /// The home payload transfer is accounted (`ObjData` old-home → new-home) and a
-    /// write notice is posted so every cached copy revalidates against the new home.
-    /// A re-homed object is shared, whoever held it ([`ObjectCore::publish`]).
-    /// Threads holding a stale home-resident view are repaired when they next apply
-    /// notices. Returns `false` if the home was already `dest`.
-    pub fn migrate_home(&self, obj: ObjectId, dest: NodeId, clock: &ClockHandle) -> bool {
-        self.assert_node(dest);
-        let core = self.core(obj);
-        let old = core.home();
-        if old == dest {
-            return false;
+    /// A write notice is posted per relocated object so every cached copy
+    /// revalidates against the new home. A re-homed object is shared, whoever held
+    /// it ([`ObjectCore::publish`]). Threads holding a stale home-resident view are
+    /// repaired when they next apply notices. The payloads travel the way
+    /// [`Self::prefetch_into`] batches: one `ObjData` message per (old home → new
+    /// home) link, sent in link order, each charged to `clock` in turn. Returns the
+    /// objects relocated and the payload + object-header bytes they shipped.
+    pub fn relocate_homes(
+        &self,
+        moves: impl IntoIterator<Item = (ObjectId, NodeId)>,
+        clock: &ClockHandle,
+    ) -> (usize, usize) {
+        let n = self.config.n_nodes;
+        let mut per_link: Vec<usize> = vec![0; n * n];
+        let mut notices = Vec::new();
+        for (obj, dest) in moves {
+            self.assert_node(dest);
+            let core = self.core(obj);
+            let old = core.home();
+            if old == dest {
+                continue;
+            }
+            per_link[old.index() * n + dest.index()] += core.payload_bytes() + OBJ_HEADER_BYTES;
+            core.set_home(dest);
+            core.publish();
+            notices.push(WriteNotice {
+                obj,
+                version: core.bump_version(),
+            });
+            if let Some(sink) = &self.sink {
+                sink.emit(
+                    clock.now(),
+                    clock.thread().0,
+                    EventKind::HomeMigration {
+                        obj: obj.0,
+                        from: old.0,
+                        to: dest.0,
+                    },
+                );
+            }
         }
-        self.fabric.send(
-            old,
-            dest,
-            MsgClass::ObjData,
-            core.payload_bytes() + OBJ_HEADER_BYTES,
-            clock,
-        );
-        core.set_home(dest);
-        core.publish();
-        let v = core.bump_version();
-        self.notices.post([WriteNotice { obj, version: v }]);
-        self.counters.home_migrations.fetch_add(1, Ordering::Relaxed);
-        if let Some(sink) = &self.sink {
-            sink.emit(
-                clock.now(),
-                clock.thread().0,
-                EventKind::HomeMigration {
-                    obj: obj.0,
-                    from: old.0,
-                    to: dest.0,
-                },
-            );
+        let moved = notices.len();
+        self.counters
+            .home_migrations
+            .fetch_add(moved as u64, Ordering::Relaxed);
+        self.notices.post(notices);
+        let mut total = 0;
+        for (link, &bytes) in per_link.iter().enumerate() {
+            if bytes > 0 {
+                total += bytes;
+                let (from, to) = (NodeId((link / n) as u16), NodeId((link % n) as u16));
+                self.fabric.send(from, to, MsgClass::ObjData, bytes, clock);
+            }
         }
-        true
+        (moved, total)
     }
 
     // ------------------------------------------------------------------ migration support
@@ -1137,16 +1158,18 @@ impl Gos {
     /// Prefetch `objs` into `space` at `node` (the sticky-set prefetch accompanying a
     /// migration, Section III). Objects homed at `node` or already valid are skipped.
     /// Data is accounted as batched `Prefetch` messages, one per home node, charged
-    /// to `clock`. Returns the payload bytes moved.
+    /// to `clock`. Returns the objects installed and the payload + object-header
+    /// bytes moved.
     pub fn prefetch_into(
         &self,
         space: &mut ThreadSpace,
         node: NodeId,
         objs: impl IntoIterator<Item = ObjectId>,
         clock: &ClockHandle,
-    ) -> usize {
+    ) -> (usize, usize) {
         self.assert_node(node);
         let mut per_home: Vec<usize> = vec![0; self.config.n_nodes];
+        let mut installed = 0;
         for obj in objs {
             let core = self.core(obj);
             if core.home() == node {
@@ -1162,6 +1185,7 @@ impl Gos {
                 space.install_copy(obj, d, version);
             });
             per_home[core.home().index()] += core.payload_bytes() + OBJ_HEADER_BYTES;
+            installed += 1;
         }
         let mut total = 0;
         for (home, bytes) in per_home.iter().enumerate() {
@@ -1171,7 +1195,7 @@ impl Gos {
                     .send(NodeId(home as u16), node, MsgClass::Prefetch, *bytes, clock);
             }
         }
-        total
+        (installed, total)
     }
 
     /// Drop `space`'s entire contents (its thread migrated to a new node and its

@@ -5,6 +5,7 @@
 
 use std::sync::Arc;
 
+use jessy_gos::object::OBJ_HEADER_BYTES;
 use jessy_gos::{AccessState, CostModel, Gos, GosConfig, ThreadSpace};
 use jessy_net::{ClockBoard, ClockHandle, LatencyModel, MsgClass, NodeId, ThreadId};
 
@@ -348,13 +349,16 @@ fn prefetch_installs_valid_copies() {
     let objs: Vec<_> = (0..4)
         .map(|_| g.alloc_scalar(NodeId(0), class, &c[0], None).id)
         .collect();
-    let bytes = g.prefetch_into(&mut s[1], NodeId(1), objs.iter().copied(), &c[1]);
-    assert_eq!(bytes, 4 * (16 + 16), "payload + object header each");
+    let moved = g.prefetch_into(&mut s[1], NodeId(1), objs.iter().copied(), &c[1]);
+    assert_eq!(moved, (4, 4 * (16 + 16)), "payload + object header each");
     for &o in &objs {
         assert_eq!(s[1].access_state(o), Some(AccessState::Valid));
     }
     // Prefetching again moves nothing.
-    assert_eq!(g.prefetch_into(&mut s[1], NodeId(1), objs.iter().copied(), &c[1]), 0);
+    assert_eq!(
+        g.prefetch_into(&mut s[1], NodeId(1), objs.iter().copied(), &c[1]),
+        (0, 0)
+    );
     let stats = g.net_stats();
     assert_eq!(stats.class(MsgClass::Prefetch).messages, 1, "batched per home");
 }
@@ -419,11 +423,16 @@ fn home_migration_redirects_faults_and_repairs_residents() {
     g.read(&mut s[0], NodeId(0), obj.id, &c[0], |_| {});
     g.read(&mut s[2], NodeId(2), obj.id, &c[2], |_| {});
 
-    // Relocate the home to node 1.
-    assert!(g.migrate_home(obj.id, NodeId(1), &c[1]));
-    assert!(!g.migrate_home(obj.id, NodeId(1), &c[1]), "no-op when already there");
+    // Relocate the home to node 1: one `ObjData` message on top of thread 2's fetch.
+    assert_eq!(g.relocate_homes([(obj.id, NodeId(1))], &c[1]), (1, 16 + 16));
+    assert_eq!(
+        g.relocate_homes([(obj.id, NodeId(1))], &c[1]),
+        (0, 0),
+        "no-op when already there"
+    );
     assert_eq!(obj.home(), NodeId(1));
     assert_eq!(g.proto_counters().home_migrations, 1);
+    assert_eq!(g.net_stats().class(MsgClass::ObjData).messages, 2);
 
     // Thread 2 applies notices → its cache revalidates against the new home.
     g.apply_notices(&mut s[2], NodeId(2), &c[2]);
@@ -453,13 +462,54 @@ fn home_migration_preserves_writes_in_flight() {
 
     // Thread 1 writes a cached copy; before it flushes, the home migrates to node 1.
     g.write(&mut s[1], NodeId(1), obj.id, &c[1], |d| d[0] = 9.0);
-    g.migrate_home(obj.id, NodeId(1), &c[0]);
+    assert_eq!(g.relocate_homes([(obj.id, NodeId(1))], &c[0]).0, 1);
     g.flush_thread(&mut s[1], NodeId(1), &c[1]);
     assert_eq!(obj.snapshot_home()[0], 9.0, "diff landed on the migrated home");
     // After applying notices, a fresh reader sees the write.
     g.apply_notices(&mut s[0], NodeId(0), &c[0]);
     let (v, _) = g.read(&mut s[0], NodeId(0), obj.id, &c[0], |d| d[0]);
     assert_eq!(v, 9.0);
+}
+
+#[test]
+fn relocating_homes_sends_one_message_per_link() {
+    let latency = LatencyModel::fast_ethernet();
+    let g = Gos::new(GosConfig {
+        n_nodes: 4,
+        n_threads: 4,
+        latency,
+        costs: CostModel::free(),
+        prefetch_depth: 0,
+        consistency: jessy_gos::protocol::ConsistencyModel::GlobalHlrc,
+        faults: None,
+    });
+    let board = ClockBoard::new(4);
+    let c3 = board.handle(ThreadId(3));
+    let class = g.classes().register_array("double[]", 1);
+    // Two objects homed on each of nodes 0, 1 and 2, of different sizes, plus
+    // one already at the destination.
+    let objs: Vec<_> = (0..6)
+        .map(|k| g.alloc_array(NodeId(k / 2), class, 8 + 8 * k as u32, &c3, None))
+        .collect();
+    let resident = g.alloc_array(NodeId(3), class, 8, &c3, None).id;
+    let before = c3.now();
+
+    let moves = objs.iter().map(|o| o.id).chain([resident]).map(|o| (o, NodeId(3)));
+    let (moved, bytes) = g.relocate_homes(moves, &c3);
+
+    let link_bytes: Vec<usize> = objs
+        .chunks(2)
+        .map(|pair| pair.iter().map(|o| o.payload_bytes() + OBJ_HEADER_BYTES).sum())
+        .collect();
+    let hdr = MsgClass::ObjData.header_bytes();
+    assert_eq!((moved, bytes), (6, link_bytes.iter().sum()));
+    assert!(objs.iter().all(|o| o.home() == NodeId(3)));
+    let data = g.net_stats().class(MsgClass::ObjData);
+    assert_eq!(data.messages, 3, "one message per (old home, new home) link");
+    assert_eq!(data.bytes, (bytes + 3 * hdr) as u64);
+    let serial: u64 = link_bytes.iter().map(|&b| latency.one_way_ns(b + hdr)).sum();
+    assert_eq!(c3.now() - before, serial, "the sends are charged one after another");
+    assert_eq!(g.proto_counters().home_migrations, 6);
 }
 
 #[test]
@@ -572,7 +622,7 @@ fn thread_local_home_hits_are_private_until_the_object_is_shared() {
     g.prefetch_into(&mut s[1], NodeId(1), [local[1]], &c[1]);
     g.add_ref(sink, local[2]);
     g.set_refs(sink, vec![local[3]]);
-    assert!(g.migrate_home(local[4], NodeId(1), &c[0]));
+    assert_eq!(g.relocate_homes([(local[4], NodeId(1))], &c[0]).0, 1);
     for &obj in &local {
         assert!(!private_hit(&g, &s[0], obj), "{obj} is shared now");
         assert!(!g.is_local_to(obj, ThreadId(0)));

@@ -138,14 +138,15 @@ pub struct PlacementTelemetry {
     pub fenced_directives: u64,
     /// Migrations threads actually performed.
     pub applied_migrations: u64,
-    /// Context + prefetch bytes those migrations moved.
+    /// Context, prefetch and relocated-home bytes those migrations moved
+    /// ([`crate::migration::MigrationReport::total_bytes`]).
     pub migrated_bytes: u64,
     /// Object homes relocated alongside the migrants.
     pub homes_migrated: u64,
     /// Object homes repaired by the master's home-effect pass (objects pulled to
     /// their dominant accessor node without any thread moving).
     pub homes_repaired: u64,
-    /// Payload bytes those repairs shipped between homes.
+    /// Payload + object-header bytes those repairs shipped between homes.
     pub repaired_bytes: u64,
     /// Per-epoch (round, intra-before, intra-after) under the planning view.
     pub intra_trajectory: Vec<IntraSample>,

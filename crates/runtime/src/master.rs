@@ -1157,26 +1157,21 @@ impl Daemon {
             let report = ha.build(&self.shared.gos, &placement);
             let leaving: std::collections::HashSet<NodeId> =
                 issued.iter().map(|m| m.from).collect();
-            let clock = self.shared.master_clock();
-            let mut repaired = 0u64;
-            let mut repaired_bytes = 0u64;
-            for rec in &report.recommendations {
-                if leaving.contains(&rec.to) {
-                    continue;
-                }
-                let bytes = self.shared.gos.object_ref(rec.obj).payload_bytes() as u64;
-                if self.shared.gos.migrate_home(rec.obj, rec.to, &clock) {
-                    repaired += 1;
-                    repaired_bytes += bytes;
-                }
-            }
+            let (repaired, repaired_bytes) = self.shared.gos.relocate_homes(
+                report
+                    .recommendations
+                    .iter()
+                    .filter(|rec| !leaving.contains(&rec.to))
+                    .map(|rec| (rec.obj, rec.to)),
+                &self.shared.master_clock(),
+            );
             if repaired > 0 || !issued.is_empty() {
                 // The world changed: dominance evidence must be re-earned
                 // against the post-repair placement and homes.
                 ha.clear();
             }
-            self.ledger.placement.homes_repaired += repaired;
-            self.ledger.placement.repaired_bytes += repaired_bytes;
+            self.ledger.placement.homes_repaired += repaired as u64;
+            self.ledger.placement.repaired_bytes += repaired_bytes as u64;
         }
         self.ledger.planned_migrations.extend(issued);
     }
@@ -1578,10 +1573,7 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
             p.fenced_directives = shared.fenced_directives.load(Ordering::Relaxed);
             let log = shared.migration_log.lock();
             p.applied_migrations = log.len() as u64;
-            p.migrated_bytes = log
-                .iter()
-                .map(|m| (m.ctx_bytes + m.prefetch_bytes) as u64)
-                .sum();
+            p.migrated_bytes = log.iter().map(|m| m.total_bytes() as u64).sum();
             p.homes_migrated = log.iter().map(|m| m.homes_migrated as u64).sum();
             p
         },

@@ -24,13 +24,16 @@ pub struct MigrationReport {
     pub to: NodeId,
     /// Thread context (stack) bytes shipped — the direct cost.
     pub ctx_bytes: usize,
-    /// Objects prefetched alongside (0 without prefetching).
+    /// Objects prefetched alongside: copies actually installed at the destination
+    /// (0 without prefetching; objects whose home moved along are not among them).
     pub prefetched_objects: usize,
-    /// Prefetched payload bytes.
+    /// Prefetched payload + object-header bytes.
     pub prefetch_bytes: usize,
     /// Sticky-set object homes relocated to the destination alongside the thread
     /// (the home-migration companion optimization; 0 when disabled).
     pub homes_migrated: usize,
+    /// Payload + object-header bytes those relocated homes shipped.
+    pub home_bytes: usize,
     /// Simulated nanoseconds the migration itself took.
     pub sim_cost_ns: SimNanos,
     /// The sticky-set resolution, when prefetching was requested.
@@ -38,9 +41,10 @@ pub struct MigrationReport {
 }
 
 impl MigrationReport {
-    /// Total bytes moved by the migration.
+    /// Total bytes moved by the migration: context, prefetched copies and
+    /// relocated homes.
     pub fn total_bytes(&self) -> usize {
-        self.ctx_bytes + self.prefetch_bytes
+        self.ctx_bytes + self.prefetch_bytes + self.home_bytes
     }
 }
 
@@ -113,8 +117,8 @@ mod tests {
             .map(|_| gos.alloc_scalar(NodeId(1), class, &clock, None).id)
             .collect();
         assert_eq!(count_would_fault(&gos, &space, NodeId(0), objs.iter().copied()), 5);
-        let bytes = gos.prefetch_into(&mut space, NodeId(0), objs.iter().copied(), &clock);
-        assert_eq!(bytes, 5 * (16 + 16), "payload + object header each");
+        let moved = gos.prefetch_into(&mut space, NodeId(0), objs.iter().copied(), &clock);
+        assert_eq!(moved, (5, 5 * (16 + 16)), "payload + object header each");
         assert_eq!(count_would_fault(&gos, &space, NodeId(0), objs.iter().copied()), 0);
     }
 }

@@ -708,7 +708,7 @@ impl JThread {
                         from: report.from.0,
                         to: report.to.0,
                         epoch: current_epoch,
-                        bytes: (report.ctx_bytes + report.prefetch_bytes) as u64,
+                        bytes: report.total_bytes() as u64,
                     },
                 );
                 self.shared.migration_log.lock().push(report);
@@ -818,20 +818,17 @@ impl JThread {
             .drop_thread_cache(&mut self.space, src, &self.clock);
 
         let mut resolution: Option<Resolution> = None;
-        let mut prefetch_bytes = 0usize;
-        let mut prefetched_objects = 0usize;
-        let mut homes_migrated = 0usize;
+        let (mut prefetched_objects, mut prefetch_bytes) = (0, 0);
+        let (mut homes_migrated, mut home_bytes) = (0, 0);
         if let Some(res) = resolved {
             if migrate_homes {
-                for &obj in &res.selected {
-                    if self.shared.gos.migrate_home(obj, dest, &self.clock) {
-                        homes_migrated += 1;
-                    }
-                }
+                (homes_migrated, home_bytes) = self
+                    .shared
+                    .gos
+                    .relocate_homes(res.selected.iter().map(|&obj| (obj, dest)), &self.clock);
             }
             if with_prefetch {
-                prefetched_objects = res.selected.len();
-                prefetch_bytes = self.shared.gos.prefetch_into(
+                (prefetched_objects, prefetch_bytes) = self.shared.gos.prefetch_into(
                     &mut self.space,
                     dest,
                     res.selected.iter().copied(),
@@ -861,6 +858,7 @@ impl JThread {
             prefetched_objects,
             prefetch_bytes,
             homes_migrated,
+            home_bytes,
             sim_cost_ns: self.clock.now() - t0,
             resolution,
         }

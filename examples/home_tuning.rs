@@ -32,9 +32,10 @@ fn run(cfg: SorConfig, tuned_homes: Option<&[(ObjectId, NodeId)]>) -> (RunReport
     let handles = Arc::new(cluster.init(|ctx| sor::setup_with_homes(ctx, &cfg, |_| NodeId(0))));
     if let Some(moves) = tuned_homes {
         let clock = cluster.shared().master_clock();
-        for (obj, dest) in moves {
-            cluster.shared().gos.migrate_home(*obj, *dest, &clock);
-        }
+        cluster
+            .shared()
+            .gos
+            .relocate_homes(moves.iter().copied(), &clock);
     }
     let h = Arc::clone(&handles);
     cluster.run(move |jt| sor::thread_body(jt, &cfg, &h));

@@ -349,13 +349,16 @@ const RECORDED: [(Case, &str, &str); 8] = [
         "c5046c53ea297fb57702b45896b2074b3c5403007aea95c2e8011ad3b99de4a7",
         "ff744107c9797aac92d2004c8c457b0b78018eb9194df582abe3318976578e4f",
     ),
-    // Re-recorded once, when the stack sampler learned to back off (the only case
-    // with a sampler): simulated clocks moved by design, no schedule rule changed —
-    // the other seven cases and the constant-free oracle held untouched.
+    // Re-recorded twice, each time because simulated clocks moved by design and no
+    // schedule rule changed — the other seven cases and the constant-free oracle
+    // held untouched both times: when the stack sampler learned to back off (the
+    // only case with a sampler), and when a migration's home relocation became one
+    // `ObjData` message per link instead of one per object (the only case that
+    // migrates: the mover's clock moved, and its bytes and home-repair totals).
     (
         Case::WaterRebalance,
-        "bcd5ce38b36107e00da975b1410b9415bfcabb1f369681fab82c52e2cb435dc2",
-        "792a029d3b73f11ddc783104dc3802c1e73aad16c99fe2c4f9b40948b13f3480",
+        "1943393e4518796aa023f96fc6c1b361da14718f8a9cd11b7265f3050f7a291f",
+        "ba257d3e274d97851434611df65f5d714ecff25f4dca3da799b1175eaa7cc26e",
     ),
     (
         Case::Sor,
@@ -643,9 +646,13 @@ fn sharing_revokes_privacy() {
     assert_eq!(other.space().access_state(objs[1]), Some(AccessState::Valid));
     owner.add_ref(fresh, objs[2]);
     owner.set_refs(fresh, vec![objs[3]]);
-    assert!(owner
-        .gos()
-        .migrate_home(objs[4], NodeId(1), owner.clock()));
+    assert_eq!(
+        owner
+            .gos()
+            .relocate_homes([(objs[4], NodeId(1))], owner.clock())
+            .0,
+        1
+    );
     for &obj in &objs[..5] {
         assert!(!is_private(&owner, obj), "{obj} was shared");
     }

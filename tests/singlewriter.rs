@@ -27,8 +27,10 @@ enum Op {
     Access { t: usize, o: usize, write: bool, val: u32 },
     /// Thread `t` releases (flush), acquires (apply notices) and opens an interval.
     Sync { t: usize },
-    /// Relocate object `o`'s home to node `dest % n_nodes`.
-    MigrateHome { o: usize, dest: usize },
+    /// One batch of `1 + len % 4` home relocations: move `i` sends object
+    /// `o + i` to node `dest + i` (both modulo their counts), so destinations mix
+    /// and, with three objects, the batch can move one object twice.
+    MigrateHomes { o: usize, dest: usize, len: u32 },
     /// Thread `t` migrates to node `dest % n_nodes`, dropping its heap and
     /// prefetching a fixed sticky slice at the new node.
     ThreadMigrate { t: usize, dest: usize },
@@ -41,7 +43,7 @@ fn decode(raw: (u32, usize, usize, u32)) -> Op {
     match k {
         0..=6 => Op::Access { t: a, o: b, write: k % 2 == 0, val },
         7 | 8 => Op::Sync { t: a },
-        9 => Op::MigrateHome { o: b, dest: a },
+        9 => Op::MigrateHomes { o: b, dest: a, len: val },
         _ => Op::ThreadMigrate { t: a, dest: b },
     }
 }
@@ -230,13 +232,22 @@ proptest! {
                 Op::Sync { t } => {
                     do_sync(t % n_threads, &g, &r, &clocks, &mut spaces, &mut m)?;
                 }
-                Op::MigrateHome { o, dest } => {
-                    let obj = objs[o % objs.len()];
-                    let dest = NodeId((dest % n_nodes) as u16);
+                Op::MigrateHomes { o, dest, len } => {
+                    let moves: Vec<(ObjectId, NodeId)> = (0..1 + len as usize % 4)
+                        .map(|i| {
+                            let node = NodeId(((dest + i) % n_nodes) as u16);
+                            (objs[(o + i) % objs.len()], node)
+                        })
+                        .collect();
+                    // The oracle relocates object by object, in batch order.
+                    let relocated = moves
+                        .iter()
+                        .filter(|&&(obj, dest)| r.migrate_home(obj, dest))
+                        .count();
                     prop_assert_eq!(
-                        g.migrate_home(obj, dest, &clocks[0]),
-                        r.migrate_home(obj, dest),
-                        "migrate_home diverged on {:?}",
+                        g.relocate_homes(moves.iter().copied(), &clocks[0]).0,
+                        relocated,
+                        "relocate_homes diverged on {:?}",
                         op
                     );
                 }
@@ -256,7 +267,7 @@ proptest! {
                     // Sticky-set prefetch of a deterministic slice at the new node.
                     let sticky: Vec<ObjectId> = objs.iter().take(3).copied().collect();
                     prop_assert_eq!(
-                        g.prefetch_into(&mut spaces[t], dest, sticky.iter().copied(), &clocks[t]),
+                        g.prefetch_into(&mut spaces[t], dest, sticky.iter().copied(), &clocks[t]).1,
                         r.prefetch_into(tid, dest, sticky.iter().copied()),
                         "prefetch bytes diverged on {:?}",
                         op
