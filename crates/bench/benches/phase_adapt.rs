@@ -64,8 +64,6 @@ fn profiler_for(lane: Lane) -> ProfilerConfig {
     }
     if lane == Lane::Drift {
         config.drift_threshold = Some(0.3);
-        config.drift_hysteresis_rounds = 2;
-        config.drift_max_reactivations = 8;
     }
     config
 }
@@ -194,10 +192,10 @@ fn main() {
         flip_round: cfg.rounds,
         ..cfg
     };
-    let with_drift = run(Lane::Drift, calm);
+    let watched = run(Lane::Drift, calm);
     let without = run(Lane::Frozen, calm);
     let (dm, fm) = (
-        with_drift.master.as_ref().expect("master ran"),
+        watched.master.as_ref().expect("master ran"),
         without.master.as_ref().expect("master ran"),
     );
     let identity = Identity {

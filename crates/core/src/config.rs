@@ -149,8 +149,6 @@ impl ShedPolicy {
 /// Top-level profiler configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProfilerConfig {
-    /// Page size `SP` used by the `nX` rate notation (4 KB in the paper).
-    pub page_size: u32,
     /// Initial per-class sampling rate.
     pub initial_rate: SamplingRate,
     /// Enable correlation tracking (OAL generation via false-invalid arming).
@@ -217,9 +215,9 @@ pub struct ProfilerConfig {
     /// SLO on the profiler's own cost, as a fraction of charged compute time
     /// (e.g. `Some(0.02)` = "profiling may consume at most 2% of the work it
     /// observes"). When the per-round measured cost fraction exceeds the budget,
-    /// the budget controller walks a deterministic degradation ladder — coarsen
+    /// the adaptive controller walks a deterministic degradation ladder — coarsen
     /// the hottest class's rate, merge rounds, summary-only OALs — instead of
-    /// refining. Requires `adaptive_threshold` (the budget loop shares the
+    /// refining. Requires `adaptive_threshold` (the budget loop is part of the
     /// controller). `None` keeps the accuracy-only controller bit-identical to
     /// previous releases.
     pub overhead_budget: Option<f64>,
@@ -232,18 +230,14 @@ pub struct ProfilerConfig {
     pub shed_policy: ShedPolicy,
     /// Post-convergence drift watching: a converged class whose per-round
     /// relative `E_ABS` distance spikes above this threshold (for
-    /// `drift_hysteresis_rounds` consecutive trusted rounds) is un-converged and
-    /// stepped one rate finer, so the profiler re-follows a workload phase
-    /// change instead of reporting the pre-shift correlation picture forever.
-    /// Must be at least `adaptive_threshold` (the gap is the hysteresis band).
-    /// `None` keeps the historical frozen-forever behaviour, bit for bit.
+    /// [`DRIFT_HYSTERESIS_ROUNDS`](crate::adaptive::DRIFT_HYSTERESIS_ROUNDS)
+    /// consecutive trusted rounds) is un-converged and stepped one rate finer, so
+    /// the profiler re-follows a workload phase change instead of reporting the
+    /// pre-shift correlation picture forever — at most
+    /// [`MAX_DRIFT_REACTIVATIONS`](crate::adaptive::MAX_DRIFT_REACTIVATIONS) times
+    /// per class. Must be at least `adaptive_threshold` (the gap is the hysteresis
+    /// band). `None` keeps the historical frozen-forever behaviour, bit for bit.
     pub drift_threshold: Option<f64>,
-    /// Consecutive trusted drifting rounds before a converged class re-activates
-    /// (≥ 1). Ignored unless `drift_threshold` is set.
-    pub drift_hysteresis_rounds: u32,
-    /// Upper bound on drift re-activations per class (≥ 1); past it the class
-    /// stays frozen. Ignored unless `drift_threshold` is set.
-    pub drift_max_reactivations: u32,
     /// Gray-failure detection: demote a node to straggler once the EWMA of its
     /// per-round progress deficit (intervals advanced behind the cluster's
     /// fastest-progressing node between round closes) exceeds this; its
@@ -257,7 +251,6 @@ impl ProfilerConfig {
     /// Everything off — the "No Correl. Tracking" baseline columns.
     pub fn disabled() -> Self {
         ProfilerConfig {
-            page_size: 4096,
             initial_rate: SamplingRate::Full,
             track_correlation: false,
             send_oals: false,
@@ -280,8 +273,6 @@ impl ProfilerConfig {
             oal_mailbox_capacity: None,
             shed_policy: ShedPolicy::DropOldestRound,
             drift_threshold: None,
-            drift_hysteresis_rounds: 2,
-            drift_max_reactivations: 8,
             straggler_lag_intervals: None,
         }
     }
@@ -325,9 +316,6 @@ impl ProfilerConfig {
                 format!("{}", self.tolerance_t),
                 "the landmark tolerance t must be a finite number exceeding 1",
             );
-        }
-        if self.page_size == 0 {
-            return err("page_size", self.page_size.to_string(), "must be nonzero");
         }
         if self.intervals_per_round == 0 {
             return err(
@@ -420,20 +408,6 @@ impl ProfilerConfig {
                     "drift_threshold",
                     format!("{dt}"),
                     "must be finite and at least adaptive_threshold (the gap is the hysteresis band)",
-                );
-            }
-            if self.drift_hysteresis_rounds == 0 {
-                return err(
-                    "drift_hysteresis_rounds",
-                    "0".to_string(),
-                    "re-activation needs at least one drifting round; use 1 for no hysteresis",
-                );
-            }
-            if self.drift_max_reactivations == 0 {
-                return err(
-                    "drift_max_reactivations",
-                    "0".to_string(),
-                    "a zero bound could never re-activate; use None drift_threshold to disable drift",
                 );
             }
         }
@@ -532,7 +506,6 @@ mod tests {
     fn every_domain_check_fires() {
         let base = ProfilerConfig::default();
         let cases: Vec<(ProfilerConfig, &str)> = vec![
-            (ProfilerConfig { page_size: 0, ..base }, "page_size"),
             (
                 ProfilerConfig { intervals_per_round: 0, ..base },
                 "intervals_per_round",
@@ -632,24 +605,6 @@ mod tests {
             ),
             (
                 ProfilerConfig {
-                    drift_threshold: Some(0.2),
-                    adaptive_threshold: Some(0.05),
-                    drift_hysteresis_rounds: 0,
-                    ..base
-                },
-                "drift_hysteresis_rounds",
-            ),
-            (
-                ProfilerConfig {
-                    drift_threshold: Some(0.2),
-                    adaptive_threshold: Some(0.05),
-                    drift_max_reactivations: 0,
-                    ..base
-                },
-                "drift_max_reactivations",
-            ),
-            (
-                ProfilerConfig {
                     straggler_lag_intervals: Some(f64::NAN),
                     ..base
                 },
@@ -671,7 +626,6 @@ mod tests {
     #[test]
     fn defaults_match_paper_constants() {
         let c = ProfilerConfig::default();
-        assert_eq!(c.page_size, 4096);
         assert_eq!(StackSamplingConfig::default().gap_ns, 16_000_000);
         match FootprintConfig::default().mode {
             FootprintMode::Timer(ns) => assert_eq!(ns, 100_000_000),

@@ -17,10 +17,10 @@
 //!   top-k) the configuration selects.
 //! * **The adaptive rate controller** ([`adaptive`]) — stepwise rate refinement driven
 //!   by *relative* accuracy between successive rounds, with resampling walks after
-//!   each change.
-//! * **The overhead-budget loop** ([`budget`]) — a second feedback loop that keeps the
-//!   profiler's own measured cost within an SLO fraction of charged compute via a
-//!   deterministic degradation ladder (coarsen rates → merge rounds → summary OALs).
+//!   each change, drift re-activation of converged classes, and the overhead-budget
+//!   loop that keeps the profiler's own measured cost within an SLO fraction of
+//!   charged compute via a deterministic degradation ladder (coarsen rates → merge
+//!   rounds → summary OALs).
 //! * **Stack sampling** ([`stack_sampling`]) — the Fig. 8 algorithm with all four
 //!   optimizations (timer activation, two-phase scan over visited flags, lazy raw
 //!   extraction, comparison by probing) to mine **stack-invariant references**; the
@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 pub mod accuracy;
 pub mod adaptive;
-pub mod budget;
 pub mod config;
 pub mod distributed;
 pub mod homeaware;
@@ -52,9 +51,8 @@ pub mod view;
 
 pub use accuracy::{accuracy_abs, accuracy_euc, e_abs, e_abs_sparse, e_euc};
 pub use adaptive::{
-    AdaptiveController, ControllerCheckpoint, DriftConfig, RateCause, RateChange, RoundOutcome,
+    AdaptiveController, ControllerCheckpoint, DegradeStep, RateCause, RateChange, RoundOutcome,
 };
-pub use budget::{BudgetCheckpoint, BudgetOutcome, BudgetedController, DegradeStep};
 pub use config::{
     ConfigError, FootprintConfig, FootprintMode, ProfilerConfig, ShedPolicy, StackSamplingConfig,
     TcmBackend,

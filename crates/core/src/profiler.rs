@@ -51,7 +51,7 @@ use jessy_stack::JavaStack;
 
 use crate::config::{FootprintMode, ProfilerConfig};
 use crate::oal::{Oal, OalEntry};
-use crate::sampling::{ClassGapState, GapTable};
+use crate::sampling::{ClassGapState, GapTable, PAGE_SIZE};
 use crate::stack_sampling::{StackInvariant, StackSampler};
 use crate::sticky::footprint::{FootprintSnapshot, FootprintTracker};
 use crate::sticky::resolution::{resolve_sticky_set, Resolution};
@@ -111,7 +111,7 @@ impl ProfilerShared {
     pub fn new(config: ProfilerConfig) -> Arc<Self> {
         Arc::new(ProfilerShared {
             config,
-            gaps: GapTable::new(config.page_size),
+            gaps: GapTable::new(PAGE_SIZE),
             stats: ProfilerStats::default(),
             summary_only: AtomicBool::new(false),
         })

@@ -38,6 +38,9 @@ use serde::{Deserialize, Serialize};
 use jessy_gos::prime::nearest_prime;
 use jessy_gos::ClassId;
 
+/// The page size `SP` of the `nX` rate notation (4 KB in the paper).
+pub const PAGE_SIZE: u32 = 4096;
+
 /// A page-relative sampling rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SamplingRate {
@@ -79,7 +82,7 @@ impl SamplingRate {
 
     /// The next coarser rate on the ladder (Full → largest `n` with a gap above 1,
     /// then nX → n/2 X → … → 1X). Stepping `1X` — the coarsest rate the paper uses —
-    /// yields `1X` again, so the budget controller's degradation ladder terminates.
+    /// yields `1X` again, so the controller's degradation ladder terminates.
     pub fn step_down(self, unit_bytes: usize, page_size: u32) -> SamplingRate {
         match self {
             SamplingRate::NX(n) if n > 1 => SamplingRate::NX(n / 2),
@@ -273,7 +276,7 @@ impl GapTable {
         self.set_rate(class, next)
     }
 
-    /// Step a class one rate coarser (the overhead-budget controller's lever).
+    /// Step a class one rate coarser (the degradation ladder's first lever).
     /// Returns the new state.
     pub fn step_down(&self, class: ClassId) -> ClassGapState {
         let cur = self.state(class);

@@ -293,12 +293,13 @@ pub enum EventKind {
         /// The shed policy's stable label (`ShedPolicy::label`).
         policy: String,
     },
-    /// The overhead-budget controller took one degradation-ladder rung because
-    /// the round's measured profiling cost exceeded the budget.
+    /// The adaptive controller took one degradation-ladder rung because the
+    /// round's measured profiling cost exceeded `ProfilerConfig::overhead_budget`
+    /// (`RoundOutcome::Degraded`; an exhausted ladder still journals its no-op).
     BudgetDegraded {
         /// The over-budget round.
         round: u64,
-        /// The rung taken (`DegradeStep::label`).
+        /// The rung taken (`jessy_core::DegradeStep::label`).
         step: String,
         /// The measured cost as a fraction of charged compute.
         cost_fraction: f64,

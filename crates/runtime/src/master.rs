@@ -22,8 +22,7 @@
 //!   it just can't steer the controller retroactively).
 //!
 //! Each closed round carries its **coverage** — the fraction of expected
-//! (thread, interval) OALs that actually arrived — and the
-//! [`AdaptiveController`](jessy_core::AdaptiveController)
+//! (thread, interval) OALs that actually arrived — and the [`AdaptiveController`]
 //! only acts on rounds above the configured coverage floor, degrading gracefully to
 //! fixed-rate profiling instead of thrashing rates on loss-shaped phantoms.
 //!
@@ -70,9 +69,8 @@ use serde::{Deserialize, Serialize};
 use jessy_core::adaptive::apply_rate_change;
 use jessy_core::sampling::ClassGapState;
 use jessy_core::{
-    BudgetCheckpoint, BudgetOutcome, BudgetedController, CorrelationView, DegradeStep, DriftConfig,
-    HomeAwareAnalyzer, Oal, ProfilerConfig, RateCause, ReducedRound, Reducer, RoundOutcome, Tcm,
-    TreeRoundStats,
+    AdaptiveController, ControllerCheckpoint, CorrelationView, DegradeStep, HomeAwareAnalyzer, Oal,
+    ProfilerConfig, RateCause, ReducedRound, Reducer, RoundOutcome, Tcm, TreeRoundStats,
 };
 use jessy_gos::ClassId;
 use jessy_net::{ClockHandle, Mailbox, MasterCrashWindow, MsgClass, NodeId, ThreadId};
@@ -239,10 +237,12 @@ pub struct MasterOutput {
     /// (`ProfilerConfig::straggler_lag_intervals`).
     pub stragglers: u64,
     /// Rounds whose measured profiling cost exceeded
-    /// `ProfilerConfig::overhead_budget`.
+    /// `ProfilerConfig::overhead_budget`: the entries of `round_cost_fraction`
+    /// above it (0 without a budget).
     pub budget_over_rounds: u64,
-    /// Degradation-ladder rungs actually taken by the budget controller
-    /// (`budget_over_rounds` minus the rounds the ladder was already exhausted).
+    /// Degradation-ladder rungs actually taken by the adaptive controller
+    /// (over-budget rounds minus settling rounds and those the ladder was
+    /// already exhausted on).
     pub budget_degrades: u64,
     /// Per closed round, the measured profiling cost as a fraction of the
     /// charged application compute since the previous close (the budget loop's
@@ -667,9 +667,9 @@ pub struct ProfilerCheckpoint {
     pub tcm: Tcm,
     /// Round-assembly state (watermarks, open buckets, dedup set, late buffer).
     pub scheduler: SchedulerCheckpoint,
-    /// Adaptive-controller state (per-class baselines + converged set, wrapped
-    /// with the budget loop's ladder position), if adaptive control is on.
-    pub controller: Option<BudgetCheckpoint>,
+    /// Adaptive-controller state (per-class baselines, converged set, drift
+    /// bookkeeping and ladder position), if adaptive control is on.
+    pub controller: Option<ControllerCheckpoint>,
     /// Per-class sampling-rate table, sorted by class id.
     pub rates: Vec<(ClassId, ClassGapState)>,
     /// The round-by-round record, restored with the rounds it describes so
@@ -725,7 +725,7 @@ struct Daemon {
     reducer: Reducer,
     /// `master.reduce.*` counters (tree mode only).
     reduce: ReduceTelemetry,
-    controller: Option<BudgetedController>,
+    controller: Option<AdaptiveController>,
     scheduler: RoundScheduler,
     /// Everything recoverable that the closed rounds produced.
     ledger: MasterLedger,
@@ -874,7 +874,7 @@ impl Daemon {
         self.restores += 1;
         let replay = std::mem::take(&mut self.replay_log);
 
-        self.controller = build_controller(&self.config);
+        self.controller = AdaptiveController::new(&self.config);
         match self.latest_checkpoint.clone() {
             Some(cp) => {
                 self.base_tcm = Some(cp.tcm);
@@ -1215,7 +1215,7 @@ impl Daemon {
                 cost_fraction,
             );
             match outcome {
-                BudgetOutcome::Adapted(RoundOutcome::Applied(changes)) => {
+                RoundOutcome::Applied(changes) => {
                     for ch in changes {
                         let visited = broadcast_rate_change(&self.shared, ch.class, &clock);
                         let class_name = self.shared.gos.classes().info(ch.class).name;
@@ -1258,7 +1258,7 @@ impl Daemon {
                         });
                     }
                 }
-                BudgetOutcome::Adapted(RoundOutcome::SkippedLowCoverage { coverage, .. }) => {
+                RoundOutcome::SkippedLowCoverage { coverage, .. } => {
                     self.shared.emit_event(
                         &self.shared.master_clock(),
                         EventKind::RoundSkipped {
@@ -1276,8 +1276,8 @@ impl Daemon {
                 // cheaper rounds, same baselines; nothing to journal per round.
                 // Settling rounds are over budget but still inside the last
                 // rung's transition window: the next clean measurement decides.
-                BudgetOutcome::MergedOut { .. } | BudgetOutcome::Settling => {}
-                BudgetOutcome::Degraded(step) => {
+                RoundOutcome::MergedOut { .. } | RoundOutcome::Settling => {}
+                RoundOutcome::Degraded(step) => {
                     match &step {
                         DegradeStep::CoarsenRate { class, .. } => {
                             // The controller already coarsened the gap table;
@@ -1434,24 +1434,6 @@ fn broadcast_rate_change(
     apply_rate_change(&shared.gos, shared.prof.gaps(), class, clock)
 }
 
-/// Build the (budgeted) adaptive controller the config asks for, wiring the
-/// coverage floor and the optional drift watcher. Shared by daemon startup and
-/// crash-restore so both paths configure identically.
-fn build_controller(config: &ProfilerConfig) -> Option<BudgetedController> {
-    config.adaptive_threshold.map(|t| {
-        let mut ctl = BudgetedController::new(t, config.overhead_budget)
-            .with_min_coverage(config.min_round_coverage);
-        if let Some(dt) = config.drift_threshold {
-            ctl = ctl.with_drift(DriftConfig {
-                threshold: dt,
-                hysteresis_rounds: config.drift_hysteresis_rounds,
-                max_reactivations: config.drift_max_reactivations,
-            });
-        }
-        ctl
-    })
-}
-
 fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterOutput {
     // Join the cooperative task set (task `n_threads`); dispatch begins once the
     // worker tasks have registered too.
@@ -1502,7 +1484,7 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
         config,
         reducer: Reducer::new(&config, shared.n_threads, shared.n_nodes),
         reduce: ReduceTelemetry::default(),
-        controller: build_controller(&config),
+        controller: AdaptiveController::new(&config),
         straggler_base: scheduler.quarantine_table(),
         scheduler,
         ledger: MasterLedger::new(shared.n_threads),
@@ -1555,6 +1537,9 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
     let tcm = daemon.effective_tcm();
     let controller = daemon.controller.as_ref();
     let ledger = daemon.ledger;
+    let budget_over_rounds = config.overhead_budget.map_or(0, |budget| {
+        ledger.round_cost_fraction.iter().filter(|&&f| f > budget).count() as u64
+    });
     MasterOutput {
         tcm,
         oals_ingested: ledger.oals,
@@ -1594,7 +1579,7 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
             .collect(),
         reduce: daemon.reduce,
         stragglers: daemon.stragglers,
-        budget_over_rounds: controller.map_or(0, |c| c.over_rounds()),
+        budget_over_rounds,
         budget_degrades: controller.map_or(0, |c| c.degrades()),
         round_cost_fraction: ledger.round_cost_fraction,
         drift_reactivations: controller.map_or(0, |c| c.reactivations()),

@@ -367,6 +367,68 @@ fn master_crash_with_restart_recovers_a_bit_identical_tcm() {
     assert_eq!(report.rejoins, 0, "a master crash restarts no worker node");
 }
 
+/// A master restore keeps the overhead-budget tallies: the over-budget count is
+/// read off the restored round-cost ledger, and the ladder's rung count rides
+/// the controller checkpoint, so the crashed run reports the rounds its own
+/// ledger records over budget and the rungs the uninterrupted run takes.
+#[test]
+fn master_crash_keeps_the_budget_tallies() {
+    let run = |faults: Option<FaultPlan>| {
+        let mut config = recovery_profiler();
+        config.overhead_budget = Some(1e-6);
+        let mut builder = Cluster::builder()
+            .nodes(2)
+            .threads(4)
+            .latency(LatencyModel::fast_ethernet())
+            .costs(CostModel::pentium4_2ghz())
+            .profiler(config);
+        if let Some(plan) = faults {
+            builder = builder.faults(plan);
+        }
+        let mut cluster = builder.build();
+        let objs = cluster.init(|ctx| {
+            let class = ctx.register_scalar_class("Body", 8);
+            (0..100)
+                .map(|k| ctx.alloc_scalar_at(NodeId((k % 2) as u16), class).id)
+                .collect::<Vec<ObjectId>>()
+        });
+        let objs = Arc::new(objs);
+        cluster.run(move |jt| {
+            for _ in 0..20 {
+                jt.read(objs[0], |_| {});
+                jt.read(objs[67], |_| {});
+                jt.compute(100);
+                jt.barrier();
+            }
+        });
+        cluster.master_output().expect("master ran").clone()
+    };
+    let over = |m: &jessy_runtime::MasterOutput| {
+        m.round_cost_fraction.iter().filter(|&&f| f > 1e-6).count() as u64
+    };
+    let base = run(None);
+    let crashed = run(Some(FaultPlan {
+        master_crashes: vec![MasterCrashWindow {
+            from_interval: 8,
+            until_interval: 11,
+        }],
+        ..FaultPlan::default()
+    }));
+
+    assert_eq!(crashed.restores, 1);
+    assert!(base.budget_degrades > 0, "a 1e-6 budget must walk the ladder");
+    assert_eq!(base.budget_over_rounds, over(&base));
+    assert_eq!(
+        crashed.budget_over_rounds,
+        over(&crashed),
+        "the over-budget count is what the restored ledger records"
+    );
+    assert_eq!(
+        crashed.budget_degrades, base.budget_degrades,
+        "rungs taken before the checkpoint survive the restore"
+    );
+}
+
 /// A master crash *without* checkpointing still recovers — the replay log then spans
 /// the whole run (cold restart from round zero) and the result is still bit-identical.
 #[test]

@@ -99,8 +99,6 @@ fn drift_profiler() -> ProfilerConfig {
     config.intervals_per_round = 1;
     config.adaptive_threshold = Some(0.1);
     config.drift_threshold = Some(0.3);
-    config.drift_hysteresis_rounds = 2;
-    config.drift_max_reactivations = 8;
     config
 }
 

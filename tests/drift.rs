@@ -24,8 +24,6 @@ fn frozen_profiler() -> ProfilerConfig {
 fn drift_profiler() -> ProfilerConfig {
     let mut config = frozen_profiler();
     config.drift_threshold = Some(0.3);
-    config.drift_hysteresis_rounds = 2;
-    config.drift_max_reactivations = 8;
     config
 }
 

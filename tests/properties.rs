@@ -666,10 +666,10 @@ proptest! {
         epoch in 0u64..5,
         threshold in 0.01f64..0.5,
         coverage in prop::collection::vec(0.0f64..1.0, 0..8),
+        costs in prop::collection::vec(0.0f64..0.05, 1..8),
     ) {
         use jessy::core::sampling::ClassGapState;
-        use jessy::core::BudgetedController;
-        use jessy::core::TcmBuilder;
+        use jessy::core::{AdaptiveController, ProfilerConfig};
         use jessy::runtime::{
             AppliedRateChange, MasterLedger, PlannedMigration, ProfilerCheckpoint, RoundScheduler,
             SkippedRateChange,
@@ -702,14 +702,24 @@ proptest! {
         for c in 0..3u16 {
             gaps.register_class(ClassId(c), 64, SamplingRate::NX(2));
         }
-        let mut ctl = BudgetedController::new(threshold, None);
+        // A 2% budget against arbitrary cost fractions, so the snapshot catches
+        // the degradation ladder mid-walk.
+        let config = ProfilerConfig {
+            adaptive_threshold: Some(threshold),
+            overhead_budget: Some(0.02),
+            ..ProfilerConfig::default()
+        };
+        let mut ctl = AdaptiveController::new(&config).unwrap();
+        let mut fed = Vec::new();
         for (k, oal) in oals.iter().enumerate() {
             builder.ingest(oal);
             sched.ingest(oal.clone());
             if k % 5 == 4 {
                 for closed in sched.ready_rounds() {
                     let summary = builder.close_round();
-                    ctl.on_round(&summary.per_class, &gaps, closed.coverage, 0.0);
+                    let cost = costs[fed.len() % costs.len()];
+                    fed.push(cost);
+                    ctl.on_round(&summary.per_class, &gaps, closed.coverage, cost);
                 }
             }
         }
@@ -727,7 +737,7 @@ proptest! {
                 oals: oals.len() as u64,
                 objects_organized: raw.len() as u64 * 2,
                 round_coverage: coverage,
-                round_cost_fraction: vec![threshold / 2.0, 0.0],
+                round_cost_fraction: fed,
                 rate_changes: vec![AppliedRateChange {
                     round: epoch,
                     class_name: "Body".to_string(),
@@ -788,7 +798,7 @@ proptest! {
         // The restore path is also an identity: rebuild ∘ snapshot == snapshot.
         let rebuilt = RoundScheduler::from_checkpoint(&cp.scheduler);
         prop_assert_eq!(rebuilt.checkpoint(), cp.scheduler);
-        let mut restored_ctl = BudgetedController::new(threshold, None);
+        let mut restored_ctl = AdaptiveController::new(&config).unwrap();
         restored_ctl.restore(cp.controller.as_ref().unwrap());
         prop_assert_eq!(&restored_ctl.checkpoint(), cp.controller.as_ref().unwrap());
     }

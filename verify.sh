@@ -51,6 +51,16 @@ test -s "$SESS_DIR/sessions.jsonl"
 cmp "$SESS_DIR/sessions.jsonl" "$SESS_DIR/again.jsonl"
 rm -rf "$SESS_DIR"
 
+echo "==> budget-ladder smoke (a 0.1% overhead budget walks merge_rounds:2/4/8, summary_only, exhausted; journal replays)"
+LADDER_DIR=$(mktemp -d)
+for run in a b; do
+  ./target/release/jessy-cli run -w phase --scale small --nodes 4 --threads 8 --rate 1x \
+    --adaptive 0.1 --drift-threshold 0.3 --overhead-budget 0.001 --journal "$LADDER_DIR/$run.jsonl" \
+    | grep -Fx 'budget ladder       :            4 rungs (14 rounds over budget)'
+done
+cmp "$LADDER_DIR/a.jsonl" "$LADDER_DIR/b.jsonl"
+rm -rf "$LADDER_DIR"
+
 echo "==> observability smoke (multi-thread journal bit-identity + trace export)"
 OBS_DIR=$(mktemp -d)
 ./target/release/jessy-cli run -w sor --scale small --nodes 2 --threads 4 --rate 4x \
