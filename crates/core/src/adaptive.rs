@@ -42,10 +42,11 @@
 //! whatever rate the new phase needs. The drift threshold sits at or above the
 //! convergence threshold, so the two bands cannot chatter; re-activations are
 //! bounded per class ([`MAX_DRIFT_REACTIVATIONS`]) so a pathologically unstable
-//! class degrades to the frozen behaviour instead of thrashing rates forever. All
-//! drift state rides [`ControllerCheckpoint`], so a master restored mid-phase-change
-//! resumes the re-convergence exactly where the crashed one left off. Without a
-//! drift threshold the controller keeps the frozen-forever behaviour, bit for bit.
+//! class degrades to the frozen behaviour instead of thrashing rates forever. The
+//! controller is its own snapshot (it serializes itself, drift state included), so a
+//! master restored mid-phase-change resumes the re-convergence exactly where the
+//! crashed one left off. Without a drift threshold the controller keeps the
+//! frozen-forever behaviour, bit for bit.
 //!
 //! ## The overhead budget
 //!
@@ -74,7 +75,7 @@
 //! Without a budget none of this runs, and a budget that is never exceeded is
 //! invisible (property-tested).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use jessy_gos::{ClassId, Gos};
 use jessy_net::ClockHandle;
@@ -101,37 +102,6 @@ pub const MAX_MERGE_FACTOR: u32 = 8;
 /// measurement again. One round suffices: the re-arm fault burst lands in the
 /// round following the rung's broadcast, and the round after that is clean.
 pub const SETTLE_ROUNDS: u32 = 1;
-
-/// Serializable snapshot of an [`AdaptiveController`]'s mutable state: the per-class
-/// baseline round maps, the converged set, the drift bookkeeping and the ladder
-/// position, all map-like state as **sorted** vectors so the encoding is canonical
-/// (two equal controllers serialize to identical bytes). The drift vectors only
-/// carry nonzero entries, keeping the canonical form unique (a drift-free
-/// controller checkpoints two empty vectors).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ControllerCheckpoint {
-    /// Per-class previous-round baselines, sorted by class id.
-    pub prev_round: Vec<(ClassId, SparseTcm)>,
-    /// Classes frozen at their current rate, sorted.
-    pub converged: Vec<ClassId>,
-    /// Consecutive over-drift-threshold rounds per converged class (only nonzero
-    /// streaks, sorted by class id).
-    pub drift_streaks: Vec<(ClassId, u32)>,
-    /// Drift re-activations performed per class (only nonzero counts, sorted by
-    /// class id) — [`MAX_DRIFT_REACTIVATIONS`] is enforced against these, so a
-    /// restore cannot reset a class's re-activation budget.
-    pub reactivations: Vec<(ClassId, u32)>,
-    /// Merge factor in force (1 = every round).
-    pub merge_factor: u32,
-    /// Whether OALs have degraded to per-class summaries.
-    pub summary_only: bool,
-    /// Rounds observed under a budget (drives the merge-cadence phase).
-    pub rounds_seen: u64,
-    /// Over-budget rounds still ignored while the last rung settles.
-    pub cooldown: u32,
-    /// Ladder rungs taken so far, so a restored master keeps counting them.
-    pub degrades: u64,
-}
 
 /// Why the controller changed a class's rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -224,25 +194,37 @@ pub enum RoundOutcome {
 
 /// Stepwise per-class rate refinement driven by relative accuracy, with optional
 /// drift watching and overhead-budget ladder (see the module docs).
-#[derive(Debug)]
+///
+/// The controller is its own crash-recovery snapshot: a master checkpoint holds a
+/// clone, and a restore assigns it back. Its containers are ordered, so two equal
+/// controllers serialize to identical bytes.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdaptiveController {
     threshold: f64,
     min_coverage: f64,
     drift_threshold: Option<f64>,
     budget: Option<f64>,
-    prev_round: HashMap<ClassId, SparseTcm>,
-    converged: HashSet<ClassId>,
+    /// Per-class previous-round baselines.
+    prev_round: BTreeMap<ClassId, SparseTcm>,
+    /// Classes frozen at their current rate.
+    converged: BTreeSet<ClassId>,
     /// Consecutive drifting rounds per converged class; entries are always ≥ 1
-    /// (a streak that resets is removed), keeping checkpoints canonical.
-    drift_streak: HashMap<ClassId, u32>,
+    /// (a streak that resets is removed), keeping snapshots canonical.
+    drift_streak: BTreeMap<ClassId, u32>,
     /// Drift re-activations performed per class; entries are always ≥ 1.
-    reactivated: HashMap<ClassId, u32>,
+    /// [`MAX_DRIFT_REACTIVATIONS`] is enforced against these, so a restore
+    /// cannot reset a class's re-activation budget.
+    reactivated: BTreeMap<ClassId, u32>,
+    /// Merge factor in force (1 = every round).
     merge_factor: u32,
+    /// Whether OALs have degraded to per-class summaries.
     summary_only: bool,
+    /// Rounds observed under a budget (drives the merge-cadence phase).
     rounds_seen: u64,
     /// Over-budget rounds left to ignore while the last rung's transition
     /// costs wash out.
     cooldown: u32,
+    /// Ladder rungs taken so far, so a restored master keeps counting them.
     degrades: u64,
 }
 
@@ -257,10 +239,10 @@ impl AdaptiveController {
             min_coverage: config.min_round_coverage,
             drift_threshold: config.drift_threshold,
             budget: config.overhead_budget,
-            prev_round: HashMap::new(),
-            converged: HashSet::new(),
-            drift_streak: HashMap::new(),
-            reactivated: HashMap::new(),
+            prev_round: BTreeMap::new(),
+            converged: BTreeSet::new(),
+            drift_streak: BTreeMap::new(),
+            reactivated: BTreeMap::new(),
             merge_factor: 1,
             summary_only: false,
             rounds_seen: 0,
@@ -426,47 +408,6 @@ impl AdaptiveController {
             return DegradeStep::SummaryOnly;
         }
         DegradeStep::Exhausted
-    }
-
-    /// Snapshot the controller's mutable state in canonical (sorted) form.
-    pub fn checkpoint(&self) -> ControllerCheckpoint {
-        let mut prev_round: Vec<(ClassId, SparseTcm)> =
-            self.prev_round.iter().map(|(c, t)| (*c, t.clone())).collect();
-        prev_round.sort_unstable_by_key(|(c, _)| *c);
-        let mut converged: Vec<ClassId> = self.converged.iter().copied().collect();
-        converged.sort_unstable();
-        let mut drift_streaks: Vec<(ClassId, u32)> =
-            self.drift_streak.iter().map(|(c, s)| (*c, *s)).collect();
-        drift_streaks.sort_unstable_by_key(|(c, _)| *c);
-        let mut reactivations: Vec<(ClassId, u32)> =
-            self.reactivated.iter().map(|(c, n)| (*c, *n)).collect();
-        reactivations.sort_unstable_by_key(|(c, _)| *c);
-        ControllerCheckpoint {
-            prev_round,
-            converged,
-            drift_streaks,
-            reactivations,
-            merge_factor: self.merge_factor,
-            summary_only: self.summary_only,
-            rounds_seen: self.rounds_seen,
-            cooldown: self.cooldown,
-            degrades: self.degrades,
-        }
-    }
-
-    /// Overwrite the controller's mutable state from a checkpoint. Thresholds,
-    /// coverage floor and budget are configuration, not state — they come from the
-    /// (immutable) profiler config, so a restored controller keeps its own.
-    pub fn restore(&mut self, cp: &ControllerCheckpoint) {
-        self.prev_round = cp.prev_round.iter().cloned().collect();
-        self.converged = cp.converged.iter().copied().collect();
-        self.drift_streak = cp.drift_streaks.iter().copied().collect();
-        self.reactivated = cp.reactivations.iter().copied().collect();
-        self.merge_factor = cp.merge_factor;
-        self.summary_only = cp.summary_only;
-        self.rounds_seen = cp.rounds_seen;
-        self.cooldown = cp.cooldown;
-        self.degrades = cp.degrades;
     }
 
     /// Has this class converged?
@@ -697,28 +638,29 @@ mod tests {
             ));
         }
         assert!(ctl.is_converged(class));
-        assert_eq!(ctl.checkpoint().drift_streaks, vec![]);
+        assert!(ctl.drift_streak.is_empty());
+    }
+
+    /// The controller after a `serde_json` round trip of itself.
+    fn json_roundtrip(ctl: &AdaptiveController) -> AdaptiveController {
+        let back: AdaptiveController =
+            serde_json::from_str(&serde_json::to_string(ctl).unwrap()).unwrap();
+        assert_eq!(&back, ctl, "serialize ∘ deserialize is the identity");
+        back
     }
 
     #[test]
     fn checkpoint_roundtrips_drift_state_mid_phase_change() {
         let class = ClassId(0);
         let gaps = gaps_with(class, 64, SamplingRate::NX(1));
-        let drift = |c: &mut ProfilerConfig| c.drift_threshold = Some(0.2);
-        let mut live = controller(drift);
+        let mut live = controller(|c| c.drift_threshold = Some(0.2));
         converge_at(&mut live, class, &gaps, 100.0);
         // One drifting round: streak 1, class still converged — the exact moment a
         // master crash mid-phase-change would snapshot.
         assert!(applied(&mut live, &round(class, 500.0), &gaps).is_empty());
+        assert_eq!(live.drift_streak, BTreeMap::from([(class, 1)]));
 
-        let cp = live.checkpoint();
-        assert_eq!(cp.drift_streaks, vec![(class, 1)]);
-        let json = serde_json::to_string(&cp).unwrap();
-        let back: ControllerCheckpoint = serde_json::from_str(&json).unwrap();
-        assert_eq!(cp, back);
-
-        let mut restored = controller(drift);
-        restored.restore(&back);
+        let mut restored = json_roundtrip(&live);
         // Both controllers see the second drifting round and un-converge in lockstep:
         // the restore did not resurrect stale convergence.
         let a = applied(&mut live, &round(class, 900.0), &gaps);
@@ -798,18 +740,19 @@ mod tests {
         // c0 converges (1% off); c1 is 60% off -> steps to NX(2), stays live.
         applied(&mut live, &mk(101.0, 80.0), &gaps);
 
-        let cp = live.checkpoint();
-        assert_eq!(cp.converged, vec![c0]);
-        assert_eq!(cp.prev_round.len(), 2);
-        // Canonical: a second snapshot of the same state is equal.
-        assert_eq!(cp, live.checkpoint());
+        assert_eq!(live.converged, BTreeSet::from([c0]));
+        assert_eq!(live.prev_round.len(), 2);
+        // Canonical: equal states serialize to equal bytes.
+        assert_eq!(
+            serde_json::to_string(&live).unwrap(),
+            serde_json::to_string(&live.clone()).unwrap()
+        );
 
-        // A fresh controller restored from the checkpoint makes the same call on the
-        // next round as the uninterrupted one (c1 is 25% off baseline -> step). The
-        // gap table mirrors the rate restore the master performs: c1 resumes at the
-        // NX(2) it held at checkpoint time.
-        let mut restored = controller(|_| {});
-        restored.restore(&cp);
+        // The deserialized snapshot makes the same call on the next round as the
+        // uninterrupted controller (c1 is 25% off baseline -> step). The gap table
+        // mirrors the rate restore the master performs: c1 resumes at the NX(2) it
+        // held at checkpoint time.
+        let mut restored = json_roundtrip(&live);
         let gaps2 = gaps_with(c0, 64, SamplingRate::NX(1));
         gaps2.register_class(c1, 64, SamplingRate::NX(2));
         let a = applied(&mut live, &mk(101.0, 100.0), &gaps);
@@ -907,7 +850,7 @@ mod tests {
             ctl.on_round(&r, &gaps, 1.0, 0.10),
             RoundOutcome::Degraded(DegradeStep::Exhausted)
         );
-        assert_eq!(ctl.checkpoint().rounds_seen, 16, "every round was over budget");
+        assert_eq!(ctl.rounds_seen, 16, "every round was over budget");
         assert_eq!(ctl.degrades(), 7, "Exhausted and settling rounds take no rung");
     }
 
@@ -958,14 +901,12 @@ mod tests {
         ctl.on_round(&round(class, 100.0), &gaps, 1.0, 0.10); // merge 2
         ctl.on_round(&round(class, 100.0), &gaps, 1.0, 0.10); // settling
         ctl.on_round(&round(class, 100.0), &gaps, 1.0, 0.10); // merge 4
-        let cp = ctl.checkpoint();
-        assert_eq!(cp.merge_factor, 4);
-        assert_eq!(cp.rounds_seen, 3);
-        assert_eq!(cp.cooldown, 1, "mid-settle ladder position survives");
-        assert_eq!(cp.degrades, 2, "rungs taken survive too");
-        let mut restored = controller(budgeted);
-        restored.restore(&cp);
-        assert_eq!(restored.checkpoint(), cp);
+        assert_eq!(ctl.merge_factor, 4);
+        assert_eq!(ctl.rounds_seen, 3);
+        assert_eq!(ctl.cooldown, 1);
+        assert_eq!(ctl.degrades, 2);
+        // The mid-settle ladder position and the rungs taken survive the round trip.
+        let mut restored = json_roundtrip(&ctl);
         // Both controllers settle, then take the same next rung.
         for want in [
             RoundOutcome::Settling,
@@ -1004,7 +945,7 @@ mod tests {
         }
         assert!(ctl.is_converged(class), "budget round never reaches drift detection");
         assert_eq!(ctl.reactivations(), 0);
-        assert!(ctl.checkpoint().drift_streaks.is_empty());
+        assert!(ctl.drift_streak.is_empty());
 
         // Once back within budget, drift detection runs against the still-clean
         // baseline (100) and re-activates after the hysteresis.
@@ -1012,7 +953,7 @@ mod tests {
             ctl.on_round(&round(class, 900.0), &gaps, 1.0, 0.01),
             RoundOutcome::Applied(vec![])
         );
-        assert_eq!(ctl.checkpoint().drift_streaks, vec![(class, 1)]);
+        assert_eq!(ctl.drift_streak, BTreeMap::from([(class, 1)]));
         match ctl.on_round(&round(class, 5000.0), &gaps, 1.0, 0.01) {
             RoundOutcome::Applied(ch) => {
                 assert_eq!(ch.len(), 1);
@@ -1040,9 +981,9 @@ mod tests {
         // Drifting maps on merged-out rounds are never seen by the accuracy
         // loop: streaks only advance on act points.
         ctl.on_round(&round(class, 900.0), &gaps, 1.0, 0.01); // merged out (5)
-        assert!(ctl.checkpoint().drift_streaks.is_empty());
+        assert!(ctl.drift_streak.is_empty());
         ctl.on_round(&round(class, 900.0), &gaps, 1.0, 0.01); // act: streak 1 (6)
-        assert_eq!(ctl.checkpoint().drift_streaks, vec![(class, 1)]);
+        assert_eq!(ctl.drift_streak, BTreeMap::from([(class, 1)]));
         assert!(ctl.is_converged(class));
     }
 
@@ -1090,14 +1031,13 @@ mod tests {
                 prop_assert_eq!(a, b);
                 prop_assert_eq!(gaps_a.state(class), gaps_b.state(class));
             }
-            let (a, b) = (budgeted.checkpoint(), bare.checkpoint());
-            prop_assert_eq!(a.prev_round, b.prev_round);
-            prop_assert_eq!(a.converged, b.converged);
-            prop_assert_eq!(a.drift_streaks, b.drift_streaks);
-            prop_assert_eq!(a.reactivations, b.reactivations);
-            prop_assert_eq!(a.merge_factor, 1);
-            prop_assert!(!a.summary_only);
-            prop_assert_eq!(a.degrades, 0);
+            prop_assert_eq!(&budgeted.prev_round, &bare.prev_round);
+            prop_assert_eq!(&budgeted.converged, &bare.converged);
+            prop_assert_eq!(&budgeted.drift_streak, &bare.drift_streak);
+            prop_assert_eq!(&budgeted.reactivated, &bare.reactivated);
+            prop_assert_eq!(budgeted.merge_factor, 1);
+            prop_assert!(!budgeted.summary_only);
+            prop_assert_eq!(budgeted.degrades, 0);
         }
     }
 

@@ -175,8 +175,6 @@ pub struct ProfilerConfig {
     pub stack: Option<StackSamplingConfig>,
     /// Sticky-set footprinting, if enabled.
     pub footprint: Option<FootprintConfig>,
-    /// Landmark tolerance `t` (> 1) of sticky-set resolution (Section III.A.3).
-    pub tolerance_t: f64,
     /// Deadline-based TCM round close for lossy networks: round `r` closes as soon as
     /// the fastest thread's interval watermark reaches `(r+1)·intervals_per_round`
     /// plus this many grace intervals, even if slower (or dead) threads never report.
@@ -261,7 +259,6 @@ impl ProfilerConfig {
             tcm_decay: None,
             stack: None,
             footprint: None,
-            tolerance_t: 2.0,
             round_deadline_intervals: None,
             min_round_coverage: 0.0,
             checkpoint_every_rounds: None,
@@ -298,10 +295,9 @@ impl ProfilerConfig {
     }
 
     /// Check every field against its documented domain, naming the first
-    /// offender. Called by the cluster builder (`try_build`) so an invalid
-    /// user-supplied config is a typed error at build time — not an `assert!`
-    /// panic mid-run when sticky-set resolution first dereferences
-    /// `tolerance_t`.
+    /// offender. Called by the cluster builder (`try_build`) and the CLI, so an
+    /// invalid user-supplied config is a typed error before a cluster exists —
+    /// not a mid-run anomaly.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let err = |field: &'static str, value: String, requirement: &'static str| {
             Err(ConfigError {
@@ -310,13 +306,6 @@ impl ProfilerConfig {
                 requirement,
             })
         };
-        if !self.tolerance_t.is_finite() || self.tolerance_t <= 1.0 {
-            return err(
-                "tolerance_t",
-                format!("{}", self.tolerance_t),
-                "the landmark tolerance t must be a finite number exceeding 1",
-            );
-        }
         if self.intervals_per_round == 0 {
             return err(
                 "intervals_per_round",
@@ -480,26 +469,15 @@ mod tests {
     #[test]
     fn validation_names_the_offending_field_and_value() {
         let bad = ProfilerConfig {
-            tolerance_t: 0.5,
+            tcm_decay: Some(1.5),
             ..ProfilerConfig::default()
         };
         let e = bad.validate().unwrap_err();
-        assert_eq!(e.field, "tolerance_t");
+        assert_eq!(e.field, "tcm_decay");
         let msg = e.to_string();
-        assert!(msg.contains("tolerance_t"), "field named: {msg}");
-        assert!(msg.contains("0.5"), "value echoed: {msg}");
-        assert!(msg.contains("exceeding 1"), "requirement stated: {msg}");
-    }
-
-    #[test]
-    fn tolerance_exactly_one_nan_and_infinity_are_rejected() {
-        for t in [1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -3.0] {
-            let bad = ProfilerConfig {
-                tolerance_t: t,
-                ..ProfilerConfig::default()
-            };
-            assert!(bad.validate().is_err(), "tolerance_t = {t} must be rejected");
-        }
+        assert!(msg.contains("ProfilerConfig.tcm_decay"), "named: {msg}");
+        assert!(msg.contains("1.5"), "value echoed: {msg}");
+        assert!(msg.contains("(0, 1]"), "requirement stated: {msg}");
     }
 
     #[test]
@@ -625,12 +603,10 @@ mod tests {
 
     #[test]
     fn defaults_match_paper_constants() {
-        let c = ProfilerConfig::default();
         assert_eq!(StackSamplingConfig::default().gap_ns, 16_000_000);
         match FootprintConfig::default().mode {
             FootprintMode::Timer(ns) => assert_eq!(ns, 100_000_000),
             _ => panic!("default footprint mode should be the 100 ms timer"),
         }
-        assert!(c.tolerance_t > 1.0);
     }
 }

@@ -50,9 +50,7 @@ pub mod tcm;
 pub mod view;
 
 pub use accuracy::{accuracy_abs, accuracy_euc, e_abs, e_abs_sparse, e_euc};
-pub use adaptive::{
-    AdaptiveController, ControllerCheckpoint, DegradeStep, RateCause, RateChange, RoundOutcome,
-};
+pub use adaptive::{AdaptiveController, DegradeStep, RateCause, RateChange, RoundOutcome};
 pub use config::{
     ConfigError, FootprintConfig, FootprintMode, ProfilerConfig, ShedPolicy, StackSamplingConfig,
     TcmBackend,

@@ -480,14 +480,7 @@ impl ThreadProfiler {
             .into_iter()
             .map(|(c, b)| (c, b.round() as u64))
             .collect();
-        resolve_sticky_set(
-            gos,
-            self.shared.gaps(),
-            roots,
-            &budget,
-            self.shared.config.tolerance_t,
-            clock,
-        )
+        resolve_sticky_set(gos, self.shared.gaps(), roots, &budget, clock)
     }
 }
 

@@ -40,21 +40,23 @@ fn budget_met(budget: &HashMap<ClassId, u64>, collected: &HashMap<ClassId, u64>)
         .all(|(class, need)| *need == 0 || collected.get(class).copied().unwrap_or(0) >= *need)
 }
 
+/// The landmark tolerance `t` of Section III.A.3: a traversal that runs past
+/// `t × gap` objects of a class without meeting a sampled landmark abandons its root.
+pub const LANDMARK_TOLERANCE: f64 = 2.0;
+
 /// Resolve the sticky set from `roots` (stack invariants, topmost first) against the
-/// per-class footprint `budget`, with landmark tolerance `tolerance_t` (> 1).
+/// per-class footprint `budget`.
 ///
 /// Each root is explored breadth-first. Per class, a run counter tracks objects seen
-/// since the last sampled landmark; exceeding `t × gap(class)` aborts the root. The
-/// walk ends as soon as every budgeted class is satisfied.
+/// since the last sampled landmark; exceeding [`LANDMARK_TOLERANCE`]` × gap(class)`
+/// aborts the root. The walk ends as soon as every budgeted class is satisfied.
 pub fn resolve_sticky_set(
     gos: &Gos,
     gaps: &GapTable,
     roots: &[ObjectId],
     budget: &HashMap<ClassId, u64>,
-    tolerance_t: f64,
     clock: &ClockHandle,
 ) -> Resolution {
-    assert!(tolerance_t > 1.0, "tolerance t must exceed 1");
     let mut res = Resolution::default();
     let mut visited: HashSet<ObjectId> = HashSet::new();
     let edge_cost = gos.costs().resolve_edge_ns;
@@ -90,7 +92,7 @@ pub fn resolve_sticky_set(
                 }
             } else {
                 *run += 1;
-                let limit = (tolerance_t * gaps.gap(class) as f64).ceil() as u64;
+                let limit = (LANDMARK_TOLERANCE * gaps.gap(class) as f64).ceil() as u64;
                 if *run > limit {
                     // Wrong direction: abandon this root, try the next invariant.
                     res.aborted_roots += 1;
@@ -171,7 +173,7 @@ mod tests {
         let ids = chain(&f, 100);
         // Budget: 10 sampled objects' worth (8 bytes scaled ×1 each).
         let budget = HashMap::from([(f.class, 80u64)]);
-        let res = resolve_sticky_set(&f.gos, &f.gaps, &ids[..1], &budget, 2.0, &f.clock);
+        let res = resolve_sticky_set(&f.gos, &f.gaps, &ids[..1], &budget, &f.clock);
         assert!(res.budget_met);
         assert_eq!(res.selected.len(), 10, "stops right at the budget");
         assert_eq!(res.total_bytes, 80);
@@ -194,7 +196,6 @@ mod tests {
             &f.gaps,
             &[bad[0], good[0]],
             &budget,
-            2.0,
             &f.clock,
         );
         assert!(res.budget_met);
@@ -220,7 +221,7 @@ mod tests {
             .collect();
         assert!(sampled.iter().any(|s| !*s), "need unsampled objects in the chain");
         let budget = HashMap::from([(f.class, u64::MAX)]); // walk everything
-        let res = resolve_sticky_set(&f.gos, &f.gaps, &ids[..1], &budget, 3.0, &f.clock);
+        let res = resolve_sticky_set(&f.gos, &f.gaps, &ids[..1], &budget, &f.clock);
         assert!(!res.budget_met);
         assert!(
             res.selected.len() > sampled.iter().filter(|s| **s).count(),
@@ -239,7 +240,6 @@ mod tests {
             &f.gaps,
             &[ids[0], ids[0], ids[2]],
             &budget,
-            2.0,
             &f.clock,
         );
         assert_eq!(res.selected.len(), 5, "no duplicates");
@@ -250,7 +250,7 @@ mod tests {
         let f = fixture(SamplingRate::Full);
         let ids = chain(&f, 3);
         let res =
-            resolve_sticky_set(&f.gos, &f.gaps, &ids[..1], &HashMap::new(), 2.0, &f.clock);
+            resolve_sticky_set(&f.gos, &f.gaps, &ids[..1], &HashMap::new(), &f.clock);
         assert!(res.budget_met);
     }
 
@@ -260,15 +260,8 @@ mod tests {
         let ids = chain(&f, 10);
         let before = f.clock.now();
         let budget = HashMap::from([(f.class, u64::MAX)]);
-        let res = resolve_sticky_set(&f.gos, &f.gaps, &ids[..1], &budget, 2.0, &f.clock);
+        let res = resolve_sticky_set(&f.gos, &f.gaps, &ids[..1], &budget, &f.clock);
         assert_eq!(res.edges_visited, 9);
         assert!(f.clock.now() > before);
-    }
-
-    #[test]
-    #[should_panic(expected = "tolerance")]
-    fn tolerance_must_exceed_one() {
-        let f = fixture(SamplingRate::Full);
-        let _ = resolve_sticky_set(&f.gos, &f.gaps, &[], &HashMap::new(), 1.0, &f.clock);
     }
 }

@@ -36,7 +36,7 @@ use std::time::Instant;
 
 use parking_lot::RwLock;
 
-use jessy_core::{ProfilerConfig, ProfilerShared, ThreadProfiler};
+use jessy_core::{ProfilerConfig, ProfilerShared, ShedPolicy, ThreadProfiler};
 use jessy_gos::protocol::ConsistencyModel;
 use jessy_gos::{ClassId, CostModel, Gos, GosConfig, LockId, ObjectCore, ObjectId, ThreadSpace};
 use jessy_obs::{EventKind, TraceSink};
@@ -95,24 +95,18 @@ pub struct ClusterShared {
     pub footprints: RwLock<Vec<f64>>,
     /// Set when application threads have all finished (stops the master daemon).
     pub done: AtomicBool,
-    /// OAL posts that failed because the master's mailbox was gone (threads keep
-    /// running — losing profiling data must never stop the application).
-    pub oal_post_failures: AtomicU64,
-    /// The `(thread, interval)` pairs whose OALs were lost to failed posts — the
-    /// data behind [`crate::RunReport::lost_oals`], so the loss reaches coverage
-    /// accounting instead of dying as a bare counter.
+    /// The `(thread, interval)` pairs whose OALs were lost to failed posts (the
+    /// master's mailbox was gone; threads keep running — losing profiling data
+    /// must never stop the application). The one record behind
+    /// [`crate::RunReport::lost_oals`] and its `oal_post_failures` count, so the
+    /// loss reaches coverage accounting instead of dying as a bare counter.
     pub lost_oals: parking_lot::Mutex<Vec<(u32, u64)>>,
-    /// The `(thread, interval)` pairs whose OAL batch identity was shed under
-    /// mailbox backpressure (dropped outright, or merged away into a younger
-    /// batch) — folded into `adjusted_round_coverage` exactly like `lost_oals`,
-    /// so no shed is ever silent.
-    pub shed_oals: parking_lot::Mutex<Vec<(u32, u64)>>,
-    /// Batches shed by `ShedPolicy::DropOldestRound`.
-    pub sheds_dropped: AtomicU64,
-    /// Batches merged away by `ShedPolicy::MergeBatches`.
-    pub sheds_merged: AtomicU64,
-    /// Batches merged-and-summarized by `ShedPolicy::SummaryOnly`.
-    pub sheds_summarized: AtomicU64,
+    /// The `(thread, interval, policy)` of every OAL batch whose identity was shed
+    /// under mailbox backpressure (dropped outright, or merged away into a younger
+    /// batch) — the one record behind [`crate::RunReport::shed_oals`] and its
+    /// per-policy counters, folded into `adjusted_round_coverage` exactly like
+    /// `lost_oals`, so no shed is ever silent.
+    pub shed_oals: parking_lot::Mutex<Vec<(u32, u64, ShedPolicy)>>,
     /// The observability journal, if tracing is enabled. Runtime-layer events
     /// funnel through [`ClusterShared::emit_event`]; the GOS and fabric hold
     /// their own clones installed at build time.
@@ -363,7 +357,7 @@ impl ClusterBuilder {
 
         // Validate the fault plan and profiler config up front so a malformed
         // field is reported with the offending name/value instead of surfacing as
-        // a mid-run anomaly (or a panic deep inside sticky-set resolution).
+        // a mid-run anomaly.
         if let Some(plan) = &self.faults {
             plan.validate()?;
             plan.validate_bounds(self.n_nodes)?;
@@ -393,7 +387,7 @@ impl ClusterBuilder {
         let board = ClockBoard::new(self.n_threads + 1);
         // A configured capacity bounds the master's OAL queue; senders that find
         // it full queue per-thread and shed per `shed_policy`. `None` keeps the
-        // legacy unbounded mailbox (and the legacy direct-post path) unchanged.
+        // unbounded mailbox, whose senders never find it full.
         let mailbox = match self.profiler.oal_mailbox_capacity {
             Some(cap) => Mailbox::bounded(NodeId::MASTER, cap),
             None => Mailbox::new(NodeId::MASTER),
@@ -423,12 +417,8 @@ impl ClusterBuilder {
             migration_log: parking_lot::Mutex::new(Vec::new()),
             footprints: RwLock::new(vec![0.0; self.n_threads]),
             done: AtomicBool::new(false),
-            oal_post_failures: AtomicU64::new(0),
             lost_oals: parking_lot::Mutex::new(Vec::new()),
             shed_oals: parking_lot::Mutex::new(Vec::new()),
-            sheds_dropped: AtomicU64::new(0),
-            sheds_merged: AtomicU64::new(0),
-            sheds_summarized: AtomicU64::new(0),
             trace: self.trace,
             master_epoch: AtomicU64::new(0),
             rejoins: AtomicU64::new(0),

@@ -39,7 +39,7 @@ pub use dynamic::{
 pub use error::RuntimeError;
 pub use master::{
     AppliedRateChange, ClassRoundState, ClosedRound, EpochOal, Ingest, MasterLedger, MasterOutput,
-    ProfilerCheckpoint, RoundScheduler, RoundTimeline, SchedulerCheckpoint, SkippedRateChange,
+    ProfilerCheckpoint, RoundScheduler, RoundTimeline, SkippedRateChange,
 };
 pub use metrics::{DeterministicReport, RunReport};
 pub use migration::MigrationReport;

@@ -37,8 +37,9 @@
 //! [`jessy_net::FaultPlan::master_crashes`]:
 //!
 //! * Every `ProfilerConfig::checkpoint_every_rounds` closed rounds it snapshots a
-//!   [`ProfilerCheckpoint`] — watermarks, adaptive baselines, rate table, the
-//!   accumulated [`Tcm`] — and truncates its replay log of accepted post-checkpoint
+//!   [`ProfilerCheckpoint`] — clones of the live [`RoundScheduler`] and
+//!   [`AdaptiveController`], the rate table, the accumulated [`Tcm`] and the
+//!   [`MasterLedger`] — and truncates its replay log of accepted post-checkpoint
 //!   OALs (modeling a durable WAL / worker retransmit buffers).
 //! * A master crash window kills the daemon's *volatile* state; OAL batches in
 //!   flight while it is down are deferred by the transport, not dropped. The first
@@ -58,7 +59,7 @@
 //!   complete-close watermark rule), so a flapping node cannot starve adaptive
 //!   convergence.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -69,8 +70,8 @@ use serde::{Deserialize, Serialize};
 use jessy_core::adaptive::apply_rate_change;
 use jessy_core::sampling::ClassGapState;
 use jessy_core::{
-    AdaptiveController, ControllerCheckpoint, CorrelationView, DegradeStep, HomeAwareAnalyzer, Oal,
-    ProfilerConfig, RateCause, ReducedRound, Reducer, RoundOutcome, Tcm, TreeRoundStats,
+    AdaptiveController, CorrelationView, DegradeStep, HomeAwareAnalyzer, Oal, ProfilerConfig,
+    RateCause, ReducedRound, Reducer, RoundOutcome, Tcm, TreeRoundStats,
 };
 use jessy_gos::ClassId;
 use jessy_net::{ClockHandle, Mailbox, MasterCrashWindow, MsgClass, NodeId, ThreadId};
@@ -294,7 +295,11 @@ pub struct ClosedRound {
 /// testable without spinning up a cluster: feed OALs with [`RoundScheduler::ingest`],
 /// collect closed rounds with [`RoundScheduler::ready_rounds`], and finish with
 /// [`RoundScheduler::flush`] + [`RoundScheduler::take_late`].
-#[derive(Debug)]
+///
+/// The scheduler is its own crash-recovery snapshot: a [`ProfilerCheckpoint`]
+/// holds a clone, and a restore assigns it back. Its containers are ordered, so
+/// two equal schedulers serialize to identical bytes.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoundScheduler {
     n_threads: usize,
     /// Intervals per round.
@@ -312,53 +317,22 @@ pub struct RoundScheduler {
     /// empty interval contexts count — they are interval reports too).
     received: BTreeMap<u64, u64>,
     /// Every (thread, interval) pair ever accepted, for deduplication.
-    seen: HashSet<(u32, u64)>,
+    seen: BTreeSet<(u32, u64)>,
     /// Non-empty OALs that arrived after their round closed.
     late: Vec<Oal>,
+    /// Late arrivals, empty contexts included.
     late_count: u64,
+    /// Network duplicates discarded.
     duplicates: u64,
+    /// Stale-epoch OALs fenced.
     fenced: u64,
+    /// Rounds closed by the deadline.
     deadline_rounds: u64,
     /// Per-thread quarantine start: `Some(q)` excludes the thread's intervals `>= q`
     /// from the coverage numerator, denominator and the complete-close watermark rule
     /// (the thread's node crashed past the flap threshold). Its data, if any still
     /// arrives, is folded into the TCM anyway — data is data.
     quarantine_from: Vec<Option<u64>>,
-}
-
-/// Serializable snapshot of a [`RoundScheduler`], in canonical form: map-like state
-/// is stored as sorted key/value vectors so two equal schedulers encode identically.
-/// Self-contained — [`RoundScheduler::from_checkpoint`] needs nothing else.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SchedulerCheckpoint {
-    /// Thread count (sizes the watermark vector).
-    pub n_threads: u64,
-    /// Intervals per round.
-    pub ipr: u64,
-    /// Deadline grace, if configured.
-    pub deadline_intervals: Option<u64>,
-    /// Next round to close.
-    pub next_round: u64,
-    /// Per-thread watermarks.
-    pub watermark: Vec<u64>,
-    /// Open-round OAL buffers, sorted by round id.
-    pub buckets: Vec<(u64, Vec<Oal>)>,
-    /// Open-round receipt counts, sorted by round id.
-    pub received: Vec<(u64, u64)>,
-    /// Accepted (thread, interval) pairs, sorted.
-    pub seen: Vec<(u32, u64)>,
-    /// Buffered late OALs.
-    pub late: Vec<Oal>,
-    /// Late-arrival count (including empty contexts).
-    pub late_count: u64,
-    /// Network duplicates discarded.
-    pub duplicates: u64,
-    /// Stale-epoch OALs fenced.
-    pub fenced: u64,
-    /// Rounds closed by deadline.
-    pub deadline_rounds: u64,
-    /// Per-thread quarantine starts.
-    pub quarantine_from: Vec<Option<u64>>,
 }
 
 impl RoundScheduler {
@@ -373,7 +347,7 @@ impl RoundScheduler {
             watermark: vec![0; n_threads],
             buckets: BTreeMap::new(),
             received: BTreeMap::new(),
-            seen: HashSet::new(),
+            seen: BTreeSet::new(),
             late: Vec::new(),
             late_count: 0,
             duplicates: 0,
@@ -557,50 +531,6 @@ impl RoundScheduler {
     pub fn watermarks(&self) -> &[u64] {
         &self.watermark
     }
-
-    /// Snapshot the scheduler in canonical (sorted) form.
-    pub fn checkpoint(&self) -> SchedulerCheckpoint {
-        let mut seen: Vec<(u32, u64)> = self.seen.iter().copied().collect();
-        seen.sort_unstable();
-        SchedulerCheckpoint {
-            n_threads: self.n_threads as u64,
-            ipr: self.ipr,
-            deadline_intervals: self.deadline_intervals,
-            next_round: self.next_round,
-            watermark: self.watermark.clone(),
-            buckets: self.buckets.iter().map(|(r, v)| (*r, v.clone())).collect(),
-            received: self.received.iter().map(|(r, n)| (*r, *n)).collect(),
-            seen,
-            late: self.late.clone(),
-            late_count: self.late_count,
-            duplicates: self.duplicates,
-            fenced: self.fenced,
-            deadline_rounds: self.deadline_rounds,
-            quarantine_from: self.quarantine_from.clone(),
-        }
-    }
-
-    /// Rebuild a scheduler from a checkpoint; `scheduler.checkpoint()` then
-    /// round-trips to an equal snapshot, and the rebuilt scheduler classifies every
-    /// subsequent OAL exactly as the snapshotted one would have.
-    pub fn from_checkpoint(cp: &SchedulerCheckpoint) -> Self {
-        RoundScheduler {
-            n_threads: cp.n_threads as usize,
-            ipr: cp.ipr.max(1),
-            deadline_intervals: cp.deadline_intervals,
-            next_round: cp.next_round,
-            watermark: cp.watermark.clone(),
-            buckets: cp.buckets.iter().cloned().collect(),
-            received: cp.received.iter().copied().collect(),
-            seen: cp.seen.iter().copied().collect(),
-            late: cp.late.clone(),
-            late_count: cp.late_count,
-            duplicates: cp.duplicates,
-            fenced: cp.fenced,
-            deadline_rounds: cp.deadline_rounds,
-            quarantine_from: cp.quarantine_from.clone(),
-        }
-    }
 }
 
 /// The coordinator's round-by-round record: every counter, history and decision
@@ -651,9 +581,10 @@ impl MasterLedger {
 }
 
 /// Serializable snapshot of the coordinator's complete profiling state, taken every
-/// `ProfilerConfig::checkpoint_every_rounds` closed rounds. All map-like state is
-/// stored sorted, so equal coordinator states serialize to identical JSON and the
-/// serialize→deserialize round trip is the identity (property-tested).
+/// `ProfilerConfig::checkpoint_every_rounds` closed rounds. It holds clones of the
+/// live state values, whose containers are ordered, so equal coordinator states
+/// serialize to identical JSON and the serialize→deserialize round trip is the
+/// identity (property-tested).
 ///
 /// Live telemetry counters (`checkpoints_taken`, `restores`, `replayed_oals`,
 /// `fenced_oals`) are deliberately **not** part of the snapshot: they describe
@@ -665,11 +596,11 @@ pub struct ProfilerCheckpoint {
     pub epoch: u64,
     /// The accumulated TCM over the ledger's rounds.
     pub tcm: Tcm,
-    /// Round-assembly state (watermarks, open buckets, dedup set, late buffer).
-    pub scheduler: SchedulerCheckpoint,
-    /// Adaptive-controller state (per-class baselines, converged set, drift
+    /// Round assembly (watermarks, open buckets, dedup set, late buffer).
+    pub scheduler: RoundScheduler,
+    /// The adaptive controller (per-class baselines, converged set, drift
     /// bookkeeping and ladder position), if adaptive control is on.
-    pub controller: Option<ControllerCheckpoint>,
+    pub controller: Option<AdaptiveController>,
     /// Per-class sampling-rate table, sorted by class id.
     pub rates: Vec<(ClassId, ClassGapState)>,
     /// The round-by-round record, restored with the rounds it describes so
@@ -848,8 +779,8 @@ impl Daemon {
         self.latest_checkpoint = Some(ProfilerCheckpoint {
             epoch: self.epoch,
             tcm: self.effective_tcm(),
-            scheduler: self.scheduler.checkpoint(),
-            controller: self.controller.as_ref().map(|c| c.checkpoint()),
+            scheduler: self.scheduler.clone(),
+            controller: self.controller.clone(),
             rates,
             ledger: self.ledger.clone(),
         });
@@ -874,14 +805,11 @@ impl Daemon {
         self.restores += 1;
         let replay = std::mem::take(&mut self.replay_log);
 
-        self.controller = AdaptiveController::new(&self.config);
         match self.latest_checkpoint.clone() {
             Some(cp) => {
                 self.base_tcm = Some(cp.tcm);
-                self.scheduler = RoundScheduler::from_checkpoint(&cp.scheduler);
-                if let (Some(ctl), Some(ccp)) = (self.controller.as_mut(), cp.controller.as_ref()) {
-                    ctl.restore(ccp);
-                }
+                self.scheduler = cp.scheduler;
+                self.controller = cp.controller;
                 // Re-impose the checkpointed rate table (the restored master
                 // re-broadcasts the rates it knew); replay re-derives later steps.
                 let gaps = self.shared.prof.gaps();
@@ -899,6 +827,7 @@ impl Daemon {
                 let quarantine = self.scheduler.quarantine_table();
                 self.scheduler = fresh_scheduler(&self.config, self.shared.n_threads);
                 self.scheduler.set_quarantine(quarantine);
+                self.controller = AdaptiveController::new(&self.config);
                 self.ledger = MasterLedger::new(self.shared.n_threads);
             }
         }
@@ -1787,9 +1716,9 @@ mod tests {
         s.ready_rounds();
         s.ingest(full_oal(1, 1)); // late (round 0 closed by deadline)
 
-        let cp = s.checkpoint();
-        let mut restored = RoundScheduler::from_checkpoint(&cp);
-        assert_eq!(restored.checkpoint(), cp, "checkpoint ∘ restore is identity");
+        let json = serde_json::to_string(&s).unwrap();
+        let mut restored: RoundScheduler = serde_json::from_str(&json).unwrap();
+        assert_eq!(restored, s, "serialize ∘ deserialize is the identity");
 
         // Drive both schedulers through the same tail; every classification and
         // every closed round must match.
@@ -1800,7 +1729,7 @@ mod tests {
         assert_eq!(s.ready_rounds(), restored.ready_rounds());
         assert_eq!(s.flush(), restored.flush());
         assert_eq!(s.take_late(), restored.take_late());
-        assert_eq!(s.checkpoint(), restored.checkpoint());
+        assert_eq!(s, restored);
     }
 
     #[test]

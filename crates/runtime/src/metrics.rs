@@ -17,6 +17,7 @@
 use serde::{Deserialize, Serialize};
 
 use jessy_core::profiler::ProfilerStatsSnapshot;
+use jessy_core::ShedPolicy;
 use jessy_gos::protocol::ProtocolCounters;
 use jessy_net::{MsgClass, NetworkStats, SimNanos, ThreadId};
 use jessy_obs::MetricsSnapshot;
@@ -78,6 +79,11 @@ impl RunReport {
         let per_thread_ns: Vec<SimNanos> = (0..shared.n_threads)
             .map(|t| shared.board.read(ThreadId(t as u32)))
             .collect();
+        let mut lost_oals = shared.lost_oals.lock().clone();
+        lost_oals.sort_unstable();
+        let mut sheds = shared.shed_oals.lock().clone();
+        sheds.sort_unstable_by_key(|&(thread, interval, _)| (thread, interval));
+        let shed_count = |policy| sheds.iter().filter(|s| s.2 == policy).count() as u64;
         RunReport {
             n_nodes: shared.n_nodes,
             n_threads: shared.n_threads,
@@ -88,28 +94,15 @@ impl RunReport {
             proto: shared.gos.proto_counters(),
             profiler: shared.prof.stats().snapshot(),
             master: master.cloned(),
-            oal_post_failures: shared
-                .oal_post_failures
-                .load(std::sync::atomic::Ordering::Relaxed),
-            lost_oals: {
-                let mut lost = shared.lost_oals.lock().clone();
-                lost.sort_unstable();
-                lost
-            },
-            shed_oals: {
-                let mut shed = shared.shed_oals.lock().clone();
-                shed.sort_unstable();
-                shed
-            },
-            sheds_dropped: shared
-                .sheds_dropped
-                .load(std::sync::atomic::Ordering::Relaxed),
-            sheds_merged: shared
-                .sheds_merged
-                .load(std::sync::atomic::Ordering::Relaxed),
-            sheds_summarized: shared
-                .sheds_summarized
-                .load(std::sync::atomic::Ordering::Relaxed),
+            oal_post_failures: lost_oals.len() as u64,
+            lost_oals,
+            sheds_dropped: shed_count(ShedPolicy::DropOldestRound),
+            sheds_merged: shed_count(ShedPolicy::MergeBatches),
+            sheds_summarized: shed_count(ShedPolicy::SummaryOnly),
+            shed_oals: sheds
+                .iter()
+                .map(|&(thread, interval, _)| (thread, interval))
+                .collect(),
             rejoins: shared.rejoins.load(std::sync::atomic::Ordering::Relaxed),
         }
     }

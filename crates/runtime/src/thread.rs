@@ -41,10 +41,10 @@ pub struct JThread {
     /// the next ship point once the partition heals (`heal_ns == u64::MAX` =
     /// permanent; surfaced as lost at drop).
     deferred_oals: Vec<(u64, u64, EpochOal)>,
-    /// Per-thread backpressure queue in front of the master's *bounded* mailbox:
+    /// Per-thread backpressure queue in front of the master's mailbox:
     /// `(fault_key, batch)` pairs waiting for mailbox space. Bounded by the same
     /// capacity as the mailbox — overflow sheds per the configured policy, every
-    /// shed attributed. Unused (always empty) with the legacy unbounded mailbox.
+    /// shed attributed. Empty between posts with an unbounded mailbox.
     pending_oals: VecDeque<(u64, EpochOal)>,
     /// True when the fault plan has any slow windows — gates the per-access
     /// service-time inflation so fault-free runs pay nothing for the feature.
@@ -368,30 +368,14 @@ impl JThread {
                 kept.push((heal, key, env));
                 continue;
             }
-            // Tree mode: the healed batch drains to the node-local pre-reducer;
-            // only the round's partial-TCM crosses the fabric (accounted by the
-            // master at round close), so no OAL bytes are charged here.
-            if self.shared.prof.config().tcm_tree_fanout < 2 {
-                let fabric = self.shared.gos.fabric();
-                let bytes = env.oal.wire_bytes();
-                fabric.account_async(self.node, NodeId::MASTER, MsgClass::OalBatch, bytes);
-                if self.node != NodeId::MASTER {
-                    let total = bytes + MsgClass::OalBatch.header_bytes();
-                    self.clock
-                        .spend((total as f64 * fabric.latency_model().ns_per_byte) as u64);
-                }
-            }
-            self.post_oal(key, env);
+            self.ship_oal(key, env);
         }
         self.deferred_oals = kept;
     }
 
     /// Record a `(thread, interval)` whose OAL never reached the master because
-    /// the mailbox was gone — the legacy loss path (`RunReport::lost_oals`).
+    /// the mailbox was gone (`RunReport::lost_oals`).
     fn record_lost(&mut self, interval: u64) {
-        self.shared
-            .oal_post_failures
-            .fetch_add(1, Ordering::Relaxed);
         self.shared.lost_oals.lock().push((self.thread.0, interval));
         self.shared.emit_event(
             &self.clock,
@@ -402,16 +386,14 @@ impl JThread {
         );
     }
 
-    /// Attribute one shed batch: bump the policy's counter, record the interval
-    /// for coverage proration, and journal the event. Sheds are never silent.
+    /// Attribute one shed batch: record the interval and policy (coverage
+    /// proration and the per-policy counts derive from it), and journal the
+    /// event. Sheds are never silent.
     fn record_shed(&mut self, interval: u64, policy: ShedPolicy) {
-        let counter = match policy {
-            ShedPolicy::DropOldestRound => &self.shared.sheds_dropped,
-            ShedPolicy::MergeBatches => &self.shared.sheds_merged,
-            ShedPolicy::SummaryOnly => &self.shared.sheds_summarized,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        self.shared.shed_oals.lock().push((self.thread.0, interval));
+        self.shared
+            .shed_oals
+            .lock()
+            .push((self.thread.0, interval, policy));
         self.shared.emit_event(
             &self.clock,
             EventKind::OalShed {
@@ -453,13 +435,12 @@ impl JThread {
         }
     }
 
-    /// Drain the pending queue into the bounded mailbox: shed down to the
-    /// capacity bound first, then post until the mailbox fills (backpressure —
-    /// the rest waits here for the master to drain).
+    /// Drain the pending queue into the mailbox: shed down to the capacity bound
+    /// first, then post until the mailbox fills (backpressure — the rest waits
+    /// here for the master to drain). An unbounded mailbox never sheds or fills,
+    /// so every batch is posted at once.
     fn drain_pending(&mut self) {
-        let Some(cap) = self.shared.oal_tx.capacity() else {
-            return;
-        };
+        let cap = self.shared.oal_tx.capacity().unwrap_or(usize::MAX);
         loop {
             // The per-thread queue honours the same bound as the mailbox, so
             // total OAL memory is O(capacity · threads) whatever the load.
@@ -491,19 +472,27 @@ impl JThread {
         }
     }
 
-    /// Post one epoch-stamped batch toward the master. With the legacy
-    /// unbounded mailbox this is the direct path (bit-identical to previous
-    /// releases); with a capacity configured, batches go through the per-thread
-    /// backpressure queue and may shed per policy.
-    fn post_oal(&mut self, key: u64, env: EpochOal) {
-        if self.shared.oal_tx.capacity().is_none() {
-            let interval = env.oal.interval;
-            if self.shared.oal_tx.try_post_keyed(self.node, key, env).is_err() {
-                self.record_lost(interval);
-            } else {
-                self.shared.exec.unblock(self.shared.master_task());
+    /// Ship one epoch-stamped batch toward the master: charge its wire trip, then
+    /// post it through the per-thread backpressure queue (it may shed per policy
+    /// when the mailbox is bounded; a failed post means the mailbox is gone —
+    /// counted, never fatal).
+    ///
+    /// The jumbo OAL message piggybacks on the sync message already headed to the
+    /// master (Section II.A), so the sender pays only the transmit occupancy of the
+    /// extra bytes, not another base latency. In tree mode (`tcm_tree_fanout >= 2`)
+    /// the OAL stays on its node — the local pre-reducer consumes it and only the
+    /// per-round partial-TCM crosses the fabric, accounted by the master per tree
+    /// edge — so nothing is charged here.
+    fn ship_oal(&mut self, key: u64, env: EpochOal) {
+        if self.shared.prof.config().tcm_tree_fanout < 2 {
+            let fabric = self.shared.gos.fabric();
+            let bytes = env.oal.wire_bytes();
+            fabric.account_async(self.node, NodeId::MASTER, MsgClass::OalBatch, bytes);
+            if self.node != NodeId::MASTER {
+                let total = bytes + MsgClass::OalBatch.header_bytes();
+                self.clock
+                    .spend((total as f64 * fabric.latency_model().ns_per_byte) as u64);
             }
-            return;
         }
         self.pending_oals.push_back((key, env));
         self.drain_pending();
@@ -602,33 +591,12 @@ impl JThread {
                         return;
                     }
                 }
-                // The jumbo OAL message piggybacks on the sync message already headed
-                // to the master (Section II.A), so the sender pays only the transmit
-                // occupancy of the extra bytes, not another base latency. In tree
-                // mode (`tcm_tree_fanout >= 2`) the OAL stays on its node — the
-                // local pre-reducer consumes it and only the per-round partial-TCM
-                // crosses the fabric, accounted by the master per tree edge.
-                if self.shared.prof.config().tcm_tree_fanout < 2 {
-                    fabric.account_async(
-                        self.node,
-                        NodeId::MASTER,
-                        MsgClass::OalBatch,
-                        oal.wire_bytes(),
-                    );
-                    if self.node != NodeId::MASTER {
-                        let bytes = oal.wire_bytes() + MsgClass::OalBatch.header_bytes();
-                        self.clock
-                            .spend((bytes as f64 * fabric.latency_model().ns_per_byte) as u64);
-                    }
-                }
                 let key = jessy_net::oal_fault_key(oal.thread, oal.interval);
                 let oal = EpochOal {
                     epoch: self.shared.master_epoch.load(Ordering::Acquire),
                     oal,
                 };
-                // Unbounded: the direct post (a failure means the mailbox is
-                // gone — counted, never fatal). Bounded: the backpressure queue.
-                self.post_oal(key, oal);
+                self.ship_oal(key, oal);
             }
         }
     }

@@ -4,9 +4,9 @@
 //! The acceptance bar of the observability work: a zero-fault run's journal is
 //! **bit-identical** across repeated runs (the canonical `(t_ns, source, seq)`
 //! order erases OS-thread interleaving), the Chrome export is valid JSON, the
-//! metrics registry agrees with every raw counter struct it flattens — and the
-//! two bugfix satellites hold: an invalid `tolerance_t` is rejected at build
-//! time instead of panicking mid-run, and post-run OAL losses are attributable
+//! metrics registry agrees with every raw counter struct it flattens — and two
+//! fixes hold: an invalid profiler config is rejected at build
+//! time instead of surfacing mid-run, and post-run OAL losses are attributable
 //! and fold into coverage instead of vanishing into a bare counter.
 
 use std::sync::Arc;
@@ -217,27 +217,28 @@ fn metrics_registry_consolidates_every_layer() {
     assert_eq!(back, m);
 }
 
-/// Satellite bugfix 1, end to end: a `tolerance_t` at or below 1.0 used to
-/// panic inside `resolve_sticky_set` mid-run; it must now be rejected with a
-/// typed, field-naming error before the cluster even builds.
+/// End to end: a config field outside its domain must be
+/// rejected with a typed, field-naming error before the cluster even builds,
+/// not surface mid-run.
 #[test]
-fn invalid_tolerance_is_rejected_at_build_time() {
+fn invalid_config_is_rejected_at_build_time() {
     let mut config = ProfilerConfig::tracking_at(SamplingRate::Full);
-    config.tolerance_t = 0.5;
+    config.adaptive_threshold = Some(-1.0);
     let err = match Cluster::builder().nodes(1).threads(1).profiler(config).try_build() {
-        Ok(_) => panic!("tolerance_t = 0.5 must not build"),
+        Ok(_) => panic!("adaptive_threshold = -1 must not build"),
         Err(e) => e,
     };
     match &err {
         RuntimeError::Config(e) => {
-            assert_eq!(e.field, "tolerance_t");
-            assert_eq!(e.value, "0.5");
+            assert_eq!(e.field, "adaptive_threshold");
+            assert_eq!(e.value, "-1");
         }
         other => panic!("expected a config error, got {other:?}"),
     }
     let msg = err.to_string();
-    assert!(msg.contains("tolerance_t"), "diagnosable message: {msg}");
-    assert!(msg.contains("0.5"), "value echoed: {msg}");
+    let named = "ProfilerConfig.adaptive_threshold";
+    assert!(msg.contains(named), "diagnosable message: {msg}");
+    assert!(msg.contains("-1"), "value echoed: {msg}");
 }
 
 /// Satellite bugfix 2, end to end: OALs shipped after the master stopped

@@ -315,36 +315,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 .into(),
         );
     }
-    if let Some(b) = opts.overhead_budget {
-        if !b.is_finite() || b <= 0.0 || b > 1.0 {
-            return Err(format!(
-                "--overhead-budget {b} is not a fraction in (0, 1] (e.g. 0.02 for 2%)"
-            ));
-        }
-        if opts.adaptive.is_none() {
-            return Err(
-                "--overhead-budget rides the adaptive controller; also pass --adaptive".into(),
-            );
-        }
-    }
-    if opts.mailbox_capacity == Some(0) {
-        return Err("--mailbox-capacity 0 could never accept mail; omit it for unbounded".into());
-    }
     if opts.shed_policy.is_some() && opts.mailbox_capacity.is_none() {
         return Err("--shed-policy only matters with a bounded mailbox (--mailbox-capacity)".into());
-    }
-    if opts.tcm_fanout == 1 {
-        return Err("--tcm-fanout 1 reduces nothing; use 0 (flat) or >= 2".into());
-    }
-    if let Some(dt) = opts.drift_threshold {
-        if !dt.is_finite() || dt <= 0.0 {
-            return Err(format!("--drift-threshold {dt} is not a positive distance"));
-        }
-        if opts.adaptive.is_none() {
-            return Err(
-                "--drift-threshold rides the adaptive controller; also pass --adaptive".into(),
-            );
-        }
     }
     if opts.flip_round.is_some() && opts.workload != WorkloadKind::PhaseShift {
         return Err("--flip-round only applies to --workload phase_shift".into());
@@ -362,16 +334,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if opts.session_len == Some(0) {
         return Err("--session-len 0 would serve empty sessions; use >= 1".into());
     }
-    if let TcmBackend::Sketch { width, depth } = opts.tcm_backend {
-        if opts.tcm_fanout < 2 {
-            return Err(
-                "--tcm-backend sketch needs the aggregation tree (--tcm-fanout >= 2)".into(),
-            );
-        }
-        if width == 0 || depth == 0 {
-            return Err("--tcm-backend sketch dimensions must both be nonzero".into());
-        }
-    }
+    // Every rule on a config field lives in `ProfilerConfig::validate`; the
+    // cluster builder would panic on what it rejects.
+    profiler_config(&opts)
+        .validate()
+        .map_err(|e| e.to_string())?;
     Ok(opts)
 }
 
@@ -751,6 +718,19 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    /// The message `parse_args` rejects the command line `s` with.
+    fn rejection(s: &str) -> String {
+        parse_args(&args(s)).expect_err(s)
+    }
+
+    /// Assert each command line is rejected with a message containing its fragment.
+    fn assert_rejected(cases: &[(&str, &str)]) {
+        for (line, fragment) in cases {
+            let msg = rejection(line);
+            assert!(msg.contains(fragment), "{line:?} rejected with {msg:?}");
+        }
+    }
+
     #[test]
     fn parses_a_full_command_line() {
         let o = parse_args(&args(
@@ -819,27 +799,30 @@ mod tests {
 
     #[test]
     fn rejects_bad_overload_input() {
-        assert!(
-            parse_args(&args("run --adaptive 0.05 --overhead-budget 1.5")).is_err(),
-            "budget above 1"
-        );
-        assert!(
-            parse_args(&args("run --adaptive 0.05 --overhead-budget 0")).is_err(),
-            "zero budget"
-        );
-        assert!(
-            parse_args(&args("run --overhead-budget 0.02")).is_err(),
-            "budget without the adaptive controller"
-        );
-        assert!(parse_args(&args("run --mailbox-capacity 0")).is_err(), "zero mailbox");
-        assert!(
-            parse_args(&args("run --shed-policy merge")).is_err(),
-            "policy without a bounded mailbox"
-        );
-        assert!(
-            parse_args(&args("run --mailbox-capacity 4 --shed-policy banana")).is_err(),
-            "unknown policy"
-        );
+        assert_rejected(&[
+            // Budget above 1, zero, and without the adaptive controller.
+            (
+                "run --adaptive 0.05 --overhead-budget 1.5",
+                "ProfilerConfig.overhead_budget = 1.5",
+            ),
+            (
+                "run --adaptive 0.05 --overhead-budget 0",
+                "ProfilerConfig.overhead_budget = 0",
+            ),
+            ("run --overhead-budget 0.02", "set adaptive_threshold"),
+            (
+                "run --mailbox-capacity 0",
+                "ProfilerConfig.oal_mailbox_capacity = 0",
+            ),
+            (
+                "run --shed-policy merge",
+                "only matters with a bounded mailbox",
+            ),
+            (
+                "run --mailbox-capacity 4 --shed-policy banana",
+                "unknown shed policy",
+            ),
+        ]);
     }
 
     #[test]
@@ -861,43 +844,42 @@ mod tests {
 
     #[test]
     fn rejects_bad_placement_engine_input() {
-        assert!(
-            parse_args(&args("run --rebalance 2 --nodes 1")).is_err(),
-            "one node has no migration destination"
-        );
-        assert!(
-            parse_args(&args("run --rebalance-every 4")).is_err(),
-            "cadence without --rebalance"
-        );
-        assert!(
-            parse_args(&args("run --cooldown-rounds 8")).is_err(),
-            "cooldown without --rebalance"
-        );
-        assert!(
-            parse_args(&args("run --migration-budget-bytes 1024")).is_err(),
-            "budget without --rebalance"
-        );
-        assert!(
-            parse_args(&args("run --rebalance 2 --rebalance-every 0")).is_err(),
-            "zero cadence"
-        );
+        assert_rejected(&[
+            // One node has no migration destination.
+            ("run --rebalance 2 --nodes 1", "nowhere to move threads"),
+            // Tuners without --rebalance.
+            ("run --rebalance-every 4", "also pass --rebalance"),
+            ("run --cooldown-rounds 8", "also pass --rebalance"),
+            ("run --migration-budget-bytes 1024", "also pass --rebalance"),
+            (
+                "run --rebalance 2 --rebalance-every 0",
+                "--rebalance-every 0",
+            ),
+        ]);
     }
 
     #[test]
     fn rejects_bad_input() {
-        assert!(parse_args(&[]).is_err());
-        assert!(parse_args(&args("fly")).is_err());
-        assert!(parse_args(&args("run --nodes 0")).is_err());
-        assert!(parse_args(&args("run --workload")).is_err(), "missing value");
-        assert!(parse_args(&args("run --rebalance 2 --rate off")).is_err());
-        assert!(parse_args(&args("run --trace")).is_err(), "missing value");
-        assert!(parse_args(&args("run --journal")).is_err(), "missing value");
-        assert!(parse_args(&args("run --tcm-fanout 1")).is_err(), "unary chain");
-        assert!(
-            parse_args(&args("run --tcm-backend sketch")).is_err(),
-            "sketch needs the tree"
-        );
-        assert!(parse_args(&args("run --tcm-backend sketch:0,4 --tcm-fanout 2")).is_err());
+        assert!(parse_args(&[]).unwrap_err().contains("missing command"));
+        assert_rejected(&[
+            ("fly", "unknown command"),
+            ("run --nodes 0", "must be positive"),
+            ("run --workload", "--workload requires a value"),
+            ("run --rebalance 2 --rate off", "needs correlation tracking"),
+            ("run --trace", "--trace requires a value"),
+            ("run --journal", "--journal requires a value"),
+            ("run --tcm-fanout 1", "ProfilerConfig.tcm_tree_fanout = 1"),
+            ("run --tcm-backend sketch", "set tcm_tree_fanout >= 2"),
+            (
+                "run --tcm-backend sketch:0,4 --tcm-fanout 2",
+                "must both be nonzero",
+            ),
+            // `ClusterBuilder::build` panicked on this one.
+            (
+                "run -w sessions --scale small --nodes 2 --threads 4 --rate 1x --adaptive -1",
+                "ProfilerConfig.adaptive_threshold = -1",
+            ),
+        ]);
     }
 
     #[test]
@@ -926,30 +908,33 @@ mod tests {
 
     #[test]
     fn rejects_bad_drift_era_input() {
-        assert!(
-            parse_args(&args("run -w phase_shift --drift-threshold 0.3")).is_err(),
-            "drift watching without the adaptive controller"
-        );
-        assert!(
-            parse_args(&args("run -w phase_shift --adaptive 0.1 --drift-threshold 0")).is_err(),
-            "zero drift threshold"
-        );
-        assert!(
-            parse_args(&args("run -w sor --flip-round 6")).is_err(),
-            "flip round on a non-flipping workload"
-        );
-        assert!(
-            parse_args(&args("run -w sor --zipf-s 1.1")).is_err(),
-            "zipf skew outside sessions"
-        );
-        assert!(
-            parse_args(&args("run -w sessions --zipf-s -1")).is_err(),
-            "negative skew"
-        );
-        assert!(
-            parse_args(&args("run -w sessions --session-len 0")).is_err(),
-            "empty sessions"
-        );
+        assert_rejected(&[
+            // Drift watching without the adaptive controller.
+            (
+                "run -w phase_shift --drift-threshold 0.3",
+                "set adaptive_threshold",
+            ),
+            (
+                "run -w phase_shift --adaptive 0.1 --drift-threshold 0",
+                "ProfilerConfig.drift_threshold = 0",
+            ),
+            // Below the convergence threshold: `ClusterBuilder::build` panicked on it.
+            (
+                "run -w sessions --scale small --nodes 2 --threads 4 --rate 1x --adaptive 0.3 \
+                 --drift-threshold 0.1",
+                "ProfilerConfig.drift_threshold = 0.1",
+            ),
+            (
+                "run -w sor --flip-round 6",
+                "only applies to --workload phase_shift",
+            ),
+            (
+                "run -w sor --zipf-s 1.1",
+                "only apply to --workload sessions",
+            ),
+            ("run -w sessions --zipf-s -1", "not a nonnegative exponent"),
+            ("run -w sessions --session-len 0", "empty sessions"),
+        ]);
     }
 
     #[test]

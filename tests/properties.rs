@@ -329,7 +329,7 @@ proptest! {
             }
         }
         let budget = HashMap::from([(class, budget_bytes)]);
-        let res = resolve_sticky_set(&gos, &gaps, &ids[..1], &budget, 2.0, &clock);
+        let res = resolve_sticky_set(&gos, &gaps, &ids[..1], &budget, &clock);
         // Uniqueness.
         let mut seen = res.selected.clone();
         seen.sort_unstable();
@@ -648,12 +648,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// PR 3 invariant: `ProfilerCheckpoint` — the coordinator snapshot a crashed
-    /// master restores from — serializes and deserializes to an *identical* value
-    /// over arbitrary coordinator states (arbitrary OAL streams driven through the
-    /// real scheduler/controller/TCM machinery plus arbitrary report tails), and
-    /// the restore path itself is an identity: a scheduler rebuilt from its
-    /// snapshot re-snapshots equal, as does a restored adaptive controller.
+    /// `ProfilerCheckpoint` — the coordinator snapshot a crashed master restores
+    /// from — serializes and deserializes to an *identical* value over arbitrary
+    /// coordinator states (an arbitrary OAL stream, split at an arbitrary point,
+    /// its head driven through the real scheduler/controller/TCM machinery, plus
+    /// arbitrary report tails). And a restore resumes identically: the
+    /// deserialized scheduler and controller, fed the stream's tail alongside the
+    /// live ones, classify every OAL, close every round, decide every round and
+    /// end in the same state.
     #[test]
     fn profiler_checkpoint_serde_roundtrip_is_identity(
         raw in prop::collection::vec(
@@ -667,6 +669,7 @@ proptest! {
         threshold in 0.01f64..0.5,
         coverage in prop::collection::vec(0.0f64..1.0, 0..8),
         costs in prop::collection::vec(0.0f64..0.05, 1..8),
+        split_raw in 0usize..61,
     ) {
         use jessy::core::sampling::ClassGapState;
         use jessy::core::{AdaptiveController, ProfilerConfig};
@@ -711,7 +714,8 @@ proptest! {
         };
         let mut ctl = AdaptiveController::new(&config).unwrap();
         let mut fed = Vec::new();
-        for (k, oal) in oals.iter().enumerate() {
+        let (head, tail) = oals.split_at(split_raw % (oals.len() + 1));
+        for (k, oal) in head.iter().enumerate() {
             builder.ingest(oal);
             sched.ingest(oal.clone());
             if k % 5 == 4 {
@@ -729,15 +733,15 @@ proptest! {
         let cp = ProfilerCheckpoint {
             epoch,
             tcm: builder.tcm().clone(),
-            scheduler: sched.checkpoint(),
-            controller: Some(ctl.checkpoint()),
+            scheduler: sched.clone(),
+            controller: Some(ctl.clone()),
             rates,
             ledger: MasterLedger {
                 rounds: sched.next_round(),
                 oals: oals.len() as u64,
                 objects_organized: raw.len() as u64 * 2,
                 round_coverage: coverage,
-                round_cost_fraction: fed,
+                round_cost_fraction: fed.clone(),
                 rate_changes: vec![AppliedRateChange {
                     round: epoch,
                     class_name: "Body".to_string(),
@@ -775,7 +779,7 @@ proptest! {
                         after: threshold,
                     }],
                 },
-                oal_log: oals,
+                oal_log: head.to_vec(),
                 timeline: vec![jessy::runtime::RoundTimeline {
                     round: epoch,
                     coverage: threshold,
@@ -795,12 +799,40 @@ proptest! {
         let back: ProfilerCheckpoint = serde_json::from_str(&json).expect("deserializes");
         prop_assert_eq!(&back, &cp);
 
-        // The restore path is also an identity: rebuild ∘ snapshot == snapshot.
-        let rebuilt = RoundScheduler::from_checkpoint(&cp.scheduler);
-        prop_assert_eq!(rebuilt.checkpoint(), cp.scheduler);
-        let mut restored_ctl = AdaptiveController::new(&config).unwrap();
-        restored_ctl.restore(cp.controller.as_ref().unwrap());
-        prop_assert_eq!(&restored_ctl.checkpoint(), cp.controller.as_ref().unwrap());
+        // Restore as the master does: the deserialized scheduler and controller,
+        // and the checkpointed rates re-imposed on a fresh gap table.
+        let mut sched2 = back.scheduler;
+        let mut ctl2 = back.controller.expect("controller checkpointed");
+        let gaps2 = GapTable::new(4096);
+        for (class, st) in &back.rates {
+            gaps2.register_class(*class, 64, SamplingRate::NX(2));
+            gaps2.set_rate(*class, st.rate);
+        }
+        // Both copies resume on the same tail in lockstep.
+        for (k, oal) in tail.iter().enumerate() {
+            builder.ingest(oal);
+            prop_assert_eq!(sched.ingest(oal.clone()), sched2.ingest(oal.clone()));
+            if (head.len() + k) % 5 == 4 {
+                let closed = sched.ready_rounds();
+                prop_assert_eq!(&closed, &sched2.ready_rounds());
+                for round in closed {
+                    let summary = builder.close_round();
+                    let cost = costs[fed.len() % costs.len()];
+                    fed.push(cost);
+                    prop_assert_eq!(
+                        ctl.on_round(&summary.per_class, &gaps, round.coverage, cost),
+                        ctl2.on_round(&summary.per_class, &gaps2, round.coverage, cost)
+                    );
+                }
+            }
+        }
+        prop_assert_eq!(sched.flush(), sched2.flush());
+        prop_assert_eq!(sched.take_late(), sched2.take_late());
+        prop_assert_eq!(&sched, &sched2);
+        prop_assert_eq!(&ctl, &ctl2);
+        for c in 0..3u16 {
+            prop_assert_eq!(gaps.state(ClassId(c)), gaps2.state(ClassId(c)));
+        }
     }
 }
 

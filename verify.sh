@@ -51,6 +51,13 @@ test -s "$SESS_DIR/sessions.jsonl"
 cmp "$SESS_DIR/sessions.jsonl" "$SESS_DIR/again.jsonl"
 rm -rf "$SESS_DIR"
 
+echo "==> config-rejection smoke (a config ProfilerConfig::validate rejects exits 1 naming the field, never panics)"
+status=0
+REJECTED=$(./target/release/jessy-cli run -w sessions --scale small --nodes 2 --threads 4 --rate 1x \
+  --adaptive 0.3 --drift-threshold 0.1 2>&1 > /dev/null) || status=$?
+test "$status" -eq 1
+grep -qF 'ProfilerConfig.drift_threshold' <<< "$REJECTED"
+
 echo "==> budget-ladder smoke (a 0.1% overhead budget walks merge_rounds:2/4/8, summary_only, exhausted; journal replays)"
 LADDER_DIR=$(mktemp -d)
 for run in a b; do
