@@ -7,10 +7,12 @@
 //! * **migrated** — starts scattered, profiles itself, and lets the continuous
 //!   placement engine (`RebalanceConfig::every_rounds`) move threads *mid-run*.
 //!
-//! The migrated lane should recover most of the remote-fetch volume the scattered
-//! placement loses versus block: the drop shows up in `ObjFetch` messages and in
-//! GOS fabric bytes (object traffic + the migrations' own context/prefetch cost —
-//! migrations are charged against their savings, not hidden).
+//! The migrated lane should finish ahead of scattered in simulated execution time
+//! (asserted per workload for Water and SOR at paper scale) and move fewer GOS
+//! fabric bytes in aggregate (object traffic + the migrations' own
+//! context/prefetch/home cost — migrations are charged against their savings, not
+//! hidden). `ObjFetch` counts are reported, not asserted: they are a proxy, and a
+//! plan may trade a few more fetches for time.
 //!
 //! A fourth lane plans N=1024 threads **without any dense TCM**: rounds feed a
 //! top-k head plus a count-min sketch, the planner runs on the combined
@@ -54,11 +56,11 @@ impl Kind {
 
 /// Lane workload sizes: run long enough that a mid-run migration (the engine
 /// converges after ~3 profiled rounds) has a steady state in which to pay back
-/// its one-time home-relocation traffic. SOR's payback is the slowest — fixing a
-/// misplaced thread relocates its whole row block once, while scattered waste
-/// accrues per round — so its lane uses a 1024² grid over 20 rounds, past the
-/// crossover (a 2048² grid would need ~30 rounds to amortize the ~33 MB of row
-/// moves and triples the bench's wall clock for the same story).
+/// its one-time cost. SOR's lane uses a 1024² grid over 20 rounds: while a
+/// misplaced thread still relocated its whole row block, that was past the
+/// crossover (a 2048² grid would have needed ~30 rounds to amortize the ~33 MB of
+/// row moves, tripling the bench's wall clock for the same story). Groups now
+/// land on the node that homes their rows, so no row moves.
 fn lane_sor(s: Scale) -> sor::SorConfig {
     let mut cfg = sor_cfg(s);
     match s {
@@ -353,19 +355,13 @@ fn main() {
         );
     }
 
-    // Acceptance: mid-run migration beats staying scattered, in aggregate, on both
-    // remote-fetch messages and fabric bytes (migration costs included).
-    let sum = |lane: &str, f: &dyn Fn(&WorkloadRow) -> f64| -> f64 {
-        rows.iter().filter(|r| r.lane == lane).map(f).sum()
+    // Acceptance: mid-run migration beats staying scattered, in aggregate, on
+    // fabric bytes (migration costs included).
+    let sum = |lane: &str| -> f64 {
+        rows.iter().filter(|r| r.lane == lane).map(|r| r.fabric_kb).sum()
     };
-    let fetch_scattered = sum("scattered", &|r| r.objfetch_msgs as f64);
-    let fetch_migrated = sum("migrated mid-run", &|r| r.objfetch_msgs as f64);
-    let fabric_scattered = sum("scattered", &|r| r.fabric_kb);
-    let fabric_migrated = sum("migrated mid-run", &|r| r.fabric_kb);
-    assert!(
-        fetch_migrated < fetch_scattered,
-        "mid-run migration must cut remote fetches: {fetch_migrated} vs {fetch_scattered}"
-    );
+    let fabric_scattered = sum("scattered");
+    let fabric_migrated = sum("migrated mid-run");
     assert!(
         fabric_migrated < fabric_scattered,
         "mid-run migration must cut fabric bytes: {fabric_migrated} vs {fabric_scattered}"
@@ -376,20 +372,24 @@ fn main() {
         .map(|r| r.migrations)
         .sum();
     assert!(migrated_runs > 0, "the migrated lanes must actually migrate");
-    // Execution time, the metric a reader assumes: Water's migrated lane finishes
-    // well ahead of scattered (82.6 %). Six short smoke rounds do not amortise the
-    // moves, and SOR / Barnes-Hut still finish behind scattered (EXPERIMENTS.md
-    // X9), so those only print.
+    // Execution time, the metric a reader assumes, per workload: the migrated
+    // lanes of Water (76.3 %) and SOR (67.1 %) finish ahead of scattered.
+    // Barnes-Hut (91.2 %) only prints: it trades a few more fetches for time, and
+    // its margin is EXPERIMENTS.md X9's to report. Six short smoke rounds do not
+    // amortise the moves, so the smoke asserts nothing here.
     if !smoke {
-        let water = summaries
-            .iter()
-            .find(|s| s.workload == Kind::Water.label())
-            .expect("the Water lanes ran");
-        assert!(
-            water.exec_vs_scattered_pct < 85.0,
-            "Water migrated must beat scattered on execution time: {:.1}%",
-            water.exec_vs_scattered_pct
-        );
+        for (kind, bound) in [(Kind::Water, 85.0), (Kind::Sor, 100.0)] {
+            let lanes = summaries
+                .iter()
+                .find(|s| s.workload == kind.label())
+                .expect("every workload's lanes ran");
+            assert!(
+                lanes.exec_vs_scattered_pct < bound,
+                "{} migrated must finish under {bound}% of scattered: {:.1}%",
+                kind.label(),
+                lanes.exec_vs_scattered_pct
+            );
+        }
     }
 
     println!();

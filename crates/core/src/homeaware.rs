@@ -14,6 +14,11 @@
 //! per-object **home-migration recommendations**: objects whose accessors
 //! predominantly sit on some other node, which is exactly what the GOS's
 //! `relocate_homes` fixes.
+//!
+//! The placement engine closes the gap the quote names with one more read of the
+//! same statistics: [`HomeAwareAnalyzer::affinity`] says where each thread's logged
+//! bytes are homed, so a planned group of collocated threads can be landed on the
+//! node that already homes its data, and no mover has to carry homes.
 
 use std::collections::HashMap;
 
@@ -117,6 +122,21 @@ impl HomeAwareAnalyzer {
     /// describes the *post-repair* world, not a mixture.
     pub fn clear(&mut self) {
         self.objects.clear();
+    }
+
+    /// Per thread, per node: the bytes of the distinct objects the thread logged
+    /// since the last [`Self::clear`] that are homed on that node now. Each object
+    /// counts once per thread, at the largest size any thread logged for it; the
+    /// sums are integer-valued, so they are exact in any iteration order.
+    pub fn affinity(&self, gos: &Gos) -> Vec<Vec<f64>> {
+        let mut affinity = vec![vec![0.0; self.n_nodes]; self.n_threads];
+        for (&obj, stat) in &self.objects {
+            let home = gos.object_ref(obj).home().index();
+            for t in &stat.threads {
+                affinity[t.index()][home] += stat.bytes;
+            }
+        }
+        affinity
     }
 
     /// Build the report against the current homes (read from `gos`) and `placement`.
@@ -227,6 +247,25 @@ mod tests {
         assert_eq!(report.realizable.at(ThreadId(0), ThreadId(1)), 100.0, "A realizable");
         assert_eq!(report.stranded.at(ThreadId(0), ThreadId(1)), 100.0, "B stranded");
         assert!((report.stranded_fraction() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn affinity_counts_each_logged_object_once_at_its_home() {
+        let (gos, clock) = gos3();
+        let class = gos.classes().register_scalar("X", 1);
+        let a = gos.alloc_scalar(NodeId(0), class, &clock, None).id;
+        let b = gos.alloc_scalar(NodeId(2), class, &clock, None).id;
+        let placement = vec![NodeId(0), NodeId(1), NodeId(2)];
+        let mut an = HomeAwareAnalyzer::new(3, 3);
+        for interval in 0..3 {
+            an.ingest(&oal(0, interval, a), &placement);
+        }
+        an.ingest(&oal(0, 0, b), &placement);
+        an.ingest(&oal(1, 0, b), &placement);
+        let affinity = an.affinity(&gos);
+        assert_eq!(affinity[0], vec![100.0, 0.0, 100.0], "a once, however often logged");
+        assert_eq!(affinity[1], vec![0.0, 0.0, 100.0]);
+        assert_eq!(affinity[2], vec![0.0; 3], "thread 2 logged nothing");
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //! [`LoadBalancer::plan`] runs both stages from scratch and serves static planning
 //! (the placement bench's headless lane, the examples). The live engine
 //! (`dynamic::plan_epoch`, for one epoch or many) runs stage 2 alone from the
-//! placement the threads actually hold; the exact, sequential gain `refine` records
-//! per move is the only migration gain the runtime computes.
+//! placement the threads actually hold, then, when it migrates homes, relabels the
+//! refined groups onto the nodes that home their data
+//! ([`LoadBalancer::home_affine_labels`]). Every move carries its exact, sequential
+//! gain; no other migration gain is computed.
 //!
 //! Capacity is `⌈N/K⌉` threads per node throughout (overloading a node "causes adverse
 //! slowdown, shadowing the locality benefit", Section II).
@@ -213,37 +215,18 @@ impl LoadBalancer {
 
         // Adjacency plus conn[t][k] = correlation mass between t and node k's threads:
         // O(E) to build, O(deg t) to update per move, O(N·K) per best-move scan.
-        let mut adj: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+        let adj = adjacency(view);
         let mut conn = vec![0.0f64; n * n_nodes];
-        view.for_each_pair(&mut |i, j, w| {
-            if !w.is_finite() {
-                return;
+        for (t, row) in adj.iter().enumerate() {
+            for &(v, w) in row {
+                conn[t * n_nodes + out.placement[v as usize].index()] += w;
             }
-            adj[i.index()].push((j.0, w));
-            adj[j.index()].push((i.0, w));
-            conn[i.index() * n_nodes + out.placement[j.index()].index()] += w;
-            conn[j.index() * n_nodes + out.placement[i.index()].index()] += w;
-        });
+        }
 
         // Exact move delta re-derived from the adjacency before applying: the conn
         // rows accumulate float error across moves, and the monotonicity guarantee
         // (refined ≥ seed) rides on applied gains being truly positive.
-        let exact_gain = |placement: &[NodeId], t: usize, d: usize| -> f64 {
-            let from = placement[t];
-            adj[t]
-                .iter()
-                .map(|&(v, w)| {
-                    let node = placement[v as usize];
-                    if node.index() == d {
-                        w
-                    } else if node == from {
-                        -w
-                    } else {
-                        0.0
-                    }
-                })
-                .sum()
-        };
+        let exact_gain = |placement: &[NodeId], t: usize, d: usize| leg_gain(&adj, placement, t, d);
         let apply = |out: &mut RefineOutcome, conn: &mut [f64], t: usize, d: usize, gain: f64, cost: f64| {
             let from = out.placement[t];
             out.placement[t] = NodeId(d as u16);
@@ -416,6 +399,121 @@ impl LoadBalancer {
         out
     }
 
+    /// Land `refined`'s groups on the nodes that already home their data.
+    ///
+    /// Relabeling permutes node ids: every group of threads `refine` put on one node
+    /// stays together, so node loads and the intra-node correlation mass are exactly
+    /// `refine`'s. Only which node each group lands on changes. `affinity[t][k]` is
+    /// the bytes thread `t` logged that are homed on node `k`
+    /// (`HomeAwareAnalyzer::affinity`).
+    ///
+    /// Labels are assigned greedily: repeatedly the free (group, node) pair with the
+    /// most home-local bytes, ties broken by how many of the group's threads already
+    /// sit on the node, then lower group, then lower node. A group holding a thread
+    /// in cooldown keeps that thread's node.
+    ///
+    /// The labeling is priced in `refine`'s unit, the movers' sticky-set footprints
+    /// (`filter.costs`), and accepted only if home-local bytes strictly rise and the
+    /// movers' summed footprint neither exceeds what `refine`'s own movers cost nor
+    /// `filter.budget_bytes`. `refine` paid every step out of its gain × horizon,
+    /// and relabeling keeps the total gain, so the plan stays affordable as a whole
+    /// and no thread whose footprint alone exceeds `refine`'s spend ever moves.
+    /// Otherwise `refined` comes back as is.
+    ///
+    /// An accepted plan's moves are rebuilt in thread order, each leg carrying its
+    /// exact sequential gain and its footprint. A leg may gain nothing by itself (a
+    /// thread that only follows its group's new label); the legs still sum to
+    /// `refine`'s gain. The veto counters stay those of `refine`'s search, which
+    /// chose the groups the relabeled plan keeps.
+    pub fn home_affine_labels(
+        &self,
+        view: &dyn CorrelationView,
+        n_nodes: usize,
+        current: &[NodeId],
+        refined: RefineOutcome,
+        affinity: &[Vec<f64>],
+        filter: &MoveFilter<'_>,
+    ) -> RefineOutcome {
+        // local[g][k]: home-local bytes of refine's node-g group if labelled k;
+        // stay[g][k]: how many of its threads already sit on k.
+        let mut local = vec![vec![0.0f64; n_nodes]; n_nodes];
+        let mut stay = vec![vec![0usize; n_nodes]; n_nodes];
+        let mut label: Vec<Option<usize>> = vec![None; n_nodes];
+        let mut taken = vec![false; n_nodes];
+        for (t, g) in refined.placement.iter().enumerate() {
+            let g = g.index();
+            for (k, bytes) in affinity[t].iter().enumerate() {
+                local[g][k] += bytes;
+            }
+            stay[g][current[t].index()] += 1;
+            if filter.in_cooldown.is_some_and(|c| c[t]) {
+                label[g] = Some(current[t].index());
+                taken[current[t].index()] = true;
+            }
+        }
+        loop {
+            // Scanned in (group, node) order, so only a strictly better pair
+            // displaces the incumbent: ties go to the lower group, then node.
+            let mut best: Option<(usize, usize)> = None;
+            for g in (0..n_nodes).filter(|&g| label[g].is_none()) {
+                for k in (0..n_nodes).filter(|&k| !taken[k]) {
+                    if best.is_none_or(|(bg, bk)| {
+                        (local[g][k], stay[g][k]) > (local[bg][bk], stay[bg][bk])
+                    }) {
+                        best = Some((g, k));
+                    }
+                }
+            }
+            let Some((g, k)) = best else { break };
+            label[g] = Some(k);
+            taken[k] = true;
+        }
+        let relabeled: Vec<NodeId> = refined
+            .placement
+            .iter()
+            .map(|g| NodeId(label[g.index()].unwrap_or(g.index()) as u16))
+            .collect();
+
+        let home_local = |p: &[NodeId]| -> f64 {
+            p.iter().enumerate().map(|(t, k)| affinity[t][k.index()]).sum()
+        };
+        let leg_cost = |t: usize| filter.costs.map_or(0.0, |c| c[t]);
+        let cost = |p: &[NodeId]| -> f64 {
+            (0..p.len()).filter(|&t| p[t] != current[t]).map(leg_cost).sum()
+        };
+        let new_cost = cost(&relabeled);
+        let accept = home_local(&relabeled) > home_local(&refined.placement)
+            && new_cost <= cost(&refined.placement)
+            && filter.budget_bytes.is_none_or(|b| new_cost <= b);
+        if !accept {
+            return refined;
+        }
+
+        let adj = adjacency(view);
+        let mut placement = current.to_vec();
+        let mut moves = Vec::new();
+        for (t, &to) in relabeled.iter().enumerate() {
+            if to == current[t] {
+                continue;
+            }
+            let gain_bytes = leg_gain(&adj, &placement, t, to.index());
+            placement[t] = to;
+            moves.push(PlannedMigration {
+                thread: ThreadId(t as u32),
+                from: current[t],
+                to,
+                gain_bytes,
+                sticky_cost_bytes: leg_cost(t),
+            });
+        }
+        RefineOutcome {
+            placement,
+            moves,
+            spent_bytes: new_cost,
+            ..refined
+        }
+    }
+
     /// Fraction of total correlation mass between threads on the same node.
     pub fn intra_fraction(&self, view: &dyn CorrelationView, placement: &[NodeId]) -> f64 {
         assert_eq!(placement.len(), view.n());
@@ -433,6 +531,38 @@ impl LoadBalancer {
             intra / total
         }
     }
+}
+
+/// Each thread's correlated neighbours and pair weights, in the view's pair order.
+/// Non-finite weights are dropped.
+fn adjacency(view: &dyn CorrelationView) -> Vec<Vec<(u32, f64)>> {
+    let mut adj: Vec<Vec<(u32, f64)>> = vec![Vec::new(); view.n()];
+    view.for_each_pair(&mut |i, j, w| {
+        if w.is_finite() {
+            adj[i.index()].push((j.0, w));
+            adj[j.index()].push((i.0, w));
+        }
+    });
+    adj
+}
+
+/// The exact change in intra-node mass if thread `t` moves to node `d` from
+/// `placement`.
+fn leg_gain(adj: &[Vec<(u32, f64)>], placement: &[NodeId], t: usize, d: usize) -> f64 {
+    let from = placement[t];
+    adj[t]
+        .iter()
+        .map(|&(v, w)| {
+            let node = placement[v as usize];
+            if node.index() == d {
+                w
+            } else if node == from {
+                -w
+            } else {
+                0.0
+            }
+        })
+        .sum()
 }
 
 #[cfg(test)]

@@ -11,8 +11,9 @@
 //! an epoch may put on the fabric, and hysteresis
 //! ([`RebalanceConfig::cooldown_rounds`]) keeps a recently moved thread pinned so
 //! plans can't bounce it back ("threads … thrash between nodes", the paper's
-//! warning). With [`RebalanceConfig::migrate_homes`] the master follows each epoch
-//! with home repair.
+//! warning). With [`RebalanceConfig::migrate_homes`] the epoch takes the home
+//! effect into account: it lands each refined group on the node that already homes
+//! its data, and the master follows the epoch with home repair.
 //!
 //! [`RebalanceConfig::every_rounds`] only sets how often the engine runs: `None` is a
 //! single epoch once [`RebalanceConfig::after_rounds`] rounds have closed, `Some(k)`
@@ -30,7 +31,7 @@ use jessy_net::{NodeId, ThreadId};
 
 use crate::balancer::{LoadBalancer, MoveFilter};
 use crate::cluster::ClusterShared;
-use jessy_core::CorrelationView;
+use jessy_core::{CorrelationView, HomeAwareAnalyzer};
 
 /// Configuration of the dynamic balancer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -55,11 +56,13 @@ pub struct RebalanceConfig {
     /// Sticky-set bytes one planning epoch may commit to the fabric. Applies to
     /// every epoch, the single one included. `None` is unlimited.
     pub migration_budget_bytes: Option<f64>,
-    /// Relocate the homes of a migrant's resolved sticky-set objects to its
-    /// destination. Cache copies live in thread-local heaps, so collocating
-    /// correlated threads only pays off once their shared objects are *homed* where
-    /// they run — this is what converts a placement gain into home-local accesses.
-    /// It also turns on the master's home repair after every planning epoch.
+    /// Make the plan home-aware. Cache copies live in thread-local heaps, so
+    /// collocating correlated threads only pays off once their shared objects are
+    /// *homed* where they run — this is what converts a placement gain into
+    /// home-local accesses. It turns on two things, with no knob of their own: each
+    /// epoch lands the refined groups on the nodes that already home their data
+    /// ([`crate::LoadBalancer::home_affine_labels`]), and the master repairs homes
+    /// after every planning epoch. Migrants carry no homes themselves.
     pub migrate_homes: bool,
 }
 
@@ -101,7 +104,7 @@ pub struct PlannedMigration {
     /// Marginal intra-node correlation mass (bytes/round) the move adds, exact
     /// given the moves applied before it in the same epoch.
     pub gain_bytes: f64,
-    /// The sticky-set cost it was weighed against and charged to the budget.
+    /// The sticky-set cost charged to the budget.
     pub sticky_cost_bytes: f64,
 }
 
@@ -138,10 +141,12 @@ pub struct PlacementTelemetry {
     pub fenced_directives: u64,
     /// Migrations threads actually performed.
     pub applied_migrations: u64,
-    /// Context, prefetch and relocated-home bytes those migrations moved
+    /// Context and prefetch bytes those migrations moved
     /// ([`crate::migration::MigrationReport::total_bytes`]).
     pub migrated_bytes: u64,
-    /// Object homes relocated alongside the migrants.
+    /// Object homes relocated alongside the migrants: always 0, since migrants
+    /// carry no homes (the plan lands them on their data and home repair moves
+    /// the rest). The benchmark still reports it as `runtime.migration.home_moves`.
     pub homes_migrated: u64,
     /// Object homes repaired by the master's home-effect pass (objects pulled to
     /// their dominant accessor node without any thread moving).
@@ -153,10 +158,13 @@ pub struct PlacementTelemetry {
 }
 
 /// Close one planning epoch: refine the *live* placement under the
-/// sticky-cost/budget/cooldown filter, post epoch-stamped directives for the
-/// surviving moves, record when each mover last moved (for the cooldown mask of
-/// the next epoch) and fold the epoch into `telemetry`. Returns the posted moves.
-/// The only function that posts a [`Directive`].
+/// sticky-cost/budget/cooldown filter; with `homes` (the master's accessor
+/// statistics, kept when [`RebalanceConfig::migrate_homes`] is on) land the
+/// refined groups on the nodes that home their data. Then post epoch-stamped
+/// directives for the surviving moves,
+/// record when each mover last moved (for the cooldown mask of the next epoch)
+/// and fold the epoch into `telemetry`. Returns the posted moves. The only
+/// function that posts a [`Directive`].
 pub fn plan_epoch(
     shared: &ClusterShared,
     view: &dyn CorrelationView,
@@ -164,6 +172,7 @@ pub fn plan_epoch(
     round: u64,
     last_moved_round: &mut [Option<u64>],
     telemetry: &mut PlacementTelemetry,
+    homes: Option<&HomeAwareAnalyzer>,
 ) -> Vec<PlannedMigration> {
     let lb = LoadBalancer::new();
     let current = shared.placement.read().clone();
@@ -180,7 +189,12 @@ pub fn plan_epoch(
         in_cooldown: Some(&cooldown),
     };
     let before = lb.intra_fraction(view, &current);
-    let outcome = lb.refine(view, shared.n_nodes, &current, &filter);
+    let mut outcome = lb.refine(view, shared.n_nodes, &current, &filter);
+    if let Some(homes) = homes {
+        let affinity = homes.affinity(&shared.gos);
+        outcome =
+            lb.home_affine_labels(view, shared.n_nodes, &current, outcome, &affinity, &filter);
+    }
 
     let epoch = shared.master_epoch.load(Ordering::Acquire);
     let mut directives = shared.directives.write();
@@ -207,12 +221,13 @@ pub fn plan_epoch(
 mod tests {
     use super::*;
     use crate::cluster::Cluster;
+    use jessy_core::oal::{Oal, OalEntry};
     use jessy_core::{ProfilerConfig, Tcm};
 
-    /// A 2-node cluster with one thread per placement entry, profiler off.
-    fn cluster_at(placement: &[u16]) -> Cluster {
+    /// A cluster with one thread per placement entry, profiler off.
+    fn cluster_at(nodes: usize, placement: &[u16]) -> Cluster {
         Cluster::builder()
-            .nodes(2)
+            .nodes(nodes)
             .threads(placement.len())
             .placement(placement.iter().map(|&n| NodeId(n)).collect())
             .profiler(ProfilerConfig::disabled())
@@ -220,8 +235,65 @@ mod tests {
     }
 
     #[test]
+    fn movers_land_on_their_data() {
+        // Cliques {0,1} and {2,3} scattered over four full nodes; threads 4-7 are
+        // uncorrelated and carry no sticky data. Every byte t0/t1 logged is homed
+        // on n0. `refine` alone reunites the cliques wherever its lowest-thread
+        // tie-break lands them (t0 to n1, t2 to n3), one 64-byte mover each.
+        let cluster = cluster_at(4, &[0, 1, 2, 3, 0, 1, 2, 3]);
+        let (class, data) = cluster.init(|ctx| {
+            let class = ctx.register_scalar_class("S", 8);
+            (class, [0, 1, 2].map(|home| ctx.alloc_scalar_at(NodeId(home), class).id))
+        });
+        let shared = cluster.shared();
+        *shared.footprints.write() = vec![64.0, 64.0, 64.0, 64.0, 0.0, 0.0, 0.0, 0.0];
+        let mut tcm = Tcm::new(8);
+        tcm.add_pair(ThreadId(0), ThreadId(1), 100.0);
+        tcm.add_pair(ThreadId(2), ThreadId(3), 100.0);
+        let live = shared.placement.read().clone();
+        let cfg = RebalanceConfig::default();
+        let mut identity = PlacementTelemetry::default();
+        let refined = plan_epoch(shared, &tcm, &cfg, 4, &mut [None; 8], &mut identity, None);
+        assert_eq!(identity.planned_bytes, 128.0);
+        // Plan once more with t2/t3's bytes homed on `clique_home`.
+        let plan = |clique_home: usize| {
+            let mut homes = HomeAwareAnalyzer::new(4, 8);
+            let logged = [data[0], data[0], data[clique_home], data[clique_home]];
+            for (t, obj) in logged.into_iter().enumerate() {
+                let entries = vec![OalEntry { obj, class, bytes: 64 }];
+                homes.ingest(&Oal { thread: ThreadId(t as u32), interval: 0, entries }, &live);
+            }
+            shared.directives.write().iter_mut().for_each(|d| *d = None);
+            let mut telemetry = PlacementTelemetry::default();
+            let issued =
+                plan_epoch(shared, &tcm, &cfg, 4, &mut [None; 8], &mut telemetry, Some(&homes));
+            let mut after = live.clone();
+            for m in &issued {
+                after[m.thread.index()] = m.to;
+            }
+            (issued, after, telemetry)
+        };
+
+        // Homed on n2, where t2 sits: both cliques land on their data, for the
+        // same footprint and the same correlation plan.
+        let (issued, after, telemetry) = plan(2);
+        assert_eq!(&after[..4], &[NodeId(0), NodeId(0), NodeId(2), NodeId(2)], "{issued:?}");
+        assert_eq!(
+            telemetry.intra_trajectory[0].after, identity.intra_trajectory[0].after,
+            "relabeling leaves the correlation plan untouched"
+        );
+        assert_eq!(telemetry.planned_bytes, 128.0, "one data-bearing mover per clique");
+
+        // Homed on n1, where neither sits: landing {2,3} there moves both (192 B of
+        // footprint against refine's 128 B), so refine's labels stand.
+        let (issued, _, telemetry) = plan(1);
+        assert_eq!(issued, refined);
+        assert_eq!(telemetry.planned_bytes, 128.0);
+    }
+
+    #[test]
     fn no_directives_for_an_already_good_placement() {
-        let cluster = cluster_at(&[0, 0, 1, 1]);
+        let cluster = cluster_at(2, &[0, 0, 1, 1]);
         let mut tcm = Tcm::new(4);
         tcm.add_pair(ThreadId(0), ThreadId(1), 100.0);
         tcm.add_pair(ThreadId(2), ThreadId(3), 100.0);
@@ -233,6 +305,7 @@ mod tests {
             4,
             &mut [None; 4],
             &mut telemetry,
+            None,
         );
         assert!(issued.is_empty(), "{issued:?}");
         assert!(cluster.shared().directives.read().iter().all(Option::is_none));
@@ -246,7 +319,7 @@ mod tests {
         // Both cliques split over two exactly-full nodes. Reuniting {2,3} by moving
         // thread 2 is unaffordable, and thread 1's leg alone would overload node 0:
         // the engine must repair with a swap whose legs are both cheap (0 <-> 3).
-        let cluster = cluster_at(&[0, 1, 0, 1]);
+        let cluster = cluster_at(2, &[0, 1, 0, 1]);
         let shared = cluster.shared();
         let mut tcm = Tcm::new(4);
         tcm.add_pair(ThreadId(0), ThreadId(1), 100.0);
@@ -257,7 +330,7 @@ mod tests {
             ..RebalanceConfig::default()
         };
         let mut telemetry = PlacementTelemetry::default();
-        let issued = plan_epoch(shared, &tcm, &cfg, 1, &mut [None; 4], &mut telemetry);
+        let issued = plan_epoch(shared, &tcm, &cfg, 1, &mut [None; 4], &mut telemetry, None);
         let movers: Vec<(ThreadId, NodeId)> = issued.iter().map(|m| (m.thread, m.to)).collect();
         assert_eq!(movers, vec![(ThreadId(0), NodeId(1)), (ThreadId(3), NodeId(0))]);
         assert_eq!(shared.directives.read()[2], None, "thread 2 stays home");
@@ -276,7 +349,7 @@ mod tests {
 
     #[test]
     fn plan_epoch_refines_the_live_placement_and_stamps_cooldowns() {
-        let cluster = cluster_at(&[0, 1, 1, 0]);
+        let cluster = cluster_at(2, &[0, 1, 1, 0]);
         let shared = cluster.shared();
         let mut tcm = Tcm::new(4);
         tcm.add_pair(ThreadId(0), ThreadId(1), 100.0);
@@ -289,7 +362,7 @@ mod tests {
         };
         let mut last_moved = vec![None; 4];
         let mut telemetry = PlacementTelemetry::default();
-        let issued = plan_epoch(shared, &tcm, &cfg, 5, &mut last_moved, &mut telemetry);
+        let issued = plan_epoch(shared, &tcm, &cfg, 5, &mut last_moved, &mut telemetry, None);
         assert!(!issued.is_empty(), "a split-clique placement must improve");
         let first = telemetry.intra_trajectory[0];
         assert!(first.after > first.before);
@@ -312,7 +385,7 @@ mod tests {
         let (mover, other) = (issued[0].thread, issued[1].thread);
         let mut flipped = Tcm::new(4);
         flipped.add_pair(mover, other, 100.0);
-        let again = plan_epoch(shared, &flipped, &cfg, 6, &mut last_moved, &mut telemetry);
+        let again = plan_epoch(shared, &flipped, &cfg, 6, &mut last_moved, &mut telemetry, None);
         assert!(again.is_empty(), "{again:?}");
         assert!(telemetry.vetoed_cooldown > 0, "the bounce is attributed to hysteresis");
         assert_eq!((telemetry.plans, telemetry.directives), (2, 2));
@@ -323,7 +396,7 @@ mod tests {
         // Four cliques, every one split across the two (exactly full) nodes: fixing
         // each takes one pairwise exchange of 2 × 60 = 120 bytes. A 150-byte budget
         // admits the first exchange and must veto the rest.
-        let cluster = cluster_at(&[0, 1, 1, 0, 0, 1, 1, 0]);
+        let cluster = cluster_at(2, &[0, 1, 1, 0, 0, 1, 1, 0]);
         let shared = cluster.shared();
         let mut tcm = Tcm::new(8);
         tcm.add_pair(ThreadId(0), ThreadId(1), 100.0);
@@ -340,7 +413,7 @@ mod tests {
             ..RebalanceConfig::default()
         };
         let mut telemetry = PlacementTelemetry::default();
-        let issued = plan_epoch(shared, &tcm, &cfg, 3, &mut [None; 8], &mut telemetry);
+        let issued = plan_epoch(shared, &tcm, &cfg, 3, &mut [None; 8], &mut telemetry, None);
         assert_eq!(issued.len(), 2, "one exchange = two directives: {issued:?}");
         assert!(telemetry.vetoed_budget > 0);
         assert!(telemetry.planned_bytes <= 150.0);

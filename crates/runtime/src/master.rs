@@ -1049,7 +1049,8 @@ impl Daemon {
     }
 
     /// One planning epoch: pick the planning view the reducer already maintains,
-    /// refine the live placement under the cost/budget/cooldown filter, post
+    /// refine the live placement under the cost/budget/cooldown filter (with
+    /// `migrate_homes`, landing groups on the nodes that home their data), post
     /// epoch-stamped directives and fold the outcome into the telemetry; then,
     /// with `migrate_homes`, repair homes.
     ///
@@ -1063,7 +1064,8 @@ impl Daemon {
             None => Box::new(self.effective_tcm()),
         };
         let (moved, telemetry) = (&mut self.ledger.last_moved_round, &mut self.ledger.placement);
-        let issued = plan_epoch(&self.shared, &*view, cfg, round, moved, telemetry);
+        let homes = self.homeaware.as_ref();
+        let issued = plan_epoch(&self.shared, &*view, cfg, round, moved, telemetry, homes);
         let intra = *telemetry.intra_trajectory.last().expect("plan_epoch records every epoch");
         self.shared.emit_event(
             &self.shared.master_clock(),
@@ -1076,11 +1078,12 @@ impl Daemon {
             },
         );
         // Home repair (the paper's Section V "home effect"): collocation only
-        // pays once shared state is *homed* where the threads run. Movers carry
-        // their resolved sticky sets; this pass repairs everyone else, pulling
-        // each object whose dominant accessor node strictly beats its current
-        // home onto that node. Nodes a mover is leaving this epoch are skipped —
-        // their evidence describes a placement that is about to change.
+        // pays once shared state is *homed* where the threads run. The plan lands
+        // groups on their data and movers carry no homes; this pass repairs the
+        // rest, pulling each object whose dominant accessor node strictly beats
+        // its current home onto that node. Nodes a mover is leaving this epoch
+        // are skipped — their evidence describes a placement that is about to
+        // change.
         if let Some(ha) = &mut self.homeaware {
             let placement = self.shared.placement.read().clone();
             let report = ha.build(&self.shared.gos, &placement);
@@ -1488,7 +1491,6 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
             let log = shared.migration_log.lock();
             p.applied_migrations = log.len() as u64;
             p.migrated_bytes = log.iter().map(|m| m.total_bytes() as u64).sum();
-            p.homes_migrated = log.iter().map(|m| m.homes_migrated as u64).sum();
             p
         },
         oal_log: ledger.oal_log,

@@ -275,10 +275,6 @@ impl RunReport {
                 master.placement.migrated_bytes,
             );
             m.set(
-                "master.placement.homes_migrated",
-                master.placement.homes_migrated,
-            );
-            m.set(
                 "master.placement.homes_repaired",
                 master.placement.homes_repaired,
             );

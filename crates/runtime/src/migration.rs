@@ -25,15 +25,10 @@ pub struct MigrationReport {
     /// Thread context (stack) bytes shipped — the direct cost.
     pub ctx_bytes: usize,
     /// Objects prefetched alongside: copies actually installed at the destination
-    /// (0 without prefetching; objects whose home moved along are not among them).
+    /// (0 without prefetching; objects homed at the destination are not among them).
     pub prefetched_objects: usize,
     /// Prefetched payload + object-header bytes.
     pub prefetch_bytes: usize,
-    /// Sticky-set object homes relocated to the destination alongside the thread
-    /// (the home-migration companion optimization; 0 when disabled).
-    pub homes_migrated: usize,
-    /// Payload + object-header bytes those relocated homes shipped.
-    pub home_bytes: usize,
     /// Simulated nanoseconds the migration itself took.
     pub sim_cost_ns: SimNanos,
     /// The sticky-set resolution, when prefetching was requested.
@@ -41,10 +36,9 @@ pub struct MigrationReport {
 }
 
 impl MigrationReport {
-    /// Total bytes moved by the migration: context, prefetched copies and
-    /// relocated homes.
+    /// Total bytes moved by the migration: context and prefetched copies.
     pub fn total_bytes(&self) -> usize {
-        self.ctx_bytes + self.prefetch_bytes + self.home_bytes
+        self.ctx_bytes + self.prefetch_bytes
     }
 }
 

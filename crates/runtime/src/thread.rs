@@ -10,7 +10,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use jessy_core::sticky::resolution::Resolution;
 use jessy_core::{ShedPolicy, ThreadProfiler};
 use jessy_gos::{ClassId, Gos, LockId, ObjectCore, ObjectId, ThreadSpace};
 use jessy_net::{ClockHandle, MsgClass, NodeId, ThreadId};
@@ -664,11 +663,7 @@ impl JThread {
                 return;
             }
             if d.dest != self.node {
-                let report = self.migrate_to_with(
-                    d.dest,
-                    rebalance.with_prefetch,
-                    rebalance.migrate_homes,
-                );
+                let report = self.migrate_to(d.dest, rebalance.with_prefetch);
                 self.shared.emit_event(
                     &self.clock,
                     EventKind::MigrationApplied {
@@ -738,22 +733,10 @@ impl JThread {
     // ------------------------------------------------------------------ migration
 
     /// Migrate this thread to `dest`, optionally prefetching its resolved sticky set
-    /// along with the context (Section III). Returns what moved.
+    /// along with the context (Section III). Returns what moved. Homes stay put:
+    /// the placement engine lands threads on the nodes that home their data, and
+    /// the master's home repair moves the rest.
     pub fn migrate_to(&mut self, dest: NodeId, with_prefetch: bool) -> MigrationReport {
-        self.migrate_to_with(dest, with_prefetch, false)
-    }
-
-    /// [`Self::migrate_to`], plus optionally relocating the homes of the resolved
-    /// sticky-set objects to `dest`. Per-thread caching means collocating correlated
-    /// threads cuts remote fetches only once their shared objects are also *homed*
-    /// where they run — home migration is what converts a placement gain into
-    /// home-local accesses (the paper's home-migration companion optimization).
-    pub fn migrate_to_with(
-        &mut self,
-        dest: NodeId,
-        with_prefetch: bool,
-        migrate_homes: bool,
-    ) -> MigrationReport {
         self.pay_owed_yield();
         let src = self.node;
         let t0 = self.clock.now();
@@ -766,7 +749,7 @@ impl JThread {
         // Resolve the sticky set BEFORE dropping the thread-local heap (the resolver
         // reads the sampled landmarks, not the caches, but the profiler state is tied
         // to the pre-migration interval).
-        let resolved = if (with_prefetch || migrate_homes) && src != dest {
+        let resolution = if with_prefetch && src != dest {
             // One forced stack sample first: the sampler backs off while the stack's
             // invariants hold, and the roots must be as fresh as a fixed timer's.
             self.profiler
@@ -785,26 +768,15 @@ impl JThread {
             .gos
             .drop_thread_cache(&mut self.space, src, &self.clock);
 
-        let mut resolution: Option<Resolution> = None;
-        let (mut prefetched_objects, mut prefetch_bytes) = (0, 0);
-        let (mut homes_migrated, mut home_bytes) = (0, 0);
-        if let Some(res) = resolved {
-            if migrate_homes {
-                (homes_migrated, home_bytes) = self
-                    .shared
-                    .gos
-                    .relocate_homes(res.selected.iter().map(|&obj| (obj, dest)), &self.clock);
-            }
-            if with_prefetch {
-                (prefetched_objects, prefetch_bytes) = self.shared.gos.prefetch_into(
-                    &mut self.space,
-                    dest,
-                    res.selected.iter().copied(),
-                    &self.clock,
-                );
-            }
-            resolution = Some(res);
-        }
+        let (prefetched_objects, prefetch_bytes) = match &resolution {
+            Some(res) => self.shared.gos.prefetch_into(
+                &mut self.space,
+                dest,
+                res.selected.iter().copied(),
+                &self.clock,
+            ),
+            None => (0, 0),
+        };
 
         self.node = dest;
         self.shared.placement.write()[self.thread.index()] = dest;
@@ -825,8 +797,6 @@ impl JThread {
             ctx_bytes,
             prefetched_objects,
             prefetch_bytes,
-            homes_migrated,
-            home_bytes,
             sim_cost_ns: self.clock.now() - t0,
             resolution,
         }

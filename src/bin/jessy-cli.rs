@@ -574,10 +574,9 @@ fn cmd_run(opts: &Options) {
                 p.applied_migrations,
                 p.migrated_bytes as f64 / 1024.0
             );
-            if p.homes_migrated + p.homes_repaired > 0 {
+            if p.homes_repaired > 0 {
                 println!(
-                    "  homes: {} migrated with their threads, {} repaired by the master ({:.1} KB)",
-                    p.homes_migrated,
+                    "  homes: {} repaired by the master ({:.1} KB)",
                     p.homes_repaired,
                     p.repaired_bytes as f64 / 1024.0
                 );

@@ -211,7 +211,8 @@ fn the_profiler_pays_for_itself_on_execution_time() {
     // The benchmark's `water_migrate` lane at the `small` preset: everything the
     // sticky-set profiler has, on, feeding continuous rebalancing with home
     // migration, against the same scattered placement with nothing on. The run
-    // that profiles and migrates must finish first in simulated time.
+    // that profiles and migrates must finish first in simulated time, by more
+    // than a quarter.
     let scattered = || {
         Cluster::builder()
             .nodes(4)
@@ -254,14 +255,12 @@ fn the_profiler_pays_for_itself_on_execution_time() {
         let log = migrated.shared().migration_log.lock();
         assert!(log.len() >= 2, "seed {seed}: {} thread moves", log.len());
         assert!(
-            log.iter().any(|m| m.homes_migrated > 0),
-            "seed {seed}: no home moved"
-        );
-        assert!(
             on.sim_exec_ns < off.sim_exec_ns,
             "seed {seed}: profiled + migrated {} ns, unprofiled scattered {} ns",
             on.sim_exec_ns,
             off.sim_exec_ns
         );
+        let ratio = on.sim_exec_ns as f64 / off.sim_exec_ns as f64;
+        assert!(ratio < 0.75, "seed {seed}: profiled + migrated at {ratio:.3} of unprofiled");
     }
 }

@@ -8,7 +8,9 @@ use jessy::core::oal::{Oal, OalEntry};
 use jessy::core::sampling::{multiples_in, GapTable};
 use jessy::core::sticky::resolution::resolve_sticky_set;
 use jessy::core::stack_sampling::StackSampler;
-use jessy::core::{accuracy_abs, e_abs, e_euc, SamplingRate, StackSamplingConfig, Tcm, TcmBuilder};
+use jessy::core::{
+    accuracy_abs, e_abs, e_euc, CorrelationView, SamplingRate, StackSamplingConfig, Tcm, TcmBuilder,
+};
 use jessy::gos::prime::{is_prime, nearest_prime};
 use jessy::gos::twin::Diff;
 use jessy::gos::{ClassId, CostModel, Gos, GosConfig, ObjectId};
@@ -244,6 +246,118 @@ proptest! {
             let load = out.placement.iter().filter(|p| p.index() == node).count();
             prop_assert!(load <= cap, "node {node} overloaded after refine");
         }
+    }
+
+    #[test]
+    fn home_affine_labels_are_free_on_correlation(
+        shape in (1usize..13, 2usize..6),
+        pairs in prop::collection::vec((0u32..12, 0u32..12, 1u64..1000), 0..30),
+        slots in prop::collection::vec(0usize..5, 12),
+        data in prop::collection::vec((0usize..5, 0u64..8, 0u8..3, 0u8..2), 12),
+        cooling in prop::collection::vec(0u8..4, 12),
+        budget in (0u8..2, 0u64..1500),
+    ) {
+        let (n, n_nodes) = shape;
+        let mut tcm = Tcm::new(n);
+        for &(i, j, w) in &pairs {
+            if (i as usize) < n && (j as usize) < n && i != j {
+                tcm.add_pair(ThreadId(i), ThreadId(j), w as f64);
+            }
+        }
+        // A placement within capacity: each thread on its drawn node, or the next
+        // one with room.
+        let cap = n.div_ceil(n_nodes);
+        let mut load = vec![0usize; n_nodes];
+        let current: Vec<NodeId> = slots[..n]
+            .iter()
+            .map(|&s| {
+                let k = (0..n_nodes).map(|d| (s + d) % n_nodes).find(|&k| load[k] < cap).unwrap();
+                load[k] += 1;
+                NodeId(k as u16)
+            })
+            .collect();
+        // Each thread's bytes mostly on one node, sometimes a little on the next.
+        let affinity: Vec<Vec<f64>> = data[..n]
+            .iter()
+            .map(|&(home, amount, spill, _)| {
+                let mut row = vec![0.0; n_nodes];
+                row[home % n_nodes] += (amount * 64) as f64;
+                if spill == 0 {
+                    row[(home + 1) % n_nodes] += 64.0;
+                }
+                row
+            })
+            .collect();
+        // About half the threads keep a sticky set as large as what they logged;
+        // the rest move for their context alone.
+        let footprints: Vec<f64> = affinity
+            .iter()
+            .zip(&data)
+            .map(|(row, &(.., sticky))| if sticky == 0 { 0.0 } else { row.iter().sum() })
+            .collect();
+        let in_cooldown: Vec<bool> = cooling[..n].iter().map(|&c| c == 0).collect();
+        let budget_bytes = (budget.0 == 1).then_some(budget.1 as f64);
+        let filter = MoveFilter {
+            min_gain: 1.0,
+            gain_horizon: 10.0,
+            costs: Some(&footprints),
+            budget_bytes,
+            in_cooldown: Some(&in_cooldown),
+        };
+        let lb = LoadBalancer::new();
+        let refined = lb.refine(&tcm, n_nodes, &current, &filter);
+        let out =
+            lb.home_affine_labels(&tcm, n_nodes, &current, refined.clone(), &affinity, &filter);
+
+        // Correlation: the same groups, so bit-equal intra mass and equal loads.
+        prop_assert_eq!(
+            lb.intra_fraction(&tcm, &out.placement).to_bits(),
+            lb.intra_fraction(&tcm, &refined.placement).to_bits()
+        );
+        let loads = |p: &[NodeId]| {
+            let mut l = vec![0usize; n_nodes];
+            p.iter().for_each(|k| l[k.index()] += 1);
+            l
+        };
+        prop_assert!(loads(&out.placement).iter().all(|&l| l <= cap));
+        let (mut a, mut b) = (loads(&out.placement), loads(&refined.placement));
+        a.sort_unstable();
+        b.sort_unstable();
+        prop_assert_eq!(a, b);
+        for t in (0..n).filter(|&t| in_cooldown[t]) {
+            prop_assert_eq!(out.placement[t], current[t], "cooldown thread {} moved", t);
+        }
+
+        // Locality never falls. The movers' footprints, `refine`'s price, never sum
+        // above `refine`'s spend or the budget, so no mover's footprint alone
+        // exceeds that spend, and each leg is charged its own footprint.
+        let home_local = |p: &[NodeId]| -> f64 { (0..n).map(|t| affinity[t][p[t].index()]).sum() };
+        let cost = |p: &[NodeId]| -> f64 {
+            (0..n).filter(|&t| p[t] != current[t]).map(|t| footprints[t]).sum()
+        };
+        prop_assert!(home_local(&out.placement) >= home_local(&refined.placement));
+        prop_assert!(cost(&out.placement) <= cost(&refined.placement));
+        prop_assert!(budget_bytes.is_none_or(|b| cost(&out.placement) <= b));
+        for m in &out.moves {
+            prop_assert!(footprints[m.thread.index()] <= refined.spent_bytes);
+            prop_assert_eq!(m.sticky_cost_bytes, footprints[m.thread.index()]);
+        }
+        prop_assert_eq!(out.spent_bytes, cost(&out.placement));
+
+        // The moves replay `current` into the plan, and their legs sum to its
+        // intra-mass delta.
+        let mut replayed = current.clone();
+        for m in &out.moves {
+            prop_assert_eq!(replayed[m.thread.index()], m.from);
+            replayed[m.thread.index()] = m.to;
+        }
+        prop_assert_eq!(&replayed, &out.placement);
+        let mut total = 0.0;
+        tcm.for_each_pair(&mut |_, _, w| total += w);
+        let intra = |p: &[NodeId]| lb.intra_fraction(&tcm, p);
+        let delta = (intra(&out.placement) - intra(&current)) * total;
+        let legs: f64 = out.moves.iter().map(|m| m.gain_bytes).sum();
+        prop_assert!((legs - delta).abs() <= 1e-9 * total.max(1.0), "legs {legs} vs delta {delta}");
     }
 
     #[test]

@@ -349,16 +349,19 @@ const RECORDED: [(Case, &str, &str); 8] = [
         "c5046c53ea297fb57702b45896b2074b3c5403007aea95c2e8011ad3b99de4a7",
         "ff744107c9797aac92d2004c8c457b0b78018eb9194df582abe3318976578e4f",
     ),
-    // Re-recorded twice, each time because simulated clocks moved by design and no
-    // schedule rule changed — the other seven cases and the constant-free oracle
-    // held untouched both times: when the stack sampler learned to back off (the
-    // only case with a sampler), and when a migration's home relocation became one
+    // Re-recorded three times, each time because simulated clocks moved by design
+    // and no schedule rule changed — the other seven cases and the constant-free
+    // oracle held untouched every time: when the stack sampler learned to back off
+    // (the only case with a sampler), when a migration's home relocation became one
     // `ObjData` message per link instead of one per object (the only case that
-    // migrates: the mover's clock moved, and its bytes and home-repair totals).
+    // migrates: the mover's clock moved, and its bytes and home-repair totals), and
+    // when the placement engine learned to land groups on the node that homes their
+    // data (the plan swaps t1 1->0 and t4 0->1 instead of t0 0->1 and t5 1->0,
+    // and movers stopped carrying homes: 0 instead of 72).
     (
         Case::WaterRebalance,
-        "1943393e4518796aa023f96fc6c1b361da14718f8a9cd11b7265f3050f7a291f",
-        "ba257d3e274d97851434611df65f5d714ecff25f4dca3da799b1175eaa7cc26e",
+        "17c170d3c619fef97b1b506bbcdbd40b6d2ee23cc1d96c78351cceacf9ae1c20",
+        "e0b5150120873a52359444fc2978afc070b57f141e8dc07b00fb3a5967b4df61",
     ),
     (
         Case::Sor,

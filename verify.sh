@@ -122,13 +122,14 @@ benchmark/run.sh --quick > /dev/null
 # would silently rewrite the benchmark's lockfile. Make that loud.
 git diff --exit-code -- benchmark/Cargo.lock
 
-echo "==> profiler-pays-for-itself gate (water_migrate sim_vs_off_pct < 85 in the smoke's results: simulated, so it replays exactly)"
-# 78.94 at the smoke's seed; 92.87 while a migration relocated its sticky set's
-# homes in one message per object; 103.94 while the stack sampler fired on a
-# fixed timer.
+echo "==> profiler-pays-for-itself gate (water_migrate sim_vs_off_pct < 75 in the smoke's results: simulated, so it replays exactly)"
+# 71.08 at the smoke's seed; 78.94 while the placement engine's node labels
+# ignored where each group's data was homed; 92.87 while a migration relocated
+# its sticky set's homes in one message per object; 103.94 while the stack
+# sampler fired on a fixed timer.
 awk '/"water_migrate": \{/ { lane = 1 }
      lane && /"sim_vs_off_pct"/ { metric = 1; next }
-     metric && /"value"/ { seen = 1; sub(/,/, ""); print "water_migrate sim_vs_off_pct", $2; bad = ($2 + 0 >= 85); exit }
+     metric && /"value"/ { seen = 1; sub(/,/, ""); print "water_migrate sim_vs_off_pct", $2; bad = ($2 + 0 >= 75); exit }
      END { if (!seen || bad) exit 1 }' benchmark/out/results.json
 
 echo "==> scale soak smoke (10k cooperative threads, time-compressed)"
