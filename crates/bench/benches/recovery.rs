@@ -6,8 +6,11 @@
 //! often buys a shorter replay at the price of more snapshot work. This bench
 //! runs the identical crash on every checkpoint cadence (including "never") and
 //! shows the trade: `replayed` shrinks as `ckpts` grows while the recovered TCM
-//! stays **bit-identical** to the fault-free run in every row — recovery is an
-//! identity transform on the accepted stream, not an approximation of it.
+//! and top-k head stay **bit-identical** to the fault-free run in every row —
+//! recovery is an identity transform on the accepted stream, not an
+//! approximation of it. Two reducer lanes run the sweep: the flat coordinator,
+//! and a tree + sketch + top-k reducer whose checkpoint holds the sketch and
+//! the head. The bench asserts identity on every row.
 //!
 //! `JESSY_SCALE=small` shortens the run for CI; the default matches the other
 //! chaos-family sweeps.
@@ -15,7 +18,7 @@
 use std::sync::Arc;
 
 use jessy_bench::{scale, Scale, TextTable};
-use jessy_core::{ProfilerConfig, SamplingRate};
+use jessy_core::{ProfilerConfig, SamplingRate, TcmBackend};
 use jessy_gos::{CostModel, ObjectId};
 use jessy_net::{FaultPlan, LatencyModel, MasterCrashWindow, NodeId};
 use jessy_runtime::{Cluster, MasterOutput};
@@ -23,12 +26,29 @@ use jessy_runtime::{Cluster, MasterOutput};
 const THREADS: usize = 8;
 const NODES: usize = 4;
 
+/// A reducer lane: label, tree fanout, backend, top-k head size.
+type Lane = (&'static str, usize, TcmBackend, usize);
+
+const LANES: [Lane; 2] = [
+    ("flat", 0, TcmBackend::Dense, 0),
+    ("tree + sketch + top-k", 2, TcmBackend::Sketch { width: 4096, depth: 4 }, 4),
+];
+
 /// One full cluster run. `faults` carries the master crash window (or nothing for
 /// the baseline); `checkpoint_every` is the snapshot cadence in rounds.
-fn run(barriers: usize, faults: Option<FaultPlan>, checkpoint_every: Option<u64>) -> MasterOutput {
+fn run(
+    lane: Lane,
+    barriers: usize,
+    faults: Option<FaultPlan>,
+    checkpoint_every: Option<u64>,
+) -> MasterOutput {
+    let (_, fanout, backend, top_k) = lane;
     let mut config = ProfilerConfig::tracking_at(SamplingRate::Full);
     config.intervals_per_round = 2;
     config.checkpoint_every_rounds = checkpoint_every;
+    config.tcm_tree_fanout = fanout;
+    config.tcm_backend = backend;
+    config.tcm_top_k = top_k;
     let mut builder = Cluster::builder()
         .nodes(NODES)
         .threads(THREADS)
@@ -74,8 +94,8 @@ fn main() {
     };
 
     println!("X5. RECOVERY SWEEP (checkpoint cadence vs replay cost, one master crash)\n");
-    let truth = run(barriers, None, None);
     let mut t = TextTable::new(&[
+        "reducer",
         "ckpt every",
         "ckpts",
         "restores",
@@ -83,23 +103,39 @@ fn main() {
         "fenced",
         "epoch",
         "tcm identical",
+        "top-k identical",
         "build ms",
     ]);
-    for &every in &[None, Some(1), Some(2), Some(4), Some(8)] {
-        let m = run(barriers, Some(crash.clone()), every);
-        t.row(&[
-            every.map_or("never".into(), |k| format!("{k} rounds")),
-            m.checkpoints_taken.to_string(),
-            m.restores.to_string(),
-            m.replayed_oals.to_string(),
-            m.fenced_oals.to_string(),
-            m.final_epoch.to_string(),
-            (m.tcm == truth.tcm && m.rounds == truth.rounds).to_string(),
-            format!("{:.2}", m.tcm_build_real_ns as f64 / 1e6),
-        ]);
+    for lane in LANES {
+        let truth = run(lane, barriers, None, None);
+        for &every in &[None, Some(1), Some(2), Some(4), Some(8)] {
+            let m = run(lane, barriers, Some(crash.clone()), every);
+            let cadence = every.map_or("never".into(), |k| format!("{k} rounds"));
+            let tcm_identical = m.tcm == truth.tcm && m.rounds == truth.rounds;
+            let top_k_identical = m.top_pairs.len() == lane.3 && m.top_pairs == truth.top_pairs;
+            assert!(
+                tcm_identical && top_k_identical,
+                "{} lane, checkpoint every {cadence}: the recovered run must equal the \
+                 fault-free one",
+                lane.0
+            );
+            t.row(&[
+                lane.0.to_string(),
+                cadence,
+                m.checkpoints_taken.to_string(),
+                m.restores.to_string(),
+                m.replayed_oals.to_string(),
+                m.fenced_oals.to_string(),
+                m.final_epoch.to_string(),
+                tcm_identical.to_string(),
+                if lane.3 == 0 { "no head".into() } else { top_k_identical.to_string() },
+                format!("{:.2}", m.tcm_build_real_ns as f64 / 1e6),
+            ]);
+        }
     }
     println!("{}", t.render());
     println!("the buffered transport defers in-flight OALs across the outage, so every");
     println!("cadence — even \"never\", which replays from round zero — recovers the");
-    println!("exact fault-free map; frequent checkpoints only shorten the replay.");
+    println!("exact fault-free map and top-k head; frequent checkpoints only shorten");
+    println!("the replay.");
 }

@@ -60,7 +60,7 @@ pub use homeaware::{HomeAwareAnalyzer, HomeAwareReport, HomeMigrationRec};
 pub use oal::{Oal, OalEntry};
 pub use pcct::{Pcct, PcctSampler};
 pub use profiler::{ProfilerShared, ProfilerStats, ThreadProfiler};
-pub use reducer::{ReducedRound, Reducer};
+pub use reducer::{ReducedRound, Reducer, ReducerState};
 pub use sampling::{GapTable, SamplingRate};
 pub use stack_sampling::StackSampler;
 pub use tcm::{MergeScratch, RoundSummary, SketchTcm, SparseTcm, Tcm, TcmBuilder, TopKPairs};

@@ -5,11 +5,11 @@
 //! controller — and [`Reducer`] is the one type that knows which machinery a
 //! [`ProfilerConfig`] selects for it:
 //!
-//! * **flat** (`tcm_tree_fanout = 0`): a [`TcmBuilder`], dense round close;
-//! * **tree** (`tcm_tree_fanout ≥ 2`): a [`TreeTcmReducer`] round pipeline whose
-//!   root partial folds into a dense [`Tcm`] or, under
-//!   [`TcmBackend::Sketch`], a [`SketchTcm`];
-//! * on either, an optional [`TopKPairs`] head (`tcm_top_k > 0`).
+//! * **flat** (`tcm_tree_fanout = 0`): a `RoundAccrual`, dense round close;
+//! * **tree** (`tcm_tree_fanout ≥ 2`): a [`TreeTcmReducer`] round pipeline;
+//! * both arms are round scratch that fold into one [`ReducerState`], all a
+//!   checkpoint holds: a dense [`Tcm`] or, under [`TcmBackend::Sketch`], a
+//!   [`SketchTcm`], plus an optional [`TopKPairs`] head (`tcm_top_k > 0`).
 //!
 //! Every dense configuration produces the same cumulative bits, the same
 //! per-class round maps and the same top-k head for the same OAL stream (see
@@ -18,13 +18,15 @@
 
 use std::collections::HashMap;
 
+use serde::{Deserialize, Serialize};
+
 use jessy_gos::ClassId;
 use jessy_net::ThreadId;
 
 use crate::config::{ProfilerConfig, TcmBackend};
 use crate::distributed::{TreeRoundStats, TreeTcmReducer};
 use crate::oal::Oal;
-use crate::tcm::{SketchTcm, SparseTcm, Tcm, TcmBuilder, TopKPairs};
+use crate::tcm::{RoundAccrual, SketchTcm, SparseTcm, Tcm, TopKPairs};
 use crate::view::SketchedTopKView;
 
 /// What one [`Reducer::reduce`] produced.
@@ -39,18 +41,48 @@ pub struct ReducedRound {
     pub tree: Option<TreeRoundStats>,
 }
 
-/// Where round maps come from, and — on the tree — what they fold into. (The
-/// flat builder owns its cumulative map: its public API predates the tree.)
-#[derive(Debug)]
-enum Path {
-    Flat(TcmBuilder),
-    Tree { tree: TreeTcmReducer, cum: Cumulative },
+/// A [`Reducer`]'s one persistent value: the cumulative map and the optional
+/// top-k head. A checkpoint clones it and a warm restore assigns it back
+/// ([`Reducer::restore`]); its size is the backend's, never the dense triangle
+/// under the sketch.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ReducerState {
+    cum: Cumulative,
+    topk: Option<TopKPairs>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum Cumulative {
     Dense(Tcm),
     Sketch(SketchTcm),
+}
+
+impl ReducerState {
+    /// Fold one round's exact sparse map, admitting its pairs to the head at
+    /// their pre-round cumulative weight.
+    fn fold(&mut self, round: &SparseTcm) {
+        match &mut self.cum {
+            Cumulative::Dense(tcm) => {
+                if let Some(tk) = &mut self.topk {
+                    tk.observe_round(round, |idx| tcm.raw()[idx as usize]);
+                }
+                tcm.merge_sparse(round);
+            }
+            Cumulative::Sketch(sketch) => {
+                if let Some(tk) = &mut self.topk {
+                    tk.observe_round(round, |idx| sketch.estimate(idx));
+                }
+                sketch.fold_round(round);
+            }
+        }
+    }
+}
+
+/// Where round maps come from: round scratch only.
+#[derive(Debug)]
+enum Rounds {
+    Flat(RoundAccrual),
+    Tree(TreeTcmReducer),
 }
 
 /// The reducer a [`ProfilerConfig`] asks for. See the module docs.
@@ -58,35 +90,31 @@ enum Cumulative {
 pub struct Reducer {
     /// Per-round ageing of the cumulative state (`1.0` = never forget).
     decay: f64,
-    path: Path,
-    topk: Option<TopKPairs>,
+    rounds: Rounds,
+    state: ReducerState,
 }
 
 impl Reducer {
     /// An empty reducer for `n_threads` threads placed on `n_nodes` nodes.
     pub fn new(config: &ProfilerConfig, n_threads: usize, n_nodes: usize) -> Self {
-        let decay = config.tcm_decay.unwrap_or(1.0);
-        let fanout = config.tcm_tree_fanout;
-        let path = if fanout >= 2 {
-            let cum = match config.tcm_backend {
-                TcmBackend::Dense => Cumulative::Dense(Tcm::new(n_threads)),
-                TcmBackend::Sketch { width, depth } => {
-                    Cumulative::Sketch(SketchTcm::new(n_threads, width as usize, depth as usize))
-                }
-            };
-            Path::Tree {
-                tree: TreeTcmReducer::new(n_threads, n_nodes.max(1), fanout),
-                cum,
+        let cum = match config.tcm_backend {
+            TcmBackend::Dense => Cumulative::Dense(Tcm::new(n_threads)),
+            TcmBackend::Sketch { width, depth } => {
+                Cumulative::Sketch(SketchTcm::new(n_threads, width as usize, depth as usize))
             }
-        } else {
-            let mut builder = TcmBuilder::new(n_threads);
-            builder.set_decay(decay);
-            Path::Flat(builder)
         };
         Reducer {
-            decay,
-            path,
-            topk: (config.tcm_top_k > 0).then(|| TopKPairs::new(n_threads, config.tcm_top_k)),
+            decay: config.tcm_decay.unwrap_or(1.0),
+            rounds: if config.tcm_tree_fanout >= 2 {
+                let fanout = config.tcm_tree_fanout;
+                Rounds::Tree(TreeTcmReducer::new(n_threads, n_nodes.max(1), fanout))
+            } else {
+                Rounds::Flat(RoundAccrual::new(n_threads))
+            },
+            state: ReducerState {
+                cum,
+                topk: (config.tcm_top_k > 0).then(|| TopKPairs::new(n_threads, config.tcm_top_k)),
+            },
         }
     }
 
@@ -94,55 +122,41 @@ impl Reducer {
     /// tree's leaves): age the cumulative state and the top-k head, admit the
     /// round's pairs to the head at their pre-round cumulative weight, fold.
     pub fn reduce(&mut self, oals: &[Oal], node_of: impl Fn(ThreadId) -> usize) -> ReducedRound {
-        let decay = self.decay;
-        if let Some(tk) = &mut self.topk {
-            tk.scale(decay);
+        let state = &mut self.state;
+        if self.decay < 1.0 {
+            match &mut state.cum {
+                Cumulative::Dense(tcm) => tcm.scale(self.decay),
+                Cumulative::Sketch(sketch) => sketch.scale(self.decay),
+            }
+            if let Some(tk) = &mut state.topk {
+                tk.scale(self.decay);
+            }
         }
-        match &mut self.path {
-            Path::Flat(builder) => {
+        match &mut self.rounds {
+            Rounds::Flat(accrual) => {
                 for oal in oals {
-                    builder.ingest(oal);
+                    accrual.ingest(oal);
                 }
-                let round = builder.accrue_round();
-                if let Some(tk) = &mut self.topk {
-                    // `x * decay` matches the `Tcm::scale` the fold is about to
-                    // apply bit for bit.
-                    let cum = builder.tcm().raw();
-                    tk.observe_round(&round.tcm.to_sparse(), |idx| cum[idx as usize] * decay);
+                let round = accrual.close();
+                // Without a head the dense round folds as it is; the head needs
+                // the round's cells.
+                match (&mut state.cum, &state.topk) {
+                    (Cumulative::Dense(tcm), None) => tcm.merge(&round.tcm),
+                    _ => state.fold(&round.tcm.to_sparse()),
                 }
-                builder.fold_round(&round.tcm);
                 ReducedRound {
                     objects: round.objects,
                     per_class: round.per_class,
                     tree: None,
                 }
             }
-            Path::Tree { tree, cum } => {
+            Rounds::Tree(tree) => {
                 for oal in oals {
                     tree.ingest(node_of(oal.thread), oal);
                 }
                 let (stats, subtrees) = tree.close_round_subtrees();
                 let root = tree.merge_subtrees(subtrees);
-                match cum {
-                    Cumulative::Dense(tcm) => {
-                        if decay < 1.0 {
-                            tcm.scale(decay);
-                        }
-                        if let Some(tk) = &mut self.topk {
-                            tk.observe_round(&root.pairs, |idx| tcm.raw()[idx as usize]);
-                        }
-                        tcm.merge_sparse(&root.pairs);
-                    }
-                    Cumulative::Sketch(sketch) => {
-                        if decay < 1.0 {
-                            sketch.scale(decay);
-                        }
-                        if let Some(tk) = &mut self.topk {
-                            tk.observe_round(&root.pairs, |idx| sketch.estimate(idx));
-                        }
-                        sketch.fold_round(&root.pairs);
-                    }
-                }
+                state.fold(&root.pairs);
                 ReducedRound {
                     objects: root.objects,
                     per_class: root.per_class,
@@ -152,15 +166,26 @@ impl Reducer {
         }
     }
 
+    /// The persistent value, for a checkpoint to clone.
+    pub fn state(&self) -> &ReducerState {
+        &self.state
+    }
+
+    /// Reinstate a checkpointed [`Reducer::state`]. The round scratch is empty
+    /// between rounds, so the reducer resumes exactly where the checkpointed one
+    /// stood.
+    pub fn restore(&mut self, state: ReducerState) {
+        self.state = state;
+    }
+
     /// The cumulative map. Exact — and the same bits on the flat and tree paths
     /// — under the dense backend; under the sketch backend no dense map exists,
     /// so this expands the sketch's point estimates, an overestimate-only
     /// approximation paid once per call, never per round.
     pub fn cumulative(&self) -> Tcm {
-        match &self.path {
-            Path::Flat(builder) => builder.tcm().clone(),
-            Path::Tree { cum: Cumulative::Dense(tcm), .. } => tcm.clone(),
-            Path::Tree { cum: Cumulative::Sketch(sketch), .. } => {
+        match &self.state.cum {
+            Cumulative::Dense(tcm) => tcm.clone(),
+            Cumulative::Sketch(sketch) => {
                 let mut tcm = Tcm::new(sketch.n());
                 for (idx, cell) in tcm.data_mut().iter_mut().enumerate() {
                     *cell = sketch.estimate(idx as u32);
@@ -174,8 +199,8 @@ impl Reducer {
     /// sketch prices them — when that is all the backend keeps. `None` means
     /// plan from [`Reducer::cumulative`].
     pub fn planning_view(&self) -> Option<SketchedTopKView<'_>> {
-        match (&self.path, &self.topk) {
-            (Path::Tree { cum: Cumulative::Sketch(sketch), .. }, Some(tk)) => {
+        match &self.state {
+            ReducerState { cum: Cumulative::Sketch(sketch), topk: Some(tk) } => {
                 Some(SketchedTopKView::new(sketch, tk))
             }
             _ => None,
@@ -185,7 +210,7 @@ impl Reducer {
     /// The `tcm_top_k` hottest correlated pairs, hottest first (empty when the
     /// head is off).
     pub fn top_pairs(&self) -> Vec<(ThreadId, ThreadId, f64)> {
-        self.topk.as_ref().map(TopKPairs::top).unwrap_or_default()
+        self.state.topk.as_ref().map(TopKPairs::top).unwrap_or_default()
     }
 }
 
@@ -221,6 +246,35 @@ mod tests {
                     .collect(),
             })
             .collect()
+    }
+
+    #[test]
+    fn a_decayed_reducer_forgets_old_rounds() {
+        let config = ProfilerConfig {
+            tcm_decay: Some(0.5),
+            ..ProfilerConfig::default()
+        };
+        let shared = |obj: u32, bytes: u64| -> Vec<Oal> {
+            (0..2)
+                .map(|t| Oal {
+                    thread: ThreadId(t),
+                    interval: 0,
+                    entries: vec![OalEntry { obj: ObjectId(obj), class: ClassId(0), bytes }],
+                })
+                .collect()
+        };
+        let at01 = |r: &Reducer| r.cumulative().at(ThreadId(0), ThreadId(1));
+        let mut r = Reducer::new(&config, 2, 1);
+        // Round 1: heavy sharing. Rounds 2-4: none.
+        r.reduce(&shared(1, 80), |_| 0);
+        assert_eq!(at01(&r), 80.0);
+        for _ in 0..3 {
+            r.reduce(&[], |_| 0);
+        }
+        assert_eq!(at01(&r), 10.0, "80 * 0.5^3");
+        // New sharing dominates the faded history.
+        r.reduce(&shared(2, 40), |_| 0);
+        assert_eq!(at01(&r), 45.0, "80*0.5^4 + 40");
     }
 
     #[test]

@@ -872,67 +872,42 @@ impl RecordArena {
     }
 }
 
-/// Builds a [`Tcm`] (and per-class sub-maps) from a stream of OALs.
-///
-/// Round-pending objects live in a `RecordArena`; the round close walks each
-/// shared record's pairs into a **dense** round map (the measured-fastest close
-/// for the flat coordinator — ROADMAP item 5 (a)) and per-class scratches.
+/// The flat coordinator's round accrual: round-pending objects live in a
+/// `RecordArena`, and the round close walks each shared record's pairs into a
+/// **dense** round map (the measured-fastest close for the flat coordinator —
+/// ROADMAP item 5 (a)) and per-class scratches. It keeps no cumulative state:
+/// a [`TcmBuilder`] and the flat [`Reducer`](crate::Reducer) each fold its
+/// rounds into the one map they own.
 #[derive(Debug)]
-pub struct TcmBuilder {
-    tcm: Tcm,
+pub(crate) struct RoundAccrual {
+    n: usize,
     arena: RecordArena,
     // Per-class round scratch, reused across rounds.
     class_slots: HashMap<ClassId, usize>,
     class_scratch: Vec<ClassScratch>,
-    rounds_closed: u64,
-    decay: f64,
 }
 
-impl TcmBuilder {
-    /// Builder for `n_threads` threads.
-    pub fn new(n_threads: usize) -> Self {
-        TcmBuilder {
-            tcm: Tcm::new(n_threads),
+impl RoundAccrual {
+    pub(crate) fn new(n_threads: usize) -> Self {
+        RoundAccrual {
+            n: n_threads,
             arena: RecordArena::new(n_threads),
             class_slots: HashMap::new(),
             class_scratch: Vec::new(),
-            rounds_closed: 0,
-            decay: 1.0,
         }
     }
 
-    /// Exponentially decay the cumulative map at every round close (`1.0` = never
-    /// forget, the default). A windowed map tracks *current* sharing, which is what a
-    /// dynamic balancer should steer by when "sharing patterns could change
-    /// dynamically" (the paper's motivating case for adaptivity).
-    pub fn set_decay(&mut self, decay: f64) {
-        assert!((0.0..=1.0).contains(&decay), "decay must be in [0, 1]");
-        self.decay = decay;
-    }
-
     /// Ingest one OAL: the `O(M·N)` reorganization step.
-    pub fn ingest(&mut self, oal: &Oal) {
-        debug_assert!(oal.thread.index() < self.tcm.n());
+    pub(crate) fn ingest(&mut self, oal: &Oal) {
+        debug_assert!(oal.thread.index() < self.n);
         self.arena.ingest(oal);
     }
 
-    /// Fold the round's per-object bitsets into the map: the `O(M·N²)` accrual step,
-    /// now `O(M · pairs)` over set bits via `for_each_sharer_pair`. The
-    /// cumulative map is aged by the decay factor first, then gains the round's map.
-    ///
-    /// Returns the round's own (non-cumulative) maps — the "successive correlation
-    /// matrices" the adaptive controller compares — plus the object count.
-    pub fn close_round(&mut self) -> RoundSummary {
-        let summary = self.accrue_round();
-        self.fold_round(&summary.tcm);
-        summary
-    }
-
-    /// The accrual half of [`TcmBuilder::close_round`]: the round's own maps, with
-    /// the arena reset and the cumulative map not yet touched — so a caller can
-    /// still read the pre-round cumulative (the top-k view's admission weight).
-    pub(crate) fn accrue_round(&mut self) -> RoundSummary {
-        let n = self.tcm.n();
+    /// The round's own maps, with the arena reset for the next round: the
+    /// `O(M·N²)` accrual step, `O(M · pairs)` over set bits via
+    /// `for_each_sharer_pair`.
+    pub(crate) fn close(&mut self) -> RoundSummary {
+        let n = self.n;
         let objects = self.arena.len();
         let mut round_tcm = Tcm::new(n);
         let rt = round_tcm.data_mut();
@@ -971,25 +946,43 @@ impl TcmBuilder {
             per_class,
         }
     }
+}
 
-    /// The fold half of [`TcmBuilder::close_round`]: age the cumulative map, then
-    /// add the round's.
-    pub(crate) fn fold_round(&mut self, round: &Tcm) {
-        if self.decay < 1.0 {
-            self.tcm.scale(self.decay);
+/// Builds a [`Tcm`] (and per-class sub-maps) from a stream of OALs: a
+/// `RoundAccrual` and the cumulative map its rounds fold into.
+#[derive(Debug)]
+pub struct TcmBuilder {
+    tcm: Tcm,
+    round: RoundAccrual,
+}
+
+impl TcmBuilder {
+    /// Builder for `n_threads` threads.
+    pub fn new(n_threads: usize) -> Self {
+        TcmBuilder {
+            tcm: Tcm::new(n_threads),
+            round: RoundAccrual::new(n_threads),
         }
-        self.tcm.merge(round);
-        self.rounds_closed += 1;
+    }
+
+    /// Ingest one OAL: the `O(M·N)` reorganization step.
+    pub fn ingest(&mut self, oal: &Oal) {
+        self.round.ingest(oal);
+    }
+
+    /// Fold the round's per-object bitsets into the map and clear them.
+    ///
+    /// Returns the round's own (non-cumulative) maps — the "successive correlation
+    /// matrices" the adaptive controller compares — plus the object count.
+    pub fn close_round(&mut self) -> RoundSummary {
+        let summary = self.round.close();
+        self.tcm.merge(&summary.tcm);
+        summary
     }
 
     /// The accumulated global map.
     pub fn tcm(&self) -> &Tcm {
         &self.tcm
-    }
-
-    /// Rounds closed so far.
-    pub fn rounds_closed(&self) -> u64 {
-        self.rounds_closed
     }
 }
 
@@ -1262,26 +1255,6 @@ mod tests {
     }
 
     #[test]
-    fn decayed_builder_forgets_old_rounds() {
-        let mut b = TcmBuilder::new(2);
-        b.set_decay(0.5);
-        // Round 1: heavy sharing. Rounds 2-4: none.
-        b.ingest(&oal(0, vec![entry(1, 80)]));
-        b.ingest(&oal(1, vec![entry(1, 80)]));
-        b.close_round();
-        assert_eq!(b.tcm().at(ThreadId(0), ThreadId(1)), 80.0);
-        for _ in 0..3 {
-            b.close_round();
-        }
-        assert_eq!(b.tcm().at(ThreadId(0), ThreadId(1)), 10.0, "80 * 0.5^3");
-        // New sharing dominates the faded history.
-        b.ingest(&oal(0, vec![entry(2, 40)]));
-        b.ingest(&oal(1, vec![entry(2, 40)]));
-        b.close_round();
-        assert_eq!(b.tcm().at(ThreadId(0), ThreadId(1)), 45.0, "80*0.5^4 + 40");
-    }
-
-    #[test]
     fn repeated_intervals_accumulate_across_rounds() {
         let mut b = TcmBuilder::new(2);
         for _ in 0..3 {
@@ -1290,7 +1263,6 @@ mod tests {
             b.close_round();
         }
         assert_eq!(b.tcm().at(ThreadId(0), ThreadId(1)), 30.0);
-        assert_eq!(b.rounds_closed(), 3);
     }
 
     #[test]
@@ -1427,15 +1399,15 @@ mod tests {
             b.ingest(&oal(t, (0..100).map(|o| entry(o, 8)).collect()));
         }
         b.close_round();
-        let bits_cap = b.arena.bits.capacity();
-        let records_cap = b.arena.records.capacity();
+        let bits_cap = b.round.arena.bits.capacity();
+        let records_cap = b.round.arena.records.capacity();
         assert!(bits_cap >= 100 && records_cap >= 100);
         for t in 0..4u32 {
             b.ingest(&oal(t, (0..100).map(|o| entry(o, 8)).collect()));
         }
         b.close_round();
-        assert_eq!(b.arena.bits.capacity(), bits_cap, "bitset column reused");
-        assert_eq!(b.arena.records.capacity(), records_cap, "record column reused");
+        assert_eq!(b.round.arena.bits.capacity(), bits_cap, "bitset column reused");
+        assert_eq!(b.round.arena.records.capacity(), records_cap, "record column reused");
     }
 
     #[test]

@@ -37,19 +37,19 @@
 //! [`jessy_net::FaultPlan::master_crashes`]:
 //!
 //! * Every `ProfilerConfig::checkpoint_every_rounds` closed rounds it snapshots a
-//!   [`ProfilerCheckpoint`] — clones of the live [`RoundScheduler`] and
-//!   [`AdaptiveController`], the rate table, the accumulated [`Tcm`] and the
-//!   [`MasterLedger`] — and truncates its replay log of accepted post-checkpoint
-//!   OALs (modeling a durable WAL / worker retransmit buffers).
+//!   [`ProfilerCheckpoint`] — clones of the live [`RoundScheduler`],
+//!   [`AdaptiveController`] and [`ReducerState`] (the cumulative map and the
+//!   top-k head), the rate table and the [`MasterLedger`] — and truncates its
+//!   replay log of accepted post-checkpoint OALs (modeling a durable WAL /
+//!   worker retransmit buffers).
 //! * A master crash window kills the daemon's *volatile* state; OAL batches in
 //!   flight while it is down are deferred by the transport, not dropped. The first
 //!   batch at/after the window's end triggers a **restore**: the latest checkpoint
 //!   is reinstated, the replay log is re-ingested deterministically, and the master
 //!   **epoch** is bumped and broadcast with the rate table. When no message faults
-//!   dropped OALs, the recovered TCM is bit-identical to the uninterrupted run
-//!   (integer-valued f64 sums below 2^53 are exact and association-free); with
-//!   drops, round coverage reflects the loss and the PR 1 machinery degrades
-//!   gracefully.
+//!   dropped OALs, the recovered TCM, top-k head and sketch are bit-identical to
+//!   the uninterrupted run's; with drops, round coverage reflects the loss and
+//!   the PR 1 machinery degrades gracefully.
 //! * Arriving OALs stamped with a **stale epoch** that duplicate already-replayed
 //!   state are *fenced* (counted, never double-folded); stale-but-new OALs are still
 //!   accepted — fencing them too would turn every in-flight batch at restore time
@@ -71,7 +71,7 @@ use jessy_core::adaptive::apply_rate_change;
 use jessy_core::sampling::ClassGapState;
 use jessy_core::{
     AdaptiveController, CorrelationView, DegradeStep, HomeAwareAnalyzer, Oal, ProfilerConfig,
-    RateCause, ReducedRound, Reducer, RoundOutcome, Tcm, TreeRoundStats,
+    RateCause, ReducedRound, Reducer, ReducerState, RoundOutcome, Tcm, TreeRoundStats,
 };
 use jessy_gos::ClassId;
 use jessy_net::{ClockHandle, Mailbox, MasterCrashWindow, MsgClass, NodeId, ThreadId};
@@ -159,9 +159,14 @@ pub struct RoundTimeline {
 
 /// Aggregate telemetry of the tree-mode reduction pipeline (all zero when the
 /// classic flat coordinator is in use). Feeds the `master.reduce.*` metrics.
+///
+/// It counts reduction work actually done, replays included: like
+/// `MasterOutput::replayed_oals`, it is not rolled back on a master restore, so
+/// a round the restored master re-closes from its replay log counts twice.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ReduceTelemetry {
-    /// Rounds (including the end-of-run late fold, if any) reduced by the tree.
+    /// Rounds (including the end-of-run late fold, if any, and replayed rounds)
+    /// reduced by the tree.
     pub tree_rounds: u64,
     /// Object records that crossed nodes in the owner shuffle.
     pub shuffle_records: u64,
@@ -587,15 +592,15 @@ impl MasterLedger {
 /// identity (property-tested).
 ///
 /// Live telemetry counters (`checkpoints_taken`, `restores`, `replayed_oals`,
-/// `fenced_oals`) are deliberately **not** part of the snapshot: they describe
-/// what actually happened during the run, and rolling them back on restore would
-/// falsify the run report.
+/// `fenced_oals`, [`ReduceTelemetry`]) are deliberately **not** part of the
+/// snapshot: they describe what actually happened during the run, and rolling
+/// them back on restore would falsify the run report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProfilerCheckpoint {
     /// Master epoch at snapshot time.
     pub epoch: u64,
-    /// The accumulated TCM over the ledger's rounds.
-    pub tcm: Tcm,
+    /// The reducer's cumulative map and top-k head over the ledger's rounds.
+    pub reducer: ReducerState,
     /// Round assembly (watermarks, open buckets, dedup set, late buffer).
     pub scheduler: RoundScheduler,
     /// The adaptive controller (per-class baselines, converged set, drift
@@ -652,7 +657,7 @@ struct Daemon {
     shared: Arc<ClusterShared>,
     config: ProfilerConfig,
     /// The live reduce step (flat or tree, dense or sketch, with or without the
-    /// top-k head): rounds closed since the last restore.
+    /// top-k head).
     reducer: Reducer,
     /// `master.reduce.*` counters (tree mode only).
     reduce: ReduceTelemetry,
@@ -689,9 +694,6 @@ struct Daemon {
     // ---------------------------------------------------------- crash-stop recovery
     /// Current master epoch (bumped and broadcast on every restore).
     epoch: u64,
-    /// TCM accumulated before the last restore; the live `reducer` only holds rounds
-    /// closed since. `effective_tcm()` merges the two — exact for integer-valued f64.
-    base_tcm: Option<Tcm>,
     /// Latest snapshot, if checkpointing is on and one was taken.
     latest_checkpoint: Option<ProfilerCheckpoint>,
     /// Accepted OALs since the latest checkpoint (the durable WAL a restore replays).
@@ -755,19 +757,6 @@ impl Daemon {
         }
     }
 
-    /// The cumulative TCM: rounds closed since the last restore plus the restored
-    /// base. Integer-valued f64 sums below 2^53 are exact and association-free, so
-    /// this equals the uninterrupted cumulative bit for bit, on the flat and the
-    /// tree path alike; under the sketch backend it is the expansion
-    /// [`Reducer::cumulative`] documents.
-    fn effective_tcm(&self) -> Tcm {
-        let mut t = self.reducer.cumulative();
-        if let Some(base) = &self.base_tcm {
-            t.merge(base);
-        }
-        t
-    }
-
     /// Snapshot everything a restarted master needs, and truncate the replay log —
     /// OALs folded into the snapshot no longer need replaying.
     fn take_checkpoint(&mut self) {
@@ -778,7 +767,7 @@ impl Daemon {
         rates.sort_unstable_by_key(|(c, _)| *c);
         self.latest_checkpoint = Some(ProfilerCheckpoint {
             epoch: self.epoch,
-            tcm: self.effective_tcm(),
+            reducer: self.reducer.state().clone(),
             scheduler: self.scheduler.clone(),
             controller: self.controller.clone(),
             rates,
@@ -799,15 +788,15 @@ impl Daemon {
     /// table, then deterministically replay the buffered post-checkpoint OALs.
     /// Because the replay log holds exactly the accepted-since-checkpoint stream,
     /// checkpoint + replay is an *identity transform* on accepted state: when no
-    /// OALs were dropped by message faults, the recovered TCM is bit-identical to
-    /// the uninterrupted run's.
+    /// OALs were dropped by message faults, the recovered TCM and top-k head are
+    /// bit-identical to the uninterrupted run's.
     fn restore(&mut self) {
         self.restores += 1;
         let replay = std::mem::take(&mut self.replay_log);
 
         match self.latest_checkpoint.clone() {
             Some(cp) => {
-                self.base_tcm = Some(cp.tcm);
+                self.reducer.restore(cp.reducer);
                 self.scheduler = cp.scheduler;
                 self.controller = cp.controller;
                 // Re-impose the checkpointed rate table (the restored master
@@ -823,7 +812,8 @@ impl Daemon {
                 // Worker rate tables are left untouched — without a snapshot the
                 // restarted master has no record to re-broadcast; the controller
                 // re-baselines against the rates currently in force.
-                self.base_tcm = None;
+                self.reducer =
+                    Reducer::new(&self.config, self.shared.n_threads, self.shared.n_nodes);
                 let quarantine = self.scheduler.quarantine_table();
                 self.scheduler = fresh_scheduler(&self.config, self.shared.n_threads);
                 self.scheduler.set_quarantine(quarantine);
@@ -836,10 +826,6 @@ impl Daemon {
             // from what the replayed rounds re-accumulate.
             ha.clear();
         }
-        // Reducer state restarts from the checkpoint base: the replay log
-        // re-closes post-checkpoint rounds, refilling it in the same
-        // deterministic order the pre-crash master saw.
-        self.reducer = Reducer::new(&self.config, self.shared.n_threads, self.shared.n_nodes);
         // The summary-only switch lives in worker-visible profiler state: re-sync
         // it to the restored ladder position (replay re-derives later rungs).
         if self.config.overhead_budget.is_some() {
@@ -883,18 +869,13 @@ impl Daemon {
     }
 
     /// The one place OALs reach the reducer: reduce one round's OALs (a scheduler
-    /// round, or the late fold at the end of the run), pay for what the tree moved,
-    /// then age the restored base. The reducer decays its own cumulative per
-    /// close; the base must age in lockstep or the merged map would over-weight
-    /// pre-crash history.
+    /// round, or the late fold at the end of the run) and pay for what the tree
+    /// moved.
     fn reduce_round(&mut self, round: u64, oals: &[Oal]) -> ReducedRound {
         let shared = &self.shared;
         let reduced = self.reducer.reduce(oals, |t| shared.node_of(t).0 as usize);
         if let Some(stats) = &reduced.tree {
             self.charge_tree_round(round, stats);
-        }
-        if let (Some(decay), Some(base)) = (self.config.tcm_decay, self.base_tcm.as_mut()) {
-            base.scale(decay);
         }
         reduced
     }
@@ -1056,12 +1037,12 @@ impl Daemon {
     ///
     /// When the reducer keeps a head-and-sketch view ([`Reducer::planning_view`])
     /// the plan is drawn from it, so planning stays O(k + sketch) and never
-    /// expands the O(N²) dense map `effective_tcm()` would materialize. That is
-    /// the production-scale path (N=1024 in the bench).
+    /// expands the O(N²) dense map [`Reducer::cumulative`] would materialize.
+    /// That is the production-scale path (N=1024 in the bench).
     fn plan_placement_epoch(&mut self, cfg: &RebalanceConfig, round: u64) {
         let view: Box<dyn CorrelationView + '_> = match self.reducer.planning_view() {
             Some(view) => Box::new(view),
-            None => Box::new(self.effective_tcm()),
+            None => Box::new(self.reducer.cumulative()),
         };
         let (moved, telemetry) = (&mut self.ledger.last_moved_round, &mut self.ledger.placement);
         let homes = self.homeaware.as_ref();
@@ -1432,7 +1413,6 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
             .map(|_| HomeAwareAnalyzer::new(shared.n_nodes, shared.n_threads)),
         announced_converged: HashSet::new(),
         epoch: 0,
-        base_tcm: None,
         latest_checkpoint: None,
         replay_log: Vec::new(),
         master_crashes,
@@ -1466,7 +1446,7 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
     }
     daemon.finish();
 
-    let tcm = daemon.effective_tcm();
+    let tcm = daemon.reducer.cumulative();
     let controller = daemon.controller.as_ref();
     let ledger = daemon.ledger;
     let budget_over_rounds = config.overhead_budget.map_or(0, |budget| {

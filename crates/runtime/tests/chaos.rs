@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use jessy_core::{ProfilerConfig, SamplingRate};
+use jessy_core::{ProfilerConfig, SamplingRate, TcmBackend};
 use jessy_gos::{CostModel, LockId, ObjectId};
 use jessy_net::{
     CrashWindow, FaultPlan, LatencyModel, MasterCrashWindow, NodeId, PartitionWindow, SlowWindow,
@@ -338,33 +338,53 @@ fn recovery_profiler() -> ProfilerConfig {
 
 /// The headline tentpole test: the master crashes mid-run and restarts; checkpoint
 /// restore plus deterministic replay of the buffered backlog reproduces the
-/// uninterrupted run's TCM **bit for bit** (f64 equality) when no message faults
-/// dropped OALs — along with rounds, coverage and the ingest ledger.
+/// uninterrupted run **bit for bit** (f64 equality) when no message faults
+/// dropped OALs — the TCM, the top-k head, the timeline and the rate decisions,
+/// along with rounds, coverage and the ingest ledger — over every reducer: flat
+/// and tree, dense and sketch, with and without the head, decayed or not.
 #[test]
 fn master_crash_with_restart_recovers_a_bit_identical_tcm() {
-    let (_, base) = stable_run(recovery_profiler(), None, 20);
-    let (report, crashed) = stable_run(
-        recovery_profiler(),
-        Some(FaultPlan {
-            master_crashes: vec![MasterCrashWindow {
-                from_interval: 8,
-                until_interval: 11,
-            }],
-            ..FaultPlan::default()
-        }),
-        20,
-    );
+    let reducers = [
+        ("flat", 0, 0, TcmBackend::Dense, None),
+        ("flat + top-k", 0, 4, TcmBackend::Dense, None),
+        ("tree + top-k", 2, 4, TcmBackend::Dense, None),
+        ("tree + sketch + top-k", 2, 4, TcmBackend::Sketch { width: 4096, depth: 4 }, None),
+        ("flat, decay 0.5", 0, 0, TcmBackend::Dense, Some(0.5)),
+    ];
+    for (label, fanout, top_k, backend, decay) in reducers {
+        let mut config = recovery_profiler();
+        config.tcm_tree_fanout = fanout;
+        config.tcm_top_k = top_k;
+        config.tcm_backend = backend;
+        config.tcm_decay = decay;
+        let (_, base) = stable_run(config, None, 20);
+        let (report, crashed) = stable_run(
+            config,
+            Some(FaultPlan {
+                master_crashes: vec![MasterCrashWindow {
+                    from_interval: 8,
+                    until_interval: 11,
+                }],
+                ..FaultPlan::default()
+            }),
+            20,
+        );
 
-    assert_eq!(crashed.restores, 1, "exactly one crash window, one restore");
-    assert_eq!(crashed.final_epoch, 1, "each restore bumps the epoch once");
-    assert!(crashed.checkpoints_taken >= 1, "K=3 must have snapshotted");
-    assert!(crashed.replayed_oals >= 1, "the post-checkpoint backlog replays");
-    assert_eq!(crashed.tcm, base.tcm, "recovered TCM must be bit-identical");
-    assert_eq!(crashed.rounds, base.rounds);
-    assert_eq!(crashed.round_coverage, base.round_coverage);
-    assert_eq!(crashed.oals_ingested, base.oals_ingested);
-    assert_eq!(report.oal_post_failures, 0);
-    assert_eq!(report.rejoins, 0, "a master crash restarts no worker node");
+        assert_eq!(crashed.restores, 1, "{label}: exactly one crash window, one restore");
+        assert_eq!(crashed.final_epoch, 1, "{label}: each restore bumps the epoch once");
+        assert!(crashed.checkpoints_taken >= 1, "{label}: K=3 must have snapshotted");
+        assert!(crashed.replayed_oals >= 1, "{label}: the post-checkpoint backlog replays");
+        assert_eq!(crashed.tcm, base.tcm, "{label}: recovered TCM must be bit-identical");
+        assert_eq!(crashed.top_pairs.len(), top_k, "{label}");
+        assert_eq!(crashed.top_pairs, base.top_pairs, "{label}: the head survives the restore");
+        assert_eq!(crashed.timeline, base.timeline, "{label}");
+        assert_eq!(crashed.rate_changes, base.rate_changes, "{label}");
+        assert_eq!(crashed.rounds, base.rounds, "{label}");
+        assert_eq!(crashed.round_coverage, base.round_coverage, "{label}");
+        assert_eq!(crashed.oals_ingested, base.oals_ingested, "{label}");
+        assert_eq!(report.oal_post_failures, 0, "{label}");
+        assert_eq!(report.rejoins, 0, "{label}: a master crash restarts no worker node");
+    }
 }
 
 /// A master restore keeps the overhead-budget tallies: the over-budget count is
@@ -695,12 +715,12 @@ fn healed_partition_converges_and_deferred_oals_arrive() {
 }
 
 /// The late fold at the end of the run is one more reducer round, so under decay
-/// it must age a restored checkpoint base exactly as every scheduler round does:
-/// a partition makes OALs arrive late, a master crash mid-run leaves part of the
-/// cumulative TCM in the restored base, and the recovered map must still equal
-/// the uninterrupted run's bit for bit (decay 0.5 keeps every product exact).
+/// it ages the restored reducer state exactly as every scheduler round does: a
+/// partition makes OALs arrive late, a master crash mid-run restores the
+/// reducer from a checkpoint, and the recovered map must still equal the
+/// uninterrupted run's bit for bit (decay 0.5 keeps every product exact).
 #[test]
-fn late_fold_after_restore_ages_the_restored_base() {
+fn late_fold_after_restore_matches_the_uninterrupted_run() {
     let run = |master_crashes: Vec<MasterCrashWindow>| {
         let mut config = chaos_profiler();
         config.initial_rate = SamplingRate::Full;

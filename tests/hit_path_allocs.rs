@@ -12,9 +12,10 @@
 //! digests in `tests/schedule_identity.rs` and by `tests/determinism.rs`,
 //! which pass unchanged over the append-only object table.
 //!
-//! The same allocator also records the largest single request, for the one
-//! round-close promise that is about size, not count: a tree + sketch reducer
-//! exists to avoid the dense N×N triangle, so no round of it may ask for one.
+//! The same allocator also records the largest single request, for the two
+//! promises that are about size, not count: a tree + sketch reducer exists to
+//! avoid the dense N×N triangle, so neither a round of it nor a checkpoint of
+//! its state may ask for one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -176,33 +177,44 @@ fn hits_and_descents_over_mid_run_objects_allocate_nothing() {
     });
 }
 
-/// `Vec`'s `vec![0.0; n]` goes through `alloc_zeroed`, whose default forwards
-/// to `alloc` above — so a dense `Tcm::new(N)` shows up in `LARGEST`.
-#[test]
-fn a_tree_sketch_top_k_round_never_asks_for_the_dense_triangle() {
-    use jessy::core::{Oal, OalEntry, Reducer, TcmBackend};
-
-    const N: usize = 2048;
-    const NODES: usize = 4;
-    let triangle_bytes = N * (N - 1) / 2 * std::mem::size_of::<f64>(); // 16.8 MB
-    let config = ProfilerConfig {
+/// The tree + sketch + top-k reducer configuration of the two size tests.
+fn tree_sketch_top_k() -> ProfilerConfig {
+    ProfilerConfig {
         tcm_tree_fanout: 2,
-        tcm_backend: TcmBackend::default_sketch(),
+        tcm_backend: jessy::core::TcmBackend::default_sketch(),
         tcm_top_k: 16,
         ..ProfilerConfig::default()
-    };
-    // Neighbouring threads share an object; every eighth object is shared by
-    // a whole block of 64, so the round has a head worth tracking.
-    let oals: Vec<Oal> = (0..N as u32)
+    }
+}
+
+/// One round of `n` threads: neighbouring threads share an object; every
+/// eighth object is shared by a whole block of 64, so the round has a head
+/// worth tracking.
+fn neighbour_round(n: usize) -> Vec<jessy::core::Oal> {
+    use jessy::core::{Oal, OalEntry};
+    (0..n as u32)
         .map(|t| Oal {
             thread: ThreadId(t),
             interval: 0,
-            entries: [t / 2, N as u32 + t / 64]
+            entries: [t / 2, n as u32 + t / 64]
                 .into_iter()
                 .map(|obj| OalEntry { obj: ObjectId(obj), class: ClassId(0), bytes: 64 })
                 .collect(),
         })
-        .collect();
+        .collect()
+}
+
+/// `Vec`'s `vec![0.0; n]` goes through `alloc_zeroed`, whose default forwards
+/// to `alloc` above — so a dense `Tcm::new(N)` shows up in `LARGEST`.
+#[test]
+fn a_tree_sketch_top_k_round_never_asks_for_the_dense_triangle() {
+    use jessy::core::Reducer;
+
+    const N: usize = 2048;
+    const NODES: usize = 4;
+    let triangle_bytes = N * (N - 1) / 2 * std::mem::size_of::<f64>(); // 16.8 MB
+    let config = tree_sketch_top_k();
+    let oals = neighbour_round(N);
 
     LARGEST.with(|m| m.set(0));
     let mut reducer = Reducer::new(&config, N, NODES);
@@ -223,4 +235,32 @@ fn a_tree_sketch_top_k_round_never_asks_for_the_dense_triangle() {
     LARGEST.with(|m| m.set(0));
     Reducer::new(&ProfilerConfig::default(), N, NODES).reduce(&oals, |_| 0);
     assert!(LARGEST.with(Cell::get) >= triangle_bytes);
+}
+
+/// A checkpoint clones the reducer's persistent state: under the sketch
+/// backend that is the sketch rows and the head, never the dense triangle.
+#[test]
+fn cloning_the_sketch_reducer_state_never_asks_for_the_dense_triangle() {
+    use jessy::core::{Reducer, TcmBackend};
+
+    const N: usize = 4096;
+    let triangle_bytes = N * (N - 1) / 2 * std::mem::size_of::<f64>(); // 67 MB
+    let config = tree_sketch_top_k();
+    let TcmBackend::Sketch { width, depth } = config.tcm_backend else {
+        unreachable!("tree_sketch_top_k picks the sketch backend")
+    };
+    let sketch_bytes = width as usize * depth as usize * std::mem::size_of::<f64>(); // 2 MB
+    let mut reducer = Reducer::new(&config, N, 4);
+    reducer.reduce(&neighbour_round(N), |t| t.index() * 4 / N);
+    assert_eq!(reducer.top_pairs().len(), 16);
+
+    LARGEST.with(|m| m.set(0));
+    let state = reducer.state().clone();
+    let largest = LARGEST.with(Cell::get);
+    assert_eq!(&state, reducer.state());
+    assert!(
+        largest <= sketch_bytes,
+        "cloning the reducer state asked for {largest} B at once; the sketch rows are \
+         {sketch_bytes} B and the dense triangle {triangle_bytes} B"
+    );
 }

@@ -765,11 +765,12 @@ proptest! {
     /// `ProfilerCheckpoint` — the coordinator snapshot a crashed master restores
     /// from — serializes and deserializes to an *identical* value over arbitrary
     /// coordinator states (an arbitrary OAL stream, split at an arbitrary point,
-    /// its head driven through the real scheduler/controller/TCM machinery, plus
-    /// arbitrary report tails). And a restore resumes identically: the
-    /// deserialized scheduler and controller, fed the stream's tail alongside the
-    /// live ones, classify every OAL, close every round, decide every round and
-    /// end in the same state.
+    /// its head driven through the real scheduler/controller/reducer machinery
+    /// under an arbitrary reducer configuration, plus arbitrary report tails).
+    /// And a restore resumes identically: the deserialized scheduler, controller
+    /// and reducer, fed the stream's tail alongside the live ones, classify every
+    /// OAL, close and reduce every round, decide every round and end in the same
+    /// state — cumulative map, top-k head and planning view included.
     #[test]
     fn profiler_checkpoint_serde_roundtrip_is_identity(
         raw in prop::collection::vec(
@@ -784,9 +785,12 @@ proptest! {
         coverage in prop::collection::vec(0.0f64..1.0, 0..8),
         costs in prop::collection::vec(0.0f64..0.05, 1..8),
         split_raw in 0usize..61,
+        reducer_kind in 0u8..3, // flat, tree, tree + sketch
+        top_k_raw in 0usize..2, // head off, or k = 3
+        decayed in 0u8..2,
     ) {
         use jessy::core::sampling::ClassGapState;
-        use jessy::core::{AdaptiveController, ProfilerConfig};
+        use jessy::core::{AdaptiveController, ProfilerConfig, Reducer, TcmBackend};
         use jessy::runtime::{
             AppliedRateChange, MasterLedger, PlannedMigration, ProfilerCheckpoint, RoundScheduler,
             SkippedRateChange,
@@ -814,7 +818,21 @@ proptest! {
             quarantine_raw.iter().map(|&q| (q < 8).then_some(q)).collect();
         let mut sched = RoundScheduler::new(6, ipr, deadline);
         sched.set_quarantine(quarantine);
-        let mut builder = TcmBuilder::new(6);
+        // A narrow sketch, so its counters collide.
+        let reducer_config = ProfilerConfig {
+            tcm_tree_fanout: if reducer_kind == 0 { 0 } else { 2 },
+            tcm_backend: if reducer_kind == 2 {
+                TcmBackend::Sketch { width: 8, depth: 2 }
+            } else {
+                TcmBackend::Dense
+            },
+            tcm_top_k: 3 * top_k_raw,
+            tcm_decay: (decayed == 1).then_some(0.5),
+            ..ProfilerConfig::default()
+        };
+        let node_of = |t: ThreadId| t.index() % 2;
+        let mut reducer = Reducer::new(&reducer_config, 6, 2);
+        let mut pending: Vec<Oal> = Vec::new();
         let gaps = GapTable::new(4096);
         for c in 0..3u16 {
             gaps.register_class(ClassId(c), 64, SamplingRate::NX(2));
@@ -830,11 +848,11 @@ proptest! {
         let mut fed = Vec::new();
         let (head, tail) = oals.split_at(split_raw % (oals.len() + 1));
         for (k, oal) in head.iter().enumerate() {
-            builder.ingest(oal);
+            pending.push(oal.clone());
             sched.ingest(oal.clone());
             if k % 5 == 4 {
                 for closed in sched.ready_rounds() {
-                    let summary = builder.close_round();
+                    let summary = reducer.reduce(&std::mem::take(&mut pending), node_of);
                     let cost = costs[fed.len() % costs.len()];
                     fed.push(cost);
                     ctl.on_round(&summary.per_class, &gaps, closed.coverage, cost);
@@ -846,7 +864,7 @@ proptest! {
             (0..3u16).map(|c| (ClassId(c), gaps.state(ClassId(c)))).collect();
         let cp = ProfilerCheckpoint {
             epoch,
-            tcm: builder.tcm().clone(),
+            reducer: reducer.state().clone(),
             scheduler: sched.clone(),
             controller: Some(ctl.clone()),
             rates,
@@ -913,8 +931,10 @@ proptest! {
         let back: ProfilerCheckpoint = serde_json::from_str(&json).expect("deserializes");
         prop_assert_eq!(&back, &cp);
 
-        // Restore as the master does: the deserialized scheduler and controller,
-        // and the checkpointed rates re-imposed on a fresh gap table.
+        // Restore as the master does: the deserialized scheduler, controller and
+        // reducer state, and the checkpointed rates re-imposed on a fresh gap table.
+        let mut reducer2 = Reducer::new(&reducer_config, 6, 2);
+        reducer2.restore(back.reducer);
         let mut sched2 = back.scheduler;
         let mut ctl2 = back.controller.expect("controller checkpointed");
         let gaps2 = GapTable::new(4096);
@@ -924,22 +944,36 @@ proptest! {
         }
         // Both copies resume on the same tail in lockstep.
         for (k, oal) in tail.iter().enumerate() {
-            builder.ingest(oal);
+            pending.push(oal.clone());
             prop_assert_eq!(sched.ingest(oal.clone()), sched2.ingest(oal.clone()));
             if (head.len() + k) % 5 == 4 {
                 let closed = sched.ready_rounds();
                 prop_assert_eq!(&closed, &sched2.ready_rounds());
                 for round in closed {
-                    let summary = builder.close_round();
+                    let oals = std::mem::take(&mut pending);
+                    let (summary, summary2) =
+                        (reducer.reduce(&oals, node_of), reducer2.reduce(&oals, node_of));
+                    prop_assert_eq!(&summary.per_class, &summary2.per_class);
                     let cost = costs[fed.len() % costs.len()];
                     fed.push(cost);
                     prop_assert_eq!(
                         ctl.on_round(&summary.per_class, &gaps, round.coverage, cost),
-                        ctl2.on_round(&summary.per_class, &gaps2, round.coverage, cost)
+                        ctl2.on_round(&summary2.per_class, &gaps2, round.coverage, cost)
                     );
                 }
             }
         }
+        prop_assert_eq!(reducer.cumulative(), reducer2.cumulative());
+        prop_assert_eq!(reducer.top_pairs(), reducer2.top_pairs());
+        let planned = |r: &Reducer| {
+            r.planning_view().map(|view| {
+                let mut pairs = Vec::new();
+                view.for_each_pair(&mut |i, j, w| pairs.push((i, j, w)));
+                pairs
+            })
+        };
+        prop_assert_eq!(planned(&reducer), planned(&reducer2));
+        prop_assert_eq!(planned(&reducer).is_some(), reducer_kind == 2 && top_k_raw == 1);
         prop_assert_eq!(sched.flush(), sched2.flush());
         prop_assert_eq!(sched.take_late(), sched2.take_late());
         prop_assert_eq!(&sched, &sched2);
