@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use jessy_bench::{bh_cfg, scale, Scale};
-use jessy_core::{accuracy_abs, ProfilerConfig, Tcm};
+use jessy_core::{accuracy_abs, ProfilerConfig, SparseTcm, Tcm};
 use jessy_gos::CostModel;
 use jessy_net::{LatencyModel, ThreadId};
 use jessy_pagedsm::{InducedTcmBuilder, PageFaultModel, PageLayout};
@@ -74,10 +74,9 @@ fn main() {
         intra / cross
     };
     println!("\nintra/cross-galaxy contrast: inherent {:.1}x, induced {:.1}x", contrast(inherent), contrast(&induced));
-    let mut induced_norm = induced.clone();
-    if induced.total() > 0.0 {
-        induced_norm.scale(inherent.total() / induced.total());
-    }
+    let norm = if induced.total() > 0.0 { inherent.total() / induced.total() } else { 1.0 };
+    let scaled: Vec<_> = induced.to_sparse().iter().map(|(i, j, v)| (i, j, v * norm)).collect();
+    let induced_norm = SparseTcm::from_pairs(n_threads, &scaled).to_dense();
     println!(
         "normalized agreement between the maps (ABS accuracy): {:.1}%  (low = clues lost)",
         accuracy_abs(&induced_norm, inherent) * 100.0

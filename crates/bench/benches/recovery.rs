@@ -5,12 +5,13 @@
 //! buffered post-checkpoint OAL stream under a bumped epoch. Checkpointing more
 //! often buys a shorter replay at the price of more snapshot work. This bench
 //! runs the identical crash on every checkpoint cadence (including "never") and
-//! shows the trade: `replayed` shrinks as `ckpts` grows while the recovered TCM
-//! and top-k head stay **bit-identical** to the fault-free run in every row —
-//! recovery is an identity transform on the accepted stream, not an
-//! approximation of it. Two reducer lanes run the sweep: the flat coordinator,
-//! and a tree + sketch + top-k reducer whose checkpoint holds the sketch and
-//! the head. The bench asserts identity on every row.
+//! shows the trade: `replayed` shrinks as `ckpts` grows while the recovered TCM,
+//! top-k head and recorded OAL stream (`record_oals`) stay **bit-identical** to
+//! the fault-free run in every row — recovery is an identity transform on the
+//! accepted stream, not an approximation of it. Two reducer lanes run the sweep:
+//! the flat coordinator, and a tree + sketch + top-k reducer whose checkpoint
+//! holds the sketch and the head. A checkpoint holds only the length of the
+//! master's one accepted-OAL log. The bench asserts identity on every row.
 //!
 //! `JESSY_SCALE=small` shortens the run for CI; the default matches the other
 //! chaos-family sweeps.
@@ -45,6 +46,7 @@ fn run(
     let (_, fanout, backend, top_k) = lane;
     let mut config = ProfilerConfig::tracking_at(SamplingRate::Full);
     config.intervals_per_round = 2;
+    config.record_oals = true;
     config.checkpoint_every_rounds = checkpoint_every;
     config.tcm_tree_fanout = fanout;
     config.tcm_backend = backend;
@@ -104,6 +106,7 @@ fn main() {
         "epoch",
         "tcm identical",
         "top-k identical",
+        "oal_log identical",
         "build ms",
     ]);
     for lane in LANES {
@@ -113,8 +116,9 @@ fn main() {
             let cadence = every.map_or("never".into(), |k| format!("{k} rounds"));
             let tcm_identical = m.tcm == truth.tcm && m.rounds == truth.rounds;
             let top_k_identical = m.top_pairs.len() == lane.3 && m.top_pairs == truth.top_pairs;
+            let log_identical = !m.oal_log.is_empty() && m.oal_log == truth.oal_log;
             assert!(
-                tcm_identical && top_k_identical,
+                tcm_identical && top_k_identical && log_identical,
                 "{} lane, checkpoint every {cadence}: the recovered run must equal the \
                  fault-free one",
                 lane.0
@@ -129,6 +133,7 @@ fn main() {
                 m.final_epoch.to_string(),
                 tcm_identical.to_string(),
                 if lane.3 == 0 { "no head".into() } else { top_k_identical.to_string() },
+                log_identical.to_string(),
                 format!("{:.2}", m.tcm_build_real_ns as f64 / 1e6),
             ]);
         }
@@ -136,6 +141,6 @@ fn main() {
     println!("{}", t.render());
     println!("the buffered transport defers in-flight OALs across the outage, so every");
     println!("cadence — even \"never\", which replays from round zero — recovers the");
-    println!("exact fault-free map and top-k head; frequent checkpoints only shorten");
-    println!("the replay.");
+    println!("exact fault-free map, top-k head and recorded OAL stream; frequent");
+    println!("checkpoints only shorten the replay.");
 }

@@ -168,9 +168,6 @@ pub struct ProfilerConfig {
     /// Keep the raw OAL stream at the master (memory-heavy; used by the page-grain
     /// baseline analysis and by Fig. 1-style offline comparisons).
     pub record_oals: bool,
-    /// Exponential decay of the cumulative TCM per round (`None` = never forget).
-    /// A windowed map follows workloads whose sharing patterns change over time.
-    pub tcm_decay: Option<f64>,
     /// Stack sampling, if enabled.
     pub stack: Option<StackSamplingConfig>,
     /// Sticky-set footprinting, if enabled.
@@ -256,7 +253,6 @@ impl ProfilerConfig {
             adaptive_threshold: None,
             intervals_per_round: 1,
             record_oals: false,
-            tcm_decay: None,
             stack: None,
             footprint: None,
             round_deadline_intervals: None,
@@ -328,15 +324,6 @@ impl ProfilerConfig {
                 format!("{}", self.min_round_coverage),
                 "must be a fraction in [0, 1]",
             );
-        }
-        if let Some(d) = self.tcm_decay {
-            if d.is_nan() || d <= 0.0 || d > 1.0 {
-                return err(
-                    "tcm_decay",
-                    format!("{d}"),
-                    "the per-round decay factor must lie in (0, 1]",
-                );
-            }
         }
         if self.checkpoint_every_rounds == Some(0) {
             return err(
@@ -469,13 +456,13 @@ mod tests {
     #[test]
     fn validation_names_the_offending_field_and_value() {
         let bad = ProfilerConfig {
-            tcm_decay: Some(1.5),
+            overhead_budget: Some(1.5),
             ..ProfilerConfig::default()
         };
         let e = bad.validate().unwrap_err();
-        assert_eq!(e.field, "tcm_decay");
+        assert_eq!(e.field, "overhead_budget");
         let msg = e.to_string();
-        assert!(msg.contains("ProfilerConfig.tcm_decay"), "named: {msg}");
+        assert!(msg.contains("ProfilerConfig.overhead_budget"), "named: {msg}");
         assert!(msg.contains("1.5"), "value echoed: {msg}");
         assert!(msg.contains("(0, 1]"), "requirement stated: {msg}");
     }
@@ -504,8 +491,6 @@ mod tests {
                 ProfilerConfig { min_round_coverage: f64::NAN, ..base },
                 "min_round_coverage",
             ),
-            (ProfilerConfig { tcm_decay: Some(0.0), ..base }, "tcm_decay"),
-            (ProfilerConfig { tcm_decay: Some(1.5), ..base }, "tcm_decay"),
             (
                 ProfilerConfig { checkpoint_every_rounds: Some(0), ..base },
                 "checkpoint_every_rounds",

@@ -442,21 +442,21 @@ mod tests {
         }
     }
 
-    /// The tentpole property: for arbitrary OAL streams, node placements,
-    /// fanouts and decay factors, the tree pipeline's per-round root — and the
-    /// cumulative map it folds into, aged as the `Reducer` ages it — is
-    /// bit-identical to a flat `TcmBuilder`'s rounds fed the same stream.
+    /// The central property: for arbitrary OAL streams, node placements and
+    /// fanouts, the tree pipeline's per-round root — and the cumulative map it
+    /// folds into — is bit-identical to a flat `TcmBuilder`'s rounds fed the
+    /// same stream.
     #[test]
     fn tree_reduction_is_bit_identical_to_flat_builder() {
         let n_threads = 23; // not a multiple of 64: exercises partial bitset words
-        for (seed, n_nodes, fanout, decay) in [
-            (1u64, 1usize, 2usize, 1.0f64),
-            (2, 2, 2, 1.0),
-            (3, 3, 2, 0.5),
-            (4, 4, 3, 1.0),
-            (5, 5, 4, 0.5),
-            (6, 7, 2, 1.0),
-            (7, 8, 3, 0.25),
+        for (seed, n_nodes, fanout) in [
+            (1u64, 1usize, 2usize),
+            (2, 2, 2),
+            (3, 3, 2),
+            (4, 4, 3),
+            (5, 5, 4),
+            (6, 7, 2),
+            (7, 8, 3),
         ] {
             let mut flat = TcmBuilder::new(n_threads);
             let mut tree = TreeTcmReducer::new(n_threads, n_nodes, fanout);
@@ -472,13 +472,9 @@ mod tests {
                 }
                 let flat_summary = flat.close_round();
                 let (stats, root) = close_round(&mut tree);
-                cum.scale(decay);
                 cum.merge_sparse(&root.pairs);
-                flat_cum.scale(decay);
                 flat_cum.merge(&flat_summary.tcm);
-                let label = format!(
-                    "seed {seed} round {round} nodes {n_nodes} fanout {fanout} decay {decay}"
-                );
+                let label = format!("seed {seed} round {round} nodes {n_nodes} fanout {fanout}");
                 assert_eq!(root.objects, flat_summary.objects, "{label}");
                 assert_eq!(root.pairs.to_dense().raw(), flat_summary.tcm.raw(), "{label}");
                 assert_eq!(root.per_class, flat_summary.per_class, "{label}");
@@ -536,7 +532,7 @@ mod tests {
             acc.merge(&root, &mut scratch);
             cum.merge_sparse(&root.pairs);
         }
-        // The accumulated partial equals the cumulative map (decay = 1.0).
+        // The accumulated partial equals the cumulative map.
         assert_eq!(acc.pairs.to_dense().raw(), cum.raw());
         // Steady state: once the union shape stabilizes, further merges reuse
         // the scratch (and the accumulator's own buffer) without allocating.

@@ -88,8 +88,6 @@ enum Rounds {
 /// The reducer a [`ProfilerConfig`] asks for. See the module docs.
 #[derive(Debug)]
 pub struct Reducer {
-    /// Per-round ageing of the cumulative state (`1.0` = never forget).
-    decay: f64,
     rounds: Rounds,
     state: ReducerState,
 }
@@ -104,7 +102,6 @@ impl Reducer {
             }
         };
         Reducer {
-            decay: config.tcm_decay.unwrap_or(1.0),
             rounds: if config.tcm_tree_fanout >= 2 {
                 let fanout = config.tcm_tree_fanout;
                 Rounds::Tree(TreeTcmReducer::new(n_threads, n_nodes.max(1), fanout))
@@ -119,19 +116,10 @@ impl Reducer {
     }
 
     /// Reduce one round's OALs (`node_of` places each logging thread, for the
-    /// tree's leaves): age the cumulative state and the top-k head, admit the
-    /// round's pairs to the head at their pre-round cumulative weight, fold.
+    /// tree's leaves): admit the round's pairs to the top-k head at their
+    /// pre-round cumulative weight, fold.
     pub fn reduce(&mut self, oals: &[Oal], node_of: impl Fn(ThreadId) -> usize) -> ReducedRound {
         let state = &mut self.state;
-        if self.decay < 1.0 {
-            match &mut state.cum {
-                Cumulative::Dense(tcm) => tcm.scale(self.decay),
-                Cumulative::Sketch(sketch) => sketch.scale(self.decay),
-            }
-            if let Some(tk) = &mut state.topk {
-                tk.scale(self.decay);
-            }
-        }
         match &mut self.rounds {
             Rounds::Flat(accrual) => {
                 for oal in oals {
@@ -249,78 +237,46 @@ mod tests {
     }
 
     #[test]
-    fn a_decayed_reducer_forgets_old_rounds() {
-        let config = ProfilerConfig {
-            tcm_decay: Some(0.5),
-            ..ProfilerConfig::default()
-        };
-        let shared = |obj: u32, bytes: u64| -> Vec<Oal> {
-            (0..2)
-                .map(|t| Oal {
-                    thread: ThreadId(t),
-                    interval: 0,
-                    entries: vec![OalEntry { obj: ObjectId(obj), class: ClassId(0), bytes }],
-                })
-                .collect()
-        };
-        let at01 = |r: &Reducer| r.cumulative().at(ThreadId(0), ThreadId(1));
-        let mut r = Reducer::new(&config, 2, 1);
-        // Round 1: heavy sharing. Rounds 2-4: none.
-        r.reduce(&shared(1, 80), |_| 0);
-        assert_eq!(at01(&r), 80.0);
-        for _ in 0..3 {
-            r.reduce(&[], |_| 0);
-        }
-        assert_eq!(at01(&r), 10.0, "80 * 0.5^3");
-        // New sharing dominates the faded history.
-        r.reduce(&shared(2, 40), |_| 0);
-        assert_eq!(at01(&r), 45.0, "80*0.5^4 + 40");
-    }
-
-    #[test]
     fn dense_configurations_agree_bit_for_bit() {
         let (n_threads, n_nodes) = (70u32, 3usize); // two bitset words
-        for decay in [None, Some(0.5), Some(0.9)] {
-            let configs: Vec<ProfilerConfig> = [(0, 0), (0, 5), (2, 0), (3, 5)]
-                .into_iter()
-                .map(|(fanout, k)| ProfilerConfig {
-                    tcm_tree_fanout: fanout,
-                    tcm_top_k: k,
-                    tcm_decay: decay,
-                    ..ProfilerConfig::default()
-                })
+        let configs: Vec<ProfilerConfig> = [(0, 0), (0, 5), (2, 0), (3, 5)]
+            .into_iter()
+            .map(|(fanout, k)| ProfilerConfig {
+                tcm_tree_fanout: fanout,
+                tcm_top_k: k,
+                ..ProfilerConfig::default()
+            })
+            .collect();
+        let mut reducers: Vec<Reducer> = configs
+            .iter()
+            .map(|c| Reducer::new(c, n_threads as usize, n_nodes))
+            .collect();
+        for r in 0..5u64 {
+            let oals = round(r + 1, n_threads);
+            let rounds: Vec<ReducedRound> = reducers
+                .iter_mut()
+                .map(|red| red.reduce(&oals, |t| t.index() % n_nodes))
                 .collect();
-            let mut reducers: Vec<Reducer> = configs
-                .iter()
-                .map(|c| Reducer::new(c, n_threads as usize, n_nodes))
-                .collect();
-            for r in 0..5u64 {
-                let oals = round(r + 1, n_threads);
-                let rounds: Vec<ReducedRound> = reducers
-                    .iter_mut()
-                    .map(|red| red.reduce(&oals, |t| t.index() % n_nodes))
-                    .collect();
-                for (cfg, got) in configs.iter().zip(&rounds).skip(1) {
-                    let label = format!("round {r} decay {decay:?} {cfg:?}");
-                    assert_eq!(got.objects, rounds[0].objects, "{label}");
-                    assert_eq!(got.per_class, rounds[0].per_class, "{label}");
-                    assert_eq!(got.tree.is_some(), cfg.tcm_tree_fanout >= 2, "{label}");
-                }
-                let flat = reducers[0].cumulative();
-                for red in &reducers[1..] {
-                    let cum = red.cumulative();
-                    assert!(
-                        cum.raw().iter().zip(flat.raw()).all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "cumulative bits differ, round {r} decay {decay:?}"
-                    );
-                }
-                // The head is fed on both arms, from the same pre-round weights.
-                assert!(reducers[0].top_pairs().is_empty() && reducers[2].top_pairs().is_empty());
-                assert_eq!(reducers[1].top_pairs().len(), 5);
-                assert_eq!(reducers[1].top_pairs(), reducers[3].top_pairs());
+            for (cfg, got) in configs.iter().zip(&rounds).skip(1) {
+                let label = format!("round {r} {cfg:?}");
+                assert_eq!(got.objects, rounds[0].objects, "{label}");
+                assert_eq!(got.per_class, rounds[0].per_class, "{label}");
+                assert_eq!(got.tree.is_some(), cfg.tcm_tree_fanout >= 2, "{label}");
             }
-            assert!(reducers.iter().all(|r| r.planning_view().is_none()));
+            let flat = reducers[0].cumulative();
+            for red in &reducers[1..] {
+                let cum = red.cumulative();
+                assert!(
+                    cum.raw().iter().zip(flat.raw()).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "cumulative bits differ, round {r}"
+                );
+            }
+            // The head is fed on both arms, from the same pre-round weights.
+            assert!(reducers[0].top_pairs().is_empty() && reducers[2].top_pairs().is_empty());
+            assert_eq!(reducers[1].top_pairs().len(), 5);
+            assert_eq!(reducers[1].top_pairs(), reducers[3].top_pairs());
         }
+        assert!(reducers.iter().all(|r| r.planning_view().is_none()));
     }
 
     #[test]

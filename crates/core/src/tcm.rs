@@ -146,13 +146,6 @@ impl Tcm {
         2.0 * self.data.iter().sum::<f64>()
     }
 
-    /// Scale every entry (normalization for cross-run comparisons).
-    pub fn scale(&mut self, k: f64) {
-        for v in &mut self.data {
-            *v *= k;
-        }
-    }
-
     /// Raw packed upper-triangle data, row-major: `(0,1) (0,2) … (0,n−1) (1,2) …`
     /// (for distance metrics and equality checks; both sides of a metric see the same
     /// packing, so the `E_ABS`/`E_EUC` ratios match the dense definition).
@@ -484,13 +477,6 @@ impl TopKPairs {
         self.tracked.len()
     }
 
-    /// Decay every tracked weight (call in lockstep with the cumulative map).
-    pub fn scale(&mut self, factor: f64) {
-        for (_, w) in &mut self.tracked {
-            *w *= factor;
-        }
-    }
-
     /// Total order for eviction/ranking: hotter first, ties broken by cell index.
     fn hotter(x: (u32, f64), y: (u32, f64)) -> std::cmp::Ordering {
         y.1.total_cmp(&x.1).then(x.0.cmp(&y.0))
@@ -653,13 +639,6 @@ impl SketchTcm {
     pub fn fold_round(&mut self, round: &SparseTcm) {
         for &(idx, v) in round.cells() {
             self.add(idx, v);
-        }
-    }
-
-    /// Decay every counter (linear counters commute with scaling).
-    pub fn scale(&mut self, factor: f64) {
-        for v in &mut self.rows {
-            *v *= factor;
         }
     }
 
@@ -1048,13 +1027,6 @@ pub mod reference {
             }
         }
 
-        /// Scale every entry.
-        pub fn scale(&mut self, k: f64) {
-            for v in &mut self.data {
-                *v *= k;
-            }
-        }
-
         /// Sum of all entries (2× the pairwise total, diagonal zero).
         pub fn total(&self) -> f64 {
             self.data.iter().sum()
@@ -1090,7 +1062,6 @@ pub mod reference {
         tcm: DenseTcm,
         per_class: HashMap<ClassId, DenseTcm>,
         round_objects: HashMap<ObjectId, (ClassId, ObjAccum)>,
-        decay: f64,
     }
 
     impl ScalarTcmBuilder {
@@ -1101,14 +1072,7 @@ pub mod reference {
                 tcm: DenseTcm::new(n_threads),
                 per_class: HashMap::new(),
                 round_objects: HashMap::new(),
-                decay: 1.0,
             }
-        }
-
-        /// Decay factor applied to the cumulative map at every round close.
-        pub fn set_decay(&mut self, decay: f64) {
-            assert!((0.0..=1.0).contains(&decay));
-            self.decay = decay;
         }
 
         /// The seed's reorganization step: `Vec<ThreadId>` per object with a
@@ -1127,7 +1091,7 @@ pub mod reference {
         }
 
         /// The seed's accrual step: nested pair loops over each object's thread list
-        /// into dense round + per-class maps, then decay-and-merge.
+        /// into dense round + per-class maps, then merge.
         pub fn close_round(&mut self) -> ScalarRoundSummary {
             let objects = std::mem::take(&mut self.round_objects);
             let m = objects.len();
@@ -1145,12 +1109,6 @@ pub mod reference {
                         round_tcm.add_pair(accum.threads[a], accum.threads[b], accum.bytes);
                         class_tcm.add_pair(accum.threads[a], accum.threads[b], accum.bytes);
                     }
-                }
-            }
-            if self.decay < 1.0 {
-                self.tcm.scale(self.decay);
-                for map in self.per_class.values_mut() {
-                    map.scale(self.decay);
                 }
             }
             self.tcm.merge(&round_tcm);
@@ -1607,24 +1565,6 @@ mod tests {
     }
 
     #[test]
-    fn topk_decays_in_lockstep() {
-        let n = 4;
-        let mut cum = Tcm::new(n);
-        let mut top = TopKPairs::new(n, 2);
-        let round = SparseTcm::from_pairs(n, &[(ThreadId(0), ThreadId(1), 100.0)]);
-        top.observe_round(&round, |idx| cum.raw()[idx as usize]);
-        cum.merge_sparse(&round);
-        cum.scale(0.5);
-        top.scale(0.5);
-        let later = SparseTcm::from_pairs(n, &[(ThreadId(2), ThreadId(3), 60.0)]);
-        top.observe_round(&later, |idx| cum.raw()[idx as usize]);
-        cum.merge_sparse(&later);
-        let got = top.top();
-        assert_eq!(got[0], (ThreadId(2), ThreadId(3), 60.0));
-        assert_eq!(got[1], (ThreadId(0), ThreadId(1), 50.0));
-    }
-
-    #[test]
     fn sketch_never_underestimates_and_merges_exactly() {
         let n = 64;
         let mut one = SketchTcm::new(n, 256, 4);
@@ -1654,9 +1594,6 @@ mod tests {
         }
         left.merge(&right);
         assert_eq!(left, one, "standard-update sketches merge exactly");
-        one.scale(0.25);
-        let (&some_idx, &some_truth) = exact.iter().next().unwrap();
-        assert!(one.estimate(some_idx) >= 0.25 * some_truth);
     }
 
     #[test]

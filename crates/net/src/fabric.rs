@@ -17,8 +17,8 @@
 //! [`FaultInjector`] on every send: one-way messages may be dropped (still accounted —
 //! the wire carried them — but the receiver never sees them), duplicated (accounted
 //! and charged twice) or hit with a latency spike; synchronous round trips never lose
-//! their reply — a drop there manifests as a timeout-plus-retransmission penalty, so
-//! the lock-step protocol stays live under any drop rate.
+//! their reply — a request lost to a stall window or a partition manifests as a
+//! timeout-plus-retransmission penalty, so the lock-step protocol stays live.
 
 use std::sync::Arc;
 
@@ -261,9 +261,10 @@ impl Fabric {
     /// `resp_bytes`. Both legs are accounted; the full round trip is charged to the
     /// requester's clock. Returns the total simulated cost (zero if `from == to`).
     ///
-    /// Under a fault plan a dropped request does not stall the protocol: the requester
-    /// pays a timeout (the plan's delay spike) plus a second request transmission and
-    /// the trip completes — counted in [`crate::fault::FaultStats::retransmits`].
+    /// Under a fault plan a request lost to a stall window does not stall the
+    /// protocol: the requester pays a timeout (the plan's delay spike) plus a second
+    /// request transmission and the trip completes — counted in
+    /// [`crate::fault::FaultStats::stalled`].
     #[allow(clippy::too_many_arguments)]
     pub fn charge_round_trip(
         &self,
@@ -315,7 +316,7 @@ impl Fabric {
                 self.trace_partitioned(from, to, req_class, clock);
                 prepaid = clock.now() - retry_from;
             }
-            let d = inj.decide_sync(from, to, req_class);
+            let d = inj.decide(from, to, req_class);
             if d.dropped {
                 // Timeout, then retransmit the request leg.
                 self.account(from, to, req_class, req_total as u64);
@@ -489,14 +490,14 @@ mod tests {
     }
 
     #[test]
-    fn dropped_round_trip_pays_a_retransmission() {
+    fn stalled_round_trip_pays_a_retransmission() {
         let lat = LatencyModel {
             base_ns: 100,
             ns_per_byte: 0.0,
         };
         let plan = FaultPlan {
-            drop_prob: 1.0,
             delay_spike_ns: 10_000,
+            stalls: vec![crate::fault::StallWindow { node: NodeId(0), start_msg: 0, end_msg: 1 }],
             ..FaultPlan::default()
         };
         let f = Fabric::with_faults(2, lat, plan).unwrap();
@@ -515,7 +516,7 @@ mod tests {
         let s = f.stats();
         assert_eq!(s.class(MsgClass::LockAcquire).messages, 2, "request sent twice");
         assert_eq!(s.class(MsgClass::LockGrant).messages, 1);
-        assert_eq!(s.faults.retransmits, 1);
+        assert_eq!(s.faults.stalled, 1);
     }
 
     #[test]
@@ -637,14 +638,14 @@ mod tests {
             2,
             LatencyModel::free(),
             FaultPlan {
-                drop_prob: 1.0,
+                stalls: vec![crate::fault::StallWindow { node: NodeId(0), start_msg: 0, end_msg: 1 }],
                 ..FaultPlan::default()
             },
         )
         .unwrap();
         let c = clock();
         f.send(NodeId(0), NodeId(1), MsgClass::DiffUpdate, 10, &c);
-        assert_eq!(f.stats().faults.dropped, 1);
+        assert_eq!(f.stats().faults.stalled, 1);
         f.reset();
         assert!(f.stats().faults.is_zero());
     }

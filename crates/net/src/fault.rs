@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::NetError;
 use crate::ids::{NodeId, ThreadId};
-use crate::message::{MsgClass, NUM_MSG_CLASSES};
+use crate::message::MsgClass;
 
 /// A window of outbound messages during which a node is unresponsive (e.g. a GC pause
 /// or a transient network partition). Every message the node sends while its outbound
@@ -72,14 +72,6 @@ pub struct MasterCrashWindow {
     pub from_interval: u64,
     /// First interval past the crash (exclusive); the restart point.
     pub until_interval: u64,
-}
-
-impl MasterCrashWindow {
-    /// True if the master is down for OALs closing profiling interval `interval`.
-    #[inline]
-    pub fn covers(&self, interval: u64) -> bool {
-        (self.from_interval..self.until_interval).contains(&interval)
-    }
 }
 
 /// A window of **virtual time** during which a set of nodes (the *island*) is
@@ -145,9 +137,9 @@ impl SlowWindow {
 
 /// A declarative, seedable schedule of network faults.
 ///
-/// All probabilities are per message in `[0, 1]`. The effective drop probability of a
-/// message is the **maximum** of the base rate, its class override and its link
-/// override — overrides strengthen, never weaken, the base plan.
+/// All probabilities are per message in `[0, 1]`. Only OAL batches are dropped at
+/// random (`oal_drop`); any other message is lost only inside a stall window, and a
+/// round trip is severed only by a partition.
 ///
 /// ```
 /// use jessy_net::FaultPlan;
@@ -158,16 +150,9 @@ impl SlowWindow {
 pub struct FaultPlan {
     /// Seed feeding every per-message decision hash.
     pub seed: u64,
-    /// Base drop probability applied to every message class.
-    pub drop_prob: f64,
-    /// Drop probability for [`MsgClass::OalBatch`] traffic (profiling batches). Takes
-    /// the maximum with `drop_prob`.
+    /// Drop probability for [`MsgClass::OalBatch`] traffic (profiling batches), the
+    /// one class the plan drops at random.
     pub oal_drop: f64,
-    /// Per-class drop overrides; each takes the maximum with `drop_prob`.
-    pub class_drop: Vec<(MsgClass, f64)>,
-    /// Per-directed-link drop overrides `(from, to, prob)`; each takes the maximum
-    /// with the class-level probability.
-    pub link_drop: Vec<(NodeId, NodeId, f64)>,
     /// Probability that a delivered message is delivered twice.
     pub duplicate_prob: f64,
     /// Probability that a message suffers a latency spike of `delay_spike_ns`.
@@ -190,10 +175,7 @@ impl Default for FaultPlan {
     fn default() -> Self {
         FaultPlan {
             seed: 0x5EED_CAFE,
-            drop_prob: 0.0,
             oal_drop: 0.0,
-            class_drop: Vec::new(),
-            link_drop: Vec::new(),
             duplicate_prob: 0.0,
             delay_prob: 0.0,
             delay_spike_ns: 1_000_000, // 1 ms, ~a Fast Ethernet TCP retransmission stall
@@ -210,10 +192,7 @@ impl FaultPlan {
     /// True if this plan injects nothing: the injector takes a zero-cost path and the
     /// run is bit-identical to one without any plan at all.
     pub fn is_zero(&self) -> bool {
-        self.drop_prob == 0.0
-            && self.oal_drop == 0.0
-            && self.class_drop.iter().all(|(_, p)| *p == 0.0)
-            && self.link_drop.iter().all(|(_, _, p)| *p == 0.0)
+        self.oal_drop == 0.0
             && self.duplicate_prob == 0.0
             && self.delay_prob == 0.0
             && self.stalls.is_empty()
@@ -234,16 +213,9 @@ impl FaultPlan {
             }
             Ok(())
         };
-        check("drop_prob", self.drop_prob)?;
         check("oal_drop", self.oal_drop)?;
         check("duplicate_prob", self.duplicate_prob)?;
         check("delay_prob", self.delay_prob)?;
-        for (class, p) in &self.class_drop {
-            check(&format!("class_drop[{}]", class.label()), *p)?;
-        }
-        for (from, to, p) in &self.link_drop {
-            check(&format!("link_drop[{from}->{to}]"), *p)?;
-        }
         for w in &self.stalls {
             if w.end_msg <= w.start_msg {
                 return Err(NetError::InvalidFaultPlan(format!(
@@ -318,10 +290,6 @@ impl FaultPlan {
             }
             Ok(())
         };
-        for (from, to, _) in &self.link_drop {
-            check("link_drop", *from)?;
-            check("link_drop", *to)?;
-        }
         for w in &self.stalls {
             check("stall window", w.node)?;
         }
@@ -370,23 +338,12 @@ impl FaultPlan {
             .fold(1.0f64, |acc, w| acc.max(w.factor))
     }
 
-    /// True if the plan schedules any slow window for `node` at all (fast gate for
-    /// the runtime's per-access inflation check).
-    pub fn slows(&self, node: NodeId) -> bool {
-        self.slow.iter().any(|w| w.node == node)
-    }
-
     /// True if worker node `node` is crashed while closing profiling interval
     /// `interval`. Pure function of the plan — no injector state involved.
     pub fn node_down_at(&self, node: NodeId, interval: u64) -> bool {
         self.node_crashes
             .iter()
             .any(|w| w.node == node && w.covers(interval))
-    }
-
-    /// True if the master daemon is crashed for OALs closing interval `interval`.
-    pub fn master_down_at(&self, interval: u64) -> bool {
-        self.master_crashes.iter().any(|w| w.covers(interval))
     }
 
     /// How many distinct crash windows the plan schedules for `node`.
@@ -432,11 +389,6 @@ impl FaultDecision {
         duplicated: false,
         extra_delay_ns: 0,
     };
-
-    /// True if the message passes through untouched.
-    pub fn is_clean(&self) -> bool {
-        *self == Self::CLEAN
-    }
 }
 
 /// Counters of injected faults, snapshotted into [`crate::NetworkStats`].
@@ -450,7 +402,8 @@ pub struct FaultStats {
     pub delayed: u64,
     /// Messages suppressed by a node stall window.
     pub stalled: u64,
-    /// Synchronous round trips that hit a drop and paid a retransmission.
+    /// Timeout-and-retransmit cycles synchronous round trips paid inside partition
+    /// windows.
     pub retransmits: u64,
     /// OAL batches never sent because the owning node was inside a crash window.
     pub crash_suppressed: u64,
@@ -510,10 +463,6 @@ impl FaultStats {
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    /// Effective per-class drop probability (base maxed with overrides).
-    class_drop: [f64; NUM_MSG_CLASSES],
-    /// Per-directed-link drop floor, keyed by `(from, to)`.
-    link_drop: HashMap<(u16, u16), f64>,
     /// Per-(from, to, class) sequence numbers for sequence-keyed decisions.
     link_seq: Mutex<HashMap<(u16, u16, u8), u64>>,
     /// Per-node outbound message counters driving stall windows.
@@ -532,22 +481,8 @@ impl FaultInjector {
     /// Build an injector from a validated plan.
     pub fn new(plan: FaultPlan) -> Result<Self, NetError> {
         plan.validate()?;
-        let mut class_drop = [plan.drop_prob; NUM_MSG_CLASSES];
-        let oal = class_drop[MsgClass::OalBatch.index()].max(plan.oal_drop);
-        class_drop[MsgClass::OalBatch.index()] = oal;
-        for (class, p) in &plan.class_drop {
-            let slot = &mut class_drop[class.index()];
-            *slot = slot.max(*p);
-        }
-        let mut link_drop = HashMap::new();
-        for (from, to, p) in &plan.link_drop {
-            let slot = link_drop.entry((from.0, to.0)).or_insert(0.0f64);
-            *slot = slot.max(*p);
-        }
         Ok(FaultInjector {
             plan,
-            class_drop,
-            link_drop,
             link_seq: Mutex::new(HashMap::new()),
             node_seq: Mutex::new(HashMap::new()),
             dropped: AtomicU64::new(0),
@@ -605,8 +540,9 @@ impl FaultInjector {
         self.retransmits.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Decide the fate of a one-way message, keyed by this link+class's sequence
-    /// number. Deterministic for any fixed per-link send order.
+    /// Decide the fate of a message (one-way, or a round trip's request leg), keyed
+    /// by this link+class's sequence number. Deterministic for any fixed per-link
+    /// send order.
     pub fn decide(&self, from: NodeId, to: NodeId, class: MsgClass) -> FaultDecision {
         if self.is_zero() {
             return FaultDecision::CLEAN;
@@ -618,7 +554,7 @@ impl FaultInjector {
             *c += 1;
             s
         };
-        self.decide_inner(from, to, class, seq, false)
+        self.decide_inner(from, to, class, seq)
     }
 
     /// Decide the fate of a one-way message identified by a caller-supplied content
@@ -627,34 +563,10 @@ impl FaultInjector {
         if self.is_zero() {
             return FaultDecision::CLEAN;
         }
-        self.decide_inner(from, to, class, key, false)
+        self.decide_inner(from, to, class, key)
     }
 
-    /// Decide the fate of a synchronous round trip. A drop here means the requester
-    /// times out once and retransmits (counted as a retransmit, not a loss — the
-    /// protocol stays lock-step, it just pays for the retry).
-    pub fn decide_sync(&self, from: NodeId, to: NodeId, class: MsgClass) -> FaultDecision {
-        if self.is_zero() {
-            return FaultDecision::CLEAN;
-        }
-        let seq = {
-            let mut m = self.link_seq.lock();
-            let c = m.entry((from.0, to.0, class as u8)).or_insert(0);
-            let s = *c;
-            *c += 1;
-            s
-        };
-        self.decide_inner(from, to, class, seq, true)
-    }
-
-    fn decide_inner(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        class: MsgClass,
-        key: u64,
-        sync: bool,
-    ) -> FaultDecision {
+    fn decide_inner(&self, from: NodeId, to: NodeId, class: MsgClass, key: u64) -> FaultDecision {
         // Stall windows fire on the sending node's outbound message counter and
         // trump every probabilistic decision.
         if !self.plan.stalls.is_empty() {
@@ -680,19 +592,11 @@ impl FaultInjector {
             }
         }
 
-        let mut p_drop = self.class_drop[class.index()];
-        if let Some(link) = self.link_drop.get(&(from.0, to.0)) {
-            p_drop = p_drop.max(*link);
-        }
-
+        let p_drop = if class == MsgClass::OalBatch { self.plan.oal_drop } else { 0.0 };
         let mut d = FaultDecision::CLEAN;
         if p_drop > 0.0 && self.roll(from, to, class, key, SALT_DROP) < p_drop {
             d.dropped = true;
-            if sync {
-                self.retransmits.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-            }
+            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
         if !d.dropped
             && self.plan.duplicate_prob > 0.0
@@ -788,7 +692,7 @@ mod tests {
         assert!(inj.is_zero());
         for i in 0..100 {
             let d = inj.decide_keyed(NodeId(1), NodeId::MASTER, MsgClass::OalBatch, i);
-            assert!(d.is_clean());
+            assert_eq!(d, FaultDecision::CLEAN);
         }
         assert!(inj.stats().is_zero());
         // The zero fast path must not even advance sequence state.
@@ -836,23 +740,20 @@ mod tests {
     }
 
     #[test]
-    fn class_and_link_overrides_take_the_max() {
+    fn oal_drop_drops_oal_batches_only() {
         let inj = FaultInjector::new(FaultPlan {
-            drop_prob: 0.1,
-            class_drop: vec![(MsgClass::DiffUpdate, 0.9)],
-            link_drop: vec![(NodeId(3), NodeId(0), 1.0)],
+            oal_drop: 1.0,
             ..FaultPlan::default()
         })
         .unwrap();
-        // Link override at 1.0: everything on 3->0 drops, whatever the class.
         for i in 0..20 {
-            assert!(inj.decide_keyed(NodeId(3), NodeId(0), MsgClass::ObjFetch, i).dropped);
+            assert!(inj.decide_keyed(NodeId(3), NodeId::MASTER, MsgClass::OalBatch, i).dropped);
+            for class in [MsgClass::ObjFetch, MsgClass::DiffUpdate, MsgClass::LockAcquire] {
+                assert!(!inj.decide_keyed(NodeId(3), NodeId(1), class, i).dropped, "{class:?}");
+                assert!(!inj.decide(NodeId(3), NodeId(1), class).dropped, "{class:?}");
+            }
         }
-        // Class override at 0.9 dominates the 0.1 base on other links.
-        let dropped = (0..1000)
-            .filter(|i| inj.decide_keyed(NodeId(1), NodeId(2), MsgClass::DiffUpdate, *i).dropped)
-            .count();
-        assert!(dropped > 850, "expected ~900 drops, saw {dropped}");
+        assert_eq!(inj.stats().dropped, 20);
     }
 
     #[test]
@@ -876,20 +777,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_drops_count_as_retransmits() {
-        let inj = FaultInjector::new(FaultPlan {
-            drop_prob: 1.0,
-            ..FaultPlan::default()
-        })
-        .unwrap();
-        let d = inj.decide_sync(NodeId(0), NodeId(1), MsgClass::ObjFetch);
-        assert!(d.dropped);
-        let s = inj.stats();
-        assert_eq!(s.retransmits, 1);
-        assert_eq!(s.dropped, 0);
-    }
-
-    #[test]
     fn duplicates_and_delays_fire() {
         let inj = FaultInjector::new(FaultPlan {
             duplicate_prob: 1.0,
@@ -909,7 +796,7 @@ mod tests {
     #[test]
     fn validation_rejects_bad_probabilities_and_empty_stalls() {
         assert!(matches!(
-            FaultPlan { drop_prob: 1.5, ..FaultPlan::default() }.validate(),
+            FaultPlan { oal_drop: 1.5, ..FaultPlan::default() }.validate(),
             Err(NetError::InvalidFaultPlan(_))
         ));
         assert!(matches!(
@@ -989,11 +876,6 @@ mod tests {
         assert!(plan.node_down_at(NodeId(2), 1_000_000));
         // Other nodes untouched.
         assert!(!plan.node_down_at(NodeId(3), 6));
-        // Master window.
-        assert!(!plan.master_down_at(9));
-        assert!(plan.master_down_at(10));
-        assert!(plan.master_down_at(11));
-        assert!(!plan.master_down_at(12));
 
         // Injector delegates and stays pure (no sequence state).
         let inj = FaultInjector::new(plan).unwrap();
@@ -1078,7 +960,6 @@ mod tests {
         assert!(!plan.is_zero());
         plan.validate().unwrap();
         plan.validate_bounds(3).unwrap();
-        assert!(plan.slows(NodeId(1)) && plan.slows(NodeId(2)) && !plan.slows(NodeId(0)));
         // Before, during (overlap takes the max), after.
         assert_eq!(plan.slow_factor_at(NodeId(1), 99), 1.0);
         assert_eq!(plan.slow_factor_at(NodeId(1), 100), 3.0);

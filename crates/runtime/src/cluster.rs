@@ -36,7 +36,7 @@ use std::time::Instant;
 
 use parking_lot::RwLock;
 
-use jessy_core::{ProfilerConfig, ProfilerShared, ShedPolicy, ThreadProfiler};
+use jessy_core::{ProfilerConfig, ProfilerShared, ShedPolicy};
 use jessy_gos::protocol::ConsistencyModel;
 use jessy_gos::{ClassId, CostModel, Gos, GosConfig, LockId, ObjectCore, ObjectId, ThreadSpace};
 use jessy_obs::{EventKind, TraceSink};
@@ -694,10 +694,4 @@ impl Cluster {
     pub fn adopt_thread(&self, thread: ThreadId) -> JThread {
         JThread::new(Arc::clone(&self.shared), thread)
     }
-}
-
-/// Convenience: a fresh `ThreadProfiler` for `thread` against this cluster's shared
-/// profiler state.
-pub fn thread_profiler(shared: &Arc<ClusterShared>, thread: ThreadId) -> ThreadProfiler {
-    ThreadProfiler::new(Arc::clone(&shared.prof), thread)
 }

@@ -39,17 +39,18 @@
 //! * Every `ProfilerConfig::checkpoint_every_rounds` closed rounds it snapshots a
 //!   [`ProfilerCheckpoint`] — clones of the live [`RoundScheduler`],
 //!   [`AdaptiveController`] and [`ReducerState`] (the cumulative map and the
-//!   top-k head), the rate table and the [`MasterLedger`] — and truncates its
-//!   replay log of accepted post-checkpoint OALs (modeling a durable WAL /
-//!   worker retransmit buffers).
+//!   top-k head), the rate table, the [`MasterLedger`] and the length of its
+//!   accepted-OAL log. The log past that length is the replay WAL (modeling a
+//!   durable log / worker retransmit buffers); without `record_oals` the log is
+//!   drained at each snapshot, so it holds only the OALs since the latest one.
 //! * A master crash window kills the daemon's *volatile* state; OAL batches in
 //!   flight while it is down are deferred by the transport, not dropped. The first
 //!   batch at/after the window's end triggers a **restore**: the latest checkpoint
-//!   is reinstated, the replay log is re-ingested deterministically, and the master
-//!   **epoch** is bumped and broadcast with the rate table. When no message faults
-//!   dropped OALs, the recovered TCM, top-k head and sketch are bit-identical to
-//!   the uninterrupted run's; with drops, round coverage reflects the loss and
-//!   the PR 1 machinery degrades gracefully.
+//!   is reinstated, the log's tail past its length is re-ingested deterministically,
+//!   and the master **epoch** is bumped and broadcast with the rate table. When no
+//!   message faults dropped OALs, the recovered TCM, top-k head and sketch are
+//!   bit-identical to the uninterrupted run's; with drops, round coverage reflects
+//!   the loss and the lossy-network machinery (DESIGN.md §8) degrades gracefully.
 //! * Arriving OALs stamped with a **stale epoch** that duplicate already-replayed
 //!   state are *fenced* (counted, never double-folded); stale-but-new OALs are still
 //!   accepted — fencing them too would turn every in-flight batch at restore time
@@ -162,7 +163,7 @@ pub struct RoundTimeline {
 ///
 /// It counts reduction work actually done, replays included: like
 /// `MasterOutput::replayed_oals`, it is not rolled back on a master restore, so
-/// a round the restored master re-closes from its replay log counts twice.
+/// a round the restored master re-closes from the replayed log tail counts twice.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ReduceTelemetry {
     /// Rounds (including the end-of-run late fold, if any, and replayed rounds)
@@ -219,7 +220,7 @@ pub struct MasterOutput {
     pub checkpoints_taken: u64,
     /// Master crash-restarts performed (checkpoint restore + replay).
     pub restores: u64,
-    /// OALs re-ingested from the replay log across all restores.
+    /// OALs re-ingested from the accepted-OAL log across all restores.
     pub replayed_oals: u64,
     /// Stale-epoch OALs fenced after a restore (duplicates of replayed state).
     pub fenced_oals: u64,
@@ -568,8 +569,6 @@ pub struct MasterLedger {
     pub last_moved_round: Vec<Option<u64>>,
     /// Placement-engine counters accumulated so far.
     pub placement: PlacementTelemetry,
-    /// The recorded OAL stream, when `ProfilerConfig::record_oals` was set.
-    pub oal_log: Vec<Oal>,
     /// Convergence timeline rows accumulated so far (change-point encoded).
     pub timeline: Vec<RoundTimeline>,
 }
@@ -611,6 +610,9 @@ pub struct ProfilerCheckpoint {
     /// The round-by-round record, restored with the rounds it describes so
     /// replayed rounds and planning epochs don't double-count.
     pub ledger: MasterLedger,
+    /// Length of the daemon's accepted-OAL log at snapshot time: a restore
+    /// truncates the log to it and replays the rest.
+    pub oal_log_len: usize,
 }
 
 pub(crate) struct MasterDaemon {
@@ -696,9 +698,10 @@ struct Daemon {
     epoch: u64,
     /// Latest snapshot, if checkpointing is on and one was taken.
     latest_checkpoint: Option<ProfilerCheckpoint>,
-    /// Accepted OALs since the latest checkpoint (the durable WAL a restore replays).
-    /// Only maintained when the fault plan schedules master crashes.
-    replay_log: Vec<Oal>,
+    /// Accepted OALs in arrival order: the whole run under `record_oals`, else
+    /// those since the latest checkpoint. Past the checkpoint's `oal_log_len` it
+    /// is the durable WAL a restore replays.
+    oal_log: Vec<Oal>,
     /// Master crash windows, sorted by `until_interval`; `next_crash` indexes the
     /// first window whose restart has not fired yet.
     master_crashes: Vec<MasterCrashWindow>,
@@ -730,23 +733,17 @@ impl Daemon {
         }
         self.max_interval_seen = self.max_interval_seen.max(oal.interval + 1);
         let stale = epoch < self.epoch;
-        // The replay log is the WAL of a master that can crash; without crash
-        // windows in the fault plan nothing would ever read it.
-        let keep_replay_log = !self.master_crashes.is_empty();
-        if self.config.record_oals {
-            self.ledger.oal_log.push(oal.clone());
-        }
-        if keep_replay_log {
-            self.replay_log.push(oal.clone());
+        // Without `record_oals` the log is the WAL of a master that can crash;
+        // without crash windows in the fault plan nothing would ever read it.
+        let keep_log = self.config.record_oals || !self.master_crashes.is_empty();
+        if keep_log {
+            self.oal_log.push(oal.clone());
         }
         match self.scheduler.ingest_epoch(oal, stale) {
             Ingest::Duplicate | Ingest::Fenced => {
                 // Drop silently; a lossy network retransmitting is not new data.
-                if self.config.record_oals {
-                    self.ledger.oal_log.pop();
-                }
-                if keep_replay_log {
-                    self.replay_log.pop();
+                if keep_log {
+                    self.oal_log.pop();
                 }
                 return;
             }
@@ -757,14 +754,17 @@ impl Daemon {
         }
     }
 
-    /// Snapshot everything a restarted master needs, and truncate the replay log —
-    /// OALs folded into the snapshot no longer need replaying.
+    /// Snapshot everything a restarted master needs. Without `record_oals` the
+    /// log is drained: OALs folded into the snapshot no longer need replaying.
     fn take_checkpoint(&mut self) {
         self.checkpoints_taken += 1;
         let gaps = self.shared.prof.gaps();
         let mut rates: Vec<(ClassId, ClassGapState)> =
             gaps.classes().iter().map(|c| (*c, gaps.state(*c))).collect();
         rates.sort_unstable_by_key(|(c, _)| *c);
+        if !self.config.record_oals {
+            self.oal_log.clear();
+        }
         self.latest_checkpoint = Some(ProfilerCheckpoint {
             epoch: self.epoch,
             reducer: self.reducer.state().clone(),
@@ -772,8 +772,8 @@ impl Daemon {
             controller: self.controller.clone(),
             rates,
             ledger: self.ledger.clone(),
+            oal_log_len: self.oal_log.len(),
         });
-        self.replay_log.clear();
         self.shared.emit_event(
             &self.shared.master_clock(),
             EventKind::CheckpointTaken {
@@ -785,14 +785,15 @@ impl Daemon {
 
     /// Master restart: reinstate the latest checkpoint (or restart cold from round
     /// zero if none was ever taken), bump and broadcast the epoch with the rate
-    /// table, then deterministically replay the buffered post-checkpoint OALs.
-    /// Because the replay log holds exactly the accepted-since-checkpoint stream,
+    /// table, then deterministically replay the logged post-checkpoint OALs.
+    /// Because the log's tail holds exactly the accepted-since-checkpoint stream,
     /// checkpoint + replay is an *identity transform* on accepted state: when no
     /// OALs were dropped by message faults, the recovered TCM and top-k head are
     /// bit-identical to the uninterrupted run's.
     fn restore(&mut self) {
         self.restores += 1;
-        let replay = std::mem::take(&mut self.replay_log);
+        let logged = self.latest_checkpoint.as_ref().map_or(0, |cp| cp.oal_log_len);
+        let replay = self.oal_log.split_off(logged);
 
         match self.latest_checkpoint.clone() {
             Some(cp) => {
@@ -808,7 +809,7 @@ impl Daemon {
                 self.ledger = cp.ledger;
             }
             None => {
-                // Cold restart: no snapshot, so the replay log spans the full run.
+                // Cold restart: no snapshot, so the replay spans the full run.
                 // Worker rate tables are left untouched — without a snapshot the
                 // restarted master has no record to re-broadcast; the controller
                 // re-baselines against the rates currently in force.
@@ -1414,7 +1415,7 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
         announced_converged: HashSet::new(),
         epoch: 0,
         latest_checkpoint: None,
-        replay_log: Vec::new(),
+        oal_log: Vec::new(),
         master_crashes,
         next_crash: 0,
         max_interval_seen: 0,
@@ -1446,6 +1447,7 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
     }
     daemon.finish();
 
+    let oal_log = if config.record_oals { daemon.oal_log } else { Vec::new() };
     let tcm = daemon.reducer.cumulative();
     let controller = daemon.controller.as_ref();
     let ledger = daemon.ledger;
@@ -1473,7 +1475,7 @@ fn run_daemon(shared: Arc<ClusterShared>, mailbox: Mailbox<EpochOal>) -> MasterO
             p.migrated_bytes = log.iter().map(|m| m.total_bytes() as u64).sum();
             p
         },
-        oal_log: ledger.oal_log,
+        oal_log,
         checkpoints_taken: daemon.checkpoints_taken,
         restores: daemon.restores,
         replayed_oals: daemon.replayed_oals,

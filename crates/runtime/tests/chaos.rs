@@ -341,22 +341,20 @@ fn recovery_profiler() -> ProfilerConfig {
 /// uninterrupted run **bit for bit** (f64 equality) when no message faults
 /// dropped OALs — the TCM, the top-k head, the timeline and the rate decisions,
 /// along with rounds, coverage and the ingest ledger — over every reducer: flat
-/// and tree, dense and sketch, with and without the head, decayed or not.
+/// and tree, dense and sketch, with and without the head.
 #[test]
 fn master_crash_with_restart_recovers_a_bit_identical_tcm() {
     let reducers = [
-        ("flat", 0, 0, TcmBackend::Dense, None),
-        ("flat + top-k", 0, 4, TcmBackend::Dense, None),
-        ("tree + top-k", 2, 4, TcmBackend::Dense, None),
-        ("tree + sketch + top-k", 2, 4, TcmBackend::Sketch { width: 4096, depth: 4 }, None),
-        ("flat, decay 0.5", 0, 0, TcmBackend::Dense, Some(0.5)),
+        ("flat", 0, 0, TcmBackend::Dense),
+        ("flat + top-k", 0, 4, TcmBackend::Dense),
+        ("tree + top-k", 2, 4, TcmBackend::Dense),
+        ("tree + sketch + top-k", 2, 4, TcmBackend::Sketch { width: 4096, depth: 4 }),
     ];
-    for (label, fanout, top_k, backend, decay) in reducers {
+    for (label, fanout, top_k, backend) in reducers {
         let mut config = recovery_profiler();
         config.tcm_tree_fanout = fanout;
         config.tcm_top_k = top_k;
         config.tcm_backend = backend;
-        config.tcm_decay = decay;
         let (_, base) = stable_run(config, None, 20);
         let (report, crashed) = stable_run(
             config,
@@ -385,6 +383,40 @@ fn master_crash_with_restart_recovers_a_bit_identical_tcm() {
         assert_eq!(report.oal_post_failures, 0, "{label}");
         assert_eq!(report.rejoins, 0, "{label}: a master crash restarts no worker node");
     }
+}
+
+/// A master restore keeps the recorded OAL stream: the checkpoint holds the
+/// accepted-OAL log's length, not a copy of it, so a restore cuts the one log
+/// back to that length and replays the tail onto it. With a checkpoint every
+/// round (so the log is never drained, yet never copied either), the recorded
+/// stream equals the uninterrupted run's.
+#[test]
+fn master_crash_keeps_the_recorded_oal_stream() {
+    let mut config = chaos_profiler();
+    config.record_oals = true;
+    config.checkpoint_every_rounds = Some(1);
+    // Two intervals a round, so the restart at interval 11 finds round 5
+    // (intervals 10-11) open and interval 10's OALs in the log's tail.
+    config.intervals_per_round = 2;
+    let (_, base) = stable_run(config, None, 20);
+    let (_, crashed) = stable_run(
+        config,
+        Some(FaultPlan {
+            master_crashes: vec![MasterCrashWindow {
+                from_interval: 8,
+                until_interval: 11,
+            }],
+            ..FaultPlan::default()
+        }),
+        20,
+    );
+    assert_eq!(crashed.restores, 1);
+    assert!(crashed.checkpoints_taken >= base.rounds, "a checkpoint every round");
+    assert!(crashed.replayed_oals >= 1, "the post-checkpoint tail replays");
+    assert!(!base.oal_log.is_empty());
+    assert_eq!(crashed.oal_log, base.oal_log, "the recorded stream survives the restore");
+    assert_eq!(crashed.tcm, base.tcm);
+    assert_eq!(crashed.rounds, base.rounds);
 }
 
 /// A master restore keeps the overhead-budget tallies: the over-budget count is
@@ -714,18 +746,17 @@ fn healed_partition_converges_and_deferred_oals_arrive() {
     assert!(master.tcm.total() > 0.0);
 }
 
-/// The late fold at the end of the run is one more reducer round, so under decay
-/// it ages the restored reducer state exactly as every scheduler round does: a
-/// partition makes OALs arrive late, a master crash mid-run restores the
-/// reducer from a checkpoint, and the recovered map must still equal the
-/// uninterrupted run's bit for bit (decay 0.5 keeps every product exact).
+/// The late fold at the end of the run is one more reducer round, folded into
+/// the restored reducer state as every scheduler round is: a partition makes
+/// OALs arrive late, a master crash mid-run restores the reducer from a
+/// checkpoint, and the recovered map must still equal the uninterrupted run's
+/// bit for bit.
 #[test]
 fn late_fold_after_restore_matches_the_uninterrupted_run() {
     let run = |master_crashes: Vec<MasterCrashWindow>| {
         let mut config = chaos_profiler();
         config.initial_rate = SamplingRate::Full;
         config.adaptive_threshold = None;
-        config.tcm_decay = Some(0.5);
         config.checkpoint_every_rounds = Some(3);
         let mut cluster = partitioned_cluster_with(config, Some(2_000_000), master_crashes);
         home_local_workload(&mut cluster, 40);

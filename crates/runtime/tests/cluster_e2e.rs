@@ -438,63 +438,6 @@ fn one_shot_rebalance_is_one_epoch_of_the_engine() {
 }
 
 #[test]
-fn tcm_decay_follows_a_shifting_sharing_pattern() {
-    // Phase A: threads 0&1 share; phase B: threads 0&2 share. A decayed map must end
-    // dominated by the B pair; an undecayed map keeps A's history on top (A ran
-    // longer).
-    let run = |decay: Option<f64>| {
-        let mut config = ProfilerConfig::tracking_at(SamplingRate::Full);
-        config.intervals_per_round = 1;
-        config.tcm_decay = decay;
-        let mut cluster = Cluster::builder()
-            .nodes(2)
-            .threads(3)
-            .latency(LatencyModel::free())
-            .costs(CostModel::free())
-            .profiler(config)
-            .build();
-        let objs = cluster.init(|ctx| {
-            let class = ctx.register_scalar_class("S", 8);
-            vec![
-                ctx.alloc_scalar_at(NodeId(0), class).id,
-                ctx.alloc_scalar_at(NodeId(1), class).id,
-            ]
-        });
-        let objs = Arc::new(objs);
-        cluster.run(move |jt| {
-            let t = jt.thread_id().index();
-            // Phase A: 12 rounds of {0,1} sharing obj 0.
-            for _ in 0..12 {
-                if t <= 1 {
-                    jt.read(objs[0], |_| {});
-                }
-                jt.barrier();
-            }
-            // Phase B: 4 rounds of {0,2} sharing obj 1.
-            for _ in 0..4 {
-                if t == 0 || t == 2 {
-                    jt.read(objs[1], |_| {});
-                }
-                jt.barrier();
-            }
-        });
-        cluster.master_output().unwrap().tcm.clone()
-    };
-    let cumulative = run(None);
-    let windowed = run(Some(0.5));
-    assert!(
-        cumulative.at(ThreadId(0), ThreadId(1)) > cumulative.at(ThreadId(0), ThreadId(2)),
-        "undecayed: the longer phase A dominates"
-    );
-    assert!(
-        windowed.at(ThreadId(0), ThreadId(2)) > windowed.at(ThreadId(0), ThreadId(1)),
-        "decayed: the current phase B dominates ({} vs {})",
-        windowed.at(ThreadId(0), ThreadId(2)),
-        windowed.at(ThreadId(0), ThreadId(1))
-    );
-}
-
-#[test]
 fn tree_aggregated_reduction_is_bit_identical_to_flat_end_to_end() {
     // The same deterministic workload through the flat coordinator and through
     // the fabric aggregation tree (per-node pre-reduction + owner shuffle +

@@ -152,8 +152,10 @@ proptest! {
         prop_assert!(e_euc(&a, &a).abs() < 1e-12);
         if a.total() > 0.0 {
             // Pure rescaling: both metrics equal |1 - scale|.
-            let mut b = a.clone();
-            b.scale(scale);
+            let mut b = Tcm::new(5);
+            for (i, j, v) in &pairs {
+                b.add_pair(ThreadId(*i), ThreadId(*j), v * scale);
+            }
             prop_assert!((e_abs(&b, &a) - (scale - 1.0).abs()).abs() < 1e-9);
             prop_assert!((e_euc(&b, &a) - (scale - 1.0).abs()).abs() < 1e-9);
             // Accuracy is clamped into [0, 1].
@@ -787,7 +789,6 @@ proptest! {
         split_raw in 0usize..61,
         reducer_kind in 0u8..3, // flat, tree, tree + sketch
         top_k_raw in 0usize..2, // head off, or k = 3
-        decayed in 0u8..2,
     ) {
         use jessy::core::sampling::ClassGapState;
         use jessy::core::{AdaptiveController, ProfilerConfig, Reducer, TcmBackend};
@@ -827,7 +828,6 @@ proptest! {
                 TcmBackend::Dense
             },
             tcm_top_k: 3 * top_k_raw,
-            tcm_decay: (decayed == 1).then_some(0.5),
             ..ProfilerConfig::default()
         };
         let node_of = |t: ThreadId| t.index() % 2;
@@ -911,7 +911,6 @@ proptest! {
                         after: threshold,
                     }],
                 },
-                oal_log: head.to_vec(),
                 timeline: vec![jessy::runtime::RoundTimeline {
                     round: epoch,
                     coverage: threshold,
@@ -924,6 +923,7 @@ proptest! {
                     }],
                 }],
             },
+            oal_log_len: head.len(),
         };
 
         // Serialize → deserialize is the identity, f64 bits included.

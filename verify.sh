@@ -27,7 +27,7 @@ JESSY_SCALE=small cargo bench -p jessy-bench --bench tcm_reduce
 echo "==> access_path smoke (arena vs seed layout, payload identity)"
 JESSY_SCALE=small cargo bench -p jessy-bench --bench access_path
 
-echo "==> recovery smoke (asserts TCM + top-k bit-identity under a master crash, flat and tree + sketch + top-k lanes)"
+echo "==> recovery smoke (asserts TCM + top-k + recorded OAL log bit-identity under a master crash, flat and tree + sketch + top-k lanes)"
 JESSY_SCALE=small cargo bench -p jessy-bench --bench recovery
 
 echo "==> overhead_frontier smoke (budget ladder, shed policies, slow-node demotion)"
