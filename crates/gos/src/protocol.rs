@@ -334,11 +334,11 @@ pub struct Gos {
     /// notice application). `None` emits nothing; the access-check *hit* lane has
     /// no emission site at all, so tracing cannot slow it down.
     sink: Option<Arc<dyn TraceSink>>,
-    /// Deterministic executor, when the cluster runs cooperatively scheduled
-    /// tasks. Blocking sync ops (lock acquire, barrier) route through their
-    /// cooperative variants for tasks the executor currently runs; any other
-    /// caller (unit tests, post-run adoption) keeps the condvar path.
-    exec: Option<Arc<DetExecutor>>,
+    /// The executor a contended lock acquire or a non-final barrier arrival
+    /// blocks its caller on; the task is the thread's clock-board index. Only a
+    /// running task may block: a caller that never waits (an uncontended lock, a
+    /// one-party barrier, an adopted thread after the run) needs none.
+    exec: Arc<DetExecutor>,
 }
 
 impl Gos {
@@ -368,7 +368,7 @@ impl Gos {
             barrier: SimBarrier::new(),
             counters: Counters::default(),
             sink: None,
-            exec: None,
+            exec: DetExecutor::new(0, 0, 0),
             config,
         })
     }
@@ -380,18 +380,11 @@ impl Gos {
         self.sink = Some(sink);
     }
 
-    /// Install the deterministic executor: blocking sync ops of tasks it runs
-    /// switch from condvar parking to cooperative scheduling.
+    /// Replace the idle executor a new GOS starts with (one no task ever
+    /// registers on) by the one that runs the threads as tasks, so a contended
+    /// lock or barrier can block them.
     pub fn set_executor(&mut self, exec: Arc<DetExecutor>) {
-        self.exec = Some(exec);
-    }
-
-    /// The cooperative route for `clock`'s thread, if the executor currently
-    /// runs it as a task (the task id is the thread's clock-board index).
-    fn coop(&self, clock: &ClockHandle) -> Option<(&DetExecutor, usize)> {
-        let exec = self.exec.as_deref()?;
-        let task = clock.thread().index();
-        exec.task_is_live(task).then_some((exec, task))
+        self.exec = exec;
     }
 
     /// The configuration in force.
@@ -1009,10 +1002,8 @@ impl Gos {
     ) -> usize {
         self.assert_node(node);
         clock.spend(self.config.costs.lock_local_ns);
-        let prev_release = match self.coop(clock) {
-            Some((exec, task)) => self.locks.get(id).acquire_coop(exec, task, clock.now()),
-            None => self.locks.get(id).acquire(),
-        };
+        let task = clock.thread().index();
+        let prev_release = self.locks.get(id).acquire(&self.exec, task, clock.now());
         clock.raise_to(prev_release);
         let applied = match self.config.consistency {
             ConsistencyModel::GlobalHlrc => self.apply_notices(space, node, clock),
@@ -1049,10 +1040,7 @@ impl Gos {
         let manager = self.lock_manager(id);
         self.fabric
             .send(node, manager, MsgClass::LockRelease, CTRL_BYTES, clock);
-        match self.coop(clock) {
-            Some((exec, _)) => self.locks.get(id).release_coop(exec, clock.now()),
-            None => self.locks.get(id).release(clock.now()),
-        }
+        self.locks.get(id).release(&self.exec, clock.now());
     }
 
     /// Enter the global barrier as one of `parties` participants: flush (release
@@ -1072,10 +1060,8 @@ impl Gos {
         let hdr = MsgClass::BarrierRelease.header_bytes();
         let extra =
             self.config.costs.barrier_local_ns + self.config.latency.one_way_ns(CTRL_BYTES + hdr);
-        let release_sim = match self.coop(clock) {
-            Some((exec, task)) => self.barrier.wait_coop(exec, task, parties, clock.now(), extra),
-            None => self.barrier.wait(parties, clock.now(), extra),
-        };
+        let task = clock.thread().index();
+        let release_sim = self.barrier.wait(&self.exec, task, parties, clock.now(), extra);
         clock.raise_to(release_sim);
         let applied = self.apply_notices(space, node, clock);
         // The release broadcast carries the notices this thread just applied.

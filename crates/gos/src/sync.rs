@@ -8,20 +8,19 @@
 //! coherence for properly synchronized programs and keeps the at-most-once fault
 //! property the profiler exploits.
 //!
-//! Real synchronization (parking) is done with mutex/condvar pairs; *simulated* time is
-//! reconciled alongside: a barrier releases everyone at the latest participant's clock
-//! plus the barrier cost, and a lock hand-off floors the acquirer's clock at the
-//! previous holder's release time.
+//! A blocked participant registers as a waiter and hands the scheduling token back
+//! via [`DetExecutor::block_internal`]; the releasing side unblocks every waiter and
+//! the scheduler picks the next holder deterministically. Only a running executor
+//! task may block; a caller that never has to wait (an uncontended acquire, the
+//! last arrival at a barrier) needs no task. Because at most one task runs at a
+//! time, the register-then-block sequence cannot race a release, so the
+//! loop-recheck pattern is lost-wakeup-free by construction.
 //!
-//! Under the deterministic executor each primitive has a **cooperative** variant
-//! (`acquire_coop`, `release_coop`, `wait_coop`): instead of parking the OS thread on
-//! a condvar, a blocked participant registers as a waiter and hands the scheduling
-//! token back via [`DetExecutor::block_internal`]; the releasing side unblocks every
-//! waiter and the scheduler picks the next holder deterministically. Because at most
-//! one task runs at a time, the register-then-block sequence cannot race a release,
-//! so the loop-recheck pattern is lost-wakeup-free by construction.
+//! *Simulated* time is reconciled alongside: a barrier releases everyone at the
+//! latest participant's clock plus the barrier cost, and a lock hand-off floors the
+//! acquirer's clock at the previous holder's release time.
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -112,7 +111,7 @@ struct RawLockInner {
     held: bool,
     /// Simulated time at which the previous holder released.
     last_release_sim: SimNanos,
-    /// Executor tasks parked on a contended cooperative acquire.
+    /// Executor tasks blocked on a contended acquire.
     waiters: Vec<usize>,
 }
 
@@ -120,7 +119,6 @@ struct RawLockInner {
 #[derive(Debug)]
 pub struct RawLock {
     inner: Mutex<RawLockInner>,
-    cv: Condvar,
 }
 
 impl RawLock {
@@ -132,39 +130,18 @@ impl RawLock {
                 last_release_sim: 0,
                 waiters: Vec::new(),
             }),
-            cv: Condvar::new(),
         }
     }
 
-    /// Block until the lock is held; returns the previous holder's release time so the
-    /// caller can floor its simulated clock (a later acquirer inherits the releaser's
-    /// point in simulated time).
-    pub fn acquire(&self) -> SimNanos {
-        let mut inner = self.inner.lock();
-        while inner.held {
-            self.cv.wait(&mut inner);
-        }
-        inner.held = true;
-        inner.last_release_sim
-    }
-
-    /// Release the lock, recording the releaser's simulated time.
+    /// Take the lock; returns the previous holder's release time so the caller can
+    /// floor its simulated clock (a later acquirer inherits the releaser's point in
+    /// simulated time). A contended acquire registers `task` as a waiter and blocks
+    /// it on `exec`; the next holder among the waiters is whichever the executor
+    /// picks first.
     ///
     /// # Panics
-    /// If the lock is not held.
-    pub fn release(&self, now_sim: SimNanos) {
-        let mut inner = self.inner.lock();
-        assert!(inner.held, "releasing a lock that is not held");
-        inner.held = false;
-        inner.last_release_sim = inner.last_release_sim.max(now_sim);
-        drop(inner);
-        self.cv.notify_one();
-    }
-
-    /// Cooperative [`acquire`](Self::acquire): a contended acquire registers `task`
-    /// as a waiter and yields the scheduling token instead of parking the carrier;
-    /// the next holder among the waiters is whichever the executor picks first.
-    pub fn acquire_coop(&self, exec: &DetExecutor, task: usize, now_sim: SimNanos) -> SimNanos {
+    /// If the lock is contended and `task` is not `exec`'s running task.
+    pub fn acquire(&self, exec: &DetExecutor, task: usize, now_sim: SimNanos) -> SimNanos {
         loop {
             let mut inner = self.inner.lock();
             if !inner.held {
@@ -177,12 +154,13 @@ impl RawLock {
         }
     }
 
-    /// Cooperative [`release`](Self::release): unblocks every registered waiter (they
-    /// re-contend; the executor picks the winner deterministically).
+    /// Release the lock, recording the releaser's simulated time, and unblock every
+    /// registered waiter (they re-contend; the executor picks the winner
+    /// deterministically).
     ///
     /// # Panics
     /// If the lock is not held.
-    pub fn release_coop(&self, exec: &DetExecutor, now_sim: SimNanos) {
+    pub fn release(&self, exec: &DetExecutor, now_sim: SimNanos) {
         let mut inner = self.inner.lock();
         assert!(inner.held, "releasing a lock that is not held");
         inner.held = false;
@@ -244,7 +222,7 @@ struct BarrierInner {
     max_sim: SimNanos,
     /// Release time of the *previous* generation (what leavers floor to).
     release_sim: SimNanos,
-    /// Executor tasks parked on a cooperative wait of the current generation.
+    /// Executor tasks blocked in the current generation.
     waiters: Vec<usize>,
 }
 
@@ -252,7 +230,6 @@ struct BarrierInner {
 #[derive(Debug)]
 pub struct SimBarrier {
     inner: Mutex<BarrierInner>,
-    cv: Condvar,
 }
 
 impl SimBarrier {
@@ -266,42 +243,23 @@ impl SimBarrier {
                 release_sim: 0,
                 waiters: Vec::new(),
             }),
-            cv: Condvar::new(),
         }
     }
 
     /// Wait for `parties` participants. `now_sim` is the caller's simulated arrival
     /// time; `extra_ns` is the barrier's own cost (network + bookkeeping) added once.
     /// Returns the simulated release time all participants leave at.
-    pub fn wait(&self, parties: usize, now_sim: SimNanos, extra_ns: SimNanos) -> SimNanos {
-        assert!(parties > 0, "barrier needs at least one party");
-        let mut inner = self.inner.lock();
-        inner.max_sim = inner.max_sim.max(now_sim);
-        inner.count += 1;
-        if inner.count == parties {
-            inner.release_sim = inner.max_sim + extra_ns;
-            inner.count = 0;
-            inner.max_sim = 0;
-            inner.generation += 1;
-            let release = inner.release_sim;
-            drop(inner);
-            self.cv.notify_all();
-            release
-        } else {
-            let gen = inner.generation;
-            while inner.generation == gen {
-                self.cv.wait(&mut inner);
-            }
-            inner.release_sim
-        }
-    }
-
-    /// Cooperative [`wait`](Self::wait): non-final arrivals register as waiters and
-    /// yield the scheduling token; the final arrival computes the release time and
-    /// unblocks them all. A generation cannot be overwritten before every waiter of
-    /// the previous one has read its release time, because those waiters must pass
-    /// through the next `wait_coop` themselves for the count to fill again.
-    pub fn wait_coop(
+    ///
+    /// Non-final arrivals register `task` as a waiter and block it on `exec`; the
+    /// final arrival computes the release time and unblocks them all. A generation
+    /// cannot be overwritten before every waiter of the previous one has read its
+    /// release time, because those waiters must pass through the next `wait`
+    /// themselves for the count to fill again.
+    ///
+    /// # Panics
+    /// If `parties` is zero, or the caller is not the final arrival and `task` is
+    /// not `exec`'s running task.
+    pub fn wait(
         &self,
         exec: &DetExecutor,
         task: usize,
@@ -348,9 +306,13 @@ impl Default for SimBarrier {
 }
 
 #[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+
+#[cfg(test)]
 mod tests {
+    use super::common::run_tasks;
     use super::*;
-    use std::thread;
 
     #[test]
     fn notice_board_cursors_are_independent() {
@@ -372,88 +334,91 @@ mod tests {
 
     #[test]
     fn raw_lock_mutual_exclusion_and_sim_handoff() {
-        let lock = Arc::new(RawLock::new());
-        let prev = lock.acquire();
+        // Uncontended: no acquire blocks, so an executor with no tasks will do.
+        let exec = DetExecutor::new(0, 0, 0);
+        let lock = RawLock::new();
+        let prev = lock.acquire(&exec, 0, 0);
         assert_eq!(prev, 0);
-        lock.release(500);
-        assert_eq!(lock.acquire(), 500, "acquirer inherits release time");
-        lock.release(100);
+        lock.release(&exec, 500);
+        assert_eq!(lock.acquire(&exec, 0, 0), 500, "acquirer inherits release time");
+        lock.release(&exec, 100);
         // Release times never regress even if a clock was behind.
-        assert_eq!(lock.acquire(), 500);
-        lock.release(600);
+        assert_eq!(lock.acquire(&exec, 0, 0), 500);
+        lock.release(&exec, 600);
     }
 
     #[test]
     #[should_panic(expected = "not held")]
     fn double_release_panics() {
         let lock = RawLock::new();
-        lock.release(0);
+        lock.release(&DetExecutor::new(0, 0, 0), 0);
     }
 
     #[test]
     fn raw_lock_serializes_threads() {
-        let lock = Arc::new(RawLock::new());
-        let counter = Arc::new(Mutex::new(0u64));
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let lock = Arc::clone(&lock);
-                let counter = Arc::clone(&counter);
-                thread::spawn(move || {
-                    for _ in 0..500 {
-                        lock.acquire();
-                        let mut c = counter.lock();
-                        let v = *c;
-                        // A data race here would be caught by lost updates.
-                        *c = v + 1;
-                        drop(c);
-                        lock.release(0);
+        let exec = DetExecutor::new(8, 0, 0);
+        let lock = RawLock::new();
+        let counter = Mutex::new(0u64);
+        let bodies: Vec<_> = (0..8)
+            .map(|t| {
+                let (exec, lock, counter) = (&*exec, &lock, &counter);
+                move || {
+                    for i in 0..500 {
+                        lock.acquire(exec, t, i);
+                        let v = *counter.lock();
+                        // Hand the token on mid-section: another task slipping
+                        // in would be caught by lost updates.
+                        exec.yield_now(t, i);
+                        *counter.lock() = v + 1;
+                        lock.release(exec, i);
                     }
-                })
+                }
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        run_tasks(&exec, bodies);
         assert_eq!(*counter.lock(), 8 * 500);
     }
 
     #[test]
     fn barrier_releases_at_max_plus_extra() {
-        let barrier = Arc::new(SimBarrier::new());
-        let handles: Vec<_> = (0..4u64)
-            .map(|i| {
-                let b = Arc::clone(&barrier);
-                thread::spawn(move || b.wait(4, i * 100, 50))
+        let exec = DetExecutor::new(4, 0, 0);
+        let barrier = SimBarrier::new();
+        let bodies: Vec<_> = (0..4usize)
+            .map(|t| {
+                let (exec, b) = (&*exec, &barrier);
+                move || b.wait(exec, t, 4, t as u64 * 100, 50)
             })
             .collect();
-        let releases: Vec<SimNanos> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let releases: Vec<SimNanos> = run_tasks(&exec, bodies);
         assert!(releases.iter().all(|&r| r == 300 + 50), "{releases:?}");
     }
 
     #[test]
     fn barrier_is_reusable_across_generations() {
-        let barrier = Arc::new(SimBarrier::new());
+        let barrier = SimBarrier::new();
         for round in 0..3u64 {
-            let handles: Vec<_> = (0..3)
-                .map(|_| {
-                    let b = Arc::clone(&barrier);
-                    thread::spawn(move || b.wait(3, round * 10, 0))
+            let exec = DetExecutor::new(3, 0, 0);
+            let bodies: Vec<_> = (0..3)
+                .map(|t| {
+                    let (exec, b) = (&*exec, &barrier);
+                    move || b.wait(exec, t, 3, round * 10, 0)
                 })
                 .collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), round * 10);
+            for release in run_tasks(&exec, bodies) {
+                assert_eq!(release, round * 10);
             }
         }
     }
 
     #[test]
     fn lock_table_registration() {
+        let exec = DetExecutor::new(0, 0, 0);
         let t = LockTable::new();
         let a = t.register();
         let b = t.register();
         assert_ne!(a, b);
         assert_eq!(t.len(), 2);
-        t.get(a).acquire();
-        t.get(a).release(1);
+        t.get(a).acquire(&exec, 0, 0);
+        t.get(a).release(&exec, 1);
     }
 }

@@ -3,11 +3,14 @@
 //! Unless stated otherwise, each test uses one thread per node: thread `i`'s clock
 //! identifies it, it runs on node `i`, and it owns the single-writer heap `s[i]`.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::run_tasks;
 use jessy_gos::object::OBJ_HEADER_BYTES;
 use jessy_gos::{AccessState, CostModel, Gos, GosConfig, ThreadSpace};
-use jessy_net::{ClockBoard, ClockHandle, LatencyModel, MsgClass, NodeId, ThreadId};
+use jessy_net::{ClockBoard, ClockHandle, DetExecutor, LatencyModel, MsgClass, NodeId, ThreadId};
 
 fn gos(n: usize) -> (Gos, Vec<ClockHandle>, Vec<ThreadSpace>) {
     let g = Gos::new(GosConfig {
@@ -228,15 +231,9 @@ fn lock_transfers_simulated_time_and_notices() {
 
 #[test]
 fn barrier_synchronizes_clocks_and_data() {
-    let g = Arc::new(Gos::new(GosConfig {
-        n_nodes: 4,
-        n_threads: 4,
-        latency: LatencyModel::free(),
-        costs: CostModel::free(),
-        prefetch_depth: 0,
-        consistency: jessy_gos::protocol::ConsistencyModel::GlobalHlrc,
-        faults: None,
-    }));
+    let exec = DetExecutor::new(4, 0, 0);
+    let (mut g, _, _) = gos(4);
+    g.set_executor(Arc::clone(&exec));
     let board = ClockBoard::new(4);
     let class = g.classes().register_array("double[]", 1);
     // Each node homes one object; all initialized to the node index.
@@ -248,12 +245,11 @@ fn barrier_synchronizes_clocks_and_data() {
         })
         .collect();
 
-    let handles: Vec<_> = (0..4u32)
+    let bodies: Vec<_> = (0..4u32)
         .map(|i| {
-            let g = Arc::clone(&g);
+            let (g, objs) = (&g, &objs);
             let c = board.handle(ThreadId(i));
-            let objs = objs.clone();
-            std::thread::spawn(move || {
+            move || {
                 let node = NodeId(i as u16);
                 let mut space = ThreadSpace::new(ThreadId(i));
                 // Phase 1: everyone increments its own object.
@@ -265,11 +261,11 @@ fn barrier_synchronizes_clocks_and_data() {
                 let (v, _) = g.read(&mut space, node, next, &c, |d| d[0]);
                 g.barrier_wait(&mut space, node, 4, &c);
                 (v, c.now())
-            })
+            }
         })
         .collect();
 
-    let results: Vec<(f64, u64)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let results: Vec<(f64, u64)> = run_tasks(&exec, bodies);
     for (i, (v, _)) in results.iter().enumerate() {
         assert_eq!(*v, ((i + 1) % 4) as f64 + 10.0, "thread {i} read a stale value");
     }
@@ -277,6 +273,23 @@ fn barrier_synchronizes_clocks_and_data() {
     let times: Vec<u64> = results.iter().map(|r| r.1).collect();
     assert!(times.windows(2).all(|w| w[0] == w[1]), "{times:?}");
     assert!(times[0] >= 400, "release time is the max arrival");
+}
+
+#[test]
+#[should_panic(expected = "only the running executor task may block")]
+fn a_contended_lock_blocks_only_an_executor_task() {
+    let (g, c, mut s) = gos(2);
+    let lock = g.register_lock();
+    g.lock_acquire(&mut s[0], lock, NodeId(0), &c[0]);
+    // Thread 1 contends from the same OS thread, which runs no task.
+    g.lock_acquire(&mut s[1], lock, NodeId(1), &c[1]);
+}
+
+#[test]
+#[should_panic(expected = "only the running executor task may block")]
+fn a_barrier_blocks_only_an_executor_task() {
+    let (g, c, mut s) = gos(2);
+    g.barrier_wait(&mut s[0], NodeId(0), 2, &c[0]);
 }
 
 #[test]

@@ -1,8 +1,13 @@
 //! Scope-consistency (ScC) mode tests: per-lock notice histories.
 
+mod common;
+
+use std::sync::Arc;
+
+use common::run_tasks;
 use jessy_gos::protocol::ConsistencyModel;
 use jessy_gos::{CostModel, Gos, GosConfig, ThreadSpace};
-use jessy_net::{ClockBoard, ClockHandle, LatencyModel, NodeId, ThreadId};
+use jessy_net::{ClockBoard, ClockHandle, DetExecutor, LatencyModel, NodeId, ThreadId};
 
 fn gos(n: usize, consistency: ConsistencyModel) -> (Gos, Vec<ClockHandle>, Vec<ThreadSpace>) {
     let g = Gos::new(GosConfig {
@@ -89,27 +94,27 @@ fn global_mode_applies_everything_on_any_acquire() {
 
 #[test]
 fn scoped_barriers_remain_global() {
-    let (g, c, mut spaces) = gos(2, ConsistencyModel::Scoped);
+    let (mut g, c, mut spaces) = gos(2, ConsistencyModel::Scoped);
+    let exec = DetExecutor::new(2, 0, 0);
+    g.set_executor(Arc::clone(&exec));
     let class = g.classes().register_scalar("X", 1);
     let obj = g.alloc_scalar(NodeId(0), class, &c[0], None);
-    let (s0_half, s1_half) = spaces.split_at_mut(1);
-    let (s0, s1) = (&mut s0_half[0], &mut s1_half[0]);
-    g.read(s1, NodeId(1), obj.id, &c[1], |_| {});
+    g.read(&mut spaces[1], NodeId(1), obj.id, &c[1], |_| {});
 
     // A write outside any lock, flushed by a barrier, must still reach everyone.
-    g.write(s0, NodeId(0), obj.id, &c[0], |d| d[0] = 7.0);
-    std::thread::scope(|s| {
-        let g0 = &g;
-        let c0 = c[0].clone();
-        let c1 = c[1].clone();
-        let s1 = &mut *s1;
-        s.spawn(move || {
-            g0.barrier_wait(s0, NodeId(0), 2, &c0);
-        });
-        s.spawn(move || {
-            g0.barrier_wait(s1, NodeId(1), 2, &c1);
-        });
-    });
+    g.write(&mut spaces[0], NodeId(0), obj.id, &c[0], |d| d[0] = 7.0);
+    let bodies: Vec<_> = spaces
+        .iter_mut()
+        .zip(&c)
+        .enumerate()
+        .map(|(t, (space, clock))| {
+            let g = &g;
+            move || {
+                g.barrier_wait(space, NodeId(t as u16), 2, clock);
+            }
+        })
+        .collect();
+    run_tasks(&exec, bodies);
     let (v, out) = g.read(&mut spaces[1], NodeId(1), obj.id, &c[1], |d| d[0]);
     assert_eq!(v, 7.0);
     assert!(out.real_fault, "barrier notices are global even in scoped mode");

@@ -1,17 +1,35 @@
-//! Concurrency stress tests for the protocol engine: many real threads hammering
-//! shared objects through locks and barriers, checking coherence and clock sanity.
+//! Concurrency stress tests for the protocol engine: the tasks of a seeded,
+//! jittered executor hammering shared objects through locks and barriers, checking
+//! coherence and clock sanity; free-threaded OS threads racing allocation, first
+//! touch and resampling, which never block.
 //!
-//! Each spawned OS thread owns its logical thread's `ThreadSpace` outright — the
+//! Each thread owns its logical thread's `ThreadSpace` outright — the
 //! single-writer discipline the runtime enforces via `ClusterShared::spaces`.
+
+mod common;
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
+use common::run_tasks;
 use jessy_gos::{CostModel, Gos, GosConfig, ObjectCore, ObjectId, ThreadSpace};
-use jessy_net::{ClockBoard, LatencyModel, NodeId, ThreadId};
+use jessy_net::{ClockBoard, DetExecutor, LatencyModel, NodeId, ThreadId};
 
-fn cluster(n_nodes: usize, n_threads: usize) -> (Arc<Gos>, Arc<ClockBoard>) {
-    let g = Gos::new(GosConfig {
+/// Scheduling-key jitter of the tasked clusters: under the free cost model every
+/// clock stays at 0, so without it task 0 would keep the token.
+const JITTER_NS: u64 = 1_000;
+
+/// CI runs this suite under a small seed matrix (`JESSY_CHAOS_SEED`), each seed a
+/// different interleaving of the tasks; every assertion must hold for any seed.
+fn chaos_seed() -> u64 {
+    std::env::var("JESSY_CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0)
+}
+
+fn gos(n_nodes: usize, n_threads: usize) -> Gos {
+    Gos::new(GosConfig {
         n_nodes,
         n_threads,
         latency: LatencyModel::free(),
@@ -19,37 +37,47 @@ fn cluster(n_nodes: usize, n_threads: usize) -> (Arc<Gos>, Arc<ClockBoard>) {
         prefetch_depth: 0,
         consistency: jessy_gos::protocol::ConsistencyModel::GlobalHlrc,
         faults: None,
-    });
-    (Arc::new(g), ClockBoard::new(n_threads))
+    })
+}
+
+fn cluster(n_nodes: usize, n_threads: usize) -> (Arc<Gos>, Arc<ClockBoard>) {
+    (Arc::new(gos(n_nodes, n_threads)), ClockBoard::new(n_threads))
+}
+
+/// A cluster whose threads run as the tasks of a seeded, jittered executor.
+fn tasked_cluster(n_nodes: usize, n_threads: usize) -> (Gos, Arc<ClockBoard>, Arc<DetExecutor>) {
+    let exec = DetExecutor::new(n_threads, chaos_seed(), JITTER_NS);
+    let mut g = gos(n_nodes, n_threads);
+    g.set_executor(Arc::clone(&exec));
+    (g, ClockBoard::new(n_threads), exec)
 }
 
 #[test]
 fn lock_protected_counter_is_exact_across_nodes() {
-    let (g, board) = cluster(4, 8);
+    let (g, board, exec) = tasked_cluster(4, 8);
     let class = g.classes().register_scalar("Counter", 1);
     let init_clock = board.handle(ThreadId(0));
     let obj = g.alloc_scalar(NodeId(0), class, &init_clock, None).id;
     let lock = g.register_lock();
 
     const PER_THREAD: usize = 200;
-    let handles: Vec<_> = (0..8u32)
+    let bodies: Vec<_> = (0..8u32)
         .map(|t| {
-            let g = Arc::clone(&g);
+            let (g, exec) = (&g, &*exec);
             let clock = board.handle(ThreadId(t));
-            std::thread::spawn(move || {
+            move || {
                 let node = NodeId((t % 4) as u16);
                 let mut space = ThreadSpace::new(ThreadId(t));
                 for _ in 0..PER_THREAD {
                     g.lock_acquire(&mut space, lock, node, &clock);
                     g.write(&mut space, node, obj, &clock, |d| d[0] += 1.0);
+                    exec.yield_now(t as usize, clock.now());
                     g.lock_release(&mut space, lock, node, &clock);
                 }
-            })
+            }
         })
         .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
+    run_tasks(&exec, bodies);
     // Reader must observe every increment after a final acquire.
     let clock = board.handle(ThreadId(0));
     let mut space = ThreadSpace::new(ThreadId(0));
@@ -65,7 +93,7 @@ fn barrier_phased_writers_never_lose_updates() {
     // object. After R phases, object sums are exact.
     const THREADS: usize = 6;
     const ROUNDS: usize = 50;
-    let (g, board) = cluster(3, THREADS);
+    let (g, board, exec) = tasked_cluster(3, THREADS);
     let class = g.classes().register_scalar("Slot", 1);
     let init_clock = board.handle(ThreadId(0));
     let objs: Vec<_> = (0..THREADS)
@@ -75,26 +103,24 @@ fn barrier_phased_writers_never_lose_updates() {
         })
         .collect();
 
-    let handles: Vec<_> = (0..THREADS)
+    let bodies: Vec<_> = (0..THREADS)
         .map(|t| {
-            let g = Arc::clone(&g);
+            let (g, exec, objs) = (&g, &*exec, &objs);
             let clock = board.handle(ThreadId(t as u32));
-            let objs = objs.clone();
-            std::thread::spawn(move || {
+            move || {
                 let node = NodeId((t % 3) as u16);
                 let mut space = ThreadSpace::new(ThreadId(t as u32));
                 for round in 0..ROUNDS {
                     // Each object has exactly one writer per phase.
                     let target = objs[(t + round) % THREADS];
                     g.write(&mut space, node, target, &clock, |d| d[0] += (t + 1) as f64);
+                    exec.yield_now(t, clock.now());
                     g.barrier_wait(&mut space, node, THREADS, &clock);
                 }
-            })
+            }
         })
         .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
+    run_tasks(&exec, bodies);
     // Every object was written once per phase by a rotating writer: the total across
     // objects is ROUNDS * sum(t+1).
     let total: f64 = objs
@@ -106,17 +132,17 @@ fn barrier_phased_writers_never_lose_updates() {
 
 #[test]
 fn clocks_are_monotone_through_sync_storms() {
-    let (g, board) = cluster(2, 4);
+    let (g, board, exec) = tasked_cluster(2, 4);
     let class = g.classes().register_scalar("X", 1);
     let init_clock = board.handle(ThreadId(0));
     let obj = g.alloc_scalar(NodeId(0), class, &init_clock, None).id;
     let lock = g.register_lock();
 
-    let handles: Vec<_> = (0..4u32)
+    let bodies: Vec<_> = (0..4u32)
         .map(|t| {
-            let g = Arc::clone(&g);
+            let (g, exec) = (&g, &*exec);
             let clock = board.handle(ThreadId(t));
-            std::thread::spawn(move || {
+            move || {
                 let node = NodeId((t % 2) as u16);
                 let mut space = ThreadSpace::new(ThreadId(t));
                 let mut last = 0u64;
@@ -124,9 +150,11 @@ fn clocks_are_monotone_through_sync_storms() {
                     if i % 3 == 0 {
                         g.lock_acquire(&mut space, lock, node, &clock);
                         g.write(&mut space, node, obj, &clock, |d| d[0] += 1.0);
+                        exec.yield_now(t as usize, clock.now());
                         g.lock_release(&mut space, lock, node, &clock);
                     } else {
                         g.read(&mut space, node, obj, &clock, |_| {});
+                        exec.yield_now(t as usize, clock.now());
                     }
                     clock.spend(10);
                     g.barrier_wait(&mut space, node, 4, &clock);
@@ -135,10 +163,10 @@ fn clocks_are_monotone_through_sync_storms() {
                     last = now;
                 }
                 last
-            })
+            }
         })
         .collect();
-    let finals: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let finals: Vec<u64> = run_tasks(&exec, bodies);
     // All clocks equal after the final barrier.
     assert!(finals.windows(2).all(|w| w[0] == w[1]), "{finals:?}");
 }

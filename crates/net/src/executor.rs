@@ -362,12 +362,14 @@ impl DetExecutor {
     /// Block the running task waiting on **another task** (lock holder,
     /// barrier parties). Parks until [`unblock`](Self::unblock). If this
     /// leaves the task set with nothing runnable, the executor poisons.
+    /// Panics unless `task` is the running task: nothing else may block.
     pub fn block_internal(&self, task: usize, now_ns: u64) {
         self.block(task, now_ns, Block::Internal);
     }
 
     /// Block the running task waiting on a wakeup **from outside the task
     /// set** (the controlling thread, typically). Never counts as deadlock.
+    /// Panics unless `task` is the running task.
     pub fn block_external(&self, task: usize, now_ns: u64) {
         self.block(task, now_ns, Block::External);
     }
@@ -379,7 +381,10 @@ impl DetExecutor {
                 drop(g);
                 panic!("{POISON_MSG}");
             }
-            debug_assert_eq!(g.running, Some(task));
+            assert!(
+                g.running == Some(task),
+                "only the running executor task may block (task {task} is not running)"
+            );
             let slot = &mut g.tasks[task];
             slot.clock_ns = slot.clock_ns.max(now_ns);
             slot.yields += 1;
@@ -451,14 +456,6 @@ impl DetExecutor {
         if !g.poisoned && g.running.is_none() && g.started {
             self.dispatch(&mut g);
         }
-    }
-
-    /// True while `task` is the currently-running task of a live executor —
-    /// the gate cooperative sync primitives use to choose the executor path
-    /// over their OS-thread (condvar) fallback.
-    pub fn task_is_live(&self, task: usize) -> bool {
-        let g = self.state.lock();
-        task < g.tasks.len() && g.running == Some(task) && !g.poisoned
     }
 
     /// True once the executor has poisoned (deadlock or explicit abort).

@@ -377,8 +377,7 @@ impl ClusterBuilder {
             gos.set_trace_sink(Arc::clone(sink));
         }
         // One task per application thread plus the master daemon. The executor is
-        // inert until `run` registers the tasks; non-task callers (init, adopted
-        // threads) fall through to the OS-thread sync paths.
+        // inert until `run` registers the tasks.
         let exec = DetExecutor::new(self.n_threads + 1, self.exec_seed, self.exec_jitter_ns);
         // On equal virtual time the master daemon runs first, so mail is serviced
         // promptly even under cost models that never advance the clocks.

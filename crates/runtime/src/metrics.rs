@@ -5,7 +5,7 @@
 //! * [`RunReport`] — everything measured, including host-dependent real-time
 //!   fields (`wall_ns`, the master's `tcm_build_real_ns`).
 //! * [`DeterministicReport`] — the same report with every host-dependent field
-//!   removed or masked, so two same-seed runs on different machines serialize
+//!   zeroed, so two same-seed runs on different machines serialize
 //!   **byte-identically**. The chaos suite's zero-fault bit-identity test
 //!   compares this view in full instead of hand-picked fields.
 //!
@@ -26,7 +26,7 @@ use crate::cluster::ClusterShared;
 use crate::master::MasterOutput;
 
 /// Everything measured over one cluster run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Nodes in the cluster.
     pub n_nodes: usize,
@@ -131,33 +131,17 @@ impl RunReport {
             * 100.0
     }
 
-    /// The host-independent view: everything except wall-clock time, with the
-    /// master's real TCM build time masked to zero. Two same-seed, zero-fault runs
+    /// The host-independent view: the report with wall-clock time and the
+    /// master's real TCM build time zeroed. Two same-seed, zero-fault runs
     /// serialize this view byte-identically regardless of host, scheduler or core
-    /// count. (A separate view rather than a `skip` attribute because the vendored
-    /// serde derive ignores field attributes.)
+    /// count.
     pub fn deterministic(&self) -> DeterministicReport {
-        let master = self.master.clone().map(|mut m| {
+        let mut det = self.clone();
+        det.wall_ns = 0;
+        if let Some(m) = &mut det.master {
             m.tcm_build_real_ns = 0;
-            m
-        });
-        DeterministicReport {
-            n_nodes: self.n_nodes,
-            n_threads: self.n_threads,
-            sim_exec_ns: self.sim_exec_ns,
-            per_thread_ns: self.per_thread_ns.clone(),
-            net: self.net.clone(),
-            proto: self.proto,
-            profiler: self.profiler,
-            master,
-            oal_post_failures: self.oal_post_failures,
-            lost_oals: self.lost_oals.clone(),
-            shed_oals: self.shed_oals.clone(),
-            sheds_dropped: self.sheds_dropped,
-            sheds_merged: self.sheds_merged,
-            sheds_summarized: self.sheds_summarized,
-            rejoins: self.rejoins,
         }
+        det
     }
 
     /// Round-coverage history with post-failure losses *and* backpressure sheds
@@ -311,43 +295,11 @@ impl RunReport {
     }
 }
 
-/// The host-independent projection of a [`RunReport`]: no `wall_ns`, and the
-/// master's `tcm_build_real_ns` masked to zero. Serializing this view is the
-/// contract the zero-fault bit-identity tests (and the CI journal-identity
-/// smoke) compare — see [`RunReport::deterministic`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DeterministicReport {
-    /// Nodes in the cluster.
-    pub n_nodes: usize,
-    /// Application threads.
-    pub n_threads: usize,
-    /// Simulated execution time: the maximum application-thread clock.
-    pub sim_exec_ns: SimNanos,
-    /// Per-thread simulated times.
-    pub per_thread_ns: Vec<SimNanos>,
-    /// Network traffic ledger.
-    pub net: NetworkStats,
-    /// Protocol event counters.
-    pub proto: ProtocolCounters,
-    /// Profiler counters.
-    pub profiler: ProfilerStatsSnapshot,
-    /// Master daemon output with its real-time field zeroed.
-    pub master: Option<MasterOutput>,
-    /// OAL batches that could not be posted.
-    pub oal_post_failures: u64,
-    /// The lost `(thread, interval)` pairs, sorted.
-    pub lost_oals: Vec<(u32, u64)>,
-    /// The shed `(thread, interval)` pairs, sorted.
-    pub shed_oals: Vec<(u32, u64)>,
-    /// Sheds by policy: outright drops.
-    pub sheds_dropped: u64,
-    /// Sheds by policy: merges into the successor batch.
-    pub sheds_merged: u64,
-    /// Sheds by policy: merges collapsed to per-class summaries.
-    pub sheds_summarized: u64,
-    /// Rejoin handshakes performed.
-    pub rejoins: u64,
-}
+/// A [`RunReport`] with its host-dependent fields (`wall_ns`, the master's
+/// `tcm_build_real_ns`) zeroed. Serializing this view is the contract the
+/// zero-fault bit-identity tests (and the CI journal-identity smoke) compare —
+/// see [`RunReport::deterministic`].
+pub type DeterministicReport = RunReport;
 
 #[cfg(test)]
 mod tests {

@@ -808,11 +808,11 @@ impl Drop for JThread {
     /// unhealed partition is surfaced as lost), then park the access arena back in
     /// the cluster so post-run inspection (and a later re-adoption of the same
     /// thread id) sees the thread's heap state. The flush is a visible action,
-    /// so an owed yield is paid first — when the task is live and not
-    /// unwinding: a scheduling point on a poisoned executor panics, and `drop`
-    /// must not.
+    /// so an owed yield is paid first — unless unwinding or poisoned: a
+    /// scheduling point on a poisoned executor panics, and `drop` must not. (An
+    /// adopted thread's yield returns at once: it is no running task.)
     fn drop(&mut self) {
-        if !std::thread::panicking() && self.shared.exec.task_is_live(self.thread.index()) {
+        if !std::thread::panicking() && !self.shared.exec.is_poisoned() {
             self.pay_owed_yield();
         }
         self.flush_deferred_oals();
