@@ -17,6 +17,12 @@
 //! moves the token to another carrier ([`DetExecutor::handoffs`]) pays for an
 //! OS hand-off.
 //!
+//! A hand-off is one token store under the lock, one `unpark` after the lock
+//! drops, and one park. Each task's run token is an atomic outside the state
+//! lock, so a parked carrier waits for it, and reads it on waking, without the
+//! lock: the woken carrier never wakes only to block on a mutex its waker
+//! still holds. (Poisoning is the one path that unparks under the lock.)
+//!
 //! Serialization is also what closes the LRC fetch-vs-flush race (DESIGN.md
 //! §14): with one task running at a time, the write-notice distribution at
 //! barriers is schedule-determined, not OS-determined. And because carrier
@@ -50,10 +56,11 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 /// Panic payload of every task killed by executor poisoning (cooperative
 /// deadlock, or explicit [`DetExecutor::poison`]). Carriers classify panics by
@@ -80,6 +87,8 @@ enum TaskState {
     Finished,
 }
 
+/// A task's scheduling state, guarded by the executor's state lock. Its run
+/// token and carrier handle live outside the lock, in its [`Carrier`].
 #[derive(Debug)]
 struct TaskSlot {
     state: TaskState,
@@ -91,10 +100,6 @@ struct TaskSlot {
     priority: u8,
     /// Scheduling points passed — feeds the jitter hash.
     yields: u64,
-    /// Carrier thread handle, for unpark.
-    carrier: Option<Thread>,
-    /// Token: set by the dispatcher, consumed by the carrier.
-    run_token: bool,
     /// A wakeup arrived while the task was not blocked; consume at next block.
     pending_wake: bool,
 }
@@ -115,7 +120,17 @@ struct ExecState {
     runnable: usize,
     blocked_internal: usize,
     started: bool,
-    poisoned: bool,
+}
+
+/// The lock-free half of a task: what its parked carrier reads.
+#[derive(Debug, Default)]
+struct Carrier {
+    /// Run token: stored (`Release`) by the dispatcher under the state lock,
+    /// taken (`Acquire`) by the carrier without it, so everything the previous
+    /// token holder wrote is visible to the next.
+    token: AtomicBool,
+    /// Carrier thread, set once by `register_current`, for unpark.
+    thread: OnceLock<Thread>,
 }
 
 /// Seeded deterministic cooperative executor. See the module docs.
@@ -123,6 +138,11 @@ struct ExecState {
 pub struct DetExecutor {
     seed: u64,
     jitter_ns: u64,
+    /// One per task, indexed like `ExecState::tasks`.
+    carriers: Box<[Carrier]>,
+    /// Set under the state lock (so dispatch decisions stay ordered), read
+    /// anywhere.
+    poisoned: AtomicBool,
     state: Mutex<ExecState>,
 }
 
@@ -139,14 +159,14 @@ impl DetExecutor {
                 clock_ns: 0,
                 priority: 1,
                 yields: 0,
-                carrier: None,
-                run_token: false,
                 pending_wake: false,
             })
             .collect();
         Arc::new(DetExecutor {
             seed,
             jitter_ns,
+            carriers: (0..n_tasks).map(|_| Carrier::default()).collect(),
+            poisoned: AtomicBool::new(false),
             state: Mutex::new(ExecState {
                 tasks,
                 heap: BinaryHeap::new(),
@@ -157,14 +177,13 @@ impl DetExecutor {
                 runnable: 0,
                 blocked_internal: 0,
                 started: false,
-                poisoned: false,
             }),
         })
     }
 
     /// Number of tasks this executor schedules.
     pub fn n_tasks(&self) -> usize {
-        self.state.lock().tasks.len()
+        self.carriers.len()
     }
 
     /// Scheduling key: virtual clock plus seeded jitter. Computed when a task
@@ -193,74 +212,76 @@ impl DetExecutor {
         g.heap.push(Reverse(entry));
     }
 
-    /// Hand the token to the best runnable task, or detect deadlock.
+    /// Hand the token to the best runnable task, or detect deadlock. Returns
+    /// the task whose token was just stored: the caller unparks its carrier
+    /// with [`release_and_wake`](Self::release_and_wake), after the lock drops.
     /// Caller must hold the state lock and have `running == None`.
-    fn dispatch(&self, g: &mut ExecState) {
+    fn dispatch(&self, g: &mut ExecState) -> Option<usize> {
         debug_assert!(g.running.is_none());
-        if g.poisoned {
-            self.wake_everything(g);
-            return;
+        if self.is_poisoned() {
+            self.wake_everything();
+            return None;
         }
         if !g.started {
-            return;
+            return None;
         }
         loop {
             if g.runnable == 0 {
                 // Nothing to run: a live internally-blocked task means the
                 // task set has deadlocked on itself.
                 if g.blocked_internal > 0 {
-                    g.poisoned = true;
-                    self.wake_everything(g);
+                    self.poisoned.store(true, Ordering::Release);
+                    self.wake_everything();
                 }
-                return;
+                return None;
             }
             let Some(Reverse((_, _, task))) = g.heap.pop() else {
                 debug_assert!(false, "runnable count positive but heap empty");
-                return;
+                return None;
             };
             let slot = &mut g.tasks[task];
             if slot.state != TaskState::Runnable {
                 continue; // stale entry: the task finished while queued
             }
             slot.state = TaskState::Running;
-            slot.run_token = true;
+            self.carriers[task].token.store(true, Ordering::Release);
             g.running = Some(task);
             g.runnable -= 1;
             if g.last_dispatched != Some(task) {
                 g.last_dispatched = Some(task);
                 g.handoffs += 1;
             }
-            if let Some(t) = &slot.carrier {
-                t.unpark();
-            }
-            return;
+            return Some(task);
         }
     }
 
-    fn wake_everything(&self, g: &mut ExecState) {
-        for slot in &g.tasks {
-            if let Some(t) = &slot.carrier {
-                t.unpark();
-            }
+    /// Drop the state guard, then unpark `next`'s carrier: woken after the
+    /// lock is free, it never wakes only to block on it.
+    fn release_and_wake(&self, g: MutexGuard<'_, ExecState>, next: Option<usize>) {
+        drop(g);
+        if let Some(carrier) = next.and_then(|task| self.carriers[task].thread.get()) {
+            carrier.unpark();
+        }
+    }
+
+    /// Unpark every registered carrier; each finds the executor poisoned.
+    fn wake_everything(&self) {
+        for carrier in self.carriers.iter().filter_map(|c| c.thread.get()) {
+            carrier.unpark();
         }
     }
 
     /// Park the calling carrier until its task holds the token (or the
     /// executor is poisoned, in which case this panics with [`POISON_MSG`]).
+    /// Takes no lock: an `unpark` that lands before the `park` makes the
+    /// `park` return at once, so a token stored at any point is seen.
     fn wait_for_token(&self, task: usize) {
         loop {
-            {
-                let mut g = self.state.lock();
-                if g.poisoned {
-                    drop(g);
-                    panic!("{POISON_MSG}");
-                }
-                let slot = &mut g.tasks[task];
-                if slot.run_token {
-                    slot.run_token = false;
-                    debug_assert_eq!(slot.state, TaskState::Running);
-                    return;
-                }
+            if self.is_poisoned() {
+                panic!("{POISON_MSG}");
+            }
+            if self.carriers[task].token.swap(false, Ordering::Acquire) {
+                return;
             }
             std::thread::park();
         }
@@ -274,26 +295,29 @@ impl DetExecutor {
     /// If `task` is out of range, already registered, or the executor is
     /// poisoned while waiting.
     pub fn register_current(&self, task: usize) {
-        {
-            let mut g = self.state.lock();
-            assert!(task < g.tasks.len(), "task {task} out of range");
-            assert_eq!(
-                g.tasks[task].state,
-                TaskState::NotStarted,
-                "task {task} registered twice"
-            );
-            g.tasks[task].carrier = Some(std::thread::current());
-            g.tasks[task].state = TaskState::Runnable;
-            g.runnable += 1;
-            self.push_runnable(&mut g, task);
-            g.registered += 1;
-            if g.registered == g.tasks.len() {
-                g.started = true;
-                if g.running.is_none() {
-                    self.dispatch(&mut g);
-                }
+        let mut g = self.state.lock();
+        assert!(task < g.tasks.len(), "task {task} out of range");
+        assert_eq!(
+            g.tasks[task].state,
+            TaskState::NotStarted,
+            "task {task} registered twice"
+        );
+        self.carriers[task]
+            .thread
+            .set(std::thread::current())
+            .expect("a NotStarted task has no carrier yet");
+        g.tasks[task].state = TaskState::Runnable;
+        g.runnable += 1;
+        self.push_runnable(&mut g, task);
+        g.registered += 1;
+        let mut next = None;
+        if g.registered == g.tasks.len() {
+            g.started = true;
+            if g.running.is_none() {
+                next = self.dispatch(&mut g);
             }
         }
+        self.release_and_wake(g, next);
         self.wait_for_token(task);
     }
 
@@ -317,19 +341,15 @@ impl DetExecutor {
         true
     }
 
-    /// The running `task` passed a scheduling point: keep the token if it
-    /// would win the next pick anyway, otherwise queue it and dispatch.
-    /// Returns whether the caller must now park for the token.
-    fn reschedule(&self, g: &mut ExecState, task: usize) -> bool {
-        if self.keeps_token(g, task) {
-            return false;
-        }
+    /// The running `task` passed a scheduling point and will not keep the
+    /// token ([`keeps_token`](Self::keeps_token) said so): queue it and
+    /// dispatch, returning the task to wake.
+    fn requeue(&self, g: &mut ExecState, task: usize) -> Option<usize> {
         g.tasks[task].state = TaskState::Runnable;
         g.running = None;
         g.runnable += 1;
         self.push_runnable(g, task);
-        self.dispatch(g);
-        true
+        self.dispatch(g)
     }
 
     /// Cooperative scheduling point: report the task's virtual clock and let
@@ -339,23 +359,23 @@ impl DetExecutor {
     /// `task` is the running task, so non-task threads (adopted handles, unit
     /// tests) may call it freely.
     pub fn yield_now(&self, task: usize, now_ns: u64) {
-        {
-            let mut g = self.state.lock();
-            if g.running != Some(task) {
-                return;
-            }
-            if g.poisoned {
-                drop(g);
-                panic!("{POISON_MSG}");
-            }
-            let slot = &mut g.tasks[task];
-            slot.clock_ns = slot.clock_ns.max(now_ns);
-            slot.yields += 1;
-            slot.pending_wake = false;
-            if !self.reschedule(&mut g, task) {
-                return;
-            }
+        let mut g = self.state.lock();
+        if g.running != Some(task) {
+            return;
         }
+        if self.is_poisoned() {
+            drop(g);
+            panic!("{POISON_MSG}");
+        }
+        let slot = &mut g.tasks[task];
+        slot.clock_ns = slot.clock_ns.max(now_ns);
+        slot.yields += 1;
+        slot.pending_wake = false;
+        if self.keeps_token(&mut g, task) {
+            return;
+        }
+        let next = self.requeue(&mut g, task);
+        self.release_and_wake(g, next);
         self.wait_for_token(task);
     }
 
@@ -375,35 +395,35 @@ impl DetExecutor {
     }
 
     fn block(&self, task: usize, now_ns: u64, kind: Block) {
-        {
-            let mut g = self.state.lock();
-            if g.poisoned {
-                drop(g);
-                panic!("{POISON_MSG}");
-            }
-            assert!(
-                g.running == Some(task),
-                "only the running executor task may block (task {task} is not running)"
-            );
-            let slot = &mut g.tasks[task];
-            slot.clock_ns = slot.clock_ns.max(now_ns);
-            slot.yields += 1;
-            if slot.pending_wake {
-                // A wakeup raced the block (sent from a non-task thread while
-                // this task was running): degrade to a plain yield.
-                slot.pending_wake = false;
-                if !self.reschedule(&mut g, task) {
-                    return;
-                }
-            } else {
-                slot.state = TaskState::Blocked(kind);
-                g.running = None;
-                if kind == Block::Internal {
-                    g.blocked_internal += 1;
-                }
-                self.dispatch(&mut g);
-            }
+        let mut g = self.state.lock();
+        if self.is_poisoned() {
+            drop(g);
+            panic!("{POISON_MSG}");
         }
+        assert!(
+            g.running == Some(task),
+            "only the running executor task may block (task {task} is not running)"
+        );
+        let slot = &mut g.tasks[task];
+        slot.clock_ns = slot.clock_ns.max(now_ns);
+        slot.yields += 1;
+        let next = if slot.pending_wake {
+            // A wakeup raced the block (sent from a non-task thread while
+            // this task was running): degrade to a plain yield.
+            slot.pending_wake = false;
+            if self.keeps_token(&mut g, task) {
+                return;
+            }
+            self.requeue(&mut g, task)
+        } else {
+            slot.state = TaskState::Blocked(kind);
+            g.running = None;
+            if kind == Block::Internal {
+                g.blocked_internal += 1;
+            }
+            self.dispatch(&mut g)
+        };
+        self.release_and_wake(g, next);
         self.wait_for_token(task);
     }
 
@@ -414,9 +434,10 @@ impl DetExecutor {
     /// task is a no-op.
     pub fn unblock(&self, task: usize) {
         let mut g = self.state.lock();
-        if g.poisoned || task >= g.tasks.len() {
+        if self.is_poisoned() || task >= g.tasks.len() {
             return;
         }
+        let mut next = None;
         match g.tasks[task].state {
             TaskState::Blocked(kind) => {
                 g.tasks[task].state = TaskState::Runnable;
@@ -426,12 +447,13 @@ impl DetExecutor {
                 }
                 self.push_runnable(&mut g, task);
                 if g.running.is_none() && g.started {
-                    self.dispatch(&mut g);
+                    next = self.dispatch(&mut g);
                 }
             }
             TaskState::Running => g.tasks[task].pending_wake = true,
             _ => {}
         }
+        self.release_and_wake(g, next);
     }
 
     /// Retire the calling task and hand the token onward. Safe to call after a
@@ -446,35 +468,37 @@ impl DetExecutor {
             return;
         }
         g.tasks[task].state = TaskState::Finished;
-        g.tasks[task].run_token = false;
+        self.carriers[task].token.store(false, Ordering::Relaxed);
         match prior {
             TaskState::Running => g.running = None,
             TaskState::Runnable => g.runnable -= 1,
             TaskState::Blocked(Block::Internal) => g.blocked_internal -= 1,
             _ => {}
         }
-        if !g.poisoned && g.running.is_none() && g.started {
-            self.dispatch(&mut g);
+        let mut next = None;
+        if !self.is_poisoned() && g.running.is_none() && g.started {
+            next = self.dispatch(&mut g);
         }
+        self.release_and_wake(g, next);
     }
 
     /// True once the executor has poisoned (deadlock or explicit abort).
     pub fn is_poisoned(&self) -> bool {
-        self.state.lock().poisoned
+        self.poisoned.load(Ordering::Acquire)
     }
 
     /// Poison the executor outright: every parked or future scheduling call
     /// panics with [`POISON_MSG`]. Used to abort cleanly when a carrier could
     /// not be spawned and registration would otherwise never complete.
     pub fn poison(&self) {
-        let mut g = self.state.lock();
-        g.poisoned = true;
-        self.wake_everything(&mut g);
+        let _g = self.state.lock();
+        self.poisoned.store(true, Ordering::Release);
+        self.wake_everything();
     }
 
     /// Dispatches that moved the token to a different task than the previous
-    /// dispatch did — the OS-level hand-offs (a park and an unpark each). A
-    /// scheduling point that keeps the token, or re-picks the same task, is not
+    /// dispatch did — the OS-level hand-offs (one `unpark` after the state
+    /// lock drops and one lock-free park each). A scheduling point that keeps the token, or re-picks the same task, is not
     /// one. A pure function of the schedule, hence of `(seed, jitter)` and the
     /// tasks' inputs.
     pub fn handoffs(&self) -> u64 {
@@ -493,8 +517,7 @@ fn splitmix64(mut x: u64) -> u64 {
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::atomic::AtomicU64;
 
     /// Spawn `n` tasks that each append `(task, step)` to a shared log at every
     /// scheduling point, with per-task virtual clocks advancing by `pace[t]`.
@@ -771,5 +794,170 @@ mod tests {
         );
         assert_eq!(order, vec![0, 1, 0, 0, 0, 0, 0, 1]);
         assert_eq!(handoffs, 4, "0 -> 1 -> 0 -> 1, however many steps each ran");
+    }
+
+    // ------------------------------------------------- hand-off storms (no hang)
+
+    /// Executor seed of the storms: `JESSY_CHAOS_SEED` picks the interleaving,
+    /// so the CI seed matrix runs each storm under several.
+    fn chaos_seed() -> u64 {
+        std::env::var("JESSY_CHAOS_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0)
+    }
+
+    /// Far beyond any storm's run time: only a carrier that was never woken
+    /// misses it.
+    const DEADLINE: std::time::Duration = std::time::Duration::from_secs(120);
+
+    /// Run `body(t)` for `t in 0..n`, each on its own carrier, and return each
+    /// carrier's panic message (`None` if it returned). A carrier still running
+    /// at [`DEADLINE`] fails the test instead of hanging it: the executor is
+    /// poisoned so the others unwind, and the lost wake-up is reported.
+    fn run_carriers<F>(exec: &Arc<DetExecutor>, n: usize, body: F) -> Vec<Option<String>>
+    where
+        F: Fn(usize) + Send + Sync + 'static,
+    {
+        let body = Arc::new(body);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handles: Vec<_> = (0..n)
+            .map(|t| {
+                let (body, tx) = (Arc::clone(&body), tx.clone());
+                std::thread::spawn(move || {
+                    let outcome = catch_unwind(AssertUnwindSafe(|| body(t))).err().map(|err| {
+                        err.downcast_ref::<String>()
+                            .cloned()
+                            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                            .unwrap_or_default()
+                    });
+                    tx.send((t, outcome))
+                        .expect("the test thread outlives its carriers");
+                })
+            })
+            .collect();
+        let deadline = std::time::Instant::now() + DEADLINE;
+        let mut outcomes = vec![None; n];
+        for done in 0..n {
+            let wait = deadline.saturating_duration_since(std::time::Instant::now());
+            match rx.recv_timeout(wait) {
+                Ok((t, outcome)) => outcomes[t] = outcome,
+                Err(_) => {
+                    exec.poison();
+                    panic!(
+                        "lost wake-up: {} of {n} carriers still parked at the deadline",
+                        n - done
+                    );
+                }
+            }
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        outcomes
+    }
+
+    /// 64 tasks × 2 000 jittered yields: the resumption log and hand-off count.
+    fn handoff_storm(seed: u64) -> (Vec<usize>, u64) {
+        const TASKS: usize = 64;
+        const YIELDS: u64 = 2_000;
+        let exec = DetExecutor::new(TASKS, seed, 1_000);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (e, l) = (Arc::clone(&exec), Arc::clone(&log));
+        let outcomes = run_carriers(&exec, TASKS, move |t| {
+            e.register_current(t);
+            for step in 1..=YIELDS {
+                l.lock().push(t);
+                e.yield_now(t, step * 10);
+            }
+            e.finish(t);
+        });
+        assert!(outcomes.iter().all(Option::is_none), "{outcomes:?}");
+        let order = log.lock().clone();
+        assert_eq!(order.len(), TASKS * YIELDS as usize);
+        (order, exec.handoffs())
+    }
+
+    #[test]
+    fn a_handoff_storm_replays_and_never_loses_a_wakeup() {
+        let seed = chaos_seed();
+        let (order, handoffs) = handoff_storm(seed);
+        let (again, handoffs_again) = handoff_storm(seed);
+        assert!(
+            order == again,
+            "seed {seed}: resumption order differs between runs"
+        );
+        assert_eq!(handoffs, handoffs_again, "seed {seed}");
+        assert!(
+            handoffs > 64,
+            "seed {seed}: a jittered storm hands off ({handoffs})"
+        );
+    }
+
+    #[test]
+    fn outside_wakeups_race_a_live_handoff() {
+        const WORKERS: usize = 7;
+        const ROUNDS: u64 = 2_000;
+        let exec = DetExecutor::new(1 + WORKERS, chaos_seed(), 1_000);
+        let blocker_done = Arc::new(AtomicBool::new(false));
+        // A non-task thread waking task 0 for as long as it keeps blocking.
+        let waker = {
+            let (exec, done) = (Arc::clone(&exec), Arc::clone(&blocker_done));
+            std::thread::spawn(move || {
+                while !done.load(Ordering::Acquire) {
+                    exec.unblock(0);
+                    std::thread::yield_now();
+                }
+            })
+        };
+        let (e, done) = (Arc::clone(&exec), Arc::clone(&blocker_done));
+        let outcomes = run_carriers(&exec, 1 + WORKERS, move |t| {
+            e.register_current(t);
+            for step in 1..=ROUNDS {
+                if t == 0 {
+                    e.block_external(0, step * 10);
+                } else {
+                    e.yield_now(t, step * 10);
+                }
+            }
+            if t == 0 {
+                done.store(true, Ordering::Release);
+            }
+            e.finish(t);
+        });
+        blocker_done.store(true, Ordering::Release);
+        waker.join().unwrap();
+        assert!(outcomes.iter().all(Option::is_none), "{outcomes:?}");
+        assert!(!exec.is_poisoned());
+    }
+
+    #[test]
+    fn poison_mid_storm_unwinds_every_carrier() {
+        const TASKS: usize = 16;
+        let exec = DetExecutor::new(TASKS, chaos_seed(), 1_000);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let poisoner = {
+            let exec = Arc::clone(&exec);
+            std::thread::spawn(move || {
+                // Poison once the storm is well under way.
+                started_rx.recv().unwrap();
+                exec.poison();
+            })
+        };
+        let e = Arc::clone(&exec);
+        let outcomes = run_carriers(&exec, TASKS, move |t| {
+            e.register_current(t);
+            for step in 1u64.. {
+                if t == 0 && step == 500 {
+                    started_tx.send(()).unwrap();
+                }
+                e.yield_now(t, step * 10);
+            }
+        });
+        poisoner.join().unwrap();
+        assert!(exec.is_poisoned());
+        for (t, outcome) in outcomes.iter().enumerate() {
+            assert_eq!(outcome.as_deref(), Some(POISON_MSG), "task {t}");
+        }
     }
 }

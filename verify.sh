@@ -111,12 +111,14 @@ echo "==> chaos seed matrix (fault determinism must not depend on one seed)"
 # The suite includes the partition schedules (heal + permanent), the slow-node
 # windows and the zero-plan invariant; every seed must satisfy every assertion.
 # The GOS stress suite takes its executor seed from the same variable, so each
-# seed is another interleaving of its lock and barrier storms.
+# seed is another interleaving of its lock and barrier storms; the executor's
+# own unit tests take it too, for their hand-off, outside-wake and poison storms.
 for seed in 1 7 42 1337 31337 99999; do
   echo "--- JESSY_CHAOS_SEED=$seed"
   JESSY_CHAOS_SEED=$seed cargo test -p jessy-runtime --test chaos -q
   JESSY_CHAOS_SEED=$seed cargo test -p jessy --test drift -q phase_flip_inside
   JESSY_CHAOS_SEED=$seed cargo test -p jessy-gos --test stress -q
+  JESSY_CHAOS_SEED=$seed cargo test -p jessy-net --lib -q executor
 done
 
 echo "==> benchmark smoke (benchmark/run.sh --quick: five workloads, small presets, results checked)"
