@@ -217,50 +217,6 @@ fn prefetch_ablation() {
     println!("octree it predicts it exactly).\n");
 }
 
-/// Ablation 6: notice scoping — global HLRC history vs scope consistency on the
-/// lock-heavy Water-Spatial rebind phase.
-fn consistency_ablation() {
-    use jessy_core::ProfilerConfig;
-    use jessy_gos::protocol::ConsistencyModel;
-    use jessy_runtime::Cluster;
-    use jessy_workloads::water::{self, WaterConfig};
-    use std::sync::Arc;
-
-    println!("== ablation 6: global HLRC history vs scope consistency (ScC) ==");
-    println!("(Water-Spatial small: per-box locks guard membership rebinding)\n");
-    let mut t = TextTable::new(&[
-        "model",
-        "notices applied",
-        "object faults",
-        "sim exec (ms)",
-    ]);
-    for (label, model) in [
-        ("global HLRC", ConsistencyModel::GlobalHlrc),
-        ("scoped (ScC)", ConsistencyModel::Scoped),
-    ] {
-        let mut cluster = Cluster::builder()
-            .nodes(4)
-            .threads(4)
-            .consistency(model)
-            .profiler(ProfilerConfig::disabled())
-            .build();
-        let cfg = WaterConfig::small();
-        let handles = Arc::new(cluster.init(|ctx| water::setup(ctx, &cfg, 4, 4)));
-        cluster.run(move |jt| water::thread_body(jt, &cfg, &handles));
-        let report = cluster.report();
-        t.row(&[
-            label.to_string(),
-            report.proto.notices_applied.to_string(),
-            report.proto.real_faults.to_string(),
-            format!("{:.1}", report.sim_exec_ms()),
-        ]);
-    }
-    println!("{}", t.render());
-    println!("per-lock notice histories spare unrelated caches: fewer notices applied,");
-    println!("fewer re-faults, at the cost of ScC's weaker cross-lock visibility");
-    println!("(the paper names LRC and ScC as the interval-based models it targets).\n");
-}
-
 fn main() {
     println!("DESIGN-CHOICE ABLATIONS\n");
     prime_gap_ablation();
@@ -268,5 +224,4 @@ fn main() {
     lazy_extraction_ablation();
     dcvm_cost_ablation();
     prefetch_ablation();
-    consistency_ablation();
 }

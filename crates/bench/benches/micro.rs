@@ -136,22 +136,10 @@ fn main() {
     }
 
     {
-        // The related-work contrast: Whaley-style PCCT sampling (method ids only) vs
-        // sticky-set invariant mining (frame content extraction + probing).
-        use jessy_core::pcct::PcctSampler;
+        // Sticky-set invariant mining: frame content extraction + probing.
         let costs = CostModel::free();
         let board = ClockBoard::new(1);
         let clock = board.handle(ThreadId(0));
-        let mut stack = JavaStack::new();
-        for d in 0..16 {
-            stack.push_raw(MethodId(d), 8);
-        }
-        let mut sampler = PcctSampler::new(0);
-        bench(filter, "stack/pcct_sample", || {
-            sampler.sample(&stack, &clock, &costs);
-            black_box(sampler.pcct().samples());
-        });
-
         let mut stack = JavaStack::new();
         for d in 0..16 {
             stack.push_raw(MethodId(d), 8);

@@ -302,6 +302,13 @@ impl ProfilerConfig {
                 requirement,
             })
         };
+        if self.initial_rate == SamplingRate::NX(0) {
+            return err(
+                "initial_rate",
+                self.initial_rate.label(),
+                "a page-relative rate samples at least once per page; use 1X or finer",
+            );
+        }
         if self.intervals_per_round == 0 {
             return err(
                 "intervals_per_round",
@@ -471,6 +478,10 @@ mod tests {
     fn every_domain_check_fires() {
         let base = ProfilerConfig::default();
         let cases: Vec<(ProfilerConfig, &str)> = vec![
+            (
+                ProfilerConfig { initial_rate: SamplingRate::NX(0), ..base },
+                "initial_rate",
+            ),
             (
                 ProfilerConfig { intervals_per_round: 0, ..base },
                 "intervals_per_round",

@@ -40,7 +40,6 @@ pub mod config;
 pub mod distributed;
 pub mod homeaware;
 pub mod oal;
-pub mod pcct;
 pub mod profiler;
 pub mod reducer;
 pub mod sampling;
@@ -58,7 +57,6 @@ pub use config::{
 pub use distributed::{tree_parent, TcmPartial, TreeEdge, TreeRoundStats, TreeTcmReducer};
 pub use homeaware::{HomeAwareAnalyzer, HomeAwareReport, HomeMigrationRec};
 pub use oal::{Oal, OalEntry};
-pub use pcct::{Pcct, PcctSampler};
 pub use profiler::{ProfilerShared, ProfilerStats, ThreadProfiler};
 pub use reducer::{ReducedRound, Reducer, ReducerState};
 pub use sampling::{GapTable, SamplingRate};

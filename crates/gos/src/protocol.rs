@@ -36,7 +36,7 @@
 //! thread migration changes it.
 
 use jessy_obs::{EventKind, TraceSink};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -56,19 +56,15 @@ use crate::twin::Diff;
 /// Fixed wire size of small control requests (lock/fetch/barrier bodies).
 const CTRL_BYTES: usize = 16;
 
-/// Which consistency discipline scopes the write notices — the two interval-based
-/// relaxed models the paper names (Section III: "our definition is specific to relaxed
-/// memory models like LRC and ScC, which have the concept of intervals and the
-/// at-most-once property").
+/// The consistency discipline: JESSICA2's global home-based LRC, the one model the
+/// GOS runs. It has a single variant and [`GosConfig::consistency`] stays only
+/// because the benchmark's probes build a `GosConfig` literal naming the field;
+/// both go with the next change to the benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ConsistencyModel {
-    /// Home-based LRC with a single global notice history: a lock acquire applies
-    /// *all* pending notices (conservative; what the main experiments run).
+    /// Home-based LRC with a single global notice history: a lock acquire or a
+    /// barrier applies *all* pending notices.
     GlobalHlrc,
-    /// Scope consistency (Iftode et al., SPAA'96): notices produced inside a lock's
-    /// critical section attach to that lock; an acquire applies only that lock's
-    /// history (barriers remain global). Fewer invalidations, weaker visibility.
-    Scoped,
 }
 
 /// Configuration of a [`Gos`] instance.
@@ -87,7 +83,7 @@ pub struct GosConfig {
     /// "path-analytic object prefetching" optimization the paper's evaluation runs
     /// with; the path analysis itself is the companion ISPAN'09 paper).
     pub prefetch_depth: u32,
-    /// Notice-scoping discipline (LRC-style global history vs scope consistency).
+    /// Consistency discipline (always global HLRC; see [`ConsistencyModel`]).
     pub consistency: ConsistencyModel,
     /// Chaos schedule for the interconnect; `None` (and a plan with all
     /// probabilities zero) runs the fabric fault-free.
@@ -326,7 +322,6 @@ pub struct Gos {
     fabric: Fabric,
     objects: ObjectTable,
     notices: NoticeBoard,
-    lock_boards: RwLock<Vec<Arc<NoticeBoard>>>,
     locks: LockTable,
     barrier: SimBarrier,
     counters: Counters,
@@ -363,7 +358,6 @@ impl Gos {
             fabric,
             objects: ObjectTable::new(),
             notices: NoticeBoard::new(config.n_threads),
-            lock_boards: RwLock::new(Vec::new()),
             locks: LockTable::new(),
             barrier: SimBarrier::new(),
             counters: Counters::default(),
@@ -813,16 +807,6 @@ impl Gos {
     /// post write notices (to the global history — barrier/release semantics).
     /// Returns the number of objects flushed.
     pub fn flush_thread(&self, space: &mut ThreadSpace, node: NodeId, clock: &ClockHandle) -> usize {
-        self.flush_thread_scoped(space, node, clock, None)
-    }
-
-    fn flush_thread_scoped(
-        &self,
-        space: &mut ThreadSpace,
-        node: NodeId,
-        clock: &ClockHandle,
-        scope: Option<LockId>,
-    ) -> usize {
         self.assert_node(node);
         if space.dirty_is_empty() {
             return 0;
@@ -875,13 +859,7 @@ impl Gos {
                     .send(node, NodeId(home as u16), MsgClass::DiffUpdate, *bytes, clock);
             }
         }
-        match (self.config.consistency, scope) {
-            (ConsistencyModel::Scoped, Some(lock)) => {
-                // Scope consistency: the critical section's writes attach to its lock.
-                self.lock_boards.read()[lock.index()].post(notices);
-            }
-            _ => self.notices.post(notices),
-        }
+        self.notices.post(notices);
         flushed
     }
 
@@ -891,19 +869,9 @@ impl Gos {
     /// force-flushed (from `node`) first so no writes are lost. Returns the number
     /// of notices processed.
     pub fn apply_notices(&self, space: &mut ThreadSpace, node: NodeId, clock: &ClockHandle) -> usize {
-        self.apply_notices_from(&self.notices, space, node, clock)
-    }
-
-    fn apply_notices_from(
-        &self,
-        board: &NoticeBoard,
-        space: &mut ThreadSpace,
-        node: NodeId,
-        clock: &ClockHandle,
-    ) -> usize {
         self.assert_node(node);
         let costs = &self.config.costs;
-        let new = board.take_new(space.thread().index());
+        let new = self.notices.take_new(space.thread().index());
         let count = new.len();
         if count == 0 {
             return 0;
@@ -979,11 +947,7 @@ impl Gos {
 
     /// Register a distributed lock. The manager node is `id % n_nodes`.
     pub fn register_lock(&self) -> LockId {
-        let id = self.locks.register();
-        self.lock_boards
-            .write()
-            .push(Arc::new(NoticeBoard::new(self.config.n_threads)));
-        id
+        self.locks.register()
     }
 
     fn lock_manager(&self, id: LockId) -> NodeId {
@@ -1005,13 +969,7 @@ impl Gos {
         let task = clock.thread().index();
         let prev_release = self.locks.get(id).acquire(&self.exec, task, clock.now());
         clock.raise_to(prev_release);
-        let applied = match self.config.consistency {
-            ConsistencyModel::GlobalHlrc => self.apply_notices(space, node, clock),
-            ConsistencyModel::Scoped => {
-                let board = self.lock_boards.read()[id.index()].clone();
-                self.apply_notices_from(&board, space, node, clock)
-            }
-        };
+        let applied = self.apply_notices(space, node, clock);
         let manager = self.lock_manager(id);
         self.fabric.charge_round_trip(
             node,
@@ -1035,7 +993,7 @@ impl Gos {
         clock: &ClockHandle,
     ) {
         self.assert_node(node);
-        self.flush_thread_scoped(space, node, clock, Some(id));
+        self.flush_thread(space, node, clock);
         clock.spend(self.config.costs.lock_local_ns);
         let manager = self.lock_manager(id);
         self.fabric

@@ -230,6 +230,35 @@ fn lock_transfers_simulated_time_and_notices() {
 }
 
 #[test]
+fn an_acquire_applies_notices_from_every_lock() {
+    // Global HLRC keeps one notice history: acquiring lock A also delivers the write
+    // made under lock B, invalidating both cached copies.
+    let (g, c, mut s) = gos(3);
+    let class = g.classes().register_scalar("X", 1);
+    let a = g.alloc_scalar(NodeId(0), class, &c[0], None);
+    let b = g.alloc_scalar(NodeId(0), class, &c[0], None);
+    let lock_a = g.register_lock();
+    let lock_b = g.register_lock();
+
+    g.read(&mut s[2], NodeId(2), a.id, &c[2], |_| {});
+    g.read(&mut s[2], NodeId(2), b.id, &c[2], |_| {});
+
+    g.lock_acquire(&mut s[1], lock_a, NodeId(1), &c[1]);
+    g.write(&mut s[1], NodeId(1), a.id, &c[1], |d| d[0] = 1.0);
+    g.lock_release(&mut s[1], lock_a, NodeId(1), &c[1]);
+    g.lock_acquire(&mut s[1], lock_b, NodeId(1), &c[1]);
+    g.write(&mut s[1], NodeId(1), b.id, &c[1], |d| d[0] = 2.0);
+    g.lock_release(&mut s[1], lock_b, NodeId(1), &c[1]);
+
+    let applied = g.lock_acquire(&mut s[2], lock_a, NodeId(2), &c[2]);
+    assert_eq!(applied, 2, "global history: both notices apply");
+    g.lock_release(&mut s[2], lock_a, NodeId(2), &c[2]);
+    let (vb, out_b) = g.read(&mut s[2], NodeId(2), b.id, &c[2], |d| d[0]);
+    assert_eq!(vb, 2.0);
+    assert!(out_b.real_fault, "conservatively invalidated");
+}
+
+#[test]
 fn barrier_synchronizes_clocks_and_data() {
     let exec = DetExecutor::new(4, 0, 0);
     let (mut g, _, _) = gos(4);

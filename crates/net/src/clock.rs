@@ -57,21 +57,6 @@ impl ClockBoard {
         }
     }
 
-    /// Obtain the handle for one thread's clock, surfacing an out-of-range thread as
-    /// a typed error instead of a panic.
-    pub fn try_handle(self: &Arc<Self>, thread: ThreadId) -> Result<ClockHandle, crate::NetError> {
-        if thread.index() >= self.clocks.len() {
-            return Err(crate::NetError::NoClock {
-                thread,
-                board_size: self.clocks.len(),
-            });
-        }
-        Ok(ClockHandle {
-            board: Arc::clone(self),
-            thread,
-        })
-    }
-
     /// Read one thread's current simulated time.
     #[inline]
     pub fn read(&self, thread: ThreadId) -> SimNanos {

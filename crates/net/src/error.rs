@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::ids::{NodeId, ThreadId};
+use crate::ids::NodeId;
 
 /// Everything that can go wrong in the net layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,13 +20,6 @@ pub enum NetError {
         node: NodeId,
         /// Nodes in the fabric.
         n_nodes: usize,
-    },
-    /// A clock handle was requested for a thread outside the board.
-    NoClock {
-        /// The offending thread.
-        thread: ThreadId,
-        /// Clocks on the board.
-        board_size: usize,
     },
     /// A message was posted to a mailbox whose receiver is gone.
     MailboxClosed {
@@ -53,9 +46,6 @@ impl fmt::Display for NetError {
             NetError::NodeOutOfRange { node, n_nodes } => {
                 write!(f, "node {node} out of range (fabric has {n_nodes} nodes)")
             }
-            NetError::NoClock { thread, board_size } => {
-                write!(f, "no clock for thread {thread} (board has {board_size} clocks)")
-            }
             NetError::MailboxClosed { destination } => {
                 write!(f, "mailbox of {destination} is closed (receiver dropped)")
             }
@@ -81,11 +71,6 @@ mod tests {
         };
         assert!(e.to_string().contains("n7"));
         assert!(e.to_string().contains("2 nodes"));
-        let e = NetError::NoClock {
-            thread: ThreadId(9),
-            board_size: 4,
-        };
-        assert!(e.to_string().contains("t9"));
         assert!(NetError::EmptyFabric.to_string().contains("at least one node"));
         let e = NetError::MailboxFull {
             destination: NodeId(3),

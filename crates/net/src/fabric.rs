@@ -16,9 +16,9 @@
 //! A fabric built with [`Fabric::with_faults`] additionally consults a
 //! [`FaultInjector`] on every send: one-way messages may be dropped (still accounted —
 //! the wire carried them — but the receiver never sees them), duplicated (accounted
-//! and charged twice) or hit with a latency spike; synchronous round trips never lose
-//! their reply — a request lost to a stall window or a partition manifests as a
-//! timeout-plus-retransmission penalty, so the lock-step protocol stays live.
+//! and charged twice); synchronous round trips never lose their reply — a request
+//! lost to a stall window or a partition manifests as a timeout-plus-retransmission
+//! penalty, so the lock-step protocol stays live.
 
 use std::sync::Arc;
 
@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::clock::{ClockHandle, SimNanos};
 use crate::error::NetError;
-use crate::fault::{FaultDecision, FaultInjector, FaultPlan};
+use crate::fault::{FaultDecision, FaultInjector, FaultPlan, RETRANSMIT_TIMEOUT_NS};
 use crate::ids::NodeId;
 use crate::latency::LatencyModel;
 use crate::message::MsgClass;
@@ -172,18 +172,6 @@ impl Fabric {
                 },
             );
         }
-        if decision.extra_delay_ns > 0 {
-            sink.emit(
-                t,
-                src,
-                EventKind::MessageDelayed {
-                    from: from.0,
-                    to: to.0,
-                    class: class.label().to_string(),
-                    extra_ns: decision.extra_delay_ns,
-                },
-            );
-        }
     }
 
     /// Journal one message severed by a partition window (no-op without a sink).
@@ -213,8 +201,8 @@ impl Fabric {
     ///
     /// Returns the simulated one-way cost charged to `clock` (zero if `from == to`).
     /// Under a fault plan, a dropped message is still accounted and charged (the wire
-    /// carried it; only the receiver misses it), a duplicate is accounted and charged
-    /// twice, and a delay spike adds to the charge.
+    /// carried it; only the receiver misses it) and a duplicate is accounted and
+    /// charged twice.
     pub fn send(
         &self,
         from: NodeId,
@@ -248,7 +236,6 @@ impl Fabric {
                 self.account(from, to, class, total as u64);
                 cost += self.latency.one_way_ns(total);
             }
-            cost += d.extra_delay_ns;
             decision = d;
         }
         clock.spend(cost);
@@ -262,8 +249,8 @@ impl Fabric {
     /// requester's clock. Returns the total simulated cost (zero if `from == to`).
     ///
     /// Under a fault plan a request lost to a stall window does not stall the
-    /// protocol: the requester pays a timeout (the plan's delay spike) plus a second
-    /// request transmission and the trip completes — counted in
+    /// protocol: the requester pays a timeout ([`RETRANSMIT_TIMEOUT_NS`]) plus a
+    /// second request transmission and the trip completes — counted in
     /// [`crate::fault::FaultStats::stalled`].
     #[allow(clippy::too_many_arguments)]
     pub fn charge_round_trip(
@@ -290,7 +277,7 @@ impl Fabric {
         let mut prepaid = 0;
         if let Some(inj) = &self.injector {
             // Partition: the requester times out and retransmits; each cycle
-            // burns a timeout spike plus a request leg of virtual time, which
+            // burns a timeout plus a request leg of virtual time, which
             // can carry the clock across the heal. If the cut outlives the
             // retry budget the requester backs off straight to the heal
             // horizon (synchronous protocol traffic must complete — only
@@ -302,7 +289,7 @@ impl Fabric {
                 // Spent immediately (not folded into `cost`) so the next
                 // severed() check sees virtual time advancing.
                 self.account(from, to, req_class, req_total as u64);
-                clock.spend(inj.plan().delay_spike_ns.max(1) + self.latency.one_way_ns(req_total));
+                clock.spend(RETRANSMIT_TIMEOUT_NS + self.latency.one_way_ns(req_total));
                 retries += 1;
             }
             if retries > 0 {
@@ -320,12 +307,11 @@ impl Fabric {
             if d.dropped {
                 // Timeout, then retransmit the request leg.
                 self.account(from, to, req_class, req_total as u64);
-                cost += inj.plan().delay_spike_ns + self.latency.one_way_ns(req_total);
+                cost += RETRANSMIT_TIMEOUT_NS + self.latency.one_way_ns(req_total);
             } else if d.duplicated {
                 // Spurious duplicate request; the home dedupes, the wire still paid.
                 self.account(from, to, req_class, req_total as u64);
             }
-            cost += d.extra_delay_ns;
             decision = d;
         }
         clock.spend(cost);
@@ -496,7 +482,6 @@ mod tests {
             ns_per_byte: 0.0,
         };
         let plan = FaultPlan {
-            delay_spike_ns: 10_000,
             stalls: vec![crate::fault::StallWindow { node: NodeId(0), start_msg: 0, end_msg: 1 }],
             ..FaultPlan::default()
         };
@@ -511,8 +496,8 @@ mod tests {
             8,
             &c,
         );
-        // Round trip (200) + timeout (10_000) + retransmitted request (100).
-        assert_eq!(cost, 200 + 10_000 + 100);
+        // Round trip (200) + timeout + retransmitted request (100).
+        assert_eq!(cost, 200 + RETRANSMIT_TIMEOUT_NS + 100);
         let s = f.stats();
         assert_eq!(s.class(MsgClass::LockAcquire).messages, 2, "request sent twice");
         assert_eq!(s.class(MsgClass::LockGrant).messages, 1);
@@ -566,9 +551,8 @@ mod tests {
             base_ns: 100,
             ns_per_byte: 0.0,
         };
-        // Heals after one retry cycle (timeout 10_000 + request leg 100).
+        // Heals inside the first retry cycle (timeout + request leg 100).
         let plan = FaultPlan {
-            delay_spike_ns: 10_000,
             partitions: vec![crate::fault::PartitionWindow {
                 island: vec![NodeId(1)],
                 from_ns: 0,
@@ -587,9 +571,9 @@ mod tests {
             8,
             &c,
         );
-        // One retry cycle (10_100) carries the clock past the heal at 5_000,
-        // then the round trip completes normally (200).
-        assert_eq!(cost, 10_100 + 200);
+        // One retry cycle carries the clock past the heal at 5_000, then the
+        // round trip completes normally (200).
+        assert_eq!(cost, RETRANSMIT_TIMEOUT_NS + 100 + 200);
         assert_eq!(c.now(), cost);
         let s = f.stats();
         assert_eq!(s.faults.retransmits, 1);
@@ -605,7 +589,6 @@ mod tests {
             ns_per_byte: 0.0,
         };
         let plan = FaultPlan {
-            delay_spike_ns: 1_000,
             partitions: vec![crate::fault::PartitionWindow {
                 island: vec![NodeId(1)],
                 from_ns: 0,
@@ -624,9 +607,9 @@ mod tests {
             1024,
             &c,
         );
-        // Retry budget exhausted (4 cycles of 1_100), then the trip completes
-        // anyway: synchronous protocol traffic may not wedge.
-        assert_eq!(cost, 4 * 1_100 + 200);
+        // Retry budget exhausted (4 cycles of timeout + request leg 100), then
+        // the trip completes anyway: synchronous protocol traffic may not wedge.
+        assert_eq!(cost, 4 * (RETRANSMIT_TIMEOUT_NS + 100) + 200);
         let s = f.stats();
         assert_eq!(s.faults.retransmits, 4);
         assert_eq!(s.faults.partitioned, 1);

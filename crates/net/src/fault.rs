@@ -24,6 +24,11 @@ use crate::error::NetError;
 use crate::ids::{NodeId, ThreadId};
 use crate::message::MsgClass;
 
+/// Simulated nanoseconds a synchronous requester waits before it retransmits a
+/// request lost to a stall or a partition: 1 ms, about a Fast Ethernet TCP
+/// retransmission stall.
+pub const RETRANSMIT_TIMEOUT_NS: u64 = 1_000_000;
+
 /// A window of outbound messages during which a node is unresponsive (e.g. a GC pause
 /// or a transient network partition). Every message the node sends while its outbound
 /// message counter is in `[start_msg, end_msg)` is suppressed.
@@ -155,10 +160,6 @@ pub struct FaultPlan {
     pub oal_drop: f64,
     /// Probability that a delivered message is delivered twice.
     pub duplicate_prob: f64,
-    /// Probability that a message suffers a latency spike of `delay_spike_ns`.
-    pub delay_prob: f64,
-    /// Extra simulated nanoseconds charged when a delay spike fires.
-    pub delay_spike_ns: u64,
     /// Outbound-silence windows per node.
     pub stalls: Vec<StallWindow>,
     /// Crash-stop windows for worker nodes (process down, optional restart).
@@ -177,8 +178,6 @@ impl Default for FaultPlan {
             seed: 0x5EED_CAFE,
             oal_drop: 0.0,
             duplicate_prob: 0.0,
-            delay_prob: 0.0,
-            delay_spike_ns: 1_000_000, // 1 ms, ~a Fast Ethernet TCP retransmission stall
             stalls: Vec::new(),
             node_crashes: Vec::new(),
             master_crashes: Vec::new(),
@@ -194,7 +193,6 @@ impl FaultPlan {
     pub fn is_zero(&self) -> bool {
         self.oal_drop == 0.0
             && self.duplicate_prob == 0.0
-            && self.delay_prob == 0.0
             && self.stalls.is_empty()
             && self.node_crashes.is_empty()
             && self.master_crashes.is_empty()
@@ -215,7 +213,6 @@ impl FaultPlan {
         };
         check("oal_drop", self.oal_drop)?;
         check("duplicate_prob", self.duplicate_prob)?;
-        check("delay_prob", self.delay_prob)?;
         for w in &self.stalls {
             if w.end_msg <= w.start_msg {
                 return Err(NetError::InvalidFaultPlan(format!(
@@ -378,8 +375,6 @@ pub struct FaultDecision {
     pub dropped: bool,
     /// The message is delivered twice.
     pub duplicated: bool,
-    /// Extra latency charged on top of the model cost.
-    pub extra_delay_ns: u64,
 }
 
 impl FaultDecision {
@@ -387,7 +382,6 @@ impl FaultDecision {
     pub const CLEAN: FaultDecision = FaultDecision {
         dropped: false,
         duplicated: false,
-        extra_delay_ns: 0,
     };
 }
 
@@ -398,7 +392,9 @@ pub struct FaultStats {
     pub dropped: u64,
     /// Messages delivered twice.
     pub duplicated: u64,
-    /// Delay spikes injected.
+    /// Always 0: no fault delays a message any more. Kept because `RunReport`
+    /// serializes these stats and the report digests hash them; it goes with the
+    /// next intentional re-record.
     pub delayed: u64,
     /// Messages suppressed by a node stall window.
     pub stalled: u64,
@@ -469,7 +465,6 @@ pub struct FaultInjector {
     node_seq: Mutex<HashMap<u16, u64>>,
     dropped: AtomicU64,
     duplicated: AtomicU64,
-    delayed: AtomicU64,
     stalled: AtomicU64,
     retransmits: AtomicU64,
     crash_suppressed: AtomicU64,
@@ -487,7 +482,6 @@ impl FaultInjector {
             node_seq: Mutex::new(HashMap::new()),
             dropped: AtomicU64::new(0),
             duplicated: AtomicU64::new(0),
-            delayed: AtomicU64::new(0),
             stalled: AtomicU64::new(0),
             retransmits: AtomicU64::new(0),
             crash_suppressed: AtomicU64::new(0),
@@ -587,7 +581,6 @@ impl FaultInjector {
                 return FaultDecision {
                     dropped: true,
                     duplicated: false,
-                    extra_delay_ns: 0,
                 };
             }
         }
@@ -604,12 +597,6 @@ impl FaultInjector {
         {
             d.duplicated = true;
             self.duplicated.fetch_add(1, Ordering::Relaxed);
-        }
-        if self.plan.delay_prob > 0.0
-            && self.roll(from, to, class, key, SALT_DELAY) < self.plan.delay_prob
-        {
-            d.extra_delay_ns = self.plan.delay_spike_ns;
-            self.delayed.fetch_add(1, Ordering::Relaxed);
         }
         d
     }
@@ -629,7 +616,7 @@ impl FaultInjector {
         FaultStats {
             dropped: self.dropped.load(Ordering::Relaxed),
             duplicated: self.duplicated.load(Ordering::Relaxed),
-            delayed: self.delayed.load(Ordering::Relaxed),
+            delayed: 0,
             stalled: self.stalled.load(Ordering::Relaxed),
             retransmits: self.retransmits.load(Ordering::Relaxed),
             crash_suppressed: self.crash_suppressed.load(Ordering::Relaxed),
@@ -644,7 +631,6 @@ impl FaultInjector {
         self.node_seq.lock().clear();
         self.dropped.store(0, Ordering::Relaxed);
         self.duplicated.store(0, Ordering::Relaxed);
-        self.delayed.store(0, Ordering::Relaxed);
         self.stalled.store(0, Ordering::Relaxed);
         self.retransmits.store(0, Ordering::Relaxed);
         self.crash_suppressed.store(0, Ordering::Relaxed);
@@ -655,7 +641,6 @@ impl FaultInjector {
 
 const SALT_DROP: u64 = 0x9E37_79B9_7F4A_7C15;
 const SALT_DUP: u64 = 0xC2B2_AE3D_27D4_EB4F;
-const SALT_DELAY: u64 = 0x1656_67B1_9E37_79F9;
 
 /// Content key identifying an OAL batch: the `(thread, interval)` pair it closes.
 /// Using content instead of arrival order makes OAL fault decisions independent of
@@ -680,8 +665,6 @@ mod tests {
             seed: 42,
             oal_drop: 0.5,
             duplicate_prob: 0.2,
-            delay_prob: 0.1,
-            delay_spike_ns: 500,
             ..FaultPlan::default()
         }
     }
@@ -777,20 +760,16 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_and_delays_fire() {
+    fn duplicates_fire() {
         let inj = FaultInjector::new(FaultPlan {
             duplicate_prob: 1.0,
-            delay_prob: 1.0,
-            delay_spike_ns: 777,
             ..FaultPlan::default()
         })
         .unwrap();
         let d = inj.decide_keyed(NodeId(1), NodeId(0), MsgClass::OalBatch, 9);
         assert!(d.duplicated);
-        assert_eq!(d.extra_delay_ns, 777);
         assert!(!d.dropped);
-        let s = inj.stats();
-        assert_eq!((s.duplicated, s.delayed), (1, 1));
+        assert_eq!(inj.stats().duplicated, 1);
     }
 
     #[test]

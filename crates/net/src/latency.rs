@@ -26,14 +26,6 @@ impl LatencyModel {
         }
     }
 
-    /// Gigabit-class network (for sensitivity/ablation runs): 20 us base, 125 MB/s.
-    pub fn gigabit() -> Self {
-        LatencyModel {
-            base_ns: 20_000,
-            ns_per_byte: 8.0,
-        }
-    }
-
     /// A zero-cost network; useful in unit tests that only check accounting.
     pub fn free() -> Self {
         LatencyModel {

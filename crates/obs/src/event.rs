@@ -67,17 +67,6 @@ pub enum EventKind {
         /// Message class name.
         class: String,
     },
-    /// The fault injector stalled/delayed a message beyond model latency.
-    MessageDelayed {
-        /// Sending node.
-        from: u16,
-        /// Receiving node.
-        to: u16,
-        /// Message class name.
-        class: String,
-        /// Extra simulated delay charged, beyond the latency model.
-        extra_ns: u64,
-    },
     /// A partition window severed this message's link (one-way traffic lost to
     /// the cut; synchronous traffic paid retransmit cycles instead).
     MessagePartitioned {
@@ -371,7 +360,6 @@ impl EventKind {
             EventKind::MessageSent { .. } => "MessageSent",
             EventKind::MessageDropped { .. } => "MessageDropped",
             EventKind::MessageDuplicated { .. } => "MessageDuplicated",
-            EventKind::MessageDelayed { .. } => "MessageDelayed",
             EventKind::MessagePartitioned { .. } => "MessagePartitioned",
             EventKind::ObjectFault { .. } => "ObjectFault",
             EventKind::FalseInvalidTrap { .. } => "FalseInvalidTrap",

@@ -31,7 +31,6 @@ fn category(kind: &EventKind) -> &'static str {
         EventKind::MessageSent { .. }
         | EventKind::MessageDropped { .. }
         | EventKind::MessageDuplicated { .. }
-        | EventKind::MessageDelayed { .. }
         | EventKind::MessagePartitioned { .. } => "net",
         EventKind::ObjectFault { .. }
         | EventKind::FalseInvalidTrap { .. }

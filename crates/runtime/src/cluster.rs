@@ -171,7 +171,6 @@ pub struct ClusterBuilder {
     placement: Option<Vec<NodeId>>,
     rebalance: Option<RebalanceConfig>,
     prefetch_depth: u32,
-    consistency: ConsistencyModel,
     faults: Option<FaultPlan>,
     trace: Option<Arc<dyn TraceSink>>,
     exec_seed: u64,
@@ -189,7 +188,6 @@ impl std::fmt::Debug for ClusterBuilder {
             .field("placement", &self.placement)
             .field("rebalance", &self.rebalance)
             .field("prefetch_depth", &self.prefetch_depth)
-            .field("consistency", &self.consistency)
             .field("faults", &self.faults)
             .field("traced", &self.trace.is_some())
             .field("exec_seed", &self.exec_seed)
@@ -209,7 +207,6 @@ impl Default for ClusterBuilder {
             placement: None,
             rebalance: None,
             prefetch_depth: 0,
-            consistency: ConsistencyModel::GlobalHlrc,
             faults: None,
             trace: None,
             exec_seed: 0,
@@ -265,13 +262,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Notice-scoping discipline: LRC-style global history (default) or scope
-    /// consistency (per-lock notice histories, as in ScC).
-    pub fn consistency(mut self, c: ConsistencyModel) -> Self {
-        self.consistency = c;
-        self
-    }
-
     /// Enable the dynamic load balancer: after `r.after_rounds` TCM rounds the master
     /// runs a planning epoch — it refines the live placement against the correlation
     /// map and issues per-thread migration directives, honoured at the threads' next
@@ -282,9 +272,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Inject network faults according to `plan` (drops, duplicates, delay spikes,
-    /// node stalls — see [`FaultPlan`]). OAL batches to the master travel through a
-    /// lossy sender sharing the fabric's injector, so one plan governs all traffic.
+    /// Inject network faults according to `plan` (drops, duplicates, node stalls,
+    /// crashes, partitions — see [`FaultPlan`]). OAL batches to the master travel
+    /// through a lossy sender sharing the fabric's injector, so one plan governs all
+    /// traffic.
     /// A plan with every probability zero behaves bit-identically to no plan.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
@@ -370,7 +361,7 @@ impl ClusterBuilder {
             latency: self.latency,
             costs: self.costs,
             prefetch_depth: self.prefetch_depth,
-            consistency: self.consistency,
+            consistency: ConsistencyModel::GlobalHlrc,
             faults: self.faults,
         })?;
         if let Some(sink) = &self.trace {
@@ -476,16 +467,6 @@ impl InitCtx<'_> {
             .shared
             .gos
             .alloc_scalar(node, class, &self.clock, Some(init));
-        self.shared.prof.tag_new_object(&core);
-        core
-    }
-
-    /// Allocate a zeroed array of `len_elems` elements homed at `node`.
-    pub fn alloc_array_at(&self, node: NodeId, class: ClassId, len_elems: u32) -> Arc<ObjectCore> {
-        let core = self
-            .shared
-            .gos
-            .alloc_array(node, class, len_elems, &self.clock, None);
         self.shared.prof.tag_new_object(&core);
         core
     }

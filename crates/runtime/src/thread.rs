@@ -720,11 +720,6 @@ impl JThread {
         self.stack.set_local(slot, Slot::Ref(obj));
     }
 
-    /// Store a primitive into a slot of the current frame.
-    pub fn set_local_prim(&mut self, slot: usize, v: u64) {
-        self.stack.set_local(slot, Slot::Prim(v));
-    }
-
     /// The Java stack (diagnostics).
     pub fn stack(&self) -> &JavaStack {
         &self.stack

@@ -878,6 +878,8 @@ mod tests {
                 "run -w sessions --scale small --nodes 2 --threads 4 --rate 1x --adaptive -1",
                 "ProfilerConfig.adaptive_threshold = -1",
             ),
+            // `SamplingRate::nominal_gap` panicked on this one.
+            ("run --rate 0x", "ProfilerConfig.initial_rate"),
         ]);
     }
 

@@ -1,10 +1,10 @@
 //! Integration tests for the extensions built on the paper's Section V agenda:
-//! connectivity prefetching, the dynamic balancer, home-effect analysis and
-//! PCCT profiling — all driven together.
+//! connectivity prefetching, the dynamic balancer and home-effect analysis —
+//! all driven together.
 
 use std::sync::Arc;
 
-use jessy::core::{HomeAwareAnalyzer, Pcct};
+use jessy::core::HomeAwareAnalyzer;
 use jessy::prelude::*;
 use jessy::workloads::{barnes_hut, lu, sor};
 
@@ -83,45 +83,6 @@ fn home_analysis_on_lu_recommends_nothing_for_owner_homed_blocks() {
     }
     // The realizable + stranded split always covers the whole pairwise mass.
     assert!(report.stranded_fraction() >= 0.0 && report.stranded_fraction() <= 1.0);
-}
-
-#[test]
-fn pcct_profiles_the_workloads_call_structure() {
-    // Drive a PCCT from the same stacks the invariants miner uses: BH pushes
-    // bh.simulate → bh.computeForces / bh.integrate phase frames.
-    let mut cluster = fast_cluster(1, 1, ProfilerConfig::disabled());
-    let cfg = barnes_hut::BhConfig {
-        n_bodies: 64,
-        rounds: 2,
-        ..barnes_hut::BhConfig::small()
-    };
-    let handles = Arc::new(cluster.init(|ctx| barnes_hut::setup(ctx, &cfg, 1, 1)));
-    let pcct_out: Arc<parking_lot::Mutex<Pcct>> = Arc::new(parking_lot::Mutex::new(Pcct::new()));
-    let out = Arc::clone(&pcct_out);
-    cluster.run(move |jt| {
-        // Sample the stack at every phase by interleaving with the workload manually:
-        // run one round, sample, run the next.
-        jt.push_frame(handles.method);
-        jt.set_local_ref(0, handles.space);
-        let mut pcct = Pcct::new();
-        for _ in 0..cfg.rounds {
-            barnes_hut::build_tree(jt, &cfg, &handles);
-            jt.barrier();
-            jt.push_frame(handles.force_method);
-            pcct.record(jt.stack().frames().map(|f| f.method()));
-            jt.pop_frame();
-            jt.barrier();
-            pcct.record(jt.stack().frames().map(|f| f.method()));
-            jt.barrier();
-        }
-        jt.pop_frame();
-        *out.lock() = pcct;
-    });
-    let pcct = pcct_out.lock();
-    assert_eq!(pcct.samples(), 2 * cfg.rounds as u64);
-    assert!(pcct.contexts() >= 2, "simulate and simulate→computeForces");
-    let hot = pcct.hot_contexts(3);
-    assert!(!hot.is_empty());
 }
 
 #[test]

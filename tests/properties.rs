@@ -736,27 +736,6 @@ proptest! {
         }
     }
 
-    // ------------------------------------------------------------ PCCT
-
-    #[test]
-    fn pcct_totals_are_consistent(paths in prop::collection::vec(prop::collection::vec(0u32..6, 1..6), 1..50)) {
-        use jessy::core::Pcct;
-        use jessy::stack::MethodId;
-        let mut p = Pcct::new();
-        for path in &paths {
-            p.record(path.iter().map(|&m| MethodId(m)));
-        }
-        prop_assert_eq!(p.samples(), paths.len() as u64);
-        // Sum of exclusive counts over hot contexts equals total samples.
-        let hot = p.hot_contexts(usize::MAX);
-        let total: u64 = hot.iter().map(|(_, c)| c).sum();
-        prop_assert_eq!(total, paths.len() as u64);
-        // Every path's first method appears with inclusive count >= its occurrences
-        // as a root.
-        for path in &paths {
-            prop_assert!(p.method_total(MethodId(path[0])) >= 1);
-        }
-    }
 }
 
 // ---------------------------------------------------------------- crash recovery

@@ -57,6 +57,10 @@ REJECTED=$(./target/release/jessy-cli run -w sessions --scale small --nodes 2 --
   --adaptive 0.3 --drift-threshold 0.1 2>&1 > /dev/null) || status=$?
 test "$status" -eq 1
 grep -qF 'ProfilerConfig.drift_threshold' <<< "$REJECTED"
+status=0
+REJECTED=$(./target/release/jessy-cli run -w sor --scale small --rate 0x 2>&1 > /dev/null) || status=$?
+test "$status" -eq 1
+grep -qF 'ProfilerConfig.initial_rate' <<< "$REJECTED"
 
 echo "==> budget-ladder smoke (a 0.1% overhead budget walks merge_rounds:2/4/8, summary_only, exhausted; journal replays)"
 LADDER_DIR=$(mktemp -d)
