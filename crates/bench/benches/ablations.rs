@@ -8,14 +8,13 @@
 //! 4. **Page-grain vs object-grain tracking cost** (the D-CVM comparison of
 //!    Section V).
 
-use jessy_bench::TextTable;
+use jessy_bench::{TextTable, PAGE_FAULT_NS};
 use jessy_core::oal::{Oal, OalEntry};
 use jessy_core::sampling::multiples_in;
 use jessy_core::stack_sampling::StackSampler;
 use jessy_core::{StackSamplingConfig, TcmBuilder};
 use jessy_gos::{ClassId, CostModel, ObjectId};
 use jessy_net::{ClockBoard, ThreadId};
-use jessy_pagedsm::PageFaultModel;
 use jessy_stack::{JavaStack, MethodId, Slot};
 
 /// Ablation 1: cyclic allocation of 32 allocation sites; a gap of 32 aliases with the
@@ -151,9 +150,9 @@ fn lazy_extraction_ablation() {
 }
 
 /// Ablation 4: what porting page-grain active tracking to fine-grained sharing costs.
-fn dcvm_cost_ablation() {
+fn page_grain_cost_ablation() {
     println!("== ablation 4: page-grain (D-CVM) vs object-grain tracking cost ==\n");
-    let model = PageFaultModel::pentium4_2ghz();
+    let object_fault_ns = CostModel::pentium4_2ghz().fault_service_ns;
     let mut t = TextTable::new(&[
         "events/interval",
         "page-grain cost (ms)",
@@ -161,13 +160,13 @@ fn dcvm_cost_ablation() {
         "slowdown",
     ]);
     for events in [1_000u64, 10_000, 100_000] {
-        let page_ms = model.tracking_ns(events) as f64 / 1e6;
-        let obj_ms = (events * 400) as f64 / 1e6;
+        let page_ns = events * PAGE_FAULT_NS;
+        let obj_ns = events * object_fault_ns;
         t.row(&[
             events.to_string(),
-            format!("{page_ms:.1}"),
-            format!("{obj_ms:.1}"),
-            format!("{:.0}x", model.slowdown_vs_object_grain(events, events, 400)),
+            format!("{:.1}", page_ns as f64 / 1e6),
+            format!("{:.1}", obj_ns as f64 / 1e6),
+            format!("{:.0}x", page_ns as f64 / obj_ns as f64),
         ]);
     }
     println!("{}", t.render());
@@ -222,6 +221,6 @@ fn main() {
     prime_gap_ablation();
     amortization_ablation();
     lazy_extraction_ablation();
-    dcvm_cost_ablation();
+    page_grain_cost_ablation();
     prefetch_ablation();
 }

@@ -7,11 +7,11 @@
 
 use std::sync::Arc;
 
-use jessy_bench::{bh_cfg, scale, Scale};
+use jessy_bench::{bh_cfg, scale, Scale, PAGE_FAULT_NS};
 use jessy_core::{accuracy_abs, ProfilerConfig, SparseTcm, Tcm};
 use jessy_gos::CostModel;
 use jessy_net::{LatencyModel, ThreadId};
-use jessy_pagedsm::{InducedTcmBuilder, PageFaultModel, PageLayout};
+use jessy_pagedsm::{InducedTcmBuilder, PageLayout};
 use jessy_runtime::Cluster;
 use jessy_workloads::barnes_hut;
 
@@ -83,17 +83,16 @@ fn main() {
     );
 
     // The cost side of the comparison (Section V: D-CVM's page faults vs our checks).
-    let model = PageFaultModel::pentium4_2ghz();
     let proto = cluster.report().proto;
     println!(
-        "\npage-grain tracking cost: {} protection faults x {} ns = {:.1} ms",
+        "\npage-grain tracking cost: {} protection faults x {PAGE_FAULT_NS} ns = {:.1} ms",
         builder.page_touches(),
-        model.fault_ns,
-        model.tracking_ns(builder.page_touches()) as f64 / 1e6
+        (builder.page_touches() * PAGE_FAULT_NS) as f64 / 1e6
     );
+    let service_ns = CostModel::pentium4_2ghz().fault_service_ns;
+    let entries = proto.false_invalid_faults + proto.real_faults;
     println!(
-        "object-grain tracking cost: {} service entries x ~400 ns = {:.1} ms",
-        proto.false_invalid_faults + proto.real_faults,
-        (proto.false_invalid_faults + proto.real_faults) as f64 * 400.0 / 1e6
+        "object-grain tracking cost: {entries} service entries x ~{service_ns} ns = {:.1} ms",
+        (entries * service_ns) as f64 / 1e6
     );
 }

@@ -7,6 +7,11 @@ use jessy_net::LatencyModel;
 use jessy_runtime::{Cluster, RunReport};
 use jessy_workloads::{barnes_hut::BhConfig, sor::SorConfig, water::WaterConfig, WorkloadKind};
 
+/// Cost of one page-grain (D-CVM style) correlation fault: a memory-protection
+/// trap, signal delivery and `mprotect` flip, ~8 µs on a 2 GHz Pentium 4 Linux box.
+/// The object-grain design pays `CostModel::pentium4_2ghz().fault_service_ns` instead.
+pub const PAGE_FAULT_NS: u64 = 8_000;
+
 /// Problem-size scale, selected by the `JESSY_SCALE` environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {

@@ -1,8 +1,8 @@
 //! # jessy-bench — the benchmark harness
 //!
 //! One `cargo bench` target per table and figure of the paper's evaluation section
-//! (see `benches/`), plus Criterion micro-benchmarks of the profiling primitives and
-//! quality ablations of the design choices called out in DESIGN.md.
+//! (see `benches/`), plus the extension benches and quality ablations of the design
+//! choices called out in DESIGN.md.
 //!
 //! This library holds the shared harness: problem-size scaling, workload drivers at a
 //! given sampling rate, the paper's N/A logic for rate columns, and plain-text table
@@ -19,6 +19,6 @@ pub mod table;
 
 pub use harness::{
     bh_cfg, dominant_class, rate_is_na, rate_ladder, run_tracked, run_tracked_tcm, scale,
-    sor_cfg, water_cfg, RateRun, Scale,
+    sor_cfg, water_cfg, RateRun, Scale, PAGE_FAULT_NS,
 };
 pub use table::TextTable;

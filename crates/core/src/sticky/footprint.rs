@@ -112,13 +112,7 @@ impl FootprintTracker {
         }
     }
 
-    /// Objects hit this interval (the set the caller re-arms at a probe round).
-    pub fn hit_objects(&self) -> Vec<ObjectId> {
-        self.hits.keys().copied().collect()
-    }
-
-    /// Iterator over the objects hit this interval — what a probe round re-arms,
-    /// without allocating the intermediate `Vec`.
+    /// The objects hit this interval — what a probe round re-arms.
     pub fn hits(&self) -> impl Iterator<Item = ObjectId> + '_ {
         self.hits.keys().copied()
     }
@@ -257,7 +251,7 @@ mod tests {
         t.start_round(0);
         t.on_logged_access(ObjectId(1), ClassId(0), 8);
         t.close_interval();
-        assert!(t.hit_objects().is_empty());
+        assert!(t.hits().next().is_none());
         t.start_round(0);
         t.on_logged_access(ObjectId(1), ClassId(0), 8);
         let snap = t.close_interval();

@@ -216,9 +216,9 @@ impl Tcm {
     pub const HEATMAP_MAX_DIM: usize = 64;
 
     /// Render an ASCII heatmap (darker glyph = more sharing), for the Fig. 1-style
-    /// examples. Maps larger than [`Tcm::HEATMAP_MAX_DIM`] threads per side are
-    /// downsampled onto buckets of `⌈N / MAX_DIM⌉` threads; each glyph shows the
-    /// hottest pair in its bucket.
+    /// maps of `jessy-cli` and the `fig1` bench. Maps larger than
+    /// [`Tcm::HEATMAP_MAX_DIM`] threads per side are downsampled onto buckets of
+    /// `⌈N / MAX_DIM⌉` threads; each glyph shows the hottest pair in its bucket.
     pub fn ascii_heatmap(&self) -> String {
         const RAMP: &[u8] = b" .:-=+*#%@";
         let max = self.data.iter().cloned().fold(0.0f64, f64::max);

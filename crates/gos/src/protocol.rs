@@ -406,11 +406,6 @@ impl Gos {
         self.fabric.stats()
     }
 
-    /// Traffic counters of one directed link (diagnostics).
-    pub fn link_stats(&self, from: NodeId, to: NodeId) -> jessy_net::fabric::LinkStats {
-        self.fabric.link(from, to)
-    }
-
     /// Snapshot of protocol event counters.
     pub fn proto_counters(&self) -> ProtocolCounters {
         ProtocolCounters {

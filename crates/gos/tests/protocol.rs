@@ -782,8 +782,8 @@ fn lock_managers_are_distributed_round_robin() {
     let l1 = g.register_lock();
     g.lock_acquire(&mut s[0], l1, NodeId(0), &c[0]);
     g.lock_release(&mut s[0], l1, NodeId(0), &c[0]);
-    assert_eq!(g.link_stats(NodeId(0), NodeId(1)).messages, 2, "acquire + release");
-    assert_eq!(g.link_stats(NodeId(1), NodeId(0)).messages, 1, "grant");
+    assert_eq!(g.fabric().link(NodeId(0), NodeId(1)).messages, 2, "acquire + release");
+    assert_eq!(g.fabric().link(NodeId(1), NodeId(0)).messages, 1, "grant");
 }
 
 #[test]

@@ -84,15 +84,6 @@ impl ClockBoard {
         cur
     }
 
-    /// Maximum simulated time over a set of threads (e.g. barrier participants).
-    pub fn max_over(&self, threads: impl IntoIterator<Item = ThreadId>) -> SimNanos {
-        threads
-            .into_iter()
-            .map(|t| self.read(t))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Maximum simulated time over all threads — the run's "execution time".
     pub fn global_max(&self) -> SimNanos {
         (0..self.clocks.len())
@@ -174,12 +165,11 @@ mod tests {
     }
 
     #[test]
-    fn max_over_and_global_max() {
+    fn global_max_reads_the_latest_clock() {
         let board = ClockBoard::new(3);
         board.advance(ThreadId(0), 10);
         board.advance(ThreadId(1), 99);
         board.advance(ThreadId(2), 7);
-        assert_eq!(board.max_over([ThreadId(0), ThreadId(2)]), 10);
         assert_eq!(board.global_max(), 99);
         board.reset();
         assert_eq!(board.global_max(), 0);

@@ -11,17 +11,12 @@
 //! * [`induced`] rebuilds the thread correlation map at *page* granularity from a
 //!   recorded OAL stream: a page shared by two threads in an interval contributes a
 //!   full page of "correlation", however little of it each thread actually touched —
-//!   the false-sharing blur of Fig. 1(b);
-//! * [`dcvm`] models the overhead side of the comparison: page-grain active tracking
-//!   needs a memory-protection fault (microseconds) per page per interval, versus the
-//!   inlined 2-bit check + service routine of the object-grain design.
+//!   the false-sharing blur of Fig. 1(b).
 
 
 #![warn(missing_docs)]
-pub mod dcvm;
 pub mod induced;
 pub mod layout;
 
-pub use dcvm::PageFaultModel;
 pub use induced::InducedTcmBuilder;
 pub use layout::{PageLayout, PAGE_SIZE};

@@ -18,7 +18,7 @@
 //!    and a cooldown mask for hysteresis — recording every veto attributably.
 //!
 //! [`LoadBalancer::plan`] runs both stages from scratch and serves static planning
-//! (the placement bench's headless lane, the examples). The live engine
+//! (the placement bench's headless lane). The live engine
 //! (`dynamic::plan_epoch`, for one epoch or many) runs stage 2 alone from the
 //! placement the threads actually hold, then, when it migrates homes, relabels the
 //! refined groups onto the nodes that home their data

@@ -171,7 +171,7 @@ impl JThread {
         &self.shared.gos
     }
 
-    /// The thread's profiler (for reading invariants/footprints in examples/tests).
+    /// The thread's profiler (for reading invariants/footprints in tests).
     pub fn profiler(&self) -> &ThreadProfiler {
         &self.profiler
     }
@@ -459,9 +459,10 @@ impl JThread {
             match self.shared.oal_tx.try_post_keyed(self.node, key, env) {
                 Ok(_) => self.shared.exec.unblock(self.shared.master_task()),
                 Err(jessy_net::NetError::MailboxFull { .. }) => {
-                    // Lost the race with another producer (free-threaded mode
-                    // only; impossible under the cooperative executor). The
-                    // batch is consumed — attribute it like a drop.
+                    // Unreachable while only executor tasks post: no other
+                    // producer runs between the `is_full` check and this post.
+                    // Were it reached, the batch is consumed — attribute it
+                    // like a drop.
                     self.record_shed(interval, ShedPolicy::DropOldestRound);
                     self.shared.exec.unblock(self.shared.master_task());
                     return;

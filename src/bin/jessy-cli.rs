@@ -14,7 +14,8 @@
 //! `--trace FILE` writes the run's event journal in Chrome `trace_event` format
 //! (load it at `chrome://tracing` or <https://ui.perfetto.dev>); `--journal FILE`
 //! writes the raw journal as JSON lines, one event per line in the canonical
-//! deterministic order.
+//! deterministic order. Both apply to `run` only; one that cannot be written
+//! makes `run` exit 1 after printing the report.
 //!
 //! Argument parsing is deliberately dependency-free (the workspace's crate policy);
 //! see `parse_args` below.
@@ -318,6 +319,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if opts.shed_policy.is_some() && opts.mailbox_capacity.is_none() {
         return Err("--shed-policy only matters with a bounded mailbox (--mailbox-capacity)".into());
     }
+    if opts.command == Command::Heatmap && (opts.trace.is_some() || opts.journal.is_some()) {
+        return Err("--trace / --journal only apply to the run command".into());
+    }
     if opts.flip_round.is_some() && opts.workload != WorkloadKind::PhaseShift {
         return Err("--flip-round only applies to --workload phase_shift".into());
     }
@@ -394,21 +398,29 @@ fn build_cluster(opts: &Options) -> (Cluster, Option<std::sync::Arc<JournalSink>
     (builder.build(), sink)
 }
 
-/// Write the journal exports requested on the command line.
-fn export_journal(opts: &Options, sink: &JournalSink) {
+/// Write the journal exports requested on the command line; false if any
+/// requested file could not be written.
+fn export_journal(opts: &Options, sink: &JournalSink) -> bool {
     let events = sink.sorted_events();
-    if let Some(path) = &opts.trace {
-        match std::fs::write(path, to_chrome_trace(&events)) {
-            Ok(()) => eprintln!("wrote Chrome trace ({} events) to {path}", events.len()),
-            Err(e) => eprintln!("error: cannot write {path}: {e}"),
+    let write = |path: &String, what: &str, contents: String| match std::fs::write(path, contents) {
+        Ok(()) => {
+            eprintln!("wrote {what} ({} events) to {path}", events.len());
+            true
         }
-    }
-    if let Some(path) = &opts.journal {
-        match std::fs::write(path, to_json_lines(&events)) {
-            Ok(()) => eprintln!("wrote journal ({} events) to {path}", events.len()),
-            Err(e) => eprintln!("error: cannot write {path}: {e}"),
+        Err(e) => {
+            eprintln!("error: cannot write {path}: {e}");
+            false
         }
-    }
+    };
+    let trace_ok = opts
+        .trace
+        .as_ref()
+        .is_none_or(|path| write(path, "Chrome trace", to_chrome_trace(&events)));
+    let journal_ok = opts
+        .journal
+        .as_ref()
+        .is_none_or(|path| write(path, "journal", to_json_lines(&events)));
+    trace_ok && journal_ok
 }
 
 fn cmd_info() {
@@ -482,7 +494,8 @@ fn run_workload(cluster: &mut Cluster, opts: &Options) -> RunReport {
     }
 }
 
-fn cmd_run(opts: &Options) {
+/// Run the workload and print its report; false if a requested export failed.
+fn cmd_run(opts: &Options) -> bool {
     let (mut cluster, sink) = build_cluster(opts);
     eprintln!(
         "running {} ({:?}) on {} nodes / {} threads, rate {:?}…",
@@ -493,12 +506,10 @@ fn cmd_run(opts: &Options) {
         opts.rate
     );
     let report = run_workload(&mut cluster, opts);
-    if let Some(sink) = &sink {
-        export_journal(opts, sink);
-    }
+    let exported = sink.as_ref().is_none_or(|sink| export_journal(opts, sink));
     if opts.json {
         println!("{}", serde_json::to_string_pretty(&report).expect("report serializes"));
-        return;
+        return exported;
     }
     println!("simulated execution : {:>12.2} ms", report.sim_exec_ms());
     println!("wall clock          : {:>12.2} ms", report.wall_ns as f64 / 1e6);
@@ -651,6 +662,7 @@ fn cmd_run(opts: &Options) {
             );
         }
     }
+    exported
 }
 
 fn cmd_heatmap(opts: &Options) {
@@ -680,7 +692,11 @@ fn main() -> ExitCode {
         Ok(opts) => {
             match opts.command {
                 Command::Info => cmd_info(),
-                Command::Run => cmd_run(&opts),
+                Command::Run => {
+                    if !cmd_run(&opts) {
+                        return ExitCode::FAILURE;
+                    }
+                }
                 Command::Heatmap => cmd_heatmap(&opts),
             }
             ExitCode::SUCCESS
@@ -702,7 +718,7 @@ fn main() -> ExitCode {
             eprintln!("       [--mailbox-capacity N] [--shed-policy drop-oldest|merge|summary]");
             eprintln!("       [--tcm-fanout K (>=2: fabric-tree TCM aggregation)]");
             eprintln!("       [--tcm-backend dense|sketch|sketch:WIDTH,DEPTH] [--top-k K]");
-            eprintln!("       [--trace FILE (Chrome trace_event)] [--journal FILE (JSON lines)]");
+            eprintln!("       [--trace FILE (Chrome trace_event)] [--journal FILE (JSON lines)] (run only)");
             eprintln!("       [--exec-seed N] [--exec-jitter NS (deterministic schedule jitter)]");
             ExitCode::FAILURE
         }
@@ -867,6 +883,8 @@ mod tests {
             ("run --rebalance 2 --rate off", "needs correlation tracking"),
             ("run --trace", "--trace requires a value"),
             ("run --journal", "--journal requires a value"),
+            ("heatmap --journal x", "--trace / --journal only apply to the run command"),
+            ("heatmap --trace x", "--trace / --journal only apply to the run command"),
             ("run --tcm-fanout 1", "ProfilerConfig.tcm_tree_fanout = 1"),
             ("run --tcm-backend sketch", "set tcm_tree_fanout >= 2"),
             (

@@ -85,6 +85,70 @@ fn home_analysis_on_lu_recommends_nothing_for_owner_homed_blocks() {
     assert!(report.stranded_fraction() >= 0.0 && report.stranded_fraction() <= 1.0);
 }
 
+/// EXPERIMENTS.md X3, the paper's Section V home effect: SOR with every row homed on
+/// node 0 while the threads relaxing them run on four nodes. The home-aware analyzer
+/// over the profiled OAL log finds two thirds of the pair-shared volume stranded
+/// (homed at neither sharer's node); applying its recommendations and re-running
+/// the identical workload recovers the locality.
+#[test]
+fn rehoming_a_pathologically_homed_sor_recovers_locality() {
+    const NODES: usize = 4;
+    const THREADS: usize = 4;
+    let cfg = sor::SorConfig {
+        n: 512,
+        m: 512,
+        rounds: 6,
+        omega: 1.25,
+    };
+    let run = |moves: &[(ObjectId, NodeId)]| {
+        let mut config = ProfilerConfig::tracking_at(SamplingRate::Full);
+        config.record_oals = true;
+        let mut cluster = Cluster::builder()
+            .nodes(NODES)
+            .threads(THREADS)
+            .profiler(config)
+            .build();
+        let handles = Arc::new(cluster.init(|ctx| sor::setup_with_homes(ctx, &cfg, |_| NodeId(0))));
+        if !moves.is_empty() {
+            let clock = cluster.shared().master_clock();
+            cluster.shared().gos.relocate_homes(moves.iter().copied(), &clock);
+        }
+        cluster.run(move |jt| sor::thread_body(jt, &cfg, &handles));
+        (cluster.report(), cluster)
+    };
+
+    let (before, cluster) = run(&[]);
+    let placement: Vec<NodeId> = (0..THREADS as u32)
+        .map(|t| cluster.shared().node_of(ThreadId(t)))
+        .collect();
+    let mut analyzer = HomeAwareAnalyzer::new(NODES, THREADS);
+    for oal in &before.master.as_ref().expect("tracking on").oal_log {
+        analyzer.ingest(oal, &placement);
+    }
+    let report = analyzer.build(&cluster.shared().gos, &placement);
+    assert_eq!(report.recommendations.len(), 383);
+    assert!(
+        (report.stranded_fraction() - 2.0 / 3.0).abs() < 1e-3,
+        "stranded fraction {}",
+        report.stranded_fraction()
+    );
+
+    let moves: Vec<(ObjectId, NodeId)> =
+        report.recommendations.iter().map(|r| (r.obj, r.to)).collect();
+    let (after, _) = run(&moves);
+    assert_eq!(
+        (before.proto.real_faults, after.proto.real_faults),
+        (438, 39),
+        "object faults before and after re-homing"
+    );
+    assert!(
+        after.sim_exec_ms() < 0.3 * before.sim_exec_ms(),
+        "sim exec {:.1} -> {:.1} ms must fall by more than 70%",
+        before.sim_exec_ms(),
+        after.sim_exec_ms()
+    );
+}
+
 #[test]
 fn full_self_optimizing_pipeline() {
     // Everything at once: scattered placement + tracking + dynamic rebalancing +

@@ -6,7 +6,7 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo check --workspace --all-targets (every bench, test and example target compiles)"
+echo "==> cargo check --workspace --all-targets (every bench and test target compiles)"
 cargo check --workspace --all-targets
 
 echo "==> cargo test -q"
@@ -84,6 +84,18 @@ cmp "$OBS_DIR/a.jsonl" "$OBS_DIR/b.jsonl"   # multi-thread journals must be bit-
   --trace "$OBS_DIR/trace.json" > /dev/null
 grep -q '"traceEvents"' "$OBS_DIR/trace.json"
 rm -rf "$OBS_DIR"
+
+echo "==> export-failure smoke (a requested journal that cannot be written exits 1 naming the path)"
+status=0
+FAILED=$(./target/release/jessy-cli run -w sor --scale small --nodes 2 --threads 2 \
+  --journal /nonexistent/dir/x.jsonl 2>&1 > /dev/null) || status=$?
+test "$status" -eq 1
+grep -qF '/nonexistent/dir/x.jsonl' <<< "$FAILED"
+
+echo "==> heatmap smoke (Fig. 1 from the CLI: inherent and induced maps of the same run)"
+HEATMAP=$(./target/release/jessy-cli heatmap -w bh --scale small -n 2 -t 4)
+grep -qF 'inherent (object-grain)' <<< "$HEATMAP"
+grep -qF 'induced (page-grain)' <<< "$HEATMAP"
 
 echo "==> one-shot rebalance smoke (--rebalance alone is one epoch of the placement engine; journal replays)"
 ONE_DIR=$(mktemp -d)
