@@ -138,7 +138,7 @@ pub struct TreeEdge {
     pub cells: u64,
 }
 
-/// Statistics of one tree-aggregated round (the `master.reduce.*` counters).
+/// Statistics of one tree-aggregated round (summed into the runtime's `MasterOutput::reduce`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TreeRoundStats {
     /// Object records that crossed nodes in the owner shuffle.

@@ -42,9 +42,12 @@ pub(crate) fn tri_len(n: usize) -> usize {
 }
 
 /// Packed index of pair `(i, j)` with `i < j < n`.
+///
+/// Panics on a pair outside the map: the packed index of `j >= n` would land on
+/// another pair's cell.
 #[inline]
 pub(crate) fn tri_index(n: usize, i: usize, j: usize) -> usize {
-    debug_assert!(i < j && j < n);
+    assert!(i < j && j < n, "thread pair ({i}, {j}) out of range for a {n}-thread map");
     i * (2 * n - i - 1) / 2 + (j - i - 1)
 }
 
@@ -1164,6 +1167,27 @@ mod tests {
             interval,
             entries,
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "thread pair (0, 3) out of range for a 3-thread map")]
+    fn out_of_range_pair_panics_instead_of_landing_on_another() {
+        // Packed, (0, 3) in a 3-thread map would be the cell of (1, 2).
+        Tcm::new(3).add_pair(ThreadId(0), ThreadId(3), 100.0);
+    }
+
+    #[test]
+    fn every_pair_lookup_rejects_an_out_of_range_thread() {
+        fn panic_message(f: impl FnOnce()) -> String {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        }
+        let (t0, t3) = (ThreadId(0), ThreadId(3));
+        let expected = "thread pair (0, 3) out of range for a 3-thread map";
+        assert_eq!(panic_message(|| { Tcm::new(3).at(t3, t0); }), expected);
+        assert_eq!(panic_message(|| { SparseTcm::from_pairs(3, &[(t0, t3, 1.0)]); }), expected);
+        assert_eq!(panic_message(|| { SparseTcm::new(3).at(t0, t3); }), expected);
+        assert_eq!(panic_message(|| { SketchTcm::new(3, 64, 2).at(t3, t0); }), expected);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use common::run_tasks;
 use jessy_gos::object::OBJ_HEADER_BYTES;
 use jessy_gos::{AccessState, CostModel, Gos, GosConfig, ThreadSpace};
 use jessy_net::{ClockBoard, ClockHandle, DetExecutor, LatencyModel, MsgClass, NodeId, ThreadId};
+use jessy_obs::{EventKind, JournalSink};
 
 fn gos(n: usize) -> (Gos, Vec<ClockHandle>, Vec<ThreadSpace>) {
     let g = Gos::new(GosConfig {
@@ -775,15 +776,30 @@ fn array_alloc_of_scalar_class_is_rejected() {
 
 #[test]
 fn lock_managers_are_distributed_round_robin() {
-    let (g, c, mut s) = gos(3);
+    let (mut g, c, mut s) = gos(3);
+    let sink = JournalSink::shared();
+    g.set_trace_sink(sink.clone());
     // Locks 0,1,2,3 → managers 0,1,2,0. Verify via traffic: acquiring lock 1 from
     // node 0 produces a round trip to node 1.
     let _l0 = g.register_lock();
     let l1 = g.register_lock();
     g.lock_acquire(&mut s[0], l1, NodeId(0), &c[0]);
     g.lock_release(&mut s[0], l1, NodeId(0), &c[0]);
-    assert_eq!(g.fabric().link(NodeId(0), NodeId(1)).messages, 2, "acquire + release");
-    assert_eq!(g.fabric().link(NodeId(1), NodeId(0)).messages, 1, "grant");
+    let sent: Vec<(u16, u16, String)> = sink
+        .sorted_events()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::MessageSent { from, to, class, .. } => Some((from, to, class)),
+            _ => None,
+        })
+        .collect();
+    let to_manager = |class: &str| (0, 1, class.to_string());
+    assert_eq!(
+        sent,
+        [to_manager("lock-acquire"), to_manager("lock-release")],
+        "acquire (with its grant) + release, all between node 0 and lock 1's manager"
+    );
+    assert_eq!(g.net_stats().class(MsgClass::LockGrant).messages, 1, "grant");
 }
 
 #[test]

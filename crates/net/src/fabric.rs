@@ -2,8 +2,11 @@
 //!
 //! A [`Fabric`] joins `n_nodes` logical nodes. Sending a message does two things:
 //!
-//! 1. **Accounting** — the (class, bytes) pair is added to the global ledger and to
-//!    per-link counters, so benchmarks can report exact traffic volumes (Table III).
+//! 1. **Accounting** — the (class, bytes) pair is added to the per-class ledger, so
+//!    benchmarks can report exact traffic volumes (Table III). Who talked to whom is
+//!    in the journal: with a sink installed, every [`Fabric::send`] and
+//!    [`Fabric::charge_round_trip`] emits one [`EventKind::MessageSent`] naming both
+//!    ends (a round trip's event carries the bytes of both legs).
 //! 2. **Time charging** — the sender's simulated clock is advanced by the
 //!    [`LatencyModel`] cost. For synchronous request/response pairs (an object fault
 //!    round-trip, a lock acquire) use [`Fabric::charge_round_trip`], which charges both
@@ -24,7 +27,6 @@ use std::sync::Arc;
 
 use jessy_obs::{EventKind, TraceSink};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::clock::{ClockHandle, SimNanos};
 use crate::error::NetError;
@@ -39,28 +41,13 @@ use crate::stats::NetworkStats;
 /// time burned per severed round trip so protocol traffic can never wedge.
 const MAX_PARTITION_RETRIES: u64 = 4;
 
-/// Per-link (ordered node pair) traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LinkStats {
-    /// Messages sent over the link.
-    pub messages: u64,
-    /// Bytes sent over the link.
-    pub bytes: u64,
-}
-
-#[derive(Debug, Default)]
-struct FabricLedger {
-    global: NetworkStats,
-    links: Vec<LinkStats>, // n_nodes * n_nodes, row = from
-}
-
 /// The simulated cluster interconnect: pure accounting plus a latency model.
 pub struct Fabric {
     n_nodes: usize,
     latency: LatencyModel,
-    ledger: Mutex<FabricLedger>,
+    ledger: Mutex<NetworkStats>,
     injector: Option<Arc<FaultInjector>>,
-    /// Journal for send/drop/duplicate/delay events; `None` (the default) emits
+    /// Journal for send/drop/duplicate/partition events; `None` (the default) emits
     /// nothing and costs one never-taken branch on the send paths.
     sink: Option<Arc<dyn TraceSink>>,
 }
@@ -85,10 +72,7 @@ impl Fabric {
         Ok(Fabric {
             n_nodes,
             latency,
-            ledger: Mutex::new(FabricLedger {
-                global: NetworkStats::new(),
-                links: vec![LinkStats::default(); n_nodes * n_nodes],
-            }),
+            ledger: Mutex::new(NetworkStats::new()),
             injector: None,
             sink: None,
         })
@@ -122,8 +106,9 @@ impl Fabric {
         self.injector.as_ref()
     }
 
-    /// Install an event journal. Sends (and injected drops/duplicates/delays)
-    /// are emitted stamped with the sending thread's simulated clock.
+    /// Install an event journal. Sends (and injected drops, duplicates and
+    /// partition cuts) are emitted stamped with the sending thread's simulated
+    /// clock.
     pub fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>) {
         self.sink = Some(sink);
     }
@@ -188,13 +173,8 @@ impl Fabric {
         );
     }
 
-    fn account(&self, from: NodeId, to: NodeId, class: MsgClass, total_bytes: u64) {
-        let mut ledger = self.ledger.lock();
-        ledger.global.record(class, total_bytes);
-        let idx = from.index() * self.n_nodes + to.index();
-        let link = &mut ledger.links[idx];
-        link.messages += 1;
-        link.bytes += total_bytes;
+    fn account(&self, class: MsgClass, total_bytes: u64) {
+        self.ledger.lock().record(class, total_bytes);
     }
 
     /// Send a one-way message of `payload_bytes` from `from` to `to`.
@@ -217,7 +197,7 @@ impl Fabric {
         self.assert_node(from);
         self.assert_node(to);
         let total = payload_bytes + class.header_bytes();
-        self.account(from, to, class, total as u64);
+        self.account(class, total as u64);
         let mut cost = self.latency.one_way_ns(total);
         let mut decision = FaultDecision::CLEAN;
         if let Some(inj) = &self.injector {
@@ -233,7 +213,7 @@ impl Fabric {
             }
             let d = inj.decide(from, to, class);
             if d.duplicated {
-                self.account(from, to, class, total as u64);
+                self.account(class, total as u64);
                 cost += self.latency.one_way_ns(total);
             }
             decision = d;
@@ -270,8 +250,8 @@ impl Fabric {
         self.assert_node(to);
         let req_total = req_bytes + req_class.header_bytes();
         let resp_total = resp_bytes + resp_class.header_bytes();
-        self.account(from, to, req_class, req_total as u64);
-        self.account(to, from, resp_class, resp_total as u64);
+        self.account(req_class, req_total as u64);
+        self.account(resp_class, resp_total as u64);
         let mut cost = self.latency.round_trip_ns(req_total, resp_total);
         let mut decision = FaultDecision::CLEAN;
         let mut prepaid = 0;
@@ -288,7 +268,7 @@ impl Fabric {
             while retries < MAX_PARTITION_RETRIES && inj.severed(from, to, clock.now()) {
                 // Spent immediately (not folded into `cost`) so the next
                 // severed() check sees virtual time advancing.
-                self.account(from, to, req_class, req_total as u64);
+                self.account(req_class, req_total as u64);
                 clock.spend(RETRANSMIT_TIMEOUT_NS + self.latency.one_way_ns(req_total));
                 retries += 1;
             }
@@ -306,11 +286,11 @@ impl Fabric {
             let d = inj.decide(from, to, req_class);
             if d.dropped {
                 // Timeout, then retransmit the request leg.
-                self.account(from, to, req_class, req_total as u64);
+                self.account(req_class, req_total as u64);
                 cost += RETRANSMIT_TIMEOUT_NS + self.latency.one_way_ns(req_total);
             } else if d.duplicated {
                 // Spurious duplicate request; the home dedupes, the wire still paid.
-                self.account(from, to, req_class, req_total as u64);
+                self.account(req_class, req_total as u64);
             }
             decision = d;
         }
@@ -330,33 +310,16 @@ impl Fabric {
         self.assert_node(from);
         self.assert_node(to);
         let total = payload_bytes + class.header_bytes();
-        self.account(from, to, class, total as u64);
+        self.account(class, total as u64);
     }
 
-    /// Snapshot of the global per-class ledger, including injected-fault counters.
+    /// Snapshot of the per-class ledger, including injected-fault counters.
     pub fn stats(&self) -> NetworkStats {
-        let mut s = self.ledger.lock().global.clone();
+        let mut s = self.ledger.lock().clone();
         if let Some(inj) = &self.injector {
             s.faults = inj.stats();
         }
         s
-    }
-
-    /// Traffic counters of the directed link `from -> to`.
-    pub fn link(&self, from: NodeId, to: NodeId) -> LinkStats {
-        self.assert_node(from);
-        self.assert_node(to);
-        self.ledger.lock().links[from.index() * self.n_nodes + to.index()]
-    }
-
-    /// Reset all counters (between benchmark repetitions).
-    pub fn reset(&self) {
-        let mut ledger = self.ledger.lock();
-        ledger.global = NetworkStats::new();
-        ledger.links.fill(LinkStats::default());
-        if let Some(inj) = &self.injector {
-            inj.reset();
-        }
     }
 
     fn assert_node(&self, n: NodeId) {
@@ -373,18 +336,32 @@ mod tests {
     use super::*;
     use crate::clock::ClockBoard;
     use crate::ids::ThreadId;
+    use jessy_obs::JournalSink;
 
     fn clock() -> ClockHandle {
         ClockBoard::new(1).handle(ThreadId(0))
     }
 
+    /// The `(from, to, class, bytes)` of every `MessageSent` in `sink`'s journal.
+    fn sent(sink: &JournalSink) -> Vec<(u16, u16, String, u64)> {
+        sink.sorted_events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::MessageSent { from, to, class, bytes } => Some((from, to, class, bytes)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn send_accounts_and_charges() {
-        let f = Fabric::new(2, LatencyModel {
+        let mut f = Fabric::new(2, LatencyModel {
             base_ns: 100,
             ns_per_byte: 1.0,
         })
         .unwrap();
+        let sink = JournalSink::shared();
+        f.set_trace_sink(sink.clone());
         let c = clock();
         let cost = f.send(NodeId(0), NodeId(1), MsgClass::ObjFetch, 22, &c);
         let total = 22 + MsgClass::ObjFetch.header_bytes();
@@ -393,8 +370,11 @@ mod tests {
         let stats = f.stats();
         assert_eq!(stats.class(MsgClass::ObjFetch).messages, 1);
         assert_eq!(stats.class(MsgClass::ObjFetch).bytes, total as u64);
-        assert_eq!(f.link(NodeId(0), NodeId(1)).messages, 1);
-        assert_eq!(f.link(NodeId(1), NodeId(0)).messages, 0);
+        assert_eq!(
+            sent(&sink),
+            [(0, 1, "obj-fetch".to_string(), total as u64)],
+            "one message, from 0 to 1 only"
+        );
     }
 
     #[test]
@@ -408,7 +388,9 @@ mod tests {
 
     #[test]
     fn round_trip_accounts_both_legs() {
-        let f = Fabric::new(3, LatencyModel::free()).unwrap();
+        let mut f = Fabric::new(3, LatencyModel::free()).unwrap();
+        let sink = JournalSink::shared();
+        f.set_trace_sink(sink.clone());
         let c = clock();
         f.charge_round_trip(
             NodeId(0),
@@ -422,8 +404,12 @@ mod tests {
         let s = f.stats();
         assert_eq!(s.class(MsgClass::ObjFetch).messages, 1);
         assert_eq!(s.class(MsgClass::ObjData).messages, 1);
-        assert_eq!(f.link(NodeId(0), NodeId(2)).messages, 1);
-        assert_eq!(f.link(NodeId(2), NodeId(0)).messages, 1);
+        let (req, resp) = (16 + MsgClass::ObjFetch.header_bytes(), 1024 + MsgClass::ObjData.header_bytes());
+        assert_eq!(
+            sent(&sink),
+            [(0, 2, "obj-fetch".to_string(), (req + resp) as u64)],
+            "one journaled trip from the requester to the home, carrying both legs"
+        );
     }
 
     #[test]
@@ -431,16 +417,6 @@ mod tests {
         let f = Fabric::new(2, LatencyModel::fast_ethernet()).unwrap();
         f.account_async(NodeId(1), NodeId(0), MsgClass::OalBatch, 5_000);
         assert_eq!(f.stats().oal_bytes(), 5_000 + MsgClass::OalBatch.header_bytes() as u64);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let f = Fabric::new(2, LatencyModel::free()).unwrap();
-        let c = clock();
-        f.send(NodeId(0), NodeId(1), MsgClass::DiffUpdate, 10, &c);
-        f.reset();
-        assert_eq!(f.stats().total_bytes(), 0);
-        assert_eq!(f.link(NodeId(0), NodeId(1)).bytes, 0);
     }
 
     #[test]
@@ -613,23 +589,5 @@ mod tests {
         let s = f.stats();
         assert_eq!(s.faults.retransmits, 4);
         assert_eq!(s.faults.partitioned, 1);
-    }
-
-    #[test]
-    fn reset_clears_fault_counters_too() {
-        let f = Fabric::with_faults(
-            2,
-            LatencyModel::free(),
-            FaultPlan {
-                stalls: vec![crate::fault::StallWindow { node: NodeId(0), start_msg: 0, end_msg: 1 }],
-                ..FaultPlan::default()
-            },
-        )
-        .unwrap();
-        let c = clock();
-        f.send(NodeId(0), NodeId(1), MsgClass::DiffUpdate, 10, &c);
-        assert_eq!(f.stats().faults.stalled, 1);
-        f.reset();
-        assert!(f.stats().faults.is_zero());
     }
 }

@@ -415,44 +415,6 @@ impl FaultStats {
     pub fn is_zero(&self) -> bool {
         *self == FaultStats::default()
     }
-
-    /// Total injected events of any kind.
-    pub fn total(&self) -> u64 {
-        self.dropped
-            + self.duplicated
-            + self.delayed
-            + self.stalled
-            + self.retransmits
-            + self.crash_suppressed
-            + self.partitioned
-            + self.oals_deferred
-    }
-
-    /// Element-wise difference `self - earlier` (saturating; counters are monotonic).
-    pub fn since(&self, earlier: &FaultStats) -> FaultStats {
-        FaultStats {
-            dropped: self.dropped.saturating_sub(earlier.dropped),
-            duplicated: self.duplicated.saturating_sub(earlier.duplicated),
-            delayed: self.delayed.saturating_sub(earlier.delayed),
-            stalled: self.stalled.saturating_sub(earlier.stalled),
-            retransmits: self.retransmits.saturating_sub(earlier.retransmits),
-            crash_suppressed: self.crash_suppressed.saturating_sub(earlier.crash_suppressed),
-            partitioned: self.partitioned.saturating_sub(earlier.partitioned),
-            oals_deferred: self.oals_deferred.saturating_sub(earlier.oals_deferred),
-        }
-    }
-
-    /// Element-wise sum.
-    pub fn merge(&mut self, other: &FaultStats) {
-        self.dropped += other.dropped;
-        self.duplicated += other.duplicated;
-        self.delayed += other.delayed;
-        self.stalled += other.stalled;
-        self.retransmits += other.retransmits;
-        self.crash_suppressed += other.crash_suppressed;
-        self.partitioned += other.partitioned;
-        self.oals_deferred += other.oals_deferred;
-    }
 }
 
 /// Deterministic fault oracle shared by the fabric and the lossy mailbox senders.
@@ -624,19 +586,6 @@ impl FaultInjector {
             oals_deferred: self.oals_deferred.load(Ordering::Relaxed),
         }
     }
-
-    /// Reset counters and sequence state (between benchmark repetitions).
-    pub fn reset(&self) {
-        self.link_seq.lock().clear();
-        self.node_seq.lock().clear();
-        self.dropped.store(0, Ordering::Relaxed);
-        self.duplicated.store(0, Ordering::Relaxed);
-        self.stalled.store(0, Ordering::Relaxed);
-        self.retransmits.store(0, Ordering::Relaxed);
-        self.crash_suppressed.store(0, Ordering::Relaxed);
-        self.partitioned.store(0, Ordering::Relaxed);
-        self.oals_deferred.store(0, Ordering::Relaxed);
-    }
 }
 
 const SALT_DROP: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -787,48 +736,6 @@ mod tests {
             ..FaultPlan::default()
         })
         .is_err());
-    }
-
-    #[test]
-    fn fault_stats_since_and_merge() {
-        let a = FaultStats {
-            dropped: 5,
-            duplicated: 2,
-            delayed: 1,
-            stalled: 0,
-            retransmits: 3,
-            crash_suppressed: 4,
-            partitioned: 2,
-            oals_deferred: 1,
-        };
-        let b = FaultStats {
-            dropped: 2,
-            duplicated: 1,
-            delayed: 0,
-            stalled: 0,
-            retransmits: 1,
-            crash_suppressed: 1,
-            partitioned: 1,
-            oals_deferred: 0,
-        };
-        let d = a.since(&b);
-        assert_eq!(
-            d,
-            FaultStats {
-                dropped: 3,
-                duplicated: 1,
-                delayed: 1,
-                stalled: 0,
-                retransmits: 2,
-                crash_suppressed: 3,
-                partitioned: 1,
-                oals_deferred: 1,
-            }
-        );
-        let mut r = b;
-        r.merge(&d);
-        assert_eq!(r, a);
-        assert_eq!(a.total(), 18);
     }
 
     #[test]

@@ -98,32 +98,6 @@ impl NetworkStats {
             self.oal_bytes() as f64 / gos as f64
         }
     }
-
-    /// Element-wise difference `self - earlier`; panics (debug) on counter regression.
-    pub fn since(&self, earlier: &NetworkStats) -> NetworkStats {
-        let mut out = NetworkStats::new();
-        for c in MsgClass::ALL {
-            let a = self.class(c);
-            let b = earlier.class(c);
-            debug_assert!(a.messages >= b.messages && a.bytes >= b.bytes);
-            out.per_class[c.index()] = ClassStats {
-                messages: a.messages - b.messages,
-                bytes: a.bytes - b.bytes,
-            };
-        }
-        out.faults = self.faults.since(&earlier.faults);
-        out
-    }
-
-    /// Merge another ledger into this one.
-    pub fn merge(&mut self, other: &NetworkStats) {
-        for c in MsgClass::ALL {
-            let o = other.class(c);
-            self.per_class[c.index()].messages += o.messages;
-            self.per_class[c.index()].bytes += o.bytes;
-        }
-        self.faults.merge(&other.faults);
-    }
 }
 
 #[cfg(test)]
@@ -150,22 +124,5 @@ mod tests {
     fn oal_over_gos_handles_empty() {
         let s = NetworkStats::new();
         assert_eq!(s.oal_over_gos(), 0.0);
-    }
-
-    #[test]
-    fn since_and_merge_are_inverse() {
-        let mut a = NetworkStats::new();
-        a.record(MsgClass::DiffUpdate, 10);
-        a.record(MsgClass::DiffUpdate, 20);
-        let snapshot = a.clone();
-        a.record(MsgClass::LockAcquire, 5);
-        a.record(MsgClass::DiffUpdate, 30);
-        let delta = a.since(&snapshot);
-        assert_eq!(delta.class(MsgClass::DiffUpdate).messages, 1);
-        assert_eq!(delta.class(MsgClass::DiffUpdate).bytes, 30);
-        assert_eq!(delta.class(MsgClass::LockAcquire).messages, 1);
-        let mut rebuilt = snapshot.clone();
-        rebuilt.merge(&delta);
-        assert_eq!(rebuilt, a);
     }
 }

@@ -8,25 +8,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn ledger_since_and_merge_are_inverses(
-        events in prop::collection::vec((0usize..13, 0u64..10_000), 0..60),
-        split in 0usize..60,
-    ) {
-        let mut all = NetworkStats::new();
-        let mut first = NetworkStats::new();
-        for (i, (class, bytes)) in events.iter().enumerate() {
-            all.record(MsgClass::ALL[*class], *bytes);
-            if i < split {
-                first.record(MsgClass::ALL[*class], *bytes);
-            }
-        }
-        let delta = all.since(&first);
-        let mut rebuilt = first.clone();
-        rebuilt.merge(&delta);
-        prop_assert_eq!(rebuilt, all);
-    }
-
-    #[test]
     fn partitions_cover_the_ledger(
         events in prop::collection::vec((0usize..13, 0u64..10_000), 0..60),
     ) {

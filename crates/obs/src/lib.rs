@@ -2,9 +2,9 @@
 //!
 //! The runtime's self-observation layer: a structured event journal keyed by
 //! **simulated time**, a [`TraceSink`] trait with a no-op default so disabled runs
-//! cost nothing on the hot paths, exporters (JSON-lines and Chrome `trace_event`),
-//! and a unified [`MetricsSnapshot`] registry consolidating the workspace's ad-hoc
-//! counter structs behind one snapshot/diff API.
+//! cost nothing on the hot paths, exporters (JSON-lines and Chrome `trace_event`)
+//! and offline journal mining. Counters are not kept here: a run's counters are
+//! the fields of the runtime's `RunReport`.
 //!
 //! ## Determinism argument
 //!
@@ -20,12 +20,10 @@
 //!   consulting wall-clock arrival order.
 //!
 //! Real OS-thread interleaving only changes the order events *enter* the sink,
-//! never the canonical order they are exported in — so a zero-fault, same-seed
-//! run whose per-thread execution is race-free (sequential runs, read-shared
-//! workloads) produces a bit-identical journal on any host. Workloads subject
-//! to the runtime's one pre-existing scheduling freedom (the LRC
-//! fetch-vs-flush race) journal deterministically up to that race: the journal
-//! reveals it, it does not add nondeterminism of its own.
+//! never the canonical order they are exported in. The runtime's deterministic
+//! executor runs one application thread at a time in a seed-fixed order, so
+//! every thread's execution (and its clock) replays, and a zero-fault,
+//! same-seed run produces a bit-identical journal on any host.
 //!
 //! Nothing in this crate knows about objects, nodes or profiling types; events
 //! carry plain integers and strings so every other crate can depend on it without
@@ -36,11 +34,9 @@
 pub mod analyze;
 pub mod event;
 pub mod export;
-pub mod metrics;
 pub mod sink;
 
 pub use analyze::{analyze_waste, drift_spans, ClassWaste, DriftSpan, WasteReport};
 pub use event::{EventKind, TraceEvent};
 pub use export::{to_chrome_trace, to_json_lines};
-pub use metrics::MetricsSnapshot;
 pub use sink::{JournalSink, NullSink, TraceSink};

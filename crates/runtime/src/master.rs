@@ -159,7 +159,7 @@ pub struct RoundTimeline {
 }
 
 /// Aggregate telemetry of the tree-mode reduction pipeline (all zero when the
-/// classic flat coordinator is in use). Feeds the `master.reduce.*` metrics.
+/// classic flat coordinator is in use), reported as [`MasterOutput::reduce`].
 ///
 /// It counts reduction work actually done, replays included: like
 /// `MasterOutput::replayed_oals`, it is not rolled back on a master restore, so
@@ -238,7 +238,7 @@ pub struct MasterOutput {
     /// hottest first — the streaming view the placement engine consumes. Empty
     /// when `tcm_top_k` is 0.
     pub top_pairs: Vec<(u32, u32, f64)>,
-    /// Tree-reduction telemetry (`master.reduce.*`); all zero in flat mode.
+    /// Tree-reduction telemetry; all zero in flat mode.
     pub reduce: ReduceTelemetry,
     /// Straggler demotions performed by the gray-failure detector
     /// (`ProfilerConfig::straggler_lag_intervals`).
@@ -661,7 +661,7 @@ struct Daemon {
     /// The live reduce step (flat or tree, dense or sketch, with or without the
     /// top-k head).
     reducer: Reducer,
-    /// `master.reduce.*` counters (tree mode only).
+    /// Tree-reduction counters, reported as [`MasterOutput::reduce`] (tree mode only).
     reduce: ReduceTelemetry,
     controller: Option<AdaptiveController>,
     scheduler: RoundScheduler,
@@ -881,7 +881,7 @@ impl Daemon {
         reduced
     }
 
-    /// Account one tree-reduced round: fold its counters into `master.reduce.*`,
+    /// Account one tree-reduced round: fold its counters into `self.reduce`,
     /// charge every real fabric hop as `MsgClass::TcmPartial` traffic and journal it.
     fn charge_tree_round(&mut self, round: u64, stats: &TreeRoundStats) {
         self.reduce.tree_rounds += 1;

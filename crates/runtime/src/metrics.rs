@@ -8,19 +8,13 @@
 //!   zeroed, so two same-seed runs on different machines serialize
 //!   **byte-identically**. The chaos suite's zero-fault bit-identity test
 //!   compares this view in full instead of hand-picked fields.
-//!
-//! [`RunReport::metrics`] flattens the report's scattered counter structs
-//! (network ledger, protocol counters, profiler stats, master output) into one
-//! namespaced [`MetricsSnapshot`], so dashboards and benches diff one object
-//! instead of four.
 
 use serde::{Deserialize, Serialize};
 
 use jessy_core::profiler::ProfilerStatsSnapshot;
 use jessy_core::ShedPolicy;
 use jessy_gos::protocol::ProtocolCounters;
-use jessy_net::{MsgClass, NetworkStats, SimNanos, ThreadId};
-use jessy_obs::MetricsSnapshot;
+use jessy_net::{NetworkStats, SimNanos, ThreadId};
 
 use crate::cluster::ClusterShared;
 use crate::master::MasterOutput;
@@ -176,122 +170,6 @@ impl RunReport {
         self.adjusted_round_coverage(intervals_per_round)
             .iter()
             .any(|c| *c < floor)
-    }
-
-    /// Flatten every counter of the run into one namespaced registry:
-    /// `net.<class>.messages/bytes` plus ledger totals and fault counters,
-    /// `proto.*` protocol events, `profiler.*` sampling counters, `master.*`
-    /// round pipeline counters, and `run.*` for the report's own scalars.
-    /// Snapshots diff (`MetricsSnapshot::since`) and merge, so phase-to-phase
-    /// deltas come from one object instead of four hand-paired structs.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let mut m = MetricsSnapshot::new();
-        m.set("run.n_nodes", self.n_nodes as u64);
-        m.set("run.n_threads", self.n_threads as u64);
-        m.set("run.sim_exec_ns", self.sim_exec_ns);
-        m.set("run.oal_post_failures", self.oal_post_failures);
-        m.set("run.lost_oals", self.lost_oals.len() as u64);
-        m.set("run.rejoins", self.rejoins);
-        m.set("net.shed.dropped", self.sheds_dropped);
-        m.set("net.shed.merged", self.sheds_merged);
-        m.set("net.shed.summarized", self.sheds_summarized);
-
-        for class in MsgClass::ALL {
-            let c = self.net.class(class);
-            m.set(format!("net.{}.messages", class.label()), c.messages);
-            m.set(format!("net.{}.bytes", class.label()), c.bytes);
-        }
-        m.set("net.total_messages", self.net.total_messages());
-        m.set("net.total_bytes", self.net.total_bytes());
-        m.set("net.gos_bytes", self.net.gos_bytes());
-        m.set("net.oal_bytes", self.net.oal_bytes());
-        m.set("net.migration_bytes", self.net.migration_bytes());
-        m.set("net.faults.dropped", self.net.faults.dropped);
-        m.set("net.faults.duplicated", self.net.faults.duplicated);
-        m.set("net.faults.delayed", self.net.faults.delayed);
-        m.set("net.faults.stalled", self.net.faults.stalled);
-        m.set("net.faults.retransmits", self.net.faults.retransmits);
-        m.set("net.faults.crash_suppressed", self.net.faults.crash_suppressed);
-        m.set("net.faults.partitioned", self.net.faults.partitioned);
-        m.set("net.faults.oals_deferred", self.net.faults.oals_deferred);
-
-        m.set("proto.real_faults", self.proto.real_faults);
-        m.set("proto.false_invalid_faults", self.proto.false_invalid_faults);
-        m.set("proto.accesses", self.proto.accesses);
-        m.set("proto.diffs_flushed", self.proto.diffs_flushed);
-        m.set("proto.notices_applied", self.proto.notices_applied);
-        m.set("proto.home_migrations", self.proto.home_migrations);
-        m.set("proto.objects_prefetched", self.proto.objects_prefetched);
-
-        m.set("profiler.intervals_closed", self.profiler.intervals_closed);
-        m.set("profiler.oal_entries", self.profiler.oal_entries);
-        m.set("profiler.fi_armed", self.profiler.fi_armed);
-        m.set("profiler.footprint_rearms", self.profiler.footprint_rearms);
-
-        if let Some(master) = &self.master {
-            m.set("master.oals_ingested", master.oals_ingested);
-            m.set("master.rounds", master.rounds);
-            m.set("master.objects_organized", master.objects_organized);
-            m.set("master.rate_changes", master.rate_changes.len() as u64);
-            m.set(
-                "master.skipped_rate_changes",
-                master.skipped_rate_changes.len() as u64,
-            );
-            m.set("master.deadline_rounds", master.deadline_rounds);
-            m.set("master.late_oals", master.late_oals);
-            m.set("master.duplicate_oals", master.duplicate_oals);
-            m.set(
-                "master.planned_migrations",
-                master.planned_migrations.len() as u64,
-            );
-            m.set("master.placement.plans", master.placement.plans);
-            m.set("master.placement.directives", master.placement.directives);
-            m.set(
-                "master.placement.fenced_directives",
-                master.placement.fenced_directives,
-            );
-            m.set(
-                "master.placement.applied_migrations",
-                master.placement.applied_migrations,
-            );
-            m.set(
-                "master.placement.migrated_bytes",
-                master.placement.migrated_bytes,
-            );
-            m.set(
-                "master.placement.homes_repaired",
-                master.placement.homes_repaired,
-            );
-            m.set(
-                "master.placement.repaired_bytes",
-                master.placement.repaired_bytes,
-            );
-            m.set(
-                "master.placement.vetoes",
-                master.placement.vetoed_gain
-                    + master.placement.vetoed_cooldown
-                    + master.placement.vetoed_cost
-                    + master.placement.vetoed_budget,
-            );
-            m.set("master.checkpoints_taken", master.checkpoints_taken);
-            m.set("master.restores", master.restores);
-            m.set("master.replayed_oals", master.replayed_oals);
-            m.set("master.fenced_oals", master.fenced_oals);
-            m.set("master.quarantined_nodes", master.quarantined_nodes);
-            m.set("master.converged_classes", master.converged_classes);
-            m.set("master.final_epoch", master.final_epoch);
-            m.set("master.top_pairs", master.top_pairs.len() as u64);
-            m.set("master.reduce.tree_rounds", master.reduce.tree_rounds);
-            m.set("master.reduce.shuffle_records", master.reduce.shuffle_records);
-            m.set("master.reduce.shuffle_bytes", master.reduce.shuffle_bytes);
-            m.set("master.reduce.partial_cells", master.reduce.partial_cells);
-            m.set("master.reduce.partial_bytes", master.reduce.partial_bytes);
-            m.set("master.reduce.master_partials", master.reduce.master_partials);
-            m.set("master.stragglers", master.stragglers);
-            m.set("profiler.budget.over_rounds", master.budget_over_rounds);
-            m.set("profiler.budget.degrades", master.budget_degrades);
-        }
-        m
     }
 }
 

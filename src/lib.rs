@@ -16,11 +16,12 @@
 //!   rate controller, Fig. 8 stack sampling, and sticky-set footprinting/resolution;
 //! * [`runtime`] — the DJVM: clusters, application threads, the master daemon,
 //!   migration with sticky-set prefetch, the correlation-driven load balancer;
-//! * [`pagedsm`] — the page-grain baseline (induced sharing patterns, D-CVM costs);
+//! * [`pagedsm`] — the page-grain baseline (page layout and induced sharing patterns);
 //! * [`workloads`] — SOR, Barnes-Hut and Water-Spatial ports (Table I);
 //! * [`obs`] — the deterministic observability layer: a structured event journal
-//!   keyed by simulated time, a unified metrics registry, and JSON-lines / Chrome
-//!   `trace_event` exporters (zero-cost when no sink is attached).
+//!   keyed by simulated time and JSON-lines / Chrome `trace_event` exporters
+//!   (zero-cost when no sink is attached); a run's counters are the fields of its
+//!   [`RunReport`](runtime::RunReport).
 //!
 //! ## Quickstart
 //!
@@ -61,8 +62,7 @@ pub mod prelude {
         ClockBoard, FaultPlan, FaultStats, LatencyModel, MsgClass, NodeId, StallWindow, ThreadId,
     };
     pub use jessy_obs::{
-        to_chrome_trace, to_json_lines, EventKind, JournalSink, MetricsSnapshot, TraceEvent,
-        TraceSink,
+        to_chrome_trace, to_json_lines, EventKind, JournalSink, TraceEvent, TraceSink,
     };
     pub use jessy_runtime::{
         Cluster, DeterministicReport, JThread, LoadBalancer, RunReport, RuntimeError,

@@ -126,6 +126,8 @@ fn reports_and_maps_serialize() {
     let report = water::run_on(&mut cluster, water::WaterConfig::small());
     let json = serde_json::to_string(&report).expect("report serializes");
     assert!(json.contains("sim_exec_ns"));
+    let back: RunReport = serde_json::from_str(&json).expect("report parses");
+    assert_eq!(back, report, "the report round-trips through JSON unchanged");
     let tcm = report.master.as_ref().unwrap().tcm.clone();
     let json = serde_json::to_string(&tcm).unwrap();
     let back: Tcm = serde_json::from_str(&json).unwrap();

@@ -85,6 +85,16 @@ cmp "$OBS_DIR/a.jsonl" "$OBS_DIR/b.jsonl"   # multi-thread journals must be bit-
 grep -q '"traceEvents"' "$OBS_DIR/trace.json"
 rm -rf "$OBS_DIR"
 
+echo "==> report-replay smoke (two same-seed runs print the same RunReport, host-time fields aside)"
+REPLAY_DIR=$(mktemp -d)
+for run in a b; do
+  ./target/release/jessy-cli run -w sor --scale small --nodes 2 --threads 4 --rate 4x --json \
+    | grep -v -e '"wall_ns"' -e '"tcm_build_real_ns"' > "$REPLAY_DIR/$run.json"
+done
+grep -q '"sim_exec_ns"' "$REPLAY_DIR/a.json"
+cmp "$REPLAY_DIR/a.json" "$REPLAY_DIR/b.json"
+rm -rf "$REPLAY_DIR"
+
 echo "==> export-failure smoke (a requested journal that cannot be written exits 1 naming the path)"
 status=0
 FAILED=$(./target/release/jessy-cli run -w sor --scale small --nodes 2 --threads 2 \
