@@ -17,7 +17,9 @@
 //!   sampling (Section III.B).
 //!
 //! Shared, cross-thread state (the gap table the coordinator retunes, global counters)
-//! lives in [`ProfilerShared`].
+//! lives in [`ProfilerShared`]. The counters are per-thread cells, one per
+//! [`ThreadProfiler`] and written by it alone, so the access hook counts with a
+//! load and a store; [`ProfilerStats::snapshot`] sums them live.
 //!
 //! ## The sampling view
 //!
@@ -43,6 +45,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use jessy_gos::{AccessOutcome, ClassId, Gos, ObjectCore, ObjectId, ThreadSpace};
@@ -56,13 +59,32 @@ use crate::stack_sampling::{StackInvariant, StackSampler};
 use crate::sticky::footprint::{FootprintSnapshot, FootprintTracker};
 use crate::sticky::resolution::{resolve_sticky_set, Resolution};
 
-/// Global profiling counters (all threads).
+/// Global profiling counters (all threads). Each [`ThreadProfiler`] counts into
+/// its own cell, registered when it is built; [`ProfilerStats::snapshot`] sums
+/// every cell as of now, so the master's mid-run reads stay live.
 #[derive(Debug, Default)]
 pub struct ProfilerStats {
+    cells: Mutex<Vec<Arc<StatCells>>>,
+}
+
+/// One [`ThreadProfiler`]'s counts. Every write goes through that profiler's
+/// `&mut self`, so each cell has one writer — its thread, under the executor
+/// or free-threaded (DESIGN.md §13) — and a count is a load and a store, never
+/// an atomic read-modify-write. A line each, so two threads' counts never
+/// share one.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct StatCells {
     intervals_closed: AtomicU64,
     oal_entries: AtomicU64,
     fi_armed: AtomicU64,
     footprint_rearms: AtomicU64,
+}
+
+/// Add `n` to a cell that only its owning profiler writes.
+#[inline]
+fn bump(cell: &AtomicU64, n: u64) {
+    cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
 /// A point-in-time copy of [`ProfilerStats`].
@@ -79,20 +101,25 @@ pub struct ProfilerStatsSnapshot {
 }
 
 impl ProfilerStats {
-    /// Snapshot the counters.
+    /// Snapshot the counters: every profiler's cell summed.
     pub fn snapshot(&self) -> ProfilerStatsSnapshot {
+        let cells = self.cells.lock();
+        let sum = |cell: fn(&StatCells) -> &AtomicU64| -> u64 {
+            cells.iter().map(|c| cell(c).load(Ordering::Relaxed)).sum()
+        };
         ProfilerStatsSnapshot {
-            intervals_closed: self.intervals_closed.load(Ordering::Relaxed),
-            oal_entries: self.oal_entries.load(Ordering::Relaxed),
-            fi_armed: self.fi_armed.load(Ordering::Relaxed),
-            footprint_rearms: self.footprint_rearms.load(Ordering::Relaxed),
+            intervals_closed: sum(|c| &c.intervals_closed),
+            oal_entries: sum(|c| &c.oal_entries),
+            fi_armed: sum(|c| &c.fi_armed),
+            footprint_rearms: sum(|c| &c.footprint_rearms),
         }
     }
 
-    /// Count traps armed outside the access path (the thread-side re-sync walk
-    /// after a coordinator rate change).
-    pub fn record_fi_armed(&self, n: u64) {
-        self.fi_armed.fetch_add(n, Ordering::Relaxed);
+    /// A fresh cell for a new [`ThreadProfiler`], counted from now on.
+    fn register(&self) -> Arc<StatCells> {
+        let cell = Arc::new(StatCells::default());
+        self.cells.lock().push(Arc::clone(&cell));
+        cell
     }
 }
 
@@ -205,6 +232,8 @@ impl SamplingView {
 pub struct ThreadProfiler {
     shared: Arc<ProfilerShared>,
     thread: ThreadId,
+    /// This profiler's cell in [`ProfilerShared::stats`]; only it writes there.
+    stats: Arc<StatCells>,
     interval: u64,
     oal_entries: Vec<OalEntry>,
     logged_this_interval: HashSet<ObjectId>,
@@ -221,9 +250,11 @@ impl ThreadProfiler {
         let stack_sampler = shared.config.stack.map(StackSampler::new);
         let mut view = SamplingView::default();
         view.refresh(&shared.gaps);
+        let stats = shared.stats.register();
         ThreadProfiler {
             shared,
             thread,
+            stats,
             interval: 0,
             oal_entries: Vec::new(),
             logged_this_interval: HashSet::new(),
@@ -282,7 +313,7 @@ impl ThreadProfiler {
             // No arming — full-trace mode logs without traps.
             if config.track_correlation && self.logged_this_interval.insert(out.obj) {
                 clock.spend(costs.log_append_ns);
-                self.shared.stats.oal_entries.fetch_add(1, Ordering::Relaxed);
+                bump(&self.stats.oal_entries, 1);
                 self.oal_entries.push(OalEntry {
                     obj: out.obj,
                     class: out.class,
@@ -308,12 +339,12 @@ impl ThreadProfiler {
                 // The object must trap again next interval (at-most-once logging per
                 // interval). Epoch-lazy: live once the epoch advances past the stamp.
                 if space.arm_next_interval(out.obj) {
-                    self.shared.stats.fi_armed.fetch_add(1, Ordering::Relaxed);
+                    bump(&self.stats.fi_armed, 1);
                 }
             }
             if config.track_correlation {
                 clock.spend(costs.log_append_ns);
-                self.shared.stats.oal_entries.fetch_add(1, Ordering::Relaxed);
+                bump(&self.stats.oal_entries, 1);
                 self.oal_entries.push(OalEntry {
                     obj: out.obj,
                     class: out.class,
@@ -327,12 +358,15 @@ impl ThreadProfiler {
             if matches!(fp.config().mode, FootprintMode::Nonstop) {
                 // Exact frequency counting: the object must fault on its next access.
                 let armed = space.arm_traps([out.obj]);
-                self.shared
-                    .stats
-                    .footprint_rearms
-                    .fetch_add(armed as u64, Ordering::Relaxed);
+                bump(&self.stats.footprint_rearms, armed as u64);
             }
         }
+    }
+
+    /// Count traps armed outside the access path (the thread-side re-sync walk
+    /// after a coordinator rate change).
+    pub fn record_fi_armed(&mut self, n: u64) {
+        bump(&self.stats.fi_armed, n);
     }
 
     /// Timer-gated footprint probe: when due, re-arm traps on every object hit so far
@@ -348,10 +382,7 @@ impl ThreadProfiler {
         fp.start_round(clock.now());
         let armed = space.arm_traps(fp.hits());
         if armed > 0 {
-            self.shared
-                .stats
-                .footprint_rearms
-                .fetch_add(armed as u64, Ordering::Relaxed);
+            bump(&self.stats.footprint_rearms, armed as u64);
         }
     }
 
@@ -386,10 +417,7 @@ impl ThreadProfiler {
     /// operation): emits the interval's OAL (if correlation tracking is on) and folds
     /// the footprint snapshot (if footprinting is on).
     pub fn close_interval(&mut self) -> Option<Oal> {
-        self.shared
-            .stats
-            .intervals_closed
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&self.stats.intervals_closed, 1);
         self.logged_this_interval.clear();
         if let Some(fp) = &mut self.footprint {
             self.last_footprint = fp.close_interval();

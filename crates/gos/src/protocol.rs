@@ -24,7 +24,9 @@
 //! exclusively owned by the thread driving it, so the access fast path is a couple
 //! of bit tests on one packed word instead of the seed's per-access
 //! `RwLock`/`Arc`/`Mutex` trio (retained in [`crate::heap::reference`] for
-//! differential testing and benchmarking).
+//! differential testing and benchmarking). The protocol counters follow the same
+//! discipline: each thread counts into a cell of its own with a load and a store,
+//! and [`Gos::proto_counters`] sums the cells.
 //!
 //! The per-thread at-most-once property falls out: within one interval a (thread,
 //! object) pair faults at most once, so logging on faults is cheap — exactly what
@@ -188,16 +190,28 @@ pub struct ProtocolCounters {
     pub objects_prefetched: u64,
 }
 
+/// What one thread's own operations on its [`ThreadSpace`] counted: the access
+/// check and its fault paths, its release flushes and its notice walks. One
+/// writer per thread id — the thread driving that space, under the executor or
+/// free-threaded (DESIGN.md §13) — so a count is a load and a store, never an
+/// atomic read-modify-write, and [`Gos::proto_counters`] sums the cells live.
+/// A line each, so two threads' counts never share one.
 #[derive(Debug, Default)]
-struct Counters {
+#[repr(align(64))]
+struct ThreadCounters {
+    accesses: AtomicU64,
     real_faults: AtomicU64,
     false_invalid_faults: AtomicU64,
-    accesses: AtomicU64,
-    diffs_flushed: AtomicU64,
-    notices_applied: AtomicU64,
-    home_migrations: AtomicU64,
     home_promotions: AtomicU64,
     objects_prefetched: AtomicU64,
+    diffs_flushed: AtomicU64,
+    notices_applied: AtomicU64,
+}
+
+/// Add `n` to a cell that only its owning thread writes.
+#[inline]
+fn bump(cell: &AtomicU64, n: u64) {
+    cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
 /// Slots in the object table's first chunk; chunk `k` holds `CHUNK0_SLOTS << k`.
@@ -324,7 +338,10 @@ pub struct Gos {
     notices: NoticeBoard,
     locks: LockTable,
     barrier: SimBarrier,
-    counters: Counters,
+    /// One cell per thread id `0..n_threads`.
+    counters: Box<[ThreadCounters]>,
+    /// Homes relocated: counted by whoever relocates, so a shared cell.
+    home_migrations: AtomicU64,
     /// Journal for protocol slow-path events (faults, traps, home migrations,
     /// notice application). `None` emits nothing; the access-check *hit* lane has
     /// no emission site at all, so tracing cannot slow it down.
@@ -360,7 +377,8 @@ impl Gos {
             notices: NoticeBoard::new(config.n_threads),
             locks: LockTable::new(),
             barrier: SimBarrier::new(),
-            counters: Counters::default(),
+            counters: (0..config.n_threads).map(|_| ThreadCounters::default()).collect(),
+            home_migrations: AtomicU64::new(0),
             sink: None,
             exec: DetExecutor::new(0, 0, 0),
             config,
@@ -406,18 +424,34 @@ impl Gos {
         self.fabric.stats()
     }
 
-    /// Snapshot of protocol event counters.
+    /// Snapshot of protocol event counters: every thread's cell summed, as of now.
     pub fn proto_counters(&self) -> ProtocolCounters {
+        let sum = |cell: fn(&ThreadCounters) -> &AtomicU64| -> u64 {
+            self.counters.iter().map(|c| cell(c).load(Ordering::Relaxed)).sum()
+        };
         ProtocolCounters {
-            real_faults: self.counters.real_faults.load(Ordering::Relaxed),
-            false_invalid_faults: self.counters.false_invalid_faults.load(Ordering::Relaxed),
-            accesses: self.counters.accesses.load(Ordering::Relaxed),
-            diffs_flushed: self.counters.diffs_flushed.load(Ordering::Relaxed),
-            notices_applied: self.counters.notices_applied.load(Ordering::Relaxed),
-            home_migrations: self.counters.home_migrations.load(Ordering::Relaxed),
-            home_promotions: self.counters.home_promotions.load(Ordering::Relaxed),
-            objects_prefetched: self.counters.objects_prefetched.load(Ordering::Relaxed),
+            real_faults: sum(|c| &c.real_faults),
+            false_invalid_faults: sum(|c| &c.false_invalid_faults),
+            accesses: sum(|c| &c.accesses),
+            diffs_flushed: sum(|c| &c.diffs_flushed),
+            notices_applied: sum(|c| &c.notices_applied),
+            home_migrations: self.home_migrations.load(Ordering::Relaxed),
+            home_promotions: sum(|c| &c.home_promotions),
+            objects_prefetched: sum(|c| &c.objects_prefetched),
         }
+    }
+
+    /// `space`'s thread's counter cell. A thread id the GOS was not built for
+    /// has none and panics, as it has no notice cursor either.
+    #[inline]
+    fn counters_of(&self, space: &ThreadSpace) -> &ThreadCounters {
+        let thread = space.thread();
+        self.counters.get(thread.index()).unwrap_or_else(|| {
+            panic!(
+                "thread {thread} has no counter cell (GOS built for {} threads)",
+                self.counters.len()
+            )
+        })
     }
 
     // ------------------------------------------------------------------ allocation
@@ -605,10 +639,11 @@ impl Gos {
         f: impl FnOnce(&mut [f64]) -> R,
     ) -> (R, AccessOutcome) {
         self.assert_node(node);
-        debug_assert_eq!(space.thread(), clock.thread(), "space/clock thread mismatch");
+        assert_eq!(space.thread(), clock.thread(), "space/clock thread mismatch");
         let costs = &self.config.costs;
         clock.spend(costs.access_check_ns);
-        self.counters.accesses.fetch_add(1, Ordering::Relaxed);
+        let counters = self.counters_of(space);
+        bump(&counters.accesses, 1);
 
         let core = self.core(obj);
         let mut outcome = AccessOutcome {
@@ -651,7 +686,7 @@ impl Gos {
             // Correlation fault: enter the service routine, cancel the trap.
             outcome.false_invalid = true;
             clock.spend(costs.fault_service_ns);
-            self.counters.false_invalid_faults.fetch_add(1, Ordering::Relaxed);
+            bump(&counters.false_invalid_faults, 1);
             space.disarm(obj);
             if let Some(sink) = &self.sink {
                 sink.emit(
@@ -672,8 +707,8 @@ impl Gos {
             // home-resident — no fabric round trip, ever again.
             outcome.real_fault = true;
             clock.spend(costs.fault_service_ns);
-            self.counters.real_faults.fetch_add(1, Ordering::Relaxed);
-            self.counters.home_promotions.fetch_add(1, Ordering::Relaxed);
+            bump(&counters.real_faults, 1);
+            bump(&counters.home_promotions, 1);
             space.promote_home(obj);
             if let Some(sink) = &self.sink {
                 sink.emit(
@@ -693,7 +728,7 @@ impl Gos {
             // Real object fault: fetch the latest copy from home.
             outcome.real_fault = true;
             clock.spend(costs.fault_service_ns);
-            self.counters.real_faults.fetch_add(1, Ordering::Relaxed);
+            bump(&counters.real_faults, 1);
             let bytes = core.payload_bytes();
             self.fabric.charge_round_trip(
                 node,
@@ -791,7 +826,7 @@ impl Gos {
         }
         if bytes > 0 {
             self.fabric.send(home, node, MsgClass::Prefetch, bytes, clock);
-            self.counters.objects_prefetched.fetch_add(moved, Ordering::Relaxed);
+            bump(&self.counters_of(space).objects_prefetched, moved);
         }
     }
 
@@ -837,7 +872,7 @@ impl Gos {
                         space.set_cached_version(obj, v);
                         notices.push(WriteNotice { obj, version: v });
                         per_home[core.home().index()] += diff.wire_bytes() + 8;
-                        self.counters.diffs_flushed.fetch_add(1, Ordering::Relaxed);
+                        bump(&self.counters_of(space).diffs_flushed, 1);
                         flushed += 1;
                     }
                 }
@@ -872,9 +907,7 @@ impl Gos {
             return 0;
         }
         clock.spend(costs.notice_apply_ns * count as u64);
-        self.counters
-            .notices_applied
-            .fetch_add(count as u64, Ordering::Relaxed);
+        bump(&self.counters_of(space).notices_applied, count as u64);
         if let Some(sink) = &self.sink {
             sink.emit(
                 clock.now(),
@@ -926,7 +959,7 @@ impl Gos {
                             diff.wire_bytes() + 8,
                             clock,
                         );
-                        self.counters.diffs_flushed.fetch_add(1, Ordering::Relaxed);
+                        bump(&self.counters_of(space).diffs_flushed, 1);
                     }
                 }
             }
@@ -1077,9 +1110,7 @@ impl Gos {
             }
         }
         let moved = notices.len();
-        self.counters
-            .home_migrations
-            .fetch_add(moved as u64, Ordering::Relaxed);
+        self.home_migrations.fetch_add(moved as u64, Ordering::Relaxed);
         self.notices.post(notices);
         let mut total = 0;
         for (link, &bytes) in per_link.iter().enumerate() {

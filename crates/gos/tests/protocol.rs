@@ -323,6 +323,28 @@ fn a_barrier_blocks_only_an_executor_task() {
 }
 
 #[test]
+#[should_panic(expected = "space/clock thread mismatch")]
+fn an_access_through_another_threads_clock_panics_in_every_build() {
+    // Thread 0's arena with thread 1's clock would charge one thread's clock and
+    // counter cell for another thread's access: refused in release builds too.
+    let (g, c, mut s) = gos(2);
+    let class = g.classes().register_scalar("Point", 2);
+    let obj = g.alloc_scalar(NodeId(0), class, &c[0], None);
+    g.read(&mut s[0], NodeId(0), obj.id, &c[1], |_| {});
+}
+
+#[test]
+#[should_panic(expected = "thread t2 has no counter cell (GOS built for 2 threads)")]
+fn an_access_by_a_thread_id_the_gos_was_not_built_for_panics() {
+    let (g, c, _s) = gos(2);
+    let class = g.classes().register_scalar("Point", 2);
+    let obj = g.alloc_scalar(NodeId(0), class, &c[0], None);
+    let board = ClockBoard::new(3);
+    let mut stray = ThreadSpace::new(ThreadId(2));
+    g.read(&mut stray, NodeId(0), obj.id, &board.handle(ThreadId(2)), |_| {});
+}
+
+#[test]
 fn concurrent_disjoint_writers_merge_at_home() {
     // Two threads write disjoint halves of the same array within one interval; both
     // diffs must merge at the home (the multiple-writer property of LRC).

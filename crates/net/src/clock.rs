@@ -8,9 +8,13 @@
 //! to the acquirer if the acquirer was "earlier". The maximum clock over all threads at
 //! the end of a run is the simulated execution time reported in Tables II, III and V.
 //!
-//! All clocks live in one [`ClockBoard`] so any thread can read/advance any other
-//! thread's clock at a synchronization point; entries are `AtomicU64` with
-//! monotonic-max updates (see *Rust Atomics and Locks* ch. 2 on fetch-update loops).
+//! All clocks live in one [`ClockBoard`] so any task can *read* any thread's clock
+//! (the master's mid-run cost fraction does). Each cell has one writer: the task that
+//! owns it, under the executor or free-threaded (DESIGN.md §13). So
+//! [`ClockBoard::advance`] is a plain load and a releasing store — no atomic
+//! read-modify-write on the per-access path — and only [`ClockBoard::raise_to`],
+//! which runs on the lock and barrier path, keeps its compare-and-swap loop
+//! (*Rust Atomics and Locks* ch. 2 on fetch-update loops).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,9 +68,14 @@ impl ClockBoard {
     }
 
     /// Advance one thread's clock by `delta` nanoseconds, returning the new value.
+    /// Only the cell's owner may call this: the load and the store are two steps,
+    /// so a second concurrent writer would lose updates (module docs).
     #[inline]
     pub fn advance(&self, thread: ThreadId, delta: SimNanos) -> SimNanos {
-        self.clocks[thread.index()].fetch_add(delta, Ordering::AcqRel) + delta
+        let cell = &self.clocks[thread.index()];
+        let now = cell.load(Ordering::Relaxed) + delta;
+        cell.store(now, Ordering::Release);
+        now
     }
 
     /// Raise one thread's clock to at least `floor` (monotonic max), returning the
@@ -82,14 +91,6 @@ impl ClockBoard {
             }
         }
         cur
-    }
-
-    /// Maximum simulated time over all threads — the run's "execution time".
-    pub fn global_max(&self) -> SimNanos {
-        (0..self.clocks.len())
-            .map(|i| self.clocks[i].load(Ordering::Acquire))
-            .max()
-            .unwrap_or(0)
     }
 
     /// Reset every clock to zero (between benchmark repetitions).
@@ -165,14 +166,37 @@ mod tests {
     }
 
     #[test]
-    fn global_max_reads_the_latest_clock() {
+    fn reset_zeroes_every_clock() {
         let board = ClockBoard::new(3);
         board.advance(ThreadId(0), 10);
         board.advance(ThreadId(1), 99);
         board.advance(ThreadId(2), 7);
-        assert_eq!(board.global_max(), 99);
+        assert_eq!(board.read(ThreadId(1)), 99);
         board.reset();
-        assert_eq!(board.global_max(), 0);
+        assert!((0..3).all(|t| board.read(ThreadId(t)) == 0));
+    }
+
+    #[test]
+    fn owners_advancing_their_own_cells_concurrently_lose_nothing() {
+        const THREADS: u32 = 8;
+        const STEPS: u64 = 10_000;
+        let board = ClockBoard::new(THREADS as usize);
+        let owners: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let clock = board.handle(ThreadId(t));
+                std::thread::spawn(move || {
+                    for _ in 0..STEPS {
+                        clock.spend(u64::from(t) + 1);
+                    }
+                })
+            })
+            .collect();
+        for owner in owners {
+            owner.join().unwrap();
+        }
+        for t in 0..THREADS {
+            assert_eq!(board.read(ThreadId(t)), STEPS * (u64::from(t) + 1), "thread {t}");
+        }
     }
 
     #[test]

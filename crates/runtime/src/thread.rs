@@ -628,7 +628,7 @@ impl JThread {
         }
         self.rate_generation = generation;
         let armed = self.shared.gos.rearm_sampled(&mut self.space, &self.clock);
-        self.shared.prof.stats().record_fi_armed(armed as u64);
+        self.profiler.record_fi_armed(armed as u64);
     }
 
     fn emit_interval_opened(&mut self) {

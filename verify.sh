@@ -147,6 +147,14 @@ for seed in 1 7 42 1337 31337 99999; do
   JESSY_CHAOS_SEED=$seed cargo test -p jessy-net --lib -q executor
 done
 
+echo "==> single-writer cells in release (clock cells, GOS and profiler counter totals, GOS protocol and stress suites)"
+# Clocks and per-access counters are a load and a store by their one writer;
+# the chaos matrix runs the stress suite in debug only, and a lost update or a
+# mismatched space/clock pair must fail in the build the benchmark runs too.
+cargo test --release -p jessy-net --lib -q clock::
+cargo test --release -p jessy-core --test counter_cells -q
+cargo test --release -p jessy-gos --test stress --test protocol -q
+
 echo "==> benchmark smoke (benchmark/run.sh --quick: five workloads, small presets, results checked)"
 benchmark/run.sh --quick > /dev/null
 # run.sh builds without --locked: a dependency edge dropped from a path crate
