@@ -24,7 +24,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use jessy_gos::{Gos, ObjectId};
+use jessy_gos::ObjectId;
 use jessy_net::{NodeId, ThreadId};
 
 use crate::oal::Oal;
@@ -117,6 +117,14 @@ impl HomeAwareAnalyzer {
         self.objects.len()
     }
 
+    /// The objects observed so far, in id order: the homes [`Self::affinity`]
+    /// and [`Self::build`] read.
+    pub fn objects(&self) -> Vec<ObjectId> {
+        let mut objs: Vec<ObjectId> = self.objects.keys().copied().collect();
+        objs.sort_unstable();
+        objs
+    }
+
     /// Forget every accumulated statistic. A planning epoch that applied thread
     /// moves or home repairs calls this so the next epoch's dominance evidence
     /// describes the *post-repair* world, not a mixture.
@@ -128,10 +136,10 @@ impl HomeAwareAnalyzer {
     /// since the last [`Self::clear`] that are homed on that node now. Each object
     /// counts once per thread, at the largest size any thread logged for it; the
     /// sums are integer-valued, so they are exact in any iteration order.
-    pub fn affinity(&self, gos: &Gos) -> Vec<Vec<f64>> {
+    pub fn affinity(&self, home_of: impl Fn(ObjectId) -> NodeId) -> Vec<Vec<f64>> {
         let mut affinity = vec![vec![0.0; self.n_nodes]; self.n_threads];
         for (&obj, stat) in &self.objects {
-            let home = gos.object_ref(obj).home().index();
+            let home = home_of(obj).index();
             for t in &stat.threads {
                 affinity[t.index()][home] += stat.bytes;
             }
@@ -139,14 +147,14 @@ impl HomeAwareAnalyzer {
         affinity
     }
 
-    /// Build the report against the current homes (read from `gos`) and `placement`.
-    pub fn build(&self, gos: &Gos, placement: &[NodeId]) -> HomeAwareReport {
+    /// Build the report against the current homes (`home_of`) and `placement`.
+    pub fn build(&self, home_of: impl Fn(ObjectId) -> NodeId, placement: &[NodeId]) -> HomeAwareReport {
         let mut realizable = Tcm::new(self.n_threads);
         let mut stranded = Tcm::new(self.n_threads);
         let mut recommendations = Vec::new();
 
         for (&obj, stat) in &self.objects {
-            let home = gos.object_ref(obj).home();
+            let home = home_of(obj);
             // Pair decomposition.
             for a in 0..stat.threads.len() {
                 for b in (a + 1)..stat.threads.len() {
@@ -200,7 +208,7 @@ impl HomeAwareAnalyzer {
 mod tests {
     use super::*;
     use crate::oal::OalEntry;
-    use jessy_gos::{ClassId, CostModel, GosConfig};
+    use jessy_gos::{ClassId, CostModel, Gos, GosConfig};
     use jessy_net::{ClockBoard, LatencyModel};
 
     fn gos3() -> (Gos, jessy_net::ClockHandle) {
@@ -243,7 +251,7 @@ mod tests {
             an.ingest(&oal(t, 0, a), &placement);
             an.ingest(&oal(t, 0, b), &placement);
         }
-        let report = an.build(&gos, &placement);
+        let report = an.build(|o| gos.object_ref(o).home(), &placement);
         assert_eq!(report.realizable.at(ThreadId(0), ThreadId(1)), 100.0, "A realizable");
         assert_eq!(report.stranded.at(ThreadId(0), ThreadId(1)), 100.0, "B stranded");
         assert!((report.stranded_fraction() - 0.5).abs() < 1e-12);
@@ -262,7 +270,7 @@ mod tests {
         }
         an.ingest(&oal(0, 0, b), &placement);
         an.ingest(&oal(1, 0, b), &placement);
-        let affinity = an.affinity(&gos);
+        let affinity = an.affinity(|o| gos.object_ref(o).home());
         assert_eq!(affinity[0], vec![100.0, 0.0, 100.0], "a once, however often logged");
         assert_eq!(affinity[1], vec![0.0, 0.0, 100.0]);
         assert_eq!(affinity[2], vec![0.0; 3], "thread 2 logged nothing");
@@ -283,7 +291,7 @@ mod tests {
         }
         an.ingest(&oal(2, 0, obj), &placement);
 
-        let report = an.build(&gos, &placement);
+        let report = an.build(|o| gos.object_ref(o).home(), &placement);
         assert_eq!(report.recommendations.len(), 1);
         let rec = report.recommendations[0];
         assert_eq!(rec.obj, obj);
@@ -306,7 +314,7 @@ mod tests {
             an.ingest(&oal(0, interval, obj), &placement); // node 1
             an.ingest(&oal(2, interval, obj), &placement); // node 0 (the home)
         }
-        let report = an.build(&gos, &placement);
+        let report = an.build(|o| gos.object_ref(o).home(), &placement);
         assert!(
             report.recommendations.is_empty(),
             "{:?}",
@@ -324,7 +332,7 @@ mod tests {
         let placement = vec![NodeId(1), NodeId(2), NodeId(2)];
         let mut an = HomeAwareAnalyzer::new(3, 3);
         an.ingest(&oal(0, 0, obj), &placement);
-        let report = an.build(&gos, &placement);
+        let report = an.build(|o| gos.object_ref(o).home(), &placement);
         assert_eq!(report.recommendations.len(), 1);
         assert_eq!(report.recommendations[0].to, NodeId(1));
     }
@@ -339,12 +347,12 @@ mod tests {
         for interval in 0..3 {
             an.ingest(&oal(0, interval, obj), &placement);
         }
-        let report = an.build(&gos, &placement);
+        let report = an.build(|o| gos.object_ref(o).home(), &placement);
         let rec = report.recommendations[0];
         assert_eq!(gos.relocate_homes([(rec.obj, rec.to)], &clock).0, 1);
         assert_eq!(gos.object_ref(obj).home(), NodeId(0));
         // Re-analyzing against the new home: nothing left to recommend.
-        let report = an.build(&gos, &placement);
+        let report = an.build(|o| gos.object_ref(o).home(), &placement);
         assert!(report.recommendations.is_empty());
     }
 }

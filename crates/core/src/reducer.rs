@@ -41,10 +41,9 @@ pub struct ReducedRound {
     pub tree: Option<TreeRoundStats>,
 }
 
-/// A [`Reducer`]'s one persistent value: the cumulative map and the optional
-/// top-k head. A checkpoint clones it and a warm restore assigns it back
-/// ([`Reducer::restore`]); its size is the backend's, never the dense triangle
-/// under the sketch.
+/// The reducer's one persistent value: the cumulative map and the optional
+/// top-k head. A checkpoint clones it and a warm restore assigns it back; its
+/// size is the backend's, never the dense triangle under the sketch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReducerState {
     cum: Cumulative,
@@ -58,6 +57,21 @@ enum Cumulative {
 }
 
 impl ReducerState {
+    /// The empty cumulative state a [`ProfilerConfig`] asks for, over `n_threads`
+    /// threads.
+    pub fn new(config: &ProfilerConfig, n_threads: usize) -> Self {
+        let cum = match config.tcm_backend {
+            TcmBackend::Dense => Cumulative::Dense(Tcm::new(n_threads)),
+            TcmBackend::Sketch { width, depth } => {
+                Cumulative::Sketch(SketchTcm::new(n_threads, width as usize, depth as usize))
+            }
+        };
+        ReducerState {
+            cum,
+            topk: (config.tcm_top_k > 0).then(|| TopKPairs::new(n_threads, config.tcm_top_k)),
+        }
+    }
+
     /// Fold one round's exact sparse map, admitting its pairs to the head at
     /// their pre-round cumulative weight.
     fn fold(&mut self, round: &SparseTcm) {
@@ -76,6 +90,41 @@ impl ReducerState {
             }
         }
     }
+
+    /// The cumulative map. Exact — and the same bits on the flat and tree paths
+    /// — under the dense backend; under the sketch backend no dense map exists,
+    /// so this expands the sketch's point estimates, an overestimate-only
+    /// approximation paid once per call, never per round.
+    pub fn cumulative(&self) -> Tcm {
+        match &self.cum {
+            Cumulative::Dense(tcm) => tcm.clone(),
+            Cumulative::Sketch(sketch) => {
+                let mut tcm = Tcm::new(sketch.n());
+                for (idx, cell) in tcm.data_mut().iter_mut().enumerate() {
+                    *cell = sketch.estimate(idx as u32);
+                }
+                tcm
+            }
+        }
+    }
+
+    /// The `O(k + sketch)` planning view — the top-k head names the pairs, the
+    /// sketch prices them — when that is all the backend keeps. `None` means
+    /// plan from [`ReducerState::cumulative`].
+    pub fn planning_view(&self) -> Option<SketchedTopKView<'_>> {
+        match self {
+            ReducerState { cum: Cumulative::Sketch(sketch), topk: Some(tk) } => {
+                Some(SketchedTopKView::new(sketch, tk))
+            }
+            _ => None,
+        }
+    }
+
+    /// The `tcm_top_k` hottest correlated pairs, hottest first (empty when the
+    /// head is off).
+    pub fn top_pairs(&self) -> Vec<(ThreadId, ThreadId, f64)> {
+        self.topk.as_ref().map(TopKPairs::top).unwrap_or_default()
+    }
 }
 
 /// Where round maps come from: round scratch only.
@@ -85,42 +134,31 @@ enum Rounds {
     Tree(TreeTcmReducer),
 }
 
-/// The reducer a [`ProfilerConfig`] asks for. See the module docs.
+/// The round scratch a [`ProfilerConfig`] asks for (see the module docs). It is
+/// empty between rounds, so a [`ReducerState`] is all a checkpoint needs.
 #[derive(Debug)]
-pub struct Reducer {
-    rounds: Rounds,
-    state: ReducerState,
-}
+pub struct Reducer(Rounds);
 
 impl Reducer {
-    /// An empty reducer for `n_threads` threads placed on `n_nodes` nodes.
+    /// Round scratch for `n_threads` threads placed on `n_nodes` nodes.
     pub fn new(config: &ProfilerConfig, n_threads: usize, n_nodes: usize) -> Self {
-        let cum = match config.tcm_backend {
-            TcmBackend::Dense => Cumulative::Dense(Tcm::new(n_threads)),
-            TcmBackend::Sketch { width, depth } => {
-                Cumulative::Sketch(SketchTcm::new(n_threads, width as usize, depth as usize))
-            }
-        };
-        Reducer {
-            rounds: if config.tcm_tree_fanout >= 2 {
-                let fanout = config.tcm_tree_fanout;
-                Rounds::Tree(TreeTcmReducer::new(n_threads, n_nodes.max(1), fanout))
-            } else {
-                Rounds::Flat(RoundAccrual::new(n_threads))
-            },
-            state: ReducerState {
-                cum,
-                topk: (config.tcm_top_k > 0).then(|| TopKPairs::new(n_threads, config.tcm_top_k)),
-            },
-        }
+        Reducer(if config.tcm_tree_fanout >= 2 {
+            Rounds::Tree(TreeTcmReducer::new(n_threads, n_nodes.max(1), config.tcm_tree_fanout))
+        } else {
+            Rounds::Flat(RoundAccrual::new(n_threads))
+        })
     }
 
-    /// Reduce one round's OALs (`node_of` places each logging thread, for the
-    /// tree's leaves): admit the round's pairs to the top-k head at their
-    /// pre-round cumulative weight, fold.
-    pub fn reduce(&mut self, oals: &[Oal], node_of: impl Fn(ThreadId) -> usize) -> ReducedRound {
-        let state = &mut self.state;
-        match &mut self.rounds {
+    /// Reduce one round's OALs into `state` (`node_of` places each logging
+    /// thread, for the tree's leaves): admit the round's pairs to the top-k head
+    /// at their pre-round cumulative weight, fold.
+    pub fn reduce(
+        &mut self,
+        state: &mut ReducerState,
+        oals: &[Oal],
+        node_of: impl Fn(ThreadId) -> usize,
+    ) -> ReducedRound {
+        match &mut self.0 {
             Rounds::Flat(accrual) => {
                 for oal in oals {
                     accrual.ingest(oal);
@@ -152,53 +190,6 @@ impl Reducer {
                 }
             }
         }
-    }
-
-    /// The persistent value, for a checkpoint to clone.
-    pub fn state(&self) -> &ReducerState {
-        &self.state
-    }
-
-    /// Reinstate a checkpointed [`Reducer::state`]. The round scratch is empty
-    /// between rounds, so the reducer resumes exactly where the checkpointed one
-    /// stood.
-    pub fn restore(&mut self, state: ReducerState) {
-        self.state = state;
-    }
-
-    /// The cumulative map. Exact — and the same bits on the flat and tree paths
-    /// — under the dense backend; under the sketch backend no dense map exists,
-    /// so this expands the sketch's point estimates, an overestimate-only
-    /// approximation paid once per call, never per round.
-    pub fn cumulative(&self) -> Tcm {
-        match &self.state.cum {
-            Cumulative::Dense(tcm) => tcm.clone(),
-            Cumulative::Sketch(sketch) => {
-                let mut tcm = Tcm::new(sketch.n());
-                for (idx, cell) in tcm.data_mut().iter_mut().enumerate() {
-                    *cell = sketch.estimate(idx as u32);
-                }
-                tcm
-            }
-        }
-    }
-
-    /// The `O(k + sketch)` planning view — the top-k head names the pairs, the
-    /// sketch prices them — when that is all the backend keeps. `None` means
-    /// plan from [`Reducer::cumulative`].
-    pub fn planning_view(&self) -> Option<SketchedTopKView<'_>> {
-        match &self.state {
-            ReducerState { cum: Cumulative::Sketch(sketch), topk: Some(tk) } => {
-                Some(SketchedTopKView::new(sketch, tk))
-            }
-            _ => None,
-        }
-    }
-
-    /// The `tcm_top_k` hottest correlated pairs, hottest first (empty when the
-    /// head is off).
-    pub fn top_pairs(&self) -> Vec<(ThreadId, ThreadId, f64)> {
-        self.state.topk.as_ref().map(TopKPairs::top).unwrap_or_default()
     }
 }
 
@@ -247,15 +238,15 @@ mod tests {
                 ..ProfilerConfig::default()
             })
             .collect();
-        let mut reducers: Vec<Reducer> = configs
+        let mut reducers: Vec<(Reducer, ReducerState)> = configs
             .iter()
-            .map(|c| Reducer::new(c, n_threads as usize, n_nodes))
+            .map(|c| (Reducer::new(c, n_threads as usize, n_nodes), ReducerState::new(c, n_threads as usize)))
             .collect();
         for r in 0..5u64 {
             let oals = round(r + 1, n_threads);
             let rounds: Vec<ReducedRound> = reducers
                 .iter_mut()
-                .map(|red| red.reduce(&oals, |t| t.index() % n_nodes))
+                .map(|(red, state)| red.reduce(state, &oals, |t| t.index() % n_nodes))
                 .collect();
             for (cfg, got) in configs.iter().zip(&rounds).skip(1) {
                 let label = format!("round {r} {cfg:?}");
@@ -263,20 +254,20 @@ mod tests {
                 assert_eq!(got.per_class, rounds[0].per_class, "{label}");
                 assert_eq!(got.tree.is_some(), cfg.tcm_tree_fanout >= 2, "{label}");
             }
-            let flat = reducers[0].cumulative();
-            for red in &reducers[1..] {
-                let cum = red.cumulative();
+            let flat = reducers[0].1.cumulative();
+            for (_, state) in &reducers[1..] {
+                let cum = state.cumulative();
                 assert!(
                     cum.raw().iter().zip(flat.raw()).all(|(a, b)| a.to_bits() == b.to_bits()),
                     "cumulative bits differ, round {r}"
                 );
             }
             // The head is fed on both arms, from the same pre-round weights.
-            assert!(reducers[0].top_pairs().is_empty() && reducers[2].top_pairs().is_empty());
-            assert_eq!(reducers[1].top_pairs().len(), 5);
-            assert_eq!(reducers[1].top_pairs(), reducers[3].top_pairs());
+            assert!(reducers[0].1.top_pairs().is_empty() && reducers[2].1.top_pairs().is_empty());
+            assert_eq!(reducers[1].1.top_pairs().len(), 5);
+            assert_eq!(reducers[1].1.top_pairs(), reducers[3].1.top_pairs());
         }
-        assert!(reducers.iter().all(|r| r.planning_view().is_none()));
+        assert!(reducers.iter().all(|(_, state)| state.planning_view().is_none()));
     }
 
     #[test]
@@ -287,15 +278,16 @@ mod tests {
             tcm_backend: TcmBackend::Sketch { width: 4096, depth: 4 },
             ..ProfilerConfig::default()
         };
-        let mut sketched = Reducer::new(&config, 16, 2);
-        let mut exact = Reducer::new(&ProfilerConfig::default(), 16, 2);
+        let mut sketched = (Reducer::new(&config, 16, 2), ReducerState::new(&config, 16));
+        let exact_config = ProfilerConfig::default();
+        let mut exact = (Reducer::new(&exact_config, 16, 2), ReducerState::new(&exact_config, 16));
         for r in 0..3u64 {
             let oals = round(r + 1, 16);
-            sketched.reduce(&oals, |t| t.index() % 2);
-            exact.reduce(&oals, |_| 0);
+            sketched.0.reduce(&mut sketched.1, &oals, |t| t.index() % 2);
+            exact.0.reduce(&mut exact.1, &oals, |_| 0);
         }
-        assert!(sketched.planning_view().is_some());
+        assert!(sketched.1.planning_view().is_some());
         // Count-min never underestimates; at this width it is exact.
-        assert_eq!(sketched.cumulative(), exact.cumulative());
+        assert_eq!(sketched.1.cumulative(), exact.1.cumulative());
     }
 }

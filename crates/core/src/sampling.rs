@@ -318,6 +318,42 @@ impl GapTable {
     }
 }
 
+/// A copy at the same rates. The coordinator keeps one as its own record of
+/// the rates it has broadcast, and a checkpoint clones that record.
+impl Clone for GapTable {
+    fn clone(&self) -> Self {
+        GapTable {
+            page_size: self.page_size,
+            states: RwLock::new(self.states.read().clone()),
+            generation: AtomicU64::new(self.generation()),
+        }
+    }
+}
+
+/// Equal rates; the generation counts mutations, so it is not compared.
+impl PartialEq for GapTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.page_size == other.page_size && *self.states.read() == *other.states.read()
+    }
+}
+
+impl Serialize for GapTable {
+    fn serialize_value(&self) -> serde::Value {
+        (self.page_size, &*self.states.read()).serialize_value()
+    }
+}
+
+impl Deserialize for GapTable {
+    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let (page_size, states) = <(u32, Vec<Option<ClassGapState>>)>::deserialize_value(v)?;
+        Ok(GapTable {
+            page_size,
+            states: RwLock::new(states),
+            generation: AtomicU64::new(0),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

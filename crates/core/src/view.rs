@@ -133,7 +133,7 @@ impl CorrelationView for TopKPairs {
 /// The scale-path planning view: the [`TopKPairs`] head names *which* pairs matter,
 /// the [`SketchTcm`] prices them. Memory stays O(k + sketch), never O(N²) — this is
 /// what lets a 1024-thread cluster plan placements under the sketch backend without
-/// the dense expansion [`Reducer::cumulative`](crate::Reducer::cumulative) would pay.
+/// the dense expansion [`ReducerState::cumulative`](crate::ReducerState::cumulative) would pay.
 pub struct SketchedTopKView<'a> {
     sketch: &'a SketchTcm,
     topk: &'a TopKPairs,

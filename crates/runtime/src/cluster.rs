@@ -49,7 +49,7 @@ use jessy_stack::{MethodId, MethodRegistry};
 
 use crate::dynamic::{Directive, RebalanceConfig};
 use crate::error::RuntimeError;
-use crate::master::{EpochOal, MasterDaemon, MasterOutput};
+use crate::master::{spawn_daemon, EpochOal, LiveBoundary, MasterBoundary, MasterOutput};
 use crate::metrics::RunReport;
 use crate::migration::MigrationReport;
 use crate::thread::JThread;
@@ -553,12 +553,29 @@ impl Cluster {
     where
         F: Fn(&mut JThread) + Send + Sync + 'static,
     {
+        self.try_run_tapped(body, |fx| fx).map(drop)
+    }
+
+    /// [`Cluster::try_run`] with the master's boundary passed through `tap`
+    /// first: the seam a test harness uses to record, or stand in for, every
+    /// read the master makes of the cluster and every effect it has on it
+    /// ([`MasterBoundary`]). Returns the tapped boundary once the master
+    /// has finished.
+    pub fn try_run_tapped<F, B>(
+        &mut self,
+        body: F,
+        tap: impl FnOnce(LiveBoundary) -> B + Send + 'static,
+    ) -> Result<B, RuntimeError>
+    where
+        F: Fn(&mut JThread) + Send + Sync + 'static,
+        B: MasterBoundary + Send + 'static,
+    {
         let mailbox = self.mailbox.take().ok_or(RuntimeError::AlreadyRun)?;
         self.shared.board.reset();
         self.shared.done.store(false, Ordering::Release);
 
         let wall_start = Instant::now();
-        let master = MasterDaemon::spawn(Arc::clone(&self.shared), mailbox)?;
+        let master = spawn_daemon(Arc::clone(&self.shared), mailbox, tap)?;
 
         // Carrier threads: each registers its task with the deterministic executor
         // (dispatch begins once all have, so spawn order is unobservable), runs the
@@ -625,12 +642,12 @@ impl Cluster {
         self.run_wall_ns = wall_start.elapsed().as_nanos() as u64;
         // Keep whatever the master managed to produce, then report the most
         // fundamental failure.
-        let master_err = match master_out {
-            Ok(out) => {
+        let (tapped, master_err) = match master_out {
+            Ok(Some((out, fx))) => {
                 self.master_out = Some(out);
-                None
+                (Some(fx), None)
             }
-            Err(e) => Some(e),
+            _ => (None, Some(RuntimeError::MasterPanicked)),
         };
         if let Some(e) = spawn_error {
             return Err(e);
@@ -651,7 +668,7 @@ impl Cluster {
         if let Some(thread) = first_cascade {
             return Err(RuntimeError::TaskPanicked { thread });
         }
-        Ok(())
+        tapped.ok_or(RuntimeError::MasterPanicked)
     }
 
     /// The master daemon's output (TCM, rounds, rate changes) — available after

@@ -5,7 +5,7 @@
 //! policy, built from the pieces the paper provides, as one engine: a **planning
 //! epoch** ([`plan_epoch`]) refines the *live* placement with KL-style boundary moves
 //! ([`crate::LoadBalancer::refine`]) over whatever correlation view the reducer
-//! maintains, and posts a directive per surviving move. Every move is priced by the
+//! maintains; the master posts a directive per surviving move. Every move is priced by the
 //! paper's profitability test (`gain × horizon ≥ sticky-set bytes`, a swap priced as
 //! one unit), [`RebalanceConfig::migration_budget_bytes`] caps the sticky-set bytes
 //! an epoch may put on the fabric, and hysteresis
@@ -25,13 +25,11 @@
 //! (`EventKind::DirectiveFenced`), never applied to the post-recovery world.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::Ordering;
 
 use jessy_net::{NodeId, ThreadId};
 
 use crate::balancer::{LoadBalancer, MoveFilter};
-use crate::cluster::ClusterShared;
-use jessy_core::{CorrelationView, HomeAwareAnalyzer};
+use jessy_core::CorrelationView;
 
 /// Configuration of the dynamic balancer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -157,26 +155,37 @@ pub struct PlacementTelemetry {
     pub intra_trajectory: Vec<IntraSample>,
 }
 
-/// Close one planning epoch: refine the *live* placement under the
-/// sticky-cost/budget/cooldown filter; with `homes` (the master's accessor
+/// What a planning epoch reads of the cluster, gathered by the master.
+#[derive(Debug, Clone, Copy)]
+pub struct PlanInputs<'a> {
+    /// Nodes in the cluster.
+    pub n_nodes: usize,
+    /// The live thread → node placement.
+    pub placement: &'a [NodeId],
+    /// Per-thread sticky-set footprints in bytes: each mover's cost.
+    pub footprints: &'a [f64],
+    /// Per thread, per node: the logged bytes homed there
+    /// ([`jessy_core::HomeAwareAnalyzer::affinity`]), when the plan is home-aware.
+    pub affinity: Option<&'a [Vec<f64>]>,
+}
+
+/// Decide one planning epoch: refine the live placement under the
+/// sticky-cost/budget/cooldown filter; with an affinity (the master's accessor
 /// statistics, kept when [`RebalanceConfig::migrate_homes`] is on) land the
-/// refined groups on the nodes that home their data. Then post epoch-stamped
-/// directives for the surviving moves,
-/// record when each mover last moved (for the cooldown mask of the next epoch)
-/// and fold the epoch into `telemetry`. Returns the posted moves. The only
-/// function that posts a [`Directive`].
+/// refined groups on the nodes that home their data. Record when each mover last
+/// moved (for the cooldown mask of the next epoch), fold the epoch into
+/// `telemetry` and return the moves; the master posts them as epoch-stamped
+/// [`Directive`]s.
 pub fn plan_epoch(
-    shared: &ClusterShared,
     view: &dyn CorrelationView,
     config: &RebalanceConfig,
     round: u64,
+    world: &PlanInputs<'_>,
     last_moved_round: &mut [Option<u64>],
     telemetry: &mut PlacementTelemetry,
-    homes: Option<&HomeAwareAnalyzer>,
 ) -> Vec<PlannedMigration> {
     let lb = LoadBalancer::new();
-    let current = shared.placement.read().clone();
-    let costs = shared.footprints.read().clone();
+    let current = world.placement;
     let cooldown: Vec<bool> = last_moved_round
         .iter()
         .map(|m| m.is_some_and(|r| round.saturating_sub(r) < config.cooldown_rounds))
@@ -184,22 +193,16 @@ pub fn plan_epoch(
     let filter = MoveFilter {
         min_gain: config.min_gain_bytes,
         gain_horizon: config.gain_horizon_rounds,
-        costs: Some(&costs),
+        costs: Some(world.footprints),
         budget_bytes: config.migration_budget_bytes,
         in_cooldown: Some(&cooldown),
     };
-    let before = lb.intra_fraction(view, &current);
-    let mut outcome = lb.refine(view, shared.n_nodes, &current, &filter);
-    if let Some(homes) = homes {
-        let affinity = homes.affinity(&shared.gos);
-        outcome =
-            lb.home_affine_labels(view, shared.n_nodes, &current, outcome, &affinity, &filter);
+    let before = lb.intra_fraction(view, current);
+    let mut outcome = lb.refine(view, world.n_nodes, current, &filter);
+    if let Some(affinity) = world.affinity {
+        outcome = lb.home_affine_labels(view, world.n_nodes, current, outcome, affinity, &filter);
     }
-
-    let epoch = shared.master_epoch.load(Ordering::Acquire);
-    let mut directives = shared.directives.write();
     for m in &outcome.moves {
-        directives[m.thread.index()] = Some(Directive { dest: m.to, epoch });
         last_moved_round[m.thread.index()] = Some(round);
     }
     telemetry.plans += 1;
@@ -220,18 +223,34 @@ pub fn plan_epoch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::Cluster;
-    use jessy_core::oal::{Oal, OalEntry};
-    use jessy_core::{ProfilerConfig, Tcm};
+    use std::collections::BTreeMap;
 
-    /// A cluster with one thread per placement entry, profiler off.
-    fn cluster_at(nodes: usize, placement: &[u16]) -> Cluster {
-        Cluster::builder()
-            .nodes(nodes)
-            .threads(placement.len())
-            .placement(placement.iter().map(|&n| NodeId(n)).collect())
-            .profiler(ProfilerConfig::disabled())
-            .build()
+    use jessy_core::oal::{Oal, OalEntry};
+    use jessy_core::{HomeAwareAnalyzer, Tcm};
+    use jessy_gos::{ClassId, ObjectId};
+
+    fn nodes(placement: &[u16]) -> Vec<NodeId> {
+        placement.iter().map(|&n| NodeId(n)).collect()
+    }
+
+    /// One epoch at `round` over `placement`, with no thread in cooldown.
+    fn plan(
+        view: &dyn CorrelationView,
+        cfg: &RebalanceConfig,
+        round: u64,
+        world: PlanInputs<'_>,
+        telemetry: &mut PlacementTelemetry,
+    ) -> Vec<PlannedMigration> {
+        let mut last_moved = vec![None; world.placement.len()];
+        plan_epoch(view, cfg, round, &world, &mut last_moved, telemetry)
+    }
+
+    fn moved(placement: &[NodeId], issued: &[PlannedMigration]) -> Vec<NodeId> {
+        let mut after = placement.to_vec();
+        for m in issued {
+            after[m.thread.index()] = m.to;
+        }
+        after
     }
 
     #[test]
@@ -240,43 +259,38 @@ mod tests {
         // uncorrelated and carry no sticky data. Every byte t0/t1 logged is homed
         // on n0. `refine` alone reunites the cliques wherever its lowest-thread
         // tie-break lands them (t0 to n1, t2 to n3), one 64-byte mover each.
-        let cluster = cluster_at(4, &[0, 1, 2, 3, 0, 1, 2, 3]);
-        let (class, data) = cluster.init(|ctx| {
-            let class = ctx.register_scalar_class("S", 8);
-            (class, [0, 1, 2].map(|home| ctx.alloc_scalar_at(NodeId(home), class).id))
-        });
-        let shared = cluster.shared();
-        *shared.footprints.write() = vec![64.0, 64.0, 64.0, 64.0, 0.0, 0.0, 0.0, 0.0];
+        let live = nodes(&[0, 1, 2, 3, 0, 1, 2, 3]);
+        let footprints = [64.0, 64.0, 64.0, 64.0, 0.0, 0.0, 0.0, 0.0];
+        let (class, data) = (ClassId(0), [ObjectId(0), ObjectId(1), ObjectId(2)]);
+        let homes: BTreeMap<ObjectId, NodeId> =
+            data.iter().enumerate().map(|(n, &obj)| (obj, NodeId(n as u16))).collect();
         let mut tcm = Tcm::new(8);
         tcm.add_pair(ThreadId(0), ThreadId(1), 100.0);
         tcm.add_pair(ThreadId(2), ThreadId(3), 100.0);
-        let live = shared.placement.read().clone();
         let cfg = RebalanceConfig::default();
+        let world = PlanInputs { n_nodes: 4, placement: &live, footprints: &footprints, affinity: None };
         let mut identity = PlacementTelemetry::default();
-        let refined = plan_epoch(shared, &tcm, &cfg, 4, &mut [None; 8], &mut identity, None);
+        let refined = plan(&tcm, &cfg, 4, world, &mut identity);
         assert_eq!(identity.planned_bytes, 128.0);
         // Plan once more with t2/t3's bytes homed on `clique_home`.
-        let plan = |clique_home: usize| {
-            let mut homes = HomeAwareAnalyzer::new(4, 8);
+        let plan_homed = |clique_home: usize| {
+            let mut analyzer = HomeAwareAnalyzer::new(4, 8);
             let logged = [data[0], data[0], data[clique_home], data[clique_home]];
             for (t, obj) in logged.into_iter().enumerate() {
                 let entries = vec![OalEntry { obj, class, bytes: 64 }];
-                homes.ingest(&Oal { thread: ThreadId(t as u32), interval: 0, entries }, &live);
+                analyzer.ingest(&Oal { thread: ThreadId(t as u32), interval: 0, entries }, &live);
             }
-            shared.directives.write().iter_mut().for_each(|d| *d = None);
+            let affinity = analyzer.affinity(|o| homes[&o]);
+            let world = PlanInputs { affinity: Some(&affinity), ..world };
             let mut telemetry = PlacementTelemetry::default();
-            let issued =
-                plan_epoch(shared, &tcm, &cfg, 4, &mut [None; 8], &mut telemetry, Some(&homes));
-            let mut after = live.clone();
-            for m in &issued {
-                after[m.thread.index()] = m.to;
-            }
+            let issued = plan(&tcm, &cfg, 4, world, &mut telemetry);
+            let after = moved(&live, &issued);
             (issued, after, telemetry)
         };
 
         // Homed on n2, where t2 sits: both cliques land on their data, for the
         // same footprint and the same correlation plan.
-        let (issued, after, telemetry) = plan(2);
+        let (issued, after, telemetry) = plan_homed(2);
         assert_eq!(&after[..4], &[NodeId(0), NodeId(0), NodeId(2), NodeId(2)], "{issued:?}");
         assert_eq!(
             telemetry.intra_trajectory[0].after, identity.intra_trajectory[0].after,
@@ -286,29 +300,21 @@ mod tests {
 
         // Homed on n1, where neither sits: landing {2,3} there moves both (192 B of
         // footprint against refine's 128 B), so refine's labels stand.
-        let (issued, _, telemetry) = plan(1);
+        let (issued, _, telemetry) = plan_homed(1);
         assert_eq!(issued, refined);
         assert_eq!(telemetry.planned_bytes, 128.0);
     }
 
     #[test]
     fn no_directives_for_an_already_good_placement() {
-        let cluster = cluster_at(2, &[0, 0, 1, 1]);
+        let live = nodes(&[0, 0, 1, 1]);
         let mut tcm = Tcm::new(4);
         tcm.add_pair(ThreadId(0), ThreadId(1), 100.0);
         tcm.add_pair(ThreadId(2), ThreadId(3), 100.0);
+        let world = PlanInputs { n_nodes: 2, placement: &live, footprints: &[0.0; 4], affinity: None };
         let mut telemetry = PlacementTelemetry::default();
-        let issued = plan_epoch(
-            cluster.shared(),
-            &tcm,
-            &RebalanceConfig::default(),
-            4,
-            &mut [None; 4],
-            &mut telemetry,
-            None,
-        );
+        let issued = plan(&tcm, &RebalanceConfig::default(), 4, world, &mut telemetry);
         assert!(issued.is_empty(), "{issued:?}");
-        assert!(cluster.shared().directives.read().iter().all(Option::is_none));
         assert_eq!((telemetry.plans, telemetry.directives), (1, 0));
         let epoch = IntraSample { round: 4, before: 1.0, after: 1.0 };
         assert_eq!(telemetry.intra_trajectory, vec![epoch]);
@@ -319,25 +325,22 @@ mod tests {
         // Both cliques split over two exactly-full nodes. Reuniting {2,3} by moving
         // thread 2 is unaffordable, and thread 1's leg alone would overload node 0:
         // the engine must repair with a swap whose legs are both cheap (0 <-> 3).
-        let cluster = cluster_at(2, &[0, 1, 0, 1]);
-        let shared = cluster.shared();
+        let live = nodes(&[0, 1, 0, 1]);
         let mut tcm = Tcm::new(4);
         tcm.add_pair(ThreadId(0), ThreadId(1), 100.0);
         tcm.add_pair(ThreadId(2), ThreadId(3), 100.0);
-        *shared.footprints.write() = vec![0.0, 10.0, 1e9, 0.0];
+        let footprints = [0.0, 10.0, 1e9, 0.0];
         let cfg = RebalanceConfig {
             gain_horizon_rounds: 1.0,
             ..RebalanceConfig::default()
         };
+        let world = PlanInputs { n_nodes: 2, placement: &live, footprints: &footprints, affinity: None };
         let mut telemetry = PlacementTelemetry::default();
-        let issued = plan_epoch(shared, &tcm, &cfg, 1, &mut [None; 4], &mut telemetry, None);
+        let issued = plan(&tcm, &cfg, 1, world, &mut telemetry);
         let movers: Vec<(ThreadId, NodeId)> = issued.iter().map(|m| (m.thread, m.to)).collect();
         assert_eq!(movers, vec![(ThreadId(0), NodeId(1)), (ThreadId(3), NodeId(0))]);
-        assert_eq!(shared.directives.read()[2], None, "thread 2 stays home");
-        let mut after = shared.placement.read().clone();
-        for m in &issued {
-            after[m.thread.index()] = m.to;
-        }
+        let after = moved(&live, &issued);
+        assert_eq!(after[2], NodeId(0), "thread 2 stays home");
         for node in 0..2u16 {
             assert_eq!(after.iter().filter(|n| n.0 == node).count(), 2, "{after:?}");
         }
@@ -349,8 +352,7 @@ mod tests {
 
     #[test]
     fn plan_epoch_refines_the_live_placement_and_stamps_cooldowns() {
-        let cluster = cluster_at(2, &[0, 1, 1, 0]);
-        let shared = cluster.shared();
+        let live = nodes(&[0, 1, 1, 0]);
         let mut tcm = Tcm::new(4);
         tcm.add_pair(ThreadId(0), ThreadId(1), 100.0);
         tcm.add_pair(ThreadId(2), ThreadId(3), 100.0);
@@ -360,32 +362,27 @@ mod tests {
             cooldown_rounds: 4,
             ..RebalanceConfig::default()
         };
+        let footprints = [0.0; 4];
+        let world = PlanInputs { n_nodes: 2, placement: &live, footprints: &footprints, affinity: None };
         let mut last_moved = vec![None; 4];
         let mut telemetry = PlacementTelemetry::default();
-        let issued = plan_epoch(shared, &tcm, &cfg, 5, &mut last_moved, &mut telemetry, None);
+        let issued = plan_epoch(&tcm, &cfg, 5, &world, &mut last_moved, &mut telemetry);
         assert!(!issued.is_empty(), "a split-clique placement must improve");
         let first = telemetry.intra_trajectory[0];
         assert!(first.after > first.before);
         for m in &issued {
             assert_eq!(last_moved[m.thread.index()], Some(5), "cooldown stamped");
-            let d = shared.directives.read()[m.thread.index()];
-            assert_eq!(d, Some(Directive { dest: m.to, epoch: 0 }));
         }
 
         // Apply the migrations, then present a correlation view whose only repair
         // would move a just-migrated thread again: the cooldown must veto it.
-        {
-            let mut placement = shared.placement.write();
-            for m in &issued {
-                placement[m.thread.index()] = m.to;
-            }
-        }
-        shared.directives.write().iter_mut().for_each(|d| *d = None);
+        let after = moved(&live, &issued);
         assert_eq!(issued.len(), 2, "the repair is one pairwise exchange");
         let (mover, other) = (issued[0].thread, issued[1].thread);
         let mut flipped = Tcm::new(4);
         flipped.add_pair(mover, other, 100.0);
-        let again = plan_epoch(shared, &flipped, &cfg, 6, &mut last_moved, &mut telemetry, None);
+        let world = PlanInputs { placement: &after, ..world };
+        let again = plan_epoch(&flipped, &cfg, 6, &world, &mut last_moved, &mut telemetry);
         assert!(again.is_empty(), "{again:?}");
         assert!(telemetry.vetoed_cooldown > 0, "the bounce is attributed to hysteresis");
         assert_eq!((telemetry.plans, telemetry.directives), (2, 2));
@@ -396,14 +393,12 @@ mod tests {
         // Four cliques, every one split across the two (exactly full) nodes: fixing
         // each takes one pairwise exchange of 2 × 60 = 120 bytes. A 150-byte budget
         // admits the first exchange and must veto the rest.
-        let cluster = cluster_at(2, &[0, 1, 1, 0, 0, 1, 1, 0]);
-        let shared = cluster.shared();
+        let live = nodes(&[0, 1, 1, 0, 0, 1, 1, 0]);
         let mut tcm = Tcm::new(8);
         tcm.add_pair(ThreadId(0), ThreadId(1), 100.0);
         tcm.add_pair(ThreadId(2), ThreadId(3), 90.0);
         tcm.add_pair(ThreadId(4), ThreadId(5), 80.0);
         tcm.add_pair(ThreadId(6), ThreadId(7), 70.0);
-        *shared.footprints.write() = vec![60.0; 8];
 
         let cfg = RebalanceConfig {
             every_rounds: Some(1),
@@ -412,8 +407,9 @@ mod tests {
             gain_horizon_rounds: 10.0,
             ..RebalanceConfig::default()
         };
+        let world = PlanInputs { n_nodes: 2, placement: &live, footprints: &[60.0; 8], affinity: None };
         let mut telemetry = PlacementTelemetry::default();
-        let issued = plan_epoch(shared, &tcm, &cfg, 3, &mut [None; 8], &mut telemetry, None);
+        let issued = plan(&tcm, &cfg, 3, world, &mut telemetry);
         assert_eq!(issued.len(), 2, "one exchange = two directives: {issued:?}");
         assert!(telemetry.vetoed_budget > 0);
         assert!(telemetry.planned_bytes <= 150.0);

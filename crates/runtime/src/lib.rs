@@ -11,9 +11,11 @@
 //!   given `(exec_seed, exec_jitter)` pair replays the whole run bit-identically.
 //! * [`thread`] — the application-facing API: allocation, read/write barriers,
 //!   locks/barriers (interval boundaries), stack frames, compute charging.
-//! * [`master`] — the coordinator daemon: ingests OAL batches, builds the TCM in
-//!   rounds, steers per-class sampling rates, broadcasts rate changes and triggers
-//!   resampling walks.
+//! * [`master`] — the coordinator: a core ([`master::MasterCore`]) that ingests
+//!   OAL batches, builds the TCM in rounds, steers per-class sampling rates and
+//!   plans placements, behind one boundary ([`master::MasterBoundary`]) through
+//!   which it reads the cluster, broadcasts rate changes, triggers resampling
+//!   walks and posts directives.
 //! * [`migration`] — the thread migration engine with optional sticky-set prefetching,
 //!   plus the induced-cost measurement used to validate the cost model.
 //! * [`balancer`] — correlation-driven thread placement (the paper's stated purpose
@@ -34,12 +36,12 @@ pub mod thread;
 pub use balancer::{LoadBalancer, MoveFilter, PlacementPlan, RefineOutcome};
 pub use cluster::{Cluster, ClusterBuilder, InitCtx};
 pub use dynamic::{
-    Directive, IntraSample, PlacementTelemetry, PlannedMigration, RebalanceConfig,
+    Directive, IntraSample, PlacementTelemetry, PlanInputs, PlannedMigration, RebalanceConfig,
 };
 pub use error::RuntimeError;
 pub use master::{
     AppliedRateChange, ClassRoundState, ClosedRound, EpochOal, Ingest, MasterLedger, MasterOutput,
-    ProfilerCheckpoint, RoundScheduler, RoundTimeline, SkippedRateChange,
+    MasterState, ProfilerCheckpoint, RoundScheduler, RoundTimeline, SkippedRateChange,
 };
 pub use metrics::{DeterministicReport, RunReport};
 pub use migration::MigrationReport;

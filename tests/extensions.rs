@@ -74,7 +74,7 @@ fn home_analysis_on_lu_recommends_nothing_for_owner_homed_blocks() {
     for oal in &master.oal_log {
         analyzer.ingest(oal, &placement);
     }
-    let report = analyzer.build(&cluster.shared().gos, &placement);
+    let report = analyzer.build(|o| cluster.shared().gos.object_ref(o).home(), &placement);
     // A recommendation is only valid if the destination strictly out-pulls the
     // current home — verify the invariant on whatever was recommended.
     for rec in &report.recommendations {
@@ -125,7 +125,7 @@ fn rehoming_a_pathologically_homed_sor_recovers_locality() {
     for oal in &before.master.as_ref().expect("tracking on").oal_log {
         analyzer.ingest(oal, &placement);
     }
-    let report = analyzer.build(&cluster.shared().gos, &placement);
+    let report = analyzer.build(|o| cluster.shared().gos.object_ref(o).home(), &placement);
     assert_eq!(report.recommendations.len(), 383);
     assert!(
         (report.stranded_fraction() - 2.0 / 3.0).abs() < 1e-3,

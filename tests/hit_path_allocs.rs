@@ -208,7 +208,7 @@ fn neighbour_round(n: usize) -> Vec<jessy::core::Oal> {
 /// to `alloc` above — so a dense `Tcm::new(N)` shows up in `LARGEST`.
 #[test]
 fn a_tree_sketch_top_k_round_never_asks_for_the_dense_triangle() {
-    use jessy::core::Reducer;
+    use jessy::core::{Reducer, ReducerState};
 
     const N: usize = 2048;
     const NODES: usize = 4;
@@ -217,13 +217,13 @@ fn a_tree_sketch_top_k_round_never_asks_for_the_dense_triangle() {
     let oals = neighbour_round(N);
 
     LARGEST.with(|m| m.set(0));
-    let mut reducer = Reducer::new(&config, N, NODES);
+    let (mut reducer, mut state) = (Reducer::new(&config, N, NODES), ReducerState::new(&config, N));
     for _ in 0..3 {
-        let round = reducer.reduce(&oals, |t| t.index() * NODES / N);
+        let round = reducer.reduce(&mut state, &oals, |t| t.index() * NODES / N);
         assert!(round.tree.is_some_and(|stats| stats.partial_bytes > 0));
         assert_eq!(round.objects, N / 2 + N / 64);
     }
-    assert_eq!(reducer.top_pairs().len(), 16);
+    assert_eq!(state.top_pairs().len(), 16);
     let largest = LARGEST.with(Cell::get);
     assert!(
         largest < triangle_bytes / 4,
@@ -233,7 +233,9 @@ fn a_tree_sketch_top_k_round_never_asks_for_the_dense_triangle() {
 
     // The control: the flat coordinator's dense close does ask for it.
     LARGEST.with(|m| m.set(0));
-    Reducer::new(&ProfilerConfig::default(), N, NODES).reduce(&oals, |_| 0);
+    let flat = ProfilerConfig::default();
+    let mut state = ReducerState::new(&flat, N);
+    Reducer::new(&flat, N, NODES).reduce(&mut state, &oals, |_| 0);
     assert!(LARGEST.with(Cell::get) >= triangle_bytes);
 }
 
@@ -241,7 +243,7 @@ fn a_tree_sketch_top_k_round_never_asks_for_the_dense_triangle() {
 /// backend that is the sketch rows and the head, never the dense triangle.
 #[test]
 fn cloning_the_sketch_reducer_state_never_asks_for_the_dense_triangle() {
-    use jessy::core::{Reducer, TcmBackend};
+    use jessy::core::{Reducer, ReducerState, TcmBackend};
 
     const N: usize = 4096;
     let triangle_bytes = N * (N - 1) / 2 * std::mem::size_of::<f64>(); // 67 MB
@@ -250,14 +252,14 @@ fn cloning_the_sketch_reducer_state_never_asks_for_the_dense_triangle() {
         unreachable!("tree_sketch_top_k picks the sketch backend")
     };
     let sketch_bytes = width as usize * depth as usize * std::mem::size_of::<f64>(); // 2 MB
-    let mut reducer = Reducer::new(&config, N, 4);
-    reducer.reduce(&neighbour_round(N), |t| t.index() * 4 / N);
-    assert_eq!(reducer.top_pairs().len(), 16);
+    let mut reduced = ReducerState::new(&config, N);
+    Reducer::new(&config, N, 4).reduce(&mut reduced, &neighbour_round(N), |t| t.index() * 4 / N);
+    assert_eq!(reduced.top_pairs().len(), 16);
 
     LARGEST.with(|m| m.set(0));
-    let state = reducer.state().clone();
+    let state = reduced.clone();
     let largest = LARGEST.with(Cell::get);
-    assert_eq!(&state, reducer.state());
+    assert_eq!(state, reduced);
     assert!(
         largest <= sketch_bytes,
         "cloning the reducer state asked for {largest} B at once; the sketch rows are \

@@ -266,3 +266,28 @@ fn the_profiler_pays_for_itself_on_execution_time() {
         assert!(ratio < 0.75, "seed {seed}: profiled + migrated at {ratio:.3} of unprofiled");
     }
 }
+
+/// At full rate the profiler is exact: the TCM equals the full-trace ground truth
+/// cell for cell, on the three paper workloads and sessions at small scale (the
+/// simulated times differ; the per-interval access sets do not).
+#[test]
+fn full_rate_tcm_equals_the_trace_ground_truth_cell_for_cell() {
+    let run = |kind: WorkloadKind, config: ProfilerConfig| {
+        let mut cluster = Cluster::builder().nodes(4).threads(8).profiler(config).build();
+        let master = kind.run_on(&mut cluster, WorkloadPreset::Small).master.unwrap();
+        master.tcm.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    };
+    let kinds = [
+        WorkloadKind::Sor,
+        WorkloadKind::BarnesHut,
+        WorkloadKind::WaterSpatial,
+        WorkloadKind::Sessions,
+    ];
+    for kind in kinds {
+        let truth = run(kind, ProfilerConfig::ground_truth());
+        assert_eq!(truth.len(), 28, "8 threads: 28 cells");
+        assert!(truth.iter().any(|&bits| bits != 0), "{kind:?} shares nothing");
+        let full = run(kind, ProfilerConfig::tracking_at(SamplingRate::Full));
+        assert_eq!(full, truth, "{kind:?}: full rate differs from the trace");
+    }
+}

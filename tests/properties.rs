@@ -769,11 +769,10 @@ proptest! {
         reducer_kind in 0u8..3, // flat, tree, tree + sketch
         top_k_raw in 0usize..2, // head off, or k = 3
     ) {
-        use jessy::core::sampling::ClassGapState;
-        use jessy::core::{AdaptiveController, ProfilerConfig, Reducer, TcmBackend};
+        use jessy::core::{AdaptiveController, ProfilerConfig, Reducer, ReducerState, TcmBackend};
         use jessy::runtime::{
-            AppliedRateChange, MasterLedger, PlannedMigration, ProfilerCheckpoint, RoundScheduler,
-            SkippedRateChange,
+            AppliedRateChange, MasterLedger, MasterState, PlannedMigration, ProfilerCheckpoint,
+            RoundScheduler, SkippedRateChange,
         };
 
         let oals: Vec<Oal> = raw
@@ -811,6 +810,7 @@ proptest! {
         };
         let node_of = |t: ThreadId| t.index() % 2;
         let mut reducer = Reducer::new(&reducer_config, 6, 2);
+        let mut reduced = ReducerState::new(&reducer_config, 6);
         let mut pending: Vec<Oal> = Vec::new();
         let gaps = GapTable::new(4096);
         for c in 0..3u16 {
@@ -831,7 +831,8 @@ proptest! {
             sched.ingest(oal.clone());
             if k % 5 == 4 {
                 for closed in sched.ready_rounds() {
-                    let summary = reducer.reduce(&std::mem::take(&mut pending), node_of);
+                    let oals = std::mem::take(&mut pending);
+                    let summary = reducer.reduce(&mut reduced, &oals, node_of);
                     let cost = costs[fed.len() % costs.len()];
                     fed.push(cost);
                     ctl.on_round(&summary.per_class, &gaps, closed.coverage, cost);
@@ -839,70 +840,70 @@ proptest! {
             }
         }
 
-        let rates: Vec<(ClassId, ClassGapState)> =
-            (0..3u16).map(|c| (ClassId(c), gaps.state(ClassId(c)))).collect();
         let cp = ProfilerCheckpoint {
             epoch,
-            reducer: reducer.state().clone(),
-            scheduler: sched.clone(),
-            controller: Some(ctl.clone()),
-            rates,
-            ledger: MasterLedger {
-                rounds: sched.next_round(),
-                oals: oals.len() as u64,
-                objects_organized: raw.len() as u64 * 2,
-                round_coverage: coverage,
-                round_cost_fraction: fed.clone(),
-                rate_changes: vec![AppliedRateChange {
-                    round: epoch,
-                    class_name: "Body".to_string(),
-                    new_rate: "4X".to_string(),
-                    relative_distance: threshold * 1.5,
-                    resampled_objects: raw.len(),
-                    drift: epoch % 2 == 1,
-                }],
-                skipped: vec![SkippedRateChange { round: epoch + 1, coverage: threshold }],
-                planned_migrations: vec![PlannedMigration {
-                    thread: ThreadId(1),
-                    from: NodeId(0),
-                    to: NodeId(1),
-                    gain_bytes: threshold * 1e6,
-                    sticky_cost_bytes: threshold * 1e3,
-                }],
-                last_moved_round: vec![None, Some(epoch), None, Some(epoch + 2), None, None],
-                placement: jessy::runtime::PlacementTelemetry {
-                    plans: epoch + 1,
-                    directives: 2,
-                    planned_bytes: threshold * 1e3,
-                    vetoed_gain: 1,
-                    vetoed_cooldown: epoch % 3,
-                    vetoed_cost: 0,
-                    vetoed_budget: 1,
-                    fenced_directives: 0,
-                    applied_migrations: 1,
-                    migrated_bytes: 4096,
-                    homes_migrated: 3,
-                    homes_repaired: 2,
-                    repaired_bytes: 512,
-                    intra_trajectory: vec![jessy::runtime::IntraSample {
+            oal_log_len: head.len(),
+            state: MasterState {
+                reducer: reduced.clone(),
+                scheduler: sched.clone(),
+                controller: Some(ctl.clone()),
+                rates: gaps.clone(),
+                ledger: MasterLedger {
+                    rounds: sched.next_round(),
+                    oals: oals.len() as u64,
+                    objects_organized: raw.len() as u64 * 2,
+                    round_coverage: coverage,
+                    round_cost_fraction: fed.clone(),
+                    rate_changes: vec![AppliedRateChange {
                         round: epoch,
-                        before: threshold / 2.0,
-                        after: threshold,
+                        class_name: "Body".to_string(),
+                        new_rate: "4X".to_string(),
+                        relative_distance: threshold * 1.5,
+                        resampled_objects: raw.len(),
+                        drift: epoch % 2 == 1,
+                    }],
+                    skipped: vec![SkippedRateChange { round: epoch + 1, coverage: threshold }],
+                    planned_migrations: vec![PlannedMigration {
+                        thread: ThreadId(1),
+                        from: NodeId(0),
+                        to: NodeId(1),
+                        gain_bytes: threshold * 1e6,
+                        sticky_cost_bytes: threshold * 1e3,
+                    }],
+                    last_moved_round: vec![None, Some(epoch), None, Some(epoch + 2), None, None],
+                    placement: jessy::runtime::PlacementTelemetry {
+                        plans: epoch + 1,
+                        directives: 2,
+                        planned_bytes: threshold * 1e3,
+                        vetoed_gain: 1,
+                        vetoed_cooldown: epoch % 3,
+                        vetoed_cost: 0,
+                        vetoed_budget: 1,
+                        fenced_directives: 0,
+                        applied_migrations: 1,
+                        migrated_bytes: 4096,
+                        homes_migrated: 3,
+                        homes_repaired: 2,
+                        repaired_bytes: 512,
+                        intra_trajectory: vec![jessy::runtime::IntraSample {
+                            round: epoch,
+                            before: threshold / 2.0,
+                            after: threshold,
+                        }],
+                    },
+                    timeline: vec![jessy::runtime::RoundTimeline {
+                        round: epoch,
+                        coverage: threshold,
+                        deadline_hit: epoch % 2 == 1,
+                        classes: vec![jessy::runtime::ClassRoundState {
+                            class_name: "Body".to_string(),
+                            rate: "4X".to_string(),
+                            relative_distance: threshold,
+                            converged: false,
+                        }],
                     }],
                 },
-                timeline: vec![jessy::runtime::RoundTimeline {
-                    round: epoch,
-                    coverage: threshold,
-                    deadline_hit: epoch % 2 == 1,
-                    classes: vec![jessy::runtime::ClassRoundState {
-                        class_name: "Body".to_string(),
-                        rate: "4X".to_string(),
-                        relative_distance: threshold,
-                        converged: false,
-                    }],
-                }],
             },
-            oal_log_len: head.len(),
         };
 
         // Serialize → deserialize is the identity, f64 bits included.
@@ -910,17 +911,12 @@ proptest! {
         let back: ProfilerCheckpoint = serde_json::from_str(&json).expect("deserializes");
         prop_assert_eq!(&back, &cp);
 
-        // Restore as the master does: the deserialized scheduler, controller and
-        // reducer state, and the checkpointed rates re-imposed on a fresh gap table.
+        // Restore as the master does: the deserialized state — scheduler,
+        // reducer state, controller and rate table — under fresh round scratch.
         let mut reducer2 = Reducer::new(&reducer_config, 6, 2);
-        reducer2.restore(back.reducer);
-        let mut sched2 = back.scheduler;
-        let mut ctl2 = back.controller.expect("controller checkpointed");
-        let gaps2 = GapTable::new(4096);
-        for (class, st) in &back.rates {
-            gaps2.register_class(*class, 64, SamplingRate::NX(2));
-            gaps2.set_rate(*class, st.rate);
-        }
+        let MasterState { scheduler: mut sched2, reducer: mut reduced2, controller, rates: gaps2, .. } =
+            back.state;
+        let mut ctl2 = controller.expect("controller checkpointed");
         // Both copies resume on the same tail in lockstep.
         for (k, oal) in tail.iter().enumerate() {
             pending.push(oal.clone());
@@ -930,8 +926,10 @@ proptest! {
                 prop_assert_eq!(&closed, &sched2.ready_rounds());
                 for round in closed {
                     let oals = std::mem::take(&mut pending);
-                    let (summary, summary2) =
-                        (reducer.reduce(&oals, node_of), reducer2.reduce(&oals, node_of));
+                    let (summary, summary2) = (
+                        reducer.reduce(&mut reduced, &oals, node_of),
+                        reducer2.reduce(&mut reduced2, &oals, node_of),
+                    );
                     prop_assert_eq!(&summary.per_class, &summary2.per_class);
                     let cost = costs[fed.len() % costs.len()];
                     fed.push(cost);
@@ -942,17 +940,17 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(reducer.cumulative(), reducer2.cumulative());
-        prop_assert_eq!(reducer.top_pairs(), reducer2.top_pairs());
-        let planned = |r: &Reducer| {
+        prop_assert_eq!(reduced.cumulative(), reduced2.cumulative());
+        prop_assert_eq!(reduced.top_pairs(), reduced2.top_pairs());
+        let planned = |r: &ReducerState| {
             r.planning_view().map(|view| {
                 let mut pairs = Vec::new();
                 view.for_each_pair(&mut |i, j, w| pairs.push((i, j, w)));
                 pairs
             })
         };
-        prop_assert_eq!(planned(&reducer), planned(&reducer2));
-        prop_assert_eq!(planned(&reducer).is_some(), reducer_kind == 2 && top_k_raw == 1);
+        prop_assert_eq!(planned(&reduced), planned(&reduced2));
+        prop_assert_eq!(planned(&reduced).is_some(), reducer_kind == 2 && top_k_raw == 1);
         prop_assert_eq!(sched.flush(), sched2.flush());
         prop_assert_eq!(sched.take_late(), sched2.take_late());
         prop_assert_eq!(&sched, &sched2);

@@ -155,6 +155,13 @@ cargo test --release -p jessy-net --lib -q clock::
 cargo test --release -p jessy-core --test counter_cells -q
 cargo test --release -p jessy-gos --test stress --test protocol -q
 
+echo "==> master core in release (stage tests against a fake boundary, record-and-replay of live runs)"
+# The replay test reruns each recorded run's master through the same drive loop
+# and requires bit-equal writes and output; release is the build the
+# benchmark's master runs in.
+cargo test --release -p jessy-runtime --lib -q master::
+cargo test --release --test replay -q
+
 echo "==> benchmark smoke (benchmark/run.sh --quick: five workloads, small presets, results checked)"
 benchmark/run.sh --quick > /dev/null
 # run.sh builds without --locked: a dependency edge dropped from a path crate
