@@ -11,7 +11,7 @@ use jessy_bench::{bh_cfg, scale, Scale, PAGE_FAULT_NS};
 use jessy_core::{accuracy_abs, ProfilerConfig, SparseTcm, Tcm};
 use jessy_gos::CostModel;
 use jessy_net::{LatencyModel, ThreadId};
-use jessy_pagedsm::{InducedTcmBuilder, PageLayout};
+use jessy_bench::pagedsm::{InducedTcmBuilder, PageLayout};
 use jessy_runtime::Cluster;
 use jessy_workloads::barnes_hut;
 

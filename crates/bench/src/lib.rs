@@ -5,8 +5,8 @@
 //! choices called out in DESIGN.md.
 //!
 //! This library holds the shared harness: problem-size scaling, workload drivers at a
-//! given sampling rate, the paper's N/A logic for rate columns, and plain-text table
-//! rendering.
+//! given sampling rate, the paper's N/A logic for rate columns, plain-text table
+//! rendering, and the page-grain DSM baseline of Fig. 1 ([`pagedsm`]).
 //!
 //! Scale selection: the `JESSY_SCALE` environment variable (`paper` or `small`,
 //! default `paper` for tables run via `cargo bench`). Scaled-down runs preserve every
@@ -15,6 +15,7 @@
 
 #![warn(missing_docs)]
 pub mod harness;
+pub mod pagedsm;
 pub mod table;
 
 pub use harness::{

@@ -1,9 +1,9 @@
-//! # jessy-pagedsm — the page-based DSM baseline
+//! The page-based DSM baseline.
 //!
 //! The paper motivates fine-grained tracking with Fig. 1: page-based active
 //! correlation tracking (D-CVM style) "can only reveal the *induced* sharing pattern
 //! rather than the application's inherent pattern after the effect of false-sharing".
-//! This crate reproduces that baseline over the same object population:
+//! This module reproduces that baseline over the same object population:
 //!
 //! * [`layout`] places objects in a flat virtual address space exactly as a bump
 //!   allocator would (allocation order, headers included), mapping each object to the
@@ -13,8 +13,6 @@
 //!   full page of "correlation", however little of it each thread actually touched —
 //!   the false-sharing blur of Fig. 1(b).
 
-
-#![warn(missing_docs)]
 pub mod induced;
 pub mod layout;
 

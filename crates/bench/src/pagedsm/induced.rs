@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use jessy_core::{Oal, Tcm};
 use jessy_net::ThreadId;
 
-use crate::layout::{PageLayout, PAGE_SIZE};
+use super::layout::{PageLayout, PAGE_SIZE};
 
 /// Builds the page-grain (induced) TCM from an OAL stream.
 #[derive(Debug)]

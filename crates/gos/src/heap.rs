@@ -428,6 +428,31 @@ impl ThreadSpace {
         &mut self.side[slot].data
     }
 
+    /// Disjoint borrows of several cache payloads: `target`'s mutably and each
+    /// of `reads`' shared (`None` members borrow nothing). The members must be
+    /// distinct valid cache entries.
+    pub(crate) fn group_payloads<const N: usize>(
+        &mut self,
+        target: Option<ObjectId>,
+        reads: [Option<ObjectId>; N],
+    ) -> (Option<&mut [f64]>, [Option<&[f64]>; N]) {
+        let slots = reads.map(|obj| obj.map(|obj| self.slot_of(obj)));
+        let Some(target) = target else {
+            return (None, slots.map(|s| s.map(|s| &self.side[s].data[..])));
+        };
+        let t = self.slot_of(target);
+        let (below, rest) = self.side.split_at_mut(t);
+        let (target, above) = rest.split_first_mut().expect("the target's slot exists");
+        let reads = slots.map(|s| {
+            s.map(|s| match s.cmp(&t) {
+                std::cmp::Ordering::Less => &below[s].data[..],
+                std::cmp::Ordering::Greater => &above[s - t - 1].data[..],
+                std::cmp::Ordering::Equal => unreachable!("two members share a slot"),
+            })
+        });
+        (Some(&mut target.data), reads)
+    }
+
     /// Does the word carry the dirty bit?
     #[inline(always)]
     pub(crate) fn dirty_bit(&self, w: u64) -> bool {

@@ -59,5 +59,5 @@ pub use class::{ClassId, ClassInfo, ClassRegistry};
 pub use costs::CostModel;
 pub use heap::ThreadSpace;
 pub use object::{AccessState, ObjectCore, ObjectId, RealState};
-pub use protocol::{AccessKind, AccessOutcome, Gos, GosConfig};
+pub use protocol::{AccessKind, AccessOutcome, Gos, GosConfig, ReadMember, Served};
 pub use sync::LockId;

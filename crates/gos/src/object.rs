@@ -10,7 +10,7 @@
 //! body, water molecule) is a fixed layout of doubles, which keeps twin/diff word-level
 //! like the real system while staying allocation-friendly.
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU64, Ordering};
@@ -282,6 +282,12 @@ impl ObjectCore {
     /// per-node cache-entry lock *before* this one).
     pub fn with_home_data<R>(&self, f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
         f(&mut self.home_data.lock())
+    }
+
+    /// Lock the home copy's payload for a borrow that outlives one closure (a
+    /// group access).
+    pub(crate) fn home_data(&self) -> MutexGuard<'_, Vec<f64>> {
+        self.home_data.lock()
     }
 
     /// Clone the home payload (an object fault's data transfer).

@@ -5,7 +5,8 @@
 //! notice board, locks and the barrier into the home-based lazy release consistency
 //! protocol the paper's profiling techniques instrument:
 //!
-//! * **Access check** — every [`Gos::read`]/[`Gos::write`] models the JIT-inlined 2-bit
+//! * **Access check** — [`Gos::check`], under every [`Gos::read`]/[`Gos::write`] and
+//!   every member of a [`Gos::with_group`] access, models the JIT-inlined 2-bit
 //!   state check. `Home`/`Valid` states proceed at check cost; `Invalid` faults the
 //!   object from its home (an accounted `ObjFetch`/`ObjData` round trip); a live
 //!   false-invalid trap (armed epoch-lazily, see [`crate::heap`]) enters the service
@@ -38,7 +39,7 @@
 //! thread migration changes it.
 
 use jessy_obs::{EventKind, TraceSink};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -116,8 +117,8 @@ pub enum AccessKind {
 }
 
 /// Everything the profiler needs to know about one access, returned by
-/// [`Gos::read`]/[`Gos::write`]. The GOS itself never logs — decoupling the substrate
-/// from the contribution.
+/// [`Gos::check`] (and so by [`Gos::read`]/[`Gos::write`]). The GOS itself never
+/// logs — decoupling the substrate from the contribution.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AccessOutcome {
     /// The object accessed.
@@ -166,6 +167,29 @@ impl AccessOutcome {
     pub fn loggable(&self) -> bool {
         self.false_invalid || self.real_fault || self.first_touch
     }
+}
+
+/// Where a checked access's payload is: the object's home copy, or a cache copy
+/// in the accessing thread's own arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Served {
+    /// The home copy, behind the object's own lock.
+    Home,
+    /// A cache copy in the thread's arena. Only its owner writes it, and
+    /// notices and migrations reach it only at the owner's own barriers and
+    /// locks.
+    Arena,
+}
+
+/// One read member of a group access ([`Gos::with_group`]).
+#[derive(Debug, Clone, Copy)]
+pub enum ReadMember<'a> {
+    /// Borrowed in place, where its check served it.
+    InPlace(ObjectId, Served),
+    /// A copy made before a scheduling point that fell between the member's
+    /// check and the group's closure: a home payload another task may write
+    /// there.
+    Copied(&'a [f64]),
 }
 
 /// Aggregate protocol event counters (diagnostics and benches).
@@ -327,6 +351,22 @@ impl ObjectTable {
 fn insert_entry(space: &mut ThreadSpace, core: &ObjectCore, at_home: bool) {
     core.arrive(space.thread());
     space.insert(core.id, at_home);
+}
+
+/// Run `f` over the payload of `obj` (whose core is `core`), just checked by
+/// `space`'s thread and served at `at`.
+#[inline]
+fn with_payload<R>(
+    space: &mut ThreadSpace,
+    obj: ObjectId,
+    core: &ObjectCore,
+    at: Served,
+    f: impl FnOnce(&mut [f64]) -> R,
+) -> R {
+    match at {
+        Served::Home => core.with_home_data(|d| f(d)),
+        Served::Arena => f(space.data_mut(obj)),
+    }
 }
 
 /// The Global Object Space.
@@ -613,7 +653,8 @@ impl Gos {
         clock: &ClockHandle,
         f: impl FnOnce(&[f64]) -> R,
     ) -> (R, AccessOutcome) {
-        self.access(space, node, obj, AccessKind::Read, clock, |data| f(data))
+        let (out, at, core) = self.check_in(space, node, obj, AccessKind::Read, clock);
+        (with_payload(space, obj, core, at, |data| f(data)), out)
     }
 
     /// Write access: runs `f` over the mutable payload; creates the twin on the first
@@ -626,18 +667,95 @@ impl Gos {
         clock: &ClockHandle,
         f: impl FnOnce(&mut [f64]) -> R,
     ) -> (R, AccessOutcome) {
-        self.access(space, node, obj, AccessKind::Write, clock, f)
+        let (out, at, core) = self.check_in(space, node, obj, AccessKind::Write, clock);
+        (with_payload(space, obj, core, at, f), out)
     }
 
-    fn access<R>(
+    /// Run `f` once over a group access's payloads, borrowed in place: the
+    /// target's mutably (checked for a write, served at `at`) and each read
+    /// member's shared. Every member must have been checked by `space`'s
+    /// thread, the target last and right before this call, and the members
+    /// must be distinct (`JThread::update` rejects a duplicate before any
+    /// check). Home payloads are locked in ascending object id, so two groups
+    /// never wait on each other in a cycle.
+    pub fn with_group<const N: usize, R>(
+        &self,
+        space: &mut ThreadSpace,
+        target: ObjectId,
+        at: Served,
+        reads: [ReadMember<'_>; N],
+        f: impl FnOnce(&mut [f64], [&[f64]; N]) -> R,
+    ) -> R {
+        let home_of = |m: ReadMember<'_>| match m {
+            ReadMember::InPlace(obj, Served::Home) => Some(obj),
+            _ => None,
+        };
+        let mut order: [usize; N] = std::array::from_fn(|i| i);
+        order.sort_unstable_by_key(|&i| home_of(reads[i]));
+        let mut target_home = None;
+        let mut read_homes: [Option<MutexGuard<'_, Vec<f64>>>; N] = std::array::from_fn(|_| None);
+        for i in order {
+            let Some(obj) = home_of(reads[i]) else {
+                continue;
+            };
+            if at == Served::Home && target_home.is_none() && target < obj {
+                target_home = Some(self.core(target).home_data());
+            }
+            read_homes[i] = Some(self.core(obj).home_data());
+        }
+        if at == Served::Home && target_home.is_none() {
+            target_home = Some(self.core(target).home_data());
+        }
+
+        let (target_arena, read_arena) = space.group_payloads(
+            (at == Served::Arena).then_some(target),
+            reads.map(|m| match m {
+                ReadMember::InPlace(obj, Served::Arena) => Some(obj),
+                _ => None,
+            }),
+        );
+        let target_data = match target_home.as_mut() {
+            Some(home) => &mut home[..],
+            None => target_arena.expect("an arena-served target has a slot"),
+        };
+        let read_data = std::array::from_fn(|i| match (reads[i], &read_homes[i]) {
+            (ReadMember::Copied(copy), _) => copy,
+            (_, Some(home)) => &home[..],
+            (_, None) => read_arena[i].expect("an arena-served member has a slot"),
+        });
+        f(target_data, read_data)
+    }
+
+    /// The access check by `space`'s thread running on `node`: clock charges,
+    /// counters, faults, traps and journal events, and for a write the twin
+    /// and the dirty mark. Returns what happened and where the payload now
+    /// is; [`Gos::read`], [`Gos::write`] and [`Gos::with_group`] borrow it
+    /// from there.
+    #[inline]
+    pub fn check(
         &self,
         space: &mut ThreadSpace,
         node: NodeId,
         obj: ObjectId,
         kind: AccessKind,
         clock: &ClockHandle,
-        f: impl FnOnce(&mut [f64]) -> R,
-    ) -> (R, AccessOutcome) {
+    ) -> (AccessOutcome, Served) {
+        let (out, at, _) = self.check_in(space, node, obj, kind, clock);
+        (out, at)
+    }
+
+    /// [`Gos::check`], also handing back the object's core. Inlined into
+    /// each single-object access, so that the check and the caller's closure
+    /// compile into one body, with one object-table lookup.
+    #[inline(always)]
+    fn check_in(
+        &self,
+        space: &mut ThreadSpace,
+        node: NodeId,
+        obj: ObjectId,
+        kind: AccessKind,
+        clock: &ClockHandle,
+    ) -> (AccessOutcome, Served, &ObjectCore) {
         self.assert_node(node);
         assert_eq!(space.thread(), clock.thread(), "space/clock thread mismatch");
         let costs = &self.config.costs;
@@ -765,11 +883,11 @@ impl Gos {
             st = ST_VALID;
         }
 
-        let result = if st == ST_HOME {
+        let at = if st == ST_HOME {
             if kind == AccessKind::Write && !space.dirty_bit(space.peek(obj)) {
                 space.mark_dirty(obj);
             }
-            core.with_home_data(|d| f(d))
+            Served::Home
         } else {
             if kind == AccessKind::Write {
                 if !space.twin_bit(space.peek(obj)) {
@@ -780,9 +898,9 @@ impl Gos {
                     space.mark_dirty(obj);
                 }
             }
-            f(space.data_mut(obj))
+            Served::Arena
         };
-        (result, outcome)
+        (outcome, at, core)
     }
 
     /// Walk `root`'s reference neighbourhood (up to `prefetch_depth` hops) and install

@@ -11,7 +11,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use jessy_core::{ShedPolicy, ThreadProfiler};
-use jessy_gos::{ClassId, Gos, LockId, ObjectCore, ObjectId, ThreadSpace};
+use jessy_gos::{
+    AccessKind, AccessOutcome, ClassId, Gos, LockId, ObjectCore, ObjectId, ReadMember, Served,
+    ThreadSpace,
+};
 use jessy_net::{ClockHandle, MsgClass, NodeId, ThreadId};
 use jessy_obs::EventKind;
 use jessy_stack::{JavaStack, MethodId, Slot};
@@ -187,7 +190,7 @@ impl JThread {
         &self.shared
     }
 
-    fn post_access(&mut self, out: &jessy_gos::AccessOutcome) {
+    fn post_access(&mut self, out: &AccessOutcome) {
         self.profiler
             .on_access(&self.shared.gos, &mut self.space, out, &self.clock);
         self.profiler
@@ -232,19 +235,32 @@ impl JThread {
     /// changed).
     #[inline]
     fn begin_access(&mut self, obj: ObjectId) {
-        let private = self
-            .space
-            .is_private_hit(obj, || self.shared.gos.is_local_to(obj, self.thread));
-        if !private {
-            self.pay_owed_yield();
-            self.profiler.sync_view();
+        if !self.is_private(obj) {
+            self.begin_visible_access();
         }
     }
 
-    /// Close an access: its yield is owed to the next visible action, and the
-    /// next `compute` call may join the step.
+    /// Would an access to `obj` be private ([`JThread::begin_access`])?
     #[inline]
-    fn end_action(&mut self) {
+    fn is_private(&self, obj: ObjectId) -> bool {
+        self.space
+            .is_private_hit(obj, || self.shared.gos.is_local_to(obj, self.thread))
+    }
+
+    /// The scheduling point before a visible access, and the rate refresh.
+    #[inline]
+    fn begin_visible_access(&mut self) {
+        self.pay_owed_yield();
+        self.profiler.sync_view();
+    }
+
+    /// Close an access checked at `t0`: the profiler's hooks, the slow-node
+    /// charge, and the yield owed to the next visible action (the next
+    /// `compute` call may join the step).
+    #[inline]
+    fn end_access(&mut self, out: &AccessOutcome, t0: u64) {
+        self.post_access(out);
+        self.charge_slow(t0);
         self.owed_yield = true;
         self.compute_rides = true;
     }
@@ -258,9 +274,7 @@ impl JThread {
             .shared
             .gos
             .read(&mut self.space, self.node, obj, &self.clock, f);
-        self.post_access(&out);
-        self.charge_slow(t0);
-        self.end_action();
+        self.end_access(&out, t0);
         r
     }
 
@@ -273,10 +287,94 @@ impl JThread {
             .shared
             .gos
             .write(&mut self.space, self.node, obj, &self.clock, f);
-        self.post_access(&out);
-        self.charge_slow(t0);
-        self.end_action();
+        self.end_access(&out, t0);
         r
+    }
+
+    /// Group access: read each of `reads` in order, then write `target`, and
+    /// run `f` once over the target's payload and the read members', borrowed
+    /// in place — no copy of a payload `f` only reads.
+    ///
+    /// Everything but the borrow is exactly the sequence `read(reads[0])`, …,
+    /// `write(target)`: the same scheduling points, clock charges, profiler
+    /// hooks, counters, journal events and slow-node charges, in the same
+    /// order, with `f` run right after the target's check, where that
+    /// `write` would run its closure. Each read member yields what a snapshot
+    /// taken at its own check would have held (DESIGN.md §15): a cache copy in
+    /// this thread's arena changes only at this thread's barriers and locks,
+    /// and a home payload, which another task may write at a scheduling
+    /// point, is copied before the first scheduling point that falls between
+    /// its check and `f`.
+    ///
+    /// Panics, naming the object, if a member appears twice.
+    pub fn update<const N: usize, R>(
+        &mut self,
+        target: ObjectId,
+        reads: [ObjectId; N],
+        f: impl FnOnce(&mut [f64], [&[f64]; N]) -> R,
+    ) -> R {
+        for (i, &obj) in reads.iter().enumerate() {
+            assert!(
+                obj != target && !reads[..i].contains(&obj),
+                "update: {obj} appears twice in one group access"
+            );
+        }
+        let mut served = [Served::Arena; N];
+        let mut copies: [Option<Vec<f64>>; N] = std::array::from_fn(|_| None);
+        for i in 0..N {
+            self.begin_member(reads[i], &reads[..i], &served[..i], &mut copies[..i]);
+            let t0 = self.clock.now();
+            let (out, at) = self.shared.gos.check(
+                &mut self.space,
+                self.node,
+                reads[i],
+                AccessKind::Read,
+                &self.clock,
+            );
+            served[i] = at;
+            self.end_access(&out, t0);
+        }
+        self.begin_member(target, &reads, &served, &mut copies);
+        let t0 = self.clock.now();
+        let gos = &self.shared.gos;
+        let (out, at) = gos.check(
+            &mut self.space,
+            self.node,
+            target,
+            AccessKind::Write,
+            &self.clock,
+        );
+        let members = std::array::from_fn(|i| match &copies[i] {
+            Some(copy) => ReadMember::Copied(copy),
+            None => ReadMember::InPlace(reads[i], served[i]),
+        });
+        let r = gos.with_group(&mut self.space, target, at, members, f);
+        self.end_access(&out, t0);
+        r
+    }
+
+    /// Open the access to a group member `obj`, after the members `checked`
+    /// (served at `served`). A scheduling point here falls between their
+    /// checks and the group's closure, so each home-served one not yet copied
+    /// is copied first, as its check left it.
+    fn begin_member(
+        &mut self,
+        obj: ObjectId,
+        checked: &[ObjectId],
+        served: &[Served],
+        copies: &mut [Option<Vec<f64>>],
+    ) {
+        if self.is_private(obj) {
+            return;
+        }
+        if self.owed_yield {
+            for ((&member, &at), copy) in checked.iter().zip(served).zip(copies) {
+                if at == Served::Home && copy.is_none() {
+                    *copy = Some(self.shared.gos.object_ref(member).snapshot_home());
+                }
+            }
+        }
+        self.begin_visible_access();
     }
 
     /// Charge `units` of application compute to the simulated clock. Private

@@ -175,7 +175,9 @@ pub fn thread_body(jt: &mut JThread, cfg: &LuConfig, h: &LuHandles) {
         }
         jt.barrier();
 
-        // Phase 2: perimeter solves.
+        // Phase 2: perimeter solves. The diagonal block is copied once, not read
+        // in place by a group access per solve: one read serves every solve of
+        // the step, and a group access is a read of each member per write.
         let diag = jt.read(at(k, k), |d| d.to_vec());
         for j in (k + 1)..nb {
             if owner_of(cfg, n_threads, k, j) == t {
@@ -195,9 +197,9 @@ pub fn thread_body(jt: &mut JThread, cfg: &LuConfig, h: &LuHandles) {
         for i in (k + 1)..nb {
             for j in (k + 1)..nb {
                 if owner_of(cfg, n_threads, i, j) == t {
-                    let a = jt.read(at(i, k), |d| d.to_vec());
-                    let bm = jt.read(at(k, j), |d| d.to_vec());
-                    jt.write(at(i, j), |d| update_block(d, &a, &bm, b));
+                    jt.update(at(i, j), [at(i, k), at(k, j)], |d, [a, bm]| {
+                        update_block(d, a, bm, b)
+                    });
                     jt.compute((b * b * b) as u64);
                 }
             }

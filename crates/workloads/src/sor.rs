@@ -120,7 +120,7 @@ pub fn setup_with_homes(
     }
 }
 
-/// One color's relaxation of `row` in place, given snapshots of its neighbours.
+/// One color's relaxation of `row` in place, given its neighbours.
 fn relax_color(row: &mut [f64], up: &[f64], down: &[f64], color: usize, i: usize, omega: f64) {
     let m = row.len();
     let mut j = 1 + (i + color) % 2;
@@ -129,6 +129,16 @@ fn relax_color(row: &mut [f64], up: &[f64], down: &[f64], color: usize, i: usize
         row[j] = (1.0 - omega) * row[j] + omega * 0.25 * nbr;
         j += 2;
     }
+}
+
+/// One color's update of interior row `i`: the rows above and below are read
+/// in place and row `i` is written, in one group access, then the relaxation
+/// is charged as compute.
+pub fn update_row(jt: &mut JThread, cfg: &SorConfig, h: &SorHandles, i: usize, color: usize) {
+    jt.update(h.rows[i], [h.rows[i - 1], h.rows[i + 1]], |row, [up, down]| {
+        relax_color(row, up, down, color, i, cfg.omega);
+    });
+    jt.compute(2 * cfg.m as u64);
 }
 
 /// The per-thread body: `cfg.rounds` red-black iterations over the thread's rows.
@@ -152,13 +162,7 @@ pub fn thread_body(jt: &mut JThread, cfg: &SorConfig, h: &SorHandles) {
                 if i == 0 || i == cfg.n - 1 {
                     continue; // fixed boundary rows
                 }
-                // Snapshot neighbours (closures cannot nest GOS accesses).
-                let up = jt.read(h.rows[i - 1], |d| d.to_vec());
-                let down = jt.read(h.rows[i + 1], |d| d.to_vec());
-                jt.write(h.rows[i], |row| {
-                    relax_color(row, &up, &down, color, i, cfg.omega);
-                });
-                jt.compute(2 * cfg.m as u64);
+                update_row(jt, cfg, h, i, color);
             }
             jt.barrier();
         }

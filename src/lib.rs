@@ -16,7 +16,8 @@
 //!   rate controller, Fig. 8 stack sampling, and sticky-set footprinting/resolution;
 //! * [`runtime`] — the DJVM: clusters, application threads, the master daemon,
 //!   migration with sticky-set prefetch, the correlation-driven load balancer;
-//! * [`pagedsm`] — the page-grain baseline (page layout and induced sharing patterns);
+//! * [`pagedsm`] — the page-grain baseline (page layout and induced sharing patterns),
+//!   kept with the benchmark harness that draws Fig. 1 from it;
 //! * [`workloads`] — SOR, Barnes-Hut and Water-Spatial ports (Table I);
 //! * [`obs`] — the deterministic observability layer: a structured event journal
 //!   keyed by simulated time and JSON-lines / Chrome `trace_event` exporters
@@ -45,7 +46,7 @@ pub use jessy_core as core;
 pub use jessy_gos as gos;
 pub use jessy_net as net;
 pub use jessy_obs as obs;
-pub use jessy_pagedsm as pagedsm;
+pub use jessy_bench::pagedsm;
 pub use jessy_runtime as runtime;
 pub use jessy_stack as stack;
 pub use jessy_workloads as workloads;

@@ -1,4 +1,5 @@
-//! The access hit path allocates nothing — for objects allocated mid-run too.
+//! The access hit path allocates nothing — for objects allocated mid-run too,
+//! and for a group access whose members are all hits (an interior SOR row).
 //!
 //! Barnes-Hut rebuilds its tree every round, so most of what its force phase
 //! visits was allocated after the run started. A visit is `Gos::object_ref`
@@ -172,6 +173,58 @@ fn hits_and_descents_over_mid_run_objects_allocate_nothing() {
             (faults_after.real_faults, faults_after.false_invalid_faults),
             (faults_before.real_faults, faults_before.false_invalid_faults),
             "the measured reads were all hits"
+        );
+        jt.barrier();
+    });
+}
+
+/// SOR's row update reads the rows above and below in place
+/// (`JThread::update`). On an interior row of a thread's block all three rows
+/// are home entries only that thread holds, so no scheduling point falls
+/// inside the group, nothing is copied and nothing reaches the allocator.
+#[test]
+fn an_interior_sor_row_update_allocates_nothing() {
+    use jessy::workloads::sor::{self, SorConfig};
+
+    const SWEEPS: usize = 50;
+    const NODES: usize = 2;
+    const THREADS: usize = 2;
+    let cfg = SorConfig::small();
+    let mut cluster = Cluster::builder()
+        .nodes(NODES)
+        .threads(THREADS)
+        .profiler(ProfilerConfig::tracking_at(SamplingRate::Full))
+        .build();
+    let h = Arc::new(cluster.init(|ctx| sor::setup(ctx, &cfg, THREADS, NODES)));
+    cluster.run(move |jt| {
+        let rows = sor::rows_of(&cfg, THREADS, jt.thread_id().index());
+        // Rows whose neighbours are in the block too, and are not the block's
+        // boundary rows (the neighbouring thread reads those).
+        let interior = rows.start + 1..rows.end - 2;
+        assert!(interior.len() >= 16, "{interior:?}");
+        // Warm-up: first touches and this interval's traps fire here.
+        for i in interior.clone() {
+            sor::update_row(jt, &cfg, &h, i, 0);
+        }
+        let faults_before = jt.gos().proto_counters();
+        let allocations_before = allocations();
+        for sweep in 0..SWEEPS {
+            for i in interior.clone() {
+                sor::update_row(jt, &cfg, &h, i, sweep % 2);
+            }
+        }
+        let allocated = allocations() - allocations_before;
+        let faults_after = jt.gos().proto_counters();
+        assert_eq!(
+            allocated,
+            0,
+            "{} interior row updates reached the allocator",
+            SWEEPS * interior.len()
+        );
+        assert_eq!(
+            (faults_after.real_faults, faults_after.false_invalid_faults),
+            (faults_before.real_faults, faults_before.false_invalid_faults),
+            "the measured groups were all hits"
         );
         jt.barrier();
     });

@@ -162,6 +162,12 @@ echo "==> master core in release (stage tests against a fake boundary, record-an
 cargo test --release -p jessy-runtime --lib -q master::
 cargo test --release --test replay -q
 
+echo "==> group access in release (update vs its read/write sequence, snapshot-before-yield, SOR sampling oracle, hit-path allocations)"
+# A group access borrows payloads in place across its members' checks; the
+# benchmark runs it in release, where an allocation or a stale borrow would
+# show as a number, not as a failure.
+cargo test --release --test group_access --test sampling_oracle --test hit_path_allocs -q
+
 echo "==> benchmark smoke (benchmark/run.sh --quick: five workloads, small presets, results checked)"
 benchmark/run.sh --quick > /dev/null
 # run.sh builds without --locked: a dependency edge dropped from a path crate
