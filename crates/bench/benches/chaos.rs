@@ -93,7 +93,7 @@ fn main() {
             m.deadline_rounds.to_string(),
             format!("{:.3}", mean(&m.round_coverage)),
             m.late_oals.to_string(),
-            m.skipped_rate_changes.len().to_string(),
+            m.skipped_rounds.to_string(),
             format!("{:.4}", accuracy_abs(&m.tcm, truth)),
         ]);
     }

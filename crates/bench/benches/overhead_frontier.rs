@@ -23,6 +23,7 @@ use jessy_bench::TextTable;
 use jessy_core::{accuracy_abs, ProfilerConfig, SamplingRate, ShedPolicy};
 use jessy_gos::{CostModel, LockId, ObjectId};
 use jessy_net::{FaultPlan, LatencyModel, NodeId, SlowWindow};
+use jessy_obs::{round_series, JournalSink};
 use jessy_runtime::{Cluster, MasterOutput, RunReport};
 
 const NODES: usize = 2;
@@ -46,13 +47,11 @@ fn mean(xs: &[f64]) -> f64 {
 /// all-pairs band and the steady profiling cost sits around 5% of charged
 /// compute — over every budget in the sweep, so the ladder has real work to
 /// do. (Identical access order keeps coarsened per-thread samples coincident:
-/// what the budget costs is density, not band structure.)
-fn frontier_run(budget: Option<f64>, barriers: usize) -> MasterOutput {
-    frontier_run_at(SamplingRate::Full, budget, barriers)
-}
-
-fn frontier_run_at(rate: SamplingRate, budget: Option<f64>, barriers: usize) -> MasterOutput {
-    let mut config = ProfilerConfig::tracking_at(rate);
+/// what the budget costs is density, not band structure.) Returns the
+/// master's output and, from the run's journal, each round's cost fraction.
+fn frontier_run(budget: Option<f64>, barriers: usize) -> (MasterOutput, Vec<f64>) {
+    let sink = JournalSink::shared();
+    let mut config = ProfilerConfig::tracking_at(SamplingRate::Full);
     config.adaptive_threshold = Some(0.5);
     config.intervals_per_round = 1;
     config.round_deadline_intervals = Some(3);
@@ -63,6 +62,7 @@ fn frontier_run_at(rate: SamplingRate, budget: Option<f64>, barriers: usize) -> 
         .latency(LatencyModel::fast_ethernet())
         .costs(CostModel::pentium4_2ghz())
         .profiler(config)
+        .trace(sink.clone())
         .build();
     let objs = cluster.init(|ctx| {
         let class = ctx.register_scalar_class("S", 8);
@@ -80,19 +80,19 @@ fn frontier_run_at(rate: SamplingRate, budget: Option<f64>, barriers: usize) -> 
             jt.barrier();
         }
     });
-    cluster.master_output().expect("master ran").clone()
+    let costs = round_series(&sink.sorted_events()).rounds.iter().map(|r| r.cost_fraction).collect();
+    (cluster.master_output().expect("master ran").clone(), costs)
 }
 
 /// Steady-state cost: the mean measured fraction over the back half of the
 /// round history, after the ladder has settled.
-fn steady_cost(m: &MasterOutput) -> f64 {
-    let frac = &m.round_cost_fraction;
+fn steady_cost(frac: &[f64]) -> f64 {
     mean(&frac[frac.len() / 2..])
 }
 
 fn frontier_lane(barriers: usize) {
     println!("frontier: budgeted cost vs relative TCM accuracy (same workload)\n");
-    let baseline = frontier_run(None, barriers);
+    let (baseline, base_costs) = frontier_run(None, barriers);
     let mut t = TextTable::new(&[
         "budget",
         "over rounds",
@@ -102,7 +102,7 @@ fn frontier_lane(barriers: usize) {
         "mean cover",
         "rel acc",
     ]);
-    let base_steady = steady_cost(&baseline);
+    let base_steady = steady_cost(&base_costs);
     assert!(
         base_steady > 0.04,
         "the frontier workload must run well over the 2% headline budget, got {base_steady}"
@@ -111,25 +111,25 @@ fn frontier_lane(barriers: usize) {
         "none".to_string(),
         baseline.budget_over_rounds.to_string(),
         baseline.budget_degrades.to_string(),
-        format!("{:.4}", baseline.round_cost_fraction[0]),
+        format!("{:.4}", base_costs[0]),
         format!("{:.4}", base_steady),
         format!("{:.3}", mean(&baseline.round_coverage)),
         "1.0000".to_string(),
     ]);
     for &b in &[0.10, 0.05, 0.02] {
-        let m = frontier_run(Some(b), barriers);
-        let steady = steady_cost(&m);
+        let (m, costs) = frontier_run(Some(b), barriers);
+        let steady = steady_cost(&costs);
         let acc = accuracy_abs(&m.tcm, &baseline.tcm);
         t.row(&[
             format!("{:.0}%", b * 100.0),
             m.budget_over_rounds.to_string(),
             m.budget_degrades.to_string(),
-            format!("{:.4}", m.round_cost_fraction[0]),
+            format!("{:.4}", costs[0]),
             format!("{:.4}", steady),
             format!("{:.3}", mean(&m.round_coverage)),
             format!("{:.4}", acc),
         ]);
-        if m.round_cost_fraction[0] > b {
+        if costs[0] > b {
             assert!(
                 m.budget_degrades >= 1,
                 "a workload starting over a {b} budget must degrade"

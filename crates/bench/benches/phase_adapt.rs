@@ -28,6 +28,7 @@ use jessy_bench::TextTable;
 use jessy_core::{accuracy_abs, ProfilerConfig, SamplingRate};
 use jessy_gos::CostModel;
 use jessy_net::LatencyModel;
+use jessy_obs::{JournalSink, TraceEvent};
 use jessy_runtime::{Cluster, RunReport};
 use jessy_workloads::phase_shift::{self, PhaseShiftConfig};
 use serde::Serialize;
@@ -68,16 +69,20 @@ fn profiler_for(lane: Lane) -> ProfilerConfig {
     config
 }
 
-/// One deterministic run of the phase-shift workload under `lane`'s profiler.
-fn run(lane: Lane, cfg: PhaseShiftConfig) -> RunReport {
+/// One deterministic run of the phase-shift workload under `lane`'s profiler,
+/// with its journal.
+fn run(lane: Lane, cfg: PhaseShiftConfig) -> (RunReport, Vec<TraceEvent>) {
+    let sink = JournalSink::shared();
     let mut cluster = Cluster::builder()
         .nodes(NODES)
         .threads(THREADS)
         .latency(LatencyModel::free())
         .costs(CostModel::free())
         .profiler(profiler_for(lane))
+        .trace(sink.clone())
         .build();
-    phase_shift::run_on(&mut cluster, cfg)
+    let report = phase_shift::run_on(&mut cluster, cfg);
+    (report, sink.sorted_events())
 }
 
 #[derive(Serialize)]
@@ -132,7 +137,7 @@ fn main() {
     // to walk several rungs after the hysteresis window.
     let max_lag = (cfg.rounds - cfg.flip_round) as u64 - 2;
 
-    let reference = run(Lane::Reference, cfg);
+    let (reference, _) = run(Lane::Reference, cfg);
     let truth = &reference.master.as_ref().expect("master ran").tcm;
 
     let mut t = TextTable::new(&[
@@ -146,10 +151,10 @@ fn main() {
     let mut lanes = Vec::new();
     let mut measured = std::collections::HashMap::new();
     for (lane, name) in [(Lane::Frozen, "frozen"), (Lane::Drift, "drift")] {
-        let report = run(lane, cfg);
+        let (report, events) = run(lane, cfg);
         let m = report.master.as_ref().expect("master ran");
         let acc = accuracy_abs(&m.tcm, truth);
-        let lag = phase_shift::reconvergence_lag(&report, cfg.flip_round);
+        let lag = phase_shift::reconvergence_lag(&events, cfg.flip_round);
         t.row(&[
             name.to_string(),
             format!("{acc:.4}"),
@@ -192,8 +197,8 @@ fn main() {
         flip_round: cfg.rounds,
         ..cfg
     };
-    let watched = run(Lane::Drift, calm);
-    let without = run(Lane::Frozen, calm);
+    let (watched, _) = run(Lane::Drift, calm);
+    let (without, _) = run(Lane::Frozen, calm);
     let (dm, fm) = (
         watched.master.as_ref().expect("master ran"),
         without.master.as_ref().expect("master ran"),

@@ -97,9 +97,11 @@ impl HomeAwareAnalyzer {
     }
 
     /// Ingest one OAL; `placement` maps each thread to its current node.
+    /// Summary entries (the budget ladder's summary-only rung) name no object,
+    /// so they are no home evidence.
     pub fn ingest(&mut self, oal: &Oal, placement: &[NodeId]) {
         let node = placement[oal.thread.index()];
-        for e in &oal.entries {
+        for e in oal.entries.iter().filter(|e| !e.is_summary()) {
             let stat = self.objects.entry(e.obj).or_insert_with(|| ObjStat {
                 per_node: vec![0; self.n_nodes],
                 ..Default::default()
@@ -234,6 +236,13 @@ mod tests {
                 bytes: 100,
             }],
         }
+    }
+
+    #[test]
+    fn summary_entries_are_no_home_evidence() {
+        let mut ha = HomeAwareAnalyzer::new(3, 3);
+        ha.ingest(&oal(0, 0, ObjectId(7)).summarize(), &[NodeId(0); 3]);
+        assert_eq!(ha.n_objects(), 0, "a summary entry names a class, not an object");
     }
 
     #[test]

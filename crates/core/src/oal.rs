@@ -27,6 +27,14 @@ pub struct OalEntry {
     pub bytes: u64,
 }
 
+impl OalEntry {
+    /// Whether this is a summary entry ([`Oal::summarize`]): it names a class,
+    /// not an object, so it has no home.
+    pub fn is_summary(&self) -> bool {
+        self.obj.0 & 0x8000_0000 != 0
+    }
+}
+
 /// One thread-interval's object access list.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Oal {

@@ -1,7 +1,7 @@
-//! Post-hoc journal mining — per-class waste and drift spans.
+//! Post-hoc journal mining — per-class waste and the master's round series.
 //!
-//! The journal records every slow-path the GOS took; this module folds those
-//! events into the two summaries the profiling loop is supposed to shrink:
+//! The journal records every slow-path the GOS took and every round the master
+//! closed; this module folds those events back into summaries:
 //!
 //! * **[`WasteReport`]** — per-class memory/communication waste, the paper's
 //!   motivation for correlation-aware placement. Three kinds are mined from
@@ -11,17 +11,19 @@
 //!   same node refetching an object it already held — invalidation churn),
 //!   and *false-invalid traps* (pure profiler overhead on correlation
 //!   faults). Bytes are attributed from the fault payloads.
-//! * **[`drift_spans`]** — the un-converge → re-converge windows of the
-//!   adaptive controller. A [`EventKind::ClassDrifted`] opens a span; the
-//!   next [`EventKind::ClassConverged`] for the same class closes it, and
-//!   the round distance between the two is the re-convergence lag the
-//!   phase-shift bench reports. An unclosed span (drift near run end) keeps
-//!   `reconverged_round = None`.
+//! * **[`RoundSeries`]** — the per-round series the run report does not
+//!   keep: each closed round, each class's un-converged rounds, and the
+//!   **drift spans** of the adaptive controller. A [`EventKind::ClassDrifted`]
+//!   opens a span; the next [`EventKind::ClassConverged`] for the same class
+//!   closes it, and the round distance between the two is the re-convergence
+//!   lag the phase-shift bench reports. An unclosed span (drift near run end)
+//!   keeps `reconverged_round = None`.
 //!
-//! Everything here keys on the raw `u32` class ids the events carry; name
+//! The waste report keys on the raw `u32` class ids the GOS events carry; name
 //! resolution belongs to callers that hold the class table.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -141,33 +143,95 @@ impl DriftSpan {
     }
 }
 
-/// Mine the drift spans of a journal, in drift order. Events must be in
+/// One closed round, as the journal last recorded it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RoundRecord {
+    /// Round number.
+    pub round: u64,
+    /// Fraction of expected (thread, interval) OALs that arrived.
+    pub coverage: f64,
+    /// The round was forced closed by the deadline.
+    pub deadline_hit: bool,
+    /// Profiling cost over charged compute since the previous close.
+    pub cost_fraction: f64,
+}
+
+/// The master's per-round series, folded from a journal by [`round_series`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RoundSeries {
+    /// Every closed round in round order. A master restore re-closes the
+    /// rounds after its checkpoint; a round's last `RoundClosed` wins.
+    pub rounds: Vec<RoundRecord>,
+    /// The drift spans, in drift order.
+    pub drift: Vec<DriftSpan>,
+    /// Per class: round → converged at that round's close, for each round a
+    /// `ClassConverged` or `ClassDrifted` names (last wins).
+    convergence: BTreeMap<String, BTreeMap<u64, bool>>,
+}
+
+impl RoundSeries {
+    /// The rounds at whose close `class` was not converged, as ascending
+    /// half-open spans. A class starts un-converged, so a class the journal
+    /// never names was never converged.
+    pub fn unconverged(&self, class: &str) -> Vec<Range<u64>> {
+        let mut spans = Vec::new();
+        let mut start = Some(0);
+        for (&round, &converged) in self.convergence.get(class).into_iter().flatten() {
+            match (start, converged) {
+                (Some(from), true) => {
+                    spans.push(from..round);
+                    start = None;
+                }
+                (None, false) => start = Some(round),
+                _ => {}
+            }
+        }
+        let end = self.rounds.last().map_or(0, |r| r.round + 1);
+        spans.extend(start.map(|from| from..end));
+        spans.retain(|s| !s.is_empty());
+        spans
+    }
+
+    /// Rounds whose cost fraction exceeded `budget`.
+    pub fn over_budget(&self, budget: f64) -> u64 {
+        self.rounds.iter().filter(|r| r.cost_fraction > budget).count() as u64
+    }
+}
+
+/// Fold a journal into the master's [`RoundSeries`], in one pass over its
+/// `RoundClosed`, `ClassDrifted` and `ClassConverged` events. Events must be in
 /// canonical journal order (they are, in any exported journal).
-pub fn drift_spans(events: &[TraceEvent]) -> Vec<DriftSpan> {
-    let mut spans: Vec<DriftSpan> = Vec::new();
+pub fn round_series(events: &[TraceEvent]) -> RoundSeries {
+    let mut rounds = BTreeMap::new();
+    let mut series = RoundSeries::default();
     for ev in events {
-        match &ev.kind {
+        let (class, round, converged) = match &ev.kind {
+            &EventKind::RoundClosed { round, coverage, deadline_hit, cost_fraction, .. } => {
+                rounds.insert(round, RoundRecord { round, coverage, deadline_hit, cost_fraction });
+                continue;
+            }
             EventKind::ClassDrifted { round, class, relative_distance, .. } => {
-                spans.push(DriftSpan {
+                series.drift.push(DriftSpan {
                     class: class.clone(),
                     drift_round: *round,
                     relative_distance: *relative_distance,
                     reconverged_round: None,
                 });
+                (class, *round, false)
             }
             EventKind::ClassConverged { round, class } => {
-                if let Some(open) = spans
-                    .iter_mut()
-                    .rev()
-                    .find(|s| s.class == *class && s.reconverged_round.is_none())
-                {
-                    open.reconverged_round = Some(*round);
+                let open = |s: &&mut DriftSpan| s.class == *class && s.reconverged_round.is_none();
+                if let Some(span) = series.drift.iter_mut().rev().find(open) {
+                    span.reconverged_round = Some(*round);
                 }
+                (class, *round, true)
             }
-            _ => {}
-        }
+            _ => continue,
+        };
+        series.convergence.entry(class.clone()).or_default().insert(round, converged);
     }
-    spans
+    series.rounds = rounds.into_values().collect();
+    series
 }
 
 #[cfg(test)]
@@ -255,7 +319,7 @@ mod tests {
                 new_rate: "1/4X".into(),
             }),
         ];
-        let spans = drift_spans(&events);
+        let spans = round_series(&events).drift;
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].lag(), Some(4));
         assert_eq!(spans[1].reconverged_round, None, "unclosed span survives");
@@ -263,10 +327,60 @@ mod tests {
     }
 
     #[test]
+    fn round_series_keeps_each_rounds_last_close_and_the_unconverged_spans() {
+        let mk = |seq: u64, kind: EventKind| TraceEvent { t_ns: seq, source: 9, seq, kind };
+        let close = |seq: u64, round: u64, cost_fraction: f64| {
+            let kind = EventKind::RoundClosed {
+                round,
+                oals: 2,
+                coverage: 1.0,
+                deadline_hit: false,
+                cost_fraction,
+            };
+            mk(seq, kind)
+        };
+        let converged = |seq: u64, round: u64| {
+            mk(seq, EventKind::ClassConverged { round, class: "Cell".into() })
+        };
+        let drifted = |seq: u64, round: u64| {
+            let kind = EventKind::ClassDrifted {
+                round,
+                class: "Cell".into(),
+                relative_distance: 0.8,
+                new_rate: "2X".into(),
+            };
+            mk(seq, kind)
+        };
+        // Rounds 0-4 close; a restore to the checkpoint after round 2 closes
+        // rounds 3 and 4 again, and re-journals the drift at round 3.
+        let events = vec![
+            close(0, 0, 0.1),
+            close(1, 1, 0.1),
+            converged(2, 1),
+            close(3, 2, 0.1),
+            close(4, 3, 0.3),
+            drifted(5, 3),
+            close(6, 4, 0.3),
+            close(7, 3, 0.2),
+            drifted(8, 3),
+            close(9, 4, 0.05),
+        ];
+        let series = round_series(&events);
+        let rounds: Vec<(u64, f64)> =
+            series.rounds.iter().map(|r| (r.round, r.cost_fraction)).collect();
+        assert_eq!(rounds, vec![(0, 0.1), (1, 0.1), (2, 0.1), (3, 0.2), (4, 0.05)]);
+        assert_eq!(series.over_budget(0.1), 1);
+        assert_eq!(series.unconverged("Cell"), vec![0..1, 3..5]);
+        assert_eq!(series.unconverged("Body"), vec![0..5], "never named, never converged");
+        assert_eq!(series.drift.len(), 2, "drift spans keep every journaled drift");
+    }
+
+    #[test]
     fn empty_journal_yields_empty_report() {
         let report = analyze_waste(&[]);
         assert!(report.classes.is_empty());
         assert_eq!(report.total_fault_bytes, 0);
-        assert!(drift_spans(&[]).is_empty());
+        assert!(round_series(&[]).drift.is_empty());
+        assert!(round_series(&[]).unconverged("Cell").is_empty());
     }
 }

@@ -166,7 +166,10 @@ pub enum EventKind {
         new_rate: String,
     },
     // ---------------------------------------------------------------- runtime
-    /// The coordinator closed a TCM round.
+    /// The coordinator closed a TCM round: the record of the round, which
+    /// [`crate::analyze::round_series`] folds back into the per-round series
+    /// (a restore re-closes the rounds after its checkpoint; the last close
+    /// counts).
     RoundClosed {
         /// Round number.
         round: u64,
@@ -176,6 +179,11 @@ pub enum EventKind {
         coverage: f64,
         /// The round was forced closed by the deadline.
         deadline_hit: bool,
+        /// Profiling cost over the application compute charged since the
+        /// previous close (the budget loop's input, with or without a budget).
+        /// It reads the other tasks' clocks at the close: the one journal field
+        /// a change to the schedule contract may move (DESIGN.md §15).
+        cost_fraction: f64,
     },
     /// A pre-reduced TCM partial crossed one edge of the aggregation tree
     /// (tree mode only; the shuffle and every parent hop each emit one).

@@ -181,6 +181,7 @@ mod tests {
                     oals: 2,
                     coverage: 1.0,
                     deadline_hit: false,
+                    cost_fraction: 0.25,
                 },
             },
         ]

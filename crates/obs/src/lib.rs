@@ -36,7 +36,9 @@ pub mod event;
 pub mod export;
 pub mod sink;
 
-pub use analyze::{analyze_waste, drift_spans, ClassWaste, DriftSpan, WasteReport};
+pub use analyze::{
+    analyze_waste, round_series, ClassWaste, DriftSpan, RoundRecord, RoundSeries, WasteReport,
+};
 pub use event::{EventKind, TraceEvent};
 pub use export::{to_chrome_trace, to_json_lines};
 pub use sink::{JournalSink, NullSink, TraceSink};

@@ -106,17 +106,6 @@ pub struct PlannedMigration {
     pub sticky_cost_bytes: f64,
 }
 
-/// One planning epoch's intra-fraction movement, for the telemetry trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct IntraSample {
-    /// The round whose close triggered the plan.
-    pub round: u64,
-    /// Intra-node correlation fraction of the live placement, under the planning view.
-    pub before: f64,
-    /// Intra-node fraction the posted plan targets.
-    pub after: f64,
-}
-
 /// Placement-engine counters surfaced in `MasterOutput` and the CLI summary.
 /// [`plan_epoch`] folds each epoch in; the master adds the barrier-side counts.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -151,8 +140,6 @@ pub struct PlacementTelemetry {
     pub homes_repaired: u64,
     /// Payload + object-header bytes those repairs shipped between homes.
     pub repaired_bytes: u64,
-    /// Per-epoch (round, intra-before, intra-after) under the planning view.
-    pub intra_trajectory: Vec<IntraSample>,
 }
 
 /// What a planning epoch reads of the cluster, gathered by the master.
@@ -174,8 +161,9 @@ pub struct PlanInputs<'a> {
 /// statistics, kept when [`RebalanceConfig::migrate_homes`] is on) land the
 /// refined groups on the nodes that home their data. Record when each mover last
 /// moved (for the cooldown mask of the next epoch), fold the epoch into
-/// `telemetry` and return the moves; the master posts them as epoch-stamped
-/// [`Directive`]s.
+/// `telemetry` and return the moves with the intra-node correlation fraction
+/// of the live placement and of the planned one, under `view`; the master
+/// posts the moves as epoch-stamped [`Directive`]s and journals the fractions.
 pub fn plan_epoch(
     view: &dyn CorrelationView,
     config: &RebalanceConfig,
@@ -183,7 +171,7 @@ pub fn plan_epoch(
     world: &PlanInputs<'_>,
     last_moved_round: &mut [Option<u64>],
     telemetry: &mut PlacementTelemetry,
-) -> Vec<PlannedMigration> {
+) -> (Vec<PlannedMigration>, f64, f64) {
     let lb = LoadBalancer::new();
     let current = world.placement;
     let cooldown: Vec<bool> = last_moved_round
@@ -212,12 +200,8 @@ pub fn plan_epoch(
     telemetry.vetoed_cooldown += outcome.vetoed_cooldown;
     telemetry.vetoed_cost += outcome.vetoed_cost;
     telemetry.vetoed_budget += outcome.vetoed_budget;
-    telemetry.intra_trajectory.push(IntraSample {
-        round,
-        before,
-        after: lb.intra_fraction(view, &outcome.placement),
-    });
-    outcome.moves
+    let after = lb.intra_fraction(view, &outcome.placement);
+    (outcome.moves, before, after)
 }
 
 #[cfg(test)]
@@ -240,7 +224,7 @@ mod tests {
         round: u64,
         world: PlanInputs<'_>,
         telemetry: &mut PlacementTelemetry,
-    ) -> Vec<PlannedMigration> {
+    ) -> (Vec<PlannedMigration>, f64, f64) {
         let mut last_moved = vec![None; world.placement.len()];
         plan_epoch(view, cfg, round, &world, &mut last_moved, telemetry)
     }
@@ -270,7 +254,7 @@ mod tests {
         let cfg = RebalanceConfig::default();
         let world = PlanInputs { n_nodes: 4, placement: &live, footprints: &footprints, affinity: None };
         let mut identity = PlacementTelemetry::default();
-        let refined = plan(&tcm, &cfg, 4, world, &mut identity);
+        let (refined, _, identity_after) = plan(&tcm, &cfg, 4, world, &mut identity);
         assert_eq!(identity.planned_bytes, 128.0);
         // Plan once more with t2/t3's bytes homed on `clique_home`.
         let plan_homed = |clique_home: usize| {
@@ -283,24 +267,21 @@ mod tests {
             let affinity = analyzer.affinity(|o| homes[&o]);
             let world = PlanInputs { affinity: Some(&affinity), ..world };
             let mut telemetry = PlacementTelemetry::default();
-            let issued = plan(&tcm, &cfg, 4, world, &mut telemetry);
+            let (issued, _, intra_after) = plan(&tcm, &cfg, 4, world, &mut telemetry);
             let after = moved(&live, &issued);
-            (issued, after, telemetry)
+            (issued, after, telemetry, intra_after)
         };
 
         // Homed on n2, where t2 sits: both cliques land on their data, for the
         // same footprint and the same correlation plan.
-        let (issued, after, telemetry) = plan_homed(2);
+        let (issued, after, telemetry, intra_after) = plan_homed(2);
         assert_eq!(&after[..4], &[NodeId(0), NodeId(0), NodeId(2), NodeId(2)], "{issued:?}");
-        assert_eq!(
-            telemetry.intra_trajectory[0].after, identity.intra_trajectory[0].after,
-            "relabeling leaves the correlation plan untouched"
-        );
+        assert_eq!(intra_after, identity_after, "relabeling leaves the correlation plan untouched");
         assert_eq!(telemetry.planned_bytes, 128.0, "one data-bearing mover per clique");
 
         // Homed on n1, where neither sits: landing {2,3} there moves both (192 B of
         // footprint against refine's 128 B), so refine's labels stand.
-        let (issued, _, telemetry) = plan_homed(1);
+        let (issued, _, telemetry, _) = plan_homed(1);
         assert_eq!(issued, refined);
         assert_eq!(telemetry.planned_bytes, 128.0);
     }
@@ -313,11 +294,10 @@ mod tests {
         tcm.add_pair(ThreadId(2), ThreadId(3), 100.0);
         let world = PlanInputs { n_nodes: 2, placement: &live, footprints: &[0.0; 4], affinity: None };
         let mut telemetry = PlacementTelemetry::default();
-        let issued = plan(&tcm, &RebalanceConfig::default(), 4, world, &mut telemetry);
+        let (issued, before, after) = plan(&tcm, &RebalanceConfig::default(), 4, world, &mut telemetry);
         assert!(issued.is_empty(), "{issued:?}");
         assert_eq!((telemetry.plans, telemetry.directives), (1, 0));
-        let epoch = IntraSample { round: 4, before: 1.0, after: 1.0 };
-        assert_eq!(telemetry.intra_trajectory, vec![epoch]);
+        assert_eq!((before, after), (1.0, 1.0));
     }
 
     #[test]
@@ -336,7 +316,7 @@ mod tests {
         };
         let world = PlanInputs { n_nodes: 2, placement: &live, footprints: &footprints, affinity: None };
         let mut telemetry = PlacementTelemetry::default();
-        let issued = plan(&tcm, &cfg, 1, world, &mut telemetry);
+        let (issued, ..) = plan(&tcm, &cfg, 1, world, &mut telemetry);
         let movers: Vec<(ThreadId, NodeId)> = issued.iter().map(|m| (m.thread, m.to)).collect();
         assert_eq!(movers, vec![(ThreadId(0), NodeId(1)), (ThreadId(3), NodeId(0))]);
         let after = moved(&live, &issued);
@@ -366,10 +346,10 @@ mod tests {
         let world = PlanInputs { n_nodes: 2, placement: &live, footprints: &footprints, affinity: None };
         let mut last_moved = vec![None; 4];
         let mut telemetry = PlacementTelemetry::default();
-        let issued = plan_epoch(&tcm, &cfg, 5, &world, &mut last_moved, &mut telemetry);
+        let (issued, before, after) =
+            plan_epoch(&tcm, &cfg, 5, &world, &mut last_moved, &mut telemetry);
         assert!(!issued.is_empty(), "a split-clique placement must improve");
-        let first = telemetry.intra_trajectory[0];
-        assert!(first.after > first.before);
+        assert!(after > before);
         for m in &issued {
             assert_eq!(last_moved[m.thread.index()], Some(5), "cooldown stamped");
         }
@@ -382,7 +362,7 @@ mod tests {
         let mut flipped = Tcm::new(4);
         flipped.add_pair(mover, other, 100.0);
         let world = PlanInputs { placement: &after, ..world };
-        let again = plan_epoch(&flipped, &cfg, 6, &world, &mut last_moved, &mut telemetry);
+        let (again, ..) = plan_epoch(&flipped, &cfg, 6, &world, &mut last_moved, &mut telemetry);
         assert!(again.is_empty(), "{again:?}");
         assert!(telemetry.vetoed_cooldown > 0, "the bounce is attributed to hysteresis");
         assert_eq!((telemetry.plans, telemetry.directives), (2, 2));
@@ -409,11 +389,10 @@ mod tests {
         };
         let world = PlanInputs { n_nodes: 2, placement: &live, footprints: &[60.0; 8], affinity: None };
         let mut telemetry = PlacementTelemetry::default();
-        let issued = plan(&tcm, &cfg, 3, world, &mut telemetry);
+        let (issued, before, after) = plan(&tcm, &cfg, 3, world, &mut telemetry);
         assert_eq!(issued.len(), 2, "one exchange = two directives: {issued:?}");
         assert!(telemetry.vetoed_budget > 0);
         assert!(telemetry.planned_bytes <= 150.0);
-        let epoch = telemetry.intra_trajectory[0];
-        assert!(epoch.after > epoch.before);
+        assert!(after > before);
     }
 }

@@ -35,13 +35,14 @@ pub mod thread;
 
 pub use balancer::{LoadBalancer, MoveFilter, PlacementPlan, RefineOutcome};
 pub use cluster::{Cluster, ClusterBuilder, InitCtx};
-pub use dynamic::{
-    Directive, IntraSample, PlacementTelemetry, PlanInputs, PlannedMigration, RebalanceConfig,
-};
+pub use dynamic::{Directive, PlacementTelemetry, PlanInputs, PlannedMigration, RebalanceConfig};
 pub use error::RuntimeError;
+/// The journal a run emits into, and the folds over it (workload crates read
+/// their per-round series from it).
+pub use jessy_obs as obs;
 pub use master::{
-    AppliedRateChange, ClassRoundState, ClosedRound, EpochOal, Ingest, MasterLedger, MasterOutput,
-    MasterState, ProfilerCheckpoint, RoundScheduler, RoundTimeline, SkippedRateChange,
+    AppliedRateChange, ClosedRound, EpochOal, Ingest, MasterLedger, MasterOutput, MasterState,
+    ProfilerCheckpoint, RoundScheduler,
 };
 pub use metrics::{DeterministicReport, RunReport};
 pub use migration::MigrationReport;

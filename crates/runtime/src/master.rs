@@ -123,52 +123,6 @@ pub struct AppliedRateChange {
     pub drift: bool,
 }
 
-/// A round on which the adaptive controller declined to act because too few of its
-/// OALs arrived.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SkippedRateChange {
-    /// The distrusted round.
-    pub round: u64,
-    /// Its OAL coverage, below the configured floor.
-    pub coverage: f64,
-}
-
-/// One class's sampling state captured when a TCM round closed, for the
-/// convergence timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClassRoundState {
-    /// The class name.
-    pub class_name: String,
-    /// Rate label in force after this round's decisions ("4X", "full").
-    pub rate: String,
-    /// The relative TCM distance that drove a rate change this round, or `0.0`
-    /// when the controller left the class alone.
-    pub relative_distance: f64,
-    /// Whether the controller considers the class converged (rate frozen).
-    pub converged: bool,
-}
-
-/// One row of the convergence timeline: coverage plus the rate trajectory of
-/// every registered class at the moment round `round` closed. The timeline is
-/// change-point encoded: a row is recorded only when it differs from the
-/// previous row in anything but `round`, so a row describes every round from
-/// `round` up to (excluding) the next row's — a run that converges and stays
-/// converged costs a handful of rows, not one per round. The report exposes
-/// the vector as [`MasterOutput::timeline`], turning "did the controller
-/// converge, and how fast" into data instead of archaeology over
-/// `rate_changes`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RoundTimeline {
-    /// The first closed round this row describes.
-    pub round: u64,
-    /// Fraction of expected (thread, interval) OALs that arrived.
-    pub coverage: f64,
-    /// Closed by the grace deadline rather than complete watermarks.
-    pub deadline_hit: bool,
-    /// Per-class state, in class-id order.
-    pub classes: Vec<ClassRoundState>,
-}
-
 /// Aggregate telemetry of the tree-mode reduction pipeline (all zero when the
 /// classic flat coordinator is in use), reported as [`MasterOutput::reduce`].
 ///
@@ -208,10 +162,13 @@ pub struct MasterOutput {
     pub tcm_build_real_ns: u64,
     /// Rate changes applied by the adaptive controller.
     pub rate_changes: Vec<AppliedRateChange>,
-    /// Rounds the controller skipped for insufficient coverage.
-    pub skipped_rate_changes: Vec<SkippedRateChange>,
+    /// Rounds the controller skipped for insufficient coverage (each one is
+    /// journaled as a `RoundSkipped` with its coverage).
+    pub skipped_rounds: u64,
     /// Per closed round, the fraction of expected (thread, interval) OALs received
-    /// (1.0 on a fault-free network).
+    /// (1.0 on a fault-free network). The one per-round series the report still
+    /// keeps, because the benchmark reads its minimum; `RoundClosed` journals
+    /// the same values.
     pub round_coverage: Vec<f64>,
     /// Rounds closed by the deadline rather than by complete watermarks.
     pub deadline_rounds: u64,
@@ -222,8 +179,9 @@ pub struct MasterOutput {
     /// Migration directives issued by the dynamic balancer, if enabled.
     pub planned_migrations: Vec<PlannedMigration>,
     /// Placement-engine telemetry: planning epochs, directives, vetoes, fenced
-    /// directives, applied migrations and the intra-fraction trajectory. All
-    /// zero/empty when rebalancing is off.
+    /// directives and applied migrations (each epoch's intra-node fractions
+    /// are journaled as a `PlacementPlanned`). All zero when rebalancing is
+    /// off.
     pub placement: PlacementTelemetry,
     /// The raw OAL stream, when `ProfilerConfig::record_oals` was set.
     pub oal_log: Vec<Oal>,
@@ -242,9 +200,6 @@ pub struct MasterOutput {
     pub converged_classes: u64,
     /// The master epoch at the end of the run (0 = never crashed).
     pub final_epoch: u64,
-    /// Convergence timeline (rate trajectory + coverage), change-point
-    /// encoded: see [`RoundTimeline`].
-    pub timeline: Vec<RoundTimeline>,
     /// The `ProfilerConfig::tcm_top_k` hottest correlated pairs `(i, j, weight)`,
     /// hottest first — the streaming view the placement engine consumes. Empty
     /// when `tcm_top_k` is 0.
@@ -254,25 +209,15 @@ pub struct MasterOutput {
     /// Straggler demotions performed by the gray-failure detector
     /// (`ProfilerConfig::straggler_lag_intervals`).
     pub stragglers: u64,
-    /// Rounds whose measured profiling cost exceeded
-    /// `ProfilerConfig::overhead_budget`: the entries of `round_cost_fraction`
-    /// above it (0 without a budget).
+    /// Rounds whose measured profiling cost (the `RoundClosed` event's
+    /// `cost_fraction`) exceeded `ProfilerConfig::overhead_budget` (0 without
+    /// a budget). A ledger counter: a restore rolls it back with the rounds it
+    /// counts, and the re-closed rounds count again.
     pub budget_over_rounds: u64,
     /// Degradation-ladder rungs actually taken by the adaptive controller
     /// (over-budget rounds minus settling rounds and those the ladder was
     /// already exhausted on).
     pub budget_degrades: u64,
-    /// Per closed round, the measured profiling cost as a fraction of the
-    /// charged application compute since the previous close (the budget loop's
-    /// input; recorded whether or not a budget is configured). The compute
-    /// term sums the *other* tasks' clock cells as the master finds them at
-    /// round close, and a parked thread's clock stands at its next *visible*
-    /// action (DESIGN.md §15): private work it ran ahead on is already charged
-    /// (and, under full-trace logging, already counted in the entry term).
-    /// A pure function of the run's inputs — but of the schedule contract too,
-    /// which makes this the one report field a change to the private/visible
-    /// classification may move.
-    pub round_cost_fraction: Vec<f64>,
     /// Drift re-activations applied: converged classes the controller
     /// un-converged after a post-convergence `E_ABS` spike
     /// (`ProfilerConfig::drift_threshold`). Always 0 with drift disabled.

@@ -1,5 +1,5 @@
 //! The master core: every piece of master state in one struct, and the stages
-//! that move it — ingest → close round (reduce, control, record) → plan →
+//! that move it — ingest → close round (reduce, journal, control) → plan →
 //! finish → [`MasterCore::output`].
 //!
 //! The core holds no cluster. Each read of the live cluster and each effect on
@@ -22,10 +22,7 @@ use jessy_obs::EventKind;
 
 use super::boundary::{CostInputs, MasterBoundary, MasterSetup};
 use super::state::{ClosedRound, Ingest, MasterState, ProfilerCheckpoint};
-use super::{
-    AppliedRateChange, ClassRoundState, EpochOal, MasterOutput, ReduceTelemetry, RoundTimeline,
-    SkippedRateChange,
-};
+use super::{AppliedRateChange, EpochOal, MasterOutput, ReduceTelemetry};
 use crate::dynamic::{plan_epoch, Directive, PlanInputs, RebalanceConfig};
 
 /// Work counted as it happens, for the report. A restore never rolls these
@@ -198,8 +195,9 @@ impl MasterCore {
         }
     }
 
-    /// Close one round: reduce it, hand it to the controller, record it, watch
-    /// for stragglers, plan when an epoch is due and checkpoint on cadence.
+    /// Close one round: reduce it, journal it, hand it to the controller,
+    /// watch for stragglers, plan when an epoch is due and checkpoint on
+    /// cadence.
     fn close_round(&mut self, closed: ClosedRound, fx: &mut impl MasterBoundary) {
         // No thread moves while the master holds the token, so one read of the
         // placement serves every stage of the close.
@@ -219,15 +217,17 @@ impl MasterCore {
         ledger.objects_organized += summary.objects as u64;
         ledger.round_coverage.push(closed.coverage);
         let cost_fraction = self.cost_fraction(fx);
-        self.state.ledger.round_cost_fraction.push(cost_fraction);
+        if self.setup.config.overhead_budget.is_some_and(|budget| cost_fraction > budget) {
+            self.state.ledger.budget_over_rounds += 1;
+        }
         fx.emit(EventKind::RoundClosed {
             round: closed.round,
             oals: closed.oals.len() as u64,
             coverage: closed.coverage,
             deadline_hit: closed.deadline_hit,
+            cost_fraction,
         });
-        let changed = self.control(&closed, &summary.per_class, cost_fraction, fx);
-        self.record_timeline(&closed, &changed);
+        self.control(&closed, &summary.per_class, cost_fraction, fx);
         self.update_stragglers(closed.round, &placement, fx);
 
         // Dynamic balancing (Section V's policy, built on the profiles): a
@@ -296,8 +296,8 @@ impl MasterCore {
     /// fraction of the application compute charged in that window. Cost =
     /// profiling wire bytes at the fabric's per-byte rate, plus OAL log appends
     /// at the GOS cost model's append rate. Every input is a virtual counter, so
-    /// the fraction is deterministic and free of host-time noise — see
-    /// [`MasterOutput::round_cost_fraction`].
+    /// the fraction is deterministic and free of host-time noise; the
+    /// `RoundClosed` event journals it.
     fn cost_fraction(&mut self, fx: &mut impl MasterBoundary) -> f64 {
         let now = fx.cost_inputs();
         let base = std::mem::replace(&mut self.cost_base, now);
@@ -312,18 +312,16 @@ impl MasterCore {
     }
 
     /// The control stage: feed the round to the adaptive controller and carry
-    /// out its decision. Returns the relative distance of every class whose
-    /// rate changed, by name, for the timeline row.
+    /// out its decision.
     fn control(
         &mut self,
         closed: &ClosedRound,
         per_class: &HashMap<ClassId, SparseTcm>,
         cost_fraction: f64,
         fx: &mut impl MasterBoundary,
-    ) -> BTreeMap<String, f64> {
-        let mut changed = BTreeMap::new();
+    ) {
         let Some(ctl) = &mut self.state.controller else {
-            return changed;
+            return;
         };
         let (names, n_nodes, round) = (&self.setup.class_names, self.setup.n_nodes, closed.round);
         match ctl.on_round(per_class, &self.state.rates, closed.coverage, cost_fraction) {
@@ -333,7 +331,6 @@ impl MasterCore {
                     let class_name = names[&ch.class].clone();
                     let new_rate = ch.new_state.rate.label();
                     let drift = ch.cause == RateCause::Drift;
-                    changed.insert(class_name.clone(), ch.relative_distance);
                     if drift {
                         // The class is live again: let its eventual
                         // re-convergence journal a fresh ClassConverged, so
@@ -366,7 +363,7 @@ impl MasterCore {
             }
             RoundOutcome::SkippedLowCoverage { coverage, min_coverage } => {
                 fx.emit(EventKind::RoundSkipped { round, coverage, min_coverage });
-                self.state.ledger.skipped.push(SkippedRateChange { round, coverage });
+                self.state.ledger.skipped_rounds += 1;
             }
             // Merged rounds defer rate decisions to the cadence boundary —
             // cheaper rounds, same baselines; nothing to journal per round.
@@ -393,41 +390,6 @@ impl MasterCore {
             if ctl.is_converged(class) && self.announced_converged.insert(class) {
                 fx.emit(EventKind::ClassConverged { round, class: names[&class].clone() });
             }
-        }
-        changed
-    }
-
-    /// The record stage's timeline row: every registered class's rate
-    /// (post-decision), in id order, change-point encoded — a round that looks
-    /// like the previous row adds nothing.
-    fn record_timeline(&mut self, closed: &ClosedRound, changed: &BTreeMap<String, f64>) {
-        let rates = &self.state.rates;
-        let classes: Vec<ClassRoundState> = rates
-            .classes()
-            .into_iter()
-            .map(|c| {
-                let class_name = self.setup.class_names[&c].clone();
-                ClassRoundState {
-                    rate: rates.state(c).rate.label(),
-                    relative_distance: changed.get(&class_name).copied().unwrap_or(0.0),
-                    converged: self.state.controller.as_ref().is_some_and(|ctl| ctl.is_converged(c)),
-                    class_name,
-                }
-            })
-            .collect();
-        let timeline = &mut self.state.ledger.timeline;
-        let unchanged = timeline.last().is_some_and(|prev| {
-            prev.coverage == closed.coverage
-                && prev.deadline_hit == closed.deadline_hit
-                && prev.classes == classes
-        });
-        if !unchanged {
-            timeline.push(RoundTimeline {
-                round: closed.round,
-                coverage: closed.coverage,
-                deadline_hit: closed.deadline_hit,
-                classes,
-            });
         }
     }
 
@@ -540,7 +502,7 @@ impl MasterCore {
             None => Box::new(self.state.reducer.cumulative()),
         };
         let ledger = &mut self.state.ledger;
-        let issued = plan_epoch(
+        let (issued, intra_before, intra_after) = plan_epoch(
             &*view,
             cfg,
             round,
@@ -552,13 +514,12 @@ impl MasterCore {
         let directives: Vec<_> =
             issued.iter().map(|m| (m.thread, Directive { dest: m.to, epoch })).collect();
         fx.post_directives(&directives);
-        let intra = *ledger.placement.intra_trajectory.last().expect("plan_epoch records every epoch");
         fx.emit(EventKind::PlacementPlanned {
             round,
             epoch,
             directives: issued.len() as u64,
-            intra_before: intra.before,
-            intra_after: intra.after,
+            intra_before,
+            intra_after,
         });
         // Home repair (the paper's Section V "home effect"): collocation only
         // pays once shared state is *homed* where the threads run. The plan lands
@@ -711,9 +672,6 @@ impl MasterCore {
         let MasterState { scheduler, reducer, controller, ledger, .. } = self.state;
         let config = self.setup.config;
         let controller = controller.as_ref();
-        let budget_over_rounds = config.overhead_budget.map_or(0, |budget| {
-            ledger.round_cost_fraction.iter().filter(|&&f| f > budget).count() as u64
-        });
         MasterOutput {
             tcm: reducer.cumulative(),
             oals_ingested: ledger.oals,
@@ -721,7 +679,7 @@ impl MasterCore {
             objects_organized: ledger.objects_organized,
             tcm_build_real_ns: self.counters.build_ns,
             rate_changes: ledger.rate_changes,
-            skipped_rate_changes: ledger.skipped,
+            skipped_rounds: ledger.skipped_rounds,
             round_coverage: ledger.round_coverage,
             deadline_rounds: scheduler.deadline_rounds(),
             late_oals: scheduler.late_count(),
@@ -736,13 +694,11 @@ impl MasterCore {
             quarantined_nodes: self.counters.quarantined_nodes,
             converged_classes: controller.map_or(0, |c| c.converged_count() as u64),
             final_epoch: self.epoch,
-            timeline: ledger.timeline,
             top_pairs: reducer.top_pairs().into_iter().map(|(i, j, v)| (i.0, j.0, v)).collect(),
             reduce: self.counters.reduce,
             stragglers: self.counters.stragglers,
-            budget_over_rounds,
+            budget_over_rounds: ledger.budget_over_rounds,
             budget_degrades: controller.map_or(0, |c| c.degrades()),
-            round_cost_fraction: ledger.round_cost_fraction,
             drift_reactivations: controller.map_or(0, |c| c.reactivations()),
         }
     }
@@ -909,7 +865,8 @@ mod tests {
         let change = &out.rate_changes[0];
         assert_eq!((change.round, change.new_rate.as_str(), change.resampled_objects), (2, "2X", 7));
         assert!(events(&fx).iter().any(|e| matches!(e, EventKind::RateChanged { round: 1, .. })));
-        assert_eq!(out.timeline.last().unwrap().classes[0].rate, "2X");
+        let closes = events(&fx).iter().filter(|e| matches!(e, EventKind::RoundClosed { .. })).count();
+        assert_eq!(closes as u64, out.rounds, "every close is journaled");
     }
 
     #[test]
@@ -924,15 +881,14 @@ mod tests {
         // Thread 1 never reports: the deadline closes rounds at coverage 1/2.
         let out = run(&mut fx, (0..4).map(|i| oal(0, i, &[1, 2], 64)).collect());
         assert!(out.deadline_rounds > 0);
-        assert!(!out.skipped_rate_changes.is_empty());
-        assert!(out.skipped_rate_changes.iter().all(|s| s.coverage == 0.5));
+        assert!(out.skipped_rounds > 0);
         assert!(out.rate_changes.is_empty());
         assert!(!fx.effects.iter().any(|e| matches!(e, Effect::Resample(..))));
         let skipped = events(&fx)
             .into_iter()
             .filter(|e| matches!(e, EventKind::RoundSkipped { coverage, .. } if *coverage == 0.5))
             .count();
-        assert_eq!(skipped, out.skipped_rate_changes.len());
+        assert_eq!(skipped as u64, out.skipped_rounds, "every skip is journaled at coverage 1/2");
     }
 
     #[test]

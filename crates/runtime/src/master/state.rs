@@ -10,12 +10,15 @@ use serde::{Deserialize, Serialize};
 use jessy_core::{AdaptiveController, GapTable, Oal, ReducerState};
 
 use super::boundary::MasterSetup;
-use super::{AppliedRateChange, RoundTimeline, SkippedRateChange};
+use super::AppliedRateChange;
 use crate::dynamic::{PlacementTelemetry, PlannedMigration};
 
-/// The coordinator's round-by-round record: every counter, history and decision
-/// list that describes the rounds closed so far and must therefore survive a
-/// master crash together with them, as part of [`MasterState`].
+/// The coordinator's round-by-round record: every counter and decision list
+/// that describes the rounds closed so far and must therefore survive a master
+/// crash together with them, as part of [`MasterState`]. Per-round series
+/// live in the journal (`RoundClosed`, `RoundSkipped`, `PlacementPlanned`);
+/// the ledger keeps totals, plus the coverage history the report still
+/// carries.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MasterLedger {
     /// Rounds closed so far.
@@ -26,13 +29,12 @@ pub struct MasterLedger {
     pub objects_organized: u64,
     /// Per-round coverage history.
     pub round_coverage: Vec<f64>,
-    /// Per-round profiling-cost history (the budget loop's input): profiling
-    /// cost / charged compute since the previous close.
-    pub round_cost_fraction: Vec<f64>,
+    /// Rounds whose profiling cost exceeded the overhead budget so far.
+    pub budget_over_rounds: u64,
     /// Applied rate changes so far.
     pub rate_changes: Vec<AppliedRateChange>,
     /// Coverage-skipped rounds so far.
-    pub skipped: Vec<SkippedRateChange>,
+    pub skipped_rounds: u64,
     /// Migrations posted by the planning epochs so far.
     pub planned_migrations: Vec<PlannedMigration>,
     /// Round each thread last received a move directive in (the cooldown state:
@@ -40,8 +42,6 @@ pub struct MasterLedger {
     pub last_moved_round: Vec<Option<u64>>,
     /// Placement-engine counters accumulated so far.
     pub placement: PlacementTelemetry,
-    /// Convergence timeline rows accumulated so far (change-point encoded).
-    pub timeline: Vec<RoundTimeline>,
 }
 
 /// Everything a master restore reinstates, and the one list of it: a

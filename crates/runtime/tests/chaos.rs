@@ -13,6 +13,7 @@ use jessy_net::{
     CrashWindow, FaultPlan, LatencyModel, MasterCrashWindow, NodeId, PartitionWindow, SlowWindow,
     StallWindow,
 };
+use jessy_obs::{round_series, EventKind, JournalSink, TraceEvent};
 use jessy_runtime::Cluster;
 
 /// CI runs this suite under a small seed matrix (`JESSY_CHAOS_SEED`); locally the
@@ -60,6 +61,7 @@ fn chaos_profiler() -> ProfilerConfig {
 /// the controller skips rather than steering on garbage.
 #[test]
 fn lossy_oal_run_completes_and_degrades_gracefully() {
+    let sink = JournalSink::shared();
     let mut cluster = Cluster::builder()
         .nodes(2)
         .threads(4)
@@ -71,6 +73,7 @@ fn lossy_oal_run_completes_and_degrades_gracefully() {
             oal_drop: 0.10,
             ..FaultPlan::default()
         })
+        .trace(sink.clone())
         .build();
     unstable_workload(&mut cluster, 40);
 
@@ -93,11 +96,20 @@ fn lossy_oal_run_completes_and_degrades_gracefully() {
         master.round_coverage
     );
     assert!(
-        !master.skipped_rate_changes.is_empty(),
+        master.skipped_rounds > 0,
         "rounds below the 0.95 coverage floor must skip rate steering"
     );
-    for skip in &master.skipped_rate_changes {
-        assert!(skip.coverage < 0.95, "skip recorded at {}", skip.coverage);
+    let skips: Vec<f64> = sink
+        .sorted_events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::RoundSkipped { coverage, .. } => Some(coverage),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(skips.len() as u64, master.skipped_rounds, "every skip is journaled");
+    for coverage in skips {
+        assert!(coverage < 0.95, "skip recorded at {coverage}");
     }
     // The cumulative TCM still reflects the workload: pairs share, total mass > 0.
     assert!(master.tcm.total() > 0.0);
@@ -168,11 +180,11 @@ fn zero_fault_plan_reproduces_the_fault_free_run() {
     assert_eq!(zero.rounds, base.rounds);
     assert_eq!(zero.round_coverage, base.round_coverage);
     assert_eq!(zero.rate_changes, base.rate_changes);
-    assert_eq!(zero.skipped_rate_changes.len(), base.skipped_rate_changes.len());
+    assert_eq!(zero.skipped_rounds, base.skipped_rounds);
     assert!(zero_report.net.faults.is_zero());
     // ...then the whole report at once. `DeterministicReport` is the host-independent
     // view (no wall-clock fields), so the two runs must serialize byte-identically —
-    // this covers every counter, the full master output and the convergence timeline
+    // this covers every counter and the full master output
     // without enumerating them field by field.
     assert_eq!(
         serde_json::to_string(&zero_report.deterministic()).expect("serialize"),
@@ -295,18 +307,21 @@ fn duplicated_oal_batches_are_deduplicated() {
 // ---------------------------------------------------------- crash-stop recovery (PR 3)
 
 /// A *stable* workload (every round identical), shared by the recovery tests that
-/// compare against an uninterrupted run bit for bit.
+/// compare against an uninterrupted run bit for bit. Returns the report, the
+/// master's output and the journal.
 fn stable_run(
     profiler: ProfilerConfig,
     faults: Option<FaultPlan>,
     barriers: usize,
-) -> (jessy_runtime::RunReport, jessy_runtime::MasterOutput) {
+) -> (jessy_runtime::RunReport, jessy_runtime::MasterOutput, Vec<TraceEvent>) {
+    let sink = JournalSink::shared();
     let mut builder = Cluster::builder()
         .nodes(2)
         .threads(4)
         .latency(LatencyModel::free())
         .costs(CostModel::free())
-        .profiler(profiler);
+        .profiler(profiler)
+        .trace(sink.clone());
     if let Some(plan) = faults {
         builder = builder.faults(plan);
     }
@@ -327,7 +342,7 @@ fn stable_run(
     });
     let report = cluster.report();
     let master = cluster.master_output().expect("master ran").clone();
-    (report, master)
+    (report, master, sink.sorted_events())
 }
 
 fn recovery_profiler() -> ProfilerConfig {
@@ -339,8 +354,9 @@ fn recovery_profiler() -> ProfilerConfig {
 /// The headline tentpole test: the master crashes mid-run and restarts; checkpoint
 /// restore plus deterministic replay of the buffered backlog reproduces the
 /// uninterrupted run **bit for bit** (f64 equality) when no message faults
-/// dropped OALs — the TCM, the top-k head, the timeline and the rate decisions,
-/// along with rounds, coverage and the ingest ledger — over every reducer: flat
+/// dropped OALs — the TCM, the top-k head, the journal's per-round series and
+/// convergence spans and the rate decisions, along with rounds, coverage and
+/// the ingest ledger — over every reducer: flat
 /// and tree, dense and sketch, with and without the head.
 #[test]
 fn master_crash_with_restart_recovers_a_bit_identical_tcm() {
@@ -355,8 +371,8 @@ fn master_crash_with_restart_recovers_a_bit_identical_tcm() {
         config.tcm_tree_fanout = fanout;
         config.tcm_top_k = top_k;
         config.tcm_backend = backend;
-        let (_, base) = stable_run(config, None, 20);
-        let (report, crashed) = stable_run(
+        let (_, base, base_events) = stable_run(config, None, 20);
+        let (report, crashed, events) = stable_run(
             config,
             Some(FaultPlan {
                 master_crashes: vec![MasterCrashWindow {
@@ -375,7 +391,9 @@ fn master_crash_with_restart_recovers_a_bit_identical_tcm() {
         assert_eq!(crashed.tcm, base.tcm, "{label}: recovered TCM must be bit-identical");
         assert_eq!(crashed.top_pairs.len(), top_k, "{label}");
         assert_eq!(crashed.top_pairs, base.top_pairs, "{label}: the head survives the restore");
-        assert_eq!(crashed.timeline, base.timeline, "{label}");
+        let (series, base_series) = (round_series(&events), round_series(&base_events));
+        assert_eq!(series.rounds, base_series.rounds, "{label}: the last close of each round");
+        assert_eq!(series.unconverged("Body"), base_series.unconverged("Body"), "{label}");
         assert_eq!(crashed.rate_changes, base.rate_changes, "{label}");
         assert_eq!(crashed.rounds, base.rounds, "{label}");
         assert_eq!(crashed.round_coverage, base.round_coverage, "{label}");
@@ -398,8 +416,8 @@ fn master_crash_keeps_the_recorded_oal_stream() {
     // Two intervals a round, so the restart at interval 11 finds round 5
     // (intervals 10-11) open and interval 10's OALs in the log's tail.
     config.intervals_per_round = 2;
-    let (_, base) = stable_run(config, None, 20);
-    let (_, crashed) = stable_run(
+    let (_, base, _) = stable_run(config, None, 20);
+    let (_, crashed, _) = stable_run(
         config,
         Some(FaultPlan {
             master_crashes: vec![MasterCrashWindow {
@@ -420,20 +438,23 @@ fn master_crash_keeps_the_recorded_oal_stream() {
 }
 
 /// A master restore keeps the overhead-budget tallies: the over-budget count is
-/// read off the restored round-cost ledger, and the ladder's rung count rides
-/// the controller checkpoint, so the crashed run reports the rounds its own
-/// ledger records over budget and the rungs the uninterrupted run takes.
+/// a ledger counter restored with the rounds it counts, and the ladder's rung
+/// count rides the controller checkpoint, so the crashed run reports the
+/// rounds its own journal closes over budget (each round's last close) and the
+/// rungs the uninterrupted run takes.
 #[test]
 fn master_crash_keeps_the_budget_tallies() {
     let run = |faults: Option<FaultPlan>| {
         let mut config = recovery_profiler();
         config.overhead_budget = Some(1e-6);
+        let sink = JournalSink::shared();
         let mut builder = Cluster::builder()
             .nodes(2)
             .threads(4)
             .latency(LatencyModel::fast_ethernet())
             .costs(CostModel::pentium4_2ghz())
-            .profiler(config);
+            .profiler(config)
+            .trace(sink.clone());
         if let Some(plan) = faults {
             builder = builder.faults(plan);
         }
@@ -453,13 +474,11 @@ fn master_crash_keeps_the_budget_tallies() {
                 jt.barrier();
             }
         });
-        cluster.master_output().expect("master ran").clone()
+        let over = round_series(&sink.sorted_events()).over_budget(1e-6);
+        (cluster.master_output().expect("master ran").clone(), over)
     };
-    let over = |m: &jessy_runtime::MasterOutput| {
-        m.round_cost_fraction.iter().filter(|&&f| f > 1e-6).count() as u64
-    };
-    let base = run(None);
-    let crashed = run(Some(FaultPlan {
+    let (base, base_over) = run(None);
+    let (crashed, crashed_over) = run(Some(FaultPlan {
         master_crashes: vec![MasterCrashWindow {
             from_interval: 8,
             until_interval: 11,
@@ -469,11 +488,10 @@ fn master_crash_keeps_the_budget_tallies() {
 
     assert_eq!(crashed.restores, 1);
     assert!(base.budget_degrades > 0, "a 1e-6 budget must walk the ladder");
-    assert_eq!(base.budget_over_rounds, over(&base));
+    assert_eq!(base.budget_over_rounds, base_over);
     assert_eq!(
-        crashed.budget_over_rounds,
-        over(&crashed),
-        "the over-budget count is what the restored ledger records"
+        crashed.budget_over_rounds, crashed_over,
+        "the over-budget count is what the journal's last closes record"
     );
     assert_eq!(
         crashed.budget_degrades, base.budget_degrades,
@@ -485,8 +503,8 @@ fn master_crash_keeps_the_budget_tallies() {
 /// the whole run (cold restart from round zero) and the result is still bit-identical.
 #[test]
 fn master_crash_without_checkpoints_replays_from_round_zero() {
-    let (_, base) = stable_run(chaos_profiler(), None, 16);
-    let (_, crashed) = stable_run(
+    let (_, base, _) = stable_run(chaos_profiler(), None, 16);
+    let (_, crashed, _) = stable_run(
         chaos_profiler(), // checkpoint_every_rounds: None
         Some(FaultPlan {
             master_crashes: vec![MasterCrashWindow {
@@ -626,8 +644,8 @@ fn flapping_node_is_quarantined_and_the_rest_converges() {
         };
         stable_run(config, Some(plan), 30)
     };
-    let (_, unfenced) = run(None);
-    let (report, master) = run(Some(1));
+    let (_, unfenced, _) = run(None);
+    let (report, master, _) = run(Some(1));
 
     assert_eq!(master.quarantined_nodes, 1);
     assert!(

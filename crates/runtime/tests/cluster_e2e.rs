@@ -412,9 +412,9 @@ fn one_shot_rebalance_is_one_epoch_of_the_engine() {
         let p = &cluster.master_output().unwrap().placement;
         assert_eq!(p.plans, 1, "after_rounds {after_rounds}: {p:?}");
         assert!(p.directives > 0 && p.applied_migrations > 0, "{p:?}");
-        let mut closes: Vec<(u64, u64)> = sink
-            .sorted_events()
-            .into_iter()
+        let events = sink.sorted_events();
+        let mut closes: Vec<(u64, u64)> = events
+            .iter()
             .filter_map(|e| match e.kind {
                 EventKind::RoundClosed { round, .. } => Some((e.seq, round)),
                 _ => None,
@@ -422,7 +422,14 @@ fn one_shot_rebalance_is_one_epoch_of_the_engine() {
             .collect();
         closes.sort_unstable();
         let due = closes[after_rounds.max(1) as usize - 1].1;
-        assert_eq!(p.intra_trajectory[0].round, due, "after_rounds {after_rounds}");
+        let planned: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::PlacementPlanned { round, .. } => Some(round),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(planned, vec![due], "after_rounds {after_rounds}");
     }
 
     // The epoch's budget binds the single epoch too.

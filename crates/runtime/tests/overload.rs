@@ -14,7 +14,7 @@ use std::sync::Arc;
 use jessy_core::{ProfilerConfig, SamplingRate, ShedPolicy};
 use jessy_gos::{CostModel, LockId, ObjectId};
 use jessy_net::{FaultPlan, LatencyModel, NodeId, SlowWindow};
-use jessy_obs::{to_json_lines, EventKind, JournalSink};
+use jessy_obs::{round_series, to_json_lines, EventKind, JournalSink};
 use jessy_runtime::{Cluster, MasterOutput, RunReport};
 
 fn adaptive_profiler() -> ProfilerConfig {
@@ -70,10 +70,11 @@ fn harmless_overload_knobs_reproduce_the_plain_run_bit_for_bit() {
     let (plain_sink, plain_report, plain) = run(false);
     let (knobs_sink, knobs_report, knobs) = run(true);
 
-    // The second feedback loop's input is recorded in both runs (the budget
-    // only changes what is *done* about it), and nothing ever fired.
-    assert_eq!(plain.round_cost_fraction.len(), plain.rounds as usize);
-    assert_eq!(knobs.round_cost_fraction, plain.round_cost_fraction);
+    // The second feedback loop's input is journaled in both runs (the budget
+    // only changes what is *done* about it; the journals are compared whole
+    // below), and nothing ever fired.
+    let costs = round_series(&plain_sink.sorted_events()).rounds;
+    assert_eq!(costs.len(), plain.rounds as usize);
     assert_eq!(knobs.budget_over_rounds, 0, "no round may exceed a 100% budget");
     assert_eq!(knobs.budget_degrades, 0);
     assert_eq!(knobs.stragglers, 0);
@@ -268,11 +269,12 @@ fn over_budget_run_degrades_until_within_budget() {
         }
     });
     let master = cluster.master_output().expect("master ran").clone();
+    let frac: Vec<f64> =
+        round_series(&sink.sorted_events()).rounds.iter().map(|r| r.cost_fraction).collect();
     assert!(master.rounds >= 20);
     assert!(
         master.budget_over_rounds >= 1,
-        "the workload must start over budget: {:?}",
-        master.round_cost_fraction
+        "the workload must start over budget: {frac:?}"
     );
     assert!(
         master.budget_degrades >= 1,
@@ -291,7 +293,6 @@ fn over_budget_run_degrades_until_within_budget() {
     }
     // The ladder converges: the first round is over budget, the last is not,
     // and once under budget the run stays there.
-    let frac = &master.round_cost_fraction;
     assert!(frac[0] > 0.02, "round 0 must be over budget: {frac:?}");
     let settle = frac.iter().position(|f| *f <= 0.02).expect("ladder must settle");
     assert!(
@@ -364,11 +365,12 @@ fn load_spike_sheds_attributably_and_recovers_within_budget() {
         .collect::<Vec<_>>();
     journaled.sort_unstable();
     assert_eq!(journaled, report.shed_oals, "every spike shed is attributable");
-    let last = *master.round_cost_fraction.last().expect("rounds closed");
+    let series = round_series(&sink.sorted_events());
+    let last = series.rounds.last().expect("rounds closed").cost_fraction;
     assert!(
         last <= 0.05,
         "the run must recover to within budget after the spike: {:?}",
-        master.round_cost_fraction
+        series.rounds
     );
 }
 

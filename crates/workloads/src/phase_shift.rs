@@ -25,14 +25,15 @@
 //! The flip therefore exercises the controller's drift path end to end: the
 //! post-convergence `E_ABS` spike must un-converge the class, the refinement
 //! ladder must walk the rate finer, and the class must re-converge at the gap
-//! phase B actually needs. Re-convergence lag is measured from the master's
-//! round timeline (first un-converged round after the flip until every class is
-//! converged again); [`reconvergence_lag`] computes it from a `RunReport`.
+//! phase B actually needs. Re-convergence lag is measured from the run's
+//! journal (the post-flip rounds at whose close the class was un-converged);
+//! [`reconvergence_lag`] computes it from the journal's events.
 
 use std::sync::Arc;
 
 use jessy_gos::ObjectId;
 use jessy_net::NodeId;
+use jessy_runtime::obs::{round_series, TraceEvent};
 use jessy_runtime::{Cluster, InitCtx, JThread, RunReport};
 use jessy_stack::MethodId;
 
@@ -183,24 +184,19 @@ pub fn run_on(cluster: &mut Cluster, cfg: PhaseShiftConfig) -> RunReport {
     cluster.report()
 }
 
-/// Re-convergence lag in rounds, from the master's round timeline: the number
-/// of closed rounds at or after `flip_round` on which at least one class was
-/// not converged. Zero means the controller never reacted to the flip (the
-/// frozen-forever baseline); with drift detection it is the un-converge +
-/// re-refinement window the bench reports. The timeline is change-point
-/// encoded, so each un-converged row counts for the rounds it spans: from its
-/// own round up to the next row's (the run's last closed round for the final
-/// row).
-pub fn reconvergence_lag(report: &RunReport, flip_round: usize) -> u64 {
-    let Some(master) = &report.master else { return 0 };
-    let rows = &master.timeline;
-    rows.iter()
-        .enumerate()
-        .filter(|(_, row)| row.classes.iter().any(|c| c.class_name == "Cell" && !c.converged))
-        .map(|(i, row)| {
-            let end = rows.get(i + 1).map_or(master.rounds, |next| next.round);
-            end.saturating_sub(row.round.max(flip_round as u64))
-        })
+/// Re-convergence lag in rounds, from the run's journal: the number of closed
+/// rounds at or after `flip_round` at whose close the `Cell` class was not
+/// converged ([`jessy_runtime::obs::RoundSeries::unconverged`]). Zero means
+/// the controller never reacted to the flip (the frozen-forever baseline);
+/// with drift detection it is the un-converge + re-refinement window the bench
+/// reports. A run without adaptive control never converges, so every
+/// post-flip round counts.
+pub fn reconvergence_lag(events: &[TraceEvent], flip_round: usize) -> u64 {
+    let flip = flip_round as u64;
+    round_series(events)
+        .unconverged("Cell")
+        .into_iter()
+        .map(|span| span.end.saturating_sub(span.start.max(flip)))
         .sum()
 }
 

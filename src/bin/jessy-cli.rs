@@ -15,7 +15,9 @@
 //! (load it at `chrome://tracing` or <https://ui.perfetto.dev>); `--journal FILE`
 //! writes the raw journal as JSON lines, one event per line in the canonical
 //! deterministic order. Both apply to `run` only; one that cannot be written
-//! makes `run` exit 1 after printing the report.
+//! makes `run` exit 1 after printing the report. A journaled run also prints
+//! the journal's drift spans and per-class waste; a phase-shift run is always
+//! journaled, because its re-convergence lag is read off the journal.
 //!
 //! Argument parsing is deliberately dependency-free (the workspace's crate policy);
 //! see `parse_args` below.
@@ -388,7 +390,9 @@ fn build_cluster(opts: &Options) -> (Cluster, Option<std::sync::Arc<JournalSink>
         }
         builder = builder.rebalance(rb);
     }
-    let sink = if opts.trace.is_some() || opts.journal.is_some() {
+    // Phase-shift's re-convergence lag is read off the journal.
+    let journaled = opts.workload == WorkloadKind::PhaseShift;
+    let sink = if journaled || opts.trace.is_some() || opts.journal.is_some() {
         let sink = JournalSink::shared();
         builder = builder.trace(sink.clone());
         Some(sink)
@@ -511,6 +515,7 @@ fn cmd_run(opts: &Options) -> bool {
         println!("{}", serde_json::to_string_pretty(&report).expect("report serializes"));
         return exported;
     }
+    let events = sink.as_ref().map_or_else(Vec::new, |sink| sink.sorted_events());
     println!("simulated execution : {:>12.2} ms", report.sim_exec_ms());
     println!("wall clock          : {:>12.2} ms", report.wall_ns as f64 / 1e6);
     // What the simulator paid, not the simulated system: text summary only —
@@ -556,7 +561,7 @@ fn cmd_run(opts: &Options) -> bool {
             let cfg = phase_cfg(opts);
             println!(
                 "re-convergence lag  : {:>12} rounds after the flip (round {})",
-                jessy::workloads::phase_shift::reconvergence_lag(&report, cfg.flip_round),
+                jessy::workloads::phase_shift::reconvergence_lag(&events, cfg.flip_round),
                 cfg.flip_round
             );
         }
@@ -620,9 +625,8 @@ fn cmd_run(opts: &Options) -> bool {
         println!("\nthread correlation map:");
         print!("{}", master.tcm.ascii_heatmap());
     }
-    if let Some(sink) = &sink {
-        let events = sink.sorted_events();
-        let spans = jessy::obs::drift_spans(&events);
+    if sink.is_some() {
+        let spans = jessy::obs::round_series(&events).drift;
         if !spans.is_empty() {
             println!("\ndrift spans (journal):");
             for s in &spans {

@@ -2,9 +2,9 @@
 //! graph mid-run and the adaptive controller must notice — un-converge the
 //! `Cell` class, walk the rate finer, and re-converge — while the pre-fix
 //! frozen-forever baseline stays blind. The journal records the whole arc
-//! (`ClassDrifted` → fresh `ClassConverged`), which `jessy_obs::drift_spans`
-//! mines back into bounded re-convergence lags; the sessions workload feeds
-//! the per-class waste analysis the same journal supports.
+//! (`ClassDrifted` → fresh `ClassConverged`), which `jessy_obs::round_series`
+//! mines back into drift spans with bounded re-convergence lags; the sessions
+//! workload feeds the per-class waste analysis the same journal supports.
 
 use jessy::net::{CrashWindow, FaultPlan, MasterCrashWindow, PartitionWindow};
 use jessy::obs::EventKind;
@@ -48,22 +48,25 @@ fn run_phase_shift(
     (report, sink.sorted_events())
 }
 
-/// The Cell row of the last timeline round.
-fn final_cell_state(report: &RunReport) -> ClassRoundStateView {
+/// The Cell class at the end of the run: its rate (the last rate change the
+/// report lists, else the initial 1X) and whether the journal shows it
+/// converged at the last round's close.
+fn final_cell_state(report: &RunReport, events: &[TraceEvent]) -> CellState {
     let master = report.master.as_ref().expect("master ran");
-    let last = master.timeline.last().expect("timeline recorded");
-    let cell = last
-        .classes
+    let rate = master
+        .rate_changes
         .iter()
+        .rev()
         .find(|c| c.class_name == "Cell")
-        .expect("Cell class tracked");
-    ClassRoundStateView {
-        rate: cell.rate.clone(),
-        converged: cell.converged,
+        .map_or_else(|| "1X".to_string(), |c| c.new_rate.clone());
+    let unconverged = jessy::obs::round_series(events).unconverged("Cell");
+    CellState {
+        rate,
+        converged: unconverged.last().is_none_or(|span| span.end < master.rounds),
     }
 }
 
-struct ClassRoundStateView {
+struct CellState {
     rate: String,
     converged: bool,
 }
@@ -93,7 +96,7 @@ fn phase_flip_unfreezes_and_reconverges_the_cell_class() {
     );
 
     // The journal tells the same story: a ClassDrifted span that closes.
-    let spans = jessy::obs::drift_spans(&events);
+    let spans = jessy::obs::round_series(&events).drift;
     assert!(!spans.is_empty(), "journal must carry the drift span");
     let span = &spans[0];
     assert_eq!(span.class, "Cell");
@@ -104,34 +107,28 @@ fn phase_flip_unfreezes_and_reconverges_the_cell_class() {
         "bounded re-convergence lag, got {lag}"
     );
 
-    // Timeline lag agrees and the class ends converged at a finer-than-initial rate.
-    let timeline_lag = phase_shift::reconvergence_lag(&report, cfg.flip_round);
-    assert!(timeline_lag >= 1, "timeline must show un-converged post-flip rounds");
-    // The timeline is change-point encoded (no row repeats its predecessor), and
-    // the lag is what a round-by-round lookup of the covering row counts.
-    assert!(
-        master.timeline.windows(2).all(|w| {
-            (w[0].coverage, w[0].deadline_hit, &w[0].classes)
-                != (w[1].coverage, w[1].deadline_hit, &w[1].classes)
-        }),
-        "adjacent timeline rows must differ"
-    );
-    assert!(
-        master.timeline.len() < master.rounds as usize,
-        "converged rounds add no rows"
-    );
-    let per_round_lag = (cfg.flip_round as u64..master.rounds)
-        .filter(|&r| {
-            let row = master.timeline.iter().rev().find(|row| row.round <= r);
-            row.is_some_and(|row| {
-                row.classes
-                    .iter()
-                    .any(|c| c.class_name == "Cell" && !c.converged)
-            })
+    // The journal's lag agrees and the class ends converged at a
+    // finer-than-initial rate.
+    let lag = phase_shift::reconvergence_lag(&events, cfg.flip_round);
+    assert!(lag >= 1, "the journal must show un-converged post-flip rounds");
+    let series = jessy::obs::round_series(&events);
+    let closed: Vec<u64> = series.rounds.iter().map(|r| r.round).collect();
+    assert_eq!(closed, (0..master.rounds).collect::<Vec<_>>(), "every round closes once");
+    // The lag is what a round-by-round lookup of the class's last journaled
+    // convergence change counts.
+    let changes: Vec<(u64, bool)> = events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::ClassConverged { round, class } if class == "Cell" => Some((*round, true)),
+            EventKind::ClassDrifted { round, class, .. } if class == "Cell" => Some((*round, false)),
+            _ => None,
         })
+        .collect();
+    let per_round_lag = (cfg.flip_round as u64..master.rounds)
+        .filter(|&r| !changes.iter().rev().find(|(at, _)| *at <= r).is_some_and(|c| c.1))
         .count() as u64;
-    assert_eq!(timeline_lag, per_round_lag);
-    let cell = final_cell_state(&report);
+    assert_eq!(lag, per_round_lag);
+    let cell = final_cell_state(&report, &events);
     assert!(cell.converged, "Cell must re-converge before the run ends");
     assert_ne!(
         cell.rate, "1X",
@@ -150,7 +147,7 @@ fn frozen_baseline_never_reacts_to_the_flip() {
     assert_eq!(master.drift_reactivations, 0);
     assert!(master.rate_changes.iter().all(|c| !c.drift));
     assert_eq!(
-        phase_shift::reconvergence_lag(&report, cfg.flip_round),
+        phase_shift::reconvergence_lag(&events, cfg.flip_round),
         0,
         "frozen-forever never un-converges after the flip"
     );
@@ -160,7 +157,7 @@ fn frozen_baseline_never_reacts_to_the_flip() {
             .any(|e| matches!(e.kind, EventKind::ClassDrifted { .. })),
         "no drift events without drift watching"
     );
-    let cell = final_cell_state(&report);
+    let cell = final_cell_state(&report, &events);
     assert!(cell.converged);
     assert_eq!(cell.rate, "1X", "stale phase-A rate persists to the end");
 }
@@ -191,12 +188,12 @@ fn master_crash_mid_phase_change_does_not_resurrect_stale_convergence() {
         master.drift_reactivations >= 1,
         "restore + replay must still trip the drift detector"
     );
-    let spans = jessy::obs::drift_spans(&events);
+    let spans = jessy::obs::round_series(&events).drift;
     assert!(
         spans.iter().any(|s| s.class == "Cell"),
         "the journal still carries the drift span across the restart"
     );
-    let cell = final_cell_state(&report);
+    let cell = final_cell_state(&report, &events);
     assert!(cell.converged, "Cell re-converges despite the crash");
     assert_ne!(
         cell.rate, "1X",
@@ -282,7 +279,7 @@ fn phase_flip_inside_node_crash_window_still_reconverges() {
         master.drift_reactivations >= 1,
         "the flip must still trip the detector once trusted rounds resume"
     );
-    let cell = final_cell_state(&report);
+    let cell = final_cell_state(&report, &sink.sorted_events());
     assert!(cell.converged, "Cell re-converges despite the crash window");
     assert_ne!(cell.rate, "1X");
 }
@@ -345,7 +342,7 @@ fn phase_flip_inside_partition_window_still_reconverges() {
         master.drift_reactivations >= 1,
         "the flip must still trip the detector after the heal"
     );
-    let cell = final_cell_state(&report);
+    let cell = final_cell_state(&report, &sink.sorted_events());
     assert!(cell.converged, "Cell re-converges despite the partition");
     assert_ne!(cell.rate, "1X");
 }

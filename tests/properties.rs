@@ -772,7 +772,7 @@ proptest! {
         use jessy::core::{AdaptiveController, ProfilerConfig, Reducer, ReducerState, TcmBackend};
         use jessy::runtime::{
             AppliedRateChange, MasterLedger, MasterState, PlannedMigration, ProfilerCheckpoint,
-            RoundScheduler, SkippedRateChange,
+            RoundScheduler,
         };
 
         let oals: Vec<Oal> = raw
@@ -853,7 +853,7 @@ proptest! {
                     oals: oals.len() as u64,
                     objects_organized: raw.len() as u64 * 2,
                     round_coverage: coverage,
-                    round_cost_fraction: fed.clone(),
+                    budget_over_rounds: fed.iter().filter(|&&f| f > 0.02).count() as u64,
                     rate_changes: vec![AppliedRateChange {
                         round: epoch,
                         class_name: "Body".to_string(),
@@ -862,7 +862,7 @@ proptest! {
                         resampled_objects: raw.len(),
                         drift: epoch % 2 == 1,
                     }],
-                    skipped: vec![SkippedRateChange { round: epoch + 1, coverage: threshold }],
+                    skipped_rounds: epoch + 1,
                     planned_migrations: vec![PlannedMigration {
                         thread: ThreadId(1),
                         from: NodeId(0),
@@ -885,23 +885,7 @@ proptest! {
                         homes_migrated: 3,
                         homes_repaired: 2,
                         repaired_bytes: 512,
-                        intra_trajectory: vec![jessy::runtime::IntraSample {
-                            round: epoch,
-                            before: threshold / 2.0,
-                            after: threshold,
-                        }],
                     },
-                    timeline: vec![jessy::runtime::RoundTimeline {
-                        round: epoch,
-                        coverage: threshold,
-                        deadline_hit: epoch % 2 == 1,
-                        classes: vec![jessy::runtime::ClassRoundState {
-                            class_name: "Body".to_string(),
-                            rate: "4X".to_string(),
-                            relative_distance: threshold,
-                            converged: false,
-                        }],
-                    }],
                 },
             },
         };

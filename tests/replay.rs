@@ -333,7 +333,7 @@ fn sessions_with_adaptive_and_drift_control_replay_bit_for_bit() {
     let cfg = sessions::SessionsConfig::small();
     let h = Arc::new(cluster.init(|ctx| sessions::setup(ctx, &cfg, 4)));
     let out = record_and_replay(cluster, move |jt| sessions::thread_body(jt, &cfg, &h));
-    assert!(out.rounds > 0 && !out.timeline.is_empty());
+    assert!(out.rounds > 0);
 }
 
 #[test]

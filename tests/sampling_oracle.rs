@@ -1,8 +1,11 @@
-//! A per-interval oracle for adaptive object sampling on SOR (paper §II.B).
+//! A per-interval oracle for adaptive object sampling on SOR, Barnes-Hut and
+//! Water-Spatial (paper §II.B).
 //!
-//! SOR runs at `--scale small` on 4 nodes and 8 threads once under full-trace
-//! profiling — every object a thread touches in an interval, logged once at its
-//! payload size — and once at each of 1X, 4X, 16X and full sampling. For every
+//! Each workload runs at `--scale small` on 4 nodes and 8 threads once under
+//! full-trace profiling — every object a thread touches in an interval, logged
+//! once at its payload size — and once at each of 1X, 4X, 16X and full
+//! sampling. A thread's per-interval access set does not depend on the
+//! schedule, so the runs compare although their simulated times differ. For every
 //! `(thread, interval)` the sampled OAL must be the full-trace OAL filtered by
 //! the sampling rule, entry for entry and in the same order. The rule is
 //! written here from the paper's text, not taken from the engine:
@@ -69,13 +72,16 @@ fn filtered(gos: &Gos, rate: SamplingRate, e: &OalEntry) -> Option<OalEntry> {
     })
 }
 
-/// One small SOR run's recorded OALs by `(thread, interval)`, with the GOS
-/// it ran on.
-fn run(config: ProfilerConfig) -> (BTreeMap<(u32, u64), Vec<OalEntry>>, Cluster) {
+/// One small run's recorded OALs by `(thread, interval)`, with the GOS it ran
+/// on.
+fn run(
+    workload: WorkloadKind,
+    config: ProfilerConfig,
+) -> (BTreeMap<(u32, u64), Vec<OalEntry>>, Cluster) {
     let mut config = config;
     config.record_oals = true;
     let mut cluster = Cluster::builder().nodes(4).threads(8).profiler(config).build();
-    WorkloadKind::Sor.run_on(&mut cluster, WorkloadPreset::Small);
+    workload.run_on(&mut cluster, WorkloadPreset::Small);
     let log: &[Oal] = &cluster.master_output().expect("tracking is on").oal_log;
     let oals = log
         .iter()
@@ -92,37 +98,70 @@ fn the_gap_rule_matches_the_papers_examples() {
     assert_eq!(gap_of(SamplingRate::NX(1), 8192), 1);
 }
 
-#[test]
-fn sampled_sor_oals_are_the_full_trace_filtered_by_the_sampling_rule() {
-    let (truth, _) = run(ProfilerConfig::ground_truth());
-    assert!(truth.len() > 8, "one OAL per thread and interval");
+/// Every `(thread, interval)` OAL of `workload` at each rate equals its
+/// full-trace OAL filtered by the rule. Returns, per rate, the entries logged
+/// and the full trace's entry count.
+fn assert_sampled_oals_are_the_filtered_trace(workload: WorkloadKind) -> Vec<(SamplingRate, usize, usize)> {
+    let (truth, _) = run(workload, ProfilerConfig::ground_truth());
+    assert!(truth.len() > 8, "{workload:?}: one OAL per thread and interval");
+    let all: usize = truth.values().map(Vec::len).sum();
+    let mut counts = Vec::new();
     for rate in [
         SamplingRate::NX(1),
         SamplingRate::NX(4),
         SamplingRate::NX(16),
         SamplingRate::Full,
     ] {
-        let (sampled, cluster) = run(ProfilerConfig::tracking_at(rate));
+        let (sampled, cluster) = run(workload, ProfilerConfig::tracking_at(rate));
         let gos = &cluster.shared().gos;
         assert_eq!(
             sampled.keys().collect::<Vec<_>>(),
             truth.keys().collect::<Vec<_>>(),
-            "{rate:?}: the same (thread, interval) stream"
+            "{workload:?} {rate:?}: the same (thread, interval) stream"
         );
         let mut logged = 0;
         for (key, entries) in &truth {
             let expected: Vec<OalEntry> =
                 entries.iter().filter_map(|e| filtered(gos, rate, e)).collect();
-            assert_eq!(sampled[key], expected, "{rate:?}: (thread, interval) {key:?}");
+            assert_eq!(sampled[key], expected, "{workload:?} {rate:?}: (thread, interval) {key:?}");
             logged += expected.len();
         }
+        counts.push((rate, logged, all));
+    }
+    counts
+}
+
+#[test]
+fn sampled_sor_oals_are_the_full_trace_filtered_by_the_sampling_rule() {
+    for (rate, logged, all) in assert_sampled_oals_are_the_filtered_trace(WorkloadKind::Sor) {
         // A row holds a multiple of every gap up to its length: 16X and full
         // log every row, 1X and 4X drop some.
-        let all: usize = truth.values().map(Vec::len).sum();
         if gap_of(rate, 8) <= SorConfig::small().m as u64 {
             assert_eq!(logged, all, "{rate:?}: every row is sampled");
         } else {
             assert!(0 < logged && logged < all, "{rate:?}: some rows are sampled, not all");
         }
     }
+}
+
+#[test]
+fn sampled_barnes_hut_oals_are_the_full_trace_filtered_by_the_sampling_rule() {
+    let counts = assert_sampled_oals_are_the_filtered_trace(WorkloadKind::BarnesHut);
+    assert_logging_thins_with_the_gap(&counts);
+}
+
+#[test]
+fn sampled_water_oals_are_the_full_trace_filtered_by_the_sampling_rule() {
+    let counts = assert_sampled_oals_are_the_filtered_trace(WorkloadKind::WaterSpatial);
+    assert_logging_thins_with_the_gap(&counts);
+}
+
+/// Objects are sampled one in a gap: 1X logs some of the trace, a finer rate
+/// never logs less, and full sampling logs all of it.
+fn assert_logging_thins_with_the_gap(counts: &[(SamplingRate, usize, usize)]) {
+    let logged: Vec<usize> = counts.iter().map(|&(_, logged, _)| logged).collect();
+    let (_, full, all) = counts[counts.len() - 1];
+    assert!(0 < logged[0] && logged[0] < all, "1X samples some, not all: {counts:?}");
+    assert!(logged.windows(2).all(|w| w[0] <= w[1]), "finer rates log no less: {counts:?}");
+    assert_eq!(full, all, "full sampling logs the whole trace");
 }

@@ -7,11 +7,11 @@
 //! --threads 8` (two threads per node, so same-node home sharing is covered)
 //! plus two faulted runs (crash, partition and slow-node windows). At `exec_jitter = 0` a run must keep
 //! reproducing them byte for byte. The report is hashed minus its host-time
-//! fields (`wall_ns`, `tcm_build_real_ns`) and minus
-//! `master.round_cost_fraction` — the one field whose value legitimately
-//! depends on where *other* tasks' clocks stand when the master reads them — and
-//! with `master.timeline` reduced to its change points (the encoding the
-//! report itself uses since the same change).
+//! fields (`wall_ns`, `tcm_build_real_ns`); the journal is hashed minus each
+//! `RoundClosed` event's `cost_fraction` — the one field whose value
+//! legitimately depends on where *other* tasks' clocks stand when the master
+//! reads them (it was the report's `master.round_cost_fraction` until the
+//! report stopped keeping per-round series).
 //!
 //! To re-record after an intentional schedule change:
 //! `SCHEDULE_IDENTITY_PRINT=1 cargo test --release --test schedule_identity -- --nocapture`.
@@ -26,7 +26,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use jessy::net::{CrashWindow, PartitionWindow, SlowWindow};
+use jessy::net::{CrashWindow, MasterCrashWindow, PartitionWindow, SlowWindow};
 use jessy::prelude::*;
 use jessy::runtime::RebalanceConfig;
 use jessy::workloads::{phase_shift, sessions};
@@ -148,6 +148,12 @@ fn adaptive(mut config: ProfilerConfig) -> ProfilerConfig {
 
 /// One traced run of `case`: `(canonical journal, canonical report JSON)`.
 fn run(case: Case, exec_seed: u64, exec_jitter: u64) -> (String, String) {
+    let (events, report) = run_case(case, exec_seed, exec_jitter);
+    (canonical_journal(&events), canonical_report(&report))
+}
+
+/// One traced run of `case`: its journal and its report.
+fn run_case(case: Case, exec_seed: u64, exec_jitter: u64) -> (Vec<TraceEvent>, RunReport) {
     let nx = |n| ProfilerConfig::tracking_at(SamplingRate::NX(n));
     let sink = JournalSink::shared();
     let mut builder = Cluster::builder()
@@ -245,10 +251,26 @@ fn run(case: Case, exec_seed: u64, exec_jitter: u64) -> (String, String) {
         }
         Case::PartitionedLocal => partitioned_local(&mut cluster),
     };
-    (
-        to_json_lines(&sink.sorted_events()),
-        canonical_report(&report),
-    )
+    (sink.sorted_events(), report)
+}
+
+/// The journal as JSON lines, minus each `RoundClosed` event's `cost_fraction`
+/// (see the module docs).
+fn canonical_journal(events: &[TraceEvent]) -> String {
+    let mut out = String::new();
+    for line in to_json_lines(events).lines() {
+        let cost = line.find(",\"cost_fraction\":").filter(|_| line.contains("{\"RoundClosed\":"));
+        match cost {
+            Some(at) => {
+                let end = at + line[at..].find('}').expect("the event object closes");
+                out.push_str(&line[..at]);
+                out.push_str(&line[end..]);
+            }
+            None => out.push_str(line),
+        }
+        out.push('\n');
+    }
+    out
 }
 
 /// Every thread writes objects homed on its own node and re-reads a read-only
@@ -297,16 +319,8 @@ fn canonical_report(report: &RunReport) -> String {
 fn canonicalize(v: &mut Value) {
     match v {
         Value::Object(pairs) => {
-            pairs.retain(|(k, _)| {
-                !matches!(
-                    k.as_str(),
-                    "wall_ns" | "tcm_build_real_ns" | "round_cost_fraction"
-                )
-            });
-            for (k, child) in pairs.iter_mut() {
-                if k == "timeline" {
-                    change_points(child);
-                }
+            pairs.retain(|(k, _)| !matches!(k.as_str(), "wall_ns" | "tcm_build_real_ns"));
+            for (_, child) in pairs.iter_mut() {
                 canonicalize(child);
             }
         }
@@ -315,39 +329,20 @@ fn canonicalize(v: &mut Value) {
     }
 }
 
-/// Keep a timeline row only when it differs from the previous row in anything
-/// but its round id.
-fn change_points(timeline: &mut Value) {
-    let Value::Array(rows) = timeline else { return };
-    let sans_round = |row: &Value| -> Vec<(String, Value)> {
-        row.as_object()
-            .expect("timeline rows are objects")
-            .iter()
-            .filter(|(k, _)| k != "round")
-            .cloned()
-            .collect()
-    };
-    let mut kept: Vec<Value> = Vec::new();
-    for row in rows.drain(..) {
-        if kept
-            .last()
-            .is_none_or(|prev| sans_round(prev) != sans_round(&row))
-        {
-            kept.push(row);
-        }
-    }
-    *rows = kept;
-}
-
 // ------------------------------------------------------------------ constants
 
 /// `(case, journal sha256, report sha256)`, recorded on the pre-lookahead
-/// parent commit.
+/// parent commit. Every report digest was re-recorded once when the report
+/// stopped keeping per-round series (`master.timeline`,
+/// `master.round_cost_fraction`, `placement.intra_trajectory`, and
+/// `skipped_rate_changes` as a list): each new digest equals the old report's
+/// with those fields projected out and the skipped list replaced by its
+/// length, and no journal digest moved.
 const RECORDED: [(Case, &str, &str); 8] = [
     (
         Case::Bh,
         "c5046c53ea297fb57702b45896b2074b3c5403007aea95c2e8011ad3b99de4a7",
-        "ff744107c9797aac92d2004c8c457b0b78018eb9194df582abe3318976578e4f",
+        "8924b18ae8fcf76ee6228a39dc71c02bc598f3c3e47bc3059f594a8a6e90413d",
     ),
     // Re-recorded three times, each time because simulated clocks moved by design
     // and no schedule rule changed — the other seven cases and the constant-free
@@ -361,37 +356,37 @@ const RECORDED: [(Case, &str, &str); 8] = [
     (
         Case::WaterRebalance,
         "17c170d3c619fef97b1b506bbcdbd40b6d2ee23cc1d96c78351cceacf9ae1c20",
-        "e0b5150120873a52359444fc2978afc070b57f141e8dc07b00fb3a5967b4df61",
+        "27d4c1f5d36fec36576c9e19fc4ea3181fa94193f6ea13e415ef8fdd83d76b57",
     ),
     (
         Case::Sor,
         "6d32f5998ba945bc82b3cf578eba1e5bdaed4594c354b8cbb0752496a9cf41d8",
-        "b2f37a503e239a1449c50289beeab764eb978cff49c2b385fee21a11c5f65653",
+        "971a376e7100ee1f4fbd13f1ea57c31903a881426d3eec83378470cac14c47ba",
     ),
     (
         Case::Sessions,
         "2ee7331b4a04dd86a7fcd2fd37b3747085fc4abf20946807e8c6cd49d2a6d1fb",
-        "10cec45ffb4b2a6bebfd0e9e6ec7ce39f3c93017eeaf75dd01c99eb11585351b",
+        "e81ff7781cfd39f99b0210e3b0741831324abee9bc22ab0b2a3b4547d256a2f3",
     ),
     (
         Case::Lu,
         "1e24ade85687b6ca60fb862e03e2b7e7c57a4cda3556b8b2e21c7313ce3c46cf",
-        "18510a0d637b9e87b208971a45e100e25f7565d1ff3fd88be530b8f1cedf4d44",
+        "8db813512ce79cfcaf964b060b3427f2b340e7ba6bb741a5e257c3eeebeccee6",
     ),
     (
         Case::PhaseShift,
         "867549104aeae07d5a99bee1581254f371382e0a869ec012bc8f217946752bc7",
-        "6dd9d7bd02882e260207c916f9f7199584bc9e7f80bc062b81299d11f6ef5d76",
+        "4b203493e6ac5fdca6291679fabdddbfe0b1e1966a533efbf3def896eccf0f9b",
     ),
     (
         Case::BhFaulted,
         "6b64880e29a3651e380f6db264fed9c5e78c5106606bc5204e1415cf74bbdc3e",
-        "1fa355d81cc6b1faf3c3bda94f4196fc8b8591cb89d33329cf4ab845d3fb6c8f",
+        "77581b98a3cb59a82e9dd5c33776a4f73befec65227a751533cdcf430c534551",
     ),
     (
         Case::PartitionedLocal,
         "092efac5320f6678466dcf4686217111b44ef93f4babc9fcfecaaaae7a40cb1d",
-        "157df5e29df3644cc7bb79100425bbe167a7d3451d508379031e83685f47fdcb",
+        "fd1582f696e474507d5d665bd88ff1e41601151f0abfd8b16800a07c292f22fd",
     ),
 ];
 
@@ -425,6 +420,70 @@ fn journals_and_reports_match_the_pre_lookahead_schedule() {
         "schedule forked:\n{}",
         mismatches.join("\n")
     );
+}
+
+/// One place per fact: the report's per-round coverage and its totals agree
+/// with the journal's rounds (each round's last close), skips and planning
+/// epochs, on every recorded case and on a run whose master crashes and
+/// re-closes the rounds after its checkpoint.
+#[test]
+fn the_journal_and_the_report_agree_on_every_round() {
+    for (case, ..) in RECORDED {
+        let (events, report) = run_case(case, 0, 0);
+        assert_journal_agrees(&format!("{case:?}"), &events, &report, None);
+    }
+    let budget = 0.001;
+    let profiler = ProfilerConfig {
+        overhead_budget: Some(budget),
+        checkpoint_every_rounds: Some(3),
+        ..adaptive(ProfilerConfig::tracking_at(SamplingRate::NX(1)))
+    };
+    let sink = JournalSink::shared();
+    let mut cluster = Cluster::builder()
+        .nodes(NODES)
+        .threads(THREADS)
+        .profiler(profiler)
+        .rebalance(RebalanceConfig {
+            after_rounds: 1,
+            every_rounds: Some(2),
+            ..RebalanceConfig::default()
+        })
+        .faults(FaultPlan {
+            master_crashes: vec![MasterCrashWindow { from_interval: 6, until_interval: 9 }],
+            ..FaultPlan::default()
+        })
+        .trace(sink.clone())
+        .build();
+    let report = phase_shift::run_on(&mut cluster, phase_shift::PhaseShiftConfig::small());
+    let master = report.master.as_ref().expect("the master ran");
+    assert_eq!(master.restores, 1, "the crash window restarts the master");
+    assert!(master.budget_over_rounds > 0 && master.placement.plans > 0, "{master:?}");
+    assert_journal_agrees("master crash", &sink.sorted_events(), &report, Some(budget));
+}
+
+fn assert_journal_agrees(label: &str, events: &[TraceEvent], report: &RunReport, budget: Option<f64>) {
+    let master = report.master.as_ref().expect("the master ran");
+    let series = jessy::obs::round_series(events);
+    let rounds: Vec<u64> = series.rounds.iter().map(|r| r.round).collect();
+    assert_eq!(rounds, (0..master.rounds).collect::<Vec<_>>(), "{label}: closed rounds");
+    let coverage: Vec<f64> = series.rounds.iter().map(|r| r.coverage).collect();
+    assert_eq!(coverage, master.round_coverage, "{label}: coverage");
+    let over = budget.map_or(0, |budget| series.over_budget(budget));
+    assert_eq!(over, master.budget_over_rounds, "{label}: rounds over budget");
+    // A re-closed round journals its skip or its plan again.
+    let rounds_of = |pick: fn(&EventKind) -> Option<u64>| {
+        events.iter().filter_map(|e| pick(&e.kind)).collect::<std::collections::BTreeSet<_>>().len() as u64
+    };
+    let skipped = rounds_of(|k| match k {
+        EventKind::RoundSkipped { round, .. } => Some(*round),
+        _ => None,
+    });
+    assert_eq!(skipped, master.skipped_rounds, "{label}: skipped rounds");
+    let planned = rounds_of(|k| match k {
+        EventKind::PlacementPlanned { round, .. } => Some(*round),
+        _ => None,
+    });
+    assert_eq!(planned, master.placement.plans, "{label}: planning epochs");
 }
 
 #[test]
@@ -1037,7 +1096,13 @@ fn rate_change_sweep(cluster: &mut Cluster, per_access: bool, seen: &Observed) -
 /// still to fire in it. A rate change of round `r` follows the last thread's
 /// close of interval `r` (one interval per round).
 fn assert_a_rate_change_lands_inside_a_sweep(journal: &str) {
-    let events = jessy::obs::export::from_json_lines(journal).expect("journal parses back");
+    // The canonical journal's `RoundClosed` lines lack `cost_fraction`, so they
+    // no longer parse; this check reads none of them.
+    let events: Vec<TraceEvent> = journal
+        .lines()
+        .filter(|line| !line.contains("{\"RoundClosed\":"))
+        .map(|line| serde_json::from_str(line).expect("journal parses back"))
+        .collect();
     // `(thread, interval, t_ns)` of every interval close, in journal order.
     let closes: Vec<(u32, u64, u64)> = events
         .iter()
@@ -1101,7 +1166,7 @@ fn traced(program: Program, per_access: bool) -> (String, String, Vec<(usize, f6
     // Stable: each thread's values stay in its program order.
     values.sort_by_key(|&(thread, _)| thread);
     (
-        to_json_lines(&sink.sorted_events()),
+        canonical_journal(&sink.sorted_events()),
         canonical_report(&report),
         values,
     )
@@ -1204,7 +1269,7 @@ fn racy_first_share(allocate_in_body: bool) -> (String, String, Vec<f64>) {
     let report = cluster.report();
     let values = seen.lock().clone();
     (
-        to_json_lines(&sink.sorted_events()),
+        canonical_journal(&sink.sorted_events()),
         canonical_report(&report),
         values,
     )

@@ -65,9 +65,10 @@ grep -qF 'ProfilerConfig.initial_rate' <<< "$REJECTED"
 echo "==> budget-ladder smoke (a 0.1% overhead budget walks merge_rounds:2/4/8, summary_only, exhausted; journal replays)"
 LADDER_DIR=$(mktemp -d)
 for run in a b; do
-  ./target/release/jessy-cli run -w phase --scale small --nodes 4 --threads 8 --rate 1x \
-    --adaptive 0.1 --drift-threshold 0.3 --overhead-budget 0.001 --journal "$LADDER_DIR/$run.jsonl" \
-    | grep -Fx 'budget ladder       :            4 rungs (14 rounds over budget)'
+  LADDER=$(./target/release/jessy-cli run -w phase --scale small --nodes 4 --threads 8 --rate 1x \
+    --adaptive 0.1 --drift-threshold 0.3 --overhead-budget 0.001 --journal "$LADDER_DIR/$run.jsonl")
+  grep -Fx 'budget ladder       :            4 rungs (14 rounds over budget)' <<< "$LADDER"
+  grep -Fx 're-convergence lag  :           12 rounds after the flip (round 4)' <<< "$LADDER"
 done
 cmp "$LADDER_DIR/a.jsonl" "$LADDER_DIR/b.jsonl"
 rm -rf "$LADDER_DIR"
@@ -162,7 +163,7 @@ echo "==> master core in release (stage tests against a fake boundary, record-an
 cargo test --release -p jessy-runtime --lib -q master::
 cargo test --release --test replay -q
 
-echo "==> group access in release (update vs its read/write sequence, snapshot-before-yield, SOR sampling oracle, hit-path allocations)"
+echo "==> group access in release (update vs its read/write sequence, snapshot-before-yield, SOR, Barnes-Hut and Water sampling oracle, hit-path allocations)"
 # A group access borrows payloads in place across its members' checks; the
 # benchmark runs it in release, where an allocation or a stale borrow would
 # show as a number, not as a failure.
