@@ -13,25 +13,16 @@
 //! context/prefetch/home cost — migrations are charged against their savings, not
 //! hidden). `ObjFetch` counts are reported, not asserted: they are a proxy, and a
 //! plan may trade a few more fetches for time.
-//!
-//! A fourth lane plans N=1024 threads **without any dense TCM**: rounds feed a
-//! top-k head plus a count-min sketch, the planner runs on the combined
-//! [`SketchedTopKView`], and the plan is scored against the dense ground truth it
-//! never saw. This is the memory-scaling story: O(k + sketch) planner state versus
-//! the O(N²/2) dense triangle.
 
 use std::sync::Arc;
 
 use serde::Serialize;
 
 use jessy_bench::{bh_cfg, scale, sor_cfg, water_cfg, Scale, TextTable};
-use jessy_core::{
-    ProfilerConfig, SamplingRate, SketchTcm, SketchedTopKView, SparseTcm, Tcm,
-    TopKPairs,
-};
+use jessy_core::{ProfilerConfig, SamplingRate};
 use jessy_gos::CostModel;
-use jessy_net::{LatencyModel, MsgClass, NodeId, ThreadId};
-use jessy_runtime::{Cluster, LoadBalancer, RebalanceConfig, RunReport};
+use jessy_net::{LatencyModel, MsgClass, NodeId};
+use jessy_runtime::{Cluster, RebalanceConfig, RunReport};
 use jessy_workloads::{barnes_hut, sor, water};
 
 const N_THREADS: usize = 8;
@@ -194,24 +185,11 @@ struct WorkloadSummary {
 }
 
 #[derive(Serialize)]
-struct HeadlessPlanReport {
-    n_threads: usize,
-    n_nodes: usize,
-    topk_k: usize,
-    sketch_bytes: usize,
-    dense_bytes: usize,
-    intra_sketched_plan: f64,
-    intra_dense_plan: f64,
-    intra_static_block: f64,
-}
-
-#[derive(Serialize)]
 struct Report {
     bench: &'static str,
     mode: &'static str,
     rows: Vec<WorkloadRow>,
     summaries: Vec<WorkloadSummary>,
-    headless: HeadlessPlanReport,
 }
 
 fn gap_recovered(block: f64, scattered: f64, migrated: f64) -> f64 {
@@ -220,57 +198,6 @@ fn gap_recovered(block: f64, scattered: f64, migrated: f64) -> f64 {
         return 1.0;
     }
     ((scattered - migrated) / gap).clamp(-1.0, 1.0)
-}
-
-/// The N=1024 lane: plan purely from the top-k + sketch pair, score on the dense
-/// truth the planner never materialized.
-fn headless_plan() -> HeadlessPlanReport {
-    const N: usize = 1024;
-    const NODES: usize = 16;
-    const CLIQUE: usize = 8;
-    const K: usize = 4096;
-    let mut topk = TopKPairs::new(N, K);
-    let mut sketch = SketchTcm::new(N, 1 << 13, 4);
-    let mut truth = Tcm::new(N);
-    for round in 0..3u32 {
-        // Head-heavy structure: 128 cliques of 8 with heavy intra-clique mass,
-        // plus a thin ring of noise pairs that must not mislead the plan.
-        let mut pairs: Vec<(ThreadId, ThreadId, f64)> = Vec::new();
-        for c in 0..(N / CLIQUE) {
-            let base = (c * CLIQUE) as u32;
-            for i in 0..CLIQUE as u32 {
-                for j in (i + 1)..CLIQUE as u32 {
-                    pairs.push((ThreadId(base + i), ThreadId(base + j), 1e4 + f64::from(round)));
-                }
-            }
-        }
-        for i in 0..N as u32 {
-            let j = (i + 97) % N as u32;
-            let (a, b) = if i < j { (i, j) } else { (j, i) };
-            pairs.push((ThreadId(a), ThreadId(b), 0.5));
-        }
-        let round_tcm = SparseTcm::from_pairs(N, &pairs);
-        topk.observe_round(&round_tcm, |_| 0.0);
-        sketch.fold_round(&round_tcm);
-        truth.merge_sparse(&round_tcm);
-    }
-
-    let lb = LoadBalancer::new();
-    let view = SketchedTopKView::new(&sketch, &topk);
-    let sketched_plan = lb.plan(&view, NODES);
-    let dense_plan = lb.plan(&truth, NODES);
-    // The natural block placement collocates whole cliques: the reference ideal.
-    let block: Vec<NodeId> = (0..N).map(|t| NodeId((t / (N / NODES)) as u16)).collect();
-    HeadlessPlanReport {
-        n_threads: N,
-        n_nodes: NODES,
-        topk_k: K,
-        sketch_bytes: sketch.memory_bytes(),
-        dense_bytes: N * (N - 1) / 2 * 8,
-        intra_sketched_plan: lb.intra_fraction(&truth, &sketched_plan.placement),
-        intra_dense_plan: lb.intra_fraction(&truth, &dense_plan.placement),
-        intra_static_block: lb.intra_fraction(&truth, &block),
-    }
 }
 
 fn main() {
@@ -392,27 +319,6 @@ fn main() {
         }
     }
 
-    println!();
-    let headless = headless_plan();
-    println!(
-        "N=1024 headless lane: plan from top-k({}) + {} KB sketch (dense triangle = {} KB, never built)",
-        headless.topk_k,
-        headless.sketch_bytes / 1024,
-        headless.dense_bytes / 1024,
-    );
-    println!(
-        "  intra-node mass — sketched plan {:.1}%, dense-view plan {:.1}%, static block {:.1}%",
-        headless.intra_sketched_plan * 100.0,
-        headless.intra_dense_plan * 100.0,
-        headless.intra_static_block * 100.0,
-    );
-    assert!(
-        headless.intra_sketched_plan >= 0.9 * headless.intra_dense_plan,
-        "the sketched view must plan within 10% of the dense view: {} vs {}",
-        headless.intra_sketched_plan,
-        headless.intra_dense_plan
-    );
-
     if smoke {
         println!("\nsmoke mode: skipping BENCH_placement.json (checked-in file is the full run)");
         return;
@@ -422,7 +328,6 @@ fn main() {
         mode: "full",
         rows,
         summaries,
-        headless,
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_placement.json");
     std::fs::write(path, serde_json::to_string_pretty(&doc).unwrap() + "\n")

@@ -5,13 +5,13 @@
 //! buffered post-checkpoint OAL stream under a bumped epoch. Checkpointing more
 //! often buys a shorter replay at the price of more snapshot work. This bench
 //! runs the identical crash on every checkpoint cadence (including "never") and
-//! shows the trade: `replayed` shrinks as `ckpts` grows while the recovered TCM,
-//! top-k head and recorded OAL stream (`record_oals`) stay **bit-identical** to
-//! the fault-free run in every row — recovery is an identity transform on the
+//! shows the trade: `replayed` shrinks as `ckpts` grows while the recovered TCM
+//! and recorded OAL stream (`record_oals`) stay **bit-identical** to the
+//! fault-free run in every row — recovery is an identity transform on the
 //! accepted stream, not an approximation of it. Two reducer lanes run the sweep:
-//! the flat coordinator, and a tree + sketch + top-k reducer whose checkpoint
-//! holds the sketch and the head. A checkpoint holds only the length of the
-//! master's one accepted-OAL log. The bench asserts identity on every row.
+//! the flat coordinator and the aggregation tree. A checkpoint holds only the
+//! length of the master's one accepted-OAL log. The bench asserts identity on
+//! every row.
 //!
 //! `JESSY_SCALE=small` shortens the run for CI; the default matches the other
 //! chaos-family sweeps.
@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use jessy_bench::{scale, Scale, TextTable};
-use jessy_core::{ProfilerConfig, SamplingRate, TcmBackend};
+use jessy_core::{ProfilerConfig, SamplingRate};
 use jessy_gos::{CostModel, ObjectId};
 use jessy_net::{FaultPlan, LatencyModel, MasterCrashWindow, NodeId};
 use jessy_runtime::{Cluster, MasterOutput};
@@ -27,13 +27,10 @@ use jessy_runtime::{Cluster, MasterOutput};
 const THREADS: usize = 8;
 const NODES: usize = 4;
 
-/// A reducer lane: label, tree fanout, backend, top-k head size.
-type Lane = (&'static str, usize, TcmBackend, usize);
+/// A reducer lane: label and tree fanout.
+type Lane = (&'static str, usize);
 
-const LANES: [Lane; 2] = [
-    ("flat", 0, TcmBackend::Dense, 0),
-    ("tree + sketch + top-k", 2, TcmBackend::Sketch { width: 4096, depth: 4 }, 4),
-];
+const LANES: [Lane; 2] = [("flat", 0), ("tree", 2)];
 
 /// One full cluster run. `faults` carries the master crash window (or nothing for
 /// the baseline); `checkpoint_every` is the snapshot cadence in rounds.
@@ -43,14 +40,12 @@ fn run(
     faults: Option<FaultPlan>,
     checkpoint_every: Option<u64>,
 ) -> MasterOutput {
-    let (_, fanout, backend, top_k) = lane;
+    let (_, fanout) = lane;
     let mut config = ProfilerConfig::tracking_at(SamplingRate::Full);
     config.intervals_per_round = 2;
     config.record_oals = true;
     config.checkpoint_every_rounds = checkpoint_every;
     config.tcm_tree_fanout = fanout;
-    config.tcm_backend = backend;
-    config.tcm_top_k = top_k;
     let mut builder = Cluster::builder()
         .nodes(NODES)
         .threads(THREADS)
@@ -105,7 +100,6 @@ fn main() {
         "fenced",
         "epoch",
         "tcm identical",
-        "top-k identical",
         "oal_log identical",
         "build ms",
     ]);
@@ -115,10 +109,9 @@ fn main() {
             let m = run(lane, barriers, Some(crash.clone()), every);
             let cadence = every.map_or("never".into(), |k| format!("{k} rounds"));
             let tcm_identical = m.tcm == truth.tcm && m.rounds == truth.rounds;
-            let top_k_identical = m.top_pairs.len() == lane.3 && m.top_pairs == truth.top_pairs;
             let log_identical = !m.oal_log.is_empty() && m.oal_log == truth.oal_log;
             assert!(
-                tcm_identical && top_k_identical && log_identical,
+                tcm_identical && log_identical,
                 "{} lane, checkpoint every {cadence}: the recovered run must equal the \
                  fault-free one",
                 lane.0
@@ -132,7 +125,6 @@ fn main() {
                 m.fenced_oals.to_string(),
                 m.final_epoch.to_string(),
                 tcm_identical.to_string(),
-                if lane.3 == 0 { "no head".into() } else { top_k_identical.to_string() },
                 log_identical.to_string(),
                 format!("{:.2}", m.tcm_build_real_ns as f64 / 1e6),
             ]);
@@ -141,6 +133,6 @@ fn main() {
     println!("{}", t.render());
     println!("the buffered transport defers in-flight OALs across the outage, so every");
     println!("cadence — even \"never\", which replays from round zero — recovers the");
-    println!("exact fault-free map, top-k head and recorded OAL stream; frequent");
-    println!("checkpoints only shorten the replay.");
+    println!("exact fault-free map and recorded OAL stream; frequent checkpoints");
+    println!("only shorten the replay.");
 }

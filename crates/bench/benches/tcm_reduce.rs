@@ -7,7 +7,7 @@
 //! upper-triangular accrual, sparse per-class maps, capacity retained across
 //! rounds). Every variant must be bit-identical to the scalar reference.
 //!
-//! Three lanes:
+//! Two lanes:
 //! - **X3** — the seed comparison: scalar reference vs bitset/triangular
 //!   builder at N∈{16,64,256}, bit-identical.
 //! - **X3b** — production scale: master-side round-close cost of the flat
@@ -16,18 +16,15 @@
 //!   the root) at N∈{1024,4096}. The scalar oracle is skipped here — its dense
 //!   per-round maps make it intractable at these sizes; bit-identity is checked
 //!   against the bitset builder instead.
-//! - **X3c** — sketch backend accuracy: relative error of the count-min
-//!   estimates over the exact top-k pair weights, swept across sketch widths.
 //!
 //! Modes:
 //! - default (`cargo bench --bench tcm_reduce`): full sweeps, writes
 //!   `BENCH_tcm_reduce.json` at the repo root and asserts the acceptance bars
 //!   (≥3× close speedup at N=256/M=10⁶, ≥5× master round-close speedup for the
-//!   tree at N=4096, ≤1% top-k relative error at the default sketch width).
+//!   tree at N=4096).
 //! - `JESSY_SCALE=small`: smoke sweep (seconds, CI-friendly) — prints the
-//!   tables, checks exactness including the N=1024 tree lane and the
-//!   sketch-equals-dense-at-generous-width property, does not touch the
-//!   checked-in JSON.
+//!   tables, checks exactness including the N=1024 tree lane, does not touch
+//!   the checked-in JSON.
 
 use std::time::Instant;
 
@@ -36,7 +33,7 @@ use serde::Serialize;
 use jessy_core::distributed::TreeTcmReducer;
 use jessy_core::oal::{Oal, OalEntry};
 use jessy_core::tcm::reference::ScalarTcmBuilder;
-use jessy_core::{SketchTcm, Tcm, TcmBuilder};
+use jessy_core::{Tcm, TcmBuilder};
 use jessy_gos::{ClassId, ObjectId};
 use jessy_net::ThreadId;
 
@@ -127,45 +124,6 @@ fn synth_windowed(n: usize, m: usize) -> Vec<Oal> {
         .collect()
 }
 
-/// Skewed sharing for the sketch-accuracy lane: 20% of the organized volume
-/// concentrates on 16 designated hot thread pairs (the head of the pair
-/// distribution, which the placement engine steers by and [`TopKPairs`]
-/// tracks), the rest is a uniform degree-2 long tail across the whole map —
-/// the collision mass a count-min sketch must absorb.
-///
-/// [`TopKPairs`]: jessy_core::TopKPairs
-fn synth_hotpairs(n: usize, m: usize) -> Vec<Oal> {
-    assert!(n >= 64);
-    let mut entries: Vec<Vec<OalEntry>> = vec![Vec::new(); n];
-    for o in 0..m {
-        let h = mix(0x0DDC_0FFE ^ o as u64);
-        let entry = OalEntry {
-            obj: ObjectId(o as u32),
-            class: ClassId((h % CLASSES) as u16),
-            bytes: 64 + (h >> 16) % 4096,
-        };
-        let (a, b) = if h % 10 < 2 {
-            let p = ((h >> 8) % 16) as usize;
-            (2 * p, 2 * p + 1)
-        } else {
-            let a = (h >> 24) as usize % n;
-            let off = 1 + (h >> 40) as usize % (n - 1);
-            (a, (a + off) % n)
-        };
-        entries[a].push(entry);
-        entries[b].push(entry);
-    }
-    entries
-        .into_iter()
-        .enumerate()
-        .map(|(t, es)| Oal {
-            thread: ThreadId(t as u32),
-            interval: 0,
-            entries: es,
-        })
-        .collect()
-}
-
 /// The emitted `BENCH_tcm_reduce.json` document.
 #[derive(Serialize)]
 struct Report {
@@ -173,10 +131,8 @@ struct Report {
     mode: &'static str,
     results: Vec<CellReport>,
     tree: Vec<TreeCellReport>,
-    sketch: Vec<SketchCellReport>,
     acceptance: Acceptance,
     tree_acceptance: TreeAcceptance,
-    sketch_acceptance: SketchAcceptance,
 }
 
 #[derive(Serialize)]
@@ -231,29 +187,6 @@ struct TreeAcceptance {
     fanout: usize,
     required_master_speedup: f64,
     measured_master_speedup: f64,
-    pass: bool,
-}
-
-#[derive(Serialize)]
-struct SketchCellReport {
-    threads: usize,
-    objects: usize,
-    rounds: usize,
-    width: usize,
-    depth: usize,
-    memory_bytes: usize,
-    top_k: usize,
-    max_rel_err: f64,
-    mean_rel_err: f64,
-}
-
-#[derive(Serialize)]
-struct SketchAcceptance {
-    width: usize,
-    depth: usize,
-    top_k: usize,
-    required_max_rel_err: f64,
-    measured_max_rel_err: f64,
     pass: bool,
 }
 
@@ -477,66 +410,6 @@ fn measure_tree(n: usize, m: usize, rounds: usize, nodes: usize, fanout: usize) 
     }
 }
 
-/// Accuracy of the count-min backend over the exact top-`k` pair weights, one
-/// report per sketch width (depth fixed at the default 4). The exact cumulative
-/// map and the sketches are fed the same per-round sparse maps, exactly as the
-/// master daemon folds them.
-fn measure_sketch(
-    n: usize,
-    m: usize,
-    rounds: usize,
-    k: usize,
-    widths: &[usize],
-) -> Vec<SketchCellReport> {
-    let oals = synth_hotpairs(n, m);
-    let mut exact = TcmBuilder::new(n);
-    let mut sketches: Vec<SketchTcm> = widths.iter().map(|&w| SketchTcm::new(n, w, 4)).collect();
-    for _ in 0..rounds {
-        for o in &oals {
-            exact.ingest(o);
-        }
-        let round = exact.close_round().tcm.to_sparse();
-        for sk in &mut sketches {
-            sk.fold_round(&round);
-        }
-    }
-
-    let mut ranked: Vec<(u32, f64)> = exact
-        .tcm()
-        .raw()
-        .iter()
-        .enumerate()
-        .filter(|&(_, &v)| v > 0.0)
-        .map(|(i, &v)| (i as u32, v))
-        .collect();
-    ranked.sort_unstable_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
-    ranked.truncate(k);
-
-    sketches
-        .iter()
-        .map(|sk| {
-            let (mut max_err, mut sum_err) = (0.0f64, 0.0f64);
-            for &(idx, v) in &ranked {
-                // Count-min never underestimates, so the error is one-sided.
-                let err = (sk.estimate(idx) - v) / v;
-                max_err = max_err.max(err);
-                sum_err += err;
-            }
-            SketchCellReport {
-                threads: n,
-                objects: m,
-                rounds,
-                width: sk.width(),
-                depth: sk.depth(),
-                memory_bytes: sk.memory_bytes(),
-                top_k: ranked.len(),
-                max_rel_err: max_err,
-                mean_rel_err: sum_err / ranked.len().max(1) as f64,
-            }
-        })
-        .collect()
-}
-
 fn main() {
     let smoke = matches!(
         std::env::var("JESSY_SCALE").as_deref(),
@@ -639,46 +512,7 @@ fn main() {
     println!("everything converging on node 0 in tree mode (shuffle-in share + subtree-");
     println!("child + root-hop partials); fabric KB = all tree-mode hops, whole cluster.");
 
-    println!("\nX3c. SKETCH BACKEND ACCURACY (top-k pair weights vs exact dense)\n");
-    let (sk_n, sk_m, sk_rounds, sk_k) = if smoke {
-        (256, 4_000, 2, 8)
-    } else {
-        (1024, 50_000, 3, 8)
-    };
-    let widths: &[usize] = if smoke {
-        &[65536]
-    } else {
-        &[1024, 4096, 16384, 65536]
-    };
-    let sketch_cells = measure_sketch(sk_n, sk_m, sk_rounds, sk_k, widths);
-    let mut stable = TextTable::new(&[
-        "width",
-        "depth",
-        "memory (KB)",
-        "top-k max rel err",
-        "top-k mean rel err",
-    ]);
-    for c in &sketch_cells {
-        stable.row(&[
-            c.width.to_string(),
-            c.depth.to_string(),
-            (c.memory_bytes / 1024).to_string(),
-            format!("{:.4}%", c.max_rel_err * 100.0),
-            format!("{:.4}%", c.mean_rel_err * 100.0),
-        ]);
-    }
-    println!("{}", stable.render());
-    println!("error = (estimate - exact) / exact over the exact top-{sk_k} pairs of an");
-    println!("N={sk_n} map (skewed head + uniform long tail); count-min never underestimates.");
-
     if smoke {
-        // At a generous width no head cell collides in every row, so the min-row
-        // estimate is the same f64 sum the dense map holds — bit-identical, and
-        // deterministic for the fixed generator and fixed sketch seed.
-        assert_eq!(
-            sketch_cells[0].max_rel_err, 0.0,
-            "sketch at generous width must match dense exactly on the head"
-        );
         println!("\nsmoke mode: skipping BENCH_tcm_reduce.json (checked-in file is the full run)");
         return;
     }
@@ -699,18 +533,6 @@ fn main() {
         required_master_speedup: 5.0,
         measured_master_speedup: tree_target.master_speedup(),
         pass: tree_target.master_speedup() >= 5.0,
-    };
-    let sketch_target = sketch_cells
-        .iter()
-        .find(|c| c.width == 65536)
-        .expect("default-width cell in sweep");
-    let sketch_acceptance = SketchAcceptance {
-        width: sketch_target.width,
-        depth: sketch_target.depth,
-        top_k: sketch_target.top_k,
-        required_max_rel_err: 0.01,
-        measured_max_rel_err: sketch_target.max_rel_err,
-        pass: sketch_target.max_rel_err <= 0.01,
     };
     let doc = Report {
         bench: "tcm_reduce",
@@ -752,7 +574,6 @@ fn main() {
                 identical: c.identical,
             })
             .collect(),
-        sketch: sketch_cells,
         acceptance: Acceptance {
             threads: 256,
             objects: 1_000_000,
@@ -761,7 +582,6 @@ fn main() {
             pass: target.close_speedup() >= 3.0,
         },
         tree_acceptance,
-        sketch_acceptance,
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tcm_reduce.json");
     std::fs::write(path, serde_json::to_string_pretty(&doc).unwrap() + "\n")
@@ -776,10 +596,5 @@ fn main() {
         doc.tree_acceptance.pass,
         "acceptance: ≥5x master round-close speedup for the tree at N=4096 (measured {:.2}x)",
         doc.tree_acceptance.measured_master_speedup
-    );
-    assert!(
-        doc.sketch_acceptance.pass,
-        "acceptance: ≤1% top-k relative error at the default sketch width (measured {:.4}%)",
-        doc.sketch_acceptance.measured_max_rel_err * 100.0
     );
 }

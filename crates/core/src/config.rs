@@ -89,33 +89,6 @@ impl Default for FootprintConfig {
     }
 }
 
-/// Storage backend of the coordinator's cumulative correlation state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum TcmBackend {
-    /// The packed dense triangle (`n·(n−1)/2` f64 cells) — exact, `O(N²)` memory,
-    /// and bit-identical to every run before the backend existed.
-    Dense,
-    /// Count-min sketch for the long tail plus the exact streaming top-k head:
-    /// coordinator memory is `O(active pairs + width·depth)` instead of `O(N²)`.
-    Sketch {
-        /// Counters per hash row (default 65536 ⇒ ~2 MB at depth 4).
-        width: u32,
-        /// Hash rows (each halves the probability of a bad estimate).
-        depth: u32,
-    },
-}
-
-impl TcmBackend {
-    /// The default sketch shape: 65536×4 (~2 MB), which holds the top-k relative
-    /// error under 1% on the `tcm_reduce` workloads up to N=4096.
-    pub fn default_sketch() -> Self {
-        TcmBackend::Sketch {
-            width: 65536,
-            depth: 4,
-        }
-    }
-}
-
 /// How a thread sheds pending OAL batches when the master's bounded mailbox is
 /// full (see `ProfilerConfig::oal_mailbox_capacity`). Every policy is
 /// deterministic — the choice of what to shed depends only on the pending queue,
@@ -198,15 +171,6 @@ pub struct ProfilerConfig {
     /// nodes, and the master folds at most `fanout` subtree partials per round.
     /// (`1` is rejected: a unary chain aggregates nothing.)
     pub tcm_tree_fanout: usize,
-    /// Cumulative-map storage at the coordinator. [`TcmBackend::Sketch`] requires
-    /// tree mode (`tcm_tree_fanout ≥ 2`): the sketch folds the merged sparse
-    /// round stream, which only the tree path produces.
-    pub tcm_backend: TcmBackend,
-    /// Size of the streaming top-correlated-pairs view maintained at the master
-    /// and exported through `MasterOutput::top_pairs` (0 disables), on the flat
-    /// and the tree coordinator alike. Under the sketch backend this head is the
-    /// exact state; the tail lives in the sketch.
-    pub tcm_top_k: usize,
     /// SLO on the profiler's own cost, as a fraction of charged compute time
     /// (e.g. `Some(0.02)` = "profiling may consume at most 2% of the work it
     /// observes"). When the per-round measured cost fraction exceeds the budget,
@@ -260,8 +224,6 @@ impl ProfilerConfig {
             checkpoint_every_rounds: None,
             quarantine_after_crashes: None,
             tcm_tree_fanout: 0,
-            tcm_backend: TcmBackend::Dense,
-            tcm_top_k: 0,
             overhead_budget: None,
             oal_mailbox_capacity: None,
             shed_policy: ShedPolicy::DropOldestRound,
@@ -345,22 +307,6 @@ impl ProfilerConfig {
                 "1".to_string(),
                 "a unary aggregation chain reduces nothing; use 0 (flat) or a fanout of at least 2",
             );
-        }
-        if let TcmBackend::Sketch { width, depth } = self.tcm_backend {
-            if width == 0 || depth == 0 {
-                return err(
-                    "tcm_backend",
-                    format!("Sketch {{ width: {width}, depth: {depth} }}"),
-                    "count-min dimensions must both be nonzero",
-                );
-            }
-            if self.tcm_tree_fanout < 2 {
-                return err(
-                    "tcm_backend",
-                    "Sketch".to_string(),
-                    "the sketch backend folds the tree-merged round stream; set tcm_tree_fanout >= 2",
-                );
-            }
         }
         if let Some(b) = self.overhead_budget {
             if !b.is_finite() || b <= 0.0 || b > 1.0 {
@@ -446,18 +392,12 @@ mod tests {
     }
 
     #[test]
-    fn tree_and_sketch_modes_validate() {
+    fn tree_mode_validates() {
         let tree = ProfilerConfig {
             tcm_tree_fanout: 4,
-            tcm_top_k: 16,
             ..ProfilerConfig::default()
         };
         tree.validate().unwrap();
-        let sketch = ProfilerConfig {
-            tcm_backend: TcmBackend::default_sketch(),
-            ..tree
-        };
-        sketch.validate().unwrap();
     }
 
     #[test]
@@ -509,21 +449,6 @@ mod tests {
             (
                 ProfilerConfig { tcm_tree_fanout: 1, ..base },
                 "tcm_tree_fanout",
-            ),
-            (
-                ProfilerConfig {
-                    tcm_tree_fanout: 2,
-                    tcm_backend: TcmBackend::Sketch { width: 0, depth: 4 },
-                    ..base
-                },
-                "tcm_backend",
-            ),
-            (
-                ProfilerConfig {
-                    tcm_backend: TcmBackend::default_sketch(),
-                    ..base
-                },
-                "tcm_backend",
             ),
             (
                 ProfilerConfig {

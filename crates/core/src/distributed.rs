@@ -204,8 +204,8 @@ fn accrue_owner(arena: &RecordArena, n_threads: usize) -> TcmPartial {
 
 /// The distributed TCM reduction pipeline: per-node leaf arenas, an
 /// object-owner shuffle, and a k-ary aggregation tree of sparse partials. One
-/// round in, one root [`TcmPartial`] out; the cumulative state the root folds
-/// into (dense map or sketch) belongs to the [`Reducer`](crate::Reducer).
+/// round in, one root [`TcmPartial`] out; the [`Reducer`](crate::Reducer) folds
+/// the root into the cumulative map.
 ///
 /// The root is bit-identical to what a flat [`TcmBuilder`](crate::TcmBuilder)
 /// accrues for the same OAL stream, for any node placement, fanout and merge

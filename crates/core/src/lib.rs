@@ -13,8 +13,7 @@
 //!   per-interval Object Access Lists fed to a central analyzer that reorganizes them
 //!   per object and accrues the Thread Correlation Map; the two distance metrics
 //!   (`E_ABS`, `E_EUC`) of Section II.B.2. [`reducer`] is the coordinator's one
-//!   reduce step over whichever machinery (flat, [`distributed`] tree, sketch,
-//!   top-k) the configuration selects.
+//!   reduce step, flat or over the [`distributed`] tree, into one dense map.
 //! * **The adaptive rate controller** ([`adaptive`]) — stepwise rate refinement driven
 //!   by *relative* accuracy between successive rounds, with resampling walks after
 //!   each change, drift re-activation of converged classes, and the overhead-budget
@@ -52,14 +51,13 @@ pub use accuracy::{accuracy_abs, accuracy_euc, e_abs, e_abs_sparse, e_euc};
 pub use adaptive::{AdaptiveController, DegradeStep, RateCause, RateChange, RoundOutcome};
 pub use config::{
     ConfigError, FootprintConfig, FootprintMode, ProfilerConfig, ShedPolicy, StackSamplingConfig,
-    TcmBackend,
 };
 pub use distributed::{tree_parent, TcmPartial, TreeEdge, TreeRoundStats, TreeTcmReducer};
 pub use homeaware::{HomeAwareAnalyzer, HomeAwareReport, HomeMigrationRec};
 pub use oal::{Oal, OalEntry};
 pub use profiler::{ProfilerShared, ProfilerStats, ThreadProfiler};
-pub use reducer::{ReducedRound, Reducer, ReducerState};
+pub use reducer::{ReducedRound, Reducer};
 pub use sampling::{GapTable, SamplingRate};
 pub use stack_sampling::StackSampler;
-pub use tcm::{MergeScratch, RoundSummary, SketchTcm, SparseTcm, Tcm, TcmBuilder, TopKPairs};
-pub use view::{CorrelationView, SketchedTopKView};
+pub use tcm::{MergeScratch, RoundSummary, SparseTcm, Tcm, TcmBuilder};
+pub use view::CorrelationView;

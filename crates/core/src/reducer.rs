@@ -1,33 +1,27 @@
 //! The coordinator's one reduce step.
 //!
 //! The master does one thing per round — fold the round's OALs into the
-//! cumulative correlation state and hand the per-class round maps to the rate
+//! cumulative [`Tcm`] and hand the per-class round maps to the rate
 //! controller — and [`Reducer`] is the one type that knows which machinery a
 //! [`ProfilerConfig`] selects for it:
 //!
 //! * **flat** (`tcm_tree_fanout = 0`): a `RoundAccrual`, dense round close;
-//! * **tree** (`tcm_tree_fanout ≥ 2`): a [`TreeTcmReducer`] round pipeline;
-//! * both arms are round scratch that fold into one [`ReducerState`], all a
-//!   checkpoint holds: a dense [`Tcm`] or, under [`TcmBackend::Sketch`], a
-//!   [`SketchTcm`], plus an optional [`TopKPairs`] head (`tcm_top_k > 0`).
+//! * **tree** (`tcm_tree_fanout ≥ 2`): a [`TreeTcmReducer`] round pipeline.
 //!
-//! Every dense configuration produces the same cumulative bits, the same
-//! per-class round maps and the same top-k head for the same OAL stream (see
-//! [`crate::distributed`] for why); no arm builds a dense round map it does not
-//! already have in hand.
+//! Both arms are round scratch that fold into one dense [`Tcm`], all a
+//! checkpoint holds. They produce the same cumulative bits and the same
+//! per-class round maps for the same OAL stream (see [`crate::distributed`] for
+//! why); no arm builds a dense round map it does not already have in hand.
 
 use std::collections::HashMap;
-
-use serde::{Deserialize, Serialize};
 
 use jessy_gos::ClassId;
 use jessy_net::ThreadId;
 
-use crate::config::{ProfilerConfig, TcmBackend};
+use crate::config::ProfilerConfig;
 use crate::distributed::{TreeRoundStats, TreeTcmReducer};
 use crate::oal::Oal;
-use crate::tcm::{RoundAccrual, SketchTcm, SparseTcm, Tcm, TopKPairs};
-use crate::view::SketchedTopKView;
+use crate::tcm::{RoundAccrual, SparseTcm, Tcm};
 
 /// What one [`Reducer::reduce`] produced.
 #[derive(Debug, Clone)]
@@ -41,92 +35,6 @@ pub struct ReducedRound {
     pub tree: Option<TreeRoundStats>,
 }
 
-/// The reducer's one persistent value: the cumulative map and the optional
-/// top-k head. A checkpoint clones it and a warm restore assigns it back; its
-/// size is the backend's, never the dense triangle under the sketch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReducerState {
-    cum: Cumulative,
-    topk: Option<TopKPairs>,
-}
-
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum Cumulative {
-    Dense(Tcm),
-    Sketch(SketchTcm),
-}
-
-impl ReducerState {
-    /// The empty cumulative state a [`ProfilerConfig`] asks for, over `n_threads`
-    /// threads.
-    pub fn new(config: &ProfilerConfig, n_threads: usize) -> Self {
-        let cum = match config.tcm_backend {
-            TcmBackend::Dense => Cumulative::Dense(Tcm::new(n_threads)),
-            TcmBackend::Sketch { width, depth } => {
-                Cumulative::Sketch(SketchTcm::new(n_threads, width as usize, depth as usize))
-            }
-        };
-        ReducerState {
-            cum,
-            topk: (config.tcm_top_k > 0).then(|| TopKPairs::new(n_threads, config.tcm_top_k)),
-        }
-    }
-
-    /// Fold one round's exact sparse map, admitting its pairs to the head at
-    /// their pre-round cumulative weight.
-    fn fold(&mut self, round: &SparseTcm) {
-        match &mut self.cum {
-            Cumulative::Dense(tcm) => {
-                if let Some(tk) = &mut self.topk {
-                    tk.observe_round(round, |idx| tcm.raw()[idx as usize]);
-                }
-                tcm.merge_sparse(round);
-            }
-            Cumulative::Sketch(sketch) => {
-                if let Some(tk) = &mut self.topk {
-                    tk.observe_round(round, |idx| sketch.estimate(idx));
-                }
-                sketch.fold_round(round);
-            }
-        }
-    }
-
-    /// The cumulative map. Exact — and the same bits on the flat and tree paths
-    /// — under the dense backend; under the sketch backend no dense map exists,
-    /// so this expands the sketch's point estimates, an overestimate-only
-    /// approximation paid once per call, never per round.
-    pub fn cumulative(&self) -> Tcm {
-        match &self.cum {
-            Cumulative::Dense(tcm) => tcm.clone(),
-            Cumulative::Sketch(sketch) => {
-                let mut tcm = Tcm::new(sketch.n());
-                for (idx, cell) in tcm.data_mut().iter_mut().enumerate() {
-                    *cell = sketch.estimate(idx as u32);
-                }
-                tcm
-            }
-        }
-    }
-
-    /// The `O(k + sketch)` planning view — the top-k head names the pairs, the
-    /// sketch prices them — when that is all the backend keeps. `None` means
-    /// plan from [`ReducerState::cumulative`].
-    pub fn planning_view(&self) -> Option<SketchedTopKView<'_>> {
-        match self {
-            ReducerState { cum: Cumulative::Sketch(sketch), topk: Some(tk) } => {
-                Some(SketchedTopKView::new(sketch, tk))
-            }
-            _ => None,
-        }
-    }
-
-    /// The `tcm_top_k` hottest correlated pairs, hottest first (empty when the
-    /// head is off).
-    pub fn top_pairs(&self) -> Vec<(ThreadId, ThreadId, f64)> {
-        self.topk.as_ref().map(TopKPairs::top).unwrap_or_default()
-    }
-}
-
 /// Where round maps come from: round scratch only.
 #[derive(Debug)]
 enum Rounds {
@@ -135,7 +43,7 @@ enum Rounds {
 }
 
 /// The round scratch a [`ProfilerConfig`] asks for (see the module docs). It is
-/// empty between rounds, so a [`ReducerState`] is all a checkpoint needs.
+/// empty between rounds, so the cumulative [`Tcm`] is all a checkpoint needs.
 #[derive(Debug)]
 pub struct Reducer(Rounds);
 
@@ -149,12 +57,11 @@ impl Reducer {
         })
     }
 
-    /// Reduce one round's OALs into `state` (`node_of` places each logging
-    /// thread, for the tree's leaves): admit the round's pairs to the top-k head
-    /// at their pre-round cumulative weight, fold.
+    /// Reduce one round's OALs into `tcm` (`node_of` places each logging
+    /// thread, for the tree's leaves).
     pub fn reduce(
         &mut self,
-        state: &mut ReducerState,
+        tcm: &mut Tcm,
         oals: &[Oal],
         node_of: impl Fn(ThreadId) -> usize,
     ) -> ReducedRound {
@@ -164,12 +71,7 @@ impl Reducer {
                     accrual.ingest(oal);
                 }
                 let round = accrual.close();
-                // Without a head the dense round folds as it is; the head needs
-                // the round's cells.
-                match (&mut state.cum, &state.topk) {
-                    (Cumulative::Dense(tcm), None) => tcm.merge(&round.tcm),
-                    _ => state.fold(&round.tcm.to_sparse()),
-                }
+                tcm.merge(&round.tcm);
                 ReducedRound {
                     objects: round.objects,
                     per_class: round.per_class,
@@ -182,7 +84,7 @@ impl Reducer {
                 }
                 let (stats, subtrees) = tree.close_round_subtrees();
                 let root = tree.merge_subtrees(subtrees);
-                state.fold(&root.pairs);
+                tcm.merge_sparse(&root.pairs);
                 ReducedRound {
                     objects: root.objects,
                     per_class: root.per_class,
@@ -228,25 +130,24 @@ mod tests {
     }
 
     #[test]
-    fn dense_configurations_agree_bit_for_bit() {
+    fn flat_and_tree_agree_bit_for_bit() {
         let (n_threads, n_nodes) = (70u32, 3usize); // two bitset words
-        let configs: Vec<ProfilerConfig> = [(0, 0), (0, 5), (2, 0), (3, 5)]
+        let configs: Vec<ProfilerConfig> = [0, 2, 3]
             .into_iter()
-            .map(|(fanout, k)| ProfilerConfig {
+            .map(|fanout| ProfilerConfig {
                 tcm_tree_fanout: fanout,
-                tcm_top_k: k,
                 ..ProfilerConfig::default()
             })
             .collect();
-        let mut reducers: Vec<(Reducer, ReducerState)> = configs
+        let mut reducers: Vec<(Reducer, Tcm)> = configs
             .iter()
-            .map(|c| (Reducer::new(c, n_threads as usize, n_nodes), ReducerState::new(c, n_threads as usize)))
+            .map(|c| (Reducer::new(c, n_threads as usize, n_nodes), Tcm::new(n_threads as usize)))
             .collect();
         for r in 0..5u64 {
             let oals = round(r + 1, n_threads);
             let rounds: Vec<ReducedRound> = reducers
                 .iter_mut()
-                .map(|(red, state)| red.reduce(state, &oals, |t| t.index() % n_nodes))
+                .map(|(red, tcm)| red.reduce(tcm, &oals, |t| t.index() % n_nodes))
                 .collect();
             for (cfg, got) in configs.iter().zip(&rounds).skip(1) {
                 let label = format!("round {r} {cfg:?}");
@@ -254,40 +155,13 @@ mod tests {
                 assert_eq!(got.per_class, rounds[0].per_class, "{label}");
                 assert_eq!(got.tree.is_some(), cfg.tcm_tree_fanout >= 2, "{label}");
             }
-            let flat = reducers[0].1.cumulative();
-            for (_, state) in &reducers[1..] {
-                let cum = state.cumulative();
+            let flat = &reducers[0].1;
+            for (_, cum) in &reducers[1..] {
                 assert!(
                     cum.raw().iter().zip(flat.raw()).all(|(a, b)| a.to_bits() == b.to_bits()),
                     "cumulative bits differ, round {r}"
                 );
             }
-            // The head is fed on both arms, from the same pre-round weights.
-            assert!(reducers[0].1.top_pairs().is_empty() && reducers[2].1.top_pairs().is_empty());
-            assert_eq!(reducers[1].1.top_pairs().len(), 5);
-            assert_eq!(reducers[1].1.top_pairs(), reducers[3].1.top_pairs());
         }
-        assert!(reducers.iter().all(|(_, state)| state.planning_view().is_none()));
-    }
-
-    #[test]
-    fn sketch_backend_plans_from_the_head_and_expands_on_demand() {
-        let config = ProfilerConfig {
-            tcm_tree_fanout: 2,
-            tcm_top_k: 4,
-            tcm_backend: TcmBackend::Sketch { width: 4096, depth: 4 },
-            ..ProfilerConfig::default()
-        };
-        let mut sketched = (Reducer::new(&config, 16, 2), ReducerState::new(&config, 16));
-        let exact_config = ProfilerConfig::default();
-        let mut exact = (Reducer::new(&exact_config, 16, 2), ReducerState::new(&exact_config, 16));
-        for r in 0..3u64 {
-            let oals = round(r + 1, 16);
-            sketched.0.reduce(&mut sketched.1, &oals, |t| t.index() % 2);
-            exact.0.reduce(&mut exact.1, &oals, |_| 0);
-        }
-        assert!(sketched.1.planning_view().is_some());
-        // Count-min never underestimates; at this width it is exact.
-        assert_eq!(sketched.1.cumulative(), exact.1.cumulative());
     }
 }

@@ -182,15 +182,8 @@ impl Tcm {
         SparseTcm::from_sorted_cells(self.n, cells)
     }
 
-    /// Sparse CSV export: header `i,j,bytes`, one row per *touched* pair. The dense
-    /// [`Tcm::to_csv`] emits `N²` cells — ~350 MB of text at N=4096 — where this
-    /// emits only the active pairs.
-    pub fn to_csv_sparse(&self) -> String {
-        self.to_sparse().to_csv()
-    }
-
     /// Serialize as CSV (header `t0,t1,…`, one row per thread) for external plotting
-    /// of the Fig. 1 / Fig. 9 data. At production N prefer [`Tcm::to_csv_sparse`].
+    /// of the Fig. 1 / Fig. 9 data.
     pub fn to_csv(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity((self.n + 1) * (self.n * 4 + 1));
@@ -336,17 +329,8 @@ impl SparseTcm {
     }
 
     /// Merge another sparse map into this one (sorted union; each side's cells keep
-    /// their ascending-index accumulation order). Allocates a fresh cell vector;
-    /// steady-state callers should use [`SparseTcm::merge_with`] and a retained
-    /// [`MergeScratch`].
-    pub fn merge(&mut self, other: &SparseTcm) {
-        let mut scratch = MergeScratch::new();
-        self.merge_with(other, &mut scratch);
-    }
-
-    /// [`SparseTcm::merge`] against a reusable scratch: the sorted union is
-    /// built in `scratch` and swapped in, so the displaced cell vector becomes the
-    /// next merge's buffer and steady-state tree aggregation never allocates.
+    /// their ascending-index accumulation order). The union is built in `scratch`
+    /// and copied back, so steady-state tree aggregation never allocates.
     pub fn merge_with(&mut self, other: &SparseTcm, scratch: &mut MergeScratch) {
         assert_eq!(self.n, other.n);
         if other.cells.is_empty() {
@@ -385,29 +369,11 @@ impl SparseTcm {
         self.cells.extend_from_slice(merged);
     }
 
-    /// CSV of the touched pairs: header `i,j,bytes`, one row per pair with `i < j`,
-    /// ascending packed order.
-    pub fn to_csv(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(10 + self.cells.len() * 24);
-        out.push_str("i,j,bytes\n");
-        for (i, j, v) in self.iter() {
-            let _ = writeln!(out, "{},{},{v}", i.0, j.0);
-        }
-        out
-    }
-
     /// Expand into a dense (packed triangular) [`Tcm`].
     pub fn to_dense(&self) -> Tcm {
         let mut t = Tcm::new(self.n);
         t.merge_sparse(self);
         t
-    }
-
-    /// Sum over the full symmetric matrix (2× the triangle sum), matching
-    /// [`Tcm::total`].
-    pub fn total(&self) -> f64 {
-        2.0 * self.cells.iter().map(|&(_, v)| v).sum::<f64>()
     }
 }
 
@@ -429,232 +395,6 @@ impl MergeScratch {
     /// Retained capacity, in cells (diagnostics for allocation-free assertions).
     pub fn capacity(&self) -> usize {
         self.buf.capacity()
-    }
-}
-
-/// Streaming view of the `k` most correlated thread pairs, in `O(capacity)`
-/// memory — the head of the pair distribution the placement engine steers by,
-/// maintained without ever materializing the `O(N²)` map.
-///
-/// The tracker keeps up to `4·k` candidate pairs as `(packed cell, weight)`.
-/// Pairs already tracked accrue their **exact** round deltas (round maps are
-/// exact in every backend); a newly seen pair is admitted at `cum_before(cell) +
-/// round value`, where `cum_before` reports the pre-round cumulative weight —
-/// exact under [`TcmBackend::Dense`](crate::config::TcmBackend), a count-min
-/// upper bound under the sketch backend (the sketch error model in DESIGN.md
-/// §16). When the candidate set overflows, the coldest pairs are evicted under a
-/// total order (weight desc, cell asc), so the view is deterministic for a
-/// deterministic round stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TopKPairs {
-    n: usize,
-    k: usize,
-    capacity: usize,
-    /// Tracked pairs, ascending packed-cell order.
-    tracked: Vec<(u32, f64)>,
-}
-
-impl TopKPairs {
-    /// Track the top `k` pairs of an `n`-thread map (capacity `4·k` candidates).
-    pub fn new(n: usize, k: usize) -> Self {
-        TopKPairs {
-            n,
-            k,
-            capacity: k.saturating_mul(4),
-            tracked: Vec::new(),
-        }
-    }
-
-    /// The configured `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Number of threads.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Currently tracked candidate count (≤ `4·k`).
-    pub fn tracked_len(&self) -> usize {
-        self.tracked.len()
-    }
-
-    /// Total order for eviction/ranking: hotter first, ties broken by cell index.
-    fn hotter(x: (u32, f64), y: (u32, f64)) -> std::cmp::Ordering {
-        y.1.total_cmp(&x.1).then(x.0.cmp(&y.0))
-    }
-
-    /// Fold one round's (exact, sparse) map into the view. `cum_before` must
-    /// report the cumulative weight of a cell *before* this round was folded —
-    /// the dense cumulative cell, or the sketch estimate taken pre-fold.
-    pub fn observe_round(&mut self, round: &SparseTcm, cum_before: impl Fn(u32) -> f64) {
-        if self.k == 0 || round.cells.is_empty() {
-            return;
-        }
-        let mut merged: Vec<(u32, f64)> =
-            Vec::with_capacity(self.tracked.len() + round.cells.len());
-        let (mut a, mut b) = (0, 0);
-        while a < self.tracked.len() && b < round.cells.len() {
-            match self.tracked[a].0.cmp(&round.cells[b].0) {
-                std::cmp::Ordering::Less => {
-                    merged.push(self.tracked[a]);
-                    a += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    let (idx, v) = round.cells[b];
-                    merged.push((idx, cum_before(idx) + v));
-                    b += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    merged.push((self.tracked[a].0, self.tracked[a].1 + round.cells[b].1));
-                    a += 1;
-                    b += 1;
-                }
-            }
-        }
-        merged.extend_from_slice(&self.tracked[a..]);
-        for &(idx, v) in &round.cells[b..] {
-            merged.push((idx, cum_before(idx) + v));
-        }
-        if merged.len() > self.capacity {
-            merged.select_nth_unstable_by(self.capacity - 1, |&x, &y| Self::hotter(x, y));
-            merged.truncate(self.capacity);
-            merged.sort_unstable_by_key(|&(idx, _)| idx);
-        }
-        self.tracked = merged;
-    }
-
-    /// The top `k` pairs, hottest first, as `(i, j, weight)` with `i < j`.
-    pub fn top(&self) -> Vec<(ThreadId, ThreadId, f64)> {
-        let mut ranked = self.tracked.clone();
-        ranked.sort_unstable_by(|&x, &y| Self::hotter(x, y));
-        ranked
-            .iter()
-            .take(self.k)
-            .map(|&(idx, w)| {
-                let (i, j) = tri_decode(self.n, idx as usize);
-                (ThreadId(i as u32), ThreadId(j as u32), w)
-            })
-            .collect()
-    }
-}
-
-/// Count-min sketch over packed pair cells: the long-tail backend of
-/// [`TcmBackend::Sketch`](crate::config::TcmBackend). `depth` rows of `width`
-/// f64 counters; an update adds to one counter per row (the *standard* — and
-/// therefore mergeable — update rule, not the conservative one), a point query
-/// takes the min over rows, so estimates are upper bounds with error ≤
-/// `2·total/width` per row at ≥ `1 − (1/2)^depth` probability. Memory is
-/// `width·depth·8` bytes regardless of N — ~2 MB at the default 65536×4 versus
-/// a 67 MB dense triangle at N=4096.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SketchTcm {
-    n: usize,
-    width: usize,
-    depth: usize,
-    rows: Vec<f64>,
-}
-
-impl SketchTcm {
-    /// A zeroed `width × depth` sketch for an `n`-thread map.
-    ///
-    /// # Panics
-    /// If `width` or `depth` is zero.
-    pub fn new(n: usize, width: usize, depth: usize) -> Self {
-        assert!(width > 0 && depth > 0, "sketch dimensions must be nonzero");
-        SketchTcm {
-            n,
-            width,
-            depth,
-            rows: vec![0.0; width * depth],
-        }
-    }
-
-    /// Number of threads of the underlying map.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Counters per row.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of hash rows.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Resident counter memory in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.rows.len() * 8
-    }
-
-    /// Row-local slot of a packed cell: a fixed-seed splitmix64 finalizer over
-    /// `(cell, row)`, so two sketches of equal shape always agree (which is what
-    /// makes [`SketchTcm::merge`] sound).
-    #[inline]
-    fn slot(&self, row: usize, idx: u32) -> usize {
-        let mut x = (idx as u64) ^ ((row as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        (x % self.width as u64) as usize
-    }
-
-    /// Accrue `v` onto cell `idx` (one counter per row).
-    #[inline]
-    pub fn add(&mut self, idx: u32, v: f64) {
-        for row in 0..self.depth {
-            let s = self.slot(row, idx);
-            self.rows[row * self.width + s] += v;
-        }
-    }
-
-    /// Point estimate of cell `idx`: min over rows (never underestimates).
-    #[inline]
-    pub fn estimate(&self, idx: u32) -> f64 {
-        let mut est = f64::INFINITY;
-        for row in 0..self.depth {
-            let s = self.slot(row, idx);
-            est = est.min(self.rows[row * self.width + s]);
-        }
-        est
-    }
-
-    /// Estimated shared volume between threads `i` and `j` (0 on the diagonal).
-    pub fn at(&self, i: ThreadId, j: ThreadId) -> f64 {
-        if i == j {
-            return 0.0;
-        }
-        let (a, b) = if i.index() < j.index() {
-            (i.index(), j.index())
-        } else {
-            (j.index(), i.index())
-        };
-        self.estimate(tri_index(self.n, a, b) as u32)
-    }
-
-    /// Fold one round's sparse map into the sketch.
-    pub fn fold_round(&mut self, round: &SparseTcm) {
-        for &(idx, v) in round.cells() {
-            self.add(idx, v);
-        }
-    }
-
-    /// Merge another sketch (elementwise counter sum — exact for the standard
-    /// update rule, since both sides hash identically).
-    ///
-    /// # Panics
-    /// If the shapes differ.
-    pub fn merge(&mut self, other: &SketchTcm) {
-        assert_eq!((self.n, self.width, self.depth), (other.n, other.width, other.depth));
-        for (a, b) in self.rows.iter_mut().zip(&other.rows) {
-            *a += b;
-        }
     }
 }
 
@@ -1187,7 +927,6 @@ mod tests {
         assert_eq!(panic_message(|| { Tcm::new(3).at(t3, t0); }), expected);
         assert_eq!(panic_message(|| { SparseTcm::from_pairs(3, &[(t0, t3, 1.0)]); }), expected);
         assert_eq!(panic_message(|| { SparseTcm::new(3).at(t0, t3); }), expected);
-        assert_eq!(panic_message(|| { SketchTcm::new(3, 64, 2).at(t3, t0); }), expected);
     }
 
     #[test]
@@ -1448,13 +1187,12 @@ mod tests {
         let t = |i| ThreadId(i);
         let mut a = SparseTcm::from_pairs(4, &[(t(0), t(1), 5.0), (t(2), t(3), 7.0)]);
         let b = SparseTcm::from_pairs(4, &[(t(1), t(0), 3.0), (t(1), t(2), 2.0)]);
-        a.merge(&b);
+        a.merge_with(&b, &mut MergeScratch::new());
         assert_eq!(a.at(t(0), t(1)), 8.0);
         assert_eq!(a.at(t(1), t(2)), 2.0);
         assert_eq!(a.at(t(2), t(3)), 7.0);
         assert_eq!(a.at(t(0), t(3)), 0.0);
         assert_eq!(a.len(), 3);
-        assert_eq!(a.total(), 2.0 * (8.0 + 2.0 + 7.0));
         let pairs: Vec<_> = a.iter().collect();
         assert_eq!(pairs[0], (t(0), t(1), 8.0));
         assert!(pairs.windows(2).all(|w| w[0].0 <= w[1].0), "sorted by row");
@@ -1512,25 +1250,19 @@ mod tests {
         let s = t.to_sparse();
         assert_eq!(s.len(), 2);
         assert_eq!(s.to_dense(), t);
-        let csv = t.to_csv_sparse();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "i,j,bytes");
-        assert_eq!(lines.len(), 3, "only touched pairs are emitted");
-        assert!(lines.contains(&"0,3,12"));
-        assert!(lines.contains(&"2,4,7.5"));
     }
 
     #[test]
-    fn merge_with_matches_merge_and_reuses_buffers() {
+    fn merge_with_matches_the_dense_merge_and_reuses_buffers() {
         let t = |i| ThreadId(i);
         let base = SparseTcm::from_pairs(6, &[(t(0), t(1), 5.0), (t(2), t(3), 7.0)]);
         let delta = SparseTcm::from_pairs(6, &[(t(0), t(1), 3.0), (t(4), t(5), 2.0)]);
-        let mut plain = base.clone();
-        plain.merge(&delta);
+        let mut dense = base.to_dense();
+        dense.merge_sparse(&delta);
         let mut scratched = base.clone();
         let mut scratch = MergeScratch::new();
         scratched.merge_with(&delta, &mut scratch);
-        assert_eq!(plain, scratched);
+        assert_eq!(scratched, dense.to_sparse());
         assert!(scratch.capacity() > 0, "union staged through the scratch");
         // One more merge settles both buffers at the stable union size; from
         // then on a steady-state merge must not grow either buffer.
@@ -1542,101 +1274,5 @@ mod tests {
         let cap_after = (scratch.capacity(), scratched.cells.capacity());
         assert_eq!(cap_before, cap_after, "no per-merge growth for a stable union");
         assert_eq!(scratched.at(t(0), t(1)), 5.0 + 10.0 * 3.0);
-    }
-
-    #[test]
-    fn topk_matches_brute_force_on_dense_cumulative() {
-        // Deterministic pseudo-random rounds; the tracker fed exact cumulative
-        // lookups must agree with a full sort of the dense map after every round.
-        let n = 24;
-        let mut cum = Tcm::new(n);
-        let mut top = TopKPairs::new(n, 5);
-        let mut h = 0x1234_5678_u64;
-        let mut mix = move || {
-            h ^= h << 13;
-            h ^= h >> 7;
-            h ^= h << 17;
-            h
-        };
-        for _ in 0..20 {
-            let mut pairs = Vec::new();
-            for _ in 0..40 {
-                let i = (mix() % n as u64) as u32;
-                let j = (mix() % n as u64) as u32;
-                let v = (mix() % 512 + 1) as f64;
-                pairs.push((ThreadId(i), ThreadId(j), v));
-            }
-            let round = SparseTcm::from_pairs(n, &pairs);
-            top.observe_round(&round, |idx| cum.raw()[idx as usize]);
-            cum.merge_sparse(&round);
-            let mut all: Vec<(u32, f64)> = cum
-                .raw()
-                .iter()
-                .enumerate()
-                .filter(|&(_, v)| *v > 0.0)
-                .map(|(i, &v)| (i as u32, v))
-                .collect();
-            all.sort_unstable_by(|&x, &y| TopKPairs::hotter(x, y));
-            let expect: Vec<(u32, f64)> = all.into_iter().take(5).collect();
-            let got: Vec<(u32, f64)> = top
-                .top()
-                .iter()
-                .map(|&(i, j, w)| (tri_index(n, i.index(), j.index()) as u32, w))
-                .collect();
-            assert_eq!(got, expect, "top-k view drifted from the dense truth");
-        }
-        assert!(top.tracked_len() <= 20, "candidate set stays O(k)");
-    }
-
-    #[test]
-    fn sketch_never_underestimates_and_merges_exactly() {
-        let n = 64;
-        let mut one = SketchTcm::new(n, 256, 4);
-        let mut left = SketchTcm::new(n, 256, 4);
-        let mut right = SketchTcm::new(n, 256, 4);
-        let mut exact: HashMap<u32, f64> = HashMap::new();
-        let mut h = 99u64;
-        let mut mix = move || {
-            h ^= h << 13;
-            h ^= h >> 7;
-            h ^= h << 17;
-            h
-        };
-        for k in 0..500 {
-            let idx = (mix() % tri_len(n) as u64) as u32;
-            let v = (mix() % 128 + 1) as f64;
-            one.add(idx, v);
-            if k % 2 == 0 {
-                left.add(idx, v);
-            } else {
-                right.add(idx, v);
-            }
-            *exact.entry(idx).or_insert(0.0) += v;
-        }
-        for (&idx, &truth) in &exact {
-            assert!(one.estimate(idx) >= truth, "count-min must upper-bound");
-        }
-        left.merge(&right);
-        assert_eq!(left, one, "standard-update sketches merge exactly");
-    }
-
-    #[test]
-    fn sketch_at_wide_width_is_near_exact() {
-        // A sparse workload against the default-ish width: few collisions, so the
-        // hot cells read back (almost always) exactly.
-        let n = 128;
-        let mut sk = SketchTcm::new(n, 1 << 14, 4);
-        let mut t = Tcm::new(n);
-        for i in 0..40u32 {
-            let (a, b) = (ThreadId(i), ThreadId(i + 60));
-            let v = ((i + 1) * 64) as f64;
-            t.add_pair(a, b, v);
-            sk.add(tri_index(n, a.index(), b.index()) as u32, v);
-        }
-        for i in 0..40u32 {
-            let (a, b) = (ThreadId(i), ThreadId(i + 60));
-            assert_eq!(sk.at(a, b), t.at(a, b), "no collisions at this density");
-        }
-        assert!(sk.memory_bytes() < tri_len(4096) * 8, "sketch ≪ dense at production N");
     }
 }

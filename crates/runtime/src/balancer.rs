@@ -2,8 +2,8 @@
 //!
 //! The paper's profiles exist to feed "effective thread-to-core placement and dynamic
 //! load balancing"; the policy itself is named future work (Section V). The planner is
-//! a **two-stage partitioner** over any [`CorrelationView`] (dense TCM, top-k head, or
-//! sketched top-k — the planner never touches the packed-triangle layout):
+//! a **two-stage partitioner** over any [`CorrelationView`] (the dense TCM or a sparse
+//! map — the planner never touches the packed-triangle layout):
 //!
 //! 1. **Greedy seeding** ([`LoadBalancer::greedy_seed`]): thread pairs in descending
 //!    correlation order; an unplaced pair opens on the least-loaded node, a half-placed
@@ -17,11 +17,10 @@
 //!    — sticky-set footprint bytes as the cost, a per-epoch migration-byte budget,
 //!    and a cooldown mask for hysteresis — recording every veto attributably.
 //!
-//! [`LoadBalancer::plan`] runs both stages from scratch and serves static planning
-//! (the placement bench's headless lane). The live engine
-//! (`dynamic::plan_epoch`, for one epoch or many) runs stage 2 alone from the
-//! placement the threads actually hold, then, when it migrates homes, relabels the
-//! refined groups onto the nodes that home their data
+//! [`LoadBalancer::plan`] runs both stages from scratch and serves static planning.
+//! The live engine (`dynamic::plan_epoch`, for one epoch or many) runs stage 2
+//! alone from the placement the threads actually hold, then, when it migrates
+//! homes, relabels the refined groups onto the nodes that home their data
 //! ([`LoadBalancer::home_affine_labels`]). Every move carries its exact, sequential
 //! gain; no other migration gain is computed.
 //!
@@ -782,17 +781,5 @@ mod tests {
         assert!(out.moves.is_empty());
         assert_eq!(out.vetoed_gain, 1, "the stop is recorded once");
         assert_eq!(out.placement, bad);
-    }
-
-    #[test]
-    fn plan_via_topk_view_matches_dense_on_the_head() {
-        use jessy_core::TopKPairs;
-        let tcm = clique_tcm();
-        let mut tk = TopKPairs::new(4, 3);
-        tk.observe_round(&tcm.to_sparse(), |_| 0.0);
-        let lb = LoadBalancer::new();
-        let dense = lb.plan(&tcm, 2);
-        let head = lb.plan(&tk, 2);
-        assert_eq!(dense.placement, head.placement, "head covers every pair here");
     }
 }

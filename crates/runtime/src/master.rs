@@ -39,8 +39,8 @@
 //!
 //! * Every `ProfilerConfig::checkpoint_every_rounds` closed rounds it snapshots a
 //!   [`ProfilerCheckpoint`]: a clone of its [`MasterState`] (the round
-//!   scheduler, the reducer's cumulative map and top-k head, the adaptive
-//!   controller, the rate table and the [`MasterLedger`]) and the length of its
+//!   scheduler, the cumulative TCM, the adaptive controller, the rate table, the
+//!   [`MasterLedger`] and the cost inputs of the last close) and the length of its
 //!   accepted-OAL log. The log past that length is the replay WAL (modeling a
 //!   durable log / worker retransmit buffers); without `record_oals` the log is
 //!   drained at each snapshot, so it holds only the OALs since the latest one.
@@ -49,9 +49,9 @@
 //!   batch at/after the window's end triggers a **restore**: the latest checkpoint
 //!   is reinstated, the log's tail past its length is re-ingested deterministically,
 //!   and the master **epoch** is bumped and broadcast with the rate table. When no
-//!   message faults dropped OALs, the recovered TCM, top-k head and sketch are
-//!   bit-identical to the uninterrupted run's; with drops, round coverage reflects
-//!   the loss and the lossy-network machinery (DESIGN.md §8) degrades gracefully.
+//!   message faults dropped OALs, the recovered TCM is bit-identical to the
+//!   uninterrupted run's; with drops, round coverage reflects the loss and the
+//!   lossy-network machinery (DESIGN.md §8) degrades gracefully.
 //! * Arriving OALs stamped with a **stale epoch** that duplicate already-replayed
 //!   state are *fenced* (counted, never double-folded); stale-but-new OALs are still
 //!   accepted — fencing them too would turn every in-flight batch at restore time
@@ -200,10 +200,6 @@ pub struct MasterOutput {
     pub converged_classes: u64,
     /// The master epoch at the end of the run (0 = never crashed).
     pub final_epoch: u64,
-    /// The `ProfilerConfig::tcm_top_k` hottest correlated pairs `(i, j, weight)`,
-    /// hottest first — the streaming view the placement engine consumes. Empty
-    /// when `tcm_top_k` is 0.
-    pub top_pairs: Vec<(u32, u32, f64)>,
     /// Tree-reduction telemetry; all zero in flat mode.
     pub reduce: ReduceTelemetry,
     /// Straggler demotions performed by the gray-failure detector

@@ -18,6 +18,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use serde::{Deserialize, Serialize};
+
 use jessy_core::adaptive::apply_rate_change;
 use jessy_core::{GapTable, ProfilerConfig, SamplingRate};
 use jessy_gos::{ClassId, ObjectId};
@@ -54,7 +56,7 @@ pub struct MasterSetup {
 
 /// The inputs of a round's profiling cost fraction: virtual counters, read while
 /// the master holds the cooperative token, so the fraction is deterministic.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct CostInputs {
     /// Σ worker clocks (ns). Each stands where its parked thread's next visible
     /// action begins (DESIGN.md §15).

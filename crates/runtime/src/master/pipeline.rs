@@ -13,14 +13,14 @@ use std::time::Instant;
 
 use jessy_core::tcm::SparseTcm;
 use jessy_core::{
-    CorrelationView, DegradeStep, HomeAwareAnalyzer, Oal, RateCause, ReducedRound, Reducer,
-    RoundOutcome, SamplingRate,
+    DegradeStep, HomeAwareAnalyzer, Oal, RateCause, ReducedRound, Reducer, RoundOutcome,
+    SamplingRate,
 };
 use jessy_gos::{ClassId, ObjectId};
 use jessy_net::{MasterCrashWindow, MsgClass, NodeId};
 use jessy_obs::EventKind;
 
-use super::boundary::{CostInputs, MasterBoundary, MasterSetup};
+use super::boundary::{MasterBoundary, MasterSetup};
 use super::state::{ClosedRound, Ingest, MasterState, ProfilerCheckpoint};
 use super::{AppliedRateChange, EpochOal, MasterOutput, ReduceTelemetry};
 use crate::dynamic::{plan_epoch, Directive, PlanInputs, RebalanceConfig};
@@ -71,9 +71,6 @@ pub struct MasterCore {
     /// effect): kept only when rebalancing with `migrate_homes` on.
     homeaware: Option<HomeAwareAnalyzer>,
     stragglers: Option<Stragglers>,
-    /// The cost inputs at the previous round close: the cost fraction is the
-    /// delta between closes.
-    cost_base: CostInputs,
     /// Classes whose convergence was already journaled (an event fires once per
     /// class, even when replay re-closes the round that froze it).
     announced_converged: BTreeSet<ClassId>,
@@ -140,7 +137,6 @@ impl MasterCore {
             counters,
             homeaware,
             stragglers,
-            cost_base: CostInputs::default(),
             announced_converged: BTreeSet::new(),
             epoch: 0,
             latest_checkpoint: None,
@@ -267,7 +263,7 @@ impl MasterCore {
         fx: &mut impl MasterBoundary,
     ) -> ReducedRound {
         let node_of = |t: jessy_net::ThreadId| placement[t.index()].index();
-        let reduced = self.reducer.reduce(&mut self.state.reducer, oals, node_of);
+        let reduced = self.reducer.reduce(&mut self.state.tcm, oals, node_of);
         let Some(stats) = &reduced.tree else {
             return reduced;
         };
@@ -300,7 +296,7 @@ impl MasterCore {
     /// `RoundClosed` event journals it.
     fn cost_fraction(&mut self, fx: &mut impl MasterBoundary) -> f64 {
         let now = fx.cost_inputs();
-        let base = std::mem::replace(&mut self.cost_base, now);
+        let base = std::mem::replace(&mut self.state.cost_base, now);
         let d_compute = now.compute_ns.saturating_sub(base.compute_ns);
         if d_compute == 0 {
             return 0.0;
@@ -468,15 +464,9 @@ impl MasterCore {
         }
     }
 
-    /// One planning epoch: decide the moves over the planning view the reducer
-    /// already maintains ([`plan_epoch`]), post them as epoch-stamped
-    /// directives, then, with `migrate_homes`, repair homes.
-    ///
-    /// When the reducer keeps a head-and-sketch view
-    /// ([`ReducerState::planning_view`]) the plan is drawn from it, so planning
-    /// stays O(k + sketch) and never expands the O(N²) dense map
-    /// [`ReducerState::cumulative`] would materialize. That is the
-    /// production-scale path (N=1024 in the bench).
+    /// One planning epoch: decide the moves over the cumulative map
+    /// ([`plan_epoch`]), post them as epoch-stamped directives, then, with
+    /// `migrate_homes`, repair homes.
     fn plan_placement_epoch(
         &mut self,
         cfg: &RebalanceConfig,
@@ -497,13 +487,9 @@ impl MasterCore {
             footprints: &footprints,
             affinity: affinity.as_deref(),
         };
-        let view: Box<dyn CorrelationView + '_> = match self.state.reducer.planning_view() {
-            Some(view) => Box::new(view),
-            None => Box::new(self.state.reducer.cumulative()),
-        };
         let ledger = &mut self.state.ledger;
         let (issued, intra_before, intra_after) = plan_epoch(
-            &*view,
+            &self.state.tcm,
             cfg,
             round,
             &world,
@@ -570,8 +556,8 @@ impl MasterCore {
     /// rate table, then deterministically replay the logged post-checkpoint
     /// OALs. Because the log's tail holds exactly the accepted-since-checkpoint
     /// stream, checkpoint + replay is an *identity transform* on accepted state:
-    /// when no OALs were dropped by message faults, the recovered TCM and top-k
-    /// head are bit-identical to the uninterrupted run's.
+    /// when no OALs were dropped by message faults, the recovered TCM is
+    /// bit-identical to the uninterrupted run's.
     fn restore(&mut self, fx: &mut impl MasterBoundary) {
         self.counters.restores += 1;
         let logged = self.latest_checkpoint.as_ref().map_or(0, |cp| cp.oal_log_len);
@@ -669,11 +655,11 @@ impl MasterCore {
 
     /// Everything the master produced.
     pub fn output(self) -> MasterOutput {
-        let MasterState { scheduler, reducer, controller, ledger, .. } = self.state;
+        let MasterState { scheduler, tcm, controller, ledger, .. } = self.state;
         let config = self.setup.config;
         let controller = controller.as_ref();
         MasterOutput {
-            tcm: reducer.cumulative(),
+            tcm,
             oals_ingested: ledger.oals,
             rounds: ledger.rounds,
             objects_organized: ledger.objects_organized,
@@ -694,7 +680,6 @@ impl MasterCore {
             quarantined_nodes: self.counters.quarantined_nodes,
             converged_classes: controller.map_or(0, |c| c.converged_count() as u64),
             final_epoch: self.epoch,
-            top_pairs: reducer.top_pairs().into_iter().map(|(i, j, v)| (i.0, j.0, v)).collect(),
             reduce: self.counters.reduce,
             stragglers: self.counters.stragglers,
             budget_over_rounds: ledger.budget_over_rounds,
@@ -742,11 +727,14 @@ mod tests {
     }
 
     /// A cluster that answers every read from fixed values and records every
-    /// effect. Each resampling walk visits seven objects.
+    /// effect. Each resampling walk visits seven objects. The `k`-th cost read
+    /// finds `1000·k` ns of compute and `k²` profiling bytes, so at one ns per
+    /// byte a close measured from read `a` to read `b` costs `(a + b) / 1000`.
     struct Fake {
         setup: MasterSetup,
         placement: Vec<NodeId>,
         effects: Vec<Effect>,
+        cost_reads: u64,
     }
 
     impl MasterBoundary for Fake {
@@ -757,7 +745,9 @@ mod tests {
             None
         }
         fn cost_inputs(&mut self) -> CostInputs {
-            CostInputs::default()
+            self.cost_reads += 1;
+            let k = self.cost_reads;
+            CostInputs { compute_ns: 1000 * k, prof_bytes: k * k, oal_entries: 0 }
         }
         fn placement(&mut self) -> Vec<NodeId> {
             self.placement.clone()
@@ -819,7 +809,7 @@ mod tests {
             rates,
             class_names: BTreeMap::from([(ClassId(0), "Body".to_string())]),
         };
-        Fake { setup, placement, effects: Vec::new() }
+        Fake { setup, placement, effects: Vec::new(), cost_reads: 0 }
     }
 
     /// Thread `thread`'s OAL for `interval`: each object logged at `bytes`.
@@ -966,7 +956,6 @@ mod tests {
     fn a_master_crash_restores_the_checkpoint_and_replays_bit_for_bit() {
         let config = ProfilerConfig {
             checkpoint_every_rounds: Some(2),
-            tcm_top_k: 3,
             ..config()
         };
         let objs: Vec<Vec<u32>> = (0..8).map(|r| (r..r + 3 + r % 4).collect()).collect();
@@ -986,8 +975,39 @@ mod tests {
         assert_eq!(fx.effects[restore + 1], Effect::Epoch(1));
         let bits = |o: &MasterOutput| o.tcm.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&crashed), bits(&base));
-        assert_eq!(crashed.top_pairs, base.top_pairs);
-        assert_eq!(crashed.top_pairs.len(), 1, "two threads, one pair");
+        assert!(crashed.tcm.total() > 0.0);
         assert_eq!((crashed.rounds, crashed.oals_ingested), (base.rounds, base.oals_ingested));
+    }
+
+    #[test]
+    fn a_restored_master_measures_its_first_cost_from_the_checkpoint() {
+        let config = ProfilerConfig { checkpoint_every_rounds: Some(2), ..config() };
+        let mut fx = fake(config, &[0, 1]);
+        fx.setup.ns_per_byte = 1.0;
+        let window = jessy_net::MasterCrashWindow { from_interval: 3, until_interval: 5 };
+        fx.setup.faults = Some(FaultPlan { master_crashes: vec![window], ..FaultPlan::default() });
+        let objs: Vec<Vec<u32>> = (0..8).map(|r| vec![r, r + 1]).collect();
+        let rounds: Vec<&[u32]> = objs.iter().map(Vec::as_slice).collect();
+        run(&mut fx, shared_rounds(&rounds, 48));
+        // Each close reads the cost inputs once: the k-th `RoundClosed` is read k.
+        let (mut reads, mut checkpointed, mut restored) = (0u64, None, false);
+        let mut first_reclose = None;
+        for event in events(&fx) {
+            match event {
+                EventKind::RoundClosed { cost_fraction, .. } => {
+                    reads += 1;
+                    if restored && first_reclose.is_none() {
+                        first_reclose = Some((reads, *cost_fraction));
+                    }
+                }
+                EventKind::CheckpointTaken { .. } if !restored => checkpointed = Some(reads),
+                EventKind::MasterRestored { .. } => restored = true,
+                _ => {}
+            }
+        }
+        let checkpointed = checkpointed.expect("a checkpoint precedes the crash");
+        let (read, fraction) = first_reclose.expect("the restore re-closes a round");
+        assert!(checkpointed < read - 1, "the crash fell past the checkpointed close");
+        assert_eq!(fraction, (checkpointed + read) as f64 / 1000.0, "measured from the checkpoint");
     }
 }

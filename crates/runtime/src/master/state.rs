@@ -7,9 +7,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
-use jessy_core::{AdaptiveController, GapTable, Oal, ReducerState};
+use jessy_core::{AdaptiveController, GapTable, Oal, Tcm};
 
-use super::boundary::MasterSetup;
+use super::boundary::{CostInputs, MasterSetup};
 use super::AppliedRateChange;
 use crate::dynamic::{PlacementTelemetry, PlannedMigration};
 
@@ -58,8 +58,8 @@ pub struct MasterLedger {
 pub struct MasterState {
     /// Round assembly (watermarks, open buckets, dedup set, late buffer).
     pub scheduler: RoundScheduler,
-    /// The reducer's cumulative map and top-k head over the ledger's rounds.
-    pub reducer: ReducerState,
+    /// The cumulative thread correlation map over the ledger's rounds.
+    pub tcm: Tcm,
     /// The adaptive controller (per-class baselines, converged set, drift
     /// bookkeeping and ladder position), if adaptive control is on.
     pub controller: Option<AdaptiveController>,
@@ -67,6 +67,9 @@ pub struct MasterState {
     pub rates: GapTable,
     /// The round-by-round record.
     pub ledger: MasterLedger,
+    /// The cost inputs at the last round close: the next close's cost fraction
+    /// is measured from them.
+    pub cost_base: CostInputs,
 }
 
 impl MasterState {
@@ -80,13 +83,14 @@ impl MasterState {
         scheduler.set_quarantine(quarantine);
         MasterState {
             scheduler,
-            reducer: ReducerState::new(config, setup.n_threads),
+            tcm: Tcm::new(setup.n_threads),
             controller: AdaptiveController::new(config),
             rates,
             ledger: MasterLedger {
                 last_moved_round: vec![None; setup.n_threads],
                 ..MasterLedger::default()
             },
+            cost_base: CostInputs::default(),
         }
     }
 }

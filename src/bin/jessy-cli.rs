@@ -43,8 +43,6 @@ struct Options {
     mailbox_capacity: Option<usize>,
     shed_policy: Option<ShedPolicy>,
     tcm_fanout: usize,
-    tcm_backend: TcmBackend,
-    top_k: usize,
     prefetch_depth: u32,
     json: bool,
     trace: Option<String>,
@@ -90,8 +88,6 @@ impl Default for Options {
             mailbox_capacity: None,
             shed_policy: None,
             tcm_fanout: 0,
-            tcm_backend: TcmBackend::Dense,
-            top_k: 0,
             prefetch_depth: 0,
             json: false,
             trace: None,
@@ -229,32 +225,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("--tcm-fanout: {e}"))?
             }
-            "--tcm-backend" => {
-                let v = value(flag)?.to_lowercase();
-                opts.tcm_backend = match v.as_str() {
-                    "dense" => TcmBackend::Dense,
-                    "sketch" => TcmBackend::default_sketch(),
-                    other => match other.strip_prefix("sketch:") {
-                        Some(dims) => {
-                            let (w, d) = dims.split_once(',').ok_or_else(|| {
-                                format!("bad backend {other:?} (dense | sketch | sketch:WIDTH,DEPTH)")
-                            })?;
-                            TcmBackend::Sketch {
-                                width: w.trim().parse().map_err(|e| format!("sketch width: {e}"))?,
-                                depth: d.trim().parse().map_err(|e| format!("sketch depth: {e}"))?,
-                            }
-                        }
-                        None => {
-                            return Err(format!(
-                                "bad backend {other:?} (dense | sketch | sketch:WIDTH,DEPTH)"
-                            ))
-                        }
-                    },
-                }
-            }
-            "--top-k" => {
-                opts.top_k = value(flag)?.parse().map_err(|e| format!("--top-k: {e}"))?
-            }
             "--json" => opts.json = true,
             "--trace" => opts.trace = Some(value(flag)?),
             "--journal" => opts.journal = Some(value(flag)?),
@@ -363,8 +333,6 @@ fn profiler_config(opts: &Options) -> ProfilerConfig {
         config.shed_policy = policy;
     }
     config.tcm_tree_fanout = opts.tcm_fanout;
-    config.tcm_backend = opts.tcm_backend;
-    config.tcm_top_k = opts.top_k;
     config
 }
 
@@ -616,12 +584,6 @@ fn cmd_run(opts: &Options) -> bool {
                 master.reduce.shuffle_bytes as f64 / 1024.0
             );
         }
-        if !master.top_pairs.is_empty() {
-            println!("\nhottest correlated pairs:");
-            for (i, j, w) in &master.top_pairs {
-                println!("  ({i:>4}, {j:>4})  {w:>14.0}");
-            }
-        }
         println!("\nthread correlation map:");
         print!("{}", master.tcm.ascii_heatmap());
     }
@@ -721,7 +683,6 @@ fn main() -> ExitCode {
             eprintln!("       [--overhead-budget FRACTION (SLO cost ceiling; needs --adaptive)]");
             eprintln!("       [--mailbox-capacity N] [--shed-policy drop-oldest|merge|summary]");
             eprintln!("       [--tcm-fanout K (>=2: fabric-tree TCM aggregation)]");
-            eprintln!("       [--tcm-backend dense|sketch|sketch:WIDTH,DEPTH] [--top-k K]");
             eprintln!("       [--trace FILE (Chrome trace_event)] [--journal FILE (JSON lines)] (run only)");
             eprintln!("       [--exec-seed N] [--exec-jitter NS (deterministic schedule jitter)]");
             ExitCode::FAILURE
@@ -785,17 +746,12 @@ mod tests {
 
     #[test]
     fn parses_tree_reduction_flags() {
-        let o = parse_args(&args(
-            "run --tcm-fanout 4 --tcm-backend sketch:8192,3 --top-k 16",
-        ))
-        .unwrap();
-        assert_eq!(o.tcm_fanout, 4);
-        assert_eq!(o.tcm_backend, TcmBackend::Sketch { width: 8192, depth: 3 });
-        assert_eq!(o.top_k, 16);
-        let o = parse_args(&args("run --tcm-fanout 2 --tcm-backend sketch")).unwrap();
-        assert_eq!(o.tcm_backend, TcmBackend::default_sketch());
-        let o = parse_args(&args("run --tcm-backend dense")).unwrap();
-        assert_eq!(o.tcm_backend, TcmBackend::Dense);
+        assert_eq!(parse_args(&args("run --tcm-fanout 4")).unwrap().tcm_fanout, 4);
+        // The dense map is the one cumulative backend: no flag selects another.
+        assert_rejected(&[
+            ("run --top-k 4", "unknown flag \"--top-k\""),
+            ("run --tcm-backend dense", "unknown flag \"--tcm-backend\""),
+        ]);
     }
 
     #[test]
@@ -890,11 +846,6 @@ mod tests {
             ("heatmap --journal x", "--trace / --journal only apply to the run command"),
             ("heatmap --trace x", "--trace / --journal only apply to the run command"),
             ("run --tcm-fanout 1", "ProfilerConfig.tcm_tree_fanout = 1"),
-            ("run --tcm-backend sketch", "set tcm_tree_fanout >= 2"),
-            (
-                "run --tcm-backend sketch:0,4 --tcm-fanout 2",
-                "must both be nonzero",
-            ),
             // `ClusterBuilder::build` panicked on this one.
             (
                 "run -w sessions --scale small --nodes 2 --threads 4 --rate 1x --adaptive -1",

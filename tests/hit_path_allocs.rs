@@ -13,10 +13,10 @@
 //! digests in `tests/schedule_identity.rs` and by `tests/determinism.rs`,
 //! which pass unchanged over the append-only object table.
 //!
-//! The same allocator also records the largest single request, for the two
-//! promises that are about size, not count: a tree + sketch reducer exists to
-//! avoid the dense N×N triangle, so neither a round of it nor a checkpoint of
-//! its state may ask for one.
+//! The same allocator also records the largest single request, for a promise
+//! about size, not count: the tree reducer folds sparse partials into the
+//! cumulative map, so closing a round under it never asks for a second dense
+//! N×N triangle, while the flat coordinator's dense round close does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -230,19 +230,8 @@ fn an_interior_sor_row_update_allocates_nothing() {
     });
 }
 
-/// The tree + sketch + top-k reducer configuration of the two size tests.
-fn tree_sketch_top_k() -> ProfilerConfig {
-    ProfilerConfig {
-        tcm_tree_fanout: 2,
-        tcm_backend: jessy::core::TcmBackend::default_sketch(),
-        tcm_top_k: 16,
-        ..ProfilerConfig::default()
-    }
-}
-
 /// One round of `n` threads: neighbouring threads share an object; every
-/// eighth object is shared by a whole block of 64, so the round has a head
-/// worth tracking.
+/// eighth object is shared by a whole block of 64.
 fn neighbour_round(n: usize) -> Vec<jessy::core::Oal> {
     use jessy::core::{Oal, OalEntry};
     (0..n as u32)
@@ -260,62 +249,34 @@ fn neighbour_round(n: usize) -> Vec<jessy::core::Oal> {
 /// `Vec`'s `vec![0.0; n]` goes through `alloc_zeroed`, whose default forwards
 /// to `alloc` above — so a dense `Tcm::new(N)` shows up in `LARGEST`.
 #[test]
-fn a_tree_sketch_top_k_round_never_asks_for_the_dense_triangle() {
-    use jessy::core::{Reducer, ReducerState};
+fn a_tree_round_close_never_asks_for_the_dense_triangle() {
+    use jessy::core::Reducer;
 
     const N: usize = 2048;
     const NODES: usize = 4;
     let triangle_bytes = N * (N - 1) / 2 * std::mem::size_of::<f64>(); // 16.8 MB
-    let config = tree_sketch_top_k();
     let oals = neighbour_round(N);
 
+    let tree = ProfilerConfig { tcm_tree_fanout: 2, ..ProfilerConfig::default() };
+    let mut tcm = Tcm::new(N);
     LARGEST.with(|m| m.set(0));
-    let (mut reducer, mut state) = (Reducer::new(&config, N, NODES), ReducerState::new(&config, N));
+    let mut reducer = Reducer::new(&tree, N, NODES);
     for _ in 0..3 {
-        let round = reducer.reduce(&mut state, &oals, |t| t.index() * NODES / N);
+        let round = reducer.reduce(&mut tcm, &oals, |t| t.index() * NODES / N);
         assert!(round.tree.is_some_and(|stats| stats.partial_bytes > 0));
         assert_eq!(round.objects, N / 2 + N / 64);
     }
-    assert_eq!(state.top_pairs().len(), 16);
     let largest = LARGEST.with(Cell::get);
     assert!(
         largest < triangle_bytes / 4,
-        "building and closing tree + sketch rounds asked for {largest} B at once; \
-         the dense triangle it exists to avoid is {triangle_bytes} B"
+        "building and closing tree rounds asked for {largest} B at once; \
+         the dense triangle is {triangle_bytes} B"
     );
 
-    // The control: the flat coordinator's dense close does ask for it.
+    // The control: the flat coordinator's dense round close does ask for it.
+    let mut flat_tcm = Tcm::new(N);
     LARGEST.with(|m| m.set(0));
     let flat = ProfilerConfig::default();
-    let mut state = ReducerState::new(&flat, N);
-    Reducer::new(&flat, N, NODES).reduce(&mut state, &oals, |_| 0);
+    Reducer::new(&flat, N, NODES).reduce(&mut flat_tcm, &oals, |_| 0);
     assert!(LARGEST.with(Cell::get) >= triangle_bytes);
-}
-
-/// A checkpoint clones the reducer's persistent state: under the sketch
-/// backend that is the sketch rows and the head, never the dense triangle.
-#[test]
-fn cloning_the_sketch_reducer_state_never_asks_for_the_dense_triangle() {
-    use jessy::core::{Reducer, ReducerState, TcmBackend};
-
-    const N: usize = 4096;
-    let triangle_bytes = N * (N - 1) / 2 * std::mem::size_of::<f64>(); // 67 MB
-    let config = tree_sketch_top_k();
-    let TcmBackend::Sketch { width, depth } = config.tcm_backend else {
-        unreachable!("tree_sketch_top_k picks the sketch backend")
-    };
-    let sketch_bytes = width as usize * depth as usize * std::mem::size_of::<f64>(); // 2 MB
-    let mut reduced = ReducerState::new(&config, N);
-    Reducer::new(&config, N, 4).reduce(&mut reduced, &neighbour_round(N), |t| t.index() * 4 / N);
-    assert_eq!(reduced.top_pairs().len(), 16);
-
-    LARGEST.with(|m| m.set(0));
-    let state = reduced.clone();
-    let largest = LARGEST.with(Cell::get);
-    assert_eq!(state, reduced);
-    assert!(
-        largest <= sketch_bytes,
-        "cloning the reducer state asked for {largest} B at once; the sketch rows are \
-         {sketch_bytes} B and the dense triangle {triangle_bytes} B"
-    );
 }

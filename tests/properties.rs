@@ -362,52 +362,6 @@ proptest! {
         prop_assert!((legs - delta).abs() <= 1e-9 * total.max(1.0), "legs {legs} vs delta {delta}");
     }
 
-    #[test]
-    fn topk_plan_stays_within_the_noise_of_dense(
-        n_cliques in 2usize..5,
-        members in 2usize..4,
-        noise in prop::collection::vec((0u32..16, 0u32..16), 0..12),
-    ) {
-        // Clique-structured truth: heavy intra-clique mass plus unit cross noise.
-        // The top-k head is sized to hold every heavy edge, so a plan drawn from
-        // it can only lose what the noise it dropped was worth.
-        let n = n_cliques * members;
-        let heavy = 1_000.0;
-        let mut tcm = Tcm::new(n);
-        let mut heavy_edges = 0usize;
-        for c in 0..n_cliques {
-            for a in 0..members {
-                for b in (a + 1)..members {
-                    let i = (c * members + a) as u32;
-                    let j = (c * members + b) as u32;
-                    tcm.add_pair(ThreadId(i), ThreadId(j), heavy);
-                    heavy_edges += 1;
-                }
-            }
-        }
-        let mut noise_mass = 0.0;
-        for (a, b) in &noise {
-            let (a, b) = (*a as usize % n, *b as usize % n);
-            if a != b && a / members != b / members {
-                tcm.add_pair(ThreadId(a as u32), ThreadId(b as u32), 1.0);
-                noise_mass += 2.0; // both endpoints, matching Tcm::total()
-            }
-        }
-        let mut topk = jessy::core::TopKPairs::new(n, heavy_edges);
-        topk.observe_round(&tcm.to_sparse(), |_| 0.0);
-        let lb = LoadBalancer::new();
-        let dense_plan = lb.plan(&tcm, n_cliques);
-        let topk_plan = lb.plan(&topk, n_cliques);
-        // Score BOTH on the dense truth the top-k planner never saw.
-        let dense_intra = lb.intra_fraction(&tcm, &dense_plan.placement);
-        let topk_intra = lb.intra_fraction(&tcm, &topk_plan.placement);
-        let bound = noise_mass / tcm.total();
-        prop_assert!(
-            topk_intra >= dense_intra - bound - 1e-9,
-            "top-k plan fell past the noise bound: {topk_intra} < {dense_intra} - {bound}"
-        );
-    }
-
     // ---------------------------------------------------------------- sticky resolution
 
     #[test]
@@ -751,7 +705,7 @@ proptest! {
     /// And a restore resumes identically: the deserialized scheduler, controller
     /// and reducer, fed the stream's tail alongside the live ones, classify every
     /// OAL, close and reduce every round, decide every round and end in the same
-    /// state — cumulative map, top-k head and planning view included.
+    /// state — cumulative map and last-close cost inputs included.
     #[test]
     fn profiler_checkpoint_serde_roundtrip_is_identity(
         raw in prop::collection::vec(
@@ -766,10 +720,11 @@ proptest! {
         coverage in prop::collection::vec(0.0f64..1.0, 0..8),
         costs in prop::collection::vec(0.0f64..0.05, 1..8),
         split_raw in 0usize..61,
-        reducer_kind in 0u8..3, // flat, tree, tree + sketch
-        top_k_raw in 0usize..2, // head off, or k = 3
+        tree in 0u8..2, // flat, tree
+        cost_base in (0u64..1 << 40, 0u64..1 << 30, 0u64..1 << 20),
     ) {
-        use jessy::core::{AdaptiveController, ProfilerConfig, Reducer, ReducerState, TcmBackend};
+        use jessy::core::{AdaptiveController, ProfilerConfig, Reducer};
+        use jessy::runtime::master::CostInputs;
         use jessy::runtime::{
             AppliedRateChange, MasterLedger, MasterState, PlannedMigration, ProfilerCheckpoint,
             RoundScheduler,
@@ -797,20 +752,13 @@ proptest! {
             quarantine_raw.iter().map(|&q| (q < 8).then_some(q)).collect();
         let mut sched = RoundScheduler::new(6, ipr, deadline);
         sched.set_quarantine(quarantine);
-        // A narrow sketch, so its counters collide.
         let reducer_config = ProfilerConfig {
-            tcm_tree_fanout: if reducer_kind == 0 { 0 } else { 2 },
-            tcm_backend: if reducer_kind == 2 {
-                TcmBackend::Sketch { width: 8, depth: 2 }
-            } else {
-                TcmBackend::Dense
-            },
-            tcm_top_k: 3 * top_k_raw,
+            tcm_tree_fanout: 2 * tree as usize,
             ..ProfilerConfig::default()
         };
         let node_of = |t: ThreadId| t.index() % 2;
         let mut reducer = Reducer::new(&reducer_config, 6, 2);
-        let mut reduced = ReducerState::new(&reducer_config, 6);
+        let mut reduced = Tcm::new(6);
         let mut pending: Vec<Oal> = Vec::new();
         let gaps = GapTable::new(4096);
         for c in 0..3u16 {
@@ -844,7 +792,7 @@ proptest! {
             epoch,
             oal_log_len: head.len(),
             state: MasterState {
-                reducer: reduced.clone(),
+                tcm: reduced.clone(),
                 scheduler: sched.clone(),
                 controller: Some(ctl.clone()),
                 rates: gaps.clone(),
@@ -887,6 +835,11 @@ proptest! {
                         repaired_bytes: 512,
                     },
                 },
+                cost_base: CostInputs {
+                    compute_ns: cost_base.0,
+                    prof_bytes: cost_base.1,
+                    oal_entries: cost_base.2,
+                },
             },
         };
 
@@ -896,9 +849,9 @@ proptest! {
         prop_assert_eq!(&back, &cp);
 
         // Restore as the master does: the deserialized state — scheduler,
-        // reducer state, controller and rate table — under fresh round scratch.
+        // cumulative map, controller and rate table — under fresh round scratch.
         let mut reducer2 = Reducer::new(&reducer_config, 6, 2);
-        let MasterState { scheduler: mut sched2, reducer: mut reduced2, controller, rates: gaps2, .. } =
+        let MasterState { scheduler: mut sched2, tcm: mut reduced2, controller, rates: gaps2, .. } =
             back.state;
         let mut ctl2 = controller.expect("controller checkpointed");
         // Both copies resume on the same tail in lockstep.
@@ -924,17 +877,7 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(reduced.cumulative(), reduced2.cumulative());
-        prop_assert_eq!(reduced.top_pairs(), reduced2.top_pairs());
-        let planned = |r: &ReducerState| {
-            r.planning_view().map(|view| {
-                let mut pairs = Vec::new();
-                view.for_each_pair(&mut |i, j, w| pairs.push((i, j, w)));
-                pairs
-            })
-        };
-        prop_assert_eq!(planned(&reduced), planned(&reduced2));
-        prop_assert_eq!(planned(&reduced).is_some(), reducer_kind == 2 && top_k_raw == 1);
+        prop_assert_eq!(&reduced, &reduced2);
         prop_assert_eq!(sched.flush(), sched2.flush());
         prop_assert_eq!(sched.take_late(), sched2.take_late());
         prop_assert_eq!(&sched, &sched2);

@@ -361,7 +361,6 @@ fn chaos_runs_with_a_master_crash_replay_bit_for_bit() {
             round_deadline_intervals: Some(2),
             quarantine_after_crashes: Some(1),
             straggler_lag_intervals: Some(1.0),
-            tcm_top_k: 4,
             intervals_per_round: 1,
             ..adaptive(SamplingRate::NX(2))
         };

@@ -21,19 +21,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --workspace --no-deps with warnings denied (intra-doc links resolve)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> tcm_reduce smoke (exactness incl. N=1024 tree lane + sketch-at-dense identity)"
+echo "==> tcm_reduce smoke (exactness vs the scalar reference, incl. the N=1024 tree lane)"
 JESSY_SCALE=small cargo bench -p jessy-bench --bench tcm_reduce
 
 echo "==> access_path smoke (arena vs seed layout, payload identity)"
 JESSY_SCALE=small cargo bench -p jessy-bench --bench access_path
 
-echo "==> recovery smoke (asserts TCM + top-k + recorded OAL log bit-identity under a master crash, flat and tree + sketch + top-k lanes)"
+echo "==> recovery smoke (asserts TCM + recorded OAL log bit-identity under a master crash, flat and tree lanes)"
 JESSY_SCALE=small cargo bench -p jessy-bench --bench recovery
 
 echo "==> overhead_frontier smoke (budget ladder, shed policies, slow-node demotion)"
 JESSY_SCALE=small cargo bench -p jessy-bench --bench overhead_frontier
 
-echo "==> placement smoke (mid-run migration recovers the scattered gap, headless N=1024 plan)"
+echo "==> placement smoke (mid-run migration recovers the scattered gap)"
 JESSY_SCALE=small cargo bench -p jessy-bench --bench placement
 
 echo "==> phase_adapt smoke (drift re-activation vs frozen baseline, no-flip identity)"
@@ -117,14 +117,14 @@ done
 cmp "$ONE_DIR/a.jsonl" "$ONE_DIR/b.jsonl"
 rm -rf "$ONE_DIR"
 
-echo "==> flat top-k smoke (--top-k feeds the head on the flat coordinator too: same pairs as under the tree)"
-top_pairs() {
-  ./target/release/jessy-cli run -w sor --scale small --nodes 2 --threads 4 --rate 4x --top-k 4 "$@" \
-    | awk '/^hottest correlated pairs:/ { on = 1; next } on && /^$/ { exit } on'
+echo "==> flat vs tree smoke (the aggregation tree prints the flat coordinator's thread correlation map)"
+tcm_map() {
+  ./target/release/jessy-cli run -w sor --scale small --nodes 2 --threads 4 --rate 4x "$@" \
+    | awk '/^thread correlation map:/ { on = 1; next } on && /^$/ { exit } on'
 }
-FLAT_PAIRS=$(top_pairs)
-test -n "$FLAT_PAIRS"
-test "$FLAT_PAIRS" = "$(top_pairs --tcm-fanout 2)"
+FLAT_MAP=$(tcm_map)
+test -n "$FLAT_MAP"
+test "$FLAT_MAP" = "$(tcm_map --tcm-fanout 2)"
 
 echo "==> schedule-cost gate (paper-scale SOR: executor hand-offs per access, a count that replays exactly)"
 # 3 189 hand-offs over 122 760 accesses; 0.338 per access while armed traps
