@@ -8,8 +8,7 @@
 //! shows the trade: `replayed` shrinks as `ckpts` grows while the recovered TCM
 //! and recorded OAL stream (`record_oals`) stay **bit-identical** to the
 //! fault-free run in every row — recovery is an identity transform on the
-//! accepted stream, not an approximation of it. Two reducer lanes run the sweep:
-//! the flat coordinator and the aggregation tree. A checkpoint holds only the
+//! accepted stream, not an approximation of it. A checkpoint holds only the
 //! length of the master's one accepted-OAL log. The bench asserts identity on
 //! every row.
 //!
@@ -27,25 +26,13 @@ use jessy_runtime::{Cluster, MasterOutput};
 const THREADS: usize = 8;
 const NODES: usize = 4;
 
-/// A reducer lane: label and tree fanout.
-type Lane = (&'static str, usize);
-
-const LANES: [Lane; 2] = [("flat", 0), ("tree", 2)];
-
 /// One full cluster run. `faults` carries the master crash window (or nothing for
 /// the baseline); `checkpoint_every` is the snapshot cadence in rounds.
-fn run(
-    lane: Lane,
-    barriers: usize,
-    faults: Option<FaultPlan>,
-    checkpoint_every: Option<u64>,
-) -> MasterOutput {
-    let (_, fanout) = lane;
+fn run(barriers: usize, faults: Option<FaultPlan>, checkpoint_every: Option<u64>) -> MasterOutput {
     let mut config = ProfilerConfig::tracking_at(SamplingRate::Full);
     config.intervals_per_round = 2;
     config.record_oals = true;
     config.checkpoint_every_rounds = checkpoint_every;
-    config.tcm_tree_fanout = fanout;
     let mut builder = Cluster::builder()
         .nodes(NODES)
         .threads(THREADS)
@@ -92,7 +79,6 @@ fn main() {
 
     println!("X5. RECOVERY SWEEP (checkpoint cadence vs replay cost, one master crash)\n");
     let mut t = TextTable::new(&[
-        "reducer",
         "ckpt every",
         "ckpts",
         "restores",
@@ -103,32 +89,27 @@ fn main() {
         "oal_log identical",
         "build ms",
     ]);
-    for lane in LANES {
-        let truth = run(lane, barriers, None, None);
-        for &every in &[None, Some(1), Some(2), Some(4), Some(8)] {
-            let m = run(lane, barriers, Some(crash.clone()), every);
-            let cadence = every.map_or("never".into(), |k| format!("{k} rounds"));
-            let tcm_identical = m.tcm == truth.tcm && m.rounds == truth.rounds;
-            let log_identical = !m.oal_log.is_empty() && m.oal_log == truth.oal_log;
-            assert!(
-                tcm_identical && log_identical,
-                "{} lane, checkpoint every {cadence}: the recovered run must equal the \
-                 fault-free one",
-                lane.0
-            );
-            t.row(&[
-                lane.0.to_string(),
-                cadence,
-                m.checkpoints_taken.to_string(),
-                m.restores.to_string(),
-                m.replayed_oals.to_string(),
-                m.fenced_oals.to_string(),
-                m.final_epoch.to_string(),
-                tcm_identical.to_string(),
-                log_identical.to_string(),
-                format!("{:.2}", m.tcm_build_real_ns as f64 / 1e6),
-            ]);
-        }
+    let truth = run(barriers, None, None);
+    for &every in &[None, Some(1), Some(2), Some(4), Some(8)] {
+        let m = run(barriers, Some(crash.clone()), every);
+        let cadence = every.map_or("never".into(), |k| format!("{k} rounds"));
+        let tcm_identical = m.tcm == truth.tcm && m.rounds == truth.rounds;
+        let log_identical = !m.oal_log.is_empty() && m.oal_log == truth.oal_log;
+        assert!(
+            tcm_identical && log_identical,
+            "checkpoint every {cadence}: the recovered run must equal the fault-free one"
+        );
+        t.row(&[
+            cadence,
+            m.checkpoints_taken.to_string(),
+            m.restores.to_string(),
+            m.replayed_oals.to_string(),
+            m.fenced_oals.to_string(),
+            m.final_epoch.to_string(),
+            tcm_identical.to_string(),
+            log_identical.to_string(),
+            format!("{:.2}", m.tcm_build_real_ns as f64 / 1e6),
+        ]);
     }
     println!("{}", t.render());
     println!("the buffered transport defers in-flight OALs across the outage, so every");

@@ -163,7 +163,7 @@ mod tests {
         // (|8-10| + |4-0| + |0-2|) / (10 + 2)
         assert!((e_abs_sparse(&a, &b) - 8.0 / 12.0).abs() < 1e-12);
         // Edge cases mirror the dense metric.
-        let z = SparseTcm::new(4);
+        let z = SparseTcm::from_pairs(4, &[]);
         assert_eq!(e_abs_sparse(&z, &z), 0.0);
         assert_eq!(e_abs_sparse(&a, &z), f64::INFINITY);
     }

@@ -164,13 +164,6 @@ pub struct ProfilerConfig {
     /// more than this many times, so a flapping node cannot keep every round below
     /// `min_round_coverage` and starve adaptive convergence. `None` never expels.
     pub quarantine_after_crashes: Option<u32>,
-    /// Fanout of the k-ary TCM aggregation tree. `0` (the default) keeps the flat
-    /// coordinator: every thread ships its raw OAL to the master. Any value ≥ 2
-    /// turns on distributed reduction — each node pre-reduces its own threads'
-    /// OALs, partials shuffle to per-object owners and merge up a k-ary tree of
-    /// nodes, and the master folds at most `fanout` subtree partials per round.
-    /// (`1` is rejected: a unary chain aggregates nothing.)
-    pub tcm_tree_fanout: usize,
     /// SLO on the profiler's own cost, as a fraction of charged compute time
     /// (e.g. `Some(0.02)` = "profiling may consume at most 2% of the work it
     /// observes"). When the per-round measured cost fraction exceeds the budget,
@@ -223,7 +216,6 @@ impl ProfilerConfig {
             min_round_coverage: 0.0,
             checkpoint_every_rounds: None,
             quarantine_after_crashes: None,
-            tcm_tree_fanout: 0,
             overhead_budget: None,
             oal_mailbox_capacity: None,
             shed_policy: ShedPolicy::DropOldestRound,
@@ -299,13 +291,6 @@ impl ProfilerConfig {
                 "checkpoint_every_rounds",
                 "0".to_string(),
                 "a checkpoint cadence of 0 rounds is meaningless; use None to disable",
-            );
-        }
-        if self.tcm_tree_fanout == 1 {
-            return err(
-                "tcm_tree_fanout",
-                "1".to_string(),
-                "a unary aggregation chain reduces nothing; use 0 (flat) or a fanout of at least 2",
             );
         }
         if let Some(b) = self.overhead_budget {
@@ -392,15 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_mode_validates() {
-        let tree = ProfilerConfig {
-            tcm_tree_fanout: 4,
-            ..ProfilerConfig::default()
-        };
-        tree.validate().unwrap();
-    }
-
-    #[test]
     fn validation_names_the_offending_field_and_value() {
         let bad = ProfilerConfig {
             overhead_budget: Some(1.5),
@@ -445,10 +421,6 @@ mod tests {
             (
                 ProfilerConfig { checkpoint_every_rounds: Some(0), ..base },
                 "checkpoint_every_rounds",
-            ),
-            (
-                ProfilerConfig { tcm_tree_fanout: 1, ..base },
-                "tcm_tree_fanout",
             ),
             (
                 ProfilerConfig {

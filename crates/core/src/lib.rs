@@ -12,8 +12,8 @@
 //! * **Correlation tracking** ([`oal`], [`tcm`], [`accuracy`]) — per-thread,
 //!   per-interval Object Access Lists fed to a central analyzer that reorganizes them
 //!   per object and accrues the Thread Correlation Map; the two distance metrics
-//!   (`E_ABS`, `E_EUC`) of Section II.B.2. [`reducer`] is the coordinator's one
-//!   reduce step, flat or over the [`distributed`] tree, into one dense map.
+//!   (`E_ABS`, `E_EUC`) of Section II.B.2. The coordinator's one reduce path is
+//!   [`RoundAccrual`], which accrues each round straight into one dense map.
 //! * **The adaptive rate controller** ([`adaptive`]) — stepwise rate refinement driven
 //!   by *relative* accuracy between successive rounds, with resampling walks after
 //!   each change, drift re-activation of converged classes, and the overhead-budget
@@ -36,11 +36,9 @@
 pub mod accuracy;
 pub mod adaptive;
 pub mod config;
-pub mod distributed;
 pub mod homeaware;
 pub mod oal;
 pub mod profiler;
-pub mod reducer;
 pub mod sampling;
 pub mod stack_sampling;
 pub mod sticky;
@@ -52,12 +50,10 @@ pub use adaptive::{AdaptiveController, DegradeStep, RateCause, RateChange, Round
 pub use config::{
     ConfigError, FootprintConfig, FootprintMode, ProfilerConfig, ShedPolicy, StackSamplingConfig,
 };
-pub use distributed::{tree_parent, TcmPartial, TreeEdge, TreeRoundStats, TreeTcmReducer};
 pub use homeaware::{HomeAwareAnalyzer, HomeAwareReport, HomeMigrationRec};
 pub use oal::{Oal, OalEntry};
 pub use profiler::{ProfilerShared, ProfilerStats, ThreadProfiler};
-pub use reducer::{ReducedRound, Reducer};
 pub use sampling::{GapTable, SamplingRate};
 pub use stack_sampling::StackSampler;
-pub use tcm::{MergeScratch, RoundSummary, SparseTcm, Tcm, TcmBuilder};
+pub use tcm::{RoundAccrual, RoundSummary, SparseTcm, Tcm, TcmBuilder};
 pub use view::CorrelationView;

@@ -5,10 +5,12 @@
 //! steps, exactly as the paper costs them: reorganizing per-thread lists into
 //! per-object thread lists (`O(M·N)`), then accruing every pair (`O(M·N²)`).
 //!
-//! A [`TcmBuilder`] ingests OALs continuously; [`TcmBuilder::close_round`] folds the
-//! per-object organization of the round into the map and clears it. Accumulating in
-//! rounds (one round = `intervals_per_round` closed intervals) is what lets the
-//! adaptive controller compare "successive correlation matrices".
+//! A [`RoundAccrual`] is the coordinator's one reduce path: it ingests OALs
+//! continuously, and [`RoundAccrual::close`] accrues the round's pairs straight
+//! into the caller's cumulative [`Tcm`] and returns the round's per-class maps;
+//! no round map is built. [`TcmBuilder`] pairs one with a map of its own.
+//! Accumulating in rounds (one round = `intervals_per_round` closed intervals) is
+//! what lets the adaptive controller compare "successive correlation matrices".
 //!
 //! # Reduction data layout
 //!
@@ -21,8 +23,8 @@
 //! bits with trailing-zeros word iteration. Per-class round maps are **sparse**
 //! ([`SparseTcm`]): only the pairs a class actually touched, accumulated in a
 //! capacity-retained dense scratch and drained in ascending cell order at round close.
-//! All round-local buffers (object index, bitset arena, class scratch) retain their
-//! capacity across rounds, so steady-state ingestion is allocation-free.
+//! All round-local buffers (object index, record and bitset columns, class scratch)
+//! retain their capacity across rounds, so steady-state ingestion is allocation-free.
 //!
 //! The [`mod@reference`] module retains the seed's scalar implementation as the
 //! bit-exactness oracle for tests and the baseline for the `tcm_reduce` bench.
@@ -127,22 +129,6 @@ impl Tcm {
         self.data[tri_index(self.n, a, b)] += bytes;
     }
 
-    /// Merge another map into this one.
-    pub fn merge(&mut self, other: &Tcm) {
-        assert_eq!(self.n, other.n);
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
-    /// Merge a sparse map into this one (cells land in ascending packed order).
-    pub fn merge_sparse(&mut self, other: &SparseTcm) {
-        assert_eq!(self.n, other.n);
-        for &(idx, v) in &other.cells {
-            self.data[idx as usize] += v;
-        }
-    }
-
     /// Sum of all entries of the full symmetric matrix (2× the total pairwise shared
     /// volume, as in the dense representation).
     pub fn total(&self) -> f64 {
@@ -154,12 +140,6 @@ impl Tcm {
     /// packing, so the `E_ABS`/`E_EUC` ratios match the dense definition).
     pub fn raw(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Mutable packed cells, for in-crate accrual hot loops.
-    #[inline]
-    pub(crate) fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// The map as rows of the full symmetric matrix (for rendering). Streams straight
@@ -252,11 +232,6 @@ pub struct SparseTcm {
 }
 
 impl SparseTcm {
-    /// Empty sparse map for `n` threads.
-    pub fn new(n: usize) -> Self {
-        SparseTcm { n, cells: Vec::new() }
-    }
-
     /// Build from cells already sorted by ascending packed index.
     pub(crate) fn from_sorted_cells(n: usize, cells: Vec<(u32, f64)>) -> Self {
         debug_assert!(cells.windows(2).all(|w| w[0].0 < w[1].0));
@@ -328,83 +303,21 @@ impl SparseTcm {
         })
     }
 
-    /// Merge another sparse map into this one (sorted union; each side's cells keep
-    /// their ascending-index accumulation order). The union is built in `scratch`
-    /// and copied back, so steady-state tree aggregation never allocates.
-    pub fn merge_with(&mut self, other: &SparseTcm, scratch: &mut MergeScratch) {
-        assert_eq!(self.n, other.n);
-        if other.cells.is_empty() {
-            return;
-        }
-        if self.cells.is_empty() {
-            self.cells.extend_from_slice(&other.cells);
-            return;
-        }
-        let merged = &mut scratch.buf;
-        merged.clear();
-        merged.reserve(self.cells.len() + other.cells.len());
-        let (mut a, mut b) = (0, 0);
-        while a < self.cells.len() && b < other.cells.len() {
-            match self.cells[a].0.cmp(&other.cells[b].0) {
-                std::cmp::Ordering::Less => {
-                    merged.push(self.cells[a]);
-                    a += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push(other.cells[b]);
-                    b += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    merged.push((self.cells[a].0, self.cells[a].1 + other.cells[b].1));
-                    a += 1;
-                    b += 1;
-                }
-            }
-        }
-        merged.extend_from_slice(&self.cells[a..]);
-        merged.extend_from_slice(&other.cells[b..]);
-        // Copy back rather than swapping vectors: both buffers keep their
-        // (monotone) capacities, so steady-state merges never allocate.
-        self.cells.clear();
-        self.cells.extend_from_slice(merged);
-    }
-
     /// Expand into a dense (packed triangular) [`Tcm`].
     pub fn to_dense(&self) -> Tcm {
         let mut t = Tcm::new(self.n);
-        t.merge_sparse(self);
+        for &(idx, v) in &self.cells {
+            t.data[idx as usize] = v;
+        }
         t
     }
 }
 
-/// Reusable buffer for [`SparseTcm::merge_with`]. Holding one of these per merge
-/// site (aggregation-tree node, partial folder) makes repeated sparse merges
-/// allocation-free: the merged vector and the displaced input vector rotate
-/// through the scratch.
-#[derive(Debug, Default)]
-pub struct MergeScratch {
-    buf: Vec<(u32, f64)>,
-}
-
-impl MergeScratch {
-    /// A fresh (empty) scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Retained capacity, in cells (diagnostics for allocation-free assertions).
-    pub fn capacity(&self) -> usize {
-        self.buf.capacity()
-    }
-}
-
-/// What one [`TcmBuilder::close_round`] produced.
+/// What one round close produced.
 #[derive(Debug, Clone)]
 pub struct RoundSummary {
     /// Distinct objects organized this round (the `M` of the `O(M·N²)` cost).
     pub objects: usize,
-    /// This round's own correlation map.
-    pub tcm: Tcm,
     /// This round's per-class maps (input to the adaptive controller), sparse: only
     /// the pairs each class touched.
     pub per_class: HashMap<ClassId, SparseTcm>,
@@ -458,11 +371,10 @@ impl ClassScratch {
 }
 
 /// Visit every unordered pair `(a, b)`, `a < b`, of the set bits of a sharer
-/// bitset as its packed-triangle cell — the `O(pairs)` trailing-zeros walk both
-/// accrual sinks (the flat builder's dense round map, the tree owners' pushed
-/// cell lists) are driven by.
+/// bitset as its packed-triangle cell: the `O(pairs)` trailing-zeros walk of the
+/// round close.
 #[inline]
-pub(crate) fn for_each_sharer_pair(bits: &[u64], n: usize, mut sink: impl FnMut(usize)) {
+fn for_each_sharer_pair(bits: &[u64], n: usize, mut sink: impl FnMut(usize)) {
     let words = bits.len();
     for wi in 0..words {
         let mut wa = bits[wi];
@@ -490,170 +402,110 @@ pub(crate) fn for_each_sharer_pair(bits: &[u64], n: usize, mut sink: impl FnMut(
     }
 }
 
-/// One round-pending object: who it is, its class, and the largest size any
-/// sharer logged for it.
+/// One round-pending object: its class and the largest size any sharer logged
+/// for it.
 #[derive(Debug)]
 struct Record {
-    obj: ObjectId,
     class: ClassId,
     bytes: f64,
 }
 
-/// A round-local arena of per-object records — a slot map, a [`Record`] column
-/// and a parallel sharer-bitset column — shared by the flat [`TcmBuilder`] and
-/// the leaves and owners of the tree pipeline
-/// ([`TreeTcmReducer`](crate::TreeTcmReducer)). Records are iterated in
-/// first-touch order, so per-cell f64 accrual order is deterministic for a given
-/// ingestion order; every column retains its capacity across rounds, so
-/// steady-state ingestion is allocation-free.
+/// The coordinator's round scratch, and its one reduce path: OALs dedup into
+/// per-object records (a slot map, a `Record` column and a parallel
+/// sharer-bitset column), and [`RoundAccrual::close`] walks each shared
+/// record's pairs straight into the caller's cumulative [`Tcm`] and into the
+/// per-class scratches. Records are walked in first-touch order, so per-cell
+/// accrual order is deterministic for a given ingestion order. Every buffer
+/// retains its capacity across rounds and no round map is built, so a
+/// steady-state round allocates only its sparse per-class maps. Empty between
+/// rounds: the cumulative map is all a checkpoint needs.
 #[derive(Debug)]
-pub(crate) struct RecordArena {
-    /// Bitset words per record: `⌈n_threads/64⌉`.
+pub struct RoundAccrual {
+    n: usize,
+    /// Bitset words per record: `⌈n/64⌉`.
     words: usize,
     slots: HashMap<ObjectId, u32>,
     records: Vec<Record>,
     bits: Vec<u64>,
-}
-
-impl RecordArena {
-    pub(crate) fn new(n_threads: usize) -> Self {
-        RecordArena {
-            words: n_threads.div_ceil(64).max(1),
-            slots: HashMap::new(),
-            records: Vec::new(),
-            bits: Vec::new(),
-        }
-    }
-
-    /// Distinct objects recorded this round.
-    pub(crate) fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Reset for the next round, keeping every buffer's capacity.
-    pub(crate) fn clear(&mut self) {
-        self.slots.clear();
-        self.records.clear();
-        self.bits.clear();
-    }
-
-    /// The slot of `obj`, appended (no sharers, zero bytes) on first touch.
-    fn slot_for(&mut self, obj: ObjectId, class: ClassId) -> usize {
-        match self.slots.entry(obj) {
-            std::collections::hash_map::Entry::Occupied(o) => *o.get() as usize,
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let s = self.records.len();
-                v.insert(s as u32);
-                self.records.push(Record { obj, class, bytes: 0.0 });
-                self.bits.resize(self.bits.len() + self.words, 0);
-                s
-            }
-        }
-    }
-
-    /// Dedup one OAL into the records: the `O(M·N)` reorganization step.
-    pub(crate) fn ingest(&mut self, oal: &Oal) {
-        let t = oal.thread.index();
-        let (tw, tbit) = (t / 64, 1u64 << (t % 64));
-        for e in &oal.entries {
-            let slot = self.slot_for(e.obj, e.class);
-            let rec = &mut self.records[slot];
-            rec.bytes = rec.bytes.max(e.bytes as f64);
-            self.bits[slot * self.words + tw] |= tbit;
-        }
-    }
-
-    /// Merge one record of another arena: union the sharer bitsets, keep the max
-    /// byte weight. The class is a property of the object (every reporter names
-    /// the same one), so first-writer wins deterministically.
-    pub(crate) fn merge_record(&mut self, obj: ObjectId, class: ClassId, bytes: f64, bits: &[u64]) {
-        let slot = self.slot_for(obj, class);
-        let rec = &mut self.records[slot];
-        rec.bytes = rec.bytes.max(bytes);
-        let dst = &mut self.bits[slot * self.words..(slot + 1) * self.words];
-        for (d, s) in dst.iter_mut().zip(bits) {
-            *d |= s;
-        }
-    }
-
-    /// Every record as `(object, class, bytes, sharer bitset)`, first-touch order.
-    pub(crate) fn records(&self) -> impl Iterator<Item = (ObjectId, ClassId, f64, &[u64])> + '_ {
-        self.records
-            .iter()
-            .zip(self.bits.chunks_exact(self.words))
-            .map(|(r, bits)| (r.obj, r.class, r.bytes, bits))
-    }
-
-    /// The records that accrue pairs — those with at least two sharers — as
-    /// `(class, bytes, sharer bitset)`, first-touch order.
-    pub(crate) fn shared_records(&self) -> impl Iterator<Item = (ClassId, f64, &[u64])> + '_ {
-        self.records().filter_map(|(_, class, bytes, bits)| {
-            let pop: u32 = bits.iter().map(|w| w.count_ones()).sum();
-            (pop >= 2).then_some((class, bytes, bits))
-        })
-    }
-}
-
-/// The flat coordinator's round accrual: round-pending objects live in a
-/// `RecordArena`, and the round close walks each shared record's pairs into a
-/// **dense** round map (the measured-fastest close for the flat coordinator —
-/// ROADMAP item 5 (a)) and per-class scratches. It keeps no cumulative state:
-/// a [`TcmBuilder`] and the flat [`Reducer`](crate::Reducer) each fold its
-/// rounds into the one map they own.
-#[derive(Debug)]
-pub(crate) struct RoundAccrual {
-    n: usize,
-    arena: RecordArena,
     // Per-class round scratch, reused across rounds.
     class_slots: HashMap<ClassId, usize>,
     class_scratch: Vec<ClassScratch>,
 }
 
 impl RoundAccrual {
-    pub(crate) fn new(n_threads: usize) -> Self {
+    /// Round scratch for `n_threads` threads.
+    pub fn new(n_threads: usize) -> Self {
         RoundAccrual {
             n: n_threads,
-            arena: RecordArena::new(n_threads),
+            words: n_threads.div_ceil(64).max(1),
+            slots: HashMap::new(),
+            records: Vec::new(),
+            bits: Vec::new(),
             class_slots: HashMap::new(),
             class_scratch: Vec::new(),
         }
     }
 
     /// Ingest one OAL: the `O(M·N)` reorganization step.
-    pub(crate) fn ingest(&mut self, oal: &Oal) {
-        debug_assert!(oal.thread.index() < self.n);
-        self.arena.ingest(oal);
+    pub fn ingest(&mut self, oal: &Oal) {
+        let t = oal.thread.index();
+        debug_assert!(t < self.n);
+        let (tw, tbit) = (t / 64, 1u64 << (t % 64));
+        for e in &oal.entries {
+            let slot = match self.slots.entry(e.obj) {
+                std::collections::hash_map::Entry::Occupied(o) => *o.get() as usize,
+                std::collections::hash_map::Entry::Vacant(v) => {
+                    let s = self.records.len();
+                    v.insert(s as u32);
+                    self.records.push(Record { class: e.class, bytes: 0.0 });
+                    self.bits.resize(self.bits.len() + self.words, 0);
+                    s
+                }
+            };
+            let rec = &mut self.records[slot];
+            rec.bytes = rec.bytes.max(e.bytes as f64);
+            self.bits[slot * self.words + tw] |= tbit;
+        }
     }
 
-    /// The round's own maps, with the arena reset for the next round: the
-    /// `O(M·N²)` accrual step, `O(M · pairs)` over set bits via
-    /// `for_each_sharer_pair`.
-    pub(crate) fn close(&mut self) -> RoundSummary {
+    /// Close the round: accrue every pair into `tcm` (the `O(M·N²)` step,
+    /// `O(M · pairs)` over set bits) and return the round's own per-class maps,
+    /// with the scratch reset for the next round.
+    ///
+    /// Accruing straight into the cumulative map gives the same bits as
+    /// summing a round map first: OAL byte weights are `u64` casts and cell
+    /// sums stay below 2⁵³, so f64 addition is exact in any order.
+    pub fn close(&mut self, tcm: &mut Tcm) -> RoundSummary {
         let n = self.n;
-        let objects = self.arena.len();
-        let mut round_tcm = Tcm::new(n);
-        let rt = round_tcm.data_mut();
+        assert_eq!(tcm.n(), n, "the cumulative map has another thread count");
+        let objects = self.records.len();
+        let cum = &mut tcm.data;
         let mut last_class: Option<(ClassId, usize)> = None;
-        for (class, bytes, bits) in self.arena.shared_records() {
+        for (rec, bits) in self.records.iter().zip(self.bits.chunks_exact(self.words)) {
+            if bits.iter().map(|w| w.count_ones()).sum::<u32>() < 2 {
+                continue;
+            }
             let cs_idx = match last_class {
-                Some((c, i)) if c == class => i,
+                Some((c, i)) if c == rec.class => i,
                 _ => {
                     let class_scratch = &mut self.class_scratch;
-                    let i = *self.class_slots.entry(class).or_insert_with(|| {
+                    let i = *self.class_slots.entry(rec.class).or_insert_with(|| {
                         class_scratch.push(ClassScratch::new(n));
                         class_scratch.len() - 1
                     });
-                    last_class = Some((class, i));
+                    last_class = Some((rec.class, i));
                     i
                 }
             };
             let scratch = &mut self.class_scratch[cs_idx];
             for_each_sharer_pair(bits, n, |idx| {
-                rt[idx] += bytes;
-                scratch.accrue(idx as u32, bytes);
+                cum[idx] += rec.bytes;
+                scratch.accrue(idx as u32, rec.bytes);
             });
         }
-        self.arena.clear();
+        self.slots.clear();
+        self.records.clear();
+        self.bits.clear();
         // Drain per-class scratches into sorted sparse maps.
         let mut per_class = HashMap::with_capacity(self.class_slots.len());
         for (&class, &idx) in &self.class_slots {
@@ -662,16 +514,12 @@ impl RoundAccrual {
                 per_class.insert(class, sparse);
             }
         }
-        RoundSummary {
-            objects,
-            tcm: round_tcm,
-            per_class,
-        }
+        RoundSummary { objects, per_class }
     }
 }
 
 /// Builds a [`Tcm`] (and per-class sub-maps) from a stream of OALs: a
-/// `RoundAccrual` and the cumulative map its rounds fold into.
+/// [`RoundAccrual`] and the cumulative map its rounds accrue into.
 #[derive(Debug)]
 pub struct TcmBuilder {
     tcm: Tcm,
@@ -692,14 +540,13 @@ impl TcmBuilder {
         self.round.ingest(oal);
     }
 
-    /// Fold the round's per-object bitsets into the map and clear them.
+    /// Accrue the round's per-object bitsets into the map and clear them.
     ///
-    /// Returns the round's own (non-cumulative) maps — the "successive correlation
-    /// matrices" the adaptive controller compares — plus the object count.
+    /// Returns the round's own (non-cumulative) per-class maps — the
+    /// "successive correlation matrices" the adaptive controller compares —
+    /// plus the object count.
     pub fn close_round(&mut self) -> RoundSummary {
-        let summary = self.round.close();
-        self.tcm.merge(&summary.tcm);
-        summary
+        self.round.close(&mut self.tcm)
     }
 
     /// The accumulated global map.
@@ -926,7 +773,7 @@ mod tests {
         let expected = "thread pair (0, 3) out of range for a 3-thread map";
         assert_eq!(panic_message(|| { Tcm::new(3).at(t3, t0); }), expected);
         assert_eq!(panic_message(|| { SparseTcm::from_pairs(3, &[(t0, t3, 1.0)]); }), expected);
-        assert_eq!(panic_message(|| { SparseTcm::new(3).at(t0, t3); }), expected);
+        assert_eq!(panic_message(|| { SparseTcm::from_pairs(3, &[]).at(t0, t3); }), expected);
     }
 
     #[test]
@@ -964,11 +811,6 @@ mod tests {
         b.ingest(&oal(2, vec![entry(9, 64)]));
         let summary = b.close_round();
         assert_eq!(summary.objects, 3);
-        assert_eq!(
-            summary.tcm.at(ThreadId(0), ThreadId(1)),
-            100.0,
-            "round map matches cumulative map after one round"
-        );
         let t = b.tcm();
         assert_eq!(t.at(ThreadId(0), ThreadId(1)), 100.0);
         assert_eq!(t.at(ThreadId(0), ThreadId(2)), 0.0);
@@ -995,13 +837,12 @@ mod tests {
         b.ingest(&oal_at(0, 1, vec![entry(7, 100)]));
         b.ingest(&oal_at(0, 2, vec![entry(7, 100)]));
         b.ingest(&oal_at(1, 1, vec![entry(7, 100)]));
-        let summary = b.close_round();
+        b.close_round();
         assert_eq!(
-            summary.tcm.at(ThreadId(0), ThreadId(1)),
+            b.tcm().at(ThreadId(0), ThreadId(1)),
             100.0,
             "pair accrues once despite thread 0 logging the object in 3 intervals"
         );
-        assert_eq!(b.tcm().at(ThreadId(0), ThreadId(1)), 100.0);
     }
 
     #[test]
@@ -1049,18 +890,18 @@ mod tests {
         for &t in &sharers {
             b.ingest(&oal(t, vec![entry(42, 16)]));
         }
-        let summary = b.close_round();
+        b.close_round();
         for (ai, &a) in sharers.iter().enumerate() {
             for &bt in &sharers[ai + 1..] {
                 assert_eq!(
-                    summary.tcm.at(ThreadId(a), ThreadId(bt)),
+                    b.tcm().at(ThreadId(a), ThreadId(bt)),
                     16.0,
                     "pair ({a},{bt})"
                 );
             }
         }
         let expected_pairs = sharers.len() * (sharers.len() - 1) / 2;
-        assert_eq!(summary.tcm.total(), (expected_pairs * 2 * 16) as f64);
+        assert_eq!(b.tcm().total(), (expected_pairs * 2 * 16) as f64);
     }
 
     #[test]
@@ -1120,15 +961,15 @@ mod tests {
             b.ingest(&oal(t, (0..100).map(|o| entry(o, 8)).collect()));
         }
         b.close_round();
-        let bits_cap = b.round.arena.bits.capacity();
-        let records_cap = b.round.arena.records.capacity();
+        let bits_cap = b.round.bits.capacity();
+        let records_cap = b.round.records.capacity();
         assert!(bits_cap >= 100 && records_cap >= 100);
         for t in 0..4u32 {
             b.ingest(&oal(t, (0..100).map(|o| entry(o, 8)).collect()));
         }
         b.close_round();
-        assert_eq!(b.round.arena.bits.capacity(), bits_cap, "bitset column reused");
-        assert_eq!(b.round.arena.records.capacity(), records_cap, "record column reused");
+        assert_eq!(b.round.bits.capacity(), bits_cap, "bitset column reused");
+        assert_eq!(b.round.records.capacity(), records_cap, "record column reused");
     }
 
     #[test]
@@ -1183,11 +1024,12 @@ mod tests {
     }
 
     #[test]
-    fn sparse_tcm_merges_and_decodes() {
+    fn sparse_tcm_accumulates_and_decodes() {
         let t = |i| ThreadId(i);
-        let mut a = SparseTcm::from_pairs(4, &[(t(0), t(1), 5.0), (t(2), t(3), 7.0)]);
-        let b = SparseTcm::from_pairs(4, &[(t(1), t(0), 3.0), (t(1), t(2), 2.0)]);
-        a.merge_with(&b, &mut MergeScratch::new());
+        let a = SparseTcm::from_pairs(
+            4,
+            &[(t(0), t(1), 5.0), (t(2), t(3), 7.0), (t(1), t(0), 3.0), (t(1), t(2), 2.0)],
+        );
         assert_eq!(a.at(t(0), t(1)), 8.0);
         assert_eq!(a.at(t(1), t(2)), 2.0);
         assert_eq!(a.at(t(2), t(3)), 7.0);
@@ -1250,29 +1092,5 @@ mod tests {
         let s = t.to_sparse();
         assert_eq!(s.len(), 2);
         assert_eq!(s.to_dense(), t);
-    }
-
-    #[test]
-    fn merge_with_matches_the_dense_merge_and_reuses_buffers() {
-        let t = |i| ThreadId(i);
-        let base = SparseTcm::from_pairs(6, &[(t(0), t(1), 5.0), (t(2), t(3), 7.0)]);
-        let delta = SparseTcm::from_pairs(6, &[(t(0), t(1), 3.0), (t(4), t(5), 2.0)]);
-        let mut dense = base.to_dense();
-        dense.merge_sparse(&delta);
-        let mut scratched = base.clone();
-        let mut scratch = MergeScratch::new();
-        scratched.merge_with(&delta, &mut scratch);
-        assert_eq!(scratched, dense.to_sparse());
-        assert!(scratch.capacity() > 0, "union staged through the scratch");
-        // One more merge settles both buffers at the stable union size; from
-        // then on a steady-state merge must not grow either buffer.
-        scratched.merge_with(&delta, &mut scratch);
-        let cap_before = (scratch.capacity(), scratched.cells.capacity());
-        for _ in 0..8 {
-            scratched.merge_with(&delta, &mut scratch);
-        }
-        let cap_after = (scratch.capacity(), scratched.cells.capacity());
-        assert_eq!(cap_before, cap_after, "no per-merge growth for a stable union");
-        assert_eq!(scratched.at(t(0), t(1)), 5.0 + 10.0 * 3.0);
     }
 }

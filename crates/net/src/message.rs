@@ -43,8 +43,9 @@ pub enum MsgClass {
     /// Re-registration handshake from a restarted node's threads: the reply carries
     /// the master's current epoch and class rate table so sampling resumes in step.
     Rejoin = 13,
-    /// Pre-reduced sparse TCM partial shipped up the aggregation tree (node →
-    /// parent → master) in place of raw per-thread OAL batches.
+    /// A partial TCM crossing the fabric. Nothing sends it: the master reduces
+    /// every OAL itself. It is kept only because the `benchmark/` crate names
+    /// it (its `net.fabric.bytes.tcm` layer row, which reads 0).
     TcmPartial = 14,
 }
 

@@ -185,20 +185,6 @@ pub enum EventKind {
         /// a change to the schedule contract may move (DESIGN.md §15).
         cost_fraction: f64,
     },
-    /// A pre-reduced TCM partial crossed one edge of the aggregation tree
-    /// (tree mode only; the shuffle and every parent hop each emit one).
-    TcmPartialShipped {
-        /// Round number.
-        round: u64,
-        /// Sending node.
-        from: u16,
-        /// Receiving node (the parent, or node 0 = the master).
-        to: u16,
-        /// Sparse cells (or shuffled object records) carried.
-        cells: u64,
-        /// Modeled wire bytes.
-        bytes: u64,
-    },
     /// The controller skipped rate adaptation for a low-coverage round.
     RoundSkipped {
         /// Round number.
@@ -379,7 +365,6 @@ impl EventKind {
             EventKind::ClassConverged { .. } => "ClassConverged",
             EventKind::ClassDrifted { .. } => "ClassDrifted",
             EventKind::RoundClosed { .. } => "RoundClosed",
-            EventKind::TcmPartialShipped { .. } => "TcmPartialShipped",
             EventKind::RoundSkipped { .. } => "RoundSkipped",
             EventKind::CheckpointTaken { .. } => "CheckpointTaken",
             EventKind::MasterRestored { .. } => "MasterRestored",

@@ -42,7 +42,6 @@ fn category(kind: &EventKind) -> &'static str {
         | EventKind::ClassConverged { .. }
         | EventKind::ClassDrifted { .. } => "core",
         EventKind::RoundClosed { .. }
-        | EventKind::TcmPartialShipped { .. }
         | EventKind::RoundSkipped { .. }
         | EventKind::CheckpointTaken { .. }
         | EventKind::MasterRestored { .. }

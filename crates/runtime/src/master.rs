@@ -40,15 +40,18 @@
 //! * Every `ProfilerConfig::checkpoint_every_rounds` closed rounds it snapshots a
 //!   [`ProfilerCheckpoint`]: a clone of its [`MasterState`] (the round
 //!   scheduler, the cumulative TCM, the adaptive controller, the rate table, the
-//!   [`MasterLedger`] and the cost inputs of the last close) and the length of its
-//!   accepted-OAL log. The log past that length is the replay WAL (modeling a
-//!   durable log / worker retransmit buffers); without `record_oals` the log is
-//!   drained at each snapshot, so it holds only the OALs since the latest one.
+//!   [`MasterLedger`] and the cost inputs of the last close) and the lengths of
+//!   its accepted-OAL log and of its log of the cost inputs each close read. The
+//!   logs past those lengths are the replay WAL (modeling a durable log / worker
+//!   retransmit buffers); without `record_oals` both are drained at each
+//!   snapshot, so they hold only what came since the latest one.
 //! * A master crash window kills the daemon's *volatile* state; OAL batches in
 //!   flight while it is down are deferred by the transport, not dropped. The first
 //!   batch at/after the window's end triggers a **restore**: the latest checkpoint
 //!   is reinstated, the log's tail past its length is re-ingested deterministically,
-//!   and the master **epoch** is bumped and broadcast with the rate table. When no
+//!   and the master **epoch** is bumped and broadcast with the rate table. Each
+//!   round the replay re-closes reads the cost inputs its live close logged, so
+//!   it journals the same `cost_fraction`. When no
 //!   message faults dropped OALs, the recovered TCM is bit-identical to the
 //!   uninterrupted run's; with drops, round coverage reflects the loss and the
 //!   lossy-network machinery (DESIGN.md §8) degrades gracefully.
@@ -123,29 +126,6 @@ pub struct AppliedRateChange {
     pub drift: bool,
 }
 
-/// Aggregate telemetry of the tree-mode reduction pipeline (all zero when the
-/// classic flat coordinator is in use), reported as [`MasterOutput::reduce`].
-///
-/// It counts reduction work actually done, replays included: like
-/// `MasterOutput::replayed_oals`, it is not rolled back on a master restore, so
-/// a round the restored master re-closes from the replayed log tail counts twice.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ReduceTelemetry {
-    /// Rounds (including the end-of-run late fold, if any, and replayed rounds)
-    /// reduced by the tree.
-    pub tree_rounds: u64,
-    /// Object records that crossed nodes in the owner shuffle.
-    pub shuffle_records: u64,
-    /// Modeled wire bytes of the owner shuffle.
-    pub shuffle_bytes: u64,
-    /// Sparse cells shipped across aggregation-tree edges.
-    pub partial_cells: u64,
-    /// Modeled wire bytes of partial-TCM messages on real (non-self) edges.
-    pub partial_bytes: u64,
-    /// Subtree partials the master folded (Σ over rounds; ≤ fanout each).
-    pub master_partials: u64,
-}
-
 /// Everything the master produced during a run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MasterOutput {
@@ -200,8 +180,6 @@ pub struct MasterOutput {
     pub converged_classes: u64,
     /// The master epoch at the end of the run (0 = never crashed).
     pub final_epoch: u64,
-    /// Tree-reduction telemetry; all zero in flat mode.
-    pub reduce: ReduceTelemetry,
     /// Straggler demotions performed by the gray-failure detector
     /// (`ProfilerConfig::straggler_lag_intervals`).
     pub stragglers: u64,

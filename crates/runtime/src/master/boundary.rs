@@ -61,7 +61,7 @@ pub struct CostInputs {
     /// Σ worker clocks (ns). Each stands where its parked thread's next visible
     /// action begins (DESIGN.md §15).
     pub compute_ns: u64,
-    /// Profiling wire bytes so far (OAL ship, rate broadcasts, TCM partials).
+    /// Profiling wire bytes so far (OAL ship, rate broadcasts, rejoins).
     pub prof_bytes: u64,
     /// OAL entries logged so far.
     pub oal_entries: u64,

@@ -8,21 +8,21 @@
 //! one. What a restore reinstates is one field, [`MasterState`], and a
 //! checkpoint is a clone of it (DESIGN.md §12).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::time::Instant;
 
 use jessy_core::tcm::SparseTcm;
 use jessy_core::{
-    DegradeStep, HomeAwareAnalyzer, Oal, RateCause, ReducedRound, Reducer, RoundOutcome,
+    DegradeStep, HomeAwareAnalyzer, Oal, RateCause, RoundAccrual, RoundOutcome, RoundSummary,
     SamplingRate,
 };
 use jessy_gos::{ClassId, ObjectId};
 use jessy_net::{MasterCrashWindow, MsgClass, NodeId};
 use jessy_obs::EventKind;
 
-use super::boundary::{MasterBoundary, MasterSetup};
+use super::boundary::{CostInputs, MasterBoundary, MasterSetup};
 use super::state::{ClosedRound, Ingest, MasterState, ProfilerCheckpoint};
-use super::{AppliedRateChange, EpochOal, MasterOutput, ReduceTelemetry};
+use super::{AppliedRateChange, EpochOal, MasterOutput};
 use crate::dynamic::{plan_epoch, Directive, PlanInputs, RebalanceConfig};
 
 /// Work counted as it happens, for the report. A restore never rolls these
@@ -31,7 +31,6 @@ use crate::dynamic::{plan_epoch, Directive, PlanInputs, RebalanceConfig};
 struct Counters {
     /// Real nanoseconds spent ingesting OALs and building TCM rounds.
     build_ns: u64,
-    reduce: ReduceTelemetry,
     checkpoints_taken: u64,
     restores: u64,
     replayed_oals: u64,
@@ -65,7 +64,7 @@ pub struct MasterCore {
     /// What a restore reinstates.
     state: MasterState,
     /// Round scratch of the reduce step, empty between rounds.
-    reducer: Reducer,
+    accrual: RoundAccrual,
     counters: Counters,
     /// Per-object accessor statistics for home repair (Section V's home
     /// effect): kept only when rebalancing with `migrate_homes` on.
@@ -82,6 +81,12 @@ pub struct MasterCore {
     /// those since the latest checkpoint. Past the checkpoint's `oal_log_len` it
     /// is the durable WAL a restore replays.
     oal_log: Vec<Oal>,
+    /// The cost inputs each live round close read, kept and cleared with
+    /// `oal_log`: durable like it, so a restore can hand the replay the inputs
+    /// of the closes it repeats.
+    cost_log: Vec<CostInputs>,
+    /// The logged inputs the rest of a restore's replay closes read, in order.
+    replay_costs: VecDeque<CostInputs>,
     /// Master crash windows, sorted by `until_interval`; `next_crash` indexes the
     /// first window whose restart has not fired yet.
     master_crashes: Vec<MasterCrashWindow>,
@@ -131,7 +136,7 @@ impl MasterCore {
             demoted: vec![false; n_nodes],
         });
         MasterCore {
-            reducer: Reducer::new(&setup.config, setup.n_threads, n_nodes),
+            accrual: RoundAccrual::new(setup.n_threads),
             state: MasterState::fresh(&setup, setup.rates.clone(), quarantine),
             setup,
             counters,
@@ -141,6 +146,8 @@ impl MasterCore {
             epoch: 0,
             latest_checkpoint: None,
             oal_log: Vec::new(),
+            cost_log: Vec::new(),
+            replay_costs: VecDeque::new(),
             master_crashes,
             next_crash: 0,
             max_interval_seen: 0,
@@ -170,9 +177,7 @@ impl MasterCore {
         }
         self.max_interval_seen = self.max_interval_seen.max(oal.interval + 1);
         let stale = epoch < self.epoch;
-        // Without `record_oals` the log is the WAL of a master that can crash;
-        // without crash windows in the fault plan nothing would ever read it.
-        let keep_log = self.setup.config.record_oals || !self.master_crashes.is_empty();
+        let keep_log = self.keep_log();
         if keep_log {
             self.oal_log.push(oal.clone());
         }
@@ -191,6 +196,12 @@ impl MasterCore {
         }
     }
 
+    /// Without `record_oals` the logs are the WAL of a master that can crash;
+    /// without crash windows in the fault plan nothing would ever read them.
+    fn keep_log(&self) -> bool {
+        self.setup.config.record_oals || !self.master_crashes.is_empty()
+    }
+
     /// Close one round: reduce it, journal it, hand it to the controller,
     /// watch for stragglers, plan when an epoch is due and checkpoint on
     /// cadence.
@@ -198,7 +209,6 @@ impl MasterCore {
         // No thread moves while the master holds the token, so one read of the
         // placement serves every stage of the close.
         let placement = fx.placement();
-        let t0 = Instant::now();
         if let Some(ha) = &mut self.homeaware {
             // Home-repair evidence rides on the same OAL stream the TCM reducer
             // consumes; the live placement maps each logging thread to a node.
@@ -206,8 +216,7 @@ impl MasterCore {
                 ha.ingest(oal, &placement);
             }
         }
-        let summary = self.reduce_round(closed.round, &closed.oals, &placement, fx);
-        self.counters.build_ns += t0.elapsed().as_nanos() as u64;
+        let summary = self.reduce_round(&closed.oals);
         let ledger = &mut self.state.ledger;
         ledger.rounds += 1;
         ledger.objects_organized += summary.objects as u64;
@@ -252,40 +261,17 @@ impl MasterCore {
         }
     }
 
-    /// The one place OALs reach the reducer: reduce one round's OALs (a scheduler
-    /// round, or the late fold at the end of the run) and account, on the
-    /// fabric and in the journal, every real hop the tree moved them over.
-    fn reduce_round(
-        &mut self,
-        round: u64,
-        oals: &[Oal],
-        placement: &[NodeId],
-        fx: &mut impl MasterBoundary,
-    ) -> ReducedRound {
-        let node_of = |t: jessy_net::ThreadId| placement[t.index()].index();
-        let reduced = self.reducer.reduce(&mut self.state.tcm, oals, node_of);
-        let Some(stats) = &reduced.tree else {
-            return reduced;
-        };
-        let reduce = &mut self.counters.reduce;
-        reduce.tree_rounds += 1;
-        reduce.shuffle_records += stats.shuffle_records;
-        reduce.shuffle_bytes += stats.shuffle_bytes;
-        reduce.partial_cells += stats.partial_cells;
-        reduce.partial_bytes += stats.partial_bytes;
-        reduce.master_partials += stats.master_partials;
-        // Node 0 hosts the master daemon: its hops are local hand-offs.
-        for e in stats.edges.iter().filter(|e| e.from != e.to) {
-            fx.account(NodeId(e.from), NodeId(e.to), MsgClass::TcmPartial, e.bytes as usize);
-            fx.emit(EventKind::TcmPartialShipped {
-                round,
-                from: e.from,
-                to: e.to,
-                cells: e.cells,
-                bytes: e.bytes,
-            });
+    /// The one place OALs reach the TCM: accrue one round's OALs (a scheduler
+    /// round, or the late fold at the end of the run) into the cumulative map,
+    /// timed into `build_ns`.
+    fn reduce_round(&mut self, oals: &[Oal]) -> RoundSummary {
+        let t0 = Instant::now();
+        for oal in oals {
+            self.accrual.ingest(oal);
         }
-        reduced
+        let summary = self.accrual.close(&mut self.state.tcm);
+        self.counters.build_ns += t0.elapsed().as_nanos() as u64;
+        summary
     }
 
     /// The profiling cost of the window since the previous round close, as a
@@ -293,9 +279,14 @@ impl MasterCore {
     /// profiling wire bytes at the fabric's per-byte rate, plus OAL log appends
     /// at the GOS cost model's append rate. Every input is a virtual counter, so
     /// the fraction is deterministic and free of host-time noise; the
-    /// `RoundClosed` event journals it.
+    /// `RoundClosed` event journals it. A close that a restore repeats reads
+    /// the inputs its live close read: no worker clock moves while the replay
+    /// closes rounds back to back.
     fn cost_fraction(&mut self, fx: &mut impl MasterBoundary) -> f64 {
-        let now = fx.cost_inputs();
+        let now = self.replay_costs.pop_front().unwrap_or_else(|| fx.cost_inputs());
+        if self.keep_log() {
+            self.cost_log.push(now);
+        }
         let base = std::mem::replace(&mut self.state.cost_base, now);
         let d_compute = now.compute_ns.saturating_sub(base.compute_ns);
         if d_compute == 0 {
@@ -535,16 +526,18 @@ impl MasterCore {
         ledger.planned_migrations.extend(issued);
     }
 
-    /// Snapshot the restorable state. Without `record_oals` the log is drained:
-    /// OALs folded into the snapshot no longer need replaying.
+    /// Snapshot the restorable state. Without `record_oals` the logs are
+    /// drained: OALs folded into the snapshot no longer need replaying.
     fn take_checkpoint(&mut self, fx: &mut impl MasterBoundary) {
         self.counters.checkpoints_taken += 1;
         if !self.setup.config.record_oals {
             self.oal_log.clear();
+            self.cost_log.clear();
         }
         self.latest_checkpoint = Some(ProfilerCheckpoint {
             epoch: self.epoch,
             oal_log_len: self.oal_log.len(),
+            cost_log_len: self.cost_log.len(),
             state: self.state.clone(),
         });
         let (round, epoch) = (self.state.ledger.rounds, self.epoch);
@@ -557,11 +550,14 @@ impl MasterCore {
     /// OALs. Because the log's tail holds exactly the accepted-since-checkpoint
     /// stream, checkpoint + replay is an *identity transform* on accepted state:
     /// when no OALs were dropped by message faults, the recovered TCM is
-    /// bit-identical to the uninterrupted run's.
+    /// bit-identical to the uninterrupted run's. The closes the replay repeats
+    /// read the cost inputs their live closes logged.
     fn restore(&mut self, fx: &mut impl MasterBoundary) {
         self.counters.restores += 1;
-        let logged = self.latest_checkpoint.as_ref().map_or(0, |cp| cp.oal_log_len);
+        let (logged, costs) =
+            self.latest_checkpoint.as_ref().map_or((0, 0), |cp| (cp.oal_log_len, cp.cost_log_len));
         let replay = self.oal_log.split_off(logged);
+        self.replay_costs = self.cost_log.split_off(costs).into();
         match &self.latest_checkpoint {
             Some(cp) => {
                 self.state = cp.state.clone();
@@ -614,6 +610,7 @@ impl MasterCore {
             self.counters.replayed_oals += 1;
             self.ingest_one(EpochOal { epoch: self.epoch, oal }, fx);
         }
+        self.replay_costs.clear();
     }
 
     /// Flush every buffered round in order, then fold late arrivals into the
@@ -637,13 +634,7 @@ impl MasterCore {
         }
         let late = self.state.scheduler.take_late();
         if !late.is_empty() {
-            let placement = fx.placement();
-            let t0 = Instant::now();
-            // The late fold is one more round to the reducer: in tree mode it
-            // rides the same pipeline (and pays the same partial-TCM fabric
-            // bytes) as a regular round.
-            let summary = self.reduce_round(self.state.ledger.rounds, &late, &placement, fx);
-            self.counters.build_ns += t0.elapsed().as_nanos() as u64;
+            let summary = self.reduce_round(&late);
             self.state.ledger.objects_organized += summary.objects as u64;
         }
         let (fenced, applied, bytes) = fx.migrations();
@@ -680,7 +671,6 @@ impl MasterCore {
             quarantined_nodes: self.counters.quarantined_nodes,
             converged_classes: controller.map_or(0, |c| c.converged_count() as u64),
             final_epoch: self.epoch,
-            reduce: self.counters.reduce,
             stragglers: self.counters.stragglers,
             budget_over_rounds: ledger.budget_over_rounds,
             budget_degrades: controller.map_or(0, |c| c.degrades()),
@@ -980,34 +970,45 @@ mod tests {
     }
 
     #[test]
-    fn a_restored_master_measures_its_first_cost_from_the_checkpoint() {
-        let config = ProfilerConfig { checkpoint_every_rounds: Some(2), ..config() };
-        let mut fx = fake(config, &[0, 1]);
-        fx.setup.ns_per_byte = 1.0;
-        let window = jessy_net::MasterCrashWindow { from_interval: 3, until_interval: 5 };
-        fx.setup.faults = Some(FaultPlan { master_crashes: vec![window], ..FaultPlan::default() });
-        let objs: Vec<Vec<u32>> = (0..8).map(|r| vec![r, r + 1]).collect();
+    fn every_re_closed_round_journals_the_cost_of_its_live_close() {
+        let config = ProfilerConfig { checkpoint_every_rounds: Some(4), ..config() };
+        let objs: Vec<Vec<u32>> = (0..10).map(|r| vec![r, r + 1]).collect();
         let rounds: Vec<&[u32]> = objs.iter().map(Vec::as_slice).collect();
-        run(&mut fx, shared_rounds(&rounds, 48));
-        // Each close reads the cost inputs once: the k-th `RoundClosed` is read k.
-        let (mut reads, mut checkpointed, mut restored) = (0u64, None, false);
-        let mut first_reclose = None;
-        for event in events(&fx) {
-            match event {
-                EventKind::RoundClosed { cost_fraction, .. } => {
-                    reads += 1;
-                    if restored && first_reclose.is_none() {
-                        first_reclose = Some((reads, *cost_fraction));
-                    }
+        let costs = |crash: Option<jessy_net::MasterCrashWindow>| {
+            let mut fx = fake(config, &[0, 1]);
+            fx.setup.ns_per_byte = 1.0;
+            fx.setup.faults =
+                crash.map(|w| FaultPlan { master_crashes: vec![w], ..FaultPlan::default() });
+            run(&mut fx, shared_rounds(&rounds, 48));
+            events(&fx)
+                .into_iter()
+                .filter_map(|e| match e {
+                    EventKind::RoundClosed { round, cost_fraction, .. } => Some((*round, *cost_fraction)),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        // The checkpoint at round 3's close precedes the crash; the restore at
+        // interval 7 re-closes rounds 4, 5 and 6 back to back.
+        let window = jessy_net::MasterCrashWindow { from_interval: 5, until_interval: 7 };
+        let crashed = costs(Some(window));
+        let mut live: BTreeMap<u64, f64> = BTreeMap::new();
+        let mut re_closed = Vec::new();
+        for (round, fraction) in crashed {
+            match live.get(&round) {
+                Some(&first) => {
+                    assert_eq!(fraction, first, "re-closed round {round} reads its live close's cost");
+                    re_closed.push(round);
                 }
-                EventKind::CheckpointTaken { .. } if !restored => checkpointed = Some(reads),
-                EventKind::MasterRestored { .. } => restored = true,
-                _ => {}
+                None => {
+                    live.insert(round, fraction);
+                }
             }
         }
-        let checkpointed = checkpointed.expect("a checkpoint precedes the crash");
-        let (read, fraction) = first_reclose.expect("the restore re-closes a round");
-        assert!(checkpointed < read - 1, "the crash fell past the checkpointed close");
-        assert_eq!(fraction, (checkpointed + read) as f64 / 1000.0, "measured from the checkpoint");
+        assert_eq!(re_closed, vec![4, 5, 6]);
+        // The first close past the replay measures from the last re-closed
+        // round, as the uninterrupted run does from the same live close.
+        let calm: BTreeMap<u64, f64> = costs(None).into_iter().collect();
+        assert_eq!(live, calm);
     }
 }

@@ -50,7 +50,7 @@ pub struct MasterLedger {
 /// (property-tested).
 ///
 /// What it leaves out is not rolled back by a restore: the run counters
-/// (checkpoints, restores, replayed OALs, [`super::ReduceTelemetry`], stragglers),
+/// (checkpoints, restores, replayed OALs, stragglers),
 /// which describe what actually happened. The straggler detector's observations
 /// and the home-aware statistics are volatile: a restore resets them, and the
 /// replayed rounds re-accumulate them.
@@ -104,6 +104,9 @@ pub struct ProfilerCheckpoint {
     /// Length of the master's accepted-OAL log at snapshot time: a restore
     /// truncates the log to it and replays the rest.
     pub oal_log_len: usize,
+    /// Length of the master's log of per-close cost inputs at snapshot time:
+    /// the replay's closes read the entries past it.
+    pub cost_log_len: usize,
     /// A clone of the master's restorable state.
     pub state: MasterState,
 }

@@ -570,27 +570,21 @@ impl JThread {
         }
     }
 
-    /// Ship one epoch-stamped batch toward the master: charge its wire trip, then
-    /// post it through the per-thread backpressure queue (it may shed per policy
-    /// when the mailbox is bounded; a failed post means the mailbox is gone —
-    /// counted, never fatal).
+    /// Ship one epoch-stamped batch toward the master: charge its `OalBatch`
+    /// wire trip, then post it through the per-thread backpressure queue (it may
+    /// shed per policy when the mailbox is bounded; a failed post means the
+    /// mailbox is gone — counted, never fatal).
     ///
     /// The jumbo OAL message piggybacks on the sync message already headed to the
     /// master (Section II.A), so the sender pays only the transmit occupancy of the
-    /// extra bytes, not another base latency. In tree mode (`tcm_tree_fanout >= 2`)
-    /// the OAL stays on its node — the local pre-reducer consumes it and only the
-    /// per-round partial-TCM crosses the fabric, accounted by the master per tree
-    /// edge — so nothing is charged here.
+    /// extra bytes, not another base latency.
     fn ship_oal(&mut self, key: u64, env: EpochOal) {
-        if self.shared.prof.config().tcm_tree_fanout < 2 {
-            let fabric = self.shared.gos.fabric();
-            let bytes = env.oal.wire_bytes();
-            fabric.account_async(self.node, NodeId::MASTER, MsgClass::OalBatch, bytes);
-            if self.node != NodeId::MASTER {
-                let total = bytes + MsgClass::OalBatch.header_bytes();
-                self.clock
-                    .spend((total as f64 * fabric.latency_model().ns_per_byte) as u64);
-            }
+        let fabric = self.shared.gos.fabric();
+        let bytes = env.oal.wire_bytes();
+        fabric.account_async(self.node, NodeId::MASTER, MsgClass::OalBatch, bytes);
+        if self.node != NodeId::MASTER {
+            let total = bytes + MsgClass::OalBatch.header_bytes();
+            self.clock.spend((total as f64 * fabric.latency_model().ns_per_byte) as u64);
         }
         self.pending_oals.push_back((key, env));
         self.drain_pending();

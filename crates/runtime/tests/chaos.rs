@@ -356,40 +356,37 @@ fn recovery_profiler() -> ProfilerConfig {
 /// uninterrupted run **bit for bit** (f64 equality) when no message faults
 /// dropped OALs — the TCM, the journal's per-round series and convergence
 /// spans and the rate decisions, along with rounds, coverage and the ingest
-/// ledger — over both reducers, flat and tree.
+/// ledger.
 #[test]
 fn master_crash_with_restart_recovers_a_bit_identical_tcm() {
-    for (label, fanout) in [("flat", 0), ("tree", 2)] {
-        let mut config = recovery_profiler();
-        config.tcm_tree_fanout = fanout;
-        let (_, base, base_events) = stable_run(config, None, 20);
-        let (report, crashed, events) = stable_run(
-            config,
-            Some(FaultPlan {
-                master_crashes: vec![MasterCrashWindow {
-                    from_interval: 8,
-                    until_interval: 11,
-                }],
-                ..FaultPlan::default()
-            }),
-            20,
-        );
+    let config = recovery_profiler();
+    let (_, base, base_events) = stable_run(config, None, 20);
+    let (report, crashed, events) = stable_run(
+        config,
+        Some(FaultPlan {
+            master_crashes: vec![MasterCrashWindow {
+                from_interval: 8,
+                until_interval: 11,
+            }],
+            ..FaultPlan::default()
+        }),
+        20,
+    );
 
-        assert_eq!(crashed.restores, 1, "{label}: exactly one crash window, one restore");
-        assert_eq!(crashed.final_epoch, 1, "{label}: each restore bumps the epoch once");
-        assert!(crashed.checkpoints_taken >= 1, "{label}: K=3 must have snapshotted");
-        assert!(crashed.replayed_oals >= 1, "{label}: the post-checkpoint backlog replays");
-        assert_eq!(crashed.tcm, base.tcm, "{label}: recovered TCM must be bit-identical");
-        let (series, base_series) = (round_series(&events), round_series(&base_events));
-        assert_eq!(series.rounds, base_series.rounds, "{label}: the last close of each round");
-        assert_eq!(series.unconverged("Body"), base_series.unconverged("Body"), "{label}");
-        assert_eq!(crashed.rate_changes, base.rate_changes, "{label}");
-        assert_eq!(crashed.rounds, base.rounds, "{label}");
-        assert_eq!(crashed.round_coverage, base.round_coverage, "{label}");
-        assert_eq!(crashed.oals_ingested, base.oals_ingested, "{label}");
-        assert_eq!(report.oal_post_failures, 0, "{label}");
-        assert_eq!(report.rejoins, 0, "{label}: a master crash restarts no worker node");
-    }
+    assert_eq!(crashed.restores, 1, "exactly one crash window, one restore");
+    assert_eq!(crashed.final_epoch, 1, "each restore bumps the epoch once");
+    assert!(crashed.checkpoints_taken >= 1, "K=3 must have snapshotted");
+    assert!(crashed.replayed_oals >= 1, "the post-checkpoint backlog replays");
+    assert_eq!(crashed.tcm, base.tcm, "recovered TCM must be bit-identical");
+    let (series, base_series) = (round_series(&events), round_series(&base_events));
+    assert_eq!(series.rounds, base_series.rounds, "the last close of each round");
+    assert_eq!(series.unconverged("Body"), base_series.unconverged("Body"));
+    assert_eq!(crashed.rate_changes, base.rate_changes);
+    assert_eq!(crashed.rounds, base.rounds);
+    assert_eq!(crashed.round_coverage, base.round_coverage);
+    assert_eq!(crashed.oals_ingested, base.oals_ingested);
+    assert_eq!(report.oal_post_failures, 0);
+    assert_eq!(report.rejoins, 0, "a master crash restarts no worker node");
 }
 
 /// A master restore keeps the recorded OAL stream: the checkpoint holds the

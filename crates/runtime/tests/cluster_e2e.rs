@@ -443,61 +443,3 @@ fn one_shot_rebalance_is_one_epoch_of_the_engine() {
     assert!(p.vetoed_budget > 0, "{p:?}");
     assert!(cluster.shared().migration_log.lock().is_empty());
 }
-
-#[test]
-fn tree_aggregated_reduction_is_bit_identical_to_flat_end_to_end() {
-    // The same deterministic workload through the flat coordinator and through
-    // the fabric aggregation tree (per-node pre-reduction + owner shuffle +
-    // k-ary partial merge) must produce the exact same cumulative TCM, while
-    // only the tree run reports reduction traffic.
-    let run = |fanout: usize| {
-        let cluster = Cluster::builder()
-            .nodes(3)
-            .threads(6)
-            .latency(LatencyModel::free())
-            .costs(CostModel::free())
-            .profiler(ProfilerConfig {
-                tcm_tree_fanout: fanout,
-                ..ProfilerConfig::tracking_at(SamplingRate::Full)
-            })
-            .build();
-        let objs = cluster.init(|ctx| {
-            let class = ctx.register_scalar_class("Shared", 4);
-            (0..3)
-                .map(|k| ctx.alloc_scalar_at(NodeId((k % 3) as u16), class).id)
-                .collect::<Vec<_>>()
-        });
-        let mut cluster = cluster;
-        let objs = Arc::new(objs);
-        cluster.run(move |jt| {
-            let obj = objs[jt.thread_id().index() / 2];
-            for _ in 0..4 {
-                jt.write(obj, |d| d[0] += 1.0);
-                jt.barrier();
-            }
-        });
-        cluster.master_output().expect("master ran").clone()
-    };
-    let flat = run(0);
-    let tree = run(2);
-    assert_eq!(flat.tcm.raw(), tree.tcm.raw(), "tree reduction must be exact");
-    assert_eq!(flat.rounds, tree.rounds);
-    assert_eq!(flat.round_coverage, tree.round_coverage);
-
-    // Flat mode reports no reduction traffic; tree mode reports partials into
-    // the master (nodes 1 and 2 sit outside node 0, which hosts the master).
-    assert_eq!(flat.reduce, jessy_runtime::master::ReduceTelemetry::default());
-    assert!(tree.reduce.tree_rounds > 0);
-    assert!(tree.reduce.partial_bytes > 0, "real fabric hops must be accounted");
-    assert!(tree.reduce.master_partials >= tree.reduce.tree_rounds);
-
-    // Each thread pair (2k, 2k+1) shares an object, so only adjacent pairs
-    // carry mass.
-    let mut pairs = 0;
-    jessy_core::CorrelationView::for_each_pair(&tree.tcm, &mut |i, j, w| {
-        assert_eq!(j.0, i.0 + 1, "only adjacent pairs share objects");
-        assert!(w > 0.0);
-        pairs += 1;
-    });
-    assert_eq!(pairs, 3);
-}

@@ -191,37 +191,6 @@ pub enum WorkloadPreset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jessy_core::{ProfilerConfig, SamplingRate};
-    use jessy_gos::CostModel;
-    use jessy_net::LatencyModel;
-
-    /// The production-scale reduction path must be invisible to a real
-    /// workload's profile: SOR under the fabric aggregation tree produces the
-    /// exact TCM the flat coordinator does, while its OAL ledger carries
-    /// partial-TCM traffic instead of raw per-thread batches.
-    #[test]
-    fn sor_profile_is_bit_identical_under_tree_aggregation() {
-        let run = |fanout: usize| {
-            let mut cluster = Cluster::builder()
-                .nodes(4)
-                .threads(4)
-                .latency(LatencyModel::free())
-                .costs(CostModel::free())
-                .profiler(ProfilerConfig {
-                    tcm_tree_fanout: fanout,
-                    ..ProfilerConfig::tracking_at(SamplingRate::Full)
-                })
-                .build();
-            WorkloadKind::Sor.run_on(&mut cluster, WorkloadPreset::Small)
-        };
-        let flat = run(0);
-        let tree = run(2);
-        let (flat_m, tree_m) = (flat.master.unwrap(), tree.master.unwrap());
-        assert_eq!(flat_m.tcm.raw(), tree_m.tcm.raw());
-        assert_eq!(flat_m.round_coverage, tree_m.round_coverage);
-        assert_eq!(flat_m.reduce.tree_rounds, 0);
-        assert!(tree_m.reduce.tree_rounds > 0);
-    }
 
     #[test]
     fn table_one_metadata() {

@@ -42,7 +42,6 @@ struct Options {
     overhead_budget: Option<f64>,
     mailbox_capacity: Option<usize>,
     shed_policy: Option<ShedPolicy>,
-    tcm_fanout: usize,
     prefetch_depth: u32,
     json: bool,
     trace: Option<String>,
@@ -87,7 +86,6 @@ impl Default for Options {
             overhead_budget: None,
             mailbox_capacity: None,
             shed_policy: None,
-            tcm_fanout: 0,
             prefetch_depth: 0,
             json: false,
             trace: None,
@@ -220,11 +218,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("--prefetch-depth: {e}"))?
             }
-            "--tcm-fanout" => {
-                opts.tcm_fanout = value(flag)?
-                    .parse()
-                    .map_err(|e| format!("--tcm-fanout: {e}"))?
-            }
             "--json" => opts.json = true,
             "--trace" => opts.trace = Some(value(flag)?),
             "--journal" => opts.journal = Some(value(flag)?),
@@ -332,7 +325,6 @@ fn profiler_config(opts: &Options) -> ProfilerConfig {
     if let Some(policy) = opts.shed_policy {
         config.shed_policy = policy;
     }
-    config.tcm_tree_fanout = opts.tcm_fanout;
     config
 }
 
@@ -576,14 +568,6 @@ fn cmd_run(opts: &Options) -> bool {
                 println!("  stale directives fenced: {}", p.fenced_directives);
             }
         }
-        if master.reduce.tree_rounds > 0 {
-            println!(
-                "tree reduction      : {:>12} partials into master ({:.1} KB partial-TCM, {:.1} KB shuffle)",
-                master.reduce.master_partials,
-                master.reduce.partial_bytes as f64 / 1024.0,
-                master.reduce.shuffle_bytes as f64 / 1024.0
-            );
-        }
         println!("\nthread correlation map:");
         print!("{}", master.tcm.ascii_heatmap());
     }
@@ -682,7 +666,6 @@ fn main() -> ExitCode {
             eprintln!("       [--prefetch-depth D] [--json]");
             eprintln!("       [--overhead-budget FRACTION (SLO cost ceiling; needs --adaptive)]");
             eprintln!("       [--mailbox-capacity N] [--shed-policy drop-oldest|merge|summary]");
-            eprintln!("       [--tcm-fanout K (>=2: fabric-tree TCM aggregation)]");
             eprintln!("       [--trace FILE (Chrome trace_event)] [--journal FILE (JSON lines)] (run only)");
             eprintln!("       [--exec-seed N] [--exec-jitter NS (deterministic schedule jitter)]");
             ExitCode::FAILURE
@@ -745,10 +728,10 @@ mod tests {
     }
 
     #[test]
-    fn parses_tree_reduction_flags() {
-        assert_eq!(parse_args(&args("run --tcm-fanout 4")).unwrap().tcm_fanout, 4);
-        // The dense map is the one cumulative backend: no flag selects another.
+    fn no_flag_selects_another_reduce_path() {
+        // The flat close into the dense map is the one reduce path.
         assert_rejected(&[
+            ("run --tcm-fanout 2", "unknown flag \"--tcm-fanout\""),
             ("run --top-k 4", "unknown flag \"--top-k\""),
             ("run --tcm-backend dense", "unknown flag \"--tcm-backend\""),
         ]);
@@ -845,7 +828,6 @@ mod tests {
             ("run --journal", "--journal requires a value"),
             ("heatmap --journal x", "--trace / --journal only apply to the run command"),
             ("heatmap --trace x", "--trace / --journal only apply to the run command"),
-            ("run --tcm-fanout 1", "ProfilerConfig.tcm_tree_fanout = 1"),
             // `ClusterBuilder::build` panicked on this one.
             (
                 "run -w sessions --scale small --nodes 2 --threads 4 --rate 1x --adaptive -1",

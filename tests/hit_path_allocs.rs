@@ -14,9 +14,9 @@
 //! which pass unchanged over the append-only object table.
 //!
 //! The same allocator also records the largest single request, for a promise
-//! about size, not count: the tree reducer folds sparse partials into the
-//! cumulative map, so closing a round under it never asks for a second dense
-//! N×N triangle, while the flat coordinator's dense round close does.
+//! about size, not count: the round close accrues straight into the cumulative
+//! map and keeps its per-class scratch across rounds, so a steady-state close
+//! never asks for a second dense N×N triangle.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -249,34 +249,30 @@ fn neighbour_round(n: usize) -> Vec<jessy::core::Oal> {
 /// `Vec`'s `vec![0.0; n]` goes through `alloc_zeroed`, whose default forwards
 /// to `alloc` above — so a dense `Tcm::new(N)` shows up in `LARGEST`.
 #[test]
-fn a_tree_round_close_never_asks_for_the_dense_triangle() {
-    use jessy::core::Reducer;
+fn a_steady_state_round_close_never_asks_for_the_dense_triangle() {
+    use jessy::core::TcmBuilder;
 
     const N: usize = 2048;
-    const NODES: usize = 4;
     let triangle_bytes = N * (N - 1) / 2 * std::mem::size_of::<f64>(); // 16.8 MB
     let oals = neighbour_round(N);
-
-    let tree = ProfilerConfig { tcm_tree_fanout: 2, ..ProfilerConfig::default() };
-    let mut tcm = Tcm::new(N);
+    let mut builder = TcmBuilder::new(N);
+    let round = |builder: &mut TcmBuilder| {
+        for oal in &oals {
+            builder.ingest(oal);
+        }
+        builder.close_round()
+    };
+    // The warm-up round sizes the per-class scratch, which is kept.
+    round(&mut builder);
     LARGEST.with(|m| m.set(0));
-    let mut reducer = Reducer::new(&tree, N, NODES);
     for _ in 0..3 {
-        let round = reducer.reduce(&mut tcm, &oals, |t| t.index() * NODES / N);
-        assert!(round.tree.is_some_and(|stats| stats.partial_bytes > 0));
-        assert_eq!(round.objects, N / 2 + N / 64);
+        assert_eq!(round(&mut builder).objects, N / 2 + N / 64);
     }
     let largest = LARGEST.with(Cell::get);
     assert!(
         largest < triangle_bytes / 4,
-        "building and closing tree rounds asked for {largest} B at once; \
+        "three steady-state round closes asked for {largest} B at once; \
          the dense triangle is {triangle_bytes} B"
     );
-
-    // The control: the flat coordinator's dense round close does ask for it.
-    let mut flat_tcm = Tcm::new(N);
-    LARGEST.with(|m| m.set(0));
-    let flat = ProfilerConfig::default();
-    Reducer::new(&flat, N, NODES).reduce(&mut flat_tcm, &oals, |_| 0);
-    assert!(LARGEST.with(Cell::get) >= triangle_bytes);
+    assert!(builder.tcm().total() > 0.0);
 }

@@ -617,9 +617,9 @@ proptest! {
             for i in 0..8u32 {
                 for j in 0..8u32 {
                     prop_assert_eq!(
-                        bs.tcm.at(t(i), t(j)).to_bits(),
-                        rs.tcm.at(t(i), t(j)).to_bits(),
-                        "round map pair ({}, {})", i, j
+                        bitset.tcm().at(t(i), t(j)).to_bits(),
+                        scalar.tcm().at(t(i), t(j)).to_bits(),
+                        "cumulative pair ({}, {})", i, j
                     );
                 }
             }
@@ -634,15 +634,6 @@ proptest! {
                         );
                     }
                 }
-            }
-        }
-        // Cumulative maps agree too.
-        for i in 0..8u32 {
-            for j in 0..8u32 {
-                prop_assert_eq!(
-                    bitset.tcm().at(t(i), t(j)).to_bits(),
-                    scalar.tcm().at(t(i), t(j)).to_bits()
-                );
             }
         }
     }
@@ -700,8 +691,8 @@ proptest! {
     /// `ProfilerCheckpoint` — the coordinator snapshot a crashed master restores
     /// from — serializes and deserializes to an *identical* value over arbitrary
     /// coordinator states (an arbitrary OAL stream, split at an arbitrary point,
-    /// its head driven through the real scheduler/controller/reducer machinery
-    /// under an arbitrary reducer configuration, plus arbitrary report tails).
+    /// its head driven through the real scheduler/controller/round-accrual
+    /// machinery, plus arbitrary report tails).
     /// And a restore resumes identically: the deserialized scheduler, controller
     /// and reducer, fed the stream's tail alongside the live ones, classify every
     /// OAL, close and reduce every round, decide every round and end in the same
@@ -720,10 +711,9 @@ proptest! {
         coverage in prop::collection::vec(0.0f64..1.0, 0..8),
         costs in prop::collection::vec(0.0f64..0.05, 1..8),
         split_raw in 0usize..61,
-        tree in 0u8..2, // flat, tree
         cost_base in (0u64..1 << 40, 0u64..1 << 30, 0u64..1 << 20),
     ) {
-        use jessy::core::{AdaptiveController, ProfilerConfig, Reducer};
+        use jessy::core::{AdaptiveController, ProfilerConfig, RoundAccrual, RoundSummary};
         use jessy::runtime::master::CostInputs;
         use jessy::runtime::{
             AppliedRateChange, MasterLedger, MasterState, PlannedMigration, ProfilerCheckpoint,
@@ -752,12 +742,13 @@ proptest! {
             quarantine_raw.iter().map(|&q| (q < 8).then_some(q)).collect();
         let mut sched = RoundScheduler::new(6, ipr, deadline);
         sched.set_quarantine(quarantine);
-        let reducer_config = ProfilerConfig {
-            tcm_tree_fanout: 2 * tree as usize,
-            ..ProfilerConfig::default()
+        let reduce = |accrual: &mut RoundAccrual, tcm: &mut Tcm, oals: &[Oal]| -> RoundSummary {
+            for oal in oals {
+                accrual.ingest(oal);
+            }
+            accrual.close(tcm)
         };
-        let node_of = |t: ThreadId| t.index() % 2;
-        let mut reducer = Reducer::new(&reducer_config, 6, 2);
+        let mut reducer = RoundAccrual::new(6);
         let mut reduced = Tcm::new(6);
         let mut pending: Vec<Oal> = Vec::new();
         let gaps = GapTable::new(4096);
@@ -780,7 +771,7 @@ proptest! {
             if k % 5 == 4 {
                 for closed in sched.ready_rounds() {
                     let oals = std::mem::take(&mut pending);
-                    let summary = reducer.reduce(&mut reduced, &oals, node_of);
+                    let summary = reduce(&mut reducer, &mut reduced, &oals);
                     let cost = costs[fed.len() % costs.len()];
                     fed.push(cost);
                     ctl.on_round(&summary.per_class, &gaps, closed.coverage, cost);
@@ -791,6 +782,7 @@ proptest! {
         let cp = ProfilerCheckpoint {
             epoch,
             oal_log_len: head.len(),
+            cost_log_len: fed.len(),
             state: MasterState {
                 tcm: reduced.clone(),
                 scheduler: sched.clone(),
@@ -850,7 +842,7 @@ proptest! {
 
         // Restore as the master does: the deserialized state — scheduler,
         // cumulative map, controller and rate table — under fresh round scratch.
-        let mut reducer2 = Reducer::new(&reducer_config, 6, 2);
+        let mut reducer2 = RoundAccrual::new(6);
         let MasterState { scheduler: mut sched2, tcm: mut reduced2, controller, rates: gaps2, .. } =
             back.state;
         let mut ctl2 = controller.expect("controller checkpointed");
@@ -864,8 +856,8 @@ proptest! {
                 for round in closed {
                     let oals = std::mem::take(&mut pending);
                     let (summary, summary2) = (
-                        reducer.reduce(&mut reduced, &oals, node_of),
-                        reducer2.reduce(&mut reduced2, &oals, node_of),
+                        reduce(&mut reducer, &mut reduced, &oals),
+                        reduce(&mut reducer2, &mut reduced2, &oals),
                     );
                     prop_assert_eq!(&summary.per_class, &summary2.per_class);
                     let cost = costs[fed.len() % costs.len()];

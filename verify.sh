@@ -21,13 +21,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --workspace --no-deps with warnings denied (intra-doc links resolve)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> tcm_reduce smoke (exactness vs the scalar reference, incl. the N=1024 tree lane)"
+echo "==> tcm_reduce smoke (the round close is bit-identical to the scalar reference)"
 JESSY_SCALE=small cargo bench -p jessy-bench --bench tcm_reduce
 
 echo "==> access_path smoke (arena vs seed layout, payload identity)"
 JESSY_SCALE=small cargo bench -p jessy-bench --bench access_path
 
-echo "==> recovery smoke (asserts TCM + recorded OAL log bit-identity under a master crash, flat and tree lanes)"
+echo "==> recovery smoke (asserts TCM + recorded OAL log bit-identity under a master crash, every checkpoint cadence)"
 JESSY_SCALE=small cargo bench -p jessy-bench --bench recovery
 
 echo "==> overhead_frontier smoke (budget ladder, shed policies, slow-node demotion)"
@@ -116,15 +116,6 @@ for run in a b; do
 done
 cmp "$ONE_DIR/a.jsonl" "$ONE_DIR/b.jsonl"
 rm -rf "$ONE_DIR"
-
-echo "==> flat vs tree smoke (the aggregation tree prints the flat coordinator's thread correlation map)"
-tcm_map() {
-  ./target/release/jessy-cli run -w sor --scale small --nodes 2 --threads 4 --rate 4x "$@" \
-    | awk '/^thread correlation map:/ { on = 1; next } on && /^$/ { exit } on'
-}
-FLAT_MAP=$(tcm_map)
-test -n "$FLAT_MAP"
-test "$FLAT_MAP" = "$(tcm_map --tcm-fanout 2)"
 
 echo "==> schedule-cost gate (paper-scale SOR: executor hand-offs per access, a count that replays exactly)"
 # 3 189 hand-offs over 122 760 accesses; 0.338 per access while armed traps
