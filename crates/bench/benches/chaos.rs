@@ -63,13 +63,6 @@ fn run(oal_drop: Option<f64>) -> (MasterOutput, jessy_net::FaultStats) {
     (master, faults)
 }
 
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 1.0;
-    }
-    xs.iter().sum::<f64>() / xs.len() as f64
-}
-
 fn main() {
     println!("X4. CHAOS SWEEP (TCM accuracy vs OAL drop rate)\n");
     let (baseline, _) = run(None);
@@ -79,7 +72,7 @@ fn main() {
         "dropped",
         "rounds",
         "deadline",
-        "mean cover",
+        "min cover",
         "late",
         "skipped",
         "rel acc",
@@ -91,7 +84,7 @@ fn main() {
             faults.dropped.to_string(),
             m.rounds.to_string(),
             m.deadline_rounds.to_string(),
-            format!("{:.3}", mean(&m.round_coverage)),
+            format!("{:.3}", m.round_coverage.unwrap_or(1.0)),
             m.late_oals.to_string(),
             m.skipped_rounds.to_string(),
             format!("{:.4}", accuracy_abs(&m.tcm, truth)),

@@ -99,7 +99,7 @@ fn frontier_lane(barriers: usize) {
         "degrades",
         "start cost",
         "steady cost",
-        "mean cover",
+        "min cover",
         "rel acc",
     ]);
     let base_steady = steady_cost(&base_costs);
@@ -113,7 +113,7 @@ fn frontier_lane(barriers: usize) {
         baseline.budget_degrades.to_string(),
         format!("{:.4}", base_costs[0]),
         format!("{:.4}", base_steady),
-        format!("{:.3}", mean(&baseline.round_coverage)),
+        format!("{:.3}", baseline.round_coverage.unwrap_or(1.0)),
         "1.0000".to_string(),
     ]);
     for &b in &[0.10, 0.05, 0.02] {
@@ -126,7 +126,7 @@ fn frontier_lane(barriers: usize) {
             m.budget_degrades.to_string(),
             format!("{:.4}", costs[0]),
             format!("{:.4}", steady),
-            format!("{:.3}", mean(&m.round_coverage)),
+            format!("{:.3}", m.round_coverage.unwrap_or(1.0)),
             format!("{:.4}", acc),
         ]);
         if costs[0] > b {
@@ -157,8 +157,10 @@ fn frontier_lane(barriers: usize) {
 /// The spike workload: steady barrier rounds bracketing a burst of uncontended
 /// `lock`/`unlock` critical sections — every boundary closes an interval and
 /// posts its OAL without yielding the cooperative token, so the 4-slot mailbox
-/// must shed under whichever policy is configured.
-fn spike_run(policy: ShedPolicy, burst: usize) -> (RunReport, MasterOutput) {
+/// must shed under whichever policy is configured. Returns the report, the
+/// master's output and, from the run's journal, each round's coverage.
+fn spike_run(policy: ShedPolicy, burst: usize) -> (RunReport, MasterOutput, Vec<f64>) {
+    let sink = JournalSink::shared();
     let mut config = ProfilerConfig::tracking_at(SamplingRate::NX(1));
     config.intervals_per_round = 1;
     config.round_deadline_intervals = Some(3);
@@ -170,6 +172,7 @@ fn spike_run(policy: ShedPolicy, burst: usize) -> (RunReport, MasterOutput) {
         .latency(LatencyModel::free())
         .costs(CostModel::free())
         .profiler(config)
+        .trace(sink.clone())
         .build();
     let (objs, locks) = cluster.init(|ctx| {
         let class = ctx.register_scalar_class("S", 8);
@@ -197,14 +200,15 @@ fn spike_run(policy: ShedPolicy, burst: usize) -> (RunReport, MasterOutput) {
     });
     let report = cluster.report();
     let master = cluster.master_output().expect("master ran").clone();
-    (report, master)
+    let coverage = round_series(&sink.sorted_events()).rounds.iter().map(|r| r.coverage).collect();
+    (report, master, coverage)
 }
 
 fn spike_lane(burst: usize) {
     println!("spike: 10x interval-close burst vs a 4-slot mailbox, per shed policy\n");
     let mut t = TextTable::new(&["policy", "sheds", "dropped", "merged", "summarized", "rounds", "min adj cover"]);
     for policy in [ShedPolicy::DropOldestRound, ShedPolicy::MergeBatches, ShedPolicy::SummaryOnly] {
-        let (report, master) = spike_run(policy, burst);
+        let (report, master, coverage) = spike_run(policy, burst);
         let sheds = report.sheds_dropped + report.sheds_merged + report.sheds_summarized;
         assert!(sheds > 0, "the burst must shed under {policy:?}");
         assert_eq!(
@@ -212,7 +216,7 @@ fn spike_lane(burst: usize) {
             report.shed_oals.len() as u64,
             "every shed is attributable to its (thread, interval)"
         );
-        let adjusted = report.adjusted_round_coverage(1);
+        let adjusted = report.adjusted_round_coverage(&coverage, 1);
         let min_adj = adjusted.iter().copied().fold(1.0f64, f64::min);
         assert!(min_adj < 1.0, "sheds must depress adjusted coverage");
         t.row(&[
@@ -280,7 +284,7 @@ fn slow_run(detect: bool, iters: usize, until_ns: u64) -> (RunReport, MasterOutp
 
 fn slow_lane(iters: usize, until_ns: u64) {
     println!("slow node: node 1 at 8x service time for the first stretch of the run\n");
-    let mut t = TextTable::new(&["detection", "stragglers", "rounds", "deadline", "mean cover"]);
+    let mut t = TextTable::new(&["detection", "stragglers", "rounds", "deadline", "min cover"]);
     for detect in [false, true] {
         let (report, master) = slow_run(detect, iters, until_ns);
         assert!(master.rounds > 0, "the slow-node run must converge");
@@ -295,7 +299,7 @@ fn slow_lane(iters: usize, until_ns: u64) {
             master.stragglers.to_string(),
             master.rounds.to_string(),
             master.deadline_rounds.to_string(),
-            format!("{:.3}", mean(&master.round_coverage)),
+            format!("{:.3}", master.round_coverage.unwrap_or(1.0)),
         ]);
     }
     println!("{}", t.render());

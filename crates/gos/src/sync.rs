@@ -2,11 +2,11 @@
 //!
 //! HLRC propagates modifications lazily: diffs are flushed at *release*, and **write
 //! notices** tell other nodes at *acquire* which cached objects went stale. We keep a
-//! single global, append-only notice log with a per-thread cursor — a lock acquire or
-//! barrier exit applies every notice that thread has not yet seen. This is conservative
-//! (it may invalidate more than a vector-timestamped HLRC would) but preserves
-//! coherence for properly synchronized programs and keeps the at-most-once fault
-//! property the profiler exploits.
+//! single global notice log with a per-thread cursor — a lock acquire or barrier exit
+//! applies every notice that thread has not yet seen, and a post drops the prefix
+//! every thread has seen. This is conservative (it may invalidate more than a
+//! vector-timestamped HLRC would) but preserves coherence for properly synchronized
+//! programs and keeps the at-most-once fault property the profiler exploits.
 //!
 //! A blocked participant registers as a waiter and hands the scheduling token back
 //! via [`DetExecutor::block_internal`]; the releasing side unblocks every waiter and
@@ -42,10 +42,12 @@ pub struct WriteNotice {
     pub version: u64,
 }
 
-/// Global append-only notice log with per-thread read cursors.
+/// Global notice log with per-thread read cursors. Cursors count every notice
+/// ever posted; the log keeps only the suffix some cursor has not yet passed.
 #[derive(Debug)]
 pub struct NoticeBoard {
-    log: RwLock<Vec<WriteNotice>>,
+    /// The notices from number `.0` on (the prefix every cursor passed is gone).
+    log: RwLock<(usize, Vec<WriteNotice>)>,
     cursors: Vec<AtomicUsize>,
 }
 
@@ -53,15 +55,24 @@ impl NoticeBoard {
     /// Board with `n_cursors` independent read cursors (one per thread).
     pub fn new(n_cursors: usize) -> Self {
         NoticeBoard {
-            log: RwLock::new(Vec::new()),
+            log: RwLock::new((0, Vec::new())),
             cursors: (0..n_cursors).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
 
-    /// Append notices (at release time).
+    /// Append notices (at release time), first dropping the prefix every cursor
+    /// has passed once it is at least half the log, so each notice is moved at
+    /// most once on average. The write lock keeps every cursor still meanwhile.
     pub fn post(&self, notices: impl IntoIterator<Item = WriteNotice>) {
         let mut log = self.log.write();
-        log.extend(notices);
+        let (base, kept) = &mut *log;
+        let min_cursor = self.cursors.iter().map(|c| c.load(Ordering::Acquire)).min();
+        let passed = min_cursor.map_or(kept.len(), |c| c - *base);
+        if 2 * passed >= kept.len() {
+            kept.drain(..passed);
+            *base += passed;
+        }
+        kept.extend(notices);
     }
 
     /// Take every notice cursor `who` has not yet applied, advancing its cursor.
@@ -71,15 +82,17 @@ impl NoticeBoard {
     /// acquire path only).
     pub fn take_new(&self, who: usize) -> Vec<WriteNotice> {
         let log = self.log.read();
+        let (base, kept) = &*log;
         let cur = self.cursors[who].load(Ordering::Acquire);
-        let new = log[cur..].to_vec();
-        self.cursors[who].store(log.len(), Ordering::Release);
+        let new = kept[cur - base..].to_vec();
+        self.cursors[who].store(base + kept.len(), Ordering::Release);
         new
     }
 
     /// Total notices ever posted.
     pub fn len(&self) -> usize {
-        self.log.read().len()
+        let log = self.log.read();
+        log.0 + log.1.len()
     }
 
     /// True if no notices were ever posted.
@@ -330,6 +343,22 @@ mod tests {
         assert_eq!(board.take_new(1).len(), 2, "node 1 sees both");
         assert!(board.take_new(1).is_empty());
         assert_eq!(board.len(), 2);
+    }
+
+    #[test]
+    fn notice_board_drops_what_every_cursor_passed() {
+        let board = NoticeBoard::new(2);
+        let notice = |obj| WriteNotice { obj: ObjectId(obj), version: 1 };
+        board.post([notice(1), notice(2)]);
+        assert_eq!(board.take_new(0).len(), 2);
+        board.post([notice(3)]);
+        assert_eq!(board.log.read().1.len(), 3, "cursor 1 has passed nothing");
+        assert_eq!(board.take_new(1).len(), 3);
+        board.post([notice(4)]);
+        assert_eq!(*board.log.read(), (2, vec![notice(3), notice(4)]));
+        assert_eq!(board.take_new(0), vec![notice(3), notice(4)]);
+        assert_eq!(board.take_new(1), vec![notice(4)]);
+        assert_eq!(board.len(), 4, "every notice ever posted");
     }
 
     #[test]

@@ -145,11 +145,10 @@ pub struct MasterOutput {
     /// Rounds the controller skipped for insufficient coverage (each one is
     /// journaled as a `RoundSkipped` with its coverage).
     pub skipped_rounds: u64,
-    /// Per closed round, the fraction of expected (thread, interval) OALs received
-    /// (1.0 on a fault-free network). The one per-round series the report still
-    /// keeps, because the benchmark reads its minimum; `RoundClosed` journals
-    /// the same values.
-    pub round_coverage: Vec<f64>,
+    /// The lowest fraction of expected (thread, interval) OALs any closed round
+    /// received (`None` if none closed). Each round's own value is in its
+    /// journaled `RoundClosed`. The benchmark reads this name; ROADMAP 1 renames it.
+    pub round_coverage: Option<f64>,
     /// Rounds closed by the deadline rather than by complete watermarks.
     pub deadline_rounds: u64,
     /// OALs that arrived after their round had closed (folded into the final TCM).

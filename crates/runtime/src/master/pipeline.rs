@@ -191,9 +191,8 @@ impl MasterCore {
             }
             Ingest::Accepted | Ingest::Late => self.state.ledger.oals += 1,
         }
-        for closed in self.state.scheduler.ready_rounds() {
-            self.close_round(closed, fx);
-        }
+        let ready = self.state.scheduler.ready_rounds();
+        self.close_rounds(ready, fx);
     }
 
     /// Without `record_oals` the logs are the WAL of a master that can crash;
@@ -202,9 +201,24 @@ impl MasterCore {
         self.setup.config.record_oals || !self.master_crashes.is_empty()
     }
 
+    /// Close a batch of rounds the scheduler released, then checkpoint once if
+    /// the batch crossed a multiple of `checkpoint_every_rounds`. The scheduler
+    /// is already past every round of the batch, so a snapshot between two of
+    /// its closes would hold rounds that neither its map nor the replay log
+    /// has, and a restore from it would lose them.
+    fn close_rounds(&mut self, batch: Vec<ClosedRound>, fx: &mut impl MasterBoundary) {
+        let before = self.state.ledger.rounds;
+        for closed in batch {
+            self.close_round(closed, fx);
+        }
+        let every = self.setup.config.checkpoint_every_rounds.filter(|&e| e > 0);
+        if every.is_some_and(|e| self.state.ledger.rounds / e > before / e) {
+            self.take_checkpoint(fx);
+        }
+    }
+
     /// Close one round: reduce it, journal it, hand it to the controller,
-    /// watch for stragglers, plan when an epoch is due and checkpoint on
-    /// cadence.
+    /// watch for stragglers and plan when an epoch is due.
     fn close_round(&mut self, closed: ClosedRound, fx: &mut impl MasterBoundary) {
         // No thread moves while the master holds the token, so one read of the
         // placement serves every stage of the close.
@@ -220,7 +234,8 @@ impl MasterCore {
         let ledger = &mut self.state.ledger;
         ledger.rounds += 1;
         ledger.objects_organized += summary.objects as u64;
-        ledger.round_coverage.push(closed.coverage);
+        ledger.lowest_coverage =
+            Some(ledger.lowest_coverage.map_or(closed.coverage, |c| c.min(closed.coverage)));
         let cost_fraction = self.cost_fraction(fx);
         if self.setup.config.overhead_budget.is_some_and(|budget| cost_fraction > budget) {
             self.state.ledger.budget_over_rounds += 1;
@@ -250,13 +265,6 @@ impl MasterCore {
             };
             if due {
                 self.plan_placement_epoch(&cfg, closed.round, &placement, fx);
-            }
-        }
-
-        // Periodic snapshot for crash recovery.
-        if let Some(every) = self.setup.config.checkpoint_every_rounds {
-            if every > 0 && self.state.ledger.rounds.is_multiple_of(every) {
-                self.take_checkpoint(fx);
             }
         }
     }
@@ -629,9 +637,8 @@ impl MasterCore {
             self.next_crash += 1;
             self.restore(fx);
         }
-        for closed in self.state.scheduler.flush() {
-            self.close_round(closed, fx);
-        }
+        let rest = self.state.scheduler.flush();
+        self.close_rounds(rest, fx);
         let late = self.state.scheduler.take_late();
         if !late.is_empty() {
             let summary = self.reduce_round(&late);
@@ -657,7 +664,7 @@ impl MasterCore {
             tcm_build_real_ns: self.counters.build_ns,
             rate_changes: ledger.rate_changes,
             skipped_rounds: ledger.skipped_rounds,
-            round_coverage: ledger.round_coverage,
+            round_coverage: ledger.lowest_coverage,
             deadline_rounds: scheduler.deadline_rounds(),
             late_oals: scheduler.late_count(),
             duplicate_oals: scheduler.duplicate_count(),
@@ -967,6 +974,31 @@ mod tests {
         assert_eq!(bits(&crashed), bits(&base));
         assert!(crashed.tcm.total() > 0.0);
         assert_eq!((crashed.rounds, crashed.oals_ingested), (base.rounds, base.oals_ingested));
+    }
+
+    #[test]
+    fn a_checkpoint_never_splits_a_multi_round_batch() {
+        let config = ProfilerConfig { checkpoint_every_rounds: Some(2), ..config() };
+        // Thread 1 skips interval 1, so its interval-2 OAL completes rounds 1
+        // and 2 at once, and the checkpoint falls due inside that batch.
+        let batch = vec![
+            oal(0, 0, &[1], 48),
+            oal(1, 0, &[1], 48),
+            oal(0, 1, &[1], 48),
+            oal(0, 2, &[1], 48),
+            oal(1, 2, &[1], 48),
+            oal(0, 3, &[1], 48),
+            oal(1, 3, &[1], 48),
+        ];
+        let cell = |o: &MasterOutput| o.tcm.at(ThreadId(0), ThreadId(1));
+        let base = run(&mut fake(config, &[0, 1]), batch.clone());
+        assert_eq!((base.rounds, cell(&base)), (4, 144.0));
+        let mut fx = fake(config, &[0, 1]);
+        let window = jessy_net::MasterCrashWindow { from_interval: 2, until_interval: 3 };
+        fx.setup.faults = Some(FaultPlan { master_crashes: vec![window], ..FaultPlan::default() });
+        let crashed = run(&mut fx, batch);
+        assert_eq!(crashed.restores, 1);
+        assert_eq!((crashed.rounds, cell(&crashed)), (base.rounds, cell(&base)));
     }
 
     #[test]

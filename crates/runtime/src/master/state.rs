@@ -17,8 +17,7 @@ use crate::dynamic::{PlacementTelemetry, PlannedMigration};
 /// that describes the rounds closed so far and must therefore survive a master
 /// crash together with them, as part of [`MasterState`]. Per-round series
 /// live in the journal (`RoundClosed`, `RoundSkipped`, `PlacementPlanned`);
-/// the ledger keeps totals, plus the coverage history the report still
-/// carries.
+/// the ledger keeps totals.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MasterLedger {
     /// Rounds closed so far.
@@ -27,8 +26,9 @@ pub struct MasterLedger {
     pub oals: u64,
     /// Σ per-round distinct objects organized.
     pub objects_organized: u64,
-    /// Per-round coverage history.
-    pub round_coverage: Vec<f64>,
+    /// The lowest coverage of any round closed so far (`None` before the
+    /// first close).
+    pub lowest_coverage: Option<f64>,
     /// Rounds whose profiling cost exceeded the overhead budget so far.
     pub budget_over_rounds: u64,
     /// Applied rate changes so far.

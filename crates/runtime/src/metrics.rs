@@ -138,20 +138,18 @@ impl RunReport {
         det
     }
 
-    /// Round-coverage history with post-failure losses *and* backpressure sheds
-    /// folded back in: each lost or shed `(thread, interval)` OAL subtracts its
-    /// share `1 / (n_threads · ipr)` from the coverage of the round that owned
-    /// the interval, extending the master's history with fully-covered rounds as
-    /// needed. Losses the master never saw (its mailbox was already closed, or
-    /// the batch's identity was shed before posting) thus still show up where
-    /// coverage gating looks, instead of vanishing into a bare counter.
-    pub fn adjusted_round_coverage(&self, intervals_per_round: u64) -> Vec<f64> {
+    /// The master's per-round `coverage` (the journal's `RoundClosed` values,
+    /// in round order: `jessy_obs::round_series`) with post-failure losses
+    /// *and* backpressure sheds folded back in: each lost or shed
+    /// `(thread, interval)` OAL subtracts its share `1 / (n_threads · ipr)`
+    /// from the coverage of the round that owned the interval, extending the
+    /// series with fully-covered rounds as needed. Losses the master never saw
+    /// (its mailbox was already closed, or the batch's identity was shed
+    /// before posting) thus still show up where coverage gating looks, instead
+    /// of vanishing into a bare counter.
+    pub fn adjusted_round_coverage(&self, coverage: &[f64], intervals_per_round: u64) -> Vec<f64> {
         let ipr = intervals_per_round.max(1);
-        let mut coverage = self
-            .master
-            .as_ref()
-            .map(|m| m.round_coverage.clone())
-            .unwrap_or_default();
+        let mut coverage = coverage.to_vec();
         let share = 1.0 / (self.n_threads.max(1) as f64 * ipr as f64);
         for (_thread, interval) in self.lost_oals.iter().chain(&self.shed_oals) {
             let round = (interval / ipr) as usize;
@@ -165,9 +163,10 @@ impl RunReport {
 
     /// True if any round's loss-adjusted coverage fell below `floor` — the same
     /// gate the adaptive controller applies, but also counting OALs lost after
-    /// the master stopped listening.
-    pub fn profile_degraded(&self, floor: f64, intervals_per_round: u64) -> bool {
-        self.adjusted_round_coverage(intervals_per_round)
+    /// the master stopped listening. `coverage` is as for
+    /// [`RunReport::adjusted_round_coverage`].
+    pub fn profile_degraded(&self, coverage: &[f64], floor: f64, intervals_per_round: u64) -> bool {
+        self.adjusted_round_coverage(coverage, intervals_per_round)
             .iter()
             .any(|c| *c < floor)
     }

@@ -62,10 +62,6 @@ pub struct JThread {
     /// paid (with the then-current clock) before this thread's next visible
     /// action. See [`JThread::yield_now`].
     owed_yield: bool,
-    /// The last action was an access and no scheduling point has passed since:
-    /// the next `compute` call joins that access's step instead of taking a
-    /// yield of its own.
-    compute_rides: bool,
 }
 
 impl JThread {
@@ -98,7 +94,6 @@ impl JThread {
             slow_gate,
             rate_generation,
             owed_yield: false,
-            compute_rides: false,
         }
     }
 
@@ -110,20 +105,17 @@ impl JThread {
     /// The schedule contract (DESIGN.md §15): an action is *visible* when
     /// another task could observe it, and every visible action is *preceded*
     /// by a scheduling point carrying the clock the thread has reached; no
-    /// scheduling point follows an action. Accesses and the `compute` call
-    /// directly after one only *owe* their yield; the next visible action pays
-    /// it first. *Private* actions — an access that hits a valid cache copy
-    /// in this thread's own arena or the home entry of an object only this
-    /// thread holds an entry for (it touched the object first and nobody has
-    /// since: `ObjectCore::arrive`), a live armed trap on either included,
-    /// and the one `compute` call that directly follows an access (the work
-    /// on the datum just touched: the two form a step) — pay nothing and
-    /// leave the yield owed. Visible actions therefore interleave across
+    /// scheduling point follows an action. Accesses and `compute` calls only
+    /// *owe* their yield; the next visible action pays it first. *Private*
+    /// actions — an access that hits a valid cache copy in this thread's own
+    /// arena or the home entry of an object only this thread holds an entry
+    /// for (it touched the object first and nobody has since:
+    /// `ObjectCore::arrive`), a live armed trap on either included, and every
+    /// `compute` call (it touches nothing another task can see) — pay nothing
+    /// and leave the yield owed. Visible actions therefore interleave across
     /// threads in virtual-time order exactly as if every action yielded, while
-    /// private work passes without a hand-off. A `compute` call that follows no access
-    /// — the second and later calls of a compute-only stretch — keeps its
-    /// scheduling point: a stretch that advances the clock without touching an
-    /// object reports it call by call, as it always has.
+    /// private work, a compute-only stretch included, passes without a
+    /// hand-off.
     /// Calling this from a driver loop is itself a visible action — but not
     /// one at which a rate change reaches this thread: the profiler's
     /// sampling view is refreshed before visible *accesses* and at interval
@@ -133,7 +125,6 @@ impl JThread {
     /// the two.
     pub fn yield_now(&mut self) {
         self.owed_yield = false;
-        self.compute_rides = false;
         self.shared
             .exec
             .yield_now(self.thread.index(), self.clock.now());
@@ -255,14 +246,12 @@ impl JThread {
     }
 
     /// Close an access checked at `t0`: the profiler's hooks, the slow-node
-    /// charge, and the yield owed to the next visible action (the next
-    /// `compute` call may join the step).
+    /// charge, and the yield owed to the next visible action.
     #[inline]
     fn end_access(&mut self, out: &AccessOutcome, t0: u64) {
         self.post_access(out);
         self.charge_slow(t0);
         self.owed_yield = true;
-        self.compute_rides = true;
     }
 
     /// Read access: run `f` over the object's payload. Preceded by a
@@ -377,21 +366,15 @@ impl JThread {
         self.begin_visible_access();
     }
 
-    /// Charge `units` of application compute to the simulated clock. Private
-    /// (the yield is owed) when it directly follows an access; a scheduling
-    /// point otherwise, so a compute-only stretch reports its clock call by
-    /// call.
+    /// Charge `units` of application compute to the simulated clock. Always
+    /// private: it touches nothing another task can see, so it only owes its
+    /// yield, and the next visible action pays it at the clock reached here.
     pub fn compute(&mut self, units: u64) {
         let t0 = self.clock.now();
         self.clock
             .spend(units * self.shared.gos.costs().compute_unit_ns);
         self.charge_slow(t0);
-        if self.compute_rides {
-            self.compute_rides = false;
-            self.owed_yield = true;
-        } else {
-            self.yield_now();
-        }
+        self.owed_yield = true;
     }
 
     /// Allocate a zeroed scalar at this thread's node (a visible action: it

@@ -26,6 +26,12 @@ fn chaos_seed() -> u64 {
         .unwrap_or_else(|| FaultPlan::default().seed)
 }
 
+/// Each closed round's coverage, as the journal records it (a round's last
+/// close wins).
+fn coverage(events: &[TraceEvent]) -> Vec<f64> {
+    round_series(events).rounds.iter().map(|r| r.coverage).collect()
+}
+
 /// A workload whose round-over-round maps disagree (even rounds touch one shared
 /// object, odd rounds two), so the adaptive controller has refinement pressure on
 /// every round — which is what makes "skipped below the coverage floor" observable.
@@ -79,6 +85,7 @@ fn lossy_oal_run_completes_and_degrades_gracefully() {
 
     let report = cluster.report();
     let master = cluster.master_output().expect("master ran to completion");
+    let coverage = coverage(&sink.sorted_events());
     assert!(master.rounds > 0, "rounds closed despite losses");
     assert!(
         report.net.faults.dropped > 0,
@@ -86,14 +93,12 @@ fn lossy_oal_run_completes_and_degrades_gracefully() {
         report.net.faults
     );
     assert!(
-        master.round_coverage.iter().any(|&c| c < 1.0),
-        "dropped batches must show up as partial coverage: {:?}",
-        master.round_coverage
+        coverage.iter().any(|&c| c < 1.0),
+        "dropped batches must show up as partial coverage: {coverage:?}"
     );
     assert!(
-        master.round_coverage.iter().all(|&c| c > 0.0),
-        "no round can be fully empty at a 10% drop rate: {:?}",
-        master.round_coverage
+        coverage.iter().all(|&c| c > 0.0),
+        "no round can be fully empty at a 10% drop rate: {coverage:?}"
     );
     assert!(
         master.skipped_rounds > 0,
@@ -125,12 +130,14 @@ fn lossy_oal_run_completes_and_degrades_gracefully() {
 #[test]
 fn zero_fault_plan_reproduces_the_fault_free_run() {
     let run = |faults: Option<FaultPlan>| {
+        let sink = JournalSink::shared();
         let mut builder = Cluster::builder()
             .nodes(2)
             .threads(4)
             .latency(LatencyModel::fast_ethernet())
             .costs(CostModel::free())
-            .profiler(chaos_profiler());
+            .profiler(chaos_profiler())
+            .trace(sink.clone());
         if let Some(plan) = faults {
             builder = builder.faults(plan);
         }
@@ -151,9 +158,9 @@ fn zero_fault_plan_reproduces_the_fault_free_run() {
         });
         let report = cluster.report();
         let master = cluster.master_output().expect("master ran").clone();
-        (report, master)
+        (report, master, coverage(&sink.sorted_events()))
     };
-    let (base_report, base) = run(None);
+    let (base_report, base, base_coverage) = run(None);
     // Explicitly spell the PR 6 and PR 8 fields: empty partition and slow-window
     // schedules are part of the zero plan.
     let zero_plan = FaultPlan {
@@ -161,7 +168,7 @@ fn zero_fault_plan_reproduces_the_fault_free_run() {
         slow: vec![],
         ..FaultPlan::default()
     };
-    let (zero_report, zero) = run(Some(zero_plan));
+    let (zero_report, zero, zero_coverage) = run(Some(zero_plan));
 
     assert!(FaultPlan::default().is_zero());
     // A plan carrying any slow window is *not* zero: gray failures are faults.
@@ -178,7 +185,7 @@ fn zero_fault_plan_reproduces_the_fault_free_run() {
     // A few targeted fields first, for readable failures...
     assert_eq!(zero.tcm, base.tcm, "TCM must be bit-identical");
     assert_eq!(zero.rounds, base.rounds);
-    assert_eq!(zero.round_coverage, base.round_coverage);
+    assert_eq!(zero_coverage, base_coverage);
     assert_eq!(zero.rate_changes, base.rate_changes);
     assert_eq!(zero.skipped_rounds, base.skipped_rounds);
     assert!(zero_report.net.faults.is_zero());
@@ -216,6 +223,7 @@ fn stalled_node_cannot_wedge_round_close() {
     let mut config = ProfilerConfig::tracking_at(SamplingRate::Full);
     config.intervals_per_round = 1;
     config.round_deadline_intervals = Some(2);
+    let sink = JournalSink::shared();
     let mut cluster = Cluster::builder()
         .nodes(2)
         .threads(2)
@@ -223,6 +231,7 @@ fn stalled_node_cannot_wedge_round_close() {
         .latency(LatencyModel::free())
         .costs(CostModel::free())
         .profiler(config)
+        .trace(sink.clone())
         .faults(FaultPlan {
             stalls: vec![StallWindow {
                 node: NodeId(1),
@@ -248,10 +257,10 @@ fn stalled_node_cannot_wedge_round_close() {
     let master = cluster.master_output().expect("master ran");
     assert!(master.rounds > 0, "deadline must close rounds");
     assert!(master.deadline_rounds > 0, "closure came from the deadline path");
+    let coverage = coverage(&sink.sorted_events());
     assert!(
-        master.round_coverage.iter().all(|&c| c <= 0.5 + 1e-9),
-        "only the healthy node's thread can contribute: {:?}",
-        master.round_coverage
+        coverage.iter().all(|&c| c <= 0.5 + 1e-9),
+        "only the healthy node's thread can contribute: {coverage:?}"
     );
     assert!(report.net.faults.stalled > 0, "{:?}", report.net.faults);
 }
@@ -489,8 +498,8 @@ fn master_crash_keeps_the_budget_tallies() {
 /// the whole run (cold restart from round zero) and the result is still bit-identical.
 #[test]
 fn master_crash_without_checkpoints_replays_from_round_zero() {
-    let (_, base, _) = stable_run(chaos_profiler(), None, 16);
-    let (_, crashed, _) = stable_run(
+    let (_, base, base_events) = stable_run(chaos_profiler(), None, 16);
+    let (_, crashed, events) = stable_run(
         chaos_profiler(), // checkpoint_every_rounds: None
         Some(FaultPlan {
             master_crashes: vec![MasterCrashWindow {
@@ -511,7 +520,7 @@ fn master_crash_without_checkpoints_replays_from_round_zero() {
     );
     assert_eq!(crashed.tcm, base.tcm, "cold recovery must also be exact");
     assert_eq!(crashed.rounds, base.rounds);
-    assert_eq!(crashed.round_coverage, base.round_coverage);
+    assert_eq!(coverage(&events), coverage(&base_events));
 }
 
 /// Master crash composed with a lossy network: recovery still completes (no wedge,
@@ -521,12 +530,14 @@ fn master_crash_without_checkpoints_replays_from_round_zero() {
 fn master_crash_composed_with_drops_degrades_by_coverage() {
     let mut config = recovery_profiler();
     config.round_deadline_intervals = Some(3);
+    let sink = JournalSink::shared();
     let mut cluster = Cluster::builder()
         .nodes(2)
         .threads(4)
         .latency(LatencyModel::free())
         .costs(CostModel::free())
         .profiler(config)
+        .trace(sink.clone())
         .faults(FaultPlan {
             seed: chaos_seed(),
             oal_drop: 0.10,
@@ -544,10 +555,10 @@ fn master_crash_composed_with_drops_degrades_by_coverage() {
     assert_eq!(master.restores, 1);
     assert!(report.net.faults.dropped > 0, "{:?}", report.net.faults);
     assert!(master.rounds > 0);
+    let coverage = coverage(&sink.sorted_events());
     assert!(
-        master.round_coverage.iter().any(|&c| c < 1.0),
-        "drops must surface as partial coverage: {:?}",
-        master.round_coverage
+        coverage.iter().any(|&c| c < 1.0),
+        "drops must surface as partial coverage: {coverage:?}"
     );
     assert!(master.tcm.total() > 0.0, "the recovered map still has mass");
 }
@@ -560,12 +571,14 @@ fn restarted_node_rejoins_and_coverage_recovers() {
     let mut config = ProfilerConfig::tracking_at(SamplingRate::Full);
     config.intervals_per_round = 1;
     config.round_deadline_intervals = Some(3);
+    let sink = JournalSink::shared();
     let mut cluster = Cluster::builder()
         .nodes(2)
         .threads(4)
         .latency(LatencyModel::free())
         .costs(CostModel::free())
         .profiler(config)
+        .trace(sink.clone())
         .faults(FaultPlan {
             node_crashes: vec![CrashWindow {
                 node: NodeId(1),
@@ -595,7 +608,9 @@ fn restarted_node_rejoins_and_coverage_recovers() {
     assert_eq!(report.rejoins, 2);
     // Request + reply per rejoining thread, accounted under the rejoin class.
     assert_eq!(report.net.class(jessy_net::MsgClass::Rejoin).messages, 4);
-    for (r, &c) in master.round_coverage.iter().enumerate() {
+    let coverage = coverage(&sink.sorted_events());
+    assert_eq!(coverage.len() as u64, master.rounds);
+    for (r, &c) in coverage.iter().enumerate() {
         let expect = if (3..6).contains(&r) { 0.5 } else { 1.0 };
         assert_eq!(c, expect, "round {r} coverage");
     }
@@ -631,13 +646,13 @@ fn flapping_node_is_quarantined_and_the_rest_converges() {
         stable_run(config, Some(plan), 30)
     };
     let (_, unfenced, _) = run(None);
-    let (report, master, _) = run(Some(1));
+    let (report, master, events) = run(Some(1));
 
     assert_eq!(master.quarantined_nodes, 1);
+    let coverage = coverage(&events);
     assert!(
-        master.round_coverage[6..].iter().all(|&c| c == 1.0),
-        "post-quarantine rounds owe nothing to the expelled node: {:?}",
-        master.round_coverage
+        coverage[6..].iter().all(|&c| c == 1.0),
+        "post-quarantine rounds owe nothing to the expelled node: {coverage:?}"
     );
     assert!(
         master.converged_classes >= 1,
@@ -682,7 +697,7 @@ fn home_local_workload(cluster: &mut Cluster, barriers: usize) {
     });
 }
 
-fn partitioned_cluster(heal_ns: Option<u64>) -> Cluster {
+fn partitioned_cluster(heal_ns: Option<u64>) -> (Cluster, Arc<JournalSink>) {
     partitioned_cluster_with(chaos_profiler(), heal_ns, Vec::new())
 }
 
@@ -690,13 +705,15 @@ fn partitioned_cluster_with(
     profiler: ProfilerConfig,
     heal_ns: Option<u64>,
     master_crashes: Vec<MasterCrashWindow>,
-) -> Cluster {
-    Cluster::builder()
+) -> (Cluster, Arc<JournalSink>) {
+    let sink = JournalSink::shared();
+    let cluster = Cluster::builder()
         .nodes(2)
         .threads(4)
         .latency(LatencyModel::fast_ethernet())
         .costs(CostModel::free())
         .profiler(profiler)
+        .trace(sink.clone())
         .faults(FaultPlan {
             seed: chaos_seed(),
             partitions: vec![PartitionWindow {
@@ -707,7 +724,8 @@ fn partitioned_cluster_with(
             master_crashes,
             ..FaultPlan::default()
         })
-        .build()
+        .build();
+    (cluster, sink)
 }
 
 /// Partition + heal: OALs closed behind the cut are deferred, the post-heal flush
@@ -716,7 +734,7 @@ fn partitioned_cluster_with(
 fn healed_partition_converges_and_deferred_oals_arrive() {
     // The 40-barrier run spans ~7 ms of simulated time; the partition covers
     // roughly the first 2 ms of it.
-    let mut cluster = partitioned_cluster(Some(2_000_000));
+    let (mut cluster, sink) = partitioned_cluster(Some(2_000_000));
     home_local_workload(&mut cluster, 40);
 
     let report = cluster.report();
@@ -733,15 +751,14 @@ fn healed_partition_converges_and_deferred_oals_arrive() {
         report.lost_oals
     );
     assert!(master.rounds > 0);
+    let coverage = coverage(&sink.sorted_events());
     assert!(
-        master.round_coverage.iter().any(|&c| c < 1.0),
-        "deadline-closed rounds during the partition show partial coverage: {:?}",
-        master.round_coverage
+        coverage.iter().any(|&c| c < 1.0),
+        "deadline-closed rounds during the partition show partial coverage: {coverage:?}"
     );
     assert!(
-        master.round_coverage.contains(&1.0),
-        "post-heal rounds close complete again: {:?}",
-        master.round_coverage
+        coverage.contains(&1.0),
+        "post-heal rounds close complete again: {coverage:?}"
     );
     assert!(
         master.late_oals > 0,
@@ -762,7 +779,7 @@ fn late_fold_after_restore_matches_the_uninterrupted_run() {
         config.initial_rate = SamplingRate::Full;
         config.adaptive_threshold = None;
         config.checkpoint_every_rounds = Some(3);
-        let mut cluster = partitioned_cluster_with(config, Some(2_000_000), master_crashes);
+        let (mut cluster, _) = partitioned_cluster_with(config, Some(2_000_000), master_crashes);
         home_local_workload(&mut cluster, 40);
         cluster.master_output().expect("master ran").clone()
     };
@@ -784,7 +801,7 @@ fn late_fold_after_restore_matches_the_uninterrupted_run() {
 /// surfaced as lost at thread exit — the run never wedges.
 #[test]
 fn unhealed_partition_degrades_gracefully_without_wedging() {
-    let mut cluster = partitioned_cluster(None);
+    let (mut cluster, sink) = partitioned_cluster(None);
     home_local_workload(&mut cluster, 40);
 
     let report = cluster.report();
@@ -803,10 +820,10 @@ fn unhealed_partition_degrades_gracefully_without_wedging() {
     assert!(master.rounds > 0, "deadline close keeps rounds moving");
     // The very first round may close off OALs posted before the 1 µs cut; every
     // round after it sees the reachable half only.
+    let coverage = coverage(&sink.sorted_events());
     assert!(
-        master.round_coverage.iter().skip(1).all(|&c| c > 0.0 && c < 1.0),
-        "post-cut rounds see the reachable half only: {:?}",
-        master.round_coverage
+        coverage.iter().skip(1).all(|&c| c > 0.0 && c < 1.0),
+        "post-cut rounds see the reachable half only: {coverage:?}"
     );
     assert!(master.tcm.total() > 0.0, "the reachable side's profile survives");
 }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use jessy_core::{ProfilerConfig, SamplingRate};
 use jessy_gos::{CostModel, ObjectId};
 use jessy_net::{LatencyModel, NodeId, ThreadId};
-use jessy_obs::{to_chrome_trace, to_json_lines, EventKind, JournalSink, TraceEvent};
+use jessy_obs::{round_series, to_chrome_trace, to_json_lines, EventKind, JournalSink, TraceEvent};
 use jessy_runtime::{Cluster, RunReport, RuntimeError};
 use serde_json::Value;
 
@@ -267,15 +267,16 @@ fn post_run_oal_loss_is_recorded_journaled_and_degrades_coverage() {
     // …and folds into coverage: the adopted thread's intervals restart at 0,
     // so round 0's adjusted coverage drops by 1/(n_threads · ipr) per loss.
     let ipr = 1;
-    let adjusted = report.adjusted_round_coverage(ipr);
-    let master_coverage = &report.master.as_ref().unwrap().round_coverage;
+    let master_coverage: Vec<f64> =
+        round_series(&sink.sorted_events()).rounds.iter().map(|r| r.coverage).collect();
+    let adjusted = report.adjusted_round_coverage(&master_coverage, ipr);
     assert!(adjusted.len() >= master_coverage.len());
     assert!(
         adjusted.iter().any(|&c| c < 1.0),
         "losses must dent coverage: {adjusted:?}"
     );
     assert!(
-        report.profile_degraded(0.95, ipr),
+        report.profile_degraded(&master_coverage, 0.95, ipr),
         "the coverage gate must see the post-run loss"
     );
     // The baseline run itself was clean: the master's own history is full.

@@ -183,13 +183,14 @@ fn bounded_mailbox_sheds_attributably_under_burst() {
     assert_eq!(journaled, report.shed_oals, "journal and ledger must agree");
     // Shed intervals fold back into coverage where gating looks: the adjusted
     // history must be strictly worse than the master's own view somewhere.
-    let adjusted = report.adjusted_round_coverage(1);
+    let coverage: Vec<f64> = round_series(&events).rounds.iter().map(|r| r.coverage).collect();
+    let adjusted = report.adjusted_round_coverage(&coverage, 1);
     let worse = adjusted
         .iter()
         .enumerate()
-        .any(|(r, c)| *c < master.round_coverage.get(r).copied().unwrap_or(1.0));
+        .any(|(r, c)| *c < coverage.get(r).copied().unwrap_or(1.0));
     assert!(worse, "sheds must depress adjusted coverage: {adjusted:?}");
-    assert!(report.profile_degraded(0.95, 1), "the burst run's profile is degraded");
+    assert!(report.profile_degraded(&coverage, 0.95, 1), "the burst run's profile is degraded");
 }
 
 /// `MergeBatches` sheds by folding the two oldest pending batches into one —
@@ -440,7 +441,7 @@ fn slow_node_is_demoted_then_restored_without_wedging() {
     // Demotion is a coverage-accounting decision, never data loss: the slow
     // node's late intervals still landed (as accepted or late OALs) and the
     // prorated rounds show partial coverage.
-    assert!(master.round_coverage.iter().any(|&c| c < 1.0));
+    assert!(round_series(&events).rounds.iter().any(|r| r.coverage < 1.0));
     assert!(master.oals_ingested > 0);
     assert_eq!(report.oal_post_failures, 0, "slowness loses nothing");
     assert_eq!(report.shed_oals, vec![], "no mailbox bound, no sheds");

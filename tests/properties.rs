@@ -708,7 +708,7 @@ proptest! {
         quarantine_raw in prop::collection::vec(0u64..9, 6), // 8 ⇒ not quarantined
         epoch in 0u64..5,
         threshold in 0.01f64..0.5,
-        coverage in prop::collection::vec(0.0f64..1.0, 0..8),
+        coverage_raw in 0.0f64..1.2, // ≥ 1 ⇒ no round closed
         costs in prop::collection::vec(0.0f64..0.05, 1..8),
         split_raw in 0usize..61,
         cost_base in (0u64..1 << 40, 0u64..1 << 30, 0u64..1 << 20),
@@ -792,7 +792,7 @@ proptest! {
                     rounds: sched.next_round(),
                     oals: oals.len() as u64,
                     objects_organized: raw.len() as u64 * 2,
-                    round_coverage: coverage,
+                    lowest_coverage: (coverage_raw < 1.0).then_some(coverage_raw),
                     budget_over_rounds: fed.iter().filter(|&&f| f > 0.02).count() as u64,
                     rate_changes: vec![AppliedRateChange {
                         round: epoch,

@@ -342,12 +342,16 @@ fn canonicalize(v: &mut Value) {
 /// previous report's digest with that key projected out, and again no journal
 /// digest moved. A third re-recording followed the removal of the tree
 /// reducer's counters (`master.reduce`): each equals the previous report's
-/// digest with that key projected out, and no journal digest moved.
+/// digest with that key projected out, and no journal digest moved. A fourth
+/// followed when `master.round_coverage` became the lowest round's coverage:
+/// each equals the previous report's digest with that list replaced by its
+/// minimum, and no journal digest moved (nor did any when `compute` stopped
+/// being a scheduling point of its own).
 const RECORDED: [(Case, &str, &str); 8] = [
     (
         Case::Bh,
         "c5046c53ea297fb57702b45896b2074b3c5403007aea95c2e8011ad3b99de4a7",
-        "31a2bd594d924215e9301f25b4c3e7bc38c9921287e854b42dfc0d341e47ba69",
+        "39e92710d2a0d242c2f7d212ad1ac995f0297cae7b91d1615db0defab4fe32a0",
     ),
     // Re-recorded three times, each time because simulated clocks moved by design
     // and no schedule rule changed — the other seven cases and the constant-free
@@ -361,37 +365,37 @@ const RECORDED: [(Case, &str, &str); 8] = [
     (
         Case::WaterRebalance,
         "17c170d3c619fef97b1b506bbcdbd40b6d2ee23cc1d96c78351cceacf9ae1c20",
-        "c16907c9db8c89541f6fac0c705d17da786381f992dadc55f6a3b0bceb8b13a6",
+        "88b32002b752b08502e062835b34fdada276e5d431ed147a91836fa02fc32b8e",
     ),
     (
         Case::Sor,
         "6d32f5998ba945bc82b3cf578eba1e5bdaed4594c354b8cbb0752496a9cf41d8",
-        "4f67d1393ab65c76f6a6a1c334e7bdb51f31ef78d3c1070d23d7ffcaa61f32a8",
+        "ff93086029b07b5687c30fbeb7b20e86c1b0a991e505a7a5e8be6f1c437cf7bf",
     ),
     (
         Case::Sessions,
         "2ee7331b4a04dd86a7fcd2fd37b3747085fc4abf20946807e8c6cd49d2a6d1fb",
-        "ab2a8dada7dc4db63467ca00a23e483af641eb97a37e965a37abf9ff05ad9235",
+        "e8472164386b4a9dc30d853d280ba9101f09f19732772697e248b63f761659a7",
     ),
     (
         Case::Lu,
         "1e24ade85687b6ca60fb862e03e2b7e7c57a4cda3556b8b2e21c7313ce3c46cf",
-        "844a133aac4b10c31c3c3545ea9040a139fe0428913bdbf345e03defa5eee827",
+        "198ea019504ea456af663795645addbf0b1f4140391b29f27738ae621785aebc",
     ),
     (
         Case::PhaseShift,
         "867549104aeae07d5a99bee1581254f371382e0a869ec012bc8f217946752bc7",
-        "42ff1fd9484632a86a9f5577b9a813a3b569a1c9885fe9e5c49af9a96cdc3a26",
+        "b6f032ff98ccfb3de235684376506c9be8cd15472f1d030aec2f29953ef16a4b",
     ),
     (
         Case::BhFaulted,
         "6b64880e29a3651e380f6db264fed9c5e78c5106606bc5204e1415cf74bbdc3e",
-        "c111c1c39807ce1f7bb2e23b5f986493449a42269550e8894c39dc11b49de7ea",
+        "3c06d750d40532bd25f016510135cebe180c2be739b52d78cbd499e18490bcc0",
     ),
     (
         Case::PartitionedLocal,
         "092efac5320f6678466dcf4686217111b44ef93f4babc9fcfecaaaae7a40cb1d",
-        "b229c4e0b2d64308d35e51dcec55449c32e3a2e8d920c70b796e13d70b36cbd5",
+        "8a0221ba058b420eff7782df064f360c6fc3792f5e74f912be44ac25fdb5f4db",
     ),
 ];
 
@@ -427,7 +431,7 @@ fn journals_and_reports_match_the_pre_lookahead_schedule() {
     );
 }
 
-/// One place per fact: the report's per-round coverage and its totals agree
+/// One place per fact: the report's lowest coverage and its totals agree
 /// with the journal's rounds (each round's last close), skips and planning
 /// epochs, on every recorded case and on a run whose master crashes and
 /// re-closes the rounds after its checkpoint.
@@ -471,8 +475,8 @@ fn assert_journal_agrees(label: &str, events: &[TraceEvent], report: &RunReport,
     let series = jessy::obs::round_series(events);
     let rounds: Vec<u64> = series.rounds.iter().map(|r| r.round).collect();
     assert_eq!(rounds, (0..master.rounds).collect::<Vec<_>>(), "{label}: closed rounds");
-    let coverage: Vec<f64> = series.rounds.iter().map(|r| r.coverage).collect();
-    assert_eq!(coverage, master.round_coverage, "{label}: coverage");
+    let lowest = series.rounds.iter().map(|r| r.coverage).reduce(f64::min);
+    assert_eq!(lowest, master.round_coverage, "{label}: lowest coverage");
     let over = budget.map_or(0, |budget| series.over_budget(budget));
     assert_eq!(over, master.budget_over_rounds, "{label}: rounds over budget");
     // A re-closed round journals its skip or its plan again.
@@ -587,14 +591,16 @@ fn a_visible_access_costs_one_scheduling_point() {
 }
 
 /// The other three workloads, so a schedule-cost regression on any of the six
-/// shows as a count, not as wall-clock. Water-Spatial is compute-only
-/// stretches between molecule reads, LU a handful of block accesses between
-/// barriers (278 hand-offs over 90 accesses, nearly all of them barrier
-/// wake-ups), `phase_shift` cells that a pair of threads sweeps together
-/// (3 072 over 10 032).
+/// shows as a count, not as wall-clock. Water-Spatial reads a molecule, then
+/// computes over it in stretches that touch nothing another task sees, so
+/// those stretches pass without a hand-off (645 hand-offs over 2 382 accesses;
+/// 1 711 while every `compute` after the first of a stretch was a scheduling
+/// point). LU is a handful of block accesses between barriers (278 hand-offs
+/// over 90 accesses, nearly all of them barrier wake-ups), `phase_shift` cells
+/// that a pair of threads sweeps together (3 072 over 10 032).
 #[test]
 fn the_remaining_workloads_keep_their_handoff_budgets() {
-    assert_handoff_budget("water small 8/8", 8, 8, 0.75, |c| {
+    assert_handoff_budget("water small 8/8", 8, 8, 0.28, |c| {
         WorkloadKind::WaterSpatial.run_on(c, WorkloadPreset::Small)
     });
     assert_handoff_budget("lu small 8/8", 8, 8, 3.1, |c| {
@@ -605,25 +611,29 @@ fn the_remaining_workloads_keep_their_handoff_budgets() {
     });
 }
 
-/// A compute-only stretch keeps its per-call scheduling points: two threads
-/// advancing in lockstep without touching an object trade the token on every
-/// call. Only a `compute` that directly follows an access joins that access's
-/// step.
+/// A `compute` call is never a scheduling point: two threads advancing in
+/// lockstep without touching an object hand the token off a small constant
+/// number of times (the first yields and the exits), not once per call, and
+/// the count replays exactly.
 #[test]
-fn compute_only_stretches_still_yield_per_call() {
+fn compute_only_stretches_pass_without_a_hand_off() {
     const CALLS: u64 = 200;
-    let mut cluster = Cluster::builder().nodes(2).threads(2).build();
-    cluster.run(|jt| {
-        for _ in 0..CALLS {
-            jt.compute(10);
-        }
-    });
-    let handoffs = cluster.shared().exec.handoffs();
+    let handoffs = || {
+        let mut cluster = Cluster::builder().nodes(2).threads(2).build();
+        cluster.run(|jt| {
+            for _ in 0..CALLS {
+                jt.compute(10);
+            }
+        });
+        cluster.shared().exec.handoffs()
+    };
+    let first = handoffs();
     assert!(
-        handoffs >= 2 * CALLS - 2,
-        "{handoffs} hand-offs over {} lockstep compute calls",
+        first <= 6,
+        "{first} hand-offs over {} lockstep compute calls",
         2 * CALLS
     );
+    assert_eq!(first, handoffs(), "hand-offs must replay exactly");
 }
 
 // ------------------------------------------------------------------ sole-holder objects

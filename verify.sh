@@ -125,6 +125,13 @@ echo "==> schedule-cost gate (paper-scale SOR: executor hand-offs per access, a 
   | awk '/^executor hand-offs/ { seen = 1; gsub(/[()]/, ""); print; if ($5 + 0 > 0.03) exit 1 }
          END { if (!seen) exit 1 }'
 
+echo "==> schedule-cost gate (paper-scale Water: executor hand-offs per access)"
+# 7 366 hand-offs over 54 036 accesses; 4.941 per access while every compute
+# call after the first of a compute-only stretch was a scheduling point.
+./target/release/jessy-cli run -w water --scale paper --nodes 4 --threads 8 --rate 1x \
+  | awk '/^executor hand-offs/ { seen = 1; gsub(/[()]/, ""); print; if ($5 + 0 > 0.15) exit 1 }
+         END { if (!seen) exit 1 }'
+
 echo "==> chaos seed matrix (fault determinism must not depend on one seed)"
 # The suite includes the partition schedules (heal + permanent), the slow-node
 # windows and the zero-plan invariant; every seed must satisfy every assertion.
