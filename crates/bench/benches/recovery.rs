@@ -113,7 +113,7 @@ fn main() {
     }
     println!("{}", t.render());
     println!("the buffered transport defers in-flight OALs across the outage, so every");
-    println!("cadence — even \"never\", which replays from round zero — recovers the");
+    println!("cadence — even \"never\", whose restore reinstates round zero — recovers the");
     println!("exact fault-free map and recorded OAL stream; frequent checkpoints");
     println!("only shorten the replay.");
 }

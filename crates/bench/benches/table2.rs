@@ -8,7 +8,7 @@
 //! exceed the page size; see `rate_is_na`).
 
 use jessy_bench::{rate_is_na, run_tracked, scale, TextTable};
-use jessy_core::{ProfilerConfig, SamplingRate};
+use jessy_core::{ProfilerConfig, ProfilingMode, SamplingRate};
 use jessy_workloads::WorkloadKind;
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
                 continue;
             }
             let mut config = ProfilerConfig::tracking_at(rate);
-            config.send_oals = false; // collect only (O1)
+            config.mode = ProfilingMode::CollectOnly; // O1
             let run = run_tracked(kind, scale, 1, 1, config);
             cells.push(format!(
                 "{:.0} ({:+.2}%)",

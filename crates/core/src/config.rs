@@ -119,20 +119,43 @@ impl ShedPolicy {
     }
 }
 
+/// What the profiler does with the accesses it sees: whether it logs them, at
+/// what grain, and whether the logs reach the coordinator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ProfilingMode {
+    /// No correlation tracking: the "No Correl. Tracking" baseline columns.
+    Off,
+    /// Log sampled accesses into OALs but never ship them (Table II, which
+    /// isolates the CPU cost of collection).
+    CollectOnly,
+    /// Log sampled accesses via false-invalid arming and ship the OALs to the
+    /// coordinator (Table III).
+    Tracking,
+    /// Log *every* access once per interval at full payload size, without
+    /// arming, and ship it: the "log inserted at every object access"
+    /// simulation behind Fig. 1(a). Overrides sampling.
+    GroundTruth,
+}
+
+impl ProfilingMode {
+    /// Whether accesses are logged into OALs.
+    pub fn logs(self) -> bool {
+        self != ProfilingMode::Off
+    }
+
+    /// Whether the OALs are shipped to the coordinator.
+    pub fn ships(self) -> bool {
+        matches!(self, ProfilingMode::Tracking | ProfilingMode::GroundTruth)
+    }
+}
+
 /// Top-level profiler configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProfilerConfig {
     /// Initial per-class sampling rate.
     pub initial_rate: SamplingRate,
-    /// Enable correlation tracking (OAL generation via false-invalid arming).
-    pub track_correlation: bool,
-    /// Ship OALs to the central coordinator (Table II isolates CPU cost by disabling
-    /// this; Table III enables it).
-    pub send_oals: bool,
-    /// Ground-truth mode: log *every* access (deduplicated per interval) at full
-    /// payload size — the "log inserted at every object access" simulation behind
-    /// Fig. 1(a). Overrides sampling.
-    pub full_trace: bool,
+    /// Correlation tracking, OAL shipping and ground truth.
+    pub mode: ProfilingMode,
     /// Convergence threshold on the relative `E_ABS` distance for the adaptive rate
     /// controller; `None` pins rates at `initial_rate`.
     pub adaptive_threshold: Option<f64>,
@@ -157,8 +180,8 @@ pub struct ProfilerConfig {
     pub min_round_coverage: f64,
     /// Snapshot the coordinator's profiling state (`ProfilerCheckpoint`) every this
     /// many closed TCM rounds, so a crashed master restarts from the snapshot and
-    /// replays only post-checkpoint OALs. `None` disables checkpointing: a master
-    /// crash then replays the full OAL history from round zero.
+    /// replays only post-checkpoint OALs. `None` takes none: a restart then
+    /// reinstates the round-zero state and replays the whole OAL history.
     pub checkpoint_every_rounds: Option<u64>,
     /// Quarantine a node out of the round-coverage denominator once it has crashed
     /// more than this many times, so a flapping node cannot keep every round below
@@ -204,9 +227,7 @@ impl ProfilerConfig {
     pub fn disabled() -> Self {
         ProfilerConfig {
             initial_rate: SamplingRate::Full,
-            track_correlation: false,
-            send_oals: false,
-            full_trace: false,
+            mode: ProfilingMode::Off,
             adaptive_threshold: None,
             intervals_per_round: 1,
             record_oals: false,
@@ -228,8 +249,7 @@ impl ProfilerConfig {
     pub fn tracking_at(rate: SamplingRate) -> Self {
         ProfilerConfig {
             initial_rate: rate,
-            track_correlation: true,
-            send_oals: true,
+            mode: ProfilingMode::Tracking,
             ..Self::disabled()
         }
     }
@@ -237,9 +257,7 @@ impl ProfilerConfig {
     /// Ground-truth full-trace profiling (the inherent pattern of Fig. 1a).
     pub fn ground_truth() -> Self {
         ProfilerConfig {
-            track_correlation: true,
-            send_oals: true,
-            full_trace: true,
+            mode: ProfilingMode::GroundTruth,
             ..Self::disabled()
         }
     }
@@ -358,14 +376,20 @@ mod tests {
     #[test]
     fn presets_have_expected_switches() {
         let off = ProfilerConfig::disabled();
-        assert!(!off.track_correlation && !off.send_oals && !off.full_trace);
+        assert_eq!(off.mode, ProfilingMode::Off);
+        assert!(!off.mode.logs() && !off.mode.ships());
 
         let track = ProfilerConfig::tracking_at(SamplingRate::NX(4));
-        assert!(track.track_correlation && track.send_oals);
+        assert_eq!(track.mode, ProfilingMode::Tracking);
+        assert!(track.mode.logs() && track.mode.ships());
         assert_eq!(track.initial_rate, SamplingRate::NX(4));
 
         let truth = ProfilerConfig::ground_truth();
-        assert!(truth.full_trace && truth.track_correlation);
+        assert_eq!(truth.mode, ProfilingMode::GroundTruth);
+        assert!(truth.mode.logs() && truth.mode.ships());
+
+        let collect = ProfilingMode::CollectOnly;
+        assert!(collect.logs() && !collect.ships());
     }
 
     #[test]

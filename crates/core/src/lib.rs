@@ -48,7 +48,8 @@ pub mod view;
 pub use accuracy::{accuracy_abs, accuracy_euc, e_abs, e_abs_sparse, e_euc};
 pub use adaptive::{AdaptiveController, DegradeStep, RateCause, RateChange, RoundOutcome};
 pub use config::{
-    ConfigError, FootprintConfig, FootprintMode, ProfilerConfig, ShedPolicy, StackSamplingConfig,
+    ConfigError, FootprintConfig, FootprintMode, ProfilerConfig, ProfilingMode, ShedPolicy,
+    StackSamplingConfig,
 };
 pub use homeaware::{HomeAwareAnalyzer, HomeAwareReport, HomeMigrationRec};
 pub use oal::{Oal, OalEntry};

@@ -52,7 +52,7 @@ use jessy_gos::{AccessOutcome, ClassId, Gos, ObjectCore, ObjectId, ThreadSpace};
 use jessy_net::{ClockHandle, ThreadId};
 use jessy_stack::JavaStack;
 
-use crate::config::{FootprintMode, ProfilerConfig};
+use crate::config::{FootprintMode, ProfilerConfig, ProfilingMode};
 use crate::oal::{Oal, OalEntry};
 use crate::sampling::{ClassGapState, GapTable, PAGE_SIZE};
 use crate::stack_sampling::{StackInvariant, StackSampler};
@@ -308,10 +308,10 @@ impl ThreadProfiler {
         let config = &self.shared.config;
         let costs = gos.costs();
 
-        if config.full_trace {
+        if config.mode == ProfilingMode::GroundTruth {
             // Ground truth: log every access once per interval at full payload size.
             // No arming — full-trace mode logs without traps.
-            if config.track_correlation && self.logged_this_interval.insert(out.obj) {
+            if self.logged_this_interval.insert(out.obj) {
                 clock.spend(costs.log_append_ns);
                 bump(&self.stats.oal_entries, 1);
                 self.oal_entries.push(OalEntry {
@@ -335,14 +335,14 @@ impl ThreadProfiler {
         }
 
         if self.logged_this_interval.insert(out.obj) {
-            if config.track_correlation || self.footprint.is_some() {
+            if config.mode.logs() || self.footprint.is_some() {
                 // The object must trap again next interval (at-most-once logging per
                 // interval). Epoch-lazy: live once the epoch advances past the stamp.
                 if space.arm_next_interval(out.obj) {
                     bump(&self.stats.fi_armed, 1);
                 }
             }
-            if config.track_correlation {
+            if config.mode.logs() {
                 clock.spend(costs.log_append_ns);
                 bump(&self.stats.oal_entries, 1);
                 self.oal_entries.push(OalEntry {
@@ -432,7 +432,7 @@ impl ThreadProfiler {
         // Even empty OALs are emitted: the interval context tells the coordinator the
         // thread's interval stream is complete up to here, which is what lets it close
         // TCM rounds deterministically by interval number rather than arrival order.
-        if self.shared.config.track_correlation {
+        if self.shared.config.mode.logs() {
             Some(oal)
         } else {
             None

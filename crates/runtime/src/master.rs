@@ -48,7 +48,8 @@
 //! * A master crash window kills the daemon's *volatile* state; OAL batches in
 //!   flight while it is down are deferred by the transport, not dropped. The first
 //!   batch at/after the window's end triggers a **restore**: the latest checkpoint
-//!   is reinstated, the log's tail past its length is re-ingested deterministically,
+//!   (the round-zero state if none was taken) is reinstated, the log's tail past
+//!   its length is re-ingested deterministically,
 //!   and the master **epoch** is bumped and broadcast with the rate table. Each
 //!   round the replay re-closes reads the cost inputs its live close logged, so
 //!   it journals the same `cost_fraction`. When no

@@ -31,6 +31,11 @@ use crate::dynamic::{plan_epoch, Directive, PlanInputs, RebalanceConfig};
 struct Counters {
     /// Real nanoseconds spent ingesting OALs and building TCM rounds.
     build_ns: u64,
+    /// Network duplicates discarded. A replay re-ingests only accepted OALs,
+    /// so it never counts one twice.
+    duplicates: u64,
+    /// Stale-epoch copies of accepted OALs fenced after a restore.
+    fenced: u64,
     checkpoints_taken: u64,
     restores: u64,
     replayed_oals: u64,
@@ -44,9 +49,6 @@ struct Counters {
 #[derive(Debug)]
 struct Stragglers {
     threshold: f64,
-    /// The crash-quarantine table in force at startup: what a straggler's
-    /// threads revert to when the node recovers.
-    base: Vec<Option<u64>>,
     /// Per-node progress-deficit EWMA (α = 0.3), in intervals behind the
     /// fastest-progressing node per round close.
     lag_ewma: Vec<f64>,
@@ -70,6 +72,9 @@ pub struct MasterCore {
     /// effect): kept only when rebalancing with `migrate_homes` on.
     homeaware: Option<HomeAwareAnalyzer>,
     stragglers: Option<Stragglers>,
+    /// The crash-quarantine table in force at startup: the round-zero state's,
+    /// and what a straggler's threads revert to when its node recovers.
+    quarantine: Vec<Option<u64>>,
     /// Classes whose convergence was already journaled (an event fires once per
     /// class, even when replay re-closes the round that froze it).
     announced_converged: BTreeSet<ClassId>,
@@ -130,18 +135,18 @@ impl MasterCore {
             .map(|_| HomeAwareAnalyzer::new(n_nodes, setup.n_threads));
         let stragglers = setup.config.straggler_lag_intervals.map(|threshold| Stragglers {
             threshold,
-            base: quarantine.clone(),
             lag_ewma: vec![0.0; n_nodes],
             prev_node_min: vec![0; n_nodes],
             demoted: vec![false; n_nodes],
         });
         MasterCore {
             accrual: RoundAccrual::new(setup.n_threads),
-            state: MasterState::fresh(&setup, setup.rates.clone(), quarantine),
+            state: MasterState::fresh(&setup, quarantine.clone()),
             setup,
             counters,
             homeaware,
             stragglers,
+            quarantine,
             announced_converged: BTreeSet::new(),
             epoch: 0,
             latest_checkpoint: None,
@@ -177,20 +182,14 @@ impl MasterCore {
         }
         self.max_interval_seen = self.max_interval_seen.max(oal.interval + 1);
         let stale = epoch < self.epoch;
-        let keep_log = self.keep_log();
-        if keep_log {
-            self.oal_log.push(oal.clone());
-        }
+        let logged = self.keep_log().then(|| oal.clone());
         match self.state.scheduler.ingest_epoch(oal, stale) {
-            Ingest::Duplicate | Ingest::Fenced => {
-                // Drop silently; a lossy network retransmitting is not new data.
-                if keep_log {
-                    self.oal_log.pop();
-                }
-                return;
-            }
             Ingest::Accepted | Ingest::Late => self.state.ledger.oals += 1,
+            // A lossy network retransmitting is not new data: count it, drop it.
+            Ingest::Duplicate => return self.counters.duplicates += 1,
+            Ingest::Fenced => return self.counters.fenced += 1,
         }
+        self.oal_log.extend(logged);
         let ready = self.state.scheduler.ready_rounds();
         self.close_rounds(ready, fx);
     }
@@ -452,7 +451,7 @@ impl MasterCore {
             } else if s.demoted[n] && s.lag_ewma[n] < s.threshold / 2.0 {
                 s.demoted[n] = false;
                 for (t, _) in on_node {
-                    table[t] = s.base[t];
+                    table[t] = self.quarantine[t];
                 }
                 dirty = true;
                 fx.emit(EventKind::StragglerRestored { node: n as u16, round });
@@ -543,7 +542,6 @@ impl MasterCore {
             self.cost_log.clear();
         }
         self.latest_checkpoint = Some(ProfilerCheckpoint {
-            epoch: self.epoch,
             oal_log_len: self.oal_log.len(),
             cost_log_len: self.cost_log.len(),
             state: self.state.clone(),
@@ -552,40 +550,32 @@ impl MasterCore {
         fx.emit(EventKind::CheckpointTaken { round, epoch });
     }
 
-    /// Master restart: reinstate the latest checkpoint (or restart cold from
-    /// round zero if none was ever taken), bump and publish the epoch with the
-    /// rate table, then deterministically replay the logged post-checkpoint
-    /// OALs. Because the log's tail holds exactly the accepted-since-checkpoint
-    /// stream, checkpoint + replay is an *identity transform* on accepted state:
-    /// when no OALs were dropped by message faults, the recovered TCM is
+    /// Master restart: reinstate the latest checkpoint, or the round-zero state
+    /// if none was taken yet, re-impose its rate table, bump and publish the
+    /// epoch, then deterministically replay the logged OALs accepted since it.
+    /// The log's tail past the checkpoint's length is exactly that stream, so
+    /// checkpoint + replay is an *identity transform* on accepted state: when
+    /// no OALs were dropped by message faults, the recovered TCM is
     /// bit-identical to the uninterrupted run's. The closes the replay repeats
-    /// read the cost inputs their live closes logged.
+    /// read the cost inputs their live closes logged. Every logged OAL's
+    /// interval is below the firing window's `until_interval`, and windows fire
+    /// in `until` order, so the replay never triggers another restore.
     fn restore(&mut self, fx: &mut impl MasterBoundary) {
         self.counters.restores += 1;
-        let (logged, costs) =
-            self.latest_checkpoint.as_ref().map_or((0, 0), |cp| (cp.oal_log_len, cp.cost_log_len));
+        let (state, logged, costs) = match &self.latest_checkpoint {
+            Some(cp) => (cp.state.clone(), cp.oal_log_len, cp.cost_log_len),
+            // Round zero is the first checkpoint, built only here: its map
+            // alone holds n(n−1)/2 cells.
+            None => (MasterState::fresh(&self.setup, self.quarantine.clone()), 0, 0),
+        };
+        self.state = state;
         let replay = self.oal_log.split_off(logged);
         self.replay_costs = self.cost_log.split_off(costs).into();
-        match &self.latest_checkpoint {
-            Some(cp) => {
-                self.state = cp.state.clone();
-                // Re-impose the checkpointed rate table (the restored master
-                // re-broadcasts the rates it knew); replay re-derives later steps.
-                let rates = &self.state.rates;
-                let table: Vec<_> =
-                    rates.classes().into_iter().map(|c| (c, rates.state(c).rate)).collect();
-                fx.impose_rates(&table);
-            }
-            None => {
-                // Cold restart: no snapshot, so the replay spans the full run.
-                // Worker rate tables are left untouched — without a snapshot the
-                // restarted master has no record to re-broadcast; the controller
-                // re-baselines against the rates currently in force.
-                let rates = self.state.rates.clone();
-                let quarantine = self.state.scheduler.quarantine_table();
-                self.state = MasterState::fresh(&self.setup, rates, quarantine);
-            }
-        }
+        // The restarted master re-broadcasts the rates it knew; the replay
+        // re-derives later steps.
+        let rates = &self.state.rates;
+        let table: Vec<_> = rates.classes().into_iter().map(|c| (c, rates.state(c).rate)).collect();
+        fx.impose_rates(&table);
         if let Some(ha) = &mut self.homeaware {
             ha.clear();
         }
@@ -598,7 +588,7 @@ impl MasterCore {
         // Straggler demotions are volatile observations of the dead regime: drop
         // any overlay back to the crash-quarantine base and re-observe.
         if let Some(s) = &mut self.stragglers {
-            self.state.scheduler.set_quarantine(s.base.clone());
+            self.state.scheduler.set_quarantine(self.quarantine.clone());
             s.lag_ewma.fill(0.0);
             s.prev_node_min.fill(0);
             s.demoted.fill(false);
@@ -667,14 +657,14 @@ impl MasterCore {
             round_coverage: ledger.lowest_coverage,
             deadline_rounds: scheduler.deadline_rounds(),
             late_oals: scheduler.late_count(),
-            duplicate_oals: scheduler.duplicate_count(),
+            duplicate_oals: self.counters.duplicates,
             planned_migrations: ledger.planned_migrations,
             placement: ledger.placement,
             oal_log: if config.record_oals { self.oal_log } else { Vec::new() },
             checkpoints_taken: self.counters.checkpoints_taken,
             restores: self.counters.restores,
             replayed_oals: self.counters.replayed_oals,
-            fenced_oals: scheduler.fenced_count(),
+            fenced_oals: self.counters.fenced,
             quarantined_nodes: self.counters.quarantined_nodes,
             converged_classes: controller.map_or(0, |c| c.converged_count() as u64),
             final_epoch: self.epoch,
@@ -706,7 +696,7 @@ mod tests {
 
     use super::*;
     use jessy_core::{GapTable, OalEntry, ProfilerConfig};
-    use jessy_net::{FaultPlan, ThreadId};
+    use jessy_net::{FaultPlan, MasterCrashWindow, ThreadId};
 
     use crate::master::boundary::{CostInputs, MasterBoundary};
 
@@ -724,7 +714,9 @@ mod tests {
     }
 
     /// A cluster that answers every read from fixed values and records every
-    /// effect. Each resampling walk visits seven objects. The `k`-th cost read
+    /// effect. Each resampling walk visits seven objects, every home move it
+    /// is asked for succeeds at 64 bytes, and a directive moves its thread at
+    /// once. The `k`-th cost read
     /// finds `1000·k` ns of compute and `k²` profiling bytes, so at one ns per
     /// byte a close measured from read `a` to read `b` costs `(a + b) / 1000`.
     struct Fake {
@@ -779,9 +771,12 @@ mod tests {
         }
         fn relocate_homes(&mut self, moves: &[(ObjectId, NodeId)]) -> (usize, usize) {
             self.effects.push(Effect::Relocate(moves.to_vec()));
-            (0, 0)
+            (moves.len(), 64 * moves.len())
         }
         fn post_directives(&mut self, directives: &[(ThreadId, Directive)]) {
+            for (thread, directive) in directives {
+                self.placement[thread.index()] = directive.dest;
+            }
             self.effects.push(Effect::Post(directives.to_vec()));
         }
     }
@@ -1042,5 +1037,298 @@ mod tests {
         // round, as the uninterrupted run does from the same live close.
         let calm: BTreeMap<u64, f64> = costs(None).into_iter().collect();
         assert_eq!(live, calm);
+    }
+
+    /// The adaptive controller's applied rate changes: `(rounds closed, rate)`.
+    fn rate_history(out: &MasterOutput) -> Vec<(u64, &str)> {
+        out.rate_changes.iter().map(|c| (c.round, c.new_rate.as_str())).collect()
+    }
+
+    #[test]
+    fn a_restart_before_the_first_checkpoint_does_not_step_the_rates_twice() {
+        let config = ProfilerConfig {
+            adaptive_threshold: Some(0.05),
+            checkpoint_every_rounds: Some(3),
+            ..config()
+        };
+        // Round r shares 2^r objects: every map is heavier than the last.
+        let objs: Vec<Vec<u32>> = (0..8).map(|r| (0..1 << r).collect()).collect();
+        let rounds: Vec<&[u32]> = objs.iter().map(Vec::as_slice).collect();
+        let calm = run(&mut fake(config, &[0, 1]), shared_rounds(&rounds, 64));
+        let expected =
+            vec![(2, "2X"), (3, "4X"), (4, "8X"), (5, "16X"), (6, "32X"), (7, "full")];
+        assert_eq!(rate_history(&calm), expected);
+        // The master is down from the start until interval 2: the restart comes
+        // after round 1's close stepped the rate, before any checkpoint.
+        let mut fx = fake(config, &[0, 1]);
+        let window = MasterCrashWindow { from_interval: 0, until_interval: 2 };
+        fx.setup.faults = Some(FaultPlan { master_crashes: vec![window], ..FaultPlan::default() });
+        let crashed = run(&mut fx, shared_rounds(&rounds, 64));
+        assert_eq!((crashed.restores, crashed.checkpoints_taken), (1, 2));
+        assert_eq!(rate_history(&crashed), expected);
+        // The restart re-imposes the round-zero rates before it replays.
+        let imposed = fx.effects.iter().find(|e| matches!(e, Effect::Impose(_)));
+        assert_eq!(imposed, Some(&Effect::Impose(vec![(ClassId(0), SamplingRate::NX(1))])));
+    }
+
+    /// A feature set the crash-point enumeration crosses with every window.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Feature {
+        Fixed,
+        Adaptive,
+        Drift,
+        BudgetLadder,
+        HomeRepair,
+        Stragglers,
+        Deadlines,
+    }
+
+    impl Feature {
+        const ALL: [Feature; 7] = [
+            Feature::Fixed,
+            Feature::Adaptive,
+            Feature::Drift,
+            Feature::BudgetLadder,
+            Feature::HomeRepair,
+            Feature::Stragglers,
+            Feature::Deadlines,
+        ];
+
+        /// Whether the crash-free run exercised the feature at all.
+        fn fired(self, calm: &Outcome) -> bool {
+            let ledger = &calm.state.ledger;
+            match self {
+                Feature::Fixed => true,
+                Feature::Adaptive => !ledger.rate_changes.is_empty(),
+                Feature::Drift => ledger.rate_changes.iter().any(|c| c.drift),
+                Feature::BudgetLadder => {
+                    calm.state.controller.as_ref().is_some_and(|c| c.degrades() > 0)
+                }
+                Feature::HomeRepair => {
+                    !ledger.planned_migrations.is_empty() && ledger.placement.homes_repaired > 0
+                }
+                Feature::Stragglers => calm.demotions > 0,
+                Feature::Deadlines => ledger.skipped_rounds > 0,
+            }
+        }
+
+        /// Four threads on two nodes, checkpointing every `cadence` rounds.
+        /// Each sharing pair (see [`phased`]) is split across the nodes.
+        fn fake(self, cadence: Option<u64>) -> Fake {
+            let adaptive = ProfilerConfig { adaptive_threshold: Some(0.05), ..config() };
+            let config = match self {
+                Feature::Fixed => config(),
+                Feature::Adaptive => adaptive,
+                Feature::Drift => ProfilerConfig { drift_threshold: Some(0.3), ..adaptive },
+                Feature::BudgetLadder => ProfilerConfig { overhead_budget: Some(0.008), ..adaptive },
+                Feature::HomeRepair => adaptive,
+                Feature::Stragglers => ProfilerConfig {
+                    round_deadline_intervals: Some(1),
+                    straggler_lag_intervals: Some(0.5),
+                    ..adaptive
+                },
+                Feature::Deadlines => ProfilerConfig {
+                    round_deadline_intervals: Some(1),
+                    min_round_coverage: 0.8,
+                    ..adaptive
+                },
+            };
+            let config = ProfilerConfig { checkpoint_every_rounds: cadence, ..config };
+            let mut fx = fake(config, &[0, 1, 0, 1]);
+            if self == Feature::BudgetLadder {
+                fx.setup.ns_per_byte = 1.0;
+            }
+            if self == Feature::HomeRepair {
+                fx.setup.rebalance = Some(RebalanceConfig {
+                    after_rounds: 2,
+                    every_rounds: Some(3),
+                    cooldown_rounds: 0,
+                    migrate_homes: true,
+                    ..RebalanceConfig::default()
+                });
+            }
+            fx
+        }
+    }
+
+    /// An arrival order of twelve intervals of OALs from four threads.
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        /// Every OAL, interval by interval.
+        Dense,
+        /// Thread 3 never sends the intervals `i % 3 == 1`.
+        Gappy,
+        /// Thread 1 sends intervals 5, 4, 3 and 2 after everyone's interval 7:
+        /// its interval-5 OAL releases rounds 2–5 at once, and the rest are late.
+        MultiRound,
+        /// Thread 2's interval 3 arrives after everything else.
+        Late,
+        /// Every OAL with `(thread + interval) % 4 == 0` arrives twice.
+        Duplicate,
+    }
+
+    const SHAPES: [Shape; 5] =
+        [Shape::Dense, Shape::Gappy, Shape::MultiRound, Shape::Late, Shape::Duplicate];
+
+    /// Thread `t`'s OAL for interval `i`. Threads 0/1 and 2/3 each share a
+    /// map that grows over intervals 0–4, holds over 5–7, then flips to
+    /// another object set. Object 999 is shared by all four threads, and
+    /// each thread also logs one object of its own.
+    fn phased(t: u32, i: u64) -> EpochOal {
+        let pair = 100 * (t / 2);
+        let shared: Vec<u32> = match i {
+            0..=4 => (0..1 << i).map(|o| pair + o).collect(),
+            5..=7 => (0..16).map(|o| pair + o).collect(),
+            _ => (50..53).map(|o| pair + o).collect(),
+        };
+        let objs: Vec<u32> = shared.into_iter().chain([999, 900 + t]).collect();
+        oal(t, i, &objs, 64)
+    }
+
+    impl Shape {
+        fn stream(self) -> Vec<EpochOal> {
+            let dense = || (0..12u64).flat_map(|i| (0..4u32).map(move |t| (t, i)));
+            let pairs: Vec<(u32, u64)> = match self {
+                Shape::Dense => dense().collect(),
+                Shape::Gappy => dense().filter(|&(t, i)| t != 3 || i % 3 != 1).collect(),
+                Shape::MultiRound => {
+                    let held = |t: u32, i: u64| t == 1 && (2..=5).contains(&i);
+                    let mut pairs: Vec<_> = dense().filter(|&(t, i)| !held(t, i)).collect();
+                    let at = pairs.iter().position(|&p| p == (0, 8)).unwrap();
+                    pairs.splice(at..at, [(1, 5), (1, 4), (1, 3), (1, 2)]);
+                    pairs
+                }
+                Shape::Late => {
+                    let mut pairs: Vec<_> = dense().filter(|&p| p != (2, 3)).collect();
+                    pairs.push((2, 3));
+                    pairs
+                }
+                Shape::Duplicate => {
+                    let mut pairs: Vec<_> = dense().collect();
+                    let twice = |&(t, i): &(u32, u64)| (t as u64 + i).is_multiple_of(4);
+                    let resent: Vec<_> = pairs.iter().copied().filter(twice).collect();
+                    for (k, p) in resent.into_iter().enumerate().rev() {
+                        pairs.insert((4 * k + 6).min(pairs.len()), p);
+                    }
+                    pairs
+                }
+            };
+            pairs.into_iter().map(|(t, i)| phased(t, i)).collect()
+        }
+    }
+
+    /// What the enumeration compares: the final restorable state, every
+    /// journaled close of each round, and the run counters it checks.
+    struct Outcome {
+        state: MasterState,
+        closes: BTreeMap<u64, Vec<EventKind>>,
+        restores: u64,
+        duplicates: u64,
+        demotions: usize,
+    }
+
+    /// Run `stream` through a fresh core under `windows`. Each OAL carries the
+    /// epoch its sender last heard: one more for every window whose restart an
+    /// earlier arrival (or this one) fired.
+    fn enumerated_run(mut fx: Fake, stream: &[EpochOal], windows: &[MasterCrashWindow]) -> Outcome {
+        if !windows.is_empty() {
+            let plan = FaultPlan { master_crashes: windows.to_vec(), ..FaultPlan::default() };
+            fx.setup.faults = Some(plan);
+        }
+        let mut core = MasterCore::new(&mut fx);
+        let mut reached = 0;
+        for msg in stream {
+            reached = reached.max(msg.oal.interval);
+            let epoch = windows.iter().filter(|w| w.until_interval <= reached).count() as u64;
+            core.ingest(vec![EpochOal { epoch, oal: msg.oal.clone() }], &mut fx);
+        }
+        core.finish(&mut fx);
+        let mut closes: BTreeMap<u64, Vec<EventKind>> = BTreeMap::new();
+        for e in events(&fx) {
+            if let EventKind::RoundClosed { round, .. } = e {
+                closes.entry(*round).or_default().push(e.clone());
+            }
+        }
+        let demoted = |e: &&Effect| matches!(e, Effect::Emit(EventKind::StragglerDemoted { .. }));
+        Outcome {
+            demotions: fx.effects.iter().filter(demoted).count(),
+            restores: core.counters.restores,
+            duplicates: core.counters.duplicates,
+            state: core.state,
+            closes,
+        }
+    }
+
+    /// Every window set the enumeration tries: each start 0–8 and length 1–4,
+    /// two back-to-back windows with equal `until_interval`, and two crashes
+    /// in a row.
+    fn crash_windows() -> Vec<Vec<MasterCrashWindow>> {
+        let w = |from_interval, until_interval| MasterCrashWindow { from_interval, until_interval };
+        let mut sets = Vec::new();
+        for from in 0..=8 {
+            for len in 1..=4 {
+                sets.push(vec![w(from, from + len)]);
+            }
+        }
+        for until in 1..=12 {
+            sets.push(vec![w(until - 1, until), w(0, until)]);
+        }
+        for from in 0..=7 {
+            sets.push(vec![w(from, from + 1), w(from + 2, from + 4)]);
+        }
+        sets
+    }
+
+    /// DESIGN.md §12's identity, at every crash point: the crashed run ends in
+    /// the crash-free run's state and journals every close of a round as the
+    /// crash-free run closed it. With stragglers or rebalancing on, the test
+    /// checks the narrower scope §12 states: a restore resets the straggler
+    /// detector and the home statistics, and replayed plans read the live
+    /// placement.
+    #[test]
+    fn every_crash_point_restores_the_crash_free_state() {
+        let windows = crash_windows();
+        for feature in Feature::ALL {
+            let mut fired = false;
+            for cadence in [None, Some(1), Some(2), Some(3), Some(4)] {
+                for shape in SHAPES {
+                    let stream = shape.stream();
+                    let calm = enumerated_run(feature.fake(cadence), &stream, &[]);
+                    fired |= feature.fired(&calm);
+                    for set in &windows {
+                        let mut crashed = enumerated_run(feature.fake(cadence), &stream, set);
+                        let case = format!("{feature:?}, cadence {cadence:?}, {shape:?}, {set:?}");
+                        assert_eq!(crashed.restores, set.len() as u64, "{case}");
+                        // Acceptance holds under every feature: the same OALs are
+                        // accepted and discarded, and the same rounds close.
+                        let (ours, theirs) = (&crashed.state.ledger, &calm.state.ledger);
+                        assert_eq!((ours.oals, ours.rounds), (theirs.oals, theirs.rounds), "{case}");
+                        assert_eq!(crashed.duplicates, calm.duplicates, "{case}");
+                        if feature == Feature::Stragglers {
+                            // The reset demotion overlay can close a later round
+                            // by another rule: its coverage, its late OALs and so
+                            // the map and the rates may differ.
+                            continue;
+                        }
+                        if feature == Feature::HomeRepair {
+                            // A replayed planning epoch reads the placement that
+                            // earlier directives moved, and home statistics
+                            // gathered since the restore.
+                            let ledger = &mut crashed.state.ledger;
+                            ledger.planned_migrations = theirs.planned_migrations.clone();
+                            ledger.last_moved_round = theirs.last_moved_round.clone();
+                            ledger.placement = theirs.placement.clone();
+                        }
+                        assert_eq!(crashed.state, calm.state, "{case}");
+                        for (round, lines) in &crashed.closes {
+                            let live = &calm.closes[round][0];
+                            assert!(lines.iter().all(|l| l == live), "{case}: round {round}");
+                        }
+                        assert_eq!(crashed.closes.len(), calm.closes.len(), "{case}");
+                    }
+                }
+            }
+            assert!(fired, "no crash-free run exercised {feature:?}");
+        }
     }
 }

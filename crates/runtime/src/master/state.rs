@@ -73,9 +73,9 @@ pub struct MasterState {
 }
 
 impl MasterState {
-    /// The state of a master that has closed no round, at `rates` and with the
-    /// crash-quarantine table `quarantine`.
-    pub(super) fn fresh(setup: &MasterSetup, rates: GapTable, quarantine: Vec<Option<u64>>) -> Self {
+    /// The state of a master that has closed no round, at the setup's rates and
+    /// with the crash-quarantine table `quarantine`: the round-zero checkpoint.
+    pub(super) fn fresh(setup: &MasterSetup, quarantine: Vec<Option<u64>>) -> Self {
         let config = &setup.config;
         let ipr = (config.intervals_per_round as u64).max(1);
         let mut scheduler =
@@ -85,7 +85,7 @@ impl MasterState {
             scheduler,
             tcm: Tcm::new(setup.n_threads),
             controller: AdaptiveController::new(config),
-            rates,
+            rates: setup.rates.clone(),
             ledger: MasterLedger {
                 last_moved_round: vec![None; setup.n_threads],
                 ..MasterLedger::default()
@@ -99,8 +99,6 @@ impl MasterState {
 /// `ProfilerConfig::checkpoint_every_rounds` closed rounds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProfilerCheckpoint {
-    /// Master epoch at snapshot time.
-    pub epoch: u64,
     /// Length of the master's accepted-OAL log at snapshot time: a restore
     /// truncates the log to it and replays the rest.
     pub oal_log_len: usize,
@@ -171,10 +169,6 @@ pub struct RoundScheduler {
     late: Vec<Oal>,
     /// Late arrivals, empty contexts included.
     late_count: u64,
-    /// Network duplicates discarded.
-    duplicates: u64,
-    /// Stale-epoch OALs fenced.
-    fenced: u64,
     /// Rounds closed by the deadline.
     deadline_rounds: u64,
     /// Per-thread quarantine start: `Some(q)` excludes the thread's intervals `>= q`
@@ -199,8 +193,6 @@ impl RoundScheduler {
             seen: BTreeSet::new(),
             late: Vec::new(),
             late_count: 0,
-            duplicates: 0,
-            fenced: 0,
             deadline_rounds: 0,
             quarantine_from: vec![None; n_threads],
         }
@@ -233,12 +225,7 @@ impl RoundScheduler {
     /// convert every restore into data loss.
     pub fn ingest_epoch(&mut self, oal: Oal, stale_epoch: bool) -> Ingest {
         if !self.seen.insert((oal.thread.0, oal.interval)) {
-            if stale_epoch {
-                self.fenced += 1;
-                return Ingest::Fenced;
-            }
-            self.duplicates += 1;
-            return Ingest::Duplicate;
+            return if stale_epoch { Ingest::Fenced } else { Ingest::Duplicate };
         }
         let t = oal.thread.index();
         self.watermark[t] = self.watermark[t].max(oal.interval + 1);
@@ -355,16 +342,6 @@ impl RoundScheduler {
         self.late_count
     }
 
-    /// Duplicated OALs discarded.
-    pub fn duplicate_count(&self) -> u64 {
-        self.duplicates
-    }
-
-    /// Stale-epoch OALs fenced after a restore.
-    pub fn fenced_count(&self) -> u64 {
-        self.fenced
-    }
-
     /// Rounds closed by the deadline rather than by complete watermarks.
     pub fn deadline_rounds(&self) -> u64 {
         self.deadline_rounds
@@ -418,7 +395,6 @@ mod tests {
         let mut s = RoundScheduler::new(1, 1, None);
         assert_eq!(s.ingest(oal(0, 0)), Ingest::Accepted);
         assert_eq!(s.ingest(oal(0, 0)), Ingest::Duplicate);
-        assert_eq!(s.duplicate_count(), 1);
         let closed = s.ready_rounds();
         assert_eq!(closed.len(), 1);
         assert_eq!(closed[0].coverage, 1.0, "duplicate must not double-count");
@@ -504,17 +480,13 @@ mod tests {
         let mut s = RoundScheduler::new(2, 2, None);
         assert_eq!(s.ingest(oal(0, 0)), Ingest::Accepted);
         // Retransmission of an already-accepted pair under the old epoch: fenced,
-        // and counted apart from ordinary duplicates.
+        // apart from ordinary duplicates.
         assert_eq!(s.ingest_epoch(oal(0, 0), true), Ingest::Fenced);
-        assert_eq!(s.fenced_count(), 1);
-        assert_eq!(s.duplicate_count(), 0);
         // A stale-epoch OAL for a *new* pair is in-flight data from before the
         // crash — discarding it would turn every restore into data loss.
         assert_eq!(s.ingest_epoch(oal(1, 0), true), Ingest::Accepted);
         // A fresh-epoch duplicate is still just a duplicate.
         assert_eq!(s.ingest_epoch(oal(1, 0), false), Ingest::Duplicate);
-        assert_eq!(s.duplicate_count(), 1);
-        assert_eq!(s.fenced_count(), 1);
     }
 
     #[test]

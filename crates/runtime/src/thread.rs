@@ -600,7 +600,7 @@ impl JThread {
             } else {
                 oal
             };
-            if self.shared.prof.config().send_oals {
+            if self.shared.prof.config().mode.ships() {
                 let fabric = self.shared.gos.fabric();
                 // Crash-stop model (DESIGN.md §12): while this thread's node sits in
                 // a crash window, the profiling pipeline on that node is down — the

@@ -494,8 +494,8 @@ fn master_crash_keeps_the_budget_tallies() {
     );
 }
 
-/// A master crash *without* checkpointing still recovers — the replay log then spans
-/// the whole run (cold restart from round zero) and the result is still bit-identical.
+/// A master crash *without* checkpointing still recovers — round zero is then the
+/// checkpoint, the replay log spans the whole run, and the result is still bit-identical.
 #[test]
 fn master_crash_without_checkpoints_replays_from_round_zero() {
     let (_, base, base_events) = stable_run(chaos_profiler(), None, 16);
@@ -514,11 +514,11 @@ fn master_crash_without_checkpoints_replays_from_round_zero() {
     assert_eq!(crashed.restores, 1);
     assert!(
         crashed.replayed_oals >= crashed.oals_ingested / 2,
-        "cold restart replays the full pre-crash history: {} of {}",
+        "a restore from round zero replays the full pre-crash history: {} of {}",
         crashed.replayed_oals,
         crashed.oals_ingested
     );
-    assert_eq!(crashed.tcm, base.tcm, "cold recovery must also be exact");
+    assert_eq!(crashed.tcm, base.tcm, "recovery from round zero must also be exact");
     assert_eq!(crashed.rounds, base.rounds);
     assert_eq!(coverage(&events), coverage(&base_events));
 }

@@ -55,7 +55,7 @@ pub use jessy_workloads as workloads;
 pub mod prelude {
     pub use jessy_core::{
         accuracy_abs, accuracy_euc, e_abs, e_euc, ConfigError, FootprintConfig, FootprintMode,
-        Oal, ProfilerConfig, SamplingRate, ShedPolicy, StackSamplingConfig, Tcm,
+        Oal, ProfilerConfig, ProfilingMode, SamplingRate, ShedPolicy, StackSamplingConfig, Tcm,
     };
     pub use jessy_gos::{AccessState, ClassId, CostModel, Gos, GosConfig, LockId, ObjectId};
     pub use jessy_net::{

@@ -706,7 +706,7 @@ proptest! {
         ipr in 1u64..4,
         deadline_raw in 0u64..5, // 0 ⇒ no deadline
         quarantine_raw in prop::collection::vec(0u64..9, 6), // 8 ⇒ not quarantined
-        epoch in 0u64..5,
+        small in 0u64..5, // the ledger's small counts
         threshold in 0.01f64..0.5,
         coverage_raw in 0.0f64..1.2, // ≥ 1 ⇒ no round closed
         costs in prop::collection::vec(0.0f64..0.05, 1..8),
@@ -780,7 +780,6 @@ proptest! {
         }
 
         let cp = ProfilerCheckpoint {
-            epoch,
             oal_log_len: head.len(),
             cost_log_len: fed.len(),
             state: MasterState {
@@ -795,14 +794,14 @@ proptest! {
                     lowest_coverage: (coverage_raw < 1.0).then_some(coverage_raw),
                     budget_over_rounds: fed.iter().filter(|&&f| f > 0.02).count() as u64,
                     rate_changes: vec![AppliedRateChange {
-                        round: epoch,
+                        round: small,
                         class_name: "Body".to_string(),
                         new_rate: "4X".to_string(),
                         relative_distance: threshold * 1.5,
                         resampled_objects: raw.len(),
-                        drift: epoch % 2 == 1,
+                        drift: small % 2 == 1,
                     }],
-                    skipped_rounds: epoch + 1,
+                    skipped_rounds: small + 1,
                     planned_migrations: vec![PlannedMigration {
                         thread: ThreadId(1),
                         from: NodeId(0),
@@ -810,13 +809,13 @@ proptest! {
                         gain_bytes: threshold * 1e6,
                         sticky_cost_bytes: threshold * 1e3,
                     }],
-                    last_moved_round: vec![None, Some(epoch), None, Some(epoch + 2), None, None],
+                    last_moved_round: vec![None, Some(small), None, Some(small + 2), None, None],
                     placement: jessy::runtime::PlacementTelemetry {
-                        plans: epoch + 1,
+                        plans: small + 1,
                         directives: 2,
                         planned_bytes: threshold * 1e3,
                         vetoed_gain: 1,
-                        vetoed_cooldown: epoch % 3,
+                        vetoed_cooldown: small % 3,
                         vetoed_cost: 0,
                         vetoed_budget: 1,
                         fenced_directives: 0,

@@ -154,10 +154,12 @@ cargo test --release -p jessy-net --lib -q clock::
 cargo test --release -p jessy-core --test counter_cells -q
 cargo test --release -p jessy-gos --test stress --test protocol -q
 
-echo "==> master core in release (stage tests against a fake boundary, record-and-replay of live runs)"
-# The replay test reruns each recorded run's master through the same drive loop
-# and requires bit-equal writes and output; release is the build the
-# benchmark's master runs in.
+echo "==> master core in release (stage tests against a fake boundary, crash-point enumeration, record-and-replay of live runs)"
+# The stage tests include the enumeration of master crash windows
+# (every_crash_point_restores_the_crash_free_state, under 1 s here). The replay
+# test reruns each recorded run's master through the same drive loop and
+# requires bit-equal writes and output; release is the build the benchmark's
+# master runs in.
 cargo test --release -p jessy-runtime --lib -q master::
 cargo test --release --test replay -q
 
