@@ -1039,6 +1039,27 @@ mod tests {
         assert_eq!(live, calm);
     }
 
+    #[test]
+    fn a_stale_epoch_copy_is_fenced_and_a_fresh_epoch_copy_is_a_duplicate() {
+        let mut fx = fake(config(), &[0, 1]);
+        let window = MasterCrashWindow { from_interval: 1, until_interval: 2 };
+        fx.setup.faults = Some(FaultPlan { master_crashes: vec![window], ..FaultPlan::default() });
+        let mut core = MasterCore::new(&mut fx);
+        core.ingest(vec![oal(0, 0, &[1], 64), oal(1, 0, &[1], 64)], &mut fx);
+        // Thread 0's interval-2 OAL finds the master rebooting: restore, epoch 1.
+        core.ingest(vec![EpochOal { epoch: 1, ..oal(0, 2, &[1], 64) }], &mut fx);
+        assert_eq!(core.counters.restores, 1);
+        // Copies of accepted pairs: one sent under the old epoch, one under the new.
+        core.ingest(vec![oal(0, 0, &[1], 64)], &mut fx);
+        core.ingest(vec![EpochOal { epoch: 1, ..oal(1, 0, &[1], 64) }], &mut fx);
+        // A stale-epoch OAL for a new pair is in-flight data, not a copy.
+        core.ingest(vec![oal(1, 1, &[1], 64)], &mut fx);
+        core.finish(&mut fx);
+        let out = core.output();
+        assert_eq!((out.fenced_oals, out.duplicate_oals), (1, 1));
+        assert_eq!(out.oals_ingested, 4);
+    }
+
     /// The adaptive controller's applied rate changes: `(rounds closed, rate)`.
     fn rate_history(out: &MasterOutput) -> Vec<(u64, &str)> {
         out.rate_changes.iter().map(|c| (c.round, c.new_rate.as_str())).collect()
@@ -1163,7 +1184,8 @@ mod tests {
         MultiRound,
         /// Thread 2's interval 3 arrives after everything else.
         Late,
-        /// Every OAL with `(thread + interval) % 4 == 0` arrives twice.
+        /// Every OAL with `(thread + interval) % 4 == 0` arrives twice: a restore
+        /// between the two sends makes the copy stale.
         Duplicate,
     }
 
@@ -1224,12 +1246,16 @@ mod tests {
         closes: BTreeMap<u64, Vec<EventKind>>,
         restores: u64,
         duplicates: u64,
+        fenced: u64,
+        /// Copies that arrived stamped with an epoch older than the master's.
+        stale_copies: u64,
         demotions: usize,
     }
 
-    /// Run `stream` through a fresh core under `windows`. Each OAL carries the
-    /// epoch its sender last heard: one more for every window whose restart an
-    /// earlier arrival (or this one) fired.
+    /// Run `stream` through a fresh core under `windows`. An OAL's first send
+    /// carries the epoch its sender last heard: one more for every window whose
+    /// restart an earlier arrival (or this one) fired. A copy carries the
+    /// epoch of the first send.
     fn enumerated_run(mut fx: Fake, stream: &[EpochOal], windows: &[MasterCrashWindow]) -> Outcome {
         if !windows.is_empty() {
             let plan = FaultPlan { master_crashes: windows.to_vec(), ..FaultPlan::default() };
@@ -1237,9 +1263,13 @@ mod tests {
         }
         let mut core = MasterCore::new(&mut fx);
         let mut reached = 0;
+        let mut first_epoch: BTreeMap<(u32, u64), u64> = BTreeMap::new();
+        let mut stale_copies = 0;
         for msg in stream {
             reached = reached.max(msg.oal.interval);
-            let epoch = windows.iter().filter(|w| w.until_interval <= reached).count() as u64;
+            let current = windows.iter().filter(|w| w.until_interval <= reached).count() as u64;
+            let epoch = *first_epoch.entry((msg.oal.thread.0, msg.oal.interval)).or_insert(current);
+            stale_copies += u64::from(epoch < current);
             core.ingest(vec![EpochOal { epoch, oal: msg.oal.clone() }], &mut fx);
         }
         core.finish(&mut fx);
@@ -1254,6 +1284,8 @@ mod tests {
             demotions: fx.effects.iter().filter(demoted).count(),
             restores: core.counters.restores,
             duplicates: core.counters.duplicates,
+            fenced: core.counters.fenced,
+            stale_copies,
             state: core.state,
             closes,
         }
@@ -1288,6 +1320,7 @@ mod tests {
     #[test]
     fn every_crash_point_restores_the_crash_free_state() {
         let windows = crash_windows();
+        let mut fenced = 0;
         for feature in Feature::ALL {
             let mut fired = false;
             for cadence in [None, Some(1), Some(2), Some(3), Some(4)] {
@@ -1303,7 +1336,11 @@ mod tests {
                         // accepted and discarded, and the same rounds close.
                         let (ours, theirs) = (&crashed.state.ledger, &calm.state.ledger);
                         assert_eq!((ours.oals, ours.rounds), (theirs.oals, theirs.rounds), "{case}");
-                        assert_eq!(crashed.duplicates, calm.duplicates, "{case}");
+                        // A copy sent before a restore and arriving after it is
+                        // fenced; every other copy is a duplicate.
+                        assert_eq!(crashed.fenced, crashed.stale_copies, "{case}");
+                        assert_eq!(crashed.duplicates + crashed.fenced, calm.duplicates, "{case}");
+                        fenced += crashed.fenced;
                         if feature == Feature::Stragglers {
                             // The reset demotion overlay can close a later round
                             // by another rule: its coverage, its late OALs and so
@@ -1330,5 +1367,6 @@ mod tests {
             }
             assert!(fired, "no crash-free run exercised {feature:?}");
         }
+        assert!(fenced > 0, "no crashed run fenced a stale-epoch copy");
     }
 }
