@@ -2,40 +2,55 @@
 //!
 //! Replaces free-running OS-thread execution with *single-token* cooperative
 //! scheduling: every simulated entity (application threads, the master daemon)
-//! is a **task** carried by a parked OS thread, and at most one task executes
-//! at any instant. At each scheduling point the token goes to the runnable
-//! task with the smallest `(key, priority, task)`, the key being the task's
-//! virtual clock (plus an optional seeded jitter), so a given `(seed, jitter)`
-//! pair fixes the entire interleaving — a run is a pure function of its
-//! inputs and replays bit-identically: journal, TCM and `MasterOutput` alike.
+//! is a **task**, and at most one task executes at any instant. At each
+//! scheduling point the token goes to the runnable task with the smallest
+//! `(key, priority, task)`, the key being the task's virtual clock (plus an
+//! optional seeded jitter), so a given `(seed, jitter)` pair fixes the entire
+//! interleaving — a run is a pure function of its inputs and replays
+//! bit-identically: journal, TCM and `MasterOutput` alike.
 //!
 //! The executor orders whatever scheduling points its tasks pass; *which*
 //! actions pass one is the caller's schedule contract (`JThread::yield_now`,
 //! DESIGN.md §15: only actions another task can observe do). A scheduling
 //! point at which the running task would be picked again costs one lock and
-//! nothing else — no heap push/pop, no park, no wake-up — so only a pick that
-//! moves the token to another carrier ([`DetExecutor::handoffs`]) pays for an
-//! OS hand-off.
+//! nothing else — no heap push/pop, no switch, no wake-up — so only a pick
+//! that moves the token to another task ([`DetExecutor::handoffs`]) pays for a
+//! hand-off.
 //!
-//! A hand-off is one token store under the lock, one `unpark` after the lock
-//! drops, and one park. Each task's run token is an atomic outside the state
-//! lock, so a parked carrier waits for it, and reads it on waking, without the
-//! lock: the woken carrier never wakes only to block on a mutex its waker
-//! still holds. (Poisoning is the one path that unparks under the lock.)
+//! ## Two transports, one scheduler
+//!
+//! The heap, the keys, the keep-the-token test and poisoning are shared; only
+//! how the token physically moves differs.
+//!
+//! - **Own stacks** ([`DetExecutor::run_tasks`], what a cluster run uses):
+//!   each task runs on an `mmap`'d stack with a guard page, every task on the
+//!   calling OS thread, and a hand-off is one user-space register switch
+//!   (`executor/fiber.rs`, x86_64 Linux). A task that blocks with nothing
+//!   else runnable switches back to the runner, which parks until an outside
+//!   wake-up dispatches a task. Where no switch routine exists, `run_tasks`
+//!   falls back to the OS carriers below.
+//! - **OS carriers** ([`DetExecutor::register_current`], for callers that
+//!   bring their own threads): a hand-off is one token store under the lock,
+//!   one `unpark` after the lock drops, and one park. Each task's run token is
+//!   an atomic outside the state lock, so a parked carrier waits for it, and
+//!   reads it on waking, without the lock: the woken carrier never wakes only
+//!   to block on a mutex its waker still holds. (Poisoning is the one path
+//!   that unparks under the lock.)
 //!
 //! Serialization is also what closes the LRC fetch-vs-flush race (DESIGN.md
 //! §14): with one task running at a time, the write-notice distribution at
-//! barriers is schedule-determined, not OS-determined. And because carrier
-//! threads are parked except when holding the token, cluster size is bounded
-//! by address space rather than cores — 10k+ simulated threads run on one box.
+//! barriers is schedule-determined, not OS-determined. And because a task
+//! costs a stack mapping whose pages are committed only as it touches them,
+//! cluster size is bounded by address space rather than cores — 10k+
+//! simulated threads run on one OS thread.
 //!
 //! ## Task lifecycle
 //!
 //! ```text
-//! NotStarted --register_current--> Runnable --pick--> Running
+//! NotStarted --register_current / run_tasks--> Runnable --pick--> Running
 //!     Running --yield_now--> Runnable   (or stays Running: it would be picked again)
 //!     Running --block_internal/block_external--> Blocked --unblock--> Runnable
-//!     Running --finish--> Finished
+//!     Running --finish / body returns--> Finished
 //! ```
 //!
 //! Dispatch begins only after **all** `n_tasks` tasks have registered, so the
@@ -44,8 +59,9 @@
 //! parties) and *external* (waiting on a wakeup from outside the task set —
 //! the master daemon's empty mailbox). If no task is runnable, none is
 //! running, and at least one is blocked internally, the executor **poisons**
-//! itself: every parked task panics with [`POISON_MSG`] (a deterministic
-//! deadlock report instead of a wedge).
+//! itself: every waiting task is resumed and panics with [`POISON_MSG`],
+//! unwinding on its own stack or carrier (a deterministic deadlock report
+//! instead of a wedge).
 //!
 //! ## Virtual time
 //!
@@ -56,11 +72,91 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
+use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 
 use parking_lot::{Mutex, MutexGuard};
+
+/// The one choice of transport for [`DetExecutor::run_tasks`]: own stacks and
+/// a user-space switch where the switch routine exists, OS carriers elsewhere.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+mod fiber;
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+mod fiber {
+    //! No switch routine for this target: each task runs on a scoped OS
+    //! carrier, through the transport of [`DetExecutor::register_current`].
+
+    use std::io;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use super::{DetExecutor, TaskSpec};
+
+    impl DetExecutor {
+        pub(super) fn run_on_stacks(
+            &self,
+            tasks: Vec<TaskSpec<'_>>,
+        ) -> io::Result<Vec<std::thread::Result<()>>> {
+            std::thread::scope(|s| {
+                let carriers = tasks
+                    .into_iter()
+                    .enumerate()
+                    .map(|(task, spec)| {
+                        std::thread::Builder::new()
+                            .stack_size(spec.stack_bytes)
+                            .spawn_scoped(s, move || {
+                                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                                    self.register_current(task);
+                                    (spec.body)()
+                                }));
+                                self.finish(task);
+                                outcome
+                            })
+                    })
+                    .collect::<Vec<_>>();
+                let mut outcomes = Vec::with_capacity(carriers.len());
+                let mut spawn_error = None;
+                for carrier in carriers {
+                    match carrier {
+                        Ok(c) => {
+                            outcomes.push(c.join().expect("a carrier catches its task's panic"))
+                        }
+                        Err(e) => {
+                            // Registration can never complete: the others abort.
+                            self.poison();
+                            spawn_error.get_or_insert(e);
+                        }
+                    }
+                }
+                spawn_error.map_or(Ok(outcomes), Err)
+            })
+        }
+
+        pub(super) fn switch_away(&self, _save: *mut *mut u8, _next: Option<usize>) {
+            unreachable!("no task runs on its own stack on this target")
+        }
+    }
+}
+
+/// One task for [`DetExecutor::run_tasks`]: its body and the bytes of stack it
+/// runs on.
+pub struct TaskSpec<'a> {
+    stack_bytes: usize,
+    body: Box<dyn FnOnce() + Send + 'a>,
+}
+
+impl<'a> TaskSpec<'a> {
+    /// A task running `body` on `stack_bytes` of stack (rounded up to whole
+    /// pages). The body must not call [`DetExecutor::finish`]: the executor
+    /// retires the task when the body returns or panics.
+    pub fn new(stack_bytes: usize, body: impl FnOnce() + Send + 'a) -> Self {
+        TaskSpec {
+            stack_bytes,
+            body: Box::new(body),
+        }
+    }
+}
 
 /// Panic payload of every task killed by executor poisoning (cooperative
 /// deadlock, or explicit [`DetExecutor::poison`]). Carriers classify panics by
@@ -102,6 +198,9 @@ struct TaskSlot {
     yields: u64,
     /// A wakeup arrived while the task was not blocked; consume at next block.
     pending_wake: bool,
+    /// Addresses of the task's own stack ([`DetExecutor::run_tasks`]); empty
+    /// for a task on an OS carrier.
+    stack: std::ops::Range<usize>,
 }
 
 #[derive(Debug)]
@@ -122,15 +221,19 @@ struct ExecState {
     started: bool,
 }
 
-/// The lock-free half of a task: what its parked carrier reads.
+/// The lock-free half of a task: what it reads when it is resumed.
 #[derive(Debug, Default)]
 struct Carrier {
     /// Run token: stored (`Release`) by the dispatcher under the state lock,
-    /// taken (`Acquire`) by the carrier without it, so everything the previous
+    /// taken (`Acquire`) by the task without it, so everything the previous
     /// token holder wrote is visible to the next.
     token: AtomicBool,
-    /// Carrier thread, set once by `register_current`, for unpark.
+    /// The OS thread to unpark when the task is handed the token from outside
+    /// the task set: its own carrier (`register_current`), or the thread
+    /// running every task on its own stack (`run_tasks`).
     thread: OnceLock<Thread>,
+    /// Saved stack pointer of a task on its own stack while it is switched out.
+    sp: AtomicPtr<u8>,
 }
 
 /// Seeded deterministic cooperative executor. See the module docs.
@@ -143,6 +246,13 @@ pub struct DetExecutor {
     /// Set under the state lock (so dispatch decisions stay ordered), read
     /// anywhere.
     poisoned: AtomicBool,
+    /// Saved stack pointer of the thread running tasks on their own stacks,
+    /// while one of them runs. (Unused where tasks run on OS carriers.)
+    #[cfg_attr(
+        not(all(target_arch = "x86_64", target_os = "linux")),
+        allow(dead_code)
+    )]
+    runner_sp: AtomicPtr<u8>,
     state: Mutex<ExecState>,
 }
 
@@ -160,6 +270,7 @@ impl DetExecutor {
                 priority: 1,
                 yields: 0,
                 pending_wake: false,
+                stack: 0..0,
             })
             .collect();
         Arc::new(DetExecutor {
@@ -167,6 +278,7 @@ impl DetExecutor {
             jitter_ns,
             carriers: (0..n_tasks).map(|_| Carrier::default()).collect(),
             poisoned: AtomicBool::new(false),
+            runner_sp: AtomicPtr::default(),
             state: Mutex::new(ExecState {
                 tasks,
                 heap: BinaryHeap::new(),
@@ -208,14 +320,19 @@ impl DetExecutor {
     fn push_runnable(&self, g: &mut ExecState, task: usize) {
         let slot = &g.tasks[task];
         debug_assert_eq!(slot.state, TaskState::Runnable);
-        let entry = (self.key(task, slot.yields, slot.clock_ns), slot.priority, task);
+        let entry = (
+            self.key(task, slot.yields, slot.clock_ns),
+            slot.priority,
+            task,
+        );
         g.heap.push(Reverse(entry));
     }
 
     /// Hand the token to the best runnable task, or detect deadlock. Returns
-    /// the task whose token was just stored: the caller unparks its carrier
-    /// with [`release_and_wake`](Self::release_and_wake), after the lock drops.
-    /// Caller must hold the state lock and have `running == None`.
+    /// the task whose token was just stored: after the lock drops the caller
+    /// switches to it ([`hand_over`](Self::hand_over)) or unparks its carrier
+    /// ([`release_and_wake`](Self::release_and_wake)). Caller must hold the
+    /// state lock and have `running == None`.
     fn dispatch(&self, g: &mut ExecState) -> Option<usize> {
         debug_assert!(g.running.is_none());
         if self.is_poisoned() {
@@ -264,7 +381,30 @@ impl DetExecutor {
         }
     }
 
-    /// Unpark every registered carrier; each finds the executor poisoned.
+    /// The running `task` gave the token up and `next` (if any) was
+    /// dispatched under `g`: pass the token on, and return once `task` holds
+    /// it again (panicking if the executor is poisoned meanwhile). On its own
+    /// stack that is one switch; on an OS carrier, an unpark and a park.
+    fn hand_over(&self, g: MutexGuard<'_, ExecState>, task: usize, next: Option<usize>) {
+        let stack = &g.tasks[task].stack;
+        if stack.is_empty() {
+            self.release_and_wake(g, next);
+        } else {
+            // Only the task itself may switch its stack out: a switch made
+            // from another thread would run two stacks at once.
+            let here = 0u8;
+            assert!(
+                stack.contains(&(std::ptr::addr_of!(here) as usize)),
+                "task {task} runs on its own stack: only that task may pass its scheduling points"
+            );
+            drop(g);
+            self.switch_away(self.carriers[task].sp.as_ptr(), next);
+        }
+        self.wait_for_token(task);
+    }
+
+    /// Unpark every registered carrier (for tasks on their own stacks, the
+    /// runner); each finds the executor poisoned.
     fn wake_everything(&self) {
         for carrier in self.carriers.iter().filter_map(|c| c.thread.get()) {
             carrier.unpark();
@@ -274,7 +414,9 @@ impl DetExecutor {
     /// Park the calling carrier until its task holds the token (or the
     /// executor is poisoned, in which case this panics with [`POISON_MSG`]).
     /// Takes no lock: an `unpark` that lands before the `park` makes the
-    /// `park` return at once, so a token stored at any point is seen.
+    /// `park` return at once, so a token stored at any point is seen. A task
+    /// on its own stack is only ever resumed holding the token or poisoned, so
+    /// it never parks.
     fn wait_for_token(&self, task: usize) {
         loop {
             if self.is_poisoned() {
@@ -289,7 +431,9 @@ impl DetExecutor {
 
     /// Register the calling OS thread as the carrier of `task` and park until
     /// the scheduler first picks it. Dispatch begins only once **all** tasks
-    /// have registered, so the initial pick is spawn-order independent.
+    /// have registered, so the initial pick is spawn-order independent. The
+    /// transport for callers that bring their own threads; a cluster runs its
+    /// tasks through [`run_tasks`](Self::run_tasks) instead.
     ///
     /// # Panics
     /// If `task` is out of range, already registered, or the executor is
@@ -319,6 +463,22 @@ impl DetExecutor {
         }
         self.release_and_wake(g, next);
         self.wait_for_token(task);
+    }
+
+    /// Run `tasks[t]` as task `t`, each on its own stack, all on the calling OS
+    /// thread, and return once every task has retired: `Ok` with each body's
+    /// outcome (the payload of a panic it did not catch), or `Err` if a stack
+    /// could not be mapped, before any task ran. Every task registers at once,
+    /// so dispatch starts here. A hand-off between tasks is a user-space
+    /// switch; outside threads may still [`unblock`](Self::unblock) or
+    /// [`poison`](Self::poison) the task set while it runs.
+    ///
+    /// # Panics
+    /// Unless there is exactly one task per executor task and none has
+    /// registered yet.
+    pub fn run_tasks(&self, tasks: Vec<TaskSpec<'_>>) -> io::Result<Vec<std::thread::Result<()>>> {
+        assert_eq!(tasks.len(), self.n_tasks(), "one body per executor task");
+        self.run_on_stacks(tasks)
     }
 
     /// Would `task`, re-keyed at its current clock, still be picked ahead of
@@ -375,8 +535,7 @@ impl DetExecutor {
             return;
         }
         let next = self.requeue(&mut g, task);
-        self.release_and_wake(g, next);
-        self.wait_for_token(task);
+        self.hand_over(g, task, next);
     }
 
     /// Block the running task waiting on **another task** (lock holder,
@@ -423,8 +582,7 @@ impl DetExecutor {
             }
             self.dispatch(&mut g)
         };
-        self.release_and_wake(g, next);
-        self.wait_for_token(task);
+        self.hand_over(g, task, next);
     }
 
     /// Make a blocked task runnable again. Callable from any thread (a running
@@ -456,16 +614,26 @@ impl DetExecutor {
         self.release_and_wake(g, next);
     }
 
-    /// Retire the calling task and hand the token onward. Safe to call after a
-    /// caught panic (including a poison cascade) — it never panics itself.
+    /// Retire the calling carrier's task and hand the token onward. Safe to
+    /// call after a caught panic (including a poison cascade) — it never
+    /// panics itself. Only for tasks registered with
+    /// [`register_current`](Self::register_current): [`run_tasks`](Self::run_tasks)
+    /// retires its tasks itself.
     pub fn finish(&self, task: usize) {
+        let (g, next) = self.retire(task);
+        self.release_and_wake(g, next);
+    }
+
+    /// Mark `task` finished and, unless poisoned, dispatch its successor.
+    /// Returns the guard and the task handed the token.
+    fn retire(&self, task: usize) -> (MutexGuard<'_, ExecState>, Option<usize>) {
         let mut g = self.state.lock();
         if task >= g.tasks.len() {
-            return;
+            return (g, None);
         }
         let prior = g.tasks[task].state;
         if prior == TaskState::Finished {
-            return;
+            return (g, None);
         }
         g.tasks[task].state = TaskState::Finished;
         self.carriers[task].token.store(false, Ordering::Relaxed);
@@ -479,7 +647,7 @@ impl DetExecutor {
         if !self.is_poisoned() && g.running.is_none() && g.started {
             next = self.dispatch(&mut g);
         }
-        self.release_and_wake(g, next);
+        (g, next)
     }
 
     /// True once the executor has poisoned (deadlock or explicit abort).
@@ -497,10 +665,11 @@ impl DetExecutor {
     }
 
     /// Dispatches that moved the token to a different task than the previous
-    /// dispatch did — the OS-level hand-offs (one `unpark` after the state
-    /// lock drops and one lock-free park each). A scheduling point that keeps the token, or re-picks the same task, is not
-    /// one. A pure function of the schedule, hence of `(seed, jitter)` and the
-    /// tasks' inputs.
+    /// dispatch did: each is one stack switch for tasks on their own stacks,
+    /// or an `unpark` and a park between OS carriers. A scheduling point that
+    /// keeps the token, or re-picks the same task, is not one. A pure function
+    /// of the schedule, hence of `(seed, jitter)` and the tasks' inputs, and
+    /// the same on either transport.
     pub fn handoffs(&self) -> u64 {
         self.state.lock().handoffs
     }
@@ -518,134 +687,238 @@ mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicU64;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
-    /// Spawn `n` tasks that each append `(task, step)` to a shared log at every
+    /// How a test's tasks run: each on its own stack, all on one OS thread
+    /// (`run_tasks`, what clusters use), or each on an OS carrier registered
+    /// through `register_current` (what outside callers use).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Transport {
+        Stacks,
+        Carriers,
+    }
+    use Transport::{Carriers, Stacks};
+
+    const BOTH: [Transport; 2] = [Stacks, Carriers];
+
+    /// Stack of each test task.
+    const TEST_STACK: usize = 64 * 1024;
+
+    /// Far beyond any test's run time: only a task that was never woken misses it.
+    const DEADLINE: Duration = Duration::from_secs(120);
+
+    fn message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// A task set running off the test thread.
+    struct Running {
+        exec: Arc<DetExecutor>,
+        outcomes: mpsc::Receiver<Vec<Option<String>>>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    /// Start `body(t)` as task `t` of `exec`, for every task, on `transport`.
+    fn start<F>(exec: &Arc<DetExecutor>, transport: Transport, body: F) -> Running
+    where
+        F: Fn(usize) + Send + Sync + 'static,
+    {
+        let (tx, rx) = mpsc::channel();
+        let e = Arc::clone(exec);
+        let thread = std::thread::spawn(move || {
+            let (e, body, n) = (&*e, &body, e.n_tasks());
+            let outcomes: Vec<std::thread::Result<()>> = match transport {
+                Stacks => e
+                    .run_tasks(
+                        (0..n)
+                            .map(|t| TaskSpec::new(TEST_STACK, move || body(t)))
+                            .collect(),
+                    )
+                    .expect("map the test stacks"),
+                Carriers => std::thread::scope(|s| {
+                    let carriers: Vec<_> = (0..n)
+                        .map(|t| {
+                            s.spawn(move || {
+                                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                                    e.register_current(t);
+                                    body(t)
+                                }));
+                                e.finish(t);
+                                outcome
+                            })
+                        })
+                        .collect();
+                    carriers
+                        .into_iter()
+                        .map(|c| c.join().expect("a carrier catches its task's panic"))
+                        .collect()
+                }),
+            };
+            let messages = outcomes
+                .iter()
+                .map(|o| o.as_ref().err().map(|p| message(&**p)));
+            tx.send(messages.collect())
+                .expect("the test thread waits for the outcomes");
+        });
+        Running {
+            exec: Arc::clone(exec),
+            outcomes: rx,
+            thread,
+        }
+    }
+
+    impl Running {
+        /// Each task's panic message (`None` if its body returned). A task set
+        /// still running at [`DEADLINE`] fails the test instead of hanging it:
+        /// the executor is poisoned so the tasks unwind, and the lost wake-up
+        /// is reported.
+        fn join(self) -> Vec<Option<String>> {
+            let Ok(outcomes) = self.outcomes.recv_timeout(DEADLINE) else {
+                self.exec.poison();
+                panic!("lost wake-up: tasks still blocked at the deadline");
+            };
+            self.thread.join().unwrap();
+            outcomes
+        }
+    }
+
+    fn run_on<F>(exec: &Arc<DetExecutor>, transport: Transport, body: F) -> Vec<Option<String>>
+    where
+        F: Fn(usize) + Send + Sync + 'static,
+    {
+        start(exec, transport, body).join()
+    }
+
+    /// Run `n` tasks that each append `(task, step)` to a shared log at every
     /// scheduling point, with per-task virtual clocks advancing by `pace[t]`.
-    fn run_logged(n: usize, seed: u64, jitter: u64, steps: usize, pace: &[u64]) -> Vec<(usize, usize)> {
+    fn run_logged(
+        transport: Transport,
+        n: usize,
+        seed: u64,
+        jitter: u64,
+        steps: usize,
+        pace: &[u64],
+    ) -> Vec<(usize, usize)> {
         let exec = DetExecutor::new(n, seed, jitter);
         let log = Arc::new(Mutex::new(Vec::new()));
-        let mut handles = Vec::new();
-        for t in 0..n {
-            let exec = Arc::clone(&exec);
-            let log = Arc::clone(&log);
-            let pace = pace[t];
-            handles.push(std::thread::spawn(move || {
-                exec.register_current(t);
-                let mut clock = 0u64;
-                for step in 0..steps {
-                    log.lock().push((t, step));
-                    clock += pace;
-                    exec.yield_now(t, clock);
-                }
-                exec.finish(t);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        let (e, l, pace) = (Arc::clone(&exec), Arc::clone(&log), pace.to_vec());
+        let outcomes = run_on(&exec, transport, move |t| {
+            let mut clock = 0u64;
+            for step in 0..steps {
+                l.lock().push((t, step));
+                clock += pace[t];
+                e.yield_now(t, clock);
+            }
+        });
+        assert!(outcomes.iter().all(Option::is_none), "{outcomes:?}");
         let out = log.lock().clone();
         out
     }
 
     #[test]
     fn min_clock_order_is_deterministic_and_fair() {
-        let a = run_logged(3, 1, 0, 4, &[10, 10, 10]);
-        let b = run_logged(3, 99, 0, 4, &[10, 10, 10]);
-        // jitter 0: seed is irrelevant, order is pure (clock, task id).
-        assert_eq!(a, b);
-        // Equal pace => strict round-robin by task id.
-        let first_round: Vec<usize> = a[..3].iter().map(|(t, _)| *t).collect();
-        assert_eq!(first_round, vec![0, 1, 2]);
+        for transport in BOTH {
+            let a = run_logged(transport, 3, 1, 0, 4, &[10, 10, 10]);
+            let b = run_logged(transport, 3, 99, 0, 4, &[10, 10, 10]);
+            // jitter 0: seed is irrelevant, order is pure (clock, task id).
+            assert_eq!(a, b, "{transport:?}");
+            // Equal pace => strict round-robin by task id.
+            let first_round: Vec<usize> = a[..3].iter().map(|(t, _)| *t).collect();
+            assert_eq!(first_round, vec![0, 1, 2], "{transport:?}");
+        }
     }
 
     #[test]
     fn slow_task_yields_to_fast_tasks() {
-        let log = run_logged(2, 0, 0, 3, &[100, 1]);
-        // Task 1 advances 1ns per step, task 0 100ns: after the first
-        // alternation task 1 should run its remaining steps before task 0's
-        // second step (clock 100 vs 2).
-        let pos = |needle: (usize, usize)| log.iter().position(|&e| e == needle).unwrap();
-        assert!(pos((1, 2)) < pos((0, 1)));
+        for transport in BOTH {
+            let log = run_logged(transport, 2, 0, 0, 3, &[100, 1]);
+            // Task 1 advances 1ns per step, task 0 100ns: after the first
+            // alternation task 1 should run its remaining steps before task 0's
+            // second step (clock 100 vs 2).
+            let pos = |needle: (usize, usize)| log.iter().position(|&e| e == needle).unwrap();
+            assert!(pos((1, 2)) < pos((0, 1)), "{transport:?}");
+        }
     }
 
     #[test]
     fn seeded_jitter_replays_identically_and_seeds_differ() {
-        let a = run_logged(4, 7, 1_000, 6, &[10, 10, 10, 10]);
-        let b = run_logged(4, 7, 1_000, 6, &[10, 10, 10, 10]);
-        assert_eq!(a, b, "same seed must replay the same interleaving");
-        let c = run_logged(4, 8, 1_000, 6, &[10, 10, 10, 10]);
-        assert_ne!(a, c, "different seed should pick a different interleaving");
+        for transport in BOTH {
+            let a = run_logged(transport, 4, 7, 1_000, 6, &[10, 10, 10, 10]);
+            let b = run_logged(transport, 4, 7, 1_000, 6, &[10, 10, 10, 10]);
+            assert_eq!(
+                a, b,
+                "{transport:?}: same seed must replay the same interleaving"
+            );
+            let c = run_logged(transport, 4, 8, 1_000, 6, &[10, 10, 10, 10]);
+            assert_ne!(
+                a, c,
+                "{transport:?}: a different seed should pick another interleaving"
+            );
+        }
     }
 
     #[test]
     fn internal_deadlock_poisons_with_known_payload() {
-        let exec = DetExecutor::new(2, 0, 0);
-        let mut handles = Vec::new();
-        for t in 0..2usize {
-            let exec = Arc::clone(&exec);
-            handles.push(std::thread::spawn(move || {
-                catch_unwind(AssertUnwindSafe(|| {
-                    exec.register_current(t);
-                    exec.block_internal(t, 10); // nobody will ever unblock us
-                }))
-            }));
+        for transport in BOTH {
+            let exec = DetExecutor::new(2, 0, 0);
+            let e = Arc::clone(&exec);
+            // Nobody will ever unblock either task.
+            let outcomes = run_on(&exec, transport, move |t| e.block_internal(t, 10));
+            for outcome in outcomes {
+                assert_eq!(outcome.as_deref(), Some(POISON_MSG), "{transport:?}");
+            }
+            assert!(exec.is_poisoned());
         }
-        for h in handles {
-            let err = h.join().unwrap().unwrap_err();
-            let msg = err
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| err.downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            assert_eq!(msg, POISON_MSG);
-        }
-        assert!(exec.is_poisoned());
     }
 
     #[test]
     fn external_block_is_idle_not_deadlock() {
-        let exec = DetExecutor::new(2, 0, 0);
-        let woke = Arc::new(AtomicU64::new(0));
-        let e0 = Arc::clone(&exec);
-        let w0 = Arc::clone(&woke);
-        let waiter = std::thread::spawn(move || {
-            e0.register_current(0);
-            e0.block_external(0, 0);
-            w0.store(1, Ordering::SeqCst);
-            e0.finish(0);
-        });
-        let e1 = Arc::clone(&exec);
-        let worker = std::thread::spawn(move || {
-            e1.register_current(1);
-            e1.yield_now(1, 5);
-            e1.finish(1);
-        });
-        worker.join().unwrap();
-        assert!(!exec.is_poisoned());
-        assert_eq!(woke.load(Ordering::SeqCst), 0);
-        // Wake from outside the task set — the pending-wake path also covers
-        // the race where the wake lands before the task actually blocks.
-        exec.unblock(0);
-        waiter.join().unwrap();
-        assert_eq!(woke.load(Ordering::SeqCst), 1);
+        for transport in BOTH {
+            let exec = DetExecutor::new(2, 0, 0);
+            let woke = Arc::new(AtomicU64::new(0));
+            let (worker_done, worker_done_rx) = mpsc::channel();
+            let (e, w) = (Arc::clone(&exec), Arc::clone(&woke));
+            let running = start(&exec, transport, move |t| {
+                if t == 0 {
+                    e.block_external(0, 0);
+                    w.store(1, Ordering::SeqCst);
+                } else {
+                    e.yield_now(1, 5);
+                    worker_done.send(()).unwrap();
+                }
+            });
+            worker_done_rx.recv().unwrap();
+            assert!(!exec.is_poisoned(), "{transport:?}");
+            assert_eq!(woke.load(Ordering::SeqCst), 0, "{transport:?}");
+            // Wake from outside the task set — the pending-wake path also covers
+            // the race where the wake lands before the task actually blocks.
+            exec.unblock(0);
+            assert!(running.join().iter().all(Option::is_none));
+            assert_eq!(woke.load(Ordering::SeqCst), 1, "{transport:?}");
+        }
     }
 
     #[test]
     fn pending_wake_prevents_lost_wakeup() {
-        // Task 0 spins: block_external must return immediately if the wake
-        // already arrived while it was running.
-        let exec = DetExecutor::new(1, 0, 0);
-        let e0 = Arc::clone(&exec);
-        let t = std::thread::spawn(move || {
-            e0.register_current(0);
-            // Wake arrives while we are the running task...
-            e0.unblock(0);
-            // ...so this block consumes it and degrades to a yield.
-            e0.block_external(0, 1);
-            e0.finish(0);
-        });
-        t.join().unwrap(); // would hang forever without pending_wake
-        assert!(!exec.is_poisoned());
+        // block_external must return immediately if the wake already arrived
+        // while the task was running.
+        for transport in BOTH {
+            let exec = DetExecutor::new(1, 0, 0);
+            let e = Arc::clone(&exec);
+            let outcomes = run_on(&exec, transport, move |t| {
+                // Wake arrives while we are the running task...
+                e.unblock(t);
+                // ...so this block consumes it and degrades to a yield.
+                e.block_external(t, 1);
+            });
+            assert_eq!(outcomes, vec![None], "{transport:?}");
+            assert!(!exec.is_poisoned());
+        }
     }
 
     // ------------------------------------------------------------ schedule model
@@ -669,6 +942,7 @@ mod tests {
 
     /// Run the scripts on a real executor; the log is the order tasks resumed in.
     fn run_scripted(
+        transport: Transport,
         seed: u64,
         jitter: u64,
         paces: &[u64],
@@ -681,31 +955,26 @@ mod tests {
             exec.set_priority(t, p);
         }
         let log = Arc::new(Mutex::new(Vec::new()));
-        let mut handles = Vec::new();
-        for t in 0..n {
-            let exec = Arc::clone(&exec);
-            let log = Arc::clone(&log);
-            let pace = paces[t];
-            let script = scripts[t].clone();
-            handles.push(std::thread::spawn(move || {
-                exec.register_current(t);
-                let mut clock = 0u64;
-                for step in script {
-                    log.lock().push(t);
-                    clock += pace;
-                    if matches!(step, Step::WakeThenBlock) {
-                        exec.unblock(t);
-                        exec.block_external(t, clock);
-                    } else {
-                        exec.yield_now(t, clock);
-                    }
+        let (e, l, paces, scripts) = (
+            Arc::clone(&exec),
+            Arc::clone(&log),
+            paces.to_vec(),
+            scripts.to_vec(),
+        );
+        let outcomes = run_on(&exec, transport, move |t| {
+            let mut clock = 0u64;
+            for &step in &scripts[t] {
+                l.lock().push(t);
+                clock += paces[t];
+                if matches!(step, Step::WakeThenBlock) {
+                    e.unblock(t);
+                    e.block_external(t, clock);
+                } else {
+                    e.yield_now(t, clock);
                 }
-                exec.finish(t);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+            }
+        });
+        assert!(outcomes.iter().all(Option::is_none), "{outcomes:?}");
         let order = log.lock().clone();
         (order, exec.handoffs())
     }
@@ -756,9 +1025,9 @@ mod tests {
 
         /// For random paces, priorities, seeds and jitter the order in which a
         /// real executor resumes tasks is the pure merge by `(key, priority,
-        /// task)` — whether a scheduling point kept the token or handed it
-        /// over, and with blocks degraded to yields by a pending wake.
-        /// Hand-offs replay too.
+        /// task)` — on either transport, whether a scheduling point kept the
+        /// token or handed it over, and with blocks degraded to yields by a
+        /// pending wake. Hand-offs replay too, and agree across transports.
         #[test]
         fn pick_order_is_the_pure_merge(
             n in 2usize..6,
@@ -772,12 +1041,15 @@ mod tests {
                 .iter()
                 .map(|c| c.iter().copied().map(decode).collect())
                 .collect();
-            let (order, handoffs) = run_scripted(seed, jitter, &paces, &priorities, &scripts);
+            let (order, handoffs) = run_scripted(Stacks, seed, jitter, &paces, &priorities, &scripts);
             let exec = DetExecutor::new(n, seed, jitter);
             proptest::prop_assert_eq!(&order, &model_order(&exec, &paces, &priorities, &scripts));
-            let (again, handoffs_again) = run_scripted(seed, jitter, &paces, &priorities, &scripts);
+            let (again, handoffs_again) = run_scripted(Stacks, seed, jitter, &paces, &priorities, &scripts);
             proptest::prop_assert_eq!(&order, &again);
             proptest::prop_assert_eq!(handoffs, handoffs_again);
+            let (carried, handoffs_carried) = run_scripted(Carriers, seed, jitter, &paces, &priorities, &scripts);
+            proptest::prop_assert_eq!(&order, &carried);
+            proptest::prop_assert_eq!(handoffs, handoffs_carried);
         }
     }
 
@@ -785,18 +1057,24 @@ mod tests {
     fn keeping_the_token_is_not_a_handoff() {
         // One crawling task and one leaping task: after the first alternation
         // the crawler runs all its remaining steps without giving the token up.
-        let (order, handoffs) = run_scripted(
-            0,
-            0,
-            &[1, 1_000],
-            &[1, 1],
-            &[vec![Step::Yield; 6], vec![Step::Yield; 2]],
-        );
-        assert_eq!(order, vec![0, 1, 0, 0, 0, 0, 0, 1]);
-        assert_eq!(handoffs, 4, "0 -> 1 -> 0 -> 1, however many steps each ran");
+        for transport in BOTH {
+            let (order, handoffs) = run_scripted(
+                transport,
+                0,
+                0,
+                &[1, 1_000],
+                &[1, 1],
+                &[vec![Step::Yield; 6], vec![Step::Yield; 2]],
+            );
+            assert_eq!(order, vec![0, 1, 0, 0, 0, 0, 0, 1], "{transport:?}");
+            assert_eq!(
+                handoffs, 4,
+                "{transport:?}: 0 -> 1 -> 0 -> 1, however many steps each ran"
+            );
+        }
     }
 
-    // ------------------------------------------------- hand-off storms (no hang)
+    // -------------------------------------- transport differential and storms
 
     /// Executor seed of the storms: `JESSY_CHAOS_SEED` picks the interleaving,
     /// so the CI seed matrix runs each storm under several.
@@ -807,70 +1085,113 @@ mod tests {
             .unwrap_or(0)
     }
 
-    /// Far beyond any storm's run time: only a carrier that was never woken
-    /// misses it.
-    const DEADLINE: std::time::Duration = std::time::Duration::from_secs(120);
+    /// A reusable rendezvous of every task, built like the GOS barrier: the
+    /// last arrival unblocks the others, who block internally until then.
+    #[derive(Default)]
+    struct Rendezvous {
+        /// Arrivals this generation, the generation, the blocked arrivals.
+        inner: Mutex<(usize, u64, Vec<usize>)>,
+    }
 
-    /// Run `body(t)` for `t in 0..n`, each on its own carrier, and return each
-    /// carrier's panic message (`None` if it returned). A carrier still running
-    /// at [`DEADLINE`] fails the test instead of hanging it: the executor is
-    /// poisoned so the others unwind, and the lost wake-up is reported.
-    fn run_carriers<F>(exec: &Arc<DetExecutor>, n: usize, body: F) -> Vec<Option<String>>
-    where
-        F: Fn(usize) + Send + Sync + 'static,
-    {
-        let body = Arc::new(body);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let handles: Vec<_> = (0..n)
-            .map(|t| {
-                let (body, tx) = (Arc::clone(&body), tx.clone());
-                std::thread::spawn(move || {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| body(t))).err().map(|err| {
-                        err.downcast_ref::<String>()
-                            .cloned()
-                            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-                            .unwrap_or_default()
-                    });
-                    tx.send((t, outcome))
-                        .expect("the test thread outlives its carriers");
-                })
-            })
-            .collect();
-        let deadline = std::time::Instant::now() + DEADLINE;
-        let mut outcomes = vec![None; n];
-        for done in 0..n {
-            let wait = deadline.saturating_duration_since(std::time::Instant::now());
-            match rx.recv_timeout(wait) {
-                Ok((t, outcome)) => outcomes[t] = outcome,
-                Err(_) => {
-                    exec.poison();
-                    panic!(
-                        "lost wake-up: {} of {n} carriers still parked at the deadline",
-                        n - done
-                    );
+    impl Rendezvous {
+        fn arrive(&self, exec: &DetExecutor, task: usize, now: u64) {
+            let mut g = self.inner.lock();
+            g.0 += 1;
+            if g.0 == exec.n_tasks() {
+                g.0 = 0;
+                g.1 += 1;
+                let waiters = std::mem::take(&mut g.2);
+                drop(g);
+                for w in waiters {
+                    exec.unblock(w);
+                }
+                return;
+            }
+            let generation = g.1;
+            loop {
+                g.2.push(task);
+                drop(g);
+                exec.block_internal(task, now);
+                g = self.inner.lock();
+                if g.1 != generation {
+                    return;
                 }
             }
         }
-        for h in handles {
-            h.join().unwrap();
+    }
+
+    /// `n` tasks at seeded paces: each step logs `(task, step)` and then
+    /// yields, wakes itself and blocks, or every 50th step meets the others
+    /// at a rendezvous. Returns the log as bytes and the hand-off count.
+    fn mixed_schedule(transport: Transport, n: usize, seed: u64, jitter: u64) -> (Vec<u8>, u64) {
+        const STEPS: u64 = 300;
+        let exec = DetExecutor::new(n, seed, jitter);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let rendezvous = Arc::new(Rendezvous::default());
+        let (e, l, r) = (Arc::clone(&exec), Arc::clone(&log), Arc::clone(&rendezvous));
+        let outcomes = run_on(&exec, transport, move |t| {
+            let pace = 1 + splitmix64(seed ^ t as u64) % 50;
+            let mut clock = 0u64;
+            for step in 0..STEPS {
+                l.lock().extend(
+                    (t as u16)
+                        .to_le_bytes()
+                        .into_iter()
+                        .chain((step as u32).to_le_bytes()),
+                );
+                clock += pace;
+                if step % 50 == 49 {
+                    r.arrive(&e, t, clock);
+                } else if splitmix64(seed ^ ((t as u64) << 32) ^ step) & 3 == 0 {
+                    e.unblock(t);
+                    e.block_external(t, clock);
+                } else {
+                    e.yield_now(t, clock);
+                }
+            }
+        });
+        assert!(
+            outcomes.iter().all(Option::is_none),
+            "{transport:?}: {outcomes:?}"
+        );
+        let bytes = log.lock().clone();
+        (bytes, exec.handoffs())
+    }
+
+    #[test]
+    fn tasks_on_stacks_and_os_carriers_log_the_same_schedule() {
+        let seed = chaos_seed();
+        for (n, jitter) in [(2, 0), (12, 0), (12, 1_000), (40, 7)] {
+            let (stacks, stack_handoffs) = mixed_schedule(Stacks, n, seed, jitter);
+            let (carriers, carrier_handoffs) = mixed_schedule(Carriers, n, seed, jitter);
+            assert_eq!(stacks.len(), n * 300 * 6);
+            assert!(
+                stacks == carriers,
+                "seed {seed}, {n} tasks, jitter {jitter}: the transports scheduled differently"
+            );
+            assert_eq!(
+                stack_handoffs, carrier_handoffs,
+                "seed {seed}, {n} tasks, jitter {jitter}"
+            );
+            assert!(
+                stack_handoffs > n as u64,
+                "seed {seed}: the tasks hand off ({stack_handoffs})"
+            );
         }
-        outcomes
     }
 
     /// 64 tasks × 2 000 jittered yields: the resumption log and hand-off count.
-    fn handoff_storm(seed: u64) -> (Vec<usize>, u64) {
+    fn handoff_storm(transport: Transport, seed: u64) -> (Vec<usize>, u64) {
         const TASKS: usize = 64;
         const YIELDS: u64 = 2_000;
         let exec = DetExecutor::new(TASKS, seed, 1_000);
         let log = Arc::new(Mutex::new(Vec::new()));
         let (e, l) = (Arc::clone(&exec), Arc::clone(&log));
-        let outcomes = run_carriers(&exec, TASKS, move |t| {
-            e.register_current(t);
+        let outcomes = run_on(&exec, transport, move |t| {
             for step in 1..=YIELDS {
                 l.lock().push(t);
                 e.yield_now(t, step * 10);
             }
-            e.finish(t);
         });
         assert!(outcomes.iter().all(Option::is_none), "{outcomes:?}");
         let order = log.lock().clone();
@@ -881,83 +1202,280 @@ mod tests {
     #[test]
     fn a_handoff_storm_replays_and_never_loses_a_wakeup() {
         let seed = chaos_seed();
-        let (order, handoffs) = handoff_storm(seed);
-        let (again, handoffs_again) = handoff_storm(seed);
-        assert!(
-            order == again,
-            "seed {seed}: resumption order differs between runs"
-        );
-        assert_eq!(handoffs, handoffs_again, "seed {seed}");
-        assert!(
-            handoffs > 64,
-            "seed {seed}: a jittered storm hands off ({handoffs})"
-        );
+        for transport in BOTH {
+            let (order, handoffs) = handoff_storm(transport, seed);
+            let (again, handoffs_again) = handoff_storm(transport, seed);
+            assert!(
+                order == again,
+                "{transport:?}, seed {seed}: resumption order differs between runs"
+            );
+            assert_eq!(handoffs, handoffs_again, "{transport:?}, seed {seed}");
+            assert!(
+                handoffs > 64,
+                "{transport:?}, seed {seed}: a jittered storm hands off ({handoffs})"
+            );
+        }
     }
 
     #[test]
     fn outside_wakeups_race_a_live_handoff() {
         const WORKERS: usize = 7;
         const ROUNDS: u64 = 2_000;
-        let exec = DetExecutor::new(1 + WORKERS, chaos_seed(), 1_000);
-        let blocker_done = Arc::new(AtomicBool::new(false));
-        // A non-task thread waking task 0 for as long as it keeps blocking.
-        let waker = {
-            let (exec, done) = (Arc::clone(&exec), Arc::clone(&blocker_done));
-            std::thread::spawn(move || {
-                while !done.load(Ordering::Acquire) {
-                    exec.unblock(0);
-                    std::thread::yield_now();
+        for transport in BOTH {
+            let exec = DetExecutor::new(1 + WORKERS, chaos_seed(), 1_000);
+            let blocker_done = Arc::new(AtomicBool::new(false));
+            // A non-task thread waking task 0 for as long as it keeps blocking.
+            let waker = {
+                let (exec, done) = (Arc::clone(&exec), Arc::clone(&blocker_done));
+                std::thread::spawn(move || {
+                    while !done.load(Ordering::Acquire) {
+                        exec.unblock(0);
+                        std::thread::yield_now();
+                    }
+                })
+            };
+            let (e, done) = (Arc::clone(&exec), Arc::clone(&blocker_done));
+            let outcomes = run_on(&exec, transport, move |t| {
+                for step in 1..=ROUNDS {
+                    if t == 0 {
+                        e.block_external(0, step * 10);
+                    } else {
+                        e.yield_now(t, step * 10);
+                    }
                 }
-            })
-        };
-        let (e, done) = (Arc::clone(&exec), Arc::clone(&blocker_done));
-        let outcomes = run_carriers(&exec, 1 + WORKERS, move |t| {
-            e.register_current(t);
-            for step in 1..=ROUNDS {
                 if t == 0 {
-                    e.block_external(0, step * 10);
-                } else {
-                    e.yield_now(t, step * 10);
+                    done.store(true, Ordering::Release);
                 }
-            }
-            if t == 0 {
-                done.store(true, Ordering::Release);
-            }
-            e.finish(t);
-        });
-        blocker_done.store(true, Ordering::Release);
-        waker.join().unwrap();
-        assert!(outcomes.iter().all(Option::is_none), "{outcomes:?}");
-        assert!(!exec.is_poisoned());
+            });
+            blocker_done.store(true, Ordering::Release);
+            waker.join().unwrap();
+            assert!(
+                outcomes.iter().all(Option::is_none),
+                "{transport:?}: {outcomes:?}"
+            );
+            assert!(!exec.is_poisoned());
+        }
     }
 
     #[test]
-    fn poison_mid_storm_unwinds_every_carrier() {
+    fn poison_mid_storm_unwinds_every_task() {
         const TASKS: usize = 16;
-        let exec = DetExecutor::new(TASKS, chaos_seed(), 1_000);
-        let (started_tx, started_rx) = std::sync::mpsc::channel();
-        let poisoner = {
+        for transport in BOTH {
+            let exec = DetExecutor::new(TASKS, chaos_seed(), 1_000);
+            let (started_tx, started_rx) = mpsc::channel();
+            let poisoner = {
+                let exec = Arc::clone(&exec);
+                std::thread::spawn(move || {
+                    // Poison once the storm is well under way.
+                    started_rx.recv().unwrap();
+                    exec.poison();
+                })
+            };
+            let e = Arc::clone(&exec);
+            let outcomes = run_on(&exec, transport, move |t| {
+                for step in 1u64.. {
+                    if t == 0 && step == 500 {
+                        started_tx.send(()).unwrap();
+                    }
+                    e.yield_now(t, step * 10);
+                }
+            });
+            poisoner.join().unwrap();
+            assert!(exec.is_poisoned());
+            for (t, outcome) in outcomes.iter().enumerate() {
+                assert_eq!(
+                    outcome.as_deref(),
+                    Some(POISON_MSG),
+                    "{transport:?}, task {t}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn only_a_task_on_its_own_stack_may_switch_it_out() {
+        let exec = DetExecutor::new(2, 0, 0);
+        let (go, go_rx) = mpsc::channel::<()>();
+        let (tried, tried_rx) = mpsc::channel();
+        // While task 0 runs, another thread tries to yield for it at a clock
+        // that would hand the token to task 1.
+        let outsider = {
             let exec = Arc::clone(&exec);
             std::thread::spawn(move || {
-                // Poison once the storm is well under way.
-                started_rx.recv().unwrap();
-                exec.poison();
+                go_rx.recv().unwrap();
+                let outcome = catch_unwind(AssertUnwindSafe(|| exec.yield_now(0, 1_000)));
+                tried.send(outcome.err().map(|p| message(&*p))).unwrap();
             })
         };
-        let e = Arc::clone(&exec);
-        let outcomes = run_carriers(&exec, TASKS, move |t| {
-            e.register_current(t);
-            for step in 1u64.. {
-                if t == 0 && step == 500 {
-                    started_tx.send(()).unwrap();
-                }
-                e.yield_now(t, step * 10);
+        let tried_rx = Mutex::new(tried_rx);
+        let outcomes = run_on(&exec, Stacks, move |t| {
+            if t == 0 {
+                go.send(()).unwrap();
+                let refused = tried_rx.lock().recv().unwrap();
+                assert!(
+                    refused.is_some_and(
+                        |m| m.contains("only that task may pass its scheduling points")
+                    ),
+                    "the outside switch was not refused"
+                );
             }
         });
-        poisoner.join().unwrap();
-        assert!(exec.is_poisoned());
-        for (t, outcome) in outcomes.iter().enumerate() {
-            assert_eq!(outcome.as_deref(), Some(POISON_MSG), "task {t}");
+        outsider.join().unwrap();
+        assert_eq!(outcomes, vec![None, None]);
+    }
+
+    // ------------------------------------------------------------- guard page
+
+    /// Set in the child process of the guard-page test.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    const GUARD_CHILD: &str = "JESSY_GUARD_PAGE_CHILD";
+
+    /// Exit code of a child whose overflow faulted inside the task's guard page.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    const HIT_GUARD: i32 = 42;
+
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    mod segv {
+        //! A SIGSEGV handler, on an alternate stack, that exits with
+        //! `HIT_GUARD` if the faulting address lies in `[GUARD_LO, GUARD_HI)`.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        pub static GUARD_LO: AtomicUsize = AtomicUsize::new(0);
+        pub static GUARD_HI: AtomicUsize = AtomicUsize::new(0);
+
+        /// glibc's x86-64 `struct sigaction`.
+        #[repr(C)]
+        struct SigAction {
+            handler: usize,
+            mask: [u64; 16],
+            flags: i32,
+            restorer: usize,
         }
+
+        /// `stack_t`.
+        #[repr(C)]
+        struct StackT {
+            sp: *mut u8,
+            flags: i32,
+            size: usize,
+        }
+
+        extern "C" {
+            fn sigaction(sig: i32, act: *const SigAction, old: *mut SigAction) -> i32;
+            fn sigaltstack(ss: *const StackT, old: *mut StackT) -> i32;
+            fn _exit(code: i32) -> !;
+        }
+
+        const SIGSEGV: i32 = 11;
+        const SA_SIGINFO: i32 = 4;
+        const SA_ONSTACK: i32 = 0x0800_0000;
+
+        extern "C" fn on_segv(_sig: i32, info: *const u8, _context: *mut u8) {
+            // SAFETY: the kernel passes a valid `siginfo_t`; `si_addr` sits at
+            // byte 16 on x86-64.
+            let addr = unsafe { *(info.add(16) as *const usize) };
+            let hit = (GUARD_LO.load(Ordering::Relaxed)..GUARD_HI.load(Ordering::Relaxed))
+                .contains(&addr);
+            // SAFETY: `_exit` is async-signal-safe.
+            unsafe { _exit(if hit { super::HIT_GUARD } else { 1 }) }
+        }
+
+        /// Install the handler on an alternate stack of the calling thread.
+        pub fn install() {
+            let alt = Box::leak(vec![0u8; 64 * 1024].into_boxed_slice());
+            let ss = StackT {
+                sp: alt.as_mut_ptr(),
+                flags: 0,
+                size: alt.len(),
+            };
+            let act = SigAction {
+                handler: on_segv as *const () as usize,
+                mask: [0; 16],
+                flags: SA_SIGINFO | SA_ONSTACK,
+                restorer: 0,
+            };
+            // SAFETY: both structs are initialized and in glibc's layout.
+            unsafe {
+                assert_eq!(sigaltstack(&ss, std::ptr::null_mut()), 0);
+                assert_eq!(sigaction(SIGSEGV, &act, std::ptr::null_mut()), 0);
+            }
+        }
+    }
+
+    /// The inaccessible mapping directly below the writable mapping that holds
+    /// `addr`, from `/proc/self/maps` (empty if there is none).
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    fn guard_below(addr: usize) -> std::ops::Range<usize> {
+        let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
+        let regions: Vec<(usize, usize, String)> = maps
+            .lines()
+            .map(|line| {
+                let mut fields = line.split_whitespace();
+                let (lo, hi) = fields.next().unwrap().split_once('-').unwrap();
+                let perms = fields.next().unwrap().to_string();
+                let parse = |h| usize::from_str_radix(h, 16).unwrap();
+                (parse(lo), parse(hi), perms)
+            })
+            .collect();
+        let Some(stack) = regions
+            .iter()
+            .position(|(lo, hi, _)| (*lo..*hi).contains(&addr))
+        else {
+            return 0..0;
+        };
+        match stack.checked_sub(1).map(|below| &regions[below]) {
+            Some((lo, hi, perms)) if *hi == regions[stack].0 && perms.starts_with("---") => {
+                *lo..*hi
+            }
+            _ => 0..0,
+        }
+    }
+
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    fn recurse(depth: u64) -> u64 {
+        let frame = std::hint::black_box([depth; 64]);
+        if std::hint::black_box(true) {
+            frame[0] + recurse(depth + 1) + frame[63]
+        } else {
+            0
+        }
+    }
+
+    /// A task that recurses without bound dies on its own guard page: the
+    /// test re-runs itself in a child process, whose SIGSEGV handler checks
+    /// that the faulting address lies in the inaccessible page directly below
+    /// the task's stack.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    #[test]
+    fn a_stack_overflow_faults_on_the_tasks_guard_page() {
+        const NAME: &str = "executor::tests::a_stack_overflow_faults_on_the_tasks_guard_page";
+        if std::env::var_os(GUARD_CHILD).is_some() {
+            segv::install();
+            // A second task whose stack is mapped next to the first one's.
+            let exec = DetExecutor::new(2, 0, 0);
+            let e = &*exec;
+            let overflow = TaskSpec::new(TEST_STACK, move || {
+                let here = 0u8;
+                let guard = guard_below(std::hint::black_box(&here) as *const u8 as usize);
+                segv::GUARD_LO.store(guard.start, Ordering::Relaxed);
+                segv::GUARD_HI.store(guard.end, Ordering::Relaxed);
+                std::hint::black_box(recurse(0));
+            });
+            let bystander = TaskSpec::new(TEST_STACK, move || e.yield_now(1, 1));
+            let _ = exec.run_tasks(vec![overflow, bystander]);
+            std::process::exit(2);
+        }
+        let status = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([NAME, "--exact", "--nocapture", "--test-threads=1"])
+            .env(GUARD_CHILD, "1")
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .status()
+            .unwrap();
+        assert_eq!(
+            status.code(),
+            Some(HIT_GUARD),
+            "the overflowing task must fault inside its own guard page ({status})"
+        );
     }
 }

@@ -27,7 +27,7 @@ pub mod stats;
 
 pub use clock::{ClockBoard, ClockHandle, SimNanos};
 pub use error::NetError;
-pub use executor::{DetExecutor, POISON_MSG};
+pub use executor::{DetExecutor, TaskSpec, POISON_MSG};
 pub use fabric::Fabric;
 pub use fault::{
     oal_fault_key, CrashWindow, FaultDecision, FaultInjector, FaultPlan, FaultStats,

@@ -29,8 +29,7 @@
 //! assert_eq!(report.n_threads, 4);
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -43,13 +42,13 @@ use jessy_obs::{EventKind, TraceSink};
 use jessy_net::mailbox::MailboxSender;
 use jessy_net::{
     ClockBoard, ClockHandle, DetExecutor, FaultPlan, LatencyModel, Mailbox, MsgClass, NodeId,
-    ThreadId, POISON_MSG,
+    TaskSpec, ThreadId, POISON_MSG,
 };
 use jessy_stack::{MethodId, MethodRegistry};
 
 use crate::dynamic::{Directive, RebalanceConfig};
 use crate::error::RuntimeError;
-use crate::master::{spawn_daemon, EpochOal, LiveBoundary, MasterBoundary, MasterOutput};
+use crate::master::{daemon_task, EpochOal, LiveBoundary, MasterBoundary, MasterOutput};
 use crate::metrics::RunReport;
 use crate::migration::MigrationReport;
 use crate::thread::JThread;
@@ -502,6 +501,26 @@ impl InitCtx<'_> {
     }
 }
 
+/// Stack of each application thread's task.
+const WORKER_STACK_BYTES: usize = 512 * 1024;
+
+/// Held by each worker task while it runs: the last one to drop it, panicking
+/// or not, ends the run — marks it done and wakes the master for its final
+/// drain of the mailbox.
+struct EndOfRun<'a> {
+    shared: &'a ClusterShared,
+    live: &'a AtomicUsize,
+}
+
+impl Drop for EndOfRun<'_> {
+    fn drop(&mut self) {
+        if self.live.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.shared.done.store(true, Ordering::Release);
+            self.shared.exec.unblock(self.shared.master_task());
+        }
+    }
+}
+
 /// A simulated DJVM cluster.
 pub struct Cluster {
     shared: Arc<ClusterShared>,
@@ -531,10 +550,11 @@ impl Cluster {
     }
 
     /// Run `body` once per application thread (each a cooperatively-scheduled task
-    /// of the deterministic executor, carried by its own parked OS thread), with
-    /// the master daemon pumping OALs as task `n_threads` of the same schedule.
-    /// Clocks are reset first, so the reported simulated execution time covers
-    /// exactly this parallel phase.
+    /// of the deterministic executor, on a stack of its own), with the master
+    /// daemon pumping OALs as task `n_threads` of the same schedule. Every task
+    /// runs on the calling OS thread; the run starts no other. Clocks are reset
+    /// first, so the reported simulated execution time covers exactly this
+    /// parallel phase.
     ///
     /// # Panics
     /// If called twice, or if any application thread panics; use
@@ -546,9 +566,10 @@ impl Cluster {
         self.try_run(body).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Run the cluster, surfacing a double run, spawn failures and panicked threads
-    /// as a [`RuntimeError`]. Even when workers panic, the master is joined first so
-    /// the partial [`MasterOutput`] stays available for post-mortem inspection.
+    /// Run the cluster, surfacing a double run, unmappable task stacks and panicked
+    /// threads as a [`RuntimeError`]. Even when workers panic, the master runs to
+    /// its end, so the partial [`MasterOutput`] stays available for post-mortem
+    /// inspection.
     pub fn try_run<F>(&mut self, body: F) -> Result<(), RuntimeError>
     where
         F: Fn(&mut JThread) + Send + Sync + 'static,
@@ -575,46 +596,31 @@ impl Cluster {
         self.shared.done.store(false, Ordering::Release);
 
         let wall_start = Instant::now();
-        let master = spawn_daemon(Arc::clone(&self.shared), mailbox, tap)?;
-
-        // Carrier threads: each registers its task with the deterministic executor
-        // (dispatch begins once all have, so spawn order is unobservable), runs the
-        // body under `catch_unwind` so the task can always be retired, and re-raises
-        // any panic for classification at join time.
-        let body = Arc::new(body);
-        let mut workers = Vec::with_capacity(self.shared.n_threads);
-        let mut spawn_error = None;
-        for t in 0..self.shared.n_threads {
-            let shared = Arc::clone(&self.shared);
-            let body = Arc::clone(&body);
-            let spawned = std::thread::Builder::new()
-                .name(format!("jthread-{t}"))
-                .stack_size(512 * 1024)
-                .spawn(move || {
-                    let exec = Arc::clone(&shared.exec);
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        exec.register_current(t);
-                        let thread = ThreadId(t as u32);
-                        let mut jt = JThread::new(shared, thread);
-                        body(&mut jt);
-                    }));
-                    exec.finish(t);
-                    if let Err(payload) = result {
-                        std::panic::resume_unwind(payload);
-                    }
-                });
-            match spawned {
-                Ok(w) => workers.push(w),
-                Err(e) => {
-                    spawn_error = Some(RuntimeError::SpawnFailed(format!("worker {t}: {e}")));
-                    // Registration can never complete: poison the executor so the
-                    // already-registered tasks (and the master) abort instead of
-                    // parking forever.
-                    self.shared.exec.poison();
-                    break;
-                }
-            }
-        }
+        let shared = &self.shared;
+        let (body, live) = (&body, &AtomicUsize::new(shared.n_threads));
+        let mut master_out = None;
+        // Every worker and the master run as tasks on this thread. Their
+        // stacks are mapped by `run_tasks`, so set-up (`try_build`, `init`)
+        // never pays for them.
+        let mut tasks: Vec<TaskSpec<'_>> = (0..shared.n_threads)
+            .map(|t| {
+                TaskSpec::new(WORKER_STACK_BYTES, move || {
+                    let _end = EndOfRun { shared, live };
+                    let mut jt = JThread::new(Arc::clone(shared), ThreadId(t as u32));
+                    body(&mut jt);
+                })
+            })
+            .collect();
+        tasks.push(daemon_task(
+            Arc::clone(shared),
+            mailbox,
+            tap,
+            &mut master_out,
+        ));
+        let outcomes = shared
+            .exec
+            .run_tasks(tasks)
+            .map_err(|e| RuntimeError::SpawnFailed(format!("task stacks: {e}")))?;
 
         // Panic classification: a task killed by executor poisoning (payload ==
         // POISON_MSG) is a cascade, not a root cause — report the first *primary*
@@ -622,8 +628,8 @@ impl Cluster {
         // whole task set deadlocked.
         let mut primary = None;
         let mut first_cascade = None;
-        for (t, w) in workers.into_iter().enumerate() {
-            if let Err(payload) = w.join() {
+        for (t, outcome) in outcomes.into_iter().take(self.shared.n_threads).enumerate() {
+            if let Err(payload) = outcome {
                 let is_poison = payload
                     .downcast_ref::<String>()
                     .map(String::as_str)
@@ -636,22 +642,16 @@ impl Cluster {
                 }
             }
         }
-        self.shared.done.store(true, Ordering::Release);
-        self.shared.exec.unblock(self.shared.master_task());
-        let master_out = master.join();
         self.run_wall_ns = wall_start.elapsed().as_nanos() as u64;
         // Keep whatever the master managed to produce, then report the most
         // fundamental failure.
         let (tapped, master_err) = match master_out {
-            Ok(Some((out, fx))) => {
+            Some((out, fx)) => {
                 self.master_out = Some(out);
                 (Some(fx), None)
             }
-            _ => (None, Some(RuntimeError::MasterPanicked)),
+            None => (None, Some(RuntimeError::MasterPanicked)),
         };
-        if let Some(e) = spawn_error {
-            return Err(e);
-        }
         if let Some(thread) = primary {
             return Err(RuntimeError::TaskPanicked { thread });
         }

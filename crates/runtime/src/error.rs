@@ -28,7 +28,7 @@ pub enum RuntimeError {
     InvalidPlacement(String),
     /// `run` was called a second time on the same cluster.
     AlreadyRun,
-    /// An OS thread could not be spawned.
+    /// A task could not be started: its stack could not be mapped.
     SpawnFailed(String),
     /// An application task panicked (or the cooperative task set deadlocked, in
     /// which case the executor poisons every task and the first one is named).

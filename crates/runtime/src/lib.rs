@@ -6,9 +6,10 @@
 //! and the global load balancer.
 //!
 //! * [`cluster`] — building and running a simulated cluster; each application (Java)
-//!   thread is a cooperatively-scheduled task of the deterministic executor
-//!   (carried by a parked OS thread) holding a [`thread::JThread`] handle, so a
-//!   given `(exec_seed, exec_jitter)` pair replays the whole run bit-identically.
+//!   thread is a cooperatively-scheduled task of the deterministic executor (on a
+//!   stack of its own; a run is one OS thread) holding a [`thread::JThread`]
+//!   handle, so a given `(exec_seed, exec_jitter)` pair replays the whole run
+//!   bit-identically.
 //! * [`thread`] — the application-facing API: allocation, read/write barriers,
 //!   locks/barriers (interval boundaries), stack frames, compute charging.
 //! * [`master`] — the coordinator: a core ([`master::MasterCore`]) that ingests

@@ -1,6 +1,6 @@
 //! The master JVM's correlation-computing daemon (Fig. 2).
 //!
-//! Runs on its own OS thread for the duration of a cluster run: drains OAL batches
+//! Runs as one executor task of a cluster run, next to the workers: drains OAL batches
 //! from the mailbox and groups them into TCM rounds **by interval number** — round
 //! `r` covers intervals `[r·ipr, (r+1)·ipr)` of every thread. Grouping by interval
 //! instead of arrival order keeps the correlation map deterministic under thread
@@ -72,9 +72,8 @@
 //! [`MasterState`] (`state.rs`) is what a restore reinstates, [`RoundScheduler`]
 //! included; every read of and write to the live cluster crosses the one
 //! [`MasterBoundary`] (`boundary.rs`), which [`LiveBoundary`] implements over
-//! the running cluster. The daemon thread registers the master's executor task
-//! and runs [`drive`] over the live boundary; a replay runs the same [`drive`]
-//! over a recorded one.
+//! the running cluster. The daemon's executor task runs [`drive`] over the live
+//! boundary; a replay runs the same [`drive`] over a recorded one.
 
 mod boundary;
 mod pipeline;
@@ -82,16 +81,14 @@ mod state;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use serde::{Deserialize, Serialize};
 
 use jessy_core::{Oal, Tcm};
-use jessy_net::Mailbox;
+use jessy_net::{Mailbox, TaskSpec};
 
 use crate::cluster::ClusterShared;
 use crate::dynamic::{PlacementTelemetry, PlannedMigration};
-use crate::error::RuntimeError;
 
 pub use boundary::{CostInputs, LiveBoundary, MasterBoundary, MasterSetup};
 pub use pipeline::MasterCore;
@@ -210,33 +207,29 @@ pub fn drive(fx: &mut impl MasterBoundary) -> MasterOutput {
     core.output()
 }
 
-/// Start the master daemon: executor task `n_threads`, on its own OS thread for
-/// the duration of a run. It registers its task, then [`drive`]s a core over the
-/// live boundary passed through `tap` (the identity for
-/// [`crate::Cluster::try_run`]). `catch_unwind` keeps a panicking master from
-/// wedging the task set: its task is retired and the executor poisoned, so
-/// worker carriers abort deterministically instead of parking forever.
-pub(crate) fn spawn_daemon<B: MasterBoundary + Send + 'static>(
+/// Stack of the master daemon's task.
+const MASTER_STACK_BYTES: usize = 2 * 1024 * 1024;
+
+/// The master daemon as executor task `n_threads` of a run: it [`drive`]s a
+/// core over the live boundary passed through `tap` (the identity for
+/// [`crate::Cluster::try_run`]) and leaves the output and the boundary in
+/// `out`. A panicking master poisons the executor, so the worker tasks abort
+/// deterministically instead of blocking forever; `out` stays `None`.
+pub(crate) fn daemon_task<'a, B: MasterBoundary + Send + 'static>(
     shared: Arc<ClusterShared>,
     mailbox: Mailbox<EpochOal>,
     tap: impl FnOnce(LiveBoundary) -> B + Send + 'static,
-) -> Result<JoinHandle<Option<(MasterOutput, B)>>, RuntimeError> {
-    std::thread::Builder::new()
-        .name("jessy-master".into())
-        .spawn(move || {
-            let exec = Arc::clone(&shared.exec);
-            let master_task = shared.master_task();
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                // Dispatch begins once the worker tasks have registered too.
-                exec.register_current(master_task);
-                let mut fx = tap(LiveBoundary { shared, mailbox });
-                (drive(&mut fx), fx)
-            }));
-            exec.finish(master_task);
-            if out.is_err() {
-                exec.poison();
-            }
-            out.ok()
-        })
-        .map_err(|e| RuntimeError::SpawnFailed(format!("master daemon: {e}")))
+    out: &'a mut Option<(MasterOutput, B)>,
+) -> TaskSpec<'a> {
+    TaskSpec::new(MASTER_STACK_BYTES, move || {
+        let exec = Arc::clone(&shared.exec);
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            let mut fx = tap(LiveBoundary { shared, mailbox });
+            (drive(&mut fx), fx)
+        }));
+        match ran {
+            Ok(done) => *out = Some(done),
+            Err(_) => exec.poison(),
+        }
+    })
 }

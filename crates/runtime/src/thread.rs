@@ -880,7 +880,8 @@ impl Drop for JThread {
     /// the cluster so post-run inspection (and a later re-adoption of the same
     /// thread id) sees the thread's heap state. The flush is a visible action,
     /// so an owed yield is paid first — unless unwinding or poisoned: a
-    /// scheduling point on a poisoned executor panics, and `drop` must not. (An
+    /// scheduling point on a poisoned executor panics, and `drop` must not; and
+    /// no task may switch to another while a panic unwinds (DESIGN.md §15). (An
     /// adopted thread's yield returns at once: it is no running task.)
     fn drop(&mut self) {
         if !std::thread::panicking() && !self.shared.exec.is_poisoned() {

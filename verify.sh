@@ -137,7 +137,10 @@ echo "==> chaos seed matrix (fault determinism must not depend on one seed)"
 # windows and the zero-plan invariant; every seed must satisfy every assertion.
 # The GOS stress suite takes its executor seed from the same variable, so each
 # seed is another interleaving of its lock and barrier storms; the executor's
-# own unit tests take it too, for their hand-off, outside-wake and poison storms.
+# own unit tests take it too, for their hand-off, outside-wake and poison storms
+# and for the transport differential (tasks on their own stacks and OS carriers
+# registered through register_current log the same schedule). CI runs each seed
+# here, once.
 for seed in 1 7 42 1337 31337 99999; do
   echo "--- JESSY_CHAOS_SEED=$seed"
   JESSY_CHAOS_SEED=$seed cargo test -p jessy-runtime --test chaos -q
@@ -184,8 +187,5 @@ awk '/"water_migrate": \{/ { lane = 1 }
      lane && /"sim_vs_off_pct"/ { metric = 1; next }
      metric && /"value"/ { seen = 1; sub(/,/, ""); print "water_migrate sim_vs_off_pct", $2; bad = ($2 + 0 >= 75); exit }
      END { if (!seen || bad) exit 1 }' benchmark/out/results.json
-
-echo "==> scale soak smoke (10k cooperative threads, time-compressed)"
-cargo test -p jessy-runtime --test soak -q -- --ignored
 
 echo "OK"
