@@ -8,7 +8,7 @@ use jessy_gos::{CostModel, ObjectId};
 use jessy_net::{LatencyModel, NodeId, ThreadId};
 use jessy_obs::{EventKind, JournalSink};
 use jessy_runtime::migration::count_would_fault;
-use jessy_runtime::{Cluster, LoadBalancer, MoveFilter, RebalanceConfig};
+use jessy_runtime::{Cluster, LoadBalancer, MoveFilter, RebalanceConfig, RuntimeError};
 
 /// Shared fixture: `n_pairs` pairs of threads; pair k shares its own object.
 /// Odd threads also touch a private object, so the TCM must show exactly the pair
@@ -442,4 +442,40 @@ fn one_shot_rebalance_is_one_epoch_of_the_engine() {
     assert_eq!((p.plans, p.directives), (1, 0), "{p:?}");
     assert!(p.vetoed_budget > 0, "{p:?}");
     assert!(cluster.shared().migration_log.lock().is_empty());
+}
+
+/// A worker that panics is named in the error, and every other task still
+/// runs to its end: the master closes its rounds and its output survives. The
+/// panicking task unwinds on its own stack without passing a scheduling point.
+#[test]
+fn a_panicking_worker_is_named_and_the_rest_of_the_run_completes() {
+    let (mut cluster, objs) = paired_cluster(2, SamplingRate::Full);
+    let ran = cluster.try_run(move |jt| {
+        let obj = objs[jt.thread_id().index() / 2];
+        jt.write(obj, |d| d[0] += 1.0);
+        jt.barrier();
+        if jt.thread_id().index() == 2 {
+            panic!("worker 2 fails");
+        }
+        jt.read(obj, |_| {});
+    });
+    assert_eq!(ran, Err(RuntimeError::TaskPanicked { thread: 2 }));
+    let master = cluster.master_output().expect("the master ran to its end");
+    assert!(master.oals_ingested > 0);
+    assert_eq!(cluster.report().n_threads, 4);
+}
+
+/// A barrier one thread never reaches deadlocks the task set: the executor
+/// poisons, every blocked task unwinds on its own stack, and the error names
+/// the first thread the poison killed.
+#[test]
+fn a_deadlocked_run_is_poisoned_and_reported() {
+    let (mut cluster, _) = paired_cluster(2, SamplingRate::Full);
+    let ran = cluster.try_run(|jt| {
+        if jt.thread_id().index() != 0 {
+            jt.barrier();
+        }
+    });
+    assert_eq!(ran, Err(RuntimeError::TaskPanicked { thread: 1 }));
+    assert!(cluster.shared().exec.is_poisoned());
 }
