@@ -529,7 +529,7 @@ fn handoffs_of(
     (cluster.shared().exec.handoffs(), report.proto.accesses)
 }
 
-/// A run changes the token's carrier at most `budget` times per access, and
+/// A run moves the token to another task at most `budget` times per access, and
 /// exactly as often when repeated: hand-offs are a pure function of the
 /// schedule.
 fn assert_handoff_budget(
@@ -554,8 +554,8 @@ fn assert_handoff_budget(
 }
 
 /// The point of lookahead, as a count that replays exactly: most Barnes-Hut
-/// accesses hit the thread's own cache copies, so the run token changes
-/// carrier on a minority of them (every access handed off before PR 16:
+/// accesses hit the thread's own cache copies, so the run token moves to
+/// another task on a minority of them (every access handed off before PR 16:
 /// > 1.0; 0.153 while a yield still followed every visible action).
 #[test]
 fn private_accesses_do_not_hand_the_token_off() {
