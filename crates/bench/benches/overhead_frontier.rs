@@ -8,22 +8,21 @@
 //!   and then under tightening `overhead_budget`s. The headline invariant: a 2%
 //!   budget must *hold* (steady-state measured cost ≤ 2% of charged compute)
 //!   while losing at most 10% relative TCM accuracy against the unbudgeted map.
-//! * **Spike lane** — a 10× burst of interval closes against a bounded mailbox,
-//!   once per shed policy. Every run completes and every shed is attributable
-//!   (the policy counters equal the shed ledger, which depresses adjusted
-//!   coverage).
+//! * **Spike lane** — a 10× burst of interval closes against a bounded mailbox.
+//!   Each sender drops its oldest pending batch; the run completes and every
+//!   shed is attributable (the shed ledger equals the journal's `OalShed`
+//!   events and depresses adjusted coverage).
 //! * **Slow-node lane** — a node runs 8× slow for the first stretch of the run.
-//!   With straggler detection the node is demoted (coverage prorated, rounds
-//!   keep closing) and restored after it recovers; without detection the
-//!   deadline path alone still converges. Neither wedges.
+//!   The round deadline closes the rounds it holds up, so the run never
+//!   wedges, and slowness loses no OAL.
 
 use std::sync::Arc;
 
 use jessy_bench::TextTable;
-use jessy_core::{accuracy_abs, ProfilerConfig, SamplingRate, ShedPolicy};
+use jessy_core::{accuracy_abs, ProfilerConfig, SamplingRate};
 use jessy_gos::{CostModel, LockId, ObjectId};
 use jessy_net::{FaultPlan, LatencyModel, NodeId, SlowWindow};
-use jessy_obs::{round_series, JournalSink};
+use jessy_obs::{round_series, EventKind, JournalSink};
 use jessy_runtime::{Cluster, MasterOutput, RunReport};
 
 const NODES: usize = 2;
@@ -157,15 +156,15 @@ fn frontier_lane(barriers: usize) {
 /// The spike workload: steady barrier rounds bracketing a burst of uncontended
 /// `lock`/`unlock` critical sections — every boundary closes an interval and
 /// posts its OAL without yielding the cooperative token, so the 4-slot mailbox
-/// must shed under whichever policy is configured. Returns the report, the
-/// master's output and, from the run's journal, each round's coverage.
-fn spike_run(policy: ShedPolicy, burst: usize) -> (RunReport, MasterOutput, Vec<f64>) {
+/// must shed. Returns the report, the master's output and, from the run's
+/// journal, each round's coverage and the sorted `(thread, interval)` of every
+/// `OalShed` event.
+fn spike_run(burst: usize) -> (RunReport, MasterOutput, Vec<f64>, Vec<(u32, u64)>) {
     let sink = JournalSink::shared();
     let mut config = ProfilerConfig::tracking_at(SamplingRate::NX(1));
     config.intervals_per_round = 1;
     config.round_deadline_intervals = Some(3);
     config.oal_mailbox_capacity = Some(4);
-    config.shed_policy = policy;
     let mut cluster = Cluster::builder()
         .nodes(NODES)
         .threads(THREADS)
@@ -200,49 +199,44 @@ fn spike_run(policy: ShedPolicy, burst: usize) -> (RunReport, MasterOutput, Vec<
     });
     let report = cluster.report();
     let master = cluster.master_output().expect("master ran").clone();
-    let coverage = round_series(&sink.sorted_events()).rounds.iter().map(|r| r.coverage).collect();
-    (report, master, coverage)
+    let events = sink.sorted_events();
+    let coverage = round_series(&events).rounds.iter().map(|r| r.coverage).collect();
+    let mut journaled: Vec<(u32, u64)> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::OalShed { thread, interval } => Some((thread, interval)),
+            _ => None,
+        })
+        .collect();
+    journaled.sort_unstable();
+    (report, master, coverage, journaled)
 }
 
 fn spike_lane(burst: usize) {
-    println!("spike: 10x interval-close burst vs a 4-slot mailbox, per shed policy\n");
-    let mut t = TextTable::new(&["policy", "sheds", "dropped", "merged", "summarized", "rounds", "min adj cover"]);
-    for policy in [ShedPolicy::DropOldestRound, ShedPolicy::MergeBatches, ShedPolicy::SummaryOnly] {
-        let (report, master, coverage) = spike_run(policy, burst);
-        let sheds = report.sheds_dropped + report.sheds_merged + report.sheds_summarized;
-        assert!(sheds > 0, "the burst must shed under {policy:?}");
-        assert_eq!(
-            sheds,
-            report.shed_oals.len() as u64,
-            "every shed is attributable to its (thread, interval)"
-        );
-        let adjusted = report.adjusted_round_coverage(&coverage, 1);
-        let min_adj = adjusted.iter().copied().fold(1.0f64, f64::min);
-        assert!(min_adj < 1.0, "sheds must depress adjusted coverage");
-        t.row(&[
-            format!("{policy:?}"),
-            sheds.to_string(),
-            report.sheds_dropped.to_string(),
-            report.sheds_merged.to_string(),
-            report.sheds_summarized.to_string(),
-            master.rounds.to_string(),
-            format!("{min_adj:.3}"),
-        ]);
-    }
+    println!("spike: 10x interval-close burst vs a 4-slot mailbox (drop the oldest batch)\n");
+    let (report, master, coverage, journaled) = spike_run(burst);
+    let sheds = report.shed_oals.len();
+    assert!(sheds > 0, "the burst must shed");
+    assert_eq!(journaled, report.shed_oals, "every shed is attributable to its (thread, interval)");
+    let adjusted = report.adjusted_round_coverage(&coverage, 1);
+    let min_adj = adjusted.iter().copied().fold(1.0f64, f64::min);
+    assert!(min_adj < 1.0, "sheds must depress adjusted coverage");
+    let mut t = TextTable::new(&["sheds", "rounds", "min adj cover"]);
+    t.row(&[sheds.to_string(), master.rounds.to_string(), format!("{min_adj:.3}")]);
     println!("{}", t.render());
-    println!("backpressure never blocks the application: the burst completes under every");
-    println!("policy, and the shed ledger accounts for exactly what coverage lost.\n");
+    println!("backpressure never blocks the application: the burst completes, and the");
+    println!("shed ledger, equal to the journal's OalShed events, accounts for exactly");
+    println!("what coverage lost.\n");
 }
 
 // ------------------------------------------------------------ slow-node lane
 
 /// The slow-node workload: per-thread critical sections (two interval closes
 /// per iteration), with node 1 running 8× slow until `until_ns`, then healthy.
-fn slow_run(detect: bool, iters: usize, until_ns: u64) -> (RunReport, MasterOutput) {
+fn slow_run(iters: usize, until_ns: u64) -> (RunReport, MasterOutput) {
     let mut config = ProfilerConfig::tracking_at(SamplingRate::NX(1));
     config.intervals_per_round = 1;
     config.round_deadline_intervals = Some(4);
-    config.straggler_lag_intervals = detect.then_some(1.2);
     let mut cluster = Cluster::builder()
         .nodes(NODES)
         .threads(THREADS)
@@ -284,28 +278,21 @@ fn slow_run(detect: bool, iters: usize, until_ns: u64) -> (RunReport, MasterOutp
 
 fn slow_lane(iters: usize, until_ns: u64) {
     println!("slow node: node 1 at 8x service time for the first stretch of the run\n");
-    let mut t = TextTable::new(&["detection", "stragglers", "rounds", "deadline", "min cover"]);
-    for detect in [false, true] {
-        let (report, master) = slow_run(detect, iters, until_ns);
-        assert!(master.rounds > 0, "the slow-node run must converge");
-        assert_eq!(report.oal_post_failures, 0, "slowness loses nothing");
-        if detect {
-            assert!(master.stragglers >= 1, "the slow node must be demoted");
-        } else {
-            assert_eq!(master.stragglers, 0);
-        }
-        t.row(&[
-            if detect { "ewma demote" } else { "deadline only" }.to_string(),
-            master.stragglers.to_string(),
-            master.rounds.to_string(),
-            master.deadline_rounds.to_string(),
-            format!("{:.3}", master.round_coverage.unwrap_or(1.0)),
-        ]);
-    }
+    let (report, master) = slow_run(iters, until_ns);
+    assert!(master.rounds > 0, "the slow-node run must converge");
+    assert!(master.deadline_rounds > 0, "the deadline closes the slow node's rounds");
+    assert_eq!(report.oal_post_failures, 0, "slowness loses nothing");
+    assert!(report.shed_oals.is_empty(), "no mailbox bound, no sheds");
+    let mut t = TextTable::new(&["rounds", "deadline", "late OALs", "min cover"]);
+    t.row(&[
+        master.rounds.to_string(),
+        master.deadline_rounds.to_string(),
+        master.late_oals.to_string(),
+        format!("{:.3}", master.round_coverage.unwrap_or(1.0)),
+    ]);
     println!("{}", t.render());
-    println!("both lanes converge; demotion prorates the straggler out of the coverage");
-    println!("denominator while it lags (its late intervals still reach the map) and");
-    println!("restores it once its progress deficit decays below half the threshold.");
+    println!("the deadline closes the rounds the slow node holds up, at partial coverage;");
+    println!("its intervals arrive late and still fold into the map.");
 }
 
 fn main() {

@@ -89,36 +89,6 @@ impl Default for FootprintConfig {
     }
 }
 
-/// How a thread sheds pending OAL batches when the master's bounded mailbox is
-/// full (see `ProfilerConfig::oal_mailbox_capacity`). Every policy is
-/// deterministic — the choice of what to shed depends only on the pending queue,
-/// never on wall-clock time — and every shed batch is attributed in `RunReport`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShedPolicy {
-    /// Drop the oldest pending batch outright. The freshest data survives; the
-    /// dropped interval is prorated out of round coverage like a lost OAL.
-    DropOldestRound,
-    /// Merge the two oldest pending batches into one (entries concatenated, the
-    /// younger interval's identity kept) — halves queue depth without losing
-    /// bytes, at the cost of interval-attribution precision.
-    MergeBatches,
-    /// Merge like [`ShedPolicy::MergeBatches`] but also collapse the merged batch
-    /// to per-class summaries (`Oal::summarize`), shedding object identity to cut
-    /// wire bytes — the last rung before data loss.
-    SummaryOnly,
-}
-
-impl ShedPolicy {
-    /// Stable lowercase label for events and metrics keys.
-    pub fn label(self) -> &'static str {
-        match self {
-            ShedPolicy::DropOldestRound => "drop_oldest_round",
-            ShedPolicy::MergeBatches => "merge_batches",
-            ShedPolicy::SummaryOnly => "summary_only",
-        }
-    }
-}
-
 /// What the profiler does with the accesses it sees: whether it logs them, at
 /// what grain, and whether the logs reach the coordinator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -196,13 +166,11 @@ pub struct ProfilerConfig {
     /// controller). `None` keeps the accuracy-only controller bit-identical to
     /// previous releases.
     pub overhead_budget: Option<f64>,
-    /// Bound the master's OAL mailbox to this many queued envelopes; senders that
-    /// find it full shed per `shed_policy` instead of growing the queue. `None`
-    /// keeps the legacy unbounded mailbox.
+    /// Bound the master's OAL mailbox to this many queued envelopes; a sender
+    /// whose pending queue outgrows the bound drops its oldest batch instead of
+    /// growing the queue, every drop attributed. `None` keeps the unbounded
+    /// mailbox.
     pub oal_mailbox_capacity: Option<usize>,
-    /// What a thread does with pending OAL batches when the bounded mailbox is
-    /// full. Ignored unless `oal_mailbox_capacity` is set.
-    pub shed_policy: ShedPolicy,
     /// Post-convergence drift watching: a converged class whose per-round
     /// relative `E_ABS` distance spikes above this threshold (for
     /// [`DRIFT_HYSTERESIS_ROUNDS`](crate::adaptive::DRIFT_HYSTERESIS_ROUNDS)
@@ -213,13 +181,6 @@ pub struct ProfilerConfig {
     /// per class. Must be at least `adaptive_threshold` (the gap is the hysteresis
     /// band). `None` keeps the historical frozen-forever behaviour, bit for bit.
     pub drift_threshold: Option<f64>,
-    /// Gray-failure detection: demote a node to straggler once the EWMA of its
-    /// per-round progress deficit (intervals advanced behind the cluster's
-    /// fastest-progressing node between round closes) exceeds this; its
-    /// unreported intervals are prorated out of round coverage (like a soft
-    /// quarantine) until the EWMA recovers below half the threshold. `None`
-    /// disables detection.
-    pub straggler_lag_intervals: Option<f64>,
 }
 
 impl ProfilerConfig {
@@ -239,9 +200,7 @@ impl ProfilerConfig {
             quarantine_after_crashes: None,
             overhead_budget: None,
             oal_mailbox_capacity: None,
-            shed_policy: ShedPolicy::DropOldestRound,
             drift_threshold: None,
-            straggler_lag_intervals: None,
         }
     }
 
@@ -349,15 +308,6 @@ impl ProfilerConfig {
                 "0".to_string(),
                 "a zero-capacity mailbox could never accept mail; use None for unbounded",
             );
-        }
-        if let Some(lag) = self.straggler_lag_intervals {
-            if !lag.is_finite() || lag <= 0.0 {
-                return err(
-                    "straggler_lag_intervals",
-                    format!("{lag}"),
-                    "the straggler lag threshold must be a finite number of intervals exceeding 0",
-                );
-            }
         }
         Ok(())
     }
@@ -497,20 +447,6 @@ mod tests {
                     ..base
                 },
                 "drift_threshold",
-            ),
-            (
-                ProfilerConfig {
-                    straggler_lag_intervals: Some(f64::NAN),
-                    ..base
-                },
-                "straggler_lag_intervals",
-            ),
-            (
-                ProfilerConfig {
-                    straggler_lag_intervals: Some(0.0),
-                    ..base
-                },
-                "straggler_lag_intervals",
             ),
         ];
         for (cfg, field) in cases {

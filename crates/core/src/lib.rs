@@ -48,7 +48,7 @@ pub mod view;
 pub use accuracy::{accuracy_abs, accuracy_euc, e_abs, e_abs_sparse, e_euc};
 pub use adaptive::{AdaptiveController, DegradeStep, RateCause, RateChange, RoundOutcome};
 pub use config::{
-    ConfigError, FootprintConfig, FootprintMode, ProfilerConfig, ProfilingMode, ShedPolicy,
+    ConfigError, FootprintConfig, FootprintMode, ProfilerConfig, ProfilingMode,
     StackSamplingConfig,
 };
 pub use homeaware::{HomeAwareAnalyzer, HomeAwareReport, HomeMigrationRec};

@@ -118,8 +118,8 @@ impl PartitionWindow {
 /// of service time its threads charge while `now_ns ∈ [from_ns, until_ns)` is
 /// multiplied by `factor`. The node keeps participating in the protocol — its OALs
 /// still ship, just later — so failure detectors built on liveness never fire; only
-/// latency-sensitive machinery (round deadlines, the master's straggler EWMAs) can
-/// see it. Overlapping windows take the maximum factor.
+/// latency-sensitive machinery (the round deadline) can see it. Overlapping windows
+/// take the maximum factor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SlowWindow {
     /// The slow node.

@@ -265,16 +265,13 @@ pub enum EventKind {
         /// for a permanent partition).
         heal_ns: u64,
     },
-    /// A pending OAL batch was shed (dropped, merged, or summarized) because
-    /// the master's bounded mailbox was full. The interval named is the one
-    /// whose identity was lost; its samples are prorated out of round coverage.
+    /// A pending OAL batch was dropped because the master's bounded mailbox
+    /// was full. Its interval is prorated out of round coverage.
     OalShed {
         /// The thread that shed the batch.
         thread: u32,
-        /// The interval whose batch identity was shed.
+        /// The interval of the dropped batch.
         interval: u64,
-        /// The shed policy's stable label (`ShedPolicy::label`).
-        policy: String,
     },
     /// The adaptive controller took one degradation-ladder rung because the
     /// round's measured profiling cost exceeded `ProfilerConfig::overhead_budget`
@@ -286,25 +283,6 @@ pub enum EventKind {
         step: String,
         /// The measured cost as a fraction of charged compute.
         cost_fraction: f64,
-    },
-    /// A node's interval-watermark lag EWMA crossed the straggler threshold:
-    /// its unreported intervals are prorated out of round coverage until it
-    /// recovers (gray-failure tolerance; softer than `NodeQuarantined`).
-    StragglerDemoted {
-        /// The lagging node.
-        node: u16,
-        /// The round the demotion took effect in.
-        round: u64,
-        /// The lag EWMA (in intervals) that tripped the threshold.
-        lag_ewma: f64,
-    },
-    /// A demoted straggler's lag EWMA recovered below half the threshold and
-    /// the node rejoined the coverage denominator.
-    StragglerRestored {
-        /// The recovered node.
-        node: u16,
-        /// The round the restoration took effect in.
-        round: u64,
     },
     /// The placement engine closed a planning epoch at a round boundary and
     /// posted migration directives.
@@ -376,8 +354,6 @@ impl EventKind {
             EventKind::OalDeferred { .. } => "OalDeferred",
             EventKind::OalShed { .. } => "OalShed",
             EventKind::BudgetDegraded { .. } => "BudgetDegraded",
-            EventKind::StragglerDemoted { .. } => "StragglerDemoted",
-            EventKind::StragglerRestored { .. } => "StragglerRestored",
             EventKind::PlacementPlanned { .. } => "PlacementPlanned",
             EventKind::MigrationApplied { .. } => "MigrationApplied",
             EventKind::DirectiveFenced { .. } => "DirectiveFenced",

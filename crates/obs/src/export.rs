@@ -53,8 +53,6 @@ fn category(kind: &EventKind) -> &'static str {
         | EventKind::OalDeferred { .. }
         | EventKind::OalShed { .. }
         | EventKind::BudgetDegraded { .. }
-        | EventKind::StragglerDemoted { .. }
-        | EventKind::StragglerRestored { .. }
         | EventKind::PlacementPlanned { .. }
         | EventKind::MigrationApplied { .. }
         | EventKind::DirectiveFenced { .. } => "runtime",

@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use parking_lot::RwLock;
 
-use jessy_core::{ProfilerConfig, ProfilerShared, ShedPolicy};
+use jessy_core::{ProfilerConfig, ProfilerShared};
 use jessy_gos::protocol::ConsistencyModel;
 use jessy_gos::{ClassId, CostModel, Gos, GosConfig, LockId, ObjectCore, ObjectId, ThreadSpace};
 use jessy_obs::{EventKind, TraceSink};
@@ -100,12 +100,11 @@ pub struct ClusterShared {
     /// [`crate::RunReport::lost_oals`] and its `oal_post_failures` count, so the
     /// loss reaches coverage accounting instead of dying as a bare counter.
     pub lost_oals: parking_lot::Mutex<Vec<(u32, u64)>>,
-    /// The `(thread, interval, policy)` of every OAL batch whose identity was shed
-    /// under mailbox backpressure (dropped outright, or merged away into a younger
-    /// batch) — the one record behind [`crate::RunReport::shed_oals`] and its
-    /// per-policy counters, folded into `adjusted_round_coverage` exactly like
-    /// `lost_oals`, so no shed is ever silent.
-    pub shed_oals: parking_lot::Mutex<Vec<(u32, u64, ShedPolicy)>>,
+    /// The `(thread, interval)` of every OAL batch dropped under mailbox
+    /// backpressure — the one record behind [`crate::RunReport::shed_oals`],
+    /// folded into `adjusted_round_coverage` exactly like `lost_oals`, so no
+    /// shed is ever silent.
+    pub shed_oals: parking_lot::Mutex<Vec<(u32, u64)>>,
     /// The observability journal, if tracing is enabled. Runtime-layer events
     /// funnel through [`ClusterShared::emit_event`]; the GOS and fabric hold
     /// their own clones installed at build time.
@@ -375,7 +374,7 @@ impl ClusterBuilder {
         gos.set_executor(Arc::clone(&exec));
         let board = ClockBoard::new(self.n_threads + 1);
         // A configured capacity bounds the master's OAL queue; senders that find
-        // it full queue per-thread and shed per `shed_policy`. `None` keeps the
+        // it full queue per-thread and drop their oldest batch. `None` keeps the
         // unbounded mailbox, whose senders never find it full.
         let mailbox = match self.profiler.oal_mailbox_capacity {
             Some(cap) => Mailbox::bounded(NodeId::MASTER, cap),

@@ -177,9 +177,6 @@ pub struct MasterOutput {
     pub converged_classes: u64,
     /// The master epoch at the end of the run (0 = never crashed).
     pub final_epoch: u64,
-    /// Straggler demotions performed by the gray-failure detector
-    /// (`ProfilerConfig::straggler_lag_intervals`).
-    pub stragglers: u64,
     /// Rounds whose measured profiling cost (the `RoundClosed` event's
     /// `cost_fraction`) exceeded `ProfilerConfig::overhead_budget` (0 without
     /// a budget). A ledger counter: a restore rolls it back with the rounds it

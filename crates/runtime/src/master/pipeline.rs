@@ -40,23 +40,6 @@ struct Counters {
     restores: u64,
     replayed_oals: u64,
     quarantined_nodes: u64,
-    /// Straggler demotions.
-    stragglers: u64,
-}
-
-/// The gray-failure detector's observations (`straggler_lag_intervals`). They
-/// describe the live regime, so a restore resets them.
-#[derive(Debug)]
-struct Stragglers {
-    threshold: f64,
-    /// Per-node progress-deficit EWMA (α = 0.3), in intervals behind the
-    /// fastest-progressing node per round close.
-    lag_ewma: Vec<f64>,
-    /// Per-node minimum interval watermark at the previous round close, the
-    /// baseline for the next progress-deficit measurement.
-    prev_node_min: Vec<u64>,
-    /// Per-node demotion flag (node currently prorated out of coverage).
-    demoted: Vec<bool>,
 }
 
 /// The master: all of its state, and the stages that move it. See the module
@@ -71,9 +54,7 @@ pub struct MasterCore {
     /// Per-object accessor statistics for home repair (Section V's home
     /// effect): kept only when rebalancing with `migrate_homes` on.
     homeaware: Option<HomeAwareAnalyzer>,
-    stragglers: Option<Stragglers>,
-    /// The crash-quarantine table in force at startup: the round-zero state's,
-    /// and what a straggler's threads revert to when its node recovers.
+    /// The crash-quarantine table, fixed for the run: the round-zero state's.
     quarantine: Vec<Option<u64>>,
     /// Classes whose convergence was already journaled (an event fires once per
     /// class, even when replay re-closes the round that froze it).
@@ -133,19 +114,12 @@ impl MasterCore {
             .rebalance
             .filter(|c| c.migrate_homes)
             .map(|_| HomeAwareAnalyzer::new(n_nodes, setup.n_threads));
-        let stragglers = setup.config.straggler_lag_intervals.map(|threshold| Stragglers {
-            threshold,
-            lag_ewma: vec![0.0; n_nodes],
-            prev_node_min: vec![0; n_nodes],
-            demoted: vec![false; n_nodes],
-        });
         MasterCore {
             accrual: RoundAccrual::new(setup.n_threads),
             state: MasterState::fresh(&setup, quarantine.clone()),
             setup,
             counters,
             homeaware,
-            stragglers,
             quarantine,
             announced_converged: BTreeSet::new(),
             epoch: 0,
@@ -217,7 +191,7 @@ impl MasterCore {
     }
 
     /// Close one round: reduce it, journal it, hand it to the controller,
-    /// watch for stragglers and plan when an epoch is due.
+    /// and plan when an epoch is due.
     fn close_round(&mut self, closed: ClosedRound, fx: &mut impl MasterBoundary) {
         // No thread moves while the master holds the token, so one read of the
         // placement serves every stage of the close.
@@ -247,7 +221,6 @@ impl MasterCore {
             cost_fraction,
         });
         self.control(&closed, &summary.per_class, cost_fraction, fx);
-        self.update_stragglers(closed.round, &placement, fx);
 
         // Dynamic balancing (Section V's policy, built on the profiles): a
         // planning epoch once `after_rounds` rounds have closed, then — with
@@ -387,81 +360,6 @@ impl MasterCore {
         }
     }
 
-    /// Gray-failure detection (`ProfilerConfig::straggler_lag_intervals`): at
-    /// every round close, measure how many intervals each node *progressed*
-    /// since the previous close and track its deficit behind the
-    /// fastest-progressing node as an EWMA. The deficit detects *slowness*
-    /// (a gray node advances fewer intervals per unit of cluster progress),
-    /// not backlog, so it decays as soon as the node runs at full speed again
-    /// even while it still owes old intervals. A node whose EWMA crosses the
-    /// threshold is *demoted* — its threads' unreported intervals are prorated
-    /// out of round coverage via the scheduler's quarantine overlay, so a slow
-    /// (not dead) node degrades coverage instead of wedging rounds or tripping
-    /// low-coverage skips. When the EWMA recovers below half the threshold the
-    /// node is restored to the crash-quarantine base. Late data from a demoted
-    /// node still folds into the TCM — demotion is a coverage-accounting
-    /// decision, never data loss.
-    fn update_stragglers(&mut self, round: u64, placement: &[NodeId], fx: &mut impl MasterBoundary) {
-        let Some(s) = &mut self.stragglers else {
-            return;
-        };
-        let scheduler = &mut self.state.scheduler;
-        let wm = scheduler.watermarks().to_vec();
-        let mut node_min: Vec<Option<u64>> = vec![None; s.lag_ewma.len()];
-        for (t, node) in placement.iter().enumerate() {
-            let slot = &mut node_min[node.index()];
-            *slot = Some(slot.map_or(wm[t], |m| m.min(wm[t])));
-        }
-        let deltas: Vec<Option<u64>> = node_min
-            .iter()
-            .zip(&s.prev_node_min)
-            .map(|(m, prev)| m.map(|m| m.saturating_sub(*prev)))
-            .collect();
-        let max_delta = deltas.iter().flatten().copied().max().unwrap_or(0);
-        for (prev, m) in s.prev_node_min.iter_mut().zip(&node_min) {
-            if let Some(m) = m {
-                *prev = *m;
-            }
-        }
-        if max_delta == 0 {
-            // Nothing progressed since the last close (e.g. a burst of closes
-            // from one ingest): no signal, keep the EWMAs as they are.
-            return;
-        }
-        let mut table = scheduler.quarantine_table();
-        let mut dirty = false;
-        for (n, delta) in deltas.iter().enumerate() {
-            let Some(delta) = *delta else {
-                continue; // hosts no threads; nothing to observe
-            };
-            let lag = (max_delta - delta) as f64;
-            s.lag_ewma[n] = 0.3 * lag + 0.7 * s.lag_ewma[n];
-            let on_node = placement.iter().enumerate().filter(|(_, node)| node.index() == n);
-            if !s.demoted[n] && s.lag_ewma[n] > s.threshold {
-                s.demoted[n] = true;
-                self.counters.stragglers += 1;
-                for (t, _) in on_node {
-                    // The thread owes nothing beyond what it has already
-                    // reported; a tighter crash expulsion stays in force.
-                    table[t] = Some(table[t].map_or(wm[t], |q| q.min(wm[t])));
-                }
-                dirty = true;
-                let lag_ewma = s.lag_ewma[n];
-                fx.emit(EventKind::StragglerDemoted { node: n as u16, round, lag_ewma });
-            } else if s.demoted[n] && s.lag_ewma[n] < s.threshold / 2.0 {
-                s.demoted[n] = false;
-                for (t, _) in on_node {
-                    table[t] = self.quarantine[t];
-                }
-                dirty = true;
-                fx.emit(EventKind::StragglerRestored { node: n as u16, round });
-            }
-        }
-        if dirty {
-            scheduler.set_quarantine(table);
-        }
-    }
-
     /// One planning epoch: decide the moves over the cumulative map
     /// ([`plan_epoch`]), post them as epoch-stamped directives, then, with
     /// `migrate_homes`, repair homes.
@@ -585,14 +483,6 @@ impl MasterCore {
             let on = self.state.controller.as_ref().is_some_and(|c| c.summary_only());
             fx.set_summary_only(on);
         }
-        // Straggler demotions are volatile observations of the dead regime: drop
-        // any overlay back to the crash-quarantine base and re-observe.
-        if let Some(s) = &mut self.stragglers {
-            self.state.scheduler.set_quarantine(self.quarantine.clone());
-            s.lag_ewma.fill(0.0);
-            s.prev_node_min.fill(0);
-            s.demoted.fill(false);
-        }
 
         // New regime: bump the epoch, publish it to the workers, and account the
         // epoch + rate-table broadcast that re-registration answers carry.
@@ -668,7 +558,6 @@ impl MasterCore {
             quarantined_nodes: self.counters.quarantined_nodes,
             converged_classes: controller.map_or(0, |c| c.converged_count() as u64),
             final_epoch: self.epoch,
-            stragglers: self.counters.stragglers,
             budget_over_rounds: ledger.budget_over_rounds,
             budget_degrades: controller.map_or(0, |c| c.degrades()),
             drift_reactivations: controller.map_or(0, |c| c.reactivations()),
@@ -874,12 +763,8 @@ mod tests {
     }
 
     #[test]
-    fn a_slow_node_is_demoted_then_restored() {
-        let config = ProfilerConfig {
-            round_deadline_intervals: Some(1),
-            straggler_lag_intervals: Some(0.5),
-            ..config()
-        };
+    fn a_slow_node_is_closed_out_by_the_deadline_and_its_late_data_folds() {
+        let config = ProfilerConfig { round_deadline_intervals: Some(1), ..config() };
         let mut fx = fake(config, &[0, 1]);
         let mut core = MasterCore::new(&mut fx);
         // Thread 1 (node 1) stalls for four intervals while thread 0 advances,
@@ -891,16 +776,12 @@ mod tests {
             core.ingest(vec![oal(0, i, &[1], 64), oal(1, i - 4, &[1], 64)], &mut fx);
         }
         core.finish(&mut fx);
-        let demoted = events(&fx)
-            .iter()
-            .position(|e| matches!(e, EventKind::StragglerDemoted { node: 1, .. }))
-            .expect("the stalled node is demoted");
-        let restored = events(&fx)
-            .iter()
-            .position(|e| matches!(e, EventKind::StragglerRestored { node: 1, .. }))
-            .expect("the recovered node is restored");
-        assert!(demoted < restored);
-        assert_eq!(core.output().stragglers, 1);
+        let out = core.output();
+        assert_eq!(out.rounds, 14, "every round closes");
+        assert!(out.deadline_rounds > 0, "the deadline closes the slow node's rounds");
+        assert_eq!(out.round_coverage, Some(0.5));
+        assert!(out.late_oals > 0);
+        assert_eq!(out.oals_ingested, 24, "nothing is lost: late OALs are ingested too");
     }
 
     /// Threads 0/1 and 2/3 correlated but split across two nodes; `every`
@@ -1100,18 +981,16 @@ mod tests {
         Drift,
         BudgetLadder,
         HomeRepair,
-        Stragglers,
         Deadlines,
     }
 
     impl Feature {
-        const ALL: [Feature; 7] = [
+        const ALL: [Feature; 6] = [
             Feature::Fixed,
             Feature::Adaptive,
             Feature::Drift,
             Feature::BudgetLadder,
             Feature::HomeRepair,
-            Feature::Stragglers,
             Feature::Deadlines,
         ];
 
@@ -1128,7 +1007,6 @@ mod tests {
                 Feature::HomeRepair => {
                     !ledger.planned_migrations.is_empty() && ledger.placement.homes_repaired > 0
                 }
-                Feature::Stragglers => calm.demotions > 0,
                 Feature::Deadlines => ledger.skipped_rounds > 0,
             }
         }
@@ -1143,11 +1021,6 @@ mod tests {
                 Feature::Drift => ProfilerConfig { drift_threshold: Some(0.3), ..adaptive },
                 Feature::BudgetLadder => ProfilerConfig { overhead_budget: Some(0.008), ..adaptive },
                 Feature::HomeRepair => adaptive,
-                Feature::Stragglers => ProfilerConfig {
-                    round_deadline_intervals: Some(1),
-                    straggler_lag_intervals: Some(0.5),
-                    ..adaptive
-                },
                 Feature::Deadlines => ProfilerConfig {
                     round_deadline_intervals: Some(1),
                     min_round_coverage: 0.8,
@@ -1249,7 +1122,6 @@ mod tests {
         fenced: u64,
         /// Copies that arrived stamped with an epoch older than the master's.
         stale_copies: u64,
-        demotions: usize,
     }
 
     /// Run `stream` through a fresh core under `windows`. An OAL's first send
@@ -1279,9 +1151,7 @@ mod tests {
                 closes.entry(*round).or_default().push(e.clone());
             }
         }
-        let demoted = |e: &&Effect| matches!(e, Effect::Emit(EventKind::StragglerDemoted { .. }));
         Outcome {
-            demotions: fx.effects.iter().filter(demoted).count(),
             restores: core.counters.restores,
             duplicates: core.counters.duplicates,
             fenced: core.counters.fenced,
@@ -1313,10 +1183,9 @@ mod tests {
 
     /// DESIGN.md §12's identity, at every crash point: the crashed run ends in
     /// the crash-free run's state and journals every close of a round as the
-    /// crash-free run closed it. With stragglers or rebalancing on, the test
-    /// checks the narrower scope §12 states: a restore resets the straggler
-    /// detector and the home statistics, and replayed plans read the live
-    /// placement.
+    /// crash-free run closed it. With rebalancing on, the test checks the
+    /// narrower scope §12 states: a restore resets the home statistics, and
+    /// replayed plans read the live placement.
     #[test]
     fn every_crash_point_restores_the_crash_free_state() {
         let windows = crash_windows();
@@ -1341,12 +1210,6 @@ mod tests {
                         assert_eq!(crashed.fenced, crashed.stale_copies, "{case}");
                         assert_eq!(crashed.duplicates + crashed.fenced, calm.duplicates, "{case}");
                         fenced += crashed.fenced;
-                        if feature == Feature::Stragglers {
-                            // The reset demotion overlay can close a later round
-                            // by another rule: its coverage, its late OALs and so
-                            // the map and the rates may differ.
-                            continue;
-                        }
                         if feature == Feature::HomeRepair {
                             // A replayed planning epoch reads the placement that
                             // earlier directives moved, and home statistics

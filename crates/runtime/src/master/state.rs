@@ -50,10 +50,9 @@ pub struct MasterLedger {
 /// (property-tested).
 ///
 /// What it leaves out is not rolled back by a restore: the run counters
-/// (checkpoints, restores, replayed OALs, stragglers),
-/// which describe what actually happened. The straggler detector's observations
-/// and the home-aware statistics are volatile: a restore resets them, and the
-/// replayed rounds re-accumulate them.
+/// (checkpoints, restores, replayed OALs), which describe what actually
+/// happened. The home-aware statistics are volatile: a restore resets them,
+/// and the replayed rounds re-accumulate them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MasterState {
     /// Round assembly (watermarks, open buckets, dedup set, late buffer).
@@ -78,11 +77,13 @@ impl MasterState {
     pub(super) fn fresh(setup: &MasterSetup, quarantine: Vec<Option<u64>>) -> Self {
         let config = &setup.config;
         let ipr = (config.intervals_per_round as u64).max(1);
-        let mut scheduler =
-            RoundScheduler::new(setup.n_threads, ipr, config.round_deadline_intervals);
-        scheduler.set_quarantine(quarantine);
         MasterState {
-            scheduler,
+            scheduler: RoundScheduler::new(
+                setup.n_threads,
+                ipr,
+                config.round_deadline_intervals,
+                quarantine,
+            ),
             tcm: Tcm::new(setup.n_threads),
             controller: AdaptiveController::new(config),
             rates: setup.rates.clone(),
@@ -158,6 +159,12 @@ pub struct RoundScheduler {
     next_round: u64,
     /// Per-thread watermark: 1 + highest interval id seen.
     watermark: Vec<u64>,
+    /// The highest watermark of any thread.
+    max_watermark: u64,
+    /// Threads whose watermark is still below what they owe `next_round`
+    /// (see [`RoundScheduler::required`]): the round closes complete at 0.
+    /// Recounted at every close; an accepted OAL can only lower it.
+    owing: usize,
     /// Round id → buffered non-empty OALs of its interval range.
     buckets: BTreeMap<u64, Vec<Oal>>,
     /// Round id → distinct (thread, interval) OALs received (coverage numerator;
@@ -174,40 +181,51 @@ pub struct RoundScheduler {
     /// Per-thread quarantine start: `Some(q)` excludes the thread's intervals `>= q`
     /// from the coverage numerator, denominator and the complete-close watermark rule
     /// (the thread's node crashed past the flap threshold). Its data, if any still
-    /// arrives, is folded into the TCM anyway — data is data.
+    /// arrives, is folded into the TCM anyway — data is data. Fixed for the run.
     quarantine_from: Vec<Option<u64>>,
 }
 
 impl RoundScheduler {
-    /// Scheduler for `n_threads` threads at `ipr` intervals per round.
-    pub fn new(n_threads: usize, ipr: u64, deadline_intervals: Option<u64>) -> Self {
+    /// Scheduler for `n_threads` threads at `ipr` intervals per round, with
+    /// the per-thread quarantine starts `quarantine_from` (see the field; one
+    /// entry per thread).
+    pub fn new(
+        n_threads: usize,
+        ipr: u64,
+        deadline_intervals: Option<u64>,
+        quarantine_from: Vec<Option<u64>>,
+    ) -> Self {
         assert!(n_threads > 0, "scheduler needs at least one thread");
-        RoundScheduler {
+        assert_eq!(quarantine_from.len(), n_threads, "one quarantine entry per thread");
+        let mut scheduler = RoundScheduler {
             n_threads,
             ipr: ipr.max(1),
             deadline_intervals,
             next_round: 0,
             watermark: vec![0; n_threads],
+            max_watermark: 0,
+            owing: 0,
             buckets: BTreeMap::new(),
             received: BTreeMap::new(),
             seen: BTreeSet::new(),
             late: Vec::new(),
             late_count: 0,
             deadline_rounds: 0,
-            quarantine_from: vec![None; n_threads],
-        }
+            quarantine_from,
+        };
+        scheduler.recount_owing();
+        scheduler
     }
 
-    /// Install per-thread quarantine starts (see the `quarantine_from` field). The
-    /// table must list every thread.
-    pub fn set_quarantine(&mut self, quarantine_from: Vec<Option<u64>>) {
-        assert_eq!(quarantine_from.len(), self.n_threads, "one entry per thread");
-        self.quarantine_from = quarantine_from;
+    /// The watermark thread `t` needs for `next_round` to close complete: the
+    /// round's end, or a quarantined thread's expulsion point if earlier.
+    fn required(&self, t: usize) -> u64 {
+        let round_end = (self.next_round + 1) * self.ipr;
+        self.quarantine_from[t].map_or(round_end, |q| round_end.min(q))
     }
 
-    /// The quarantine table in force.
-    pub fn quarantine_table(&self) -> Vec<Option<u64>> {
-        self.quarantine_from.clone()
+    fn recount_owing(&mut self) {
+        self.owing = (0..self.n_threads).filter(|&t| self.watermark[t] < self.required(t)).count();
     }
 
     /// Feed one OAL, classifying it. Call [`RoundScheduler::ready_rounds`] afterwards
@@ -228,7 +246,15 @@ impl RoundScheduler {
             return if stale_epoch { Ingest::Fenced } else { Ingest::Duplicate };
         }
         let t = oal.thread.index();
-        self.watermark[t] = self.watermark[t].max(oal.interval + 1);
+        let (old, new) = (self.watermark[t], oal.interval + 1);
+        if new > old {
+            self.watermark[t] = new;
+            self.max_watermark = self.max_watermark.max(new);
+            let required = self.required(t);
+            if old < required && new >= required {
+                self.owing -= 1;
+            }
+        }
         let round = oal.interval / self.ipr;
         if round < self.next_round {
             self.late_count += 1;
@@ -253,9 +279,10 @@ impl RoundScheduler {
     /// passed, plus — with a deadline configured — rounds the fastest thread has
     /// outrun by the grace distance. A quarantined thread only needs to have reported
     /// up to its expulsion point: a permanently dead flapper cannot wedge the
-    /// complete-close rule.
+    /// complete-close rule. Each check is O(1); each close recounts the threads
+    /// owing the next round in O(n).
     pub fn ready_rounds(&mut self) -> Vec<ClosedRound> {
-        let max_wm = self.watermark.iter().copied().max().unwrap_or(0);
+        let max_wm = self.max_watermark;
         let mut out = Vec::new();
         loop {
             // Never close past the observed horizon: a round nothing has reached yet
@@ -266,13 +293,7 @@ impl RoundScheduler {
                 break;
             }
             let round_end = (self.next_round + 1) * self.ipr;
-            let complete = (0..self.n_threads).all(|t| {
-                let required = match self.quarantine_from[t] {
-                    Some(q) => round_end.min(q),
-                    None => round_end,
-                };
-                self.watermark[t] >= required
-            });
+            let complete = self.owing == 0;
             let expired = self
                 .deadline_intervals
                 .map(|grace| max_wm >= round_end + grace)
@@ -305,6 +326,7 @@ impl RoundScheduler {
     fn close_next(&mut self, deadline_hit: bool) -> ClosedRound {
         let round = self.next_round;
         self.next_round += 1;
+        self.recount_owing();
         if deadline_hit {
             self.deadline_rounds += 1;
         }
@@ -351,12 +373,6 @@ impl RoundScheduler {
     pub fn next_round(&self) -> u64 {
         self.next_round
     }
-
-    /// Per-thread interval watermarks (1 + highest interval seen) — the
-    /// straggler detector's lag signal.
-    pub fn watermarks(&self) -> &[u64] {
-        &self.watermark
-    }
 }
 
 #[cfg(test)]
@@ -374,7 +390,7 @@ mod tests {
 
     #[test]
     fn rounds_close_in_order_once_all_threads_pass() {
-        let mut s = RoundScheduler::new(2, 2, None);
+        let mut s = RoundScheduler::new(2, 2, None, vec![None; 2]);
         // Thread 0 races ahead through round 0 and 1; nothing closes until thread 1
         // catches up.
         for i in 0..4 {
@@ -392,7 +408,7 @@ mod tests {
 
     #[test]
     fn duplicates_are_discarded_once() {
-        let mut s = RoundScheduler::new(1, 1, None);
+        let mut s = RoundScheduler::new(1, 1, None, vec![None; 1]);
         assert_eq!(s.ingest(oal(0, 0)), Ingest::Accepted);
         assert_eq!(s.ingest(oal(0, 0)), Ingest::Duplicate);
         let closed = s.ready_rounds();
@@ -404,7 +420,7 @@ mod tests {
     fn deadline_closes_round_with_a_stalled_thread() {
         // Thread 1 never reports: without a deadline the scheduler waits forever;
         // with grace 2 the fastest thread pulls rounds shut behind it.
-        let mut s = RoundScheduler::new(2, 1, Some(2));
+        let mut s = RoundScheduler::new(2, 1, Some(2), vec![None; 2]);
         for i in 0..5 {
             s.ingest(oal(0, i));
         }
@@ -421,7 +437,7 @@ mod tests {
 
     #[test]
     fn late_arrivals_buffer_for_the_final_fold() {
-        let mut s = RoundScheduler::new(2, 1, Some(0));
+        let mut s = RoundScheduler::new(2, 1, Some(0), vec![None; 2]);
         s.ingest(oal(0, 0));
         s.ingest(oal(0, 1));
         // Grace 0: the fastest watermark (2) force-closes both touched rounds.
@@ -442,7 +458,7 @@ mod tests {
 
     #[test]
     fn flush_closes_partial_rounds_with_their_coverage() {
-        let mut s = RoundScheduler::new(2, 2, None);
+        let mut s = RoundScheduler::new(2, 2, None, vec![None; 2]);
         s.ingest(oal(0, 0));
         s.ingest(oal(1, 0));
         s.ingest(oal(0, 1)); // round 0 three of four; round 1 untouched
@@ -456,7 +472,7 @@ mod tests {
 
     #[test]
     fn out_of_order_arrival_within_open_rounds_is_accepted() {
-        let mut s = RoundScheduler::new(1, 4, None);
+        let mut s = RoundScheduler::new(1, 4, None, vec![None; 1]);
         for i in [3u64, 0, 2, 1] {
             assert_eq!(s.ingest(oal(0, i)), Ingest::Accepted);
         }
@@ -477,7 +493,7 @@ mod tests {
 
     #[test]
     fn stale_epoch_duplicates_are_fenced_but_stale_new_pairs_are_accepted() {
-        let mut s = RoundScheduler::new(2, 2, None);
+        let mut s = RoundScheduler::new(2, 2, None, vec![None; 2]);
         assert_eq!(s.ingest(oal(0, 0)), Ingest::Accepted);
         // Retransmission of an already-accepted pair under the old epoch: fenced,
         // apart from ordinary duplicates.
@@ -493,8 +509,7 @@ mod tests {
     fn quarantined_thread_leaves_coverage_denominator_and_close_rule() {
         // Two threads, 2 intervals per round. Thread 1 is quarantined from
         // interval 2 (start of round 1) onward.
-        let mut s = RoundScheduler::new(2, 2, None);
-        s.set_quarantine(vec![None, Some(2)]);
+        let mut s = RoundScheduler::new(2, 2, None, vec![None, Some(2)]);
         for i in 0..4 {
             s.ingest(oal(0, i));
         }
@@ -517,8 +532,7 @@ mod tests {
     #[test]
     fn quarantine_mid_round_prorates_the_denominator() {
         // ipr 4, thread 1 expelled from interval 2: round 0 expects 4 + 2 = 6.
-        let mut s = RoundScheduler::new(2, 4, None);
-        s.set_quarantine(vec![None, Some(2)]);
+        let mut s = RoundScheduler::new(2, 4, None, vec![None, Some(2)]);
         for i in 0..4 {
             s.ingest(oal(0, i));
         }
@@ -533,8 +547,7 @@ mod tests {
 
     #[test]
     fn fully_quarantined_round_reports_full_coverage() {
-        let mut s = RoundScheduler::new(1, 2, None);
-        s.set_quarantine(vec![Some(0)]);
+        let mut s = RoundScheduler::new(1, 2, None, vec![Some(0)]);
         let closed = s.flush();
         assert!(closed.is_empty(), "nothing touched, nothing to close");
         s.ingest(full_oal(0, 1));
@@ -545,8 +558,7 @@ mod tests {
 
     #[test]
     fn scheduler_checkpoint_roundtrips_and_resumes_identically() {
-        let mut s = RoundScheduler::new(3, 2, Some(1));
-        s.set_quarantine(vec![None, None, Some(3)]);
+        let mut s = RoundScheduler::new(3, 2, Some(1), vec![None, None, Some(3)]);
         for i in 0..5 {
             s.ingest(full_oal(0, i));
         }
@@ -576,7 +588,7 @@ mod tests {
         // Satellite audit regression: an OAL must reach the TCM fold through
         // exactly one of {closed-round buckets, late buffer}, never both, even when
         // flush() runs after late arrivals and take_late() is drained twice.
-        let mut s = RoundScheduler::new(2, 1, Some(0));
+        let mut s = RoundScheduler::new(2, 1, Some(0), vec![None; 2]);
         s.ingest(full_oal(0, 0));
         s.ingest(full_oal(0, 1));
         let mut folded: Vec<Oal> = Vec::new();

@@ -12,7 +12,6 @@
 use serde::{Deserialize, Serialize};
 
 use jessy_core::profiler::ProfilerStatsSnapshot;
-use jessy_core::ShedPolicy;
 use jessy_gos::protocol::ProtocolCounters;
 use jessy_net::{NetworkStats, SimNanos, ThreadId};
 
@@ -47,18 +46,11 @@ pub struct RunReport {
     /// sorted — the loss is attributable, not just countable, and
     /// [`RunReport::adjusted_round_coverage`] folds it into coverage accounting.
     pub lost_oals: Vec<(u32, u64)>,
-    /// The `(thread, interval)` pairs whose OAL identity was shed under mailbox
+    /// The `(thread, interval)` pairs whose OAL batch was dropped under mailbox
     /// backpressure (`ProfilerConfig::oal_mailbox_capacity`), sorted. Like
     /// `lost_oals`, every shed is attributable and folded into
     /// [`RunReport::adjusted_round_coverage`] — never silent.
     pub shed_oals: Vec<(u32, u64)>,
-    /// Sheds that dropped the batch outright (`ShedPolicy::DropOldestRound`,
-    /// plus any post-gate race losses attributed to it).
-    pub sheds_dropped: u64,
-    /// Sheds that merged the batch into its successor (`ShedPolicy::MergeBatches`).
-    pub sheds_merged: u64,
-    /// Sheds that merged + collapsed to per-class summaries (`ShedPolicy::SummaryOnly`).
-    pub sheds_summarized: u64,
     /// Rejoin handshakes performed by threads of nodes that came back from a crash
     /// window (DESIGN.md §12).
     pub rejoins: u64,
@@ -75,9 +67,8 @@ impl RunReport {
             .collect();
         let mut lost_oals = shared.lost_oals.lock().clone();
         lost_oals.sort_unstable();
-        let mut sheds = shared.shed_oals.lock().clone();
-        sheds.sort_unstable_by_key(|&(thread, interval, _)| (thread, interval));
-        let shed_count = |policy| sheds.iter().filter(|s| s.2 == policy).count() as u64;
+        let mut shed_oals = shared.shed_oals.lock().clone();
+        shed_oals.sort_unstable();
         RunReport {
             n_nodes: shared.n_nodes,
             n_threads: shared.n_threads,
@@ -90,13 +81,7 @@ impl RunReport {
             master: master.cloned(),
             oal_post_failures: lost_oals.len() as u64,
             lost_oals,
-            sheds_dropped: shed_count(ShedPolicy::DropOldestRound),
-            sheds_merged: shed_count(ShedPolicy::MergeBatches),
-            sheds_summarized: shed_count(ShedPolicy::SummaryOnly),
-            shed_oals: sheds
-                .iter()
-                .map(|&(thread, interval, _)| (thread, interval))
-                .collect(),
+            shed_oals,
             rejoins: shared.rejoins.load(std::sync::atomic::Ordering::Relaxed),
         }
     }
@@ -196,9 +181,6 @@ mod tests {
             oal_post_failures: 0,
             lost_oals: Vec::new(),
             shed_oals: Vec::new(),
-            sheds_dropped: 0,
-            sheds_merged: 0,
-            sheds_summarized: 0,
             rejoins: 0,
         }
     }

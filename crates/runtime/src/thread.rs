@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use jessy_core::{ShedPolicy, ThreadProfiler};
+use jessy_core::ThreadProfiler;
 use jessy_gos::{
     AccessKind, AccessOutcome, ClassId, Gos, LockId, ObjectCore, ObjectId, ReadMember, Served,
     ThreadSpace,
@@ -45,8 +45,8 @@ pub struct JThread {
     deferred_oals: Vec<(u64, u64, EpochOal)>,
     /// Per-thread backpressure queue in front of the master's mailbox:
     /// `(fault_key, batch)` pairs waiting for mailbox space. Bounded by the same
-    /// capacity as the mailbox — overflow sheds per the configured policy, every
-    /// shed attributed. Empty between posts with an unbounded mailbox.
+    /// capacity as the mailbox — overflow drops the oldest batch, every shed
+    /// attributed. Empty between posts with an unbounded mailbox.
     pending_oals: VecDeque<(u64, EpochOal)>,
     /// True when the fault plan has any slow windows — gates the per-access
     /// service-time inflation so fault-free runs pay nothing for the feature.
@@ -466,53 +466,25 @@ impl JThread {
         );
     }
 
-    /// Attribute one shed batch: record the interval and policy (coverage
-    /// proration and the per-policy counts derive from it), and journal the
-    /// event. Sheds are never silent.
-    fn record_shed(&mut self, interval: u64, policy: ShedPolicy) {
-        self.shared
-            .shed_oals
-            .lock()
-            .push((self.thread.0, interval, policy));
+    /// Attribute one shed batch: record its interval (coverage proration
+    /// derives from it) and journal the event. Sheds are never silent.
+    fn record_shed(&mut self, interval: u64) {
+        self.shared.shed_oals.lock().push((self.thread.0, interval));
         self.shared.emit_event(
             &self.clock,
             EventKind::OalShed {
                 thread: self.thread.0,
                 interval,
-                policy: policy.label().to_string(),
             },
         );
     }
 
-    /// Shed one batch from the head of the pending queue per the configured
-    /// policy. Deterministic: the decision depends only on queue state. The
-    /// merging policies fold the two oldest batches into one (the older
-    /// interval's identity is shed, its entries ride the younger batch), so
-    /// bytes survive at the cost of interval-attribution precision.
+    /// Shed the oldest pending batch: the freshest data survives, and the
+    /// dropped interval is prorated out of round coverage like a lost OAL.
+    /// Deterministic: the choice depends only on the queue.
     fn shed_one(&mut self) {
-        let policy = self.shared.prof.config().shed_policy;
-        match policy {
-            ShedPolicy::DropOldestRound => {
-                let (_, env) = self.pending_oals.pop_front().expect("shed_one on empty queue");
-                self.record_shed(env.oal.interval, policy);
-            }
-            ShedPolicy::MergeBatches | ShedPolicy::SummaryOnly => {
-                let (_, old) = self.pending_oals.pop_front().expect("shed_one on empty queue");
-                let (key, mut young) = self
-                    .pending_oals
-                    .pop_front()
-                    .expect("merge policies need two queued batches");
-                let shed_interval = old.oal.interval;
-                let mut entries = old.oal.entries;
-                entries.extend(young.oal.entries);
-                young.oal.entries = entries;
-                if policy == ShedPolicy::SummaryOnly {
-                    young.oal = young.oal.summarize();
-                }
-                self.pending_oals.push_front((key, young));
-                self.record_shed(shed_interval, policy);
-            }
-        }
+        let (_, env) = self.pending_oals.pop_front().expect("shed_one on empty queue");
+        self.record_shed(env.oal.interval);
     }
 
     /// Drain the pending queue into the mailbox: shed down to the capacity bound
@@ -544,7 +516,7 @@ impl JThread {
                     // producer runs between the `is_full` check and this post.
                     // Were it reached, the batch is consumed — attribute it
                     // like a drop.
-                    self.record_shed(interval, ShedPolicy::DropOldestRound);
+                    self.record_shed(interval);
                     self.shared.exec.unblock(self.shared.master_task());
                     return;
                 }
@@ -555,7 +527,7 @@ impl JThread {
 
     /// Ship one epoch-stamped batch toward the master: charge its `OalBatch`
     /// wire trip, then post it through the per-thread backpressure queue (it may
-    /// shed per policy when the mailbox is bounded; a failed post means the
+    /// shed the oldest batch when the mailbox is bounded; a failed post means the
     /// mailbox is gone — counted, never fatal).
     ///
     /// The jumbo OAL message piggybacks on the sync message already headed to the
@@ -895,10 +867,9 @@ impl Drop for JThread {
         // Give the bounded-mailbox path one last drain; whatever is still stuck
         // behind a full mailbox is shed with attribution (never silently).
         self.drain_pending();
-        let policy = self.shared.prof.config().shed_policy;
         for (_, env) in std::mem::take(&mut self.pending_oals) {
             let interval = env.oal.interval;
-            self.record_shed(interval, policy);
+            self.record_shed(interval);
         }
         let space = std::mem::replace(&mut self.space, ThreadSpace::new(self.thread));
         *self.shared.spaces[self.thread.index()].lock() = Some(space);

@@ -1,17 +1,18 @@
-//! Overload-protection tests: SLO-budgeted sampling, bounded mailboxes with
-//! shed policies, and gray-failure (slow-node) tolerance, end to end.
+//! Overload-protection tests: SLO-budgeted sampling, the bounded mailbox, and
+//! slow-node tolerance, end to end.
 //!
 //! The acceptance bar of the overload work: with every knob at a harmless
 //! setting the run is **bit-identical** to a plain run; an OAL burst against a
-//! bounded mailbox sheds deterministically with every shed attributable (policy
-//! counters, journal events and coverage proration all agree); an over-budget
-//! workload walks the degradation ladder until its measured profiling cost sits
-//! inside the budget; and a slow (not dead) node is demoted out of the coverage
-//! denominator and restored when it recovers — the run never wedges.
+//! bounded mailbox sheds deterministically by dropping each sender's oldest
+//! pending batch, with every shed attributable (the ledger, journal events and
+//! coverage proration all agree); an over-budget workload walks the
+//! degradation ladder until its measured profiling cost sits inside the
+//! budget; and the round deadline closes the rounds a slow (not dead) node
+//! holds up — the run never wedges and loses nothing.
 
 use std::sync::Arc;
 
-use jessy_core::{ProfilerConfig, SamplingRate, ShedPolicy};
+use jessy_core::{ProfilerConfig, SamplingRate};
 use jessy_gos::{CostModel, LockId, ObjectId};
 use jessy_net::{FaultPlan, LatencyModel, NodeId, SlowWindow};
 use jessy_obs::{round_series, to_json_lines, EventKind, JournalSink};
@@ -25,7 +26,7 @@ fn adaptive_profiler() -> ProfilerConfig {
 }
 
 /// Every overload knob at a setting that can never fire: a budget no round can
-/// exceed, a mailbox no burst can fill, a straggler threshold no node can trip.
+/// exceed and a mailbox no burst can fill.
 /// The run must reproduce the plain run bit for bit — report *and* journal —
 /// proving the protection machinery is pure overhead-free observation until it
 /// actually has to act.
@@ -37,8 +38,6 @@ fn harmless_overload_knobs_reproduce_the_plain_run_bit_for_bit() {
         if with_knobs {
             profiler.overhead_budget = Some(1.0);
             profiler.oal_mailbox_capacity = Some(1_000_000);
-            profiler.shed_policy = ShedPolicy::MergeBatches;
-            profiler.straggler_lag_intervals = Some(1_000_000.0);
         }
         let mut cluster = Cluster::builder()
             .nodes(2)
@@ -77,12 +76,7 @@ fn harmless_overload_knobs_reproduce_the_plain_run_bit_for_bit() {
     assert_eq!(costs.len(), plain.rounds as usize);
     assert_eq!(knobs.budget_over_rounds, 0, "no round may exceed a 100% budget");
     assert_eq!(knobs.budget_degrades, 0);
-    assert_eq!(knobs.stragglers, 0);
     assert_eq!(knobs_report.shed_oals, vec![]);
-    assert_eq!(
-        knobs_report.sheds_dropped + knobs_report.sheds_merged + knobs_report.sheds_summarized,
-        0
-    );
     assert_eq!(
         serde_json::to_string(&knobs_report.deterministic()).expect("serialize"),
         serde_json::to_string(&plain_report.deterministic()).expect("serialize"),
@@ -100,13 +94,12 @@ fn harmless_overload_knobs_reproduce_the_plain_run_bit_for_bit() {
 /// cooperative token*, so the master cannot drain and the bounded mailbox must
 /// shed. Warm-up and cool-down phases bracket the burst with normal barrier
 /// rounds so the TCM has content and pending queues flush before the run ends.
-fn burst_run(policy: ShedPolicy) -> (Arc<JournalSink>, RunReport, MasterOutput) {
+fn burst_run() -> (Arc<JournalSink>, RunReport, MasterOutput) {
     let sink = JournalSink::shared();
     let mut profiler = ProfilerConfig::tracking_at(SamplingRate::NX(1));
     profiler.intervals_per_round = 1;
     profiler.round_deadline_intervals = Some(3);
     profiler.oal_mailbox_capacity = Some(4);
-    profiler.shed_policy = policy;
     let mut cluster = Cluster::builder()
         .nodes(2)
         .threads(4)
@@ -146,23 +139,20 @@ fn burst_run(policy: ShedPolicy) -> (Arc<JournalSink>, RunReport, MasterOutput) 
 }
 
 /// The headline backpressure test: the burst must shed, the run must complete,
-/// and every shed must be attributable three ways — the policy counter, the
-/// sorted `(thread, interval)` ledger and the journal's `OalShed` events all
-/// agree — with the shed intervals prorated out of adjusted round coverage.
+/// and every shed must be attributable — the sorted `(thread, interval)`
+/// ledger and the journal's `OalShed` events agree — with the shed intervals
+/// prorated out of adjusted round coverage.
 #[test]
 fn bounded_mailbox_sheds_attributably_under_burst() {
-    let (sink, report, master) = burst_run(ShedPolicy::DropOldestRound);
+    let (sink, report, master) = burst_run();
     assert!(master.rounds > 0, "rounds closed despite the burst");
     assert!(
-        report.sheds_dropped > 0,
+        !report.shed_oals.is_empty(),
         "a 60-OAL unyielding burst against a 4-slot mailbox must shed"
     );
-    assert_eq!(report.sheds_merged + report.sheds_summarized, 0);
-    assert_eq!(
-        report.sheds_dropped + report.sheds_merged + report.sheds_summarized,
-        report.shed_oals.len() as u64,
-        "every shed owns exactly one ledger entry"
-    );
+    let mut ledger = report.shed_oals.clone();
+    ledger.dedup();
+    assert_eq!(ledger, report.shed_oals, "every shed owns exactly one ledger entry");
     assert!(
         report.shed_oals.windows(2).all(|w| w[0] <= w[1]),
         "the shed ledger is sorted"
@@ -172,10 +162,7 @@ fn bounded_mailbox_sheds_attributably_under_burst() {
     let mut journaled = events
         .iter()
         .filter_map(|e| match &e.kind {
-            EventKind::OalShed { thread, interval, policy } => {
-                assert_eq!(policy, "drop_oldest_round");
-                Some((*thread, *interval))
-            }
+            EventKind::OalShed { thread, interval } => Some((*thread, *interval)),
             _ => None,
         })
         .collect::<Vec<_>>();
@@ -191,42 +178,6 @@ fn bounded_mailbox_sheds_attributably_under_burst() {
         .any(|(r, c)| *c < coverage.get(r).copied().unwrap_or(1.0));
     assert!(worse, "sheds must depress adjusted coverage: {adjusted:?}");
     assert!(report.profile_degraded(&coverage, 0.95, 1), "the burst run's profile is degraded");
-}
-
-/// `MergeBatches` sheds by folding the two oldest pending batches into one —
-/// queue depth halves, the batch identity of the older interval is what's shed.
-#[test]
-fn merge_batches_policy_sheds_by_merging() {
-    let (sink, report, master) = burst_run(ShedPolicy::MergeBatches);
-    assert!(master.rounds > 0);
-    assert!(report.sheds_merged > 0, "the merge policy must merge under the burst");
-    assert_eq!(report.sheds_summarized, 0);
-    assert_eq!(
-        report.sheds_dropped + report.sheds_merged,
-        report.shed_oals.len() as u64
-    );
-    assert!(sink.sorted_events().iter().any(|e| matches!(
-        &e.kind,
-        EventKind::OalShed { policy, .. } if policy == "merge_batches"
-    )));
-    // Merging never loses bytes, only interval attribution: the master still
-    // ingests batches from the warm-up and cool-down rounds.
-    assert!(master.oals_ingested > 0);
-}
-
-/// `SummaryOnly` is the last data-bearing rung: merge, then collapse the merged
-/// batch to per-class summaries.
-#[test]
-fn summary_only_policy_sheds_by_summarizing() {
-    let (sink, report, master) = burst_run(ShedPolicy::SummaryOnly);
-    assert!(master.rounds > 0);
-    assert!(report.sheds_summarized > 0, "the summary policy must summarize");
-    assert_eq!(report.sheds_merged, 0);
-    assert!(sink.sorted_events().iter().any(|e| matches!(
-        &e.kind,
-        EventKind::OalShed { policy, .. } if policy == "summary_only"
-    )));
-    assert!(master.oals_ingested > 0);
 }
 
 /// The budget loop end to end: a fine-sampled workload whose profiling cost
@@ -316,7 +267,6 @@ fn load_spike_sheds_attributably_and_recovers_within_budget() {
     profiler.round_deadline_intervals = Some(3);
     profiler.overhead_budget = Some(0.05);
     profiler.oal_mailbox_capacity = Some(4);
-    profiler.shed_policy = ShedPolicy::MergeBatches;
     let mut cluster = Cluster::builder()
         .nodes(2)
         .threads(4)
@@ -355,12 +305,12 @@ fn load_spike_sheds_attributably_and_recovers_within_budget() {
     let report = cluster.report();
     let master = cluster.master_output().expect("master ran").clone();
     assert!(master.rounds > 0, "the spiked run completes");
-    assert!(report.sheds_merged > 0, "the spike must shed: {report:?}");
+    assert!(!report.shed_oals.is_empty(), "the spike must shed: {report:?}");
     let mut journaled = sink
         .sorted_events()
         .iter()
         .filter_map(|e| match &e.kind {
-            EventKind::OalShed { thread, interval, .. } => Some((*thread, *interval)),
+            EventKind::OalShed { thread, interval } => Some((*thread, *interval)),
             _ => None,
         })
         .collect::<Vec<_>>();
@@ -375,32 +325,24 @@ fn load_spike_sheds_attributably_and_recovers_within_budget() {
     );
 }
 
-/// Gray failure end to end: node 1 runs 8× slow for the first stretch of the
-/// run, then recovers. The master must demote it (prorating its unreported
-/// intervals out of coverage — rounds keep closing, nothing wedges) and then
-/// restore it once its progress deficit decays. Both transitions are journaled.
-#[test]
-fn slow_node_is_demoted_then_restored_without_wedging() {
+/// Node 1 runs 8× slow for the first stretch of the run, then recovers.
+fn slow_node_run(slow: bool) -> (Arc<JournalSink>, RunReport, MasterOutput) {
     let sink = JournalSink::shared();
     let mut profiler = ProfilerConfig::tracking_at(SamplingRate::NX(1));
     profiler.intervals_per_round = 1;
     profiler.round_deadline_intervals = Some(4);
-    profiler.straggler_lag_intervals = Some(1.2);
+    let slow = if slow {
+        vec![SlowWindow { node: NodeId(1), from_ns: 0, until_ns: Some(30_000), factor: 8.0 }]
+    } else {
+        Vec::new()
+    };
     let mut cluster = Cluster::builder()
         .nodes(2)
         .threads(4)
         .latency(LatencyModel::free())
         .costs(CostModel::pentium4_2ghz())
         .profiler(profiler)
-        .faults(FaultPlan {
-            slow: vec![SlowWindow {
-                node: NodeId(1),
-                from_ns: 0,
-                until_ns: Some(30_000),
-                factor: 8.0,
-            }],
-            ..FaultPlan::default()
-        })
+        .faults(FaultPlan { slow, ..FaultPlan::default() })
         .trace(sink.clone())
         .build();
     let (objs, locks) = cluster.init(|ctx| {
@@ -423,26 +365,28 @@ fn slow_node_is_demoted_then_restored_without_wedging() {
     });
     let report = cluster.report();
     let master = cluster.master_output().expect("master ran").clone();
-    assert!(master.rounds > 0, "rounds close while the straggler lags");
-    assert!(master.stragglers >= 1, "the slow node must be demoted");
-    let events = sink.sorted_events();
-    let demoted = events.iter().find_map(|e| match e.kind {
-        EventKind::StragglerDemoted { node: 1, round, lag_ewma } => Some((round, lag_ewma)),
-        _ => None,
-    });
-    let (demote_round, lag_ewma) = demoted.expect("node 1 demoted");
-    assert!(lag_ewma > 1.2, "the journaled EWMA tripped the threshold");
-    let restored = events.iter().find_map(|e| match e.kind {
-        EventKind::StragglerRestored { node: 1, round } => Some(round),
-        _ => None,
-    });
-    let restore_round = restored.expect("node 1 restored after the window ends");
-    assert!(restore_round > demote_round);
-    // Demotion is a coverage-accounting decision, never data loss: the slow
-    // node's late intervals still landed (as accepted or late OALs) and the
-    // prorated rounds show partial coverage.
-    assert!(round_series(&events).rounds.iter().any(|r| r.coverage < 1.0));
-    assert!(master.oals_ingested > 0);
-    assert_eq!(report.oal_post_failures, 0, "slowness loses nothing");
+    (sink, report, master)
+}
+
+/// Gray failure end to end: while node 1 lags, the round deadline closes the
+/// rounds it holds up (journaled as deadline closes at partial coverage), so
+/// nothing wedges; its intervals still land, late, and the run ingests every
+/// OAL the calm run does.
+#[test]
+fn slow_node_is_closed_out_by_the_deadline_without_wedging() {
+    let (sink, report, master) = slow_node_run(true);
+    let (_, _, calm) = slow_node_run(false);
+    assert!(master.rounds > 0, "rounds close while the slow node lags");
+    assert!(
+        master.deadline_rounds > calm.deadline_rounds,
+        "the deadline closes the slow node's rounds: {} vs {} calm",
+        master.deadline_rounds,
+        calm.deadline_rounds
+    );
+    let rounds = round_series(&sink.sorted_events()).rounds;
+    assert!(rounds.iter().any(|r| r.deadline_hit && r.coverage < 1.0));
+    assert!(master.late_oals > 0, "the slow node's intervals arrive after their rounds");
+    assert_eq!(master.oals_ingested, calm.oals_ingested, "slowness loses nothing");
+    assert_eq!(report.oal_post_failures, 0);
     assert_eq!(report.shed_oals, vec![], "no mailbox bound, no sheds");
 }

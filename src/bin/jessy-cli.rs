@@ -5,7 +5,7 @@
 //! jessy-cli run --workload sor --scale small --rate full --json
 //! jessy-cli run --workload water --adaptive 0.05 --rebalance 4
 //! jessy-cli run --workload sor --adaptive 0.05 --overhead-budget 0.02
-//! jessy-cli run --workload bh --mailbox-capacity 8 --shed-policy merge
+//! jessy-cli run --workload bh --mailbox-capacity 8
 //! jessy-cli run --workload sor --trace trace.json --journal run.jsonl
 //! jessy-cli heatmap --workload bh --threads 16
 //! jessy-cli info
@@ -41,7 +41,6 @@ struct Options {
     migration_budget_bytes: Option<u64>,
     overhead_budget: Option<f64>,
     mailbox_capacity: Option<usize>,
-    shed_policy: Option<ShedPolicy>,
     prefetch_depth: u32,
     json: bool,
     trace: Option<String>,
@@ -85,7 +84,6 @@ impl Default for Options {
             migration_budget_bytes: None,
             overhead_budget: None,
             mailbox_capacity: None,
-            shed_policy: None,
             prefetch_depth: 0,
             json: false,
             trace: None,
@@ -201,18 +199,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                         .map_err(|e| format!("--mailbox-capacity: {e}"))?,
                 )
             }
-            "--shed-policy" => {
-                opts.shed_policy = Some(match value(flag)?.to_lowercase().as_str() {
-                    "drop-oldest" | "drop" => ShedPolicy::DropOldestRound,
-                    "merge" => ShedPolicy::MergeBatches,
-                    "summary" => ShedPolicy::SummaryOnly,
-                    other => {
-                        return Err(format!(
-                            "unknown shed policy {other:?} (drop-oldest | merge | summary)"
-                        ))
-                    }
-                })
-            }
             "--prefetch-depth" => {
                 opts.prefetch_depth = value(flag)?
                     .parse()
@@ -281,9 +267,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 .into(),
         );
     }
-    if opts.shed_policy.is_some() && opts.mailbox_capacity.is_none() {
-        return Err("--shed-policy only matters with a bounded mailbox (--mailbox-capacity)".into());
-    }
     if opts.command == Command::Heatmap && (opts.trace.is_some() || opts.journal.is_some()) {
         return Err("--trace / --journal only apply to the run command".into());
     }
@@ -322,9 +305,6 @@ fn profiler_config(opts: &Options) -> ProfilerConfig {
     config.drift_threshold = opts.drift_threshold;
     config.overhead_budget = opts.overhead_budget;
     config.oal_mailbox_capacity = opts.mailbox_capacity;
-    if let Some(policy) = opts.shed_policy {
-        config.shed_policy = policy;
-    }
     config
 }
 
@@ -492,12 +472,8 @@ fn cmd_run(opts: &Options) -> bool {
     println!("objects prefetched  : {:>12}", report.proto.objects_prefetched);
     println!("GOS volume          : {:>12.1} KB", report.gos_kb());
     println!("OAL volume          : {:>12.1} KB ({:.2}% of GOS)", report.oal_kb(), report.net.oal_over_gos() * 100.0);
-    let sheds = report.sheds_dropped + report.sheds_merged + report.sheds_summarized;
-    if sheds > 0 {
-        println!(
-            "OALs shed           : {:>12} (dropped {}, merged {}, summarized {})",
-            sheds, report.sheds_dropped, report.sheds_merged, report.sheds_summarized
-        );
+    if !report.shed_oals.is_empty() {
+        println!("OALs shed           : {:>12}", report.shed_oals.len());
     }
     if report.oal_post_failures > 0 {
         println!("OALs lost at post   : {:>12}", report.oal_post_failures);
@@ -505,9 +481,6 @@ fn cmd_run(opts: &Options) -> bool {
     if let Some(master) = &report.master {
         println!("TCM rounds          : {:>12}", master.rounds);
         println!("TCM build (real)    : {:>12.2} ms", master.tcm_build_real_ns as f64 / 1e6);
-        if master.stragglers > 0 {
-            println!("stragglers demoted  : {:>12}", master.stragglers);
-        }
         if master.budget_over_rounds > 0 {
             println!(
                 "budget ladder       : {:>12} rungs ({} rounds over budget)",
@@ -665,7 +638,7 @@ fn main() -> ExitCode {
             eprintln!("       [--cooldown-rounds C] [--migration-budget-bytes B (per-epoch cap)]");
             eprintln!("       [--prefetch-depth D] [--json]");
             eprintln!("       [--overhead-budget FRACTION (SLO cost ceiling; needs --adaptive)]");
-            eprintln!("       [--mailbox-capacity N] [--shed-policy drop-oldest|merge|summary]");
+            eprintln!("       [--mailbox-capacity N (bound the master's OAL queue; overflow drops the oldest batch)]");
             eprintln!("       [--trace FILE (Chrome trace_event)] [--journal FILE (JSON lines)] (run only)");
             eprintln!("       [--exec-seed N] [--exec-jitter NS (deterministic schedule jitter)]");
             ExitCode::FAILURE
@@ -740,19 +713,12 @@ mod tests {
     #[test]
     fn parses_overload_protection_flags() {
         let o = parse_args(&args(
-            "run --adaptive 0.05 --overhead-budget 0.02 --mailbox-capacity 8 --shed-policy summary",
+            "run --adaptive 0.05 --overhead-budget 0.02 --mailbox-capacity 8",
         ))
         .unwrap();
         assert_eq!(o.overhead_budget, Some(0.02));
         assert_eq!(o.mailbox_capacity, Some(8));
-        assert_eq!(o.shed_policy, Some(ShedPolicy::SummaryOnly));
-        let o = parse_args(&args("run --mailbox-capacity 4 --shed-policy drop-oldest")).unwrap();
-        assert_eq!(o.shed_policy, Some(ShedPolicy::DropOldestRound));
-        let o = parse_args(&args("run --mailbox-capacity 4 --shed-policy merge")).unwrap();
-        assert_eq!(o.shed_policy, Some(ShedPolicy::MergeBatches));
-        // No policy flag: the config default applies, capacity alone is enough.
-        let o = parse_args(&args("run --mailbox-capacity 4")).unwrap();
-        assert_eq!(o.shed_policy, None);
+        assert_eq!(profiler_config(&o).oal_mailbox_capacity, Some(8));
     }
 
     #[test]
@@ -771,14 +737,6 @@ mod tests {
             (
                 "run --mailbox-capacity 0",
                 "ProfilerConfig.oal_mailbox_capacity = 0",
-            ),
-            (
-                "run --shed-policy merge",
-                "only matters with a bounded mailbox",
-            ),
-            (
-                "run --mailbox-capacity 4 --shed-policy banana",
-                "unknown shed policy",
             ),
         ]);
     }

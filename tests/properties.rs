@@ -740,8 +740,7 @@ proptest! {
         let deadline = (deadline_raw > 0).then(|| deadline_raw - 1);
         let quarantine: Vec<Option<u64>> =
             quarantine_raw.iter().map(|&q| (q < 8).then_some(q)).collect();
-        let mut sched = RoundScheduler::new(6, ipr, deadline);
-        sched.set_quarantine(quarantine);
+        let mut sched = RoundScheduler::new(6, ipr, deadline, quarantine);
         let reduce = |accrual: &mut RoundAccrual, tcm: &mut Tcm, oals: &[Oal]| -> RoundSummary {
             for oal in oals {
                 accrual.ingest(oal);
@@ -965,5 +964,173 @@ proptest! {
         for w in oals.windows(2) {
             prop_assert!(w[0].interval < w[1].interval);
         }
+    }
+}
+
+// ---------------------------------------------------------------- round scheduler
+
+/// The round-close rule written out by brute force: each readiness check scans
+/// every thread's watermark for the maximum and for completeness. The
+/// scheduler keeps the maximum and a count of the threads owing the next round
+/// instead; the differential test below holds it to this rule.
+struct BruteForceRounds {
+    ipr: u64,
+    deadline: Option<u64>,
+    quarantine: Vec<Option<u64>>,
+    next_round: u64,
+    watermark: Vec<u64>,
+    seen: std::collections::BTreeSet<(u32, u64)>,
+    received: std::collections::BTreeMap<u64, u64>,
+    buckets: std::collections::BTreeMap<u64, Vec<(u32, u64)>>,
+}
+
+/// `(round, coverage bits, deadline_hit, the (thread, interval) of its OALs)`.
+type Closed = (u64, u64, bool, Vec<(u32, u64)>);
+
+impl BruteForceRounds {
+    fn ingest(&mut self, oal: &Oal) {
+        if !self.seen.insert((oal.thread.0, oal.interval)) {
+            return;
+        }
+        let t = oal.thread.index();
+        self.watermark[t] = self.watermark[t].max(oal.interval + 1);
+        let round = oal.interval / self.ipr;
+        if round < self.next_round {
+            return;
+        }
+        if self.quarantine[t].is_none_or(|q| oal.interval < q) {
+            *self.received.entry(round).or_insert(0) += 1;
+        }
+        if !oal.is_empty() {
+            self.buckets.entry(round).or_default().push((oal.thread.0, oal.interval));
+        }
+    }
+
+    fn ready_rounds(&mut self) -> Vec<Closed> {
+        let max_wm = self.watermark.iter().copied().max().unwrap_or(0);
+        let mut out = Vec::new();
+        while self.next_round * self.ipr < max_wm {
+            let round_end = (self.next_round + 1) * self.ipr;
+            let complete = (0..self.watermark.len()).all(|t| {
+                let required = self.quarantine[t].map_or(round_end, |q| round_end.min(q));
+                self.watermark[t] >= required
+            });
+            let expired = self.deadline.is_some_and(|grace| max_wm >= round_end + grace);
+            if !complete && !expired {
+                break;
+            }
+            out.push(self.close_next(!complete));
+        }
+        out
+    }
+
+    fn flush(&mut self) -> Vec<Closed> {
+        let last = self.buckets.keys().last().copied().max(self.received.keys().last().copied());
+        let mut out = Vec::new();
+        while last.is_some_and(|last| self.next_round <= last) {
+            out.push(self.close_next(false));
+        }
+        out
+    }
+
+    fn close_next(&mut self, deadline_hit: bool) -> Closed {
+        let round = self.next_round;
+        self.next_round += 1;
+        let (start, end) = (round * self.ipr, (round + 1) * self.ipr);
+        let expected: u64 = self
+            .quarantine
+            .iter()
+            .map(|q| q.map_or(self.ipr, |q| end.min(q.max(start)) - start))
+            .sum();
+        let received = self.received.remove(&round).unwrap_or(0);
+        let coverage = if expected == 0 { 1.0 } else { received as f64 / expected as f64 };
+        let oals = self.buckets.remove(&round).unwrap_or_default();
+        (round, coverage.to_bits(), deadline_hit, oals)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary OAL streams — shuffled, thinned, duplicated, some arriving
+    /// after their round closed — under an arbitrary quarantine table, with
+    /// and without a deadline: the scheduler closes the same rounds, in the
+    /// same order, with the same coverage, deadline flag and OALs as the
+    /// brute-force rule, and classifies the same arrivals as late.
+    #[test]
+    fn round_scheduler_matches_the_brute_force_close_rule(
+        n in 1usize..6,
+        intervals in 1u64..14,
+        ipr in 1u64..4,
+        deadline_raw in 0u64..5, // 0 ⇒ no deadline
+        quarantine_raw in prop::collection::vec(0u64..20, 6), // ≥ 14 ⇒ not quarantined
+        kept in prop::collection::vec(0u8..10, 84), // 0 ⇒ the OAL never arrives
+        swaps in prop::collection::vec((0usize..84, 0usize..84), 0..40),
+        resent in prop::collection::vec((0usize..84, 0usize..100), 0..12),
+        batch in 1usize..4,
+    ) {
+        use jessy::runtime::{Ingest, RoundScheduler};
+
+        let deadline = (deadline_raw > 0).then(|| deadline_raw - 1);
+        let quarantine: Vec<Option<u64>> =
+            quarantine_raw[..n].iter().map(|&q| (q < 14).then_some(q)).collect();
+        let mut stream: Vec<Oal> = (0..intervals)
+            .flat_map(|i| (0..n as u32).map(move |t| (t, i)))
+            .enumerate()
+            .filter(|(k, _)| kept[*k] != 0)
+            .map(|(k, (t, i))| Oal {
+                thread: ThreadId(t),
+                interval: i,
+                entries: (kept[k] % 3 != 0)
+                    .then_some(OalEntry { obj: ObjectId(k as u32), class: ClassId(0), bytes: 8 })
+                    .into_iter()
+                    .collect(),
+            })
+            .collect();
+        if !stream.is_empty() {
+            let len = stream.len();
+            for (a, b) in swaps {
+                stream.swap(a % len, b % len);
+            }
+            for (from, to) in resent {
+                let copy = stream[from % len].clone();
+                let at = to % (stream.len() + 1);
+                stream.insert(at, copy);
+            }
+        }
+
+        let mut sched = RoundScheduler::new(n, ipr, deadline, quarantine.clone());
+        let mut brute = BruteForceRounds {
+            ipr,
+            deadline,
+            quarantine,
+            next_round: 0,
+            watermark: vec![0; n],
+            seen: Default::default(),
+            received: Default::default(),
+            buckets: Default::default(),
+        };
+        let key = |c: jessy::runtime::ClosedRound| -> Closed {
+            let oals = c.oals.iter().map(|o| (o.thread.0, o.interval)).collect();
+            (c.round, c.coverage.to_bits(), c.deadline_hit, oals)
+        };
+        let mut late = 0;
+        for chunk in stream.chunks(batch) {
+            for oal in chunk {
+                let before = brute.next_round;
+                let is_new = !brute.seen.contains(&(oal.thread.0, oal.interval));
+                brute.ingest(oal);
+                let expect_late = is_new && oal.interval / ipr < before;
+                late += u64::from(expect_late);
+                let got = sched.ingest(oal.clone());
+                prop_assert_eq!(got == Ingest::Late, expect_late, "{:?}", oal);
+            }
+            let ours: Vec<Closed> = sched.ready_rounds().into_iter().map(key).collect();
+            prop_assert_eq!(ours, brute.ready_rounds());
+        }
+        let ours: Vec<Closed> = sched.flush().into_iter().map(key).collect();
+        prop_assert_eq!(ours, brute.flush());
+        prop_assert_eq!(sched.late_count(), late);
+        prop_assert_eq!(sched.next_round(), brute.next_round);
     }
 }

@@ -351,8 +351,8 @@ fn phase_shift_replays_bit_for_bit() {
 }
 
 /// Every chaos-matrix seed, with lossy and duplicating OAL delivery, a node that
-/// crashes twice (and is quarantined), a slow-node detector and a master crash
-/// under a checkpoint cadence.
+/// crashes twice (and is quarantined), round deadlines and a master crash under
+/// a checkpoint cadence.
 #[test]
 fn chaos_runs_with_a_master_crash_replay_bit_for_bit() {
     for seed in [1, 7, 42, 1337, 31337, 99999] {
@@ -360,7 +360,6 @@ fn chaos_runs_with_a_master_crash_replay_bit_for_bit() {
             checkpoint_every_rounds: Some(2),
             round_deadline_intervals: Some(2),
             quarantine_after_crashes: Some(1),
-            straggler_lag_intervals: Some(1.0),
             intervals_per_round: 1,
             ..adaptive(SamplingRate::NX(2))
         };

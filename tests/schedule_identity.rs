@@ -346,12 +346,15 @@ fn canonicalize(v: &mut Value) {
 /// followed when `master.round_coverage` became the lowest round's coverage:
 /// each equals the previous report's digest with that list replaced by its
 /// minimum, and no journal digest moved (nor did any when `compute` stopped
-/// being a scheduling point of its own).
+/// being a scheduling point of its own). A fifth followed the removal of
+/// straggler demotion and of the shed policy choice: each equals the previous
+/// report's digest with the master's straggler count and the three per-policy
+/// shed counters projected out, and no journal digest moved.
 const RECORDED: [(Case, &str, &str); 8] = [
     (
         Case::Bh,
         "c5046c53ea297fb57702b45896b2074b3c5403007aea95c2e8011ad3b99de4a7",
-        "39e92710d2a0d242c2f7d212ad1ac995f0297cae7b91d1615db0defab4fe32a0",
+        "a477a6eb7388cdb47369b56bb15cadfb6e628ae797da4524e1c1d1cdd1317a2a",
     ),
     // Re-recorded three times, each time because simulated clocks moved by design
     // and no schedule rule changed — the other seven cases and the constant-free
@@ -365,37 +368,37 @@ const RECORDED: [(Case, &str, &str); 8] = [
     (
         Case::WaterRebalance,
         "17c170d3c619fef97b1b506bbcdbd40b6d2ee23cc1d96c78351cceacf9ae1c20",
-        "88b32002b752b08502e062835b34fdada276e5d431ed147a91836fa02fc32b8e",
+        "b8f018d95b60a76f1e7f3dd66491a148fe412b070d50ae067e852b178c935898",
     ),
     (
         Case::Sor,
         "6d32f5998ba945bc82b3cf578eba1e5bdaed4594c354b8cbb0752496a9cf41d8",
-        "ff93086029b07b5687c30fbeb7b20e86c1b0a991e505a7a5e8be6f1c437cf7bf",
+        "d043ddbd1b8e72f73fe69f293a6ebad1824a0a91d6ac8eb79c658929f5a57b92",
     ),
     (
         Case::Sessions,
         "2ee7331b4a04dd86a7fcd2fd37b3747085fc4abf20946807e8c6cd49d2a6d1fb",
-        "e8472164386b4a9dc30d853d280ba9101f09f19732772697e248b63f761659a7",
+        "f6b7fe3ccc4260be1e672591c4756e85f5a17c33697a7fb7b36fe2deba3e551f",
     ),
     (
         Case::Lu,
         "1e24ade85687b6ca60fb862e03e2b7e7c57a4cda3556b8b2e21c7313ce3c46cf",
-        "198ea019504ea456af663795645addbf0b1f4140391b29f27738ae621785aebc",
+        "f9bb1fc06c5e46f56346bb3367eee9abba25f17b578b545f5fca20fb000e59bc",
     ),
     (
         Case::PhaseShift,
         "867549104aeae07d5a99bee1581254f371382e0a869ec012bc8f217946752bc7",
-        "b6f032ff98ccfb3de235684376506c9be8cd15472f1d030aec2f29953ef16a4b",
+        "002941f7799a5adfba74f3d9e7295d25cce79e66a5bc5d565d7102e95f903229",
     ),
     (
         Case::BhFaulted,
         "6b64880e29a3651e380f6db264fed9c5e78c5106606bc5204e1415cf74bbdc3e",
-        "3c06d750d40532bd25f016510135cebe180c2be739b52d78cbd499e18490bcc0",
+        "34344bfc946d198957f68c52d74f29e66535e5bce7e220dfa6a180556325a7c6",
     ),
     (
         Case::PartitionedLocal,
         "092efac5320f6678466dcf4686217111b44ef93f4babc9fcfecaaaae7a40cb1d",
-        "8a0221ba058b420eff7782df064f360c6fc3792f5e74f912be44ac25fdb5f4db",
+        "e630269b1d60af313da1dbfae63a9c41676f269446bda33c7875f09d515f215c",
     ),
 ];
 

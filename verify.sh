@@ -9,10 +9,7 @@ cargo build --release
 echo "==> cargo check --workspace --all-targets (every bench and test target compiles)"
 cargo check --workspace --all-targets
 
-echo "==> cargo test -q"
-cargo test -q
-
-echo "==> cargo test --workspace -q"
+echo "==> cargo test --workspace -q (the root package's tests included)"
 cargo test --workspace -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
@@ -30,7 +27,7 @@ JESSY_SCALE=small cargo bench -p jessy-bench --bench access_path
 echo "==> recovery smoke (asserts TCM + recorded OAL log bit-identity under a master crash, every checkpoint cadence)"
 JESSY_SCALE=small cargo bench -p jessy-bench --bench recovery
 
-echo "==> overhead_frontier smoke (budget ladder, shed policies, slow-node demotion)"
+echo "==> overhead_frontier smoke (budget ladder, drop-oldest shed under a spike, slow node closed by the round deadline)"
 JESSY_SCALE=small cargo bench -p jessy-bench --bench overhead_frontier
 
 echo "==> placement smoke (mid-run migration recovers the scattered gap)"
@@ -133,8 +130,9 @@ echo "==> schedule-cost gate (paper-scale Water: executor hand-offs per access)"
          END { if (!seen) exit 1 }'
 
 echo "==> chaos seed matrix (fault determinism must not depend on one seed)"
-# The suite includes the partition schedules (heal + permanent), the slow-node
-# windows and the zero-plan invariant; every seed must satisfy every assertion.
+# The suite includes the partition schedules (heal + permanent), a slow node
+# under seeded drops (the round deadline closes its rounds and no OAL is lost)
+# and the zero-plan invariant; every seed must satisfy every assertion.
 # The GOS stress suite takes its executor seed from the same variable, so each
 # seed is another interleaving of its lock and barrier storms; the executor's
 # own unit tests take it too, for their hand-off, outside-wake and poison storms
@@ -187,5 +185,11 @@ awk '/"water_migrate": \{/ { lane = 1 }
      lane && /"sim_vs_off_pct"/ { metric = 1; next }
      metric && /"value"/ { seen = 1; sub(/,/, ""); print "water_migrate sim_vs_off_pct", $2; bad = ($2 + 0 >= 75); exit }
      END { if (!seen || bad) exit 1 }' benchmark/out/results.json
+
+echo "==> non-test line count (information, not a gate)"
+# Every .rs file under crates/ and src/ outside */tests/, counted up to its
+# first #[cfg(test)]; crates/bench/benches is included. The measure of aim 2.
+find crates src -name '*.rs' -not -path '*/tests/*' -print0 | sort -z \
+  | xargs -0 awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on' | wc -l
 
 echo "OK"
