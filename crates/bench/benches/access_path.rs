@@ -15,39 +15,58 @@
 //!   allocations (Barnes-Hut's tree cells) land: the lookup must cost what
 //!   it costs for set-up objects.
 //!
+//! The gate is a count, not a timing: an unarmed access on the arena
+//! (`home_hit`, `cache_hit`, `late_alloc_hit`) makes no heap allocation, in
+//! every cell, counted by the bench's own allocator as
+//! `tests/hit_path_allocs.rs` counts. The host speedup over the seed layout
+//! is information only: the cache-resident cell (M=4096) isolates the
+//! software overhead the arena removed, the larger cells are DRAM-bound.
+//! Each cell is the min of three interleaved repetitions (noise control).
+//!
 //! Modes:
 //! - default (`cargo bench --bench access_path`): full sweep
-//!   M∈{4096,65536,262144}, writes `BENCH_access_path.json` at the repo
-//!   root and asserts the ≥3× accesses/sec acceptance bar on the unarmed
-//!   path (min of home_hit and cache_hit) at M=4096.
+//!   M∈{4096,65536,262144}, writes `BENCH_access_path.json` at the repo root.
 //! - `JESSY_SCALE=small`: smoke sweep (seconds, CI-friendly), prints the
-//!   table, does not touch the checked-in JSON.
-//!
-//! The acceptance cell is the cache-resident working set (M=4096): it
-//! isolates the per-access software overhead the arena removed (lock/clone
-//! traffic, map lookups, `ClassInfo` clones). The larger cells report the
-//! DRAM-bound regime, where random-access misses dominate both layouts and
-//! the ratio compresses toward memory latency. Each cell is the min of
-//! three interleaved repetitions (noise control).
+//!   table, checks the allocation count, does not touch the checked-in JSON.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use jessy_bench::TextTable;
+use jessy_bench::{mix, TextTable};
 use jessy_gos::heap::reference::ReferenceGos;
 use jessy_gos::{CostModel, Gos, GosConfig, ObjectId, ThreadSpace};
 use jessy_net::{ClockBoard, LatencyModel, NodeId, ThreadId};
 use jessy_obs::{NullSink, TraceSink};
 use serde::Serialize;
 
-/// Deterministic splitmix64 (no rand dependency in benches).
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
+/// Heap allocations made so far (a growing reallocation is one: the default
+/// `realloc` allocates afresh).
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting allocations.
+struct Counting;
+
+// SAFETY: both methods forward their arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a static atomic, so
+// touching it neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` obligations pass through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator, with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
 }
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
 
 /// Access order: a mix()-driven shuffle of `0..m` so the timed loop does not
 /// walk the arena in allocation order.
@@ -66,7 +85,6 @@ struct Report {
     bench: &'static str,
     mode: &'static str,
     results: Vec<CellReport>,
-    acceptance: Acceptance,
     trace_overhead: TraceOverhead,
 }
 
@@ -94,15 +112,7 @@ struct CellReport {
     speedup: f64,
     new_macc_per_s: f64,
     seed_macc_per_s: f64,
-}
-
-#[derive(Serialize)]
-struct Acceptance {
-    scenario: &'static str,
-    objects: usize,
-    required_speedup: f64,
-    measured_speedup: f64,
-    pass: bool,
+    new_allocations: u64,
 }
 
 /// Per-(scenario, M) measurement at steady state.
@@ -112,10 +122,12 @@ struct Cell {
     passes: usize,
     seed_ns: u128,
     new_ns: u128,
+    /// Heap allocations the arena's timed passes made.
+    new_allocations: u64,
 }
 
 impl Cell {
-    /// Accesses/sec speedup over the seed layout (the acceptance metric).
+    /// Accesses/sec speedup over the seed layout (information only).
     fn speedup(&self) -> f64 {
         self.seed_ns as f64 / self.new_ns.max(1) as f64
     }
@@ -216,8 +228,9 @@ fn measure(scenario: &'static str, m: usize, passes: usize) -> Cell {
     let order = shuffled(objs.len());
     let armed = scenario == "armed_trap";
 
-    let mut run_new = |timed: bool| -> u128 {
+    let mut run_new = |timed: bool| -> (u128, u64) {
         let mut sum = 0.0f64;
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed);
         let t0 = Instant::now();
         for _ in 0..if timed { passes } else { 1 } {
             if armed {
@@ -229,7 +242,7 @@ fn measure(scenario: &'static str, m: usize, passes: usize) -> Cell {
             }
         }
         black_box(sum);
-        t0.elapsed().as_nanos()
+        (t0.elapsed().as_nanos(), ALLOCATIONS.load(Ordering::Relaxed) - allocations)
     };
     let run_seed = |timed: bool| -> u128 {
         let mut sum = 0.0f64;
@@ -250,9 +263,11 @@ fn measure(scenario: &'static str, m: usize, passes: usize) -> Cell {
     // (robust against noisy-neighbor interference on shared hosts).
     run_new(false);
     run_seed(false);
-    let (mut new_ns, mut seed_ns) = (u128::MAX, u128::MAX);
+    let (mut new_ns, mut seed_ns, mut new_allocations) = (u128::MAX, u128::MAX, 0);
     for _ in 0..3 {
-        new_ns = new_ns.min(run_new(true));
+        let (ns, allocations) = run_new(true);
+        new_ns = new_ns.min(ns);
+        new_allocations += allocations;
         seed_ns = seed_ns.min(run_seed(true));
     }
 
@@ -269,6 +284,7 @@ fn measure(scenario: &'static str, m: usize, passes: usize) -> Cell {
         passes,
         seed_ns,
         new_ns,
+        new_allocations,
     }
 }
 
@@ -294,8 +310,7 @@ fn measure_trace_overhead(m: usize, passes: usize) -> TraceOverhead {
         t0.elapsed().as_nanos()
     };
     // Warmup each, then interleaved repetitions keeping the min (same noise
-    // control as the main cells; five reps because a ≤2% gate is tighter than
-    // the ≥3x speedup bar).
+    // control as the main cells; five reps because a ≤2% gate is tight).
     sweep(&mut off, false);
     sweep(&mut on, false);
     let (mut off_ns, mut null_ns) = (u128::MAX, u128::MAX);
@@ -316,10 +331,7 @@ fn measure_trace_overhead(m: usize, passes: usize) -> TraceOverhead {
 }
 
 fn main() {
-    let smoke = matches!(
-        std::env::var("JESSY_SCALE").as_deref(),
-        Ok("small") | Ok("SMALL")
-    );
+    let smoke = jessy_bench::scale() == jessy_bench::Scale::Small;
     println!("X4. OBJECT-ACCESS FAST PATH (single-writer arena vs seed layout)\n");
 
     // (m, timed passes): fewer passes at larger M keeps the full sweep tractable.
@@ -337,6 +349,7 @@ fn main() {
         "speedup",
         "arena Macc/s",
         "seed Macc/s",
+        "arena allocs",
     ]);
     let mut cells = Vec::new();
     for &(m, passes) in &sizes {
@@ -351,13 +364,19 @@ fn main() {
                 format!("{:.2}x", c.speedup()),
                 format!("{:.1}", c.macc_s(c.new_ns)),
                 format!("{:.1}", c.macc_s(c.seed_ns)),
+                c.new_allocations.to_string(),
             ]);
             cells.push(c);
         }
     }
     println!("{}", table.render());
     println!("speedup = seed ns/access / arena ns/access at steady state (warmup pass");
-    println!("excluded). armed_trap times the profiler rhythm: arm + fire, once per pass.");
+    println!("excluded): host-dependent, information only. armed_trap times the profiler");
+    println!("rhythm: arm + fire, once per pass. arena allocs = heap allocations over the");
+    println!("arena's timed passes (the gate: 0 on every unarmed scenario).");
+    for c in cells.iter().filter(|c| c.scenario != "armed_trap") {
+        assert_eq!(c.new_allocations, 0, "{} at M={}: an unarmed access allocated", c.scenario, c.m);
+    }
 
     // Observability tax: the unarmed cache-hit lane with a NullSink installed
     // must stay within 2% of the sink-free engine.
@@ -378,14 +397,6 @@ fn main() {
         return;
     }
 
-    // Acceptance at the cache-resident working set: the software fast path,
-    // not DRAM latency, is what the single-writer arena changed.
-    let accept_m = sizes.first().unwrap().0;
-    let unarmed_min = cells
-        .iter()
-        .filter(|c| c.m == accept_m && matches!(c.scenario, "home_hit" | "cache_hit"))
-        .map(Cell::speedup)
-        .fold(f64::INFINITY, f64::min);
     let doc = Report {
         bench: "access_path",
         mode: "full",
@@ -400,25 +411,15 @@ fn main() {
                 speedup: c.speedup(),
                 new_macc_per_s: c.macc_s(c.new_ns),
                 seed_macc_per_s: c.macc_s(c.seed_ns),
+                new_allocations: c.new_allocations,
             })
             .collect(),
-        acceptance: Acceptance {
-            scenario: "unarmed (min of home_hit, cache_hit)",
-            objects: accept_m,
-            required_speedup: 3.0,
-            measured_speedup: unarmed_min,
-            pass: unarmed_min >= 3.0,
-        },
         trace_overhead: overhead,
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_access_path.json");
     std::fs::write(path, serde_json::to_string_pretty(&doc).unwrap() + "\n")
         .expect("write BENCH_access_path.json");
     println!("\nwrote {path}");
-    assert!(
-        unarmed_min >= 3.0,
-        "acceptance: ≥3x accesses/sec over the seed layout on the unarmed path at M={accept_m} (measured {unarmed_min:.2}x)"
-    );
     assert!(
         doc.trace_overhead.pass,
         "acceptance: tracing-off overhead ≤2% on the unarmed cache-hit lane (measured {:+.2}%)",

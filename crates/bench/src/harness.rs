@@ -29,6 +29,14 @@ pub fn scale() -> Scale {
     }
 }
 
+/// Deterministic splitmix64 (no rand dependency in benches).
+pub fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e3779b97f4a7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
+    x ^ (x >> 31)
+}
+
 /// SOR configuration at a scale.
 pub fn sor_cfg(scale: Scale) -> SorConfig {
     match scale {

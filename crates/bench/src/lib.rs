@@ -19,7 +19,7 @@ pub mod pagedsm;
 pub mod table;
 
 pub use harness::{
-    bh_cfg, dominant_class, rate_is_na, rate_ladder, run_tracked, run_tracked_tcm, scale,
+    bh_cfg, dominant_class, mix, rate_is_na, rate_ladder, run_tracked, run_tracked_tcm, scale,
     sor_cfg, water_cfg, RateRun, Scale, PAGE_FAULT_NS,
 };
 pub use table::TextTable;

@@ -1,9 +1,10 @@
-//! The per-thread counter cells under real concurrency: eight OS threads drive a
-//! free-threaded GOS — no executor, so their accesses truly overlap — each with
-//! its own thread id, arena, clock and profiler. Every count is a load and a
-//! store by its one writer (DESIGN.md §13), so the totals the GOS and the
-//! profiler report must equal, exactly, the sum of what each thread saw its own
-//! accesses do: a cell two threads wrote would lose updates here.
+//! The per-thread counter cells under interleaving: eight executor tasks drive
+//! one GOS, each with its own thread id, arena, clock and profiler, and yield
+//! after every access, so a seeded jitter interleaves their accesses one by
+//! one. Every count is a load and a store by its one writer (DESIGN.md §13), so
+//! the totals the GOS and the profiler report must equal, exactly, the sum of
+//! what each thread saw its own accesses do: a count that landed in another
+//! thread's cell, or a cell two threads wrote, would break a total here.
 
 use std::sync::Arc;
 
@@ -12,7 +13,7 @@ use jessy_core::{
 };
 use jessy_gos::protocol::ProtocolCounters;
 use jessy_gos::{CostModel, Gos, GosConfig, ThreadSpace};
-use jessy_net::{ClockBoard, LatencyModel, NodeId, ThreadId};
+use jessy_net::{ClockBoard, DetExecutor, LatencyModel, NodeId, TaskSpec, ThreadId};
 
 const THREADS: u32 = 8;
 const NODES: usize = 2;
@@ -29,9 +30,17 @@ struct Tally {
     intervals_closed: u64,
 }
 
+/// Executor seed: `JESSY_CHAOS_SEED` picks the interleaving.
+fn chaos_seed() -> u64 {
+    std::env::var("JESSY_CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0)
+}
+
 #[test]
-fn eight_free_threads_count_exactly_what_each_did() {
-    let gos = Arc::new(Gos::new(GosConfig {
+fn eight_interleaved_tasks_count_exactly_what_each_did() {
+    let gos = Gos::new(GosConfig {
         n_nodes: NODES,
         n_threads: THREADS as usize,
         latency: LatencyModel::free(),
@@ -39,7 +48,7 @@ fn eight_free_threads_count_exactly_what_each_did() {
         prefetch_depth: 0,
         consistency: jessy_gos::protocol::ConsistencyModel::GlobalHlrc,
         faults: None,
-    }));
+    });
     // Nonstop footprinting re-arms every logged object for the current
     // interval, so all but the first access of each object in an interval is
     // an armed trap: every counter moves.
@@ -62,15 +71,20 @@ fn eight_free_threads_count_exactly_what_each_did() {
         })
         .collect();
 
-    let workers: Vec<_> = (0..THREADS)
-        .map(|t| {
-            let (gos, prof, objs) = (Arc::clone(&gos), Arc::clone(&prof), objs.clone());
+    // The cost models are free, so every clock stays at zero: the jitter alone
+    // orders the tasks, afresh at each access.
+    let exec = DetExecutor::new(THREADS as usize, chaos_seed(), 1_000);
+    let mut tallies: Vec<Tally> = (0..THREADS).map(|_| Tally::default()).collect();
+    let workers: Vec<_> = tallies
+        .iter_mut()
+        .zip(0..THREADS)
+        .map(|(tally, t)| {
+            let (gos, prof, objs, exec) = (&gos, Arc::clone(&prof), &objs, &*exec);
             let clock = board.handle(ThreadId(t));
-            std::thread::spawn(move || {
+            TaskSpec::new(1 << 20, move || {
                 let node = NodeId((t % NODES as u32) as u16);
                 let mut space = ThreadSpace::new(ThreadId(t));
                 let mut profiler = ThreadProfiler::new(prof, ThreadId(t));
-                let mut tally = Tally::default();
                 for interval in 0..INTERVALS {
                     // Each thread does a different amount of work: a total that
                     // only adds up per thread cannot pass by accident.
@@ -85,7 +99,8 @@ fn eight_free_threads_count_exactly_what_each_did() {
                             // logging it always arms its next-interval trap,
                             // and nonstop footprinting always re-arms it.
                             tally.footprint_rearms += u64::from(out.loggable());
-                            profiler.on_access(&gos, &mut space, &out, &clock);
+                            profiler.on_access(gos, &mut space, &out, &clock);
+                            exec.yield_now(t as usize, clock.now());
                         }
                     }
                     let oal = profiler.close_interval().expect("tracking is on");
@@ -94,11 +109,12 @@ fn eight_free_threads_count_exactly_what_each_did() {
                     tally.fi_armed += oal.entries.len() as u64;
                     profiler.open_interval(&mut space);
                 }
-                tally
             })
         })
         .collect();
-    let tallies: Vec<Tally> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+    let outcomes = exec.run_tasks(workers).expect("map the task stacks");
+    assert!(outcomes.iter().all(Result::is_ok), "a task panicked");
+    assert!(exec.handoffs() > u64::from(THREADS), "the tasks interleave");
 
     let total = |f: fn(&Tally) -> u64| -> u64 { tallies.iter().map(f).sum() };
     let proto = gos.proto_counters();

@@ -6,10 +6,9 @@
 //! lives in the profiler (`jessy-core`), not here — the GOS only provides the raw
 //! material (classes, sizes, sequence numbers).
 
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifies a class in the [`ClassRegistry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -51,13 +50,14 @@ impl ClassInfo {
 
 struct ClassSlot {
     info: ClassInfo,
-    seq: AtomicU64,
+    seq: Cell<u64>,
 }
 
-/// Registry of all classes plus their sequence counters.
+/// Registry of all classes plus their sequence counters, in cells like the
+/// rest of the GOS.
 #[derive(Default)]
 pub struct ClassRegistry {
-    slots: RwLock<Vec<ClassSlot>>,
+    slots: RefCell<Vec<ClassSlot>>,
 }
 
 impl ClassRegistry {
@@ -85,7 +85,7 @@ impl ClassRegistry {
     }
 
     fn register(&self, info: ClassInfo) -> ClassId {
-        let mut slots = self.slots.write();
+        let mut slots = self.slots.borrow_mut();
         assert!(slots.len() < u16::MAX as usize, "class table full");
         assert!(
             !slots.iter().any(|s| s.info.name == info.name),
@@ -94,27 +94,27 @@ impl ClassRegistry {
         );
         slots.push(ClassSlot {
             info,
-            seq: AtomicU64::new(0),
+            seq: Cell::new(0),
         });
         ClassId((slots.len() - 1) as u16)
     }
 
     /// Look up a class (clones the small descriptor).
     pub fn info(&self, class: ClassId) -> ClassInfo {
-        self.slots.read()[class.index()].info.clone()
+        self.slots.borrow()[class.index()].info.clone()
     }
 
     /// The class's `(is_array, unit_words)`, without cloning the descriptor and
     /// its name: what every allocation asks.
     pub fn shape(&self, class: ClassId) -> (bool, u32) {
-        let info = &self.slots.read()[class.index()].info;
+        let info = &self.slots.borrow()[class.index()].info;
         (info.is_array, info.unit_words)
     }
 
     /// Find a class by name.
     pub fn by_name(&self, name: &str) -> Option<ClassId> {
         self.slots
-            .read()
+            .borrow()
             .iter()
             .position(|s| s.info.name == name)
             .map(|i| ClassId(i as u16))
@@ -122,7 +122,7 @@ impl ClassRegistry {
 
     /// Number of registered classes.
     pub fn len(&self) -> usize {
-        self.slots.read().len()
+        self.slots.borrow().len()
     }
 
     /// True if no classes are registered.
@@ -136,20 +136,19 @@ impl ClassRegistry {
     /// has its own number (Section II.B.3: "every element has its own sequence number
     /// ... we only need to save the first element's").
     pub fn draw_seq(&self, class: ClassId, count: u64) -> u64 {
-        self.slots.read()[class.index()]
-            .seq
-            .fetch_add(count, Ordering::Relaxed)
+        let seq = &self.slots.borrow()[class.index()].seq;
+        seq.replace(seq.get() + count)
     }
 
     /// Current sequence counter value (tests/diagnostics).
     pub fn seq_watermark(&self, class: ClassId) -> u64 {
-        self.slots.read()[class.index()].seq.load(Ordering::Relaxed)
+        self.slots.borrow()[class.index()].seq.get()
     }
 
     /// Iterate `(ClassId, ClassInfo)` pairs.
     pub fn all(&self) -> Vec<(ClassId, ClassInfo)> {
         self.slots
-            .read()
+            .borrow()
             .iter()
             .enumerate()
             .map(|(i, s)| (ClassId(i as u16), s.info.clone()))
@@ -210,23 +209,29 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_draws_never_overlap() {
-        use std::sync::Arc;
-        let reg = Arc::new(ClassRegistry::new());
+    fn interleaved_draws_never_overlap() {
+        // Eight executor tasks draw, a scheduling point after each draw; the
+        // clocks stay at zero, so the seeded jitter alone interleaves them.
+        let reg = ClassRegistry::new();
         let c = reg.register_scalar("C", 1);
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let reg = Arc::clone(&reg);
-                std::thread::spawn(move || {
-                    let mut seen = Vec::new();
+        let exec = jessy_net::DetExecutor::new(8, 1, 1_000);
+        let mut seen: Vec<Vec<u64>> = vec![Vec::new(); 8];
+        let tasks = seen
+            .iter_mut()
+            .enumerate()
+            .map(|(t, seen)| {
+                let (reg, exec) = (&reg, &*exec);
+                jessy_net::TaskSpec::new(256 * 1024, move || {
                     for _ in 0..1000 {
                         seen.push(reg.draw_seq(c, 3));
+                        exec.yield_now(t, 0);
                     }
-                    seen
                 })
             })
             .collect();
-        let mut all: Vec<u64> = handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
+        assert!(exec.run_tasks(tasks).unwrap().iter().all(Result::is_ok));
+        assert!(exec.handoffs() > 8, "the draws interleave");
+        let mut all = seen.concat();
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 8 * 1000, "ranges must not overlap");

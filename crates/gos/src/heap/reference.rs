@@ -20,6 +20,7 @@
 //!    single-writer arena.
 
 use parking_lot::{Mutex, RwLock};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use jessy_net::{NodeId, ThreadId};
@@ -141,7 +142,7 @@ impl RefSpace {
 /// (which are orthogonal to the state machine and identical in both engines).
 pub struct ReferenceGos {
     classes: ClassRegistry,
-    objects: RwLock<Vec<Arc<ObjectCore>>>,
+    objects: RwLock<Vec<Rc<ObjectCore>>>,
     spaces: Vec<RefSpace>,
     dirty: Vec<Mutex<Vec<ObjectId>>>,
     notices: NoticeBoard,
@@ -174,7 +175,7 @@ impl ReferenceGos {
         node: NodeId,
         class: ClassId,
         init: Option<&[f64]>,
-    ) -> Arc<ObjectCore> {
+    ) -> Rc<ObjectCore> {
         let info = self.classes.info(class);
         assert!(!info.is_array, "use alloc_array for array classes");
         let seq = self.classes.draw_seq(class, 1);
@@ -188,7 +189,7 @@ impl ReferenceGos {
         class: ClassId,
         len_elems: u32,
         init: Option<&[f64]>,
-    ) -> Arc<ObjectCore> {
+    ) -> Rc<ObjectCore> {
         assert!(len_elems > 0, "zero-length arrays not supported");
         let info = self.classes.info(class);
         assert!(info.is_array, "use alloc_scalar for scalar classes");
@@ -207,11 +208,11 @@ impl ReferenceGos {
         seq0: u64,
         is_array: bool,
         init: Option<&[f64]>,
-    ) -> Arc<ObjectCore> {
+    ) -> Rc<ObjectCore> {
         assert!(node.index() < self.n_nodes, "node {node} out of range");
         let mut objects = self.objects.write();
         let id = ObjectId(objects.len() as u32);
-        let core = Arc::new(ObjectCore::new(
+        let core = Rc::new(ObjectCore::new(
             id, class, node, len_words, unit_words, seq0, is_array, false,
         ));
         if let Some(init) = init {
@@ -220,12 +221,12 @@ impl ReferenceGos {
                 d.copy_from_slice(init);
             });
         }
-        objects.push(Arc::clone(&core));
+        objects.push(Rc::clone(&core));
         core
     }
 
-    /// Look up an object (the seed's per-access `RwLock` read + `Arc` clone).
-    pub fn object(&self, id: ObjectId) -> Arc<ObjectCore> {
+    /// Look up an object (the seed's per-access `RwLock` read + handle clone).
+    pub fn object(&self, id: ObjectId) -> Rc<ObjectCore> {
         self.objects.read()[id.index()].clone()
     }
 
@@ -437,7 +438,7 @@ impl ReferenceGos {
     /// Apply every pending write notice for `thread` running on `node`. Returns the
     /// number of notices processed.
     pub fn apply_notices(&self, thread: ThreadId, node: NodeId) -> usize {
-        let new = self.notices.take_new(thread.index());
+        let new = self.notices.take_new(thread.index()).to_vec();
         let count = new.len();
         if count == 0 {
             return 0;

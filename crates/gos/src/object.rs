@@ -9,11 +9,13 @@
 //! Payloads are vectors of `f64` words: every workload object (SOR row, Barnes-Hut
 //! body, water molecule) is a fixed layout of doubles, which keeps twin/diff word-level
 //! like the real system while staying allocation-friendly.
+//!
+//! Every task of a run shares one OS thread, so an object's mutable parts are
+//! cells (DESIGN.md §13): overlapping borrows of one panic, naming the object.
 
-use parking_lot::{Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
+use std::cell::{Cell, RefCell, RefMut};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU64, Ordering};
 
 use jessy_net::{NodeId, ThreadId};
 
@@ -90,7 +92,7 @@ pub struct ObjectCore {
     pub id: ObjectId,
     /// The object's class.
     pub class: ClassId,
-    home: AtomicU16,
+    home: Cell<NodeId>,
     /// Payload length in 8-byte words. For arrays this is the element count times the
     /// per-element word width; for scalars it is the class's fixed size.
     pub len_words: u32,
@@ -103,10 +105,10 @@ pub struct ObjectCore {
     pub elem_seq0: u64,
     /// Whether this is an array instance (per-element sampling applies).
     pub is_array: bool,
-    sampled: AtomicBool,
-    version: AtomicU64,
-    home_data: Mutex<Vec<f64>>,
-    refs: Mutex<Vec<ObjectId>>,
+    sampled: Cell<bool>,
+    version: Cell<u64>,
+    home_data: RefCell<Vec<f64>>,
+    refs: RefCell<Vec<ObjectId>>,
     /// Who holds an arena entry for the object: nobody yet ([`UNCLAIMED`], how
     /// every object starts, whoever allocated it), exactly one thread (its
     /// id), or — for good — possibly several ([`SHARED`]). The first thread
@@ -117,13 +119,8 @@ pub struct ObjectCore {
     /// holds the only entry, nobody else has a copy, receives the object's
     /// notices or has fetched it, so the holder's home hits touch nothing
     /// another task can observe and the runtime schedules them like cache
-    /// hits (DESIGN.md §15). The claim is a compare-exchange — `Gos` may be
-    /// driven free-threaded, and two racing first touchers must not both
-    /// own; it is `AcqRel`, the stores `Release` and the loads `Acquire`. The
-    /// payload the word speaks for sits behind `home_data`'s own lock, and
-    /// under the executor every store and load is already ordered by the run
-    /// token's hand-off.
-    local_to: AtomicU32,
+    /// hits (DESIGN.md §15).
+    local_to: Cell<u32>,
 }
 
 /// `local_to` value of an object more than one thread holds, or may hold.
@@ -147,16 +144,16 @@ impl ObjectCore {
         ObjectCore {
             id,
             class,
-            home: AtomicU16::new(home.0),
+            home: Cell::new(home),
             len_words,
             unit_words: unit_words.max(1),
             elem_seq0,
             is_array,
-            sampled: AtomicBool::new(sampled),
-            version: AtomicU64::new(0),
-            home_data: Mutex::new(vec![0.0; len_words as usize]),
-            refs: Mutex::new(Vec::new()),
-            local_to: AtomicU32::new(UNCLAIMED),
+            sampled: Cell::new(sampled),
+            version: Cell::new(0),
+            home_data: RefCell::new(vec![0.0; len_words as usize]),
+            refs: RefCell::new(Vec::new()),
+            local_to: Cell::new(UNCLAIMED),
         }
     }
 
@@ -166,21 +163,17 @@ impl ObjectCore {
     #[inline]
     pub fn arrive(&self, thread: ThreadId) {
         debug_assert!(thread.0 < UNCLAIMED);
-        let claim = self.local_to.compare_exchange(
-            UNCLAIMED,
-            thread.0,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
-        if claim.is_err_and(|holder| holder != thread.0) {
-            self.publish();
+        match self.local_to.get() {
+            UNCLAIMED => self.local_to.set(thread.0),
+            holder if holder != thread.0 => self.publish(),
+            _ => {}
         }
     }
 
     /// Does `thread` hold the only arena entry for the object?
     #[inline]
     pub fn is_local_to(&self, thread: ThreadId) -> bool {
-        self.local_to.load(Ordering::Acquire) == thread.0
+        self.local_to.get() == thread.0
     }
 
     /// The object became reachable by threads that hold no entry for it — it
@@ -189,7 +182,7 @@ impl ObjectCore {
     /// it was in.
     #[inline]
     pub fn publish(&self) {
-        self.local_to.store(SHARED, Ordering::Release);
+        self.local_to.set(SHARED);
     }
 
     /// The object's outgoing reference fields — the connectivity graph that sticky-set
@@ -197,29 +190,32 @@ impl ObjectCore {
     /// Reference fields are maintained by the application alongside the data payload
     /// (a Java object's pointer fields vs. its primitive fields).
     pub fn refs(&self) -> Vec<ObjectId> {
-        self.refs.lock().clone()
+        self.refs_mut().clone()
     }
 
     /// Run `f` over the outgoing reference fields without copying them — what
-    /// graph traversals use. `f` runs under this object's reference lock: it
-    /// must not touch the same object's references ([`ObjectCore::refs`],
-    /// [`ObjectCore::add_ref`], [`ObjectCore::set_refs`] or a nested
-    /// `with_refs`), or it deadlocks.
+    /// graph traversals use. `f` runs with this object's references borrowed:
+    /// it must not touch them ([`ObjectCore::refs`], [`ObjectCore::add_ref`],
+    /// [`ObjectCore::set_refs`] or a nested `with_refs`), or it panics.
     #[inline]
     pub fn with_refs<R>(&self, f: impl FnOnce(&[ObjectId]) -> R) -> R {
-        f(&self.refs.lock())
+        f(&self.refs_mut())
     }
 
     /// Append an outgoing reference. Low level: the target is not published
     /// ([`ObjectCore::publish`]) — mid-run code goes through `Gos::add_ref`.
     pub fn add_ref(&self, target: ObjectId) {
-        self.refs.lock().push(target);
+        self.refs_mut().push(target);
     }
 
     /// Replace the outgoing reference list. Low level, like
     /// [`ObjectCore::add_ref`]: mid-run code goes through `Gos::set_refs`.
     pub fn set_refs(&self, targets: Vec<ObjectId>) {
-        *self.refs.lock() = targets;
+        *self.refs_mut() = targets;
+    }
+
+    fn refs_mut(&self) -> RefMut<'_, Vec<ObjectId>> {
+        self.refs.try_borrow_mut().unwrap_or_else(|_| self.in_use("reference list"))
     }
 
     /// The object's current home node. Homes start at the allocating node and can be
@@ -227,14 +223,14 @@ impl ObjectCore {
     /// paper's experiments run with).
     #[inline]
     pub fn home(&self) -> NodeId {
-        NodeId(self.home.load(Ordering::Acquire))
+        self.home.get()
     }
 
     /// Relocate the home (home migration; the caller accounts the transfer and posts
     /// the invalidating write notice).
     #[inline]
     pub fn set_home(&self, home: NodeId) {
-        self.home.store(home.0, Ordering::Release);
+        self.home.set(home);
     }
 
     /// Payload size in bytes (what an object fault moves, excluding headers).
@@ -256,43 +252,52 @@ impl ObjectCore {
     /// Is the object currently tagged as sampled?
     #[inline]
     pub fn is_sampled(&self) -> bool {
-        self.sampled.load(Ordering::Relaxed)
+        self.sampled.get()
     }
 
     /// (Re)tag the object as sampled/unsampled — used at allocation and during
     /// resampling walks after a rate change (Section II.B.2).
     #[inline]
     pub fn set_sampled(&self, sampled: bool) {
-        self.sampled.store(sampled, Ordering::Relaxed);
+        self.sampled.set(sampled);
     }
 
     /// Current home-copy version (bumped on every applied write interval).
     #[inline]
     pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
+        self.version.get()
     }
 
     /// Bump the home version, returning the new value.
     #[inline]
     pub fn bump_version(&self) -> u64 {
-        self.version.fetch_add(1, Ordering::AcqRel) + 1
+        self.version.set(self.version.get() + 1);
+        self.version.get()
     }
 
-    /// Run `f` over the home copy's payload (shared lock discipline: always acquire the
-    /// per-node cache-entry lock *before* this one).
+    /// Run `f` over the home copy's payload. `f` must not borrow the same
+    /// payload again, or it panics.
+    #[inline]
     pub fn with_home_data<R>(&self, f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
-        f(&mut self.home_data.lock())
+        f(&mut self.home_data())
     }
 
-    /// Lock the home copy's payload for a borrow that outlives one closure (a
-    /// group access).
-    pub(crate) fn home_data(&self) -> MutexGuard<'_, Vec<f64>> {
-        self.home_data.lock()
+    /// Borrow the home copy's payload for longer than one closure (a group
+    /// access). Panics, naming the object, if it is already borrowed.
+    #[inline]
+    pub(crate) fn home_data(&self) -> RefMut<'_, Vec<f64>> {
+        self.home_data.try_borrow_mut().unwrap_or_else(|_| self.in_use("home payload"))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn in_use(&self, what: &str) -> ! {
+        panic!("{}'s {what} is already borrowed (held across a scheduling point?)", self.id)
     }
 
     /// Clone the home payload (an object fault's data transfer).
     pub fn snapshot_home(&self) -> Vec<f64> {
-        self.home_data.lock().clone()
+        self.home_data().clone()
     }
 }
 
@@ -303,6 +308,24 @@ mod tests {
 
     fn core() -> ObjectCore {
         ObjectCore::new(ObjectId(7), ClassId(1), NodeId(2), 4, 4, 100, false, true)
+    }
+
+    /// A payload borrow that outlives its access (a task holding one across a
+    /// scheduling point) makes the next borrow of the object panic, naming it:
+    /// under the mutex it replaced, that second task waited forever.
+    #[test]
+    #[should_panic(expected = "o7's home payload is already borrowed")]
+    fn a_second_payload_borrow_panics_naming_the_object() {
+        let o = core();
+        let _held = o.home_data();
+        o.with_home_data(|_| ());
+    }
+
+    #[test]
+    #[should_panic(expected = "o7's reference list is already borrowed")]
+    fn touching_references_inside_with_refs_panics_naming_the_object() {
+        let o = core();
+        o.with_refs(|_| o.add_ref(ObjectId(1)));
     }
 
     #[test]

@@ -29,6 +29,14 @@
 //! discipline: each thread counts into a cell of its own with a load and a store,
 //! and [`Gos::proto_counters`] sums the cells.
 //!
+//! Every task of a run shares one OS thread, so the shared parts are cells
+//! (DESIGN.md §13), and a `Gos` shared between OS threads does not compile:
+//!
+//! ```compile_fail
+//! fn shared_between_threads<T: Sync>() {}
+//! shared_between_threads::<jessy_gos::Gos>();
+//! ```
+//!
 //! The per-thread at-most-once property falls out: within one interval a (thread,
 //! object) pair faults at most once, so logging on faults is cheap — exactly what
 //! Section II.A exploits, with [`ThreadSpace::arm_next_interval`] re-arming traps per
@@ -39,10 +47,10 @@
 //! thread migration changes it.
 
 use jessy_obs::{EventKind, TraceSink};
-use parking_lot::{Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::cell::{Cell, OnceCell, RefCell};
+use std::rc::Rc;
+use std::sync::Arc;
 
 use jessy_net::{
     ClockHandle, DetExecutor, Fabric, FaultPlan, LatencyModel, MsgClass, NetError, NetworkStats,
@@ -173,7 +181,7 @@ impl AccessOutcome {
 /// in the accessing thread's own arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Served {
-    /// The home copy, behind the object's own lock.
+    /// The home copy, in the object's own cell.
     Home,
     /// A cache copy in the thread's arena. Only its owner writes it, and
     /// notices and migrations reach it only at the owner's own barriers and
@@ -216,26 +224,25 @@ pub struct ProtocolCounters {
 
 /// What one thread's own operations on its [`ThreadSpace`] counted: the access
 /// check and its fault paths, its release flushes and its notice walks. One
-/// writer per thread id — the thread driving that space, under the executor or
-/// free-threaded (DESIGN.md §13) — so a count is a load and a store, never an
-/// atomic read-modify-write, and [`Gos::proto_counters`] sums the cells live.
-/// A line each, so two threads' counts never share one.
+/// writer per thread id — the task driving that space (DESIGN.md §13) — and
+/// [`Gos::proto_counters`] sums the cells live. A line each, so two threads'
+/// counts never share one.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 struct ThreadCounters {
-    accesses: AtomicU64,
-    real_faults: AtomicU64,
-    false_invalid_faults: AtomicU64,
-    home_promotions: AtomicU64,
-    objects_prefetched: AtomicU64,
-    diffs_flushed: AtomicU64,
-    notices_applied: AtomicU64,
+    accesses: Cell<u64>,
+    real_faults: Cell<u64>,
+    false_invalid_faults: Cell<u64>,
+    home_promotions: Cell<u64>,
+    objects_prefetched: Cell<u64>,
+    diffs_flushed: Cell<u64>,
+    notices_applied: Cell<u64>,
 }
 
-/// Add `n` to a cell that only its owning thread writes.
+/// Add `n` to a counter cell.
 #[inline]
-fn bump(cell: &AtomicU64, n: u64) {
-    cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+fn bump(cell: &Cell<u64>, n: u64) {
+    cell.set(cell.get() + n);
 }
 
 /// Slots in the object table's first chunk; chunk `k` holds `CHUNK0_SLOTS << k`.
@@ -253,27 +260,22 @@ fn locate(id: ObjectId) -> (usize, usize) {
     ((top - CHUNK0_SLOTS.ilog2()) as usize, (j ^ (1 << top)) as usize)
 }
 
-type Slot = OnceLock<Arc<ObjectCore>>;
+type Slot = OnceCell<Rc<ObjectCore>>;
 
 /// The global object table: append-only, write-once slots in geometrically
 /// growing chunks that never move, so a lookup — for objects allocated during
 /// set-up and mid-run alike — is two plain loads (chunk pointer, slot) and
-/// returns a borrow that lives as long as the table. Readers take no lock and
-/// touch no reference count.
+/// returns a borrow that lives as long as the table. Readers touch no
+/// reference count.
 ///
-/// Publication order: an allocation, holding the `index` lock, takes the next
-/// dense id, creates the slot's chunk if the id is its first (one allocation
-/// for the whole chunk), writes the slot and only then publishes the new
-/// length and the id's entry in its class's list. A slot is a `OnceLock`,
-/// whose `set` releases and whose `get` acquires, so whoever obtains an id —
-/// from the allocator's return value or through any chain of synchronization
-/// from it — finds the slot written; and every id below a length, or in a
-/// class list, read from `index` resolves.
+/// An allocation takes the next dense id, creates the slot's chunk if the id
+/// is its first (one allocation for the whole chunk), writes the slot and only
+/// then records the new length and the id's entry in its class's list, so
+/// every id below the length, or in a class list, resolves.
 struct ObjectTable {
-    chunks: [OnceLock<Box<[Slot]>>; N_CHUNKS],
-    /// What has been allocated. Its lock is the one allocation lock: it
-    /// serializes allocations, which makes ids dense and in allocation order.
-    index: Mutex<TableIndex>,
+    chunks: [OnceCell<Box<[Slot]>>; N_CHUNKS],
+    /// What has been allocated.
+    index: RefCell<TableIndex>,
 }
 
 #[derive(Default)]
@@ -287,23 +289,23 @@ struct TableIndex {
 impl ObjectTable {
     fn new() -> Self {
         ObjectTable {
-            chunks: [const { OnceLock::new() }; N_CHUNKS],
-            index: Mutex::default(),
+            chunks: [const { OnceCell::new() }; N_CHUNKS],
+            index: RefCell::default(),
         }
     }
 
     fn len(&self) -> usize {
-        self.index.lock().len
+        self.index.borrow().len
     }
 
     /// The ids of `class`'s objects allocated so far, ascending.
     fn ids_of_class(&self, class: ClassId) -> Vec<ObjectId> {
-        self.index.lock().by_class.get(class.index()).cloned().unwrap_or_default()
+        self.index.borrow().by_class.get(class.index()).cloned().unwrap_or_default()
     }
 
     /// The object `id` names, or `None` for an id never allocated.
     #[inline]
-    fn get(&self, id: ObjectId) -> Option<&Arc<ObjectCore>> {
+    fn get(&self, id: ObjectId) -> Option<&Rc<ObjectCore>> {
         let (chunk, offset) = locate(id);
         self.chunks[chunk].get()?.get(offset)?.get()
     }
@@ -312,17 +314,19 @@ impl ObjectTable {
     fn push(
         &self,
         class: ClassId,
-        make: impl FnOnce(ObjectId) -> Arc<ObjectCore>,
-    ) -> &Arc<ObjectCore> {
-        let mut index = self.index.lock();
-        let id = ObjectId(u32::try_from(index.len).unwrap_or_else(|_| {
-            panic!("object table full: all {} u32 object ids are in use", index.len)
+        make: impl FnOnce(ObjectId) -> Rc<ObjectCore>,
+    ) -> &Rc<ObjectCore> {
+        let len = self.len();
+        let id = ObjectId(u32::try_from(len).unwrap_or_else(|_| {
+            panic!("object table full: all {len} u32 object ids are in use")
         }));
         let (chunk, offset) = locate(id);
         let slots = self.chunks[chunk]
             .get_or_init(|| (0..CHUNK0_SLOTS << chunk).map(|_| Slot::new()).collect());
-        // The slot is empty: only this path writes slots, one per id, under the lock.
+        // The slot is empty: only this path writes slots, one per id, and it
+        // takes the id only once `make` has returned.
         let core = slots[offset].get_or_init(|| make(id));
+        let mut index = self.index.borrow_mut();
         index.len += 1;
         if index.by_class.len() <= class.index() {
             index.by_class.resize_with(class.index() + 1, Vec::new);
@@ -332,7 +336,7 @@ impl ObjectTable {
     }
 
     /// Every object allocated so far, in id order.
-    fn iter(&self) -> impl Iterator<Item = &Arc<ObjectCore>> {
+    fn iter(&self) -> impl Iterator<Item = &Rc<ObjectCore>> {
         let len = self.len();
         self.chunks
             .iter()
@@ -380,8 +384,8 @@ pub struct Gos {
     barrier: SimBarrier,
     /// One cell per thread id `0..n_threads`.
     counters: Box<[ThreadCounters]>,
-    /// Homes relocated: counted by whoever relocates, so a shared cell.
-    home_migrations: AtomicU64,
+    /// Homes relocated: counted by whoever relocates.
+    home_migrations: Cell<u64>,
     /// Journal for protocol slow-path events (faults, traps, home migrations,
     /// notice application). `None` emits nothing; the access-check *hit* lane has
     /// no emission site at all, so tracing cannot slow it down.
@@ -418,7 +422,7 @@ impl Gos {
             locks: LockTable::new(),
             barrier: SimBarrier::new(),
             counters: (0..config.n_threads).map(|_| ThreadCounters::default()).collect(),
-            home_migrations: AtomicU64::new(0),
+            home_migrations: Cell::new(0),
             sink: None,
             exec: DetExecutor::new(0, 0, 0),
             config,
@@ -466,8 +470,8 @@ impl Gos {
 
     /// Snapshot of protocol event counters: every thread's cell summed, as of now.
     pub fn proto_counters(&self) -> ProtocolCounters {
-        let sum = |cell: fn(&ThreadCounters) -> &AtomicU64| -> u64 {
-            self.counters.iter().map(|c| cell(c).load(Ordering::Relaxed)).sum()
+        let sum = |cell: fn(&ThreadCounters) -> &Cell<u64>| -> u64 {
+            self.counters.iter().map(|c| cell(c).get()).sum()
         };
         ProtocolCounters {
             real_faults: sum(|c| &c.real_faults),
@@ -475,7 +479,7 @@ impl Gos {
             accesses: sum(|c| &c.accesses),
             diffs_flushed: sum(|c| &c.diffs_flushed),
             notices_applied: sum(|c| &c.notices_applied),
-            home_migrations: self.home_migrations.load(Ordering::Relaxed),
+            home_migrations: self.home_migrations.get(),
             home_promotions: sum(|c| &c.home_promotions),
             objects_prefetched: sum(|c| &c.objects_prefetched),
         }
@@ -505,7 +509,7 @@ impl Gos {
         class: ClassId,
         clock: &ClockHandle,
         init: Option<&[f64]>,
-    ) -> Arc<ObjectCore> {
+    ) -> Rc<ObjectCore> {
         let (is_array, unit_words) = self.classes.shape(class);
         assert!(!is_array, "use alloc_array for array classes");
         let seq = self.classes.draw_seq(class, 1);
@@ -521,7 +525,7 @@ impl Gos {
         len_elems: u32,
         clock: &ClockHandle,
         init: Option<&[f64]>,
-    ) -> Arc<ObjectCore> {
+    ) -> Rc<ObjectCore> {
         assert!(len_elems > 0, "zero-length arrays not supported");
         let (is_array, unit_words) = self.classes.shape(class);
         assert!(is_array, "use alloc_scalar for scalar classes");
@@ -541,7 +545,7 @@ impl Gos {
         is_array: bool,
         clock: &ClockHandle,
         init: Option<&[f64]>,
-    ) -> Arc<ObjectCore> {
+    ) -> Rc<ObjectCore> {
         self.assert_node(node);
         clock.spend(self.config.costs.alloc_ns);
         let core = self.objects.push(class, |id| {
@@ -552,9 +556,9 @@ impl Gos {
                     d.copy_from_slice(init);
                 });
             }
-            Arc::new(core)
+            Rc::new(core)
         });
-        Arc::clone(core)
+        Rc::clone(core)
     }
 
     /// Does nothing: the object table needs no freeze step — every lookup, for
@@ -567,7 +571,7 @@ impl Gos {
     /// reference-count traffic — the lookup for access paths and traversals.
     /// Panics on an id never allocated.
     #[inline]
-    pub fn object_ref(&self, id: ObjectId) -> &Arc<ObjectCore> {
+    pub fn object_ref(&self, id: ObjectId) -> &Rc<ObjectCore> {
         self.objects
             .get(id)
             .unwrap_or_else(|| panic!("{id} out of range ({} objects)", self.n_objects()))
@@ -580,8 +584,8 @@ impl Gos {
     }
 
     /// Look up an object by id, for callers that keep the handle.
-    pub fn object(&self, id: ObjectId) -> Arc<ObjectCore> {
-        Arc::clone(self.object_ref(id))
+    pub fn object(&self, id: ObjectId) -> Rc<ObjectCore> {
+        Rc::clone(self.object_ref(id))
     }
 
     /// Does `thread` hold the only arena entry for `obj` — it touched the
@@ -630,14 +634,14 @@ impl Gos {
     }
 
     /// Visit every object of `class` (resampling walks after a rate change).
-    pub fn for_each_object_of_class(&self, class: ClassId, mut f: impl FnMut(&Arc<ObjectCore>)) {
+    pub fn for_each_object_of_class(&self, class: ClassId, mut f: impl FnMut(&Rc<ObjectCore>)) {
         for id in self.objects.ids_of_class(class) {
             f(self.object_ref(id));
         }
     }
 
     /// Visit every object, in id order.
-    pub fn for_each_object(&self, f: impl FnMut(&Arc<ObjectCore>)) {
+    pub fn for_each_object(&self, f: impl FnMut(&Rc<ObjectCore>)) {
         self.objects.iter().for_each(f);
     }
 
@@ -676,8 +680,7 @@ impl Gos {
     /// member's shared. Every member must have been checked by `space`'s
     /// thread, the target last and right before this call, and the members
     /// must be distinct (`JThread::update` rejects a duplicate before any
-    /// check). Home payloads are locked in ascending object id, so two groups
-    /// never wait on each other in a cycle.
+    /// check).
     pub fn with_group<const N: usize, R>(
         &self,
         space: &mut ThreadSpace,
@@ -690,22 +693,8 @@ impl Gos {
             ReadMember::InPlace(obj, Served::Home) => Some(obj),
             _ => None,
         };
-        let mut order: [usize; N] = std::array::from_fn(|i| i);
-        order.sort_unstable_by_key(|&i| home_of(reads[i]));
-        let mut target_home = None;
-        let mut read_homes: [Option<MutexGuard<'_, Vec<f64>>>; N] = std::array::from_fn(|_| None);
-        for i in order {
-            let Some(obj) = home_of(reads[i]) else {
-                continue;
-            };
-            if at == Served::Home && target_home.is_none() && target < obj {
-                target_home = Some(self.core(target).home_data());
-            }
-            read_homes[i] = Some(self.core(obj).home_data());
-        }
-        if at == Served::Home && target_home.is_none() {
-            target_home = Some(self.core(target).home_data());
-        }
+        let mut target_home = (at == Served::Home).then(|| self.core(target).home_data());
+        let read_homes = reads.map(|m| home_of(m).map(|obj| self.core(obj).home_data()));
 
         let (target_arena, read_arena) = space.group_payloads(
             (at == Served::Arena).then_some(target),
@@ -1019,6 +1008,8 @@ impl Gos {
     pub fn apply_notices(&self, space: &mut ThreadSpace, node: NodeId, clock: &ClockHandle) -> usize {
         self.assert_node(node);
         let costs = &self.config.costs;
+        // The window is walked where it lies on the board; the follow-up
+        // notices a forced flush raises are posted once the walk is done.
         let new = self.notices.take_new(space.thread().index());
         let count = new.len();
         if count == 0 {
@@ -1037,7 +1028,7 @@ impl Gos {
             );
         }
         let mut follow_up = Vec::new();
-        for notice in new {
+        for notice in new.iter() {
             let obj = notice.obj;
             let w = space.peek(obj);
             match w & 0b11 {
@@ -1085,6 +1076,7 @@ impl Gos {
             // stays for the refetch to reuse and the access check does the rest.
             space.note_visible(obj, notice.version);
         }
+        drop(new);
         self.notices.post(follow_up);
         count
     }
@@ -1228,7 +1220,7 @@ impl Gos {
             }
         }
         let moved = notices.len();
-        self.home_migrations.fetch_add(moved as u64, Ordering::Relaxed);
+        bump(&self.home_migrations, moved as u64);
         self.notices.post(notices);
         let mut total = 0;
         for (link, &bytes) in per_link.iter().enumerate() {
@@ -1379,16 +1371,16 @@ mod tests {
         let table = ObjectTable::new();
         let push = |class: u16| {
             table.push(ClassId(class), |id| {
-                Arc::new(ObjectCore::new(id, ClassId(class), NodeId(0), 1, 1, 0, false, false))
+                Rc::new(ObjectCore::new(id, ClassId(class), NodeId(0), 1, 1, 0, false, false))
             })
         };
         assert!(table.get(ObjectId(0)).is_none() && table.iter().next().is_none());
-        let first: *const ObjectCore = Arc::as_ptr(push(0));
+        let first: *const ObjectCore = Rc::as_ptr(push(0));
         for i in 1..200u32 {
             assert_eq!(push((i % 2) as u16).id, ObjectId(i), "ids are dense");
         }
         assert_eq!(table.len(), 200);
-        assert_eq!(Arc::as_ptr(table.get(ObjectId(0)).unwrap()), first);
+        assert_eq!(Rc::as_ptr(table.get(ObjectId(0)).unwrap()), first);
         let ids: Vec<u32> = table.iter().map(|c| c.id.0).collect();
         assert_eq!(ids, (0..200).collect::<Vec<_>>());
         let odd: Vec<ObjectId> = (0..200).filter(|i| i % 2 == 1).map(ObjectId).collect();

@@ -14,17 +14,16 @@
 //! task may block; a caller that never has to wait (an uncontended acquire, the
 //! last arrival at a barrier) needs no task. Because at most one task runs at a
 //! time, the register-then-block sequence cannot race a release, so the
-//! loop-recheck pattern is lost-wakeup-free by construction.
+//! loop-recheck pattern is lost-wakeup-free by construction (and needs no lock).
 //!
 //! *Simulated* time is reconciled alongside: a barrier releases everyone at the
 //! latest participant's clock plus the barrier cost, and a lock hand-off floors the
 //! acquirer's clock at the previous holder's release time.
 
-use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
+use std::cell::{Cell, Ref, RefCell};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use jessy_net::{DetExecutor, SimNanos};
 
@@ -47,26 +46,32 @@ pub struct WriteNotice {
 #[derive(Debug)]
 pub struct NoticeBoard {
     /// The notices from number `.0` on (the prefix every cursor passed is gone).
-    log: RwLock<(usize, Vec<WriteNotice>)>,
-    cursors: Vec<AtomicUsize>,
+    log: RefCell<(usize, Vec<WriteNotice>)>,
+    cursors: Vec<Cell<usize>>,
 }
 
 impl NoticeBoard {
     /// Board with `n_cursors` independent read cursors (one per thread).
     pub fn new(n_cursors: usize) -> Self {
         NoticeBoard {
-            log: RwLock::new((0, Vec::new())),
-            cursors: (0..n_cursors).map(|_| AtomicUsize::new(0)).collect(),
+            log: RefCell::new((0, Vec::new())),
+            cursors: (0..n_cursors).map(|_| Cell::new(0)).collect(),
         }
     }
 
     /// Append notices (at release time), first dropping the prefix every cursor
     /// has passed once it is at least half the log, so each notice is moved at
-    /// most once on average. The write lock keeps every cursor still meanwhile.
+    /// most once on average.
+    ///
+    /// # Panics
+    /// While a window from [`NoticeBoard::take_new`] is still borrowed.
     pub fn post(&self, notices: impl IntoIterator<Item = WriteNotice>) {
-        let mut log = self.log.write();
+        let mut log = self
+            .log
+            .try_borrow_mut()
+            .expect("notices posted while a taken window is still borrowed");
         let (base, kept) = &mut *log;
-        let min_cursor = self.cursors.iter().map(|c| c.load(Ordering::Acquire)).min();
+        let min_cursor = self.cursors.iter().map(Cell::get).min();
         let passed = min_cursor.map_or(kept.len(), |c| c - *base);
         if 2 * passed >= kept.len() {
             kept.drain(..passed);
@@ -75,23 +80,19 @@ impl NoticeBoard {
         kept.extend(notices);
     }
 
-    /// Take every notice cursor `who` has not yet applied, advancing its cursor.
-    ///
-    /// Concurrent callers for the *same* cursor must be externally serialized (they
-    /// are: each cursor belongs to one thread, which takes notices on its own
-    /// acquire path only).
-    pub fn take_new(&self, who: usize) -> Vec<WriteNotice> {
-        let log = self.log.read();
-        let (base, kept) = &*log;
-        let cur = self.cursors[who].load(Ordering::Acquire);
-        let new = kept[cur - base..].to_vec();
-        self.cursors[who].store(base + kept.len(), Ordering::Release);
-        new
+    /// Take every notice cursor `who` has not yet applied, advancing its
+    /// cursor: the window, borrowed where it lies in the log. Drop it before
+    /// the next [`NoticeBoard::post`]; a walk that raises follow-up notices
+    /// posts them after it.
+    pub fn take_new(&self, who: usize) -> Ref<'_, [WriteNotice]> {
+        let log = self.log.borrow();
+        let cur = self.cursors[who].replace(log.0 + log.1.len());
+        Ref::map(log, |(base, kept)| &kept[cur - base..])
     }
 
     /// Total notices ever posted.
     pub fn len(&self) -> usize {
-        let log = self.log.read();
+        let log = self.log.borrow();
         log.0 + log.1.len()
     }
 
@@ -131,14 +132,14 @@ struct RawLockInner {
 /// A single distributed lock: real mutual exclusion + simulated-time hand-off.
 #[derive(Debug)]
 pub struct RawLock {
-    inner: Mutex<RawLockInner>,
+    inner: RefCell<RawLockInner>,
 }
 
 impl RawLock {
     /// A free lock.
     pub fn new() -> Self {
         RawLock {
-            inner: Mutex::new(RawLockInner {
+            inner: RefCell::new(RawLockInner {
                 held: false,
                 last_release_sim: 0,
                 waiters: Vec::new(),
@@ -156,7 +157,7 @@ impl RawLock {
     /// If the lock is contended and `task` is not `exec`'s running task.
     pub fn acquire(&self, exec: &DetExecutor, task: usize, now_sim: SimNanos) -> SimNanos {
         loop {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             if !inner.held {
                 inner.held = true;
                 return inner.last_release_sim;
@@ -174,7 +175,7 @@ impl RawLock {
     /// # Panics
     /// If the lock is not held.
     pub fn release(&self, exec: &DetExecutor, now_sim: SimNanos) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         assert!(inner.held, "releasing a lock that is not held");
         inner.held = false;
         inner.last_release_sim = inner.last_release_sim.max(now_sim);
@@ -195,7 +196,7 @@ impl Default for RawLock {
 /// Table of dynamically registered locks.
 #[derive(Debug, Default)]
 pub struct LockTable {
-    locks: RwLock<Vec<Arc<RawLock>>>,
+    locks: RefCell<Vec<Rc<RawLock>>>,
 }
 
 impl LockTable {
@@ -206,19 +207,19 @@ impl LockTable {
 
     /// Register a fresh lock.
     pub fn register(&self) -> LockId {
-        let mut locks = self.locks.write();
-        locks.push(Arc::new(RawLock::new()));
+        let mut locks = self.locks.borrow_mut();
+        locks.push(Rc::new(RawLock::new()));
         LockId((locks.len() - 1) as u32)
     }
 
     /// Fetch a lock.
-    pub fn get(&self, id: LockId) -> Arc<RawLock> {
-        self.locks.read()[id.index()].clone()
+    pub fn get(&self, id: LockId) -> Rc<RawLock> {
+        self.locks.borrow()[id.index()].clone()
     }
 
     /// Number of registered locks.
     pub fn len(&self) -> usize {
-        self.locks.read().len()
+        self.locks.borrow().len()
     }
 
     /// True if the table is empty.
@@ -242,14 +243,14 @@ struct BarrierInner {
 /// A reusable global barrier reconciling simulated clocks.
 #[derive(Debug)]
 pub struct SimBarrier {
-    inner: Mutex<BarrierInner>,
+    inner: RefCell<BarrierInner>,
 }
 
 impl SimBarrier {
     /// A fresh barrier.
     pub fn new() -> Self {
         SimBarrier {
-            inner: Mutex::new(BarrierInner {
+            inner: RefCell::new(BarrierInner {
                 count: 0,
                 generation: 0,
                 max_sim: 0,
@@ -281,7 +282,7 @@ impl SimBarrier {
         extra_ns: SimNanos,
     ) -> SimNanos {
         assert!(parties > 0, "barrier needs at least one party");
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.max_sim = inner.max_sim.max(now_sim);
         inner.count += 1;
         if inner.count == parties {
@@ -302,7 +303,7 @@ impl SimBarrier {
                 inner.waiters.push(task);
                 drop(inner);
                 exec.block_internal(task, now_sim);
-                inner = self.inner.lock();
+                inner = self.inner.borrow_mut();
                 if inner.generation != gen {
                     break;
                 }
@@ -352,12 +353,12 @@ mod tests {
         board.post([notice(1), notice(2)]);
         assert_eq!(board.take_new(0).len(), 2);
         board.post([notice(3)]);
-        assert_eq!(board.log.read().1.len(), 3, "cursor 1 has passed nothing");
+        assert_eq!(board.log.borrow().1.len(), 3, "cursor 1 has passed nothing");
         assert_eq!(board.take_new(1).len(), 3);
         board.post([notice(4)]);
-        assert_eq!(*board.log.read(), (2, vec![notice(3), notice(4)]));
-        assert_eq!(board.take_new(0), vec![notice(3), notice(4)]);
-        assert_eq!(board.take_new(1), vec![notice(4)]);
+        assert_eq!(*board.log.borrow(), (2, vec![notice(3), notice(4)]));
+        assert_eq!(*board.take_new(0), [notice(3), notice(4)]);
+        assert_eq!(*board.take_new(1), [notice(4)]);
         assert_eq!(board.len(), 4, "every notice ever posted");
     }
 
@@ -387,25 +388,25 @@ mod tests {
     fn raw_lock_serializes_threads() {
         let exec = DetExecutor::new(8, 0, 0);
         let lock = RawLock::new();
-        let counter = Mutex::new(0u64);
+        let counter = Cell::new(0u64);
         let bodies: Vec<_> = (0..8)
             .map(|t| {
                 let (exec, lock, counter) = (&*exec, &lock, &counter);
                 move || {
                     for i in 0..500 {
                         lock.acquire(exec, t, i);
-                        let v = *counter.lock();
+                        let v = counter.get();
                         // Hand the token on mid-section: another task slipping
                         // in would be caught by lost updates.
                         exec.yield_now(t, i);
-                        *counter.lock() = v + 1;
+                        counter.set(v + 1);
                         lock.release(exec, i);
                     }
                 }
             })
             .collect();
         run_tasks(&exec, bodies);
-        assert_eq!(*counter.lock(), 8 * 500);
+        assert_eq!(counter.get(), 8 * 500);
     }
 
     #[test]

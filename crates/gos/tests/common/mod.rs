@@ -13,7 +13,7 @@ const STACK_BYTES: usize = 1024 * 1024;
 /// their results in task order. A body that panics is retired, so a task it
 /// would have woken dies of the executor's poison instead of hanging, and the
 /// body's own panic is re-raised here.
-pub fn run_tasks<T: Send>(exec: &DetExecutor, bodies: Vec<impl FnOnce() -> T + Send>) -> Vec<T> {
+pub fn run_tasks<T>(exec: &DetExecutor, bodies: Vec<impl FnOnce() -> T>) -> Vec<T> {
     assert_eq!(bodies.len(), exec.n_tasks(), "one body per task");
     let mut slots: Vec<Option<T>> = bodies.iter().map(|_| None).collect();
     let tasks = bodies

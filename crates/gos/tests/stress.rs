@@ -1,14 +1,16 @@
-//! Concurrency stress tests for the protocol engine: the tasks of a seeded,
-//! jittered executor hammering shared objects through locks and barriers, checking
-//! coherence and clock sanity; free-threaded OS threads racing allocation, first
-//! touch and resampling, which never block.
+//! Concurrency stress tests for the protocol engine, all run as the tasks of a
+//! seeded, jittered executor: tasks hammering shared objects through locks and
+//! barriers, checking coherence and clock sanity; and tasks interleaving
+//! allocation, first touch, prefetch and resampling one operation at a time,
+//! which never block.
 //!
 //! Each thread owns its logical thread's `ThreadSpace` outright — the
 //! single-writer discipline the runtime enforces via `ClusterShared::spaces`.
 
 mod common;
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use common::run_tasks;
@@ -38,10 +40,6 @@ fn gos(n_nodes: usize, n_threads: usize) -> Gos {
         consistency: jessy_gos::protocol::ConsistencyModel::GlobalHlrc,
         faults: None,
     })
-}
-
-fn cluster(n_nodes: usize, n_threads: usize) -> (Arc<Gos>, Arc<ClockBoard>) {
-    (Arc::new(gos(n_nodes, n_threads)), ClockBoard::new(n_threads))
 }
 
 /// A cluster whose threads run as the tasks of a seeded, jittered executor.
@@ -172,10 +170,11 @@ fn clocks_are_monotone_through_sync_storms() {
 }
 
 #[test]
-fn resampling_walk_races_with_access_safely() {
-    // One thread flips sampled tags over the whole class while others access: no
-    // panics, and the final tags match the last decision.
-    let (g, board) = cluster(2, 4);
+fn resampling_walk_interleaves_with_access_safely() {
+    // One task flips sampled tags over the whole class, object by object, while
+    // the others access, each operation a scheduling point: no panics, and the
+    // final tags match the last decision.
+    let (g, board, exec) = tasked_cluster(2, 4);
     let class = g.classes().register_scalar("X", 1);
     let init_clock = board.handle(ThreadId(0));
     let objs: Vec<_> = (0..500)
@@ -185,33 +184,30 @@ fn resampling_walk_races_with_access_safely() {
         })
         .collect();
 
-    let flipper = {
-        let g = Arc::clone(&g);
-        std::thread::spawn(move || {
-            for round in 0..50 {
-                g.for_each_object_of_class(class, |core| {
-                    core.set_sampled(round % 2 == 0);
-                });
+    let bodies: Vec<_> = (0..4u32)
+        .map(|t| {
+            let (g, exec, objs) = (&g, &*exec, &objs);
+            let clock = board.handle(ThreadId(t));
+            move || {
+                if t == 0 {
+                    for round in 0..50 {
+                        g.for_each_object_of_class(class, |core| {
+                            core.set_sampled(round % 2 == 0);
+                            exec.yield_now(0, clock.now());
+                        });
+                    }
+                    return;
+                }
+                let mut space = ThreadSpace::new(ThreadId(t));
+                for &o in objs {
+                    g.read(&mut space, NodeId((t % 2) as u16), o, &clock, |_| {});
+                    exec.yield_now(t as usize, clock.now());
+                }
             }
         })
-    };
-    let readers: Vec<_> = (1..4u32)
-        .map(|t| {
-            let g = Arc::clone(&g);
-            let clock = board.handle(ThreadId(t));
-            let objs = objs.clone();
-            std::thread::spawn(move || {
-                let mut space = ThreadSpace::new(ThreadId(t));
-                for &o in &objs {
-                    g.read(&mut space, NodeId((t % 2) as u16), o, &clock, |_| {});
-                }
-            })
-        })
         .collect();
-    flipper.join().unwrap();
-    for r in readers {
-        r.join().unwrap();
-    }
+    run_tasks(&exec, bodies);
+    assert!(exec.handoffs() > 4, "the flipper and the readers interleave");
     // Last flip round was 49 (odd) → everything unsampled.
     let mut sampled = 0;
     g.for_each_object_of_class(class, |core| {
@@ -224,30 +220,40 @@ fn resampling_walk_races_with_access_safely() {
 
 #[test]
 fn interleaved_prefetch_and_invalidation() {
-    let (g, board) = cluster(2, 2);
+    let (g, board, exec) = tasked_cluster(2, 2);
     let class = g.classes().register_scalar("X", 2);
     let c0 = board.handle(ThreadId(0));
     let c1 = board.handle(ThreadId(1));
-    let mut s1 = ThreadSpace::new(ThreadId(1));
     let objs: Vec<_> = (0..50)
         .map(|_| g.alloc_scalar(NodeId(0), class, &c0, None).id)
         .collect();
 
-    // Thread 1 prefetches everything to node 1; thread 0 concurrently writes and
-    // flushes. Afterwards, applying notices and re-reading yields the latest values.
-    let writer = {
-        let g = Arc::clone(&g);
-        let objs = objs.clone();
-        std::thread::spawn(move || {
-            let mut s0 = ThreadSpace::new(ThreadId(0));
-            for &o in &objs {
-                g.write(&mut s0, NodeId(0), o, &c0, |d| d[0] = 7.0);
+    // Task 1 prefetches everything to node 1, object by object, while task 0
+    // writes each and flushes. Afterwards, applying notices and re-reading
+    // yields the latest values.
+    let bodies: Vec<_> = (0..2u32)
+        .map(|t| {
+            let (g, exec, objs) = (&g, &*exec, &objs);
+            let (c0, c1) = (&c0, &c1);
+            move || {
+                let mut space = ThreadSpace::new(ThreadId(t));
+                for &o in objs {
+                    if t == 0 {
+                        g.write(&mut space, NodeId(0), o, c0, |d| d[0] = 7.0);
+                    } else {
+                        g.prefetch_into(&mut space, NodeId(1), [o], c1);
+                    }
+                    exec.yield_now(t as usize, 0);
+                }
+                if t == 0 {
+                    g.flush_thread(&mut space, NodeId(0), c0);
+                }
+                space
             }
-            g.flush_thread(&mut s0, NodeId(0), &c0);
         })
-    };
-    g.prefetch_into(&mut s1, NodeId(1), objs.iter().copied(), &c1);
-    writer.join().unwrap();
+        .collect();
+    let mut s1 = run_tasks(&exec, bodies).pop().expect("task 1's space");
+    assert!(exec.handoffs() > 2, "the writer and the prefetcher interleave");
     g.apply_notices(&mut s1, NodeId(1), &c1);
     for &o in &objs {
         let (v, _) = g.read(&mut s1, NodeId(1), o, &c1, |d| d[0]);
@@ -256,43 +262,42 @@ fn interleaved_prefetch_and_invalidation() {
 }
 
 #[test]
-fn concurrent_allocation_and_lookup_share_one_append_only_table() {
-    // Free-threaded (no executor, no run token): eight OS threads allocate and
-    // look up at once, across several chunk boundaries of the object table.
+fn interleaved_allocation_and_lookup_share_one_append_only_table() {
+    // Eight tasks allocate and look up, a scheduling point after each
+    // allocation, across several chunk boundaries of the object table.
     const THREADS: u32 = 8;
     const PER_THREAD: usize = 600;
-    let (g, board) = cluster(2, THREADS as usize);
+    let (g, board, exec) = tasked_cluster(2, THREADS as usize);
     let class = g.classes().register_scalar("X", 1);
-    let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
-    // The id some thread allocated last: a second route, besides the
+    // The id some task allocated last: a second route, besides the
     // allocator's return value, by which an id reaches a reader.
-    let latest = Arc::new(AtomicU32::new(u32::MAX));
+    let latest = Cell::new(u32::MAX);
 
-    let handles: Vec<_> = (0..THREADS)
+    let bodies: Vec<_> = (0..THREADS)
         .map(|t| {
-            let (g, start, latest) = (Arc::clone(&g), Arc::clone(&start), Arc::clone(&latest));
+            let (g, exec, latest) = (&g, &*exec, &latest);
             let clock = board.handle(ThreadId(t));
-            std::thread::spawn(move || {
-                start.wait();
+            move || {
                 let mut mine = Vec::with_capacity(PER_THREAD);
                 for _ in 0..PER_THREAD {
                     let core = g.alloc_scalar(NodeId((t % 2) as u16), class, &clock, None);
                     // The returned id resolves at once, to the same object.
-                    assert!(Arc::ptr_eq(&core, g.object_ref(core.id)));
-                    assert!(Arc::ptr_eq(&core, &g.object(core.id)));
-                    let seen = latest.swap(core.id.0, Ordering::AcqRel);
+                    assert!(Rc::ptr_eq(&core, g.object_ref(core.id)));
+                    assert!(Rc::ptr_eq(&core, &g.object(core.id)));
+                    let seen = latest.replace(core.id.0);
                     if seen != u32::MAX {
                         assert_eq!(g.object_ref(ObjectId(seen)).id, ObjectId(seen));
                         assert!(g.n_objects() > seen as usize);
                     }
                     mine.push(core);
+                    exec.yield_now(t as usize, clock.now());
                 }
                 mine
-            })
+            }
         })
         .collect();
-    let mut all: Vec<Arc<ObjectCore>> =
-        handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
+    let mut all: Vec<Rc<ObjectCore>> = run_tasks(&exec, bodies).into_iter().flatten().collect();
+    assert!(exec.handoffs() > u64::from(THREADS), "the allocators interleave");
 
     let total = THREADS as usize * PER_THREAD;
     assert_eq!(g.n_objects(), total);
@@ -301,7 +306,7 @@ fn concurrent_allocation_and_lookup_share_one_append_only_table() {
     assert_eq!(ids, (0..total as u32).collect::<Vec<_>>(), "ids are dense and unique");
     let mut visited = 0;
     g.for_each_object(|core| {
-        assert!(Arc::ptr_eq(core, &all[visited]), "in id order, each exactly once");
+        assert!(Rc::ptr_eq(core, &all[visited]), "in id order, each exactly once");
         visited += 1;
     });
     assert_eq!(visited, total);
@@ -312,52 +317,47 @@ fn concurrent_allocation_and_lookup_share_one_append_only_table() {
 }
 
 #[test]
-fn racing_first_touches_never_leave_an_object_with_two_owners() {
-    // Free-threaded again: eight OS threads first-touch the same 224 set-up
-    // objects at once, each starting at a different one, plus 32 objects only
+fn interleaved_first_touches_never_leave_an_object_with_two_owners() {
+    // Eight tasks first-touch the same 224 set-up objects, each starting at a
+    // different one, a scheduling point after each touch, plus 32 objects only
     // one of them ever touches.
     const THREADS: u32 = 8;
     const CONTENDED: usize = 224;
     const TOTAL: usize = 256;
-    let (g, board) = cluster(2, THREADS as usize);
+    let (g, board, exec) = tasked_cluster(2, THREADS as usize);
     let class = g.classes().register_scalar("X", 1);
     let c0 = board.handle(ThreadId(0));
-    let objs: Arc<Vec<ObjectId>> = Arc::new(
-        (0..TOTAL)
-            .map(|i| g.alloc_scalar(NodeId((i % 2) as u16), class, &c0, None).id)
-            .collect(),
-    );
+    let objs: Vec<ObjectId> = (0..TOTAL)
+        .map(|i| g.alloc_scalar(NodeId((i % 2) as u16), class, &c0, None).id)
+        .collect();
     // Per object: how many threads saw themselves as its owner after arriving.
-    let claims: Arc<Vec<AtomicU32>> = Arc::new((0..TOTAL).map(|_| AtomicU32::new(0)).collect());
-    let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
+    let claims: Vec<Cell<u32>> = (0..TOTAL).map(|_| Cell::new(0)).collect();
 
-    let handles: Vec<_> = (0..THREADS)
+    let bodies: Vec<_> = (0..THREADS)
         .map(|t| {
-            let (g, objs, claims, start) =
-                (Arc::clone(&g), Arc::clone(&objs), Arc::clone(&claims), Arc::clone(&start));
+            let (g, exec, objs, claims) = (&g, &*exec, &objs, &claims);
             let clock = board.handle(ThreadId(t));
-            std::thread::spawn(move || {
+            move || {
                 let node = NodeId((t % 2) as u16);
                 let mut space = ThreadSpace::new(ThreadId(t));
                 let contended = (0..CONTENDED).map(|k| (k + t as usize * 28) % CONTENDED);
                 let sole = (CONTENDED..TOTAL).filter(|i| i % THREADS as usize == t as usize);
-                start.wait();
                 for i in contended.chain(sole) {
                     g.read(&mut space, node, objs[i], &clock, |_| {});
                     if g.is_local_to(objs[i], ThreadId(t)) {
-                        claims[i].fetch_add(1, Ordering::Relaxed);
+                        claims[i].set(claims[i].get() + 1);
                     }
+                    exec.yield_now(t as usize, clock.now());
                 }
-            })
+            }
         })
         .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
+    run_tasks(&exec, bodies);
+    assert!(exec.handoffs() > u64::from(THREADS), "the first touches interleave");
 
     for (i, &obj) in objs.iter().enumerate() {
         let owners: Vec<u32> = (0..THREADS).filter(|&t| g.is_local_to(obj, ThreadId(t))).collect();
-        let claimed = claims[i].load(Ordering::Relaxed);
+        let claimed = claims[i].get();
         assert!(claimed <= 1, "{obj}: {claimed} threads believed they owned it");
         if i < CONTENDED {
             assert!(owners.is_empty(), "{obj}: all eight arrived, still local to {owners:?}");

@@ -12,10 +12,19 @@
 //! The executor orders whatever scheduling points its tasks pass; *which*
 //! actions pass one is the caller's schedule contract (`JThread::yield_now`,
 //! DESIGN.md §15: only actions another task can observe do). A scheduling
-//! point at which the running task would be picked again costs one lock and
-//! nothing else — no heap push/pop, no switch, no wake-up — so only a pick
-//! that moves the token to another task ([`DetExecutor::handoffs`]) pays for a
-//! hand-off.
+//! point at which the running task would be picked again takes no lock and
+//! touches no heap, no switch and no wake-up (see "The keep shortcut" below),
+//! so only a pick that moves the token to another task
+//! ([`DetExecutor::handoffs`]) pays for a hand-off.
+//!
+//! ## The keep shortcut
+//!
+//! Under the state lock, every change to the run queue publishes its head's
+//! key in an atomic (`u64::MAX` with nothing runnable, 0 while poisoned or
+//! while a wake is pending on the running task). The running task keeps its
+//! clock and scheduling-point count in its `Carrier`, and a yield whose new
+//! key is strictly below the published head keeps the token without the
+//! lock; anything else decides under it, as before (DESIGN.md §15).
 //!
 //! ## Two transports, one scheduler
 //!
@@ -25,17 +34,18 @@
 //! - **Own stacks** ([`DetExecutor::run_tasks`], what a cluster run uses):
 //!   each task runs on an `mmap`'d stack with a guard page, every task on the
 //!   calling OS thread, and a hand-off is one user-space register switch
-//!   (`executor/fiber.rs`, x86_64 Linux). A task that blocks with nothing
-//!   else runnable switches back to the runner, which parks until an outside
-//!   wake-up dispatches a task. Where no switch routine exists, `run_tasks`
-//!   falls back to the OS carriers below.
+//!   (`executor/fiber.rs`). The switch routine is written for x86_64 Linux,
+//!   the one supported target; the crate does not build for any other. A
+//!   task that blocks with nothing else runnable switches back to the
+//!   runner, which parks until an outside wake-up dispatches a task.
 //! - **OS carriers** ([`DetExecutor::register_current`], for callers that
 //!   bring their own threads): a hand-off is one token store under the lock,
 //!   one `unpark` after the lock drops, and one park. Each task's run token is
 //!   an atomic outside the state lock, so a parked carrier waits for it, and
 //!   reads it on waking, without the lock: the woken carrier never wakes only
 //!   to block on a mutex its waker still holds. (Poisoning is the one path
-//!   that unparks under the lock.)
+//!   that unparks under the lock.) Only this transport keeps the state lock
+//!   alive; on own stacks every task shares one OS thread.
 //!
 //! Serialization is also what closes the LRC fetch-vs-flush race (DESIGN.md
 //! §14): with one task running at a time, the write-notice distribution at
@@ -73,84 +83,34 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 
 use parking_lot::{Mutex, MutexGuard};
 
-/// The one choice of transport for [`DetExecutor::run_tasks`]: own stacks and
-/// a user-space switch where the switch routine exists, OS carriers elsewhere.
+/// Tasks on their own stacks, switched in user space: the one transport of
+/// [`DetExecutor::run_tasks`], on the one supported target.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod fiber;
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-mod fiber {
-    //! No switch routine for this target: each task runs on a scoped OS
-    //! carrier, through the transport of [`DetExecutor::register_current`].
-
-    use std::io;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    use super::{DetExecutor, TaskSpec};
-
-    impl DetExecutor {
-        pub(super) fn run_on_stacks(
-            &self,
-            tasks: Vec<TaskSpec<'_>>,
-        ) -> io::Result<Vec<std::thread::Result<()>>> {
-            std::thread::scope(|s| {
-                let carriers = tasks
-                    .into_iter()
-                    .enumerate()
-                    .map(|(task, spec)| {
-                        std::thread::Builder::new()
-                            .stack_size(spec.stack_bytes)
-                            .spawn_scoped(s, move || {
-                                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                    self.register_current(task);
-                                    (spec.body)()
-                                }));
-                                self.finish(task);
-                                outcome
-                            })
-                    })
-                    .collect::<Vec<_>>();
-                let mut outcomes = Vec::with_capacity(carriers.len());
-                let mut spawn_error = None;
-                for carrier in carriers {
-                    match carrier {
-                        Ok(c) => {
-                            outcomes.push(c.join().expect("a carrier catches its task's panic"))
-                        }
-                        Err(e) => {
-                            // Registration can never complete: the others abort.
-                            self.poison();
-                            spawn_error.get_or_insert(e);
-                        }
-                    }
-                }
-                spawn_error.map_or(Ok(outcomes), Err)
-            })
-        }
-
-        pub(super) fn switch_away(&self, _save: *mut *mut u8, _next: Option<usize>) {
-            unreachable!("no task runs on its own stack on this target")
-        }
-    }
-}
+compile_error!(
+    "jessy-net runs executor tasks on their own stacks, switched by a routine written \
+     for x86_64 Linux only; no other target is supported"
+);
 
 /// One task for [`DetExecutor::run_tasks`]: its body and the bytes of stack it
 /// runs on.
 pub struct TaskSpec<'a> {
     stack_bytes: usize,
-    body: Box<dyn FnOnce() + Send + 'a>,
+    body: Box<dyn FnOnce() + 'a>,
 }
 
 impl<'a> TaskSpec<'a> {
     /// A task running `body` on `stack_bytes` of stack (rounded up to whole
     /// pages). The body must not call [`DetExecutor::finish`]: the executor
     /// retires the task when the body returns or panics.
-    pub fn new(stack_bytes: usize, body: impl FnOnce() + Send + 'a) -> Self {
+    pub fn new(stack_bytes: usize, body: impl FnOnce() + 'a) -> Self {
         TaskSpec {
             stack_bytes,
             body: Box::new(body),
@@ -183,19 +143,15 @@ enum TaskState {
     Finished,
 }
 
-/// A task's scheduling state, guarded by the executor's state lock. Its run
-/// token and carrier handle live outside the lock, in its [`Carrier`].
+/// A task's scheduling state, guarded by the executor's state lock. The rest
+/// (run token, carrier handle, clock) is outside the lock, in its [`Carrier`].
 #[derive(Debug)]
 struct TaskSlot {
     state: TaskState,
-    /// Last reported virtual time (simulated ns).
-    clock_ns: u64,
     /// Tie class on equal scheduling keys: lower runs first (default 1; the
     /// cluster gives the master daemon 0 so it services mail promptly even when
     /// cost models keep every clock at zero).
     priority: u8,
-    /// Scheduling points passed — feeds the jitter hash.
-    yields: u64,
     /// A wakeup arrived while the task was not blocked; consume at next block.
     pending_wake: bool,
     /// Addresses of the task's own stack ([`DetExecutor::run_tasks`]); empty
@@ -234,6 +190,10 @@ struct Carrier {
     thread: OnceLock<Thread>,
     /// Saved stack pointer of a task on its own stack while it is switched out.
     sp: AtomicPtr<u8>,
+    /// Last reported virtual time (simulated ns) and scheduling points passed
+    /// (which feed the jitter hash): written only by the token holder.
+    clock_ns: AtomicU64,
+    yields: AtomicU64,
 }
 
 /// Seeded deterministic cooperative executor. See the module docs.
@@ -246,12 +206,13 @@ pub struct DetExecutor {
     /// Set under the state lock (so dispatch decisions stay ordered), read
     /// anywhere.
     poisoned: AtomicBool,
+    /// The keep shortcut's head key and running task (`usize::MAX` for
+    /// none): stored under the state lock ([`publish`](Self::publish)),
+    /// loaded without it.
+    head: AtomicU64,
+    running: AtomicUsize,
     /// Saved stack pointer of the thread running tasks on their own stacks,
-    /// while one of them runs. (Unused where tasks run on OS carriers.)
-    #[cfg_attr(
-        not(all(target_arch = "x86_64", target_os = "linux")),
-        allow(dead_code)
-    )]
+    /// while one of them runs.
     runner_sp: AtomicPtr<u8>,
     state: Mutex<ExecState>,
 }
@@ -266,9 +227,7 @@ impl DetExecutor {
         let tasks = (0..n_tasks)
             .map(|_| TaskSlot {
                 state: TaskState::NotStarted,
-                clock_ns: 0,
                 priority: 1,
-                yields: 0,
                 pending_wake: false,
                 stack: 0..0,
             })
@@ -278,6 +237,8 @@ impl DetExecutor {
             jitter_ns,
             carriers: (0..n_tasks).map(|_| Carrier::default()).collect(),
             poisoned: AtomicBool::new(false),
+            head: AtomicU64::new(0),
+            running: AtomicUsize::new(usize::MAX),
             runner_sp: AtomicPtr::default(),
             state: Mutex::new(ExecState {
                 tasks,
@@ -317,15 +278,48 @@ impl DetExecutor {
         g.tasks[task].priority = priority;
     }
 
+    /// The running `task` passes a scheduling point at `now_ns`: record its
+    /// clock and count, and return its new key.
+    fn pass_point(&self, task: usize, now_ns: u64) -> u64 {
+        let c = &self.carriers[task];
+        let clock_ns = c.clock_ns.load(Ordering::Relaxed).max(now_ns);
+        let yields = c.yields.load(Ordering::Relaxed) + 1;
+        c.clock_ns.store(clock_ns, Ordering::Relaxed);
+        c.yields.store(yields, Ordering::Relaxed);
+        self.key(task, yields, clock_ns)
+    }
+
+    /// Queue `task` at its key as of its last reported clock.
     fn push_runnable(&self, g: &mut ExecState, task: usize) {
-        let slot = &g.tasks[task];
+        let (slot, c) = (&g.tasks[task], &self.carriers[task]);
         debug_assert_eq!(slot.state, TaskState::Runnable);
-        let entry = (
-            self.key(task, slot.yields, slot.clock_ns),
-            slot.priority,
-            task,
-        );
-        g.heap.push(Reverse(entry));
+        let key = self.key(task, c.yields.load(Ordering::Relaxed), c.clock_ns.load(Ordering::Relaxed));
+        g.heap.push(Reverse((key, slot.priority, task)));
+    }
+
+    /// The run queue's least runnable entry. Stale heap tops (tasks that
+    /// finished while queued) are discarded on the way.
+    fn head(g: &mut ExecState) -> Option<(u64, u8, usize)> {
+        while let Some(&Reverse(entry)) = g.heap.peek() {
+            if g.tasks[entry.2].state == TaskState::Runnable {
+                return Some(entry);
+            }
+            g.heap.pop();
+        }
+        None
+    }
+
+    /// Publish the head key and the running task for the keep shortcut. Called
+    /// under the state lock after every change to either, before the lock
+    /// drops and before a dispatched task is handed its token.
+    fn publish(&self, g: &mut ExecState) {
+        let head = if self.is_poisoned() || g.running.is_some_and(|t| g.tasks[t].pending_wake) {
+            0
+        } else {
+            Self::head(g).map_or(u64::MAX, |(key, ..)| key)
+        };
+        self.head.store(head, Ordering::Release);
+        self.running.store(g.running.unwrap_or(usize::MAX), Ordering::Release);
     }
 
     /// Hand the token to the best runnable task, or detect deadlock. Returns
@@ -334,6 +328,17 @@ impl DetExecutor {
     /// ([`release_and_wake`](Self::release_and_wake)). Caller must hold the
     /// state lock and have `running == None`.
     fn dispatch(&self, g: &mut ExecState) -> Option<usize> {
+        let next = self.pick(g);
+        self.publish(g);
+        if let Some(task) = next {
+            self.carriers[task].token.store(true, Ordering::Release);
+        }
+        next
+    }
+
+    /// [`dispatch`](Self::dispatch)'s choice: make the best runnable task the
+    /// running one, or poison on deadlock.
+    fn pick(&self, g: &mut ExecState) -> Option<usize> {
         debug_assert!(g.running.is_none());
         if self.is_poisoned() {
             self.wake_everything();
@@ -342,34 +347,25 @@ impl DetExecutor {
         if !g.started {
             return None;
         }
-        loop {
-            if g.runnable == 0 {
-                // Nothing to run: a live internally-blocked task means the
-                // task set has deadlocked on itself.
-                if g.blocked_internal > 0 {
-                    self.poisoned.store(true, Ordering::Release);
-                    self.wake_everything();
-                }
-                return None;
+        let Some((_, _, task)) = Self::head(g) else {
+            debug_assert_eq!(g.runnable, 0, "a runnable task has no heap entry");
+            // Nothing to run: a live internally-blocked task means the task
+            // set has deadlocked on itself.
+            if g.blocked_internal > 0 {
+                self.poisoned.store(true, Ordering::Release);
+                self.wake_everything();
             }
-            let Some(Reverse((_, _, task))) = g.heap.pop() else {
-                debug_assert!(false, "runnable count positive but heap empty");
-                return None;
-            };
-            let slot = &mut g.tasks[task];
-            if slot.state != TaskState::Runnable {
-                continue; // stale entry: the task finished while queued
-            }
-            slot.state = TaskState::Running;
-            self.carriers[task].token.store(true, Ordering::Release);
-            g.running = Some(task);
-            g.runnable -= 1;
-            if g.last_dispatched != Some(task) {
-                g.last_dispatched = Some(task);
-                g.handoffs += 1;
-            }
-            return Some(task);
+            return None;
+        };
+        g.heap.pop();
+        g.tasks[task].state = TaskState::Running;
+        g.running = Some(task);
+        g.runnable -= 1;
+        if g.last_dispatched != Some(task) {
+            g.last_dispatched = Some(task);
+            g.handoffs += 1;
         }
+        Some(task)
     }
 
     /// Drop the state guard, then unpark `next`'s carrier: woken after the
@@ -481,61 +477,47 @@ impl DetExecutor {
         self.run_on_stacks(tasks)
     }
 
-    /// Would `task`, re-keyed at its current clock, still be picked ahead of
-    /// every runnable task? Then re-queueing it and dispatching would hand the
-    /// token straight back, so the caller may keep it. Stale heap tops are
-    /// discarded on the way, exactly as [`dispatch`](Self::dispatch) would.
-    fn keeps_token(&self, g: &mut ExecState, task: usize) -> bool {
-        let slot = &g.tasks[task];
-        let mine = (
-            self.key(task, slot.yields, slot.clock_ns),
-            slot.priority,
-            task,
-        );
-        while let Some(&Reverse((key, priority, other))) = g.heap.peek() {
-            if g.tasks[other].state == TaskState::Runnable {
-                return mine < (key, priority, other);
-            }
-            g.heap.pop();
+    /// The locked half of a scheduling point at which the running `task`,
+    /// re-keyed at `key`, may keep the token: it keeps it if it would still be
+    /// picked ahead of every runnable task (re-queueing it and dispatching
+    /// would hand the token straight back); otherwise it is queued and the
+    /// token handed over. Either way a pending wake is spent.
+    fn yield_locked(&self, mut g: MutexGuard<'_, ExecState>, task: usize, key: u64) {
+        g.tasks[task].pending_wake = false;
+        let mine = (key, g.tasks[task].priority, task);
+        if Self::head(&mut g).is_none_or(|head| mine < head) {
+            self.publish(&mut g);
+            return;
         }
-        true
-    }
-
-    /// The running `task` passed a scheduling point and will not keep the
-    /// token ([`keeps_token`](Self::keeps_token) said so): queue it and
-    /// dispatch, returning the task to wake.
-    fn requeue(&self, g: &mut ExecState, task: usize) -> Option<usize> {
         g.tasks[task].state = TaskState::Runnable;
         g.running = None;
         g.runnable += 1;
-        self.push_runnable(g, task);
-        self.dispatch(g)
+        self.push_runnable(&mut g, task);
+        let next = self.dispatch(&mut g);
+        self.hand_over(g, task, next);
     }
 
     /// Cooperative scheduling point: report the task's virtual clock and let
     /// the scheduler pick the runnable task with the smallest key — parking
-    /// until re-picked if that is another task, returning at once (one lock, no
-    /// heap traffic, no wake-up) if it is still this one. A no-op unless
-    /// `task` is the running task, so non-task threads (adopted handles, unit
-    /// tests) may call it freely.
+    /// until re-picked if that is another task, returning at once if it is
+    /// still this one. A key strictly below the published head keeps the
+    /// token without the lock (the keep shortcut, module docs); anything else
+    /// decides under it. A no-op unless `task` is the running task, so
+    /// non-task threads (adopted handles, unit tests) may call it freely.
     pub fn yield_now(&self, task: usize, now_ns: u64) {
-        let mut g = self.state.lock();
-        if g.running != Some(task) {
+        if self.running.load(Ordering::Acquire) != task {
             return;
         }
+        let key = self.pass_point(task, now_ns);
+        if key < self.head.load(Ordering::Acquire) {
+            return;
+        }
+        let g = self.state.lock();
         if self.is_poisoned() {
             drop(g);
             panic!("{POISON_MSG}");
         }
-        let slot = &mut g.tasks[task];
-        slot.clock_ns = slot.clock_ns.max(now_ns);
-        slot.yields += 1;
-        slot.pending_wake = false;
-        if self.keeps_token(&mut g, task) {
-            return;
-        }
-        let next = self.requeue(&mut g, task);
-        self.hand_over(g, task, next);
+        self.yield_locked(g, task, key);
     }
 
     /// Block the running task waiting on **another task** (lock holder,
@@ -563,25 +545,18 @@ impl DetExecutor {
             g.running == Some(task),
             "only the running executor task may block (task {task} is not running)"
         );
-        let slot = &mut g.tasks[task];
-        slot.clock_ns = slot.clock_ns.max(now_ns);
-        slot.yields += 1;
-        let next = if slot.pending_wake {
+        let key = self.pass_point(task, now_ns);
+        if g.tasks[task].pending_wake {
             // A wakeup raced the block (sent from a non-task thread while
             // this task was running): degrade to a plain yield.
-            slot.pending_wake = false;
-            if self.keeps_token(&mut g, task) {
-                return;
-            }
-            self.requeue(&mut g, task)
-        } else {
-            slot.state = TaskState::Blocked(kind);
-            g.running = None;
-            if kind == Block::Internal {
-                g.blocked_internal += 1;
-            }
-            self.dispatch(&mut g)
-        };
+            return self.yield_locked(g, task, key);
+        }
+        g.tasks[task].state = TaskState::Blocked(kind);
+        g.running = None;
+        if kind == Block::Internal {
+            g.blocked_internal += 1;
+        }
+        let next = self.dispatch(&mut g);
         self.hand_over(g, task, next);
     }
 
@@ -611,6 +586,7 @@ impl DetExecutor {
             TaskState::Running => g.tasks[task].pending_wake = true,
             _ => {}
         }
+        self.publish(&mut g);
         self.release_and_wake(g, next);
     }
 
@@ -646,6 +622,8 @@ impl DetExecutor {
         let mut next = None;
         if !self.is_poisoned() && g.running.is_none() && g.started {
             next = self.dispatch(&mut g);
+        } else {
+            self.publish(&mut g);
         }
         (g, next)
     }
@@ -659,8 +637,9 @@ impl DetExecutor {
     /// panics with [`POISON_MSG`]. Used to abort cleanly when a carrier could
     /// not be spawned and registration would otherwise never complete.
     pub fn poison(&self) {
-        let _g = self.state.lock();
+        let mut g = self.state.lock();
         self.poisoned.store(true, Ordering::Release);
+        self.publish(&mut g);
         self.wake_everything();
     }
 
@@ -923,7 +902,7 @@ mod tests {
 
     // ------------------------------------------------------------ schedule model
 
-    /// One step of a scripted task, taken each time it is resumed.
+    /// One step of a scripted task.
     #[derive(Debug, Clone, Copy)]
     enum Step {
         /// Advance the clock by the task's pace and yield.
@@ -931,6 +910,12 @@ mod tests {
         /// Wake self while running, then block: the pending wake degrades the
         /// block to a yield.
         WakeThenBlock,
+        /// Advance the clock and block on another task, until a `Wake` of it.
+        Block,
+        /// Wake the task named, which may be the running task itself (then
+        /// the wake is pending until its next scheduling point). Not a
+        /// scheduling point.
+        Wake(usize),
     }
 
     fn decode(code: u32) -> Step {
@@ -940,7 +925,18 @@ mod tests {
         }
     }
 
-    /// Run the scripts on a real executor; the log is the order tasks resumed in.
+    /// Like [`decode`], with blocks and wakes of any of `n` tasks.
+    fn decode_blocking(code: u32, n: usize) -> Step {
+        match code {
+            0 => Step::WakeThenBlock,
+            1 | 2 => Step::Block,
+            3..=6 => Step::Wake(code as usize % n),
+            _ => Step::Yield,
+        }
+    }
+
+    /// Run the scripts on a real executor: the order steps were taken in, each
+    /// task's panic message and the hand-off count.
     fn run_scripted(
         transport: Transport,
         seed: u64,
@@ -948,7 +944,7 @@ mod tests {
         paces: &[u64],
         priorities: &[u8],
         scripts: &[Vec<Step>],
-    ) -> (Vec<usize>, u64) {
+    ) -> (Vec<usize>, Vec<Option<String>>, u64) {
         let n = scripts.len();
         let exec = DetExecutor::new(n, seed, jitter);
         for (t, &p) in priorities.iter().enumerate().take(n) {
@@ -965,32 +961,51 @@ mod tests {
             let mut clock = 0u64;
             for &step in &scripts[t] {
                 l.lock().push(t);
-                clock += paces[t];
-                if matches!(step, Step::WakeThenBlock) {
-                    e.unblock(t);
-                    e.block_external(t, clock);
-                } else {
-                    e.yield_now(t, clock);
+                match step {
+                    Step::Yield => {
+                        clock += paces[t];
+                        e.yield_now(t, clock);
+                    }
+                    Step::WakeThenBlock => {
+                        e.unblock(t);
+                        clock += paces[t];
+                        e.block_external(t, clock);
+                    }
+                    Step::Block => {
+                        clock += paces[t];
+                        e.block_internal(t, clock);
+                    }
+                    Step::Wake(u) => e.unblock(u),
                 }
             }
         });
-        assert!(outcomes.iter().all(Option::is_none), "{outcomes:?}");
         let order = log.lock().clone();
-        (order, exec.handoffs())
+        (order, outcomes, exec.handoffs())
     }
 
-    /// The schedule contract as a pure function: repeatedly resume the
-    /// unfinished task with the least `(key, priority, task)`.
-    fn model_order(
+    /// The schedule contract as a pure function: the running task takes its
+    /// steps until a scheduling point at which a runnable task has a lower
+    /// `(key, priority, task)`, a block or its end; then the least runnable
+    /// task runs. Returns the order steps were taken in and each task's
+    /// outcome: a task still blocked when nothing is runnable is poisoned.
+    fn model_run(
         exec: &DetExecutor,
         paces: &[u64],
         priorities: &[u8],
         scripts: &[Vec<Step>],
-    ) -> Vec<usize> {
+    ) -> (Vec<usize>, Vec<Option<String>>) {
+        #[derive(PartialEq)]
+        enum State {
+            Runnable,
+            Blocked,
+            Done,
+        }
         struct Model {
             clock: u64,
             yields: u64,
             next_step: usize,
+            state: State,
+            pending_wake: bool,
         }
         let n = scripts.len();
         let mut tasks: Vec<Model> = (0..n)
@@ -998,26 +1013,88 @@ mod tests {
                 clock: 0,
                 yields: 0,
                 next_step: 0,
+                state: State::Runnable,
+                pending_wake: false,
             })
             .collect();
+        let rank = |tasks: &[Model], t: usize| {
+            (exec.key(t, tasks[t].yields, tasks[t].clock), priorities[t], t)
+        };
+        let least_runnable = |tasks: &[Model], running: Option<usize>| {
+            (0..n)
+                .filter(|&t| Some(t) != running && tasks[t].state == State::Runnable)
+                .min_by_key(|&t| rank(tasks, t))
+        };
         let mut order = Vec::new();
-        loop {
-            let pick = (0..n)
-                .filter(|&t| tasks[t].next_step < scripts[t].len())
-                .min_by_key(|&t| {
-                    (
-                        exec.key(t, tasks[t].yields, tasks[t].clock),
-                        priorities[t],
-                        t,
-                    )
-                });
-            let Some(t) = pick else { return order };
+        let mut running = None;
+        while let Some(t) = running.or_else(|| least_runnable(&tasks, None)) {
+            running = Some(t);
+            let Some(&step) = scripts[t].get(tasks[t].next_step) else {
+                tasks[t].state = State::Done;
+                running = None;
+                continue;
+            };
+            tasks[t].next_step += 1;
             order.push(t);
+            let blocks = match step {
+                Step::Wake(u) => {
+                    if u == t {
+                        tasks[t].pending_wake = true;
+                    } else if tasks[u].state == State::Blocked {
+                        tasks[u].state = State::Runnable;
+                    }
+                    continue;
+                }
+                Step::Yield => false,
+                Step::WakeThenBlock | Step::Block => {
+                    tasks[t].pending_wake |= matches!(step, Step::WakeThenBlock);
+                    !tasks[t].pending_wake
+                }
+            };
             let m = &mut tasks[t];
             m.clock += paces[t];
             m.yields += 1;
-            m.next_step += 1;
+            m.pending_wake = false;
+            if blocks {
+                m.state = State::Blocked;
+                running = None;
+            } else if least_runnable(&tasks, running).is_some_and(|u| rank(&tasks, u) < rank(&tasks, t)) {
+                running = None;
+            }
         }
+        let outcomes = tasks
+            .iter()
+            .map(|m| (m.state == State::Blocked).then(|| POISON_MSG.to_string()))
+            .collect();
+        (order, outcomes)
+    }
+
+    /// Run `scripts` on both transports, twice on own stacks, and check the
+    /// step order and outcomes against [`model_run`] and the hand-offs across
+    /// runs. Returns the order and the hand-off count.
+    fn check_against_model(
+        seed: u64,
+        jitter: u64,
+        paces: &[u64],
+        priorities: &[u8],
+        scripts: &[Vec<Step>],
+    ) -> Result<(Vec<usize>, u64), String> {
+        let exec = DetExecutor::new(scripts.len(), seed, jitter);
+        let (want_order, want_outcomes) = model_run(&exec, paces, priorities, scripts);
+        let (order, outcomes, handoffs) =
+            run_scripted(Stacks, seed, jitter, paces, priorities, scripts);
+        proptest::prop_assert_eq!(&order, &want_order);
+        proptest::prop_assert_eq!(&outcomes, &want_outcomes);
+        let (again, _, handoffs_again) =
+            run_scripted(Stacks, seed, jitter, paces, priorities, scripts);
+        proptest::prop_assert_eq!(&order, &again);
+        proptest::prop_assert_eq!(handoffs, handoffs_again);
+        let (carried, carried_outcomes, handoffs_carried) =
+            run_scripted(Carriers, seed, jitter, paces, priorities, scripts);
+        proptest::prop_assert_eq!(&order, &carried);
+        proptest::prop_assert_eq!(&outcomes, &carried_outcomes);
+        proptest::prop_assert_eq!(handoffs, handoffs_carried);
+        Ok((order, handoffs))
     }
 
     proptest::proptest! {
@@ -1041,36 +1118,97 @@ mod tests {
                 .iter()
                 .map(|c| c.iter().copied().map(decode).collect())
                 .collect();
-            let (order, handoffs) = run_scripted(Stacks, seed, jitter, &paces, &priorities, &scripts);
-            let exec = DetExecutor::new(n, seed, jitter);
-            proptest::prop_assert_eq!(&order, &model_order(&exec, &paces, &priorities, &scripts));
-            let (again, handoffs_again) = run_scripted(Stacks, seed, jitter, &paces, &priorities, &scripts);
-            proptest::prop_assert_eq!(&order, &again);
-            proptest::prop_assert_eq!(handoffs, handoffs_again);
-            let (carried, handoffs_carried) = run_scripted(Carriers, seed, jitter, &paces, &priorities, &scripts);
-            proptest::prop_assert_eq!(&order, &carried);
-            proptest::prop_assert_eq!(handoffs, handoffs_carried);
+            check_against_model(seed, jitter, &paces, &priorities, &scripts)?;
         }
+
+        /// The same check with tasks that block on each other and wake each
+        /// other and themselves: a task keeps the token, on the shortcut or
+        /// not, exactly when the model does — through long runs with the
+        /// others blocked, wakes of tasks with a lower key (the next
+        /// scheduling point must hand off), wakes that land on the running
+        /// task, and deadlocks, which poison every blocked task.
+        #[test]
+        fn keeping_the_token_follows_the_model_through_blocks_and_wakes(
+            n in 2usize..6,
+            seed in 0u64..u64::MAX,
+            jitter in proptest::prop::sample::select(vec![0u64, 0, 7, 1_000]),
+            paces in proptest::prop::collection::vec(0u64..40, 6),
+            priorities in proptest::prop::collection::vec(0u8..3, 6),
+            codes in proptest::prop::collection::vec(proptest::prop::collection::vec(0u32..16, 1..24), 6),
+        ) {
+            let scripts: Vec<Vec<Step>> = codes[..n]
+                .iter()
+                .map(|c| c.iter().map(|&code| decode_blocking(code, n)).collect())
+                .collect();
+            check_against_model(seed, jitter, &paces, &priorities, &scripts)?;
+        }
+    }
+
+    /// [`check_against_model`] for a test that is not a property.
+    fn agrees_with_model(
+        seed: u64,
+        jitter: u64,
+        paces: &[u64],
+        scripts: &[Vec<Step>],
+    ) -> (Vec<usize>, u64) {
+        let priorities = vec![1; scripts.len()];
+        check_against_model(seed, jitter, paces, &priorities, scripts)
+            .unwrap_or_else(|e| panic!("seed {seed}, jitter {jitter}: {e}"))
     }
 
     #[test]
     fn keeping_the_token_is_not_a_handoff() {
         // One crawling task and one leaping task: after the first alternation
         // the crawler runs all its remaining steps without giving the token up.
-        for transport in BOTH {
-            let (order, handoffs) = run_scripted(
-                transport,
-                0,
-                0,
-                &[1, 1_000],
-                &[1, 1],
-                &[vec![Step::Yield; 6], vec![Step::Yield; 2]],
-            );
-            assert_eq!(order, vec![0, 1, 0, 0, 0, 0, 0, 1], "{transport:?}");
-            assert_eq!(
-                handoffs, 4,
-                "{transport:?}: 0 -> 1 -> 0 -> 1, however many steps each ran"
-            );
+        let (order, handoffs) = agrees_with_model(
+            0,
+            0,
+            &[1, 1_000],
+            &[vec![Step::Yield; 6], vec![Step::Yield; 2]],
+        );
+        assert_eq!(order, vec![0, 1, 0, 0, 0, 0, 0, 1]);
+        assert_eq!(handoffs, 4, "0 -> 1 -> 0 -> 1, however many steps each ran");
+    }
+
+    /// Task 0 yields 500 times while the others are blocked, so every yield
+    /// keeps the token, then wakes them: they have lower keys, so its very
+    /// next yield hands off.
+    #[test]
+    fn a_long_keep_run_ends_at_the_yield_after_a_lower_key_is_woken() {
+        const KEEPS: usize = 500;
+        let mut task0 = vec![Step::Yield; KEEPS];
+        task0.extend([Step::Wake(1), Step::Wake(2), Step::Yield, Step::Yield]);
+        let others = vec![Step::Block, Step::Yield, Step::Yield];
+        for (seed, jitter) in [(chaos_seed(), 0), (chaos_seed(), 7), (3, 1_000)] {
+            let scripts = [task0.clone(), others.clone(), others.clone()];
+            let (order, _) = agrees_with_model(seed, jitter, &[10, 10, 10], &scripts);
+            // Once 1 and 2 have blocked (after at most two of task 0's yields),
+            // task 0 runs the rest of its yields and both wakes in one go, up to
+            // the yield after the wakes, which hands off.
+            let steps_of_0: Vec<usize> = (0..order.len()).filter(|&i| order[i] == 0).collect();
+            let after_wakes = steps_of_0[KEEPS + 2];
+            let run = order[..after_wakes].iter().rev().take_while(|&&t| t == 0).count();
+            assert!(run >= KEEPS, "seed {seed}, jitter {jitter}: {order:?}");
+            assert_ne!(order[after_wakes + 1], 0, "seed {seed}, jitter {jitter}: no hand-off");
+        }
+    }
+
+    /// A wake that lands on the running task is cleared by its next yield,
+    /// even one that keeps the token; so its block after that really blocks,
+    /// until task 1 wakes it.
+    #[test]
+    fn a_wake_on_the_running_task_is_spent_by_a_yield_that_keeps() {
+        let scripts = [
+            vec![Step::Yield, Step::Wake(0), Step::Yield, Step::Block, Step::Yield],
+            vec![Step::Yield, Step::Yield, Step::Wake(0), Step::Yield],
+        ];
+        for jitter in [0, 7] {
+            let (order, _) = agrees_with_model(chaos_seed(), jitter, &[1, 1_000], &scripts);
+            if jitter == 0 {
+                // 0 hands off to 1 at its first yield, keeps at its second
+                // (clock 2 < 1 000) and blocks; 1 wakes it and hands back.
+                assert_eq!(order, vec![0, 1, 0, 0, 0, 1, 1, 1, 0]);
+            }
         }
     }
 
@@ -1292,6 +1430,40 @@ mod tests {
         }
     }
 
+    /// Poison from outside while the one unblocked task keeps the token on
+    /// the shortcut: it panics at a later yield, and the blocked tasks too.
+    #[test]
+    fn poison_reaches_a_task_on_the_keep_shortcut() {
+        const TASKS: usize = 4;
+        for transport in BOTH {
+            let exec = DetExecutor::new(TASKS, chaos_seed(), 7);
+            let (started_tx, started_rx) = mpsc::channel();
+            let poisoner = {
+                let exec = Arc::clone(&exec);
+                std::thread::spawn(move || {
+                    started_rx.recv().unwrap();
+                    exec.poison();
+                })
+            };
+            let e = Arc::clone(&exec);
+            let outcomes = run_on(&exec, transport, move |t| {
+                if t > 0 {
+                    e.block_internal(t, 0);
+                }
+                for step in 1u64.. {
+                    if step == 500 {
+                        started_tx.send(()).unwrap();
+                    }
+                    e.yield_now(t, step * 10);
+                }
+            });
+            poisoner.join().unwrap();
+            for (t, outcome) in outcomes.iter().enumerate() {
+                assert_eq!(outcome.as_deref(), Some(POISON_MSG), "{transport:?}, task {t}");
+            }
+        }
+    }
+
     #[test]
     fn only_a_task_on_its_own_stack_may_switch_it_out() {
         let exec = DetExecutor::new(2, 0, 0);
@@ -1327,14 +1499,11 @@ mod tests {
     // ------------------------------------------------------------- guard page
 
     /// Set in the child process of the guard-page test.
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     const GUARD_CHILD: &str = "JESSY_GUARD_PAGE_CHILD";
 
     /// Exit code of a child whose overflow faulted inside the task's guard page.
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     const HIT_GUARD: i32 = 42;
 
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     mod segv {
         //! A SIGSEGV handler, on an alternate stack, that exits with
         //! `HIT_GUARD` if the faulting address lies in `[GUARD_LO, GUARD_HI)`.
@@ -1404,7 +1573,6 @@ mod tests {
 
     /// The inaccessible mapping directly below the writable mapping that holds
     /// `addr`, from `/proc/self/maps` (empty if there is none).
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     fn guard_below(addr: usize) -> std::ops::Range<usize> {
         let maps = std::fs::read_to_string("/proc/self/maps").unwrap();
         let regions: Vec<(usize, usize, String)> = maps
@@ -1431,7 +1599,6 @@ mod tests {
         }
     }
 
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     fn recurse(depth: u64) -> u64 {
         let frame = std::hint::black_box([depth; 64]);
         if std::hint::black_box(true) {
@@ -1445,7 +1612,6 @@ mod tests {
     /// test re-runs itself in a child process, whose SIGSEGV handler checks
     /// that the faulting address lies in the inaccessible page directly below
     /// the task's stack.
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     #[test]
     fn a_stack_overflow_faults_on_the_tasks_guard_page() {
         const NAME: &str = "executor::tests::a_stack_overflow_faults_on_the_tasks_guard_page";

@@ -176,7 +176,7 @@ impl Drop for Stack {
 struct Launch<'a> {
     exec: &'a DetExecutor,
     task: usize,
-    body: Cell<Option<Box<dyn FnOnce() + Send + 'a>>>,
+    body: Cell<Option<Box<dyn FnOnce() + 'a>>>,
     outcome: Cell<Option<std::thread::Result<()>>>,
 }
 

@@ -23,10 +23,10 @@
 //! lost to a stall window or a partition manifests as a timeout-plus-retransmission
 //! penalty, so the lock-step protocol stays live.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use jessy_obs::{EventKind, TraceSink};
-use parking_lot::Mutex;
 
 use crate::clock::{ClockHandle, SimNanos};
 use crate::error::NetError;
@@ -42,10 +42,11 @@ use crate::stats::NetworkStats;
 const MAX_PARTITION_RETRIES: u64 = 4;
 
 /// The simulated cluster interconnect: pure accounting plus a latency model.
+/// Only the running task sends, so the ledger is a cell.
 pub struct Fabric {
     n_nodes: usize,
     latency: LatencyModel,
-    ledger: Mutex<NetworkStats>,
+    ledger: RefCell<NetworkStats>,
     injector: Option<Arc<FaultInjector>>,
     /// Journal for send/drop/duplicate/partition events; `None` (the default) emits
     /// nothing and costs one never-taken branch on the send paths.
@@ -72,7 +73,7 @@ impl Fabric {
         Ok(Fabric {
             n_nodes,
             latency,
-            ledger: Mutex::new(NetworkStats::new()),
+            ledger: RefCell::new(NetworkStats::new()),
             injector: None,
             sink: None,
         })
@@ -174,7 +175,7 @@ impl Fabric {
     }
 
     fn account(&self, class: MsgClass, total_bytes: u64) {
-        self.ledger.lock().record(class, total_bytes);
+        self.ledger.borrow_mut().record(class, total_bytes);
     }
 
     /// Send a one-way message of `payload_bytes` from `from` to `to`.
@@ -315,7 +316,7 @@ impl Fabric {
 
     /// Snapshot of the per-class ledger, including injected-fault counters.
     pub fn stats(&self) -> NetworkStats {
-        let mut s = self.ledger.lock().clone();
+        let mut s = self.ledger.borrow().clone();
         if let Some(inj) = &self.injector {
             s.faults = inj.stats();
         }

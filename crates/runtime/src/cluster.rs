@@ -30,7 +30,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::{rc::Rc, sync::Arc};
 use std::time::Instant;
 
 use parking_lot::RwLock;
@@ -387,7 +387,7 @@ impl ClusterBuilder {
             Some(inj) => mailbox.sender_with_faults(Arc::clone(inj), MsgClass::OalBatch),
             None => mailbox.sender(),
         };
-        let shared = Arc::new(ClusterShared {
+        let shared = Rc::new(ClusterShared {
             gos,
             board,
             prof: ProfilerShared::new(self.profiler),
@@ -453,14 +453,14 @@ impl InitCtx<'_> {
     }
 
     /// Allocate a zeroed scalar instance homed at `node`.
-    pub fn alloc_scalar_at(&self, node: NodeId, class: ClassId) -> Arc<ObjectCore> {
+    pub fn alloc_scalar_at(&self, node: NodeId, class: ClassId) -> Rc<ObjectCore> {
         let core = self.shared.gos.alloc_scalar(node, class, &self.clock, None);
         self.shared.prof.tag_new_object(&core);
         core
     }
 
     /// Allocate an initialized scalar instance homed at `node`.
-    pub fn alloc_scalar_init(&self, node: NodeId, class: ClassId, init: &[f64]) -> Arc<ObjectCore> {
+    pub fn alloc_scalar_init(&self, node: NodeId, class: ClassId, init: &[f64]) -> Rc<ObjectCore> {
         let core = self
             .shared
             .gos
@@ -475,7 +475,7 @@ impl InitCtx<'_> {
         node: NodeId,
         class: ClassId,
         init: &[f64],
-    ) -> Arc<ObjectCore> {
+    ) -> Rc<ObjectCore> {
         let core =
             self.shared
                 .gos
@@ -522,7 +522,7 @@ impl Drop for EndOfRun<'_> {
 
 /// A simulated DJVM cluster.
 pub struct Cluster {
-    shared: Arc<ClusterShared>,
+    shared: Rc<ClusterShared>,
     mailbox: Option<Mailbox<EpochOal>>,
     master_out: Option<MasterOutput>,
     run_wall_ns: u64,
@@ -535,7 +535,7 @@ impl Cluster {
     }
 
     /// Shared state (for advanced inspection).
-    pub fn shared(&self) -> &Arc<ClusterShared> {
+    pub fn shared(&self) -> &Rc<ClusterShared> {
         &self.shared
     }
 
@@ -560,7 +560,7 @@ impl Cluster {
     /// [`Cluster::try_run`] to handle those as typed errors.
     pub fn run<F>(&mut self, body: F)
     where
-        F: Fn(&mut JThread) + Send + Sync + 'static,
+        F: Fn(&mut JThread) + 'static,
     {
         self.try_run(body).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -571,7 +571,7 @@ impl Cluster {
     /// inspection.
     pub fn try_run<F>(&mut self, body: F) -> Result<(), RuntimeError>
     where
-        F: Fn(&mut JThread) + Send + Sync + 'static,
+        F: Fn(&mut JThread) + 'static,
     {
         self.try_run_tapped(body, |fx| fx).map(drop)
     }
@@ -584,11 +584,11 @@ impl Cluster {
     pub fn try_run_tapped<F, B>(
         &mut self,
         body: F,
-        tap: impl FnOnce(LiveBoundary) -> B + Send + 'static,
+        tap: impl FnOnce(LiveBoundary) -> B + 'static,
     ) -> Result<B, RuntimeError>
     where
-        F: Fn(&mut JThread) + Send + Sync + 'static,
-        B: MasterBoundary + Send + 'static,
+        F: Fn(&mut JThread) + 'static,
+        B: MasterBoundary + 'static,
     {
         let mailbox = self.mailbox.take().ok_or(RuntimeError::AlreadyRun)?;
         self.shared.board.reset();
@@ -605,13 +605,13 @@ impl Cluster {
             .map(|t| {
                 TaskSpec::new(WORKER_STACK_BYTES, move || {
                     let _end = EndOfRun { shared, live };
-                    let mut jt = JThread::new(Arc::clone(shared), ThreadId(t as u32));
+                    let mut jt = JThread::new(Rc::clone(shared), ThreadId(t as u32));
                     body(&mut jt);
                 })
             })
             .collect();
         tasks.push(daemon_task(
-            Arc::clone(shared),
+            Rc::clone(shared),
             mailbox,
             tap,
             &mut master_out,
@@ -688,6 +688,6 @@ impl Cluster {
     /// Per-thread profiler handle for one-off (non-`run`) driving in tests: builds a
     /// fresh [`JThread`] on the calling thread.
     pub fn adopt_thread(&self, thread: ThreadId) -> JThread {
-        JThread::new(Arc::clone(&self.shared), thread)
+        JThread::new(Rc::clone(&self.shared), thread)
     }
 }

@@ -80,7 +80,7 @@ mod pipeline;
 mod state;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
@@ -212,14 +212,14 @@ const MASTER_STACK_BYTES: usize = 2 * 1024 * 1024;
 /// [`crate::Cluster::try_run`]) and leaves the output and the boundary in
 /// `out`. A panicking master poisons the executor, so the worker tasks abort
 /// deterministically instead of blocking forever; `out` stays `None`.
-pub(crate) fn daemon_task<'a, B: MasterBoundary + Send + 'static>(
-    shared: Arc<ClusterShared>,
+pub(crate) fn daemon_task<'a, B: MasterBoundary + 'static>(
+    shared: Rc<ClusterShared>,
     mailbox: Mailbox<EpochOal>,
-    tap: impl FnOnce(LiveBoundary) -> B + Send + 'static,
+    tap: impl FnOnce(LiveBoundary) -> B + 'static,
     out: &'a mut Option<(MasterOutput, B)>,
 ) -> TaskSpec<'a> {
     TaskSpec::new(MASTER_STACK_BYTES, move || {
-        let exec = Arc::clone(&shared.exec);
+        let exec = std::sync::Arc::clone(&shared.exec);
         let ran = catch_unwind(AssertUnwindSafe(|| {
             let mut fx = tap(LiveBoundary { shared, mailbox });
             (drive(&mut fx), fx)

@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
@@ -107,7 +107,7 @@ pub trait MasterBoundary {
 /// The boundary over a running cluster: the master daemon's mailbox and the
 /// cluster state it reads and acts on.
 pub struct LiveBoundary {
-    pub(crate) shared: Arc<ClusterShared>,
+    pub(crate) shared: Rc<ClusterShared>,
     pub(crate) mailbox: Mailbox<EpochOal>,
 }
 

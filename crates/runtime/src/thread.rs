@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::{rc::Rc, sync::Arc};
 
 use jessy_core::ThreadProfiler;
 use jessy_gos::{
@@ -25,7 +25,7 @@ use crate::migration::MigrationReport;
 
 /// One application thread's runtime handle.
 pub struct JThread {
-    shared: Arc<ClusterShared>,
+    shared: Rc<ClusterShared>,
     thread: ThreadId,
     node: NodeId,
     clock: ClockHandle,
@@ -66,7 +66,7 @@ pub struct JThread {
 
 impl JThread {
     /// Build the handle for `thread` (placed per the cluster's placement table).
-    pub fn new(shared: Arc<ClusterShared>, thread: ThreadId) -> Self {
+    pub fn new(shared: Rc<ClusterShared>, thread: ThreadId) -> Self {
         let node = shared.node_of(thread);
         let clock = shared.board.handle(thread);
         let profiler = ThreadProfiler::new(Arc::clone(&shared.prof), thread);
@@ -177,7 +177,7 @@ impl JThread {
 
     /// Cluster-shared state. The caveat on [`JThread::gos`] applies: direct
     /// reads of mutable shared state must be barrier- or lock-ordered.
-    pub fn shared(&self) -> &Arc<ClusterShared> {
+    pub fn shared(&self) -> &Rc<ClusterShared> {
         &self.shared
     }
 
@@ -387,7 +387,7 @@ impl JThread {
     /// no lock or barrier before that thread's first touch, is a race on the
     /// first share: still replayed bit for bit, but ordered by where this
     /// thread's lookahead stood, not by virtual time.
-    pub fn alloc_scalar(&mut self, class: ClassId) -> Arc<ObjectCore> {
+    pub fn alloc_scalar(&mut self, class: ClassId) -> Rc<ObjectCore> {
         self.pay_owed_yield();
         let core = self
             .shared
@@ -398,7 +398,7 @@ impl JThread {
 
     /// Allocate a zeroed array at this thread's node (a visible action;
     /// unclaimed until first touched, like [`JThread::alloc_scalar`]).
-    pub fn alloc_array(&mut self, class: ClassId, len_elems: u32) -> Arc<ObjectCore> {
+    pub fn alloc_array(&mut self, class: ClassId, len_elems: u32) -> Rc<ObjectCore> {
         self.pay_owed_yield();
         let core = self
             .shared
@@ -408,7 +408,7 @@ impl JThread {
     }
 
     /// Sampling tag of an object this thread just allocated.
-    fn adopt_new_object(&self, core: Arc<ObjectCore>) -> Arc<ObjectCore> {
+    fn adopt_new_object(&self, core: Rc<ObjectCore>) -> Rc<ObjectCore> {
         self.shared.prof.tag_new_object(&core);
         core
     }

@@ -974,7 +974,7 @@ fn stale_directive_is_fenced_attributably() {
         vec![ctx.alloc_scalar_at(NodeId(0), class).id]
     });
     let objs = Arc::new(objs);
-    let shared = Arc::clone(cluster.shared());
+    let shared = std::rc::Rc::clone(cluster.shared());
     cluster.run(move |jt| {
         if jt.thread_id() == jessy_net::ThreadId(0) {
             // A plan from "epoch 99" — a regime that never existed (the master

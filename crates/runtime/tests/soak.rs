@@ -2,10 +2,7 @@
 //! box. Each JThread is an executor task on a stack of its own, and every task
 //! runs on the OS thread that called `run`: the whole run is a single token
 //! hopping through 10 001 tasks in virtual-time order, and it starts no OS
-//! thread. A plain test, so `cargo test --workspace` runs it. Only where tasks
-//! run on their own stacks: elsewhere each task gets an OS carrier, and the
-//! soak would start 10 000 threads.
-#![cfg(all(target_arch = "x86_64", target_os = "linux"))]
+//! thread. A plain test, so `cargo test --workspace` runs it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

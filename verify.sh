@@ -18,10 +18,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --workspace --no-deps with warnings denied (intra-doc links resolve)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> tcm_reduce smoke (the round close is bit-identical to the scalar reference)"
+echo "==> tcm_reduce smoke (the round close is bit-identical to the scalar reference and touches fewer words)"
 JESSY_SCALE=small cargo bench -p jessy-bench --bench tcm_reduce
 
-echo "==> access_path smoke (arena vs seed layout, payload identity)"
+echo "==> access_path smoke (no allocation on an unarmed access, payload identity against the seed layout)"
 JESSY_SCALE=small cargo bench -p jessy-bench --bench access_path
 
 echo "==> recovery smoke (asserts TCM + recorded OAL log bit-identity under a master crash, every checkpoint cadence)"
@@ -134,24 +134,38 @@ echo "==> chaos seed matrix (fault determinism must not depend on one seed)"
 # under seeded drops (the round deadline closes its rounds and no OAL is lost)
 # and the zero-plan invariant; every seed must satisfy every assertion.
 # The GOS stress suite takes its executor seed from the same variable, so each
-# seed is another interleaving of its lock and barrier storms; the executor's
-# own unit tests take it too, for their hand-off, outside-wake and poison storms
-# and for the transport differential (tasks on their own stacks and OS carriers
-# registered through register_current log the same schedule). CI runs each seed
-# here, once.
+# seed is another interleaving of its lock, barrier, allocation and first-touch
+# storms; the executor's own unit tests take it too, for their hand-off,
+# outside-wake and poison storms, the keep shortcut's model checks and the
+# transport differential (tasks on their own stacks and OS carriers registered
+# through register_current log the same schedule). CI runs each seed here,
+# once.
 for seed in 1 7 42 1337 31337 99999; do
   echo "--- JESSY_CHAOS_SEED=$seed"
   JESSY_CHAOS_SEED=$seed cargo test -p jessy-runtime --test chaos -q
   JESSY_CHAOS_SEED=$seed cargo test -p jessy --test drift -q phase_flip_inside
   JESSY_CHAOS_SEED=$seed cargo test -p jessy-gos --test stress -q
+  JESSY_CHAOS_SEED=$seed cargo test -p jessy-core --test counter_cells -q
   JESSY_CHAOS_SEED=$seed cargo test -p jessy-net --lib -q executor
 done
 
-echo "==> single-writer cells in release (clock cells, GOS and profiler counter totals, GOS protocol and stress suites)"
-# Clocks and per-access counters are a load and a store by their one writer;
-# the chaos matrix runs the stress suite in debug only, and a lost update or a
-# mismatched space/clock pair must fail in the build the benchmark runs too.
+echo "==> single-writer cells in release (clock cells, the executor's keep shortcut, GOS and profiler counter totals, GOS protocol and stress suites)"
+# Clocks and per-access counters are a load and a store by their one writer,
+# and a GOS object's header and payload are single-threaded cells; the chaos
+# matrix runs these suites in debug only, and a lost update, a mismatched
+# space/clock pair or a borrow held across a scheduling point must fail in the
+# build the benchmark runs too. The executor's tests check the keep shortcut,
+# which runs on the benchmark's release path, against the schedule model.
+# counter_cells: eight_interleaved_tasks_count_exactly_what_each_did.
+# stress: the lock, barrier and clock storms, plus four tests that shared a
+# GOS between free OS threads until its state became cells and now interleave
+# executor tasks one operation at a time:
+# resampling_walk_interleaves_with_access_safely,
+# interleaved_prefetch_and_invalidation,
+# interleaved_allocation_and_lookup_share_one_append_only_table and
+# interleaved_first_touches_never_leave_an_object_with_two_owners.
 cargo test --release -p jessy-net --lib -q clock::
+cargo test --release -p jessy-net --lib -q executor::
 cargo test --release -p jessy-core --test counter_cells -q
 cargo test --release -p jessy-gos --test stress --test protocol -q
 
